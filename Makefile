@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-short fuzz bench bench-capture bench-smoke golden trace-determinism chaos overload obs obs-live arena testnet soak
+.PHONY: ci vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e loc golden trace-determinism chaos overload obs obs-live arena testnet soak
 
 ## ci: the full pre-merge gate — vet, build, tests under the race
 ## detector, the fuzz seed corpora in short mode, the event-trace
 ## replication check, the chaos, overload, observability (sim and
-## live), arena, testnet and soak gates, and the bench-capture smoke
-## check.
-ci: vet build race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke
+## live), arena, testnet and soak gates, the bench-capture smoke check,
+## and the separately-moduled end-to-end benchmark's own vet and tests.
+ci: vet build race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e
 
 vet:
 	$(GO) vet ./...
@@ -58,6 +58,22 @@ bench-capture:
 ## every captured benchmark still build, run and parse.
 bench-smoke:
 	$(GO) run ./cmd/benchcap -smoke
+
+## bench-e2e: bench/ is a module of its own (BENCHMARK.json runs it), so
+## `./...` above never compiles it — vet and test it here, or a deleted
+## exported function breaks the benchmark unnoticed.
+bench-e2e:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -count=1 ./...
+
+## loc: the ROADMAP scoreboard — non-test and test Go lines and the
+## package counts of the root module (bench/ and its build directory
+## excluded). Record before/after in each PR's CHANGES.md entry.
+LOCFIND = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
+loc:
+	@echo "non-test Go lines: $$($(LOCFIND) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(LOCFIND) -name '*_test.go' | xargs cat | wc -l)"
+	@echo "packages:          $$($(GO) list ./... | wc -l) ($$($(GO) list ./internal/... | wc -l) under internal/)"
 
 ## trace-determinism: the event-stream replication gate — the full JSONL
 ## trace of every reservation mode must be byte-identical at any worker

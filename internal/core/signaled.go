@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"armnet/internal/admission"
+	"armnet/internal/clock"
 	"armnet/internal/eventbus"
 	"armnet/internal/qos"
 	"armnet/internal/signal"
@@ -17,7 +18,7 @@ func (m *Manager) SignalPlane() *signal.Plane {
 	if m.sigPlane == nil {
 		opts := m.Cfg.Signal
 		opts.Bus = m.Bus
-		m.sigPlane = signal.NewPlane(m.Sim, m.Adm, m.ledger, opts)
+		m.sigPlane = signal.NewPlaneOn(clock.Sim(m.Sim), m.Adm, m.ledger, opts)
 	}
 	return m.sigPlane
 }

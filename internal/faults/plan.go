@@ -153,7 +153,7 @@ func (p *Plan) parseMsgRule(fields []string) error {
 	default:
 		return fmt.Errorf("unknown protocol %q (want signal, maxmin, or any)", proto)
 	}
-	prob, err := parseFinite(fields[2])
+	prob, err := ParseFinite(fields[2])
 	if err != nil {
 		return fmt.Errorf("bad probability %q: %w", fields[2], err)
 	}
@@ -162,7 +162,7 @@ func (p *Plan) parseMsgRule(fields []string) error {
 	}
 	rule := MsgRule{Proto: proto, Action: action, Prob: prob}
 	if action == "delay" {
-		d, err := parseFinite(fields[3])
+		d, err := ParseFinite(fields[3])
 		if err != nil {
 			return fmt.Errorf("bad delay %q: %w", fields[3], err)
 		}
@@ -179,7 +179,7 @@ func (p *Plan) parseTimed(fields []string) error {
 	if len(fields) < 3 {
 		return fmt.Errorf("at needs a time and an action")
 	}
-	at, err := parseFinite(fields[1])
+	at, err := ParseFinite(fields[1])
 	if err != nil {
 		return fmt.Errorf("bad time %q: %w", fields[1], err)
 	}
@@ -212,7 +212,7 @@ func (p *Plan) parseTimed(fields []string) error {
 		if !allowFor || len(rest) != 2 || rest[0] != "for" {
 			return fmt.Errorf("trailing arguments %v", rest)
 		}
-		dur, err := parseFinite(rest[1])
+		dur, err := ParseFinite(rest[1])
 		if err != nil {
 			return fmt.Errorf("bad duration %q: %w", rest[1], err)
 		}
@@ -228,9 +228,10 @@ func (p *Plan) parseTimed(fields []string) error {
 	return nil
 }
 
-// parseFinite parses a float64 and rejects NaN and ±Inf (the simulator
-// clock cannot absorb them).
-func parseFinite(s string) (float64, error) {
+// ParseFinite parses a float64 and rejects NaN and ±Inf (the simulator
+// clock cannot absorb them). The live-wire grammar in internal/netfaults
+// parses its numbers through it too.
+func ParseFinite(s string) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/randx"
 )
@@ -60,7 +61,7 @@ func FuzzMaxminConvergence(f *testing.F) {
 		}
 
 		simulator := des.New()
-		pr := NewProtocol(simulator, ProtocolOptions{Refined: refined})
+		pr := NewProtocolOn(clock.Sim(simulator), ProtocolOptions{Refined: refined})
 		for _, l := range p.sortedLinks() {
 			if err := pr.AddLink(l, p.Capacity[l]); err != nil {
 				t.Fatal(err)

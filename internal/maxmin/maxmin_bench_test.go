@@ -3,6 +3,7 @@ package maxmin
 import (
 	"testing"
 
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/randx"
 )
@@ -73,7 +74,7 @@ func BenchmarkProtocolSession(b *testing.B) {
 	p := benchProblem(3, 6)
 	for i := 0; i < b.N; i++ {
 		sim := des.New()
-		pr := NewProtocol(sim, ProtocolOptions{Refined: true})
+		pr := NewProtocolOn(clock.Sim(sim), ProtocolOptions{Refined: true})
 		for _, l := range p.sortedLinks() {
 			_ = pr.AddLink(l, p.Capacity[l])
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"armnet/internal/clock"
-	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/sortx"
 )
@@ -173,15 +172,10 @@ type protoConn struct {
 	rate   float64
 }
 
-// NewProtocol builds a protocol instance over the simulator. A positive
-// ReadvertisePeriod arms the periodic repair ticker immediately.
-func NewProtocol(sim *des.Simulator, opts ProtocolOptions) *Protocol {
-	return NewProtocolOn(clock.Sim(sim), opts)
-}
-
-// NewProtocolOn is NewProtocol with an explicit time source — the
-// live-mode constructor. All protocol timers (sweep travel, retransmit
-// backoff, the re-ADVERTISE repair ticker) run on the given clock.
+// NewProtocolOn builds a protocol instance whose timers (sweep travel,
+// retransmit backoff, the re-ADVERTISE repair ticker) all run on clk:
+// clock.Sim(sim) for simulated time, a *clock.Wall for real time. A
+// positive ReadvertisePeriod arms the repair ticker immediately.
 func NewProtocolOn(clk clock.Clock, opts ProtocolOptions) *Protocol {
 	pr := &Protocol{
 		clk:    clk,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/randx"
 )
@@ -13,7 +14,7 @@ import (
 // buildProtocol loads a Problem into a fresh Protocol.
 func buildProtocol(t testing.TB, sim *des.Simulator, p Problem, opts ProtocolOptions) *Protocol {
 	t.Helper()
-	pr := NewProtocol(sim, opts)
+	pr := NewProtocolOn(clock.Sim(sim), opts)
 	for _, l := range p.sortedLinks() {
 		if err := pr.AddLink(l, p.Capacity[l]); err != nil {
 			t.Fatal(err)
@@ -209,7 +210,7 @@ func TestRefinementReducesMessages(t *testing.T) {
 
 func TestProtocolValidation(t *testing.T) {
 	sim := des.New()
-	pr := NewProtocol(sim, ProtocolOptions{})
+	pr := NewProtocolOn(clock.Sim(sim), ProtocolOptions{})
 	if err := pr.AddLink("l", 5); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestProtocolSurvivesChurn(t *testing.T) {
 	// the maxmin allocation of whatever survived.
 	rng := randx.New(21)
 	sim := des.New()
-	pr := NewProtocol(sim, ProtocolOptions{Refined: true})
+	pr := NewProtocolOn(clock.Sim(sim), ProtocolOptions{Refined: true})
 	links := []string{"l0", "l1", "l2"}
 	for _, l := range links {
 		if err := pr.AddLink(l, 5+rng.Float64()*15); err != nil {

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"armnet/internal/faults"
@@ -204,7 +203,7 @@ func (p *Plan) parseRule(fields []string) error {
 	default:
 		return fmt.Errorf("unknown protocol %q (want signal, maxmin, or any)", rule.Proto)
 	}
-	prob, err := parseFinite(fields[2])
+	prob, err := faults.ParseFinite(fields[2])
 	if err != nil {
 		return fmt.Errorf("bad probability %q: %w", fields[2], err)
 	}
@@ -213,7 +212,7 @@ func (p *Plan) parseRule(fields []string) error {
 	}
 	rule.Prob = prob
 	if want == 4 {
-		d, err := parseFinite(fields[3])
+		d, err := faults.ParseFinite(fields[3])
 		if err != nil {
 			return fmt.Errorf("bad %s duration %q: %w", action, fields[3], err)
 		}
@@ -230,7 +229,7 @@ func (p *Plan) parseNode(fields []string) error {
 	if len(fields) < 4 {
 		return fmt.Errorf("at needs a time, an action, and a node")
 	}
-	at, err := parseFinite(fields[1])
+	at, err := faults.ParseFinite(fields[1])
 	if err != nil {
 		return fmt.Errorf("bad time %q: %w", fields[1], err)
 	}
@@ -248,7 +247,7 @@ func (p *Plan) parseNode(fields []string) error {
 		if len(rest) != 2 || rest[0] != "for" {
 			return fmt.Errorf("trailing arguments %v", rest)
 		}
-		dur, err := parseFinite(rest[1])
+		dur, err := faults.ParseFinite(rest[1])
 		if err != nil {
 			return fmt.Errorf("bad duration %q: %w", rest[1], err)
 		}
@@ -262,17 +261,4 @@ func (p *Plan) parseNode(fields []string) error {
 	}
 	p.Nodes = append(p.Nodes, f)
 	return nil
-}
-
-// parseFinite parses a float64 and rejects NaN and ±Inf (the scenario
-// clocks cannot absorb them).
-func parseFinite(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if v != v || v > 1e300 || v < -1e300 {
-		return 0, fmt.Errorf("value %v is not finite", v)
-	}
-	return v, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"armnet/internal/admission"
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/qos"
@@ -37,7 +38,7 @@ func releaseRig(t *testing.T, opts Options) (*des.Simulator, *Plane, topology.Ro
 	}, eventbus.KindSignalAbort)
 	opts.Bus = bus
 	lg := admission.NewLedger(b)
-	return sim, NewPlane(sim, admission.NewController(lg), lg, opts), route, &releases
+	return sim, NewPlaneOn(clock.Sim(sim), admission.NewController(lg), lg, opts), route, &releases
 }
 
 // TestCommitLossReleasesExactlyOnce: the commit confirmation is lost for

@@ -23,7 +23,6 @@ import (
 
 	"armnet/internal/admission"
 	"armnet/internal/clock"
-	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/topology"
 )
@@ -160,14 +159,9 @@ type Plane struct {
 	reaperArmed bool
 }
 
-// NewPlane builds a signaling plane over an admission strategy and the
-// ledger it books into, running on the simulator's clock.
-func NewPlane(sim *des.Simulator, adm Admitter, lg *admission.Ledger, opts Options) *Plane {
-	return NewPlaneOn(clock.Sim(sim), adm, lg, opts)
-}
-
-// NewPlaneOn is NewPlane with an explicit time source — the live-mode
-// constructor (pass a *clock.Wall to run setups on real time).
+// NewPlaneOn builds a signaling plane over an admission strategy and
+// the ledger it books into. Every timeout and hold lease runs on clk:
+// clock.Sim(sim) for simulated time, a *clock.Wall for real time.
 func NewPlaneOn(clk clock.Clock, adm Admitter, lg *admission.Ledger, opts Options) *Plane {
 	return &Plane{
 		clk:     clk,

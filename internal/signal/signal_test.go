@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"armnet/internal/admission"
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/qos"
 	"armnet/internal/topology"
@@ -26,7 +27,7 @@ func rig(t *testing.T) (*des.Simulator, *Plane, topology.Route) {
 	}
 	sim := des.New()
 	lg := admission.NewLedger(b)
-	return sim, NewPlane(sim, admission.NewController(lg), lg, Options{}), route
+	return sim, NewPlaneOn(clock.Sim(sim), admission.NewController(lg), lg, Options{}), route
 }
 
 func req(min float64) qos.Request {

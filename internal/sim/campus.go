@@ -204,13 +204,69 @@ type campusProbe struct {
 	util float64
 }
 
-func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *obs.Snapshot, campusProbe, error) {
-	cfg = cfg.withDefaults()
+// campusRun is the scaffold every campus-topology scenario stands on:
+// the campus environment, a fresh simulator, the manager under test
+// with the summary collector subscribed, and the p%02d population with
+// its shared QoS request.
+type campusRun struct {
+	env    *topology.Environment
+	sim    *des.Simulator
+	mgr    *core.Manager
+	col    *campusCollector
+	names  []string
+	req    qos.Request
+	traceW io.Writer
+	rec    *eventbus.Recorder
+}
+
+func newCampusRun(coreCfg core.Config, traceW io.Writer, portables int, bMin, bMax float64) (*campusRun, error) {
 	env, err := topology.BuildCampus()
 	if err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
+		return nil, err
 	}
 	simulator := des.New()
+	mgr, err := core.NewManager(simulator, env, coreCfg)
+	if err != nil {
+		return nil, err
+	}
+	r := &campusRun{
+		env: env, sim: simulator, mgr: mgr,
+		col:   newCampusCollector(mgr.Bus),
+		names: make([]string, portables),
+		req: qos.Request{
+			Bandwidth: qos.Bounds{Min: bMin, Max: bMax},
+			Delay:     5, Jitter: 5, Loss: 0.05,
+			Traffic: qos.TrafficSpec{Sigma: bMin / 4, Rho: bMin},
+		},
+		traceW: traceW,
+	}
+	for i := range r.names {
+		r.names[i] = fmt.Sprintf("p%02d", i)
+	}
+	return r, nil
+}
+
+// run executes the scheduled workload up to the horizon. The JSONL
+// recorder, when the run has a trace writer, attaches here — after every
+// scenario-specific subscriber — so it stays the bus's last observer.
+func (r *campusRun) run(until float64) error {
+	if r.traceW != nil {
+		r.rec = eventbus.AttachRecorder(r.mgr.Bus, r.traceW)
+	}
+	return r.sim.RunUntil(until)
+}
+
+// traceErr reports a failed trace write; check it after the final
+// audits, which may still publish.
+func (r *campusRun) traceErr() error {
+	if r.rec == nil {
+		return nil
+	}
+	return r.rec.Err()
+}
+
+func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *obs.Snapshot, campusProbe, error) {
+	cfg = cfg.withDefaults()
 	coreCfg := core.Config{
 		Seed: cfg.Seed, Mode: cfg.Mode, Tth: cfg.Tth,
 		Allocator: cfg.Allocator, Admitter: cfg.Admitter,
@@ -218,42 +274,29 @@ func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *obs.Snapshot,
 	if cfg.Obs {
 		coreCfg.Obs = &obs.Options{Spans: cfg.Spans}
 	}
-	mgr, err := core.NewManager(simulator, env, coreCfg)
+	r, err := newCampusRun(coreCfg, traceW, cfg.Portables, cfg.BMin, cfg.BMax)
 	if err != nil {
 		return CampusResult{}, nil, campusProbe{}, err
 	}
-	col := newCampusCollector(mgr.Bus)
-	var rec *eventbus.Recorder
-	if traceW != nil {
-		rec = eventbus.AttachRecorder(mgr.Bus, traceW)
-	}
-	names := make([]string, cfg.Portables)
-	for i := range names {
-		names[i] = fmt.Sprintf("p%02d", i)
-	}
-	trace, err := mobility.RandomWalk(env.Universe, names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
+	mgr := r.mgr
+	trace, err := mobility.RandomWalk(r.env.Universe, r.names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
 	if err != nil {
 		return CampusResult{}, nil, campusProbe{}, err
 	}
-	req := qos.Request{
-		Bandwidth: qos.Bounds{Min: cfg.BMin, Max: cfg.BMax},
-		Delay:     5, Jitter: 5, Loss: 0.05,
-		Traffic: qos.TrafficSpec{Sigma: cfg.BMin / 4, Rho: cfg.BMin},
-	}
-	trace.Schedule(simulator, func(mv mobility.Move) {
+	trace.Schedule(r.sim, func(mv mobility.Move) {
 		if mv.From == "" {
 			if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
-				_, _ = mgr.OpenConnection(mv.Portable, req)
+				_, _ = mgr.OpenConnection(mv.Portable, r.req)
 			}
 			return
 		}
 		_ = mgr.HandoffPortable(mv.Portable, mv.To)
 	})
-	if err := simulator.RunUntil(cfg.Duration); err != nil {
+	if err := r.run(cfg.Duration); err != nil {
 		return CampusResult{}, nil, campusProbe{}, err
 	}
-	if rec != nil && rec.Err() != nil {
-		return CampusResult{}, nil, campusProbe{}, rec.Err()
+	if err := r.traceErr(); err != nil {
+		return CampusResult{}, nil, campusProbe{}, err
 	}
 	var snap *obs.Snapshot
 	if mgr.Obs != nil {
@@ -263,11 +306,11 @@ func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *obs.Snapshot,
 		}
 		snap = mgr.Obs.Snapshot()
 	}
-	probe := campusProbe{util: meanDownlinkUtil(env, mgr.Ledger())}
+	probe := campusProbe{util: meanDownlinkUtil(r.env, mgr.Ledger())}
 	if mgr.Adpt != nil {
 		probe.control = mgr.Adpt.Alloc.Stats()
 	}
-	return col.result(cfg.Mode), snap, probe, nil
+	return r.col.result(cfg.Mode), snap, probe, nil
 }
 
 // meanDownlinkUtil averages the committed utilization of every cell's
@@ -294,25 +337,34 @@ func meanDownlinkUtil(env *topology.Environment, lg *admission.Ledger) float64 {
 	return total / float64(n)
 }
 
+// sweepSeeds runs `replications` (at least one) independent trials under
+// runner.Seeds-derived seeds — replication 0 keeps seed — fanned over a
+// worker pool. Results arrive in replication order at any worker count.
+func sweepSeeds[R any](ctx context.Context, seed int64, replications, workers int, trial func(seed int64) (R, error)) ([]R, runner.Stats, error) {
+	if replications <= 0 {
+		replications = 1
+	}
+	seeds := runner.Seeds(seed, replications)
+	return runner.Map(ctx, workers, replications, func(_ context.Context, i int) (R, error) {
+		return trial(seeds[i])
+	})
+}
+
 // RunCampusObsSweep runs `replications` independent observed campus trials
 // with per-replication seeds derived from cfg.Seed (replication 0 keeps
 // cfg.Seed) and merges their snapshots in replication order. Because each
 // trial is deterministic and the merge order is fixed, the merged snapshot
 // is byte-identical at any worker count.
 func RunCampusObsSweep(ctx context.Context, cfg CampusConfig, replications, workers int) ([]CampusResult, *obs.Snapshot, error) {
-	if replications <= 0 {
-		replications = 1
-	}
 	cfg.Obs = true
 	cfg.Spans = nil // a shared writer would race across concurrent trials
-	seeds := runner.Seeds(cfg.Seed, replications)
 	type trial struct {
 		res  CampusResult
 		snap *obs.Snapshot
 	}
-	trials, _, err := runner.Map(ctx, workers, replications, func(_ context.Context, i int) (trial, error) {
+	trials, _, err := sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (trial, error) {
 		c := cfg
-		c.Seed = seeds[i]
+		c.Seed = seed
 		res, snap, _, err := runCampus(c, nil)
 		return trial{res: res, snap: snap}, err
 	})
@@ -447,14 +499,10 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 // (replication 0 keeps cfg.Seed, so a one-replication sweep reproduces
 // RunGrid exactly) and returns the results in replication order.
 func RunGridSweep(ctx context.Context, cfg GridConfig, replications, workers int) ([]GridResult, runner.Stats, error) {
-	if replications <= 0 {
-		replications = 1
-	}
 	cfg = cfg.withDefaults()
-	seeds := runner.Seeds(cfg.Seed, replications)
-	return runner.Map(ctx, workers, replications, func(_ context.Context, i int) (GridResult, error) {
+	return sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (GridResult, error) {
 		c := cfg
-		c.Seed = seeds[i]
+		c.Seed = seed
 		return runGridOnce(c)
 	})
 }

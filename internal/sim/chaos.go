@@ -9,16 +9,12 @@ import (
 	"strings"
 
 	"armnet/internal/core"
-	"armnet/internal/des"
-	"armnet/internal/eventbus"
 	"armnet/internal/faults"
 	"armnet/internal/maxmin"
 	"armnet/internal/mobility"
-	"armnet/internal/qos"
 	"armnet/internal/randx"
 	"armnet/internal/runner"
 	"armnet/internal/signal"
-	"armnet/internal/topology"
 )
 
 // ChaosConfig drives the chaos scenario: the campus workload with every
@@ -145,13 +141,9 @@ func RunChaosTrace(cfg ChaosConfig) (ChaosResult, []byte, error) {
 // runner.Seeds-derived seeds (replication 0 keeps cfg.Seed) fanned over a
 // worker pool. Results arrive in replication order at any worker count.
 func RunChaosSweep(ctx context.Context, cfg ChaosConfig, replications, workers int) ([]ChaosResult, runner.Stats, error) {
-	if replications <= 0 {
-		replications = 1
-	}
-	seeds := runner.Seeds(cfg.Seed, replications)
-	return runner.Map(ctx, workers, replications, func(_ context.Context, i int) (ChaosResult, error) {
+	return sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (ChaosResult, error) {
 		c := cfg
-		c.Seed = seeds[i]
+		c.Seed = seed
 		return RunChaos(c)
 	})
 }
@@ -190,67 +182,49 @@ func runChaos(cfg ChaosConfig, traceW io.Writer) (ChaosResult, error) {
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	env, err := topology.BuildCampus()
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	simulator := des.New()
-	mgr, err := core.NewManager(simulator, env, core.Config{
+	r, err := newCampusRun(core.Config{
 		Seed:   cfg.Seed,
 		Mode:   cfg.Mode,
 		Faults: plan,
 		Signal: signal.Options{HoldLease: cfg.HoldLease},
 		Proto:  maxmin.ProtocolOptions{ReadvertisePeriod: cfg.ReadvertisePeriod},
-	})
+	}, traceW, cfg.Portables, cfg.BMin, cfg.BMax)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	col := newCampusCollector(mgr.Bus)
+	mgr := r.mgr
 	aud := newChaosAuditor(mgr, cfg.GapTol)
-	var rec *eventbus.Recorder
-	if traceW != nil {
-		rec = eventbus.AttachRecorder(mgr.Bus, traceW)
-	}
-	names := make([]string, cfg.Portables)
-	for i := range names {
-		names[i] = fmt.Sprintf("p%02d", i)
-	}
-	walk, err := mobility.RandomWalk(env.Universe, names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
+	walk, err := mobility.RandomWalk(r.env.Universe, r.names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	req := qos.Request{
-		Bandwidth: qos.Bounds{Min: cfg.BMin, Max: cfg.BMax},
-		Delay:     5, Jitter: 5, Loss: 0.05,
-		Traffic: qos.TrafficSpec{Sigma: cfg.BMin / 4, Rho: cfg.BMin},
-	}
-	walk.Schedule(simulator, func(mv mobility.Move) {
+	walk.Schedule(r.sim, func(mv mobility.Move) {
 		if mv.From == "" {
 			if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
 				// Through the signaling plane: setups race the fault plan
 				// hop by hop and surface loss, retransmission, and crashes.
-				_ = mgr.OpenConnectionAsync(mv.Portable, req, func(string, error) {})
+				_ = mgr.OpenConnectionAsync(mv.Portable, r.req, func(string, error) {})
 			}
 			return
 		}
 		_ = mgr.HandoffPortable(mv.Portable, mv.To)
 	})
-	if err := simulator.RunUntil(cfg.Duration + cfg.Settle); err != nil {
+	if err := r.run(cfg.Duration + cfg.Settle); err != nil {
 		return ChaosResult{}, err
 	}
 	violations := aud.CheckFinal()
-	if rec != nil && rec.Err() != nil {
-		return ChaosResult{}, rec.Err()
+	if err := r.traceErr(); err != nil {
+		return ChaosResult{}, err
 	}
 	ctr := mgr.Met.Counter
 	return ChaosResult{
-		CampusResult:     col.result(cfg.Mode),
+		CampusResult:     r.col.result(cfg.Mode),
 		FaultsInjected:   ctr.Get(core.CtrFaultsInjected),
 		Retransmits:      ctr.Get(core.CtrRetransmits),
 		ReclaimedHolds:   ctr.Get(core.CtrReclaimedHolds),
 		ReadvertiseKicks: ctr.Get(core.CtrReadvertises),
 		ConvergenceGap:   aud.ConvergenceGap(),
 		Violations:       violations,
-		Events:           simulator.Fired(),
+		Events:           r.sim.Fired(),
 	}, nil
 }

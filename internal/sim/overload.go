@@ -3,20 +3,16 @@ package sim
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"strings"
 
 	"armnet/internal/core"
-	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/mobility"
 	"armnet/internal/overload"
-	"armnet/internal/qos"
 	"armnet/internal/randx"
 	"armnet/internal/runner"
 	"armnet/internal/signal"
-	"armnet/internal/topology"
 )
 
 // OverloadConfig drives the campus load-ramp scenario: a population of
@@ -185,13 +181,9 @@ func RunOverloadTrace(cfg OverloadConfig) (OverloadResult, []byte, error) {
 // a worker pool. Results arrive in replication order at any worker
 // count.
 func RunOverloadSweep(ctx context.Context, cfg OverloadConfig, replications, workers int) ([]OverloadResult, runner.Stats, error) {
-	if replications <= 0 {
-		replications = 1
-	}
-	seeds := runner.Seeds(cfg.Seed, replications)
-	return runner.Map(ctx, workers, replications, func(_ context.Context, i int) (OverloadResult, error) {
+	return sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (OverloadResult, error) {
 		c := cfg
-		c.Seed = seeds[i]
+		c.Seed = seed
 		return RunOverload(c)
 	})
 }
@@ -236,23 +228,18 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 	if err != nil {
 		return OverloadResult{}, err
 	}
-	env, err := topology.BuildCampus()
-	if err != nil {
-		return OverloadResult{}, err
-	}
-	simulator := des.New()
-	mgr, err := core.NewManager(simulator, env, core.Config{
+	r, err := newCampusRun(core.Config{
 		Seed:     cfg.Seed,
 		Tth:      cfg.Tth,
 		Mode:     cfg.Mode,
 		Faults:   plan,
 		Overload: pol,
 		Signal:   signal.Options{HoldLease: cfg.HoldLease},
-	})
+	}, traceW, cfg.Portables, cfg.BMin, cfg.BMax)
 	if err != nil {
 		return OverloadResult{}, err
 	}
-	col := newCampusCollector(mgr.Bus)
+	mgr, simulator, req := r.mgr, r.sim, r.req
 	ocol := newOverloadCollector(mgr.Bus)
 	var auditors []func() []string
 	if pol != nil {
@@ -262,15 +249,6 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 	if !plan.Empty() {
 		faud := newChaosAuditor(mgr, cfg.GapTol)
 		auditors = append(auditors, faud.CheckFinal)
-	}
-	var rec *eventbus.Recorder
-	if traceW != nil {
-		rec = eventbus.AttachRecorder(mgr.Bus, traceW)
-	}
-	req := qos.Request{
-		Bandwidth: qos.Bounds{Min: cfg.BMin, Max: cfg.BMax},
-		Delay:     5, Jitter: 5, Loss: 0.05,
-		Traffic: qos.TrafficSpec{Sigma: cfg.BMin / 4, Rho: cfg.BMin},
 	}
 	// openWith retries shed, fast-failed, and rejected setups a bounded
 	// number of times — the impatient-user behavior that keeps pressure
@@ -303,14 +281,13 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 	// shifts by Ramp·i/N, so arrivals spread over the ramp window and
 	// the offered load climbs toward its peak. Per-portable RNGs keep
 	// every walk independent of the population size.
-	for i := 0; i < cfg.Portables; i++ {
-		name := fmt.Sprintf("p%02d", i)
+	for i, name := range r.names {
 		offset := cfg.Ramp * float64(i) / float64(cfg.Portables)
 		horizon := cfg.Duration - offset
 		if horizon <= 0 {
 			continue
 		}
-		walk, err := mobility.RandomWalk(env.Universe, []string{name}, cfg.Dwell, horizon, randx.New(cfg.Seed+1000+int64(i)*7919))
+		walk, err := mobility.RandomWalk(r.env.Universe, []string{name}, cfg.Dwell, horizon, randx.New(cfg.Seed+1000+int64(i)*7919))
 		if err != nil {
 			return OverloadResult{}, err
 		}
@@ -329,19 +306,19 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 			})
 		}
 	}
-	if err := simulator.RunUntil(cfg.Duration + cfg.Settle); err != nil {
+	if err := r.run(cfg.Duration + cfg.Settle); err != nil {
 		return OverloadResult{}, err
 	}
 	var violations []string
 	for _, check := range auditors {
 		violations = append(violations, check()...)
 	}
-	if rec != nil && rec.Err() != nil {
-		return OverloadResult{}, rec.Err()
+	if err := r.traceErr(); err != nil {
+		return OverloadResult{}, err
 	}
 	ctr := mgr.Met.Counter
 	return OverloadResult{
-		CampusResult:     col.result(cfg.Mode),
+		CampusResult:     r.col.result(cfg.Mode),
 		Sheds:            ctr.Get(core.CtrShedSetups),
 		DegradeCascades:  ctr.Get(core.CtrDegradeCascades),
 		BreakerTrips:     ctr.Get(core.CtrBreakerTrips),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/maxmin"
 	"armnet/internal/randx"
@@ -118,7 +119,7 @@ func runTheorem1Instance(cfg Theorem1Config, seed int64) (theorem1Trial, error) 
 	rng := randx.New(seed)
 	p := randomMaxminProblem(rng, 1+rng.Intn(cfg.MaxLinks), 1+rng.Intn(cfg.MaxConns))
 	simulator := des.New()
-	pr := maxmin.NewProtocol(simulator, maxmin.ProtocolOptions{Refined: cfg.Refined})
+	pr := maxmin.NewProtocolOn(clock.Sim(simulator), maxmin.ProtocolOptions{Refined: cfg.Refined})
 	for _, l := range sortx.Keys(p.Capacity) {
 		if err := pr.AddLink(l, p.Capacity[l]); err != nil {
 			return theorem1Trial{}, err

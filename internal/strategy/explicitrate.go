@@ -12,6 +12,7 @@ import (
 
 func init() {
 	RegisterAllocator("erica", NewErica)
+	RegisterAllocator("logweight", NewLogWeight)
 }
 
 // NewErica builds the ERICA-style fair-share allocator (after Fahmy &
@@ -28,12 +29,53 @@ func init() {
 // neighbors record them), but each session costs a quarter of the
 // control packets; the arena quantifies that trade.
 //
-// The constructor honors the shared ProtocolOptions knobs: HopDelay,
-// Delta (the eq. 2 trigger threshold and kick tolerance), the Deliver
-// fault hook with MaxRetries/RetryBase retransmission, and the periodic
-// ReadvertisePeriod repair loop. RoundTrips and Refined are ignored —
-// ERICA has exactly one round trip and no M(l) sets.
+// It is the explicit-rate skeleton with unit weight: C·1/Σ1 is C/N
+// bit for bit.
 func NewErica(sim *des.Simulator, opts maxmin.ProtocolOptions) Allocator {
+	return newExplicitRate("erica", func(float64) float64 { return 1 }, sim, opts)
+}
+
+// NewLogWeight builds the logarithmic-weight proportional-sharing
+// allocator (after Robert & Véber's log-weighted bandwidth sharing).
+// It runs the same single explicit-rate round trip but replaces the
+// equal fair share with a weighted one: every connection carries the
+// weight
+//
+//	w_c = 1 + log(1 + demand_c)
+//
+// and each switch offers
+//
+//	μ_l(c) = max(C_l · w_c / Σ_j w_j, C_l − Σ_{j≠c} recorded_j)
+//
+// — the larger of the *log-weighted* share and the capacity left over
+// by everyone else. The logarithm bounds the favoritism: a connection
+// demanding 10× the bandwidth earns only a slightly larger floor, so
+// saturated links split capacity nearly evenly while still tilting
+// toward heavy flows. On a saturated link whose sharers are all
+// demand-uncapped the fixed point is exactly the weighted proportional
+// split C_l · w_c / Σ_j w_j; the arena quantifies how that compares to
+// max-min and ERICA on blocking, adaptation, and overhead.
+func NewLogWeight(sim *des.Simulator, opts maxmin.ProtocolOptions) Allocator {
+	return newExplicitRate("logweight", logWeight, sim, opts)
+}
+
+// logWeight is the Robert–Véber weight: 1 + log(1 + demand). The +1
+// floor keeps zero-demand connections schedulable and the log keeps the
+// spread between light and heavy flows bounded.
+func logWeight(demand float64) float64 { return 1 + math.Log1p(demand) }
+
+// newExplicitRate builds the shared explicit-rate allocator: one
+// out-and-back sweep per session, then an UPDATE. The only policy is
+// weight, the share of a saturated link a connection of the given
+// demand is guaranteed; name is the registry name and labels errors and
+// retransmit events.
+//
+// It honors the shared ProtocolOptions knobs: HopDelay, Delta (the
+// eq. 2 trigger threshold and kick tolerance), the Deliver fault hook
+// with MaxRetries/RetryBase retransmission, and the periodic
+// ReadvertisePeriod repair loop. RoundTrips and Refined are ignored —
+// one round trip, no M(l) sets.
+func newExplicitRate(name string, weight func(demand float64) float64, sim *des.Simulator, opts maxmin.ProtocolOptions) Allocator {
 	if opts.HopDelay <= 0 {
 		opts.HopDelay = 1e-3
 	}
@@ -46,11 +88,13 @@ func NewErica(sim *des.Simulator, opts maxmin.ProtocolOptions) Allocator {
 	if opts.RetryBase <= 0 {
 		opts.RetryBase = 20 * opts.HopDelay
 	}
-	a := &ericaAllocator{
+	a := &rateAllocator{
+		name:   name,
+		weight: weight,
 		sim:    sim,
 		opts:   opts,
-		links:  make(map[string]*ericaLink),
-		conns:  make(map[string]*ericaConn),
+		links:  make(map[string]*rateLink),
+		conns:  make(map[string]*rateConn),
 		active: make(map[string]bool),
 		dirty:  make(map[string]bool),
 	}
@@ -60,14 +104,16 @@ func NewErica(sim *des.Simulator, opts maxmin.ProtocolOptions) Allocator {
 	return a
 }
 
-type ericaAllocator struct {
+type rateAllocator struct {
+	name     string
+	weight   func(demand float64) float64
 	sim      *des.Simulator
 	opts     maxmin.ProtocolOptions
 	bus      *eventbus.Bus
 	onUpdate func(conn string, rate float64)
 
-	links map[string]*ericaLink
-	conns map[string]*ericaConn
+	links map[string]*rateLink
+	conns map[string]*rateConn
 
 	messages, sessions, retransmits, readvertises int
 
@@ -75,36 +121,41 @@ type ericaAllocator struct {
 	dirty  map[string]bool // session requested while one was active
 }
 
-type ericaLink struct {
+type rateLink struct {
 	capacity float64
 	// recorded is the last stamped rate the switch saw per connection.
 	recorded map[string]float64
 }
 
-type ericaConn struct {
+type rateConn struct {
 	id     string
 	path   []string
 	demand float64
+	weight float64
 	rate   float64
 }
 
-// offer is ERICA's explicit rate for one connection at one switch:
-// max(fair share, capacity minus everyone else's recorded load),
-// clamped non-negative. Sorted iteration keeps the float sum stable.
-func (l *ericaLink) offer(conn string) float64 {
-	n := len(l.recorded)
-	if n == 0 {
+// offer is the explicit rate for one connection at one switch:
+// max(weighted share, capacity minus everyone else's recorded load),
+// clamped non-negative. Sorted iteration keeps the float sums stable
+// run to run.
+func (a *rateAllocator) offer(l *rateLink, conn string) float64 {
+	if len(l.recorded) == 0 {
 		return l.capacity
 	}
-	others := 0.0
+	others, wsum, w := 0.0, 0.0, 0.0
 	for _, id := range sortx.Keys(l.recorded) {
-		if id != conn {
+		wc := a.conns[id].weight
+		wsum += wc
+		if id == conn {
+			w = wc
+		} else {
 			others += l.recorded[id]
 		}
 	}
 	mu := l.capacity - others
-	if fair := l.capacity / float64(n); fair > mu {
-		mu = fair
+	if share := l.capacity * w / wsum; share > mu {
+		mu = share
 	}
 	if mu < 0 {
 		mu = 0
@@ -112,20 +163,20 @@ func (l *ericaLink) offer(conn string) float64 {
 	return mu
 }
 
-func (a *ericaAllocator) Name() string { return "erica" }
+func (a *rateAllocator) Name() string { return a.name }
 
-func (a *ericaAllocator) AddLink(name string, capacity float64) error {
+func (a *rateAllocator) AddLink(name string, capacity float64) error {
 	if _, ok := a.links[name]; ok {
-		return fmt.Errorf("erica: duplicate link %s", name)
+		return fmt.Errorf("%s: duplicate link %s", a.name, name)
 	}
 	if capacity < 0 {
 		return fmt.Errorf("%w: %s = %v", maxmin.ErrBadCapacity, name, capacity)
 	}
-	a.links[name] = &ericaLink{capacity: capacity, recorded: make(map[string]float64)}
+	a.links[name] = &rateLink{capacity: capacity, recorded: make(map[string]float64)}
 	return nil
 }
 
-func (a *ericaAllocator) AddSession(s Session) error {
+func (a *rateAllocator) AddSession(s Session) error {
 	if _, ok := a.conns[s.ID]; ok {
 		return fmt.Errorf("%w: %s", maxmin.ErrDuplicateConn, s.ID)
 	}
@@ -140,7 +191,7 @@ func (a *ericaAllocator) AddSession(s Session) error {
 	if s.Demand < 0 {
 		return fmt.Errorf("%w: %s", maxmin.ErrBadDemand, s.ID)
 	}
-	c := &ericaConn{id: s.ID, path: dedupPath(s.Path), demand: s.Demand}
+	c := &rateConn{id: s.ID, path: dedupPath(s.Path), demand: s.Demand, weight: a.weight(s.Demand)}
 	a.conns[s.ID] = c
 	for _, l := range c.path {
 		a.links[l].recorded[s.ID] = 0
@@ -148,7 +199,7 @@ func (a *ericaAllocator) AddSession(s Session) error {
 	return nil
 }
 
-func (a *ericaAllocator) RemoveSession(id string) {
+func (a *rateAllocator) RemoveSession(id string) {
 	c, ok := a.conns[id]
 	if !ok {
 		return
@@ -161,13 +212,13 @@ func (a *ericaAllocator) RemoveSession(id string) {
 	delete(a.dirty, id)
 }
 
-func (a *ericaAllocator) Kick(id string) bool { return a.startSession(id) }
+func (a *rateAllocator) Kick(id string) bool { return a.startSession(id) }
 
 // CapacityChanged applies the eq. (2) trigger: decreases always adapt,
-// increases only above δ. ERICA has no bottleneck sets, so the switch
+// increases only above δ. There are no bottleneck sets, so the switch
 // kicks every connection whose committed rate drifted from its current
 // explicit-rate offer.
-func (a *ericaAllocator) CapacityChanged(link string, capacity float64) (int, error) {
+func (a *rateAllocator) CapacityChanged(link string, capacity float64) (int, error) {
 	l, ok := a.links[link]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", maxmin.ErrUnknownLink, link)
@@ -189,7 +240,7 @@ func (a *ericaAllocator) CapacityChanged(link string, capacity float64) (int, er
 	return started, nil
 }
 
-func (a *ericaAllocator) Rates() map[string]float64 {
+func (a *rateAllocator) Rates() map[string]float64 {
 	out := make(map[string]float64, len(a.conns))
 	for id, c := range a.conns {
 		out[id] = c.rate
@@ -197,9 +248,9 @@ func (a *ericaAllocator) Rates() map[string]float64 {
 	return out
 }
 
-func (a *ericaAllocator) Bottlenecks() []LinkBottleneck { return nil }
+func (a *rateAllocator) Bottlenecks() []LinkBottleneck { return nil }
 
-func (a *ericaAllocator) Stats() ControlStats {
+func (a *rateAllocator) Stats() ControlStats {
 	return ControlStats{
 		Messages:     a.messages,
 		Sessions:     a.sessions,
@@ -208,11 +259,11 @@ func (a *ericaAllocator) Stats() ControlStats {
 	}
 }
 
-func (a *ericaAllocator) SetOnUpdate(fn func(conn string, rate float64)) { a.onUpdate = fn }
+func (a *rateAllocator) SetOnUpdate(fn func(conn string, rate float64)) { a.onUpdate = fn }
 
-func (a *ericaAllocator) SetBus(bus *eventbus.Bus) { a.bus = bus }
+func (a *rateAllocator) SetBus(bus *eventbus.Bus) { a.bus = bus }
 
-func (a *ericaAllocator) tol() float64 {
+func (a *rateAllocator) tol() float64 {
 	if a.opts.Delta > 0 {
 		return a.opts.Delta
 	}
@@ -221,10 +272,10 @@ func (a *ericaAllocator) tol() float64 {
 
 // fairOffer is the rate a fresh sweep would stamp for the connection
 // right now: min(demand, min_l μ_l(conn)).
-func (a *ericaAllocator) fairOffer(c *ericaConn) float64 {
+func (a *rateAllocator) fairOffer(c *rateConn) float64 {
 	offer := c.demand
 	for _, l := range c.path {
-		if mu := a.links[l].offer(c.id); mu < offer {
+		if mu := a.offer(a.links[l], c.id); mu < offer {
 			offer = mu
 		}
 	}
@@ -234,7 +285,7 @@ func (a *ericaAllocator) fairOffer(c *ericaConn) float64 {
 // drifted reports whether the connection's committed rate deviates from
 // its current offer beyond tolerance — the kick criterion shared by the
 // cascade, the capacity trigger, and the periodic repair loop.
-func (a *ericaAllocator) drifted(c *ericaConn) bool {
+func (a *rateAllocator) drifted(c *rateConn) bool {
 	if c == nil {
 		return false
 	}
@@ -252,9 +303,9 @@ func (a *ericaAllocator) drifted(c *ericaConn) bool {
 }
 
 // readvertise is the periodic repair loop: kick every quiescent
-// connection that drifted from its offer (the recovery path for sessions
-// lost to control-plane faults).
-func (a *ericaAllocator) readvertise() {
+// connection that drifted from its offer (the recovery path for
+// sessions lost to control-plane faults).
+func (a *rateAllocator) readvertise() {
 	kicked := 0
 	for _, id := range sortx.Keys(a.conns) {
 		if a.active[id] {
@@ -270,7 +321,7 @@ func (a *ericaAllocator) readvertise() {
 	}
 }
 
-func (a *ericaAllocator) startSession(id string) bool {
+func (a *rateAllocator) startSession(id string) bool {
 	if _, ok := a.conns[id]; !ok {
 		return false
 	}
@@ -286,22 +337,23 @@ func (a *ericaAllocator) startSession(id string) bool {
 
 // retryControl schedules a retransmission of a lost sweep with
 // exponential backoff; false when the budget is exhausted.
-func (a *ericaAllocator) retryControl(id string, hop, attempt int, resend func(attempt int)) bool {
+func (a *rateAllocator) retryControl(id string, hop, attempt int, resend func(attempt int)) bool {
 	if attempt >= a.opts.MaxRetries {
 		return false
 	}
 	a.retransmits++
-	eventbus.Pub(a.bus, eventbus.ControlRetransmit{Proto: "erica", Conn: id, Hop: hop, Attempt: attempt + 1})
+	eventbus.Pub(a.bus, eventbus.ControlRetransmit{Proto: a.name, Conn: id, Hop: hop, Attempt: attempt + 1})
 	backoff := a.opts.RetryBase * float64(int(1)<<attempt)
 	a.sim.PostAfter(backoff, func() { resend(attempt + 1) })
 	return true
 }
 
-// runSweep performs ERICA's single explicit-rate round trip: the control
+// runSweep performs the single explicit-rate round trip: the control
 // packet clamps its stamp at every switch out and back, then the source
-// commits with an UPDATE. A hop lost to the delivery hook leaves partial
-// recorded state (like a real lost packet) and is resent after backoff.
-func (a *ericaAllocator) runSweep(id string, attempt int) {
+// commits with an UPDATE. A hop lost to the delivery hook leaves
+// partial recorded state (like a real lost packet) and is resent after
+// backoff.
+func (a *rateAllocator) runSweep(id string, attempt int) {
 	c, ok := a.conns[id]
 	if !ok {
 		a.finishSession(id)
@@ -332,7 +384,7 @@ func (a *ericaAllocator) runSweep(id string, attempt int) {
 			}
 			hop++
 			l := a.links[lname]
-			if mu := l.offer(id); mu < stamp {
+			if mu := a.offer(l, id); mu < stamp {
 				stamp = mu
 			}
 			l.recorded[id] = stamp
@@ -345,7 +397,7 @@ func (a *ericaAllocator) runSweep(id string, attempt int) {
 
 // sendUpdate commits the stamped rate at every switch and fires the
 // rate observer; a committed change cascades to drifted neighbors.
-func (a *ericaAllocator) sendUpdate(id string, rate float64, attempt int) {
+func (a *rateAllocator) sendUpdate(id string, rate float64, attempt int) {
 	c, ok := a.conns[id]
 	if !ok {
 		a.finishSession(id)
@@ -383,7 +435,7 @@ func (a *ericaAllocator) sendUpdate(id string, rate float64, attempt int) {
 	})
 }
 
-func (a *ericaAllocator) finishSession(id string) {
+func (a *rateAllocator) finishSession(id string) {
 	delete(a.active, id)
 	if a.dirty[id] {
 		delete(a.dirty, id)
@@ -391,10 +443,11 @@ func (a *ericaAllocator) finishSession(id string) {
 	}
 }
 
-// maybeConverged publishes convergence when the allocator goes quiescent
-// (reusing the MaxminConverged kind — the closed eventbus set is shared
-// by every allocator; the obs maxmin instruments read it generically).
-func (a *ericaAllocator) maybeConverged() {
+// maybeConverged publishes convergence when the allocator goes
+// quiescent (reusing the MaxminConverged kind — the closed eventbus set
+// is shared by every allocator; the obs instruments read it
+// generically).
+func (a *rateAllocator) maybeConverged() {
 	if len(a.active) == 0 && len(a.dirty) == 0 && a.sessions > 0 {
 		eventbus.Pub(a.bus, eventbus.MaxminConverged{Sessions: a.sessions, Messages: a.messages})
 	}
@@ -403,7 +456,7 @@ func (a *ericaAllocator) maybeConverged() {
 // cascade kicks every connection sharing a link with id whose committed
 // rate drifted from its fresh offer. Sessions that commit an unchanged
 // rate do not cascade, which is what terminates the ripple.
-func (a *ericaAllocator) cascade(id string) {
+func (a *rateAllocator) cascade(id string) {
 	c, ok := a.conns[id]
 	if !ok {
 		return

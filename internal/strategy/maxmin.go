@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/maxmin"
@@ -8,7 +9,7 @@ import (
 
 func init() {
 	RegisterAllocator(DefaultAllocator, func(sim *des.Simulator, opts maxmin.ProtocolOptions) Allocator {
-		return &maxminAllocator{pr: maxmin.NewProtocol(sim, opts)}
+		return &maxminAllocator{pr: maxmin.NewProtocolOn(clock.Sim(sim), opts)}
 	})
 }
 

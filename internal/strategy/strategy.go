@@ -10,9 +10,11 @@
 //
 // Rival strategies from the related work register themselves under
 // stable names ("erica", an ABR-style fair-share switch allocator after
-// Fahmy & Jain; "measured", a capacity-region-free measurement-based
-// admitter after Jaramillo & Ying), and sim.RunArena races registered
-// pairs head-to-head over the identical seeded workload.
+// Fahmy & Jain, and "logweight", Robert & Véber's log-weighted
+// proportional sharing — one explicit-rate skeleton with a weight rule
+// each; "measured", a capacity-region-free measurement-based admitter
+// after Jaramillo & Ying), and sim.RunArena races registered pairs
+// head-to-head over the identical seeded workload.
 //
 // The registry is populated at init time and read-only afterwards, so
 // lookups are safe from concurrent replications. The default pair is
@@ -23,12 +25,12 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 
 	"armnet/internal/admission"
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/maxmin"
+	"armnet/internal/sortx"
 )
 
 // Session is one adaptable connection registered with an Allocator: its
@@ -178,16 +180,7 @@ func NewAdmitter(name string, lg *admission.Ledger, bus *eventbus.Bus) (Admitter
 }
 
 // Allocators lists the registered allocator names, sorted.
-func Allocators() []string { return sortedNames(allocators) }
+func Allocators() []string { return sortx.Keys(allocators) }
 
 // Admitters lists the registered admitter names, sorted.
-func Admitters() []string { return sortedNames(admitters) }
-
-func sortedNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func Admitters() []string { return sortx.Keys(admitters) }
