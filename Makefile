@@ -1,13 +1,18 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e loc golden trace-determinism chaos overload obs obs-live arena testnet soak
+.PHONY: ci fmt-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e loc golden trace-determinism chaos overload obs obs-live arena testnet soak
 
-## ci: the full pre-merge gate — vet, build, tests under the race
+## ci: the full pre-merge gate — gofmt, vet, build, tests under the race
 ## detector, the fuzz seed corpora in short mode, the event-trace
 ## replication check, the chaos, overload, observability (sim and
 ## live), arena, testnet and soak gates, the bench-capture smoke check,
 ## and the separately-moduled end-to-end benchmark's own vet and tests.
-ci: vet build race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e
+ci: fmt-check vet build race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e
+
+## fmt-check: every Go file is gofmt-clean (the benchmark's build
+## directory holds a module cache, not our sources).
+fmt-check:
+	test -z "$$(gofmt -l . | grep -v '^.bench_build/')"
 
 vet:
 	$(GO) vet ./...

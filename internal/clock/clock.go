@@ -58,9 +58,9 @@ type simClock struct{ s *des.Simulator }
 // identically to protocols holding the simulator directly.
 func Sim(s *des.Simulator) Clock { return simClock{s} }
 
-func (c simClock) Now() float64                        { return c.s.Now() }
-func (c simClock) After(d float64, fn func()) Timer    { return c.s.After(d, fn) }
-func (c simClock) PostAfter(d float64, fn func())      { c.s.PostAfter(d, fn) }
+func (c simClock) Now() float64                          { return c.s.Now() }
+func (c simClock) After(d float64, fn func()) Timer      { return c.s.After(d, fn) }
+func (c simClock) PostAfter(d float64, fn func())        { c.s.PostAfter(d, fn) }
 func (c simClock) Every(period float64, fn func()) Timer { return c.s.Every(period, fn) }
 
 // Wall is the live-mode clock: real time, callbacks serialized through

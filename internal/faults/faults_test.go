@@ -131,16 +131,34 @@ type recordingDriver struct {
 	calls []string
 }
 
-func (d *recordingDriver) FailLink(l string) error    { d.calls = append(d.calls, "fail-link "+l); return nil }
-func (d *recordingDriver) RestoreLink(l string) error { d.calls = append(d.calls, "restore-link "+l); return nil }
-func (d *recordingDriver) FailCell(c string) error    { d.calls = append(d.calls, "fail-cell "+c); return nil }
-func (d *recordingDriver) RestoreCell(c string) error { d.calls = append(d.calls, "restore-cell "+c); return nil }
-func (d *recordingDriver) CrashZone(z string) error   { d.calls = append(d.calls, "crash-zone "+z); return nil }
+func (d *recordingDriver) FailLink(l string) error {
+	d.calls = append(d.calls, "fail-link "+l)
+	return nil
+}
+func (d *recordingDriver) RestoreLink(l string) error {
+	d.calls = append(d.calls, "restore-link "+l)
+	return nil
+}
+func (d *recordingDriver) FailCell(c string) error {
+	d.calls = append(d.calls, "fail-cell "+c)
+	return nil
+}
+func (d *recordingDriver) RestoreCell(c string) error {
+	d.calls = append(d.calls, "restore-cell "+c)
+	return nil
+}
+func (d *recordingDriver) CrashZone(z string) error {
+	d.calls = append(d.calls, "crash-zone "+z)
+	return nil
+}
 func (d *recordingDriver) Blackout(c string, dur float64) error {
 	d.calls = append(d.calls, "blackout "+c)
 	return nil
 }
-func (d *recordingDriver) CrashSignaling() error { d.calls = append(d.calls, "crash-signaling"); return nil }
+func (d *recordingDriver) CrashSignaling() error {
+	d.calls = append(d.calls, "crash-signaling")
+	return nil
+}
 
 func TestArmSchedulesTimedFaults(t *testing.T) {
 	plan, err := ParsePlan(strings.NewReader(

@@ -59,7 +59,7 @@ func TestQuickProtocolConvergesUnderLoss(t *testing.T) {
 		sim := des.New()
 		pr := buildProtocol(t, sim, p, ProtocolOptions{
 			Refined:           true,
-			Deliver:           lossyHook(seed + 1, 0.10),
+			Deliver:           lossyHook(seed+1, 0.10),
 			ReadvertisePeriod: 5,
 		})
 		pr.KickAll()

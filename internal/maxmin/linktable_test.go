@@ -1,0 +1,237 @@
+package maxmin
+
+import (
+	"fmt"
+	"testing"
+
+	"armnet/internal/clock"
+	"armnet/internal/des"
+	"armnet/internal/raceflag"
+	"armnet/internal/randx"
+	"armnet/internal/sortx"
+)
+
+// mapLink is the reference the link table is checked against: the
+// per-link state as two maps, sorted into ID order on every read.
+type mapLink struct {
+	capacity float64
+	recorded map[string]float64
+	mSet     map[string]bool
+}
+
+func (m *mapLink) advertised() float64 {
+	recorded := make([]float64, 0, len(m.recorded))
+	for _, id := range sortx.Keys(m.recorded) {
+		recorded = append(recorded, m.recorded[id])
+	}
+	return AdvertisedRate(m.capacity, recorded)
+}
+
+func (m *mapLink) advertisedFor(c string) float64 {
+	ids := sortx.Keys(m.recorded)
+	recorded := make([]float64, len(ids))
+	forced := -1
+	for i, id := range ids {
+		recorded[i] = m.recorded[id]
+		if id == c {
+			forced = i
+		}
+	}
+	n := len(recorded)
+	if n == 0 {
+		return m.capacity
+	}
+	restricted := make([]bool, n)
+	mu := FairShare(m.capacity, recorded, restricted)
+	for iter := 0; iter <= n; iter++ {
+		changed := false
+		for i, r := range recorded {
+			want := r < mu && i != forced
+			if restricted[i] != want {
+				restricted[i] = want
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+		mu = FairShare(m.capacity, recorded, restricted)
+	}
+	if mu < 0 {
+		mu = 0
+	}
+	return mu
+}
+
+// checkLinkMatchesOracle drives a linkState and the map reference through
+// the same seeded sequence of add / remove / re-add / record / set-M /
+// capacity steps. After every step the table must be strictly ascending
+// with |M(l)| equal to the reference set's size, and μ and μ-for-c must
+// be the same float, bit for bit, for every ID on the link or off it.
+func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
+	rng := randx.New(seed)
+	universe := make([]string, 14) // "c10" sorts before "c2": string order, not numeric
+	for i := range universe {
+		universe[i] = fmt.Sprintf("c%d", i)
+	}
+	capacity := 1 + rng.Float64()*30
+	ls := &linkState{name: "l", capacity: capacity}
+	ref := &mapLink{capacity: capacity, recorded: map[string]float64{}, mSet: map[string]bool{}}
+	hints := make([]int, len(universe)) // kept across steps, so they go stale
+	for step := 0; step < steps; step++ {
+		k := rng.Intn(len(universe))
+		id := universe[k]
+		_, on := ref.recorded[id]
+		switch op := rng.Intn(7); {
+		case op == 0 || (op == 3 && !on):
+			// On a connection already there this is the map's
+			// recorded[id] = 0: the rate resets, M(l) does not.
+			ls.insert(id)
+			ref.recorded[id] = 0
+		case op <= 2: // absent half the time: a no-op on both sides
+			ls.remove(id)
+			delete(ref.recorded, id)
+			delete(ref.mSet, id)
+		case op == 3:
+			rate := rng.Float64() * capacity
+			if rng.Bernoulli(0.3) {
+				rate = capacity / float64(1+rng.Intn(4)) // ties at the fair share
+			}
+			ls.recorded[ls.slot(id, &hints[k])] = rate
+			ref.recorded[id] = rate
+		case op == 4: // re-add: the row comes back zeroed and outside M(l)
+			ls.remove(id)
+			ls.insert(id)
+			ref.recorded[id] = 0
+			delete(ref.mSet, id)
+		case op == 5 && on:
+			in := rng.Bernoulli(0.5)
+			ls.setM(ls.slot(id, &hints[k]), in)
+			if in {
+				ref.mSet[id] = true
+			} else {
+				delete(ref.mSet, id)
+			}
+		default:
+			capacity = rng.Float64() * 30
+			ls.capacity, ref.capacity = capacity, capacity
+		}
+
+		if n := len(ls.ids); len(ls.recorded) != n || len(ls.inM) != n || len(ls.restricted) != n {
+			t.Fatalf("seed %d step %d: columns of %d ids have lengths %d, %d, %d",
+				seed, step, n, len(ls.recorded), len(ls.inM), len(ls.restricted))
+		}
+		for i := 1; i < len(ls.ids); i++ {
+			if ls.ids[i-1] >= ls.ids[i] {
+				t.Fatalf("seed %d step %d: ids not strictly ascending: %q", seed, step, ls.ids)
+			}
+		}
+		if len(ls.ids) != len(ref.recorded) {
+			t.Fatalf("seed %d step %d: table holds %q, reference %v", seed, step, ls.ids, ref.recorded)
+		}
+		inM := 0
+		for i, id := range ls.ids {
+			if ls.inM[i] != ref.mSet[id] {
+				t.Fatalf("seed %d step %d: %s in M(l) = %v, reference %v", seed, step, id, ls.inM[i], ref.mSet[id])
+			}
+			if ls.inM[i] {
+				inM++
+			}
+		}
+		if ls.mCount != len(ref.mSet) || ls.mCount != inM {
+			t.Fatalf("seed %d step %d: |M(l)| = %d, %d rows marked, reference %d", seed, step, ls.mCount, inM, len(ref.mSet))
+		}
+		if got, want := ls.advertised(), ref.advertised(); got != want {
+			t.Fatalf("seed %d step %d: advertised = %v, reference %v", seed, step, got, want)
+		}
+		for k, id := range universe {
+			s := ls.slot(id, &hints[k])
+			if _, on := ref.recorded[id]; on != (s >= 0) {
+				t.Fatalf("seed %d step %d: slot(%s) = %d, on the reference link: %v", seed, step, id, s, on)
+			}
+			if got, want := ls.advertisedFor(s), ref.advertisedFor(id); got != want {
+				t.Fatalf("seed %d step %d: advertisedFor(%s) = %v, reference %v", seed, step, id, got, want)
+			}
+		}
+	}
+}
+
+func TestLinkStateMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		checkLinkMatchesOracle(t, seed, 400)
+	}
+}
+
+func FuzzLinkStateMatchesMapOracle(f *testing.F) {
+	f.Add(int64(1), uint16(50))
+	f.Add(int64(-9), uint16(300))
+	f.Add(int64(20260929), uint16(1000))
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16) {
+		checkLinkMatchesOracle(t, seed, int(steps%2048))
+	})
+}
+
+// sessionAllocs builds a 3-link path carrying perLink connections on
+// every link, settles it, and returns what one more Kick session run to
+// quiescence allocates.
+func sessionAllocs(t *testing.T, perLink int) float64 {
+	sim := des.New()
+	pr := NewProtocolOn(clock.Sim(sim), ProtocolOptions{Refined: true})
+	path := []string{"l0", "l1", "l2"}
+	for _, l := range path {
+		if err := pr.AddLink(l, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < perLink; i++ {
+		if err := pr.AddConn(Conn{ID: fmt.Sprintf("c%d", i), Path: path, Demand: Inf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pr.KickAll()
+	now := 0.0
+	settle := func() {
+		now += 1000
+		if err := sim.RunUntil(now); err != nil {
+			t.Fatal(err)
+		}
+		if n := sim.Pending(); n != 0 {
+			t.Fatalf("%d events pending after a session", n)
+		}
+	}
+	settle()
+	return testing.AllocsPerRun(50, func() {
+		if !pr.Kick("c0") {
+			t.Fatal("Kick(c0) started no session")
+		}
+		settle()
+	})
+}
+
+// TestProtocolSessionAllocsIndependentOfLinkLoad pins what the link table
+// bought: a switch answers an ADVERTISE from the state it holds, so a
+// session costs the same number of objects however many connections
+// share its links, and computing μ costs none.
+func TestProtocolSessionAllocsIndependentOfLinkLoad(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	light, heavy := sessionAllocs(t, 8), sessionAllocs(t, 64)
+	if light != heavy {
+		t.Fatalf("a session allocates %v objects with 8 connections per link and %v with 64", light, heavy)
+	}
+
+	ls := &linkState{capacity: 100}
+	for i := 0; i < 64; i++ {
+		ls.insert(fmt.Sprintf("c%d", i))
+	}
+	for i := range ls.recorded {
+		ls.recorded[i] = float64(i%7) + 1
+	}
+	if got := testing.AllocsPerRun(1000, func() { ls.advertised() }); got != 0 {
+		t.Fatalf("advertised allocates %v/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { ls.advertisedFor(5) }); got != 0 {
+		t.Fatalf("advertisedFor allocates %v/op, want 0", got)
+	}
+}

@@ -3,6 +3,7 @@ package maxmin
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"armnet/internal/clock"
 	"armnet/internal/eventbus"
@@ -70,48 +71,97 @@ func (o ProtocolOptions) withDefaults() ProtocolOptions {
 	return o
 }
 
-// linkState is the per-link protocol state a switch maintains.
+// linkState is the per-link protocol state a switch maintains: one table
+// of the connections on the link in ascending ID order — the order every
+// sum over them has always run in, so the floats come out bit-identical
+// with no per-hop sort. ids, recorded and inM are parallel; a row is
+// inserted by AddConn and deleted by RemoveConn.
 type linkState struct {
 	name     string
 	capacity float64
+	ids      []string
 	// recorded is the last seen stamped rate per connection (§5.3.1).
-	recorded map[string]float64
-	// mSet is M(l): connections that consider this link a bottleneck.
-	mSet map[string]bool
+	recorded []float64
+	// inM marks M(l), the connections that consider this link a
+	// bottleneck; mCount is |M(l)|.
+	inM    []bool
+	mCount int
+	// restricted is advertisedFor's scratch, kept to the table's length.
+	restricted []bool
 }
 
-func (ls *linkState) connIDs() []string {
-	return sortx.Keys(ls.recorded)
+// slot returns id's row, or -1 when id is not on the link. *hint is
+// tried first and refreshed on a miss: rows only shift when a connection
+// joins or leaves the link, so a session's hops mostly hit.
+func (ls *linkState) slot(id string, hint *int) int {
+	if h := *hint; h < len(ls.ids) && ls.ids[h] == id {
+		return h
+	}
+	i, ok := slices.BinarySearch(ls.ids, id)
+	if !ok {
+		return -1
+	}
+	*hint = i
+	return i
+}
+
+// insert adds a row for id with a zero recorded rate, outside M(l).
+func (ls *linkState) insert(id string) {
+	i, ok := slices.BinarySearch(ls.ids, id)
+	if ok {
+		ls.recorded[i] = 0
+		return
+	}
+	ls.ids = slices.Insert(ls.ids, i, id)
+	ls.recorded = slices.Insert(ls.recorded, i, 0)
+	ls.inM = slices.Insert(ls.inM, i, false)
+	ls.restricted = append(ls.restricted, false)
+}
+
+// remove deletes id's row, if any.
+func (ls *linkState) remove(id string) {
+	i, ok := slices.BinarySearch(ls.ids, id)
+	if !ok {
+		return
+	}
+	ls.setM(i, false)
+	ls.ids = slices.Delete(ls.ids, i, i+1)
+	ls.recorded = slices.Delete(ls.recorded, i, i+1)
+	ls.inM = slices.Delete(ls.inM, i, i+1)
+	ls.restricted = ls.restricted[:len(ls.ids)]
+}
+
+// setM sets row i's membership in M(l).
+func (ls *linkState) setM(i int, in bool) {
+	if ls.inM[i] == in {
+		return
+	}
+	ls.inM[i] = in
+	if in {
+		ls.mCount++
+	} else {
+		ls.mCount--
+	}
 }
 
 // advertised computes μ_l from the current recorded rates.
 func (ls *linkState) advertised() float64 {
-	recorded := make([]float64, 0, len(ls.recorded))
-	for _, id := range ls.connIDs() {
-		recorded = append(recorded, ls.recorded[id])
-	}
-	return AdvertisedRate(ls.capacity, recorded)
+	return AdvertisedRate(ls.capacity, ls.recorded)
 }
 
-// advertisedFor computes the stamped rate the switch would offer
-// connection c "under the assumption that this switch is a bottleneck for
-// this connection": c is forced unrestricted in the restricted-set
-// iteration.
-func (ls *linkState) advertisedFor(c string) float64 {
-	ids := ls.connIDs()
-	recorded := make([]float64, len(ids))
-	var forced = -1
-	for i, id := range ids {
-		recorded[i] = ls.recorded[id]
-		if id == c {
-			forced = i
-		}
-	}
+// advertisedFor computes the stamped rate the switch would offer the
+// connection in row forced "under the assumption that this switch is a
+// bottleneck for this connection": that row is held unrestricted in the
+// restricted-set iteration. A forced of -1 (a connection not on the
+// link) restricts by rate alone.
+func (ls *linkState) advertisedFor(forced int) float64 {
+	recorded := ls.recorded
 	n := len(recorded)
 	if n == 0 {
 		return ls.capacity
 	}
-	restricted := make([]bool, n)
+	restricted := ls.restricted
+	clear(restricted)
 	mu := FairShare(ls.capacity, recorded, restricted)
 	for iter := 0; iter <= n; iter++ {
 		changed := false
@@ -170,6 +220,18 @@ type protoConn struct {
 	path   []string
 	demand float64
 	rate   float64
+	// links is path resolved once (a link is never unregistered) and
+	// slots hints at the connection's row in each one's table (see
+	// linkState.slot); mus is the UPDATE's per-hop scratch.
+	links []*linkState
+	slots []int
+	mus   []float64
+}
+
+// row returns the link at hop i of pc's path and pc's row in its table.
+func (pc *protoConn) row(i int) (*linkState, int) {
+	ls := pc.links[i]
+	return ls, ls.slot(pc.id, &pc.slots[i])
 }
 
 // NewProtocolOn builds a protocol instance whose timers (sweep travel,
@@ -208,8 +270,9 @@ func (pr *Protocol) readvertise() {
 		}
 		pc := pr.conns[id]
 		offer := pc.demand
-		for _, l := range pc.path {
-			if mu := pr.links[l].advertisedFor(id); mu < offer {
+		for i := range pc.path {
+			ls, s := pc.row(i)
+			if mu := ls.advertisedFor(s); mu < offer {
 				offer = mu
 			}
 		}
@@ -218,11 +281,15 @@ func (pr *Protocol) readvertise() {
 		// upstream link — a state that looks locally fair (the offer
 		// matches the committed rate) yet blocks neighbors from their
 		// maxmin share. Recorded-vs-committed disagreement exposes it.
-		for _, l := range pc.path {
+		for i := range pc.path {
 			if drift {
 				break
 			}
-			drift = math.Abs(pr.links[l].recorded[id]-pc.rate) > tol
+			recorded := 0.0 // what a connection missing from the link reads
+			if ls, s := pc.row(i); s >= 0 {
+				recorded = ls.recorded[s]
+			}
+			drift = math.Abs(recorded-pc.rate) > tol
 		}
 		if drift && pr.startSession(id) {
 			kicked++
@@ -255,12 +322,7 @@ func (pr *Protocol) AddLink(name string, capacity float64) error {
 	if capacity < 0 {
 		return fmt.Errorf("%w: %s = %v", ErrBadCapacity, name, capacity)
 	}
-	pr.links[name] = &linkState{
-		name:     name,
-		capacity: capacity,
-		recorded: make(map[string]float64),
-		mSet:     make(map[string]bool),
-	}
+	pr.links[name] = &linkState{name: name, capacity: capacity}
 	return nil
 }
 
@@ -283,10 +345,14 @@ func (pr *Protocol) AddConn(c Conn) error {
 		return fmt.Errorf("%w: %s", ErrBadDemand, c.ID)
 	}
 	pc := &protoConn{id: c.ID, path: uniqueLinks(c.Path), demand: demand}
-	pr.conns[c.ID] = pc
-	for _, l := range pc.path {
-		pr.links[l].recorded[c.ID] = 0
+	pc.slots = make([]int, len(pc.path))
+	pc.mus = make([]float64, len(pc.path))
+	pc.links = make([]*linkState, len(pc.path))
+	for i, l := range pc.path {
+		pc.links[i] = pr.links[l]
+		pc.links[i].insert(c.ID)
 	}
+	pr.conns[c.ID] = pc
 	return nil
 }
 
@@ -296,9 +362,8 @@ func (pr *Protocol) RemoveConn(id string) {
 	if !ok {
 		return
 	}
-	for _, l := range pc.path {
-		delete(pr.links[l].recorded, id)
-		delete(pr.links[l].mSet, id)
+	for _, ls := range pc.links {
+		ls.remove(id)
 	}
 	delete(pr.conns, id)
 	delete(pr.active, id)
@@ -340,7 +405,7 @@ type LinkBottleneck struct {
 func (pr *Protocol) BottleneckSizes() []LinkBottleneck {
 	var out []LinkBottleneck
 	for _, name := range sortx.Keys(pr.links) {
-		if n := len(pr.links[name].mSet); n > 0 {
+		if n := pr.links[name].mCount; n > 0 {
 			out = append(out, LinkBottleneck{Link: name, Size: n})
 		}
 	}
@@ -367,7 +432,7 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 	ls.capacity = capacity
 	adv := ls.advertised()
 	var targets []string
-	for _, id := range ls.connIDs() {
+	for i, id := range ls.ids {
 		if !pr.Opts.Refined {
 			targets = append(targets, id)
 			continue
@@ -375,13 +440,13 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 		if increase {
 			// New bandwidth helps only connections bottlenecked here
 			// (M(l) is refreshed on every UPDATE, so it is current).
-			if ls.mSet[id] {
+			if ls.inM[i] {
 				targets = append(targets, id)
 			}
 		} else {
 			// Reduced bandwidth hurts connections drawing more than the
 			// new advertised rate.
-			if ls.recorded[id] > adv {
+			if ls.recorded[i] > adv {
 				targets = append(targets, id)
 			}
 		}
@@ -447,44 +512,41 @@ func (pr *Protocol) runRoundAttempt(id string, round int, prevStamp float64, att
 	}
 	stamp := pc.demand
 	travel := 0.0
-	hop := 0
 	// Clamp at every hop in both directions; because clamping is
 	// idempotent per link we evaluate each link twice like the real
 	// packet would, letting later links see earlier updates.
-	for pass := 0; pass < 2; pass++ {
-		order := pc.path
-		if pass == 1 {
-			order = reversed(pc.path)
+	n := len(pc.path)
+	for hop := 0; hop < 2*n; hop++ {
+		i := hop
+		if hop >= n {
+			i = 2*n - 1 - hop // the way back
 		}
-		for _, lname := range order {
-			pr.Messages++
-			travel += pr.Opts.HopDelay
-			if d := pr.Opts.Deliver; d != nil {
-				drop, extra := d(id, hop, false)
-				if drop {
-					if !pr.retryControl(id, hop, attempt, func(a int) { pr.runRoundAttempt(id, round, prevStamp, a) }) {
-						pr.finishSession(id)
-						pr.maybeConverged()
-					}
-					return
+		pr.Messages++
+		travel += pr.Opts.HopDelay
+		if d := pr.Opts.Deliver; d != nil {
+			drop, extra := d(id, hop, false)
+			if drop {
+				if !pr.retryControl(id, hop, attempt, func(a int) { pr.runRoundAttempt(id, round, prevStamp, a) }) {
+					pr.finishSession(id)
+					pr.maybeConverged()
 				}
-				travel += extra
+				return
 			}
-			hop++
-			ls := pr.links[lname]
-			in := stamp
-			mu := ls.advertisedFor(id)
-			if mu < stamp {
-				stamp = mu
-			}
-			ls.recorded[id] = stamp
-			// Maintain M(l) per the paper's rule.
-			muAll := ls.advertised()
-			if muAll < in {
-				ls.mSet[id] = true
-			} else if muAll > in {
-				delete(ls.mSet, id)
-			}
+			travel += extra
+		}
+		ls, s := pc.row(i)
+		in := stamp
+		mu := ls.advertisedFor(s)
+		if mu < stamp {
+			stamp = mu
+		}
+		ls.recorded[s] = stamp
+		// Maintain M(l) per the paper's rule.
+		muAll := ls.advertised()
+		if muAll < in {
+			ls.setM(s, true)
+		} else if muAll > in {
+			ls.setM(s, false)
 		}
 	}
 	final := stamp
@@ -529,9 +591,9 @@ func (pr *Protocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 	// upgrade cascade can skip a connection that is in fact bottlenecked
 	// here and strand it below its maxmin share (see the
 	// stale-bottleneck regression test).
-	mus := make([]float64, len(pc.path))
+	mus := pc.mus
 	minMu := math.Inf(1)
-	for i, lname := range pc.path {
+	for i := range pc.path {
 		pr.Messages++
 		travel += pr.Opts.HopDelay
 		if d := pr.Opts.Deliver; d != nil {
@@ -545,20 +607,16 @@ func (pr *Protocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 			}
 			travel += extra
 		}
-		ls := pr.links[lname]
-		ls.recorded[id] = rate
-		mus[i] = ls.advertisedFor(id)
+		ls, s := pc.row(i)
+		ls.recorded[s] = rate
+		mus[i] = ls.advertisedFor(s)
 		if mus[i] < minMu {
 			minMu = mus[i]
 		}
 	}
-	for i, lname := range pc.path {
-		ls := pr.links[lname]
-		if mus[i] <= minMu+1e-9*(1+minMu) {
-			ls.mSet[id] = true
-		} else {
-			delete(ls.mSet, id)
-		}
+	for i := range pc.path {
+		ls, s := pc.row(i)
+		ls.setM(s, mus[i] <= minMu+1e-9*(1+minMu))
 	}
 	pr.clk.PostAfter(travel, func() {
 		changed := math.Abs(pc.rate-rate) > 1e-9*(1+math.Abs(rate))
@@ -608,10 +666,9 @@ func (pr *Protocol) cascade(id string) {
 		tol = 1e-9
 	}
 	targets := map[string]bool{}
-	for _, lname := range pc.path {
-		ls := pr.links[lname]
+	for _, ls := range pc.links {
 		adv := ls.advertised()
-		for _, other := range ls.connIDs() {
+		for i, other := range ls.ids {
 			if other == id {
 				continue
 			}
@@ -626,7 +683,7 @@ func (pr *Protocol) cascade(id string) {
 			// a connection that settled while its neighbors still held
 			// inflated rates is bottlenecked at this link and therefore
 			// *in* M(l), so it gets re-advertised when they release.
-			if ls.mSet[other] || ls.recorded[other] > adv+tol {
+			if ls.inM[i] || ls.recorded[i] > adv+tol {
 				targets[other] = true
 			}
 		}
@@ -634,12 +691,4 @@ func (pr *Protocol) cascade(id string) {
 	for _, t := range sortx.Keys(targets) {
 		pr.startSession(t)
 	}
-}
-
-func reversed(s []string) []string {
-	out := make([]string, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
 }

@@ -70,19 +70,19 @@ func TestPlanStringRoundTrip(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	for _, spec := range []string{
-		"drop signal 1.5",              // prob out of range
-		"drop tcp 0.5",                 // unknown proto
-		"wobble any 0.5",               // unknown directive
-		"delay signal 0.5",             // missing seconds
-		"reorder signal 0.5 -1",        // negative duration
-		"at -1 partition east for 2",   // negative time
-		"at 1 partition east",          // partition without for
-		"at 1 explode east",            // unknown action
-		"at 1 crash east for 0",        // non-positive duration
-		"at 1 crash east maybe",        // trailing garbage
-		"drop signal nope",             // bad float
-		"delay signal 0.5 1e400",       // non-finite
-		"drop signal 0.5 on",           // dangling filter keyword
+		"drop signal 1.5",            // prob out of range
+		"drop tcp 0.5",               // unknown proto
+		"wobble any 0.5",             // unknown directive
+		"delay signal 0.5",           // missing seconds
+		"reorder signal 0.5 -1",      // negative duration
+		"at -1 partition east for 2", // negative time
+		"at 1 partition east",        // partition without for
+		"at 1 explode east",          // unknown action
+		"at 1 crash east for 0",      // non-positive duration
+		"at 1 crash east maybe",      // trailing garbage
+		"drop signal nope",           // bad float
+		"delay signal 0.5 1e400",     // non-finite
+		"drop signal 0.5 on",         // dangling filter keyword
 	} {
 		if _, err := ParsePlanString(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", spec)

@@ -97,7 +97,7 @@ func RunArenaSweep(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEn
 		c := CampusConfig{
 			Seed: cfg.Seed, Portables: cfg.Portables, Duration: cfg.Duration,
 			Dwell: cfg.Dwell, Mode: cfg.Mode, BMin: cfg.BMin, BMax: cfg.BMax,
-			Tth: cfg.Tth,
+			Tth:       cfg.Tth,
 			Allocator: pairs[i].Allocator, Admitter: pairs[i].Admitter,
 			Obs: true,
 		}

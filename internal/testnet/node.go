@@ -1,7 +1,6 @@
 package testnet
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"sort"
@@ -28,7 +27,7 @@ type Node struct {
 	clk    eventbus.Clock
 	bus    *eventbus.Bus
 	rec    *eventbus.Recorder
-	buf    bytes.Buffer
+	buf    eventbus.TraceBuffer
 	ackSeq uint32
 	ackBuf []byte
 

@@ -1,7 +1,6 @@
 package testnet
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -215,7 +214,7 @@ func Run(cfg Config) (*Result, error) {
 
 	bus := eventbus.New(clk)
 	r.bus = bus
-	var trace bytes.Buffer
+	var trace eventbus.TraceBuffer
 	rec := eventbus.AttachRecorder(bus, &trace)
 	cfg.Obs.Attach(bus)
 
@@ -439,7 +438,7 @@ func (r *runner) capacity(st Step) {
 }
 
 // collect runs the final audit and assembles the result.
-func (r *runner) collect(rec *eventbus.Recorder, trace *bytes.Buffer) *Result {
+func (r *runner) collect(rec *eventbus.Recorder, trace *eventbus.TraceBuffer) *Result {
 	aud := faults.Auditor{
 		Ledger:       r.lg,
 		PendingHolds: r.plane.PendingTotal,
@@ -462,7 +461,7 @@ func (r *runner) collect(rec *eventbus.Recorder, trace *bytes.Buffer) *Result {
 	}
 	res := &Result{
 		Mode:            r.cfg.Mode,
-		ControllerTrace: append([]byte(nil), trace.Bytes()...),
+		ControllerTrace: trace.Bytes(),
 		Commits:         r.commits,
 		Aborted:         r.aborted,
 		Sessions:        r.plane.Sessions,
