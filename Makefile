@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e loc golden trace-determinism chaos overload obs obs-live arena testnet soak
+.PHONY: ci fmt-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs loc golden trace-determinism chaos overload obs obs-live arena testnet soak
 
 ## ci: the full pre-merge gate — gofmt, vet, build, tests under the race
 ## detector, the fuzz seed corpora in short mode, the event-trace
@@ -70,6 +70,18 @@ bench-smoke:
 bench-e2e:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -count=1 ./...
+
+## perf-pairs: the measurement every performance claim rests on — PAIRS
+## alternating runs of one bench/ workload on PARENT (exported into
+## .bench_build/) and on the working tree, with per-side median and
+## quartiles of every end-to-end metric, pairs won, summed
+## failed/attempted and the "open loop did not hold" count.
+PARENT ?= HEAD
+WORKLOAD ?= campus-walk
+PAIRS ?= 10
+SEED ?= 0
+perf-pairs:
+	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 ## loc: the ROADMAP scoreboard — non-test and test Go lines and the
 ## package counts of the root module (bench/ and its build directory

@@ -250,7 +250,7 @@ func TestLedgerInvariantsAfterBusyRun(t *testing.T) {
 			t.Fatalf("link %s overcommitted on minimums: %v > %v", ls.Link.ID, ls.SumMin(), ls.Capacity)
 		}
 		for _, id := range ls.Conns() {
-			a := ls.Alloc(id)
+			a, _ := ls.Alloc(id)
 			if a.Cur < a.Min-1e-9 {
 				t.Fatalf("allocation below minimum on %s: %v < %v", ls.Link.ID, a.Cur, a.Min)
 			}

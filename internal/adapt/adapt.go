@@ -317,8 +317,8 @@ func (m *Manager) Allocation(connID string) (float64, error) {
 	if len(ci.route.Links) == 0 {
 		return ci.bounds.Min, nil
 	}
-	a := m.Ledger.Link(ci.route.Links[0].ID).Alloc(connID)
-	if a == nil {
+	a, ok := m.Ledger.Link(ci.route.Links[0].ID).Alloc(connID)
+	if !ok {
 		return ci.bounds.Min, nil
 	}
 	return a.Cur, nil

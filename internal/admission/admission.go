@@ -248,7 +248,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 	// The granted rate above b_min must also fit in each link's excess.
 	for _, ls := range states {
 		if extra := alloc - bmin; extra > 0 {
-			avail := ls.ExcessAvailable() - (ls.SumCur() - ls.SumMin())
+			avail := ls.unclaimedExcess()
 			if extra > avail {
 				grant := avail
 				if grant < 0 {
@@ -283,7 +283,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 			}
 			ls.AdvanceReserved -= take
 		}
-		ls.allocs[t.ConnID] = &Alloc{Min: bmin, Cur: alloc, Buffer: res.Hops[hop].Buffer}
+		ls.Book(t.ConnID, Alloc{Min: bmin, Cur: alloc, Buffer: res.Hops[hop].Buffer})
 	}
 	res.Admitted = true
 	return res, nil

@@ -57,8 +57,8 @@ func TestAdmitHappyPath(t *testing.T) {
 	}
 	// Ledger committed on every link.
 	for _, l := range route.Links {
-		a := ctl.Ledger.Link(l.ID).Alloc("c1")
-		if a == nil || a.Min != 64e3 {
+		a, ok := ctl.Ledger.Link(l.ID).Alloc("c1")
+		if !ok || a.Min != 64e3 {
 			t.Fatalf("allocation missing on %s", l.ID)
 		}
 	}
@@ -136,7 +136,7 @@ func TestBandwidthRejection(t *testing.T) {
 	}
 	// Rejection must not leave partial allocations.
 	for _, l := range route.Links {
-		if ctl.Ledger.Link(l.ID).Alloc("extra") != nil {
+		if _, ok := ctl.Ledger.Link(l.ID).Alloc("extra"); ok {
 			t.Fatalf("partial allocation left on %s", l.ID)
 		}
 	}
@@ -256,7 +256,7 @@ func TestRelease(t *testing.T) {
 	}
 	ctl.Ledger.Release("c1", route)
 	for _, l := range route.Links {
-		if ctl.Ledger.Link(l.ID).Alloc("c1") != nil {
+		if _, ok := ctl.Ledger.Link(l.ID).Alloc("c1"); ok {
 			t.Fatalf("allocation survives release on %s", l.ID)
 		}
 	}

@@ -16,8 +16,9 @@ package admission
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
+	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -52,7 +53,11 @@ type LinkState struct {
 	// restoration returns the link to its pre-failure state.
 	Down bool
 
-	allocs map[string]*Alloc
+	// ids and rows are the link's allocations as one table in ascending
+	// connection-ID order — the order every sum over them has always run
+	// in, so the floats come out bit-identical with no per-read sort.
+	ids  sortx.IDs[string]
+	rows []Alloc
 }
 
 func newLinkState(l *topology.Link) *LinkState {
@@ -62,34 +67,33 @@ func newLinkState(l *topology.Link) *LinkState {
 		// Default buffer: one second's worth of line rate — generous, so
 		// buffer admission only bites when configured tighter.
 		BufferCapacity: l.Capacity,
-		allocs:         make(map[string]*Alloc),
 	}
 }
 
-// Conns returns the IDs of connections holding allocations, sorted.
-func (ls *LinkState) Conns() []string {
-	out := make([]string, 0, len(ls.allocs))
-	for id := range ls.allocs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+// Conns returns the IDs of connections holding allocations, sorted. The
+// slice is the caller's own; hot paths walk the table instead.
+func (ls *LinkState) Conns() []string { return slices.Clone(ls.ids) }
 
-// Alloc returns the allocation of the given connection, or nil.
-func (ls *LinkState) Alloc(id string) *Alloc { return ls.allocs[id] }
+// Alloc returns the allocation of the given connection, if it has one.
+func (ls *LinkState) Alloc(id string) (Alloc, bool) {
+	if i, ok := ls.ids.Find(id); ok {
+		return ls.rows[i], true
+	}
+	return Alloc{}, false
+}
 
 // NumConns returns N_l, the number of connections on the link.
-func (ls *LinkState) NumConns() int { return len(ls.allocs) }
+func (ls *LinkState) NumConns() int { return len(ls.ids) }
 
-// SumMin returns Σ b_min,i over ongoing connections. All three sums
-// iterate in sorted order: float addition is not associative, so a
-// map-order sum varies in the last ulp between runs, and these values
-// feed the maxmin protocol's advertised rates — which are published.
+// SumMin returns Σ b_min,i over ongoing connections. All three sums run
+// in ascending-ID order: float addition is not associative, so a
+// different order varies the last ulp, and these values feed the maxmin
+// protocol's advertised rates — which are published. They are summed on
+// demand, not cached: a running sum would add in arrival order.
 func (ls *LinkState) SumMin() float64 {
 	t := 0.0
-	for _, id := range ls.Conns() {
-		t += ls.allocs[id].Min
+	for i := range ls.rows {
+		t += ls.rows[i].Min
 	}
 	return t
 }
@@ -97,8 +101,8 @@ func (ls *LinkState) SumMin() float64 {
 // SumCur returns Σ b_i, the currently allocated bandwidth.
 func (ls *LinkState) SumCur() float64 {
 	t := 0.0
-	for _, id := range ls.Conns() {
-		t += ls.allocs[id].Cur
+	for i := range ls.rows {
+		t += ls.rows[i].Cur
 	}
 	return t
 }
@@ -106,20 +110,34 @@ func (ls *LinkState) SumCur() float64 {
 // SumBuffer returns the committed buffer space.
 func (ls *LinkState) SumBuffer() float64 {
 	t := 0.0
-	for _, id := range ls.Conns() {
-		t += ls.allocs[id].Buffer
+	for i := range ls.rows {
+		t += ls.rows[i].Buffer
 	}
 	return t
+}
+
+// unclaimedExcess is the excess bandwidth no connection holds yet:
+// b'_av,l − Σ (b_i − b_min,i), both sums taken in one walk.
+func (ls *LinkState) unclaimedExcess() float64 {
+	sumMin, sumCur := 0.0, 0.0
+	for i := range ls.rows {
+		sumMin += ls.rows[i].Min
+		sumCur += ls.rows[i].Cur
+	}
+	return ls.excessOver(sumMin) - (sumCur - sumMin)
 }
 
 // ExcessAvailable is the paper's b'_av,l := C_l - b_resv,l - Σ b_min,i —
 // the bandwidth beyond every connection's guaranteed minimum. A failed
 // link offers none.
-func (ls *LinkState) ExcessAvailable() float64 {
+func (ls *LinkState) ExcessAvailable() float64 { return ls.excessOver(ls.SumMin()) }
+
+// excessOver is ExcessAvailable for a caller that already holds Σ b_min.
+func (ls *LinkState) excessOver(sumMin float64) float64 {
 	if ls.Down {
 		return 0
 	}
-	return ls.Capacity - ls.AdvanceReserved - ls.SumMin()
+	return ls.Capacity - ls.AdvanceReserved - sumMin
 }
 
 // Pool returns the B_dyn pool size in bits/s.
@@ -148,12 +166,27 @@ func (ls *LinkState) availableFor(kind Kind) float64 {
 // by its own test. Booking the same connection twice overwrites, like
 // Table 2's reverse-pass commit.
 func (ls *LinkState) Book(connID string, a Alloc) {
-	ls.allocs[connID] = &a
+	i, added := ls.ids.Insert(connID)
+	if added {
+		ls.rows = slices.Insert(ls.rows, i, a)
+	} else {
+		ls.rows[i] = a
+	}
+}
+
+// release removes the connection's allocation, if any.
+func (ls *LinkState) release(connID string) {
+	if i, ok := ls.ids.Remove(connID); ok {
+		ls.rows = slices.Delete(ls.rows, i, i+1)
+	}
 }
 
 // Ledger tracks reservation state for every link of a backbone.
 type Ledger struct {
 	links map[topology.LinkID]*LinkState
+	// ordered is every link state in link-ID order; links are never
+	// added after NewLedger.
+	ordered []*LinkState
 }
 
 // Errors returned by the ledger.
@@ -166,7 +199,9 @@ var (
 func NewLedger(b *topology.Backbone) *Ledger {
 	lg := &Ledger{links: make(map[topology.LinkID]*LinkState)}
 	for _, l := range b.Links() {
-		lg.links[l.ID] = newLinkState(l)
+		ls := newLinkState(l)
+		lg.links[l.ID] = ls
+		lg.ordered = append(lg.ordered, ls)
 	}
 	return lg
 }
@@ -175,14 +210,7 @@ func NewLedger(b *topology.Backbone) *Ledger {
 func (lg *Ledger) Link(id topology.LinkID) *LinkState { return lg.links[id] }
 
 // Links returns all link states sorted by link ID.
-func (lg *Ledger) Links() []*LinkState {
-	out := make([]*LinkState, 0, len(lg.links))
-	for _, ls := range lg.links {
-		out = append(out, ls)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Link.ID < out[j].Link.ID })
-	return out
-}
+func (lg *Ledger) Links() []*LinkState { return slices.Clone(lg.ordered) }
 
 // SetCapacity updates a link's effective capacity (wireless variation).
 func (lg *Ledger) SetCapacity(id topology.LinkID, c float64) error {
@@ -237,7 +265,7 @@ func (lg *Ledger) SetAdvance(id topology.LinkID, v float64) error {
 func (lg *Ledger) Release(connID string, route topology.Route) {
 	for _, l := range route.Links {
 		if ls, ok := lg.links[l.ID]; ok {
-			delete(ls.allocs, connID)
+			ls.release(connID)
 		}
 	}
 }
@@ -249,10 +277,11 @@ func (lg *Ledger) SetAllocation(connID string, linkID topology.LinkID, cur float
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownLink, linkID)
 	}
-	a, ok := ls.allocs[connID]
+	i, ok := ls.ids.Find(connID)
 	if !ok {
 		return fmt.Errorf("%w: %s on %s", ErrNoAlloc, connID, linkID)
 	}
+	a := &ls.rows[i]
 	if cur < a.Min {
 		cur = a.Min
 	}

@@ -26,7 +26,7 @@ func snapshot(lg *Ledger) ledgerSnapshot {
 		// so two calls on identical state can differ in the last ulp.
 		snap := linkSnapshot{advance: ls.AdvanceReserved, conns: ls.NumConns()}
 		for _, id := range ls.Conns() {
-			a := ls.Alloc(id)
+			a, _ := ls.Alloc(id)
 			snap.sumMin += a.Min
 			snap.sumCur += a.Cur
 			snap.sumBuffer += a.Buffer
@@ -99,7 +99,7 @@ func TestLedgerNeverOvercommits(t *testing.T) {
 						trial, op, ls.Link.ID, ls.SumBuffer(), ls.BufferCapacity)
 				}
 				for _, id := range ls.Conns() {
-					a := ls.Alloc(id)
+					a, _ := ls.Alloc(id)
 					if a.Cur < a.Min-1e-9 {
 						t.Fatalf("trial %d after %s: %s on %s below guaranteed minimum: %v < %v",
 							trial, op, id, ls.Link.ID, a.Cur, a.Min)
@@ -209,7 +209,7 @@ func TestRejectionLeavesNoTrace(t *testing.T) {
 						trial, op, linkID, want, got)
 				}
 			}
-			if ctl.Ledger.Link(route.Links[0].ID).Alloc(id) != nil {
+			if _, ok := ctl.Ledger.Link(route.Links[0].ID).Alloc(id); ok {
 				t.Fatalf("trial %d op %d: rejected connection left an allocation", trial, op)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"armnet/internal/adapt"
 	"armnet/internal/eventbus"
@@ -35,28 +36,38 @@ func profileHandoff(p *Portable, to topology.CellID, now float64) profile.Handof
 // tracks each source's amount so one source's update never clobbers
 // another's; the ledger sees the sum.
 
+// advanceBook is one link's advance reservations per source tag, kept in
+// ascending tag order: the total feeds admission and excess capacity, and
+// a float sum taken in any other order drifts in the last ulp.
+type advanceBook struct {
+	sources sortx.IDs[string]
+	amounts []float64
+}
+
 func (m *Manager) bookSet(link topology.LinkID, source string, amount float64) {
 	if link == "" {
 		return
 	}
-	entries := m.book[link]
-	if entries == nil {
+	bk := m.book[link]
+	if bk == nil {
 		if amount <= 0 {
 			return
 		}
-		entries = make(map[string]float64)
-		m.book[link] = entries
+		bk = &advanceBook{}
+		m.book[link] = bk
 	}
 	if amount <= 0 {
-		delete(entries, source)
+		if i, ok := bk.sources.Remove(source); ok {
+			bk.amounts = slices.Delete(bk.amounts, i, i+1)
+		}
+	} else if i, added := bk.sources.Insert(source); added {
+		bk.amounts = slices.Insert(bk.amounts, i, amount)
 	} else {
-		entries[source] = amount
+		bk.amounts[i] = amount
 	}
-	// Sorted sum: the total feeds admission and excess capacity, and a
-	// map-order float sum drifts in the last ulp between runs.
 	total := 0.0
-	for _, s := range sortx.Keys(entries) {
-		total += entries[s]
+	for _, a := range bk.amounts {
+		total += a
 	}
 	_ = m.ledger.SetAdvance(link, total)
 }
@@ -293,46 +304,47 @@ func (m *Manager) connsInCell(cell topology.CellID) int {
 
 // ---- Pool adjustment (§5.3) ----
 
-// adjustPools recomputes the B_dyn fraction of the given cell and its
+// adjustPools recomputes the B_dyn fraction of the given cells and their
 // neighbors: each cell's pool must absorb the largest allocation of any
-// static portable's connection residing in its neighborhood.
-func (m *Manager) adjustPools(cell topology.CellID) {
-	u := m.Env.Universe
-	c := u.Cell(cell)
-	if c == nil {
-		return
-	}
-	targets := append([]topology.CellID{cell}, c.Neighbors()...)
-	for _, t := range targets {
-		tc := u.Cell(t)
-		if tc == nil {
+// static portable's connection residing in its neighborhood. One walk of
+// the portables serves every target; a max does not depend on the order
+// it is taken in, so the walk is unordered.
+func (m *Manager) adjustPools(cells ...topology.CellID) {
+	clear(m.staticMax)
+	for _, p := range m.portables {
+		if p.Mobility != qos.Static {
 			continue
 		}
-		maxAlloc := 0.0
-		for _, nid := range tc.Neighbors() {
-			for _, p := range m.portablesInCell(nid) {
-				if p.Mobility != qos.Static {
-					continue
-				}
-				for id := range p.conns {
-					if bw := m.conns[id].Bandwidth; bw > maxAlloc {
-						maxAlloc = bw
-					}
-				}
+		for id := range p.conns {
+			if bw := m.conns[id].Bandwidth; bw > m.staticMax[p.Cell] {
+				m.staticMax[p.Cell] = bw
 			}
 		}
-		if ls := m.ledger.Link(m.downlink(t)); ls != nil {
-			ls.PoolFraction = adapt.PoolFraction(maxAlloc, ls.Capacity, m.Cfg.PoolMin, m.Cfg.PoolMax)
+	}
+	u := m.Env.Universe
+	for _, cell := range cells {
+		c := u.Cell(cell)
+		if c == nil {
+			continue
+		}
+		m.adjustPool(c)
+		for _, nid := range c.Neighbors() {
+			if nc := u.Cell(nid); nc != nil {
+				m.adjustPool(nc)
+			}
 		}
 	}
 }
 
-func (m *Manager) portablesInCell(cell topology.CellID) []*Portable {
-	var out []*Portable
-	for _, id := range sortx.Keys(m.portables) {
-		if p := m.portables[id]; p.Cell == cell {
-			out = append(out, p)
+// adjustPool sizes one cell's pool from the staticMax of its neighbors.
+func (m *Manager) adjustPool(c *topology.Cell) {
+	maxAlloc := 0.0
+	for _, nid := range c.Neighbors() {
+		if bw := m.staticMax[nid]; bw > maxAlloc {
+			maxAlloc = bw
 		}
 	}
-	return out
+	if ls := m.ledger.Link(m.downlink(c.ID)); ls != nil {
+		ls.PoolFraction = adapt.PoolFraction(maxAlloc, ls.Capacity, m.Cfg.PoolMin, m.Cfg.PoolMax)
+	}
 }

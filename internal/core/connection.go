@@ -6,6 +6,7 @@ import (
 	"armnet/internal/admission"
 	"armnet/internal/eventbus"
 	"armnet/internal/qos"
+	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -122,7 +123,7 @@ func (m *Manager) setupMulticast(c *Connection, cell topology.CellID) {
 	}
 	c.Multicast = &tree
 	// Reserve b_min on each branch with a best-effort admission test.
-	for _, dst := range sortedNodeIDs(tree.Branches) {
+	for _, dst := range sortx.Keys(tree.Branches) {
 		route := tree.Branches[dst]
 		if len(route.Links) == 0 {
 			continue
@@ -137,19 +138,6 @@ func (m *Manager) setupMulticast(c *Connection, cell topology.CellID) {
 			LMax:       m.Cfg.LMax,
 		})
 	}
-}
-
-func sortedNodeIDs(m map[topology.NodeID]topology.Route) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // releaseMulticast frees the multicast branch reservations.
@@ -271,8 +259,7 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 	m.becomeMobile(p)
 	m.armStaticTimer(p)
 	m.refreshAdvance(p)
-	m.adjustPools(to)
-	m.adjustPools(from)
+	m.adjustPools(to, from)
 	return nil
 }
 

@@ -205,7 +205,7 @@ type Manager struct {
 	conns     map[string]*Connection
 	nextConn  int
 	// advance bookkeeping: per wireless link, per source tag, bits/s.
-	book map[topology.LinkID]map[string]float64
+	book map[topology.LinkID]*advanceBook
 	// meetings per room cell.
 	meetings map[topology.CellID][]*meetingState
 	// sigPlane is the lazily built signaling plane (SignalPlane).
@@ -221,6 +221,9 @@ type Manager struct {
 	lastPred map[string]predNote
 	// ledger is the shared reservation ledger every strategy books into.
 	ledger *admission.Ledger
+	// staticMax is adjustPools' scratch: per cell, the largest
+	// allocation held by a static portable there.
+	staticMax map[topology.CellID]float64
 }
 
 type meetingState struct {
@@ -259,9 +262,10 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 		Met:          NewMetrics(bus),
 		portables:    make(map[string]*Portable),
 		conns:        make(map[string]*Connection),
-		book:         make(map[topology.LinkID]map[string]float64),
+		book:         make(map[topology.LinkID]*advanceBook),
 		meetings:     make(map[topology.CellID][]*meetingState),
 		rateWatchers: make(map[string]func(float64)),
+		staticMax:    make(map[topology.CellID]float64),
 		channels:     make(map[topology.CellID]*wireless.CapacityProcess),
 	}
 	adm, err := strategy.NewAdmitter(cfg.Admitter, lg, bus)

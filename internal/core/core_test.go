@@ -60,13 +60,13 @@ func TestPlaceOpenClose(t *testing.T) {
 	}
 	// Ledger holds the wireless allocation.
 	wl := m.Ledger().Link(m.downlink("off-1"))
-	if wl.Alloc(id) == nil {
+	if _, ok := wl.Alloc(id); !ok {
 		t.Fatal("no wireless allocation")
 	}
 	if err := m.CloseConnection(id); err != nil {
 		t.Fatal(err)
 	}
-	if wl.Alloc(id) != nil {
+	if _, ok := wl.Alloc(id); ok {
 		t.Fatal("allocation survives close")
 	}
 	if err := m.CloseConnection(id); !errors.Is(err, ErrUnknownConn) {
@@ -201,10 +201,10 @@ func TestHandoffSucceedsAndReroutes(t *testing.T) {
 		t.Fatalf("handoff counters wrong: %v", m.Met.Counter)
 	}
 	// Old wireless link released, new one allocated.
-	if m.Ledger().Link(m.downlink("off-2")).Alloc(id) != nil {
+	if _, ok := m.Ledger().Link(m.downlink("off-2")).Alloc(id); ok {
 		t.Fatal("old allocation not released")
 	}
-	if m.Ledger().Link(m.downlink("cor-w1")).Alloc(id) == nil {
+	if _, ok := m.Ledger().Link(m.downlink("cor-w1")).Alloc(id); !ok {
 		t.Fatal("new allocation missing")
 	}
 	_ = sim

@@ -60,7 +60,7 @@ func TestRenegotiateRejectionRollsBack(t *testing.T) {
 		t.Fatalf("rollback failed: %+v", c)
 	}
 	wl := m.Ledger().Link(m.downlink("off-1"))
-	if a := wl.Alloc(id); a == nil || a.Min != 64e3 {
+	if a, ok := wl.Alloc(id); !ok || a.Min != 64e3 {
 		t.Fatalf("ledger state after rollback: %+v", a)
 	}
 }
@@ -108,7 +108,7 @@ func TestConflictResolutionSqueezesAdaptedConnections(t *testing.T) {
 		t.Fatalf("capacity exceeded after resettle: %v > %v", got, wl.Capacity)
 	}
 	for _, id := range wl.Conns() {
-		a := wl.Alloc(id)
+		a, _ := wl.Alloc(id)
 		if a.Cur < a.Min-1e-9 {
 			t.Fatalf("connection %s squeezed below b_min: %v < %v", id, a.Cur, a.Min)
 		}
@@ -260,7 +260,7 @@ func TestBestEffortConnections(t *testing.T) {
 	}
 	// No ledger allocation anywhere.
 	for _, ls := range m.Ledger().Links() {
-		if ls.Alloc(id) != nil {
+		if _, ok := ls.Alloc(id); ok {
 			t.Fatalf("best-effort allocated on %s", ls.Link.ID)
 		}
 	}
@@ -438,7 +438,7 @@ func TestMulticastReservationLifecycle(t *testing.T) {
 	for dst, route := range c.Multicast.Branches {
 		mcID := id + "@mc:" + string(dst)
 		for _, l := range route.Links {
-			if m.Ledger().Link(l.ID).Alloc(mcID) != nil {
+			if _, ok := m.Ledger().Link(l.ID).Alloc(mcID); ok {
 				found++
 				break
 			}
@@ -460,7 +460,7 @@ func TestMulticastReservationLifecycle(t *testing.T) {
 	for dst, route := range oldBranches {
 		mcID := id + "@mc:" + string(dst)
 		for _, l := range route.Links {
-			if m.Ledger().Link(l.ID).Alloc(mcID) != nil {
+			if _, ok := m.Ledger().Link(l.ID).Alloc(mcID); ok {
 				t.Fatalf("stale multicast reservation for %s on %s", mcID, l.ID)
 			}
 		}

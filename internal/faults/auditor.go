@@ -81,7 +81,7 @@ func (a *Auditor) CheckConservation() int {
 			a.report("pool-bounds", fmt.Sprintf("%s: pool fraction %g outside [0,1]", link, ls.PoolFraction))
 		}
 		for _, id := range ls.Conns() {
-			al := ls.Alloc(id)
+			al, _ := ls.Alloc(id)
 			if al.Min < -eps || al.Cur < al.Min-eps || al.Buffer < -eps {
 				a.report("alloc-order", fmt.Sprintf("%s/%s: min=%g cur=%g buffer=%g", link, id, al.Min, al.Cur, al.Buffer))
 			}

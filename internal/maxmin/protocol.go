@@ -79,7 +79,7 @@ func (o ProtocolOptions) withDefaults() ProtocolOptions {
 type linkState struct {
 	name     string
 	capacity float64
-	ids      []string
+	ids      sortx.IDs[string]
 	// recorded is the last seen stamped rate per connection (§5.3.1).
 	recorded []float64
 	// inM marks M(l), the connections that consider this link a
@@ -97,7 +97,7 @@ func (ls *linkState) slot(id string, hint *int) int {
 	if h := *hint; h < len(ls.ids) && ls.ids[h] == id {
 		return h
 	}
-	i, ok := slices.BinarySearch(ls.ids, id)
+	i, ok := ls.ids.Find(id)
 	if !ok {
 		return -1
 	}
@@ -107,12 +107,11 @@ func (ls *linkState) slot(id string, hint *int) int {
 
 // insert adds a row for id with a zero recorded rate, outside M(l).
 func (ls *linkState) insert(id string) {
-	i, ok := slices.BinarySearch(ls.ids, id)
-	if ok {
+	i, added := ls.ids.Insert(id)
+	if !added {
 		ls.recorded[i] = 0
 		return
 	}
-	ls.ids = slices.Insert(ls.ids, i, id)
 	ls.recorded = slices.Insert(ls.recorded, i, 0)
 	ls.inM = slices.Insert(ls.inM, i, false)
 	ls.restricted = append(ls.restricted, false)
@@ -120,12 +119,11 @@ func (ls *linkState) insert(id string) {
 
 // remove deletes id's row, if any.
 func (ls *linkState) remove(id string) {
-	i, ok := slices.BinarySearch(ls.ids, id)
+	i, ok := ls.ids.Remove(id)
 	if !ok {
 		return
 	}
 	ls.setM(i, false)
-	ls.ids = slices.Delete(ls.ids, i, i+1)
 	ls.recorded = slices.Delete(ls.recorded, i, i+1)
 	ls.inM = slices.Delete(ls.inM, i, i+1)
 	ls.restricted = ls.restricted[:len(ls.ids)]

@@ -80,8 +80,8 @@ func (a *Auditor) checkDrop(conn string) {
 		if id == conn {
 			continue
 		}
-		al := ls.Alloc(id)
-		if al == nil || al.Cur <= al.Min+eps {
+		al, ok := ls.Alloc(id)
+		if !ok || al.Cur <= al.Min+eps {
 			continue
 		}
 		if a.Degradable != nil && !a.Degradable(id) {

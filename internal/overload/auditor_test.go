@@ -75,7 +75,7 @@ func TestAuditorFlagsDropWithDegradableExcess(t *testing.T) {
 
 func TestAuditorCleanWhenEveryoneAtMin(t *testing.T) {
 	bus, lg, link := dropFixture(t)
-	al := lg.Link(link).Alloc("bystander")
+	al, _ := lg.Link(link).Alloc("bystander")
 	if err := lg.SetAllocation("bystander", link, al.Min); err != nil {
 		t.Fatal(err)
 	}

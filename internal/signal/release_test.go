@@ -68,7 +68,7 @@ func TestCommitLossReleasesExactlyOnce(t *testing.T) {
 	if *releases != 1 {
 		t.Fatalf("committed reservation released %d times, want exactly 1", *releases)
 	}
-	if a := p.Ledger.Link(route.Links[0].ID).Alloc("c1"); a != nil {
+	if _, ok := p.Ledger.Link(route.Links[0].ID).Alloc("c1"); ok {
 		t.Fatal("reservation survived the commit-loss teardown")
 	}
 	// Re-admit under the same ID, then run past the original deadline: a
@@ -82,7 +82,7 @@ func TestCommitLossReleasesExactlyOnce(t *testing.T) {
 	if *releases != 1 {
 		t.Fatalf("stale release fired after the session finished (%d total)", *releases)
 	}
-	if a := p.Ledger.Link(route.Links[0].ID).Alloc("c1"); a == nil {
+	if _, ok := p.Ledger.Link(route.Links[0].ID).Alloc("c1"); !ok {
 		t.Fatal("re-admitted reservation was destroyed by a stale release")
 	}
 }
@@ -127,7 +127,7 @@ func TestPostCommitTimeoutReleasesExactlyOnce(t *testing.T) {
 	if *releases != 1 {
 		t.Fatalf("late confirmation caused another release (%d total)", *releases)
 	}
-	if a := p.Ledger.Link(route.Links[0].ID).Alloc("c1"); a == nil {
+	if _, ok := p.Ledger.Link(route.Links[0].ID).Alloc("c1"); !ok {
 		t.Fatal("re-admitted reservation was destroyed by the late confirmation path")
 	}
 }

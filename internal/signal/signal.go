@@ -320,7 +320,7 @@ func (p *Plane) reap() {
 		if o.route != nil {
 			for _, l := range o.route.Links {
 				if ls := p.Ledger.Link(l.ID); ls != nil {
-					if a := ls.Alloc(o.conn); a != nil {
+					if a, ok := ls.Alloc(o.conn); ok {
 						eventbus.Pub(p.opts.Bus, eventbus.HoldReclaimed{
 							Conn: o.conn, Link: string(l.ID), Amount: a.Min,
 							Reason: "commit-lease",

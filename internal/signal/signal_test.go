@@ -140,7 +140,7 @@ func TestEndToEndRejectionRollsBack(t *testing.T) {
 		if p.Pending(l.ID) != 0 {
 			t.Fatalf("stale pending on %s", l.ID)
 		}
-		if p.Ledger.Link(l.ID).Alloc("c1") != nil {
+		if _, ok := p.Ledger.Link(l.ID).Alloc("c1"); ok {
 			t.Fatalf("allocation committed despite rejection")
 		}
 	}
@@ -283,7 +283,7 @@ func TestLostCommitConfirmationReleasesReservation(t *testing.T) {
 	// The reservation committed at the destination must have been torn
 	// down when the confirmation could not be delivered.
 	for _, l := range route.Links {
-		if p.Ledger.Link(l.ID).Alloc("c1") != nil {
+		if _, ok := p.Ledger.Link(l.ID).Alloc("c1"); ok {
 			t.Fatalf("reservation leaked on %s", l.ID)
 		}
 	}
@@ -348,7 +348,7 @@ func TestCrashAfterCommitReclaimsViaLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range route.Links {
-		if p.Ledger.Link(l.ID).Alloc("c1") != nil {
+		if _, ok := p.Ledger.Link(l.ID).Alloc("c1"); ok {
 			t.Fatalf("committed reservation not reclaimed on %s", l.ID)
 		}
 	}

@@ -29,3 +29,34 @@ func TestKeysTypedAndEmpty(t *testing.T) {
 		t.Fatalf("Keys(int) = %v", ints)
 	}
 }
+
+func TestIDsStayAscending(t *testing.T) {
+	var s IDs[string]
+	for n, id := range []string{"c2", "c10", "c1", "c10", "c3"} {
+		i, added := s.Insert(id)
+		if s[i] != id || added != (n != 3) {
+			t.Fatalf("Insert(%s) = %d, %v in %q", id, i, added, s)
+		}
+	}
+	if !reflect.DeepEqual(s, IDs[string]{"c1", "c10", "c2", "c3"}) {
+		t.Fatalf("after inserts: %q", s)
+	}
+	if i, added := s.Insert("c2"); i != 2 || added {
+		t.Fatalf("Insert of a present id = %d, %v", i, added)
+	}
+	if i, ok := s.Find("c10"); i != 1 || !ok {
+		t.Fatalf("Find(c10) = %d, %v", i, ok)
+	}
+	if i, ok := s.Find("c11"); i != 2 || ok {
+		t.Fatalf("Find(c11) = %d, %v, want the insertion row 2", i, ok)
+	}
+	if i, ok := s.Remove("c10"); i != 1 || !ok {
+		t.Fatalf("Remove(c10) = %d, %v", i, ok)
+	}
+	if _, ok := s.Remove("c10"); ok {
+		t.Fatal("Remove of an absent id reported a row")
+	}
+	if !reflect.DeepEqual(s, IDs[string]{"c1", "c2", "c3"}) {
+		t.Fatalf("after removes: %q", s)
+	}
+}

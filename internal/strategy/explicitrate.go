@@ -3,6 +3,7 @@ package strategy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
@@ -121,10 +122,30 @@ type rateAllocator struct {
 	dirty  map[string]bool // session requested while one was active
 }
 
+// rateLink is one switch's table of the connections on a link, in
+// ascending ID order — the order offer has always summed them in.
 type rateLink struct {
 	capacity float64
-	// recorded is the last stamped rate the switch saw per connection.
-	recorded map[string]float64
+	ids      sortx.IDs[string]
+	// recorded is the last stamped rate the switch saw per connection,
+	// parallel to ids.
+	recorded []float64
+}
+
+// rate returns the connection's recorded rate, 0 when it is not on the
+// link.
+func (l *rateLink) rate(id string) float64 {
+	if i, ok := l.ids.Find(id); ok {
+		return l.recorded[i]
+	}
+	return 0
+}
+
+// record sets the recorded rate of a connection on the link.
+func (l *rateLink) record(id string, rate float64) {
+	if i, ok := l.ids.Find(id); ok {
+		l.recorded[i] = rate
+	}
 }
 
 type rateConn struct {
@@ -137,20 +158,20 @@ type rateConn struct {
 
 // offer is the explicit rate for one connection at one switch:
 // max(weighted share, capacity minus everyone else's recorded load),
-// clamped non-negative. Sorted iteration keeps the float sums stable
-// run to run.
+// clamped non-negative. The table's ID order keeps the float sums
+// stable run to run.
 func (a *rateAllocator) offer(l *rateLink, conn string) float64 {
-	if len(l.recorded) == 0 {
+	if len(l.ids) == 0 {
 		return l.capacity
 	}
 	others, wsum, w := 0.0, 0.0, 0.0
-	for _, id := range sortx.Keys(l.recorded) {
+	for i, id := range l.ids {
 		wc := a.conns[id].weight
 		wsum += wc
 		if id == conn {
 			w = wc
 		} else {
-			others += l.recorded[id]
+			others += l.recorded[i]
 		}
 	}
 	mu := l.capacity - others
@@ -172,7 +193,7 @@ func (a *rateAllocator) AddLink(name string, capacity float64) error {
 	if capacity < 0 {
 		return fmt.Errorf("%w: %s = %v", maxmin.ErrBadCapacity, name, capacity)
 	}
-	a.links[name] = &rateLink{capacity: capacity, recorded: make(map[string]float64)}
+	a.links[name] = &rateLink{capacity: capacity}
 	return nil
 }
 
@@ -193,8 +214,11 @@ func (a *rateAllocator) AddSession(s Session) error {
 	}
 	c := &rateConn{id: s.ID, path: dedupPath(s.Path), demand: s.Demand, weight: a.weight(s.Demand)}
 	a.conns[s.ID] = c
-	for _, l := range c.path {
-		a.links[l].recorded[s.ID] = 0
+	for _, name := range c.path {
+		l := a.links[name]
+		if i, added := l.ids.Insert(s.ID); added {
+			l.recorded = slices.Insert(l.recorded, i, 0)
+		}
 	}
 	return nil
 }
@@ -204,8 +228,11 @@ func (a *rateAllocator) RemoveSession(id string) {
 	if !ok {
 		return
 	}
-	for _, l := range c.path {
-		delete(a.links[l].recorded, id)
+	for _, name := range c.path {
+		l := a.links[name]
+		if i, ok := l.ids.Remove(id); ok {
+			l.recorded = slices.Delete(l.recorded, i, i+1)
+		}
 	}
 	delete(a.conns, id)
 	delete(a.active, id)
@@ -232,7 +259,7 @@ func (a *rateAllocator) CapacityChanged(link string, capacity float64) (int, err
 	}
 	l.capacity = capacity
 	started := 0
-	for _, id := range sortx.Keys(l.recorded) {
+	for _, id := range l.ids {
 		if a.drifted(a.conns[id]) && a.startSession(id) {
 			started++
 		}
@@ -295,7 +322,7 @@ func (a *rateAllocator) drifted(c *rateConn) bool {
 	// A lost sweep can strand a stale recorded rate mid-path even when
 	// the end-to-end offer already matches the committed rate.
 	for _, l := range c.path {
-		if math.Abs(a.links[l].recorded[c.id]-c.rate) > a.tol() {
+		if math.Abs(a.links[l].rate(c.id)-c.rate) > a.tol() {
 			return true
 		}
 	}
@@ -387,7 +414,7 @@ func (a *rateAllocator) runSweep(id string, attempt int) {
 			if mu := a.offer(l, id); mu < stamp {
 				stamp = mu
 			}
-			l.recorded[id] = stamp
+			l.record(id, stamp)
 		}
 	}
 	final := stamp
@@ -419,7 +446,7 @@ func (a *rateAllocator) sendUpdate(id string, rate float64, attempt int) {
 			}
 			travel += extra
 		}
-		a.links[lname].recorded[id] = rate
+		a.links[lname].record(id, rate)
 	}
 	a.sim.PostAfter(travel, func() {
 		changed := math.Abs(c.rate-rate) > 1e-9*(1+math.Abs(rate))
@@ -464,7 +491,7 @@ func (a *rateAllocator) cascade(id string) {
 	targets := map[string]bool{}
 	for _, lname := range c.path {
 		l := a.links[lname]
-		for _, other := range sortx.Keys(l.recorded) {
+		for _, other := range l.ids {
 			if other != id && a.drifted(a.conns[other]) {
 				targets[other] = true
 			}

@@ -253,7 +253,7 @@ func TestMeasuredHeadroom(t *testing.T) {
 	if got := wl.SumCur(); got != 1.2e6 {
 		t.Fatalf("committed load = %v, want exactly 2 x b_min", got)
 	}
-	if a := wl.Alloc("c3"); a != nil {
+	if _, ok := wl.Alloc("c3"); ok {
 		t.Fatal("rejected connection left a booking behind")
 	}
 }
@@ -278,7 +278,7 @@ func TestMeasuredHandoffConsumesAdvance(t *testing.T) {
 	if got := lg.Link(wl).AdvanceReserved; got != 0 {
 		t.Fatalf("advance reserve = %v after handoff, want fully consumed", got)
 	}
-	if a := lg.Link(wl).Alloc("ho"); a == nil || a.Min != 600e3 {
+	if a, ok := lg.Link(wl).Alloc("ho"); !ok || a.Min != 600e3 {
 		t.Fatalf("handoff booking = %+v, want Min 600k", a)
 	}
 }

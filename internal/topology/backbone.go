@@ -1,10 +1,12 @@
 package topology
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -67,11 +69,17 @@ type Link struct {
 // linkID builds the canonical directed link name.
 func linkID(from, to NodeID) LinkID { return LinkID(string(from) + "->" + string(to)) }
 
-// Backbone is the wired network graph plus wireless access links.
+// Backbone is the wired network graph plus wireless access links. Like
+// everything under core.Manager it belongs to one goroutine: ShortestPath
+// fills the route memo as it answers.
 type Backbone struct {
 	nodes map[NodeID]*Node
 	links map[LinkID]*Link
-	adj   map[NodeID][]*Link // outgoing links per node
+	adj   map[NodeID][]*Link // outgoing links per node, in link-ID order
+	// routes memoises ShortestPath per (src, dst). The graph only changes
+	// through AddNode and AddLink, which clear it; it holds at most one
+	// entry per pair asked for, hosts × cells in a simulation.
+	routes map[[2]NodeID][]*Link
 }
 
 // Errors returned by Backbone operations.
@@ -86,9 +94,10 @@ var (
 // NewBackbone returns an empty backbone graph.
 func NewBackbone() *Backbone {
 	return &Backbone{
-		nodes: make(map[NodeID]*Node),
-		links: make(map[LinkID]*Link),
-		adj:   make(map[NodeID][]*Link),
+		nodes:  make(map[NodeID]*Node),
+		links:  make(map[LinkID]*Link),
+		adj:    make(map[NodeID][]*Link),
+		routes: make(map[[2]NodeID][]*Link),
 	}
 }
 
@@ -102,6 +111,7 @@ func (b *Backbone) AddNode(n Node) (*Node, error) {
 	}
 	nn := n
 	b.nodes[n.ID] = &nn
+	clear(b.routes)
 	return &nn, nil
 }
 
@@ -131,7 +141,12 @@ func (b *Backbone) AddLink(l Link) (*Link, error) {
 	}
 	ll := l
 	b.links[ll.ID] = &ll
-	b.adj[ll.From] = append(b.adj[ll.From], &ll)
+	// Kept in link-ID order, so route searches explore deterministically
+	// without sorting.
+	adj := b.adj[ll.From]
+	i, _ := slices.BinarySearchFunc(adj, ll.ID, func(l *Link, id LinkID) int { return cmp.Compare(l.ID, id) })
+	b.adj[ll.From] = slices.Insert(adj, i, &ll)
+	clear(b.routes)
 	return &ll, nil
 }
 
@@ -269,7 +284,24 @@ func (q *dijkstraQueue) Pop() any {
 // ShortestPath returns the minimum-cost route from src to dst, where a
 // link's cost is its propagation delay plus a constant per-hop charge, so
 // routes prefer fewer hops when delays tie. Deterministic for fixed input.
+// A pair asked for before is answered from the memo; the Route is the
+// caller's own either way.
 func (b *Backbone) ShortestPath(src, dst NodeID) (Route, error) {
+	key := [2]NodeID{src, dst}
+	links, ok := b.routes[key]
+	if !ok {
+		r, err := b.dijkstra(src, dst)
+		if err != nil {
+			return Route{}, err
+		}
+		links = r.Links
+		b.routes[key] = links
+	}
+	return Route{Links: slices.Clone(links)}, nil
+}
+
+// dijkstra is ShortestPath's search, run once per pair and graph.
+func (b *Backbone) dijkstra(src, dst NodeID) (Route, error) {
 	if _, ok := b.nodes[src]; !ok {
 		return Route{}, fmt.Errorf("%w: %s", ErrUnknownNode, src)
 	}
@@ -291,10 +323,7 @@ func (b *Backbone) ShortestPath(src, dst NodeID) (Route, error) {
 		if it.node == dst {
 			break
 		}
-		// Sort adjacency for deterministic exploration.
-		adj := append([]*Link(nil), b.adj[it.node]...)
-		sort.Slice(adj, func(i, j int) bool { return adj[i].ID < adj[j].ID })
-		for _, l := range adj {
+		for _, l := range b.adj[it.node] {
 			nd := it.dist + l.PropDelay + hopCost
 			if old, ok := dist[l.To]; !ok || nd < old {
 				dist[l.To] = nd
@@ -384,7 +413,7 @@ func (b *Backbone) ConstrainedShortestPath(src, dst NodeID, usable func(*Link) b
 			}
 		}
 	}
-	r, err := sub.ShortestPath(src, dst)
+	r, err := sub.dijkstra(src, dst)
 	if err != nil {
 		return Route{}, err
 	}
@@ -445,9 +474,7 @@ func (b *Backbone) WidestPath(src, dst NodeID) (Route, float64, error) {
 			break
 		}
 		visited[cur] = true
-		adj := append([]*Link(nil), b.adj[cur]...)
-		sort.Slice(adj, func(i, j int) bool { return adj[i].ID < adj[j].ID })
-		for _, l := range adj {
+		for _, l := range b.adj[cur] {
 			w := curState.width
 			if l.Capacity < w {
 				w = l.Capacity

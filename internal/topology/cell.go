@@ -8,7 +8,10 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+
+	"armnet/internal/sortx"
 )
 
 // CellID names a cell. The paper's Figure 4 uses single letters (A–G);
@@ -81,22 +84,18 @@ type Cell struct {
 	// station.
 	BaseStation NodeID
 
-	neighbors map[CellID]bool
+	neighbors sortx.IDs[CellID]
 }
 
 // Neighbors returns the cell's neighbor IDs in sorted order — the η(c)
-// function of Table 1.
-func (c *Cell) Neighbors() []CellID {
-	out := make([]CellID, 0, len(c.neighbors))
-	for id := range c.neighbors {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// function of Table 1. The slice is the caller's own.
+func (c *Cell) Neighbors() []CellID { return slices.Clone(c.neighbors) }
 
 // IsNeighbor reports whether id is a neighbor of this cell.
-func (c *Cell) IsNeighbor(id CellID) bool { return c.neighbors[id] }
+func (c *Cell) IsNeighbor(id CellID) bool {
+	_, ok := c.neighbors.Find(id)
+	return ok
+}
 
 // IsOccupant reports whether the named portable is a regular occupant of
 // this (office) cell.
@@ -147,7 +146,7 @@ func (u *Universe) AddCell(c Cell) (*Cell, error) {
 		c.BaseStation = NodeID("bs-" + string(c.ID))
 	}
 	cc := c
-	cc.neighbors = make(map[CellID]bool)
+	cc.neighbors = nil
 	u.cells[c.ID] = &cc
 	u.zones[cc.Zone] = append(u.zones[cc.Zone], c.ID)
 	return &cc, nil
@@ -177,8 +176,8 @@ func (u *Universe) Connect(a, b CellID) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownCell, b)
 	}
-	ca.neighbors[b] = true
-	cb.neighbors[a] = true
+	ca.neighbors.Insert(b)
+	cb.neighbors.Insert(a)
 	return nil
 }
 
@@ -237,12 +236,12 @@ func (u *Universe) Neighborhood(id CellID) ([]CellID, error) {
 // and the relation is symmetric.
 func (u *Universe) Validate() error {
 	for id, c := range u.cells {
-		for n := range c.neighbors {
+		for _, n := range c.neighbors {
 			nc, ok := u.cells[n]
 			if !ok {
 				return fmt.Errorf("%w: %s referenced by %s", ErrUnknownCell, n, id)
 			}
-			if !nc.neighbors[id] {
+			if !nc.IsNeighbor(id) {
 				return fmt.Errorf("topology: asymmetric neighbor relation %s -> %s", id, n)
 			}
 		}
