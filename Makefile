@@ -94,9 +94,11 @@ loc:
 
 ## trace-determinism: the event-stream replication gate — the full JSONL
 ## trace of every reservation mode must be byte-identical at any worker
-## count.
+## count and, at the full campus configuration, from run to run; and
+## armsim's -trace must be the campus experiment's stream, byte for byte.
 trace-determinism:
 	$(GO) test -run 'TraceDeterminism' ./internal/sim
+	$(GO) test -run 'TestArmsimTraceEqualsCampusTrace' -count=1 ./cmd/armsim
 
 ## chaos: the fault-injection recovery gate — chaos scenarios run under
 ## the race detector, recovery invariants are audited, and the pinned
@@ -162,6 +164,7 @@ soak:
 ## output change.
 golden:
 	$(GO) test ./cmd/paperfigs -update
+	$(GO) test ./cmd/armsim -run TestArmsimGolden -update
 	$(GO) test ./internal/sim -run TestChaosTraceGolden -update-chaos
 	$(GO) test ./internal/sim -run TestOverloadTraceGolden -update-overload
 	$(GO) test ./internal/sim -run TestObsSnapshotGolden -update-obs

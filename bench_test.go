@@ -7,7 +7,6 @@ package armnet_test
 // run regenerates the paper's rows, not just timings.
 
 import (
-	"context"
 	"testing"
 
 	"armnet"
@@ -234,45 +233,6 @@ func BenchmarkAblationTthSensitivity(b *testing.B) {
 	b.ReportMetric(large/float64(b.N), "predicted-share-Tth600")
 }
 
-// BenchmarkCampusEndToEnd runs one full integrated campus simulation per
-// iteration — mobility, admission, signaling, maxmin adaptation, the
-// works — and reports whole-world throughput as portable-simulated-
-// seconds per wall-clock second, the number the ROADMAP's "10x more
-// simulated portables per wall-clock second" goal is tracked by.
-func BenchmarkCampusEndToEnd(b *testing.B) {
-	cfg := armnet.CampusConfig{Portables: 32, Duration: 900, Dwell: 60, Mode: armnet.ModePredictive}
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		if _, err := armnet.RunCampus(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		simulated := float64(cfg.Portables) * cfg.Duration * float64(b.N)
-		b.ReportMetric(simulated/secs, "portable-secs/s")
-	}
-}
-
-// BenchmarkRunnerSweep runs the three-mode campus comparison on the
-// parallel trial runner per iteration, measuring the replication-sweep
-// path every experiment harness uses (worker fan-out plus deterministic
-// result ordering), and reports the same portables-per-wall-second
-// throughput across all trials.
-func BenchmarkRunnerSweep(b *testing.B) {
-	cfg := armnet.CampusConfig{Portables: 24, Duration: 600, Dwell: 60}
-	const modes = 3
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		if _, _, err := armnet.RunCampusComparisonParallel(context.Background(), cfg, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		simulated := float64(cfg.Portables) * cfg.Duration * modes * float64(b.N)
-		b.ReportMetric(simulated/secs, "portable-secs/s")
-	}
-}
-
 // BenchmarkScaleGridBuilding runs the integrated manager on a 48-cell
 // building with 80 portables and reports simulator throughput.
 func BenchmarkScaleGridBuilding(b *testing.B) {
@@ -318,7 +278,7 @@ func BenchmarkAblationLooseVsRigidBounds(b *testing.B) {
 // paper pair's drop rate and control-packet bill against the cheapest
 // rival's, plus roster throughput.
 func BenchmarkArenaHeadToHead(b *testing.B) {
-	cfg := armnet.ArenaConfig{Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}
+	cfg := armnet.ArenaConfig{CampusConfig: armnet.CampusConfig{Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}}
 	var paperDrop, paperMsgs, minMsgs float64
 	var pairs int
 	for i := 0; i < b.N; i++ {

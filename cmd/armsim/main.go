@@ -2,7 +2,10 @@
 // population of portables random-walks over a chosen topology while each
 // holds a QoS-bounded connection; the full control loop (admission,
 // prediction, advance reservation, adaptation, handoff) runs on the
-// discrete-event simulator and the final metrics are printed.
+// discrete-event simulator and the final metrics are printed. The scenario
+// is the walk every campus experiment runs (armnet.RunWalk): at equal
+// seed and workload flags, -trace writes the bytes
+// `paperfigs -exp campus -trace` writes.
 //
 // Usage:
 //
@@ -79,10 +82,11 @@ import (
 	"time"
 
 	"armnet"
+	"armnet/internal/core"
 	"armnet/internal/mobility"
-	"armnet/internal/randx"
 	"armnet/internal/runner"
 	"armnet/internal/stats"
+	"armnet/internal/topology"
 )
 
 func main() {
@@ -244,110 +248,56 @@ func (sc scenario) buildEnv() (*armnet.Environment, error) {
 	if sc.topoJSON != nil {
 		return armnet.EnvironmentFromJSON(bytes.NewReader(sc.topoJSON))
 	}
-	switch sc.topo {
-	case "campus":
-		return armnet.BuildCampus()
-	case "figure4":
-		return armnet.BuildFigure4("faculty", []string{"stu-a", "stu-b", "stu-c"})
-	case "meetingwing":
-		return armnet.BuildMeetingWing(1.6e6)
-	case "corridor":
-		return armnet.BuildCorridor(6, 1.6e6)
-	default:
-		return nil, fmt.Errorf("unknown topology %q", sc.topo)
-	}
+	return topology.BuildNamed(sc.topo)
 }
 
-// replication is one finished trial: the network for reporting plus its
+// replication is one finished trial: the manager for reporting plus its
 // optional JSONL event trace and observability exports.
 type replication struct {
-	net   *armnet.Network
+	mgr   *core.Manager
 	trace []byte
 	snap  *armnet.ObsSnapshot
 	spans []byte
 }
 
-// runOnce executes one self-contained replication under the given seed and
-// returns the finished network for reporting.
+// campusConfig is the scenario as the shared walk reads it. The arena
+// overwrites the strategy and observability fields pair by pair.
+func (sc scenario) campusConfig(seed int64) armnet.CampusConfig {
+	return armnet.CampusConfig{
+		Seed: seed, Portables: sc.portables, Duration: sc.duration,
+		Dwell: sc.dwell, Mode: sc.mode, BMin: sc.bmin, BMax: sc.bmax,
+		Allocator: sc.allocator, Admitter: sc.admitter, Obs: sc.obs,
+	}
+}
+
+// runOnce executes one self-contained replication under the given seed:
+// the walk every campus experiment runs (armnet.RunWalk), on this
+// scenario's environment, fault plan, overload policy and signaling
+// options, replaying the recorded mobility trace when one was given.
 func (sc scenario) runOnce(seed int64) (replication, error) {
 	env, err := sc.buildEnv()
 	if err != nil {
 		return replication{}, err
 	}
-	cfg := armnet.Config{Seed: seed, Mode: sc.mode, Faults: sc.faults, Overload: sc.overload,
-		Allocator: sc.allocator, Admitter: sc.admitter}
-	cfg.Signal.Timeout = sc.sigTimeout
-	cfg.Signal.MaxRetries = sc.sigRetries
-	var spanBuf bytes.Buffer
-	if sc.obs {
-		opts := &armnet.ObsOptions{}
-		if sc.spansPath != "" || sc.telemetryAddr != "" {
-			opts.Spans = &spanBuf
-		}
-		cfg.Obs = opts
+	base := armnet.Config{Faults: sc.faults, Overload: sc.overload}
+	base.Signal.Timeout = sc.sigTimeout
+	base.Signal.MaxRetries = sc.sigRetries
+	cfg := sc.campusConfig(seed)
+	var spanBuf, traceBuf bytes.Buffer
+	if sc.spansPath != "" || sc.telemetryAddr != "" {
+		cfg.Spans = &spanBuf
 	}
-	net, err := armnet.NewNetwork(env, cfg)
+	var traceW io.Writer
+	if sc.tracePath != "" {
+		traceW = &traceBuf
+	}
+	mgr, err := armnet.RunWalk(env, base, cfg, sc.trace, traceW)
 	if err != nil {
 		return replication{}, err
 	}
-	var traceBuf bytes.Buffer
-	var rec *armnet.EventRecorder
-	if sc.tracePath != "" {
-		rec = net.Trace(&traceBuf)
-	}
-	// Mobility: replay the recorded trace, or generate a random walk.
-	trace := sc.trace
-	if trace == nil {
-		names := make([]string, sc.portables)
-		for i := range names {
-			names[i] = fmt.Sprintf("p%02d", i)
-		}
-		trace, err = mobility.RandomWalk(env.Universe, names, sc.dwell, sc.duration, randx.New(seed+1))
-		if err != nil {
-			return replication{}, err
-		}
-	}
-	req := armnet.Request{
-		Bandwidth: armnet.Bounds{Min: sc.bmin, Max: sc.bmax},
-		Delay:     5, Jitter: 5, Loss: 0.05,
-		Traffic: armnet.TrafficSpec{Sigma: sc.bmin / 4, Rho: sc.bmin},
-	}
-	// Under a fault plan, connections open through the signaling plane so
-	// setup messages are exposed to the plan's drop/dup/delay rules; the
-	// instantaneous path stays the default because it keeps uninjected
-	// traces byte-identical to earlier releases.
-	open := func(portable string) { _, _ = net.OpenConnection(portable, req) }
-	if !sc.faults.Empty() {
-		open = func(portable string) {
-			_ = net.OpenConnectionAsync(portable, req, func(string, error) {})
-		}
-	}
-	for _, mv := range trace.Moves {
-		mv := mv
-		net.Schedule(mv.Time, func() {
-			if mv.From == "" {
-				if err := net.PlacePortable(mv.Portable, mv.To); err == nil {
-					open(mv.Portable)
-				}
-				return
-			}
-			_ = net.HandoffPortable(mv.Portable, mv.To)
-		})
-	}
-	if err := net.RunUntil(sc.duration); err != nil {
-		return replication{}, err
-	}
-	if rec != nil && rec.Err() != nil {
-		return replication{}, rec.Err()
-	}
-	rep := replication{net: net, trace: traceBuf.Bytes()}
-	if o := net.Observer(); o != nil {
-		o.Finish(sc.duration)
-		if err := o.SpanErr(); err != nil {
-			return replication{}, err
-		}
-		rep.snap = o.Snapshot()
-		rep.spans = spanBuf.Bytes()
+	rep := replication{mgr: mgr, trace: traceBuf.Bytes(), spans: spanBuf.Bytes()}
+	if mgr.Obs != nil {
+		rep.snap = mgr.Obs.Snapshot()
 	}
 	return rep, nil
 }
@@ -404,7 +354,7 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 		}
 	}
 	if replications == 1 {
-		printDetailed(out, sc, seeds[0], reps[0].net)
+		printDetailed(out, sc, seeds[0], reps[0].mgr)
 		return nil
 	}
 	fmt.Fprintf(out, "topology=%s portables=%d duration=%.0fs mode=%s seed=%d replications=%d\n",
@@ -412,7 +362,7 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 	tb := stats.Table{Header: []string{"seed", "handoffs", "drop-rate", "block-rate", "reservations", "pool-claims"}}
 	var dropSum, blockSum float64
 	for i, rep := range reps {
-		c := rep.net.Metrics().Counter
+		c := rep.mgr.Met.Counter
 		drop := c.Ratio(armnet.CtrHandoffDropped, armnet.CtrHandoffTried)
 		block := c.Ratio(armnet.CtrNewBlocked, armnet.CtrNewRequested)
 		dropSum += drop
@@ -435,10 +385,7 @@ func runArena(sc scenario, seed int64, parallel int, out, statsOut io.Writer) er
 	if sc.topo != "campus" || sc.topoJSON != nil {
 		return fmt.Errorf("-arena runs the campus workload; drop -topology/-topology-file")
 	}
-	cfg := armnet.ArenaConfig{
-		Seed: seed, Portables: sc.portables, Duration: sc.duration,
-		Dwell: sc.dwell, Mode: sc.mode, BMin: sc.bmin, BMax: sc.bmax,
-	}
+	cfg := armnet.ArenaConfig{CampusConfig: sc.campusConfig(seed)}
 	entries, st, err := armnet.RunArenaSweep(context.Background(), cfg, parallel)
 	if err != nil {
 		return err
@@ -543,25 +490,24 @@ func writeTrace(path string, reps []replication, stdout io.Writer) error {
 }
 
 // printDetailed reports a single replication in full.
-func printDetailed(out io.Writer, sc scenario, seed int64, net *armnet.Network) {
-	m := net.Metrics()
+func printDetailed(out io.Writer, sc scenario, seed int64, mgr *core.Manager) {
+	c := mgr.Met.Counter
 	fmt.Fprintf(out, "topology=%s portables=%d duration=%.0fs mode=%s seed=%d\n",
 		sc.topo, sc.portables, sc.duration, sc.mode, seed)
 	tb := stats.Table{Header: []string{"metric", "value"}}
-	for _, name := range m.Counter.Names() {
-		tb.AddRow(name, m.Counter.Get(name))
+	for _, name := range c.Names() {
+		tb.AddRow(name, c.Get(name))
 	}
 	fmt.Fprint(out, tb.String())
-	if tried := m.Counter.Get(armnet.CtrHandoffTried); tried > 0 {
-		fmt.Fprintf(out, "handoff drop rate: %.4f\n", m.Counter.Ratio(armnet.CtrHandoffDropped, armnet.CtrHandoffTried))
+	if tried := c.Get(armnet.CtrHandoffTried); tried > 0 {
+		fmt.Fprintf(out, "handoff drop rate: %.4f\n", c.Ratio(armnet.CtrHandoffDropped, armnet.CtrHandoffTried))
 	}
-	mgr := net.Manager()
 	if mgr.Latency.Predicted.N()+mgr.Latency.Unpredicted.N() > 0 {
 		fmt.Fprintf(out, "handoff latency: predicted %.1fms (n=%d), unpredicted %.1fms (n=%d)\n",
 			mgr.Latency.Predicted.Mean()*1e3, mgr.Latency.Predicted.N(),
 			mgr.Latency.Unpredicted.Mean()*1e3, mgr.Latency.Unpredicted.N())
 	}
-	if req := m.Counter.Get(armnet.CtrNewRequested); req > 0 {
-		fmt.Fprintf(out, "new-connection block rate: %.4f\n", m.Counter.Ratio(armnet.CtrNewBlocked, armnet.CtrNewRequested))
+	if req := c.Get(armnet.CtrNewRequested); req > 0 {
+		fmt.Fprintf(out, "new-connection block rate: %.4f\n", c.Ratio(armnet.CtrNewBlocked, armnet.CtrNewRequested))
 	}
 }

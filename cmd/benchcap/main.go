@@ -40,9 +40,9 @@ type area struct {
 	Benchtime string // fixed -benchtime, always an Nx count
 }
 
-// areas is the closed capture set. sim is the whole-world area: the
-// campus end-to-end and runner-sweep throughput benchmarks plus the
-// grid scale scenario, each a full simulation per iteration.
+// areas is the closed capture set: micro-areas, one per layer, plus the
+// arena roster. The whole-world number is bench/'s campus-walk
+// portable_secs_per_s (BENCHMARK.json), not an area here.
 var areas = []area{
 	{Name: "des", Pkg: "./internal/des", Pattern: ".", Benchtime: "50000x"},
 	{Name: "admission", Pkg: "./internal/admission", Pattern: ".", Benchtime: "2000x"},
@@ -50,7 +50,6 @@ var areas = []area{
 	{Name: "eventbus", Pkg: "./internal/eventbus", Pattern: ".", Benchtime: "100000x"},
 	{Name: "obs", Pkg: "./internal/obs ./internal/obs/live", Pattern: ".", Benchtime: "1000x"},
 	{Name: "wire", Pkg: "./internal/wire ./internal/testnet", Pattern: ".", Benchtime: "1000x"},
-	{Name: "sim", Pkg: ".", Pattern: "CampusEndToEnd|RunnerSweep|ScaleGridBuilding", Benchtime: "1x"},
 	{Name: "arena", Pkg: ".", Pattern: "ArenaHeadToHead", Benchtime: "1x"},
 }
 

@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"os"
 
-	"armnet"
 	"armnet/internal/mobility"
 	"armnet/internal/randx"
+	"armnet/internal/topology"
 )
 
 func main() {
@@ -24,7 +24,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	students := flag.Int("students", 35, "meeting model: class size")
 	walkBys := flag.Int("walkbys", 400, "meeting model: corridor through-traffic")
-	topo := flag.String("topology", "campus", "randomwalk model: campus, figure4, meetingwing")
+	topo := flag.String("topology", "campus", "randomwalk model: campus, figure4, meetingwing, corridor")
 	portables := flag.Int("portables", 20, "randomwalk model: population")
 	duration := flag.Float64("duration", 3600, "randomwalk model: horizon (s)")
 	dwell := flag.Float64("dwell", 180, "randomwalk model: mean dwell (s)")
@@ -56,18 +56,7 @@ func generate(model string, seed int64, students, walkBys int, topo string, port
 		}
 		return mobility.MeetingClass(cfg, rng)
 	case "randomwalk":
-		var env *armnet.Environment
-		var err error
-		switch topo {
-		case "campus":
-			env, err = armnet.BuildCampus()
-		case "figure4":
-			env, err = armnet.BuildFigure4("faculty", []string{"stu-a", "stu-b", "stu-c"})
-		case "meetingwing":
-			env, err = armnet.BuildMeetingWing(1.6e6)
-		default:
-			return nil, fmt.Errorf("unknown topology %q", topo)
-		}
+		env, err := topology.BuildNamed(topo)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("registered allocators: %v\n", armnet.Allocators())
 	fmt.Printf("registered admitters:  %v\n\n", armnet.Admitters())
 
-	cfg := armnet.ArenaConfig{
+	cfg := armnet.ArenaConfig{CampusConfig: armnet.CampusConfig{
 		Seed:      1,
 		Portables: 24,
 		Duration:  900,
@@ -29,7 +29,7 @@ func main() {
 		// workload renders every strategy identical.
 		BMin: 256e3,
 		BMax: 1.2e6,
-	}
+	}}
 	entries, err := armnet.RunArena(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -95,6 +95,10 @@ var (
 	// RunCampusTrace is RunCampus plus the run's full JSONL event trace
 	// (one control-plane event per line, stamped with time and sequence).
 	RunCampusTrace = sim.RunCampusTrace
+	// RunWalk is the one walk every campus-family experiment and
+	// cmd/armsim run, on a caller-built environment and manager
+	// configuration; it returns the finished manager.
+	RunWalk = sim.RunWalk
 	// RunCampusObs is RunCampus with the observability layer armed: it
 	// additionally returns the run's deterministic instrument snapshot.
 	RunCampusObs = sim.RunCampusObs

@@ -257,12 +257,20 @@ func (m *Manager) evaluateMeetings(cell *topology.Cell, now float64) {
 
 func (m *Manager) applyLoungePlan(cell *topology.Cell, plan reserve.LoungePlan) {
 	tag := "policy:" + string(cell.ID)
-	if total := plan.Total(); total > 0 {
+	// The published amount is summed over the ID-ordered neighbor list,
+	// never over the plan's map: a float sum in map order flips its last
+	// ulp from run to run (DESIGN.md §9).
+	nbrs := cell.Neighbors()
+	total := plan.Self
+	for _, nid := range nbrs {
+		total += plan.Neighbor[nid]
+	}
+	if total > 0 {
 		eventbus.Pub(m.Bus, eventbus.PolicyReservation{
 			Cell: string(cell.ID), Source: tag, Amount: total,
 		})
 	}
-	for _, nid := range cell.Neighbors() {
+	for _, nid := range nbrs {
 		m.bookSet(m.downlink(nid), tag, plan.Neighbor[nid])
 	}
 	m.bookSet(m.downlink(cell.ID), tag+":self", plan.Self)

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"armnet/internal/des"
+	"armnet/internal/eventbus"
 	"armnet/internal/profile"
 	"armnet/internal/qos"
+	"armnet/internal/reserve"
 	"armnet/internal/topology"
 )
 
@@ -417,6 +419,50 @@ func TestLoungePoliciesDriveReservations(t *testing.T) {
 	// The default lounge, having a cafeteria neighbor but no default
 	// neighbor, forecasts departures one-step.
 	// (Its neighbor reservations appear once it has departures.)
+}
+
+// TestLoungePlanAmountIsOrderStable pins the published policy-reservation
+// amount to the ID-ordered sum Self + Σ Neighbor[nid]. The plan's
+// neighbor table is a map, and the three non-dyadic amounts below add to
+// different last ulps in different orders, so a sum taken in map
+// iteration order would publish more than one value over these rounds.
+func TestLoungePlanAmountIsOrderStable(t *testing.T) {
+	_, m := newCampus(t, Config{})
+	cell := m.Env.Universe.Cell("cor-w1")
+	nbrs := cell.Neighbors()
+	if len(nbrs) != 3 {
+		t.Fatalf("cor-w1 has %d neighbors, want 3", len(nbrs))
+	}
+	amounts := []float64{16e3 / 3, 16e3 / 7, 16e3 / 11}
+	self := 16e3 / 13
+	want, reversed := self, self
+	for i := range nbrs {
+		want += amounts[i]
+		reversed += amounts[len(nbrs)-1-i]
+	}
+	if want == reversed {
+		t.Fatal("amounts are not order-sensitive; the test would prove nothing")
+	}
+	var got []float64
+	m.Bus.Subscribe(func(r eventbus.Record) {
+		got = append(got, r.Event.(eventbus.PolicyReservation).Amount)
+	}, eventbus.KindPolicyReservation)
+	const rounds = 64
+	for round := 0; round < rounds; round++ {
+		plan := reserve.LoungePlan{Neighbor: map[topology.CellID]float64{}, Self: self}
+		for i, nid := range nbrs {
+			plan.Neighbor[nid] = amounts[i]
+		}
+		m.applyLoungePlan(cell, plan)
+	}
+	if len(got) != rounds {
+		t.Fatalf("published %d policy reservations, want %d", len(got), rounds)
+	}
+	for round, amount := range got {
+		if amount != want {
+			t.Fatalf("round %d published %.17g, want the ID-ordered sum %.17g", round, amount, want)
+		}
+	}
 }
 
 func TestMulticastReservationLifecycle(t *testing.T) {

@@ -126,16 +126,6 @@ type LoungePlan struct {
 	Self float64
 }
 
-// Total returns the plan's aggregate reservation in bits/s: the self
-// amount plus every neighbor hold.
-func (p LoungePlan) Total() float64 {
-	t := p.Self
-	for _, v := range p.Neighbor {
-		t += v
-	}
-	return t
-}
-
 // CafeteriaPlan evaluates §6.2.2 at time t for a cafeteria cell: predict
 // next-slot departures by least squares over the last three slots, ask
 // the neighbors to hold the split (by the cell profile's handoff

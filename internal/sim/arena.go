@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 
-	"armnet/internal/core"
 	"armnet/internal/obs"
 	"armnet/internal/runner"
 	"armnet/internal/strategy"
@@ -48,17 +47,9 @@ func DefaultArenaPairs() []StrategyPair {
 // strategy choice) — so outcome differences are attributable to the
 // strategies alone.
 type ArenaConfig struct {
-	// Seed drives every trial; all pairs share it.
-	Seed int64
-	// Portables / Duration / Dwell / Mode / BMin / BMax / Tth mirror
-	// CampusConfig.
-	Portables int
-	Duration  float64
-	Dwell     float64
-	Mode      core.ReservationMode
-	BMin      float64
-	BMax      float64
-	Tth       float64
+	// CampusConfig is the shared workload. Allocator, Admitter, Obs and
+	// Spans are the arena's to set: each trial runs one pair, observed.
+	CampusConfig
 	// Pairs is the roster; nil selects DefaultArenaPairs.
 	Pairs []StrategyPair
 }
@@ -94,25 +85,21 @@ func RunArenaSweep(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEn
 		pairs = DefaultArenaPairs()
 	}
 	return runner.Map(ctx, workers, len(pairs), func(_ context.Context, i int) (ArenaEntry, error) {
-		c := CampusConfig{
-			Seed: cfg.Seed, Portables: cfg.Portables, Duration: cfg.Duration,
-			Dwell: cfg.Dwell, Mode: cfg.Mode, BMin: cfg.BMin, BMax: cfg.BMax,
-			Tth:       cfg.Tth,
-			Allocator: pairs[i].Allocator, Admitter: pairs[i].Admitter,
-			Obs: true,
-		}
-		res, snap, probe, err := runCampus(c, nil)
+		c := cfg.CampusConfig
+		c.Allocator, c.Admitter = pairs[i].Allocator, pairs[i].Admitter
+		c.Obs, c.Spans = true, nil
+		res, mgr, err := runCampus(c, nil)
 		if err != nil {
 			return ArenaEntry{}, fmt.Errorf("arena %s: %w", pairs[i].Label(), err)
 		}
 		e := ArenaEntry{
 			Pair:         pairs[i],
 			CampusResult: res,
-			Control:      probe.control,
-			Utilization:  probe.util,
+			Summary:      mgr.Obs.Snapshot().Summary(),
+			Utilization:  meanDownlinkUtil(mgr.Env, mgr.Ledger()),
 		}
-		if snap != nil {
-			e.Summary = snap.Summary()
+		if mgr.Adpt != nil {
+			e.Control = mgr.Adpt.Alloc.Stats()
 		}
 		return e, nil
 	})
@@ -123,12 +110,9 @@ func RunArenaSweep(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEn
 // golden pinning.
 func RenderArena(cfg ArenaConfig, entries []ArenaEntry) []byte {
 	var b bytes.Buffer
-	cc := CampusConfig{
-		Seed: cfg.Seed, Portables: cfg.Portables, Duration: cfg.Duration,
-		Dwell: cfg.Dwell, BMin: cfg.BMin, BMax: cfg.BMax,
-	}.withDefaults()
+	cc := cfg.withDefaults()
 	fmt.Fprintf(&b, "arena seed=%d portables=%d duration=%gs dwell=%gs mode=%s bmin=%g bmax=%g pairs=%d\n",
-		cfg.Seed, cc.Portables, cc.Duration, cc.Dwell, cfg.Mode, cc.BMin, cc.BMax, len(entries))
+		cc.Seed, cc.Portables, cc.Duration, cc.Dwell, cc.Mode, cc.BMin, cc.BMax, len(entries))
 	fmt.Fprintf(&b, "%-16s %9s %9s %9s %9s %10s %10s %9s %9s %9s %7s\n",
 		"pair", "util", "drop", "block", "availability",
 		"interr-p50", "interr-p99", "adapt/conn", "sessions", "messages", "retrans")

@@ -15,7 +15,7 @@ var updateArena = flag.Bool("update-arena", false, "rewrite the arena snapshot g
 // The demand bounds load the wireless cells hard enough that the
 // admitters genuinely disagree (blocking vs handoff drops) — a lighter
 // workload renders every pair identical and the comparison is vacuous.
-var arenaGoldenCfg = ArenaConfig{Seed: 1, Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}
+var arenaGoldenCfg = ArenaConfig{CampusConfig: CampusConfig{Seed: 1, Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}}
 
 // TestArenaTraceDeterminismAcrossWorkers: the rendered comparative
 // snapshot must be byte-identical whether the roster runs serially or
@@ -85,10 +85,7 @@ func TestArenaDefaultPairMatchesCampus(t *testing.T) {
 	if entries[0].Pair.Label() != "maxmin+table2" {
 		t.Fatalf("default pair label = %q", entries[0].Pair.Label())
 	}
-	plain, err := RunCampus(CampusConfig{
-		Seed: cfg.Seed, Portables: cfg.Portables, Duration: cfg.Duration,
-		BMin: cfg.BMin, BMax: cfg.BMax,
-	})
+	plain, err := RunCampus(cfg.CampusConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

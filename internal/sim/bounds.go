@@ -81,11 +81,7 @@ func RunBounds(cfg BoundsConfig) (loose, rigid BoundsResult, err error) {
 		if err != nil {
 			return BoundsResult{}, err
 		}
-		req := qos.Request{
-			Bandwidth: qos.Bounds{Min: cfg.BMin, Max: cfg.BMax},
-			Delay:     5, Jitter: 5, Loss: 0.05,
-			Traffic: qos.TrafficSpec{Sigma: cfg.BMin / 4, Rho: cfg.BMin},
-		}
+		req := walkRequest(cfg.BMin, cfg.BMax)
 		if !isLoose {
 			mid := (cfg.BMin + cfg.BMax) / 2
 			req.Bandwidth = qos.Fixed(mid)

@@ -8,17 +8,11 @@ import (
 
 	"armnet/internal/admission"
 	"armnet/internal/core"
-	"armnet/internal/des"
-	"armnet/internal/eventbus"
-	"armnet/internal/mobility"
 	"armnet/internal/obs"
 	"armnet/internal/predict"
 	"armnet/internal/profile"
-	"armnet/internal/qos"
 	"armnet/internal/randx"
 	"armnet/internal/runner"
-	"armnet/internal/stats"
-	"armnet/internal/strategy"
 	"armnet/internal/topology"
 )
 
@@ -97,82 +91,29 @@ type CampusResult struct {
 	Handoffs int64
 }
 
-// campusCollector derives the harness's summary statistics directly from
-// the event stream, instead of scraping manager counters after the run.
-// It subscribes for exactly the kinds it folds.
-type campusCollector struct {
-	requested, blocked int64
-	attempted, dropped int64
-	advance, pool      int64
-	predLat, unpredLat stats.Welford
-}
-
-func newCampusCollector(bus *eventbus.Bus) *campusCollector {
-	c := &campusCollector{}
-	bus.Subscribe(c.observe,
-		eventbus.KindConnectionRequested,
-		eventbus.KindConnectionBlocked,
-		eventbus.KindHandoffAttempt,
-		eventbus.KindHandoffOutcome,
-		eventbus.KindHandoffLatency,
-		eventbus.KindAdvanceReservation,
-		eventbus.KindPoolClaim,
-	)
-	return c
-}
-
-func (c *campusCollector) observe(r eventbus.Record) {
-	switch ev := r.Event.(type) {
-	case eventbus.ConnectionRequested:
-		c.requested++
-	case eventbus.ConnectionBlocked:
-		c.blocked++
-	case eventbus.HandoffAttempt:
-		c.attempted++
-	case eventbus.HandoffOutcome:
-		if ev.Dropped {
-			c.dropped++
-		}
-	case eventbus.HandoffLatency:
-		if ev.Predicted {
-			c.predLat.Observe(ev.Latency)
-		} else {
-			c.unpredLat.Observe(ev.Latency)
-		}
-	case eventbus.AdvanceReservation:
-		c.advance++
-	case eventbus.PoolClaim:
-		c.pool++
-	}
-}
-
-func ratio(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
-func (c *campusCollector) result(mode core.ReservationMode) CampusResult {
+// campusResult reads the summary off the finished manager's always-on
+// metrics and latency subscribers.
+func campusResult(mgr *core.Manager) CampusResult {
+	ctr, lat := mgr.Met.Counter, &mgr.Latency
 	res := CampusResult{
-		Mode:                mode,
-		DropRate:            ratio(c.dropped, c.attempted),
-		BlockRate:           ratio(c.blocked, c.requested),
-		AdvanceReservations: c.advance,
-		PoolClaims:          c.pool,
-		Handoffs:            c.attempted,
+		Mode:                mgr.Cfg.Mode,
+		DropRate:            ctr.Ratio(core.CtrHandoffDropped, core.CtrHandoffTried),
+		BlockRate:           ctr.Ratio(core.CtrNewBlocked, core.CtrNewRequested),
+		AdvanceReservations: ctr.Get(core.CtrAdvanceResv),
+		PoolClaims:          ctr.Get(core.CtrPoolClaims),
+		PredictedLatency:    lat.Predicted.Mean(),
+		UnpredictedLatency:  lat.Unpredicted.Mean(),
+		Handoffs:            ctr.Get(core.CtrHandoffTried),
 	}
-	res.PredictedLatency = c.predLat.Mean()
-	res.UnpredictedLatency = c.unpredLat.Mean()
-	if n := c.predLat.N() + c.unpredLat.N(); n > 0 {
-		res.PredictedShare = float64(c.predLat.N()) / float64(n)
+	if n := lat.Predicted.N() + lat.Unpredicted.N(); n > 0 {
+		res.PredictedShare = float64(lat.Predicted.N()) / float64(n)
 	}
 	return res
 }
 
 // RunCampus executes the integrated scenario and returns its metrics.
 func RunCampus(cfg CampusConfig) (CampusResult, error) {
-	res, _, _, err := runCampus(cfg, nil)
+	res, _, err := runCampus(cfg, nil)
 	return res, err
 }
 
@@ -181,7 +122,7 @@ func RunCampus(cfg CampusConfig) (CampusResult, error) {
 // The trace is byte-identical for a given config at any worker count.
 func RunCampusTrace(cfg CampusConfig) (CampusResult, []byte, error) {
 	var buf bytes.Buffer
-	res, _, _, err := runCampus(cfg, &buf)
+	res, _, err := runCampus(cfg, &buf)
 	return res, buf.Bytes(), err
 }
 
@@ -189,128 +130,25 @@ func RunCampusTrace(cfg CampusConfig) (CampusResult, []byte, error) {
 // returns the deterministic instrument snapshot alongside the metrics.
 func RunCampusObs(cfg CampusConfig) (CampusResult, *obs.Snapshot, error) {
 	cfg.Obs = true
-	res, snap, _, err := runCampus(cfg, nil)
-	return res, snap, err
+	res, mgr, err := runCampus(cfg, nil)
+	if err != nil {
+		return CampusResult{}, nil, err
+	}
+	return res, mgr.Obs.Snapshot(), nil
 }
 
-// campusProbe carries end-of-run readings the arena compares across
-// strategy pairs but the plain campus results never exposed: the
-// allocator's control-plane work and the final committed utilization.
-type campusProbe struct {
-	control strategy.ControlStats
-	// util is the mean committed downlink utilization over all cells at
-	// the end of the run — (ΣMin + advance) / capacity, the same ratio
-	// the overload controller escalates on.
-	util float64
-}
-
-// campusRun is the scaffold every campus-topology scenario stands on:
-// the campus environment, a fresh simulator, the manager under test
-// with the summary collector subscribed, and the p%02d population with
-// its shared QoS request.
-type campusRun struct {
-	env    *topology.Environment
-	sim    *des.Simulator
-	mgr    *core.Manager
-	col    *campusCollector
-	names  []string
-	req    qos.Request
-	traceW io.Writer
-	rec    *eventbus.Recorder
-}
-
-func newCampusRun(coreCfg core.Config, traceW io.Writer, portables int, bMin, bMax float64) (*campusRun, error) {
+// runCampus is the walk on the campus environment with the config's
+// defaults filled in.
+func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *core.Manager, error) {
 	env, err := topology.BuildCampus()
 	if err != nil {
-		return nil, err
+		return CampusResult{}, nil, err
 	}
-	simulator := des.New()
-	mgr, err := core.NewManager(simulator, env, coreCfg)
+	mgr, err := RunWalk(env, core.Config{}, cfg.withDefaults(), nil, traceW)
 	if err != nil {
-		return nil, err
+		return CampusResult{}, nil, err
 	}
-	r := &campusRun{
-		env: env, sim: simulator, mgr: mgr,
-		col:   newCampusCollector(mgr.Bus),
-		names: make([]string, portables),
-		req: qos.Request{
-			Bandwidth: qos.Bounds{Min: bMin, Max: bMax},
-			Delay:     5, Jitter: 5, Loss: 0.05,
-			Traffic: qos.TrafficSpec{Sigma: bMin / 4, Rho: bMin},
-		},
-		traceW: traceW,
-	}
-	for i := range r.names {
-		r.names[i] = fmt.Sprintf("p%02d", i)
-	}
-	return r, nil
-}
-
-// run executes the scheduled workload up to the horizon. The JSONL
-// recorder, when the run has a trace writer, attaches here — after every
-// scenario-specific subscriber — so it stays the bus's last observer.
-func (r *campusRun) run(until float64) error {
-	if r.traceW != nil {
-		r.rec = eventbus.AttachRecorder(r.mgr.Bus, r.traceW)
-	}
-	return r.sim.RunUntil(until)
-}
-
-// traceErr reports a failed trace write; check it after the final
-// audits, which may still publish.
-func (r *campusRun) traceErr() error {
-	if r.rec == nil {
-		return nil
-	}
-	return r.rec.Err()
-}
-
-func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *obs.Snapshot, campusProbe, error) {
-	cfg = cfg.withDefaults()
-	coreCfg := core.Config{
-		Seed: cfg.Seed, Mode: cfg.Mode, Tth: cfg.Tth,
-		Allocator: cfg.Allocator, Admitter: cfg.Admitter,
-	}
-	if cfg.Obs {
-		coreCfg.Obs = &obs.Options{Spans: cfg.Spans}
-	}
-	r, err := newCampusRun(coreCfg, traceW, cfg.Portables, cfg.BMin, cfg.BMax)
-	if err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
-	}
-	mgr := r.mgr
-	trace, err := mobility.RandomWalk(r.env.Universe, r.names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
-	if err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
-	}
-	trace.Schedule(r.sim, func(mv mobility.Move) {
-		if mv.From == "" {
-			if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
-				_, _ = mgr.OpenConnection(mv.Portable, r.req)
-			}
-			return
-		}
-		_ = mgr.HandoffPortable(mv.Portable, mv.To)
-	})
-	if err := r.run(cfg.Duration); err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
-	}
-	if err := r.traceErr(); err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
-	}
-	var snap *obs.Snapshot
-	if mgr.Obs != nil {
-		mgr.Obs.Finish(cfg.Duration)
-		if err := mgr.Obs.SpanErr(); err != nil {
-			return CampusResult{}, nil, campusProbe{}, err
-		}
-		snap = mgr.Obs.Snapshot()
-	}
-	probe := campusProbe{util: meanDownlinkUtil(r.env, mgr.Ledger())}
-	if mgr.Adpt != nil {
-		probe.control = mgr.Adpt.Alloc.Stats()
-	}
-	return r.col.result(cfg.Mode), snap, probe, nil
+	return campusResult(mgr), mgr, nil
 }
 
 // meanDownlinkUtil averages the committed utilization of every cell's
@@ -356,7 +194,6 @@ func sweepSeeds[R any](ctx context.Context, seed int64, replications, workers in
 // trial is deterministic and the merge order is fixed, the merged snapshot
 // is byte-identical at any worker count.
 func RunCampusObsSweep(ctx context.Context, cfg CampusConfig, replications, workers int) ([]CampusResult, *obs.Snapshot, error) {
-	cfg.Obs = true
 	cfg.Spans = nil // a shared writer would race across concurrent trials
 	type trial struct {
 		res  CampusResult
@@ -365,7 +202,7 @@ func RunCampusObsSweep(ctx context.Context, cfg CampusConfig, replications, work
 	trials, _, err := sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (trial, error) {
 		c := cfg
 		c.Seed = seed
-		res, snap, _, err := runCampus(c, nil)
+		res, snap, err := RunCampusObs(c)
 		return trial{res: res, snap: snap}, err
 	})
 	if err != nil {
@@ -507,47 +344,25 @@ func RunGridSweep(ctx context.Context, cfg GridConfig, replications, workers int
 	})
 }
 
-// runGridOnce is one self-contained grid trial: it builds its own
-// environment, simulator and manager, so concurrent trials share nothing.
+// runGridOnce is one self-contained grid trial: the campus walk on a
+// rows×cols building, with three-digit portable names.
 func runGridOnce(cfg GridConfig) (GridResult, error) {
 	cfg = cfg.withDefaults()
 	env, err := topology.BuildGrid(cfg.Rows, cfg.Cols, 1.6e6)
 	if err != nil {
 		return GridResult{}, err
 	}
-	simulator := des.New()
-	mgr, err := core.NewManager(simulator, env, core.Config{Seed: cfg.Seed, Mode: cfg.Mode})
+	trace, err := randomWalk(env.Universe, "p%03d", cfg.Portables, cfg.Dwell, cfg.Duration, cfg.Seed)
 	if err != nil {
 		return GridResult{}, err
 	}
-	col := newCampusCollector(mgr.Bus)
-	names := make([]string, cfg.Portables)
-	for i := range names {
-		names[i] = fmt.Sprintf("p%03d", i)
-	}
-	trace, err := mobility.RandomWalk(env.Universe, names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
+	mgr, err := RunWalk(env, core.Config{}, CampusConfig{
+		Seed: cfg.Seed, Duration: cfg.Duration, Mode: cfg.Mode, BMin: 32e3, BMax: 128e3,
+	}, trace, nil)
 	if err != nil {
 		return GridResult{}, err
 	}
-	req := qos.Request{
-		Bandwidth: qos.Bounds{Min: 32e3, Max: 128e3},
-		Delay:     5, Jitter: 5, Loss: 0.05,
-		Traffic: qos.TrafficSpec{Sigma: 8e3, Rho: 32e3},
-	}
-	trace.Schedule(simulator, func(mv mobility.Move) {
-		if mv.From == "" {
-			if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
-				_, _ = mgr.OpenConnection(mv.Portable, req)
-			}
-			return
-		}
-		_ = mgr.HandoffPortable(mv.Portable, mv.To)
-	})
-	if err := simulator.RunUntil(cfg.Duration); err != nil {
-		return GridResult{}, err
-	}
-	res := GridResult{CampusResult: col.result(cfg.Mode), Cells: env.Universe.Len(), Events: simulator.Fired()}
-	return res, nil
+	return GridResult{CampusResult: campusResult(mgr), Cells: env.Universe.Len(), Events: mgr.Sim.Fired()}, nil
 }
 
 // CorridorResult reports the §6.1 linear-movement prediction study.

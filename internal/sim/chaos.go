@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -11,10 +9,8 @@ import (
 	"armnet/internal/core"
 	"armnet/internal/faults"
 	"armnet/internal/maxmin"
-	"armnet/internal/mobility"
-	"armnet/internal/randx"
-	"armnet/internal/runner"
 	"armnet/internal/signal"
+	"armnet/internal/topology"
 )
 
 // ChaosConfig drives the chaos scenario: the campus workload with every
@@ -84,17 +80,18 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	return c
 }
 
-// plan composes the explicit spec with the LossRate shorthand.
-func (c ChaosConfig) plan() (*faults.Plan, error) {
-	p, err := faults.ParsePlan(strings.NewReader(c.Plan))
+// faultPlan composes a fault-plan spec in the faults.ParsePlan grammar
+// with the loss-rate shorthand, which adds a `drop any lossRate` rule.
+func faultPlan(spec string, lossRate float64) (*faults.Plan, error) {
+	p, err := faults.ParsePlan(strings.NewReader(spec))
 	if err != nil {
 		return nil, err
 	}
-	if c.LossRate > 0 {
-		if c.LossRate > 1 {
-			return nil, fmt.Errorf("sim: loss rate %v outside [0,1]", c.LossRate)
+	if lossRate > 0 {
+		if lossRate > 1 {
+			return nil, fmt.Errorf("sim: loss rate %v outside [0,1]", lossRate)
 		}
-		p.Messages = append(p.Messages, faults.MsgRule{Proto: "any", Action: "drop", Prob: c.LossRate})
+		p.Messages = append(p.Messages, faults.MsgRule{Proto: "any", Action: "drop", Prob: lossRate})
 	}
 	return p, nil
 }
@@ -128,26 +125,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	return runChaos(cfg, nil)
 }
 
-// RunChaosTrace is RunChaos with the full JSONL event trace — faults,
-// retransmissions, reclamations, and invariant violations included. The
-// trace is byte-identical for a given config at any worker count.
-func RunChaosTrace(cfg ChaosConfig) (ChaosResult, []byte, error) {
-	var buf bytes.Buffer
-	res, err := runChaos(cfg, &buf)
-	return res, buf.Bytes(), err
-}
-
-// RunChaosSweep runs `replications` independent chaos trials under
-// runner.Seeds-derived seeds (replication 0 keeps cfg.Seed) fanned over a
-// worker pool. Results arrive in replication order at any worker count.
-func RunChaosSweep(ctx context.Context, cfg ChaosConfig, replications, workers int) ([]ChaosResult, runner.Stats, error) {
-	return sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (ChaosResult, error) {
-		c := cfg
-		c.Seed = seed
-		return RunChaos(c)
-	})
-}
-
 // newChaosAuditor wires the fault-recovery auditor (conservation,
 // leaked holds, orphaned allocs, maxmin re-convergence) to a manager's
 // bus — shared by the chaos and overload harnesses.
@@ -178,53 +155,48 @@ func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
 
 func runChaos(cfg ChaosConfig, traceW io.Writer) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
-	plan, err := cfg.plan()
+	plan, err := faultPlan(cfg.Plan, cfg.LossRate)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	r, err := newCampusRun(core.Config{
-		Seed:   cfg.Seed,
-		Mode:   cfg.Mode,
-		Faults: plan,
-		Signal: signal.Options{HoldLease: cfg.HoldLease},
-		Proto:  maxmin.ProtocolOptions{ReadvertisePeriod: cfg.ReadvertisePeriod},
-	}, traceW, cfg.Portables, cfg.BMin, cfg.BMax)
+	env, err := topology.BuildCampus()
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	mgr := r.mgr
+	trace, err := randomWalk(env.Universe, "p%02d", cfg.Portables, cfg.Dwell, cfg.Duration, cfg.Seed)
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	w := walk{
+		env: env,
+		cfg: core.Config{
+			Seed:   cfg.Seed,
+			Mode:   cfg.Mode,
+			Faults: plan,
+			Signal: signal.Options{HoldLease: cfg.HoldLease},
+			Proto:  maxmin.ProtocolOptions{ReadvertisePeriod: cfg.ReadvertisePeriod},
+		},
+		trace: trace, req: walkRequest(cfg.BMin, cfg.BMax),
+		open: openSignaled, horizon: cfg.Duration + cfg.Settle, traceW: traceW,
+	}
+	mgr, err := w.start()
+	if err != nil {
+		return ChaosResult{}, err
+	}
 	aud := newChaosAuditor(mgr, cfg.GapTol)
-	walk, err := mobility.RandomWalk(r.env.Universe, r.names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
+	violations, err := w.run(aud.CheckFinal)
 	if err != nil {
-		return ChaosResult{}, err
-	}
-	walk.Schedule(r.sim, func(mv mobility.Move) {
-		if mv.From == "" {
-			if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
-				// Through the signaling plane: setups race the fault plan
-				// hop by hop and surface loss, retransmission, and crashes.
-				_ = mgr.OpenConnectionAsync(mv.Portable, r.req, func(string, error) {})
-			}
-			return
-		}
-		_ = mgr.HandoffPortable(mv.Portable, mv.To)
-	})
-	if err := r.run(cfg.Duration + cfg.Settle); err != nil {
-		return ChaosResult{}, err
-	}
-	violations := aud.CheckFinal()
-	if err := r.traceErr(); err != nil {
 		return ChaosResult{}, err
 	}
 	ctr := mgr.Met.Counter
 	return ChaosResult{
-		CampusResult:     r.col.result(cfg.Mode),
+		CampusResult:     campusResult(mgr),
 		FaultsInjected:   ctr.Get(core.CtrFaultsInjected),
 		Retransmits:      ctr.Get(core.CtrRetransmits),
 		ReclaimedHolds:   ctr.Get(core.CtrReclaimedHolds),
 		ReadvertiseKicks: ctr.Get(core.CtrReadvertises),
 		ConvergenceGap:   aud.ConvergenceGap(),
 		Violations:       violations,
-		Events:           r.sim.Fired(),
+		Events:           mgr.Sim.Fired(),
 	}, nil
 }

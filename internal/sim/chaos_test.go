@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"armnet/internal/runner"
 )
 
 var updateChaos = flag.Bool("update-chaos", false, "rewrite the chaos trace golden from current output")
@@ -70,12 +72,19 @@ func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
 		LossRate: 0.15,
 		Plan:     "at 60 cell-out off-3 for 30\nat 100 crash-signaling",
 	}
-	serial, _, err := RunChaosSweep(context.Background(), cfg, 4, 1)
+	sweep := func(workers int) ([]ChaosResult, runner.Stats, error) {
+		return sweepSeeds(context.Background(), cfg.Seed, 4, workers, func(seed int64) (ChaosResult, error) {
+			c := cfg
+			c.Seed = seed
+			return RunChaos(c)
+		})
+	}
+	serial, _, err := sweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, st, err := RunChaosSweep(context.Background(), cfg, 4, workers)
+		got, st, err := sweep(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -91,10 +100,12 @@ func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
 // chaosTraceHead returns the first n lines of the pinned scenario's trace.
 func chaosTraceHead(t *testing.T, n int) []byte {
 	t.Helper()
-	res, trace, err := RunChaosTrace(chaosGoldenCfg)
+	var buf bytes.Buffer
+	res, err := runChaos(chaosGoldenCfg, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := buf.Bytes()
 	if len(res.Violations) != 0 {
 		t.Fatalf("pinned scenario no longer audit-clean: %v", res.Violations)
 	}

@@ -119,7 +119,7 @@ func TestObsSpanExportDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
 		cfg := CampusConfig{Seed: 3, Portables: 8, Duration: 400, Obs: true, Spans: &buf}
-		if _, _, _, err := runCampus(cfg, nil); err != nil {
+		if _, _, err := runCampus(cfg, nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"bytes"
-	"context"
+	"fmt"
 	"io"
 	"strings"
 
@@ -11,8 +10,8 @@ import (
 	"armnet/internal/mobility"
 	"armnet/internal/overload"
 	"armnet/internal/randx"
-	"armnet/internal/runner"
 	"armnet/internal/signal"
+	"armnet/internal/topology"
 )
 
 // OverloadConfig drives the campus load-ramp scenario: a population of
@@ -167,27 +166,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	return runOverload(cfg, nil)
 }
 
-// RunOverloadTrace is RunOverload with the full JSONL event trace —
-// stage transitions, sheds, cascades, and breaker state included. The
-// trace is byte-identical for a given config at any worker count.
-func RunOverloadTrace(cfg OverloadConfig) (OverloadResult, []byte, error) {
-	var buf bytes.Buffer
-	res, err := runOverload(cfg, &buf)
-	return res, buf.Bytes(), err
-}
-
-// RunOverloadSweep runs `replications` independent trials under
-// runner.Seeds-derived seeds (replication 0 keeps cfg.Seed) fanned over
-// a worker pool. Results arrive in replication order at any worker
-// count.
-func RunOverloadSweep(ctx context.Context, cfg OverloadConfig, replications, workers int) ([]OverloadResult, runner.Stats, error) {
-	return sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (OverloadResult, error) {
-		c := cfg
-		c.Seed = seed
-		return RunOverload(c)
-	})
-}
-
 // overloadCollector folds the overload event kinds into the summary —
 // stage churn, the breaker's transition path, and the peak stage.
 type overloadCollector struct {
@@ -223,33 +201,52 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 	if err != nil {
 		return OverloadResult{}, err
 	}
-	chaos := ChaosConfig{Plan: cfg.Plan, LossRate: cfg.LossRate}
-	plan, err := chaos.plan()
+	plan, err := faultPlan(cfg.Plan, cfg.LossRate)
 	if err != nil {
 		return OverloadResult{}, err
 	}
-	r, err := newCampusRun(core.Config{
-		Seed:     cfg.Seed,
-		Tth:      cfg.Tth,
-		Mode:     cfg.Mode,
-		Faults:   plan,
-		Overload: pol,
-		Signal:   signal.Options{HoldLease: cfg.HoldLease},
-	}, traceW, cfg.Portables, cfg.BMin, cfg.BMax)
+	env, err := topology.BuildCampus()
 	if err != nil {
 		return OverloadResult{}, err
 	}
-	mgr, simulator, req := r.mgr, r.sim, r.req
-	ocol := newOverloadCollector(mgr.Bus)
-	var auditors []func() []string
-	if pol != nil {
-		oaud := mgr.OverloadAuditor()
-		auditors = append(auditors, func() []string { return oaud.Violations })
+	// The ramp: portable i's whole walk — initial placement included —
+	// shifts by Ramp·i/N, so arrivals spread over the ramp window and
+	// the offered load climbs toward its peak. Per-portable RNGs keep
+	// every walk independent of the population size.
+	trace := &mobility.Trace{}
+	for i := 0; i < cfg.Portables; i++ {
+		offset := cfg.Ramp * float64(i) / float64(cfg.Portables)
+		horizon := cfg.Duration - offset
+		if horizon <= 0 {
+			continue
+		}
+		one, err := mobility.RandomWalk(env.Universe, []string{fmt.Sprintf("p%02d", i)}, cfg.Dwell, horizon, randx.New(cfg.Seed+1000+int64(i)*7919))
+		if err != nil {
+			return OverloadResult{}, err
+		}
+		for _, mv := range one.Moves {
+			mv.Time += offset
+			trace.Append(mv)
+		}
 	}
-	if !plan.Empty() {
-		faud := newChaosAuditor(mgr, cfg.GapTol)
-		auditors = append(auditors, faud.CheckFinal)
+	w := walk{
+		env: env,
+		cfg: core.Config{
+			Seed:     cfg.Seed,
+			Tth:      cfg.Tth,
+			Mode:     cfg.Mode,
+			Faults:   plan,
+			Overload: pol,
+			Signal:   signal.Options{HoldLease: cfg.HoldLease},
+		},
+		trace: trace, req: walkRequest(cfg.BMin, cfg.BMax),
+		horizon: cfg.Duration + cfg.Settle, traceW: traceW,
 	}
+	mgr, err := w.start()
+	if err != nil {
+		return OverloadResult{}, err
+	}
+	simulator, req := mgr.Sim, w.req
 	// openWith retries shed, fast-failed, and rejected setups a bounded
 	// number of times — the impatient-user behavior that keeps pressure
 	// on the control plane during the ramp.
@@ -277,48 +274,27 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 			}
 		}
 	}
-	// The ramp: portable i's whole walk — initial placement included —
-	// shifts by Ramp·i/N, so arrivals spread over the ramp window and
-	// the offered load climbs toward its peak. Per-portable RNGs keep
-	// every walk independent of the population size.
-	for i, name := range r.names {
-		offset := cfg.Ramp * float64(i) / float64(cfg.Portables)
-		horizon := cfg.Duration - offset
-		if horizon <= 0 {
-			continue
-		}
-		walk, err := mobility.RandomWalk(r.env.Universe, []string{name}, cfg.Dwell, horizon, randx.New(cfg.Seed+1000+int64(i)*7919))
-		if err != nil {
-			return OverloadResult{}, err
-		}
-		for _, mv := range walk.Moves {
-			mv := mv
-			simulator.Post(offset+mv.Time, func() {
-				if mv.From == "" {
-					if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
-						for c := 0; c < cfg.ConnsPer; c++ {
-							openWith(mv.Portable, 0)
-						}
-					}
-					return
-				}
-				_ = mgr.HandoffPortable(mv.Portable, mv.To)
-			})
+	w.open = func(_ *walk, portable string) {
+		for c := 0; c < cfg.ConnsPer; c++ {
+			openWith(portable, 0)
 		}
 	}
-	if err := r.run(cfg.Duration + cfg.Settle); err != nil {
-		return OverloadResult{}, err
+	ocol := newOverloadCollector(mgr.Bus)
+	var auditors []func() []string
+	if pol != nil {
+		oaud := mgr.OverloadAuditor()
+		auditors = append(auditors, func() []string { return oaud.Violations })
 	}
-	var violations []string
-	for _, check := range auditors {
-		violations = append(violations, check()...)
+	if !plan.Empty() {
+		auditors = append(auditors, newChaosAuditor(mgr, cfg.GapTol).CheckFinal)
 	}
-	if err := r.traceErr(); err != nil {
+	violations, err := w.run(auditors...)
+	if err != nil {
 		return OverloadResult{}, err
 	}
 	ctr := mgr.Met.Counter
 	return OverloadResult{
-		CampusResult:     r.col.result(cfg.Mode),
+		CampusResult:     campusResult(mgr),
 		Sheds:            ctr.Get(core.CtrShedSetups),
 		DegradeCascades:  ctr.Get(core.CtrDegradeCascades),
 		BreakerTrips:     ctr.Get(core.CtrBreakerTrips),

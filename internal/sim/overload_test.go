@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"armnet/internal/runner"
 )
 
 var updateOverload = flag.Bool("update-overload", false, "rewrite the overload trace golden from current output")
@@ -84,10 +86,12 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 // trace goldens, which run without one.)
 func TestOverloadNilPolicyZeroCost(t *testing.T) {
 	cfg := OverloadConfig{Seed: 1} // Policy empty: disabled
-	res, trace, err := RunOverloadTrace(cfg)
+	var buf, buf2 bytes.Buffer
+	res, err := runOverload(cfg, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := buf.Bytes()
 	for _, kind := range []string{"overload-stage", "setup-shed", "degrade-cascade", "breaker-state"} {
 		if bytes.Contains(trace, []byte(`"type":"`+kind+`"`)) {
 			t.Fatalf("nil policy emitted %s events", kind)
@@ -99,11 +103,10 @@ func TestOverloadNilPolicyZeroCost(t *testing.T) {
 	if res.StageChanges != 0 || len(res.BreakerPath) != 0 {
 		t.Fatalf("nil policy produced stage/breaker transitions: %+v", res)
 	}
-	_, trace2, err := RunOverloadTrace(cfg)
-	if err != nil {
+	if _, err := runOverload(cfg, &buf2); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(trace, trace2) {
+	if !bytes.Equal(trace, buf2.Bytes()) {
 		t.Fatal("nil-policy trace not byte-identical across runs")
 	}
 }
@@ -140,12 +143,19 @@ func TestOverloadComposesWithFaults(t *testing.T) {
 // everything — at any worker count.
 func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
 	cfg := OverloadConfig{Seed: 1, Policy: "default", LossRate: 0.05}
-	serial, _, err := RunOverloadSweep(context.Background(), cfg, 4, 1)
+	sweep := func(workers int) ([]OverloadResult, runner.Stats, error) {
+		return sweepSeeds(context.Background(), cfg.Seed, 4, workers, func(seed int64) (OverloadResult, error) {
+			c := cfg
+			c.Seed = seed
+			return RunOverload(c)
+		})
+	}
+	serial, _, err := sweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, st, err := RunOverloadSweep(context.Background(), cfg, 4, workers)
+		got, st, err := sweep(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -163,10 +173,12 @@ func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
 // subsystem.
 func overloadTraceHead(t *testing.T, n int) []byte {
 	t.Helper()
-	res, trace, err := RunOverloadTrace(overloadGoldenCfg)
+	var buf bytes.Buffer
+	res, err := runOverload(overloadGoldenCfg, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := buf.Bytes()
 	if len(res.Violations) != 0 {
 		t.Fatalf("pinned scenario no longer audit-clean: %v", res.Violations)
 	}

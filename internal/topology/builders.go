@@ -318,3 +318,21 @@ func BuildGrid(rows, cols int, capacity float64) (*Environment, error) {
 	}
 	return &Environment{Universe: u, Backbone: b, Hosts: hosts}, nil
 }
+
+// BuildNamed builds the environment the command-line tools know by name:
+// campus, figure4 (the paper's office wing with its faculty member and
+// three students), meetingwing, or corridor (six cells).
+func BuildNamed(name string) (*Environment, error) {
+	switch name {
+	case "campus":
+		return BuildCampus()
+	case "figure4":
+		return BuildFigure4("faculty", []string{"stu-a", "stu-b", "stu-c"})
+	case "meetingwing":
+		return BuildMeetingWing(1.6e6)
+	case "corridor":
+		return BuildCorridor(6, 1.6e6)
+	default:
+		return nil, fmt.Errorf("unknown topology %q", name)
+	}
+}
