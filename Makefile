@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs loc golden trace-determinism chaos overload obs obs-live arena testnet soak
+.PHONY: ci fmt-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs perf-counts loc golden trace-determinism chaos overload obs obs-live arena testnet soak
 
 ## ci: the full pre-merge gate — gofmt, vet, build, tests under the race
 ## detector, the fuzz seed corpora in short mode, the event-trace
@@ -82,6 +82,13 @@ PAIRS ?= 10
 SEED ?= 0
 perf-pairs:
 	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
+
+## perf-counts: the equivalence proof a performance PR owes — one traced
+## pass of a deterministic WORKLOAD on PARENT and on the working tree,
+## every exact per-layer row (unit count, ratio or bit/s) diffed; exits
+## non-zero on any difference. live-udp-paced is refused.
+perf-counts:
+	bash scripts/benchcounts.sh $(PARENT) $(WORKLOAD) $(SEED)
 
 ## loc: the ROADMAP scoreboard — non-test and test Go lines and the
 ## package counts of the root module (bench/ and its build directory

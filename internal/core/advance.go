@@ -96,7 +96,7 @@ func (m *Manager) refreshAdvance(p *Portable) {
 		return
 	}
 	demand := 0.0
-	for id := range p.conns {
+	for _, id := range p.conns {
 		demand += m.conns[id].Req.Bandwidth.Min
 	}
 	if demand <= 0 {
@@ -323,7 +323,7 @@ func (m *Manager) adjustPools(cells ...topology.CellID) {
 		if p.Mobility != qos.Static {
 			continue
 		}
-		for id := range p.conns {
+		for _, id := range p.conns {
 			if bw := m.conns[id].Bandwidth; bw > m.staticMax[p.Cell] {
 				m.staticMax[p.Cell] = bw
 			}

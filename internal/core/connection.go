@@ -44,7 +44,7 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 		eventbus.Pub(m.Bus, eventbus.ConnectionAdmitted{Conn: connID, Portable: portable, BestEffort: true})
 		c := &Connection{ID: connID, Portable: portable, Req: req, Host: host, Route: route}
 		m.conns[connID] = c
-		p.conns[connID] = true
+		p.conns.Insert(connID)
 		return connID, nil
 	}
 	res, err := m.Adm.Admit(admission.Test{
@@ -69,7 +69,7 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 		Host: host, Route: route, Bandwidth: res.Bandwidth,
 	}
 	m.conns[connID] = c
-	p.conns[connID] = true
+	p.conns.Insert(connID)
 	if m.Adpt != nil {
 		if err := m.Adpt.Register(connID, route, req.Bandwidth, p.Mobility); err != nil {
 			return "", err
@@ -96,7 +96,7 @@ func (m *Manager) CloseConnection(connID string) error {
 	delete(m.conns, connID)
 	delete(m.rateWatchers, connID)
 	if p := m.portables[c.Portable]; p != nil {
-		delete(p.conns, connID)
+		p.conns.Remove(connID)
 		m.refreshAdvance(p)
 	}
 	return nil
@@ -275,5 +275,5 @@ func (m *Manager) dropConnection(c *Connection, p *Portable) {
 	}
 	delete(m.conns, c.ID)
 	delete(m.rateWatchers, c.ID)
-	delete(p.conns, c.ID)
+	p.conns.Remove(c.ID)
 }

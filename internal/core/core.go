@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"armnet/internal/adapt"
 	"armnet/internal/admission"
@@ -148,16 +149,15 @@ type Portable struct {
 
 	arrivedAt   float64
 	staticTimer *des.Event
-	conns       map[string]bool
+	// conns is kept in ID order: refreshAdvance sums b_min over it.
+	conns sortx.IDs[string]
 	// reservedCells are the cells currently holding advance reservations
 	// for this portable.
 	reservedCells map[topology.CellID]float64
 }
 
-// Conns returns the portable's connection IDs, sorted.
-func (p *Portable) Conns() []string {
-	return sortx.Keys(p.conns)
-}
+// Conns returns a copy of the portable's connection IDs, sorted.
+func (p *Portable) Conns() []string { return slices.Clone(p.conns) }
 
 // Connection is one admitted end-to-end connection. Connections are
 // modeled downlink (wired host → portable), the direction that stresses
@@ -401,7 +401,6 @@ func (m *Manager) PlacePortable(id string, cell topology.CellID) error {
 	p := &Portable{
 		ID: id, Cell: cell, Mobility: qos.Mobile,
 		arrivedAt:     m.Sim.Now(),
-		conns:         make(map[string]bool),
 		reservedCells: make(map[topology.CellID]float64),
 	}
 	m.portables[id] = p

@@ -465,6 +465,54 @@ func TestLoungePlanAmountIsOrderStable(t *testing.T) {
 	}
 }
 
+// TestRefreshAdvanceDemandIsOrderStable pins a mobile portable's advance
+// reservation to the ID-ordered sum of its connections' b_min. The three
+// non-dyadic minima below add to different last ulps in different
+// orders, so a sum taken in map iteration order would publish more than
+// one amount over these rounds.
+func TestRefreshAdvanceDemandIsOrderStable(t *testing.T) {
+	_, m := newCampus(t, Config{})
+	if err := m.PlacePortable("dave", "cor-e1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, bMin := range []float64{16e3 / 3, 16e3 / 7, 16e3 / 11} {
+		r := req(bMin, 64e3)
+		r.Delay, r.Jitter = 100, 100 // a few kbit/s cannot meet req's 5 s bounds
+		if _, err := m.OpenConnection("dave", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := m.Portable("dave")
+	ids := p.Conns()
+	if len(ids) != 3 {
+		t.Fatalf("dave holds %d connections, want 3", len(ids))
+	}
+	want, reversed := 0.0, 0.0
+	for i := range ids {
+		want += m.Connection(ids[i]).Req.Bandwidth.Min
+		reversed += m.Connection(ids[len(ids)-1-i]).Req.Bandwidth.Min
+	}
+	if want == reversed {
+		t.Fatal("minima are not order-sensitive; the test would prove nothing")
+	}
+	var got []float64
+	m.Bus.Subscribe(func(r eventbus.Record) {
+		got = append(got, r.Event.(eventbus.AdvanceReservation).Amount)
+	}, eventbus.KindAdvanceReservation)
+	const rounds = 64
+	for round := 0; round < rounds; round++ {
+		m.refreshAdvance(p)
+	}
+	if len(got) < rounds {
+		t.Fatalf("published %d advance reservations over %d rounds", len(got), rounds)
+	}
+	for i, amount := range got {
+		if amount != want {
+			t.Fatalf("reservation %d published %.17g, want the ID-ordered sum %.17g", i, amount, want)
+		}
+	}
+}
+
 func TestMulticastReservationLifecycle(t *testing.T) {
 	_, m := newCampus(t, Config{})
 	if err := m.PlacePortable("bob", "off-2"); err != nil {

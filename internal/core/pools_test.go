@@ -33,7 +33,7 @@ func (m *Manager) adjustPoolsPerCellScan(cell topology.CellID) {
 				if p.Mobility != qos.Static {
 					continue
 				}
-				for id := range p.conns {
+				for _, id := range p.conns {
 					if bw := m.conns[id].Bandwidth; bw > maxAlloc {
 						maxAlloc = bw
 					}
@@ -81,14 +81,14 @@ func TestAdjustPoolsMatchesPerCellScan(t *testing.T) {
 			for i, n := 0, 1+rng.Intn(60); i < n; i++ {
 				p := &Portable{
 					ID: fmt.Sprintf("p%d", i), Cell: cells[rng.Intn(len(cells))].ID,
-					Mobility: qos.Mobile, conns: map[string]bool{},
+					Mobility: qos.Mobile,
 				}
 				if rng.Bernoulli(0.5) {
 					p.Mobility = qos.Static
 				}
 				for j, k := 0, rng.Intn(4); j < k; j++ {
 					id := fmt.Sprintf("%s-c%d", p.ID, j)
-					p.conns[id] = true
+					p.conns.Insert(id)
 					// Up to 30% of a cell: both clamps of [PoolMin, PoolMax] and
 					// the range between are reached.
 					m.conns[id] = &Connection{ID: id, Portable: p.ID, Bandwidth: rng.Float64() * 480e3}

@@ -61,7 +61,7 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 		eventbus.Pub(m.Bus, eventbus.ConnectionAdmitted{Conn: connID, Portable: portable, BestEffort: true})
 		c := &Connection{ID: connID, Portable: portable, Req: req, Host: host, Route: route}
 		m.conns[connID] = c
-		p.conns[connID] = true
+		p.conns.Insert(connID)
 		done(connID, nil)
 		return nil
 	}
@@ -99,7 +99,7 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 			Host: host, Route: route, Bandwidth: r.Admission.Bandwidth,
 		}
 		m.conns[connID] = c
-		p.conns[connID] = true
+		p.conns.Insert(connID)
 		if m.Adpt != nil {
 			if err := m.Adpt.Register(connID, route, req.Bandwidth, p.Mobility); err != nil {
 				done("", err)

@@ -11,38 +11,18 @@ import (
 	"armnet/internal/sortx"
 )
 
-// mapLink is the reference the link table is checked against: the
-// per-link state as two maps, sorted into ID order on every read.
-type mapLink struct {
-	capacity float64
-	recorded map[string]float64
-	mSet     map[string]bool
-}
-
-func (m *mapLink) advertised() float64 {
-	recorded := make([]float64, 0, len(m.recorded))
-	for _, id := range sortx.Keys(m.recorded) {
-		recorded = append(recorded, m.recorded[id])
-	}
-	return AdvertisedRate(m.capacity, recorded)
-}
-
-func (m *mapLink) advertisedFor(c string) float64 {
-	ids := sortx.Keys(m.recorded)
-	recorded := make([]float64, len(ids))
-	forced := -1
-	for i, id := range ids {
-		recorded[i] = m.recorded[id]
-		if id == c {
-			forced = i
-		}
-	}
+// referenceAdvertised is the restricted-set iteration as the switches ran
+// it before the one-walk kernel: a pass that marks the rows below μ, then
+// FairShare's own pass over the marks. Row forced (-1: none) is held
+// unrestricted. Every μ the product code computes or remembers is checked
+// against it with ==.
+func referenceAdvertised(capacity float64, recorded []float64, forced int) float64 {
 	n := len(recorded)
 	if n == 0 {
-		return m.capacity
+		return capacity
 	}
 	restricted := make([]bool, n)
-	mu := FairShare(m.capacity, recorded, restricted)
+	mu := FairShare(capacity, recorded, restricted)
 	for iter := 0; iter <= n; iter++ {
 		changed := false
 		for i, r := range recorded {
@@ -55,7 +35,7 @@ func (m *mapLink) advertisedFor(c string) float64 {
 		if !changed {
 			break
 		}
-		mu = FairShare(m.capacity, recorded, restricted)
+		mu = FairShare(capacity, recorded, restricted)
 	}
 	if mu < 0 {
 		mu = 0
@@ -63,11 +43,36 @@ func (m *mapLink) advertisedFor(c string) float64 {
 	return mu
 }
 
+// mapLink is the reference the link table is checked against: the
+// per-link state as two maps, sorted into ID order on every read.
+type mapLink struct {
+	capacity float64
+	recorded map[string]float64
+	mSet     map[string]bool
+}
+
+func (m *mapLink) advertised() float64 { return m.advertisedFor("") } // no row is called ""
+
+func (m *mapLink) advertisedFor(c string) float64 {
+	ids := sortx.Keys(m.recorded)
+	recorded := make([]float64, len(ids))
+	forced := -1
+	for i, id := range ids {
+		recorded[i] = m.recorded[id]
+		if id == c {
+			forced = i
+		}
+	}
+	return referenceAdvertised(m.capacity, recorded, forced)
+}
+
 // checkLinkMatchesOracle drives a linkState and the map reference through
 // the same seeded sequence of add / remove / re-add / record / set-M /
-// capacity steps. After every step the table must be strictly ascending
-// with |M(l)| equal to the reference set's size, and μ and μ-for-c must
-// be the same float, bit for bit, for every ID on the link or off it.
+// capacity steps, writing through insert / remove / record / setCapacity
+// only. After every step the table must be strictly ascending with
+// |M(l)| equal to the reference set's size, and μ — asked twice, so the
+// second answer is a remembered one — and μ-for-c must be the same float,
+// bit for bit, for every ID on the link or off it.
 func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 	rng := randx.New(seed)
 	universe := make([]string, 14) // "c10" sorts before "c2": string order, not numeric
@@ -97,7 +102,10 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 			if rng.Bernoulli(0.3) {
 				rate = capacity / float64(1+rng.Intn(4)) // ties at the fair share
 			}
-			ls.recorded[ls.slot(id, &hints[k])] = rate
+			if rng.Bernoulli(0.2) {
+				rate = ref.recorded[id] // a re-stamp of what is there
+			}
+			ls.record(ls.slot(id, &hints[k]), rate)
 			ref.recorded[id] = rate
 		case op == 4: // re-add: the row comes back zeroed and outside M(l)
 			ls.remove(id)
@@ -113,8 +121,11 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 				delete(ref.mSet, id)
 			}
 		default:
-			capacity = rng.Float64() * 30
-			ls.capacity, ref.capacity = capacity, capacity
+			if rng.Bernoulli(0.8) { // else set it to what it is
+				capacity = rng.Float64() * 30
+			}
+			ls.setCapacity(capacity)
+			ref.capacity = capacity
 		}
 
 		if n := len(ls.ids); len(ls.recorded) != n || len(ls.inM) != n || len(ls.restricted) != n {
@@ -141,8 +152,11 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 		if ls.mCount != len(ref.mSet) || ls.mCount != inM {
 			t.Fatalf("seed %d step %d: |M(l)| = %d, %d rows marked, reference %d", seed, step, ls.mCount, inM, len(ref.mSet))
 		}
-		if got, want := ls.advertised(), ref.advertised(); got != want {
-			t.Fatalf("seed %d step %d: advertised = %v, reference %v", seed, step, got, want)
+		want := ref.advertised()
+		for ask := 1; ask <= 2; ask++ {
+			if got := ls.advertised(); got != want {
+				t.Fatalf("seed %d step %d: advertised (ask %d) = %v, reference %v", seed, step, ask, got, want)
+			}
 		}
 		for k, id := range universe {
 			s := ls.slot(id, &hints[k])
@@ -171,35 +185,42 @@ func FuzzLinkStateMatchesMapOracle(f *testing.F) {
 	})
 }
 
-// sessionAllocs builds a 3-link path carrying perLink connections on
-// every link, settles it, and returns what one more Kick session run to
-// quiescence allocates.
-func sessionAllocs(t *testing.T, perLink int) float64 {
+// settledPath builds a 3-link path carrying perLink connections on every
+// link and settles it. settle runs the simulator until it has nothing
+// left to do.
+func settledPath(tb testing.TB, perLink int) (pr *Protocol, settle func()) {
 	sim := des.New()
-	pr := NewProtocolOn(clock.Sim(sim), ProtocolOptions{Refined: true})
+	pr = NewProtocolOn(clock.Sim(sim), ProtocolOptions{Refined: true})
 	path := []string{"l0", "l1", "l2"}
 	for _, l := range path {
 		if err := pr.AddLink(l, 100); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < perLink; i++ {
 		if err := pr.AddConn(Conn{ID: fmt.Sprintf("c%d", i), Path: path, Demand: Inf}); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	pr.KickAll()
 	now := 0.0
-	settle := func() {
+	settle = func() {
 		now += 1000
 		if err := sim.RunUntil(now); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if n := sim.Pending(); n != 0 {
-			t.Fatalf("%d events pending after a session", n)
+			tb.Fatalf("%d events pending after a session", n)
 		}
 	}
 	settle()
+	return pr, settle
+}
+
+// sessionAllocs returns what one more Kick session run to quiescence
+// allocates on a settled path of perLink connections.
+func sessionAllocs(t *testing.T, perLink int) float64 {
+	pr, settle := settledPath(t, perLink)
 	return testing.AllocsPerRun(50, func() {
 		if !pr.Kick("c0") {
 			t.Fatal("Kick(c0) started no session")
@@ -226,7 +247,7 @@ func TestProtocolSessionAllocsIndependentOfLinkLoad(t *testing.T) {
 		ls.insert(fmt.Sprintf("c%d", i))
 	}
 	for i := range ls.recorded {
-		ls.recorded[i] = float64(i%7) + 1
+		ls.record(i, float64(i%7)+1)
 	}
 	if got := testing.AllocsPerRun(1000, func() { ls.advertised() }); got != 0 {
 		t.Fatalf("advertised allocates %v/op, want 0", got)

@@ -87,3 +87,20 @@ func BenchmarkProtocolSession(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProtocolSettledKick times one Kick run to quiescence on a
+// settled 3-link, 24-connection instance: the session re-stamps the rates
+// the switches already hold, the path office-churn spends its time on.
+// BenchmarkProtocolSession above is the cold path, where every hop moves
+// a recorded rate.
+func BenchmarkProtocolSettledKick(b *testing.B) {
+	pr, settle := settledPath(b, 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !pr.Kick("c7") {
+			b.Fatal("Kick(c7) started no session")
+		}
+		settle()
+	}
+}

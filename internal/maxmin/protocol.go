@@ -76,6 +76,12 @@ func (o ProtocolOptions) withDefaults() ProtocolOptions {
 // sum over them has always run in, so the floats come out bit-identical
 // with no per-hop sort. ids, recorded and inM are parallel; a row is
 // inserted by AddConn and deleted by RemoveConn.
+//
+// The advertised rate is a function of capacity, the row set and the
+// recorded rates, so the switch remembers it (§5.3.1 keeps μ_l as state):
+// version counts the changes to those three, every write to them goes
+// through insert, remove, record or setCapacity, and an answer computed
+// at one version is reused until the version moves.
 type linkState struct {
 	name     string
 	capacity float64
@@ -86,8 +92,15 @@ type linkState struct {
 	// bottleneck; mCount is |M(l)|.
 	inM    []bool
 	mCount int
-	// restricted is advertisedFor's scratch, kept to the table's length.
+	// restricted is the μ iteration's scratch, kept to the table's length.
 	restricted []bool
+	// version is bumped by every change μ depends on. A link holding a
+	// row has been through insert, so its version is not zero and a zero
+	// muAt (here or on a connection's hop) is an empty memo.
+	version uint64
+	// mu is advertised() as of version muAt.
+	mu   float64
+	muAt uint64
 }
 
 // slot returns id's row, or -1 when id is not on the link. *hint is
@@ -109,12 +122,13 @@ func (ls *linkState) slot(id string, hint *int) int {
 func (ls *linkState) insert(id string) {
 	i, added := ls.ids.Insert(id)
 	if !added {
-		ls.recorded[i] = 0
+		ls.record(i, 0)
 		return
 	}
 	ls.recorded = slices.Insert(ls.recorded, i, 0)
 	ls.inM = slices.Insert(ls.inM, i, false)
 	ls.restricted = append(ls.restricted, false)
+	ls.version++
 }
 
 // remove deletes id's row, if any.
@@ -127,6 +141,26 @@ func (ls *linkState) remove(id string) {
 	ls.recorded = slices.Delete(ls.recorded, i, i+1)
 	ls.inM = slices.Delete(ls.inM, i, i+1)
 	ls.restricted = ls.restricted[:len(ls.ids)]
+	ls.version++
+}
+
+// record sets row i's recorded rate. Rounds two to four of a session
+// re-stamp the value round one wrote, and a settled network re-stamps
+// what it already holds: writing the bits that are there is not a change,
+// which is what lets μ be remembered across ADVERTISE hops at all.
+func (ls *linkState) record(i int, rate float64) {
+	if math.Float64bits(ls.recorded[i]) != math.Float64bits(rate) {
+		ls.recorded[i] = rate
+		ls.version++
+	}
+}
+
+// setCapacity sets the link's excess capacity.
+func (ls *linkState) setCapacity(capacity float64) {
+	if math.Float64bits(ls.capacity) != math.Float64bits(capacity) {
+		ls.capacity = capacity
+		ls.version++
+	}
 }
 
 // setM sets row i's membership in M(l).
@@ -142,43 +176,26 @@ func (ls *linkState) setM(i int, in bool) {
 	}
 }
 
-// advertised computes μ_l from the current recorded rates.
+// advertised returns μ_l for the current recorded rates, recomputed only
+// when the link changed since it was last asked.
 func (ls *linkState) advertised() float64 {
-	return AdvertisedRate(ls.capacity, ls.recorded)
+	if len(ls.ids) == 0 { // possibly never written to: version and muAt both zero
+		return ls.capacity
+	}
+	if ls.muAt != ls.version {
+		ls.mu, ls.muAt = ls.advertisedFor(-1), ls.version
+	}
+	return ls.mu
 }
 
 // advertisedFor computes the stamped rate the switch would offer the
 // connection in row forced "under the assumption that this switch is a
 // bottleneck for this connection": that row is held unrestricted in the
 // restricted-set iteration. A forced of -1 (a connection not on the
-// link) restricts by rate alone.
+// link) restricts by rate alone, which is μ_l itself. It always computes;
+// protoConn.offer remembers the answer for a connection's own row.
 func (ls *linkState) advertisedFor(forced int) float64 {
-	recorded := ls.recorded
-	n := len(recorded)
-	if n == 0 {
-		return ls.capacity
-	}
-	restricted := ls.restricted
-	clear(restricted)
-	mu := FairShare(ls.capacity, recorded, restricted)
-	for iter := 0; iter <= n; iter++ {
-		changed := false
-		for i, r := range recorded {
-			want := r < mu && i != forced
-			if restricted[i] != want {
-				restricted[i] = want
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-		mu = FairShare(ls.capacity, recorded, restricted)
-	}
-	if mu < 0 {
-		mu = 0
-	}
-	return mu
+	return advertisedRate(ls.capacity, ls.recorded, ls.restricted, forced)
 }
 
 // Protocol is the event-driven distributed rate allocator. Connections
@@ -215,21 +232,45 @@ type Protocol struct {
 
 type protoConn struct {
 	id     string
-	path   []string
 	demand float64
 	rate   float64
-	// links is path resolved once (a link is never unregistered) and
-	// slots hints at the connection's row in each one's table (see
-	// linkState.slot); mus is the UPDATE's per-hop scratch.
-	links []*linkState
-	slots []int
-	mus   []float64
+	// hops is the path with repeats dropped, each link resolved once (a
+	// link is never unregistered).
+	hops []connHop
+}
+
+// connHop is a connection's state at one link of its path.
+type connHop struct {
+	link *linkState
+	// slot hints at the connection's row in link's table (see
+	// linkState.slot).
+	slot int
+	// mu is the link's last offer to this connection — advertisedFor its
+	// own row — and muAt the link version it was computed at. A re-added
+	// ID gets a fresh protoConn, so a memo never outlives its row.
+	mu   float64
+	muAt uint64
 }
 
 // row returns the link at hop i of pc's path and pc's row in its table.
 func (pc *protoConn) row(i int) (*linkState, int) {
-	ls := pc.links[i]
-	return ls, ls.slot(pc.id, &pc.slots[i])
+	h := &pc.hops[i]
+	return h.link, h.link.slot(pc.id, &h.slot)
+}
+
+// offer returns the stamped rate the switch at hop i offers pc, asking
+// the link only when it changed since this connection last asked. The
+// answer is left in the hop's mu either way.
+func (pc *protoConn) offer(i int) float64 {
+	h := &pc.hops[i]
+	if ls := h.link; h.muAt != ls.version {
+		s := ls.slot(pc.id, &h.slot)
+		h.mu = ls.advertisedFor(s)
+		if s >= 0 { // the answer for "not on the link" is not this row's
+			h.muAt = ls.version
+		}
+	}
+	return h.mu
 }
 
 // NewProtocolOn builds a protocol instance whose timers (sweep travel,
@@ -268,9 +309,8 @@ func (pr *Protocol) readvertise() {
 		}
 		pc := pr.conns[id]
 		offer := pc.demand
-		for i := range pc.path {
-			ls, s := pc.row(i)
-			if mu := ls.advertisedFor(s); mu < offer {
+		for i := range pc.hops {
+			if mu := pc.offer(i); mu < offer {
 				offer = mu
 			}
 		}
@@ -279,7 +319,7 @@ func (pr *Protocol) readvertise() {
 		// upstream link — a state that looks locally fair (the offer
 		// matches the committed rate) yet blocks neighbors from their
 		// maxmin share. Recorded-vs-committed disagreement exposes it.
-		for i := range pc.path {
+		for i := range pc.hops {
 			if drift {
 				break
 			}
@@ -342,13 +382,13 @@ func (pr *Protocol) AddConn(c Conn) error {
 	if demand < 0 {
 		return fmt.Errorf("%w: %s", ErrBadDemand, c.ID)
 	}
-	pc := &protoConn{id: c.ID, path: uniqueLinks(c.Path), demand: demand}
-	pc.slots = make([]int, len(pc.path))
-	pc.mus = make([]float64, len(pc.path))
-	pc.links = make([]*linkState, len(pc.path))
-	for i, l := range pc.path {
-		pc.links[i] = pr.links[l]
-		pc.links[i].insert(c.ID)
+	pc := &protoConn{id: c.ID, demand: demand, hops: make([]connHop, 0, len(c.Path))}
+	for _, l := range c.Path {
+		ls := pr.links[l]
+		if !slices.ContainsFunc(pc.hops, func(h connHop) bool { return h.link == ls }) {
+			pc.hops = append(pc.hops, connHop{link: ls})
+			ls.insert(c.ID)
+		}
 	}
 	pr.conns[c.ID] = pc
 	return nil
@@ -360,8 +400,8 @@ func (pr *Protocol) RemoveConn(id string) {
 	if !ok {
 		return
 	}
-	for _, ls := range pc.links {
-		ls.remove(id)
+	for _, h := range pc.hops {
+		h.link.remove(id)
 	}
 	delete(pr.conns, id)
 	delete(pr.active, id)
@@ -385,7 +425,11 @@ func (pr *Protocol) Problem() Problem {
 	}
 	for _, id := range sortx.Keys(pr.conns) {
 		c := pr.conns[id]
-		p.Conns = append(p.Conns, Conn{ID: id, Path: append([]string(nil), c.path...), Demand: c.demand})
+		path := make([]string, len(c.hops))
+		for i, h := range c.hops {
+			path[i] = h.link.name
+		}
+		p.Conns = append(p.Conns, Conn{ID: id, Path: path, Demand: c.demand})
 	}
 	return p
 }
@@ -427,7 +471,7 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 	if increase && capacity-old <= pr.Opts.Delta {
 		return 0, nil // below the adaptation threshold
 	}
-	ls.capacity = capacity
+	ls.setCapacity(capacity)
 	adv := ls.advertised()
 	var targets []string
 	for i, id := range ls.ids {
@@ -513,7 +557,7 @@ func (pr *Protocol) runRoundAttempt(id string, round int, prevStamp float64, att
 	// Clamp at every hop in both directions; because clamping is
 	// idempotent per link we evaluate each link twice like the real
 	// packet would, letting later links see earlier updates.
-	n := len(pc.path)
+	n := len(pc.hops)
 	for hop := 0; hop < 2*n; hop++ {
 		i := hop
 		if hop >= n {
@@ -532,13 +576,12 @@ func (pr *Protocol) runRoundAttempt(id string, round int, prevStamp float64, att
 			}
 			travel += extra
 		}
-		ls, s := pc.row(i)
 		in := stamp
-		mu := ls.advertisedFor(s)
-		if mu < stamp {
+		if mu := pc.offer(i); mu < stamp {
 			stamp = mu
 		}
-		ls.recorded[s] = stamp
+		ls, s := pc.row(i)
+		ls.record(s, stamp)
 		// Maintain M(l) per the paper's rule.
 		muAll := ls.advertised()
 		if muAll < in {
@@ -589,9 +632,8 @@ func (pr *Protocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 	// upgrade cascade can skip a connection that is in fact bottlenecked
 	// here and strand it below its maxmin share (see the
 	// stale-bottleneck regression test).
-	mus := pc.mus
 	minMu := math.Inf(1)
-	for i := range pc.path {
+	for i := range pc.hops {
 		pr.Messages++
 		travel += pr.Opts.HopDelay
 		if d := pr.Opts.Deliver; d != nil {
@@ -606,15 +648,16 @@ func (pr *Protocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 			travel += extra
 		}
 		ls, s := pc.row(i)
-		ls.recorded[s] = rate
-		mus[i] = ls.advertisedFor(s)
-		if mus[i] < minMu {
-			minMu = mus[i]
+		ls.record(s, rate)
+		if mu := pc.offer(i); mu < minMu {
+			minMu = mu
 		}
 	}
-	for i := range pc.path {
+	// Each hop's mu is still the offer just collected: a path holds a
+	// link once, so no later hop wrote to an earlier one's table.
+	for i := range pc.hops {
 		ls, s := pc.row(i)
-		ls.setM(s, mus[i] <= minMu+1e-9*(1+minMu))
+		ls.setM(s, pc.hops[i].mu <= minMu+1e-9*(1+minMu))
 	}
 	pr.clk.PostAfter(travel, func() {
 		changed := math.Abs(pc.rate-rate) > 1e-9*(1+math.Abs(rate))
@@ -664,7 +707,8 @@ func (pr *Protocol) cascade(id string) {
 		tol = 1e-9
 	}
 	targets := map[string]bool{}
-	for _, ls := range pc.links {
+	for _, h := range pc.hops {
+		ls := h.link
 		adv := ls.advertised()
 		for i, other := range ls.ids {
 			if other == id {

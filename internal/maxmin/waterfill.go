@@ -261,8 +261,9 @@ func WaterFill(p Problem) (Allocation, error) {
 }
 
 // uniqueLinks returns the path's links in first-appearance order, each
-// once. The protocol and sync-solver paths still use it; WaterFill
-// flattens the same ordering into its pooled scratch instead.
+// once. The sync solver and the bottleneck classifiers use it; WaterFill
+// flattens the same ordering into its pooled scratch and Protocol.AddConn
+// into the connection's hops.
 func uniqueLinks(path []string) []string {
 	seen := map[string]bool{}
 	out := make([]string, 0, len(path))
@@ -309,39 +310,69 @@ func FairShare(capacity float64, recorded []float64, restricted []bool) float64 
 
 // AdvertisedRate computes the link's consistent advertised rate by the
 // restricted-set iteration the paper describes: start with every
-// connection unrestricted, compute μ, mark connections with recorded rate
-// below μ as restricted, and recompute. The paper notes one recalculation
-// suffices after unmarking; we iterate to the fixpoint (at most n rounds)
-// for robustness and assert convergence in tests.
+// connection unrestricted, so μ = b'_av / N_l; mark the connections whose
+// recorded rate is below μ as restricted and re-evaluate FairShare's
+// formula over the marked set; repeat until the marks stop moving. The
+// paper notes one recalculation suffices after unmarking; we iterate to
+// the fixpoint (at most n rounds) for robustness and assert convergence
+// in tests. The result is clamped at zero.
 func AdvertisedRate(capacity float64, recorded []float64) float64 {
-	n := len(recorded)
-	if n == 0 {
-		return capacity
-	}
 	// The restricted set lives on the stack for realistic link loads
 	// (protocol switches advertise to tens of connections, not
-	// thousands), making the per-ADVERTISE hot path allocation-free.
+	// thousands), so the call is allocation-free.
 	var buf [64]bool
 	var restricted []bool
-	if n <= len(buf) {
+	if n := len(recorded); n <= len(buf) {
 		restricted = buf[:n]
 	} else {
 		restricted = make([]bool, n)
 	}
-	mu := FairShare(capacity, recorded, restricted)
+	return advertisedRate(capacity, recorded, restricted, -1)
+}
+
+// advertisedRate is the restricted-set iteration behind AdvertisedRate
+// and the protocol's switches. Row forced, if any, is held unrestricted
+// whatever its rate (see linkState.advertisedFor); restricted is scratch
+// as long as recorded.
+//
+// Each iteration is one walk that re-marks the rows against the current
+// μ and, over the rows it marks, accumulates FairShare's N_R, b'_R and
+// max b'_R,i in the ascending-row order FairShare sums in — so every
+// float is the one FairShare(capacity, recorded, restricted) would have
+// returned from a second walk, the first share included: with nothing
+// restricted that is (capacity − 0.0) / n.
+func advertisedRate(capacity float64, recorded []float64, restricted []bool, forced int) float64 {
+	n := len(recorded)
+	if n == 0 {
+		return capacity
+	}
+	clear(restricted)
+	mu := capacity / float64(n)
 	for iter := 0; iter <= n; iter++ {
 		changed := false
+		nR, sumR, maxR := 0, 0.0, 0.0
 		for i, r := range recorded {
-			want := r < mu
+			want := r < mu && i != forced
 			if restricted[i] != want {
 				restricted[i] = want
 				changed = true
+			}
+			if want {
+				nR++
+				sumR += r
+				if r > maxR {
+					maxR = r
+				}
 			}
 		}
 		if !changed {
 			break
 		}
-		mu = FairShare(capacity, recorded, restricted)
+		if nR == n {
+			mu = capacity - sumR + maxR
+		} else {
+			mu = (capacity - sumR) / float64(n-nR)
+		}
 	}
 	if mu < 0 {
 		mu = 0
