@@ -145,9 +145,17 @@ func (k Kind) String() string {
 }
 
 // Event is the sealed payload interface: exactly the types in this file
-// implement it.
+// implement it, which the unexported method makes a compile-time fact.
+//
+// A payload's struct tags declare its JSON form; appendJSON, written by
+// hand next to each struct, appends that form to dst — byte-identical
+// to encoding/json of the tagged struct (declaration order, omitempty,
+// HTML-safe string escaping, shortest floats), pinned per kind by
+// TestAppendMatchesEncodingJSON. A non-finite float is appended behind
+// the nonFinite flag byte for the Recorder to reject.
 type Event interface {
 	Kind() Kind
+	appendJSON(dst []byte) []byte
 }
 
 // ConnectionRequested is published when a portable asks for a new
@@ -155,6 +163,11 @@ type Event interface {
 // is attempted).
 type ConnectionRequested struct {
 	Portable string `json:"portable"`
+}
+
+func (e ConnectionRequested) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"portable":`, e.Portable)
+	return append(dst, '}')
 }
 
 // ConnectionAdmitted is published when a new connection enters service.
@@ -166,16 +179,40 @@ type ConnectionAdmitted struct {
 	BestEffort bool    `json:"best_effort,omitempty"`
 }
 
+func (e ConnectionAdmitted) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"portable":`, e.Portable)
+	dst = appendFloat(dst, `,"bw":`, e.Bandwidth)
+	if e.BestEffort {
+		dst = append(dst, `,"best_effort":true`...)
+	}
+	return append(dst, '}')
+}
+
 // ConnectionBlocked is published when a new connection is rejected.
 type ConnectionBlocked struct {
 	Portable string `json:"portable"`
 	Reason   string `json:"reason,omitempty"`
 }
 
+func (e ConnectionBlocked) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"portable":`, e.Portable)
+	if e.Reason != "" {
+		dst = appendString(dst, `,"reason":`, e.Reason)
+	}
+	return append(dst, '}')
+}
+
 // ConnectionClosed is published on voluntary teardown.
 type ConnectionClosed struct {
 	Conn     string `json:"conn"`
 	Portable string `json:"portable"`
+}
+
+func (e ConnectionClosed) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"portable":`, e.Portable)
+	return append(dst, '}')
 }
 
 // AdmissionDecision is published by the admission controller for every
@@ -189,6 +226,22 @@ type AdmissionDecision struct {
 	Bandwidth float64 `json:"bw,omitempty"`   // committed b_j on success
 }
 
+func (e AdmissionDecision) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"kind":`, e.Class)
+	dst = appendBool(dst, `,"admitted":`, e.Admitted)
+	if e.Reason != "" {
+		dst = appendString(dst, `,"reason":`, e.Reason)
+	}
+	if e.Link != "" {
+		dst = appendString(dst, `,"link":`, e.Link)
+	}
+	if e.Bandwidth != 0 {
+		dst = appendFloat(dst, `,"bw":`, e.Bandwidth)
+	}
+	return append(dst, '}')
+}
+
 // HandoffAttempt is published once per connection re-tested in the
 // destination cell of a handoff.
 type HandoffAttempt struct {
@@ -199,11 +252,27 @@ type HandoffAttempt struct {
 	Predicted bool   `json:"predicted"`
 }
 
+func (e HandoffAttempt) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"portable":`, e.Portable)
+	dst = appendString(dst, `,"from":`, e.From)
+	dst = appendString(dst, `,"to":`, e.To)
+	dst = appendBool(dst, `,"predicted":`, e.Predicted)
+	return append(dst, '}')
+}
+
 // HandoffOutcome resolves a handoff attempt for one connection.
 type HandoffOutcome struct {
 	Conn     string `json:"conn"`
 	Portable string `json:"portable"`
 	Dropped  bool   `json:"dropped"`
+}
+
+func (e HandoffOutcome) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"portable":`, e.Portable)
+	dst = appendBool(dst, `,"dropped":`, e.Dropped)
+	return append(dst, '}')
 }
 
 // HandoffLatency reports the signaling latency charged to one
@@ -215,11 +284,26 @@ type HandoffLatency struct {
 	Latency   float64 `json:"latency"`
 }
 
+func (e HandoffLatency) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"portable":`, e.Portable)
+	dst = appendBool(dst, `,"predicted":`, e.Predicted)
+	dst = appendFloat(dst, `,"latency":`, e.Latency)
+	return append(dst, '}')
+}
+
 // PoolClaim is published when an unpredicted handoff claims from B_dyn.
 type PoolClaim struct {
 	Portable string `json:"portable"`
 	From     string `json:"from"`
 	To       string `json:"to"`
+}
+
+func (e PoolClaim) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"portable":`, e.Portable)
+	dst = appendString(dst, `,"from":`, e.From)
+	dst = appendString(dst, `,"to":`, e.To)
+	return append(dst, '}')
 }
 
 // AdvanceReservation is published when b_resv,l is placed for a portable
@@ -230,6 +314,13 @@ type AdvanceReservation struct {
 	Amount   float64 `json:"amount"`
 }
 
+func (e AdvanceReservation) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"cell":`, e.Cell)
+	dst = appendString(dst, `,"portable":`, e.Portable)
+	dst = appendFloat(dst, `,"amount":`, e.Amount)
+	return append(dst, '}')
+}
+
 // PolicyReservation is published when a reserve-package plan (meeting
 // schedule, cafeteria/lounge heuristic) holds capacity in a cell.
 type PolicyReservation struct {
@@ -238,11 +329,24 @@ type PolicyReservation struct {
 	Amount float64 `json:"amount"`
 }
 
+func (e PolicyReservation) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"cell":`, e.Cell)
+	dst = appendString(dst, `,"source":`, e.Source)
+	dst = appendFloat(dst, `,"amount":`, e.Amount)
+	return append(dst, '}')
+}
+
 // BandwidthChange is published when rate adaptation commits a new
 // allocation to a running connection.
 type BandwidthChange struct {
 	Conn      string  `json:"conn"`
 	Bandwidth float64 `json:"bw"`
+}
+
+func (e BandwidthChange) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendFloat(dst, `,"bw":`, e.Bandwidth)
+	return append(dst, '}')
 }
 
 // AdaptationRound is published for each maxmin ADVERTISE round that
@@ -253,12 +357,25 @@ type AdaptationRound struct {
 	Stamp float64 `json:"stamp"`
 }
 
+func (e AdaptationRound) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendInt(dst, `,"round":`, e.Round)
+	dst = appendFloat(dst, `,"stamp":`, e.Stamp)
+	return append(dst, '}')
+}
+
 // MaxminConverged is published when the maxmin protocol goes quiescent.
 // Sessions and Messages are the protocol's cumulative totals at that
 // point, so the deltas between consecutive events cost one burst.
 type MaxminConverged struct {
 	Sessions int `json:"sessions"`
 	Messages int `json:"messages"`
+}
+
+func (e MaxminConverged) appendJSON(dst []byte) []byte {
+	dst = appendInt(dst, `{"sessions":`, e.Sessions)
+	dst = appendInt(dst, `,"messages":`, e.Messages)
+	return append(dst, '}')
 }
 
 // CapacityChange is published when a wireless channel's effective
@@ -268,6 +385,12 @@ type CapacityChange struct {
 	Capacity float64 `json:"capacity"`
 }
 
+func (e CapacityChange) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"link":`, e.Link)
+	dst = appendFloat(dst, `,"capacity":`, e.Capacity)
+	return append(dst, '}')
+}
+
 // SignalHold is published when the signaling forward pass places a
 // tentative per-link hold.
 type SignalHold struct {
@@ -275,11 +398,23 @@ type SignalHold struct {
 	Link string `json:"link"`
 }
 
+func (e SignalHold) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"link":`, e.Link)
+	return append(dst, '}')
+}
+
 // SignalCommit is published when a signaling session commits, carrying
 // the end-to-end setup latency.
 type SignalCommit struct {
 	Conn    string  `json:"conn"`
 	Latency float64 `json:"latency"`
+}
+
+func (e SignalCommit) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendFloat(dst, `,"latency":`, e.Latency)
+	return append(dst, '}')
 }
 
 // SignalAbort is published when a signaling session rolls back its
@@ -290,10 +425,23 @@ type SignalAbort struct {
 	Hop    int    `json:"hop"`
 }
 
+func (e SignalAbort) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"reason":`, e.Reason)
+	dst = appendInt(dst, `,"hop":`, e.Hop)
+	return append(dst, '}')
+}
+
 // FlowStarted is published when a packet-level flow begins.
 type FlowStarted struct {
 	Conn string  `json:"conn"`
 	Rate float64 `json:"rate"`
+}
+
+func (e FlowStarted) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendFloat(dst, `,"rate":`, e.Rate)
+	return append(dst, '}')
 }
 
 // FlowStopped is published when a packet-level flow ends.
@@ -302,6 +450,14 @@ type FlowStopped struct {
 	Sent      int    `json:"sent"`
 	Delivered int    `json:"delivered"`
 	Lost      int    `json:"lost"`
+}
+
+func (e FlowStopped) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendInt(dst, `,"sent":`, e.Sent)
+	dst = appendInt(dst, `,"delivered":`, e.Delivered)
+	dst = appendInt(dst, `,"lost":`, e.Lost)
+	return append(dst, '}')
 }
 
 // FaultMessage is published when a fault-injection rule fires on one
@@ -315,6 +471,17 @@ type FaultMessage struct {
 	Delay  float64 `json:"delay,omitempty"`
 }
 
+func (e FaultMessage) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"proto":`, e.Proto)
+	dst = appendString(dst, `,"action":`, e.Action)
+	dst = appendString(dst, `,"conn":`, e.Conn)
+	dst = appendInt(dst, `,"hop":`, e.Hop)
+	if e.Delay != 0 {
+		dst = appendFloat(dst, `,"delay":`, e.Delay)
+	}
+	return append(dst, '}')
+}
+
 // FaultComponent is published when a scheduled component fault (or its
 // restoration) fires: "link-down"/"link-up", "cell-out"/"cell-restore",
 // "zone-crash", "blackout"/"blackout-end", "signal-crash".
@@ -322,6 +489,17 @@ type FaultComponent struct {
 	Action string  `json:"action"`
 	Target string  `json:"target,omitempty"`
 	For    float64 `json:"for,omitempty"` // scheduled outage duration
+}
+
+func (e FaultComponent) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"action":`, e.Action)
+	if e.Target != "" {
+		dst = appendString(dst, `,"target":`, e.Target)
+	}
+	if e.For != 0 {
+		dst = appendFloat(dst, `,"for":`, e.For)
+	}
+	return append(dst, '}')
 }
 
 // ControlRetransmit is published when a control-plane sender times out
@@ -334,6 +512,14 @@ type ControlRetransmit struct {
 	Attempt int    `json:"attempt"`
 }
 
+func (e ControlRetransmit) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"proto":`, e.Proto)
+	dst = appendString(dst, `,"conn":`, e.Conn)
+	dst = appendInt(dst, `,"hop":`, e.Hop)
+	dst = appendInt(dst, `,"attempt":`, e.Attempt)
+	return append(dst, '}')
+}
+
 // HoldReclaimed is published when a lease expires on state orphaned by a
 // crash: a signaling plane's tentative hold or a stale advance
 // reservation returns to the ledger.
@@ -344,6 +530,17 @@ type HoldReclaimed struct {
 	Reason string  `json:"reason"`
 }
 
+func (e HoldReclaimed) appendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
+	if e.Conn != "" { // the optional field comes first, so the comma moves
+		dst = append(appendString(dst, `"conn":`, e.Conn), ',')
+	}
+	dst = appendString(dst, `"link":`, e.Link)
+	dst = appendFloat(dst, `,"amount":`, e.Amount)
+	dst = appendString(dst, `,"reason":`, e.Reason)
+	return append(dst, '}')
+}
+
 // Readvertise is published when the periodic re-ADVERTISE sweep restarts
 // adaptation for connections that drifted from the maxmin fixpoint
 // (typically after control-packet loss ate an UPDATE).
@@ -351,11 +548,22 @@ type Readvertise struct {
 	Kicked int `json:"kicked"`
 }
 
+func (e Readvertise) appendJSON(dst []byte) []byte {
+	dst = appendInt(dst, `{"kicked":`, e.Kicked)
+	return append(dst, '}')
+}
+
 // InvariantViolation is published by the fault auditor when a recovery
 // invariant fails to hold.
 type InvariantViolation struct {
 	Invariant string `json:"invariant"`
 	Detail    string `json:"detail"`
+}
+
+func (e InvariantViolation) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"invariant":`, e.Invariant)
+	dst = appendString(dst, `,"detail":`, e.Detail)
+	return append(dst, '}')
 }
 
 // OverloadStage is published when a cell's overload controller changes
@@ -369,6 +577,17 @@ type OverloadStage struct {
 	Queue int     `json:"queue,omitempty"`
 }
 
+func (e OverloadStage) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"cell":`, e.Cell)
+	dst = appendString(dst, `,"from":`, e.From)
+	dst = appendString(dst, `,"to":`, e.To)
+	dst = appendFloat(dst, `,"util":`, e.Util)
+	if e.Queue != 0 {
+		dst = appendInt(dst, `,"queue":`, e.Queue)
+	}
+	return append(dst, '}')
+}
+
 // SetupShed is published when the overload controller refuses a new
 // setup before signaling starts. Class is "new-static" or "new-mobile"
 // (handoffs are never shed); Reason is "shed-static", "shed-mobile",
@@ -380,12 +599,27 @@ type SetupShed struct {
 	Reason   string `json:"reason"`
 }
 
+func (e SetupShed) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"portable":`, e.Portable)
+	dst = appendString(dst, `,"cell":`, e.Cell)
+	dst = appendString(dst, `,"class":`, e.Class)
+	dst = appendString(dst, `,"reason":`, e.Reason)
+	return append(dst, '}')
+}
+
 // DegradeCascade is published for each connection an overload degrade
 // cascade forces to b_min ("degrade") or later releases ("restore").
 type DegradeCascade struct {
 	Conn   string `json:"conn"`
 	Link   string `json:"link"`
 	Action string `json:"action"`
+}
+
+func (e DegradeCascade) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"conn":`, e.Conn)
+	dst = appendString(dst, `,"link":`, e.Link)
+	dst = appendString(dst, `,"action":`, e.Action)
+	return append(dst, '}')
 }
 
 // BreakerState is published when the signaling circuit breaker changes
@@ -395,6 +629,13 @@ type BreakerState struct {
 	From   string `json:"from"`
 	To     string `json:"to"`
 	Reason string `json:"reason"`
+}
+
+func (e BreakerState) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"from":`, e.From)
+	dst = appendString(dst, `,"to":`, e.To)
+	dst = appendString(dst, `,"reason":`, e.Reason)
+	return append(dst, '}')
 }
 
 // WireDelivery is published by a testnet node for every control frame
@@ -409,6 +650,18 @@ type WireDelivery struct {
 	Conn  string `json:"conn,omitempty"`
 	Hop   int    `json:"hop"`
 	Bytes int    `json:"bytes"`
+}
+
+func (e WireDelivery) appendJSON(dst []byte) []byte {
+	dst = appendString(dst, `{"node":`, e.Node)
+	dst = appendString(dst, `,"proto":`, e.Proto)
+	dst = appendString(dst, `,"msg":`, e.Type)
+	if e.Conn != "" {
+		dst = appendString(dst, `,"conn":`, e.Conn)
+	}
+	dst = appendInt(dst, `,"hop":`, e.Hop)
+	dst = appendInt(dst, `,"bytes":`, e.Bytes)
+	return append(dst, '}')
 }
 
 func (WireDelivery) Kind() Kind { return KindWireDelivery }

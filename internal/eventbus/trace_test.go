@@ -2,7 +2,6 @@ package eventbus
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -60,7 +59,7 @@ func TestRecorderSeqMonotonicity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			r := &Recorder{enc: json.NewEncoder(&buf)}
+			r := &Recorder{w: &buf}
 			for _, seq := range tc.seqs {
 				r.observe(Record{Seq: seq, Time: 1, Event: ev})
 			}

@@ -5,6 +5,7 @@ import (
 
 	"armnet/internal/des"
 	"armnet/internal/netfaults"
+	"armnet/internal/raceflag"
 	"armnet/internal/wire"
 )
 
@@ -37,6 +38,33 @@ func BenchmarkLoopbackRoundTrip(b *testing.B) {
 		if n.buf.Len() > 1<<20 {
 			n.buf.Reset() // cap trace growth; the recorder keeps writing
 		}
+	}
+}
+
+// TestHandleFrameAllocBudget pins what a warm node allocates per frame:
+// the decoded connection ID, the decoded message's box and Pub's box of
+// the WireDelivery — not the trace line (appended into the recorder's
+// scratch) and not the ack (AppendFrame leaves its message on the
+// stack). The frame's seq is above 255 on purpose: Go boxes smaller
+// integers from a static table, which hid the ack's box from every
+// probe that numbers its frames from 1.
+func TestHandleFrameAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	n := NewNode("budget", des.New())
+	frame, err := wire.Encode(1<<20, wire.Advertise{Conn: "portable-17:2", Hop: 5, Round: 4, Stamp: 1.2345e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handle := func() {
+		if _, _, err := n.HandleFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handle() // grow the recorder's scratch and the first trace chunk
+	if got := testing.AllocsPerRun(1000, handle); got > 3 {
+		t.Fatalf("HandleFrame allocates %v/op, want at most 3", got)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // Version is the current frame format version.
@@ -217,52 +218,67 @@ func Encode(seq uint32, m Message) ([]byte, error) {
 // the allocation-free path when the caller reuses a buffer.
 func AppendFrame(dst []byte, seq uint32, m Message) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, Version, byte(m.WireType()))
+	dst = append(dst, 0, 0, Version, 0)
 	dst = binary.BigEndian.AppendUint32(dst, seq)
+	// The type byte is set from the switch, not from m.WireType(): a
+	// dynamic call (or handing m to fmt) makes m escape, and then every
+	// caller passing a concrete message allocates a box for it.
+	var typ Type
 	var err error
 	switch v := m.(type) {
 	case Hello:
+		typ = THello
 		dst, err = appendString(dst, v.Node)
 	case Ack:
+		typ = TAck
 		dst = binary.BigEndian.AppendUint32(dst, v.AckSeq)
 	case SignalSetup:
+		typ = TSignalSetup
 		dst, err = appendString(dst, v.Conn)
 		dst = binary.BigEndian.AppendUint16(dst, v.Hop)
 		dst = appendFloat(dst, v.Bandwidth)
 	case SignalCommit:
+		typ = TSignalCommit
 		dst, err = appendString(dst, v.Conn)
 		dst = binary.BigEndian.AppendUint16(dst, v.Hop)
 		dst = appendFloat(dst, v.Bandwidth)
 	case SignalAbort:
+		typ = TSignalAbort
 		dst, err = appendString(dst, v.Conn)
 		dst = binary.BigEndian.AppendUint16(dst, v.Hop)
 		if err == nil {
 			dst, err = appendString(dst, v.Reason)
 		}
 	case Advertise:
+		typ = TAdvertise
 		dst, err = appendString(dst, v.Conn)
 		dst = binary.BigEndian.AppendUint16(dst, v.Hop)
 		dst = binary.BigEndian.AppendUint16(dst, v.Round)
 		dst = appendFloat(dst, v.Stamp)
 	case Update:
+		typ = TUpdate
 		dst, err = appendString(dst, v.Conn)
 		dst = binary.BigEndian.AppendUint16(dst, v.Hop)
 		dst = appendFloat(dst, v.Rate)
 	case Shutdown:
+		typ = TShutdown
 	case LeaseRenew:
+		typ = TLeaseRenew
 		dst, err = appendString(dst, v.Conn)
 		dst = appendFloat(dst, v.Bandwidth)
 		dst = appendFloat(dst, v.TTL)
 	case Resync:
+		typ = TResync
 		dst, err = appendString(dst, v.Conn)
 		dst = appendFloat(dst, v.Bandwidth)
 		dst = appendFloat(dst, v.TTL)
 	default:
-		return dst[:start], fmt.Errorf("%w: %T", ErrType, m)
+		return dst[:start], fmt.Errorf("%w: %v", ErrType, reflect.TypeOf(m))
 	}
 	if err != nil {
 		return dst[:start], err
 	}
+	dst[start+3] = byte(typ)
 	payload := len(dst) - start - 2
 	if len(dst)-start > MaxFrame {
 		return dst[:start], fmt.Errorf("%w: %d bytes", ErrTooLong, len(dst)-start)

@@ -57,3 +57,28 @@ func TestEncodeAllocFree(t *testing.T) {
 		t.Fatalf("AppendFrame with warm buffer: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestAppendFrameDoesNotBoxCaller is the caller's side of the same
+// contract: m must not escape AppendFrame, or every call site that
+// passes a concrete message pays a heap box for it — which the test
+// above, boxing once up front, cannot see. An AckSeq below 256 would
+// not show it either: Go boxes small integers from a static table.
+func TestAppendFrameDoesNotBoxCaller(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	buf := make([]byte, 0, MaxFrame)
+	for name, encode := range map[string]func() ([]byte, error){
+		"ack":       func() ([]byte, error) { return AppendFrame(buf[:0], 1, Ack{AckSeq: 1 << 20}) },
+		"advertise": func() ([]byte, error) { return AppendFrame(buf[:0], 1, benchMsg) },
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := encode(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("AppendFrame(%s by value): %v allocs/op, want 0", name, allocs)
+		}
+	}
+}

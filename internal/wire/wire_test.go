@@ -112,6 +112,31 @@ func TestEncodeRejectsOversizedString(t *testing.T) {
 	}
 }
 
+// alien satisfies Message from outside the closed set.
+type alien struct{}
+
+func (alien) WireType() Type { return TUpdate }
+
+// TestEncodeRejectsForeignMessage pins the closed set from the encode
+// side: a nil message, a pointer to a message and a foreign
+// implementation are ErrType naming the offender, and dst comes back
+// at its original length.
+func TestEncodeRejectsForeignMessage(t *testing.T) {
+	for want, m := range map[string]Message{
+		"<nil>":       nil,
+		"*wire.Hello": &Hello{Node: "west"},
+		"wire.alien":  alien{},
+	} {
+		dst, err := AppendFrame([]byte("kept"), 1, m)
+		if !errors.Is(err, ErrType) || !strings.HasSuffix(err.Error(), ": "+want) {
+			t.Errorf("AppendFrame(%s): err = %v, want ErrType naming it", want, err)
+		}
+		if string(dst) != "kept" {
+			t.Errorf("AppendFrame(%s) left dst = %q", want, dst)
+		}
+	}
+}
+
 // TestDecodeMalformed pins the error classes: Decode never panics and
 // classifies each corruption.
 func TestDecodeMalformed(t *testing.T) {
