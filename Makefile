@@ -101,8 +101,9 @@ loc:
 
 ## trace-determinism: the event-stream replication gate — the full JSONL
 ## trace of every reservation mode must be byte-identical at any worker
-## count and, at the full campus configuration, from run to run; and
-## armsim's -trace must be the campus experiment's stream, byte for byte.
+## count and, at the full campus, chaos and overload configurations,
+## from run to run; and armsim's -trace must be the campus experiment's
+## stream, byte for byte.
 trace-determinism:
 	$(GO) test -run 'TraceDeterminism' ./internal/sim
 	$(GO) test -run 'TestArmsimTraceEqualsCampusTrace' -count=1 ./cmd/armsim

@@ -202,16 +202,10 @@ type FaultAuditor = faults.Auditor
 // deadlines, bounded retransmission, and the crash-recovery hold lease.
 type SignalOptions = signal.Options
 
-// ParseFaultPlan reads the line-oriented fault-plan grammar:
-//
-//	drop  <proto> <prob>          # proto: signal | maxmin | any
-//	dup   <proto> <prob>
-//	delay <proto> <prob> <seconds>
-//	at <time> cell-out <cell> [for <duration>]
-//	at <time> link-down <link> [for <duration>]
-//	at <time> blackout <cell> for <duration>
-//	at <time> crash-zone <zone>
-//	at <time> crash-signaling
+// ParseFaultPlan reads a simulation fault plan in the line-oriented
+// grammar of DESIGN.md §10: `drop|dup|delay <proto> <prob> [<seconds>]`
+// rules and `at <time> <action> [<target>] [for <duration>]` component
+// faults. Directives only the live wire plane executes are errors.
 var ParseFaultPlan = faults.ParsePlan
 
 // OverloadPolicy parameterizes the staged overload-control subsystem

@@ -17,6 +17,7 @@ import (
 
 	"armnet/internal/adapt"
 	"armnet/internal/admission"
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/faults"
@@ -346,7 +347,7 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 	// Schedule the plan's timed component faults, executed through the
 	// manager's own Driver implementation (faultdriver.go).
 	if m.Inj != nil {
-		m.Inj.Arm(sim, m)
+		m.Inj.Arm(clock.Sim(sim), m)
 	}
 	return m, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"armnet/internal/admission"
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/topology"
@@ -30,13 +31,13 @@ func TestParsePlan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
-	if len(p.Messages) != 4 {
-		t.Fatalf("got %d message rules, want 4", len(p.Messages))
+	if len(p.Rules) != 4 {
+		t.Fatalf("got %d message rules, want 4", len(p.Rules))
 	}
 	if len(p.Timed) != 6 {
 		t.Fatalf("got %d timed faults, want 6", len(p.Timed))
 	}
-	if r := p.Messages[2]; r.Action != "delay" || r.Proto != "maxmin" || r.Prob != 0.05 || r.Delay != 0.005 {
+	if r := p.Rules[2]; r.Action != "delay" || r.Proto != "maxmin" || r.Prob != 0.05 || r.Delay != 0.005 {
 		t.Fatalf("bad delay rule: %+v", r)
 	}
 	if f := p.Timed[0]; f.Action != "link-down" || f.Target != "bb:r1-r2" || f.For != 50 {
@@ -160,7 +161,7 @@ func (d *recordingDriver) CrashSignaling() error {
 	return nil
 }
 
-func TestArmSchedulesTimedFaults(t *testing.T) {
+func TestArmSchedulesTimedEvents(t *testing.T) {
 	plan, err := ParsePlan(strings.NewReader(
 		"at 10 link-down l1 for 5\nat 20 crash-zone z\nat 30 crash-signaling"))
 	if err != nil {
@@ -175,7 +176,7 @@ func TestArmSchedulesTimedFaults(t *testing.T) {
 	}, eventbus.KindFaultComponent)
 	d := &recordingDriver{}
 	in := NewInjector(plan, 1, bus)
-	in.Arm(sim, d)
+	in.Arm(clock.Sim(sim), d)
 	if err := sim.RunUntil(100); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestArmRecordsDriverErrors(t *testing.T) {
 	plan, _ := ParsePlan(strings.NewReader("at 1 crash-zone nowhere"))
 	sim := des.New()
 	in := NewInjector(plan, 1, nil)
-	in.Arm(sim, failingDriver{})
+	in.Arm(clock.Sim(sim), failingDriver{})
 	if err := sim.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
@@ -264,5 +265,69 @@ func TestAuditorDetectsViolations(t *testing.T) {
 	}
 	if !strings.Contains(v[0], "leaked-holds") || !strings.Contains(v[1], "maxmin-divergence") {
 		t.Fatalf("unexpected violations %v", v)
+	}
+}
+
+// TestDirectiveTableIsCompleteAndStrict walks the grammar's directive
+// table: every action parses and round-trips through String on each
+// plane that executes it, and on a plane that does not it is an error
+// carrying the line number — never a silent skip.
+func TestDirectiveTableIsCompleteAndStrict(t *testing.T) {
+	for action, d := range directives {
+		line := action + " any 0.5"
+		if d.seconds {
+			line += " 0.01"
+		}
+		if !d.rule {
+			line = "at 1 " + action
+			if d.target {
+				line += " tgt"
+			}
+			if d.dur {
+				line += " for 2"
+			}
+		}
+		spec := "# line 1 is a comment\n" + line + "\n"
+		for _, pl := range []plane{simPlane, wirePlane} {
+			p, err := parse(strings.NewReader(spec), pl)
+			if d.planes&pl == 0 {
+				want := planePkg[pl] + ": line 2: " + action
+				if err == nil || !errors.Is(err, errOffPlane) || !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("%s on the %s plane: err = %v, want %q… wrapping errOffPlane", action, planePkg[pl], err, want)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s on its own %s plane: %v", action, planePkg[pl], err)
+				continue
+			}
+			if got := p.String(); got != line+"\n" {
+				t.Errorf("%s: String() = %q, want %q", action, got, line+"\n")
+			}
+			if d.restore != "" {
+				if end, ok := p.Timed[0].Restoration(); !ok || end.Action != d.restore || end.At != 3 {
+					t.Errorf("%s: restoration %+v %v, want %s at 3", action, end, ok, d.restore)
+				}
+			}
+		}
+	}
+	// The link filter is the one wire-only piece that is not an action.
+	if _, err := ParsePlan(strings.NewReader("drop any 0.1 on x")); !errors.Is(err, errOffPlane) || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("`on <link>` on the sim plane: %v", err)
+	}
+}
+
+// TestStrictPlanes spells out the acceptance examples: each of these is
+// a valid line of the grammar, on the other plane.
+func TestStrictPlanes(t *testing.T) {
+	for _, spec := range []string{"reorder any 0.1 0.01", "drop any 0.1 on x", "at 1 partition east for 2", "at 1 crash east"} {
+		if _, err := ParsePlan(strings.NewReader(spec)); err == nil || !strings.HasPrefix(err.Error(), "faults: line 1: ") {
+			t.Errorf("faults.ParsePlan(%q) = %v, want a line-1 error", spec, err)
+		}
+	}
+	for _, spec := range []string{"at 1 cell-out off-2 for 3", "at 1 crash-signaling", "at 1 link-down l"} {
+		if _, err := ParseWirePlan(strings.NewReader(spec)); err == nil || !strings.HasPrefix(err.Error(), "netfaults: line 1: ") {
+			t.Errorf("ParseWirePlan(%q) = %v, want a line-1 error", spec, err)
+		}
 	}
 }

@@ -3,7 +3,7 @@ package faults
 import (
 	"fmt"
 
-	"armnet/internal/des"
+	"armnet/internal/clock"
 	"armnet/internal/eventbus"
 	"armnet/internal/randx"
 )
@@ -37,20 +37,100 @@ type Driver interface {
 // (manager, mobility) derived from the same master seed.
 const seedSalt = 0x6661756c7473 // "faults"
 
-// Injector executes a Plan: its Deliver* methods satisfy the delivery
-// hooks of internal/signal and internal/maxmin structurally, and Arm
-// schedules the plan's timed component faults on the simulator. All
-// randomness comes from one seed-derived RNG, and the simulation is
-// single-threaded, so identical (plan, seed) pairs inject identically.
-// An empty plan draws nothing and perturbs nothing.
-type Injector struct {
+// Verdict is the rule walk's decision for one message or frame. The zero
+// value delivers it untouched.
+type Verdict struct {
+	// Drop suppresses the message entirely; the sending protocol sees a
+	// loss and runs its own retransmission machinery.
+	Drop bool
+	// Dup delivers it a second time right after the first (the
+	// protocols' handlers are idempotent and wire delivery is mirrored,
+	// not interpreted, so a duplicate has no state effect).
+	Dup bool
+	// Delay is extra latency reported to the sending protocol.
+	Delay float64
+	// Reorder, when positive, defers a frame's fabric delivery by this
+	// much while the protocol proceeds undelayed — frames sent later
+	// overtake it, which is what a real reordering network does.
+	Reorder float64
+}
+
+// Walker evaluates a plan's rules against messages: the one rule walk
+// both planes' injectors embed. All randomness comes from one RNG seeded
+// by the front-end (master seed XOR its salt), so identical (plan, seed)
+// pairs decide identically. A walker over a nil or rule-less plan
+// decides without drawing and without allocating.
+type Walker struct {
 	plan *Plan
 	rng  *randx.Rand
-	bus  *eventbus.Bus
 
-	// Drops, Dups, Delays count message-rule firings; Components counts
-	// timed faults executed (restorations included).
-	Drops, Dups, Delays, Components int
+	// Drops, Dups, Delays, Reorders count rule firings.
+	Drops, Dups, Delays, Reorders int
+}
+
+// NewWalker builds a walker over the plan's rules.
+func NewWalker(plan *Plan, seed int64) Walker {
+	return Walker{plan: plan, rng: randx.New(seed)}
+}
+
+// Walk decides the fate of one message of the protocol family proto
+// crossing link (empty where the plane has no link-addressable
+// transport). Rules are evaluated in plan order: the protocol filter,
+// the link filter, then one draw per matching rule. A drop that fires
+// wins immediately; dup, delay and reorder compose (delays and reorder
+// deferrals accumulate). Each firing is counted and reported to fired
+// when it is non-nil.
+func (w *Walker) Walk(proto, link string, fired func(Rule)) Verdict {
+	var v Verdict
+	if w.plan == nil {
+		return v
+	}
+	for _, r := range w.plan.Rules {
+		if r.Proto != "any" && r.Proto != proto {
+			continue
+		}
+		if r.Link != "" && r.Link != link {
+			continue
+		}
+		if !w.rng.Bernoulli(r.Prob) {
+			continue
+		}
+		switch r.Action {
+		case "drop":
+			w.Drops++
+			v.Drop = true
+		case "dup":
+			w.Dups++
+			v.Dup = true
+		case "delay":
+			w.Delays++
+			v.Delay += r.Delay
+		case "reorder":
+			w.Reorders++
+			v.Reorder += r.Delay
+		}
+		if fired != nil {
+			fired(r)
+		}
+		if v.Drop {
+			return v
+		}
+	}
+	return v
+}
+
+// Injector executes a Plan on the simulated plane: its Deliver* methods
+// satisfy the delivery hooks of internal/signal and internal/maxmin
+// structurally, and Arm schedules the plan's timed component faults on
+// the clock. The simulation is single-threaded, so identical (plan,
+// seed) pairs inject identically. An empty plan draws nothing and
+// perturbs nothing.
+type Injector struct {
+	Walker
+	bus *eventbus.Bus
+
+	// Components counts timed faults executed (restorations included).
+	Components int
 	// Errors collects driver failures (unknown targets, etc.); the
 	// schedule keeps running.
 	Errors []string
@@ -60,7 +140,7 @@ type Injector struct {
 // (faults fire silently); a nil or empty plan yields an injector whose
 // hooks never draw.
 func NewInjector(plan *Plan, seed int64, bus *eventbus.Bus) *Injector {
-	return &Injector{plan: plan, rng: randx.New(seed ^ seedSalt), bus: bus}
+	return &Injector{Walker: NewWalker(plan, seed^seedSalt), bus: bus}
 }
 
 // DeliverSignal is the signal.Options.Deliver hook: it decides the fate
@@ -76,69 +156,33 @@ func (in *Injector) DeliverMaxmin(conn string, hop int, update bool) (drop bool,
 	return in.deliver("maxmin", conn, hop)
 }
 
-// deliver evaluates the message rules in plan order. A drop rule that
-// fires wins immediately; dup and delay rules compose (dup is counted
-// and published — the protocols' handlers are idempotent, so a duplicate
-// has no state effect; delays accumulate).
+// deliver walks the rules for one message and publishes each firing. A
+// dup is counted and published only — the protocols' handlers are
+// idempotent, so a duplicate has no state effect.
 func (in *Injector) deliver(proto, conn string, hop int) (bool, float64) {
-	if in == nil || in.plan == nil {
+	if in == nil {
 		return false, 0
 	}
-	delay := 0.0
-	for _, r := range in.plan.Messages {
-		if r.Proto != "any" && r.Proto != proto {
-			continue
-		}
-		if !in.rng.Bernoulli(r.Prob) {
-			continue
-		}
-		switch r.Action {
-		case "drop":
-			in.Drops++
-			eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: "drop", Conn: conn, Hop: hop})
-			return true, delay
-		case "dup":
-			in.Dups++
-			eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: "dup", Conn: conn, Hop: hop})
-		case "delay":
-			in.Delays++
-			delay += r.Delay
-			eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: "delay", Conn: conn, Hop: hop, Delay: r.Delay})
-		}
-	}
-	return false, delay
+	v := in.Walk(proto, "", func(r Rule) {
+		eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: r.Action, Conn: conn, Hop: hop, Delay: r.Delay})
+	})
+	return v.Drop, v.Delay
 }
 
-// Arm schedules every timed fault of the plan on the simulator. Faults
-// with a duration also schedule their restoration. Call once, before the
-// simulation runs.
-func (in *Injector) Arm(sim *des.Simulator, d Driver) {
+// Arm schedules every timed fault of the plan, and the restoration of
+// each that has a duration, on the clock; fault times count from the
+// moment of the call. Call once, before the simulation runs.
+func (in *Injector) Arm(clk clock.Clock, d Driver) {
 	if in == nil || in.plan == nil || d == nil {
 		return
 	}
-	for _, f := range in.plan.Timed {
-		f := f
-		sim.Post(f.At, func() { in.apply(f, d) })
-		if f.For > 0 && f.Action != "blackout" {
-			restore := TimedFault{At: f.At + f.For, Action: restoreAction(f.Action), Target: f.Target}
-			sim.Post(restore.At, func() { in.apply(restore, d) })
-		}
-	}
-}
-
-func restoreAction(action string) string {
-	switch action {
-	case "link-down":
-		return "link-up"
-	case "cell-out":
-		return "cell-restore"
-	default:
-		return action
+	for _, f := range in.plan.Events() {
+		clk.PostAfter(f.At, func() { in.apply(f, d) })
 	}
 }
 
 // apply publishes the fault event and executes it through the driver.
-func (in *Injector) apply(f TimedFault, d Driver) {
+func (in *Injector) apply(f Timed, d Driver) {
 	in.Components++
 	eventbus.Pub(in.bus, eventbus.FaultComponent{Action: f.Action, Target: f.Target, For: f.For})
 	var err error

@@ -2,8 +2,9 @@ package netfaults
 
 import (
 	"reflect"
-	"strings"
 	"testing"
+
+	"armnet/internal/faults"
 )
 
 const samplePlan = `
@@ -29,7 +30,7 @@ func mustParse(t *testing.T, spec string) *Plan {
 
 func TestParsePlan(t *testing.T) {
 	p := mustParse(t, samplePlan)
-	wantRules := []Rule{
+	wantRules := []faults.Rule{
 		{Proto: "any", Action: "drop", Prob: 0.2},
 		{Proto: "signal", Action: "dup", Prob: 0.1},
 		{Proto: "maxmin", Action: "delay", Prob: 0.3, Delay: 0.002},
@@ -39,13 +40,13 @@ func TestParsePlan(t *testing.T) {
 	if !reflect.DeepEqual(p.Rules, wantRules) {
 		t.Errorf("rules = %+v, want %+v", p.Rules, wantRules)
 	}
-	wantNodes := []NodeFault{
-		{At: 1, Action: "partition", Node: "east", For: 2},
-		{At: 0.8, Action: "crash", Node: "west", For: 2.2},
-		{At: 3, Action: "crash", Node: "core"},
+	wantTimed := []faults.Timed{
+		{At: 1, Action: "partition", Target: "east", For: 2},
+		{At: 0.8, Action: "crash", Target: "west", For: 2.2},
+		{At: 3, Action: "crash", Target: "core"},
 	}
-	if !reflect.DeepEqual(p.Nodes, wantNodes) {
-		t.Errorf("nodes = %+v, want %+v", p.Nodes, wantNodes)
+	if !reflect.DeepEqual(p.Timed, wantTimed) {
+		t.Errorf("timed = %+v, want %+v", p.Timed, wantTimed)
 	}
 	if p.Empty() {
 		t.Error("plan reported empty")
@@ -101,38 +102,14 @@ func TestEmptyPlan(t *testing.T) {
 	}
 }
 
-// TestSimPlanProjection pins the shared-grammar bridge: drop/dup/delay
-// rules project into internal/faults rules; reorder and link-filtered
-// rules are wire-only and are skipped.
-func TestSimPlanProjection(t *testing.T) {
-	p := mustParse(t, samplePlan)
-	sp := p.SimPlan()
-	if len(sp.Messages) != 3 {
-		t.Fatalf("projected %d rules, want 3: %+v", len(sp.Messages), sp.Messages)
-	}
-	for i, want := range []string{"drop", "dup", "delay"} {
-		if sp.Messages[i].Action != want {
-			t.Errorf("rule %d action = %q, want %q", i, sp.Messages[i].Action, want)
-		}
-	}
-	if len(sp.Timed) != 0 {
-		t.Errorf("node faults leaked into sim plan: %+v", sp.Timed)
-	}
-	// The projection must itself parse under the internal/faults grammar
-	// (the "one plan file drives both" contract).
-	if s := sp.String(); !strings.Contains(s, "drop any 0.2") {
-		t.Errorf("projected plan renders %q", s)
-	}
-}
-
 // TestInjectorDeterministic pins that identical (plan, seed) pairs
 // produce identical verdict sequences, and that different seeds
 // decorrelate.
 func TestInjectorDeterministic(t *testing.T) {
 	p := mustParse(t, "drop any 0.3\ndup any 0.2\ndelay any 0.4 0.01\nreorder any 0.25 0.02\n")
-	run := func(seed int64) []Verdict {
+	run := func(seed int64) []faults.Verdict {
 		in := NewInjector(p, seed)
-		out := make([]Verdict, 200)
+		out := make([]faults.Verdict, 200)
 		for i := range out {
 			out[i] = in.Frame("signal", "l1")
 		}
@@ -176,7 +153,7 @@ func TestInjectorLinkFilter(t *testing.T) {
 func TestInjectorEmptyNoDraws(t *testing.T) {
 	var nilInj *Injector
 	for i := 0; i < 10; i++ {
-		if v := nilInj.Frame("signal", "l"); v != (Verdict{}) {
+		if v := nilInj.Frame("signal", "l"); v != (faults.Verdict{}) {
 			t.Fatal("nil injector acted")
 		}
 	}

@@ -13,11 +13,12 @@
 package overload
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+
+	"armnet/internal/faults"
 )
 
 // Policy is a parsed overload-control configuration. The zero value is
@@ -120,24 +121,8 @@ func (p *Policy) String() string {
 // all values must be finite. Errors carry the 1-based line number.
 func ParsePolicy(r io.Reader) (*Policy, error) {
 	p := Default()
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = text[:i]
-		}
-		fields := strings.Fields(text)
-		if len(fields) == 0 {
-			continue
-		}
-		if err := p.parseDirective(fields); err != nil {
-			return nil, fmt.Errorf("overload: line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("overload: %w", err)
+	if err := faults.ScanLines(r, "overload", p.parseDirective); err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("overload: %w", err)
@@ -244,7 +229,7 @@ func parseFloats(args []string, want int, dst ...*float64) error {
 		return fmt.Errorf("want %d arguments, got %d", want, len(args))
 	}
 	for i, a := range args {
-		v, err := parseFinite(a)
+		v, err := faults.ParseFinite(a)
 		if err != nil {
 			return fmt.Errorf("bad value %q: %w", a, err)
 		}
@@ -265,17 +250,4 @@ func parseInts(args []string, want int, dst ...*int) error {
 		*dst[i] = v
 	}
 	return nil
-}
-
-// parseFinite parses a float64 and rejects NaN and ±Inf (the simulator
-// clock cannot absorb them).
-func parseFinite(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if v != v || v > 1e300 || v < -1e300 {
-		return 0, fmt.Errorf("value %v is not finite", v)
-	}
-	return v, nil
 }

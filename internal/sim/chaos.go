@@ -91,7 +91,7 @@ func faultPlan(spec string, lossRate float64) (*faults.Plan, error) {
 		if lossRate > 1 {
 			return nil, fmt.Errorf("sim: loss rate %v outside [0,1]", lossRate)
 		}
-		p.Messages = append(p.Messages, faults.MsgRule{Proto: "any", Action: "drop", Prob: lossRate})
+		p.Rules = append(p.Rules, faults.Rule{Proto: "any", Action: "drop", Prob: lossRate})
 	}
 	return p, nil
 }

@@ -142,3 +142,41 @@ func TestChaosTraceGolden(t *testing.T) {
 		t.Fatalf("chaos trace drifted from %s\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }
+
+// TestChaosTraceDeterminismAcrossRuns repeats the pinned chaos scenario
+// at the harness's full default size, with every component fault of the
+// grammar in the plan, and requires the whole trace — not the golden's
+// 60-line head — to come out byte-identical every time. Injector draws,
+// (fault, restoration) post order and recovery scheduling all sit on
+// this path; a map-order walk in any of them shows within a few runs.
+func TestChaosTraceDeterminismAcrossRuns(t *testing.T) {
+	cfg := chaosGoldenCfg
+	cfg.Portables, cfg.Duration, cfg.Settle = 0, 0, 0 // defaults: 16 portables, 600 s + 60 s
+	cfg.Plan = "delay maxmin 0.05 0.002\ndup signal 0.05\n" +
+		"at 120 cell-out off-2 for 60\nat 200 link-down sw-west->core for 30\n" +
+		"at 300 crash-zone west\nat 380 blackout cafe for 30\nat 450 crash-signaling\n"
+	var first []byte
+	for run := 0; run < 5; run++ {
+		var buf bytes.Buffer
+		res, err := runChaos(cfg, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 5 timed faults + 2 restorations, and message faults on top.
+		for _, ev := range []string{"link-up", "cell-restore", "blackout", "crash-zone", "crash-signaling"} {
+			if !bytes.Contains(buf.Bytes(), []byte(`"type":"fault-component","ev":{"action":"`+ev+`"`)) {
+				t.Fatalf("trace records no %s component fault", ev)
+			}
+		}
+		if res.FaultsInjected <= 7 {
+			t.Fatalf("no message faults fired: %d injected", res.FaultsInjected)
+		}
+		if first == nil {
+			first = buf.Bytes()
+			continue
+		}
+		if again := buf.Bytes(); !bytes.Equal(again, first) {
+			t.Fatalf("run %d diverged from run 0 (%d vs %d bytes): %s", run, len(again), len(first), firstDiffLine(first, again))
+		}
+	}
+}

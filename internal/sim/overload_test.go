@@ -217,3 +217,32 @@ func TestOverloadTraceGolden(t *testing.T) {
 		t.Fatalf("overload trace drifted from %s\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }
+
+// TestOverloadTraceDeterminismAcrossRuns repeats the pinned load ramp —
+// already the harness's full size — and the same ramp under the
+// TestOverloadComposesWithFaults plan, and requires each whole trace
+// (15k+ lines, not the golden's 80-line head) to come out byte-identical
+// every time.
+func TestOverloadTraceDeterminismAcrossRuns(t *testing.T) {
+	faulty := overloadGoldenCfg
+	faulty.LossRate, faulty.Plan = 0.1, "at 150 cell-out off-2 for 60"
+	for name, cfg := range map[string]OverloadConfig{"golden": overloadGoldenCfg, "with-faults": faulty} {
+		var first []byte
+		for run := 0; run < 5; run++ {
+			var buf bytes.Buffer
+			if _, err := runOverload(cfg, &buf); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if first == nil {
+				first = buf.Bytes()
+				continue
+			}
+			if again := buf.Bytes(); !bytes.Equal(again, first) {
+				t.Fatalf("%s: run %d diverged from run 0 (%d vs %d bytes): %s", name, run, len(again), len(first), firstDiffLine(first, again))
+			}
+		}
+		if faulty := bytes.Contains(first, []byte(`"type":"fault-`)); faulty != (name == "with-faults") {
+			t.Fatalf("%s: fault events in trace: %v", name, faulty)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package testnet
 
 import (
 	"armnet/internal/clock"
+	"armnet/internal/faults"
 	"armnet/internal/netfaults"
 	"armnet/internal/obs/live"
 	"armnet/internal/wire"
@@ -16,8 +17,8 @@ import (
 // behaviour-preserving (the zero-cost contract the loopback gate pins).
 //
 // Partition and crash state lives here, not in the plan: the harness
-// arms NodeFault entries on the scenario clock and calls
-// Partition/Heal/Crash/Restart at the scripted instants.
+// posts the plan's timed events (faults.Plan.Events) on the scenario
+// clock and apply executes each at its scripted instant.
 type faultyTransport struct {
 	inner   transport
 	inj     *netfaults.Injector
@@ -57,30 +58,14 @@ func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Cloc
 // disables injection while keeping partition/crash state. The outgoing
 // injector's counters are folded into the running totals.
 func (t *faultyTransport) SetPlan(plan *netfaults.Plan, seed int64) {
-	if in := t.inj; in != nil {
-		t.acc[0] += in.Drops
-		t.acc[1] += in.Dups
-		t.acc[2] += in.Delays
-		t.acc[3] += in.Reorders
-	}
-	if plan == nil {
-		t.inj = nil
-		return
-	}
+	t.acc[0], t.acc[1], t.acc[2], t.acc[3] = t.Stats()
 	t.inj = netfaults.NewInjector(plan, seed)
 }
 
 // Stats returns the cumulative injector firings — across every plan the
 // layer has run, including the live one.
 func (t *faultyTransport) Stats() (drops, dups, delays, reorders int) {
-	drops, dups, delays, reorders = t.acc[0], t.acc[1], t.acc[2], t.acc[3]
-	if in := t.inj; in != nil {
-		drops += in.Drops
-		dups += in.Dups
-		delays += in.Delays
-		reorders += in.Reorders
-	}
-	return
+	return t.acc[0] + t.inj.Drops, t.acc[1] + t.inj.Dups, t.acc[2] + t.inj.Delays, t.acc[3] + t.inj.Reorders
 }
 
 // Partition makes an agent unreachable without losing its state.
@@ -107,6 +92,20 @@ func (t *faultyTransport) Restart(agent string) {
 	t.obs.Verdict("restart")
 	if t.onRestart != nil {
 		t.onRestart(agent)
+	}
+}
+
+// apply executes one timed node fault or restoration of a wire plan.
+func (t *faultyTransport) apply(f faults.Timed) {
+	switch f.Action {
+	case "partition":
+		t.Partition(f.Target)
+	case "heal":
+		t.Heal(f.Target)
+	case "crash":
+		t.Crash(f.Target)
+	case "restart":
+		t.Restart(f.Target)
 	}
 }
 

@@ -209,7 +209,9 @@ func Run(cfg Config) (*Result, error) {
 		r.faulty = newFaulty(r.tr, cfg.Faults, cfg.FaultSeed, clk, r.routing, r.cluster, r.nodes)
 		r.faulty.obs = cfg.Obs
 		r.tr = r.faulty
-		armNodeFaults(clk, r.faulty, cfg.Faults.Nodes)
+		for _, f := range cfg.Faults.Events() {
+			clk.PostAfter(f.At, func() { r.faulty.apply(f) })
+		}
 	}
 
 	bus := eventbus.New(clk)
@@ -535,24 +537,6 @@ func (r *runner) resyncAgent(agent string, ttl float64) {
 		r.tr.Control(agent, wire.Resync{
 			Conn: conn, Bandwidth: r.routing.Reserve(conn), TTL: ttl,
 		})
-	}
-}
-
-// armNodeFaults schedules a plan's partition/crash events on the
-// scenario clock.
-func armNodeFaults(clk clock.Clock, ft *faultyTransport, faults []netfaults.NodeFault) {
-	for _, nf := range faults {
-		nf := nf
-		switch nf.Action {
-		case "partition":
-			clk.PostAfter(nf.At, func() { ft.Partition(nf.Node) })
-			clk.PostAfter(nf.At+nf.For, func() { ft.Heal(nf.Node) })
-		case "crash":
-			clk.PostAfter(nf.At, func() { ft.Crash(nf.Node) })
-			if nf.For > 0 {
-				clk.PostAfter(nf.At+nf.For, func() { ft.Restart(nf.Node) })
-			}
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"armnet/internal/faults"
 	"armnet/internal/netfaults"
@@ -200,27 +201,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			soakHook{at: base, fn: func(r *runner) { r.faulty.SetPlan(plan, seed) }},
 			soakHook{at: base + active, fn: func(r *runner) { r.faulty.SetPlan(nil, 0) }},
 		)
-		// Node faults are epoch-relative and clamped into the active
-		// window so every agent is back before the audit.
-		for _, nf := range plan.Nodes {
-			nf := nf
-			start := base + clampF(nf.At, 0, active-0.5)
-			end := base + active
-			if nf.For > 0 {
-				end = base + clampF(nf.At+nf.For, 0, active)
-			}
-			switch nf.Action {
-			case "partition":
-				hooks = append(hooks,
-					soakHook{at: start, fn: func(r *runner) { r.faulty.Partition(nf.Node) }},
-					soakHook{at: end, fn: func(r *runner) { r.faulty.Heal(nf.Node) }},
-				)
-			case "crash":
-				hooks = append(hooks,
-					soakHook{at: start, fn: func(r *runner) { r.faulty.Crash(nf.Node) }},
-					soakHook{at: end, fn: func(r *runner) { r.faulty.Restart(nf.Node) }},
-				)
-			}
+		for _, f := range soakEvents(plan, base, active) {
+			hooks = append(hooks, soakHook{at: f.At, fn: func(r *runner) { r.faulty.apply(f) }})
 		}
 		hooks = append(hooks, soakHook{
 			at: base + cfg.EpochLen,
@@ -267,6 +249,27 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// soakEvents places a plan's timed node faults in the epoch starting at
+// base: times are epoch-relative and clamped into the active window,
+// and a fault with no duration of its own lasts until the window closes,
+// so every agent is back before the audit.
+func soakEvents(plan *netfaults.Plan, base, active float64) []faults.Timed {
+	var out []faults.Timed
+	for _, f := range plan.Timed {
+		if f.For == 0 {
+			f.For = math.Inf(1)
+		}
+		end, ok := f.Restoration()
+		f.At = base + clampF(f.At, 0, active-0.5)
+		out = append(out, f)
+		if ok {
+			end.At = base + clampF(end.At, 0, active)
+			out = append(out, end)
+		}
+	}
+	return out
 }
 
 // epochAudit runs the full fault oracle mid-run: zero pending holds,

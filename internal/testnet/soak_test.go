@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"armnet/internal/faults"
+	"armnet/internal/netfaults"
 )
 
 var updateSoak = flag.Bool("update-soak", false, "rewrite the soak golden report")
@@ -101,5 +104,98 @@ func TestSoakDeterministic(t *testing.T) {
 func TestSoakRejectsShortEpoch(t *testing.T) {
 	if _, err := RunSoak(SoakConfig{EpochLen: 3}); err == nil {
 		t.Fatal("short epoch accepted")
+	}
+}
+
+// TestSoakDeterminismAcrossRuns repeats the gate soak — all three
+// default plans, so loss, reordering, the partition and the
+// crash/restart all fire — and demands the same report lines and the
+// same controller trace from every run.
+func TestSoakDeterminismAcrossRuns(t *testing.T) {
+	var first *SoakResult
+	for run := 0; run < 5; run++ {
+		res, err := RunSoak(soakGateConfig())
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if !bytes.Equal(res.ReportJSONL, first.ReportJSONL) {
+			t.Fatalf("run %d report differs from run 0:\n%s\nvs\n%s", run, res.ReportJSONL, first.ReportJSONL)
+		}
+		if !bytes.Equal(res.Run.ControllerTrace, first.Run.ControllerTrace) {
+			t.Fatalf("run %d controller trace differs from run 0:\n%s", run,
+				DiffTraces(first.Run.ControllerTrace, res.Run.ControllerTrace))
+		}
+	}
+}
+
+// referenceSoakHooks is the node-fault expansion RunSoak carried before
+// it moved onto faults.Timed.Restoration: start clamped to
+// [0, active-0.5], end clamped to [0, active], and a fault without a
+// duration of its own held until the active window closes.
+func referenceSoakHooks(plan *netfaults.Plan, base, active float64) []faults.Timed {
+	var out []faults.Timed
+	for _, nf := range plan.Timed {
+		start := base + clampF(nf.At, 0, active-0.5)
+		end := base + active
+		if nf.For > 0 {
+			end = base + clampF(nf.At+nf.For, 0, active)
+		}
+		restore := "heal"
+		if nf.Action == "crash" {
+			restore = "restart"
+		}
+		out = append(out,
+			faults.Timed{At: start, Action: nf.Action, Target: nf.Target},
+			faults.Timed{At: end, Action: restore, Target: nf.Target})
+	}
+	return out
+}
+
+// TestSoakEventsMatchReferenceHooks pins the soak's clamp on the shared
+// expansion: (time, action, target) for faults inside the window, ones
+// that start or end past it, and a crash with no `for` (the unclamped
+// schedulers never restart it; the soak forces the restart at the heal
+// boundary).
+func TestSoakEventsMatchReferenceHooks(t *testing.T) {
+	plan := mustPlan(t, `
+at 1 partition east for 2
+at 0.8 crash west for 2.2
+at 3 crash core
+at 5 partition east for 9
+at 7 crash west for 1
+at 5.9 partition core for 0.05
+`)
+	const active = 6.0
+	for _, base := range []float64{0, 10, 20} {
+		want := referenceSoakHooks(plan, base, active)
+		got := soakEvents(plan, base, active)
+		if len(got) != len(want) {
+			t.Fatalf("base %g: %d events, want %d", base, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].At != want[i].At || got[i].Action != want[i].Action || got[i].Target != want[i].Target {
+				t.Errorf("base %g event %d: got %g %s %s, want %g %s %s", base, i,
+					got[i].At, got[i].Action, got[i].Target, want[i].At, want[i].Action, want[i].Target)
+			}
+		}
+	}
+	// Spelled out once, so the reference is checked too: epoch at 10.
+	got := soakEvents(plan, 10, active)
+	for i, want := range []faults.Timed{
+		{At: 11, Action: "partition", Target: "east"}, {At: 13, Action: "heal", Target: "east"},
+		{At: 10.8, Action: "crash", Target: "west"}, {At: 10 + (0.8 + 2.2), Action: "restart", Target: "west"},
+		{At: 13, Action: "crash", Target: "core"}, {At: 16, Action: "restart", Target: "core"},
+		{At: 15, Action: "partition", Target: "east"}, {At: 16, Action: "heal", Target: "east"},
+		{At: 15.5, Action: "crash", Target: "west"}, {At: 16, Action: "restart", Target: "west"},
+		{At: 15.5, Action: "partition", Target: "core"}, {At: 10 + (5.9 + 0.05), Action: "heal", Target: "core"},
+	} {
+		if got[i].At != want.At || got[i].Action != want.Action || got[i].Target != want.Target {
+			t.Errorf("event %d: got %g %s %s, want %g %s %s", i,
+				got[i].At, got[i].Action, got[i].Target, want.At, want.Action, want.Target)
+		}
 	}
 }
