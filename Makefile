@@ -84,11 +84,13 @@ perf-pairs:
 	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 ## perf-counts: the equivalence proof a performance PR owes — one traced
-## pass of a deterministic WORKLOAD on PARENT and on the working tree,
-## every exact per-layer row (unit count, ratio or bit/s) diffed; exits
-## non-zero on any difference. live-udp-paced is refused.
+## pass of each deterministic WORKLOAD (a space-separated list, e.g.
+## WORKLOAD="office-churn live-loopback-churn campus-walk") on PARENT and
+## on the working tree, every exact per-layer row (unit count, ratio or
+## bit/s) diffed, one table per workload; exits non-zero on any
+## difference. live-udp-paced is refused.
 perf-counts:
-	bash scripts/benchcounts.sh $(PARENT) $(WORKLOAD) $(SEED)
+	bash scripts/benchcounts.sh $(PARENT) "$(WORKLOAD)" $(SEED)
 
 ## loc: the ROADMAP scoreboard — non-test and test Go lines and the
 ## package counts of the root module (bench/ and its build directory

@@ -24,7 +24,6 @@ var ErrStopped = errors.New("des: simulation stopped")
 type Event struct {
 	time   float64
 	seq    uint64 // tiebreaker: schedule order
-	index  int    // heap index, -1 when not queued
 	fn     func()
 	cancel bool
 	// pooled events were scheduled through Post/PostAfter: no handle
@@ -66,14 +65,11 @@ func (q eventQueue) less(i, j int) bool {
 
 func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
 }
 
 func (q *eventQueue) push(e *Event) {
-	e.index = len(*q)
 	*q = append(*q, e)
-	q.up(e.index)
+	q.up(len(*q) - 1)
 }
 
 func (q eventQueue) up(i int) {
@@ -123,10 +119,8 @@ func (q *eventQueue) popMin() *Event {
 	*q = old
 	if n > 1 {
 		old[0] = last
-		last.index = 0
 		old.down(0)
 	}
-	e.index = -1
 	return e
 }
 
@@ -205,9 +199,9 @@ func (s *Simulator) schedule(t float64, fn func(), pooled bool) *Event {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*e = Event{time: t, seq: s.seq, fn: fn, index: -1, pooled: pooled}
+		*e = Event{time: t, seq: s.seq, fn: fn, pooled: pooled}
 	} else {
-		e = &Event{time: t, seq: s.seq, fn: fn, index: -1, pooled: pooled}
+		e = &Event{time: t, seq: s.seq, fn: fn, pooled: pooled}
 	}
 	s.seq++
 	s.queue.push(e)

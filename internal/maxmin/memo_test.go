@@ -87,32 +87,56 @@ func TestRecordSameValueKeepsMemo(t *testing.T) {
 	}
 }
 
-// checkOfferMemo drives a Protocol through a seeded sequence of AddConn /
-// RemoveConn / re-add with a session pending / capacity changes up, down
-// and to the same value / Kick / KickAll / partial simulator advances,
-// over a wire that loses mid-path hops, so sweeps stop part-way and
-// sessions interleave. After every step every answer a switch remembers —
-// μ_l on the link, the offer on each connection's hop — must be the float
-// a fresh computation gives, and that must be the two-pass reference's.
-func checkOfferMemo(t *testing.T, seed int64, steps int) {
+// scripted is what runScript drives: a Protocol, or a reference that must
+// behave like one.
+type scripted interface {
+	state() *Protocol
+	AddConn(c Conn) error
+	RemoveConn(id string)
+	Kick(id string) bool
+	KickAll()
+	TriggerCapacityChange(link string, capacity float64) (int, error)
+}
+
+func (pr *Protocol) state() *Protocol { return pr }
+
+// runScript drives protocols in lockstep through a seeded sequence of
+// AddConn / RemoveConn / re-add with a session pending / capacity changes
+// up, down and to the same value / Kick / KickAll / partial simulator
+// advances, over a wire that loses the given share of mid-path hops, so
+// sweeps stop part-way, retransmissions run out and sessions interleave.
+// Each side is built on a simulator of its own and sees its own copy of
+// the wire; the script chooses from the first side's state. check runs
+// after every step and may draw from rng.
+func runScript(t *testing.T, seed int64, steps int, loss float64, build []func(clock.Clock, ProtocolOptions) scripted, check func(step int, rng *randx.Rand)) {
 	rng := randx.New(seed)
-	wire := randx.New(seed ^ 0x5eed)
-	sim := des.New()
-	opts := ProtocolOptions{
-		Refined: rng.Bernoulli(0.5),
-		Deliver: func(_ string, hop int, _ bool) (bool, float64) {
-			return hop > 0 && wire.Bernoulli(0.04), 0
-		},
-	}
+	refined := rng.Bernoulli(0.5)
+	period := 0.0
 	if rng.Bernoulli(0.5) {
-		opts.ReadvertisePeriod = 0.05
+		period = 0.05
 	}
-	pr := NewProtocolOn(clock.Sim(sim), opts)
+	sims := make([]*des.Simulator, len(build))
+	sides := make([]scripted, len(build))
+	for k, b := range build {
+		wire := randx.New(seed ^ 0x5eed)
+		sims[k] = des.New()
+		sides[k] = b(clock.Sim(sims[k]), ProtocolOptions{
+			Refined:           refined,
+			ReadvertisePeriod: period,
+			Deliver: func(_ string, hop int, _ bool) (bool, float64) {
+				return hop > 0 && wire.Bernoulli(loss), 0
+			},
+		})
+	}
+	pr := sides[0].state()
 	links := make([]string, 3+rng.Intn(3))
 	for i := range links {
 		links[i] = fmt.Sprintf("l%d", i)
-		if err := pr.AddLink(links[i], 1+rng.Float64()*30); err != nil {
-			t.Fatal(err)
+		capacity := 1 + rng.Float64()*30
+		for _, s := range sides {
+			if err := s.state().AddLink(links[i], capacity); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	universe := make([]string, 14) // "c10" sorts before "c2"
@@ -131,10 +155,12 @@ func checkOfferMemo(t *testing.T, seed int64, steps int) {
 		if rng.Bernoulli(0.4) {
 			demand = rng.Float64() * 12
 		}
-		if err := pr.AddConn(Conn{ID: id, Path: path, Demand: demand}); err != nil {
-			t.Fatal(err)
+		for _, s := range sides {
+			if err := s.AddConn(Conn{ID: id, Path: path, Demand: demand}); err != nil {
+				t.Fatal(err)
+			}
+			s.Kick(id)
 		}
-		pr.Kick(id)
 	}
 	now := 0.0
 	for step := 0; step < steps; step++ {
@@ -144,11 +170,15 @@ func checkOfferMemo(t *testing.T, seed int64, steps int) {
 		case op <= 1 && !on:
 			add(id)
 		case op == 1:
-			pr.RemoveConn(id)
+			for _, s := range sides {
+				s.RemoveConn(id)
+			}
 		case op == 2: // re-add while the old row's session is still in flight
 			if on {
-				pr.Kick(id)
-				pr.RemoveConn(id)
+				for _, s := range sides {
+					s.Kick(id)
+					s.RemoveConn(id)
+				}
 			}
 			add(id)
 		case op == 3:
@@ -157,21 +187,43 @@ func checkOfferMemo(t *testing.T, seed int64, steps int) {
 			if rng.Bernoulli(0.7) { // else "change" it to what it is
 				capacity *= 0.25 + rng.Float64()*1.5
 			}
-			if _, err := pr.TriggerCapacityChange(l, capacity); err != nil {
-				t.Fatal(err)
+			for _, s := range sides {
+				if _, err := s.TriggerCapacityChange(l, capacity); err != nil {
+					t.Fatal(err)
+				}
 			}
 		case op == 4:
-			pr.Kick(id)
+			for _, s := range sides {
+				s.Kick(id)
+			}
 		case op == 5 && rng.Bernoulli(0.3):
-			pr.KickAll()
+			for _, s := range sides {
+				s.KickAll()
+			}
 		default: // a session takes ~8 hop delays a round: stop inside one
 			now += rng.Float64() * 20e-3
-			if err := sim.RunUntil(now); err != nil {
-				t.Fatal(err)
+			for _, sim := range sims {
+				if err := sim.RunUntil(now); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		check(step, rng)
+	}
+}
 
-		for _, l := range links {
+// checkOfferMemo runs the script on one Protocol. After every step every
+// answer a switch remembers — μ_l on the link, the offer on each
+// connection's hop — must be the float a fresh computation gives, and
+// that must be the two-pass reference's.
+func checkOfferMemo(t *testing.T, seed int64, steps int) {
+	var pr *Protocol
+	build := func(clk clock.Clock, opts ProtocolOptions) scripted {
+		pr = NewProtocolOn(clk, opts)
+		return pr
+	}
+	runScript(t, seed, steps, 0.04, []func(clock.Clock, ProtocolOptions) scripted{build}, func(step int, rng *randx.Rand) {
+		for _, l := range sortx.Keys(pr.links) {
 			ls := pr.links[l]
 			want := referenceAdvertised(ls.capacity, ls.recorded, -1)
 			if fresh := ls.advertisedFor(-1); fresh != want {
@@ -210,7 +262,7 @@ func checkOfferMemo(t *testing.T, seed int64, steps int) {
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestOfferMemoMatchesFreshCompute(t *testing.T) {

@@ -226,14 +226,22 @@ type Protocol struct {
 	// loop.
 	Retransmits, Readvertises int
 
-	active map[string]bool // per-connection session in flight
-	dirty  map[string]bool // session requested while one was active
+	nActive, nDirty int // connections with protoConn.active / dirty set
+	free            []*step
+	// targets is TriggerCapacityChange's and cascade's scratch: a call
+	// takes it and leaves nil, so a re-entrant one cannot alias it.
+	targets []string
 }
 
 type protoConn struct {
 	id     string
 	demand float64
 	rate   float64
+	// active marks a session in flight and dirty a session requested
+	// while one was, which reruns once when it ends. removed is set by
+	// RemoveConn: a continuation still holding this connection looks its
+	// ID up again (see resolve).
+	active, dirty, removed bool
 	// hops is the path with repeats dropped, each link resolved once (a
 	// link is never unregistered).
 	hops []connHop
@@ -279,12 +287,10 @@ func (pc *protoConn) offer(i int) float64 {
 // positive ReadvertisePeriod arms the repair ticker immediately.
 func NewProtocolOn(clk clock.Clock, opts ProtocolOptions) *Protocol {
 	pr := &Protocol{
-		clk:    clk,
-		Opts:   opts.withDefaults(),
-		links:  make(map[string]*linkState),
-		conns:  make(map[string]*protoConn),
-		active: make(map[string]bool),
-		dirty:  make(map[string]bool),
+		clk:   clk,
+		Opts:  opts.withDefaults(),
+		links: make(map[string]*linkState),
+		conns: make(map[string]*protoConn),
 	}
 	if pr.Opts.ReadvertisePeriod > 0 {
 		clk.Every(pr.Opts.ReadvertisePeriod, pr.readvertise)
@@ -304,10 +310,10 @@ func (pr *Protocol) readvertise() {
 	ids := sortx.Keys(pr.conns)
 	kicked := 0
 	for _, id := range ids {
-		if pr.active[id] {
+		pc := pr.conns[id]
+		if pc.active {
 			continue
 		}
-		pc := pr.conns[id]
 		offer := pc.demand
 		for i := range pc.hops {
 			if mu := pc.offer(i); mu < offer {
@@ -339,16 +345,17 @@ func (pr *Protocol) readvertise() {
 	}
 }
 
-// retryControl schedules a retransmission of a lost control sweep with
-// exponential backoff; it reports false when the budget is exhausted.
-func (pr *Protocol) retryControl(id string, hop, attempt int, resend func(attempt int)) bool {
-	if attempt >= pr.Opts.MaxRetries {
+// retryControl posts st, a lost sweep's resend step, after exponential
+// backoff; it reports false when the budget is exhausted.
+func (pr *Protocol) retryControl(st step, hop int) bool {
+	if st.attempt >= pr.Opts.MaxRetries {
 		return false
 	}
 	pr.Retransmits++
-	eventbus.Pub(pr.Bus, eventbus.ControlRetransmit{Proto: "maxmin", Conn: id, Hop: hop, Attempt: attempt + 1})
-	backoff := pr.Opts.RetryBase * float64(int(1)<<attempt)
-	pr.clk.PostAfter(backoff, func() { resend(attempt + 1) })
+	eventbus.Pub(pr.Bus, eventbus.ControlRetransmit{Proto: "maxmin", Conn: st.pc.id, Hop: hop, Attempt: st.attempt + 1})
+	backoff := pr.Opts.RetryBase * float64(int(1)<<st.attempt)
+	st.attempt++
+	pr.post(backoff, st)
 	return true
 }
 
@@ -404,8 +411,8 @@ func (pr *Protocol) RemoveConn(id string) {
 		h.link.remove(id)
 	}
 	delete(pr.conns, id)
-	delete(pr.active, id)
-	delete(pr.dirty, id)
+	pc.removed = true
+	pr.clearFlags(pc)
 }
 
 // Rates returns the current committed allocation.
@@ -473,7 +480,8 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 	}
 	ls.setCapacity(capacity)
 	adv := ls.advertised()
-	var targets []string
+	targets := pr.targets[:0]
+	pr.targets = nil
 	for i, id := range ls.ids {
 		if !pr.Opts.Refined {
 			targets = append(targets, id)
@@ -499,6 +507,7 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 			started++
 		}
 	}
+	pr.targets = targets
 	return started, nil
 }
 
@@ -520,38 +529,122 @@ func (pr *Protocol) Kick(id string) bool { return pr.startSession(id) }
 // Overlapping requests coalesce: a second request during an active
 // session marks the connection dirty and reruns once.
 func (pr *Protocol) startSession(id string) bool {
-	if _, ok := pr.conns[id]; !ok {
+	pc, ok := pr.conns[id]
+	if !ok {
 		return false
 	}
-	if pr.active[id] {
-		pr.dirty[id] = true
+	if pc.active {
+		if !pc.dirty {
+			pc.dirty, pr.nDirty = true, pr.nDirty+1
+		}
 		return false
 	}
-	pr.active[id] = true
+	pc.active, pr.nActive = true, pr.nActive+1
 	pr.Sessions++
-	pr.runRound(id, 1, math.Inf(1))
+	pr.runRound(step{pc: pc, round: 1, prev: math.Inf(1)})
 	return true
 }
 
-// runRound performs one ADVERTISE round trip: the packet sweeps the whole
-// path (out and back), clamping its stamped rate at every hop; prevStamp
-// carries the previous round's result so the UPDATE can take the minimum
-// of the two latest stamped rates as the paper prescribes.
-func (pr *Protocol) runRound(id string, round int, prevStamp float64) {
-	pr.runRoundAttempt(id, round, prevStamp, 0)
+// stepKind is what a session continuation does when it fires.
+type stepKind uint8
+
+const (
+	afterRound   stepKind = iota // a sweep is back: the next round, or the UPDATE
+	commit                       // the UPDATE is back: commit its rate
+	resendRound                  // retransmit a lost ADVERTISE sweep
+	resendUpdate                 // retransmit a lost UPDATE
+)
+
+// step is a session's continuation, holding what a closure per round
+// used to capture: pc (a hint, see resolve), the round, its final stamp
+// and the one before, the UPDATE's rate, the attempt. Records are pooled:
+// fire (the record's run) is bound once, and run frees the record before
+// it acts, des.Post's recycle-before-fire rule.
+type step struct {
+	pr                *Protocol
+	fire              func()
+	kind              stepKind
+	pc                *protoConn
+	round, attempt    int
+	final, prev, rate float64
 }
 
-// runRoundAttempt is runRound with a retransmission count: a sweep lost
-// to the delivery hook leaves the hops it did reach updated (partial
-// state, exactly like a real lost packet) and is resent after backoff;
-// an exhausted budget abandons the session.
-func (pr *Protocol) runRoundAttempt(id string, round int, prevStamp float64, attempt int) {
-	pc, ok := pr.conns[id]
-	if !ok {
-		pr.finishSession(id)
+// post schedules st d seconds from now on a pooled record.
+func (pr *Protocol) post(d float64, st step) {
+	var rec *step
+	if n := len(pr.free); n > 0 {
+		rec, pr.free = pr.free[n-1], pr.free[:n-1]
+	} else {
+		rec = &step{}
+		rec.fire = rec.run
+	}
+	st.pr, st.fire = pr, rec.fire
+	*rec = st
+	pr.clk.PostAfter(d, rec.fire)
+}
+
+// run is a record's fire: it frees the record, then continues the session.
+func (rec *step) run() {
+	st, pr := *rec, rec.pr
+	rec.pc = nil // a pooled record keeps no connection alive
+	pr.free = append(pr.free, rec)
+	switch st.kind {
+	case afterRound:
+		if st.round < pr.Opts.RoundTrips {
+			pr.runRound(step{pc: st.pc, round: st.round + 1, prev: st.final})
+			return
+		}
+		rate := st.final
+		if st.prev < rate {
+			rate = st.prev
+		}
+		pr.sendUpdate(step{pc: st.pc, rate: rate})
+	case resendRound:
+		pr.runRound(st)
+	case resendUpdate:
+		pr.sendUpdate(st)
+	case commit: // pc, registered or not, is the connection the UPDATE swept
+		changed := math.Abs(st.pc.rate-st.rate) > 1e-9*(1+math.Abs(st.rate))
+		st.pc.rate = st.rate
+		if changed && pr.OnUpdate != nil {
+			pr.OnUpdate(st.pc.id, st.rate)
+		}
+		pr.finishSession(st.pc)
+		if changed {
+			// A committed change can shift fair shares for neighbors;
+			// re-advertise to connections sharing a bottleneck, per the
+			// cascade rule of §5.3.1.
+			pr.cascade(st.pc)
+		}
+		pr.maybeConverged()
+	}
+}
+
+// resolve returns the connection a continuation holding hint acts on:
+// hint while it is registered, else whatever now holds its ID, or nil. A
+// remove + re-add mid-session thus hands the rest of the session to the
+// new connection, as sessions keyed by ID always did.
+func (pr *Protocol) resolve(hint *protoConn) *protoConn {
+	if !hint.removed {
+		return hint
+	}
+	return pr.conns[hint.id]
+}
+
+// runRound performs one ADVERTISE round trip, round st.round: the packet
+// sweeps the whole path (out and back), clamping its stamped rate at every
+// hop; st.prev carries the previous round's result so the UPDATE can take
+// the minimum of the two latest stamped rates as the paper prescribes. A
+// sweep lost to the delivery hook leaves the hops it did reach updated
+// (partial state, exactly like a real lost packet) and is resent after
+// backoff; an exhausted budget abandons the session.
+func (pr *Protocol) runRound(st step) {
+	pc := pr.resolve(st.pc)
+	if pc == nil { // the ID is gone, and its flags with it
 		pr.maybeConverged()
 		return
 	}
+	st.pc = pc
 	stamp := pc.demand
 	travel := 0.0
 	// Clamp at every hop in both directions; because clamping is
@@ -566,10 +659,11 @@ func (pr *Protocol) runRoundAttempt(id string, round int, prevStamp float64, att
 		pr.Messages++
 		travel += pr.Opts.HopDelay
 		if d := pr.Opts.Deliver; d != nil {
-			drop, extra := d(id, hop, false)
+			drop, extra := d(pc.id, hop, false)
 			if drop {
-				if !pr.retryControl(id, hop, attempt, func(a int) { pr.runRoundAttempt(id, round, prevStamp, a) }) {
-					pr.finishSession(id)
+				st.kind = resendRound
+				if !pr.retryControl(st, hop) {
+					pr.finishSession(pc)
 					pr.maybeConverged()
 				}
 				return
@@ -590,38 +684,23 @@ func (pr *Protocol) runRoundAttempt(id string, round int, prevStamp float64, att
 			ls.setM(s, false)
 		}
 	}
-	final := stamp
-	eventbus.Pub(pr.Bus, eventbus.AdaptationRound{Conn: id, Round: round, Stamp: final})
-	pr.clk.PostAfter(travel, func() {
-		if round < pr.Opts.RoundTrips {
-			pr.runRound(id, round+1, final)
-			return
-		}
-		rate := final
-		if prevStamp < rate {
-			rate = prevStamp
-		}
-		pr.sendUpdate(id, rate)
-	})
+	eventbus.Pub(pr.Bus, eventbus.AdaptationRound{Conn: pc.id, Round: st.round, Stamp: stamp})
+	st.kind, st.final = afterRound, stamp
+	pr.post(travel, st)
 }
 
-// sendUpdate commits the rate along the path and finishes the session.
-func (pr *Protocol) sendUpdate(id string, rate float64) {
-	pr.sendUpdateAttempt(id, rate, 0)
-}
-
-// sendUpdateAttempt is sendUpdate with a retransmission count. An UPDATE
-// lost mid-path leaves the hops it reached committed (partial state) and
-// is resent after backoff — recommitting is idempotent; an exhausted
-// budget abandons the session with the source never learning the rate,
-// which the re-ADVERTISE loop later repairs.
-func (pr *Protocol) sendUpdateAttempt(id string, rate float64, attempt int) {
-	pc, ok := pr.conns[id]
-	if !ok {
-		pr.finishSession(id)
+// sendUpdate commits st.rate along the path; the commit step finishes the
+// session. An UPDATE lost mid-path leaves the hops it reached committed
+// (partial state) and is resent after backoff — recommitting is
+// idempotent; an exhausted budget abandons the session with the source
+// never learning the rate, which the re-ADVERTISE loop later repairs.
+func (pr *Protocol) sendUpdate(st step) {
+	pc := pr.resolve(st.pc)
+	if pc == nil { // the ID is gone, and its flags with it
 		pr.maybeConverged()
 		return
 	}
+	st.pc = pc
 	travel := 0.0
 	// The UPDATE commits the recorded rate at every hop and refreshes
 	// M(l) membership: on the way out it collects each link's fresh
@@ -637,10 +716,11 @@ func (pr *Protocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 		pr.Messages++
 		travel += pr.Opts.HopDelay
 		if d := pr.Opts.Deliver; d != nil {
-			drop, extra := d(id, i, true)
+			drop, extra := d(pc.id, i, true)
 			if drop {
-				if !pr.retryControl(id, i, attempt, func(a int) { pr.sendUpdateAttempt(id, rate, a) }) {
-					pr.finishSession(id)
+				st.kind = resendUpdate
+				if !pr.retryControl(st, i) {
+					pr.finishSession(pc)
 					pr.maybeConverged()
 				}
 				return
@@ -648,7 +728,7 @@ func (pr *Protocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 			travel += extra
 		}
 		ls, s := pc.row(i)
-		ls.record(s, rate)
+		ls.record(s, st.rate)
 		if mu := pc.offer(i); mu < minMu {
 			minMu = mu
 		}
@@ -659,29 +739,32 @@ func (pr *Protocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 		ls, s := pc.row(i)
 		ls.setM(s, pc.hops[i].mu <= minMu+1e-9*(1+minMu))
 	}
-	pr.clk.PostAfter(travel, func() {
-		changed := math.Abs(pc.rate-rate) > 1e-9*(1+math.Abs(rate))
-		pc.rate = rate
-		if changed && pr.OnUpdate != nil {
-			pr.OnUpdate(id, rate)
-		}
-		pr.finishSession(id)
-		if changed {
-			// A committed change can shift fair shares for neighbors;
-			// re-advertise to connections sharing a bottleneck, per the
-			// cascade rule of §5.3.1.
-			pr.cascade(id)
-		}
-		pr.maybeConverged()
-	})
+	st.kind = commit
+	pr.post(travel, st)
 }
 
-func (pr *Protocol) finishSession(id string) {
-	delete(pr.active, id)
-	if pr.dirty[id] {
-		delete(pr.dirty, id)
-		pr.startSession(id)
+// finishSession ends the session of the connection now holding hint's ID
+// and reruns it once if it was requested meanwhile.
+func (pr *Protocol) finishSession(hint *protoConn) {
+	pc := pr.resolve(hint)
+	if pc == nil {
+		return
 	}
+	if pr.clearFlags(pc) {
+		pr.startSession(pc.id)
+	}
+}
+
+// clearFlags clears pc's session flags, keeping the counts, and reports
+// whether a rerun was requested.
+func (pr *Protocol) clearFlags(pc *protoConn) (dirty bool) {
+	if pc.active {
+		pc.active, pr.nActive = false, pr.nActive-1
+	}
+	if dirty = pc.dirty; dirty {
+		pc.dirty, pr.nDirty = false, pr.nDirty-1
+	}
+	return dirty
 }
 
 // maybeConverged publishes MaxminConverged when no sessions remain in
@@ -689,33 +772,31 @@ func (pr *Protocol) finishSession(id string) {
 // post-cascade commit path, so a cascade that restarts sessions
 // suppresses the event).
 func (pr *Protocol) maybeConverged() {
-	if len(pr.active) == 0 && len(pr.dirty) == 0 && pr.Sessions > 0 {
+	if pr.nActive == 0 && pr.nDirty == 0 && pr.Sessions > 0 {
 		eventbus.Pub(pr.Bus, eventbus.MaxminConverged{Sessions: pr.Sessions, Messages: pr.Messages})
 	}
 }
 
-// cascade re-advertises connections that share a link with id and whose
-// recorded rate now deviates from the link's advertised rate by more than
-// δ (refined mode), or every sharing connection (naive mode).
-func (pr *Protocol) cascade(id string) {
-	pc, ok := pr.conns[id]
-	if !ok {
+// cascade re-advertises connections that share a link with the one now
+// holding hint's ID and whose recorded rate now deviates from the link's
+// advertised rate by more than δ (refined mode), or every sharing
+// connection (naive mode).
+func (pr *Protocol) cascade(hint *protoConn) {
+	pc := pr.resolve(hint)
+	if pc == nil {
 		return
 	}
 	tol := pr.Opts.Delta
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	targets := map[string]bool{}
+	targets := pr.targets[:0]
+	pr.targets = nil
 	for _, h := range pc.hops {
 		ls := h.link
 		adv := ls.advertised()
 		for i, other := range ls.ids {
-			if other == id {
-				continue
-			}
-			if !pr.Opts.Refined {
-				targets[other] = true
+			if other == pc.id {
 				continue
 			}
 			// Paper's rule: on upgrades re-advertise the bottleneck set
@@ -725,12 +806,15 @@ func (pr *Protocol) cascade(id string) {
 			// a connection that settled while its neighbors still held
 			// inflated rates is bottlenecked at this link and therefore
 			// *in* M(l), so it gets re-advertised when they release.
-			if ls.inM[i] || ls.recorded[i] > adv+tol {
-				targets[other] = true
+			if !pr.Opts.Refined || ls.inM[i] || ls.recorded[i] > adv+tol {
+				targets = append(targets, other)
 			}
 		}
 	}
-	for _, t := range sortx.Keys(targets) {
+	slices.Sort(targets)
+	targets = slices.Compact(targets)
+	for _, t := range targets {
 		pr.startSession(t)
 	}
+	pr.targets = targets
 }

@@ -5,9 +5,11 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"armnet/internal/clock"
 	"armnet/internal/des"
+	"armnet/internal/eventbus"
 	"armnet/internal/randx"
 )
 
@@ -61,6 +63,60 @@ func TestProtocolConvergesToMaxMin(t *testing.T) {
 	}
 	if err := p.IsMaxMin(got, 1e-6); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProtocolOnWallClock runs sessions on real time: continuations fire
+// from timer goroutines under the Wall's lock, and the step freelist must
+// only be touched there (make race runs this). Three connections kicked
+// in one Run go quiescent at WaterFill's allocation.
+func TestProtocolOnWallClock(t *testing.T) {
+	p := Problem{
+		Capacity: map[string]float64{"L1": 10, "L2": 4},
+		Conns: []Conn{
+			{ID: "a", Path: []string{"L1", "L2"}, Demand: Inf},
+			{ID: "b", Path: []string{"L1"}, Demand: Inf},
+			{ID: "c", Path: []string{"L2"}, Demand: 1},
+		},
+	}
+	ref, err := WaterFill(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := clock.NewWall()
+	pr := NewProtocolOn(w, ProtocolOptions{Refined: true, HopDelay: 1e-4})
+	pr.Bus = eventbus.New(w)
+	quiet := make(chan struct{}, 1)
+	pr.Bus.Subscribe(func(eventbus.Record) {
+		select {
+		case quiet <- struct{}{}:
+		default:
+		}
+	}, eventbus.KindMaxminConverged)
+	w.Run(func() {
+		for _, l := range p.sortedLinks() {
+			if err := pr.AddLink(l, p.Capacity[l]); err != nil {
+				t.Error(err)
+			}
+		}
+		for _, c := range p.Conns {
+			if err := pr.AddConn(c); err != nil {
+				t.Error(err)
+			}
+			pr.Kick(c.ID)
+		}
+	})
+	// All three sessions start inside that one Run, so the first
+	// MaxminConverged is the end of the whole run, cascades included.
+	select {
+	case <-quiet:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no MaxminConverged within 10 s on the wall clock")
+	}
+	var got Allocation
+	w.Run(func() { got = pr.Rates() })
+	if d := ref.MaxDiff(got); d > 1e-6 {
+		t.Fatalf("wall-clock allocation %v, WaterFill %v (diff %v)", got, ref, d)
 	}
 }
 

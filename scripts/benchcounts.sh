@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Proves a change left behaviour alone: runs one traced pass of a
-# deterministic bench workload on a parent revision and on the working
-# tree and diffs the exact rows of the two result lines — every
+# Proves a change left behaviour alone: runs one traced pass of each
+# deterministic bench workload named on a parent revision and on the
+# working tree and diffs the exact rows of the two result lines — every
 # per-layer metric BENCHMARK.json gives the unit count, ratio or bit/s.
 # Those are functions of (workload, seed, one pass), so any difference is
 # a behaviour change and the script exits non-zero. The allocation probes
@@ -9,32 +9,32 @@
 # printed side by side and not compared, as is failed/attempted, which
 # grows with the number of probe passes the box fits into the run.
 #
-#   scripts/benchcounts.sh <parent-rev> <workload> [seed=0]
+#   scripts/benchcounts.sh <parent-rev> "<workload> [<workload>...]" [seed=0]
 #
 # The parent is exported once (git archive) into .bench_build/, shared
-# with scripts/benchpairs.sh; both runs' full output is kept under
-# .bench_build/counts-*/. live-udp-paced runs on the wall clock and has
-# no exact rows: it is refused.
+# with scripts/benchpairs.sh; every run's full output is kept under
+# .bench_build/counts-*/. One table is printed per workload, and the exit
+# status is 1 when any of them differs. live-udp-paced runs on the wall
+# clock and has no exact rows: it is refused.
 set -euo pipefail
 if [ $# -lt 2 ]; then
-	sed -n '2,17p' "${BASH_SOURCE[0]}" >&2
+	sed -n '2,19p' "${BASH_SOURCE[0]}" >&2
 	exit 2
 fi
-rev=$1 workload=$2 seed=${3:-0}
-if [ "$workload" = live-udp-paced ]; then
-	echo "benchcounts: live-udp-paced runs on the wall clock; its rows are not exact" >&2
-	exit 2
-fi
+rev=$1 workloads=$2 seed=${3:-0}
+for workload in $workloads; do
+	if [ "$workload" = live-udp-paced ]; then
+		echo "benchcounts: live-udp-paced runs on the wall clock; its rows are not exact" >&2
+		exit 2
+	fi
+done
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 sha="$(git -C "$root" rev-parse --short "$rev^{commit}")"
 parent="$root/.bench_build/parent-$sha"
-out="$root/.bench_build/counts-$sha-$workload-seed$seed"
 if [ ! -d "$parent" ]; then
 	mkdir -p "$parent"
 	git -C "$root" archive "$sha" | tar -x -C "$parent"
 fi
-rm -rf "$out"
-mkdir -p "$out"
 
 # One line per metric: name value unit, attempted and failed first.
 rows() { # side tree
@@ -51,11 +51,10 @@ rows() { # side tree
 	echo "$json" | grep -oE '"[a-z0-9_.-]+":\{"value":[^,]+,"unit":"[^"]*"' |
 		sed -E 's/"([a-z0-9_.-]+)":\{"value":([^,]+),"unit":"([^"]*)"/\1 \2 \3/'
 }
-rows parent "$parent" >"$out/parent.rows"
-rows change "$root" >"$out/change.rows"
 
-echo "$workload seed $seed: parent $sha vs working tree, one traced pass a side (--seconds 8 --trace 1)"
-awk -v bench="$root/BENCHMARK.json" -v parentRows="$out/parent.rows" '
+# One workload's table; fails when an exact row differs.
+compare() {
+	awk -v bench="$root/BENCHMARK.json" -v parentRows="$out/parent.rows" '
 BEGIN {
 	while ((getline line < bench) > 0) # a per-layer name is layer.metric; the end-to-end names have no dot
 		if (match(line, /"name": "[a-z]+\.[a-z0-9_.-]+", "unit": "(count|ratio|bit\/s)", "better"/)) {
@@ -87,3 +86,16 @@ END {
 	printf "  %-28s %12s %12s\n", "failed/attempted", parent["failed"] "/" parent["attempted"], change["failed"] "/" change["attempted"]
 	exit (nd > 0)
 }' "$out/change.rows" | fold -s -w 110
+}
+
+differs=0
+for workload in $workloads; do
+	out="$root/.bench_build/counts-$sha-$workload-seed$seed"
+	rm -rf "$out"
+	mkdir -p "$out"
+	rows parent "$parent" >"$out/parent.rows"
+	rows change "$root" >"$out/change.rows"
+	echo "$workload seed $seed: parent $sha vs working tree, one traced pass a side (--seconds 8 --trace 1)"
+	compare || differs=1
+done
+exit $differs
