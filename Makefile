@@ -42,7 +42,7 @@ fuzz:
 
 ## bench: run every benchmark in the repository, in every package that
 ## has one. Timings scroll by; use bench-capture to record them.
-BENCHPKGS = . ./internal/admission ./internal/dataplane ./internal/des \
+BENCHPKGS = . ./internal/admission ./internal/core ./internal/dataplane ./internal/des \
 	./internal/eventbus ./internal/maxmin ./internal/obs \
 	./internal/obs/live ./internal/reserve ./internal/sched \
 	./internal/strategy ./internal/testnet ./internal/wire

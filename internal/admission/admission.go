@@ -111,6 +111,10 @@ type Controller struct {
 	// completed Admit round trip — including renegotiations and multicast
 	// legs that the aggregate counters deliberately ignore.
 	Bus *eventbus.Bus
+
+	// admit's per-hop scratch: a Controller is one goroutine's, like its Ledger.
+	states     []*LinkState
+	caps, loss []float64
 }
 
 // NewController returns a controller over the given ledger.
@@ -154,9 +158,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 
 	// ---- Forward pass ----
 	res := Result{Hops: make([]HopReport, 0, n)}
-	states := make([]*LinkState, 0, n)
-	caps := make([]float64, 0, n)
-	lossPerLink := make([]float64, 0, n)
+	states, caps, lossPerLink := c.states[:0], c.caps[:0], c.loss[:0]
 	for _, link := range t.Route.Links {
 		ls := c.Ledger.Link(link.ID)
 		if ls == nil {
@@ -166,6 +168,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 		caps = append(caps, ls.Capacity)
 		lossPerLink = append(lossPerLink, link.LossProb)
 	}
+	c.states, c.caps, c.loss = states, caps, lossPerLink
 	// d_min,j depends only on the route's capacities, so it is known before
 	// the hop-by-hop tests run. The RCSP buffer row needs it: the reverse
 	// pass commits buffers against the *relaxed* upstream delay, so the

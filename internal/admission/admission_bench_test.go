@@ -34,12 +34,23 @@ func benchReq() qos.Request {
 	}
 }
 
+// benchIDs are the connection IDs the admit/release benchmarks cycle
+// through, named up front so allocs/op counts the round trip alone.
+func benchIDs() []string {
+	ids := make([]string, 64)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("c%d", i)
+	}
+	return ids
+}
+
 func BenchmarkAdmitReleaseWFQ(b *testing.B) {
 	ctl, route := benchRig(b)
 	req := benchReq()
+	ids := benchIDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("c%d", i%64)
+		id := ids[i%64]
 		res, err := ctl.Admit(Test{ConnID: id, Req: req, Route: route, Mobility: qos.Mobile})
 		if err != nil || !res.Admitted {
 			b.Fatalf("admit failed: %v %v", err, res.Reason)
@@ -51,9 +62,10 @@ func BenchmarkAdmitReleaseWFQ(b *testing.B) {
 func BenchmarkAdmitReleaseRCSP(b *testing.B) {
 	ctl, route := benchRig(b)
 	req := benchReq()
+	ids := benchIDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("c%d", i%64)
+		id := ids[i%64]
 		res, err := ctl.Admit(Test{ConnID: id, Req: req, Route: route, Mobility: qos.Mobile, Discipline: sched.DisciplineRCSP})
 		if err != nil || !res.Admitted {
 			b.Fatalf("admit failed: %v %v", err, res.Reason)

@@ -288,11 +288,12 @@ func loadedRig(t *testing.T, perLink int) (*Controller, topology.Route) {
 	return NewController(lg), route
 }
 
-// TestAdmitAllocsIndependentOfLinkLoad pins what the ordered rows bought:
-// the round trip reads every link from the state it holds and commits
-// into rows that are already there, so an Admit and the Release that
-// undoes it allocate the forward pass's four per-hop slices and nothing
-// per link or per connection sharing it.
+// TestAdmitAllocsIndependentOfLinkLoad pins what the ordered rows and the
+// controller's scratch bought: the round trip reads every link from the
+// state it holds, walks it through per-hop slices the controller reuses
+// and commits into rows that are already there, so an Admit and the
+// Release that undoes it allocate the returned Hops and nothing per link
+// or per connection sharing it.
 func TestAdmitAllocsIndependentOfLinkLoad(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector adds bookkeeping allocations")
@@ -307,8 +308,8 @@ func TestAdmitAllocsIndependentOfLinkLoad(t *testing.T) {
 			ctl.Ledger.Release("probe", route)
 		})
 	}
-	if light, heavy := allocs(4), allocs(64); light != heavy || light > 4 {
-		t.Fatalf("Admit+Release allocates %v objects with 4 connections per link and %v with 64, want 4 at both", light, heavy)
+	if light, heavy := allocs(4), allocs(64); light != 1 || heavy != 1 {
+		t.Fatalf("Admit+Release allocates %v objects with 4 connections per link and %v with 64, want 1 (the Hops) at both", light, heavy)
 	}
 }
 

@@ -77,9 +77,8 @@ func (m *Manager) bookSet(link topology.LinkID, source string, amount float64) {
 // reservation is a withdrawn prediction; resolvePrediction must run
 // first when a handoff is being scored).
 func (m *Manager) clearAdvance(p *Portable) {
-	source := "portable:" + p.ID
 	for cell := range p.reservedCells {
-		m.bookSet(m.downlink(cell), source, 0)
+		m.bookSet(m.downlink(cell), p.bookSource, 0)
 		delete(p.reservedCells, cell)
 	}
 	if m.lastPred != nil {
@@ -102,9 +101,8 @@ func (m *Manager) refreshAdvance(p *Portable) {
 	if demand <= 0 {
 		return
 	}
-	source := "portable:" + p.ID
 	place := func(cell topology.CellID) {
-		m.bookSet(m.downlink(cell), source, demand)
+		m.bookSet(m.downlink(cell), p.bookSource, demand)
 		p.reservedCells[cell] = demand
 		eventbus.Pub(m.Bus, eventbus.AdvanceReservation{
 			Cell: string(cell), Portable: p.ID, Amount: demand,
@@ -112,7 +110,7 @@ func (m *Manager) refreshAdvance(p *Portable) {
 	}
 	switch m.Cfg.Mode {
 	case ModeBruteForce:
-		for _, nid := range m.Env.Universe.Cell(p.Cell).Neighbors() {
+		for _, nid := range m.geo(p.Cell).neighbors {
 			place(nid)
 		}
 	default: // ModePredictive
@@ -315,44 +313,38 @@ func (m *Manager) connsInCell(cell topology.CellID) int {
 // adjustPools recomputes the B_dyn fraction of the given cells and their
 // neighbors: each cell's pool must absorb the largest allocation of any
 // static portable's connection residing in its neighborhood. One walk of
-// the portables serves every target; a max does not depend on the order
-// it is taken in, so the walk is unordered.
+// the static index serves every target; a max does not depend on the
+// order it is taken in, so the walk is unordered.
 func (m *Manager) adjustPools(cells ...topology.CellID) {
 	clear(m.staticMax)
-	for _, p := range m.portables {
-		if p.Mobility != qos.Static {
-			continue
-		}
+	for p := range m.static {
 		for _, id := range p.conns {
 			if bw := m.conns[id].Bandwidth; bw > m.staticMax[p.Cell] {
 				m.staticMax[p.Cell] = bw
 			}
 		}
 	}
-	u := m.Env.Universe
 	for _, cell := range cells {
-		c := u.Cell(cell)
-		if c == nil {
+		g := m.geo(cell)
+		if g == nil {
 			continue
 		}
-		m.adjustPool(c)
-		for _, nid := range c.Neighbors() {
-			if nc := u.Cell(nid); nc != nil {
-				m.adjustPool(nc)
-			}
+		m.adjustPool(g)
+		for _, nid := range g.neighbors {
+			m.adjustPool(m.geo(nid))
 		}
 	}
 }
 
 // adjustPool sizes one cell's pool from the staticMax of its neighbors.
-func (m *Manager) adjustPool(c *topology.Cell) {
+func (m *Manager) adjustPool(g *cellGeo) {
 	maxAlloc := 0.0
-	for _, nid := range c.Neighbors() {
+	for _, nid := range g.neighbors {
 		if bw := m.staticMax[nid]; bw > maxAlloc {
 			maxAlloc = bw
 		}
 	}
-	if ls := m.ledger.Link(m.downlink(c.ID)); ls != nil {
+	if ls := g.ls; ls != nil {
 		ls.PoolFraction = adapt.PoolFraction(maxAlloc, ls.Capacity, m.Cfg.PoolMin, m.Cfg.PoolMax)
 	}
 }

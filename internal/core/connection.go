@@ -6,7 +6,6 @@ import (
 	"armnet/internal/admission"
 	"armnet/internal/eventbus"
 	"armnet/internal/qos"
-	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -34,7 +33,7 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 		}
 	}
 	host := m.Env.Hosts[m.Rng.Intn(len(m.Env.Hosts))]
-	route, err := m.Env.Backbone.ShortestPath(host, topology.AirNode(p.Cell))
+	route, err := m.Env.Backbone.ShortestPath(host, m.geo(p.Cell).air)
 	if err != nil {
 		return "", err
 	}
@@ -75,7 +74,7 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 			return "", err
 		}
 	}
-	m.setupMulticast(c, p.Cell)
+	m.mc.setupMulticast(c, p.Cell)
 	m.refreshAdvance(p)
 	m.adjustPools(p.Cell)
 	return connID, nil
@@ -89,7 +88,7 @@ func (m *Manager) CloseConnection(connID string) error {
 	}
 	eventbus.Pub(m.Bus, eventbus.ConnectionClosed{Conn: connID, Portable: c.Portable})
 	m.ledger.Release(connID, c.Route)
-	m.releaseMulticast(c)
+	m.mc.releaseMulticast(c)
 	if m.Adpt != nil {
 		m.Adpt.Unregister(connID)
 	}
@@ -102,36 +101,24 @@ func (m *Manager) CloseConnection(connID string) error {
 	return nil
 }
 
-// setupMulticast builds the wired multicast tree toward the base stations
-// of the current cell's neighbors and reserves b_min on its wired links
-// where possible. Failure is never fatal (§4: "the failure of the
-// end-to-end test along any route will not cause the forced termination
-// of the connection").
+// setupMulticast sets up the wired multicast tree toward the base
+// stations of the cell's neighbors and reserves b_min on its wired links
+// where possible, leg by leg in the plan's order. Failure is never fatal
+// (§4: "the failure of the end-to-end test along any route will not cause
+// the forced termination of the connection").
 func (m *Manager) setupMulticast(c *Connection, cell topology.CellID) {
-	u := m.Env.Universe
-	cc := u.Cell(cell)
-	if cc == nil {
+	pl := m.plan(c.Host, cell)
+	if pl == nil || pl.tree == nil {
 		return
 	}
-	var dsts []topology.NodeID
-	for _, nid := range cc.Neighbors() {
-		dsts = append(dsts, u.Cell(nid).BaseStation)
-	}
-	tree, err := m.Env.Backbone.Multicast(c.Host, dsts)
-	if err != nil {
-		return
-	}
-	c.Multicast = &tree
+	c.Multicast, c.mcast = pl.tree, pl
 	// Reserve b_min on each branch with a best-effort admission test.
-	for _, dst := range sortx.Keys(tree.Branches) {
-		route := tree.Branches[dst]
-		if len(route.Links) == 0 {
-			continue
-		}
+	for i := range pl.legs {
+		leg := &pl.legs[i]
 		_, _ = m.Adm.Admit(admission.Test{
-			ConnID:     c.ID + "@mc:" + string(dst),
+			ConnID:     c.legID(leg),
 			Req:        c.Req,
-			Route:      route,
+			Route:      leg.route,
 			Kind:       admission.KindNew,
 			Mobility:   qos.Mobile,
 			Discipline: m.Cfg.Discipline,
@@ -142,13 +129,14 @@ func (m *Manager) setupMulticast(c *Connection, cell topology.CellID) {
 
 // releaseMulticast frees the multicast branch reservations.
 func (m *Manager) releaseMulticast(c *Connection) {
-	if c.Multicast == nil {
+	if c.mcast == nil {
 		return
 	}
-	for dst, route := range c.Multicast.Branches {
-		m.ledger.Release(c.ID+"@mc:"+string(dst), route)
+	for i := range c.mcast.legs {
+		leg := &c.mcast.legs[i]
+		m.ledger.Release(c.legID(leg), leg.route)
 	}
-	c.Multicast = nil
+	c.Multicast, c.mcast = nil, nil
 }
 
 // HandoffPortable executes a handoff of the portable into the given
@@ -162,7 +150,7 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPortable, id)
 	}
-	toCell := m.Env.Universe.Cell(to)
+	toCell := m.geo(to)
 	if toCell == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownCell, to)
 	}
@@ -201,7 +189,7 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 			Conn: connID, Portable: id,
 			From: string(from), To: string(to), Predicted: predicted,
 		})
-		newRoute, err := m.Env.Backbone.ShortestPath(c.Host, topology.AirNode(to))
+		newRoute, err := m.Env.Backbone.ShortestPath(c.Host, toCell.air)
 		if err != nil {
 			m.dropConnection(c, p)
 			continue
@@ -244,13 +232,13 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 		if m.Adpt != nil {
 			m.Adpt.Unregister(connID)
 		}
-		m.releaseMulticast(c)
+		m.mc.releaseMulticast(c)
 		c.Route = newRoute
 		c.Bandwidth = res.Bandwidth
 		if m.Adpt != nil {
 			_ = m.Adpt.Register(connID, newRoute, c.Req.Bandwidth, qos.Mobile)
 		}
-		m.setupMulticast(c, to)
+		m.mc.setupMulticast(c, to)
 	}
 
 	p.Prev = from
@@ -269,7 +257,7 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 func (m *Manager) dropConnection(c *Connection, p *Portable) {
 	eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: c.ID, Portable: p.ID, Dropped: true})
 	m.ledger.Release(c.ID, c.Route)
-	m.releaseMulticast(c)
+	m.mc.releaseMulticast(c)
 	if m.Adpt != nil {
 		m.Adpt.Unregister(c.ID)
 	}

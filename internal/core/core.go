@@ -150,6 +150,8 @@ type Portable struct {
 
 	arrivedAt   float64
 	staticTimer *des.Event
+	onStatic    func() // the static timer's callback, bound once
+	bookSource  string // "portable:"+ID, its tag in the advance book
 	// conns is kept in ID order: refreshAdvance sums b_min over it.
 	conns sortx.IDs[string]
 	// reservedCells are the cells currently holding advance reservations
@@ -172,8 +174,12 @@ type Connection struct {
 	// Bandwidth is the current allocation b_j.
 	Bandwidth float64
 	// Multicast is the wired pre-setup tree toward neighbor base
-	// stations (nil when setup failed — never fatal, per §4).
+	// stations (nil when setup failed — never fatal, per §4), shared
+	// read-only by the connections from one host in one cell.
 	Multicast *topology.MulticastTree
+	mcast     *mcastPlan        // the plan Multicast came from
+	legDsts   []topology.NodeID // leg destinations reached so far
+	legIDs    []string          // and their ledger IDs (legID)
 }
 
 // Manager is the integrated resource manager.
@@ -225,6 +231,14 @@ type Manager struct {
 	// staticMax is adjustPools' scratch: per cell, the largest
 	// allocation held by a static portable there.
 	staticMax map[topology.CellID]float64
+	static    map[*Portable]struct{}       // the static portables (setMobility)
+	cells     map[topology.CellID]*cellGeo // geometry.go
+	// mc sets up and releases multicast legs: the Manager itself, from
+	// its plans, or the per-call reference in the lockstep oracle test.
+	mc interface {
+		setupMulticast(c *Connection, cell topology.CellID)
+		releaseMulticast(c *Connection)
+	}
 }
 
 type meetingState struct {
@@ -267,8 +281,11 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 		meetings:     make(map[topology.CellID][]*meetingState),
 		rateWatchers: make(map[string]func(float64)),
 		staticMax:    make(map[topology.CellID]float64),
+		static:       make(map[*Portable]struct{}),
+		cells:        make(map[topology.CellID]*cellGeo),
 		channels:     make(map[topology.CellID]*wireless.CapacityProcess),
 	}
+	m.mc = m
 	adm, err := strategy.NewAdmitter(cfg.Admitter, lg, bus)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -352,19 +369,6 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 	return m, nil
 }
 
-// downlink returns the wireless downlink (bs → air) of a cell.
-func (m *Manager) downlink(cell topology.CellID) topology.LinkID {
-	c := m.Env.Universe.Cell(cell)
-	if c == nil {
-		return ""
-	}
-	l := m.Env.Backbone.Link(c.BaseStation, topology.AirNode(cell))
-	if l == nil {
-		return ""
-	}
-	return l.ID
-}
-
 // Portable returns the tracked portable, or nil.
 func (m *Manager) Portable(id string) *Portable { return m.portables[id] }
 
@@ -393,7 +397,7 @@ func (m *Manager) WatchBandwidth(connID string, fn func(bandwidth float64)) erro
 // PlacePortable introduces a portable in a cell (initial placement, not a
 // handoff). The portable starts mobile; the static timer is armed.
 func (m *Manager) PlacePortable(id string, cell topology.CellID) error {
-	if m.Env.Universe.Cell(cell) == nil {
+	if m.geo(cell) == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownCell, cell)
 	}
 	if _, ok := m.portables[id]; ok {
@@ -402,8 +406,10 @@ func (m *Manager) PlacePortable(id string, cell topology.CellID) error {
 	p := &Portable{
 		ID: id, Cell: cell, Mobility: qos.Mobile,
 		arrivedAt:     m.Sim.Now(),
+		bookSource:    "portable:" + id,
 		reservedCells: make(map[topology.CellID]float64),
 	}
+	p.onStatic = func() { p.staticTimer = nil; m.becomeStatic(p) }
 	m.portables[id] = p
 	m.armStaticTimer(p)
 	m.noteMeetingArrival(p.ID, cell)
@@ -423,6 +429,7 @@ func (m *Manager) RemovePortable(id string) {
 	if p.staticTimer != nil {
 		p.staticTimer.Cancel()
 	}
+	m.setMobility(p, qos.Mobile) // out of the static index
 	delete(m.portables, id)
 }
 
@@ -432,16 +439,23 @@ func (m *Manager) armStaticTimer(p *Portable) {
 	if p.staticTimer != nil {
 		p.staticTimer.Cancel()
 	}
-	p.staticTimer = m.Sim.After(m.Cfg.Tth, func() {
-		p.staticTimer = nil
-		m.becomeStatic(p)
-	})
+	p.staticTimer = m.Sim.After(m.Cfg.Tth, p.onStatic)
+}
+
+// setMobility is the one place a portable's classification changes, so
+// the static index holds exactly the static portables adjustPools reads.
+func (m *Manager) setMobility(p *Portable, mob qos.Mobility) {
+	p.Mobility = mob
+	delete(m.static, p)
+	if mob == qos.Static {
+		m.static[p] = struct{}{}
+	}
 }
 
 // becomeStatic applies the §3.4.2 static rules: drop advance
 // reservations elsewhere, upgrade connections toward b_max.
 func (m *Manager) becomeStatic(p *Portable) {
-	p.Mobility = qos.Static
+	m.setMobility(p, qos.Static)
 	m.clearAdvance(p)
 	if m.Adpt != nil {
 		// Sorted: SetMobility(Static) kicks adaptation sessions, and the
@@ -458,7 +472,7 @@ func (m *Manager) becomeMobile(p *Portable) {
 	if p.Mobility == qos.Mobile {
 		return
 	}
-	p.Mobility = qos.Mobile
+	m.setMobility(p, qos.Mobile)
 	if m.Adpt != nil {
 		for _, cid := range p.Conns() {
 			_ = m.Adpt.SetMobility(cid, qos.Mobile)

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
+	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -27,7 +27,7 @@ func (m *Manager) FailLink(link string) error {
 		return nil
 	}
 	ls.Down = true
-	for _, connID := range m.sortedConnIDs() {
+	for _, connID := range m.ConnIDs() {
 		if routeUses(m.conns[connID].Route, id) {
 			_ = m.CloseConnection(connID)
 		}
@@ -107,16 +107,7 @@ func (m *Manager) CrashSignaling() error {
 
 // ConnIDs returns the IDs of all live connections, sorted — the
 // liveness oracle fault auditors check ledger allocations against.
-func (m *Manager) ConnIDs() []string { return m.sortedConnIDs() }
-
-func (m *Manager) sortedConnIDs() []string {
-	out := make([]string, 0, len(m.conns))
-	for id := range m.conns {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (m *Manager) ConnIDs() []string { return sortx.Keys(m.conns) }
 
 func routeUses(r topology.Route, id topology.LinkID) bool {
 	for _, l := range r.Links {

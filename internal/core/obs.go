@@ -63,8 +63,8 @@ func (m *Manager) cellUtilization() []obs.CellUtil {
 // next handoff can be scored against it.
 func (m *Manager) notePrediction(p *Portable, d predict.Decision) {
 	note := predNote{}
-	if c := m.Env.Universe.Cell(p.Cell); c != nil {
-		note.class = c.Class.String()
+	if g := m.geo(p.Cell); g != nil {
+		note.class = g.cell.Class.String()
 	}
 	switch d.Action {
 	case predict.ActionReserve:

@@ -78,7 +78,7 @@ func (m *Manager) degradeLink(link topology.LinkID) int {
 		return 0
 	}
 	n := 0
-	for _, id := range m.sortedConnIDs() {
+	for _, id := range m.ConnIDs() {
 		if !routeUses(m.conns[id].Route, link) {
 			continue
 		}
@@ -96,7 +96,7 @@ func (m *Manager) restoreLink(link topology.LinkID) int {
 		return 0
 	}
 	n := 0
-	for _, id := range m.sortedConnIDs() {
+	for _, id := range m.ConnIDs() {
 		if !routeUses(m.conns[id].Route, link) {
 			continue
 		}

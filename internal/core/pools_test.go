@@ -56,11 +56,14 @@ func (m *Manager) portablesInCell(cell topology.CellID) []*Portable {
 	return out
 }
 
-// TestAdjustPoolsMatchesPerCellScan scatters portables of random mobility
-// holding connections of random bandwidth over the campus and a grid, and
-// requires the one-pass adjustPools to leave the same PoolFraction on
-// every downlink as the per-cell scan, for single cells and for the
-// (to, from) pair a handoff adjusts.
+// TestAdjustPoolsMatchesPerCellScan scatters portables holding
+// connections of random bandwidth over the campus and a grid, classifies
+// them through setMobility, and between trials flips some static →
+// mobile → static through becomeMobile / becomeStatic, removes some with
+// RemovePortable and places new ones. The walk of the static index must
+// leave the same PoolFraction on every downlink as the per-cell scan of
+// every portable, for single cells and for the (to, from) pair a handoff
+// adjusts.
 func TestAdjustPoolsMatchesPerCellScan(t *testing.T) {
 	campus, err := topology.BuildCampus()
 	if err != nil {
@@ -78,22 +81,47 @@ func TestAdjustPoolsMatchesPerCellScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, n := 0, 1+rng.Intn(60); i < n; i++ {
-				p := &Portable{
-					ID: fmt.Sprintf("p%d", i), Cell: cells[rng.Intn(len(cells))].ID,
-					Mobility: qos.Mobile,
+			placed := 0
+			place := func() {
+				id := fmt.Sprintf("p%d", placed)
+				placed++
+				if err := m.PlacePortable(id, cells[rng.Intn(len(cells))].ID); err != nil {
+					t.Fatal(err)
 				}
+				p := m.Portable(id)
 				if rng.Bernoulli(0.5) {
-					p.Mobility = qos.Static
+					m.setMobility(p, qos.Static)
 				}
 				for j, k := 0, rng.Intn(4); j < k; j++ {
-					id := fmt.Sprintf("%s-c%d", p.ID, j)
-					p.conns.Insert(id)
+					cid := fmt.Sprintf("%s-c%d", id, j)
+					p.conns.Insert(cid)
 					// Up to 30% of a cell: both clamps of [PoolMin, PoolMax] and
 					// the range between are reached.
-					m.conns[id] = &Connection{ID: id, Portable: p.ID, Bandwidth: rng.Float64() * 480e3}
+					m.conns[cid] = &Connection{ID: cid, Portable: id, Bandwidth: rng.Float64() * 480e3}
 				}
-				m.portables[p.ID] = p
+			}
+			for i, n := 0, 1+rng.Intn(60); i < n; i++ {
+				place()
+			}
+			churn := func() {
+				ids := sortx.Keys(m.portables)
+				for k := rng.Intn(4); k > 0 && len(ids) > 0; k-- {
+					p := m.portables[ids[rng.Intn(len(ids))]]
+					if p == nil {
+						continue
+					}
+					switch {
+					case rng.Bernoulli(0.2):
+						m.RemovePortable(p.ID)
+					case p.Mobility == qos.Static:
+						m.becomeMobile(p)
+					default:
+						m.becomeStatic(p)
+					}
+				}
+				if rng.Bernoulli(0.3) {
+					place()
+				}
 			}
 			fractions := func(adjust func()) map[topology.LinkID]float64 {
 				out := map[topology.LinkID]float64{}
@@ -107,6 +135,7 @@ func TestAdjustPoolsMatchesPerCellScan(t *testing.T) {
 				return out
 			}
 			for trial := 0; trial < 12; trial++ {
+				churn()
 				to := cells[rng.Intn(len(cells))]
 				from := to.ID
 				if nb := to.Neighbors(); len(nb) > 0 && trial%2 == 0 {

@@ -8,7 +8,6 @@ import (
 	"armnet/internal/eventbus"
 	"armnet/internal/qos"
 	"armnet/internal/signal"
-	"armnet/internal/topology"
 )
 
 // SignalPlane lazily constructs the signaling plane (§5.1's round-trip
@@ -51,7 +50,7 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 		}
 	}
 	host := m.Env.Hosts[m.Rng.Intn(len(m.Env.Hosts))]
-	route, err := m.Env.Backbone.ShortestPath(host, topology.AirNode(p.Cell))
+	route, err := m.Env.Backbone.ShortestPath(host, m.geo(p.Cell).air)
 	if err != nil {
 		return err
 	}
@@ -106,7 +105,7 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 				return
 			}
 		}
-		m.setupMulticast(c, p.Cell)
+		m.mc.setupMulticast(c, p.Cell)
 		m.refreshAdvance(p)
 		m.adjustPools(p.Cell)
 		done(connID, nil)

@@ -111,19 +111,14 @@ func (p *PortableProfile) PredictAnyPrev(cur topology.CellID) (topology.CellID, 
 	return argmaxCell(agg), true
 }
 
-// argmaxCell picks the highest-count cell, breaking ties lexicographically
-// so predictions are deterministic.
+// argmaxCell picks the highest-count cell, ties to the smallest ID so
+// predictions are deterministic: a total order, so any walk finds it.
 func argmaxCell(m map[topology.CellID]int) topology.CellID {
 	var best topology.CellID
 	bestN := -1
-	ids := make([]topology.CellID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if m[id] > bestN {
-			best, bestN = id, m[id]
+	for id, n := range m {
+		if n > bestN || (n == bestN && id < best) {
+			best, bestN = id, n
 		}
 	}
 	return best
