@@ -44,3 +44,23 @@ func TestPubSubscribedBoxesOnce(t *testing.T) {
 		t.Fatal("subscriber never ran")
 	}
 }
+
+// TestPubRecorderOnlyAllocFree pins the typed route: with the recorder
+// the bus's only listener, Pub hands it the concrete event and a warm
+// recorded publish allocates nothing.
+func TestPubRecorderOnlyAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	var sink TraceBuffer
+	bus := New(&stubClock{})
+	rec := AttachRecorder(bus, &sink)
+	pub := func() { Pub(bus, wireDeliverySample) }
+	pub() // grow the scratch line and the first chunk
+	if got := testing.AllocsPerRun(1000, pub); got != 0 {
+		t.Fatalf("Pub to a recorder-only bus allocates %v/op, want 0", got)
+	}
+	if rec.Err() != nil {
+		t.Fatal(rec.Err())
+	}
+}

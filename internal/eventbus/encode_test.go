@@ -261,28 +261,155 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 			data = data[1:]
 			return b
 		}}
-		var recs []Record
-		seq, now := uint64(g.next()), 0.0
-		for len(data) > 0 && len(recs) < 64 {
-			seq++
-			switch g.next() % 16 {
-			case 0, 1, 2, 3, 4, 5, 6, 7: // the reading before, as inside one des event
-			case 8, 9, 10, 11:
-				now += float64(g.next()) / 128
-			case 12:
-				now = math.Nextafter(now, math.Inf(1))
-			case 13:
-				now = -now // 0 and -0 compare equal and print differently
-			case 14:
-				now = g.float()
-			default:
-				seq += uint64(g.next() % 3) // usually a gap, for the audit
-			}
-			zero := everyKind[int(g.next())%len(everyKind)]
-			recs = append(recs, Record{Seq: seq, Time: now, Event: g.fill(t, zero)})
-		}
+		recs := genRecords(t, g, func() bool { return len(data) > 0 })
 		requireSameTrace(t, recs)
 	})
+}
+
+// genRecords draws a record stream from g while more reports input
+// left: clock readings that repeat, step and go non-finite, sequence
+// numbers that occasionally jump, payloads of every kind.
+func genRecords(t testing.TB, g valueGen, more func() bool) []Record {
+	var recs []Record
+	seq, now := uint64(g.next()), 0.0
+	for more() && len(recs) < 64 {
+		seq++
+		switch g.next() % 16 {
+		case 0, 1, 2, 3, 4, 5, 6, 7: // the reading before, as inside one des event
+		case 8, 9, 10, 11:
+			now += float64(g.next()) / 128
+		case 12:
+			now = math.Nextafter(now, math.Inf(1))
+		case 13:
+			now = -now // 0 and -0 compare equal and print differently
+		case 14:
+			now = g.float()
+		default:
+			seq += uint64(g.next() % 3) // usually a gap, for the audit
+		}
+		zero := everyKind[int(g.next())%len(everyKind)]
+		recs = append(recs, Record{Seq: seq, Time: now, Event: g.fill(t, zero)})
+	}
+	return recs
+}
+
+// typedRoute is one kind's unboxed route, at the payload's concrete
+// type: record as Pub calls it, and Pub itself.
+type typedRoute struct {
+	record func(*Recorder, Record)
+	pub    func(*Bus, Event)
+}
+
+func typedAs[T Event]() typedRoute {
+	return typedRoute{
+		record: func(r *Recorder, rec Record) { record(r, rec.Seq, rec.Time, rec.Event.(T)) },
+		pub:    func(b *Bus, ev Event) { Pub(b, ev.(T)) },
+	}
+}
+
+var typed = map[Kind]typedRoute{
+	KindConnectionRequested: typedAs[ConnectionRequested](),
+	KindConnectionAdmitted:  typedAs[ConnectionAdmitted](),
+	KindConnectionBlocked:   typedAs[ConnectionBlocked](),
+	KindConnectionClosed:    typedAs[ConnectionClosed](),
+	KindAdmissionDecision:   typedAs[AdmissionDecision](),
+	KindHandoffAttempt:      typedAs[HandoffAttempt](),
+	KindHandoffOutcome:      typedAs[HandoffOutcome](),
+	KindHandoffLatency:      typedAs[HandoffLatency](),
+	KindPoolClaim:           typedAs[PoolClaim](),
+	KindAdvanceReservation:  typedAs[AdvanceReservation](),
+	KindPolicyReservation:   typedAs[PolicyReservation](),
+	KindBandwidthChange:     typedAs[BandwidthChange](),
+	KindAdaptationRound:     typedAs[AdaptationRound](),
+	KindMaxminConverged:     typedAs[MaxminConverged](),
+	KindCapacityChange:      typedAs[CapacityChange](),
+	KindSignalHold:          typedAs[SignalHold](),
+	KindSignalCommit:        typedAs[SignalCommit](),
+	KindSignalAbort:         typedAs[SignalAbort](),
+	KindFlowStarted:         typedAs[FlowStarted](),
+	KindFlowStopped:         typedAs[FlowStopped](),
+	KindFaultMessage:        typedAs[FaultMessage](),
+	KindFaultComponent:      typedAs[FaultComponent](),
+	KindControlRetransmit:   typedAs[ControlRetransmit](),
+	KindHoldReclaimed:       typedAs[HoldReclaimed](),
+	KindReadvertise:         typedAs[Readvertise](),
+	KindInvariantViolation:  typedAs[InvariantViolation](),
+	KindOverloadStage:       typedAs[OverloadStage](),
+	KindSetupShed:           typedAs[SetupShed](),
+	KindDegradeCascade:      typedAs[DegradeCascade](),
+	KindBreakerState:        typedAs[BreakerState](),
+	KindWireDelivery:        typedAs[WireDelivery](),
+}
+
+// replayClock reads out a record stream's clock readings, one per Now.
+type replayClock struct {
+	recs []Record
+	next int
+}
+
+func (c *replayClock) Now() float64 {
+	c.next++
+	return c.recs[c.next-1].Time
+}
+
+// TestTypedRecordMatchesObserve holds Pub's unboxed route to the boxed
+// one: every kind in everyKind, in generated streams with repeated and
+// non-finite clock readings and sequence gaps, recorded once through
+// record instantiated at its concrete type and once through observe,
+// must give the same bytes and latch the same sequence-break and
+// unsupported-value errors. The same stream published with Pub on a bus
+// whose only listener is the recorder (the unboxed route) and on one
+// with a second catch-all subscriber (the boxed dispatch) must record
+// the same bytes.
+func TestTypedRecordMatchesObserve(t *testing.T) {
+	for _, ev := range everyKind {
+		if typed[ev.Kind()].record == nil {
+			t.Fatalf("no typed route for %s", ev.Kind())
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	g := valueGen{next: func() byte { return byte(rng.Intn(256)) }}
+	seqErrs, valueErrs := 0, 0
+	for stream := 0; stream < 2000; stream++ {
+		recs := genRecords(t, g, func() bool { return true })
+		var typedOut, boxedOut bytes.Buffer
+		typedRec, boxed := &Recorder{w: &typedOut}, &Recorder{w: &boxedOut}
+		for _, rec := range recs {
+			typed[rec.Event.Kind()].record(typedRec, rec)
+			boxed.observe(rec)
+		}
+		if !bytes.Equal(typedOut.Bytes(), boxedOut.Bytes()) {
+			t.Fatalf("stream %d: typed route wrote\n%s\nboxed route wrote\n%s", stream, typedOut.Bytes(), boxedOut.Bytes())
+		}
+		if te, be := typedRec.Err(), boxed.Err(); (te == nil) != (be == nil) || te != nil && te.Error() != be.Error() {
+			t.Fatalf("stream %d: typed route latched %v, boxed %v", stream, te, be)
+		}
+
+		var soleOut, sharedOut bytes.Buffer
+		sole, shared := New(&replayClock{recs: recs}), New(&replayClock{recs: recs})
+		soleRec, sharedRec := AttachRecorder(sole, &soleOut), AttachRecorder(shared, &sharedOut)
+		heard := 0
+		shared.Subscribe(func(Record) { heard++ })
+		for _, rec := range recs {
+			typed[rec.Event.Kind()].pub(sole, rec.Event)
+			typed[rec.Event.Kind()].pub(shared, rec.Event)
+		}
+		if heard != len(recs) {
+			t.Fatalf("stream %d: the second subscriber heard %d of %d events", stream, heard, len(recs))
+		}
+		if !bytes.Equal(soleOut.Bytes(), sharedOut.Bytes()) || (soleRec.Err() == nil) != (sharedRec.Err() == nil) {
+			t.Fatalf("stream %d: Pub to a recorder-only bus wrote\n%s(%v)\nwith a second subscriber\n%s(%v)",
+				stream, soleOut.Bytes(), soleRec.Err(), sharedOut.Bytes(), sharedRec.Err())
+		}
+		if err := boxed.Err(); err != nil && strings.Contains(err.Error(), "sequence broken") {
+			seqErrs++
+		} else if err != nil {
+			valueErrs++
+		}
+	}
+	if seqErrs == 0 || valueErrs == 0 {
+		t.Fatalf("%d sequence-break and %d unsupported-value streams: the comparison missed an error path", seqErrs, valueErrs)
+	}
 }
 
 // TestRecorderRejectsNonFinite pins what happens to a value JSON cannot

@@ -63,6 +63,9 @@ type Bus struct {
 	seq    uint64
 	all    []Subscriber
 	byKind [kindCount][]Subscriber
+	// rec is the recorder when it is the bus's first catch-all
+	// subscriber: Pub hands it a kind nobody else listens for unboxed.
+	rec *Recorder
 }
 
 // New returns a bus stamping events from the given clock.
@@ -115,16 +118,24 @@ func (b *Bus) Publish(ev Event) {
 // as a concrete type, the interface boxing happens inside — after the
 // listener check — so publishing a kind nobody subscribed to costs zero
 // allocations (the sequence number still advances, keeping the stamped
-// stream identical whoever listens). With listeners present it boxes
-// exactly once, like Publish always did.
+// stream identical whoever listens). When the only listener is the
+// recorder attached first, it is handed the concrete event and nothing
+// is boxed; any other listener makes Pub box exactly once, like Publish
+// always did.
 func Pub[T Event](b *Bus, ev T) {
 	if b == nil {
 		return
 	}
 	b.seq++
 	k := ev.Kind()
-	if len(b.byKind[k]) == 0 && len(b.all) == 0 {
-		return
+	if len(b.byKind[k]) == 0 {
+		switch {
+		case len(b.all) == 0:
+			return
+		case len(b.all) == 1 && b.rec != nil:
+			record(b.rec, b.seq, b.clock.Now(), ev)
+			return
+		}
 	}
 	b.dispatch(k, ev)
 }

@@ -50,31 +50,41 @@ func AttachRecorder(bus *Bus, w io.Writer) *Recorder {
 	// A line is 100–200 bytes: start the scratch there in one allocation
 	// rather than let the first record double its way up in six.
 	r := &Recorder{w: w, line: make([]byte, 0, 256)}
+	if len(bus.all) == 0 {
+		bus.rec = r
+	}
 	bus.Subscribe(r.observe)
 	return r
 }
 
-func (r *Recorder) observe(rec Record) {
+// observe is the subscriber: the boxed route into record.
+func (r *Recorder) observe(rec Record) { record(r, rec.Seq, rec.Time, rec.Event) }
+
+// record serializes one stamped event. It is generic so that Pub can
+// hand it a concrete payload with nothing boxed; observe instantiates it
+// at Event. Both routes run this one body, so they write the same bytes
+// and latch the same errors.
+func record[T Event](r *Recorder, seq uint64, t float64, ev T) {
 	if r.err != nil {
 		return
 	}
-	if r.started && rec.Seq != r.lastSeq+1 {
-		r.err = fmt.Errorf("eventbus: trace sequence broken: observed seq %d after %d", rec.Seq, r.lastSeq)
+	if r.started && seq != r.lastSeq+1 {
+		r.err = fmt.Errorf("eventbus: trace sequence broken: observed seq %d after %d", seq, r.lastSeq)
 		return
 	}
 	r.started = true
-	r.lastSeq = rec.Seq
-	if bits := math.Float64bits(rec.Time); bits != r.tBits || len(r.tText) == 0 {
-		r.tBits, r.tText = bits, appendFloat(r.tText[:0], "", rec.Time)
+	r.lastSeq = seq
+	if bits := math.Float64bits(t); bits != r.tBits || len(r.tText) == 0 {
+		r.tBits, r.tText = bits, appendFloat(r.tText[:0], "", t)
 	}
 	line := append(r.line[:0], `{"seq":`...)
-	line = strconv.AppendUint(line, rec.Seq, 10)
+	line = strconv.AppendUint(line, seq, 10)
 	line = append(line, `,"t":`...)
 	line = append(line, r.tText...)
 	line = append(line, `,"type":"`...)
-	line = append(line, rec.Event.Kind().String()...)
+	line = append(line, ev.Kind().String()...)
 	line = append(line, `","ev":`...)
-	line = rec.Event.appendJSON(line)
+	line = ev.appendJSON(line)
 	line = append(line, '}', '\n')
 	r.line = line[:0]
 	if i := bytes.IndexByte(line, nonFinite); i >= 0 {

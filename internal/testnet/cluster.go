@@ -11,9 +11,10 @@ import (
 // interfaces) plus a core agent for everything else (core↔zone trunks,
 // wired hosts).
 type Cluster struct {
-	// Names lists the agents in deterministic order, core first.
+	// Names lists the agents in deterministic order, core first; an
+	// agent's index in it is how the routing and transports address it.
 	Names []string
-	owner map[topology.LinkID]string
+	owner map[topology.LinkID]int
 }
 
 // CoreAgent owns every link not claimed by a zone.
@@ -21,7 +22,7 @@ const CoreAgent = "core"
 
 // NewCluster derives the agent partition from the environment.
 func NewCluster(env *topology.Environment) *Cluster {
-	c := &Cluster{owner: make(map[topology.LinkID]string)}
+	c := &Cluster{owner: make(map[topology.LinkID]int)}
 	zones := append([]string(nil), env.Universe.Zones()...)
 	sort.Strings(zones)
 	zoneOf := make(map[topology.NodeID]string)
@@ -32,39 +33,47 @@ func NewCluster(env *topology.Environment) *Cluster {
 			zoneOf[topology.AirNode(cid)] = zone
 		}
 	}
-	for _, l := range env.Backbone.Links() {
-		// A link belongs to the deeper endpoint's zone: the trunk
-		// core↔sw-west touches sw-west, so west owns it; purely central
-		// links (core↔host) fall to the core agent.
-		owner := CoreAgent
+	// A link belongs to the deeper endpoint's zone: the trunk core↔sw-west
+	// touches sw-west, so west owns it; purely central links (core↔host)
+	// fall to the core agent.
+	links := env.Backbone.Links()
+	owner := make([]string, len(links))
+	names := map[string]bool{}
+	for i, l := range links {
+		owner[i] = CoreAgent
 		if z, ok := zoneOf[l.To]; ok {
-			owner = z
+			owner[i] = z
 		} else if z, ok := zoneOf[l.From]; ok {
-			owner = z
+			owner[i] = z
 		}
-		c.owner[l.ID] = owner
+		if owner[i] != CoreAgent {
+			names[owner[i]] = true
+		}
 	}
-	names := map[string]bool{CoreAgent: true}
-	for _, o := range c.owner {
-		names[o] = true
-	}
-	c.Names = append(c.Names, CoreAgent)
 	rest := make([]string, 0, len(names))
 	for n := range names {
-		if n != CoreAgent {
-			rest = append(rest, n)
-		}
+		rest = append(rest, n)
 	}
 	sort.Strings(rest)
-	c.Names = append(c.Names, rest...)
+	c.Names = append([]string{CoreAgent}, rest...)
+	for i, l := range links {
+		c.owner[l.ID], _ = c.Index(owner[i])
+	}
 	return c
 }
 
-// Assign returns the agent owning a link (core for unknown links, so a
-// misrouted frame still lands somewhere observable).
-func (c *Cluster) Assign(link topology.LinkID) string {
-	if o, ok := c.owner[link]; ok {
-		return o
+// Agent returns the index in Names of the agent owning a link (core for
+// unknown links, so a misrouted frame still lands somewhere observable).
+func (c *Cluster) Agent(link topology.LinkID) int {
+	return c.owner[link] // the zero value is the core agent's index
+}
+
+// Index returns an agent's index in Names.
+func (c *Cluster) Index(name string) (int, bool) {
+	for i, n := range c.Names {
+		if n == name {
+			return i, true
+		}
 	}
-	return CoreAgent
+	return 0, false
 }

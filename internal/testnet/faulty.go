@@ -25,9 +25,10 @@ type faultyTransport struct {
 	clk     clock.Clock
 	routing *Routing
 	cluster *Cluster
-	// nodes lets a crash wipe the in-process agent's volatile state
-	// (nil under UDP, where the node process owns its own lifecycle).
-	nodes map[string]*Node
+	// nodes lets a crash wipe the in-process agent's volatile state, by
+	// agent index (nil under UDP, where the node process owns its own
+	// lifecycle).
+	nodes []*Node
 	// down marks agents currently unreachable (partitioned or crashed);
 	// frames to them vanish without an ack.
 	down map[string]bool
@@ -46,7 +47,7 @@ type faultyTransport struct {
 	acc [4]int
 }
 
-func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Clock, routing *Routing, cluster *Cluster, nodes map[string]*Node) *faultyTransport {
+func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Clock, routing *Routing, cluster *Cluster, nodes []*Node) *faultyTransport {
 	return &faultyTransport{
 		inner: inner, inj: netfaults.NewInjector(plan, seed),
 		clk: clk, routing: routing, cluster: cluster, nodes: nodes,
@@ -79,8 +80,8 @@ func (t *faultyTransport) Crash(agent string) {
 	t.down[agent] = true
 	t.Crashes++
 	t.obs.Verdict("crash")
-	if n := t.nodes[agent]; n != nil {
-		n.Restart() // state is lost at the crash; the process slot stays
+	if i, ok := t.cluster.Index(agent); ok && i < len(t.nodes) {
+		t.nodes[i].Restart() // state is lost at the crash; the process slot stays
 	}
 }
 
@@ -152,22 +153,22 @@ func (t *faultyTransport) deliver(proto, link, agent string, fwd func() (bool, f
 }
 
 func (t *faultyTransport) SignalDeliver(conn string, hop int) (bool, float64) {
-	link, ok := t.routing.PeekSignal(conn, hop)
+	h, ok := t.routing.peekSignal(conn, hop)
 	if !ok {
 		// Unroutable: let the inner transport resolve (and count) it.
 		return t.inner.SignalDeliver(conn, hop)
 	}
-	return t.deliver("signal", string(link), t.cluster.Assign(link), func() (bool, float64) {
+	return t.deliver("signal", string(h.link), t.cluster.Names[h.agent], func() (bool, float64) {
 		return t.inner.SignalDeliver(conn, hop)
 	})
 }
 
 func (t *faultyTransport) MaxminDeliver(conn string, hop int, update bool) (bool, float64) {
-	link, ok := t.routing.PeekMaxmin(conn, hop, update)
+	h, ok := t.routing.peekMaxmin(conn, hop, update)
 	if !ok {
 		return t.inner.MaxminDeliver(conn, hop, update)
 	}
-	return t.deliver("maxmin", string(link), t.cluster.Assign(link), func() (bool, float64) {
+	return t.deliver("maxmin", string(h.link), t.cluster.Names[h.agent], func() (bool, float64) {
 		return t.inner.MaxminDeliver(conn, hop, update)
 	})
 }
@@ -176,15 +177,14 @@ func (t *faultyTransport) Abort(conn string, hop int, reason string) {
 	// Abort mirroring is void (rollback already happened controller-side)
 	// so only the loss faults apply: a down agent or a drop verdict eats
 	// the frame, everything else delivers.
-	link, ok := t.routing.PeekSignal(conn, hop)
+	h, ok := t.routing.peekSignal(conn, hop)
 	if ok {
-		agent := t.cluster.Assign(link)
-		if t.down[agent] {
+		if t.down[t.cluster.Names[h.agent]] {
 			t.PartitionDrops++
 			t.obs.Verdict("partition")
 			return
 		}
-		if t.inj.Frame("signal", string(link)).Drop {
+		if t.inj.Frame("signal", string(h.link)).Drop {
 			t.obs.Verdict("drop")
 			return
 		}

@@ -30,6 +30,10 @@ type Node struct {
 	buf    eventbus.TraceBuffer
 	ackSeq uint32
 	ackBuf []byte
+	// frame is the decode target every datagram is read into; conns
+	// interns the connection IDs its views name (see intern).
+	frame wire.Frame
+	conns map[string]string
 
 	// mirror is the node's copy of committed reservations crossing its
 	// links (conn → bandwidth), maintained from commit/abort/resync
@@ -57,6 +61,7 @@ func NewNode(name string, clk eventbus.Clock) *Node {
 		Name:   name,
 		clk:    clk,
 		ackBuf: make([]byte, 0, wire.MaxFrame),
+		conns:  make(map[string]string),
 		mirror: make(map[string]float64),
 		lease:  make(map[string]float64),
 	}
@@ -67,61 +72,88 @@ func NewNode(name string, clk eventbus.Clock) *Node {
 
 // HandleFrame processes one datagram: decode, record, ack. The returned
 // ack frame shares the node's buffer and is valid until the next call;
-// shutdown reports whether the frame asked the node to exit.
+// shutdown reports whether the frame asked the node to exit. A warm node
+// allocates nothing per frame: the frame decodes into the node's own
+// Frame, its connection ID is interned, the trace line is appended into
+// the recorder's scratch and the ack into the node's buffer.
 func (n *Node) HandleFrame(frame []byte) (ack []byte, shutdown bool, err error) {
-	m, seq, err := wire.Decode(frame)
-	if err != nil {
+	f := &n.frame
+	if err := wire.DecodeFrame(frame, f); err != nil {
 		n.Malformed++
 		n.obs.Malformed()
 		return nil, false, err
 	}
-	n.obs.FrameRx(m.WireType(), len(frame))
-	if _, isAck := m.(wire.Ack); !isAck {
+	n.obs.FrameRx(f.Type, len(frame))
+	conn := n.intern(f.Conn)
+	if f.Type != wire.TAck {
 		n.Received++
-		proto, conn, hop := classify(m)
+		proto, hop := classify(f)
 		eventbus.Pub(n.bus, eventbus.WireDelivery{
-			Node: n.Name, Proto: proto, Type: m.WireType().String(),
+			Node: n.Name, Proto: proto, Type: f.Type.String(),
 			Conn: conn, Hop: hop, Bytes: len(frame),
 		})
 	}
-	n.applyState(m)
+	n.applyState(f, conn)
 	n.ackSeq++
-	ack, err = wire.AppendFrame(n.ackBuf[:0], n.ackSeq, wire.Ack{AckSeq: seq})
+	ack, err = wire.AppendFrame(n.ackBuf[:0], n.ackSeq, wire.Ack{AckSeq: f.Seq})
 	if err != nil {
 		return nil, false, err
 	}
 	n.ackBuf = ack[:0]
-	_, shutdown = m.(wire.Shutdown)
-	return ack, shutdown, nil
+	return ack, f.Type == wire.TShutdown, nil
+}
+
+// maxInterned bounds the intern table. A node sees the same few live
+// connections frame after frame, so the table hits; a long-lived agent
+// sees an unbounded stream of IDs over its life, so the table is
+// cleared when it fills rather than grown.
+const maxInterned = 4096
+
+// intern returns the connection ID a frame's view spells as a string the
+// node may keep: the table's copy when it has one (the lookup converts
+// without allocating), else a fresh copy, remembered.
+func (n *Node) intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := n.conns[string(b)]; ok {
+		return s
+	}
+	if len(n.conns) >= maxInterned {
+		clear(n.conns)
+	}
+	s := string(b)
+	n.conns[s] = s
+	return s
 }
 
 // applyState folds a frame into the node's reservation mirror. Commit
 // installs, abort removes, resync reinstalls after a restart, and a
 // renewal pushes the lease deadline out. Expired leases are pruned
 // first, so a connection whose controller vanished decays on its own.
-func (n *Node) applyState(m wire.Message) {
+func (n *Node) applyState(f *wire.Frame, conn string) {
 	now := n.clk.Now()
-	for conn, until := range n.lease {
+	for c, until := range n.lease {
 		if until < now {
-			delete(n.lease, conn)
-			delete(n.mirror, conn)
+			delete(n.lease, c)
+			delete(n.mirror, c)
 		}
 	}
-	switch v := m.(type) {
-	case wire.SignalCommit:
-		n.mirror[v.Conn] = v.Bandwidth
-	case wire.SignalAbort:
-		delete(n.mirror, v.Conn)
-		delete(n.lease, v.Conn)
-	case wire.Resync:
-		n.mirror[v.Conn] = v.Bandwidth
-		n.lease[v.Conn] = now + v.TTL
-	case wire.LeaseRenew:
-		if v.Conn == "" {
+	switch f.Type {
+	case wire.TSignalCommit:
+		n.mirror[conn] = f.Bandwidth
+	case wire.TSignalAbort:
+		delete(n.mirror, conn)
+		delete(n.lease, conn)
+	case wire.TResync:
+		n.mirror[conn] = f.Bandwidth
+		n.lease[conn] = now + f.TTL
+	case wire.TLeaseRenew:
+		if conn == "" {
 			return // bare heartbeat
 		}
-		n.mirror[v.Conn] = v.Bandwidth
-		n.lease[v.Conn] = now + v.TTL
+		n.mirror[conn] = f.Bandwidth
+		n.lease[conn] = now + f.TTL
 	}
 }
 
@@ -185,27 +217,17 @@ func (n *Node) ServeUDP(pc *net.UDPConn) error {
 	}
 }
 
-// classify maps a wire message to the protocol family and addressing the
+// classify maps a decoded frame to the protocol family and hop the
 // WireDelivery event records.
-func classify(m wire.Message) (proto, conn string, hop int) {
-	switch v := m.(type) {
-	case wire.SignalSetup:
-		return "signal", v.Conn, int(v.Hop)
-	case wire.SignalCommit:
-		return "signal", v.Conn, int(v.Hop)
-	case wire.SignalAbort:
-		return "signal", v.Conn, int(v.Hop)
-	case wire.Advertise:
-		return "maxmin", v.Conn, int(v.Hop)
-	case wire.Update:
-		return "maxmin", v.Conn, int(v.Hop)
-	case wire.LeaseRenew:
-		return "lease", v.Conn, 0
-	case wire.Resync:
-		return "lease", v.Conn, 0
-	case wire.Hello:
-		return "ctl", "", 0
+func classify(f *wire.Frame) (proto string, hop int) {
+	switch f.Type {
+	case wire.TSignalSetup, wire.TSignalCommit, wire.TSignalAbort:
+		return "signal", int(f.Hop)
+	case wire.TAdvertise, wire.TUpdate:
+		return "maxmin", int(f.Hop)
+	case wire.TLeaseRenew, wire.TResync:
+		return "lease", 0
 	default:
-		return "ctl", "", 0
+		return "ctl", 0
 	}
 }

@@ -131,7 +131,7 @@ type runner struct {
 	faulty  *faultyTransport
 	lease   *leaseManager
 	bus     *eventbus.Bus
-	nodes   map[string]*Node
+	nodes   []*Node // loopback agents, by index in cluster.Names
 	nodeObs []*live.NodeRecorder
 
 	live    map[string]topology.Route
@@ -173,17 +173,18 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	cfg.Obs.SetNow(clk.Now)
+	cluster := NewCluster(env)
 	r := &runner{
 		cfg: cfg, env: env, clk: clk,
-		cluster: NewCluster(env),
-		routing: NewRouting(),
+		cluster: cluster,
+		routing: NewRouting(cluster),
 		live:    make(map[string]topology.Route),
 		mmLinks: make(map[topology.LinkID]bool),
 	}
 
 	switch cfg.Mode {
 	case ModeLoopback:
-		r.nodes = make(map[string]*Node, len(r.cluster.Names))
+		r.nodes = make([]*Node, 0, len(r.cluster.Names))
 		for _, name := range r.cluster.Names {
 			n := NewNode(name, clk)
 			if cfg.Obs != nil {
@@ -191,7 +192,7 @@ func Run(cfg Config) (*Result, error) {
 				n.SetObs(nr)
 				r.nodeObs = append(r.nodeObs, nr)
 			}
-			r.nodes[name] = n
+			r.nodes = append(r.nodes, n)
 		}
 		lt := newLoopback(r.cluster, r.routing, r.nodes)
 		lt.obs = cfg.Obs
@@ -290,12 +291,12 @@ func Run(cfg Config) (*Result, error) {
 		r.tr.Shutdown()
 		res.FramesSent = r.tr.Sent() // include the shutdown frames
 		res.NodeTraces = make(map[string][]byte, len(r.nodes))
-		for name, n := range r.nodes {
+		for _, n := range r.nodes {
 			nt, err := n.Trace()
 			if err != nil {
-				return nil, fmt.Errorf("testnet: %s trace: %w", name, err)
+				return nil, fmt.Errorf("testnet: %s trace: %w", n.Name, err)
 			}
-			res.NodeTraces[name] = nt
+			res.NodeTraces[n.Name] = nt
 		}
 	}
 	return res, nil
@@ -514,10 +515,14 @@ func (r *runner) liveConns() []string {
 // connsVia lists the live connections with at least one route link owned
 // by the agent, sorted for deterministic frame order.
 func (r *runner) connsVia(agent string) []string {
+	i, ok := r.cluster.Index(agent)
+	if !ok {
+		return nil
+	}
 	var out []string
 	for conn, route := range r.live {
 		for _, l := range route.Links {
-			if r.cluster.Assign(l.ID) == agent {
+			if r.cluster.Agent(l.ID) == i {
 				out = append(out, conn)
 				break
 			}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"armnet/internal/obs/live"
-	"armnet/internal/topology"
 	"armnet/internal/wire"
 )
 
@@ -45,57 +44,14 @@ type transport interface {
 	Errs() []string
 }
 
-// signalFrame builds the frame for one signal-plane hop.
-func signalFrame(r *Routing, conn string, hop int) (wire.Message, topology.LinkID, bool) {
-	link, commit, ok := r.SignalHop(conn, hop)
-	if !ok {
-		return nil, "", false
-	}
-	bw := r.Reserve(conn)
-	if commit {
-		return wire.SignalCommit{Conn: conn, Hop: uint16(hop), Bandwidth: bw}, link, true
-	}
-	return wire.SignalSetup{Conn: conn, Hop: uint16(hop), Bandwidth: bw}, link, true
-}
-
-// maxminFrame builds the frame for one maxmin hop.
-func maxminFrame(r *Routing, conn string, hop int, update bool) (wire.Message, topology.LinkID, bool) {
-	link, ok := r.MaxminHop(conn, hop, update)
-	if !ok {
-		return nil, "", false
-	}
-	if update {
-		return wire.Update{Conn: conn, Hop: uint16(hop)}, link, true
-	}
-	return wire.Advertise{Conn: conn, Hop: uint16(hop)}, link, true
-}
-
-// abortFrame builds the frame for a rollback sweep: it travels toward
-// the source, addressed to the agent owning the failed hop's link (the
-// last link actually reached when the failure was past the route).
-func abortFrame(r *Routing, conn string, hop int, reason string) (wire.Message, topology.LinkID, bool) {
-	links := r.signal[conn]
-	if len(links) == 0 {
-		return nil, "", false
-	}
-	i := hop
-	if i >= len(links) {
-		i = len(links) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return wire.SignalAbort{Conn: conn, Hop: uint16(hop), Reason: reason}, links[i], true
-}
-
-// loopbackTransport delivers frames by calling the in-process node
-// agents directly: synchronous, zero added delay, no sockets. Running on
-// the simulator clock it is fully deterministic, which makes it the CI
-// fabric.
-type loopbackTransport struct {
+// conduit is what both fabrics share: hop resolution through the
+// routing registry, the frame sequence, the encode buffer, the counters
+// and the observability hook. A fabric supplies carry, which moves one
+// encoded frame to an agent and reports whether its ack came back.
+type conduit struct {
 	cluster *Cluster
 	routing *Routing
-	nodes   map[string]*Node
+	carry   func(agent int, frame []byte) bool
 	seq     uint32
 	buf     []byte
 	sent    int
@@ -105,120 +61,154 @@ type loopbackTransport struct {
 	obs *live.Controller
 }
 
-func newLoopback(cluster *Cluster, routing *Routing, nodes map[string]*Node) *loopbackTransport {
-	return &loopbackTransport{
-		cluster: cluster, routing: routing, nodes: nodes,
-		buf: make([]byte, 0, wire.MaxFrame),
+func newConduit(cluster *Cluster, routing *Routing) conduit {
+	return conduit{cluster: cluster, routing: routing, buf: make([]byte, 0, wire.MaxFrame)}
+}
+
+func (c *conduit) failf(format string, args ...any) {
+	c.errs = append(c.errs, fmt.Sprintf(format, args...))
+}
+
+// deliver encodes m, carries it to agent and reports whether it was
+// acked. It takes the concrete message, so a hop's frame is built on the
+// stack: m is boxed only for an encode error or an armed obs hook.
+func deliver[M wire.Message](c *conduit, agent int, m M) bool {
+	c.seq++
+	frame, err := wire.AppendFrame(c.buf[:0], c.seq, m)
+	acked := false
+	if err != nil {
+		c.failf("encode %T: %v", m, err)
+	} else {
+		c.buf = frame[:0]
+		if acked = c.carry(agent, frame); acked {
+			c.sent++
+		}
 	}
-}
-
-func (t *loopbackTransport) failf(format string, args ...any) {
-	t.errs = append(t.errs, fmt.Sprintf(format, args...))
-}
-
-// send delivers one frame synchronously and reports whether the node
-// acked it — always true on the healthy loopback path; failures are
-// also latched as fabric errors.
-func (t *loopbackTransport) send(agent string, m wire.Message) bool {
-	acked, size := t.exchange(agent, m)
-	t.obs.FrameTx(agent, m, size, acked)
+	if c.obs != nil {
+		c.obs.FrameTx(c.cluster.Names[agent], m, len(frame), acked)
+	}
 	return acked
 }
 
-// exchange is the delivery body: encode, hand to the agent, verify the
-// ack. Split from send so the observability hook sees every outcome.
-func (t *loopbackTransport) exchange(agent string, m wire.Message) (bool, int) {
-	n := t.nodes[agent]
-	if n == nil {
-		t.failf("no node agent %q", agent)
-		return false, 0
+// signal delivers one signal-plane hop: a setup on the forward pass, a
+// commit confirmation on the reverse. ok is false for an unroutable hop,
+// which sends nothing.
+func (c *conduit) signal(conn string, i int) (acked, ok bool) {
+	rec, h, commit, ok := c.routing.signalHop(conn, i)
+	if !ok {
+		return false, false
 	}
-	t.seq++
-	frame, err := wire.AppendFrame(t.buf[:0], t.seq, m)
-	if err != nil {
-		t.failf("encode %T: %v", m, err)
-		return false, 0
+	if commit {
+		return deliver(c, h.agent, wire.SignalCommit{Conn: conn, Hop: uint16(i), Bandwidth: rec.reserve}), true
 	}
-	size := len(frame)
-	t.buf = frame[:0]
-	ack, _, err := n.HandleFrame(frame)
-	if err != nil {
-		t.failf("%s rejected %T: %v", agent, m, err)
-		return false, size
-	}
-	am, _, err := wire.Decode(ack)
-	if err != nil {
-		t.failf("%s ack undecodable: %v", agent, err)
-		return false, size
-	}
-	if a, ok := am.(wire.Ack); !ok || a.AckSeq != t.seq {
-		t.failf("%s acked %v, want %d", agent, am, t.seq)
-		return false, size
-	}
-	t.sent++
-	return true, size
+	return deliver(c, h.agent, wire.SignalSetup{Conn: conn, Hop: uint16(i), Bandwidth: rec.reserve}), true
 }
 
-func (t *loopbackTransport) Control(agent string, m wire.Message) bool {
-	return t.send(agent, m)
+// maxmin delivers one maxmin hop, an UPDATE or an ADVERTISE.
+func (c *conduit) maxmin(conn string, i int, update bool) (acked, ok bool) {
+	h, ok := c.routing.maxminHop(conn, i, update)
+	if !ok {
+		return false, false
+	}
+	if update {
+		return deliver(c, h.agent, wire.Update{Conn: conn, Hop: uint16(i)}), true
+	}
+	return deliver(c, h.agent, wire.Advertise{Conn: conn, Hop: uint16(i)}), true
+}
+
+func (c *conduit) Abort(conn string, i int, reason string) {
+	if h, ok := c.routing.abortHop(conn, i); ok {
+		deliver(c, h.agent, wire.SignalAbort{Conn: conn, Hop: uint16(i), Reason: reason})
+	}
+}
+
+func (c *conduit) Control(agent string, m wire.Message) bool {
+	i, ok := c.cluster.Index(agent)
+	if !ok {
+		c.failf("no node agent %q", agent)
+		c.obs.FrameTx(agent, m, 0, false)
+		return false
+	}
+	return deliver(c, i, m)
+}
+
+func (c *conduit) Sent() int      { return c.sent }
+func (c *conduit) Errs() []string { return c.errs }
+
+// loopbackTransport delivers frames by calling the in-process node
+// agents directly: synchronous, zero added delay, no sockets. Running on
+// the simulator clock it is fully deterministic, which makes it the CI
+// fabric.
+type loopbackTransport struct {
+	conduit
+	nodes []*Node // by agent index
+	ack   wire.Frame
+}
+
+func newLoopback(cluster *Cluster, routing *Routing, nodes []*Node) *loopbackTransport {
+	t := &loopbackTransport{conduit: newConduit(cluster, routing), nodes: nodes}
+	t.carry = t.exchange
+	return t
+}
+
+// exchange hands one frame to the agent and verifies the ack — always
+// acked on the healthy loopback path; failures are latched as fabric
+// errors.
+func (t *loopbackTransport) exchange(agent int, frame []byte) bool {
+	name := t.cluster.Names[agent]
+	ack, _, err := t.nodes[agent].HandleFrame(frame)
+	if err != nil {
+		t.failf("%s rejected %s: %v", name, wire.Type(frame[3]), err)
+		return false
+	}
+	if err := wire.DecodeFrame(ack, &t.ack); err != nil {
+		t.failf("%s ack undecodable: %v", name, err)
+		return false
+	}
+	if t.ack.Type != wire.TAck || t.ack.AckSeq != t.seq {
+		t.failf("%s acked %s %d, want %d", name, t.ack.Type, t.ack.AckSeq, t.seq)
+		return false
+	}
+	return true
 }
 
 func (t *loopbackTransport) SignalDeliver(conn string, hop int) (bool, float64) {
-	if m, link, ok := signalFrame(t.routing, conn, hop); ok {
-		t.send(t.cluster.Assign(link), m)
-	}
+	t.signal(conn, hop)
 	return false, 0
 }
 
 func (t *loopbackTransport) MaxminDeliver(conn string, hop int, update bool) (bool, float64) {
-	if m, link, ok := maxminFrame(t.routing, conn, hop, update); ok {
-		t.send(t.cluster.Assign(link), m)
-	}
+	t.maxmin(conn, hop, update)
 	return false, 0
 }
 
-func (t *loopbackTransport) Abort(conn string, hop int, reason string) {
-	if m, link, ok := abortFrame(t.routing, conn, hop, reason); ok {
-		t.send(t.cluster.Assign(link), m)
-	}
-}
-
 func (t *loopbackTransport) Hello() error {
-	for _, name := range t.cluster.Names {
-		t.send(name, wire.Hello{Node: name})
+	for i, name := range t.cluster.Names {
+		deliver(&t.conduit, i, wire.Hello{Node: name})
 	}
 	return nil
 }
 
 func (t *loopbackTransport) Shutdown() {
-	for _, name := range t.cluster.Names {
-		t.send(name, wire.Shutdown{})
+	for i := range t.cluster.Names {
+		deliver(&t.conduit, i, wire.Shutdown{})
 	}
 }
 
-func (t *loopbackTransport) Sent() int      { return t.sent }
-func (t *loopbackTransport) Drops() int     { return 0 }
-func (t *loopbackTransport) Errs() []string { return t.errs }
+func (t *loopbackTransport) Drops() int { return 0 }
 
 // udpTransport delivers frames as UDP datagrams and blocks for the ack;
 // an unacked frame counts as dropped, which hands loss recovery to the
 // protocols' own retransmission machinery — the same path the fault
 // injector exercises in simulation.
 type udpTransport struct {
-	cluster *Cluster
-	routing *Routing
+	conduit
 	pc      *net.UDPConn
-	peers   map[string]*net.UDPAddr
+	peers   []*net.UDPAddr // by agent index
 	timeout time.Duration
-	seq     uint32
-	sbuf    []byte
 	rbuf    []byte
-	sent    int
+	ack     wire.Frame
 	drops   int
-	errs    []string
-	// obs, when armed, records every frame handed to an agent; nil costs
-	// one pointer check per send.
-	obs *live.Controller
 }
 
 // DefaultAckTimeout bounds the wait for a node ack; localhost round
@@ -237,13 +227,13 @@ func dialUDP(cluster *Cluster, routing *Routing, peers map[string]string, timeou
 		return nil, fmt.Errorf("testnet: controller socket: %w", err)
 	}
 	t := &udpTransport{
-		cluster: cluster, routing: routing, pc: pc,
-		peers:   make(map[string]*net.UDPAddr, len(peers)),
+		conduit: newConduit(cluster, routing), pc: pc,
+		peers:   make([]*net.UDPAddr, len(cluster.Names)),
 		timeout: timeout,
-		sbuf:    make([]byte, 0, wire.MaxFrame),
 		rbuf:    make([]byte, wire.MaxFrame+1),
 	}
-	for _, name := range cluster.Names {
+	t.carry = t.exchange
+	for i, name := range cluster.Names {
 		addr, ok := peers[name]
 		if !ok {
 			pc.Close()
@@ -254,106 +244,60 @@ func dialUDP(cluster *Cluster, routing *Routing, peers map[string]string, timeou
 			pc.Close()
 			return nil, fmt.Errorf("testnet: agent %q: %w", name, err)
 		}
-		t.peers[name] = ua
+		t.peers[i] = ua
 	}
 	return t, nil
 }
 
-func (t *udpTransport) failf(format string, args ...any) {
-	t.errs = append(t.errs, fmt.Sprintf(format, args...))
-}
-
-// send transmits one frame and waits for its ack; false means the ack
-// never arrived within the timeout.
-func (t *udpTransport) send(agent string, m wire.Message) bool {
-	acked, size := t.exchange(agent, m)
-	t.obs.FrameTx(agent, m, size, acked)
-	return acked
-}
-
-// exchange is the delivery body: encode, transmit, block for the ack.
-// Split from send so the observability hook sees every outcome.
-func (t *udpTransport) exchange(agent string, m wire.Message) (bool, int) {
-	addr := t.peers[agent]
-	if addr == nil {
-		t.failf("no node agent %q", agent)
-		return false, 0
-	}
-	t.seq++
-	frame, err := wire.AppendFrame(t.sbuf[:0], t.seq, m)
-	if err != nil {
-		t.failf("encode %T: %v", m, err)
-		return false, 0
-	}
-	size := len(frame)
-	t.sbuf = frame[:0]
-	if _, err := t.pc.WriteToUDP(frame, addr); err != nil {
-		t.failf("send to %s: %v", agent, err)
+// exchange transmits one frame and blocks for its ack; false means the
+// ack never arrived within the timeout.
+func (t *udpTransport) exchange(agent int, frame []byte) bool {
+	name := t.cluster.Names[agent]
+	if _, err := t.pc.WriteToUDP(frame, t.peers[agent]); err != nil {
+		t.failf("send to %s: %v", name, err)
 		t.drops++
-		return false, size
+		return false
 	}
 	deadline := time.Now().Add(t.timeout)
 	for {
 		if err := t.pc.SetReadDeadline(deadline); err != nil {
 			t.failf("deadline: %v", err)
 			t.drops++
-			return false, size
+			return false
 		}
 		sz, _, err := t.pc.ReadFromUDP(t.rbuf)
 		if err != nil {
 			t.drops++
-			return false, size
+			return false
 		}
-		am, _, err := wire.Decode(t.rbuf[:sz])
-		if err != nil {
+		if wire.DecodeFrame(t.rbuf[:sz], &t.ack) != nil || t.ack.Type != wire.TAck {
 			continue // garbage datagram
 		}
-		a, ok := am.(wire.Ack)
-		if !ok {
-			continue
-		}
-		if a.AckSeq == t.seq {
-			t.sent++
-			return true, size
+		if t.ack.AckSeq == t.seq {
+			return true
 		}
 		// A stale ack from an earlier timed-out frame: keep reading.
 	}
 }
 
-func (t *udpTransport) Control(agent string, m wire.Message) bool {
-	return t.send(agent, m)
-}
-
 func (t *udpTransport) SignalDeliver(conn string, hop int) (bool, float64) {
-	m, link, ok := signalFrame(t.routing, conn, hop)
-	if !ok {
-		return false, 0
-	}
-	return !t.send(t.cluster.Assign(link), m), 0
+	acked, ok := t.signal(conn, hop)
+	return ok && !acked, 0
 }
 
 func (t *udpTransport) MaxminDeliver(conn string, hop int, update bool) (bool, float64) {
-	m, link, ok := maxminFrame(t.routing, conn, hop, update)
-	if !ok {
-		return false, 0
-	}
-	return !t.send(t.cluster.Assign(link), m), 0
-}
-
-func (t *udpTransport) Abort(conn string, hop int, reason string) {
-	if m, link, ok := abortFrame(t.routing, conn, hop, reason); ok {
-		t.send(t.cluster.Assign(link), m)
-	}
+	acked, ok := t.maxmin(conn, hop, update)
+	return ok && !acked, 0
 }
 
 // Hello announces the controller to every agent, retrying while node
 // processes come up.
 func (t *udpTransport) Hello() error {
 	const attempts = 40
-	for _, name := range t.cluster.Names {
+	for i, name := range t.cluster.Names {
 		ok := false
-		for i := 0; i < attempts && !ok; i++ {
-			ok = t.send(name, wire.Hello{Node: name})
+		for a := 0; a < attempts && !ok; a++ {
+			ok = deliver(&t.conduit, i, wire.Hello{Node: name})
 		}
 		if !ok {
 			return fmt.Errorf("testnet: agent %q never acked hello", name)
@@ -363,9 +307,9 @@ func (t *udpTransport) Hello() error {
 }
 
 func (t *udpTransport) Shutdown() {
-	for _, name := range t.cluster.Names {
-		for i := 0; i < 3; i++ {
-			if t.send(name, wire.Shutdown{}) {
+	for i := range t.cluster.Names {
+		for a := 0; a < 3; a++ {
+			if deliver(&t.conduit, i, wire.Shutdown{}) {
 				break
 			}
 		}
@@ -373,6 +317,4 @@ func (t *udpTransport) Shutdown() {
 	t.pc.Close()
 }
 
-func (t *udpTransport) Sent() int      { return t.sent }
-func (t *udpTransport) Drops() int     { return t.drops }
-func (t *udpTransport) Errs() []string { return t.errs }
+func (t *udpTransport) Drops() int { return t.drops }

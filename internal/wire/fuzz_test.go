@@ -9,7 +9,9 @@ import (
 // panic on arbitrary bytes, must never hand back data larger than the
 // frame that claimed it (no length-prefix-driven over-allocation), and
 // must be canonical — any frame it accepts re-encodes to exactly the
-// same bytes.
+// same bytes. DecodeFrame, Decode and referenceDecode (the copying
+// decoder DecodeFrame replaced) must agree on every input: the same
+// error text, or the same seq and the same fields.
 func FuzzWireDecode(f *testing.F) {
 	for _, m := range everyMessage() {
 		frame, err := Encode(9, m)
@@ -21,10 +23,25 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 6, Version, byte(TShutdown), 0, 0, 0, 1})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	// Trailing body bytes behind a consistent prefix, and hostile string
+	// lengths: past the frame, and past maxString on a frame that holds it.
+	f.Add([]byte{0, 7, Version, byte(TShutdown), 0, 0, 0, 1, 0xAB})
+	f.Add([]byte{0, 10, Version, byte(THello), 0, 0, 0, 1, 0x01, 0xF4, 'a', 'b'})
+	f.Add(append([]byte{0x01, 0x08, Version, byte(THello), 0, 0, 0, 1, 0x01, 0x00}, make([]byte, 256)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, seq, err := Decode(data)
+		refM, refSeq, refErr := referenceDecode(data)
+		var fr Frame
+		frErr := DecodeFrame(data, &fr)
+		if (err == nil) != (refErr == nil) || (frErr == nil) != (refErr == nil) ||
+			refErr != nil && (err.Error() != refErr.Error() || frErr.Error() != refErr.Error()) {
+			t.Fatalf("errors disagree on %x:\n Decode          %v\n DecodeFrame     %v\n referenceDecode %v", data, err, frErr, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if seq != refSeq || !sameFrame(fr, frameOf(refSeq, refM)) || !sameFrame(frameOf(seq, m), frameOf(refSeq, refM)) {
+			t.Fatalf("decoders disagree on %x:\n Decode          %d %#v\n DecodeFrame     %+v\n referenceDecode %d %#v", data, seq, m, fr, refSeq, refM)
 		}
 		// Accepted frames decode only strings the frame physically
 		// carried: total decoded string bytes can never exceed the input.

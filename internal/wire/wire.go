@@ -19,6 +19,8 @@
 // error — never a panic — and claimed lengths are validated against the
 // bytes actually present before any allocation, so a malformed frame
 // cannot make the decoder allocate more than the frame's own size.
+// DecodeFrame is the same validation into a caller-owned Frame whose
+// strings are views into the frame: it allocates nothing.
 package wire
 
 import (
@@ -287,57 +289,113 @@ func AppendFrame(dst []byte, seq uint32, m Message) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses one complete frame. The frame must be consumed exactly:
-// trailing bytes, truncation, or a length prefix that disagrees with
-// the slice are errors, never panics.
-func Decode(frame []byte) (Message, uint32, error) {
+// Frame is a decoded frame laid flat: the header, then every body field
+// of every message type, of which only Type's own are set. It is owned
+// by the caller, so a receiver decoding into one Frame per socket
+// allocates nothing per frame. The string fields are views into the
+// decoded bytes, valid until the caller reuses that buffer; copy one
+// (string(f.Conn)) to keep it.
+type Frame struct {
+	Type Type
+	Seq  uint32
+
+	Node   []byte // Hello
+	AckSeq uint32 // Ack
+
+	Conn   []byte // every hop, lease and resync message
+	Hop    uint16 // signal and maxmin hops
+	Round  uint16 // Advertise
+	Reason []byte // SignalAbort
+
+	Bandwidth float64 // SignalSetup, SignalCommit, LeaseRenew, Resync
+	Stamp     float64 // Advertise
+	Rate      float64 // Update
+	TTL       float64 // LeaseRenew, Resync
+}
+
+// DecodeFrame parses one complete frame into f, overwriting all of it.
+// The frame must be consumed exactly: trailing bytes, truncation, or a
+// length prefix that disagrees with the slice are errors, never panics.
+// On error f holds no meaningful message.
+func DecodeFrame(frame []byte, f *Frame) error {
+	*f = Frame{}
 	if len(frame) < headerLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrShort, len(frame))
+		return fmt.Errorf("%w: %d bytes", ErrShort, len(frame))
 	}
 	if len(frame) > MaxFrame {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTooLong, len(frame))
+		return fmt.Errorf("%w: %d bytes", ErrTooLong, len(frame))
 	}
 	if got := int(binary.BigEndian.Uint16(frame)); got != len(frame)-2 {
-		return nil, 0, fmt.Errorf("%w: prefix says %d, frame holds %d", ErrLength, got, len(frame)-2)
+		return fmt.Errorf("%w: prefix says %d, frame holds %d", ErrLength, got, len(frame)-2)
 	}
 	if frame[2] != Version {
-		return nil, 0, fmt.Errorf("%w: %d", ErrVersion, frame[2])
+		return fmt.Errorf("%w: %d", ErrVersion, frame[2])
 	}
-	typ := Type(frame[3])
-	seq := binary.BigEndian.Uint32(frame[4:8])
+	f.Type = Type(frame[3])
+	f.Seq = binary.BigEndian.Uint32(frame[4:8])
 	d := decoder{buf: frame[headerLen:]}
-	var m Message
-	switch typ {
+	switch f.Type {
 	case THello:
-		m = Hello{Node: d.string()}
+		f.Node = d.bytes()
 	case TAck:
-		m = Ack{AckSeq: d.uint32()}
-	case TSignalSetup:
-		m = SignalSetup{Conn: d.string(), Hop: d.uint16(), Bandwidth: d.float()}
-	case TSignalCommit:
-		m = SignalCommit{Conn: d.string(), Hop: d.uint16(), Bandwidth: d.float()}
+		f.AckSeq = d.uint32()
+	case TSignalSetup, TSignalCommit:
+		f.Conn, f.Hop, f.Bandwidth = d.bytes(), d.uint16(), d.float()
 	case TSignalAbort:
-		m = SignalAbort{Conn: d.string(), Hop: d.uint16(), Reason: d.string()}
+		f.Conn, f.Hop, f.Reason = d.bytes(), d.uint16(), d.bytes()
 	case TAdvertise:
-		m = Advertise{Conn: d.string(), Hop: d.uint16(), Round: d.uint16(), Stamp: d.float()}
+		f.Conn, f.Hop, f.Round, f.Stamp = d.bytes(), d.uint16(), d.uint16(), d.float()
 	case TUpdate:
-		m = Update{Conn: d.string(), Hop: d.uint16(), Rate: d.float()}
+		f.Conn, f.Hop, f.Rate = d.bytes(), d.uint16(), d.float()
 	case TShutdown:
-		m = Shutdown{}
-	case TLeaseRenew:
-		m = LeaseRenew{Conn: d.string(), Bandwidth: d.float(), TTL: d.float()}
-	case TResync:
-		m = Resync{Conn: d.string(), Bandwidth: d.float(), TTL: d.float()}
+	case TLeaseRenew, TResync:
+		f.Conn, f.Bandwidth, f.TTL = d.bytes(), d.float(), d.float()
 	default:
-		return nil, 0, fmt.Errorf("%w: %d", ErrType, uint8(typ))
+		return fmt.Errorf("%w: %d", ErrType, uint8(f.Type))
 	}
 	if d.err != nil {
-		return nil, 0, d.err
+		return d.err
 	}
 	if len(d.buf) != 0 {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTrailing, len(d.buf))
+		return fmt.Errorf("%w: %d bytes", ErrTrailing, len(d.buf))
 	}
-	return m, seq, nil
+	return nil
+}
+
+// Decode parses one complete frame into a Message that owns its strings
+// — DecodeFrame plus the copies, for callers that keep what they decode.
+func Decode(frame []byte) (Message, uint32, error) {
+	var f Frame
+	if err := DecodeFrame(frame, &f); err != nil {
+		return nil, 0, err
+	}
+	return f.message(), f.Seq, nil
+}
+
+// message copies a successfully decoded frame out into its Message.
+func (f *Frame) message() Message {
+	switch f.Type {
+	case THello:
+		return Hello{Node: string(f.Node)}
+	case TAck:
+		return Ack{AckSeq: f.AckSeq}
+	case TSignalSetup:
+		return SignalSetup{Conn: string(f.Conn), Hop: f.Hop, Bandwidth: f.Bandwidth}
+	case TSignalCommit:
+		return SignalCommit{Conn: string(f.Conn), Hop: f.Hop, Bandwidth: f.Bandwidth}
+	case TSignalAbort:
+		return SignalAbort{Conn: string(f.Conn), Hop: f.Hop, Reason: string(f.Reason)}
+	case TAdvertise:
+		return Advertise{Conn: string(f.Conn), Hop: f.Hop, Round: f.Round, Stamp: f.Stamp}
+	case TUpdate:
+		return Update{Conn: string(f.Conn), Hop: f.Hop, Rate: f.Rate}
+	case TLeaseRenew:
+		return LeaseRenew{Conn: string(f.Conn), Bandwidth: f.Bandwidth, TTL: f.TTL}
+	case TResync:
+		return Resync{Conn: string(f.Conn), Bandwidth: f.Bandwidth, TTL: f.TTL}
+	default: // TShutdown, the one message without a body
+		return Shutdown{}
+	}
 }
 
 func appendString(dst []byte, s string) ([]byte, error) {
@@ -397,21 +455,18 @@ func (d *decoder) float() float64 {
 	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }
 
-// string reads a length-prefixed string. The claimed length is checked
-// against both the string bound and the bytes actually remaining before
-// the copy, so a hostile prefix cannot trigger a large allocation.
-func (d *decoder) string() string {
+// bytes reads a length-prefixed string as a view into the frame. The
+// claimed length is checked against both the string bound and the bytes
+// actually remaining, so a hostile prefix can claim nothing the frame
+// does not hold.
+func (d *decoder) bytes() []byte {
 	n := int(d.uint16())
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxString {
 		d.err = fmt.Errorf("%w: claims %d bytes", ErrString, n)
-		return ""
+		return nil
 	}
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
+	return d.take(n)
 }

@@ -38,6 +38,22 @@ func BenchmarkWireDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkWireDecodeFrame is the receiver's path: the same frame into
+// one reused Frame, strings left as views.
+func BenchmarkWireDecodeFrame(b *testing.B) {
+	frame, err := Encode(7, benchMsg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var f Frame
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeFrame(frame, &f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestEncodeAllocFree pins AppendFrame's zero-allocation contract with
 // a warm buffer.
 func TestEncodeAllocFree(t *testing.T) {
