@@ -147,10 +147,12 @@ obs-live:
 ## the race detector (worker-count determinism, the pinned seed-1
 ## comparative snapshot, the default pair's equivalence to the plain
 ## campus run) alongside the strategy package's property and
-## dispatch-cost tests.
+## dispatch-cost tests and the rivals' explicit-rate rule held to its
+## lockstep reference.
 arena:
 	$(GO) test -race -run 'Arena' ./internal/sim
 	$(GO) test -race ./internal/strategy
+	$(GO) test -race -run 'ExplicitRate' ./internal/maxmin
 
 ## testnet: the live-vs-sim oracle — the scripted campus scenario run
 ## over the loopback wire fabric must produce a controller trace

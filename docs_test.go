@@ -1,7 +1,9 @@
 package armnet_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -68,6 +70,54 @@ func TestDocumentedFaultPlansParse(t *testing.T) {
 		}
 		if otherErr == nil || !strings.Contains(otherErr.Error(), ": line ") {
 			t.Errorf("%s: the other plane's parser returned %v, want a line-numbered refusal", tc.doc, otherErr)
+		}
+	}
+}
+
+// TestDocumentedPathsExist holds the prose to the tree: every backquoted
+// span in the top-level documents that is a file path — ending .go,
+// .json, .golden, .jsonl, .sh or .md, with any :line suffix stripped —
+// must name a file in the repository, either from the root or as the
+// tail of one (`strategy/explicitrate.go`, `protocol.go`). A document
+// still naming code that was deleted or moved fails here.
+func TestDocumentedPathsExist(t *testing.T) {
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == ".git" || path == ".bench_build") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() {
+			files = append(files, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolves := func(p string) bool {
+		for _, f := range files {
+			if f == p || strings.HasSuffix(f, "/"+p) {
+				return true
+			}
+		}
+		return false
+	}
+	span := regexp.MustCompile("`([^`\n]+)`")
+	// A base name starts with a letter or digit, so `_test.go` is a
+	// suffix, not a file.
+	path := regexp.MustCompile(`^(?:\./)?((?:[A-Za-z0-9_.-]+/)*[A-Za-z0-9][A-Za-z0-9_.-]*\.(?:go|json|golden|jsonl|sh|md))(?::[0-9]+(?:-[0-9]+)?)?$`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllStringSubmatch(string(text), -1) {
+			if p := path.FindStringSubmatch(m[1]); p != nil && !resolves(p[1]) {
+				t.Errorf("%s names `%s`, which is no file in the repository", doc, m[1])
+			}
 		}
 	}
 }

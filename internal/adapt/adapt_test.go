@@ -8,6 +8,7 @@ import (
 	"armnet/internal/des"
 	"armnet/internal/maxmin"
 	"armnet/internal/qos"
+	"armnet/internal/strategy"
 	"armnet/internal/topology"
 )
 
@@ -213,5 +214,26 @@ func TestPoolFraction(t *testing.T) {
 	}
 	if got := PoolFraction(1, 0, 0.05, 0.20); got != 0.05 {
 		t.Fatalf("zero capacity pool = %v", got)
+	}
+}
+
+// TestMaxminOnlyUnderThePaperRule: every registered allocator is the one
+// maxmin protocol under some switch rule, but Maxmin exposes it only
+// under the paper's — WaterFill is that rule's oracle, not a rival's.
+func TestMaxminOnlyUnderThePaperRule(t *testing.T) {
+	b := topology.NewBackbone()
+	for _, name := range strategy.Allocators() {
+		sim := des.New()
+		alloc, err := strategy.NewAllocator(name, sim, maxmin.ProtocolOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr, err := NewManagerWith(sim, admission.NewLedger(b), alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mgr.Maxmin() != nil, name == strategy.DefaultAllocator; got != want {
+			t.Fatalf("%s: Maxmin() non-nil = %v, want %v", name, got, want)
+		}
 	}
 }

@@ -28,32 +28,35 @@ func TestAdvertisedRateAllocFree(t *testing.T) {
 
 // TestRetransmitSessionAllocFree is the lossy half of the session pin: a
 // session whose first sweep loses one hop is resent from a pooled step
-// like every other continuation, so after warm-up it allocates nothing.
+// like every other continuation, so after warm-up it allocates nothing,
+// under every rule.
 func TestRetransmitSessionAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector adds bookkeeping allocations")
 	}
-	pr, settle := settledPath(t, 8)
-	lose := false
-	pr.Opts.Deliver = func(_ string, hop int, _ bool) (bool, float64) {
-		if lose && hop == 1 {
-			lose = false
-			return true, 0
+	for _, rule := range testRules {
+		pr, settle := settledPath(t, 8, rule)
+		lose := false
+		pr.Opts.Deliver = func(_ string, hop int, _ bool) (bool, float64) {
+			if lose && hop == 1 {
+				lose = false
+				return true, 0
+			}
+			return false, 0
 		}
-		return false, 0
-	}
-	retransmits := pr.Retransmits
-	got := testing.AllocsPerRun(50, func() {
-		lose = true
-		if !pr.Kick("c0") {
-			t.Fatal("Kick(c0) started no session")
+		retransmits := pr.Retransmits
+		got := testing.AllocsPerRun(50, func() {
+			lose = true
+			if !pr.Kick("c0") {
+				t.Fatal("Kick(c0) started no session")
+			}
+			settle()
+		})
+		if n := pr.Retransmits - retransmits; n != 51 { // AllocsPerRun's warm-up run plus 50
+			t.Fatalf("%s: %d retransmissions over 51 sessions, want one each", rule.Name, n)
 		}
-		settle()
-	})
-	if n := pr.Retransmits - retransmits; n != 51 { // AllocsPerRun's warm-up run plus 50
-		t.Fatalf("%d retransmissions over 51 sessions, want one each", n)
-	}
-	if got != 0 {
-		t.Fatalf("a session with one retransmission allocates %v objects, want 0", got)
+		if got != 0 {
+			t.Fatalf("%s: a session with one retransmission allocates %v objects, want 0", rule.Name, got)
+		}
 	}
 }

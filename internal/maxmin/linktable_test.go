@@ -91,7 +91,7 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 		case op == 0 || (op == 3 && !on):
 			// On a connection already there this is the map's
 			// recorded[id] = 0: the rate resets, M(l) does not.
-			ls.insert(id)
+			ls.insert(id, 0)
 			ref.recorded[id] = 0
 		case op <= 2: // absent half the time: a no-op on both sides
 			ls.remove(id)
@@ -109,7 +109,7 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 			ref.recorded[id] = rate
 		case op == 4: // re-add: the row comes back zeroed and outside M(l)
 			ls.remove(id)
-			ls.insert(id)
+			ls.insert(id, 0)
 			ref.recorded[id] = 0
 			delete(ref.mSet, id)
 		case op == 5 && on:
@@ -186,11 +186,12 @@ func FuzzLinkStateMatchesMapOracle(f *testing.F) {
 }
 
 // settledPath builds a 3-link path carrying perLink connections on every
-// link and settles it. settle runs the simulator until it has nothing
-// left to do.
-func settledPath(tb testing.TB, perLink int) (pr *Protocol, settle func()) {
+// link, its switches running rule, and settles it. Every demand is above
+// the links' capacity yet finite, so a log weight is too. settle runs the
+// simulator until it has nothing left to do.
+func settledPath(tb testing.TB, perLink int, rule SwitchRule) (pr *Protocol, settle func()) {
 	sim := des.New()
-	pr = NewProtocolOn(clock.Sim(sim), ProtocolOptions{Refined: true})
+	pr = NewProtocolWith(clock.Sim(sim), ProtocolOptions{Refined: true}, rule)
 	path := []string{"l0", "l1", "l2"}
 	for _, l := range path {
 		if err := pr.AddLink(l, 100); err != nil {
@@ -198,7 +199,7 @@ func settledPath(tb testing.TB, perLink int) (pr *Protocol, settle func()) {
 		}
 	}
 	for i := 0; i < perLink; i++ {
-		if err := pr.AddConn(Conn{ID: fmt.Sprintf("c%d", i), Path: path, Demand: Inf}); err != nil {
+		if err := pr.AddConn(Conn{ID: fmt.Sprintf("c%d", i), Path: path, Demand: 1e3}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -218,9 +219,9 @@ func settledPath(tb testing.TB, perLink int) (pr *Protocol, settle func()) {
 }
 
 // sessionAllocs returns what one more Kick session run to quiescence
-// allocates on a settled path of perLink connections.
-func sessionAllocs(t *testing.T, perLink int) float64 {
-	pr, settle := settledPath(t, perLink)
+// allocates on a settled path of perLink connections under rule.
+func sessionAllocs(t *testing.T, perLink int, rule SwitchRule) float64 {
+	pr, settle := settledPath(t, perLink, rule)
 	return testing.AllocsPerRun(50, func() {
 		if !pr.Kick("c0") {
 			t.Fatal("Kick(c0) started no session")
@@ -234,19 +235,22 @@ func sessionAllocs(t *testing.T, perLink int) float64 {
 // the state it holds and a session's rounds and UPDATE post recycled step
 // records, so a settled session — four rounds and an UPDATE — allocates
 // nothing however many connections share its links, and computing μ
-// costs nothing either.
+// costs nothing either. The explicit-rate rules' one-round sessions are
+// held to the same.
 func TestProtocolSessionAllocsIndependentOfLinkLoad(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector adds bookkeeping allocations")
 	}
-	light, heavy := sessionAllocs(t, 8), sessionAllocs(t, 64)
-	if light != 0 || heavy != 0 {
-		t.Fatalf("a session allocates %v objects with 8 connections per link and %v with 64, want 0", light, heavy)
+	for _, rule := range testRules {
+		light, heavy := sessionAllocs(t, 8, rule), sessionAllocs(t, 64, rule)
+		if light != 0 || heavy != 0 {
+			t.Fatalf("%s: a session allocates %v objects with 8 connections per link and %v with 64, want 0", rule.Name, light, heavy)
+		}
 	}
 
 	ls := &linkState{capacity: 100}
 	for i := 0; i < 64; i++ {
-		ls.insert(fmt.Sprintf("c%d", i))
+		ls.insert(fmt.Sprintf("c%d", i), 0)
 	}
 	for i := range ls.recorded {
 		ls.record(i, float64(i%7)+1)

@@ -94,7 +94,7 @@ func BenchmarkProtocolSession(b *testing.B) {
 // BenchmarkProtocolSession above is the cold path, where every hop moves
 // a recorded rate.
 func BenchmarkProtocolSettledKick(b *testing.B) {
-	pr, settle := settledPath(b, 24)
+	pr, settle := settledPath(b, 24, Paper)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

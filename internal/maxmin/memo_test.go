@@ -7,6 +7,7 @@ import (
 
 	"armnet/internal/clock"
 	"armnet/internal/des"
+	"armnet/internal/eventbus"
 	"armnet/internal/randx"
 	"armnet/internal/sortx"
 )
@@ -59,8 +60,8 @@ func TestAdvertisedRateMatchesTwoPassReference(t *testing.T) {
 // is; likewise for the capacity.
 func TestRecordSameValueKeepsMemo(t *testing.T) {
 	ls := &linkState{name: "l", capacity: 10}
-	ls.insert("a")
-	ls.insert("b")
+	ls.insert("a", 0)
+	ls.insert("b", 0)
 	ls.record(0, 2.5)
 	ls.advertised()
 	v := ls.version
@@ -88,17 +89,25 @@ func TestRecordSameValueKeepsMemo(t *testing.T) {
 }
 
 // scripted is what runScript drives: a Protocol, or a reference that must
-// behave like one.
+// behave like one. Rates, counters and setBus are what a lockstep
+// comparison reads.
 type scripted interface {
-	state() *Protocol
+	AddLink(name string, capacity float64) error
 	AddConn(c Conn) error
 	RemoveConn(id string)
 	Kick(id string) bool
 	KickAll()
 	TriggerCapacityChange(link string, capacity float64) (int, error)
+	Rates() Allocation
+	counters() [4]int // Messages, Sessions, Retransmits, Readvertises
+	setBus(bus *eventbus.Bus)
 }
 
-func (pr *Protocol) state() *Protocol { return pr }
+func (pr *Protocol) counters() [4]int {
+	return [4]int{pr.Messages, pr.Sessions, pr.Retransmits, pr.Readvertises}
+}
+
+func (pr *Protocol) setBus(bus *eventbus.Bus) { pr.Bus = bus }
 
 // runScript drives protocols in lockstep through a seeded sequence of
 // AddConn / RemoveConn / re-add with a session pending / capacity changes
@@ -106,9 +115,11 @@ func (pr *Protocol) state() *Protocol { return pr }
 // advances, over a wire that loses the given share of mid-path hops, so
 // sweeps stop part-way, retransmissions run out and sessions interleave.
 // Each side is built on a simulator of its own and sees its own copy of
-// the wire; the script chooses from the first side's state. check runs
-// after every step and may draw from rng.
-func runScript(t *testing.T, seed int64, steps int, loss float64, build []func(clock.Clock, ProtocolOptions) scripted, check func(step int, rng *randx.Rand)) {
+// the wire; the script chooses from its own record of what it did. A
+// demand is drawn below 12 on 40 % of adds and is otherwise Inf, or 100
+// when finite is set (a log weight of Inf is Inf, and its share NaN).
+// check runs after every step and may draw from rng.
+func runScript(t *testing.T, seed int64, steps int, loss float64, finite bool, build []func(clock.Clock, ProtocolOptions) scripted, check func(step int, rng *randx.Rand)) {
 	rng := randx.New(seed)
 	refined := rng.Bernoulli(0.5)
 	period := 0.0
@@ -128,17 +139,18 @@ func runScript(t *testing.T, seed int64, steps int, loss float64, build []func(c
 			},
 		})
 	}
-	pr := sides[0].state()
 	links := make([]string, 3+rng.Intn(3))
+	caps := make([]float64, len(links))
 	for i := range links {
 		links[i] = fmt.Sprintf("l%d", i)
-		capacity := 1 + rng.Float64()*30
+		caps[i] = 1 + rng.Float64()*30
 		for _, s := range sides {
-			if err := s.state().AddLink(links[i], capacity); err != nil {
+			if err := s.AddLink(links[i], caps[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	live := map[string]bool{}
 	universe := make([]string, 14) // "c10" sorts before "c2"
 	for i := range universe {
 		universe[i] = fmt.Sprintf("c%d", i)
@@ -154,6 +166,8 @@ func runScript(t *testing.T, seed int64, steps int, loss float64, build []func(c
 		demand := Inf
 		if rng.Bernoulli(0.4) {
 			demand = rng.Float64() * 12
+		} else if finite {
+			demand = 100
 		}
 		for _, s := range sides {
 			if err := s.AddConn(Conn{ID: id, Path: path, Demand: demand}); err != nil {
@@ -161,11 +175,12 @@ func runScript(t *testing.T, seed int64, steps int, loss float64, build []func(c
 			}
 			s.Kick(id)
 		}
+		live[id] = true
 	}
 	now := 0.0
 	for step := 0; step < steps; step++ {
 		id := universe[rng.Intn(len(universe))]
-		_, on := pr.conns[id]
+		on := live[id]
 		switch op := rng.Intn(8); {
 		case op <= 1 && !on:
 			add(id)
@@ -173,6 +188,7 @@ func runScript(t *testing.T, seed int64, steps int, loss float64, build []func(c
 			for _, s := range sides {
 				s.RemoveConn(id)
 			}
+			delete(live, id)
 		case op == 2: // re-add while the old row's session is still in flight
 			if on {
 				for _, s := range sides {
@@ -182,13 +198,12 @@ func runScript(t *testing.T, seed int64, steps int, loss float64, build []func(c
 			}
 			add(id)
 		case op == 3:
-			l := links[rng.Intn(len(links))]
-			capacity := pr.links[l].capacity
+			k := rng.Intn(len(links))
 			if rng.Bernoulli(0.7) { // else "change" it to what it is
-				capacity *= 0.25 + rng.Float64()*1.5
+				caps[k] *= 0.25 + rng.Float64()*1.5
 			}
 			for _, s := range sides {
-				if _, err := s.TriggerCapacityChange(l, capacity); err != nil {
+				if _, err := s.TriggerCapacityChange(links[k], caps[k]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -222,7 +237,7 @@ func checkOfferMemo(t *testing.T, seed int64, steps int) {
 		pr = NewProtocolOn(clk, opts)
 		return pr
 	}
-	runScript(t, seed, steps, 0.04, []func(clock.Clock, ProtocolOptions) scripted{build}, func(step int, rng *randx.Rand) {
+	runScript(t, seed, steps, 0.04, false, []func(clock.Clock, ProtocolOptions) scripted{build}, func(step int, rng *randx.Rand) {
 		for _, l := range sortx.Keys(pr.links) {
 			ls := pr.links[l]
 			want := referenceAdvertised(ls.capacity, ls.recorded, -1)

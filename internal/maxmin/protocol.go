@@ -71,11 +71,43 @@ func (o ProtocolOptions) withDefaults() ProtocolOptions {
 	return o
 }
 
+// SwitchRule is the fair-share computation every switch on a path runs
+// on the stamped rate. The session around it — the sweep, the UPDATE,
+// retransmission, coalescing, the cascade and the repair loop — is the
+// same for every rule, as in an ABR network where the RM-cell loop is
+// fixed and only the switch's share computation differs (Fahmy et al.).
+//
+// A nil Weight is the paper's rule (§5.3.1): RoundTrips ADVERTISE round
+// trips offering the restricted-set μ_l, M(l) kept at every hop, and a
+// capacity change or a committed change re-advertising by M(l) (or to
+// every sharer when not Refined).
+//
+// A non-nil Weight is the explicit-rate rule: one round trip per
+// session, in which each switch offers
+//
+//	μ_l(c) = max(C_l · w_c / Σ_j w_j, C_l − Σ_{j≠c} recorded_j)
+//
+// clamped at 0, where w_c = Weight(demand_c) is fixed when c is added.
+// There is no M(l): a capacity change or a committed change
+// re-advertises every connection that drifted (see Protocol.drifted),
+// and Refined and RoundTrips are ignored.
+type SwitchRule struct {
+	// Name labels the rule's duplicate-link error and its
+	// ControlRetransmit events.
+	Name string
+	// Weight is a connection's share of a saturated link as a function
+	// of its demand, or nil for the paper's rule.
+	Weight func(demand float64) float64
+}
+
+// Paper is the paper's rule, the one NewProtocolOn runs.
+var Paper = SwitchRule{Name: "maxmin"}
+
 // linkState is the per-link protocol state a switch maintains: one table
 // of the connections on the link in ascending ID order — the order every
 // sum over them has always run in, so the floats come out bit-identical
-// with no per-hop sort. ids, recorded and inM are parallel; a row is
-// inserted by AddConn and deleted by RemoveConn.
+// with no per-hop sort. ids, recorded, inM and weight are parallel; a
+// row is inserted by AddConn and deleted by RemoveConn.
 //
 // The advertised rate is a function of capacity, the row set and the
 // recorded rates, so the switch remembers it (§5.3.1 keeps μ_l as state):
@@ -94,6 +126,11 @@ type linkState struct {
 	mCount int
 	// restricted is the μ iteration's scratch, kept to the table's length.
 	restricted []bool
+	// explicit selects the explicit-rate offer (a rule with a Weight);
+	// weight is then each row's weight, fixed when the row is inserted,
+	// and nil otherwise.
+	explicit bool
+	weight   []float64
 	// version is bumped by every change μ depends on. A link holding a
 	// row has been through insert, so its version is not zero and a zero
 	// muAt (here or on a connection's hop) is an empty memo.
@@ -118,8 +155,9 @@ func (ls *linkState) slot(id string, hint *int) int {
 	return i
 }
 
-// insert adds a row for id with a zero recorded rate, outside M(l).
-func (ls *linkState) insert(id string) {
+// insert adds a row for id with a zero recorded rate, outside M(l), of
+// weight w under the explicit-rate rule.
+func (ls *linkState) insert(id string, w float64) {
 	i, added := ls.ids.Insert(id)
 	if !added {
 		ls.record(i, 0)
@@ -128,6 +166,9 @@ func (ls *linkState) insert(id string) {
 	ls.recorded = slices.Insert(ls.recorded, i, 0)
 	ls.inM = slices.Insert(ls.inM, i, false)
 	ls.restricted = append(ls.restricted, false)
+	if ls.explicit {
+		ls.weight = slices.Insert(ls.weight, i, w)
+	}
 	ls.version++
 }
 
@@ -141,6 +182,9 @@ func (ls *linkState) remove(id string) {
 	ls.recorded = slices.Delete(ls.recorded, i, i+1)
 	ls.inM = slices.Delete(ls.inM, i, i+1)
 	ls.restricted = ls.restricted[:len(ls.ids)]
+	if ls.explicit {
+		ls.weight = slices.Delete(ls.weight, i, i+1)
+	}
 	ls.version++
 }
 
@@ -193,9 +237,41 @@ func (ls *linkState) advertised() float64 {
 // bottleneck for this connection": that row is held unrestricted in the
 // restricted-set iteration. A forced of -1 (a connection not on the
 // link) restricts by rate alone, which is μ_l itself. It always computes;
-// protoConn.offer remembers the answer for a connection's own row.
+// protoConn.offer remembers the answer for a connection's own row. Under
+// the explicit-rate rule it is explicitOffer instead.
 func (ls *linkState) advertisedFor(forced int) float64 {
+	if ls.explicit {
+		return ls.explicitOffer(forced)
+	}
 	return advertisedRate(ls.capacity, ls.recorded, ls.restricted, forced)
+}
+
+// explicitOffer is the explicit-rate rule's offer to row forced: the
+// larger of its weighted share and the capacity the other rows' recorded
+// rates leave, clamped at 0. Both sums run in one ascending-row walk. A
+// forced of -1 (a connection not on the link) has no share, and an empty
+// link offers its capacity.
+func (ls *linkState) explicitOffer(forced int) float64 {
+	if len(ls.ids) == 0 {
+		return ls.capacity
+	}
+	others, wsum, w := 0.0, 0.0, 0.0
+	for i, wi := range ls.weight {
+		wsum += wi
+		if i == forced {
+			w = wi
+		} else {
+			others += ls.recorded[i]
+		}
+	}
+	mu := ls.capacity - others
+	if share := ls.capacity * w / wsum; share > mu {
+		mu = share
+	}
+	if mu < 0 {
+		mu = 0
+	}
+	return mu
 }
 
 // Protocol is the event-driven distributed rate allocator. Connections
@@ -203,9 +279,11 @@ func (ls *linkState) advertisedFor(forced int) float64 {
 // detecting changed excess bandwidth and starts adaptation sessions whose
 // ADVERTISE packets travel hop by hop on the simulator. After the
 // configured round trips the initiator issues an UPDATE that commits the
-// new rate at every hop and fires OnUpdate.
+// new rate at every hop and fires OnUpdate. Every switch runs one
+// SwitchRule, fixed at construction.
 type Protocol struct {
 	clk  clock.Clock
+	rule SwitchRule
 	Opts ProtocolOptions
 	// OnUpdate, when non-nil, observes every committed rate change.
 	OnUpdate func(conn string, rate float64)
@@ -281,13 +359,20 @@ func (pc *protoConn) offer(i int) float64 {
 	return h.mu
 }
 
-// NewProtocolOn builds a protocol instance whose timers (sweep travel,
-// retransmit backoff, the re-ADVERTISE repair ticker) all run on clk:
-// clock.Sim(sim) for simulated time, a *clock.Wall for real time. A
-// positive ReadvertisePeriod arms the repair ticker immediately.
+// NewProtocolOn builds a protocol instance running the paper's rule
+// whose timers (sweep travel, retransmit backoff, the re-ADVERTISE
+// repair ticker) all run on clk: clock.Sim(sim) for simulated time, a
+// *clock.Wall for real time. A positive ReadvertisePeriod arms the repair
+// ticker immediately.
 func NewProtocolOn(clk clock.Clock, opts ProtocolOptions) *Protocol {
+	return NewProtocolWith(clk, opts, Paper)
+}
+
+// NewProtocolWith is NewProtocolOn with every switch running rule.
+func NewProtocolWith(clk clock.Clock, opts ProtocolOptions, rule SwitchRule) *Protocol {
 	pr := &Protocol{
 		clk:   clk,
+		rule:  rule,
 		Opts:  opts.withDefaults(),
 		links: make(map[string]*linkState),
 		conns: make(map[string]*protoConn),
@@ -298,44 +383,53 @@ func NewProtocolOn(clk clock.Clock, opts ProtocolOptions) *Protocol {
 	return pr
 }
 
-// readvertise kicks every quiescent connection whose committed rate
-// deviates from its current fair offer min(demand, min_l μ_l(conn)) by
-// more than δ. At the true maxmin fixpoint no connection deviates, so a
-// converged protocol schedules nothing.
-func (pr *Protocol) readvertise() {
-	tol := pr.Opts.Delta
-	if tol <= 0 {
-		tol = 1e-9
+// explicit reports whether the switches run the explicit-rate rule.
+func (pr *Protocol) explicit() bool { return pr.rule.Weight != nil }
+
+// tol is the drift tolerance: δ, or 1e-9 when δ is zero.
+func (pr *Protocol) tol() float64 {
+	if pr.Opts.Delta > 0 {
+		return pr.Opts.Delta
 	}
-	ids := sortx.Keys(pr.conns)
+	return 1e-9
+}
+
+// drifted reports whether pc's committed rate is more than tol from its
+// current offer min(demand, min_l offer_l(pc)), or from the rate some hop
+// recorded for it. The second test catches a lost sweep that stranded a
+// *stale* recorded rate on an upstream link — a state that looks locally
+// fair (the offer matches the committed rate) yet blocks neighbors from
+// their share.
+func (pr *Protocol) drifted(pc *protoConn) bool {
+	tol := pr.tol()
+	offer := pc.demand
+	for i := range pc.hops {
+		if mu := pc.offer(i); mu < offer {
+			offer = mu
+		}
+	}
+	if math.Abs(offer-pc.rate) > tol {
+		return true
+	}
+	for i := range pc.hops {
+		recorded := 0.0 // what a connection missing from the link reads
+		if ls, s := pc.row(i); s >= 0 {
+			recorded = ls.recorded[s]
+		}
+		if math.Abs(recorded-pc.rate) > tol {
+			return true
+		}
+	}
+	return false
+}
+
+// readvertise kicks every quiescent connection that drifted. At the
+// rule's fixpoint no connection has, so a converged protocol schedules
+// nothing.
+func (pr *Protocol) readvertise() {
 	kicked := 0
-	for _, id := range ids {
-		pc := pr.conns[id]
-		if pc.active {
-			continue
-		}
-		offer := pc.demand
-		for i := range pc.hops {
-			if mu := pc.offer(i); mu < offer {
-				offer = mu
-			}
-		}
-		drift := math.Abs(offer-pc.rate) > tol
-		// A lost sweep can also strand a *stale* recorded rate on an
-		// upstream link — a state that looks locally fair (the offer
-		// matches the committed rate) yet blocks neighbors from their
-		// maxmin share. Recorded-vs-committed disagreement exposes it.
-		for i := range pc.hops {
-			if drift {
-				break
-			}
-			recorded := 0.0 // what a connection missing from the link reads
-			if ls, s := pc.row(i); s >= 0 {
-				recorded = ls.recorded[s]
-			}
-			drift = math.Abs(recorded-pc.rate) > tol
-		}
-		if drift && pr.startSession(id) {
+	for _, id := range sortx.Keys(pr.conns) {
+		if pc := pr.conns[id]; !pc.active && pr.drifted(pc) && pr.startSession(id) {
 			kicked++
 		}
 	}
@@ -352,7 +446,7 @@ func (pr *Protocol) retryControl(st step, hop int) bool {
 		return false
 	}
 	pr.Retransmits++
-	eventbus.Pub(pr.Bus, eventbus.ControlRetransmit{Proto: "maxmin", Conn: st.pc.id, Hop: hop, Attempt: st.attempt + 1})
+	eventbus.Pub(pr.Bus, eventbus.ControlRetransmit{Proto: pr.rule.Name, Conn: st.pc.id, Hop: hop, Attempt: st.attempt + 1})
 	backoff := pr.Opts.RetryBase * float64(int(1)<<st.attempt)
 	st.attempt++
 	pr.post(backoff, st)
@@ -362,12 +456,12 @@ func (pr *Protocol) retryControl(st step, hop int) bool {
 // AddLink registers a link with its excess capacity.
 func (pr *Protocol) AddLink(name string, capacity float64) error {
 	if _, ok := pr.links[name]; ok {
-		return fmt.Errorf("maxmin: duplicate link %s", name)
+		return fmt.Errorf("%s: duplicate link %s", pr.rule.Name, name)
 	}
 	if capacity < 0 {
 		return fmt.Errorf("%w: %s = %v", ErrBadCapacity, name, capacity)
 	}
-	pr.links[name] = &linkState{name: name, capacity: capacity}
+	pr.links[name] = &linkState{name: name, capacity: capacity, explicit: pr.explicit()}
 	return nil
 }
 
@@ -389,12 +483,16 @@ func (pr *Protocol) AddConn(c Conn) error {
 	if demand < 0 {
 		return fmt.Errorf("%w: %s", ErrBadDemand, c.ID)
 	}
+	w := 0.0
+	if pr.explicit() {
+		w = pr.rule.Weight(demand)
+	}
 	pc := &protoConn{id: c.ID, demand: demand, hops: make([]connHop, 0, len(c.Path))}
 	for _, l := range c.Path {
 		ls := pr.links[l]
 		if !slices.ContainsFunc(pc.hops, func(h connHop) bool { return h.link == ls }) {
 			pc.hops = append(pc.hops, connHop{link: ls})
-			ls.insert(c.ID)
+			ls.insert(c.ID, w)
 		}
 	}
 	pr.conns[c.ID] = pc
@@ -464,7 +562,9 @@ func (pr *Protocol) BottleneckSizes() []LinkBottleneck {
 // TriggerCapacityChange models the switch owning the link detecting a new
 // excess capacity (eqn. 2): decreases always trigger; increases trigger
 // only when they exceed δ and, under the refinement, only for connections
-// in M(l). Returns the number of sessions started.
+// in M(l). Under the explicit-rate rule the switch kicks every connection
+// on the link that drifted, each judged after the sessions started before
+// it have swept. Returns the number of sessions started.
 func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, error) {
 	ls, ok := pr.links[link]
 	if !ok {
@@ -479,6 +579,15 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 		return 0, nil // below the adaptation threshold
 	}
 	ls.setCapacity(capacity)
+	started := 0
+	if pr.explicit() {
+		for _, id := range ls.ids {
+			if pr.drifted(pr.conns[id]) && pr.startSession(id) {
+				started++
+			}
+		}
+		return started, nil
+	}
 	adv := ls.advertised()
 	targets := pr.targets[:0]
 	pr.targets = nil
@@ -501,7 +610,6 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 			}
 		}
 	}
-	started := 0
 	for _, id := range targets {
 		if pr.startSession(id) {
 			started++
@@ -525,7 +633,7 @@ func (pr *Protocol) KickAll() {
 // carries the stamped rate.
 func (pr *Protocol) Kick(id string) bool { return pr.startSession(id) }
 
-// startSession begins the four-round-trip adaptation for one connection.
+// startSession begins the adaptation session of one connection.
 // Overlapping requests coalesce: a second request during an active
 // session marks the connection dirty and reruns once.
 func (pr *Protocol) startSession(id string) bool {
@@ -589,8 +697,8 @@ func (rec *step) run() {
 	rec.pc = nil // a pooled record keeps no connection alive
 	pr.free = append(pr.free, rec)
 	switch st.kind {
-	case afterRound:
-		if st.round < pr.Opts.RoundTrips {
+	case afterRound: // the explicit-rate rule runs one round
+		if !pr.explicit() && st.round < pr.Opts.RoundTrips {
 			pr.runRound(step{pc: st.pc, round: st.round + 1, prev: st.final})
 			return
 		}
@@ -676,6 +784,9 @@ func (pr *Protocol) runRound(st step) {
 		}
 		ls, s := pc.row(i)
 		ls.record(s, stamp)
+		if ls.explicit {
+			continue
+		}
 		// Maintain M(l) per the paper's rule.
 		muAll := ls.advertised()
 		if muAll < in {
@@ -710,7 +821,9 @@ func (pr *Protocol) sendUpdate(st step) {
 	// goes stale once neighbors re-settle; without this refresh a later
 	// upgrade cascade can skip a connection that is in fact bottlenecked
 	// here and strand it below its maxmin share (see the
-	// stale-bottleneck regression test).
+	// stale-bottleneck regression test). The explicit-rate rule keeps no
+	// M(l), so its UPDATE only commits.
+	explicit := pr.explicit()
 	minMu := math.Inf(1)
 	for i := range pc.hops {
 		pr.Messages++
@@ -729,15 +842,20 @@ func (pr *Protocol) sendUpdate(st step) {
 		}
 		ls, s := pc.row(i)
 		ls.record(s, st.rate)
+		if explicit {
+			continue
+		}
 		if mu := pc.offer(i); mu < minMu {
 			minMu = mu
 		}
 	}
 	// Each hop's mu is still the offer just collected: a path holds a
 	// link once, so no later hop wrote to an earlier one's table.
-	for i := range pc.hops {
-		ls, s := pc.row(i)
-		ls.setM(s, pc.hops[i].mu <= minMu+1e-9*(1+minMu))
+	if !explicit {
+		for i := range pc.hops {
+			ls, s := pc.row(i)
+			ls.setM(s, pc.hops[i].mu <= minMu+1e-9*(1+minMu))
+		}
 	}
 	st.kind = commit
 	pr.post(travel, st)
@@ -780,20 +898,27 @@ func (pr *Protocol) maybeConverged() {
 // cascade re-advertises connections that share a link with the one now
 // holding hint's ID and whose recorded rate now deviates from the link's
 // advertised rate by more than δ (refined mode), or every sharing
-// connection (naive mode).
+// connection (naive mode). Under the explicit-rate rule it re-advertises
+// every sharing connection that drifted; one whose session commits an
+// unchanged rate does not cascade, which ends the ripple.
 func (pr *Protocol) cascade(hint *protoConn) {
 	pc := pr.resolve(hint)
 	if pc == nil {
 		return
 	}
-	tol := pr.Opts.Delta
-	if tol <= 0 {
-		tol = 1e-9
-	}
+	explicit, tol := pr.explicit(), pr.tol()
 	targets := pr.targets[:0]
 	pr.targets = nil
 	for _, h := range pc.hops {
 		ls := h.link
+		if explicit {
+			for _, other := range ls.ids {
+				if other != pc.id && pr.drifted(pr.conns[other]) {
+					targets = append(targets, other)
+				}
+			}
+			continue
+		}
 		adv := ls.advertised()
 		for i, other := range ls.ids {
 			if other == pc.id {

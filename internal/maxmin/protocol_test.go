@@ -66,57 +66,78 @@ func TestProtocolConvergesToMaxMin(t *testing.T) {
 	}
 }
 
-// TestProtocolOnWallClock runs sessions on real time: continuations fire
-// from timer goroutines under the Wall's lock, and the step freelist must
-// only be touched there (make race runs this). Three connections kicked
-// in one Run go quiescent at WaterFill's allocation.
+// TestProtocolOnWallClock runs sessions on real time, once per rule:
+// continuations fire from timer goroutines under the Wall's lock, and the
+// step freelist must only be touched there (make race runs this). Three
+// connections kicked in one Run go quiescent at the rule's fixed point:
+// the same script on the simulator, which under the paper's rule is
+// WaterFill's allocation.
 func TestProtocolOnWallClock(t *testing.T) {
 	p := Problem{
 		Capacity: map[string]float64{"L1": 10, "L2": 4},
 		Conns: []Conn{
-			{ID: "a", Path: []string{"L1", "L2"}, Demand: Inf},
-			{ID: "b", Path: []string{"L1"}, Demand: Inf},
+			{ID: "a", Path: []string{"L1", "L2"}, Demand: 100}, // finite, for the log weight
+			{ID: "b", Path: []string{"L1"}, Demand: 100},
 			{ID: "c", Path: []string{"L2"}, Demand: 1},
 		},
 	}
-	ref, err := WaterFill(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := clock.NewWall()
-	pr := NewProtocolOn(w, ProtocolOptions{Refined: true, HopDelay: 1e-4})
-	pr.Bus = eventbus.New(w)
-	quiet := make(chan struct{}, 1)
-	pr.Bus.Subscribe(func(eventbus.Record) {
-		select {
-		case quiet <- struct{}{}:
-		default:
-		}
-	}, eventbus.KindMaxminConverged)
-	w.Run(func() {
-		for _, l := range p.sortedLinks() {
-			if err := pr.AddLink(l, p.Capacity[l]); err != nil {
-				t.Error(err)
+	for _, rule := range testRules {
+		t.Run(rule.Name, func(t *testing.T) {
+			load := func(pr *Protocol) {
+				for _, l := range p.sortedLinks() {
+					if err := pr.AddLink(l, p.Capacity[l]); err != nil {
+						t.Error(err)
+					}
+				}
+				for _, c := range p.Conns {
+					if err := pr.AddConn(c); err != nil {
+						t.Error(err)
+					}
+					pr.Kick(c.ID)
+				}
 			}
-		}
-		for _, c := range p.Conns {
-			if err := pr.AddConn(c); err != nil {
-				t.Error(err)
+			opts := ProtocolOptions{Refined: true, HopDelay: 1e-4}
+			sim := des.New()
+			ref := NewProtocolWith(clock.Sim(sim), opts, rule)
+			load(ref)
+			if err := sim.RunUntil(60); err != nil {
+				t.Fatal(err)
 			}
-			pr.Kick(c.ID)
-		}
-	})
-	// All three sessions start inside that one Run, so the first
-	// MaxminConverged is the end of the whole run, cascades included.
-	select {
-	case <-quiet:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no MaxminConverged within 10 s on the wall clock")
-	}
-	var got Allocation
-	w.Run(func() { got = pr.Rates() })
-	if d := ref.MaxDiff(got); d > 1e-6 {
-		t.Fatalf("wall-clock allocation %v, WaterFill %v (diff %v)", got, ref, d)
+			want := ref.Rates()
+			if rule.Weight == nil {
+				fill, err := WaterFill(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := fill.MaxDiff(want); d > 1e-6 {
+					t.Fatalf("simulated allocation %v, WaterFill %v (diff %v)", want, fill, d)
+				}
+			}
+
+			w := clock.NewWall()
+			pr := NewProtocolWith(w, opts, rule)
+			pr.Bus = eventbus.New(w)
+			quiet := make(chan struct{}, 1)
+			pr.Bus.Subscribe(func(eventbus.Record) {
+				select {
+				case quiet <- struct{}{}:
+				default:
+				}
+			}, eventbus.KindMaxminConverged)
+			w.Run(func() { load(pr) })
+			// All three sessions start inside that one Run, so the first
+			// MaxminConverged is the end of the whole run, cascades included.
+			select {
+			case <-quiet:
+			case <-time.After(10 * time.Second):
+				t.Fatal("no MaxminConverged within 10 s on the wall clock")
+			}
+			var got Allocation
+			w.Run(func() { got = pr.Rates() })
+			if d := want.MaxDiff(got); d > 1e-6 {
+				t.Fatalf("wall-clock allocation %v, simulated %v (diff %v)", got, want, d)
+			}
+		})
 	}
 }
 

@@ -334,31 +334,29 @@ func (m trustingRemoved) AddConn(c Conn) error {
 	return err
 }
 
-// sessionDivergence runs the script on side and on the closure reference
-// in lockstep and returns the first step at which they differ — the
-// committed rates bit for bit, the four counters, or the published
-// AdaptationRound / MaxminConverged / ControlRetransmit / Readvertise
-// records — with what differed; ok is true when they never do. A panic
-// on side (the mutant can sweep rows that are gone) counts as a
-// difference.
-func sessionDivergence(t *testing.T, seed int64, steps int, side func(clock.Clock, ProtocolOptions) scripted) (msg string, ok bool) {
+// lockstep runs the script on side and on ref in lockstep and returns the
+// first step at which they differ — the committed rates bit for bit, the
+// four counters, or the published AdaptationRound / MaxminConverged /
+// ControlRetransmit / Readvertise records — with what differed; ok is
+// true when they never do. A panic on side (a mutant can sweep rows that
+// are gone) counts as a difference.
+func lockstep(t *testing.T, seed int64, steps int, finite bool, side, ref func(clock.Clock, ProtocolOptions) scripted) (msg string, ok bool) {
 	var got, want []eventbus.Record
-	var pr *Protocol
-	var ref *refProtocol
+	var pr, rf scripted
 	logTo := func(s scripted, clk clock.Clock, log *[]eventbus.Record) scripted {
-		s.state().Bus = eventbus.New(clk)
-		s.state().Bus.Subscribe(func(r eventbus.Record) { *log = append(*log, r) })
+		bus := eventbus.New(clk)
+		bus.Subscribe(func(r eventbus.Record) { *log = append(*log, r) })
+		s.setBus(bus)
 		return s
 	}
 	build := []func(clock.Clock, ProtocolOptions) scripted{
 		func(clk clock.Clock, opts ProtocolOptions) scripted {
-			s := side(clk, opts)
-			pr = s.state()
-			return logTo(s, clk, &got)
+			pr = side(clk, opts)
+			return logTo(pr, clk, &got)
 		},
 		func(clk clock.Clock, opts ProtocolOptions) scripted {
-			ref = newRefProtocol(clk, opts)
-			return logTo(ref, clk, &want)
+			rf = ref(clk, opts)
+			return logTo(rf, clk, &want)
 		},
 	}
 	defer func() {
@@ -367,14 +365,14 @@ func sessionDivergence(t *testing.T, seed int64, steps int, side func(clock.Cloc
 		}
 	}()
 	msg, ok = "", true
-	runScript(t, seed, steps, 0.12, build, func(step int, _ *randx.Rand) {
+	runScript(t, seed, steps, 0.12, finite, build, func(step int, _ *randx.Rand) {
 		if !ok {
 			return
 		}
 		diff := func(format string, args ...any) {
 			msg, ok = fmt.Sprintf("step %d: ", step)+fmt.Sprintf(format, args...), false
 		}
-		a, b := pr.Rates(), ref.Rates()
+		a, b := pr.Rates(), rf.Rates()
 		for id, r := range b {
 			if g, on := a[id]; !on || math.Float64bits(g) != math.Float64bits(r) {
 				diff("%s rate %v, reference %v", id, g, r)
@@ -385,9 +383,8 @@ func sessionDivergence(t *testing.T, seed int64, steps int, side func(clock.Cloc
 			diff("%d connections, reference %d", len(a), len(b))
 			return
 		}
-		if pr.Messages != ref.Messages || pr.Sessions != ref.Sessions || pr.Retransmits != ref.Retransmits || pr.Readvertises != ref.Readvertises {
-			diff("messages/sessions/retransmits/readvertises %d/%d/%d/%d, reference %d/%d/%d/%d",
-				pr.Messages, pr.Sessions, pr.Retransmits, pr.Readvertises, ref.Messages, ref.Sessions, ref.Retransmits, ref.Readvertises)
+		if c, r := pr.counters(), rf.counters(); c != r {
+			diff("messages/sessions/retransmits/readvertises %v, reference %v", c, r)
 			return
 		}
 		for i := range max(len(got), len(want)) {
@@ -413,12 +410,13 @@ func TestSessionStepsMatchClosureReference(t *testing.T) {
 	mutant := func(clk clock.Clock, opts ProtocolOptions) scripted {
 		return trustingRemoved{NewProtocolOn(clk, opts), map[string]*protoConn{}}
 	}
+	ref := func(clk clock.Clock, opts ProtocolOptions) scripted { return newRefProtocol(clk, opts) }
 	caught := 0
 	for seed := int64(1); seed <= 40; seed++ {
-		if msg, ok := sessionDivergence(t, seed, 300, plain); !ok {
+		if msg, ok := lockstep(t, seed, 300, false, plain, ref); !ok {
 			t.Fatalf("seed %d: %s", seed, msg)
 		}
-		if _, ok := sessionDivergence(t, seed, 300, mutant); !ok {
+		if _, ok := lockstep(t, seed, 300, false, mutant, ref); !ok {
 			caught++
 		}
 	}

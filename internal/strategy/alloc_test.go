@@ -61,20 +61,16 @@ func TestStrategyDispatchAddsNoAllocs(t *testing.T) {
 }
 
 // TestStrategyQuiescentSyncAllocBudget pins every registered allocator's
-// quiescent capacity-sync at the pre-seam budget (9 allocs/op: the
-// target-selection scratch slices both protocols share); maxmin, whose
-// link table needs no sorted copy of the link's connections, is held to
-// the 2 its target list costs. Growth here is a regression on the most
-// frequently dispatched strategy call.
+// quiescent capacity-sync at one budget, the 2 allocs/op maxmin's target
+// list costs: every allocator is the one protocol under a different
+// switch rule. Growth here is a regression on the most frequently
+// dispatched strategy call.
 func TestStrategyQuiescentSyncAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector adds bookkeeping allocations")
 	}
+	const budget = 2
 	for _, name := range strategy.Allocators() {
-		budget := 9.0
-		if name == "maxmin" {
-			budget = 2
-		}
 		t.Run(name, func(t *testing.T) {
 			_, a := buildQuiescent(t, name)
 			got := testing.AllocsPerRun(1000, func() {
@@ -83,7 +79,7 @@ func TestStrategyQuiescentSyncAllocBudget(t *testing.T) {
 				}
 			})
 			if got > budget {
-				t.Fatalf("%s: quiescent CapacityChanged allocates %v/op, budget %v", name, got, budget)
+				t.Fatalf("%s: quiescent CapacityChanged allocates %v/op, budget %d", name, got, budget)
 			}
 		})
 	}

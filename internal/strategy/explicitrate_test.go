@@ -10,8 +10,8 @@ import (
 	"armnet/internal/strategy"
 )
 
-// explicitRateRivals are the registry names served by the shared
-// explicit-rate skeleton; every test below runs once per weight rule.
+// explicitRateRivals are the registry names whose switches run the
+// explicit-rate rule; every test below runs once per weight.
 var explicitRateRivals = []string{"erica", "logweight"}
 
 // rateRig is one explicit-rate allocator on a two-link path (a: 6 Mb/s,

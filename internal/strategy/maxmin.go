@@ -8,23 +8,39 @@ import (
 )
 
 func init() {
-	RegisterAllocator(DefaultAllocator, func(sim *des.Simulator, opts maxmin.ProtocolOptions) Allocator {
-		return &maxminAllocator{pr: maxmin.NewProtocolOn(clock.Sim(sim), opts)}
-	})
+	RegisterAllocator(DefaultAllocator, ruleAllocator(maxmin.Paper))
 }
 
-// maxminAllocator adapts the paper's §5.3.1 distributed ADVERTISE/UPDATE
-// protocol to the Allocator seam. It is a pure forwarding shim: every
-// call lands on the same concrete protocol methods core used before the
-// seam existed, which is what keeps default-pair traces byte-identical.
-type maxminAllocator struct{ pr *maxmin.Protocol }
+// ruleAllocator returns the factory of the allocator whose switches run
+// rule; the rule's name is the allocator's.
+func ruleAllocator(rule maxmin.SwitchRule) AllocatorFactory {
+	return func(sim *des.Simulator, opts maxmin.ProtocolOptions) Allocator {
+		return &maxminAllocator{pr: maxmin.NewProtocolWith(clock.Sim(sim), opts, rule), rule: rule}
+	}
+}
 
-// Underlying exposes the wrapped protocol for callers that genuinely
-// need maxmin-specific state (the chaos auditor's WaterFill oracle, the
-// refined-vs-flooding ablation). Rival allocators have no equivalent.
-func (a *maxminAllocator) Underlying() *maxmin.Protocol { return a.pr }
+// maxminAllocator adapts the §5.3.1 distributed ADVERTISE/UPDATE
+// protocol, under any switch rule, to the Allocator seam. It is a pure
+// forwarding shim: every call lands on the same concrete protocol methods
+// core used before the seam existed, which is what keeps default-pair
+// traces byte-identical.
+type maxminAllocator struct {
+	pr   *maxmin.Protocol
+	rule maxmin.SwitchRule
+}
 
-func (a *maxminAllocator) Name() string { return DefaultAllocator }
+// Underlying exposes the wrapped protocol when it runs the paper's rule,
+// for callers that genuinely need maxmin-specific state (the chaos
+// auditor's WaterFill oracle, the refined-vs-flooding ablation). A rival's
+// rates are not WaterFill's, so it answers nil.
+func (a *maxminAllocator) Underlying() *maxmin.Protocol {
+	if a.rule.Weight != nil {
+		return nil
+	}
+	return a.pr
+}
+
+func (a *maxminAllocator) Name() string { return a.rule.Name }
 
 func (a *maxminAllocator) AddLink(name string, capacity float64) error {
 	return a.pr.AddLink(name, capacity)

@@ -9,11 +9,12 @@
 //     committed — the paper's Table 2 round-trip test is the default.
 //
 // Rival strategies from the related work register themselves under
-// stable names ("erica", an ABR-style fair-share switch allocator after
+// stable names ("erica", an ABR-style fair-share switch rule after
 // Fahmy & Jain, and "logweight", Robert & Véber's log-weighted
-// proportional sharing — one explicit-rate skeleton with a weight rule
-// each; "measured", a capacity-region-free measurement-based admitter
-// after Jaramillo & Ying), and sim.RunArena races registered pairs
+// proportional sharing — each a weight on the paper's maxmin session,
+// so every allocator is one maxmin.Protocol under some SwitchRule;
+// "measured", a capacity-region-free measurement-based admitter after
+// Jaramillo & Ying), and sim.RunArena races registered pairs
 // head-to-head over the identical seeded workload.
 //
 // The registry is populated at init time and read-only afterwards, so
@@ -63,8 +64,8 @@ type ControlStats struct {
 }
 
 // Allocator is the rate-allocation strategy seam. Implementations run
-// on the discrete-event simulator, must be deterministic (sorted
-// iteration, no wall clock, no map-order publishes), and commit rate
+// on a clock.Clock, must be deterministic (sorted iteration, no wall
+// clock read outside it, no map-order publishes), and commit rate
 // changes through the OnUpdate callback; the adaptation layer turns
 // those into ledger allocations.
 type Allocator interface {
