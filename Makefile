@@ -51,8 +51,9 @@ bench:
 
 ## bench-capture: run the fixed-iteration benchmark suite per area and
 ## append one trajectory entry to each BENCH_<area>.json at the repo
-## root, printing a comparison against the previous entry (>20% moves
-## are flagged). Set NOTE to label the entry.
+## root, printing a comparison against the previous entry (ns/op as
+## information; any allocs/op change is marked). Set NOTE to label the
+## entry.
 NOTE ?=
 bench-capture:
 	$(GO) run ./cmd/benchcap -root . -note '$(NOTE)'
@@ -102,10 +103,10 @@ loc:
 	@echo "packages:          $$($(GO) list ./... | wc -l) ($$($(GO) list ./internal/... | wc -l) under internal/)"
 
 ## trace-determinism: the event-stream replication gate — the full JSONL
-## trace of every reservation mode must be byte-identical at any worker
-## count and, at the full campus, chaos and overload configurations,
-## from run to run; and armsim's -trace must be the campus experiment's
-## stream, byte for byte.
+## trace of every reservation mode and the output of every multi-trial
+## experiment must be byte-identical at any worker count and, at the full
+## campus, chaos and overload configurations, from run to run; and
+## armsim's -trace must be the campus experiment's stream, byte for byte.
 trace-determinism:
 	$(GO) test -run 'TraceDeterminism' ./internal/sim
 	$(GO) test -run 'TestArmsimTraceEqualsCampusTrace' -count=1 ./cmd/armsim
@@ -125,10 +126,11 @@ overload:
 	$(GO) test -race ./internal/overload
 
 ## obs: the observability gate — the zero-perturbation guarantee, the
-## instrument/span determinism checks, and the pinned seed-1 snapshot
-## goldens, all under the race detector.
+## instrument/span determinism checks (the replicated snapshot and a span
+## writer on a multi-trial run are rows of the worker-invariance test),
+## and the pinned seed-1 snapshot goldens, all under the race detector.
 obs:
-	$(GO) test -race -run 'Obs' ./internal/sim
+	$(GO) test -race -run 'Obs|ExperimentTraceDeterminism/(obs|spans)' ./internal/sim
 	$(GO) test -race ./internal/obs
 
 ## obs-live: the live-plane observability gate — arming the wire
@@ -150,7 +152,7 @@ obs-live:
 ## dispatch-cost tests and the rivals' explicit-rate rule held to its
 ## lockstep reference.
 arena:
-	$(GO) test -race -run 'Arena' ./internal/sim
+	$(GO) test -race -run 'Arena|ExperimentTraceDeterminism/arena' ./internal/sim
 	$(GO) test -race ./internal/strategy
 	$(GO) test -race -run 'ExplicitRate' ./internal/maxmin
 

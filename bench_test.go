@@ -7,6 +7,7 @@ package armnet_test
 // run regenerates the paper's rows, not just timings.
 
 import (
+	"context"
 	"testing"
 
 	"armnet"
@@ -74,7 +75,7 @@ func BenchmarkFigure4OfficePrediction(b *testing.B) {
 func BenchmarkFigure5MeetingRoom(b *testing.B) {
 	var drops [3]int
 	for i := 0; i < b.N; i++ {
-		rs, err := armnet.RunFigure5Comparison(int64(i+1), 400)
+		rs, _, err := armnet.RunFigure5Comparison(context.Background(), int64(i+1), 400, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,8 +111,8 @@ func BenchmarkFigure6DefaultReservation(b *testing.B) {
 // BenchmarkFigure6Sweep times the full curve family (small horizon).
 func BenchmarkFigure6Sweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := armnet.RunFigure6Sweep(int64(i+1),
-			[]float64{0.02, 0.1}, []float64{0.01, 0.05, 0.2}, 50); err != nil {
+		if _, _, err := armnet.RunFigure6Sweep(context.Background(), int64(i+1),
+			[]float64{0.02, 0.1}, []float64{0.01, 0.05, 0.2}, 50, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,9 +123,9 @@ func BenchmarkFigure6Sweep(b *testing.B) {
 func BenchmarkTheorem1Convergence(b *testing.B) {
 	msgs := 0
 	for i := 0; i < b.N; i++ {
-		r, err := armnet.RunTheorem1(armnet.Theorem1Config{
+		r, _, err := armnet.RunTheorem1(context.Background(), armnet.Theorem1Config{
 			Seed: int64(i + 1), Instances: 5, Refined: true, Perturb: true,
-		})
+		}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,11 +144,11 @@ func BenchmarkTheorem1Convergence(b *testing.B) {
 func BenchmarkAblationRefinedVsFlooding(b *testing.B) {
 	var refined, naive int
 	for i := 0; i < b.N; i++ {
-		r1, err := armnet.RunTheorem1(armnet.Theorem1Config{Seed: int64(i + 1), Instances: 5, Refined: true, Perturb: true})
+		r1, _, err := armnet.RunTheorem1(context.Background(), armnet.Theorem1Config{Seed: int64(i + 1), Instances: 5, Refined: true, Perturb: true}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := armnet.RunTheorem1(armnet.Theorem1Config{Seed: int64(i + 1), Instances: 5, Refined: false, Perturb: true})
+		r2, _, err := armnet.RunTheorem1(context.Background(), armnet.Theorem1Config{Seed: int64(i + 1), Instances: 5, Refined: false, Perturb: true}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,9 +221,9 @@ func BenchmarkAblationPredictiveVsBruteForce(b *testing.B) {
 func BenchmarkAblationTthSensitivity(b *testing.B) {
 	var small, large float64
 	for i := 0; i < b.N; i++ {
-		pts, err := armnet.RunTthSensitivity(armnet.CampusConfig{
+		pts, _, err := armnet.RunTthSensitivity(context.Background(), armnet.CampusConfig{
 			Seed: int64(i + 1), Portables: 16, Duration: 900, Dwell: 120,
-		}, []float64{30, 600})
+		}, []float64{30, 600}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +284,7 @@ func BenchmarkArenaHeadToHead(b *testing.B) {
 	var pairs int
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		entries, err := armnet.RunArena(cfg)
+		entries, _, err := armnet.RunArena(context.Background(), cfg, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,10 +14,10 @@
 //	armsim -topology campus -replications 16 -parallel 8
 //
 // With -replications R the scenario runs R times under decorrelated seeds
-// derived from -seed (replication 0 keeps it), fanned across -parallel
-// workers. Replication is deterministic: the per-replication table is
-// identical at any worker count; pool stats (wall time, speedup) print to
-// stderr.
+// derived from -seed (replication i runs runner.SplitSeed(seed, i), so
+// replication 0 keeps it), fanned across -parallel workers. Replication
+// is deterministic: the per-replication table is identical at any worker
+// count; pool stats (wall time, speedup) print to stderr.
 //
 // With -trace FILE every control-plane event (admission decisions,
 // handoffs, holds/commits/aborts, reservations, rate changes, …) is
@@ -53,8 +53,8 @@
 // the paper's test battery; measured is headroom-based measurement
 // admission). -arena ignores -replications and instead runs every
 // allocator/admitter pair head-to-head over the *identical* campus
-// workload, printing a comparative table (utilization, drops, blocking,
-// control overhead):
+// workload, one pair per trial across -parallel workers, printing a
+// comparative table (utilization, drops, blocking, control overhead):
 //
 //	armsim -allocator erica -admitter measured -portables 24
 //	armsim -arena -seed 1 -portables 24 -bmin 256e3 -bmax 1.2e6
@@ -109,7 +109,7 @@ func main() {
 	signalTimeout := flag.Float64("signal-timeout", 0, "signaling setup deadline in seconds (0 = scale with route hop count)")
 	signalRetries := flag.Int("signal-retries", 0, "per-hop control-message retransmission budget (0 = default)")
 	replications := flag.Int("replications", 1, "independent scenario replications under derived seeds")
-	parallel := flag.Int("parallel", 1, "worker count for replications (0 = GOMAXPROCS); output is identical at any worker count")
+	parallel := flag.Int("parallel", 1, "worker count for replications and -arena pairs (0 = GOMAXPROCS); output is identical at any worker count")
 	obsFlag := flag.Bool("obs", false, "arm the deterministic observability layer (implied by the flags below)")
 	obsSnapshot := flag.String("obs-snapshot", "", "write the merged instrument snapshot as Prometheus text to this file (- for stdout)")
 	obsJSON := flag.String("obs-json", "", "write the merged instrument snapshot as JSON to this file (- for stdout)")
@@ -313,7 +313,6 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 	if replications <= 0 {
 		replications = 1
 	}
-	seeds := runner.Seeds(seed, replications)
 	prog := runner.NewProgress(replications)
 	ctx := runner.WithProgress(context.Background(), prog)
 	var tel *armsimTelemetry
@@ -334,7 +333,7 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 	}
 	reps, st, err := runner.Map(ctx, parallel, replications,
 		func(_ context.Context, i int) (replication, error) {
-			rep, err := sc.runOnce(seeds[i])
+			rep, err := sc.runOnce(runner.SplitSeed(seed, i))
 			if err == nil && tel != nil {
 				tel.publish(i, rep.snap, rep.spans)
 			}
@@ -354,7 +353,7 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 		}
 	}
 	if replications == 1 {
-		printDetailed(out, sc, seeds[0], reps[0].mgr)
+		printDetailed(out, sc, seed, reps[0].mgr)
 		return nil
 	}
 	fmt.Fprintf(out, "topology=%s portables=%d duration=%.0fs mode=%s seed=%d replications=%d\n",
@@ -367,7 +366,7 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 		block := c.Ratio(armnet.CtrNewBlocked, armnet.CtrNewRequested)
 		dropSum += drop
 		blockSum += block
-		tb.AddRow(seeds[i], c.Get(armnet.CtrHandoffTried), drop, block,
+		tb.AddRow(runner.SplitSeed(seed, i), c.Get(armnet.CtrHandoffTried), drop, block,
 			c.Get(armnet.CtrAdvanceResv), c.Get(armnet.CtrPoolClaims))
 	}
 	fmt.Fprint(out, tb.String())
@@ -386,7 +385,7 @@ func runArena(sc scenario, seed int64, parallel int, out, statsOut io.Writer) er
 		return fmt.Errorf("-arena runs the campus workload; drop -topology/-topology-file")
 	}
 	cfg := armnet.ArenaConfig{CampusConfig: sc.campusConfig(seed)}
-	entries, st, err := armnet.RunArenaSweep(context.Background(), cfg, parallel)
+	entries, st, err := armnet.RunArena(context.Background(), cfg, parallel)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,8 @@
 // entry per area to the BENCH_<area>.json files at the repository root.
 // Re-running appends a new trajectory point — it never overwrites — so
 // the files accumulate the performance history PR-over-PR, and every
-// capture prints a comparison against the previous entry that flags
-// >20% regressions.
+// capture prints a comparison against the previous entry: ns/op as
+// information, with any allocs/op change marked.
 //
 // Usage:
 //
@@ -55,14 +55,12 @@ var areas = []area{
 
 func main() {
 	var (
-		root         = flag.String("root", ".", "repository root: where `go test` runs and BENCH files live")
-		areaList     = flag.String("areas", "", "comma-separated areas to capture (default: all)")
-		out          = flag.String("out", "", "directory for BENCH_<area>.json files (default: -root)")
-		note         = flag.String("note", "", "free-form label recorded on each appended entry")
-		benchtime    = flag.String("benchtime", "", "override every area's fixed -benchtime (e.g. 1x)")
-		threshold    = flag.Float64("threshold", benchx.DefaultThreshold, "fractional change flagged as regression/improvement")
-		smoke        = flag.Bool("smoke", false, "health check: run 1 iteration per benchmark, parse, write nothing")
-		failOnRegres = flag.Bool("fail-on-regress", false, "exit non-zero when any benchmark regressed beyond -threshold")
+		root      = flag.String("root", ".", "repository root: where `go test` runs and BENCH files live")
+		areaList  = flag.String("areas", "", "comma-separated areas to capture (default: all)")
+		out       = flag.String("out", "", "directory for BENCH_<area>.json files (default: -root)")
+		note      = flag.String("note", "", "free-form label recorded on each appended entry")
+		benchtime = flag.String("benchtime", "", "override every area's fixed -benchtime (e.g. 1x)")
+		smoke     = flag.Bool("smoke", false, "health check: run 1 iteration per benchmark, parse, write nothing")
 	)
 	flag.Parse()
 
@@ -86,7 +84,6 @@ func main() {
 	}
 
 	rev := gitRevision(*root)
-	regressed := false
 	for _, a := range selected {
 		bt := a.Benchtime
 		if *benchtime != "" {
@@ -112,11 +109,8 @@ func main() {
 			fatal(err)
 		}
 		if last := traj.Last(); last != nil && !*smoke {
-			deltas := benchx.Compare(last.Results, entry.Results, *threshold)
+			deltas := benchx.Compare(last.Results, entry.Results)
 			fmt.Printf("-- vs previous entry (%s%s):\n%s", last.CapturedAt, noteSuffix(last.Note), benchx.Report(deltas))
-			if len(benchx.Regressions(deltas)) > 0 {
-				regressed = true
-			}
 		}
 		traj.Append(entry)
 		if err := traj.Save(path); err != nil {
@@ -127,9 +121,6 @@ func main() {
 	}
 	if *smoke {
 		fmt.Printf("smoke ok: %d areas captured and parsed\n", len(selected))
-	}
-	if regressed && *failOnRegres {
-		fatal(fmt.Errorf("benchmark regression beyond %.0f%% threshold", *threshold*100))
 	}
 }
 

@@ -11,19 +11,22 @@
 // Experiments: table1, table2, fig2, fig4, fig5, fig6, theorem1, campus,
 // tth, bounds, corridor, all.
 //
-// Multi-trial experiments (theorem1, campus, tth) fan their independent
-// trials across -parallel workers. Replication is deterministic: the rows
-// printed to stdout are byte-identical at any worker count, so figures can
-// be regenerated at full speed and diffed against archived output. The
-// worker-pool stats (wall time, speedup) go to stderr, keeping stdout
-// clean for comparison.
+// Multi-trial experiments (fig5, fig6, theorem1, campus, tth) fan their
+// independent trials across -parallel workers. Replication is
+// deterministic: the rows printed to stdout are byte-identical at any
+// worker count, so figures can be regenerated at full speed and diffed
+// against archived output. The worker-pool stats (wall time, speedup) go
+// to stderr, keeping stdout clean for comparison.
 //
 // With -trace FILE the campus experiment additionally writes its
 // predictive-mode run as a JSONL control-plane event trace (one stamped
-// event per line) — the stream the campustrace golden test pins.
+// event per line) — the stream the campustrace golden test pins; with
+// -obs-snapshot FILE it writes that run's instrument snapshot. Both come
+// from one extra run.
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -77,7 +80,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	horizon := flag.Float64("horizon", 200, "figure-6 simulation horizon (seconds)")
 	walkBys := flag.Int("walkbys", 400, "figure-5 corridor through-traffic volume")
-	parallel := flag.Int("parallel", 1, "worker count for multi-trial experiments (0 = GOMAXPROCS); output is identical at any worker count")
+	parallel := flag.Int("parallel", 1, "worker count for multi-trial experiments (fig5, fig6, theorem1, campus, tth; 0 = GOMAXPROCS); output is identical at any worker count")
 	tracePath := flag.String("trace", "", "write the campus experiment's predictive-mode run as a JSONL event trace to this file")
 	obsPath := flag.String("obs-snapshot", "", "write the campus experiment's predictive-mode instrument snapshot as Prometheus text to this file")
 	flag.Parse()
@@ -185,10 +188,11 @@ func fig4(o opts) error {
 }
 
 func fig5(o opts) error {
-	rs, err := armnet.RunFigure5Comparison(o.seed, o.walkBys)
+	rs, st, err := armnet.RunFigure5Comparison(context.Background(), o.seed, o.walkBys, o.parallel)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(o.statsOut, "fig5: %s\n", st)
 	tb := stats.Table{Header: []string{"students", "offered-load", "algorithm", "drops", "handoffs"}}
 	for _, r := range rs {
 		tb.AddRow(r.Students, fmt.Sprintf("%.0f%%", r.OfferedLoad*100), r.Algorithm.String(), r.Drops, r.HandoffAttempts)
@@ -218,10 +222,11 @@ func printSpark(w io.Writer, series []int, lo, hi int) {
 }
 
 func fig6(o opts) error {
-	curves, err := armnet.RunFigure6Sweep(o.seed, nil, nil, o.horizon)
+	curves, st, err := armnet.RunFigure6Sweep(context.Background(), o.seed, nil, nil, o.horizon, o.parallel)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(o.statsOut, "fig6: %s\n", st)
 	fmt.Fprintln(o.out, "P_d vs P_b family over the window T (paper: curves for small T dominate;")
 	fmt.Fprintln(o.out, "all curves coincide at large P_d):")
 	for _, c := range curves {
@@ -241,18 +246,10 @@ func campusCfg(seed int64) armnet.CampusConfig {
 	return armnet.CampusConfig{Seed: seed, Portables: 24, Duration: 2400}
 }
 
-// campusTrace reruns the predictive-mode campus scenario with a JSONL
-// event recorder attached and returns the trace bytes (-trace flag and
-// the campustrace golden test).
-func campusTrace(seed int64) ([]byte, error) {
-	_, trace, err := armnet.RunCampusTrace(campusCfg(seed))
-	return trace, err
-}
-
 // campus is the extension experiment: the integrated manager under the
 // three reservation modes on random-walk mobility, one worker per mode.
 func campus(o opts) error {
-	rs, st, err := armnet.RunCampusComparisonParallel(context.Background(), campusCfg(o.seed), o.parallel)
+	rs, st, err := armnet.RunCampusComparison(context.Background(), campusCfg(o.seed), o.parallel)
 	if err != nil {
 		return err
 	}
@@ -263,22 +260,30 @@ func campus(o opts) error {
 	}
 	fmt.Fprint(o.out, tb.String())
 	fmt.Fprintf(o.statsOut, "campus: %s\n", st)
+	if o.tracePath == "" && o.obsPath == "" {
+		return nil
+	}
+	// One more predictive-mode run yields both extras: arming obs leaves
+	// the event trace byte-identical.
+	cfg := campusCfg(o.seed)
+	cfg.Obs = o.obsPath != ""
+	var trace bytes.Buffer
+	var traceW io.Writer
 	if o.tracePath != "" {
-		trace, err := campusTrace(o.seed)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.tracePath, trace, 0o644); err != nil {
+		traceW = &trace
+	}
+	_, mgr, err := armnet.RunCampus(cfg, traceW)
+	if err != nil {
+		return err
+	}
+	if o.tracePath != "" {
+		if err := os.WriteFile(o.tracePath, trace.Bytes(), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(o.statsOut, "campus: wrote event trace to %s\n", o.tracePath)
 	}
 	if o.obsPath != "" {
-		_, snap, err := armnet.RunCampusObs(campusCfg(o.seed))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.obsPath, snap.Prometheus(), 0o644); err != nil {
+		if err := os.WriteFile(o.obsPath, mgr.Obs.Snapshot().Prometheus(), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(o.statsOut, "campus: wrote instrument snapshot to %s\n", o.obsPath)
@@ -289,7 +294,7 @@ func campus(o opts) error {
 // tth sweeps the static/mobile threshold T_th (DESIGN.md's ablation), one
 // worker per threshold point.
 func tth(o opts) error {
-	points, st, err := armnet.RunTthSensitivityParallel(context.Background(), campusCfg(o.seed), nil, o.parallel)
+	points, st, err := armnet.RunTthSensitivity(context.Background(), campusCfg(o.seed), nil, o.parallel)
 	if err != nil {
 		return err
 	}
@@ -329,7 +334,7 @@ func corridor(o opts) error {
 
 func theorem1(o opts) error {
 	for _, refined := range []bool{false, true} {
-		r, st, err := armnet.RunTheorem1Parallel(context.Background(), armnet.Theorem1Config{
+		r, st, err := armnet.RunTheorem1(context.Background(), armnet.Theorem1Config{
 			Seed: o.seed, Instances: 20, Refined: refined, Perturb: true,
 		}, o.parallel)
 		if err != nil {

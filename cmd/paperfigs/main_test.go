@@ -12,13 +12,13 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // runGolden executes the named experiments exactly as `paperfigs -exp
-// <name> -seed <seed>` would and returns the stdout bytes. Worker-pool
-// stats are discarded: they carry wall-clock timings and must never be
-// part of the comparable output.
-func runGolden(t *testing.T, names []string, seed int64, parallel int) []byte {
+// <names> -seed <seed> -horizon <horizon> -parallel <parallel>` would and
+// returns the stdout bytes. Worker-pool stats are discarded: they carry
+// wall-clock timings and must never be part of the comparable output.
+func runGolden(t *testing.T, names []string, seed int64, horizon float64, parallel int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	o := opts{seed: seed, horizon: 200, walkBys: 400, parallel: parallel, out: &buf, statsOut: io.Discard}
+	o := opts{seed: seed, horizon: horizon, walkBys: 400, parallel: parallel, out: &buf, statsOut: io.Discard}
 	if err := runExperiments(names, o); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func runGolden(t *testing.T, names []string, seed int64, parallel int) []byte {
 // fixture so experiment refactors cannot silently drift the paper's
 // admission table.
 func TestTable2Golden(t *testing.T) {
-	got := runGolden(t, []string{"table2"}, 1, 1)
+	got := runGolden(t, []string{"table2"}, 1, 200, 1)
 	golden := filepath.Join("testdata", "table2.golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
@@ -54,12 +54,22 @@ func TestTable2Golden(t *testing.T) {
 // a checked-in fixture: any drift in event taxonomy, payload encoding,
 // stamping, or publication order of the control plane shows up as a diff
 // here. Only the first lines are pinned to keep the fixture reviewable;
-// full-trace determinism is covered by internal/sim.
+// full-trace determinism is covered by internal/sim. -obs-snapshot is set
+// too: the one extra run that serves both must leave the trace unchanged.
 func TestCampusTraceGolden(t *testing.T) {
 	const head = 50
-	trace, err := campusTrace(1)
+	dir := t.TempDir()
+	o := opts{seed: 1, out: io.Discard, statsOut: io.Discard,
+		tracePath: filepath.Join(dir, "trace.jsonl"), obsPath: filepath.Join(dir, "snap.prom")}
+	if err := campus(o); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := os.ReadFile(o.tracePath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snap, err := os.ReadFile(o.obsPath); err != nil || len(snap) == 0 {
+		t.Fatalf("instrument snapshot missing (%d bytes): %v", len(snap), err)
 	}
 	lines := bytes.SplitAfter(trace, []byte("\n"))
 	if len(lines) < head {
@@ -86,12 +96,14 @@ func TestCampusTraceGolden(t *testing.T) {
 }
 
 // TestTheorem1OutputIdenticalAcrossWorkers is the CLI-level replication
-// check: the rows printed for -exp theorem1 must be byte-identical at any
-// -parallel value.
+// check: the rows printed for every multi-trial experiment — theorem1,
+// fig5, fig6 (at a short -horizon), campus and tth — must be
+// byte-identical at any -parallel value.
 func TestTheorem1OutputIdenticalAcrossWorkers(t *testing.T) {
-	base := runGolden(t, []string{"theorem1"}, 1, 1)
+	names := []string{"theorem1", "fig5", "fig6", "campus", "tth"}
+	base := runGolden(t, names, 1, 0.5, 1)
 	for _, workers := range []int{2, 8, 0} {
-		if got := runGolden(t, []string{"theorem1"}, 1, workers); !bytes.Equal(got, base) {
+		if got := runGolden(t, names, 1, 0.5, workers); !bytes.Equal(got, base) {
 			t.Fatalf("-parallel %d output differs from -parallel 1:\n--- got ---\n%s\n--- want ---\n%s",
 				workers, got, base)
 		}

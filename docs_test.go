@@ -1,6 +1,9 @@
 package armnet_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -117,6 +120,83 @@ func TestDocumentedPathsExist(t *testing.T) {
 		for _, m := range span.FindAllStringSubmatch(string(text), -1) {
 			if p := path.FindStringSubmatch(m[1]); p != nil && !resolves(p[1]) {
 				t.Errorf("%s names `%s`, which is no file in the repository", doc, m[1])
+			}
+		}
+	}
+}
+
+// exportedNames returns the exported top-level identifiers (functions,
+// types, variables and constants; no methods) of the non-test Go files
+// in dir.
+func exportedNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names[id.Name] = true
+		}
+	}
+	fset := token.NewFileSet()
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name)
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							add(n)
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestDocumentedIdentifiersExist holds the prose to the API the way
+// TestDocumentedPathsExist holds it to the tree: every backquoted span in
+// the top-level documents that starts with `sim.X`, `runner.X` or
+// `armnet.X`, or with a bare `RunX`, must name an exported top-level
+// identifier of internal/sim, internal/runner or the root package (a
+// bare `RunX` may be either of sim's and the facade's). A document still
+// citing a deleted or renamed entry point fails here.
+func TestDocumentedIdentifiersExist(t *testing.T) {
+	sim, runner, root := exportedNames(t, "internal/sim"), exportedNames(t, "internal/runner"), exportedNames(t, ".")
+	pkgs := map[string]map[string]bool{"sim": sim, "runner": runner, "armnet": root}
+	span := regexp.MustCompile("`([^`\n]+)`")
+	ident := regexp.MustCompile(`^(?:(sim|runner|armnet)\.([A-Z][A-Za-z0-9_]*)|(Run[A-Z][A-Za-z0-9_]*))`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllStringSubmatch(string(text), -1) {
+			id := ident.FindStringSubmatch(m[1])
+			switch {
+			case id == nil:
+			case id[1] != "" && !pkgs[id[1]][id[2]]:
+				t.Errorf("%s cites `%s`: %s.%s is no exported top-level identifier", doc, m[1], id[1], id[2])
+			case id[3] != "" && !sim[id[3]] && !root[id[3]]:
+				t.Errorf("%s cites `%s`: %s is exported by neither internal/sim nor the root package", doc, m[1], id[3])
 			}
 		}
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,7 +31,7 @@ func main() {
 		BMin: 256e3,
 		BMax: 1.2e6,
 	}}
-	entries, err := armnet.RunArena(cfg)
+	entries, _, err := armnet.RunArena(context.Background(), cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

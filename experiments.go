@@ -69,7 +69,7 @@ type (
 	CorridorResult = sim.CorridorResult
 
 	// RunStats reports trial counts, wall time and speedup for the
-	// parallel experiment runners.
+	// multi-trial experiment runners.
 	RunStats = runner.Stats
 )
 
@@ -80,7 +80,12 @@ const (
 	AlgMeetingRoom = sim.AlgMeetingRoom
 )
 
-// Experiment runners.
+// Experiment runners. A single trial is one function; an experiment
+// over an axis (modes, thresholds, instances, pairs, class size ×
+// algorithm, T × P_QOS) takes a context and a worker count and fans its
+// trials over a worker pool with deterministic replication — the same
+// seed yields bit-identical results at any worker count (workers <= 0
+// selects GOMAXPROCS, 1 runs serially).
 var (
 	RunFigure2           = sim.RunFigure2
 	RunFigure4           = sim.RunFigure4
@@ -90,27 +95,19 @@ var (
 	RunFigure6Sweep      = sim.RunFigure6Sweep
 	RunTable2            = sim.RunTable2
 	RunTheorem1          = sim.RunTheorem1
-	RunCampus            = sim.RunCampus
-	RunCampusComparison  = sim.RunCampusComparison
-	// RunCampusTrace is RunCampus plus the run's full JSONL event trace
-	// (one control-plane event per line, stamped with time and sequence).
-	RunCampusTrace = sim.RunCampusTrace
+	// RunCampus runs the campus scenario; a non-nil writer receives the
+	// run's full JSONL event trace (one control-plane event per line,
+	// stamped with time and sequence), and with Obs set the returned
+	// manager's Obs holds the deterministic instrument snapshot.
+	RunCampus           = sim.RunCampus
+	RunCampusComparison = sim.RunCampusComparison
 	// RunWalk is the one walk every campus-family experiment and
 	// cmd/armsim run, on a caller-built environment and manager
 	// configuration; it returns the finished manager.
 	RunWalk = sim.RunWalk
-	// RunCampusObs is RunCampus with the observability layer armed: it
-	// additionally returns the run's deterministic instrument snapshot.
-	RunCampusObs = sim.RunCampusObs
-	// RunCampusObsSweep replicates the observed campus scenario under
-	// derived seeds and merges the snapshots in replication order; the
-	// merged snapshot is identical at any worker count.
-	RunCampusObsSweep = sim.RunCampusObsSweep
-	// RunArena / RunArenaSweep run the strategy roster (serially / over a
-	// worker pool); RenderArena renders the stable comparative table and
-	// DefaultArenaPairs is the built-in roster.
+	// RunArena runs the strategy roster; RenderArena renders the stable
+	// comparative table and DefaultArenaPairs is the built-in roster.
 	RunArena          = sim.RunArena
-	RunArenaSweep     = sim.RunArenaSweep
 	RenderArena       = sim.RenderArena
 	DefaultArenaPairs = sim.DefaultArenaPairs
 	RunTthSensitivity = sim.RunTthSensitivity
@@ -120,17 +117,7 @@ var (
 	// ErlangB is the analytic blocking formula used to validate the
 	// Figure 6 simulator.
 	ErlangB = sim.ErlangB
-
-	// Parallel experiment runners: independent trials fanned across a
-	// worker pool with deterministic replication — the same seed yields
-	// bit-identical results at any worker count (workers <= 0 selects
-	// GOMAXPROCS).
-	RunCampusComparisonParallel = sim.RunCampusComparisonParallel
-	RunTthSensitivityParallel   = sim.RunTthSensitivityParallel
-	RunGridSweep                = sim.RunGridSweep
-	RunTheorem1Parallel         = sim.RunTheorem1Parallel
 	// SplitSeed derives decorrelated per-trial seeds from a master seed;
-	// TrialSeeds returns the first n of them (trial 0 keeps the master).
-	SplitSeed  = runner.SplitSeed
-	TrialSeeds = runner.Seeds
+	// trial 0 keeps the master.
+	SplitSeed = runner.SplitSeed
 )

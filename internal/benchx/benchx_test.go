@@ -181,32 +181,29 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		{Name: "BenchmarkC", NsPerOp: 101, AllocsPerOp: 0}, // allocs eliminated
 		{Name: "BenchmarkNew", NsPerOp: 1},
 	}
-	ds := Compare(prev, cur, 0.20)
+	ds := Compare(prev, cur)
 	byKey := map[string]Delta{}
 	for _, d := range ds {
 		byKey[d.Name+" "+d.Metric] = d
 	}
-	cases := []struct {
-		key         string
-		regression  bool
-		improvement bool
-	}{
-		{"BenchmarkA ns/op", true, false},
-		{"BenchmarkA allocs/op", false, false},
-		{"BenchmarkB ns/op", false, true},
-		{"BenchmarkC ns/op", false, false},
-		{"BenchmarkC allocs/op", false, true},
-	}
-	for _, c := range cases {
-		d, ok := byKey[c.key]
+	for key, change := range map[string]float64{
+		"BenchmarkA ns/op":     0.30,
+		"BenchmarkA allocs/op": 0,
+		"BenchmarkB ns/op":     -0.25,
+		"BenchmarkC ns/op":     0.01,
+		"BenchmarkC allocs/op": -1,
+	} {
+		d, ok := byKey[key]
 		if !ok {
-			t.Errorf("missing delta %q", c.key)
+			t.Errorf("missing delta %q", key)
 			continue
 		}
-		if d.Regression != c.regression || d.Improvement != c.improvement {
-			t.Errorf("%s: regression=%v improvement=%v, want %v/%v",
-				c.key, d.Regression, d.Improvement, c.regression, c.improvement)
+		if math.Abs(d.Change-change) > 1e-12 {
+			t.Errorf("%s: change %v, want %v", key, d.Change, change)
 		}
+	}
+	if len(ds) != 5 {
+		t.Errorf("want 5 deltas, got %d", len(ds))
 	}
 	if _, ok := byKey["BenchmarkGone ns/op"]; ok {
 		t.Error("vanished benchmark must not be compared")
@@ -214,12 +211,16 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	if _, ok := byKey["BenchmarkNew ns/op"]; ok {
 		t.Error("new benchmark has no baseline to compare")
 	}
-	if got := len(Regressions(ds)); got != 1 {
-		t.Errorf("want exactly 1 regression, got %d", got)
+	// Only the allocs/op change is marked; ns/op moves, however large,
+	// carry no verdict.
+	var marked []string
+	for _, line := range strings.Split(Report(ds), "\n") {
+		if strings.Contains(line, "CHANGED") {
+			marked = append(marked, line)
+		}
 	}
-	rep := Report(ds)
-	if !strings.Contains(rep, "REGRESSION") || !strings.Contains(rep, "improved") {
-		t.Errorf("report missing flags:\n%s", rep)
+	if len(marked) != 1 || !strings.HasPrefix(marked[0], "BenchmarkC") || !strings.Contains(marked[0], "allocs/op") {
+		t.Errorf("marked rows = %q, want only BenchmarkC allocs/op", marked)
 	}
 }
 

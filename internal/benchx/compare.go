@@ -5,10 +5,6 @@ import (
 	"strings"
 )
 
-// DefaultThreshold is the fractional change beyond which Compare flags
-// a delta: 20% slower is a regression, 20% faster an improvement.
-const DefaultThreshold = 0.20
-
 // Delta is one benchmark metric compared across two trajectory entries.
 type Delta struct {
 	// Name is the benchmark, Metric the compared unit ("ns/op" or
@@ -22,20 +18,14 @@ type Delta struct {
 	// means 25% worse. It is 0 when Before is 0 and After is 0, and
 	// +Inf-free: a 0→nonzero move is reported as Change=1.
 	Change float64
-	// Regression and Improvement flag changes beyond the threshold.
-	Regression  bool
-	Improvement bool
 }
 
 // Compare matches current results against previous ones by benchmark
 // name and reports a Delta per (benchmark, metric) pair, in current
 // order: ns/op always, allocs/op whenever either side reports any.
 // Benchmarks present on only one side are skipped — a renamed or new
-// benchmark has no trajectory to regress against.
-func Compare(prev, cur []Result, threshold float64) []Delta {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
+// benchmark has no trajectory to compare against.
+func Compare(prev, cur []Result) []Delta {
 	byName := make(map[string]Result, len(prev))
 	for _, r := range prev {
 		byName[r.Name] = r
@@ -46,15 +36,15 @@ func Compare(prev, cur []Result, threshold float64) []Delta {
 		if !ok {
 			continue
 		}
-		out = append(out, delta(c.Name, "ns/op", p.NsPerOp, c.NsPerOp, threshold))
+		out = append(out, delta(c.Name, "ns/op", p.NsPerOp, c.NsPerOp))
 		if p.AllocsPerOp != 0 || c.AllocsPerOp != 0 {
-			out = append(out, delta(c.Name, "allocs/op", p.AllocsPerOp, c.AllocsPerOp, threshold))
+			out = append(out, delta(c.Name, "allocs/op", p.AllocsPerOp, c.AllocsPerOp))
 		}
 	}
 	return out
 }
 
-func delta(name, metric string, before, after, threshold float64) Delta {
+func delta(name, metric string, before, after float64) Delta {
 	d := Delta{Name: name, Metric: metric, Before: before, After: after}
 	switch {
 	case before == 0 && after == 0:
@@ -64,26 +54,15 @@ func delta(name, metric string, before, after, threshold float64) Delta {
 	default:
 		d.Change = (after - before) / before
 	}
-	d.Regression = d.Change > threshold
-	d.Improvement = d.Change < -threshold
 	return d
 }
 
-// Regressions filters deltas down to the flagged regressions.
-func Regressions(ds []Delta) []Delta {
-	var out []Delta
-	for _, d := range ds {
-		if d.Regression {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Report renders deltas as an aligned text table, one line per
-// (benchmark, metric), with REGRESSION / improved flags. It is the
-// human-readable face of the trajectory: benchcap prints it after every
-// capture.
+// (benchmark, metric). ns/op rows carry no verdict: single-shot timings
+// swing by tens of percent between captures on one box, so they are
+// informational. An allocs/op row that changed at all is marked, because
+// allocation counts are deterministic. It is the human-readable face of
+// the trajectory: benchcap prints it after every capture.
 func Report(ds []Delta) string {
 	if len(ds) == 0 {
 		return "no comparable benchmarks\n"
@@ -97,14 +76,12 @@ func Report(ds []Delta) string {
 	}
 	fmt.Fprintf(&b, "%-*s  %-9s  %14s  %14s  %8s\n", nameW, "benchmark", "metric", "before", "after", "change")
 	for _, d := range ds {
-		flag := ""
-		if d.Regression {
-			flag = "  REGRESSION"
-		} else if d.Improvement {
-			flag = "  improved"
+		mark := ""
+		if d.Metric == "allocs/op" && d.Before != d.After {
+			mark = "  ALLOCS CHANGED"
 		}
 		fmt.Fprintf(&b, "%-*s  %-9s  %14.6g  %14.6g  %+7.1f%%%s\n",
-			nameW, d.Name, d.Metric, d.Before, d.After, d.Change*100, flag)
+			nameW, d.Name, d.Metric, d.Before, d.After, d.Change*100, mark)
 	}
 	return b.String()
 }

@@ -221,12 +221,3 @@ func SplitSeed(master int64, trial int) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
-
-// Seeds returns the n per-trial seeds SplitSeed(master, 0..n-1).
-func Seeds(master int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = SplitSeed(master, i)
-	}
-	return out
-}

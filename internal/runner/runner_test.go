@@ -139,18 +139,6 @@ func TestSplitSeedProperties(t *testing.T) {
 	}
 }
 
-func TestSeeds(t *testing.T) {
-	s := Seeds(11, 4)
-	if len(s) != 4 || s[0] != 11 {
-		t.Fatalf("Seeds = %v", s)
-	}
-	for i, v := range s {
-		if v != SplitSeed(11, i) {
-			t.Fatalf("Seeds[%d] = %d, want %d", i, v, SplitSeed(11, i))
-		}
-	}
-}
-
 func TestStatsSpeedupAndString(t *testing.T) {
 	st := Stats{Trials: 8, Workers: 4, Wall: time.Second, Work: 3 * time.Second}
 	if got := st.Speedup(); got != 3 {

@@ -69,26 +69,18 @@ type ArenaEntry struct {
 	Utilization float64
 }
 
-// RunArena runs every pair sequentially and returns entries in roster
-// order.
-func RunArena(cfg ArenaConfig) ([]ArenaEntry, error) {
-	out, _, err := RunArenaSweep(context.Background(), cfg, 1)
-	return out, err
-}
-
-// RunArenaSweep fans the roster over a worker pool. Each trial is fully
+// RunArena runs the roster, one trial per pair. Each trial is fully
 // self-contained (own simulator, environment, RNGs), so entries are
 // identical at any worker count and arrive in roster order.
-func RunArenaSweep(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEntry, runner.Stats, error) {
+func RunArena(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEntry, runner.Stats, error) {
 	pairs := cfg.Pairs
 	if len(pairs) == 0 {
 		pairs = DefaultArenaPairs()
 	}
-	return runner.Map(ctx, workers, len(pairs), func(_ context.Context, i int) (ArenaEntry, error) {
-		c := cfg.CampusConfig
+	return campusTrials(ctx, cfg.CampusConfig, len(pairs), workers, func(i int, c CampusConfig) (ArenaEntry, error) {
 		c.Allocator, c.Admitter = pairs[i].Allocator, pairs[i].Admitter
-		c.Obs, c.Spans = true, nil
-		res, mgr, err := runCampus(c, nil)
+		c.Obs = true
+		res, mgr, err := RunCampus(c, nil)
 		if err != nil {
 			return ArenaEntry{}, fmt.Errorf("arena %s: %w", pairs[i].Label(), err)
 		}

@@ -17,42 +17,12 @@ var updateArena = flag.Bool("update-arena", false, "rewrite the arena snapshot g
 // workload renders every pair identical and the comparison is vacuous.
 var arenaGoldenCfg = ArenaConfig{CampusConfig: CampusConfig{Seed: 1, Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}}
 
-// TestArenaTraceDeterminismAcrossWorkers: the rendered comparative
-// snapshot must be byte-identical whether the roster runs serially or
-// fanned across a worker pool — every trial is self-contained, and the
-// runner returns entries in roster order. (The name matches the
-// `make trace-determinism` gate's -run pattern, so this joins the ci
-// replication check automatically.)
-func TestArenaTraceDeterminismAcrossWorkers(t *testing.T) {
-	entries, err := RunArena(arenaGoldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 3 {
-		t.Fatalf("arena ran %d pairs, want >= 3", len(entries))
-	}
-	serial := RenderArena(arenaGoldenCfg, entries)
-	for _, workers := range []int{2, 8} {
-		got, st, err := RunArenaSweep(context.Background(), arenaGoldenCfg, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if st.Failed != 0 {
-			t.Fatalf("workers=%d: unexpected stats %+v", workers, st)
-		}
-		if rendered := RenderArena(arenaGoldenCfg, got); !bytes.Equal(rendered, serial) {
-			t.Fatalf("workers=%d: arena snapshot diverged from serial:\n%s\nvs\n%s",
-				workers, rendered, serial)
-		}
-	}
-}
-
 // TestArenaSnapshotGolden pins the seed-1 arena comparative snapshot.
 // Any drift means a strategy's decisions, the workload, or the renderer
 // changed — regenerate deliberately with
 // `go test ./internal/sim -run TestArenaSnapshotGolden -update-arena`.
 func TestArenaSnapshotGolden(t *testing.T) {
-	entries, err := RunArena(arenaGoldenCfg)
+	entries, _, err := RunArena(context.Background(), arenaGoldenCfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +48,14 @@ func TestArenaSnapshotGolden(t *testing.T) {
 func TestArenaDefaultPairMatchesCampus(t *testing.T) {
 	cfg := arenaGoldenCfg
 	cfg.Pairs = []StrategyPair{{}} // empty names = paper defaults
-	entries, err := RunArena(cfg)
+	entries, _, err := RunArena(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if entries[0].Pair.Label() != "maxmin+table2" {
 		t.Fatalf("default pair label = %q", entries[0].Pair.Label())
 	}
-	plain, err := RunCampus(cfg.CampusConfig)
+	plain, _, err := RunCampus(cfg.CampusConfig, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +69,7 @@ func TestArenaDefaultPairMatchesCampus(t *testing.T) {
 // strategies — rival allocators report control work and the rival
 // admitter changes admission outcomes relative to Table 2.
 func TestArenaRivalStrategiesRun(t *testing.T) {
-	entries, err := RunArena(arenaGoldenCfg)
+	entries, _, err := RunArena(context.Background(), arenaGoldenCfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

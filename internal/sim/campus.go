@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 
 	"armnet/internal/admission"
 	"armnet/internal/core"
-	"armnet/internal/obs"
 	"armnet/internal/predict"
 	"armnet/internal/profile"
 	"armnet/internal/randx"
@@ -41,14 +39,14 @@ type CampusConfig struct {
 	// strategies (core.Config passthrough); empty selects the paper's
 	// defaults (maxmin, table2).
 	Allocator, Admitter string
-	// Obs arms the observability layer: the run returns a deterministic
-	// instrument snapshot alongside its result. Off by default — the
+	// Obs arms the observability layer: the finished manager's Obs yields
+	// a deterministic instrument snapshot. Off by default — the
 	// disabled path constructs nothing and perturbs nothing, so traces
 	// stay byte-identical either way.
 	Obs bool
 	// Spans receives the JSONL lifecycle-span export when Obs is set.
-	// Single-run only: sweeps run trials concurrently, so give each trial
-	// its own writer (or leave nil).
+	// Single-run only: the multi-trial experiments run trials
+	// concurrently and clear it.
 	Spans io.Writer
 }
 
@@ -111,35 +109,12 @@ func campusResult(mgr *core.Manager) CampusResult {
 	return res
 }
 
-// RunCampus executes the integrated scenario and returns its metrics.
-func RunCampus(cfg CampusConfig) (CampusResult, error) {
-	res, _, err := runCampus(cfg, nil)
-	return res, err
-}
-
-// RunCampusTrace is RunCampus with a JSONL event trace of the full run:
-// every control-plane event, one line each, stamped with (time, seq).
-// The trace is byte-identical for a given config at any worker count.
-func RunCampusTrace(cfg CampusConfig) (CampusResult, []byte, error) {
-	var buf bytes.Buffer
-	res, _, err := runCampus(cfg, &buf)
-	return res, buf.Bytes(), err
-}
-
-// RunCampusObs runs the scenario with the observability layer armed and
-// returns the deterministic instrument snapshot alongside the metrics.
-func RunCampusObs(cfg CampusConfig) (CampusResult, *obs.Snapshot, error) {
-	cfg.Obs = true
-	res, mgr, err := runCampus(cfg, nil)
-	if err != nil {
-		return CampusResult{}, nil, err
-	}
-	return res, mgr.Obs.Snapshot(), nil
-}
-
-// runCampus is the walk on the campus environment with the config's
-// defaults filled in.
-func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *core.Manager, error) {
+// RunCampus is the walk on the campus environment with the config's
+// defaults filled in. A non-nil traceW receives the run's JSONL event
+// trace: every control-plane event, one line each, stamped with (time,
+// seq). With cfg.Obs set, mgr.Obs.Snapshot() is the run's deterministic
+// instrument snapshot.
+func RunCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *core.Manager, error) {
 	env, err := topology.BuildCampus()
 	if err != nil {
 		return CampusResult{}, nil, err
@@ -149,6 +124,17 @@ func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *core.Manager,
 		return CampusResult{}, nil, err
 	}
 	return campusResult(mgr), mgr, nil
+}
+
+// campusTrials runs n variants of the campus scenario over runner.Map;
+// trial i receives a copy of cfg to adjust and run. Spans is cleared here,
+// once for every multi-trial campus experiment: a shared writer would race
+// across concurrent trials.
+func campusTrials[R any](ctx context.Context, cfg CampusConfig, n, workers int, trial func(i int, c CampusConfig) (R, error)) ([]R, runner.Stats, error) {
+	cfg.Spans = nil
+	return runner.Map(ctx, workers, n, func(_ context.Context, i int) (R, error) {
+		return trial(i, cfg)
+	})
 }
 
 // meanDownlinkUtil averages the committed utilization of every cell's
@@ -175,52 +161,6 @@ func meanDownlinkUtil(env *topology.Environment, lg *admission.Ledger) float64 {
 	return total / float64(n)
 }
 
-// sweepSeeds runs `replications` (at least one) independent trials under
-// runner.Seeds-derived seeds — replication 0 keeps seed — fanned over a
-// worker pool. Results arrive in replication order at any worker count.
-func sweepSeeds[R any](ctx context.Context, seed int64, replications, workers int, trial func(seed int64) (R, error)) ([]R, runner.Stats, error) {
-	if replications <= 0 {
-		replications = 1
-	}
-	seeds := runner.Seeds(seed, replications)
-	return runner.Map(ctx, workers, replications, func(_ context.Context, i int) (R, error) {
-		return trial(seeds[i])
-	})
-}
-
-// RunCampusObsSweep runs `replications` independent observed campus trials
-// with per-replication seeds derived from cfg.Seed (replication 0 keeps
-// cfg.Seed) and merges their snapshots in replication order. Because each
-// trial is deterministic and the merge order is fixed, the merged snapshot
-// is byte-identical at any worker count.
-func RunCampusObsSweep(ctx context.Context, cfg CampusConfig, replications, workers int) ([]CampusResult, *obs.Snapshot, error) {
-	cfg.Spans = nil // a shared writer would race across concurrent trials
-	type trial struct {
-		res  CampusResult
-		snap *obs.Snapshot
-	}
-	trials, _, err := sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (trial, error) {
-		c := cfg
-		c.Seed = seed
-		res, snap, err := RunCampusObs(c)
-		return trial{res: res, snap: snap}, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make([]CampusResult, len(trials))
-	snaps := make([]*obs.Snapshot, len(trials))
-	for i, tr := range trials {
-		results[i] = tr.res
-		snaps[i] = tr.snap
-	}
-	merged, err := obs.MergeAll(snaps)
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, merged, nil
-}
-
 // TthPoint is one sample of the T_th sensitivity sweep.
 type TthPoint struct {
 	Tth float64
@@ -228,33 +168,17 @@ type TthPoint struct {
 }
 
 // RunTthSensitivity sweeps the static/mobile threshold (DESIGN.md's T_th
-// ablation): small T_th flips portables static quickly (fewer advance
-// reservations, more unpredicted handoffs on re-moves); large T_th keeps
-// everyone mobile (maximum reservations).
-func RunTthSensitivity(cfg CampusConfig, thresholds []float64) ([]TthPoint, error) {
-	out, _, err := RunTthSensitivityParallel(context.Background(), cfg, thresholds, 1)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunTthSensitivityParallel is RunTthSensitivity fanned across a worker
-// pool: each threshold is an independent trial (every RunCampus builds its
-// own simulator, environment, and RNGs from cfg.Seed), so the points are
-// identical at any worker count.
-func RunTthSensitivityParallel(ctx context.Context, cfg CampusConfig, thresholds []float64, workers int) ([]TthPoint, runner.Stats, error) {
+// ablation), one trial per threshold: small T_th flips portables static
+// quickly (fewer advance reservations, more unpredicted handoffs on
+// re-moves); large T_th keeps everyone mobile (maximum reservations).
+func RunTthSensitivity(ctx context.Context, cfg CampusConfig, thresholds []float64, workers int) ([]TthPoint, runner.Stats, error) {
 	if len(thresholds) == 0 {
 		thresholds = []float64{30, 120, 300, 900}
 	}
-	return runner.Map(ctx, workers, len(thresholds), func(_ context.Context, i int) (TthPoint, error) {
-		c := cfg
+	return campusTrials(ctx, cfg, len(thresholds), workers, func(i int, c CampusConfig) (TthPoint, error) {
 		c.Tth = thresholds[i]
-		r, err := RunCampus(c)
-		if err != nil {
-			return TthPoint{}, err
-		}
-		return TthPoint{Tth: thresholds[i], CampusResult: r}, nil
+		r, _, err := RunCampus(c, nil)
+		return TthPoint{Tth: thresholds[i], CampusResult: r}, err
 	})
 }
 
@@ -262,23 +186,13 @@ func RunTthSensitivityParallel(ctx context.Context, cfg CampusConfig, thresholds
 var campusModes = []core.ReservationMode{core.ModePredictive, core.ModeBruteForce, core.ModeNone}
 
 // RunCampusComparison runs the scenario under all three reservation modes
-// with the same seed and mobility.
-func RunCampusComparison(cfg CampusConfig) ([]CampusResult, error) {
-	out, _, err := RunCampusComparisonParallel(context.Background(), cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunCampusComparisonParallel runs the three reservation modes as
-// independent trials on a worker pool. Results arrive in the fixed mode
-// order (predictive, brute-force, none) regardless of worker count.
-func RunCampusComparisonParallel(ctx context.Context, cfg CampusConfig, workers int) ([]CampusResult, runner.Stats, error) {
-	return runner.Map(ctx, workers, len(campusModes), func(_ context.Context, i int) (CampusResult, error) {
-		c := cfg
+// with the same seed and mobility, one trial per mode. Results arrive in
+// the fixed mode order (predictive, brute-force, none).
+func RunCampusComparison(ctx context.Context, cfg CampusConfig, workers int) ([]CampusResult, runner.Stats, error) {
+	return campusTrials(ctx, cfg, len(campusModes), workers, func(i int, c CampusConfig) (CampusResult, error) {
 		c.Mode = campusModes[i]
-		return RunCampus(c)
+		r, _, err := RunCampus(c, nil)
+		return r, err
 	})
 }
 
@@ -322,31 +236,9 @@ type GridResult struct {
 	Events uint64
 }
 
-// RunGrid executes the scale scenario.
+// RunGrid executes the scale scenario: the campus walk on a rows×cols
+// building, with three-digit portable names.
 func RunGrid(cfg GridConfig) (GridResult, error) {
-	rs, _, err := RunGridSweep(context.Background(), cfg, 1, 1)
-	if err != nil {
-		return GridResult{}, err
-	}
-	return rs[0], nil
-}
-
-// RunGridSweep runs `replications` independent grid scenarios with
-// per-replication seeds derived from cfg.Seed by runner.SplitSeed
-// (replication 0 keeps cfg.Seed, so a one-replication sweep reproduces
-// RunGrid exactly) and returns the results in replication order.
-func RunGridSweep(ctx context.Context, cfg GridConfig, replications, workers int) ([]GridResult, runner.Stats, error) {
-	cfg = cfg.withDefaults()
-	return sweepSeeds(ctx, cfg.Seed, replications, workers, func(seed int64) (GridResult, error) {
-		c := cfg
-		c.Seed = seed
-		return runGridOnce(c)
-	})
-}
-
-// runGridOnce is one self-contained grid trial: the campus walk on a
-// rows×cols building, with three-digit portable names.
-func runGridOnce(cfg GridConfig) (GridResult, error) {
 	cfg = cfg.withDefaults()
 	env, err := topology.BuildGrid(cfg.Rows, cfg.Cols, 1.6e6)
 	if err != nil {

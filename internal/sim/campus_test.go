@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestCampusComparison(t *testing.T) {
-	results, err := RunCampusComparison(CampusConfig{Seed: 3, Portables: 20, Duration: 1200})
+	results, _, err := RunCampusComparison(context.Background(), CampusConfig{Seed: 3, Portables: 20, Duration: 1200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestTthSensitivity(t *testing.T) {
-	points, err := RunTthSensitivity(CampusConfig{Seed: 5, Portables: 16, Duration: 1200, Dwell: 120}, []float64{30, 600})
+	points, _, err := RunTthSensitivity(context.Background(), CampusConfig{Seed: 5, Portables: 16, Duration: 1200, Dwell: 120}, []float64{30, 600}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,18 +100,18 @@ func TestCorridorLinearPrediction(t *testing.T) {
 }
 
 func TestCampusRunsAreDeterministic(t *testing.T) {
-	a, err := RunCampus(CampusConfig{Seed: 17, Portables: 14, Duration: 900})
+	a, _, err := RunCampus(CampusConfig{Seed: 17, Portables: 14, Duration: 900}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampus(CampusConfig{Seed: 17, Portables: 14, Duration: 900})
+	b, _, err := RunCampus(CampusConfig{Seed: 17, Portables: 14, Duration: 900}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
-	c, err := RunCampus(CampusConfig{Seed: 18, Portables: 14, Duration: 900})
+	c, _, err := RunCampus(CampusConfig{Seed: 18, Portables: 14, Duration: 900}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -73,7 +72,7 @@ func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
 		Plan:     "at 60 cell-out off-3 for 30\nat 100 crash-signaling",
 	}
 	sweep := func(workers int) ([]ChaosResult, runner.Stats, error) {
-		return sweepSeeds(context.Background(), cfg.Seed, 4, workers, func(seed int64) (ChaosResult, error) {
+		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (ChaosResult, error) {
 			c := cfg
 			c.Seed = seed
 			return RunChaos(c)

@@ -3,6 +3,9 @@
 // convergence study and the ablations DESIGN.md calls out. Each
 // experiment is a pure function of its config and seed, returning a
 // structured result that cmd/paperfigs renders and bench_test.go times.
+// A single trial is one function; an experiment over an axis it defines
+// is one function taking (ctx, …, workers) that fans its trials over
+// runner.Map, the only trial runner, identically at any worker count.
 package sim
 
 import (

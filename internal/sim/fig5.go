@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,6 +9,7 @@ import (
 	"armnet/internal/profile"
 	"armnet/internal/randx"
 	"armnet/internal/reserve"
+	"armnet/internal/runner"
 	"armnet/internal/topology"
 )
 
@@ -374,25 +376,20 @@ func windowSlice(s []int, lo, hi int) []int {
 }
 
 // RunFigure5Comparison runs the three algorithms on the two class sizes
-// of §7.1 and returns results in the paper's order.
-func RunFigure5Comparison(seed int64, walkBys int) ([]Figure5Result, error) {
+// of §7.1, one trial per (class size, algorithm), and returns results in
+// the paper's order.
+func RunFigure5Comparison(ctx context.Context, seed int64, walkBys, workers int) ([]Figure5Result, runner.Stats, error) {
 	if walkBys == 0 {
 		walkBys = 400
 	}
-	var out []Figure5Result
-	for _, students := range []int{35, 55} {
-		for _, alg := range []Fig5Algorithm{AlgBruteForce, AlgAggregation, AlgMeetingRoom} {
-			r, err := RunFigure5(Figure5Config{
-				Seed:      seed,
-				Students:  students,
-				WalkBys:   walkBys,
-				Algorithm: alg,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	classes := []int{35, 55}
+	algs := []Fig5Algorithm{AlgBruteForce, AlgAggregation, AlgMeetingRoom}
+	return runner.Map(ctx, workers, len(classes)*len(algs), func(_ context.Context, i int) (Figure5Result, error) {
+		return RunFigure5(Figure5Config{
+			Seed:      seed,
+			Students:  classes[i/len(algs)],
+			WalkBys:   walkBys,
+			Algorithm: algs[i%len(algs)],
+		})
+	})
 }

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"armnet/internal/des"
 	"armnet/internal/randx"
 	"armnet/internal/reserve"
+	"armnet/internal/runner"
 )
 
 // Figure6Config drives the §7.2 two-cell experiment: capacity 40, type 1
@@ -214,27 +216,26 @@ type Figure6Curve struct {
 }
 
 // RunFigure6Sweep regenerates the Figure 6 family: for each window T it
-// sweeps P_QOS and records the (P_d, P_b) operating points.
-func RunFigure6Sweep(seed int64, windows, pqos []float64, horizon float64) ([]Figure6Curve, error) {
+// sweeps P_QOS and records the (P_d, P_b) operating points, one trial per
+// (T, P_QOS). Every trial builds its own RNG and plan cache, so the curves
+// are identical at any worker count.
+func RunFigure6Sweep(ctx context.Context, seed int64, windows, pqos []float64, horizon float64, workers int) ([]Figure6Curve, runner.Stats, error) {
 	if len(windows) == 0 {
 		windows = []float64{0.01, 0.05, 0.1, 0.3}
 	}
 	if len(pqos) == 0 {
 		pqos = []float64{0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4}
 	}
-	var out []Figure6Curve
-	for _, T := range windows {
-		curve := Figure6Curve{T: T}
-		for _, q := range pqos {
-			r, err := RunFigure6(Figure6Config{
-				Seed: seed, T: T, PQoS: q, Horizon: horizon,
-			})
-			if err != nil {
-				return nil, err
-			}
-			curve.Points = append(curve.Points, r)
-		}
-		out = append(out, curve)
+	n := len(pqos)
+	points, st, err := runner.Map(ctx, workers, len(windows)*n, func(_ context.Context, i int) (Figure6Result, error) {
+		return RunFigure6(Figure6Config{Seed: seed, T: windows[i/n], PQoS: pqos[i%n], Horizon: horizon})
+	})
+	if err != nil {
+		return nil, st, err
 	}
-	return out, nil
+	out := make([]Figure6Curve, len(windows))
+	for w, T := range windows {
+		out[w] = Figure6Curve{T: T, Points: points[w*n : (w+1)*n : (w+1)*n]}
+	}
+	return out, st, nil
 }

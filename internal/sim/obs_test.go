@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -21,47 +20,20 @@ var obsGoldenCfg = CampusConfig{Seed: 1, Portables: 12, Duration: 900, Obs: true
 // be byte-identical with the observer on and off.
 func TestObsZeroPerturbation(t *testing.T) {
 	cfg := CampusConfig{Seed: 7, Portables: 12, Duration: 900}
-	_, plain, err := RunCampusTrace(cfg)
-	if err != nil {
+	var plain, observed bytes.Buffer
+	if _, _, err := RunCampus(cfg, &plain); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Obs = true
-	resObs, observed, err := RunCampusTrace(cfg)
+	resObs, _, err := RunCampus(cfg, &observed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain, observed) {
+	if !bytes.Equal(plain.Bytes(), observed.Bytes()) {
 		t.Fatal("arming the observer perturbed the event trace")
 	}
 	if resObs.Handoffs == 0 {
 		t.Fatal("scenario produced no handoffs; the comparison is vacuous")
-	}
-}
-
-// TestObsSnapshotDeterminismAcrossWorkers: the merged snapshot of a
-// replicated observed sweep must be byte-identical — in both exposition
-// formats — at any worker count, because trials are deterministic and the
-// merge happens in replication order.
-func TestObsSnapshotDeterminismAcrossWorkers(t *testing.T) {
-	cfg := CampusConfig{Seed: 1, Portables: 10, Duration: 600}
-	_, serial, err := RunCampusObsSweep(context.Background(), cfg, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial == nil || serial.Runs != 4 {
-		t.Fatalf("serial sweep snapshot = %+v, want 4 merged runs", serial)
-	}
-	for _, workers := range []int{2, 8} {
-		_, got, err := RunCampusObsSweep(context.Background(), cfg, 4, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(got.Prometheus(), serial.Prometheus()) {
-			t.Fatalf("workers=%d: Prometheus snapshot diverged from serial", workers)
-		}
-		if !bytes.Equal(got.JSON(), serial.JSON()) {
-			t.Fatalf("workers=%d: JSON snapshot diverged from serial", workers)
-		}
 	}
 }
 
@@ -71,13 +43,11 @@ func TestObsSnapshotDeterminismAcrossWorkers(t *testing.T) {
 // regenerate deliberately with
 // `go test ./internal/sim -run TestObsSnapshotGolden -update-obs`.
 func TestObsSnapshotGolden(t *testing.T) {
-	_, snap, err := RunCampusObs(obsGoldenCfg)
+	_, mgr, err := RunCampus(obsGoldenCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil {
-		t.Fatal("observed run returned no snapshot")
-	}
+	snap := mgr.Obs.Snapshot()
 	for _, g := range []struct {
 		file string
 		got  []byte
@@ -119,7 +89,7 @@ func TestObsSpanExportDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
 		cfg := CampusConfig{Seed: 3, Portables: 8, Duration: 400, Obs: true, Spans: &buf}
-		if _, _, err := runCampus(cfg, nil); err != nil {
+		if _, _, err := RunCampus(cfg, nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

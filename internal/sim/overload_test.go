@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -144,7 +143,7 @@ func TestOverloadComposesWithFaults(t *testing.T) {
 func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
 	cfg := OverloadConfig{Seed: 1, Policy: "default", LossRate: 0.05}
 	sweep := func(workers int) ([]OverloadResult, runner.Stats, error) {
-		return sweepSeeds(context.Background(), cfg.Seed, 4, workers, func(seed int64) (OverloadResult, error) {
+		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (OverloadResult, error) {
 			c := cfg
 			c.Seed = seed
 			return RunOverload(c)

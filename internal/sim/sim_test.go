@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"armnet/internal/qos"
@@ -45,7 +46,7 @@ func TestFigure4PredictionQuality(t *testing.T) {
 }
 
 func TestFigure5MeetingRoomBeatsBaselines(t *testing.T) {
-	results, err := RunFigure5Comparison(3, 400)
+	results, _, err := RunFigure5Comparison(context.Background(), 3, 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestFigure6Validation(t *testing.T) {
 }
 
 func TestFigure6Sweep(t *testing.T) {
-	curves, err := RunFigure6Sweep(3, []float64{0.02, 0.2}, []float64{0.01, 0.1}, 80)
+	curves, _, err := RunFigure6Sweep(context.Background(), 3, []float64{0.02, 0.2}, []float64{0.01, 0.1}, 80, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestTable2StaticStamp(t *testing.T) {
 }
 
 func TestTheorem1Convergence(t *testing.T) {
-	res, err := RunTheorem1(Theorem1Config{Seed: 9, Instances: 12, Refined: true, Perturb: true})
+	res, _, err := RunTheorem1(context.Background(), Theorem1Config{Seed: 9, Instances: 12, Refined: true, Perturb: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +244,11 @@ func TestTheorem1Convergence(t *testing.T) {
 }
 
 func TestTheorem1RefinementAblation(t *testing.T) {
-	naive, err := RunTheorem1(Theorem1Config{Seed: 4, Instances: 10, Refined: false, Perturb: true})
+	naive, _, err := RunTheorem1(context.Background(), Theorem1Config{Seed: 4, Instances: 10, Refined: false, Perturb: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := RunTheorem1(Theorem1Config{Seed: 4, Instances: 10, Refined: true, Perturb: true})
+	refined, _, err := RunTheorem1(context.Background(), Theorem1Config{Seed: 4, Instances: 10, Refined: true, Perturb: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestFigure5ThreeWayOrderingUnderHeavyCorridorLoad(t *testing.T) {
 	// appears strictly: wasteful whole-neighborhood reservations hurt
 	// most, single-cell aggregate reservations hurt less, and the
 	// calendar policy is near-lossless.
-	rs, err := RunFigure5Comparison(1, 600)
+	rs, _, err := RunFigure5Comparison(context.Background(), 1, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,17 +76,11 @@ type theorem1Trial struct {
 // protocol to quiescence on each, and verifies the resulting rates
 // against the centralized water-filling solution — the empirical check of
 // Theorem 1. With Perturb it also exercises the steady-state→perturbed→
-// steady-state transition the theorem bounds.
-func RunTheorem1(cfg Theorem1Config) (Theorem1Result, error) {
-	r, _, err := RunTheorem1Parallel(context.Background(), cfg, 1)
-	return r, err
-}
-
-// RunTheorem1Parallel fans the problem instances across a worker pool.
-// Each instance derives its own RNG from (cfg.Seed, instance index) via
+// steady-state transition the theorem bounds. Each instance is one trial:
+// it derives its own RNG from (cfg.Seed, instance index) via
 // runner.SplitSeed and builds a private simulator and protocol, so the
 // aggregated result is bit-identical at any worker count.
-func RunTheorem1Parallel(ctx context.Context, cfg Theorem1Config, workers int) (Theorem1Result, runner.Stats, error) {
+func RunTheorem1(ctx context.Context, cfg Theorem1Config, workers int) (Theorem1Result, runner.Stats, error) {
 	cfg = cfg.withDefaults()
 	res := Theorem1Result{Refined: cfg.Refined, Instances: cfg.Instances}
 	trials, st, err := runner.Map(ctx, workers, cfg.Instances, func(_ context.Context, i int) (theorem1Trial, error) {

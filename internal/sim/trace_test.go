@@ -10,6 +10,13 @@ import (
 	"armnet/internal/runner"
 )
 
+// campusTrace runs the campus scenario and returns its JSONL event trace.
+func campusTrace(cfg CampusConfig) (CampusResult, []byte, error) {
+	var buf bytes.Buffer
+	res, _, err := RunCampus(cfg, &buf)
+	return res, buf.Bytes(), err
+}
+
 // TestCampusTraceDeterminismAcrossWorkers is the event-stream replication
 // regression test: the full JSONL trace of each reservation mode must be
 // byte-identical whether the modes run serially or fanned across a worker
@@ -20,7 +27,7 @@ func TestCampusTraceDeterminismAcrossWorkers(t *testing.T) {
 	for i, mode := range campusModes {
 		c := detCampusCfg
 		c.Mode = mode
-		_, trace, err := RunCampusTrace(c)
+		_, trace, err := campusTrace(c)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -37,7 +44,7 @@ func TestCampusTraceDeterminismAcrossWorkers(t *testing.T) {
 			func(_ context.Context, i int) ([]byte, error) {
 				c := detCampusCfg
 				c.Mode = campusModes[i]
-				_, trace, err := RunCampusTrace(c)
+				_, trace, err := campusTrace(c)
 				return trace, err
 			})
 		if err != nil {
@@ -63,12 +70,12 @@ func TestCampusTraceDeterminismAcrossWorkers(t *testing.T) {
 // handful of runs.
 func TestCampusTraceDeterminismAcrossRuns(t *testing.T) {
 	cfg := CampusConfig{Seed: 1, Portables: 24, Duration: 2400}
-	_, first, err := RunCampusTrace(cfg)
+	_, first, err := campusTrace(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 1; run < 9; run++ {
-		_, again, err := RunCampusTrace(cfg)
+		_, again, err := campusTrace(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +100,7 @@ func firstDiffLine(a, b []byte) string {
 // summary come from one stream: replaying the recorded events must
 // reproduce the counters behind the returned CampusResult.
 func TestCampusTraceConsistentWithResult(t *testing.T) {
-	res, trace, err := RunCampusTrace(detCampusCfg)
+	res, trace, err := campusTrace(detCampusCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
