@@ -59,7 +59,7 @@ bench-capture:
 	$(GO) run ./cmd/benchcap -root . -note '$(NOTE)'
 
 ## bench-smoke: health check for the capture harness itself — one
-## iteration per benchmark, parsed by benchx, written to a throwaway
+## iteration per benchmark, parsed by cmd/benchcap, written to a throwaway
 ## directory. No timing assertions; it only proves the harness and
 ## every captured benchmark still build, run and parse.
 bench-smoke:
@@ -145,11 +145,11 @@ obs-live:
 	$(GO) test -race ./internal/obs/live ./internal/telemetry
 	$(GO) test -race -run 'Telemetry' ./cmd/armsim ./cmd/armnode
 
-## arena: the strategy-seam gate — the head-to-head roster runs under
-## the race detector (worker-count determinism, the pinned seed-1
+## arena: the rivals' gate — the head-to-head roster runs under the
+## race detector (worker-count determinism, the pinned seed-1
 ## comparative snapshot, the default pair's equivalence to the plain
 ## campus run) alongside the strategy package's property and
-## dispatch-cost tests and the rivals' explicit-rate rule held to its
+## alloc-budget tests and the rivals' explicit-rate rule held to its
 ## lockstep reference.
 arena:
 	$(GO) test -race -run 'Arena|ExperimentTraceDeterminism/arena' ./internal/sim

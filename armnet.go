@@ -122,7 +122,7 @@ type Config = core.Config
 
 // Strategy selection: Config.Allocator and Config.Admitter name the
 // rate-allocation and admission-control strategies (empty selects the
-// paper's defaults). Allocators and Admitters list the registered names.
+// paper's defaults). Allocators and Admitters list the roster.
 var (
 	Allocators = strategy.Allocators
 	Admitters  = strategy.Admitters

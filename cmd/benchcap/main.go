@@ -1,6 +1,6 @@
 // Command benchcap captures the repository's benchmark trajectory: it
 // runs the benchmark suite area by area with fixed iteration counts,
-// parses the `testing.B` output with internal/benchx, and appends one
+// parses the `testing.B` output, and appends one
 // entry per area to the BENCH_<area>.json files at the repository root.
 // Re-running appends a new trajectory point — it never overwrites — so
 // the files accumulate the performance history PR-over-PR, and every
@@ -27,8 +27,6 @@ import (
 	"runtime"
 	"strings"
 	"time"
-
-	"armnet/internal/benchx"
 )
 
 // area is one captured benchmark family: a package, a -bench pattern,
@@ -94,30 +92,30 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		entry := benchx.Entry{
+		e := entry{
 			CapturedAt: time.Now().UTC().Format(time.RFC3339),
 			GoVersion:  runtime.Version(),
 			Revision:   rev,
 			Note:       *note,
 			CPU:        parsed.CPU,
 			Pkg:        parsed.Pkg,
-			Results:    benchx.MergeResults(parsed.Results),
+			Results:    mergeResults(parsed.Results),
 		}
 		path := filepath.Join(outDir, "BENCH_"+a.Name+".json")
-		traj, err := benchx.Load(path, a.Name)
+		traj, err := loadTrajectory(path, a.Name)
 		if err != nil {
 			fatal(err)
 		}
 		if last := traj.Last(); last != nil && !*smoke {
-			deltas := benchx.Compare(last.Results, entry.Results)
-			fmt.Printf("-- vs previous entry (%s%s):\n%s", last.CapturedAt, noteSuffix(last.Note), benchx.Report(deltas))
+			deltas := compare(last.Results, e.Results)
+			fmt.Printf("-- vs previous entry (%s%s):\n%s", last.CapturedAt, noteSuffix(last.Note), report(deltas))
 		}
-		traj.Append(entry)
+		traj.Append(e)
 		if err := traj.Save(path); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("-- %s: %d benchmarks, entry %d appended to %s\n",
-			a.Name, len(entry.Results), len(traj.Entries), path)
+			a.Name, len(e.Results), len(traj.Entries), path)
 	}
 	if *smoke {
 		fmt.Printf("smoke ok: %d areas captured and parsed\n", len(selected))
@@ -127,7 +125,7 @@ func main() {
 // runArea executes one area's fixed-iteration bench run and parses it.
 // The raw output is echoed on failure so a broken benchmark is
 // diagnosable from the capture log alone.
-func runArea(root string, a area, benchtime string) (benchx.Parsed, error) {
+func runArea(root string, a area, benchtime string) (parsedRun, error) {
 	cmd := exec.Command("go", append([]string{"test", "-run", "^$", "-bench", a.Pattern,
 		"-benchmem", "-benchtime", benchtime}, strings.Fields(a.Pkg)...)...)
 	cmd.Dir = root
@@ -135,15 +133,15 @@ func runArea(root string, a area, benchtime string) (benchx.Parsed, error) {
 	cmd.Stdout = &buf
 	cmd.Stderr = &buf
 	runErr := cmd.Run()
-	parsed, parseErr := benchx.Parse(bytes.NewReader(buf.Bytes()))
+	parsed, parseErr := parse(bytes.NewReader(buf.Bytes()))
 	if parseErr != nil {
 		if runErr != nil {
-			return benchx.Parsed{}, fmt.Errorf("area %s: %v\n%s", a.Name, runErr, buf.String())
+			return parsedRun{}, fmt.Errorf("area %s: %v\n%s", a.Name, runErr, buf.String())
 		}
-		return benchx.Parsed{}, fmt.Errorf("area %s: %v\n%s", a.Name, parseErr, buf.String())
+		return parsedRun{}, fmt.Errorf("area %s: %v\n%s", a.Name, parseErr, buf.String())
 	}
 	if runErr != nil {
-		return benchx.Parsed{}, fmt.Errorf("area %s: go test: %v\n%s", a.Name, runErr, buf.String())
+		return parsedRun{}, fmt.Errorf("area %s: go test: %v\n%s", a.Name, runErr, buf.String())
 	}
 	return parsed, nil
 }

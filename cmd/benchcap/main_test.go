@@ -1,4 +1,4 @@
-package benchx
+package main
 
 import (
 	"math"
@@ -20,7 +20,7 @@ ok  	armnet/internal/des	0.062s
 `
 
 func TestParseSampleOutput(t *testing.T) {
-	p, err := Parse(strings.NewReader(sampleOutput))
+	p, err := parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestParseSampleOutput(t *testing.T) {
 	if !strings.Contains(p.CPU, "Xeon") {
 		t.Errorf("cpu = %q", p.CPU)
 	}
-	want := []Result{
+	want := []result{
 		{Name: "BenchmarkScheduleAndFire", Iters: 100000, NsPerOp: 102.7, BytesPerOp: 48, AllocsPerOp: 1},
 		{Name: "BenchmarkHeapChurn", Procs: 8, Iters: 100000, NsPerOp: 342.5, BytesPerOp: 48, AllocsPerOp: 1},
 		{Name: "BenchmarkFigure2LoungeActivity", Procs: 4, Iters: 100, NsPerOp: 12345,
@@ -43,7 +43,7 @@ func TestParseSampleOutput(t *testing.T) {
 
 func TestParseCustomMetricsOnly(t *testing.T) {
 	out := "BenchmarkTheorem1Convergence-2   	      50	  98765.4 ns/op	        33.60 messages/instance\nPASS\n"
-	p, err := Parse(strings.NewReader(out))
+	p, err := parse(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ internal/des/des.go:10:2: undefined: frobnicate
 FAIL	armnet/internal/des [build failed]
 FAIL
 `
-	if _, err := Parse(strings.NewReader(out)); err == nil {
+	if _, err := parse(strings.NewReader(out)); err == nil {
 		t.Fatal("want error on build failure")
 	} else if !strings.Contains(err.Error(), "build failed") {
 		t.Errorf("error should quote the FAIL line: %v", err)
@@ -74,25 +74,25 @@ FAIL
 exit status 1
 FAIL	armnet	0.5s
 `
-	if _, err := Parse(strings.NewReader(out)); err == nil {
+	if _, err := parse(strings.NewReader(out)); err == nil {
 		t.Fatal("want error when a benchmark failed mid-run")
 	}
 }
 
 func TestParseEmptyOutput(t *testing.T) {
 	out := "goos: linux\nPASS\nok  	armnet	0.001s\n"
-	if _, err := Parse(strings.NewReader(out)); err == nil {
+	if _, err := parse(strings.NewReader(out)); err == nil {
 		t.Fatal("want error when no benchmark matched")
 	}
 }
 
 func TestMergeResultsWeightedMeanAndIdempotence(t *testing.T) {
-	in := []Result{
+	in := []result{
 		{Name: "BenchmarkX", Iters: 100, NsPerOp: 100, AllocsPerOp: 2, Metrics: map[string]float64{"events/s": 10}},
 		{Name: "BenchmarkY", Iters: 10, NsPerOp: 7},
 		{Name: "BenchmarkX", Iters: 300, NsPerOp: 200, AllocsPerOp: 2, Metrics: map[string]float64{"events/s": 30}},
 	}
-	got := MergeResults(in)
+	got := mergeResults(in)
 	if len(got) != 2 {
 		t.Fatalf("want 2 merged results, got %d", len(got))
 	}
@@ -106,7 +106,7 @@ func TestMergeResultsWeightedMeanAndIdempotence(t *testing.T) {
 	if math.Abs(x.Metrics["events/s"]-25) > 1e-9 {
 		t.Errorf("metric weighted mean = %v, want 25", x.Metrics["events/s"])
 	}
-	again := MergeResults(got)
+	again := mergeResults(got)
 	if !reflect.DeepEqual(again, got) {
 		t.Errorf("merge not idempotent:\n got %+v\nthen %+v", got, again)
 	}
@@ -118,30 +118,30 @@ func TestMergeResultsWeightedMeanAndIdempotence(t *testing.T) {
 
 func TestTrajectoryAppendRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_des.json")
-	first, err := Load(path, "des")
+	first, err := loadTrajectory(path, "des")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(first.Entries) != 0 || first.Area != "des" {
 		t.Fatalf("fresh trajectory wrong: %+v", first)
 	}
-	first.Append(Entry{CapturedAt: "2026-08-08T00:00:00Z", Note: "baseline",
-		Results: []Result{{Name: "BenchmarkScheduleAndFire", Iters: 1000, NsPerOp: 100, AllocsPerOp: 1}}})
+	first.Append(entry{CapturedAt: "2026-08-08T00:00:00Z", Note: "baseline",
+		Results: []result{{Name: "BenchmarkScheduleAndFire", Iters: 1000, NsPerOp: 100, AllocsPerOp: 1}}})
 	if err := first.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
-	second, err := Load(path, "des")
+	second, err := loadTrajectory(path, "des")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second.Append(Entry{CapturedAt: "2026-08-08T01:00:00Z", Note: "post-opt",
-		Results: []Result{{Name: "BenchmarkScheduleAndFire", Iters: 1000, NsPerOp: 80}}})
+	second.Append(entry{CapturedAt: "2026-08-08T01:00:00Z", Note: "post-opt",
+		Results: []result{{Name: "BenchmarkScheduleAndFire", Iters: 1000, NsPerOp: 80}}})
 	if err := second.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
-	final, err := Load(path, "des")
+	final, err := loadTrajectory(path, "des")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,31 +158,31 @@ func TestTrajectoryAppendRoundTrip(t *testing.T) {
 
 func TestLoadAreaMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_des.json")
-	tr := &Trajectory{Area: "des"}
-	tr.Append(Entry{CapturedAt: "2026-08-08T00:00:00Z"})
+	tr := &trajectory{Area: "des"}
+	tr.Append(entry{CapturedAt: "2026-08-08T00:00:00Z"})
 	if err := tr.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, "maxmin"); err == nil {
+	if _, err := loadTrajectory(path, "maxmin"); err == nil {
 		t.Fatal("want error appending area maxmin onto a des file")
 	}
 }
 
 func TestCompareFlagsRegressions(t *testing.T) {
-	prev := []Result{
+	prev := []result{
 		{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 4},
 		{Name: "BenchmarkB", NsPerOp: 100},
 		{Name: "BenchmarkC", NsPerOp: 100, AllocsPerOp: 1},
 		{Name: "BenchmarkGone", NsPerOp: 1},
 	}
-	cur := []Result{
+	cur := []result{
 		{Name: "BenchmarkA", NsPerOp: 130, AllocsPerOp: 4}, // 30% slower
 		{Name: "BenchmarkB", NsPerOp: 75},                  // 25% faster
 		{Name: "BenchmarkC", NsPerOp: 101, AllocsPerOp: 0}, // allocs eliminated
 		{Name: "BenchmarkNew", NsPerOp: 1},
 	}
-	ds := Compare(prev, cur)
-	byKey := map[string]Delta{}
+	ds := compare(prev, cur)
+	byKey := map[string]delta{}
 	for _, d := range ds {
 		byKey[d.Name+" "+d.Metric] = d
 	}
@@ -214,7 +214,7 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	// Only the allocs/op change is marked; ns/op moves, however large,
 	// carry no verdict.
 	var marked []string
-	for _, line := range strings.Split(Report(ds), "\n") {
+	for _, line := range strings.Split(report(ds), "\n") {
 		if strings.Contains(line, "CHANGED") {
 			marked = append(marked, line)
 		}
@@ -225,7 +225,7 @@ func TestCompareFlagsRegressions(t *testing.T) {
 }
 
 func TestReportEmpty(t *testing.T) {
-	if rep := Report(nil); !strings.Contains(rep, "no comparable") {
+	if rep := report(nil); !strings.Contains(rep, "no comparable") {
 		t.Errorf("empty report = %q", rep)
 	}
 }

@@ -1,16 +1,4 @@
-// Package benchx is the repository's benchmark-capture toolkit: it
-// parses `go test -bench` output into structured results, accumulates
-// them as a machine-readable trajectory (one JSON file per benchmark
-// area, one entry appended per capture), and compares consecutive
-// entries so speedups and regressions are visible PR-over-PR instead of
-// anecdotal.
-//
-// The trajectory files (`BENCH_<area>.json` at the repository root,
-// written by cmd/benchcap) are the performance ledger the ROADMAP's
-// "10x more simulated portables per wall-clock second" goal is measured
-// against: every capture appends, never overwrites, so the full history
-// of ns/op and allocs/op per benchmark travels with the repo.
-package benchx
+package main
 
 import (
 	"bufio"
@@ -20,11 +8,11 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark line: the benchmark's name (with the
+// result is one parsed benchmark line: the benchmark's name (with the
 // trailing -GOMAXPROCS suffix split off into Procs), its iteration
 // count, and every reported value. The three standard units get typed
 // fields; custom b.ReportMetric units land in Metrics verbatim.
-type Result struct {
+type result struct {
 	// Name is the benchmark function name, e.g. "BenchmarkWaterFillSmall".
 	Name string `json:"name"`
 	// Procs is the GOMAXPROCS suffix (0 when the line carried none).
@@ -40,15 +28,15 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Parsed is the structured form of one `go test -bench` invocation's
+// parsedRun is the structured form of one `go test -bench` invocation's
 // output: the benchmark results plus the context header lines.
-type Parsed struct {
+type parsedRun struct {
 	// Pkg is the first "pkg:" header seen, e.g. "armnet/internal/des".
 	Pkg string
 	// CPU is the "cpu:" header, for judging cross-machine comparability.
 	CPU string
 	// Results holds one entry per benchmark line, in output order.
-	Results []Result
+	Results []result
 }
 
 // Parse reads `go test -bench` output and returns the structured
@@ -56,8 +44,8 @@ type Parsed struct {
 // harness must not paper over: output that contains test or build
 // failures (FAIL lines, "[build failed]") and output with no benchmark
 // lines at all (a pattern that matched nothing).
-func Parse(r io.Reader) (Parsed, error) {
-	var p Parsed
+func parse(r io.Reader) (parsedRun, error) {
+	var p parsedRun
 	var failures []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
@@ -78,7 +66,7 @@ func Parse(r io.Reader) (Parsed, error) {
 		case strings.HasPrefix(trimmed, "Benchmark"):
 			res, ok, err := parseLine(trimmed)
 			if err != nil {
-				return Parsed{}, err
+				return parsedRun{}, err
 			}
 			if ok {
 				p.Results = append(p.Results, res)
@@ -86,13 +74,13 @@ func Parse(r io.Reader) (Parsed, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return Parsed{}, fmt.Errorf("benchx: reading bench output: %w", err)
+		return parsedRun{}, fmt.Errorf("reading bench output: %w", err)
 	}
 	if len(failures) > 0 {
-		return Parsed{}, fmt.Errorf("benchx: bench run failed: %s", strings.Join(failures, "; "))
+		return parsedRun{}, fmt.Errorf("bench run failed: %s", strings.Join(failures, "; "))
 	}
 	if len(p.Results) == 0 {
-		return Parsed{}, fmt.Errorf("benchx: no benchmark results in output")
+		return parsedRun{}, fmt.Errorf("no benchmark results in output")
 	}
 	return p, nil
 }
@@ -101,12 +89,12 @@ func Parse(r io.Reader) (Parsed, error) {
 // Lines that merely start with "Benchmark" but are not result lines
 // (e.g. "BenchmarkFoo" alone on the line while the run is in flight)
 // report ok=false rather than an error.
-func parseLine(line string) (Result, bool, error) {
+func parseLine(line string) (result, bool, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
-		return Result{}, false, nil
+		return result{}, false, nil
 	}
-	res := Result{Name: fields[0]}
+	res := result{Name: fields[0]}
 	if i := strings.LastIndex(res.Name, "-"); i > 0 {
 		if procs, err := strconv.Atoi(res.Name[i+1:]); err == nil && procs > 0 {
 			res.Name, res.Procs = res.Name[:i], procs
@@ -114,13 +102,13 @@ func parseLine(line string) (Result, bool, error) {
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Result{}, false, nil
+		return result{}, false, nil
 	}
 	res.Iters = iters
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Result{}, false, fmt.Errorf("benchx: bad value %q in line %q", fields[i], line)
+			return result{}, false, fmt.Errorf("bad value %q in line %q", fields[i], line)
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -139,19 +127,19 @@ func parseLine(line string) (Result, bool, error) {
 	return res, true, nil
 }
 
-// MergeResults combines duplicate (Name, Procs) results — as produced
+// mergeResults combines duplicate (Name, Procs) results — as produced
 // by -count>1 runs — into one result per benchmark: iteration-weighted
 // means for all per-op values and summed iteration counts. Results keep
 // first-appearance order, and merging already-merged results is a
 // no-op, which is what lets a capture be re-parsed and re-merged
 // without drift.
-func MergeResults(rs []Result) []Result {
+func mergeResults(rs []result) []result {
 	type key struct {
 		name  string
 		procs int
 	}
 	idx := map[key]int{}
-	var out []Result
+	var out []result
 	for _, r := range rs {
 		k := key{r.Name, r.Procs}
 		j, seen := idx[k]

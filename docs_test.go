@@ -125,9 +125,10 @@ func TestDocumentedPathsExist(t *testing.T) {
 	}
 }
 
-// exportedNames returns the exported top-level identifiers (functions,
-// types, variables and constants; no methods) of the non-test Go files
-// in dir.
+// exportedNames returns the exported names a document may cite after
+// `pkg.` for the package in dir: its top-level identifiers (functions,
+// types, variables and constants) and the methods and fields of its
+// types, read from the non-test Go files.
 func exportedNames(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -135,9 +136,11 @@ func exportedNames(t *testing.T, dir string) map[string]bool {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
-	add := func(id *ast.Ident) {
-		if id.IsExported() {
-			names[id.Name] = true
+	add := func(ids ...*ast.Ident) {
+		for _, id := range ids {
+			if id.IsExported() {
+				names[id.Name] = true
+			}
 		}
 	}
 	fset := token.NewFileSet()
@@ -149,41 +152,46 @@ func exportedNames(t *testing.T, dir string) map[string]bool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range file.Decls {
-			switch d := d.(type) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						add(spec.Name)
-					case *ast.ValueSpec:
-						for _, n := range spec.Names {
-							add(n)
-						}
-					}
-				}
+				add(n.Name)
+				return false
+			case *ast.TypeSpec:
+				add(n.Name)
+			case *ast.ValueSpec:
+				add(n.Names...)
+				return false
+			case *ast.Field: // struct fields and interface methods
+				add(n.Names...)
 			}
-		}
+			return true
+		})
 	}
 	return names
 }
 
 // TestDocumentedIdentifiersExist holds the prose to the API the way
 // TestDocumentedPathsExist holds it to the tree: every backquoted span in
-// the top-level documents that starts with `sim.X`, `runner.X` or
-// `armnet.X`, or with a bare `RunX`, must name an exported top-level
-// identifier of internal/sim, internal/runner or the root package (a
-// bare `RunX` may be either of sim's and the facade's). A document still
-// citing a deleted or renamed entry point fails here.
+// the top-level documents that starts with `pkg.X`, where pkg is the
+// root package (armnet) or a directory under internal/, must name an
+// exported identifier of that package — top-level, or a method or field
+// of one of its types — and a bare `RunX` must be exported by internal/sim
+// or the root package. A document still citing a deleted or renamed
+// name fails here.
 func TestDocumentedIdentifiersExist(t *testing.T) {
-	sim, runner, root := exportedNames(t, "internal/sim"), exportedNames(t, "internal/runner"), exportedNames(t, ".")
-	pkgs := map[string]map[string]bool{"sim": sim, "runner": runner, "armnet": root}
+	pkgs := map[string]map[string]bool{"armnet": exportedNames(t, ".")}
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() {
+			pkgs[d.Name()] = exportedNames(t, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	span := regexp.MustCompile("`([^`\n]+)`")
-	ident := regexp.MustCompile(`^(?:(sim|runner|armnet)\.([A-Z][A-Za-z0-9_]*)|(Run[A-Z][A-Za-z0-9_]*))`)
+	ident := regexp.MustCompile(`^(?:([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)|(Run[A-Z][A-Za-z0-9_]*))`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -193,9 +201,11 @@ func TestDocumentedIdentifiersExist(t *testing.T) {
 			id := ident.FindStringSubmatch(m[1])
 			switch {
 			case id == nil:
-			case id[1] != "" && !pkgs[id[1]][id[2]]:
-				t.Errorf("%s cites `%s`: %s.%s is no exported top-level identifier", doc, m[1], id[1], id[2])
-			case id[3] != "" && !sim[id[3]] && !root[id[3]]:
+			case id[1] != "":
+				if names, ok := pkgs[id[1]]; ok && !names[id[2]] {
+					t.Errorf("%s cites `%s`: %s.%s is no exported identifier, method or field", doc, m[1], id[1], id[2])
+				}
+			case !pkgs["sim"][id[3]] && !pkgs["armnet"][id[3]]:
 				t.Errorf("%s cites `%s`: %s is exported by neither internal/sim nor the root package", doc, m[1], id[3])
 			}
 		}

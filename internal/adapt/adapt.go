@@ -1,7 +1,6 @@
 // Package adapt implements the paper's resource adaptation layer (§5.3):
-// it connects a rate-allocation strategy (the distributed maxmin protocol
-// by default) to the admission ledger, enforcing the two policy rules the
-// paper sets —
+// it connects the distributed ADVERTISE/UPDATE protocol of §5.3.1 to the
+// admission ledger, enforcing the two policy rules the paper sets —
 //
 //  1. only connections of *static* portables are adapted (for a
 //     frequently handing-off mobile the signaling overhead would swamp
@@ -15,9 +14,9 @@
 // maximum-allocation static connection from its neighboring cells,
 // clamped to the paper's 5%–20% band.
 //
-// The layer is allocator-agnostic: it talks to the strategy.Allocator
-// seam, so swapping the paper's protocol for a rival (ERICA fair-share)
-// changes nothing here.
+// The layer is rule-agnostic: a rival allocator (ERICA fair-share, log
+// weights) is the same protocol under another maxmin.SwitchRule, so
+// swapping it in changes nothing here.
 package adapt
 
 import (
@@ -25,10 +24,10 @@ import (
 	"fmt"
 
 	"armnet/internal/admission"
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/maxmin"
 	"armnet/internal/qos"
-	"armnet/internal/strategy"
 	"armnet/internal/topology"
 )
 
@@ -49,9 +48,10 @@ type connInfo struct {
 type Manager struct {
 	Sim    *des.Simulator
 	Ledger *admission.Ledger
-	// Alloc is the rate-allocation strategy behind the seam (the paper's
-	// maxmin ADVERTISE/UPDATE protocol by default).
-	Alloc strategy.Allocator
+	// Alloc is the rate allocator: the ADVERTISE/UPDATE protocol under
+	// the switch rule the manager was built with (the paper's by
+	// default).
+	Alloc *maxmin.Protocol
 
 	conns map[string]*connInfo
 	// OnRate observes committed rate changes (for tests and metrics).
@@ -59,31 +59,24 @@ type Manager struct {
 }
 
 // NewManager builds the adaptation layer over an existing ledger with
-// the default maxmin allocator. opts configures the underlying
-// ADVERTISE/UPDATE protocol.
+// the paper's switch rule. opts configures the ADVERTISE/UPDATE
+// protocol.
 func NewManager(sim *des.Simulator, lg *admission.Ledger, opts maxmin.ProtocolOptions) (*Manager, error) {
-	if sim == nil || lg == nil {
-		return nil, fmt.Errorf("adapt: nil simulator or ledger")
-	}
-	alloc, err := strategy.NewAllocator(strategy.DefaultAllocator, sim, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewManagerWith(sim, lg, alloc)
+	return NewManagerWith(sim, lg, opts, maxmin.Paper)
 }
 
-// NewManagerWith builds the adaptation layer over an already-constructed
-// allocator: every ledger link is registered with its current excess
-// capacity, and the allocator's committed updates flow back into the
-// ledger.
-func NewManagerWith(sim *des.Simulator, lg *admission.Ledger, alloc strategy.Allocator) (*Manager, error) {
-	if sim == nil || lg == nil || alloc == nil {
-		return nil, fmt.Errorf("adapt: nil simulator, ledger, or allocator")
+// NewManagerWith is NewManager with every switch running rule. The
+// protocol is built here, so a positive ReadvertisePeriod arms its
+// repair ticker now; every ledger link is registered with its current
+// excess capacity, and committed updates flow back into the ledger.
+func NewManagerWith(sim *des.Simulator, lg *admission.Ledger, opts maxmin.ProtocolOptions, rule maxmin.SwitchRule) (*Manager, error) {
+	if sim == nil || lg == nil {
+		return nil, fmt.Errorf("adapt: nil simulator or ledger")
 	}
 	m := &Manager{
 		Sim:    sim,
 		Ledger: lg,
-		Alloc:  alloc,
+		Alloc:  maxmin.NewProtocolWith(clock.Sim(sim), opts, rule),
 		conns:  make(map[string]*connInfo),
 	}
 	for _, ls := range lg.Links() {
@@ -91,19 +84,19 @@ func NewManagerWith(sim *des.Simulator, lg *admission.Ledger, alloc strategy.All
 			return nil, err
 		}
 	}
-	m.Alloc.SetOnUpdate(m.applyUpdate)
+	m.Alloc.OnUpdate = m.applyUpdate
 	return m, nil
 }
 
-// Maxmin returns the underlying maxmin protocol when the seated
-// allocator is the paper's default, and nil for rival strategies —
-// callers needing maxmin-specific state (the chaos auditor's WaterFill
-// oracle) must tolerate the nil.
+// Maxmin returns the protocol when it runs the paper's rule, and nil
+// under a rival's: a rival's rates are not WaterFill's, so callers
+// needing the maxmin fixed point (the chaos auditor's WaterFill oracle)
+// must tolerate the nil.
 func (m *Manager) Maxmin() *maxmin.Protocol {
-	if u, ok := m.Alloc.(interface{ Underlying() *maxmin.Protocol }); ok {
-		return u.Underlying()
+	if m.Alloc.Rule().Weight != nil {
+		return nil
 	}
-	return nil
+	return m.Alloc
 }
 
 func clampNonNeg(v float64) float64 {
@@ -144,7 +137,7 @@ func (m *Manager) addToProtocol(connID string, ci *connInfo) error {
 	for _, l := range ci.route.Links {
 		path = append(path, string(l.ID))
 	}
-	return m.Alloc.AddSession(strategy.Session{ID: connID, Path: path, Demand: ci.bounds.Width()})
+	return m.Alloc.AddConn(maxmin.Conn{ID: connID, Path: path, Demand: ci.bounds.Width()})
 }
 
 // Unregister drops a connection (after release from the ledger) and
@@ -154,7 +147,7 @@ func (m *Manager) Unregister(connID string) {
 	if !ok {
 		return
 	}
-	m.Alloc.RemoveSession(connID)
+	m.Alloc.RemoveConn(connID)
 	delete(m.conns, connID)
 	m.SyncRoute(ci.route)
 }
@@ -175,7 +168,7 @@ func (m *Manager) SetMobility(connID string, mob qos.Mobility) error {
 		// A mobile connection is pinned at b_min anyway; the degrade cap
 		// is moot and must not survive a later flip back to static.
 		ci.degraded = false
-		m.Alloc.RemoveSession(connID)
+		m.Alloc.RemoveConn(connID)
 		for _, l := range ci.route.Links {
 			if err := m.Ledger.SetAllocation(connID, l.ID, ci.bounds.Min); err != nil {
 				return err
@@ -207,7 +200,7 @@ func (m *Manager) Degrade(connID string) bool {
 		return false
 	}
 	ci.degraded = true
-	m.Alloc.RemoveSession(connID)
+	m.Alloc.RemoveConn(connID)
 	for _, l := range ci.route.Links {
 		// The allocation may race a release; ignore missing allocations.
 		_ = m.Ledger.SetAllocation(connID, l.ID, ci.bounds.Min)
@@ -263,7 +256,7 @@ func (m *Manager) SyncLink(id topology.LinkID) error {
 	if ls == nil {
 		return fmt.Errorf("adapt: unknown link %s", id)
 	}
-	_, err := m.Alloc.CapacityChanged(string(id), clampNonNeg(ls.ExcessAvailable()))
+	_, err := m.Alloc.TriggerCapacityChange(string(id), clampNonNeg(ls.ExcessAvailable()))
 	return err
 }
 

@@ -217,20 +217,22 @@ func TestPoolFraction(t *testing.T) {
 	}
 }
 
-// TestMaxminOnlyUnderThePaperRule: every registered allocator is the one
-// maxmin protocol under some switch rule, but Maxmin exposes it only
-// under the paper's — WaterFill is that rule's oracle, not a rival's.
+// TestMaxminOnlyUnderThePaperRule: every allocator is the one maxmin
+// protocol under some switch rule, but Maxmin exposes it only under the
+// paper's — WaterFill is that rule's oracle, not a rival's.
 func TestMaxminOnlyUnderThePaperRule(t *testing.T) {
 	b := topology.NewBackbone()
 	for _, name := range strategy.Allocators() {
-		sim := des.New()
-		alloc, err := strategy.NewAllocator(name, sim, maxmin.ProtocolOptions{})
+		rule, err := strategy.Rule(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, err := NewManagerWith(sim, admission.NewLedger(b), alloc)
+		mgr, err := NewManagerWith(des.New(), admission.NewLedger(b), maxmin.ProtocolOptions{}, rule)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mgr.Alloc.Rule().Name != name {
+			t.Fatalf("%s: protocol runs rule %q", name, mgr.Alloc.Rule().Name)
 		}
 		if got, want := mgr.Maxmin() != nil, name == strategy.DefaultAllocator; got != want {
 			t.Fatalf("%s: Maxmin() non-nil = %v, want %v", name, got, want)

@@ -104,6 +104,16 @@ const (
 // ErrValidation wraps malformed test inputs.
 var ErrValidation = errors.New("admission: invalid test")
 
+// Admitter is the atomic test-and-commit every new connection, handoff
+// and renegotiation goes through. Admit runs the full round trip: on
+// success the connection's allocation is booked on every link of the
+// route; on failure no state changes. An admitter books into the shared
+// ledger, so the conservation invariants of faults.Auditor hold whatever
+// its test. *Controller, the paper's Table 2, is the default.
+type Admitter interface {
+	Admit(Test) (Result, error)
+}
+
 // Controller runs Table 2 admission tests against a ledger.
 type Controller struct {
 	Ledger *Ledger

@@ -162,7 +162,7 @@ func (ls *LinkState) availableFor(kind Kind) float64 {
 }
 
 // Book commits an allocation for a connection on this link outright —
-// the primitive a strategy Admitter uses to record a decision it reached
+// the primitive an Admitter other than Table 2 uses to record a decision it reached
 // by its own test. Booking the same connection twice overwrites, like
 // Table 2's reverse-pass commit.
 func (ls *LinkState) Book(connID string, a Alloc) {

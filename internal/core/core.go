@@ -86,14 +86,14 @@ type Config struct {
 	SlotDuration float64
 	// Adaptation enables §5.3 bandwidth adaptation (default on).
 	DisableAdaptation bool
-	// Allocator names the registered rate-allocation strategy ("maxmin",
-	// "erica"); empty selects the paper's maxmin protocol.
+	// Allocator names the rate allocator's switch rule ("maxmin",
+	// "erica", "logweight"); empty selects the paper's maxmin rule.
 	Allocator string
-	// Admitter names the registered admission strategy ("table2",
+	// Admitter names the admission strategy ("table2",
 	// "measured"); empty selects the paper's Table 2 test.
 	Admitter string
 	// Proto tunes the rate-allocation protocol (the knobs are shared by
-	// every registered allocator: hop delay, δ threshold, fault delivery,
+	// every allocator: hop delay, δ threshold, fault delivery,
 	// retransmission, periodic repair).
 	Proto maxmin.ProtocolOptions
 	// Profiles tunes the profile servers.
@@ -191,7 +191,7 @@ type Manager struct {
 	// Adm is the admission strategy every setup, handoff, and
 	// renegotiation goes through (Table 2 by default, Config.Admitter
 	// selects rivals).
-	Adm strategy.Admitter
+	Adm admission.Admitter
 	// Bus carries every control-plane decision as a typed event; Met,
 	// Latency, and the bandwidth watchers are its built-in subscribers.
 	Bus  *eventbus.Bus
@@ -291,6 +291,10 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	m.Adm = adm
+	rule, err := strategy.Rule(cfg.Allocator)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	// Fault injection is wired before the protocol stacks are built so
 	// their delivery hooks are in place from the first control message.
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
@@ -318,19 +322,14 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 		}
 	}, eventbus.KindBandwidthChange)
 	if !cfg.DisableAdaptation {
-		// The allocator is constructed exactly here — where the maxmin
-		// protocol was built pre-seam — so its construction-time timers
-		// (the re-ADVERTISE ticker) keep their position in the event
-		// schedule and default-pair traces stay byte-identical.
-		alloc, err := strategy.NewAllocator(cfg.Allocator, sim, m.Cfg.Proto)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		m.Adpt, err = adapt.NewManagerWith(sim, lg, alloc)
+		// The protocol is built exactly here, so its construction-time
+		// timer (the re-ADVERTISE ticker) keeps its position in the event
+		// schedule and traces stay byte-identical.
+		m.Adpt, err = adapt.NewManagerWith(sim, lg, m.Cfg.Proto, rule)
 		if err != nil {
 			return nil, err
 		}
-		m.Adpt.Alloc.SetBus(bus)
+		m.Adpt.Alloc.Bus = bus
 		m.Adpt.OnRate = func(connID string, bw float64) {
 			if c, ok := m.conns[connID]; ok {
 				c.Bandwidth = bw

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"armnet/internal/des"
@@ -677,5 +678,21 @@ func TestDisableAdaptation(t *testing.T) {
 	}
 	if err := sim.RunUntil(500); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnknownAllocatorRejected: an allocator name is checked whether or
+// not adaptation runs — a misspelt Config.Allocator must not pass
+// silently just because DisableAdaptation leaves the protocol unbuilt.
+func TestUnknownAllocatorRejected(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		env, err := topology.BuildCampus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewManager(des.New(), env, Config{Allocator: "nope", DisableAdaptation: disable})
+		if err == nil || !strings.Contains(err.Error(), `unknown allocator "nope"`) {
+			t.Fatalf("DisableAdaptation=%v: err = %v, want unknown allocator", disable, err)
+		}
 	}
 }

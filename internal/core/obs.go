@@ -27,14 +27,7 @@ func (m *Manager) armObs(opts obs.Options) {
 		OverloadArmed:   m.Cfg.Overload != nil,
 	}
 	if m.Adpt != nil {
-		src.Bottlenecks = func() []obs.LinkBottleneck {
-			sizes := m.Adpt.Alloc.Bottlenecks()
-			out := make([]obs.LinkBottleneck, len(sizes))
-			for i, s := range sizes {
-				out[i] = obs.LinkBottleneck{Link: s.Link, Size: s.Size}
-			}
-			return out
-		}
+		src.Bottlenecks = m.Adpt.Alloc.BottleneckSizes
 	}
 	m.Obs = obs.New(m.Bus, src, opts)
 }

@@ -103,6 +103,20 @@ type SwitchRule struct {
 // Paper is the paper's rule, the one NewProtocolOn runs.
 var Paper = SwitchRule{Name: "maxmin"}
 
+// ControlStats counts a protocol's control-plane work: the currency of
+// the arena's overhead comparison.
+type ControlStats struct {
+	// Messages counts ADVERTISE and UPDATE hops traversed — the metric
+	// for the flooding-vs-refined ablation.
+	Messages int
+	// Sessions counts adaptation sessions started.
+	Sessions int
+	// Retransmits counts sweeps resent after a control-packet loss;
+	// Readvertises counts connections kicked by the periodic repair
+	// loop.
+	Retransmits, Readvertises int
+}
+
 // linkState is the per-link protocol state a switch maintains: one table
 // of the connections on the link in ascending ID order — the order every
 // sum over them has always run in, so the floats come out bit-identical
@@ -294,15 +308,7 @@ type Protocol struct {
 
 	links map[string]*linkState
 	conns map[string]*protoConn
-	// Messages counts ADVERTISE and UPDATE hops traversed — the metric
-	// for the flooding-vs-refined ablation.
-	Messages int
-	// Sessions counts adaptation sessions started.
-	Sessions int
-	// Retransmits counts sweeps resent after a control-packet loss;
-	// Readvertises counts connections kicked by the periodic repair
-	// loop.
-	Retransmits, Readvertises int
+	ControlStats
 
 	nActive, nDirty int // connections with protoConn.active / dirty set
 	free            []*step
@@ -385,6 +391,12 @@ func NewProtocolWith(clk clock.Clock, opts ProtocolOptions, rule SwitchRule) *Pr
 
 // explicit reports whether the switches run the explicit-rate rule.
 func (pr *Protocol) explicit() bool { return pr.rule.Weight != nil }
+
+// Rule returns the switch rule every switch runs.
+func (pr *Protocol) Rule() SwitchRule { return pr.rule }
+
+// Stats returns the control-plane work counters.
+func (pr *Protocol) Stats() ControlStats { return pr.ControlStats }
 
 // tol is the drift tolerance: δ, or 1e-9 when δ is zero.
 func (pr *Protocol) tol() float64 {

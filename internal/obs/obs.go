@@ -23,6 +23,7 @@ import (
 	"io"
 
 	"armnet/internal/eventbus"
+	"armnet/internal/maxmin"
 	"armnet/internal/sortx"
 	"armnet/internal/stats"
 )
@@ -42,12 +43,6 @@ type CellUtil struct {
 	Util float64
 }
 
-// LinkBottleneck is the size of one link's bottleneck set M(l).
-type LinkBottleneck struct {
-	Link string
-	Size int
-}
-
 // Sources are the pull-side taps the observer samples on relevant
 // events; the core wires them to the ledger and the maxmin protocol.
 // Both funcs must return deterministically ordered slices. Nil funcs
@@ -58,7 +53,7 @@ type Sources struct {
 	CellUtilization func() []CellUtil
 	// Bottlenecks returns the current maxmin bottleneck set sizes, sorted
 	// by link ID.
-	Bottlenecks func() []LinkBottleneck
+	Bottlenecks func() []maxmin.LinkBottleneck
 	// OverloadArmed reports whether the overload subsystem is active, so
 	// Finish can attribute full "normal" dwell to cells that never
 	// transitioned.

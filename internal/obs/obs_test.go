@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"armnet/internal/eventbus"
+	"armnet/internal/maxmin"
 )
 
 type fakeClock struct{ now float64 }
@@ -57,7 +58,7 @@ func TestObserverLifecycle(t *testing.T) {
 	utils := []CellUtil{{Cell: "cellA", Util: 0.25}}
 	o := New(bus, Sources{
 		CellUtilization: func() []CellUtil { return utils },
-		Bottlenecks:     func() []LinkBottleneck { return []LinkBottleneck{{Link: "l0", Size: 2}} },
+		Bottlenecks:     func() []maxmin.LinkBottleneck { return []maxmin.LinkBottleneck{{Link: "l0", Size: 2}} },
 	}, Options{Spans: &spans})
 
 	driveLifecycle(clk, bus)

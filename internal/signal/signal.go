@@ -126,20 +126,13 @@ type orphan struct {
 	route  *topology.Route
 }
 
-// Admitter is the admission seam the plane drives its atomic end-to-end
-// test through. It is satisfied by *admission.Controller (the paper's
-// Table 2) and by any registered strategy admitter.
-type Admitter interface {
-	Admit(admission.Test) (admission.Result, error)
-}
-
 // Plane runs setup sessions against one admission strategy and its
 // shared ledger. All timer work — session deadlines, retransmission
 // backoffs, the hold-lease reaper — goes through an injectable Clock,
 // so the same state machine runs on the simulator and on wall time.
 type Plane struct {
 	clk clock.Clock
-	Adm Admitter
+	Adm admission.Admitter
 	// Ledger is the reservation ledger the plane's tentative holds and
 	// teardown paths operate on — the same ledger the admitter books
 	// into.
@@ -162,7 +155,7 @@ type Plane struct {
 // NewPlaneOn builds a signaling plane over an admission strategy and
 // the ledger it books into. Every timeout and hold lease runs on clk:
 // clock.Sim(sim) for simulated time, a *clock.Wall for real time.
-func NewPlaneOn(clk clock.Clock, adm Admitter, lg *admission.Ledger, opts Options) *Plane {
+func NewPlaneOn(clk clock.Clock, adm admission.Admitter, lg *admission.Ledger, opts Options) *Plane {
 	return &Plane{
 		clk:     clk,
 		Adm:     adm,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 
+	"armnet/internal/maxmin"
 	"armnet/internal/obs"
 	"armnet/internal/runner"
 	"armnet/internal/strategy"
@@ -63,7 +64,7 @@ type ArenaEntry struct {
 	Summary obs.Summary
 	// Control is the allocator's control-plane work — the overhead side
 	// of the comparison.
-	Control strategy.ControlStats
+	Control maxmin.ControlStats
 	// Utilization is the mean committed downlink utilization at the end
 	// of the run.
 	Utilization float64

@@ -43,8 +43,8 @@ func TestArenaSnapshotGolden(t *testing.T) {
 }
 
 // TestArenaDefaultPairMatchesCampus: the arena's default-pair entry must
-// reproduce the plain campus run exactly — the seam and the obs arming
-// change nothing about the simulation.
+// reproduce the plain campus run exactly — naming the defaults and arming
+// obs change nothing about the simulation.
 func TestArenaDefaultPairMatchesCampus(t *testing.T) {
 	cfg := arenaGoldenCfg
 	cfg.Pairs = []StrategyPair{{}} // empty names = paper defaults

@@ -6,11 +6,6 @@ import (
 	"armnet/internal/maxmin"
 )
 
-func init() {
-	RegisterAllocator(erica.Name, ruleAllocator(erica))
-	RegisterAllocator(logweight.Name, ruleAllocator(logweight))
-}
-
 // erica is the ERICA-style fair-share rule (after Fahmy & Jain's ABR
 // switch scheme). Where the paper's maxmin protocol needs four
 // ADVERTISE round trips before an UPDATE commits, ERICA stamps a single

@@ -7,10 +7,9 @@ import (
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/maxmin"
-	"armnet/internal/strategy"
 )
 
-// explicitRateRivals are the registry names whose switches run the
+// explicitRateRivals are the allocator names whose switches run the
 // explicit-rate rule; every test below runs once per weight.
 var explicitRateRivals = []string{"erica", "logweight"}
 
@@ -18,7 +17,7 @@ var explicitRateRivals = []string{"erica", "logweight"}
 // b: 4 Mb/s) with its bus events tallied.
 type rateRig struct {
 	sim        *des.Simulator
-	alloc      strategy.Allocator
+	alloc      *maxmin.Protocol
 	retxProtos []string
 	readverts  int
 	converged  int
@@ -27,13 +26,10 @@ type rateRig struct {
 func newRateRig(t *testing.T, name string, opts maxmin.ProtocolOptions) *rateRig {
 	t.Helper()
 	r := &rateRig{sim: des.New()}
-	a, err := strategy.NewAllocator(name, r.sim, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newProtocol(t, name, r.sim, opts)
 	r.alloc = a
 	bus := eventbus.New(r.sim)
-	a.SetBus(bus)
+	a.Bus = bus
 	bus.Subscribe(func(rec eventbus.Record) {
 		switch ev := rec.Event.(type) {
 		case eventbus.ControlRetransmit:
@@ -54,7 +50,7 @@ func newRateRig(t *testing.T, name string, opts maxmin.ProtocolOptions) *rateRig
 
 func (r *rateRig) add(t *testing.T, id string, demand float64, path ...string) bool {
 	t.Helper()
-	if err := r.alloc.AddSession(strategy.Session{ID: id, Path: path, Demand: demand}); err != nil {
+	if err := r.alloc.AddConn(maxmin.Conn{ID: id, Path: path, Demand: demand}); err != nil {
 		t.Fatal(err)
 	}
 	return r.alloc.Kick(id)
@@ -132,8 +128,8 @@ func TestExplicitRateRetransmission(t *testing.T) {
 				t.Fatalf("saw %d ControlRetransmit events, want >= 2", len(r.retxProtos))
 			}
 			for _, proto := range r.retxProtos {
-				if proto != r.alloc.Name() {
-					t.Fatalf("ControlRetransmit.Proto = %q, want %q", proto, r.alloc.Name())
+				if proto != name {
+					t.Fatalf("ControlRetransmit.Proto = %q, want %q", proto, name)
 				}
 			}
 			sameRates(t, got, want)
@@ -184,7 +180,7 @@ func TestExplicitRateRemoveMidSession(t *testing.T) {
 				if r.alloc.Kick("x") {
 					t.Fatal("second kick started a concurrent session instead of queueing")
 				}
-				r.alloc.RemoveSession("x")
+				r.alloc.RemoveConn("x")
 				r.runUntil(t, 5)
 				if r.converged == 0 {
 					t.Fatal("no MaxminConverged after the removed session's packet drained")
@@ -201,8 +197,8 @@ func TestExplicitRateRemoveMidSession(t *testing.T) {
 	}
 }
 
-// TestExplicitRateRulesDiffer: the two registry names are one protocol
-// but two rules. On one saturated link with unequal, uncapped demands
+// TestExplicitRateRulesDiffer: the two rivals are one protocol but two
+// rules. On one saturated link with unequal, uncapped demands
 // the unit weight guarantees only the C/N floor — an even split that
 // ignores demand — while the log weight lands on C·w_c/Σw.
 func TestExplicitRateRulesDiffer(t *testing.T) {
@@ -215,15 +211,12 @@ func TestExplicitRateRulesDiffer(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			sim := des.New()
-			a, err := strategy.NewAllocator(name, sim, maxmin.ProtocolOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := newProtocol(t, name, sim, maxmin.ProtocolOptions{})
 			if err := a.AddLink("wl", capacity); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range []string{"heavy", "light"} {
-				if err := a.AddSession(strategy.Session{ID: id, Path: []string{"wl"}, Demand: demands[id]}); err != nil {
+				if err := a.AddConn(maxmin.Conn{ID: id, Path: []string{"wl"}, Demand: demands[id]}); err != nil {
 					t.Fatal(err)
 				}
 				a.Kick(id)

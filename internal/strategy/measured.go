@@ -7,12 +7,6 @@ import (
 	"armnet/internal/eventbus"
 )
 
-func init() {
-	RegisterAdmitter("measured", func(lg *admission.Ledger, bus *eventbus.Bus) Admitter {
-		return &measuredAdmitter{lg: lg, bus: bus}
-	})
-}
-
 // measuredHeadroom is the utilization target: a flow is admitted only if
 // the measured aggregate plus its b_min stays under this fraction of
 // link capacity. The 5% slack is the admitter's only hedge against
@@ -39,8 +33,6 @@ type measuredAdmitter struct {
 	lg  *admission.Ledger
 	bus *eventbus.Bus
 }
-
-func (m *measuredAdmitter) Name() string { return "measured" }
 
 // Admit runs the measurement test on every route link and commits b_min
 // on success; on failure no state changes.

@@ -16,8 +16,8 @@ import (
 	"armnet/internal/topology"
 )
 
-// TestAdmittersNeverAdmitUnbookable is the strategy seam's safety
-// property: whatever policy an Admitter implements, a flow it admits
+// TestAdmittersNeverAdmitUnbookable is the roster's safety property:
+// whatever policy an admission.Admitter implements, a flow it admits
 // must be bookable — after every admission, each route link carries
 // ΣMin ≤ Capacity and the ledger passes the faults auditor's
 // conservation check. A rival admitter may block more or fewer flows
@@ -96,8 +96,8 @@ func TestAdmittersNeverAdmitUnbookable(t *testing.T) {
 }
 
 // TestDegradeRestoreRoundTripUnderEachAllocator: the overload cascade's
-// degrade/restore cycle must round-trip under every registered
-// Allocator — a degraded connection drops to b_min in the ledger, and a
+// degrade/restore cycle must round-trip under every allocator's switch
+// rule — a degraded connection drops to b_min in the ledger, and a
 // restore returns the system to the exact pre-degrade allocation.
 func TestDegradeRestoreRoundTripUnderEachAllocator(t *testing.T) {
 	for _, name := range strategy.Allocators() {
@@ -115,11 +115,11 @@ func TestDegradeRestoreRoundTripUnderEachAllocator(t *testing.T) {
 			sim := des.New()
 			lg := admission.NewLedger(b)
 			ctl := admission.NewController(lg)
-			alloc, err := strategy.NewAllocator(name, sim, maxmin.ProtocolOptions{Refined: true})
+			rule, err := strategy.Rule(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mgr, err := adapt.NewManagerWith(sim, lg, alloc)
+			mgr, err := adapt.NewManagerWith(sim, lg, maxmin.ProtocolOptions{Refined: true}, rule)
 			if err != nil {
 				t.Fatal(err)
 			}

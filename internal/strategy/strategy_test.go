@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"armnet/internal/admission"
+	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/maxmin"
 	"armnet/internal/qos"
@@ -13,31 +14,48 @@ import (
 	"armnet/internal/topology"
 )
 
-func TestRegistryDefaultsAndErrors(t *testing.T) {
-	sim := des.New()
-	a, err := strategy.NewAllocator("", sim, maxmin.ProtocolOptions{})
-	if err != nil || a.Name() != strategy.DefaultAllocator {
-		t.Fatalf("empty allocator name -> %v, %v; want default %q", a, err, strategy.DefaultAllocator)
+// newProtocol builds the named allocator: the ADVERTISE/UPDATE protocol
+// on sim under the allocator's switch rule.
+func newProtocol(t testing.TB, name string, sim *des.Simulator, opts maxmin.ProtocolOptions) *maxmin.Protocol {
+	t.Helper()
+	rule, err := strategy.Rule(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := strategy.NewAllocator("nope", sim, maxmin.ProtocolOptions{}); err == nil ||
+	return maxmin.NewProtocolWith(clock.Sim(sim), opts, rule)
+}
+
+func TestRegistryDefaultsAndErrors(t *testing.T) {
+	r, err := strategy.Rule("")
+	if err != nil || r.Name != strategy.DefaultAllocator || r.Weight != nil {
+		t.Fatalf("empty allocator name -> %+v, %v; want the paper's rule %q", r, err, strategy.DefaultAllocator)
+	}
+	if _, err := strategy.Rule("nope"); err == nil ||
 		!strings.Contains(err.Error(), "maxmin") {
-		t.Fatalf("unknown allocator error should list registered names, got %v", err)
+		t.Fatalf("unknown allocator error should list the allocator names, got %v", err)
+	}
+	// A rule's name labels its retransmit events, so it must be the name
+	// the allocator is selected by.
+	for _, name := range strategy.Allocators() {
+		if r, err := strategy.Rule(name); err != nil || r.Name != name {
+			t.Fatalf("Rule(%q) = %+v, %v; want a rule named %q", name, r, err, name)
+		}
 	}
 	lg := admission.NewLedger(topology.NewBackbone())
 	d, err := strategy.NewAdmitter("", lg, nil)
-	if err != nil || d.Name() != strategy.DefaultAdmitter {
-		t.Fatalf("empty admitter name -> %v, %v; want default %q", d, err, strategy.DefaultAdmitter)
+	if _, ok := d.(*admission.Controller); err != nil || !ok {
+		t.Fatalf("empty admitter name -> %T, %v; want the Table 2 controller", d, err)
 	}
 	if _, err := strategy.NewAdmitter("nope", lg, nil); err == nil ||
 		!strings.Contains(err.Error(), "table2") {
-		t.Fatalf("unknown admitter error should list registered names, got %v", err)
+		t.Fatalf("unknown admitter error should list the admitter names, got %v", err)
 	}
 	for name, got := range map[string][]string{
 		"allocators": strategy.Allocators(),
 		"admitters":  strategy.Admitters(),
 	} {
 		if len(got) < 2 {
-			t.Fatalf("%s registry has %d entries, want the default plus a rival", name, len(got))
+			t.Fatalf("%s roster has %d entries, want the default plus a rival", name, len(got))
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i-1] >= got[i] {
@@ -53,15 +71,12 @@ func TestRegistryDefaultsAndErrors(t *testing.T) {
 // round trip per session.
 func TestEricaFairShare(t *testing.T) {
 	sim := des.New()
-	a, err := strategy.NewAllocator("erica", sim, maxmin.ProtocolOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newProtocol(t, "erica", sim, maxmin.ProtocolOptions{})
 	if err := a.AddLink("wl", 9e6); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"a", "b", "c"} {
-		if err := a.AddSession(strategy.Session{ID: id, Path: []string{"wl"}, Demand: 9e6}); err != nil {
+		if err := a.AddConn(maxmin.Conn{ID: id, Path: []string{"wl"}, Demand: 9e6}); err != nil {
 			t.Fatal(err)
 		}
 		a.Kick(id) // the add-then-kick contract adapt.Register follows
@@ -79,8 +94,8 @@ func TestEricaFairShare(t *testing.T) {
 	// offer rule max(C/N, C−Σothers) admits *unequal* fixed points once
 	// the link saturates — unlike maxmin it only guarantees the C/N
 	// floor. That fairness gap is precisely what the arena quantifies.)
-	a.RemoveSession("c")
-	if err := a.AddSession(strategy.Session{ID: "c", Path: []string{"wl"}, Demand: 1e6}); err != nil {
+	a.RemoveConn("c")
+	if err := a.AddConn(maxmin.Conn{ID: "c", Path: []string{"wl"}, Demand: 1e6}); err != nil {
 		t.Fatal(err)
 	}
 	a.Kick("c")
@@ -89,7 +104,7 @@ func TestEricaFairShare(t *testing.T) {
 	}
 	checkEricaInvariants(t, a.Rates(), 9e6, "c", 1e6)
 	// A capacity drop re-sweeps the drifted sessions down to feasibility.
-	if _, err := a.CapacityChanged("wl", 5e6); err != nil {
+	if _, err := a.TriggerCapacityChange("wl", 5e6); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunUntil(30); err != nil {
@@ -136,16 +151,13 @@ func checkEricaInvariants(t *testing.T, rates map[string]float64, capacity float
 // C·w_c/Σw — tilted toward the heavy flow, but only logarithmically.
 func TestLogWeightProportionalShares(t *testing.T) {
 	sim := des.New()
-	a, err := strategy.NewAllocator("logweight", sim, maxmin.ProtocolOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newProtocol(t, "logweight", sim, maxmin.ProtocolOptions{})
 	if err := a.AddLink("wl", 6e6); err != nil {
 		t.Fatal(err)
 	}
 	demands := map[string]float64{"heavy": 8e6, "light": 2e6}
 	for _, id := range []string{"heavy", "light"} {
-		if err := a.AddSession(strategy.Session{ID: id, Path: []string{"wl"}, Demand: demands[id]}); err != nil {
+		if err := a.AddConn(maxmin.Conn{ID: id, Path: []string{"wl"}, Demand: demands[id]}); err != nil {
 			t.Fatal(err)
 		}
 		a.Kick(id)
@@ -164,7 +176,7 @@ func TestLogWeightProportionalShares(t *testing.T) {
 	}
 	// Drop capacity so both flows saturate uncapped: the committed rates
 	// must land exactly on the log-weighted proportional split.
-	if _, err := a.CapacityChanged("wl", 3e6); err != nil {
+	if _, err := a.TriggerCapacityChange("wl", 3e6); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunUntil(20); err != nil {
@@ -199,7 +211,7 @@ func TestLogWeightProportionalShares(t *testing.T) {
 
 // measuredRig builds a 2-hop route whose wireless hop is the bottleneck
 // and returns the admitter and its ledger.
-func measuredRig(t *testing.T) (strategy.Admitter, *admission.Ledger, topology.Route) {
+func measuredRig(t *testing.T) (admission.Admitter, *admission.Ledger, topology.Route) {
 	t.Helper()
 	b := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"h", "bs", "air"} {
