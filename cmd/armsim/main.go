@@ -78,6 +78,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -180,6 +181,11 @@ type scenario struct {
 // prepare resolves the mode, loads the optional topology spec and replay
 // trace once, and validates the inputs shared by every replication.
 func (sc *scenario) prepare() error {
+	// A replayed trace runs the simulator to the horizon, where an
+	// infinite one never arrives: the re-ADVERTISE ticker keeps firing.
+	if math.IsNaN(sc.duration) || math.IsInf(sc.duration, 0) {
+		return fmt.Errorf("-duration %v is not a finite number of seconds", sc.duration)
+	}
 	sc.mode = armnet.ModePredictive
 	switch sc.modeName {
 	case "predictive":

@@ -6,9 +6,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"armnet"
 )
@@ -162,5 +164,25 @@ func TestArmsimTraceEqualsCampusTrace(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("armsim -trace (%d bytes) differs from RunCampus's trace (%d bytes)", len(got), want.Len())
+	}
+}
+
+// TestArmsimRejectsNonFiniteDuration: `-duration NaN` and `-duration Inf`
+// are refused with an error rather than run forever (a NaN horizon once
+// grew the mobility trace without bound).
+func TestArmsimRejectsNonFiniteDuration(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1)} {
+		sc := flagDefaults()
+		sc.duration = d
+		done := make(chan error, 1)
+		go func() { done <- run(sc, 1, 1, 1, io.Discard, io.Discard) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("-duration %v accepted", d)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("-duration %v: armsim still running after a second", d)
+		}
 	}
 }

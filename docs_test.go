@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -208,6 +209,53 @@ func TestDocumentedIdentifiersExist(t *testing.T) {
 			case !pkgs["sim"][id[3]] && !pkgs["armnet"][id[3]]:
 				t.Errorf("%s cites `%s`: %s is exported by neither internal/sim nor the root package", doc, m[1], id[3])
 			}
+		}
+	}
+}
+
+// TestDocumentedTestsExist holds the prose to the test suite: every
+// backquoted span in the top-level documents that starts with a test,
+// benchmark or fuzz target name (`TestX`, `BenchmarkX`, `FuzzX`) must
+// name a func in some _test.go file of the repository, bench/ included;
+// a trailing `*` (`BenchmarkAdmitRelease*`) matches any func with that
+// prefix. A document still citing a renamed or deleted test fails here.
+func TestDocumentedTestsExist(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == ".git" || path == ".bench_build") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := regexp.MustCompile("`([^`\n]+)`")
+	name := regexp.MustCompile(`^((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(\*?)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllStringSubmatch(string(text), -1) {
+			n := name.FindStringSubmatch(m[1])
+			if n == nil || slices.ContainsFunc(funcs, func(f string) bool {
+				return f == n[1] || n[2] == "*" && strings.HasPrefix(f, n[1])
+			}) {
+				continue
+			}
+			t.Errorf("%s cites `%s`: no func %s%s in any _test.go file", doc, m[1], n[1], n[2])
 		}
 	}
 }

@@ -50,3 +50,46 @@ func TestAtFireAllocBudget(t *testing.T) {
 		t.Fatalf("At+fire steady state allocates %v/op, want exactly 1 (the escaping handle)", got)
 	}
 }
+
+// TestPostAfterFireAllocFree pins the fixed-delay lane path: PostAfter +
+// fire allocates nothing in steady state, with one event pending or with
+// a hundred, where every round advances the lane's ring head and it
+// wraps many times over. After and a Ticker's re-arm stay at exactly
+// one allocation, the escaping handle.
+func TestPostAfterFireAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	fn := func() {}
+	for _, pending := range []int{0, 100} {
+		s := New()
+		for i := 0; i < pending; i++ {
+			s.PostAfter(1, fn)
+		}
+		got := testing.AllocsPerRun(1000, func() {
+			s.PostAfter(1, fn)
+			s.step()
+		})
+		if got != 0 {
+			t.Fatalf("PostAfter+fire with %d pending allocates %v/op, want 0", pending, got)
+		}
+		s.PostAfter(1, fn)
+		if s.occupied != 1 || s.lanes[0].n != pending+1 || len(s.queue) != 0 {
+			t.Fatalf("%d pending: lane 0 holds %d, heap %d, occupied %04b — the events missed the lane", pending, s.lanes[0].n, len(s.queue), s.occupied)
+		}
+	}
+	s := New()
+	got := testing.AllocsPerRun(1000, func() {
+		s.After(1, fn)
+		s.step()
+	})
+	if got != 1 {
+		t.Fatalf("After+fire allocates %v/op, want exactly 1 (the escaping handle)", got)
+	}
+	s = New()
+	s.Every(1, fn)
+	got = testing.AllocsPerRun(1000, func() { s.step() })
+	if got != 1 {
+		t.Fatalf("a Ticker period allocates %v/op, want exactly 1 (the re-armed event)", got)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrStopped is returned by Run variants when the simulation was stopped
@@ -56,11 +57,14 @@ type eventQueue []*Event
 // heaps: depth log₄(n) with still-cheap child scans.
 const degree = 4
 
-func (q eventQueue) less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+func (q eventQueue) less(i, j int) bool { return before(q[i], q[j]) }
+
+// before is the queue's total order: time, then schedule order.
+func before(a, b *Event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
 func (q eventQueue) swap(i, j int) {
@@ -124,14 +128,57 @@ func (q *eventQueue) popMin() *Event {
 	return e
 }
 
+// laneCount is the number of fixed-delay FIFO lanes beside the heap.
+// The maxmin session posts nearly every control packet at one of two
+// delays (its ADVERTISE round trip and its UPDATE), so a few lanes
+// carry almost every event; the rest go to the heap.
+const laneCount = 4
+
+// lane is a FIFO ring of events all scheduled with the same relative
+// delay. For a fixed d and a non-decreasing clock, fl(now+d) never
+// decreases (IEEE rounding is monotone) and seq only grows, so events
+// appended in schedule order are already in (time, seq) order: the
+// lane needs no compare at push, and its head is its minimum.
+type lane struct {
+	key  uint64   // math.Float64bits of the delay
+	ring []*Event // power-of-two length, grown only when full
+	head int
+	n    int
+}
+
+func (l *lane) push(e *Event) {
+	if l.n == len(l.ring) {
+		ring := make([]*Event, max(8, 2*len(l.ring)))
+		k := copy(ring, l.ring[l.head:])
+		copy(ring[k:], l.ring[:l.head])
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
+	l.n++
+}
+
+// pop drops the head and returns how many events remain.
+func (l *lane) pop() int {
+	l.ring[l.head] = nil
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return l.n
+}
+
 // Simulator owns the simulated clock and the pending event queue.
 // The zero value is ready to use.
 type Simulator struct {
-	now     float64
-	seq     uint64
-	queue   eventQueue
-	stopped bool
-	fired   uint64
+	now   float64
+	seq   uint64
+	queue eventQueue
+	// lanes hold After/PostAfter events by delay; occupied has bit i
+	// set iff lanes[i] is non-empty, so a pop with every lane empty
+	// costs what a heap-only pop does. A lane takes a new delay only
+	// while it is empty.
+	lanes    [laneCount]lane
+	occupied uint8
+	stopped  bool
+	fired    uint64
 	// free recycles the records of fired Post events. Only events whose
 	// handle never escaped are ever put here, so reuse can't resurrect a
 	// stale Cancel.
@@ -149,18 +196,24 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still queued (including canceled
 // events that have not yet been discarded).
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int {
+	n := len(s.queue)
+	for i := range s.lanes {
+		n += s.lanes[i].n
+	}
+	return n
+}
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past (t < Now) panics: it always indicates a model bug, and silently
 // reordering time would corrupt every downstream measurement.
 func (s *Simulator) At(t float64, fn func()) *Event {
-	return s.schedule(t, fn, false)
+	return s.schedule(t, absolute, fn, false)
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
 func (s *Simulator) After(d float64, fn func()) *Event {
-	return s.schedule(s.now+d, fn, false)
+	return s.schedule(s.now+d, math.Float64bits(d), fn, false)
 }
 
 // Post schedules fn at absolute time t like At, but returns no handle:
@@ -171,20 +224,26 @@ func (s *Simulator) After(d float64, fn func()) *Event {
 // never cancel individual events. Use At/After when a Cancel handle is
 // actually needed.
 func (s *Simulator) Post(t float64, fn func()) {
-	s.schedule(t, fn, true)
+	s.schedule(t, absolute, fn, true)
 }
 
 // PostAfter schedules fn to run d seconds from now without a handle;
 // it is to After what Post is to At. Negative d panics.
 func (s *Simulator) PostAfter(d float64, fn func()) {
-	s.schedule(s.now+d, fn, true)
+	s.schedule(s.now+d, math.Float64bits(d), fn, true)
 }
 
-// schedule validates, allocates (or recycles) and enqueues one event.
-// Both pooled and handle-bearing events may draw from the freelist —
-// every record on it is guaranteed handle-free — but only pooled ones
-// return to it.
-func (s *Simulator) schedule(t float64, fn func(), pooled bool) *Event {
+// absolute is the key of an event scheduled at an absolute time: the
+// bits of a NaN, which no lane can hold, since a NaN delay is refused.
+// Such an event bears no fixed relation to now, so it goes to the heap.
+const absolute = 0x7ff8000000000001
+
+// schedule validates, allocates (or recycles) and enqueues one event:
+// on the lane holding delay key, else on an empty lane, which takes the
+// key, else on the heap. Both pooled and handle-bearing events may draw
+// from the freelist — every record on it is guaranteed handle-free —
+// but only pooled ones return to it.
+func (s *Simulator) schedule(t float64, key uint64, fn func(), pooled bool) *Event {
 	if fn == nil {
 		panic("des: nil event callback")
 	}
@@ -204,8 +263,31 @@ func (s *Simulator) schedule(t float64, fn func(), pooled bool) *Event {
 		e = &Event{time: t, seq: s.seq, fn: fn, pooled: pooled}
 	}
 	s.seq++
-	s.queue.push(e)
+	if key == absolute || !s.toLane(e, key) {
+		s.queue.push(e)
+	}
 	return e
+}
+
+// toLane appends e to the lane holding delay key, else to an empty lane,
+// which takes the key; it reports false when every lane holds another
+// delay.
+func (s *Simulator) toLane(e *Event, key uint64) bool {
+	for m := s.occupied; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros8(m); s.lanes[i].key == key {
+			s.lanes[i].push(e)
+			return true
+		}
+	}
+	free := ^s.occupied & (1<<laneCount - 1)
+	if free == 0 {
+		return false
+	}
+	i := bits.TrailingZeros8(free)
+	s.lanes[i].key = key
+	s.lanes[i].push(e)
+	s.occupied |= 1 << i
+	return true
 }
 
 // Stop halts the simulation after the currently executing event returns.
@@ -213,9 +295,39 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // step executes the earliest pending event. It reports false when the queue
 // is empty. Canceled events are discarded without firing.
-func (s *Simulator) step() bool {
-	for len(s.queue) > 0 {
-		e := s.queue.popMin()
+func (s *Simulator) step() bool { return s.stepUntil(forever) }
+
+// forever is the horizon of an unbounded step.
+var forever = math.Inf(1)
+
+// stepUntil executes the earliest pending event in (time, seq) order —
+// the minimum over the heap top and the lane heads — if it fires at or
+// before horizon, and reports whether it did. Canceled events reaching
+// the front are discarded first, whatever their time, as a heap-only
+// queue would, so Pending never depends on where an event waited.
+func (s *Simulator) stepUntil(horizon float64) bool {
+	for {
+		var e *Event
+		src := -1
+		if len(s.queue) > 0 {
+			e = s.queue[0]
+		}
+		for m := s.occupied; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros8(m)
+			l := &s.lanes[i]
+			h := l.ring[l.head]
+			if e == nil || before(h, e) {
+				e, src = h, i
+			}
+		}
+		if e == nil || (!e.cancel && e.time > horizon) {
+			return false
+		}
+		if src < 0 {
+			s.queue.popMin()
+		} else if l := &s.lanes[src]; l.pop() == 0 {
+			s.occupied &^= 1 << src
+		}
 		if e.cancel {
 			// Canceled events are handle-bearing by construction
 			// (pooled events expose no Cancel), so they are never
@@ -236,7 +348,6 @@ func (s *Simulator) step() bool {
 		fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -251,44 +362,26 @@ func (s *Simulator) Run() error {
 	return ErrStopped
 }
 
-// RunUntil executes events with timestamps <= horizon. The clock is left at
-// the horizon if the queue still holds later events, or at the last event
-// time if the queue drained. It returns ErrStopped if Stop was called.
+// RunUntil executes events with timestamps <= horizon and leaves the
+// clock at the horizon, whether later events remain or the queue
+// drained. It returns ErrStopped if Stop was called, with the clock at
+// the last event fired, and an error for a NaN horizon or one before
+// Now.
 func (s *Simulator) RunUntil(horizon float64) error {
+	if math.IsNaN(horizon) {
+		return errors.New("des: horizon is NaN")
+	}
 	if horizon < s.now {
 		return fmt.Errorf("des: horizon %v before now %v", horizon, s.now)
 	}
 	s.stopped = false
 	for !s.stopped {
-		if len(s.queue) == 0 {
+		if !s.stepUntil(horizon) {
 			s.now = horizon
 			return nil
 		}
-		next := s.peek()
-		if next == nil {
-			s.now = horizon
-			return nil
-		}
-		if next.time > horizon {
-			s.now = horizon
-			return nil
-		}
-		s.step()
 	}
 	return ErrStopped
-}
-
-// peek returns the earliest non-canceled event without removing it,
-// discarding canceled events it encounters on the way.
-func (s *Simulator) peek() *Event {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if !e.cancel {
-			return e
-		}
-		s.queue.popMin()
-	}
-	return nil
 }
 
 // Ticker invokes fn every period seconds until Cancel is called on the

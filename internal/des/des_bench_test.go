@@ -56,3 +56,32 @@ func BenchmarkTicker(b *testing.B) {
 		b.Fatal("ticker never fired")
 	}
 }
+
+// BenchmarkFixedDelayChurn is office-churn's schedule mix at its queue
+// depth: about 860 events pending, each re-arming itself with
+// PostAfter — 77 % at 0.008 s (the four-hop ADVERTISE round trip), 19 %
+// at 0.004 s (the UPDATE) and the rest at one of 61 other delays.
+func BenchmarkFixedDelayChurn(b *testing.B) {
+	s := New()
+	k := 0
+	var rearm func()
+	rearm = func() {
+		k++
+		d := 0.008
+		switch r := k * 37 % 100; {
+		case r >= 96:
+			d = 0.002 + float64(k%61)*1e-4
+		case r >= 77:
+			d = 0.004
+		}
+		s.PostAfter(d, rearm)
+	}
+	for i := 0; i < 860; i++ {
+		rearm()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.step()
+	}
+}

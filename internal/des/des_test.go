@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -331,5 +332,23 @@ func TestRunUntilStop(t *testing.T) {
 	}
 	if fired != 2 {
 		t.Fatalf("after resume fired = %d", fired)
+	}
+}
+
+// TestRunUntilNaNHorizon: a NaN horizon is refused with an error before
+// anything fires. It used to pass the horizon < Now guard and fire
+// every event, so with a ticker RunUntil never returned; the ticker
+// here stops the run after a thousand ticks instead.
+func TestRunUntilNaNHorizon(t *testing.T) {
+	s := New()
+	ticks := 0
+	s.Every(1, func() {
+		if ticks++; ticks == 1000 {
+			s.Stop()
+		}
+	})
+	err := s.RunUntil(math.NaN())
+	if err == nil || err == ErrStopped || s.Fired() != 0 || s.Now() != 0 {
+		t.Fatalf("RunUntil(NaN) = %v with %d fired, now %v; want a refusal with nothing fired", err, s.Fired(), s.Now())
 	}
 }

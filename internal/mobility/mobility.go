@@ -16,6 +16,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"armnet/internal/des"
@@ -151,8 +152,9 @@ func (w *walker) walkPath(path []topology.CellID, t, hopGap float64) float64 {
 // uniformly chosen cell and repeatedly dwells Exp(1/meanDwell) before
 // hopping to a uniformly chosen neighbor, until the horizon.
 func RandomWalk(u *topology.Universe, portables []string, meanDwell, horizon float64, rng *randx.Rand) (*Trace, error) {
-	if meanDwell <= 0 || horizon <= 0 {
-		return nil, fmt.Errorf("mobility: dwell and horizon must be positive")
+	// Written so NaN fails too: a NaN horizon never stops the walk.
+	if !(meanDwell > 0 && horizon > 0) || math.IsInf(meanDwell, 0) || math.IsInf(horizon, 0) {
+		return nil, fmt.Errorf("mobility: dwell %v and horizon %v must be positive and finite", meanDwell, horizon)
 	}
 	cells := u.Cells()
 	if len(cells) == 0 {

@@ -1,9 +1,11 @@
 package mobility
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"armnet/internal/des"
 	"armnet/internal/randx"
@@ -81,6 +83,32 @@ func TestRandomWalk(t *testing.T) {
 	}
 	if _, err := RandomWalk(env.Universe, nil, 0, 10, randx.New(1)); err == nil {
 		t.Fatal("zero dwell accepted")
+	}
+}
+
+// TestRandomWalkRejectsNonFinite: a NaN or infinite dwell or horizon is
+// refused with an error. A NaN horizon used to pass the positivity check
+// and grow the trace without bound, so each call runs under a deadline.
+func TestRandomWalkRejectsNonFinite(t *testing.T) {
+	env, err := topology.BuildCampus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ dwell, horizon float64 }{{60, nan}, {60, inf}, {nan, 600}, {inf, 600}, {60, -inf}} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RandomWalk(env.Universe, []string{"p1"}, c.dwell, c.horizon, randx.New(1))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("dwell %v, horizon %v accepted", c.dwell, c.horizon)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("dwell %v, horizon %v: RandomWalk still running after a second", c.dwell, c.horizon)
+		}
 	}
 }
 
