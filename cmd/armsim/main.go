@@ -186,6 +186,19 @@ func (sc *scenario) prepare() error {
 	if math.IsNaN(sc.duration) || math.IsInf(sc.duration, 0) {
 		return fmt.Errorf("-duration %v is not a finite number of seconds", sc.duration)
 	}
+	// Bounds no request can pass would refuse every connection of the
+	// run; refuse the flags instead.
+	for _, b := range []struct {
+		name string
+		v    float64
+	}{{"-bmin", sc.bmin}, {"-bmax", sc.bmax}} {
+		if math.IsNaN(b.v) || math.IsInf(b.v, 0) || b.v <= 0 {
+			return fmt.Errorf("%s %v is not a positive finite bandwidth", b.name, b.v)
+		}
+	}
+	if sc.bmin > sc.bmax {
+		return fmt.Errorf("-bmin %v exceeds -bmax %v", sc.bmin, sc.bmax)
+	}
 	sc.mode = armnet.ModePredictive
 	switch sc.modeName {
 	case "predictive":

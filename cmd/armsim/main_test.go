@@ -167,6 +167,25 @@ func TestArmsimTraceEqualsCampusTrace(t *testing.T) {
 	}
 }
 
+// TestArmsimRejectsBadBandwidthBounds: a NaN, infinite or non-positive
+// -bmin or -bmax, and -bmin above -bmax, are refused before any run (a
+// NaN b_min once booked 11 connections; inverted bounds once printed
+// new-requested with neither an admitted nor a blocked row).
+func TestArmsimRejectsBadBandwidthBounds(t *testing.T) {
+	for _, b := range [][2]float64{
+		{math.NaN(), 128e3}, {32e3, math.NaN()}, {math.Inf(1), math.Inf(1)},
+		{0, 128e3}, {32e3, -1}, {200e3, 100e3},
+	} {
+		sc := flagDefaults()
+		sc.duration = 60
+		sc.bmin, sc.bmax = b[0], b[1]
+		var out bytes.Buffer
+		if err := run(sc, 1, 1, 1, &out, io.Discard); err == nil {
+			t.Errorf("-bmin %v -bmax %v accepted:\n%s", b[0], b[1], out.String())
+		}
+	}
+}
+
 // TestArmsimRejectsNonFiniteDuration: `-duration NaN` and `-duration Inf`
 // are refused with an error rather than run forever (a NaN horizon once
 // grew the mobility trace without bound).

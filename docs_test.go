@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestDocumentedFaultPlansParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	example, err := os.ReadFile("examples/faults/main.go")
+	example, err := os.ReadFile("example_test.go")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestDocumentedFaultPlansParse(t *testing.T) {
 	}{
 		{"README.md chaos block", between(t, "README.md", chaos, "ParseFaultPlan(strings.NewReader(`", "`))"), false, 1, 2},
 		{"README.md armnode -plan example", strings.Join(soakLines, "\n"), true, 1, 1},
-		{"examples/faults plan", between(t, "examples/faults/main.go", string(example), "const plan = `", "`"), false, 1, 2},
+		{"ExampleParseFaultPlan plan", between(t, "example_test.go", string(example), "const plan = `", "`"), false, 1, 2},
 	} {
 		sim, simErr := armnet.ParseFaultPlan(strings.NewReader(tc.spec))
 		wire, wireErr := netfaults.ParsePlanString(tc.spec)
@@ -257,5 +258,147 @@ func TestDocumentedTestsExist(t *testing.T) {
 			}
 			t.Errorf("%s cites `%s`: no func %s%s in any _test.go file", doc, m[1], n[1], n[2])
 		}
+	}
+}
+
+// commandFlags reads cmd/<name>/main.go and returns the flags it defines
+// (the string-literal name of every flag.X call) and the string literals
+// a flag's value is checked against: the keys of a composite literal
+// assigned to a variable (paperfigs' runners map) and the cases of a
+// `switch *v` statement (armnode's mode), each under that variable's name.
+func commandFlags(t *testing.T, name string) (flags map[string]bool, values map[string][]string) {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", name, "main.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(e ast.Expr) (string, bool) {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		s, err := strconv.Unquote(lit.Value)
+		return s, err == nil
+	}
+	flags, values = map[string]bool{}, map[string][]string{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			for _, a := range n.Args[:min(2, len(n.Args))] { // flag.X(name, …) and flag.XVar(&v, name, …)
+				if s, ok := str(a); ok {
+					flags[s] = true
+					break
+				}
+			}
+		case *ast.ValueSpec:
+			for i, v := range n.Values {
+				if lit, ok := v.(*ast.CompositeLit); ok {
+					for _, elt := range lit.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if s, ok := str(kv.Key); ok {
+								values[n.Names[i].Name] = append(values[n.Names[i].Name], s)
+							}
+						}
+					}
+				}
+			}
+		case *ast.SwitchStmt:
+			star, ok := n.Tag.(*ast.StarExpr)
+			if !ok {
+				return true
+			}
+			v, ok := star.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			for _, stmt := range n.Body.List {
+				for _, e := range stmt.(*ast.CaseClause).List {
+					if s, ok := str(e); ok {
+						values[v.Name] = append(values[v.Name], s)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return flags, values
+}
+
+// TestDocumentedFlagsExist holds the prose to the command lines: every
+// backquoted span in the top-level documents that starts with a command
+// (`armsim …`, `cmd/paperfigs …`, `go run ./cmd/armnode …`) may only use
+// flags that command defines, and the values it gives paperfigs -exp
+// (a comma-separated list) and armnode -mode must be ones those commands
+// accept. A document still citing a removed or renamed flag fails here.
+func TestDocumentedFlagsExist(t *testing.T) {
+	flags := map[string]map[string]bool{}
+	values := map[string]map[string][]string{}
+	for _, name := range []string{"armsim", "armnode", "paperfigs", "tracegen", "benchcap"} {
+		flags[name], values[name] = commandFlags(t, name)
+		if len(flags[name]) == 0 {
+			t.Fatalf("cmd/%s/main.go defines no flags: the reader no longer understands it", name)
+		}
+	}
+	// accepts lists the values a command's flag may take, where checked.
+	accepts := map[[2]string][]string{
+		{"paperfigs", "exp"}: append(values["paperfigs"]["runners"], "all"),
+		{"armnode", "mode"}:  values["armnode"]["mode"],
+	}
+	for k, v := range accepts {
+		if len(v) < 2 {
+			t.Fatalf("read %v as the values %s -%s accepts", v, k[0], k[1])
+		}
+	}
+
+	span := regexp.MustCompile("`([^`\n]+)`")
+	invocation := regexp.MustCompile(`^(?:go run \./cmd/|cmd/)?(armsim|armnode|paperfigs|tracegen|benchcap)(?:\s|$)`)
+	flagTok := regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)(?:=(.*))?$`)
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllStringSubmatch(string(text), -1) {
+			inv := invocation.FindStringSubmatch(m[1])
+			if inv == nil {
+				continue
+			}
+			checked++
+			toks := strings.Fields(m[1])
+			for i, tok := range toks {
+				f := flagTok.FindStringSubmatch(tok)
+				if f == nil {
+					continue
+				}
+				if !flags[inv[1]][f[1]] {
+					t.Errorf("%s cites `%s`: %s defines no flag -%s", doc, m[1], inv[1], f[1])
+					continue
+				}
+				accepted, ok := accepts[[2]string{inv[1], f[1]}]
+				if !ok {
+					continue
+				}
+				val := f[2]
+				if !strings.Contains(tok, "=") && i+1 < len(toks) {
+					val = toks[i+1]
+				}
+				for _, v := range strings.Split(val, ",") {
+					if !slices.Contains(accepted, v) {
+						t.Errorf("%s cites `%s`: %s -%s does not accept %q (have %v)", doc, m[1], inv[1], f[1], v, accepted)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no command span found in the documents: the span pattern no longer matches them")
 	}
 }

@@ -9,6 +9,16 @@ import (
 	"armnet/internal/topology"
 )
 
+// validate refuses a malformed request before it is counted as requested:
+// one that is never admitted nor blocked would otherwise leave the
+// counters unbalanced. Best-effort requests carry no bounds to check.
+func validate(req qos.Request) error {
+	if req.BestEffort() {
+		return nil
+	}
+	return req.Validate()
+}
+
 // OpenConnection admits a new downlink connection from a wired host to
 // the portable with the given QoS bounds. It returns the connection ID on
 // success and ErrRejected (wrapped with the reason) when admission fails.
@@ -22,6 +32,9 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 	p, ok := m.portables[portable]
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrUnknownPortable, portable)
+	}
+	if err := validate(req); err != nil {
+		return "", err
 	}
 	eventbus.Pub(m.Bus, eventbus.ConnectionRequested{Portable: portable})
 	// Overload shedding applies before any resources are touched;

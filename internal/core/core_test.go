@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"armnet/internal/des"
@@ -73,6 +74,35 @@ func TestPlaceOpenClose(t *testing.T) {
 		t.Fatalf("double close error = %v", err)
 	}
 	_ = sim
+}
+
+// TestMalformedRequestRefusedBeforeCounting opens inverted and NaN
+// bandwidth bounds through both opens: each is refused with a qos error,
+// books nothing, and leaves new-requested == new-admitted + new-blocked.
+func TestMalformedRequestRefusedBeforeCounting(t *testing.T) {
+	sim, m := newCampus(t, Config{})
+	if err := m.PlacePortable("x", "off-1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []qos.Request{req(200e3, 100e3), req(math.NaN(), 64e3), req(16e3, math.NaN())} {
+		if _, err := m.OpenConnection("x", r); !errors.Is(err, qos.ErrBandwidthBounds) {
+			t.Errorf("OpenConnection(%v) = %v, want ErrBandwidthBounds", r.Bandwidth, err)
+		}
+		err := m.OpenConnectionAsync("x", r, func(string, error) { t.Error("completion ran for a refused request") })
+		if !errors.Is(err, qos.ErrBandwidthBounds) {
+			t.Errorf("OpenConnectionAsync(%v) = %v, want ErrBandwidthBounds", r.Bandwidth, err)
+		}
+	}
+	if err := sim.RunUntil(10); err != nil {
+		t.Fatal(err)
+	}
+	c := m.Met.Counter
+	if asked, adm, blk := c.Get(CtrNewRequested), c.Get(CtrNewAdmitted), c.Get(CtrNewBlocked); asked != adm+blk {
+		t.Fatalf("new-requested %d != new-admitted %d + new-blocked %d", asked, adm, blk)
+	}
+	if n := len(m.ConnIDs()); n != 0 {
+		t.Fatalf("%d connections booked from malformed requests", n)
+	}
 }
 
 func TestOpenConnectionUnknownPortable(t *testing.T) {

@@ -41,6 +41,9 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 	if done == nil {
 		return fmt.Errorf("core: nil completion callback")
 	}
+	if err := validate(req); err != nil {
+		return err
+	}
 	eventbus.Pub(m.Bus, eventbus.ConnectionRequested{Portable: portable})
 	// Overload shedding and the circuit breaker fail fast here, before
 	// any signaling is queued; best-effort requests are exempt.

@@ -21,7 +21,6 @@ import (
 	"armnet/internal/sched"
 	"armnet/internal/stats"
 	"armnet/internal/topology"
-	"armnet/internal/wireless"
 )
 
 // Options configures a Dataplane.
@@ -34,9 +33,6 @@ type Options struct {
 	// Seed drives loss draws and source jitter. Every int64 is a valid,
 	// distinct seed — including 0, the zero-value default.
 	Seed int64
-	// WirelessChannel, when non-nil, is used on wireless links instead
-	// of their static LossProb (Gilbert–Elliott burst loss).
-	WirelessChannel *wireless.GilbertElliott
 	// Bus, when non-nil, receives FlowStarted / FlowStopped events.
 	Bus *eventbus.Bus
 }
@@ -155,17 +151,6 @@ func New(sim *des.Simulator, b *topology.Backbone, opts Options) (*Dataplane, er
 	return dp, nil
 }
 
-// lose draws whether a packet is lost on a link.
-func (dp *Dataplane) lose(l *topology.Link) bool {
-	if !l.Wireless {
-		return dp.rng.Bernoulli(l.LossProb)
-	}
-	if dp.opts.WirelessChannel != nil {
-		return dp.opts.WirelessChannel.Lose()
-	}
-	return dp.rng.Bernoulli(l.LossProb)
-}
-
 // onDepart moves a transmitted packet to the next hop (after the link's
 // propagation delay) or records delivery at the sink.
 func (dp *Dataplane) onDepart(l *topology.Link, p sched.Packet, at float64) {
@@ -173,7 +158,7 @@ func (dp *Dataplane) onDepart(l *topology.Link, p sched.Packet, at float64) {
 	if !ok {
 		return // flow stopped while in flight
 	}
-	if dp.lose(l) {
+	if dp.rng.Bernoulli(l.LossProb) {
 		f.stats.Lost++
 		return
 	}

@@ -8,10 +8,8 @@ import (
 	"armnet/internal/admission"
 	"armnet/internal/des"
 	"armnet/internal/qos"
-	"armnet/internal/randx"
 	"armnet/internal/sched"
 	"armnet/internal/topology"
-	"armnet/internal/wireless"
 )
 
 // rig builds host -> sw -> bs -> air with 10/10/1.6 Mb/s links.
@@ -134,32 +132,6 @@ func TestWirelessLossMatchesComposedProbability(t *testing.T) {
 	want := sched.LossOnPath([]float64{0, 0, 0.02})
 	if got := st.LossRate(); math.Abs(got-want) > 0.01 {
 		t.Fatalf("loss = %v, want ~%v", got, want)
-	}
-}
-
-func TestGilbertElliottChannelBursts(t *testing.T) {
-	b, route := rig(t, 0.02)
-	rng := randx.New(9)
-	ge, err := wireless.NewGilbertElliott(0.5, 4.5, 0.001, 0.25, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := des.New()
-	ge.Attach(sim, nil)
-	dp, err := New(sim, b, Options{Seed: 9, WirelessChannel: ge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dp.StartFlow("c1", route, 256e3, qos.TrafficSpec{Sigma: 8192, Rho: 256e3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunUntil(600); err != nil {
-		t.Fatal(err)
-	}
-	st := dp.Stats("c1")
-	want := ge.SteadyLoss()
-	if got := st.LossRate(); math.Abs(got-want) > 0.02 {
-		t.Fatalf("burst-channel loss %v, steady-state %v", got, want)
 	}
 }
 

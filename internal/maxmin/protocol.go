@@ -551,6 +551,22 @@ func (pr *Protocol) Problem() Problem {
 	return p
 }
 
+// OracleGap is the largest |protocol rate − WaterFill rate| on the
+// protocol's own instance (0 with no connections): the distance Theorem 1
+// says a quiescent session closes. An instance WaterFill refuses yields
+// +Inf.
+func (pr *Protocol) OracleGap() float64 {
+	p := pr.Problem()
+	if len(p.Conns) == 0 {
+		return 0
+	}
+	oracle, err := WaterFill(p)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return oracle.MaxDiff(pr.Rates())
+}
+
 // LinkBottleneck reports the size of one link's bottleneck set M(l).
 type LinkBottleneck struct {
 	Link string

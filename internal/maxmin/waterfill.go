@@ -379,14 +379,3 @@ func advertisedRate(capacity float64, recorded []float64, restricted []bool, for
 	}
 	return mu
 }
-
-// sortedIDs returns the connection IDs of an allocation in stable order;
-// exported tests use it for deterministic reporting.
-func sortedIDs(a Allocation) []string {
-	out := make([]string, 0, len(a))
-	for id := range a {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -47,16 +47,6 @@ func (t *Trace) Sort() {
 // Append adds a move.
 func (t *Trace) Append(m Move) { t.Moves = append(t.Moves, m) }
 
-// Merge combines traces into one sorted trace.
-func Merge(traces ...*Trace) *Trace {
-	out := &Trace{}
-	for _, tr := range traces {
-		out.Moves = append(out.Moves, tr.Moves...)
-	}
-	out.Sort()
-	return out
-}
-
 // Duration returns the time of the last move, or 0 for an empty trace.
 func (t *Trace) Duration() float64 {
 	if len(t.Moves) == 0 {

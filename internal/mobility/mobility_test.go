@@ -238,17 +238,6 @@ func TestCountTransits(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := &Trace{}
-	a.Append(Move{Portable: "p", To: "A", Time: 3})
-	b := &Trace{}
-	b.Append(Move{Portable: "q", To: "B", Time: 1})
-	m := Merge(a, b)
-	if len(m.Moves) != 2 || m.Moves[0].Portable != "q" {
-		t.Fatalf("merge = %v", m.Moves)
-	}
-}
-
 // Property: OfficeWeek traces are always chain-valid and exactly
 // calibrated for any seed.
 func TestQuickOfficeWeekAlwaysCalibrated(t *testing.T) {

@@ -11,6 +11,7 @@ package qos
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Common validation errors.
@@ -30,9 +31,22 @@ type Bounds struct {
 	Max float64 // b_max, bits/s, maximum useful bandwidth
 }
 
-// Validate reports whether the bounds are well formed.
+// finite reports whether every value is a real number: a NaN fails
+// every comparison, so a bound test written as "reject when v <= 0"
+// would let it through.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// Validate reports whether the bounds are well formed: finite, with
+// 0 < Min <= Max.
 func (b Bounds) Validate() error {
-	if b.Min <= 0 || b.Max < b.Min {
+	if !finite(b.Min, b.Max) || b.Min <= 0 || b.Max < b.Min {
 		return fmt.Errorf("%w: got [%v, %v]", ErrBandwidthBounds, b.Min, b.Max)
 	}
 	return nil
@@ -66,7 +80,7 @@ type TrafficSpec struct {
 
 // Validate reports whether the spec is well formed.
 func (ts TrafficSpec) Validate() error {
-	if ts.Sigma < 0 || ts.Rho <= 0 {
+	if !finite(ts.Sigma, ts.Rho) || ts.Sigma < 0 || ts.Rho <= 0 {
 		return fmt.Errorf("%w: got (σ=%v, ρ=%v)", ErrTrafficSpec, ts.Sigma, ts.Rho)
 	}
 	return nil
@@ -98,13 +112,13 @@ func (r Request) Validate() error {
 	if err := r.Bandwidth.Validate(); err != nil {
 		return err
 	}
-	if r.Delay <= 0 {
+	if !finite(r.Delay) || r.Delay <= 0 {
 		return fmt.Errorf("%w: got %v", ErrDelayBound, r.Delay)
 	}
-	if r.Jitter <= 0 {
+	if !finite(r.Jitter) || r.Jitter <= 0 {
 		return fmt.Errorf("%w: got %v", ErrJitterBound, r.Jitter)
 	}
-	if r.Loss < 0 || r.Loss >= 1 {
+	if !finite(r.Loss) || r.Loss < 0 || r.Loss >= 1 {
 		return fmt.Errorf("%w: got %v", ErrLossBound, r.Loss)
 	}
 	return r.Traffic.Validate()

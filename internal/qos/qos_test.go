@@ -2,6 +2,7 @@ package qos
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +103,35 @@ func TestRequestValidate(t *testing.T) {
 	r.Bandwidth = Bounds{}
 	if r.Validate() == nil {
 		t.Error("zero bandwidth bounds accepted")
+	}
+}
+
+// TestRequestValidateRejectsNonFinite sets each field of a valid request
+// to NaN and to ±Inf in turn: every one must be refused with its field's
+// error. A NaN fails every comparison, so a check written only as
+// "v <= 0" lets it through.
+func TestRequestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Request, float64)
+		want error
+	}{
+		{"b_min", func(r *Request, v float64) { r.Bandwidth.Min = v }, ErrBandwidthBounds},
+		{"b_max", func(r *Request, v float64) { r.Bandwidth.Max = v }, ErrBandwidthBounds},
+		{"delay", func(r *Request, v float64) { r.Delay = v }, ErrDelayBound},
+		{"jitter", func(r *Request, v float64) { r.Jitter = v }, ErrJitterBound},
+		{"loss", func(r *Request, v float64) { r.Loss = v }, ErrLossBound},
+		{"sigma", func(r *Request, v float64) { r.Traffic.Sigma = v }, ErrTrafficSpec},
+		{"rho", func(r *Request, v float64) { r.Traffic.Rho = v }, ErrTrafficSpec},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			r := validRequest()
+			f.set(&r, v)
+			if err := r.Validate(); !errors.Is(err, f.want) {
+				t.Errorf("%s = %v: Validate() = %v, want %v", f.name, v, err, f.want)
+			}
+		}
 	}
 }
 

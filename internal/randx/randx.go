@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Rand wraps a seeded source with the distribution helpers the simulator
@@ -175,25 +174,4 @@ func (r *Rand) Binomial(n int, p float64) int {
 // Shuffle permutes s in place.
 func Shuffle[T any](r *Rand, s []T) {
 	r.src.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-}
-
-// WeightedKeys draws a key from the map with probability proportional to
-// its weight, iterating keys in sorted order so the draw is deterministic
-// for a fixed seed. It panics on an empty map or all-nonpositive weights.
-func WeightedKeys[K interface {
-	~string | ~int | ~int64
-}](r *Rand, m map[K]float64) K {
-	if len(m) == 0 {
-		panic("randx: weighted draw from empty map")
-	}
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	weights := make([]float64, len(keys))
-	for i, k := range keys {
-		weights[i] = m[k]
-	}
-	return keys[r.Categorical(weights)]
 }

@@ -183,30 +183,6 @@ func TestTruncNormalBounds(t *testing.T) {
 	}
 }
 
-func TestWeightedKeysDeterministic(t *testing.T) {
-	m := map[string]float64{"a": 1, "b": 2, "c": 3}
-	r1, r2 := New(4), New(4)
-	for i := 0; i < 50; i++ {
-		if WeightedKeys(r1, m) != WeightedKeys(r2, m) {
-			t.Fatal("weighted draws diverged for identical seeds")
-		}
-	}
-}
-
-func TestWeightedKeysProportions(t *testing.T) {
-	m := map[string]float64{"x": 1, "y": 4}
-	r := New(8)
-	counts := map[string]int{}
-	const n = 50000
-	for i := 0; i < n; i++ {
-		counts[WeightedKeys(r, m)]++
-	}
-	ratio := float64(counts["y"]) / float64(counts["x"])
-	if math.Abs(ratio-4) > 0.3 {
-		t.Fatalf("y/x ratio = %v, want ~4", ratio)
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		size := int(n%32) + 1

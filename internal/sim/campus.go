@@ -50,20 +50,23 @@ type CampusConfig struct {
 	Spans io.Writer
 }
 
+// withDefaults fills every unset field. A float field is unset unless it
+// is positive, so a NaN takes the default the way zero does instead of
+// failing each "<= 0" test and reaching the run.
 func (c CampusConfig) withDefaults() CampusConfig {
 	if c.Portables <= 0 {
 		c.Portables = 24
 	}
-	if c.Duration <= 0 {
+	if !(c.Duration > 0) {
 		c.Duration = 3600
 	}
-	if c.Dwell <= 0 {
+	if !(c.Dwell > 0) {
 		c.Dwell = 180
 	}
-	if c.BMin <= 0 {
+	if !(c.BMin > 0) {
 		c.BMin = 32e3
 	}
-	if c.BMax <= 0 {
+	if !(c.BMax > 0) {
 		c.BMax = 128e3
 	}
 	return c

@@ -50,6 +50,17 @@ func TestCampusComparison(t *testing.T) {
 	}
 }
 
+// TestCampusDefaultsReplaceNaN: a NaN float field of CampusConfig takes
+// its default as zero does, rather than reaching the walk (a NaN b_min
+// used to book connections into the ledger).
+func TestCampusDefaultsReplaceNaN(t *testing.T) {
+	nan := math.NaN()
+	got := CampusConfig{Duration: nan, Dwell: nan, BMin: nan, BMax: nan}.withDefaults()
+	if want := (CampusConfig{}).withDefaults(); got != want {
+		t.Fatalf("NaN fields defaulted to %+v, want %+v", got, want)
+	}
+}
+
 func TestErlangBKnownValues(t *testing.T) {
 	// Classic table values.
 	cases := []struct {

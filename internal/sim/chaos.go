@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"armnet/internal/core"
@@ -135,12 +134,7 @@ func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
 		if mgr.Adpt == nil || mgr.Adpt.Maxmin() == nil {
 			return 0
 		}
-		pr := mgr.Adpt.Maxmin()
-		oracle, err := maxmin.WaterFill(pr.Problem())
-		if err != nil {
-			return math.Inf(1)
-		}
-		return oracle.MaxDiff(pr.Rates())
+		return mgr.Adpt.Maxmin().OracleGap()
 	}
 	aud := &faults.Auditor{
 		Ledger:         mgr.Ledger(),

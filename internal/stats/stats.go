@@ -1,5 +1,5 @@
 // Package stats provides the measurement primitives the experiments use:
-// counters, time-weighted averages (for utilization), online moment
+// time-weighted averages (for utilization), online moment
 // accumulators, fixed-bin histograms, and a small fixed-width table
 // printer for regenerating the paper's result rows.
 package stats
@@ -7,45 +7,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Counter counts events by name.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
-
-// Inc adds one to the named count.
-func (c *Counter) Inc(name string) { c.counts[name]++ }
-
-// Add adds delta to the named count.
-func (c *Counter) Add(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the named count (zero when never touched).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns all counted names, sorted.
-func (c *Counter) Names() []string {
-	out := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Ratio returns Get(num)/Get(den), or 0 when the denominator is zero.
-func (c *Counter) Ratio(num, den string) float64 {
-	d := c.Get(den)
-	if d == 0 {
-		return 0
-	}
-	return float64(c.Get(num)) / float64(d)
-}
 
 // Welford accumulates mean and variance online.
 type Welford struct {

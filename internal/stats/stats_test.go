@@ -7,25 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a")
-	c.Inc("a")
-	c.Add("b", 5)
-	if c.Get("a") != 2 || c.Get("b") != 5 || c.Get("zero") != 0 {
-		t.Fatalf("counts wrong: a=%d b=%d", c.Get("a"), c.Get("b"))
-	}
-	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("names = %v", got)
-	}
-	if r := c.Ratio("a", "b"); math.Abs(r-0.4) > 1e-12 {
-		t.Fatalf("ratio = %v", r)
-	}
-	if r := c.Ratio("a", "nothing"); r != 0 {
-		t.Fatalf("ratio with zero denominator = %v", r)
-	}
-}
-
 func TestWelford(t *testing.T) {
 	var w Welford
 	if w.Mean() != 0 || w.Var() != 0 {

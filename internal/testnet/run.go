@@ -2,7 +2,6 @@ package testnet
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"time"
@@ -440,18 +439,22 @@ func (r *runner) capacity(st Step) {
 	}
 }
 
+// auditor is the fault oracle of the final and the per-epoch audits:
+// zero pending holds, ledger conservation, live-set consistency and
+// WaterFill convergence.
+func (r *runner) auditor() *faults.Auditor {
+	return &faults.Auditor{
+		Ledger:         r.lg,
+		PendingHolds:   r.plane.PendingTotal,
+		LiveConns:      r.liveConns,
+		ConvergenceGap: r.proto.OracleGap,
+		GapTol:         1e-6,
+	}
+}
+
 // collect runs the final audit and assembles the result.
 func (r *runner) collect(rec *eventbus.Recorder, trace *eventbus.TraceBuffer) *Result {
-	aud := faults.Auditor{
-		Ledger:       r.lg,
-		PendingHolds: r.plane.PendingTotal,
-		LiveConns:    r.liveConns,
-		ConvergenceGap: func() float64 {
-			return convergenceGap(r.proto)
-		},
-		GapTol: 1e-6,
-	}
-	viol := append([]string(nil), aud.CheckFinal()...)
+	viol := append([]string(nil), r.auditor().CheckFinal()...)
 	viol = append(viol, r.errs...)
 	if r.tr != nil {
 		viol = append(viol, r.tr.Errs()...)
@@ -543,27 +546,6 @@ func (r *runner) resyncAgent(agent string, ttl float64) {
 			Conn: conn, Bandwidth: r.routing.Reserve(conn), TTL: ttl,
 		})
 	}
-}
-
-// convergenceGap measures the protocol's final distance from the
-// centralized water-filling oracle on its own problem instance.
-func convergenceGap(pr *maxmin.Protocol) float64 {
-	p := pr.Problem()
-	if len(p.Conns) == 0 {
-		return 0
-	}
-	oracle, err := maxmin.WaterFill(p)
-	if err != nil {
-		return math.Inf(1)
-	}
-	rates := pr.Rates()
-	gap := 0.0
-	for id, want := range oracle {
-		if d := math.Abs(rates[id] - want); d > gap {
-			gap = d
-		}
-	}
-	return gap
 }
 
 // ServeNodeUDP is the node-process entry: bind, serve until Shutdown,

@@ -279,16 +279,7 @@ func soakEvents(plan *netfaults.Plan, base, active float64) []faults.Timed {
 // at epoch 0); the current one is returned for the next boundary so the
 // Wire block always carries a true per-epoch delta.
 func epochAudit(r *runner, epoch, plan int, prev *obs.Snapshot) (EpochReport, *obs.Snapshot) {
-	aud := faults.Auditor{
-		Ledger:       r.lg,
-		PendingHolds: r.plane.PendingTotal,
-		LiveConns:    r.liveConns,
-		ConvergenceGap: func() float64 {
-			return convergenceGap(r.proto)
-		},
-		GapTol: 1e-6,
-	}
-	viol := aud.CheckFinal()
+	viol := r.auditor().CheckFinal()
 	if viol == nil {
 		viol = []string{}
 	}
@@ -301,7 +292,7 @@ func epochAudit(r *runner, epoch, plan int, prev *obs.Snapshot) (EpochReport, *o
 		Aborted:      r.aborted,
 		Live:         len(r.live),
 		PendingHolds: r.plane.PendingTotal(),
-		Gap:          convergenceGap(r.proto),
+		Gap:          r.proto.OracleGap(),
 		Violations:   viol,
 	}
 	if r.faulty != nil {

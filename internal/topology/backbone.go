@@ -391,117 +391,3 @@ func (b *Backbone) Multicast(src NodeID, dsts []NodeID) (MulticastTree, error) {
 	sort.Slice(tree.Links, func(i, j int) bool { return tree.Links[i].ID < tree.Links[j].ID })
 	return tree, nil
 }
-
-// ConstrainedShortestPath is the QoS-routing hook of §4 ("an appropriate
-// route found by a routing algorithm"): it computes the minimum-delay
-// route using only links accepted by usable, so admission can retry
-// around a saturated or failed wired link. A nil usable accepts every
-// link.
-func (b *Backbone) ConstrainedShortestPath(src, dst NodeID, usable func(*Link) bool) (Route, error) {
-	if usable == nil {
-		return b.ShortestPath(src, dst)
-	}
-	// Filtered copy of the graph; Dijkstra on the subgraph.
-	sub := NewBackbone()
-	for _, n := range b.Nodes() {
-		sub.MustAddNode(*n)
-	}
-	for _, l := range b.Links() {
-		if usable(l) {
-			if _, err := sub.AddLink(*l); err != nil {
-				return Route{}, err
-			}
-		}
-	}
-	r, err := sub.dijkstra(src, dst)
-	if err != nil {
-		return Route{}, err
-	}
-	// Map the route back onto the original graph's link objects so
-	// ledger lookups by pointer identity keep working.
-	out := Route{Links: make([]*Link, len(r.Links))}
-	for i, l := range r.Links {
-		orig := b.Link(l.From, l.To)
-		if orig == nil {
-			return Route{}, fmt.Errorf("%w: %s", ErrUnknownLink, l.ID)
-		}
-		out.Links[i] = orig
-	}
-	return out, nil
-}
-
-// WidestPath returns the route from src to dst maximizing the bottleneck
-// link capacity (ties broken by fewer hops) — the classic max-bandwidth
-// routing metric.
-func (b *Backbone) WidestPath(src, dst NodeID) (Route, float64, error) {
-	if _, ok := b.nodes[src]; !ok {
-		return Route{}, 0, fmt.Errorf("%w: %s", ErrUnknownNode, src)
-	}
-	if _, ok := b.nodes[dst]; !ok {
-		return Route{}, 0, fmt.Errorf("%w: %s", ErrUnknownNode, dst)
-	}
-	if src == dst {
-		return Route{}, math.Inf(1), nil
-	}
-	// Dijkstra variant on (-width, hops).
-	type state struct {
-		width float64
-		hops  int
-	}
-	best := map[NodeID]state{src: {math.Inf(1), 0}}
-	prev := map[NodeID]*Link{}
-	visited := map[NodeID]bool{}
-	for {
-		// Pick the unvisited node with the largest width (then fewest
-		// hops, then smallest ID for determinism).
-		var cur NodeID
-		curState := state{-1, 0}
-		found := false
-		for n, st := range best {
-			if visited[n] {
-				continue
-			}
-			if !found || st.width > curState.width ||
-				(st.width == curState.width && st.hops < curState.hops) ||
-				(st.width == curState.width && st.hops == curState.hops && n < cur) {
-				cur, curState, found = n, st, true
-			}
-		}
-		if !found {
-			break
-		}
-		if cur == dst {
-			break
-		}
-		visited[cur] = true
-		for _, l := range b.adj[cur] {
-			w := curState.width
-			if l.Capacity < w {
-				w = l.Capacity
-			}
-			cand := state{w, curState.hops + 1}
-			old, ok := best[l.To]
-			if !ok || cand.width > old.width || (cand.width == old.width && cand.hops < old.hops) {
-				best[l.To] = cand
-				prev[l.To] = l
-			}
-		}
-	}
-	st, ok := best[dst]
-	if !ok {
-		return Route{}, 0, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
-	}
-	var links []*Link
-	for at := dst; at != src; {
-		l := prev[at]
-		if l == nil {
-			return Route{}, 0, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
-		}
-		links = append(links, l)
-		at = l.From
-	}
-	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
-		links[i], links[j] = links[j], links[i]
-	}
-	return Route{Links: links}, st.width, nil
-}

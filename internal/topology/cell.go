@@ -221,17 +221,6 @@ func (u *Universe) Zones() []string {
 // Len returns the number of cells.
 func (u *Universe) Len() int { return len(u.cells) }
 
-// Neighborhood returns the cell and its neighbors (paper §3.4.1): the set
-// of cells a portable in id could occupy after at most one handoff.
-func (u *Universe) Neighborhood(id CellID) ([]CellID, error) {
-	c, ok := u.cells[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownCell, id)
-	}
-	out := append([]CellID{id}, c.Neighbors()...)
-	return out, nil
-}
-
 // Validate checks structural invariants: every neighbor reference resolves
 // and the relation is symmetric.
 func (u *Universe) Validate() error {

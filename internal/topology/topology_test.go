@@ -47,16 +47,6 @@ func TestUniverseBasics(t *testing.T) {
 	if got := u.Cell("C").Zone; got != "default" {
 		t.Fatalf("default zone = %q", got)
 	}
-	nb, err := u.Neighborhood("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nb) != 2 || nb[0] != "A" || nb[1] != "B" {
-		t.Fatalf("neighborhood = %v", nb)
-	}
-	if _, err := u.Neighborhood("missing"); err == nil {
-		t.Fatal("neighborhood of missing cell succeeded")
-	}
 	if err := u.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -396,80 +386,6 @@ func TestBuildGrid(t *testing.T) {
 	}
 	if _, err := BuildGrid(0, 4, 1); err == nil {
 		t.Fatal("degenerate grid accepted")
-	}
-}
-
-func TestConstrainedShortestPath(t *testing.T) {
-	// Diamond: s -> a -> t and s -> b -> t; exclude the a-side.
-	b := NewBackbone()
-	for _, id := range []NodeID{"s", "a", "b", "t"} {
-		b.MustAddNode(Node{ID: id, Kind: KindSwitch})
-	}
-	b.MustAddDuplex(Link{From: "s", To: "a", Capacity: 10, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "a", To: "t", Capacity: 10, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "s", To: "b", Capacity: 5, PropDelay: 2e-3})
-	b.MustAddDuplex(Link{From: "b", To: "t", Capacity: 5, PropDelay: 2e-3})
-	// Unconstrained: the faster a-side.
-	r, err := b.ConstrainedShortestPath("s", "t", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Nodes()[1] != "a" {
-		t.Fatalf("unconstrained route = %v", r)
-	}
-	// Constrained away from node a's links: the b-side.
-	r, err = b.ConstrainedShortestPath("s", "t", func(l *Link) bool {
-		return l.From != "a" && l.To != "a"
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Nodes()[1] != "b" {
-		t.Fatalf("constrained route = %v", r)
-	}
-	// Route links must be the original graph's objects (ledger identity).
-	if b.Link("s", "b") != r.Links[0] {
-		t.Fatal("constrained route returned copied link objects")
-	}
-	// Excluding everything: no route.
-	if _, err := b.ConstrainedShortestPath("s", "t", func(*Link) bool { return false }); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("err = %v, want ErrNoRoute", err)
-	}
-}
-
-func TestWidestPath(t *testing.T) {
-	// Diamond again: a-side fast but narrow, b-side slow but wide.
-	b := NewBackbone()
-	for _, id := range []NodeID{"s", "a", "b", "t"} {
-		b.MustAddNode(Node{ID: id, Kind: KindSwitch})
-	}
-	b.MustAddDuplex(Link{From: "s", To: "a", Capacity: 2, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "a", To: "t", Capacity: 2, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "s", To: "b", Capacity: 8, PropDelay: 5e-3})
-	b.MustAddDuplex(Link{From: "b", To: "t", Capacity: 6, PropDelay: 5e-3})
-	r, width, err := b.WidestPath("s", "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Nodes()[1] != "b" {
-		t.Fatalf("widest route = %v", r)
-	}
-	if width != 6 {
-		t.Fatalf("bottleneck width = %v, want 6", width)
-	}
-	// Self route: infinite width, zero hops.
-	_, w, err := b.WidestPath("s", "s")
-	if err != nil || r.Hops() == 0 || w == 0 {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := b.WidestPath("s", "ghost"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v", err)
-	}
-	b.MustAddNode(Node{ID: "island"})
-	if _, _, err := b.WidestPath("s", "island"); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

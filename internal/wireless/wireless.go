@@ -1,7 +1,6 @@
 // Package wireless models the error-prone, time-varying wireless medium
-// that motivates the paper's loose QoS bounds (§2.1): a Gilbert–Elliott
-// two-state burst-error channel and a capacity process that modulates the
-// effective throughput of a cell's air interface.
+// that motivates the paper's loose QoS bounds (§2.1): a capacity process
+// that modulates the effective throughput of a cell's air interface.
 package wireless
 
 import (
@@ -11,78 +10,6 @@ import (
 	"armnet/internal/eventbus"
 	"armnet/internal/randx"
 )
-
-// GilbertElliott is the classic two-state Markov burst-error channel.
-// In the Good state packets are lost with probability LossGood; in the Bad
-// state with LossBad. State dwell times are exponential.
-type GilbertElliott struct {
-	// GoodToBad and BadToGood are transition rates (1/s).
-	GoodToBad, BadToGood float64
-	// LossGood and LossBad are per-packet loss probabilities per state.
-	LossGood, LossBad float64
-
-	bad       bool
-	lastShift float64
-	rng       *randx.Rand
-}
-
-// NewGilbertElliott returns a channel starting in the Good state.
-func NewGilbertElliott(goodToBad, badToGood, lossGood, lossBad float64, rng *randx.Rand) (*GilbertElliott, error) {
-	if goodToBad <= 0 || badToGood <= 0 {
-		return nil, fmt.Errorf("wireless: transition rates must be positive, got %v, %v", goodToBad, badToGood)
-	}
-	if lossGood < 0 || lossGood > 1 || lossBad < 0 || lossBad > 1 {
-		return nil, fmt.Errorf("wireless: loss probabilities must be in [0,1], got %v, %v", lossGood, lossBad)
-	}
-	return &GilbertElliott{
-		GoodToBad: goodToBad,
-		BadToGood: badToGood,
-		LossGood:  lossGood,
-		LossBad:   lossBad,
-		rng:       rng,
-	}, nil
-}
-
-// Bad reports whether the channel is currently in the Bad state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
-// Attach schedules the state process on the simulator, invoking onShift
-// (which may be nil) after every state change.
-func (g *GilbertElliott) Attach(sim *des.Simulator, onShift func(bad bool)) {
-	var schedule func()
-	schedule = func() {
-		rate := g.GoodToBad
-		if g.bad {
-			rate = g.BadToGood
-		}
-		sim.PostAfter(g.rng.Exp(rate), func() {
-			g.bad = !g.bad
-			g.lastShift = sim.Now()
-			if onShift != nil {
-				onShift(g.bad)
-			}
-			schedule()
-		})
-	}
-	schedule()
-}
-
-// Lose draws whether a packet transmitted now is lost.
-func (g *GilbertElliott) Lose() bool {
-	p := g.LossGood
-	if g.bad {
-		p = g.LossBad
-	}
-	return g.rng.Bernoulli(p)
-}
-
-// SteadyLoss returns the long-run average packet loss probability — the
-// p_e,l value the admission test plugs into Table 2's loss row.
-func (g *GilbertElliott) SteadyLoss() float64 {
-	// Stationary probability of Bad = rateGB / (rateGB + rateBG).
-	pBad := g.GoodToBad / (g.GoodToBad + g.BadToGood)
-	return (1-pBad)*g.LossGood + pBad*g.LossBad
-}
 
 // CapacityProcess modulates a cell's effective wireless capacity between a
 // set of discrete levels with exponential dwell times — the "time-varying

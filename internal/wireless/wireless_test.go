@@ -1,120 +1,11 @@
 package wireless
 
 import (
-	"math"
 	"testing"
 
 	"armnet/internal/des"
 	"armnet/internal/randx"
 )
-
-func TestGilbertElliottValidation(t *testing.T) {
-	rng := randx.New(1)
-	if _, err := NewGilbertElliott(0, 1, 0, 0.5, rng); err == nil {
-		t.Error("zero transition rate accepted")
-	}
-	if _, err := NewGilbertElliott(1, 1, -0.1, 0.5, rng); err == nil {
-		t.Error("negative loss accepted")
-	}
-	if _, err := NewGilbertElliott(1, 1, 0, 1.5, rng); err == nil {
-		t.Error("loss > 1 accepted")
-	}
-	if _, err := NewGilbertElliott(1, 2, 0.001, 0.3, rng); err != nil {
-		t.Errorf("valid channel rejected: %v", err)
-	}
-}
-
-func TestSteadyLoss(t *testing.T) {
-	rng := randx.New(1)
-	g, err := NewGilbertElliott(1, 3, 0, 0.4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// pBad = 1/(1+3) = 0.25 -> loss = 0.25*0.4 = 0.1
-	if got := g.SteadyLoss(); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("SteadyLoss = %v, want 0.1", got)
-	}
-}
-
-func TestChannelStateProcess(t *testing.T) {
-	rng := randx.New(42)
-	g, err := NewGilbertElliott(2, 6, 0.001, 0.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := des.New()
-	shifts := 0
-	var badTime, lastT float64
-	var wasBad bool
-	g.Attach(sim, func(bad bool) {
-		if wasBad {
-			badTime += sim.Now() - lastT
-		}
-		wasBad = bad
-		lastT = sim.Now()
-		shifts++
-	})
-	if err := sim.RunUntil(2000); err != nil {
-		t.Fatal(err)
-	}
-	if wasBad {
-		badTime += sim.Now() - lastT
-	}
-	if shifts < 100 {
-		t.Fatalf("only %d state shifts in 2000 s", shifts)
-	}
-	frac := badTime / sim.Now()
-	want := 2.0 / (2 + 6)
-	if math.Abs(frac-want) > 0.05 {
-		t.Fatalf("bad-state fraction = %v, want ~%v", frac, want)
-	}
-}
-
-func TestLossDependsOnState(t *testing.T) {
-	rng := randx.New(7)
-	g, err := NewGilbertElliott(1, 1, 0, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Good state, LossGood = 0 -> never lose.
-	for i := 0; i < 100; i++ {
-		if g.Lose() {
-			t.Fatal("lost packet in perfect Good state")
-		}
-	}
-	g.bad = true
-	for i := 0; i < 100; i++ {
-		if !g.Lose() {
-			t.Fatal("kept packet in hopeless Bad state")
-		}
-	}
-}
-
-func TestEmpiricalLossMatchesSteady(t *testing.T) {
-	rng := randx.New(11)
-	g, err := NewGilbertElliott(5, 15, 0.01, 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := des.New()
-	g.Attach(sim, nil)
-	lost, total := 0, 0
-	sim.Every(0.01, func() {
-		total++
-		if g.Lose() {
-			lost++
-		}
-		if total >= 200000 {
-			sim.Stop()
-		}
-	})
-	_ = sim.Run()
-	got := float64(lost) / float64(total)
-	want := g.SteadyLoss()
-	if math.Abs(got-want) > 0.02 {
-		t.Fatalf("empirical loss %v, steady-state %v", got, want)
-	}
-}
 
 func TestCapacityProcessValidation(t *testing.T) {
 	rng := randx.New(1)
