@@ -2,6 +2,7 @@ package armnet_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"armnet"
@@ -255,5 +256,37 @@ func TestLedgerInvariantsAfterBusyRun(t *testing.T) {
 				t.Fatalf("allocation below minimum on %s: %v < %v", ls.Link.ID, a.Cur, a.Min)
 			}
 		}
+	}
+}
+
+// TestAttachChannelRejectsNonFinite: a channel level or dwell mean that is
+// NaN or +Inf is refused up front. Accepted, a non-finite level was
+// published as a CapacityChange JSON cannot spell (the trace recorder
+// stopped there), and a NaN dwell panicked in the simulator.
+func TestAttachChannelRejectsNonFinite(t *testing.T) {
+	env, err := armnet.BuildCampus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := armnet.NewNetwork(env, armnet.Config{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		levels []float64
+		dwell  float64
+	}{
+		{"NaN level", []float64{1e6, math.NaN()}, 5},
+		{"+Inf level", []float64{1e6, math.Inf(1)}, 5},
+		{"NaN dwell", []float64{1e6, 5e5}, math.NaN()},
+		{"+Inf dwell", []float64{1e6, 5e5}, math.Inf(1)},
+	} {
+		if _, err := net.AttachChannel("off-1", c.levels, c.dwell); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	if err := net.RunUntil(200); err != nil {
+		t.Fatal(err)
 	}
 }

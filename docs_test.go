@@ -1,6 +1,7 @@
 package armnet_test
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -400,5 +401,58 @@ func TestDocumentedFlagsExist(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no command span found in the documents: the span pattern no longer matches them")
+	}
+}
+
+// TestTheorem1BlockMatches holds EXPERIMENTS.md's Theorem 1 block to the
+// experiment: the fenced block after the command that prints it must be
+// that command's output, line for line up to runs of whitespace. The
+// experiment runs in process with the flags `paperfigs -exp theorem1`
+// passes (seed 1, 20 perturbed instances, flooding then refined) and
+// takes a few milliseconds.
+func TestTheorem1BlockMatches(t *testing.T) {
+	const doc, cmd, fence = "EXPERIMENTS.md", "`go run ./cmd/paperfigs -exp theorem1`", "\n```\n"
+	text, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(text)
+	i := strings.Index(s, cmd)
+	if i < 0 {
+		t.Fatalf("%s: %s not found — the Theorem 1 block moved; update this test with it", doc, cmd)
+	}
+	j := strings.Index(s[i:], fence)
+	if j < 0 {
+		t.Fatalf("%s: no fenced block after %s", doc, cmd)
+	}
+	start := i + j + len(fence)
+	n := strings.Index(s[start:], "\n```")
+	if n < 0 {
+		t.Fatalf("%s: the block after %s is not closed", doc, cmd)
+	}
+	block := strings.Split(s[start:start+n], "\n")
+	first := strings.Count(s[:start], "\n") + 1
+	var want []string
+	for _, refined := range []bool{false, true} {
+		r, _, err := armnet.RunTheorem1(context.Background(), armnet.Theorem1Config{
+			Seed: 1, Instances: 20, Refined: refined, Perturb: true,
+		}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r.String())
+	}
+	norm := func(line string) string { return strings.Join(strings.Fields(line), " ") }
+	for k := range max(len(block), len(want)) {
+		var got, w string
+		if k < len(block) {
+			got = block[k]
+		}
+		if k < len(want) {
+			w = want[k]
+		}
+		if norm(got) != norm(w) {
+			t.Errorf("%s:%d reads %q; the experiment prints %q", doc, first+k, got, w)
+		}
 	}
 }

@@ -54,6 +54,9 @@ type Manager struct {
 	Alloc *maxmin.Protocol
 
 	conns map[string]*connInfo
+	// spare is the record Unregister last freed, for the next Register:
+	// a handoff unregisters and re-registers the same connection.
+	spare *connInfo
 	// OnRate observes committed rate changes (for tests and metrics).
 	OnRate func(connID string, bandwidth float64)
 }
@@ -117,7 +120,12 @@ func (m *Manager) Register(connID string, route topology.Route, bounds qos.Bound
 	if err := bounds.Validate(); err != nil {
 		return err
 	}
-	ci := &connInfo{route: route, bounds: bounds, mobility: mob}
+	ci := m.spare
+	if ci == nil {
+		ci = new(connInfo)
+	}
+	m.spare = nil
+	*ci = connInfo{route: route, bounds: bounds, mobility: mob}
 	m.conns[connID] = ci
 	if mob == qos.Static {
 		if err := m.addToProtocol(connID, ci); err != nil {
@@ -150,6 +158,8 @@ func (m *Manager) Unregister(connID string) {
 	m.Alloc.RemoveConn(connID)
 	delete(m.conns, connID)
 	m.SyncRoute(ci.route)
+	*ci = connInfo{}
+	m.spare = ci
 }
 
 // SetMobility flips a connection between static and mobile. Mobile

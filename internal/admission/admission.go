@@ -89,7 +89,10 @@ type Result struct {
 	EndToEndJitter float64
 	// EndToEndLoss is 1 - Π(1 - p_e,i).
 	EndToEndLoss float64
-	Hops         []HopReport
+	// Hops reports the hops the forward pass cleared. It is the
+	// controller's scratch: valid until the next Admit on the same
+	// Controller, so a caller that keeps it copies it.
+	Hops []HopReport
 }
 
 // Rejection reasons (stable strings, also used by stats).
@@ -125,6 +128,7 @@ type Controller struct {
 	// admit's per-hop scratch: a Controller is one goroutine's, like its Ledger.
 	states     []*LinkState
 	caps, loss []float64
+	hops       []HopReport
 }
 
 // NewController returns a controller over the given ledger.
@@ -167,7 +171,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 	n := t.Route.Hops()
 
 	// ---- Forward pass ----
-	res := Result{Hops: make([]HopReport, 0, n)}
+	res := Result{Hops: c.hops[:0]}
 	states, caps, lossPerLink := c.states[:0], c.caps[:0], c.loss[:0]
 	for _, link := range t.Route.Links {
 		ls := c.Ledger.Link(link.ID)
@@ -233,6 +237,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 			Jitter:   jit,
 			Loss:     link.LossProb,
 		})
+		c.hops = res.Hops // keep what append grew for the next Admit
 	}
 
 	// ---- Destination node tests ----

@@ -447,3 +447,19 @@ func TestQuickRelaxationInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetCapacityRejectsNonFinite: a NaN or +Inf capacity is refused and
+// the link keeps the capacity it had.
+func TestSetCapacityRejectsNonFinite(t *testing.T) {
+	b, route := threeHop(t, [3]float64{10e6, 10e6, 1.6e6})
+	lg := NewLedger(b)
+	id := route.Links[2].ID
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if err := lg.SetCapacity(id, bad); err == nil {
+			t.Errorf("capacity %v accepted", bad)
+		}
+		if got := lg.Link(id).Capacity; got != 1.6e6 {
+			t.Fatalf("capacity after refusing %v = %v, want 1.6e6", bad, got)
+		}
+	}
+}

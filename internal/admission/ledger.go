@@ -16,6 +16,7 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"armnet/internal/sortx"
@@ -218,8 +219,8 @@ func (lg *Ledger) SetCapacity(id topology.LinkID, c float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownLink, id)
 	}
-	if c <= 0 {
-		return fmt.Errorf("admission: capacity must be positive, got %v", c)
+	if !(c > 0) || math.IsInf(c, 1) {
+		return fmt.Errorf("admission: capacity must be positive and finite, got %v", c)
 	}
 	ls.Capacity = c
 	return nil

@@ -291,9 +291,9 @@ func loadedRig(t *testing.T, perLink int) (*Controller, topology.Route) {
 // TestAdmitAllocsIndependentOfLinkLoad pins what the ordered rows and the
 // controller's scratch bought: the round trip reads every link from the
 // state it holds, walks it through per-hop slices the controller reuses
-// and commits into rows that are already there, so an Admit and the
-// Release that undoes it allocate the returned Hops and nothing per link
-// or per connection sharing it.
+// (the returned Hops among them) and commits into rows that are already
+// there, so an Admit and the Release that undoes it allocate nothing, per
+// link or per connection sharing it.
 func TestAdmitAllocsIndependentOfLinkLoad(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector adds bookkeeping allocations")
@@ -308,8 +308,8 @@ func TestAdmitAllocsIndependentOfLinkLoad(t *testing.T) {
 			ctl.Ledger.Release("probe", route)
 		})
 	}
-	if light, heavy := allocs(4), allocs(64); light != 1 || heavy != 1 {
-		t.Fatalf("Admit+Release allocates %v objects with 4 connections per link and %v with 64, want 1 (the Hops) at both", light, heavy)
+	if light, heavy := allocs(4), allocs(64); light != 0 || heavy != 0 {
+		t.Fatalf("Admit+Release allocates %v objects with 4 connections per link and %v with 64, want 0 at both", light, heavy)
 	}
 }
 

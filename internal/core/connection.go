@@ -196,7 +196,8 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 	// in `to`, which the re-admission below consumes via the ledger).
 	m.clearAdvance(p)
 
-	for _, connID := range p.Conns() {
+	m.handoffConns = append(m.handoffConns[:0], p.conns...)
+	for _, connID := range m.handoffConns {
 		c := m.conns[connID]
 		eventbus.Pub(m.Bus, eventbus.HandoffAttempt{
 			Conn: connID, Portable: id,

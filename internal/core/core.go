@@ -231,8 +231,11 @@ type Manager struct {
 	// staticMax is adjustPools' scratch: per cell, the largest
 	// allocation held by a static portable there.
 	staticMax map[topology.CellID]float64
-	static    map[*Portable]struct{}       // the static portables (setMobility)
-	cells     map[topology.CellID]*cellGeo // geometry.go
+	static    map[*Portable]struct{} // the static portables (setMobility)
+	// handoffConns is HandoffPortable's copy of the portable's
+	// connection IDs, which its loop may drop from.
+	handoffConns []string
+	cells        map[topology.CellID]*cellGeo // geometry.go
 	// mc sets up and releases multicast legs: the Manager itself, from
 	// its plans, or the per-call reference in the lockstep oracle test.
 	mc interface {
@@ -307,20 +310,18 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 	// registered after Metrics so a watcher callback observes counters
 	// already updated for the event that triggered it (the ordering the
 	// pre-bus implementation had).
-	bus.Subscribe(func(r eventbus.Record) {
-		ev := r.Event.(eventbus.HandoffLatency)
+	eventbus.On(bus, func(ev eventbus.HandoffLatency) {
 		if ev.Predicted {
 			m.Latency.Predicted.Observe(ev.Latency)
 		} else {
 			m.Latency.Unpredicted.Observe(ev.Latency)
 		}
-	}, eventbus.KindHandoffLatency)
-	bus.Subscribe(func(r eventbus.Record) {
-		ev := r.Event.(eventbus.BandwidthChange)
+	})
+	eventbus.On(bus, func(ev eventbus.BandwidthChange) {
 		if w := m.rateWatchers[ev.Conn]; w != nil {
 			w(ev.Bandwidth)
 		}
-	}, eventbus.KindBandwidthChange)
+	})
 	if !cfg.DisableAdaptation {
 		// The protocol is built exactly here, so its construction-time
 		// timer (the re-ADVERTISE ticker) keeps its position in the event

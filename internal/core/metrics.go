@@ -128,76 +128,46 @@ type Metrics struct {
 	Drops []string
 }
 
-// NewMetrics subscribes a fresh metrics aggregate to the bus.
+// NewMetrics subscribes a fresh metrics aggregate to the bus, one typed
+// handler per kind it counts.
 func NewMetrics(bus *eventbus.Bus) *Metrics {
 	m := &Metrics{Counter: NewCounterSet()}
-	bus.Subscribe(m.observe,
-		eventbus.KindConnectionRequested,
-		eventbus.KindConnectionAdmitted,
-		eventbus.KindConnectionBlocked,
-		eventbus.KindHandoffAttempt,
-		eventbus.KindHandoffOutcome,
-		eventbus.KindPoolClaim,
-		eventbus.KindAdvanceReservation,
-		eventbus.KindBandwidthChange,
-		eventbus.KindFaultMessage,
-		eventbus.KindFaultComponent,
-		eventbus.KindControlRetransmit,
-		eventbus.KindHoldReclaimed,
-		eventbus.KindReadvertise,
-		eventbus.KindSetupShed,
-		eventbus.KindDegradeCascade,
-		eventbus.KindBreakerState,
-	)
-	return m
-}
-
-func (m *Metrics) observe(r eventbus.Record) {
-	switch ev := r.Event.(type) {
-	case eventbus.ConnectionRequested:
-		m.Counter.Inc(CtrNewRequested)
-	case eventbus.ConnectionAdmitted:
-		m.Counter.Inc(CtrNewAdmitted)
-	case eventbus.ConnectionBlocked:
-		m.Counter.Inc(CtrNewBlocked)
-	case eventbus.HandoffAttempt:
-		m.Counter.Inc(CtrHandoffTried)
-	case eventbus.HandoffOutcome:
+	eventbus.On(bus, func(eventbus.ConnectionRequested) { m.Counter.Inc(CtrNewRequested) })
+	eventbus.On(bus, func(eventbus.ConnectionAdmitted) { m.Counter.Inc(CtrNewAdmitted) })
+	eventbus.On(bus, func(eventbus.ConnectionBlocked) { m.Counter.Inc(CtrNewBlocked) })
+	eventbus.On(bus, func(eventbus.HandoffAttempt) { m.Counter.Inc(CtrHandoffTried) })
+	eventbus.On(bus, func(ev eventbus.HandoffOutcome) {
 		if ev.Dropped {
 			m.Counter.Inc(CtrHandoffDropped)
 			m.Drops = append(m.Drops, ev.Conn)
 		} else {
 			m.Counter.Inc(CtrHandoffOK)
 		}
-	case eventbus.PoolClaim:
-		m.Counter.Inc(CtrPoolClaims)
-	case eventbus.AdvanceReservation:
-		m.Counter.Inc(CtrAdvanceResv)
-	case eventbus.BandwidthChange:
-		m.Counter.Inc(CtrAdaptUpdates)
-	case eventbus.FaultMessage:
-		m.Counter.Inc(CtrFaultsInjected)
-	case eventbus.FaultComponent:
-		m.Counter.Inc(CtrFaultsInjected)
-	case eventbus.ControlRetransmit:
-		m.Counter.Inc(CtrRetransmits)
-	case eventbus.HoldReclaimed:
-		m.Counter.Inc(CtrReclaimedHolds)
-	case eventbus.Readvertise:
-		m.Counter.Add(CtrReadvertises, int64(ev.Kicked))
-	case eventbus.SetupShed:
+	})
+	eventbus.On(bus, func(eventbus.PoolClaim) { m.Counter.Inc(CtrPoolClaims) })
+	eventbus.On(bus, func(eventbus.AdvanceReservation) { m.Counter.Inc(CtrAdvanceResv) })
+	eventbus.On(bus, func(eventbus.BandwidthChange) { m.Counter.Inc(CtrAdaptUpdates) })
+	eventbus.On(bus, func(eventbus.FaultMessage) { m.Counter.Inc(CtrFaultsInjected) })
+	eventbus.On(bus, func(eventbus.FaultComponent) { m.Counter.Inc(CtrFaultsInjected) })
+	eventbus.On(bus, func(eventbus.ControlRetransmit) { m.Counter.Inc(CtrRetransmits) })
+	eventbus.On(bus, func(eventbus.HoldReclaimed) { m.Counter.Inc(CtrReclaimedHolds) })
+	eventbus.On(bus, func(ev eventbus.Readvertise) { m.Counter.Add(CtrReadvertises, int64(ev.Kicked)) })
+	eventbus.On(bus, func(ev eventbus.SetupShed) {
 		if ev.Reason == "breaker-open" {
 			m.Counter.Inc(CtrBreakerFastFails)
 		} else {
 			m.Counter.Inc(CtrShedSetups)
 		}
-	case eventbus.DegradeCascade:
+	})
+	eventbus.On(bus, func(ev eventbus.DegradeCascade) {
 		if ev.Action == "degrade" {
 			m.Counter.Inc(CtrDegradeCascades)
 		}
-	case eventbus.BreakerState:
+	})
+	eventbus.On(bus, func(ev eventbus.BreakerState) {
 		if ev.To == "open" {
 			m.Counter.Inc(CtrBreakerTrips)
 		}
-	}
+	})
+	return m
 }

@@ -31,23 +31,32 @@ func TestPostFireAllocFree(t *testing.T) {
 	}
 }
 
-// TestAtFireAllocBudget pins the cancelable path at exactly one
-// allocation per schedule: the handle escapes to the caller, so the
-// record cannot be pooled, but nothing else may allocate.
+// slabRounds runs round slabSize times per measured op: a handle-bearing
+// record is never recycled, so the path costs one slab per slabSize
+// schedules and nothing else.
+func slabRounds(round func()) float64 {
+	return testing.AllocsPerRun(100, func() {
+		for i := 0; i < slabSize; i++ {
+			round()
+		}
+	})
+}
+
+// TestAtFireAllocBudget pins the cancelable path at exactly one slab
+// allocation per slabSize schedules: the handle escapes to the caller, so
+// the record cannot be pooled, but nothing else may allocate.
 func TestAtFireAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector adds bookkeeping allocations")
 	}
 	s := New()
 	fn := func() {}
-	s.At(s.Now()+1, fn)
-	s.step()
-	got := testing.AllocsPerRun(1000, func() {
+	got := slabRounds(func() {
 		s.At(s.Now()+1, fn)
 		s.step()
 	})
 	if got != 1 {
-		t.Fatalf("At+fire steady state allocates %v/op, want exactly 1 (the escaping handle)", got)
+		t.Fatalf("%d At+fire rounds allocate %v objects, want exactly 1 (the slab of escaping handles)", slabSize, got)
 	}
 }
 
@@ -55,7 +64,7 @@ func TestAtFireAllocBudget(t *testing.T) {
 // fire allocates nothing in steady state, with one event pending or with
 // a hundred, where every round advances the lane's ring head and it
 // wraps many times over. After and a Ticker's re-arm stay at exactly
-// one allocation, the escaping handle.
+// one slab per slabSize escaping handles.
 func TestPostAfterFireAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector adds bookkeeping allocations")
@@ -79,17 +88,17 @@ func TestPostAfterFireAllocFree(t *testing.T) {
 		}
 	}
 	s := New()
-	got := testing.AllocsPerRun(1000, func() {
+	got := slabRounds(func() {
 		s.After(1, fn)
 		s.step()
 	})
 	if got != 1 {
-		t.Fatalf("After+fire allocates %v/op, want exactly 1 (the escaping handle)", got)
+		t.Fatalf("%d After+fire rounds allocate %v objects, want exactly 1 (the slab of escaping handles)", slabSize, got)
 	}
 	s = New()
 	s.Every(1, fn)
-	got = testing.AllocsPerRun(1000, func() { s.step() })
+	got = slabRounds(func() { s.step() })
 	if got != 1 {
-		t.Fatalf("a Ticker period allocates %v/op, want exactly 1 (the re-armed event)", got)
+		t.Fatalf("%d Ticker periods allocate %v objects, want exactly 1 (the slab of re-armed events)", slabSize, got)
 	}
 }

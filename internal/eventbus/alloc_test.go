@@ -1,6 +1,7 @@
 package eventbus
 
 import (
+	"io"
 	"testing"
 
 	"armnet/internal/raceflag"
@@ -62,5 +63,51 @@ func TestPubRecorderOnlyAllocFree(t *testing.T) {
 	}
 	if rec.Err() != nil {
 		t.Fatal(rec.Err())
+	}
+}
+
+// TestPubTypedHandlersAllocFree pins the typed route: handlers registered
+// with On are called with the concrete event, so a kind that only they
+// (and the recorder) hear is published without a box.
+func TestPubTypedHandlersAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	bus := New(&stubClock{})
+	n := 0
+	On(bus, func(ConnectionRequested) { n++ })
+	On(bus, func(ev ConnectionRequested) { n += len(ev.Portable) })
+	AttachRecorder(bus, io.Discard)
+	pub := func() { Pub(bus, ConnectionRequested{Portable: "p0"}) }
+	pub()
+	if got := testing.AllocsPerRun(1000, pub); got != 0 {
+		t.Fatalf("Pub to typed handlers and the recorder allocates %v/op, want 0", got)
+	}
+	if n == 0 {
+		t.Fatal("typed handler never ran")
+	}
+}
+
+// TestPubSharesOneBox pins the Record route at exactly one box however
+// many Subscriber functions hear the event, wherever the typed handlers
+// and the recorder sit among them.
+func TestPubSharesOneBox(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	bus := New(&stubClock{})
+	var seen []Event
+	bus.Subscribe(func(r Record) { seen = append(seen[:0], r.Event) }, KindConnectionRequested)
+	On(bus, func(ConnectionRequested) {})
+	bus.Subscribe(func(r Record) { seen = append(seen, r.Event) }, KindConnectionRequested)
+	AttachRecorder(bus, io.Discard)
+	bus.Subscribe(func(r Record) { seen = append(seen, r.Event) })
+	pub := func() { Pub(bus, ConnectionRequested{Portable: "p0"}) }
+	pub()
+	if got := testing.AllocsPerRun(1000, pub); got != 1 {
+		t.Fatalf("Pub to three Subscribers allocates %v/op, want exactly 1 (the shared box)", got)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("%d Subscribers ran, want 3", len(seen))
 	}
 }

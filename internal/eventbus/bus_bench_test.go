@@ -28,6 +28,20 @@ func BenchmarkPublishOneKindSubscriber(b *testing.B) {
 	_ = n
 }
 
+// BenchmarkPublishTypedHandler is the route core.Metrics and the
+// manager's watchers take: a handler registered with On, called with the
+// concrete event.
+func BenchmarkPublishTypedHandler(b *testing.B) {
+	bus := New(&fakeClock{})
+	var n int
+	On(bus, func(BandwidthChange) { n++ })
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Pub(bus, BandwidthChange{Conn: "conn-1", Bandwidth: 64000})
+	}
+	_ = n
+}
+
 func BenchmarkPublishFourSubscribers(b *testing.B) {
 	bus := New(&fakeClock{})
 	var n int

@@ -56,16 +56,23 @@ type Record struct {
 // Subscriber observes stamped events.
 type Subscriber func(Record)
 
+// entry is one subscription. fn is what Publish calls: the subscriber
+// itself, or the Record adapter of a typed handler or the recorder. Pub
+// skips the adapter when it can: typed holds the func(T) On registered
+// and rec the recorder of AttachRecorder, both fed the concrete event.
+type entry struct {
+	fn    Subscriber
+	typed any
+	rec   *Recorder
+}
+
 // Bus is the synchronous publish/subscribe hub. The zero value is not
 // usable; construct with New.
 type Bus struct {
 	clock  Clock
 	seq    uint64
-	all    []Subscriber
-	byKind [kindCount][]Subscriber
-	// rec is the recorder when it is the bus's first catch-all
-	// subscriber: Pub hands it a kind nobody else listens for unboxed.
-	rec *Recorder
+	all    []entry
+	byKind [kindCount][]entry
 }
 
 // New returns a bus stamping events from the given clock.
@@ -85,12 +92,25 @@ func (b *Bus) Subscribe(fn Subscriber, kinds ...Kind) {
 		panic("eventbus: nil subscriber")
 	}
 	if len(kinds) == 0 {
-		b.all = append(b.all, fn)
+		b.all = append(b.all, entry{fn: fn})
 		return
 	}
 	for _, k := range kinds {
-		b.byKind[k] = append(b.byKind[k], fn)
+		b.byKind[k] = append(b.byKind[k], entry{fn: fn})
 	}
+}
+
+// On registers fn for the events of type T. It is a kind-filtered
+// subscription like Subscribe(…, kind of T) and takes the same place in
+// the order, but Pub calls it with the concrete event, unboxed and
+// unstamped.
+func On[T Event](b *Bus, fn func(T)) {
+	if fn == nil {
+		panic("eventbus: nil subscriber")
+	}
+	var zero T
+	k := zero.Kind()
+	b.byKind[k] = append(b.byKind[k], entry{fn: func(r Record) { fn(r.Event.(T)) }, typed: fn})
 }
 
 // Publish stamps ev with the clock's current time and the next sequence
@@ -99,56 +119,70 @@ func (b *Bus) Subscribe(fn Subscriber, kinds ...Kind) {
 //
 // Publish takes the event as an interface, which means the caller boxes
 // it (one heap allocation) whether or not anyone listens. The emitting
-// layers use the generic Pub instead, which defers that boxing past the
-// listener check; Publish remains for subscribers-of-subscribers and
-// external callers holding an already-boxed Event.
+// layers use the generic Pub instead; Publish remains for
+// subscribers-of-subscribers and external callers holding an
+// already-boxed Event.
 func (b *Bus) Publish(ev Event) {
 	if b == nil {
 		return
 	}
 	b.seq++
 	k := ev.Kind()
-	if len(b.byKind[k]) == 0 && len(b.all) == 0 {
+	kinds, all := b.byKind[k], b.all
+	if len(kinds) == 0 && len(all) == 0 {
 		return
 	}
-	b.dispatch(k, ev)
+	rec := Record{Seq: b.seq, Time: b.clock.Now(), Event: ev}
+	for _, e := range kinds {
+		e.fn(rec)
+	}
+	for _, e := range all {
+		e.fn(rec)
+	}
 }
 
-// Pub is the allocation-aware publish path: because the event arrives
-// as a concrete type, the interface boxing happens inside — after the
-// listener check — so publishing a kind nobody subscribed to costs zero
-// allocations (the sequence number still advances, keeping the stamped
-// stream identical whoever listens). When the only listener is the
-// recorder attached first, it is handed the concrete event and nothing
-// is boxed; any other listener makes Pub box exactly once, like Publish
-// always did.
+// Pub is the allocation-aware publish path. Its one dispatch rule: every
+// subscription of the event runs in subscription order, kind-filtered
+// ones before catch-all ones, exactly as Publish would run them — but
+// typed handlers (On) and the recorder are handed the concrete event,
+// and only Subscriber functions see a Record. The event is boxed into
+// that Record at most once, when the first Subscriber is reached, and
+// the one box is shared by every Subscriber after it. A kind nobody
+// listens to, or that only typed handlers and the recorder hear, costs
+// zero allocations; the sequence number advances either way, keeping
+// the stamped stream identical whoever listens.
 func Pub[T Event](b *Bus, ev T) {
 	if b == nil {
 		return
 	}
 	b.seq++
 	k := ev.Kind()
-	if len(b.byKind[k]) == 0 {
-		switch {
-		case len(b.all) == 0:
-			return
-		case len(b.all) == 1 && b.rec != nil:
-			record(b.rec, b.seq, b.clock.Now(), ev)
-			return
-		}
+	kinds, all := b.byKind[k], b.all
+	if len(kinds) == 0 && len(all) == 0 {
+		return
 	}
-	b.dispatch(k, ev)
+	rec := Record{Seq: b.seq, Time: b.clock.Now()}
+	for i := range kinds {
+		deliver(&kinds[i], &rec, ev)
+	}
+	for i := range all {
+		deliver(&all[i], &rec, ev)
+	}
 }
 
-// dispatch stamps and fans out one event to its kind-filtered and
-// catch-all subscribers, in subscription order.
-func (b *Bus) dispatch(k Kind, ev Event) {
-	rec := Record{Seq: b.seq, Time: b.clock.Now(), Event: ev}
-	for _, fn := range b.byKind[k] {
-		fn(rec)
-	}
-	for _, fn := range b.all {
-		fn(rec)
+// deliver hands ev to one subscription, boxing it into rec on the first
+// Subscriber that needs it.
+func deliver[T Event](e *entry, rec *Record, ev T) {
+	switch {
+	case e.rec != nil:
+		record(e.rec, rec.Seq, rec.Time, ev)
+	case e.typed != nil:
+		e.typed.(func(T))(ev)
+	default:
+		if rec.Event == nil {
+			rec.Event = ev
+		}
+		e.fn(*rec)
 	}
 }
 

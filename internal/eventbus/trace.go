@@ -50,14 +50,11 @@ func AttachRecorder(bus *Bus, w io.Writer) *Recorder {
 	// A line is 100–200 bytes: start the scratch there in one allocation
 	// rather than let the first record double its way up in six.
 	r := &Recorder{w: w, line: make([]byte, 0, 256)}
-	if len(bus.all) == 0 {
-		bus.rec = r
-	}
-	bus.Subscribe(r.observe)
+	bus.all = append(bus.all, entry{fn: r.observe, rec: r})
 	return r
 }
 
-// observe is the subscriber: the boxed route into record.
+// observe is the recorder's Record adapter, the route Publish takes.
 func (r *Recorder) observe(rec Record) { record(r, rec.Seq, rec.Time, rec.Event) }
 
 // record serializes one stamped event. It is generic so that Pub can

@@ -44,7 +44,7 @@ type Problem struct {
 var (
 	ErrEmptyPath     = errors.New("maxmin: connection with empty path")
 	ErrUnknownLink   = errors.New("maxmin: path references unknown link")
-	ErrBadCapacity   = errors.New("maxmin: negative link capacity")
+	ErrBadCapacity   = errors.New("maxmin: negative or non-finite link capacity")
 	ErrBadDemand     = errors.New("maxmin: negative demand")
 	ErrDuplicateConn = errors.New("maxmin: duplicate connection id")
 )

@@ -470,7 +470,7 @@ func (pr *Protocol) AddLink(name string, capacity float64) error {
 	if _, ok := pr.links[name]; ok {
 		return fmt.Errorf("%s: duplicate link %s", pr.rule.Name, name)
 	}
-	if capacity < 0 {
+	if !(capacity >= 0) || math.IsInf(capacity, 1) {
 		return fmt.Errorf("%w: %s = %v", ErrBadCapacity, name, capacity)
 	}
 	pr.links[name] = &linkState{name: name, capacity: capacity, explicit: pr.explicit()}
@@ -598,7 +598,7 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownLink, link)
 	}
-	if capacity < 0 {
+	if !(capacity >= 0) || math.IsInf(capacity, 1) {
 		return 0, fmt.Errorf("%w: %s = %v", ErrBadCapacity, link, capacity)
 	}
 	old := ls.capacity

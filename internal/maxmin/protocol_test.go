@@ -1,6 +1,7 @@
 package maxmin
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -461,5 +462,26 @@ func TestProtocolStaleBottleneckRegression(t *testing.T) {
 	}
 	if d := ref.MaxDiff(pr.Rates()); d > 1e-6 {
 		t.Fatalf("stale-bottleneck regression: diff %v\nproto %v\nref   %v", d, pr.Rates(), ref)
+	}
+}
+
+// TestProtocolRejectsNonFiniteCapacity: AddLink and TriggerCapacityChange
+// refuse a NaN or +Inf excess capacity with ErrBadCapacity, and a refused
+// change leaves the link as it was.
+func TestProtocolRejectsNonFiniteCapacity(t *testing.T) {
+	pr := NewProtocolOn(clock.Sim(des.New()), ProtocolOptions{})
+	if err := pr.AddLink("l", 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if err := pr.AddLink(fmt.Sprintf("l-%v", bad), bad); !errors.Is(err, ErrBadCapacity) {
+			t.Errorf("AddLink(%v) = %v, want ErrBadCapacity", bad, err)
+		}
+		if _, err := pr.TriggerCapacityChange("l", bad); !errors.Is(err, ErrBadCapacity) {
+			t.Errorf("TriggerCapacityChange(%v) = %v, want ErrBadCapacity", bad, err)
+		}
+		if got := pr.Problem().Capacity["l"]; got != 5 {
+			t.Fatalf("capacity after refusing %v = %v, want 5", bad, got)
+		}
 	}
 }

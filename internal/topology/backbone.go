@@ -2,7 +2,6 @@ package topology
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -75,11 +74,24 @@ func linkID(from, to NodeID) LinkID { return LinkID(string(from) + "->" + string
 type Backbone struct {
 	nodes map[NodeID]*Node
 	links map[LinkID]*Link
-	adj   map[NodeID][]*Link // outgoing links per node, in link-ID order
+	// index numbers the nodes densely in AddNode order; adj[i] holds node
+	// i's outgoing links in link-ID order, each with its head's number.
+	index map[NodeID]int
+	adj   [][]arc
 	// routes memoises ShortestPath per (src, dst). The graph only changes
 	// through AddNode and AddLink, which clear it; it holds at most one
-	// entry per pair asked for, hosts × cells in a simulation.
+	// entry per pair asked for, hosts × cells in a simulation. Each entry
+	// is a window of pool, which only ever grows: a window, once handed
+	// out, is never written again.
 	routes map[[2]NodeID][]*Link
+	pool   []*Link
+	search search
+}
+
+// arc is an outgoing link and the number of the node it leads to.
+type arc struct {
+	link *Link
+	to   int
 }
 
 // Errors returned by Backbone operations.
@@ -96,7 +108,7 @@ func NewBackbone() *Backbone {
 	return &Backbone{
 		nodes:  make(map[NodeID]*Node),
 		links:  make(map[LinkID]*Link),
-		adj:    make(map[NodeID][]*Link),
+		index:  make(map[NodeID]int),
 		routes: make(map[[2]NodeID][]*Link),
 	}
 }
@@ -111,6 +123,8 @@ func (b *Backbone) AddNode(n Node) (*Node, error) {
 	}
 	nn := n
 	b.nodes[n.ID] = &nn
+	b.index[n.ID] = len(b.adj)
+	b.adj = append(b.adj, nil)
 	clear(b.routes)
 	return &nn, nil
 }
@@ -143,9 +157,10 @@ func (b *Backbone) AddLink(l Link) (*Link, error) {
 	b.links[ll.ID] = &ll
 	// Kept in link-ID order, so route searches explore deterministically
 	// without sorting.
-	adj := b.adj[ll.From]
-	i, _ := slices.BinarySearchFunc(adj, ll.ID, func(l *Link, id LinkID) int { return cmp.Compare(l.ID, id) })
-	b.adj[ll.From] = slices.Insert(adj, i, &ll)
+	from := b.index[ll.From]
+	adj := b.adj[from]
+	i, _ := slices.BinarySearchFunc(adj, ll.ID, func(a arc, id LinkID) int { return cmp.Compare(a.link.ID, id) })
+	b.adj[from] = slices.Insert(adj, i, arc{link: &ll, to: b.index[ll.To]})
 	clear(b.routes)
 	return &ll, nil
 }
@@ -247,111 +262,147 @@ func (r Route) String() string {
 	return s
 }
 
-type dijkstraItem struct {
-	node NodeID
-	dist float64
-	idx  int
-}
-
-type dijkstraQueue []*dijkstraItem
-
-func (q dijkstraQueue) Len() int { return len(q) }
-func (q dijkstraQueue) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	return q[i].node < q[j].node // deterministic tiebreak
-}
-func (q dijkstraQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *dijkstraQueue) Push(x any) {
-	it := x.(*dijkstraItem)
-	it.idx = len(*q)
-	*q = append(*q, it)
-}
-func (q *dijkstraQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
-}
-
 // ShortestPath returns the minimum-cost route from src to dst, where a
 // link's cost is its propagation delay plus a constant per-hop charge, so
 // routes prefer fewer hops when delays tie. Deterministic for fixed input.
-// A pair asked for before is answered from the memo; the Route is the
-// caller's own either way.
+// A pair asked for before is answered from the memo. The Route's links
+// are the memo's, shared and read-only: a caller must not write through
+// them, and the slice is clipped to its length, so an append copies.
 func (b *Backbone) ShortestPath(src, dst NodeID) (Route, error) {
 	key := [2]NodeID{src, dst}
 	links, ok := b.routes[key]
 	if !ok {
-		r, err := b.dijkstra(src, dst)
-		if err != nil {
+		var err error
+		if links, err = b.dijkstra(src, dst); err != nil {
 			return Route{}, err
 		}
-		links = r.Links
 		b.routes[key] = links
 	}
-	return Route{Links: slices.Clone(links)}, nil
+	return Route{Links: links[:len(links):len(links)]}, nil
 }
 
-// dijkstra is ShortestPath's search, run once per pair and graph.
-func (b *Backbone) dijkstra(src, dst NodeID) (Route, error) {
-	if _, ok := b.nodes[src]; !ok {
-		return Route{}, fmt.Errorf("%w: %s", ErrUnknownNode, src)
+// search is dijkstra's scratch, indexed by node number and kept by the
+// Backbone between searches.
+type search struct {
+	dist    []float64
+	prev    []*Link
+	reached []bool // dist holds a tentative distance
+	done    []bool // settled
+	queue   []queued
+}
+
+// queued is a heap entry: a node's number, ID and tentative distance.
+type queued struct {
+	dist float64
+	id   NodeID
+	at   int
+}
+
+func (a queued) less(b queued) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	if _, ok := b.nodes[dst]; !ok {
-		return Route{}, fmt.Errorf("%w: %s", ErrUnknownNode, dst)
-	}
-	const hopCost = 1e-6
-	dist := map[NodeID]float64{src: 0}
-	prev := map[NodeID]*Link{}
-	visited := map[NodeID]bool{}
-	q := &dijkstraQueue{}
-	heap.Push(q, &dijkstraItem{node: src, dist: 0})
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*dijkstraItem)
-		if visited[it.node] {
-			continue
-		}
-		visited[it.node] = true
-		if it.node == dst {
+	return a.id < b.id // deterministic tiebreak
+}
+
+// push and pop are container/heap's Push and Pop on the value-typed
+// queue, step for step.
+func (s *search) push(it queued) {
+	s.queue = append(s.queue, it)
+	q := s.queue
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2
+		if i == j || !q[j].less(q[i]) {
 			break
 		}
-		for _, l := range b.adj[it.node] {
-			nd := it.dist + l.PropDelay + hopCost
-			if old, ok := dist[l.To]; !ok || nd < old {
-				dist[l.To] = nd
-				prev[l.To] = l
-				heap.Push(q, &dijkstraItem{node: l.To, dist: nd})
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (s *search) pop() queued {
+	q := s.queue
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].less(q[j]) {
+			j = j2
+		}
+		if !q[j].less(q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	s.queue = q[:n]
+	return q[n]
+}
+
+// dijkstra is ShortestPath's search, run once per pair and graph. It
+// appends the route to the pool and returns its window, whose capacity
+// runs on to the pool's end.
+func (b *Backbone) dijkstra(src, dst NodeID) ([]*Link, error) {
+	si, ok := b.index[src]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, src)
+	}
+	di, ok := b.index[dst]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, dst)
+	}
+	const hopCost = 1e-6
+	s := &b.search
+	if n := len(b.adj); len(s.dist) < n {
+		s.dist, s.prev = make([]float64, n), make([]*Link, n)
+		s.reached, s.done = make([]bool, n), make([]bool, n)
+	} else {
+		clear(s.prev)
+		clear(s.reached)
+		clear(s.done)
+	}
+	s.queue = s.queue[:0]
+	s.dist[si], s.reached[si] = 0, true
+	s.push(queued{dist: 0, id: src, at: si})
+	for len(s.queue) > 0 {
+		it := s.pop()
+		if s.done[it.at] {
+			continue
+		}
+		s.done[it.at] = true
+		if it.at == di {
+			break
+		}
+		for _, a := range b.adj[it.at] {
+			nd := it.dist + a.link.PropDelay + hopCost
+			if !s.reached[a.to] || nd < s.dist[a.to] {
+				s.dist[a.to], s.reached[a.to] = nd, true
+				s.prev[a.to] = a.link
+				s.push(queued{dist: nd, id: a.link.To, at: a.to})
 			}
 		}
 	}
-	if _, ok := dist[dst]; !ok || math.IsInf(dist[dst], 1) {
-		return Route{}, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
+	if !s.reached[di] || math.IsInf(s.dist[di], 1) {
+		return nil, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 	}
-	if src == dst {
-		return Route{}, nil
+	hops := 0
+	for at := di; at != si; at = b.index[s.prev[at].From] {
+		hops++
 	}
-	var links []*Link
-	for at := dst; at != src; {
-		l := prev[at]
-		if l == nil {
-			return Route{}, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
-		}
-		links = append(links, l)
-		at = l.From
+	if hops == 0 {
+		return nil, nil
 	}
-	// Reverse into forward order.
-	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
-		links[i], links[j] = links[j], links[i]
+	start := len(b.pool)
+	b.pool = slices.Grow(b.pool, hops)[:start+hops]
+	links := b.pool[start:]
+	for at := di; at != si; at = b.index[s.prev[at].From] {
+		hops--
+		links[hops] = s.prev[at]
 	}
-	return Route{Links: links}, nil
+	return links, nil
 }
 
 // MulticastTree is the union of routes from a source to several

@@ -8,7 +8,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"armnet/internal/sortx"
@@ -88,8 +87,10 @@ type Cell struct {
 }
 
 // Neighbors returns the cell's neighbor IDs in sorted order — the η(c)
-// function of Table 1. The slice is the caller's own.
-func (c *Cell) Neighbors() []CellID { return slices.Clone(c.neighbors) }
+// function of Table 1. The slice is the cell's own, shared and read-only
+// (Connect may rewrite it); it is clipped to its length, so an append
+// copies.
+func (c *Cell) Neighbors() []CellID { return c.neighbors[:len(c.neighbors):len(c.neighbors)] }
 
 // IsNeighbor reports whether id is a neighbor of this cell.
 func (c *Cell) IsNeighbor(id CellID) bool {

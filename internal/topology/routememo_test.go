@@ -9,6 +9,40 @@ import (
 	"testing"
 )
 
+type dijkstraItem struct {
+	node NodeID
+	dist float64
+	idx  int
+}
+
+type dijkstraQueue []*dijkstraItem
+
+func (q dijkstraQueue) Len() int { return len(q) }
+func (q dijkstraQueue) Less(i, j int) bool {
+	if q[i].dist != q[j].dist {
+		return q[i].dist < q[j].dist
+	}
+	return q[i].node < q[j].node // deterministic tiebreak
+}
+func (q dijkstraQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx = i
+	q[j].idx = j
+}
+func (q *dijkstraQueue) Push(x any) {
+	it := x.(*dijkstraItem)
+	it.idx = len(*q)
+	*q = append(*q, it)
+}
+func (q *dijkstraQueue) Pop() any {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return it
+}
+
 // shortestPathFresh is the reference ShortestPath is checked against: the
 // search as it ran before routes were memoised and adjacency lists kept
 // in link-ID order — nothing remembered between calls, every popped
@@ -71,9 +105,9 @@ func sameOutcome(got Route, gotErr error, want Route, wantErr error) bool {
 
 // TestShortestPathMemo asks for every ordered pair of nodes on three
 // topologies twice — the search, then the memo — and requires the same
-// links, pointer for pointer, as the un-memoised reference; then pins the
-// memo's edges: graph mutations invalidate it, failures are not
-// remembered, and a caller writing through a Route cannot poison it.
+// links, pointer for pointer, as the un-memoised reference, also after an
+// append to every route handed out; then pins the memo's edges: graph
+// mutations invalidate it and failures are not remembered.
 func TestShortestPathMemo(t *testing.T) {
 	campus, err := BuildCampus()
 	if err != nil {
@@ -87,19 +121,38 @@ func TestShortestPathMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	poison := &Link{ID: "poison"}
 	for name, env := range map[string]*Environment{"campus": campus, "grid": grid, "corridor": corridor} {
 		b := env.Backbone
 		b.MustAddNode(Node{ID: "island"}) // every pair with it is ErrNoRoute
 		nodes := append(b.Nodes(), &Node{ID: "missing"})
+		type ref struct {
+			r   Route
+			err error
+		}
+		refs := map[[2]NodeID]ref{}
+		var handed []Route
 		for _, s := range nodes {
 			for _, d := range nodes {
 				want, wantErr := b.shortestPathFresh(s.ID, d.ID)
+				refs[[2]NodeID{s.ID, d.ID}] = ref{want, wantErr}
 				for _, pass := range []string{"search", "memo"} {
 					got, err := b.ShortestPath(s.ID, d.ID)
 					if !sameOutcome(got, err, want, wantErr) {
 						t.Fatalf("%s %s->%s (%s): %v, %v; reference %v, %v", name, s.ID, d.ID, pass, got, err, want, wantErr)
 					}
+					handed = append(handed, got)
 				}
+			}
+		}
+		// Routes share the memo: an append must copy, not run on into
+		// the routes memoised after the one appended to.
+		for _, r := range handed {
+			_ = append(r.Links, poison)
+		}
+		for pair, want := range refs {
+			if got, err := b.ShortestPath(pair[0], pair[1]); !sameOutcome(got, err, want.r, want.err) {
+				t.Fatalf("%s %s->%s after every route was appended to: %v, %v; reference %v", name, pair[0], pair[1], got, err, want.r)
 			}
 		}
 	}
@@ -115,9 +168,9 @@ func TestShortestPathMemo(t *testing.T) {
 	if err != nil || r.Hops() != 3 {
 		t.Fatalf("a->d = %v, %v", r, err)
 	}
-	r.Links[0], r.Links[2] = nil, r.Links[0]
+	_ = append(r.Links, poison)
 	if again, err := b.ShortestPath("a", "d"); err != nil || again.String() != "a -> b -> c -> d" {
-		t.Fatalf("a->d after the caller overwrote its route: %v, %v", again, err)
+		t.Fatalf("a->d after the caller appended to its route: %v, %v", again, err)
 	}
 	if _, err := b.AddLink(Link{From: "a", To: "d", Capacity: 1, PropDelay: 1e-3}); err != nil {
 		t.Fatal(err)
@@ -140,8 +193,8 @@ func TestShortestPathMemo(t *testing.T) {
 	}
 }
 
-// TestShortestPathHitAllocs: a memoised pair costs the clone that makes
-// the Route the caller's own, and nothing else.
+// TestShortestPathHitAllocs: a memoised pair is a map read; the Route
+// shares the memo's links.
 func TestShortestPathHitAllocs(t *testing.T) {
 	env, err := BuildCampus()
 	if err != nil {
@@ -151,7 +204,31 @@ func TestShortestPathHitAllocs(t *testing.T) {
 	if _, err := env.Backbone.ShortestPath(src, dst); err != nil {
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(1000, func() { _, _ = env.Backbone.ShortestPath(src, dst) }); got > 1 {
-		t.Fatalf("a memoised ShortestPath allocates %v/op, want at most 1", got)
+	if got := testing.AllocsPerRun(1000, func() { _, _ = env.Backbone.ShortestPath(src, dst) }); got != 0 {
+		t.Fatalf("a memoised ShortestPath allocates %v/op, want 0", got)
+	}
+}
+
+// TestNeighborsAppendCopies: Neighbors hands out the cell's own list, so
+// a caller that appends to it must get a copy — otherwise its element
+// would sit in the list's spare room, where the next Connect writes.
+func TestNeighborsAppendCopies(t *testing.T) {
+	env, err := BuildCampus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := env.Universe
+	cells := u.Cells()
+	u.MustAddCell(Cell{ID: "~last"}) // sorts after every campus cell
+	for _, c := range cells {
+		nb := c.Neighbors()
+		mine := append(nb, "~mine")
+		u.MustConnect(c.ID, "~last")
+		if got := mine[len(nb)]; got != "~mine" {
+			t.Fatalf("%s: Connect overwrote the caller's appended neighbor with %q", c.ID, got)
+		}
+		if got := c.Neighbors(); !slices.Equal(got, append(slices.Clone(nb), "~last")) {
+			t.Fatalf("%s: neighbors %v after Connect, want %v + ~last", c.ID, got, nb)
+		}
 	}
 }

@@ -5,6 +5,7 @@ package wireless
 
 import (
 	"fmt"
+	"math"
 
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
@@ -47,12 +48,12 @@ func NewCapacityProcess(levels []float64, dwellMean float64, weights []float64, 
 		return nil, fmt.Errorf("wireless: capacity process needs at least one level")
 	}
 	for i, l := range levels {
-		if l <= 0 {
-			return nil, fmt.Errorf("wireless: level %d capacity %v must be positive", i, l)
+		if !(l > 0) || math.IsInf(l, 1) {
+			return nil, fmt.Errorf("wireless: level %d capacity %v must be positive and finite", i, l)
 		}
 	}
-	if dwellMean <= 0 {
-		return nil, fmt.Errorf("wireless: dwell mean must be positive, got %v", dwellMean)
+	if !(dwellMean > 0) || math.IsInf(dwellMean, 1) {
+		return nil, fmt.Errorf("wireless: dwell mean must be positive and finite, got %v", dwellMean)
 	}
 	if weights != nil && len(weights) != len(levels) {
 		return nil, fmt.Errorf("wireless: %d weights for %d levels", len(weights), len(levels))

@@ -1,6 +1,7 @@
 package wireless
 
 import (
+	"math"
 	"testing"
 
 	"armnet/internal/des"
@@ -113,5 +114,20 @@ func TestOverlappingBlackoutsExtend(t *testing.T) {
 	}
 	if got := proc.Capacity(); got != 1e6 {
 		t.Fatalf("capacity = %v after extended blackout, want 1e6", got)
+	}
+}
+
+// TestCapacityProcessRejectsNonFinite: NaN fails every comparison, so a
+// "reject when <= 0" test let a NaN level or dwell through, and +Inf
+// passed it outright.
+func TestCapacityProcessRejectsNonFinite(t *testing.T) {
+	rng := randx.New(1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewCapacityProcess([]float64{1e6, bad}, 1, nil, rng); err == nil {
+			t.Errorf("level %v accepted", bad)
+		}
+		if _, err := NewCapacityProcess([]float64{1e6, 5e5}, bad, nil, rng); err == nil {
+			t.Errorf("dwell mean %v accepted", bad)
+		}
 	}
 }
