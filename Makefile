@@ -95,12 +95,15 @@ perf-counts:
 
 ## loc: the ROADMAP scoreboard — non-test and test Go lines and the
 ## package counts of the root module (bench/ and its build directory
-## excluded). Record before/after in each PR's CHANGES.md entry.
+## excluded), and the export surface of internal/ as TestExportsAreUsed
+## counts it (its -v log has the per-package counts). Record before/after
+## in each PR's CHANGES.md entry.
 LOCFIND = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
 loc:
 	@echo "non-test Go lines: $$($(LOCFIND) -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$($(LOCFIND) -name '*_test.go' | xargs cat | wc -l)"
 	@echo "packages:          $$($(GO) list ./... | wc -l) ($$($(GO) list ./internal/... | wc -l) under internal/)"
+	@$(GO) test -run '^TestExportsAreUsed$$' -count=1 -v . | sed -n 's|.*exported names in internal/: \([0-9]*\); \*Config/\*Options fields: \([0-9]*\)|exported names:    \1 in internal/ (\2 *Config/*Options fields)|p'
 
 ## trace-determinism: the event-stream replication gate — the full JSONL
 ## trace of every reservation mode and the output of every multi-trial

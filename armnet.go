@@ -48,14 +48,12 @@ import (
 	"armnet/internal/faults"
 	"armnet/internal/obs"
 	"armnet/internal/overload"
-	"armnet/internal/profile"
 	"armnet/internal/qos"
 	"armnet/internal/reserve"
 	"armnet/internal/sched"
 	"armnet/internal/signal"
 	"armnet/internal/strategy"
 	"armnet/internal/topology"
-	"armnet/internal/wireless"
 )
 
 // Re-exported QoS vocabulary (see internal/qos for full documentation).
@@ -380,7 +378,7 @@ func (n *Network) Renegotiate(connID string, bounds Bounds) error {
 // AttachChannel gives a cell a time-varying effective capacity drawn from
 // the given levels with the given mean dwell; every change triggers the
 // eq. (2) adaptation path.
-func (n *Network) AttachChannel(cell CellID, levels []float64, dwellMean float64) (*wireless.CapacityProcess, error) {
+func (n *Network) AttachChannel(cell CellID, levels []float64, dwellMean float64) error {
 	return n.mgr.AttachChannel(cell, levels, dwellMean)
 }
 
@@ -388,7 +386,7 @@ func (n *Network) AttachChannel(cell CellID, levels []float64, dwellMean float64
 // unknown, returning those whose class was inferred from their observed
 // handoff behaviour.
 func (n *Network) LearnClasses() []CellID {
-	return n.mgr.LearnClasses(profile.ClassifyOptions{})
+	return n.mgr.LearnClasses()
 }
 
 // Manager exposes the underlying resource manager for advanced use

@@ -184,7 +184,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Channel variation drives adaptation.
-	if _, err := net.AttachChannel("off-1", []float64{1.6e6, 800e3}, 50); err != nil {
+	if err := net.AttachChannel("off-1", []float64{1.6e6, 800e3}, 50); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.RunUntil(600); err != nil {
@@ -282,7 +282,7 @@ func TestAttachChannelRejectsNonFinite(t *testing.T) {
 		{"NaN dwell", []float64{1e6, 5e5}, math.NaN()},
 		{"+Inf dwell", []float64{1e6, 5e5}, math.Inf(1)},
 	} {
-		if _, err := net.AttachChannel("off-1", c.levels, c.dwell); err == nil {
+		if err := net.AttachChannel("off-1", c.levels, c.dwell); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
 	}

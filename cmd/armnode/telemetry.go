@@ -87,7 +87,7 @@ func (t *nodeTelemetry) close() { t.srv.Close() }
 // telemetry is armed: every epoch report arrives as one JSONL line, so
 // counting newlines drives the /healthz progress counter. The bytes
 // themselves are discarded — the caller still gets the full stream from
-// SoakResult.ReportJSONL.
+// the soak result's ReportJSONL.
 type epochCounter struct{ t *nodeTelemetry }
 
 func (c epochCounter) Write(p []byte) (int, error) {

@@ -88,7 +88,7 @@ func TestArmnodeTelemetryNodeMode(t *testing.T) {
 	nt := &nodeTelemetry{mode: "node", ctl: nil, recs: []*live.NodeRecorder{rec}, total: 1}
 	h := telemetry.NewHandler(nt.options())
 
-	rec.FrameRx(wire.THello, 12)
+	rec.FrameRx(wire.Hello{}.WireType(), 12)
 	code, body := telemetryGet(t, h, "/metrics")
 	if code != 200 || !strings.Contains(body, `armnet_wire_frames_rx_total{kind="hello",node="east"} 1`) {
 		t.Fatalf("node metrics: %d %q", code, body)

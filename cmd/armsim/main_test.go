@@ -205,3 +205,25 @@ func TestArmsimRejectsNonFiniteDuration(t *testing.T) {
 		}
 	}
 }
+
+// TestArmsimRejectsBadBackbone: a topology file whose backbone section is
+// out of range is refused with an error within seconds (a negative wired
+// delay once spun armsim at full CPU, and a wireless loss above 1
+// silently blocked every connection).
+func TestArmsimRejectsBadBackbone(t *testing.T) {
+	for _, backbone := range []string{`{"wiredDelay": -5}`, `{"wirelessLoss": 1.7}`, `{"wirelessLoss": -0.5}`, `{"hosts": -1}`} {
+		sc := flagDefaults()
+		sc.duration = 600
+		sc.topoFile = writeFile(t, "topo.json", `{"cells": [{"id": "off-1", "class": "office"}], "backbone": `+backbone+`}`)
+		done := make(chan error, 1)
+		go func() { done <- run(sc, 1, 1, 1, io.Discard, io.Discard) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("backbone %s accepted", backbone)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("backbone %s: armsim still running after 5 s", backbone)
+		}
+	}
+}

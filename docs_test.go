@@ -3,10 +3,14 @@ package armnet_test
 import (
 	"context"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -455,4 +459,363 @@ func TestTheorem1BlockMatches(t *testing.T) {
 			t.Errorf("%s:%d reads %q; the experiment prints %q", doc, first+k, got, w)
 		}
 	}
+}
+
+// exportScan is a go/types view of every non-test package of the root
+// module and of bench/ (its own module, loaded by path): which other
+// packages reference each object, and which interface methods some
+// non-test code calls.
+type exportScan struct {
+	fset  *token.FileSet
+	std   types.Importer
+	dirs  map[string]string // import path → directory
+	pkgs  map[string]*types.Package
+	users map[types.Object]map[string]bool
+	// called holds, by name, every interface method non-test code calls —
+	// a module interface's, a generic constraint's or, since the standard
+	// library's callers are not scanned, every standard-library one.
+	called map[string][]*types.Func
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// scanExports loads every package directory under the repository root —
+// the root module's and bench/'s alike, since bench/'s `replace armnet
+// => ../` makes its imports resolve to the same directories.
+func scanExports(t *testing.T) *exportScan {
+	t.Helper()
+	s := &exportScan{
+		fset:   token.NewFileSet(),
+		dirs:   map[string]string{},
+		pkgs:   map[string]*types.Package{},
+		users:  map[types.Object]map[string]bool{},
+		called: map[string][]*types.Func{},
+	}
+	s.std = importer.ForCompiler(s.fset, "gc", nil)
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(dir, 0); err == nil {
+			s.dirs[path.Join("armnet", filepath.ToSlash(dir))] = dir
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range sortedKeys(s.dirs) {
+		if _, err := s.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	for _, p := range s.pkgs {
+		s.stdInterfaces(p, seen)
+	}
+	s.call(types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0))
+	return s
+}
+
+// call records m as an interface method non-test code calls.
+func (s *exportScan) call(m *types.Func) {
+	if !slices.Contains(s.called[m.Name()], m) {
+		s.called[m.Name()] = append(s.called[m.Name()], m)
+	}
+}
+
+// Import type-checks a module package from its non-test files and
+// records what it references; a standard-library path goes to export data.
+func (s *exportScan) Import(p string) (*types.Package, error) {
+	if pkg, ok := s.pkgs[p]; ok {
+		return pkg, nil
+	}
+	dir, ok := s.dirs[p]
+	if !ok {
+		return s.std.Import(p)
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := (&types.Config{Importer: s}).Check(p, s.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	s.pkgs[p] = pkg
+	for _, obj := range info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+			if recv := o.Origin().Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				s.call(o.Origin())
+			}
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if obj.Pkg() != nil && obj.Pkg() != pkg && strings.HasPrefix(obj.Pkg().Path(), "armnet/internal/") {
+			if s.users[obj] == nil {
+				s.users[obj] = map[string]bool{}
+			}
+			s.users[obj][p] = true
+		}
+	}
+	return pkg, nil
+}
+
+// stdInterfaces counts every method of every interface the standard
+// library declares, in the packages p reaches, as called.
+func (s *exportScan) stdInterfaces(p *types.Package, seen map[*types.Package]bool) {
+	for _, imp := range p.Imports() {
+		if seen[imp] {
+			continue
+		}
+		seen[imp] = true
+		if _, ours := s.dirs[imp.Path()]; !ours {
+			for _, name := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+					iface := tn.Type().Underlying().(*types.Interface)
+					for i := range iface.NumMethods() {
+						s.call(iface.Method(i))
+					}
+				}
+			}
+		}
+		s.stdInterfaces(imp, seen)
+	}
+}
+
+// implementsCalled reports whether method m implements an interface
+// method that non-test code calls, on its receiver's type or on a type
+// that promotes it by embedding.
+func (s *exportScan) implementsCalled(m *types.Func) bool {
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, _ := recv.(*types.Named)
+	if named == nil || named.TypeParams().Len() > 0 {
+		return len(s.called[m.Name()]) > 0 // a generic receiver: the name is evidence enough
+	}
+	holders := []*types.Named{named}
+	for _, p := range s.pkgs {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Type() != named {
+				if t, ok := tn.Type().(*types.Named); ok && t.TypeParams().Len() == 0 {
+					if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, m.Pkg(), m.Name()); obj == m {
+						holders = append(holders, t)
+					}
+				}
+			}
+		}
+	}
+	for _, im := range s.called[m.Name()] {
+		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, t := range holders {
+			for _, v := range []types.Type{t, types.NewPointer(t)} {
+				if iface.IsMethodSet() && types.Implements(v, iface) || !iface.IsMethodSet() && types.Satisfies(v, iface) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// exported lists the names TestExportsAreUsed holds to a use in another
+// package, for the internal/ package p: its exported funcs, types,
+// consts and vars, the exported methods of its named types (an
+// interface's only when the interface is exported) and the exported
+// fields of its *Config and *Options structs — each keyed `pkg.Name`,
+// `pkg.Type.Method` or `pkg.Type.Field`, pkg relative to internal/.
+func (s *exportScan) exported(p *types.Package) map[string]types.Object {
+	rel := strings.TrimPrefix(p.Path(), "armnet/internal/")
+	names := map[string]types.Object{}
+	for _, name := range p.Scope().Names() {
+		obj := p.Scope().Lookup(name)
+		if obj.Exported() {
+			names[rel+"."+name] = obj
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named := tn.Type().(*types.Named)
+		if iface, ok := named.Underlying().(*types.Interface); ok {
+			for i := range iface.NumExplicitMethods() {
+				if m := iface.ExplicitMethod(i); m.Exported() && obj.Exported() {
+					names[rel+"."+name+"."+m.Name()] = m
+				}
+			}
+			continue
+		}
+		for i := range named.NumMethods() {
+			if m := named.Method(i); m.Exported() {
+				names[rel+"."+name+"."+m.Name()] = m
+			}
+		}
+		if st, ok := named.Underlying().(*types.Struct); ok && obj.Exported() && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					names[rel+"."+name+"."+f.Name()] = f
+				}
+			}
+		}
+	}
+	return names
+}
+
+// used reports whether a non-test file of another package references
+// obj, or obj is a method that implements an interface method non-test
+// code calls, or an interface method a type of another package implements.
+func (s *exportScan) used(obj types.Object) bool {
+	if len(s.users[obj]) > 0 {
+		return true
+	}
+	m, ok := obj.(*types.Func)
+	if !ok || m.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if !types.IsInterface(recv) {
+		return s.implementsCalled(m)
+	}
+	iface := recv.Underlying().(*types.Interface)
+	for _, p := range s.pkgs {
+		if p == obj.Pkg() {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if ok && !types.IsInterface(tn.Type()) && (types.Implements(tn.Type(), iface) || types.Implements(types.NewPointer(tn.Type()), iface)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// unusedExports lists the exported names of internal/ no other package's
+// non-test code uses, and logs the per-package counts.
+func unusedExports(t *testing.T, s *exportScan) []string {
+	var unused []string
+	total, fields := 0, 0
+	for _, p := range sortedKeys(s.pkgs) {
+		if !strings.HasPrefix(p, "armnet/internal/") {
+			continue
+		}
+		names := s.exported(s.pkgs[p])
+		for name, obj := range names {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				fields++
+			}
+			if !s.used(obj) {
+				unused = append(unused, name)
+			}
+		}
+		total += len(names)
+		t.Logf("exported names %-16s %4d", strings.TrimPrefix(p, "armnet/internal/"), len(names))
+	}
+	t.Logf("exported names in internal/: %d; *Config/*Options fields: %d", total, fields)
+	slices.Sort(unused)
+	return unused
+}
+
+// exportAllowlist holds the exported names of internal/ that no other
+// package's non-test code uses but that stay exported, each with its
+// reason; an entry without a dot covers a whole package.
+var exportAllowlist = map[string]string{
+	"sched":     "ROADMAP item 8 (packets under the walk) decides the packet-level packages",
+	"dataplane": "ROADMAP item 8 (packets under the walk) decides the packet-level packages",
+
+	"adapt.Manager.Allocation":         "test oracle: strategy's property tests read each connection's allocation",
+	"adapt.Manager.Degraded":           "test oracle: strategy's property tests read a connection's degraded state",
+	"faults.Auditor.CheckConservation": "test oracle: strategy's property tests audit ledger conservation",
+	"mobility.Trace.Validate":          "test oracle: cmd/tracegen's tests validate the traces it writes",
+	"profile.Server.Portables":         "test oracle: core's zone-migration test reads which portables a server holds",
+	"stats.Welford.Std":                "test oracle: dataplane's tests bound the delay jitter",
+	"raceflag.Enabled":                 "test oracle: allocation-budget tests of other packages skip under -race",
+	"telemetry.NewHandler":             "test oracle: the armsim and armnode tests serve the mux without a socket",
+	"testnet.CampusScript":             "test oracle: bench/'s own tests call it",
+	"qos.ErrBandwidthBounds":           "errors.Is sentinel: core's tests match OpenConnection's refusal with it",
+
+	"topology.BackboneOptions.Hosts":         "input decoded from JSON: the backbone section of a topology file",
+	"topology.BackboneOptions.WiredCapacity": "input decoded from JSON: the backbone section of a topology file",
+	"topology.BackboneOptions.WiredDelay":    "input decoded from JSON: the backbone section of a topology file",
+	"topology.BackboneOptions.WirelessLoss":  "input decoded from JSON: the backbone section of a topology file",
+
+	"sim.BoundsConfig.Duration":       "ROADMAP item 21 decides: only the root package's ablation benchmarks set it",
+	"sim.GridConfig.Duration":         "ROADMAP item 21 decides: only the root package's scale benchmark sets it",
+	"sim.GridConfig.Seed":             "ROADMAP item 21 decides: only the root package's scale benchmark sets it",
+	"sim.Figure6Config.Horizon":       "ROADMAP item 21 decides: only the root package's tests and benchmarks set it",
+	"sim.Figure6Config.PQoS":          "ROADMAP item 21 decides: only the root package's tests and benchmarks set it",
+	"sim.Figure6Config.Seed":          "ROADMAP item 21 decides: only the root package's tests and benchmarks set it",
+	"sim.Figure6Config.T":             "ROADMAP item 21 decides: only the root package's tests and benchmarks set it",
+	"sim.Figure6Config.Static":        "ROADMAP item 21 decides: only the root package's static-reservation ablation sets it",
+	"sim.Figure6Config.StaticReserve": "ROADMAP item 21 decides: only the root package's static-reservation ablation sets it",
+	"sim.StrategyPair.Label":          "ROADMAP item 21 decides: only the root package's arena Example and benchmark print it",
+	"sim.personaResult.Accuracy":      "ROADMAP item 21 decides: only the root package's Figure 4 Example and benchmark print it",
+}
+
+// TestExportsAreUsed holds the export surface of internal/ to its use
+// surface: every exported func, type, method, const and var of an
+// internal/ package, and every exported field of a *Config or *Options
+// struct, must be referenced by a non-test file of another package of
+// the root module or of bench/ — or, for a method, implement an
+// interface method that non-test code calls — unless exportAllowlist
+// says why not. A name only its own package uses is unexported; a name
+// nothing uses is deleted. Run with -v for the per-package counts.
+func TestExportsAreUsed(t *testing.T) {
+	s := scanExports(t)
+	needed := map[string]bool{}
+	for _, name := range unusedExports(t, s) {
+		pkg := name[:strings.Index(name, ".")]
+		switch {
+		case exportAllowlist[name] != "":
+			needed[name] = true
+		case exportAllowlist[pkg] != "":
+			needed[pkg] = true
+		default:
+			t.Errorf("%s is exported, but no non-test code of another package uses it", name)
+		}
+	}
+	for name := range exportAllowlist {
+		if !needed[name] {
+			t.Errorf("exportAllowlist holds %s, which is used or gone: drop the entry", name)
+		}
+	}
+
+	t.Run("bench is a user", func(t *testing.T) {
+		for _, name := range []string{"wire.Encode", "des.Simulator.Run"} {
+			var obj types.Object
+			for _, p := range s.pkgs {
+				if o, ok := s.exported(p)[name]; ok {
+					obj = o
+				}
+			}
+			if users := sortedKeys(s.users[obj]); !slices.Equal(users, []string{"armnet/bench"}) {
+				t.Errorf("%s is used by %v, want bench/ alone — pick another name bench/ alone uses", name, users)
+			}
+		}
+	})
 }

@@ -330,17 +330,14 @@ at 300 crash-signaling
 func ExampleNetwork_LearnClasses() {
 	// An unlabeled wing: in reality an office, two corridor segments and
 	// a lounge — but the network does not know that yet.
-	u := armnet.NewUniverse()
-	u.MustAddCell(armnet.Cell{ID: "room-1", Class: armnet.ClassUnknown, Capacity: 1.6e6,
-		Occupants: []string{"prof"}})
-	for _, id := range []armnet.CellID{"hall-1", "hall-2", "commons"} {
-		u.MustAddCell(armnet.Cell{ID: id, Class: armnet.ClassUnknown, Capacity: 1.6e6})
-	}
-	u.MustConnect("room-1", "hall-1")
-	u.MustConnect("hall-1", "hall-2")
-	u.MustConnect("hall-2", "commons")
-	bb, hosts, _ := armnet.BuildBackbone(u, armnet.BackboneOptions{})
-	env := &armnet.Environment{Universe: u, Backbone: bb, Hosts: hosts}
+	env, _ := armnet.EnvironmentFromJSON(strings.NewReader(`{
+	  "cells": [
+	    {"id": "room-1", "occupants": ["prof"]},
+	    {"id": "hall-1"}, {"id": "hall-2"}, {"id": "commons"}
+	  ],
+	  "edges": [["room-1", "hall-1"], ["hall-1", "hall-2"], ["hall-2", "commons"]]
+	}`))
+	u := env.Universe
 	net, _ := armnet.NewNetwork(env, armnet.Config{Seed: 5})
 
 	fmt.Println("before observation:")
@@ -583,8 +580,7 @@ func ExampleRunTable2() {
 	r, _ := armnet.RunTable2(armnet.Table2Config{})
 	fmt.Printf("admitted=%v bandwidth=%.0f hops=%d\n",
 		r.Admitted, r.Bandwidth, len(r.Hops))
-	fmt.Printf("delay floor %.4fs within bound %.1fs\n",
-		r.DelayFloor, r.Config.Request.Delay)
+	fmt.Printf("delay floor %.4fs within bound 2.0s\n", r.DelayFloor)
 	// Output:
 	// admitted=true bandwidth=64000 hops=3
 	// delay floor 0.6408s within bound 2.0s

@@ -16,9 +16,8 @@ type (
 	Figure4Config = sim.Figure4Config
 	Figure4Result = sim.Figure4Result
 
-	// Figure5Config / Figure5Result: §7.1 meeting-room reservation
-	// comparison (brute force vs aggregation vs booking calendar).
-	Figure5Config = sim.Figure5Config
+	// Figure5Result: §7.1 meeting-room reservation comparison (brute
+	// force vs aggregation vs booking calendar).
 	Figure5Result = sim.Figure5Result
 	Fig5Algorithm = sim.Fig5Algorithm
 
@@ -89,7 +88,6 @@ const (
 var (
 	RunFigure2           = sim.RunFigure2
 	RunFigure4           = sim.RunFigure4
-	RunFigure5           = sim.RunFigure5
 	RunFigure5Comparison = sim.RunFigure5Comparison
 	RunFigure6           = sim.RunFigure6
 	RunFigure6Sweep      = sim.RunFigure6Sweep

@@ -31,8 +31,8 @@ import (
 	"armnet/internal/topology"
 )
 
-// ErrUnknownConn is returned when operating on an unregistered connection.
-var ErrUnknownConn = errors.New("adapt: unknown connection")
+// errUnknownConn is returned when operating on an unregistered connection.
+var errUnknownConn = errors.New("adapt: unknown connection")
 
 // connInfo tracks one adaptable connection.
 type connInfo struct {
@@ -168,7 +168,7 @@ func (m *Manager) Unregister(connID string) {
 func (m *Manager) SetMobility(connID string, mob qos.Mobility) error {
 	ci, ok := m.conns[connID]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownConn, connID)
+		return fmt.Errorf("%w: %s", errUnknownConn, connID)
 	}
 	if ci.mobility == mob {
 		return nil
@@ -315,7 +315,7 @@ func (m *Manager) applyUpdate(connID string, rate float64) {
 func (m *Manager) Allocation(connID string) (float64, error) {
 	ci, ok := m.conns[connID]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownConn, connID)
+		return 0, fmt.Errorf("%w: %s", errUnknownConn, connID)
 	}
 	if len(ci.route.Links) == 0 {
 		return ci.bounds.Min, nil

@@ -21,10 +21,16 @@ func rig(t *testing.T, conns []struct {
 	t.Helper()
 	b := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"host", "bs", "air"} {
-		b.MustAddNode(topology.Node{ID: id})
+		if _, err := b.AddNode(topology.Node{ID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.MustAddDuplex(topology.Link{From: "host", To: "bs", Capacity: 10e6, PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true})
+	if err := b.AddDuplex(topology.Link{From: "host", To: "bs", Capacity: 10e6, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true}); err != nil {
+		t.Fatal(err)
+	}
 	route, err := b.ShortestPath("host", "air")
 	if err != nil {
 		t.Fatal(err)

@@ -53,18 +53,15 @@ type Test struct {
 	BStamp float64
 	// Discipline selects the buffer formula (WFQ by default).
 	Discipline sched.Discipline
-	// LMax is the largest packet size on the path in bits; defaults to
-	// DefaultLMax when zero.
-	LMax float64
 }
 
-// DefaultLMax is the assumed maximum packet size (bits) when a test does
-// not specify one: 1 KB packets, typical for the paper's era.
-const DefaultLMax = 8 * 1024
+// lmax is the largest packet size on a path in bits: 1 KB packets,
+// typical for the paper's era.
+const lmax = 8 * 1024
 
-// HopReport records the per-link outcome of the forward pass and the
+// hopReport records the per-link outcome of the forward pass and the
 // reverse-pass relaxation for one hop.
-type HopReport struct {
+type hopReport struct {
 	Link         topology.LinkID
 	HopDelay     float64 // d_{l,j}
 	RelaxedDelay float64 // d'_{l,j}
@@ -92,16 +89,16 @@ type Result struct {
 	// Hops reports the hops the forward pass cleared. It is the
 	// controller's scratch: valid until the next Admit on the same
 	// Controller, so a caller that keeps it copies it.
-	Hops []HopReport
+	Hops []hopReport
 }
 
 // Rejection reasons (stable strings, also used by stats).
 const (
 	ReasonBandwidth = "bandwidth"
-	ReasonDelay     = "delay"
-	ReasonJitter    = "jitter"
-	ReasonBuffer    = "buffer"
-	ReasonLoss      = "loss"
+	reasonDelay     = "delay"
+	reasonJitter    = "jitter"
+	reasonBuffer    = "buffer"
+	reasonLoss      = "loss"
 )
 
 // ErrValidation wraps malformed test inputs.
@@ -128,7 +125,7 @@ type Controller struct {
 	// admit's per-hop scratch: a Controller is one goroutine's, like its Ledger.
 	states     []*LinkState
 	caps, loss []float64
-	hops       []HopReport
+	hops       []hopReport
 }
 
 // NewController returns a controller over the given ledger.
@@ -161,10 +158,6 @@ func (c *Controller) admit(t Test) (Result, error) {
 	}
 	if len(t.Route.Links) == 0 {
 		return Result{}, fmt.Errorf("%w: empty route", ErrValidation)
-	}
-	lmax := t.LMax
-	if lmax <= 0 {
-		lmax = DefaultLMax
 	}
 	bmin := t.Req.Bandwidth.Min
 	sigma := t.Req.Traffic.Sigma
@@ -202,7 +195,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 		// Jitter row at hop l.
 		jit := sched.JitterAtHop(sigma, lmax, bmin, l)
 		if jit > t.Req.Jitter {
-			res.Reason = ReasonJitter
+			res.Reason = reasonJitter
 			res.FailedLink = link.ID
 			return res, nil
 		}
@@ -227,11 +220,11 @@ func (c *Controller) admit(t Test) (Result, error) {
 			buf = sched.BufferWFQ(sigma, lmax, l)
 		}
 		if ls.SumBuffer()+buf > ls.BufferCapacity {
-			res.Reason = ReasonBuffer
+			res.Reason = reasonBuffer
 			res.FailedLink = link.ID
 			return res, nil
 		}
-		res.Hops = append(res.Hops, HopReport{
+		res.Hops = append(res.Hops, hopReport{
 			Link:     link.ID,
 			HopDelay: sched.HopDelay(lmax, bmin, ls.Capacity),
 			Jitter:   jit,
@@ -243,17 +236,17 @@ func (c *Controller) admit(t Test) (Result, error) {
 	// ---- Destination node tests ----
 	res.DelayFloor = delayFloor
 	if res.DelayFloor > t.Req.Delay {
-		res.Reason = ReasonDelay
+		res.Reason = reasonDelay
 		return res, nil
 	}
 	res.EndToEndJitter = sched.JitterAtHop(sigma, lmax, bmin, n)
 	if res.EndToEndJitter > t.Req.Jitter {
-		res.Reason = ReasonJitter
+		res.Reason = reasonJitter
 		return res, nil
 	}
 	res.EndToEndLoss = sched.LossOnPath(lossPerLink)
 	if res.EndToEndLoss > t.Req.Loss {
-		res.Reason = ReasonLoss
+		res.Reason = reasonLoss
 		return res, nil
 	}
 

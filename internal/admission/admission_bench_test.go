@@ -13,12 +13,22 @@ func benchRig(b *testing.B) (*Controller, topology.Route) {
 	b.Helper()
 	bb := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"h", "s1", "s2", "bs", "air"} {
-		bb.MustAddNode(topology.Node{ID: id})
+		if _, err := bb.AddNode(topology.Node{ID: id}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	bb.MustAddDuplex(topology.Link{From: "h", To: "s1", Capacity: 100e6, PropDelay: 1e-3})
-	bb.MustAddDuplex(topology.Link{From: "s1", To: "s2", Capacity: 100e6, PropDelay: 1e-3})
-	bb.MustAddDuplex(topology.Link{From: "s2", To: "bs", Capacity: 100e6, PropDelay: 1e-3})
-	bb.MustAddDuplex(topology.Link{From: "bs", To: "air", Capacity: 100e6, Wireless: true, LossProb: 0.005})
+	if err := bb.AddDuplex(topology.Link{From: "h", To: "s1", Capacity: 100e6, PropDelay: 1e-3}); err != nil {
+		b.Fatal(err)
+	}
+	if err := bb.AddDuplex(topology.Link{From: "s1", To: "s2", Capacity: 100e6, PropDelay: 1e-3}); err != nil {
+		b.Fatal(err)
+	}
+	if err := bb.AddDuplex(topology.Link{From: "s2", To: "bs", Capacity: 100e6, PropDelay: 1e-3}); err != nil {
+		b.Fatal(err)
+	}
+	if err := bb.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 100e6, Wireless: true, LossProb: 0.005}); err != nil {
+		b.Fatal(err)
+	}
 	r, err := bb.ShortestPath("h", "air")
 	if err != nil {
 		b.Fatal(err)

@@ -17,11 +17,19 @@ func threeHop(t *testing.T, caps [3]float64) (*topology.Backbone, topology.Route
 	t.Helper()
 	b := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"host", "sw", "bs", "air"} {
-		b.MustAddNode(topology.Node{ID: id})
+		if _, err := b.AddNode(topology.Node{ID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.MustAddDuplex(topology.Link{From: "host", To: "sw", Capacity: caps[0], PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "sw", To: "bs", Capacity: caps[1], PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "bs", To: "air", Capacity: caps[2], Wireless: true, LossProb: 0.005})
+	if err := b.AddDuplex(topology.Link{From: "host", To: "sw", Capacity: caps[0], PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "sw", To: "bs", Capacity: caps[1], PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: caps[2], Wireless: true, LossProb: 0.005}); err != nil {
+		t.Fatal(err)
+	}
 	r, err := b.ShortestPath("host", "air")
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +159,7 @@ func TestDelayRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Admitted || res.Reason != ReasonDelay {
+	if res.Admitted || res.Reason != reasonDelay {
 		t.Fatalf("admitted=%v reason=%s, want delay rejection", res.Admitted, res.Reason)
 	}
 }
@@ -165,7 +173,7 @@ func TestJitterRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Admitted || res.Reason != ReasonJitter {
+	if res.Admitted || res.Reason != reasonJitter {
 		t.Fatalf("admitted=%v reason=%s, want jitter rejection", res.Admitted, res.Reason)
 	}
 }
@@ -179,7 +187,7 @@ func TestLossRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Admitted || res.Reason != ReasonLoss {
+	if res.Admitted || res.Reason != reasonLoss {
 		t.Fatalf("admitted=%v reason=%s, want loss rejection", res.Admitted, res.Reason)
 	}
 }
@@ -194,7 +202,7 @@ func TestBufferRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Admitted || res.Reason != ReasonBuffer {
+	if res.Admitted || res.Reason != reasonBuffer {
 		t.Fatalf("admitted=%v reason=%s, want buffer rejection", res.Admitted, res.Reason)
 	}
 	if res.FailedLink != route.Links[1].ID {
@@ -294,13 +302,13 @@ func TestSetCapacityAndAdvanceClamping(t *testing.T) {
 	if err := lg.SetCapacity("nope", 1); !errors.Is(err, ErrUnknownLink) {
 		t.Fatalf("unknown link error = %v", err)
 	}
-	if err := lg.AddAdvance(id, 1e9); err != nil {
+	if err := lg.SetAdvance(id, 1e9); err != nil {
 		t.Fatal(err)
 	}
 	if got := lg.Link(id).AdvanceReserved; got != 800e3 {
 		t.Fatalf("advance clamped to %v, want capacity", got)
 	}
-	if err := lg.AddAdvance(id, -1e9); err != nil {
+	if err := lg.SetAdvance(id, -1e9); err != nil {
 		t.Fatal(err)
 	}
 	if got := lg.Link(id).AdvanceReserved; got != 0 {
@@ -323,8 +331,8 @@ func TestRCSPBufferCommit(t *testing.T) {
 	}
 	// RCSP buffer must not grow with hop index the way WFQ's does;
 	// compare hop 3 requirement against the WFQ formula.
-	wfqHop3 := sched.BufferWFQ(req().Traffic.Sigma, DefaultLMax, 3)
-	if res.Hops[2].Buffer >= wfqHop3+DefaultLMax*2 {
+	wfqHop3 := sched.BufferWFQ(req().Traffic.Sigma, lmax, 3)
+	if res.Hops[2].Buffer >= wfqHop3+lmax*2 {
 		t.Logf("rcsp hop3 buffer %v, wfq %v", res.Hops[2].Buffer, wfqHop3)
 	}
 	for _, h := range res.Hops {
@@ -342,10 +350,16 @@ func TestQuickNoOvercommit(t *testing.T) {
 		b, route := func() (*topology.Backbone, topology.Route) {
 			bb := topology.NewBackbone()
 			for _, id := range []topology.NodeID{"h", "s", "a"} {
-				bb.MustAddNode(topology.Node{ID: id})
+				if _, err := bb.AddNode(topology.Node{ID: id}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			bb.MustAddDuplex(topology.Link{From: "h", To: "s", Capacity: 5e6})
-			bb.MustAddDuplex(topology.Link{From: "s", To: "a", Capacity: 1.6e6})
+			if err := bb.AddDuplex(topology.Link{From: "h", To: "s", Capacity: 5e6}); err != nil {
+				t.Fatal(err)
+			}
+			if err := bb.AddDuplex(topology.Link{From: "s", To: "a", Capacity: 1.6e6}); err != nil {
+				t.Fatal(err)
+			}
 			r, _ := bb.ShortestPath("h", "a")
 			return bb, r
 		}()
@@ -398,17 +412,23 @@ func TestQuickRelaxationInvariants(t *testing.T) {
 		hops := int(next(4)) + 1
 		bb := topology.NewBackbone()
 		prev := topology.NodeID("n0")
-		bb.MustAddNode(topology.Node{ID: prev})
+		if _, err := bb.AddNode(topology.Node{ID: prev}); err != nil {
+			t.Fatal(err)
+		}
 		var links []topology.Link
 		for i := 1; i <= hops; i++ {
 			id := topology.NodeID(fmt.Sprintf("n%d", i))
-			bb.MustAddNode(topology.Node{ID: id})
+			if _, err := bb.AddNode(topology.Node{ID: id}); err != nil {
+				t.Fatal(err)
+			}
 			l := topology.Link{
 				From: prev, To: id,
 				Capacity:  float64(next(20)+1) * 1e6,
 				PropDelay: float64(next(5)) * 1e-3,
 			}
-			bb.MustAddDuplex(l)
+			if err := bb.AddDuplex(l); err != nil {
+				t.Fatal(err)
+			}
 			links = append(links, l)
 			prev = id
 		}

@@ -193,7 +193,7 @@ type Ledger struct {
 // Errors returned by the ledger.
 var (
 	ErrUnknownLink = errors.New("admission: unknown link")
-	ErrNoAlloc     = errors.New("admission: no allocation")
+	errNoAlloc     = errors.New("admission: no allocation")
 )
 
 // NewLedger builds a ledger covering every link of the backbone.
@@ -223,25 +223,6 @@ func (lg *Ledger) SetCapacity(id topology.LinkID, c float64) error {
 		return fmt.Errorf("admission: capacity must be positive and finite, got %v", c)
 	}
 	ls.Capacity = c
-	return nil
-}
-
-// AddAdvance increases the advance reservation b_resv on a link, clamping
-// at zero from below. The reservation may exceed current availability —
-// the paper's meeting-room policy reserves for attendees who have not
-// arrived yet — but never the link capacity.
-func (lg *Ledger) AddAdvance(id topology.LinkID, delta float64) error {
-	ls, ok := lg.links[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownLink, id)
-	}
-	ls.AdvanceReserved += delta
-	if ls.AdvanceReserved < 0 {
-		ls.AdvanceReserved = 0
-	}
-	if ls.AdvanceReserved > ls.Capacity {
-		ls.AdvanceReserved = ls.Capacity
-	}
 	return nil
 }
 
@@ -280,7 +261,7 @@ func (lg *Ledger) SetAllocation(connID string, linkID topology.LinkID, cur float
 	}
 	i, ok := ls.ids.Find(connID)
 	if !ok {
-		return fmt.Errorf("%w: %s on %s", ErrNoAlloc, connID, linkID)
+		return fmt.Errorf("%w: %s on %s", errNoAlloc, connID, linkID)
 	}
 	a := &ls.rows[i]
 	if cur < a.Min {

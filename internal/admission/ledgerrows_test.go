@@ -79,8 +79,8 @@ func (ref mapLedger) admit(t Test) (reason string, failed topology.LinkID, bandw
 		if bmin > m.availableFor(t.Kind) {
 			return ReasonBandwidth, l.ID, 0
 		}
-		if m.sumBuffer()+sched.BufferWFQ(sigma, DefaultLMax, hop+1) > m.bufferCapacity {
-			return ReasonBuffer, l.ID, 0
+		if m.sumBuffer()+sched.BufferWFQ(sigma, lmax, hop+1) > m.bufferCapacity {
+			return reasonBuffer, l.ID, 0
 		}
 	}
 	alloc := bmin
@@ -101,7 +101,7 @@ func (ref mapLedger) admit(t Test) (reason string, failed topology.LinkID, bandw
 		if t.Kind == KindHandoff || t.Kind == KindPoolClaim {
 			m.advance -= min(bmin, m.advance)
 		}
-		m.allocs[t.ConnID] = &Alloc{Min: bmin, Cur: alloc, Buffer: sched.BufferWFQ(sigma, DefaultLMax, hop+1)}
+		m.allocs[t.ConnID] = &Alloc{Min: bmin, Cur: alloc, Buffer: sched.BufferWFQ(sigma, lmax, hop+1)}
 	}
 	return "", "", alloc
 }
@@ -183,7 +183,7 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 			cur := rng.Float64() * 300e3
 			err := lg.SetAllocation(id, ls.Link.ID, cur)
 			a, on := m.allocs[id]
-			if on != (err == nil) || (err != nil && !errors.Is(err, ErrNoAlloc)) {
+			if on != (err == nil) || (err != nil && !errors.Is(err, errNoAlloc)) {
 				t.Fatalf("seed %d step %d: SetAllocation(%s) = %v, on the reference link: %v", seed, step, id, err, on)
 			}
 			if on {

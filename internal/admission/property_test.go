@@ -55,15 +55,25 @@ func buildChain(t *testing.T, hops int, wired, wireless float64) (*topology.Back
 	t.Helper()
 	b := topology.NewBackbone()
 	prev := topology.NodeID("host")
-	b.MustAddNode(topology.Node{ID: prev})
+	if _, err := b.AddNode(topology.Node{ID: prev}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < hops; i++ {
 		next := topology.NodeID(fmt.Sprintf("sw%d", i))
-		b.MustAddNode(topology.Node{ID: next})
-		b.MustAddDuplex(topology.Link{From: prev, To: next, Capacity: wired, PropDelay: 1e-3})
+		if _, err := b.AddNode(topology.Node{ID: next}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddDuplex(topology.Link{From: prev, To: next, Capacity: wired, PropDelay: 1e-3}); err != nil {
+			t.Fatal(err)
+		}
 		prev = next
 	}
-	b.MustAddNode(topology.Node{ID: "air"})
-	b.MustAddDuplex(topology.Link{From: prev, To: "air", Capacity: wireless, Wireless: true, LossProb: 0.005})
+	if _, err := b.AddNode(topology.Node{ID: "air"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: prev, To: "air", Capacity: wireless, Wireless: true, LossProb: 0.005}); err != nil {
+		t.Fatal(err)
+	}
 	r, err := b.ShortestPath("host", "air")
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +135,7 @@ func TestLedgerNeverOvercommits(t *testing.T) {
 				// Advance-reserve a random slice on a random link.
 				links := lg.Links()
 				ls := links[rng.Intn(len(links))]
-				if err := lg.AddAdvance(ls.Link.ID, (rng.Float64()-0.3)*wireless/2); err != nil {
+				if err := lg.SetAdvance(ls.Link.ID, ls.AdvanceReserved+(rng.Float64()-0.3)*wireless/2); err != nil {
 					t.Fatal(err)
 				}
 				check("advance")

@@ -14,10 +14,10 @@ import (
 	"armnet/internal/topology"
 )
 
-// PerUserBW is the planning bandwidth for aggregate (per-head) advance
+// perUserBW is the planning bandwidth for aggregate (per-head) advance
 // reservations: the expectation of the paper's workload mix, 0.75·16 kb/s
 // + 0.25·64 kb/s.
-const PerUserBW = 28e3
+const perUserBW = 28e3
 
 func profileHandoff(p *Portable, to topology.CellID, now float64) profile.Handoff {
 	return profile.Handoff{
@@ -121,7 +121,7 @@ func (m *Manager) refreshAdvance(p *Portable) {
 		if d.Action == predict.ActionReserve {
 			place(d.Target)
 		}
-		// ActionDefault is handled in aggregate by evaluatePolicies.
+		// The default action is handled in aggregate by evaluatePolicies.
 	}
 }
 
@@ -131,7 +131,7 @@ func (m *Manager) refreshAdvance(p *Portable) {
 func (m *Manager) RegisterMeeting(room topology.CellID, mt reserve.Meeting) error {
 	cell := m.Env.Universe.Cell(room)
 	if cell == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownCell, room)
+		return fmt.Errorf("%w: %s", errUnknownCell, room)
 	}
 	if cell.Class != topology.ClassMeetingRoom {
 		return fmt.Errorf("core: cell %s is %s, not a meeting room", room, cell.Class)
@@ -183,7 +183,7 @@ func (m *Manager) evaluatePolicies() {
 	// The lounge forecasters read slotted history; evaluation happens at
 	// slot boundaries, so "the current slot" (n_t in §6.2) is the slot
 	// that just completed, one slot behind the wall clock.
-	ref := now - m.Cfg.SlotDuration
+	ref := now - policySlot
 	if ref < 0 {
 		ref = 0
 	}
@@ -201,7 +201,7 @@ func (m *Manager) evaluatePolicies() {
 			if cp == nil {
 				continue
 			}
-			plan := reserve.CafeteriaPlan(u, cp, ref, PerUserBW)
+			plan := reserve.CafeteriaPlan(u, cp, ref, perUserBW)
 			m.applyLoungePlan(cell, plan)
 		case topology.ClassLoungeDefault:
 			srv := m.Pred.ServerFor(cell.ID)
@@ -212,7 +212,7 @@ func (m *Manager) evaluatePolicies() {
 			if cp == nil {
 				continue
 			}
-			plan, hasDefault := reserve.DefaultPlan(u, cp, ref, PerUserBW)
+			plan, hasDefault := reserve.DefaultPlan(u, cp, ref, perUserBW)
 			if hasDefault {
 				plan.Self = m.probabilisticSelf(cell)
 			}
@@ -227,8 +227,8 @@ func (m *Manager) evaluateMeetings(cell *topology.Cell, now float64) {
 	neighborTotal := 0.0
 	active := m.meetings[cell.ID][:0]
 	for _, ms := range m.meetings[cell.ID] {
-		roomTotal += float64(ms.policy.RoomSlots(now, len(ms.arrived))) * PerUserBW
-		neighborTotal += float64(ms.policy.NeighborSlots(now, len(ms.arrived), len(ms.left))) * PerUserBW
+		roomTotal += float64(ms.policy.RoomSlots(now, len(ms.arrived))) * perUserBW
+		neighborTotal += float64(ms.policy.NeighborSlots(now, len(ms.arrived), len(ms.left))) * perUserBW
 		if ms.policy.Active(now) {
 			active = append(active, ms)
 		}
@@ -275,11 +275,11 @@ func (m *Manager) applyLoungePlan(cell *topology.Cell, plan reserve.LoungePlan) 
 }
 
 // probabilisticSelf applies §6.3 in aggregate for a default lounge with
-// default neighbors: a single synthetic class at PerUserBW granularity,
+// default neighbors: a single synthetic class at perUserBW granularity,
 // occupancy = connections in the cell, neighbor occupancy = connections
 // in the default neighbors.
 func (m *Manager) probabilisticSelf(cell *topology.Cell) float64 {
-	capUnits := int(cell.Capacity / PerUserBW)
+	capUnits := int(cell.Capacity / perUserBW)
 	if capUnits <= 0 {
 		return 0
 	}
@@ -291,11 +291,11 @@ func (m *Manager) probabilisticSelf(cell *topology.Cell) float64 {
 			s += m.connsInCell(nid)
 		}
 	}
-	plan, err := reserve.ProbabilisticPlan(classes, n, []int{s}, capUnits, m.Cfg.SlotDuration, 0.05)
+	plan, err := reserve.ProbabilisticPlan(classes, n, []int{s}, capUnits, policySlot, 0.05)
 	if err != nil && plan.MaxConns == nil {
 		return 0
 	}
-	return float64(plan.Reserved) * PerUserBW
+	return float64(plan.Reserved) * perUserBW
 }
 
 func (m *Manager) connsInCell(cell topology.CellID) int {
@@ -345,6 +345,6 @@ func (m *Manager) adjustPool(g *cellGeo) {
 		}
 	}
 	if ls := g.ls; ls != nil {
-		ls.PoolFraction = adapt.PoolFraction(maxAlloc, ls.Capacity, m.Cfg.PoolMin, m.Cfg.PoolMax)
+		ls.PoolFraction = adapt.PoolFraction(maxAlloc, ls.Capacity, m.Cfg.poolMin, m.Cfg.poolMax)
 	}
 }

@@ -16,7 +16,7 @@ type signalLog struct {
 func newSignalLog(bus *eventbus.Bus) *signalLog {
 	l := &signalLog{}
 	bus.Subscribe(func(r eventbus.Record) { l.recs = append(l.recs, r) },
-		eventbus.KindSignalHold, eventbus.KindSignalCommit, eventbus.KindSignalAbort)
+		eventbus.SignalHold{}.Kind(), eventbus.KindSignalCommit, eventbus.KindSignalAbort)
 	return l
 }
 

@@ -1,4 +1,4 @@
-package wireless
+package core
 
 import (
 	"math"
@@ -10,38 +10,35 @@ import (
 
 func TestCapacityProcessValidation(t *testing.T) {
 	rng := randx.New(1)
-	if _, err := NewCapacityProcess(nil, 1, nil, rng); err == nil {
+	if _, err := newCapacityProcess(nil, 1, rng, nil, ""); err == nil {
 		t.Error("empty levels accepted")
 	}
-	if _, err := NewCapacityProcess([]float64{1e6, 0}, 1, nil, rng); err == nil {
+	if _, err := newCapacityProcess([]float64{1e6, 0}, 1, rng, nil, ""); err == nil {
 		t.Error("zero level accepted")
 	}
-	if _, err := NewCapacityProcess([]float64{1e6}, 0, nil, rng); err == nil {
+	if _, err := newCapacityProcess([]float64{1e6}, 0, rng, nil, ""); err == nil {
 		t.Error("zero dwell accepted")
-	}
-	if _, err := NewCapacityProcess([]float64{1e6, 2e6}, 1, []float64{1}, rng); err == nil {
-		t.Error("mismatched weights accepted")
 	}
 }
 
 func TestCapacityProcessVisitsLevels(t *testing.T) {
 	rng := randx.New(3)
 	levels := []float64{1.6e6, 800e3, 400e3}
-	cp, err := NewCapacityProcess(levels, 1, nil, rng)
+	cp, err := newCapacityProcess(levels, 1, rng, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Capacity() != 1.6e6 {
-		t.Fatalf("initial capacity = %v", cp.Capacity())
+	if cp.capacity() != 1.6e6 {
+		t.Fatalf("initial capacity = %v", cp.capacity())
 	}
 	sim := des.New()
 	seen := map[float64]bool{}
-	cp.Attach(sim, func(c float64) { seen[c] = true })
+	cp.attach(sim, func(c float64) { seen[c] = true })
 	if err := sim.RunUntil(200); err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range levels {
-		if !seen[l] && l != cp.Capacity() && l != 1.6e6 {
+		if !seen[l] && l != cp.capacity() && l != 1.6e6 {
 			t.Errorf("level %v never visited", l)
 		}
 	}
@@ -52,12 +49,12 @@ func TestCapacityProcessVisitsLevels(t *testing.T) {
 
 func TestSingleLevelProcessIsStatic(t *testing.T) {
 	rng := randx.New(3)
-	cp, err := NewCapacityProcess([]float64{1e6}, 1, nil, rng)
+	cp, err := newCapacityProcess([]float64{1e6}, 1, rng, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := des.New()
-	cp.Attach(sim, func(float64) { t.Error("single-level process changed") })
+	cp.attach(sim, func(float64) { t.Error("single-level process changed") })
 	if err := sim.RunUntil(100); err != nil {
 		t.Fatal(err)
 	}
@@ -68,24 +65,24 @@ func TestSingleLevelProcessIsStatic(t *testing.T) {
 
 func TestBlackoutForcesWorstLevelAndRestores(t *testing.T) {
 	rng := randx.New(3)
-	proc, err := NewCapacityProcess([]float64{1.6e6, 800e3, 200e3}, 1000, nil, rng)
+	proc, err := newCapacityProcess([]float64{1.6e6, 800e3, 200e3}, 1000, rng, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := des.New()
 	var changes []float64
-	proc.Attach(sim, func(c float64) { changes = append(changes, c) })
-	sim.At(1, func() { proc.Blackout(sim, 5) })
+	proc.attach(sim, func(c float64) { changes = append(changes, c) })
+	sim.At(1, func() { proc.blackout(sim, 5) })
 	if err := sim.RunUntil(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := proc.Capacity(); got != 200e3 {
+	if got := proc.capacity(); got != 200e3 {
 		t.Fatalf("capacity during blackout = %v, want worst level 200e3", got)
 	}
 	if err := sim.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	if got := proc.Capacity(); got != 1.6e6 {
+	if got := proc.capacity(); got != 1.6e6 {
 		t.Fatalf("capacity after blackout = %v, want restored 1.6e6", got)
 	}
 	if len(changes) != 2 || changes[0] != 200e3 || changes[1] != 1.6e6 {
@@ -95,24 +92,24 @@ func TestBlackoutForcesWorstLevelAndRestores(t *testing.T) {
 
 func TestOverlappingBlackoutsExtend(t *testing.T) {
 	rng := randx.New(3)
-	proc, err := NewCapacityProcess([]float64{1e6, 100e3}, 1000, nil, rng)
+	proc, err := newCapacityProcess([]float64{1e6, 100e3}, 1000, rng, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := des.New()
-	proc.Attach(sim, nil)
-	sim.At(1, func() { proc.Blackout(sim, 4) })
-	sim.At(3, func() { proc.Blackout(sim, 6) }) // extends to t=9
+	proc.attach(sim, nil)
+	sim.At(1, func() { proc.blackout(sim, 4) })
+	sim.At(3, func() { proc.blackout(sim, 6) }) // extends to t=9
 	if err := sim.RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
-	if got := proc.Capacity(); got != 100e3 {
+	if got := proc.capacity(); got != 100e3 {
 		t.Fatalf("capacity = %v, first blackout's expiry ended the extended one", got)
 	}
 	if err := sim.RunUntil(20); err != nil {
 		t.Fatal(err)
 	}
-	if got := proc.Capacity(); got != 1e6 {
+	if got := proc.capacity(); got != 1e6 {
 		t.Fatalf("capacity = %v after extended blackout, want 1e6", got)
 	}
 }
@@ -123,10 +120,10 @@ func TestOverlappingBlackoutsExtend(t *testing.T) {
 func TestCapacityProcessRejectsNonFinite(t *testing.T) {
 	rng := randx.New(1)
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
-		if _, err := NewCapacityProcess([]float64{1e6, bad}, 1, nil, rng); err == nil {
+		if _, err := newCapacityProcess([]float64{1e6, bad}, 1, rng, nil, ""); err == nil {
 			t.Errorf("level %v accepted", bad)
 		}
-		if _, err := NewCapacityProcess([]float64{1e6, 5e5}, bad, nil, rng); err == nil {
+		if _, err := newCapacityProcess([]float64{1e6, 5e5}, bad, rng, nil, ""); err == nil {
 			t.Errorf("dwell mean %v accepted", bad)
 		}
 	}

@@ -31,7 +31,7 @@ func validate(req qos.Request) error {
 func (m *Manager) OpenConnection(portable string, req qos.Request) (string, error) {
 	p, ok := m.portables[portable]
 	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrUnknownPortable, portable)
+		return "", fmt.Errorf("%w: %s", errUnknownPortable, portable)
 	}
 	if err := validate(req); err != nil {
 		return "", err
@@ -60,13 +60,11 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 		return connID, nil
 	}
 	res, err := m.Adm.Admit(admission.Test{
-		ConnID:     connID,
-		Req:        req,
-		Route:      route,
-		Kind:       admission.KindNew,
-		Mobility:   p.Mobility,
-		Discipline: m.Cfg.Discipline,
-		LMax:       m.Cfg.LMax,
+		ConnID:   connID,
+		Req:      req,
+		Route:    route,
+		Kind:     admission.KindNew,
+		Mobility: p.Mobility,
 	})
 	if err != nil {
 		return "", err
@@ -82,10 +80,8 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 	}
 	m.conns[connID] = c
 	p.conns.Insert(connID)
-	if m.Adpt != nil {
-		if err := m.Adpt.Register(connID, route, req.Bandwidth, p.Mobility); err != nil {
-			return "", err
-		}
+	if err := m.Adpt.Register(connID, route, req.Bandwidth, p.Mobility); err != nil {
+		return "", err
 	}
 	m.mc.setupMulticast(c, p.Cell)
 	m.refreshAdvance(p)
@@ -97,14 +93,12 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 func (m *Manager) CloseConnection(connID string) error {
 	c, ok := m.conns[connID]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownConn, connID)
+		return fmt.Errorf("%w: %s", errUnknownConn, connID)
 	}
 	eventbus.Pub(m.Bus, eventbus.ConnectionClosed{Conn: connID, Portable: c.Portable})
 	m.ledger.Release(connID, c.Route)
 	m.mc.releaseMulticast(c)
-	if m.Adpt != nil {
-		m.Adpt.Unregister(connID)
-	}
+	m.Adpt.Unregister(connID)
 	delete(m.conns, connID)
 	delete(m.rateWatchers, connID)
 	if p := m.portables[c.Portable]; p != nil {
@@ -129,13 +123,11 @@ func (m *Manager) setupMulticast(c *Connection, cell topology.CellID) {
 	for i := range pl.legs {
 		leg := &pl.legs[i]
 		_, _ = m.Adm.Admit(admission.Test{
-			ConnID:     c.legID(leg),
-			Req:        c.Req,
-			Route:      leg.route,
-			Kind:       admission.KindNew,
-			Mobility:   qos.Mobile,
-			Discipline: m.Cfg.Discipline,
-			LMax:       m.Cfg.LMax,
+			ConnID:   c.legID(leg),
+			Req:      c.Req,
+			Route:    leg.route,
+			Kind:     admission.KindNew,
+			Mobility: qos.Mobile,
 		})
 	}
 }
@@ -161,11 +153,11 @@ func (m *Manager) releaseMulticast(c *Connection) {
 func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 	p, ok := m.portables[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPortable, id)
+		return fmt.Errorf("%w: %s", errUnknownPortable, id)
 	}
 	toCell := m.geo(to)
 	if toCell == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownCell, to)
+		return fmt.Errorf("%w: %s", errUnknownCell, to)
 	}
 	if to == p.Cell {
 		return nil
@@ -220,13 +212,11 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 		// then admit on the new one.
 		m.ledger.Release(connID, c.Route)
 		test := admission.Test{
-			ConnID:     connID,
-			Req:        c.Req,
-			Route:      newRoute,
-			Kind:       kind,
-			Mobility:   qos.Mobile,
-			Discipline: m.Cfg.Discipline,
-			LMax:       m.Cfg.LMax,
+			ConnID:   connID,
+			Req:      c.Req,
+			Route:    newRoute,
+			Kind:     kind,
+			Mobility: qos.Mobile,
 		}
 		res, err := m.Adm.Admit(test)
 		if err == nil && !res.Admitted && m.Ovl != nil && res.FailedLink != "" {
@@ -243,15 +233,11 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 			continue
 		}
 		eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: connID, Portable: id})
-		if m.Adpt != nil {
-			m.Adpt.Unregister(connID)
-		}
+		m.Adpt.Unregister(connID)
 		m.mc.releaseMulticast(c)
 		c.Route = newRoute
 		c.Bandwidth = res.Bandwidth
-		if m.Adpt != nil {
-			_ = m.Adpt.Register(connID, newRoute, c.Req.Bandwidth, qos.Mobile)
-		}
+		_ = m.Adpt.Register(connID, newRoute, c.Req.Bandwidth, qos.Mobile)
 		m.mc.setupMulticast(c, to)
 	}
 
@@ -272,9 +258,7 @@ func (m *Manager) dropConnection(c *Connection, p *Portable) {
 	eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: c.ID, Portable: p.ID, Dropped: true})
 	m.ledger.Release(c.ID, c.Route)
 	m.mc.releaseMulticast(c)
-	if m.Adpt != nil {
-		m.Adpt.Unregister(c.ID)
-	}
+	m.Adpt.Unregister(c.ID)
 	delete(m.conns, c.ID)
 	delete(m.rateWatchers, c.ID)
 	p.conns.Remove(c.ID)

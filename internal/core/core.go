@@ -29,12 +29,10 @@ import (
 	"armnet/internal/qos"
 	"armnet/internal/randx"
 	"armnet/internal/reserve"
-	"armnet/internal/sched"
 	"armnet/internal/signal"
 	"armnet/internal/sortx"
 	"armnet/internal/strategy"
 	"armnet/internal/topology"
-	"armnet/internal/wireless"
 )
 
 // ReservationMode selects the advance-reservation strategy — the knob the
@@ -74,18 +72,10 @@ type Config struct {
 	Seed int64
 	// Tth is the static/mobile threshold in seconds (default 300).
 	Tth float64
-	// PoolMin and PoolMax bound the B_dyn fraction (defaults 0.05/0.20).
-	PoolMin, PoolMax float64
+	// poolMin and poolMax bound the B_dyn fraction (defaults 0.05/0.20).
+	poolMin, poolMax float64
 	// Mode selects the advance reservation strategy.
 	Mode ReservationMode
-	// Discipline selects the buffer formulas for admission.
-	Discipline sched.Discipline
-	// LMax is the maximum packet size in bits (default admission's).
-	LMax float64
-	// SlotDuration is the lounge policy evaluation period (default 60 s).
-	SlotDuration float64
-	// Adaptation enables §5.3 bandwidth adaptation (default on).
-	DisableAdaptation bool
 	// Allocator names the rate allocator's switch rule ("maxmin",
 	// "erica", "logweight"); empty selects the paper's maxmin rule.
 	Allocator string
@@ -96,8 +86,6 @@ type Config struct {
 	// every allocator: hop delay, δ threshold, fault delivery,
 	// retransmission, periodic repair).
 	Proto maxmin.ProtocolOptions
-	// Profiles tunes the profile servers.
-	Profiles profile.ServerOptions
 	// Signal tunes the signaling plane (timeout scaling, retransmission,
 	// hold leases). The manager forces its Bus; under a fault plan it
 	// also forces the delivery hook.
@@ -124,18 +112,18 @@ type Config struct {
 	Obs *obs.Options
 }
 
+// policySlot is the lounge policy evaluation period, in seconds.
+const policySlot = 60
+
 func (c Config) withDefaults() Config {
 	if c.Tth <= 0 {
 		c.Tth = 300
 	}
-	if c.PoolMin <= 0 {
-		c.PoolMin = 0.05
+	if c.poolMin <= 0 {
+		c.poolMin = 0.05
 	}
-	if c.PoolMax <= 0 {
-		c.PoolMax = 0.20
-	}
-	if c.SlotDuration <= 0 {
-		c.SlotDuration = 60
+	if c.poolMax <= 0 {
+		c.poolMax = 0.20
 	}
 	return c
 }
@@ -159,8 +147,8 @@ type Portable struct {
 	reservedCells map[topology.CellID]float64
 }
 
-// Conns returns a copy of the portable's connection IDs, sorted.
-func (p *Portable) Conns() []string { return slices.Clone(p.conns) }
+// connIDs returns a copy of the portable's connection IDs, sorted.
+func (p *Portable) connIDs() []string { return slices.Clone(p.conns) }
 
 // Connection is one admitted end-to-end connection. Connections are
 // modeled downlink (wired host → portable), the direction that stresses
@@ -200,7 +188,7 @@ type Manager struct {
 	Met  *Metrics
 	// Latency tracks handoff signaling latency, split by whether the
 	// handoff was predicted (advance-reserved) or not.
-	Latency LatencyStats
+	Latency latencyStats
 	// Inj is the armed fault injector; nil without a fault plan.
 	Inj *faults.Injector
 	// Ovl is the armed overload controller; nil without a policy.
@@ -222,7 +210,7 @@ type Manager struct {
 	rateWatchers map[string]func(bandwidth float64)
 	// channels registers attached wireless capacity processes per cell,
 	// so blackout faults can reach them.
-	channels map[topology.CellID]*wireless.CapacityProcess
+	channels map[topology.CellID]*capacityProcess
 	// lastPred holds each portable's outcome-pending prediction; nil
 	// unless observability is armed.
 	lastPred map[string]predNote
@@ -252,10 +240,10 @@ type meetingState struct {
 
 // Errors.
 var (
-	ErrUnknownPortable = errors.New("core: unknown portable")
-	ErrUnknownCell     = errors.New("core: unknown cell")
+	errUnknownPortable = errors.New("core: unknown portable")
+	errUnknownCell     = errors.New("core: unknown cell")
 	ErrRejected        = errors.New("core: connection rejected")
-	ErrUnknownConn     = errors.New("core: unknown connection")
+	errUnknownConn     = errors.New("core: unknown connection")
 )
 
 // NewManager wires the full system over an environment.
@@ -276,8 +264,8 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 		Rng:          randx.New(cfg.Seed),
 		Bus:          bus,
 		ledger:       lg,
-		Pred:         predict.New(env.Universe, cfg.Profiles),
-		Met:          NewMetrics(bus),
+		Pred:         predict.New(env.Universe, profile.ServerOptions{}),
+		Met:          newMetrics(bus),
 		portables:    make(map[string]*Portable),
 		conns:        make(map[string]*Connection),
 		book:         make(map[topology.LinkID]*advanceBook),
@@ -286,7 +274,7 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 		staticMax:    make(map[topology.CellID]float64),
 		static:       make(map[*Portable]struct{}),
 		cells:        make(map[topology.CellID]*cellGeo),
-		channels:     make(map[topology.CellID]*wireless.CapacityProcess),
+		channels:     make(map[topology.CellID]*capacityProcess),
 	}
 	m.mc = m
 	adm, err := strategy.NewAdmitter(cfg.Admitter, lg, bus)
@@ -322,31 +310,29 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 			w(ev.Bandwidth)
 		}
 	})
-	if !cfg.DisableAdaptation {
-		// The protocol is built exactly here, so its construction-time
-		// timer (the re-ADVERTISE ticker) keeps its position in the event
-		// schedule and traces stay byte-identical.
-		m.Adpt, err = adapt.NewManagerWith(sim, lg, m.Cfg.Proto, rule)
-		if err != nil {
-			return nil, err
-		}
-		m.Adpt.Alloc.Bus = bus
-		m.Adpt.OnRate = func(connID string, bw float64) {
-			if c, ok := m.conns[connID]; ok {
-				c.Bandwidth = bw
-				eventbus.Pub(bus, eventbus.BandwidthChange{Conn: connID, Bandwidth: bw})
-			}
+	// The protocol is built exactly here, so its construction-time
+	// timer (the re-ADVERTISE ticker) keeps its position in the event
+	// schedule and traces stay byte-identical.
+	m.Adpt, err = adapt.NewManagerWith(sim, lg, m.Cfg.Proto, rule)
+	if err != nil {
+		return nil, err
+	}
+	m.Adpt.Alloc.Bus = bus
+	m.Adpt.OnRate = func(connID string, bw float64) {
+		if c, ok := m.conns[connID]; ok {
+			c.Bandwidth = bw
+			eventbus.Pub(bus, eventbus.BandwidthChange{Conn: connID, Bandwidth: bw})
 		}
 	}
 	// Initialize B_dyn pools at the floor fraction on every wireless
 	// downlink; the pool rule of §5.3 adjusts them as load appears.
 	for _, c := range env.Universe.Cells() {
 		if ls := lg.Link(m.downlink(c.ID)); ls != nil {
-			ls.PoolFraction = cfg.PoolMin
+			ls.PoolFraction = cfg.poolMin
 		}
 	}
 	// Periodic lounge-policy evaluation.
-	sim.Every(cfg.SlotDuration, m.evaluatePolicies)
+	sim.Every(policySlot, m.evaluatePolicies)
 	// Overload control (overload.go): armed only under a policy, so the
 	// nil default adds no timers and no events.
 	if cfg.Overload != nil {
@@ -384,7 +370,7 @@ func (m *Manager) Ledger() *admission.Ledger { return m.ledger }
 // A nil callback removes the watcher. Unknown connections error.
 func (m *Manager) WatchBandwidth(connID string, fn func(bandwidth float64)) error {
 	if _, ok := m.conns[connID]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownConn, connID)
+		return fmt.Errorf("%w: %s", errUnknownConn, connID)
 	}
 	if fn == nil {
 		delete(m.rateWatchers, connID)
@@ -398,7 +384,7 @@ func (m *Manager) WatchBandwidth(connID string, fn func(bandwidth float64)) erro
 // handoff). The portable starts mobile; the static timer is armed.
 func (m *Manager) PlacePortable(id string, cell topology.CellID) error {
 	if m.geo(cell) == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownCell, cell)
+		return fmt.Errorf("%w: %s", errUnknownCell, cell)
 	}
 	if _, ok := m.portables[id]; ok {
 		return fmt.Errorf("core: portable %s already placed", id)
@@ -422,7 +408,7 @@ func (m *Manager) RemovePortable(id string) {
 	if !ok {
 		return
 	}
-	for _, cid := range p.Conns() {
+	for _, cid := range p.connIDs() {
 		_ = m.CloseConnection(cid)
 	}
 	m.clearAdvance(p)
@@ -457,12 +443,10 @@ func (m *Manager) setMobility(p *Portable, mob qos.Mobility) {
 func (m *Manager) becomeStatic(p *Portable) {
 	m.setMobility(p, qos.Static)
 	m.clearAdvance(p)
-	if m.Adpt != nil {
-		// Sorted: SetMobility(Static) kicks adaptation sessions, and the
-		// session start order is observable in the event trace.
-		for _, cid := range p.Conns() {
-			_ = m.Adpt.SetMobility(cid, qos.Static)
-		}
+	// Sorted: SetMobility(Static) kicks adaptation sessions, and the
+	// session start order is observable in the event trace.
+	for _, cid := range p.connIDs() {
+		_ = m.Adpt.SetMobility(cid, qos.Static)
 	}
 	m.adjustPools(p.Cell)
 }
@@ -473,9 +457,7 @@ func (m *Manager) becomeMobile(p *Portable) {
 		return
 	}
 	m.setMobility(p, qos.Mobile)
-	if m.Adpt != nil {
-		for _, cid := range p.Conns() {
-			_ = m.Adpt.SetMobility(cid, qos.Mobile)
-		}
+	for _, cid := range p.connIDs() {
+		_ = m.Adpt.SetMobility(cid, qos.Mobile)
 	}
 }

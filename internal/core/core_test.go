@@ -42,7 +42,7 @@ func TestPlaceOpenClose(t *testing.T) {
 	if err := m.PlacePortable("alice", "off-1"); err == nil {
 		t.Fatal("double placement accepted")
 	}
-	if err := m.PlacePortable("bob", "nowhere"); !errors.Is(err, ErrUnknownCell) {
+	if err := m.PlacePortable("bob", "nowhere"); !errors.Is(err, errUnknownCell) {
 		t.Fatalf("unknown cell error = %v", err)
 	}
 	id, err := m.OpenConnection("alice", req(16e3, 64e3))
@@ -70,7 +70,7 @@ func TestPlaceOpenClose(t *testing.T) {
 	if _, ok := wl.Alloc(id); ok {
 		t.Fatal("allocation survives close")
 	}
-	if err := m.CloseConnection(id); !errors.Is(err, ErrUnknownConn) {
+	if err := m.CloseConnection(id); !errors.Is(err, errUnknownConn) {
 		t.Fatalf("double close error = %v", err)
 	}
 	_ = sim
@@ -107,7 +107,7 @@ func TestMalformedRequestRefusedBeforeCounting(t *testing.T) {
 
 func TestOpenConnectionUnknownPortable(t *testing.T) {
 	_, m := newCampus(t, Config{})
-	if _, err := m.OpenConnection("ghost", req(16e3, 64e3)); !errors.Is(err, ErrUnknownPortable) {
+	if _, err := m.OpenConnection("ghost", req(16e3, 64e3)); !errors.Is(err, errUnknownPortable) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -320,7 +320,7 @@ func TestRegisterMeetingValidation(t *testing.T) {
 }
 
 func TestMeetingReservationLifecycle(t *testing.T) {
-	sim, m := newCampus(t, Config{SlotDuration: 60})
+	sim, m := newCampus(t, Config{})
 	mt := reserve.Meeting{Start: 1200, End: 2400, Attendees: 10}
 	if err := m.RegisterMeeting("meet", mt); err != nil {
 		t.Fatal(err)
@@ -333,12 +333,12 @@ func TestMeetingReservationLifecycle(t *testing.T) {
 	if got := m.Ledger().Link(wl).AdvanceReserved; got != 0 {
 		t.Fatalf("early reservation = %v", got)
 	}
-	// Inside the lead-in window: 10 attendee slots at PerUserBW.
+	// Inside the lead-in window: 10 attendee slots at perUserBW.
 	if err := sim.RunUntil(700); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Ledger().Link(wl).AdvanceReserved; got != 10*PerUserBW {
-		t.Fatalf("lead-in reservation = %v, want %v", got, 10*PerUserBW)
+	if got := m.Ledger().Link(wl).AdvanceReserved; got != 10*perUserBW {
+		t.Fatalf("lead-in reservation = %v, want %v", got, 10*perUserBW)
 	}
 	// Attendees arrive: the room reservation shrinks.
 	for i := 0; i < 4; i++ {
@@ -353,8 +353,8 @@ func TestMeetingReservationLifecycle(t *testing.T) {
 	if err := sim.RunUntil(1300); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Ledger().Link(wl).AdvanceReserved; got != 6*PerUserBW {
-		t.Fatalf("reservation after 4 arrivals = %v, want %v", got, 6*PerUserBW)
+	if got := m.Ledger().Link(wl).AdvanceReserved; got != 6*perUserBW {
+		t.Fatalf("reservation after 4 arrivals = %v, want %v", got, 6*perUserBW)
 	}
 	// After the post-start release timer everything is freed.
 	if err := sim.RunUntil(1600); err != nil {
@@ -371,8 +371,8 @@ func TestMeetingReservationLifecycle(t *testing.T) {
 	for _, nid := range m.Env.Universe.Cell("meet").Neighbors() {
 		neighborTotal += m.Ledger().Link(m.downlink(nid)).AdvanceReserved
 	}
-	if neighborTotal != 4*PerUserBW {
-		t.Fatalf("neighbor departure reservation = %v, want %v", neighborTotal, 4*PerUserBW)
+	if neighborTotal != 4*perUserBW {
+		t.Fatalf("neighbor departure reservation = %v, want %v", neighborTotal, 4*perUserBW)
 	}
 	// Long after the end-release timer: all clear again.
 	if err := sim.RunUntil(2400 + 1000); err != nil {

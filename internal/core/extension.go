@@ -7,7 +7,6 @@ import (
 	"armnet/internal/profile"
 	"armnet/internal/qos"
 	"armnet/internal/topology"
-	"armnet/internal/wireless"
 )
 
 // Renegotiate performs application-initiated adaptation (§4.2, §5.3):
@@ -18,14 +17,14 @@ import (
 func (m *Manager) Renegotiate(connID string, bounds qos.Bounds) error {
 	c, ok := m.conns[connID]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownConn, connID)
+		return fmt.Errorf("%w: %s", errUnknownConn, connID)
 	}
 	if err := bounds.Validate(); err != nil {
 		return err
 	}
 	p := m.portables[c.Portable]
 	if p == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownPortable, c.Portable)
+		return fmt.Errorf("%w: %s", errUnknownPortable, c.Portable)
 	}
 	newReq := c.Req
 	newReq.Bandwidth = bounds
@@ -33,24 +32,20 @@ func (m *Manager) Renegotiate(connID string, bounds qos.Bounds) error {
 	// failure.
 	m.ledger.Release(connID, c.Route)
 	res, err := m.Adm.Admit(admission.Test{
-		ConnID:     connID,
-		Req:        newReq,
-		Route:      c.Route,
-		Kind:       admission.KindNew,
-		Mobility:   p.Mobility,
-		Discipline: m.Cfg.Discipline,
-		LMax:       m.Cfg.LMax,
+		ConnID:   connID,
+		Req:      newReq,
+		Route:    c.Route,
+		Kind:     admission.KindNew,
+		Mobility: p.Mobility,
 	})
 	if err == nil && !res.Admitted {
 		// Restore the previous reservation.
 		restored, rerr := m.Adm.Admit(admission.Test{
-			ConnID:     connID,
-			Req:        c.Req,
-			Route:      c.Route,
-			Kind:       admission.KindNew,
-			Mobility:   p.Mobility,
-			Discipline: m.Cfg.Discipline,
-			LMax:       m.Cfg.LMax,
+			ConnID:   connID,
+			Req:      c.Req,
+			Route:    c.Route,
+			Kind:     admission.KindNew,
+			Mobility: p.Mobility,
 		})
 		if rerr != nil || !restored.Admitted {
 			// The old reservation cannot fail to restore (it just fit),
@@ -65,11 +60,9 @@ func (m *Manager) Renegotiate(connID string, bounds qos.Bounds) error {
 	}
 	c.Req = newReq
 	c.Bandwidth = res.Bandwidth
-	if m.Adpt != nil {
-		m.Adpt.Unregister(connID)
-		if err := m.Adpt.Register(connID, c.Route, bounds, p.Mobility); err != nil {
-			return err
-		}
+	m.Adpt.Unregister(connID)
+	if err := m.Adpt.Register(connID, c.Route, bounds, p.Mobility); err != nil {
+		return err
 	}
 	m.refreshAdvance(p)
 	return nil
@@ -78,26 +71,21 @@ func (m *Manager) Renegotiate(connID string, bounds qos.Bounds) error {
 // AttachChannel models the time-varying effective capacity of a cell's
 // air interface (§2.1): a capacity process is scheduled on the simulator
 // and every change flows into the ledger and — via eq. (2)'s triggers —
-// into the adaptation protocol. Returns the process for inspection.
-func (m *Manager) AttachChannel(cell topology.CellID, levels []float64, dwellMean float64) (*wireless.CapacityProcess, error) {
+// into the adaptation protocol.
+func (m *Manager) AttachChannel(cell topology.CellID, levels []float64, dwellMean float64) error {
 	link := m.downlink(cell)
 	if link == "" {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownCell, cell)
+		return fmt.Errorf("%w: %s", errUnknownCell, cell)
 	}
-	cp, err := wireless.NewCapacityProcess(levels, dwellMean, nil, m.Rng)
+	cp, err := newCapacityProcess(levels, dwellMean, m.Rng, m.Bus, string(link))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cp.PublishTo(m.Bus, string(link))
-	cp.Attach(m.Sim, func(capacity float64) {
-		if m.Adpt != nil {
-			_ = m.Adpt.CapacityChanged(link, capacity)
-			return
-		}
-		_ = m.ledger.SetCapacity(link, capacity)
+	cp.attach(m.Sim, func(capacity float64) {
+		_ = m.Adpt.CapacityChanged(link, capacity)
 	})
 	m.channels[cell] = cp
-	return cp, nil
+	return nil
 }
 
 // LearnClasses runs the §6.4 learning process: for every cell whose
@@ -106,7 +94,7 @@ func (m *Manager) AttachChannel(cell topology.CellID, levels []float64, dwellMea
 // universe updated. It returns the cells whose class changed. Cells with
 // insufficient evidence stay unknown and keep using the default
 // reservation algorithm.
-func (m *Manager) LearnClasses(opts profile.ClassifyOptions) []topology.CellID {
+func (m *Manager) LearnClasses() []topology.CellID {
 	var changed []topology.CellID
 	for _, cell := range m.Env.Universe.Cells() {
 		if cell.Class != topology.ClassUnknown {
@@ -120,7 +108,7 @@ func (m *Manager) LearnClasses(opts profile.ClassifyOptions) []topology.CellID {
 		if cp == nil {
 			continue
 		}
-		if got := profile.Classify(cp, opts); got != topology.ClassUnknown {
+		if got := profile.Classify(cp); got != topology.ClassUnknown {
 			cell.Class = got
 			cp.Class = got
 			changed = append(changed, cell.ID)

@@ -9,7 +9,6 @@ import (
 
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
-	"armnet/internal/profile"
 	"armnet/internal/qos"
 	"armnet/internal/reserve"
 	"armnet/internal/topology"
@@ -70,7 +69,7 @@ func TestRenegotiateRejectionRollsBack(t *testing.T) {
 
 func TestRenegotiateUnknownConn(t *testing.T) {
 	_, m := newCampus(t, Config{})
-	if err := m.Renegotiate("ghost", qos.Bounds{Min: 1, Max: 2}); !errors.Is(err, ErrUnknownConn) {
+	if err := m.Renegotiate("ghost", qos.Bounds{Min: 1, Max: 2}); !errors.Is(err, errUnknownConn) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -80,7 +79,7 @@ func TestConflictResolutionSqueezesAdaptedConnections(t *testing.T) {
 	// excess; a new connection arrives that fits within the b_min head
 	// room only after the others are squeezed back. Admission must
 	// accept it, and adaptation must re-settle everyone within capacity.
-	sim, m := newCampus(t, Config{Tth: 50, PoolMin: 1e-9, PoolMax: 1e-9})
+	sim, m := newCampus(t, Config{Tth: 50, poolMin: 1e-9, poolMax: 1e-9})
 	for _, who := range []string{"a", "b"} {
 		if err := m.PlacePortable(who, "off-1"); err != nil {
 			t.Fatal(err)
@@ -127,11 +126,11 @@ func TestAttachChannelDrivesAdaptation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.AttachChannel("off-1", []float64{1.6e6, 800e3, 400e3}, 120)
-	if err != nil {
+	if err := m.AttachChannel("off-1", []float64{1.6e6, 800e3, 400e3}, 120); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AttachChannel("nowhere", []float64{1e6}, 10); err == nil {
+	cp := m.channels["off-1"]
+	if err := m.AttachChannel("nowhere", []float64{1e6}, 10); err == nil {
 		t.Fatal("unknown cell accepted")
 	}
 	if err := sim.RunUntil(2000); err != nil {
@@ -139,8 +138,8 @@ func TestAttachChannelDrivesAdaptation(t *testing.T) {
 	}
 	wl := m.Ledger().Link(m.downlink("off-1"))
 	// Ledger capacity tracks the process.
-	if math.Abs(wl.Capacity-cp.Capacity()) > 1e-9 {
-		t.Fatalf("ledger capacity %v != channel %v", wl.Capacity, cp.Capacity())
+	if math.Abs(wl.Capacity-cp.capacity()) > 1e-9 {
+		t.Fatalf("ledger capacity %v != channel %v", wl.Capacity, cp.capacity())
 	}
 	// The connection was adapted and never sits above the current
 	// capacity by more than the in-flight protocol slack.
@@ -155,17 +154,13 @@ func TestAttachChannelDrivesAdaptation(t *testing.T) {
 
 func TestLearnClassesFromHandoffs(t *testing.T) {
 	// Build a universe with an unknown cell that behaves like a corridor.
-	u := topology.NewUniverse()
-	u.MustAddCell(topology.Cell{ID: "x", Class: topology.ClassUnknown, Capacity: 1.6e6})
-	u.MustAddCell(topology.Cell{ID: "l", Class: topology.ClassCorridor, Capacity: 1.6e6})
-	u.MustAddCell(topology.Cell{ID: "r", Class: topology.ClassCorridor, Capacity: 1.6e6})
-	u.MustConnect("l", "x")
-	u.MustConnect("x", "r")
-	b, hosts, err := topology.BuildBackbone(u, topology.BackboneOptions{})
+	env, err := topology.EnvironmentFromJSON(strings.NewReader(`{
+	  "cells": [{"id": "x"}, {"id": "l", "class": "corridor"}, {"id": "r", "class": "corridor"}],
+	  "edges": [["l", "x"], ["x", "r"]]
+	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &topology.Environment{Universe: u, Backbone: b, Hosts: hosts}
 	m, err := newManagerForTest(env)
 	if err != nil {
 		t.Fatal(err)
@@ -188,15 +183,15 @@ func TestLearnClassesFromHandoffs(t *testing.T) {
 		}
 		m.RemovePortable(pid)
 	}
-	changed := m.LearnClasses(profile.ClassifyOptions{})
+	changed := m.LearnClasses()
 	if len(changed) != 1 || changed[0] != "x" {
 		t.Fatalf("changed = %v, want [x]", changed)
 	}
-	if got := u.Cell("x").Class; got != topology.ClassCorridor {
+	if got := env.Universe.Cell("x").Class; got != topology.ClassCorridor {
 		t.Fatalf("learned class = %v, want corridor", got)
 	}
 	// Second run: nothing left to learn.
-	if changed := m.LearnClasses(profile.ClassifyOptions{}); len(changed) != 0 {
+	if changed := m.LearnClasses(); len(changed) != 0 {
 		t.Fatalf("relearn changed %v", changed)
 	}
 }
@@ -315,7 +310,7 @@ func TestOpenConnectionAsync(t *testing.T) {
 	if c == nil || c.Bandwidth < 64e3 {
 		t.Fatalf("connection = %+v", c)
 	}
-	if err := m.OpenConnectionAsync("ghost", req(1, 2), func(string, error) {}); !errors.Is(err, ErrUnknownPortable) {
+	if err := m.OpenConnectionAsync("ghost", req(1, 2), func(string, error) {}); !errors.Is(err, errUnknownPortable) {
 		t.Fatalf("unknown portable err = %v", err)
 	}
 }
@@ -382,7 +377,7 @@ func TestLoungePoliciesDriveReservations(t *testing.T) {
 	// Walk a steady stream of portables through the campus cafeteria so
 	// its slotted history ramps; the periodic policy evaluation must ask
 	// the neighbors to advance-reserve for the forecast handoffs.
-	sim, m := newCampus(t, Config{SlotDuration: 60})
+	sim, m := newCampus(t, Config{})
 	n := 0
 	// Every 15 s a new visitor enters the cafeteria from cor-e1 and
 	// leaves toward lounge 40 s later.
@@ -447,7 +442,7 @@ func TestLoungePlanAmountIsOrderStable(t *testing.T) {
 	var got []float64
 	m.Bus.Subscribe(func(r eventbus.Record) {
 		got = append(got, r.Event.(eventbus.PolicyReservation).Amount)
-	}, eventbus.KindPolicyReservation)
+	}, eventbus.PolicyReservation{}.Kind())
 	const rounds = 64
 	for round := 0; round < rounds; round++ {
 		plan := reserve.LoungePlan{Neighbor: map[topology.CellID]float64{}, Self: self}
@@ -484,7 +479,7 @@ func TestRefreshAdvanceDemandIsOrderStable(t *testing.T) {
 		}
 	}
 	p := m.Portable("dave")
-	ids := p.Conns()
+	ids := p.connIDs()
 	if len(ids) != 3 {
 		t.Fatalf("dave holds %d connections, want 3", len(ids))
 	}
@@ -499,7 +494,7 @@ func TestRefreshAdvanceDemandIsOrderStable(t *testing.T) {
 	var got []float64
 	m.Bus.Subscribe(func(r eventbus.Record) {
 		got = append(got, r.Event.(eventbus.AdvanceReservation).Amount)
-	}, eventbus.KindAdvanceReservation)
+	}, eventbus.AdvanceReservation{}.Kind())
 	const rounds = 64
 	for round := 0; round < rounds; round++ {
 		m.refreshAdvance(p)
@@ -615,7 +610,7 @@ func TestWatchBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WatchBandwidth("nope", func(float64) {}); !errors.Is(err, ErrUnknownConn) {
+	if err := m.WatchBandwidth("nope", func(float64) {}); !errors.Is(err, errUnknownConn) {
 		t.Fatalf("err = %v", err)
 	}
 	var seen []float64
@@ -646,53 +641,14 @@ func TestWatchBandwidth(t *testing.T) {
 	}
 }
 
-func TestDisableAdaptation(t *testing.T) {
-	sim, m := newCampus(t, Config{Tth: 50, DisableAdaptation: true})
-	if m.Adpt != nil {
-		t.Fatal("adaptation manager built despite DisableAdaptation")
-	}
-	if err := m.PlacePortable("a", "off-1"); err != nil {
-		t.Fatal(err)
-	}
-	id, err := m.OpenConnection("a", req(100e3, 800e3))
+// TestUnknownAllocatorRejected: a misspelt Config.Allocator is refused.
+func TestUnknownAllocatorRejected(t *testing.T) {
+	env, err := topology.BuildCampus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunUntil(300); err != nil {
-		t.Fatal(err)
-	}
-	// No adaptation: the connection stays at its admitted bandwidth.
-	if got := m.Connection(id).Bandwidth; got != 100e3 {
-		t.Fatalf("bandwidth = %v without adaptation", got)
-	}
-	// Handoffs and closure still work.
-	if err := m.HandoffPortable("a", "cor-w1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CloseConnection(id); err != nil {
-		t.Fatal(err)
-	}
-	// Channel attach falls back to plain ledger updates.
-	if _, err := m.AttachChannel("off-1", []float64{1.6e6, 800e3}, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunUntil(500); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUnknownAllocatorRejected: an allocator name is checked whether or
-// not adaptation runs — a misspelt Config.Allocator must not pass
-// silently just because DisableAdaptation leaves the protocol unbuilt.
-func TestUnknownAllocatorRejected(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		env, err := topology.BuildCampus()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = NewManager(des.New(), env, Config{Allocator: "nope", DisableAdaptation: disable})
-		if err == nil || !strings.Contains(err.Error(), `unknown allocator "nope"`) {
-			t.Fatalf("DisableAdaptation=%v: err = %v, want unknown allocator", disable, err)
-		}
+	_, err = NewManager(des.New(), env, Config{Allocator: "nope"})
+	if err == nil || !strings.Contains(err.Error(), `unknown allocator "nope"`) {
+		t.Fatalf("err = %v, want unknown allocator", err)
 	}
 }

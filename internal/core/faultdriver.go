@@ -32,9 +32,7 @@ func (m *Manager) FailLink(link string) error {
 			_ = m.CloseConnection(connID)
 		}
 	}
-	if m.Adpt != nil {
-		_ = m.Adpt.SyncLink(id)
-	}
+	_ = m.Adpt.SyncLink(id)
 	return nil
 }
 
@@ -50,9 +48,7 @@ func (m *Manager) RestoreLink(link string) error {
 		return nil
 	}
 	ls.Down = false
-	if m.Adpt != nil {
-		_ = m.Adpt.SyncLink(id)
-	}
+	_ = m.Adpt.SyncLink(id)
 	return nil
 }
 
@@ -62,7 +58,7 @@ func (m *Manager) RestoreLink(link string) error {
 func (m *Manager) FailCell(cell string) error {
 	link := m.downlink(topology.CellID(cell))
 	if link == "" {
-		return fmt.Errorf("%w: %s", ErrUnknownCell, cell)
+		return fmt.Errorf("%w: %s", errUnknownCell, cell)
 	}
 	return m.FailLink(string(link))
 }
@@ -71,7 +67,7 @@ func (m *Manager) FailCell(cell string) error {
 func (m *Manager) RestoreCell(cell string) error {
 	link := m.downlink(topology.CellID(cell))
 	if link == "" {
-		return fmt.Errorf("%w: %s", ErrUnknownCell, cell)
+		return fmt.Errorf("%w: %s", errUnknownCell, cell)
 	}
 	return m.RestoreLink(string(link))
 }
@@ -92,7 +88,7 @@ func (m *Manager) Blackout(cell string, duration float64) error {
 	if cp == nil {
 		return fmt.Errorf("core: no channel attached to cell %s", cell)
 	}
-	cp.Blackout(m.Sim, duration)
+	cp.blackout(m.Sim, duration)
 	return nil
 }
 

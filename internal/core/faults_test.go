@@ -60,8 +60,8 @@ func TestCellOutageTerminatesAndRestores(t *testing.T) {
 
 func TestSignalingCrashLeaseReclaimsHolds(t *testing.T) {
 	sim, m := newCampus(t, Config{
-		Signal: signal.Options{HopProcessing: 0.1, HoldLease: 0.5},
-		Faults: mustPlan(t, "at 0.25 crash-signaling"),
+		Signal: signal.Options{HoldLease: 0.5},
+		Faults: mustPlan(t, "at 0.002 crash-signaling"),
 	})
 	if err := m.PlacePortable("alice", "off-1"); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestSignalingCrashLeaseReclaimsHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if completed {
-		t.Fatal("setup completed before the crash despite slow hops")
+		t.Fatal("setup completed before the crash")
 	}
 	if m.SignalPlane().PendingTotal() == 0 {
 		t.Fatal("crash left no orphaned holds — the scenario lost its teeth")

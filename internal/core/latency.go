@@ -19,8 +19,8 @@ import (
 // predicted-vs-unpredicted gap — the benefit advance reservation buys —
 // is measurable.
 
-// LatencyStats holds the handoff latency distributions.
-type LatencyStats struct {
+// latencyStats holds the handoff latency distributions.
+type latencyStats struct {
 	// Predicted is the latency of handoffs that consumed an advance
 	// reservation.
 	Predicted stats.Welford

@@ -72,14 +72,14 @@ type CounterSet struct {
 	counts [ctrCount]int64
 }
 
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet { return &CounterSet{} }
+// newCounterSet returns an empty counter set.
+func newCounterSet() *CounterSet { return &CounterSet{} }
 
-// Inc adds one to the counter.
-func (s *CounterSet) Inc(c Ctr) { s.counts[c]++ }
+// inc adds one to the counter.
+func (s *CounterSet) inc(c Ctr) { s.counts[c]++ }
 
-// Add adds delta to the counter.
-func (s *CounterSet) Add(c Ctr, delta int64) { s.counts[c] += delta }
+// add adds delta to the counter.
+func (s *CounterSet) add(c Ctr, delta int64) { s.counts[c] += delta }
 
 // Get returns the counter's value.
 func (s *CounterSet) Get(c Ctr) int64 { return s.counts[c] }
@@ -120,7 +120,7 @@ func (s *CounterSet) String() string {
 }
 
 // Metrics aggregates the manager's observable outcomes. It is a bus
-// subscriber: construct it with NewMetrics and it stays current as the
+// subscriber: construct it with newMetrics and it stays current as the
 // control plane publishes.
 type Metrics struct {
 	Counter *CounterSet
@@ -128,45 +128,45 @@ type Metrics struct {
 	Drops []string
 }
 
-// NewMetrics subscribes a fresh metrics aggregate to the bus, one typed
+// newMetrics subscribes a fresh metrics aggregate to the bus, one typed
 // handler per kind it counts.
-func NewMetrics(bus *eventbus.Bus) *Metrics {
-	m := &Metrics{Counter: NewCounterSet()}
-	eventbus.On(bus, func(eventbus.ConnectionRequested) { m.Counter.Inc(CtrNewRequested) })
-	eventbus.On(bus, func(eventbus.ConnectionAdmitted) { m.Counter.Inc(CtrNewAdmitted) })
-	eventbus.On(bus, func(eventbus.ConnectionBlocked) { m.Counter.Inc(CtrNewBlocked) })
-	eventbus.On(bus, func(eventbus.HandoffAttempt) { m.Counter.Inc(CtrHandoffTried) })
+func newMetrics(bus *eventbus.Bus) *Metrics {
+	m := &Metrics{Counter: newCounterSet()}
+	eventbus.On(bus, func(eventbus.ConnectionRequested) { m.Counter.inc(CtrNewRequested) })
+	eventbus.On(bus, func(eventbus.ConnectionAdmitted) { m.Counter.inc(CtrNewAdmitted) })
+	eventbus.On(bus, func(eventbus.ConnectionBlocked) { m.Counter.inc(CtrNewBlocked) })
+	eventbus.On(bus, func(eventbus.HandoffAttempt) { m.Counter.inc(CtrHandoffTried) })
 	eventbus.On(bus, func(ev eventbus.HandoffOutcome) {
 		if ev.Dropped {
-			m.Counter.Inc(CtrHandoffDropped)
+			m.Counter.inc(CtrHandoffDropped)
 			m.Drops = append(m.Drops, ev.Conn)
 		} else {
-			m.Counter.Inc(CtrHandoffOK)
+			m.Counter.inc(CtrHandoffOK)
 		}
 	})
-	eventbus.On(bus, func(eventbus.PoolClaim) { m.Counter.Inc(CtrPoolClaims) })
-	eventbus.On(bus, func(eventbus.AdvanceReservation) { m.Counter.Inc(CtrAdvanceResv) })
-	eventbus.On(bus, func(eventbus.BandwidthChange) { m.Counter.Inc(CtrAdaptUpdates) })
-	eventbus.On(bus, func(eventbus.FaultMessage) { m.Counter.Inc(CtrFaultsInjected) })
-	eventbus.On(bus, func(eventbus.FaultComponent) { m.Counter.Inc(CtrFaultsInjected) })
-	eventbus.On(bus, func(eventbus.ControlRetransmit) { m.Counter.Inc(CtrRetransmits) })
-	eventbus.On(bus, func(eventbus.HoldReclaimed) { m.Counter.Inc(CtrReclaimedHolds) })
-	eventbus.On(bus, func(ev eventbus.Readvertise) { m.Counter.Add(CtrReadvertises, int64(ev.Kicked)) })
+	eventbus.On(bus, func(eventbus.PoolClaim) { m.Counter.inc(CtrPoolClaims) })
+	eventbus.On(bus, func(eventbus.AdvanceReservation) { m.Counter.inc(CtrAdvanceResv) })
+	eventbus.On(bus, func(eventbus.BandwidthChange) { m.Counter.inc(CtrAdaptUpdates) })
+	eventbus.On(bus, func(eventbus.FaultMessage) { m.Counter.inc(CtrFaultsInjected) })
+	eventbus.On(bus, func(eventbus.FaultComponent) { m.Counter.inc(CtrFaultsInjected) })
+	eventbus.On(bus, func(eventbus.ControlRetransmit) { m.Counter.inc(CtrRetransmits) })
+	eventbus.On(bus, func(eventbus.HoldReclaimed) { m.Counter.inc(CtrReclaimedHolds) })
+	eventbus.On(bus, func(ev eventbus.Readvertise) { m.Counter.add(CtrReadvertises, int64(ev.Kicked)) })
 	eventbus.On(bus, func(ev eventbus.SetupShed) {
 		if ev.Reason == "breaker-open" {
-			m.Counter.Inc(CtrBreakerFastFails)
+			m.Counter.inc(CtrBreakerFastFails)
 		} else {
-			m.Counter.Inc(CtrShedSetups)
+			m.Counter.inc(CtrShedSetups)
 		}
 	})
 	eventbus.On(bus, func(ev eventbus.DegradeCascade) {
 		if ev.Action == "degrade" {
-			m.Counter.Inc(CtrDegradeCascades)
+			m.Counter.inc(CtrDegradeCascades)
 		}
 	})
 	eventbus.On(bus, func(ev eventbus.BreakerState) {
 		if ev.To == "open" {
-			m.Counter.Inc(CtrBreakerTrips)
+			m.Counter.inc(CtrBreakerTrips)
 		}
 	})
 	return m

@@ -55,13 +55,11 @@ func (r refMulticast) setupMulticast(c *Connection, cell topology.CellID) {
 			continue
 		}
 		_, _ = m.Adm.Admit(admission.Test{
-			ConnID:     c.ID + "@mc:" + string(dst),
-			Req:        c.Req,
-			Route:      route,
-			Kind:       admission.KindNew,
-			Mobility:   qos.Mobile,
-			Discipline: m.Cfg.Discipline,
-			LMax:       m.Cfg.LMax,
+			ConnID:   c.ID + "@mc:" + string(dst),
+			Req:      c.Req,
+			Route:    route,
+			Kind:     admission.KindNew,
+			Mobility: qos.Mobile,
 		})
 	}
 }

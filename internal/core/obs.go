@@ -26,9 +26,7 @@ func (m *Manager) armObs(opts obs.Options) {
 		CellUtilization: m.cellUtilization,
 		OverloadArmed:   m.Cfg.Overload != nil,
 	}
-	if m.Adpt != nil {
-		src.Bottlenecks = m.Adpt.Alloc.BottleneckSizes
-	}
+	src.Bottlenecks = m.Adpt.Alloc.BottleneckSizes
 	m.Obs = obs.New(m.Bus, src, opts)
 }
 

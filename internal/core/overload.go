@@ -74,7 +74,7 @@ func (m *Manager) allowSetup(p *Portable) error {
 // b_min — the §5 rule that adaptable connections give their excess back
 // before anyone is dropped. Returns the number newly capped.
 func (m *Manager) degradeLink(link topology.LinkID) int {
-	if m.Adpt == nil || link == "" {
+	if link == "" {
 		return 0
 	}
 	n := 0
@@ -92,7 +92,7 @@ func (m *Manager) degradeLink(link topology.LinkID) int {
 
 // restoreLink lifts the cascade once the cell has left overload.
 func (m *Manager) restoreLink(link topology.LinkID) int {
-	if m.Adpt == nil || link == "" {
+	if link == "" {
 		return 0
 	}
 	n := 0
@@ -108,14 +108,11 @@ func (m *Manager) restoreLink(link topology.LinkID) int {
 	return n
 }
 
-// DegradableConn reports whether a degrade cascade could still reclaim
+// degradableConn reports whether a degrade cascade could still reclaim
 // bandwidth from the allocation id — the oracle the overload auditor
 // checks dropped handoffs against. Multicast legs ("<conn>@mc:<dst>")
 // resolve to their owning connection.
-func (m *Manager) DegradableConn(id string) bool {
-	if m.Adpt == nil {
-		return false
-	}
+func (m *Manager) degradableConn(id string) bool {
 	if i := strings.Index(id, "@"); i >= 0 {
 		id = id[:i]
 	}
@@ -126,7 +123,7 @@ func (m *Manager) DegradableConn(id string) bool {
 // wired to this manager and returns it; inspect Violations after the
 // run.
 func (m *Manager) OverloadAuditor() *overload.Auditor {
-	a := &overload.Auditor{Ledger: m.ledger, Degradable: m.DegradableConn}
+	a := &overload.Auditor{Ledger: m.ledger, Degradable: m.degradableConn}
 	a.Watch(m.Bus)
 	return a
 }

@@ -41,7 +41,7 @@ func (m *Manager) adjustPoolsPerCellScan(cell topology.CellID) {
 			}
 		}
 		if ls := m.ledger.Link(m.downlink(t)); ls != nil {
-			ls.PoolFraction = adapt.PoolFraction(maxAlloc, ls.Capacity, m.Cfg.PoolMin, m.Cfg.PoolMax)
+			ls.PoolFraction = adapt.PoolFraction(maxAlloc, ls.Capacity, m.Cfg.poolMin, m.Cfg.poolMax)
 		}
 	}
 }
@@ -95,7 +95,7 @@ func TestAdjustPoolsMatchesPerCellScan(t *testing.T) {
 				for j, k := 0, rng.Intn(4); j < k; j++ {
 					cid := fmt.Sprintf("%s-c%d", id, j)
 					p.conns.Insert(cid)
-					// Up to 30% of a cell: both clamps of [PoolMin, PoolMax] and
+					// Up to 30% of a cell: both clamps of [poolMin, poolMax] and
 					// the range between are reached.
 					m.conns[cid] = &Connection{ID: cid, Portable: id, Bandwidth: rng.Float64() * 480e3}
 				}

@@ -36,7 +36,7 @@ func (m *Manager) SignalPlane() *signal.Plane {
 func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done func(connID string, err error)) error {
 	p, ok := m.portables[portable]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPortable, portable)
+		return fmt.Errorf("%w: %s", errUnknownPortable, portable)
 	}
 	if done == nil {
 		return fmt.Errorf("core: nil completion callback")
@@ -69,13 +69,11 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 	}
 	originCell := p.Cell
 	m.SignalPlane().Setup(admission.Test{
-		ConnID:     connID,
-		Req:        req,
-		Route:      route,
-		Kind:       admission.KindNew,
-		Mobility:   p.Mobility,
-		Discipline: m.Cfg.Discipline,
-		LMax:       m.Cfg.LMax,
+		ConnID:   connID,
+		Req:      req,
+		Route:    route,
+		Kind:     admission.KindNew,
+		Mobility: p.Mobility,
 	}, func(r signal.Result) {
 		// Every finished session feeds the circuit breaker's sliding
 		// failure window (and decides its half-open probes).
@@ -102,11 +100,9 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 		}
 		m.conns[connID] = c
 		p.conns.Insert(connID)
-		if m.Adpt != nil {
-			if err := m.Adpt.Register(connID, route, req.Bandwidth, p.Mobility); err != nil {
-				done("", err)
-				return
-			}
+		if err := m.Adpt.Register(connID, route, req.Bandwidth, p.Mobility); err != nil {
+			done("", err)
+			return
 		}
 		m.mc.setupMulticast(c, p.Cell)
 		m.refreshAdvance(p)

@@ -28,7 +28,7 @@ type Options struct {
 	// Discipline selects the scheduler on every link (WFQ default).
 	Discipline sched.Discipline
 	// PacketSize is the source packet size in bits (default 8192 — the
-	// admission DefaultLMax).
+	// admission's default).
 	PacketSize float64
 	// Seed drives loss draws and source jitter. Every int64 is a valid,
 	// distinct seed — including 0, the zero-value default.

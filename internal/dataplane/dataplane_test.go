@@ -17,11 +17,19 @@ func rig(t testing.TB, wirelessLoss float64) (*topology.Backbone, topology.Route
 	t.Helper()
 	b := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"host", "sw", "bs", "air"} {
-		b.MustAddNode(topology.Node{ID: id})
+		if _, err := b.AddNode(topology.Node{ID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.MustAddDuplex(topology.Link{From: "host", To: "sw", Capacity: 10e6, PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "sw", To: "bs", Capacity: 10e6, PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true, LossProb: wirelessLoss})
+	if err := b.AddDuplex(topology.Link{From: "host", To: "sw", Capacity: 10e6, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "sw", To: "bs", Capacity: 10e6, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true, LossProb: wirelessLoss}); err != nil {
+		t.Fatal(err)
+	}
 	r, err := b.ShortestPath("host", "air")
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,6 @@ import (
 	"math/bits"
 )
 
-// ErrStopped is returned by Run variants when the simulation was stopped
-// explicitly via Stop rather than by exhausting the event queue or reaching
-// the horizon.
-var ErrStopped = errors.New("des: simulation stopped")
-
 // Event is a unit of scheduled work. The callback runs at the event's
 // timestamp with the simulator clock already advanced.
 type Event struct {
@@ -32,12 +27,6 @@ type Event struct {
 	// it fires.
 	pooled bool
 }
-
-// Time returns the simulated time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.cancel }
 
 // Cancel prevents a pending event from firing. Canceling an event that has
 // already fired or was already canceled is a no-op.
@@ -177,7 +166,6 @@ type Simulator struct {
 	// while it is empty.
 	lanes    [laneCount]lane
 	occupied uint8
-	stopped  bool
 	fired    uint64
 	// free recycles the records of fired Post events. Only events whose
 	// handle never escaped are ever put here, so reuse can't resurrect a
@@ -302,9 +290,6 @@ func (s *Simulator) toLane(e *Event, key uint64) bool {
 	return true
 }
 
-// Stop halts the simulation after the currently executing event returns.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // step executes the earliest pending event. It reports false when the queue
 // is empty. Canceled events are discarded without firing.
 func (s *Simulator) step() bool { return s.stepUntil(forever) }
@@ -362,23 +347,16 @@ func (s *Simulator) stepUntil(horizon float64) bool {
 	}
 }
 
-// Run executes events until the queue drains or Stop is called.
-// It returns ErrStopped in the latter case.
+// Run executes events until the queue drains. It returns nil.
 func (s *Simulator) Run() error {
-	s.stopped = false
-	for !s.stopped {
-		if !s.step() {
-			return nil
-		}
+	for s.step() {
 	}
-	return ErrStopped
+	return nil
 }
 
 // RunUntil executes events with timestamps <= horizon and leaves the
 // clock at the horizon, whether later events remain or the queue
-// drained. It returns ErrStopped if Stop was called, with the clock at
-// the last event fired, and an error for a NaN horizon or one before
-// Now.
+// drained. It returns an error for a NaN horizon or one before Now.
 func (s *Simulator) RunUntil(horizon float64) error {
 	if math.IsNaN(horizon) {
 		return errors.New("des: horizon is NaN")
@@ -386,14 +364,10 @@ func (s *Simulator) RunUntil(horizon float64) error {
 	if horizon < s.now {
 		return fmt.Errorf("des: horizon %v before now %v", horizon, s.now)
 	}
-	s.stopped = false
-	for !s.stopped {
-		if !s.stepUntil(horizon) {
-			s.now = horizon
-			return nil
-		}
+	for s.stepUntil(horizon) {
 	}
-	return ErrStopped
+	s.now = horizon
+	return nil
 }
 
 // Ticker invokes fn every period seconds until Cancel is called on the

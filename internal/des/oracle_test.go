@@ -10,19 +10,17 @@ import (
 // heapSim is the simulator as it stood before the fixed-delay lanes:
 // every event, absolute or relative, goes through the one four-ary heap.
 // It is the oracle the lanes are held to — same (time, seq) order, same
-// discarding of canceled events at the front, same RunUntil and Stop.
+// discarding of canceled events at the front, same RunUntil.
 type heapSim struct {
-	now     float64
-	seq     uint64
-	queue   eventQueue
-	stopped bool
-	fired   uint64
+	now   float64
+	seq   uint64
+	queue eventQueue
+	fired uint64
 }
 
 func (s *heapSim) Now() float64                   { return s.now }
 func (s *heapSim) Fired() uint64                  { return s.fired }
 func (s *heapSim) Pending() int                   { return len(s.queue) }
-func (s *heapSim) Stop()                          { s.stopped = true }
 func (s *heapSim) Post(t float64, fn func())      { s.schedule(t, fn) }
 func (s *heapSim) PostAfter(d float64, fn func()) { s.schedule(s.now+d, fn) }
 
@@ -57,8 +55,7 @@ func (s *heapSim) RunUntil(horizon float64) error {
 	if horizon < s.now {
 		return fmt.Errorf("heapSim: horizon %v before now %v", horizon, s.now)
 	}
-	s.stopped = false
-	for !s.stopped {
+	for {
 		for len(s.queue) > 0 && s.queue[0].cancel {
 			s.queue.popMin()
 		}
@@ -68,7 +65,6 @@ func (s *heapSim) RunUntil(horizon float64) error {
 		}
 		s.step()
 	}
-	return ErrStopped
 }
 
 // heapTicker is Ticker on the oracle.
@@ -109,7 +105,6 @@ type engine interface {
 	Now() float64
 	Fired() uint64
 	Pending() int
-	Stop()
 	Post(t float64, fn func())
 	PostAfter(d float64, fn func())
 	RunUntil(horizon float64) error
@@ -208,9 +203,6 @@ func (w *oracleWorld) fire(label int, h uint64) {
 	}
 	if h>>50%8 == 0 && len(w.handles) > 0 {
 		w.handles[h>>20%uint64(len(w.handles))].Cancel()
-	}
-	if h>>56%16 == 0 {
-		w.eng.Stop()
 	}
 }
 

@@ -34,7 +34,7 @@ func TestPubSubscribedBoxesOnce(t *testing.T) {
 	}
 	bus := New(&stubClock{})
 	n := 0
-	bus.Subscribe(func(Record) { n++ }, KindConnectionRequested)
+	bus.Subscribe(func(Record) { n++ }, kindConnectionRequested)
 	got := testing.AllocsPerRun(1000, func() {
 		Pub(bus, ConnectionRequested{Portable: "p0"})
 	})
@@ -89,7 +89,7 @@ func TestPubTypedHandlersAllocFree(t *testing.T) {
 }
 
 // TestPubSharesOneBox pins the Record route at exactly one box however
-// many Subscriber functions hear the event, wherever the typed handlers
+// many subscriber functions hear the event, wherever the typed handlers
 // and the recorder sit among them.
 func TestPubSharesOneBox(t *testing.T) {
 	if raceflag.Enabled {
@@ -97,9 +97,9 @@ func TestPubSharesOneBox(t *testing.T) {
 	}
 	bus := New(&stubClock{})
 	var seen []Event
-	bus.Subscribe(func(r Record) { seen = append(seen[:0], r.Event) }, KindConnectionRequested)
+	bus.Subscribe(func(r Record) { seen = append(seen[:0], r.Event) }, kindConnectionRequested)
 	On(bus, func(ConnectionRequested) {})
-	bus.Subscribe(func(r Record) { seen = append(seen, r.Event) }, KindConnectionRequested)
+	bus.Subscribe(func(r Record) { seen = append(seen, r.Event) }, kindConnectionRequested)
 	AttachRecorder(bus, io.Discard)
 	bus.Subscribe(func(r Record) { seen = append(seen, r.Event) })
 	pub := func() { Pub(bus, ConnectionRequested{Portable: "p0"}) }

@@ -20,7 +20,7 @@ func BenchmarkPublishNoSubscribers(b *testing.B) {
 func BenchmarkPublishOneKindSubscriber(b *testing.B) {
 	bus := New(&fakeClock{})
 	var n int
-	bus.Subscribe(func(Record) { n++ }, KindBandwidthChange)
+	bus.Subscribe(func(Record) { n++ }, kindBandwidthChange)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Pub(bus, BandwidthChange{Conn: "conn-1", Bandwidth: 64000})
@@ -45,8 +45,8 @@ func BenchmarkPublishTypedHandler(b *testing.B) {
 func BenchmarkPublishFourSubscribers(b *testing.B) {
 	bus := New(&fakeClock{})
 	var n int
-	bus.Subscribe(func(Record) { n++ }, KindBandwidthChange)
-	bus.Subscribe(func(Record) { n++ }, KindBandwidthChange, KindConnectionAdmitted)
+	bus.Subscribe(func(Record) { n++ }, kindBandwidthChange)
+	bus.Subscribe(func(Record) { n++ }, kindBandwidthChange, kindConnectionAdmitted)
 	bus.Subscribe(func(Record) { n++ })
 	bus.Subscribe(func(Record) { n++ })
 	b.ReportAllocs()

@@ -8,17 +8,17 @@ import (
 )
 
 // refBus is the dispatcher as it was before typed handlers: every
-// subscription a Subscriber, each event boxed once into one Record and
+// subscription a subscriber, each event boxed once into one Record and
 // run through the kind-filtered subscribers, then the catch-all ones,
 // in subscription order. It is the reference Pub is checked against.
 type refBus struct {
 	clock  Clock
 	seq    uint64
-	all    []Subscriber
-	byKind [kindCount][]Subscriber
+	all    []subscriber
+	byKind [kindCount][]subscriber
 }
 
-func (b *refBus) subscribe(fn Subscriber, kinds ...Kind) {
+func (b *refBus) subscribe(fn subscriber, kinds ...Kind) {
 	if len(kinds) == 0 {
 		b.all = append(b.all, fn)
 		return
@@ -68,16 +68,16 @@ func (w lineWriter) Write(p []byte) (int, error) {
 }
 
 // oracleKinds are the event types the oracle publishes and subscribes to.
-var oracleKinds = []Kind{KindHandoffAttempt, KindHandoffOutcome, KindBandwidthChange, KindPoolClaim}
+var oracleKinds = []Kind{kindHandoffAttempt, KindHandoffOutcome, kindBandwidthChange, kindPoolClaim}
 
 func randomEvent(rng *rand.Rand) Event {
 	conn := fmt.Sprintf("c%d", rng.Intn(9))
 	switch oracleKinds[rng.Intn(len(oracleKinds))] {
-	case KindHandoffAttempt:
+	case kindHandoffAttempt:
 		return HandoffAttempt{Conn: conn, Portable: "p", From: "a", To: "b", Predicted: rng.Intn(2) == 0}
 	case KindHandoffOutcome:
 		return HandoffOutcome{Conn: conn, Portable: "p", Dropped: rng.Intn(2) == 0}
-	case KindBandwidthChange:
+	case kindBandwidthChange:
 		return BandwidthChange{Conn: conn, Bandwidth: float64(rng.Intn(1e6))}
 	default:
 		return PoolClaim{Portable: conn, From: "a", To: "b"}
@@ -122,11 +122,11 @@ func oracleRig(rng *rand.Rand) (bus *Bus, ref *refBus, clk *fakeClock, got, want
 		switch rng.Intn(4) {
 		case 0: // typed handler
 			switch oracleKinds[rng.Intn(len(oracleKinds))] {
-			case KindHandoffAttempt:
+			case kindHandoffAttempt:
 				onLogged[HandoffAttempt](bus, clk, got, ref, want, sub)
 			case KindHandoffOutcome:
 				onLogged[HandoffOutcome](bus, clk, got, ref, want, sub)
-			case KindBandwidthChange:
+			case kindBandwidthChange:
 				onLogged[BandwidthChange](bus, clk, got, ref, want, sub)
 			default:
 				onLogged[PoolClaim](bus, clk, got, ref, want, sub)
@@ -142,7 +142,7 @@ func oracleRig(rng *rand.Rand) (bus *Bus, ref *refBus, clk *fakeClock, got, want
 					kinds = append(kinds, k)
 				}
 			}
-			logTo := func(l *callLog) Subscriber {
+			logTo := func(l *callLog) subscriber {
 				return func(r Record) { *l = append(*l, call{sub: sub, seq: r.Seq, t: r.Time, ev: r.Event}) }
 			}
 			bus.Subscribe(logTo(got), kinds...)
@@ -173,16 +173,33 @@ func mutantPub(b *Bus, ev Event) {
 	b.seq++
 	rec := Record{Seq: b.seq, Time: b.clock.Now(), Event: ev}
 	for _, list := range [][]entry{b.byKind[ev.Kind()], b.all} {
-		for _, e := range list {
-			if e.typed != nil || e.rec != nil {
-				e.fn(rec)
+		for i := range list {
+			if list[i].typed != nil || list[i].rec != nil {
+				deliverAny(&list[i], &rec, ev)
 			}
 		}
-		for _, e := range list {
-			if e.typed == nil && e.rec == nil {
-				e.fn(rec)
+		for i := range list {
+			if list[i].typed == nil && list[i].rec == nil {
+				deliverAny(&list[i], &rec, ev)
 			}
 		}
+	}
+}
+
+// deliverAny hands ev to one subscription through deliver at its
+// concrete type.
+func deliverAny(e *entry, rec *Record, ev Event) {
+	switch ev := ev.(type) {
+	case HandoffAttempt:
+		deliver(e, rec, ev)
+	case HandoffOutcome:
+		deliver(e, rec, ev)
+	case BandwidthChange:
+		deliver(e, rec, ev)
+	case PoolClaim:
+		deliver(e, rec, ev)
+	default:
+		panic(fmt.Sprintf("deliverAny: %T", ev))
 	}
 }
 

@@ -308,37 +308,37 @@ func typedAs[T Event]() typedRoute {
 }
 
 var typed = map[Kind]typedRoute{
-	KindConnectionRequested: typedAs[ConnectionRequested](),
-	KindConnectionAdmitted:  typedAs[ConnectionAdmitted](),
-	KindConnectionBlocked:   typedAs[ConnectionBlocked](),
-	KindConnectionClosed:    typedAs[ConnectionClosed](),
+	kindConnectionRequested: typedAs[ConnectionRequested](),
+	kindConnectionAdmitted:  typedAs[ConnectionAdmitted](),
+	kindConnectionBlocked:   typedAs[ConnectionBlocked](),
+	kindConnectionClosed:    typedAs[ConnectionClosed](),
 	KindAdmissionDecision:   typedAs[AdmissionDecision](),
-	KindHandoffAttempt:      typedAs[HandoffAttempt](),
+	kindHandoffAttempt:      typedAs[HandoffAttempt](),
 	KindHandoffOutcome:      typedAs[HandoffOutcome](),
 	KindHandoffLatency:      typedAs[HandoffLatency](),
-	KindPoolClaim:           typedAs[PoolClaim](),
-	KindAdvanceReservation:  typedAs[AdvanceReservation](),
-	KindPolicyReservation:   typedAs[PolicyReservation](),
-	KindBandwidthChange:     typedAs[BandwidthChange](),
+	kindPoolClaim:           typedAs[PoolClaim](),
+	kindAdvanceReservation:  typedAs[AdvanceReservation](),
+	kindPolicyReservation:   typedAs[PolicyReservation](),
+	kindBandwidthChange:     typedAs[BandwidthChange](),
 	KindAdaptationRound:     typedAs[AdaptationRound](),
 	KindMaxminConverged:     typedAs[MaxminConverged](),
-	KindCapacityChange:      typedAs[CapacityChange](),
-	KindSignalHold:          typedAs[SignalHold](),
+	kindCapacityChange:      typedAs[CapacityChange](),
+	kindSignalHold:          typedAs[SignalHold](),
 	KindSignalCommit:        typedAs[SignalCommit](),
 	KindSignalAbort:         typedAs[SignalAbort](),
-	KindFlowStarted:         typedAs[FlowStarted](),
-	KindFlowStopped:         typedAs[FlowStopped](),
-	KindFaultMessage:        typedAs[FaultMessage](),
+	kindFlowStarted:         typedAs[FlowStarted](),
+	kindFlowStopped:         typedAs[FlowStopped](),
+	kindFaultMessage:        typedAs[FaultMessage](),
 	KindFaultComponent:      typedAs[FaultComponent](),
 	KindControlRetransmit:   typedAs[ControlRetransmit](),
-	KindHoldReclaimed:       typedAs[HoldReclaimed](),
-	KindReadvertise:         typedAs[Readvertise](),
-	KindInvariantViolation:  typedAs[InvariantViolation](),
+	kindHoldReclaimed:       typedAs[HoldReclaimed](),
+	kindReadvertise:         typedAs[Readvertise](),
+	kindInvariantViolation:  typedAs[InvariantViolation](),
 	KindOverloadStage:       typedAs[OverloadStage](),
-	KindSetupShed:           typedAs[SetupShed](),
-	KindDegradeCascade:      typedAs[DegradeCascade](),
+	kindSetupShed:           typedAs[SetupShed](),
+	kindDegradeCascade:      typedAs[DegradeCascade](),
 	KindBreakerState:        typedAs[BreakerState](),
-	KindWireDelivery:        typedAs[WireDelivery](),
+	kindWireDelivery:        typedAs[WireDelivery](),
 }
 
 // replayClock reads out a record stream's clock readings, one per Now.

@@ -9,7 +9,7 @@
 // # Ordering and determinism
 //
 // The bus is carried on the discrete-event simulator's clock (any Clock
-// implementation works; des.Simulator satisfies it). Publish stamps each
+// implementation works; des.Simulator satisfies it). Pub stamps each
 // event with the current simulated time and a monotonically increasing
 // sequence number, then dispatches to subscribers synchronously, in
 // subscription order, before returning. Because the simulation is
@@ -53,15 +53,15 @@ type Record struct {
 	Event Event
 }
 
-// Subscriber observes stamped events.
-type Subscriber func(Record)
+// subscriber observes stamped events.
+type subscriber func(Record)
 
-// entry is one subscription. fn is what Publish calls: the subscriber
-// itself, or the Record adapter of a typed handler or the recorder. Pub
-// skips the adapter when it can: typed holds the func(T) On registered
-// and rec the recorder of AttachRecorder, both fed the concrete event.
+// entry is one subscription, exactly one of whose fields is set: fn is a
+// Subscribe subscriber, fed the stamped Record; typed holds the func(T)
+// On registered and rec the recorder of AttachRecorder, both fed the
+// concrete event.
 type entry struct {
-	fn    Subscriber
+	fn    subscriber
 	typed any
 	rec   *Recorder
 }
@@ -87,7 +87,7 @@ func New(clock Clock) *Bus {
 // kinds are given. Subscribers are invoked in subscription order;
 // kind-filtered subscribers run before catch-all subscribers of the same
 // event.
-func (b *Bus) Subscribe(fn Subscriber, kinds ...Kind) {
+func (b *Bus) Subscribe(fn subscriber, kinds ...Kind) {
 	if fn == nil {
 		panic("eventbus: nil subscriber")
 	}
@@ -110,44 +110,18 @@ func On[T Event](b *Bus, fn func(T)) {
 	}
 	var zero T
 	k := zero.Kind()
-	b.byKind[k] = append(b.byKind[k], entry{fn: func(r Record) { fn(r.Event.(T)) }, typed: fn})
+	b.byKind[k] = append(b.byKind[k], entry{typed: fn})
 }
 
-// Publish stamps ev with the clock's current time and the next sequence
-// number and dispatches it synchronously. Publishing on a nil bus is a
-// no-op, so emitting layers need no listener checks.
-//
-// Publish takes the event as an interface, which means the caller boxes
-// it (one heap allocation) whether or not anyone listens. The emitting
-// layers use the generic Pub instead; Publish remains for
-// subscribers-of-subscribers and external callers holding an
-// already-boxed Event.
-func (b *Bus) Publish(ev Event) {
-	if b == nil {
-		return
-	}
-	b.seq++
-	k := ev.Kind()
-	kinds, all := b.byKind[k], b.all
-	if len(kinds) == 0 && len(all) == 0 {
-		return
-	}
-	rec := Record{Seq: b.seq, Time: b.clock.Now(), Event: ev}
-	for _, e := range kinds {
-		e.fn(rec)
-	}
-	for _, e := range all {
-		e.fn(rec)
-	}
-}
-
-// Pub is the allocation-aware publish path. Its one dispatch rule: every
-// subscription of the event runs in subscription order, kind-filtered
-// ones before catch-all ones, exactly as Publish would run them — but
-// typed handlers (On) and the recorder are handed the concrete event,
-// and only Subscriber functions see a Record. The event is boxed into
-// that Record at most once, when the first Subscriber is reached, and
-// the one box is shared by every Subscriber after it. A kind nobody
+// Pub stamps ev with the clock's current time and the next sequence
+// number and dispatches it synchronously; publishing on a nil bus is a
+// no-op, so emitting layers need no listener checks. Its one dispatch
+// rule: every subscription of the event runs in subscription order,
+// kind-filtered ones before catch-all ones — but typed handlers (On)
+// and the recorder are handed the concrete event,
+// and only subscriber functions see a Record. The event is boxed into
+// that Record at most once, when the first subscriber is reached, and
+// the one box is shared by every subscriber after it. A kind nobody
 // listens to, or that only typed handlers and the recorder hear, costs
 // zero allocations; the sequence number advances either way, keeping
 // the stamped stream identical whoever listens.
@@ -171,7 +145,7 @@ func Pub[T Event](b *Bus, ev T) {
 }
 
 // deliver hands ev to one subscription, boxing it into rec on the first
-// Subscriber that needs it.
+// subscriber that needs it.
 func deliver[T Event](e *entry, rec *Record, ev T) {
 	switch {
 	case e.rec != nil:

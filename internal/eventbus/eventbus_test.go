@@ -17,9 +17,9 @@ func TestPublishStampsTimeAndSeq(t *testing.T) {
 	var got []Record
 	bus.Subscribe(func(r Record) { got = append(got, r) })
 
-	bus.Publish(ConnectionRequested{Portable: "p0"})
+	Pub(bus, ConnectionRequested{Portable: "p0"})
 	clk.t = 2.5
-	bus.Publish(ConnectionBlocked{Portable: "p0", Reason: "bandwidth"})
+	Pub(bus, ConnectionBlocked{Portable: "p0", Reason: "bandwidth"})
 
 	if len(got) != 2 {
 		t.Fatalf("got %d records, want 2", len(got))
@@ -41,18 +41,18 @@ func TestPublishStampsTimeAndSeq(t *testing.T) {
 func TestKindFiltering(t *testing.T) {
 	bus := New(&fakeClock{})
 	var holds, aborts, all int
-	bus.Subscribe(func(Record) { holds++ }, KindSignalHold)
+	bus.Subscribe(func(Record) { holds++ }, kindSignalHold)
 	bus.Subscribe(func(r Record) {
 		switch r.Event.Kind() {
-		case KindSignalHold, KindSignalAbort:
+		case kindSignalHold, KindSignalAbort:
 			aborts++
 		}
-	}, KindSignalHold, KindSignalAbort)
+	}, kindSignalHold, KindSignalAbort)
 	bus.Subscribe(func(Record) { all++ })
 
-	bus.Publish(SignalHold{Conn: "c", Link: "l"})
-	bus.Publish(SignalAbort{Conn: "c", Reason: "timeout"})
-	bus.Publish(SignalCommit{Conn: "c"})
+	Pub(bus, SignalHold{Conn: "c", Link: "l"})
+	Pub(bus, SignalAbort{Conn: "c", Reason: "timeout"})
+	Pub(bus, SignalCommit{Conn: "c"})
 
 	if holds != 1 {
 		t.Errorf("hold-only subscriber saw %d events, want 1", holds)
@@ -68,12 +68,12 @@ func TestKindFiltering(t *testing.T) {
 func TestDispatchOrderIsSubscriptionOrder(t *testing.T) {
 	bus := New(&fakeClock{})
 	var order []string
-	bus.Subscribe(func(Record) { order = append(order, "kind-a") }, KindPoolClaim)
-	bus.Subscribe(func(Record) { order = append(order, "kind-b") }, KindPoolClaim)
+	bus.Subscribe(func(Record) { order = append(order, "kind-a") }, kindPoolClaim)
+	bus.Subscribe(func(Record) { order = append(order, "kind-b") }, kindPoolClaim)
 	bus.Subscribe(func(Record) { order = append(order, "all-a") })
 	bus.Subscribe(func(Record) { order = append(order, "all-b") })
 
-	bus.Publish(PoolClaim{Portable: "p"})
+	Pub(bus, PoolClaim{Portable: "p"})
 
 	want := "kind-a,kind-b,all-a,all-b"
 	if got := strings.Join(order, ","); got != want {
@@ -83,13 +83,13 @@ func TestDispatchOrderIsSubscriptionOrder(t *testing.T) {
 
 func TestNilBusAndNoSubscribers(t *testing.T) {
 	var nilBus *Bus
-	nilBus.Publish(ConnectionClosed{Conn: "c"}) // must not panic
+	Pub(nilBus, ConnectionClosed{Conn: "c"}) // must not panic
 	if nilBus.Seq() != 0 {
 		t.Errorf("nil bus Seq() = %d, want 0", nilBus.Seq())
 	}
 
 	bus := New(&fakeClock{})
-	bus.Publish(ConnectionClosed{Conn: "c"})
+	Pub(bus, ConnectionClosed{Conn: "c"})
 	if bus.Seq() != 1 {
 		t.Errorf("subscriber-less bus Seq() = %d, want 1", bus.Seq())
 	}
@@ -115,9 +115,9 @@ func TestRecorderEmitsDeterministicJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	rec := AttachRecorder(bus, &buf)
 
-	bus.Publish(ConnectionRequested{Portable: "p0"})
+	Pub(bus, ConnectionRequested{Portable: "p0"})
 	clk.t = 1.25
-	bus.Publish(AdmissionDecision{Conn: "conn-0", Class: "new", Admitted: true, Bandwidth: 64000})
+	Pub(bus, AdmissionDecision{Conn: "conn-0", Class: "new", Admitted: true, Bandwidth: 64000})
 
 	want := `{"seq":1,"t":0,"type":"connection-requested","ev":{"portable":"p0"}}
 {"seq":2,"t":1.25,"type":"admission-decision","ev":{"conn":"conn-0","kind":"new","admitted":true,"bw":64000}}
@@ -149,9 +149,9 @@ func TestRecorderLatchesFirstWriteError(t *testing.T) {
 	bus := New(&fakeClock{})
 	w := &errWriter{}
 	rec := AttachRecorder(bus, w)
-	bus.Publish(ConnectionRequested{Portable: "a"})
-	bus.Publish(ConnectionRequested{Portable: "b"})
-	bus.Publish(ConnectionRequested{Portable: "c"})
+	Pub(bus, ConnectionRequested{Portable: "a"})
+	Pub(bus, ConnectionRequested{Portable: "b"})
+	Pub(bus, ConnectionRequested{Portable: "c"})
 	if rec.Err() == nil {
 		t.Fatal("expected latched write error")
 	}

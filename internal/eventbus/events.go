@@ -6,66 +6,66 @@ package eventbus
 type Kind int
 
 const (
-	// KindConnectionRequested marks the arrival of a new-connection
+	// kindConnectionRequested marks the arrival of a new-connection
 	// request, before any admission test runs.
-	KindConnectionRequested Kind = iota
-	// KindConnectionAdmitted marks a new connection entering service
+	kindConnectionRequested Kind = iota
+	// kindConnectionAdmitted marks a new connection entering service
 	// (possibly best-effort).
-	KindConnectionAdmitted
-	// KindConnectionBlocked marks a new connection rejected outright.
-	KindConnectionBlocked
-	// KindConnectionClosed marks a voluntary teardown.
-	KindConnectionClosed
+	kindConnectionAdmitted
+	// kindConnectionBlocked marks a new connection rejected outright.
+	kindConnectionBlocked
+	// kindConnectionClosed marks a voluntary teardown.
+	kindConnectionClosed
 	// KindAdmissionDecision is the trace-level outcome of every
 	// admission.Controller.Admit call, including renegotiations and
 	// per-receiver multicast legs that the aggregate counters ignore.
 	KindAdmissionDecision
-	// KindHandoffAttempt marks one connection starting a handoff re-test
+	// kindHandoffAttempt marks one connection starting a handoff re-test
 	// in the destination cell.
-	KindHandoffAttempt
+	kindHandoffAttempt
 	// KindHandoffOutcome resolves an attempt: carried over or dropped.
 	KindHandoffOutcome
 	// KindHandoffLatency reports the signaling latency charged to one
 	// connection's handoff (predicted cells pay less, §6.2).
 	KindHandoffLatency
-	// KindPoolClaim marks an unpredicted handoff dipping into the shared
+	// kindPoolClaim marks an unpredicted handoff dipping into the shared
 	// B_dyn pool.
-	KindPoolClaim
-	// KindAdvanceReservation marks b_resv,l being (re)placed in a cell
+	kindPoolClaim
+	// kindAdvanceReservation marks b_resv,l being (re)placed in a cell
 	// for a predicted portable.
-	KindAdvanceReservation
-	// KindPolicyReservation marks a reserve-package policy (meeting
+	kindAdvanceReservation
+	// kindPolicyReservation marks a reserve-package policy (meeting
 	// schedule, lounge heuristic) holding capacity in a cell.
-	KindPolicyReservation
-	// KindBandwidthChange marks the rate-adaptation layer committing a
+	kindPolicyReservation
+	// kindBandwidthChange marks the rate-adaptation layer committing a
 	// new allocation to a running connection.
-	KindBandwidthChange
+	kindBandwidthChange
 	// KindAdaptationRound marks one ADVERTISE round of the maxmin
 	// protocol stamping a rate for a connection.
 	KindAdaptationRound
 	// KindMaxminConverged marks the maxmin protocol going quiescent: no
 	// active or dirty sessions remain.
 	KindMaxminConverged
-	// KindCapacityChange marks a wireless channel's effective capacity
+	// kindCapacityChange marks a wireless channel's effective capacity
 	// shifting to a new level.
-	KindCapacityChange
-	// KindSignalHold marks a tentative per-link hold placed by the
+	kindCapacityChange
+	// kindSignalHold marks a tentative per-link hold placed by the
 	// signaling plane's forward pass (§5.1).
-	KindSignalHold
+	kindSignalHold
 	// KindSignalCommit marks a signaling session converting its holds
 	// into a committed connection.
 	KindSignalCommit
 	// KindSignalAbort marks a signaling session rolling its holds back.
 	KindSignalAbort
-	// KindFlowStarted marks a packet-level flow starting in the data
+	// kindFlowStarted marks a packet-level flow starting in the data
 	// plane.
-	KindFlowStarted
-	// KindFlowStopped marks a data-plane flow stopping, with its final
+	kindFlowStarted
+	// kindFlowStopped marks a data-plane flow stopping, with its final
 	// packet accounting.
-	KindFlowStopped
-	// KindFaultMessage marks a fault-injection rule acting on one control
+	kindFlowStopped
+	// kindFaultMessage marks a fault-injection rule acting on one control
 	// message (drop, duplicate, or delay).
-	KindFaultMessage
+	kindFaultMessage
 	// KindFaultComponent marks an injected component fault or its
 	// scheduled restoration (link down/up, cell outage, zone crash,
 	// wireless blackout, signaling-plane crash).
@@ -73,67 +73,67 @@ const (
 	// KindControlRetransmit marks a control-plane sender retrying a lost
 	// message after a backoff.
 	KindControlRetransmit
-	// KindHoldReclaimed marks a lease expiring on an orphaned tentative
+	// kindHoldReclaimed marks a lease expiring on an orphaned tentative
 	// hold or advance reservation, returning the capacity to the ledger.
-	KindHoldReclaimed
-	// KindReadvertise marks the periodic re-ADVERTISE sweep kicking
+	kindHoldReclaimed
+	// kindReadvertise marks the periodic re-ADVERTISE sweep kicking
 	// connections whose committed rate drifted from the maxmin fixpoint.
-	KindReadvertise
-	// KindInvariantViolation marks the fault auditor detecting a broken
+	kindReadvertise
+	// kindInvariantViolation marks the fault auditor detecting a broken
 	// recovery invariant.
-	KindInvariantViolation
+	kindInvariantViolation
 	// KindOverloadStage marks a cell's overload controller moving between
 	// escalation stages (normal, degrade, shed-static, shed-mobile).
 	KindOverloadStage
-	// KindSetupShed marks a new-connection setup refused by the overload
+	// kindSetupShed marks a new-connection setup refused by the overload
 	// controller before any signaling started (priority shed, token
 	// bucket, or breaker fast-fail).
-	KindSetupShed
-	// KindDegradeCascade marks one connection forced to b_min (or
+	kindSetupShed
+	// kindDegradeCascade marks one connection forced to b_min (or
 	// restored from it) by an overload degrade cascade.
-	KindDegradeCascade
+	kindDegradeCascade
 	// KindBreakerState marks the signaling circuit breaker changing state
 	// (closed, open, half-open).
 	KindBreakerState
-	// KindWireDelivery marks a testnet node receiving one encoded control
+	// kindWireDelivery marks a testnet node receiving one encoded control
 	// frame off the wire (live mode or in-process loopback).
-	KindWireDelivery
+	kindWireDelivery
 
 	kindCount int = iota
 )
 
 var kindNames = [kindCount]string{
-	KindConnectionRequested: "connection-requested",
-	KindConnectionAdmitted:  "connection-admitted",
-	KindConnectionBlocked:   "connection-blocked",
-	KindConnectionClosed:    "connection-closed",
+	kindConnectionRequested: "connection-requested",
+	kindConnectionAdmitted:  "connection-admitted",
+	kindConnectionBlocked:   "connection-blocked",
+	kindConnectionClosed:    "connection-closed",
 	KindAdmissionDecision:   "admission-decision",
-	KindHandoffAttempt:      "handoff-attempt",
+	kindHandoffAttempt:      "handoff-attempt",
 	KindHandoffOutcome:      "handoff-outcome",
 	KindHandoffLatency:      "handoff-latency",
-	KindPoolClaim:           "pool-claim",
-	KindAdvanceReservation:  "advance-reservation",
-	KindPolicyReservation:   "policy-reservation",
-	KindBandwidthChange:     "bandwidth-change",
+	kindPoolClaim:           "pool-claim",
+	kindAdvanceReservation:  "advance-reservation",
+	kindPolicyReservation:   "policy-reservation",
+	kindBandwidthChange:     "bandwidth-change",
 	KindAdaptationRound:     "adaptation-round",
 	KindMaxminConverged:     "maxmin-converged",
-	KindCapacityChange:      "capacity-change",
-	KindSignalHold:          "signal-hold",
+	kindCapacityChange:      "capacity-change",
+	kindSignalHold:          "signal-hold",
 	KindSignalCommit:        "signal-commit",
 	KindSignalAbort:         "signal-abort",
-	KindFlowStarted:         "flow-started",
-	KindFlowStopped:         "flow-stopped",
-	KindFaultMessage:        "fault-message",
+	kindFlowStarted:         "flow-started",
+	kindFlowStopped:         "flow-stopped",
+	kindFaultMessage:        "fault-message",
 	KindFaultComponent:      "fault-component",
 	KindControlRetransmit:   "control-retransmit",
-	KindHoldReclaimed:       "hold-reclaimed",
-	KindReadvertise:         "readvertise",
-	KindInvariantViolation:  "invariant-violation",
+	kindHoldReclaimed:       "hold-reclaimed",
+	kindReadvertise:         "readvertise",
+	kindInvariantViolation:  "invariant-violation",
 	KindOverloadStage:       "overload-stage",
-	KindSetupShed:           "setup-shed",
-	KindDegradeCascade:      "degrade-cascade",
+	kindSetupShed:           "setup-shed",
+	kindDegradeCascade:      "degrade-cascade",
 	KindBreakerState:        "breaker-state",
-	KindWireDelivery:        "wire-delivery",
+	kindWireDelivery:        "wire-delivery",
 }
 
 // String returns the stable wire name used in JSONL traces.
@@ -664,35 +664,35 @@ func (e WireDelivery) appendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-func (WireDelivery) Kind() Kind { return KindWireDelivery }
+func (WireDelivery) Kind() Kind { return kindWireDelivery }
 
-func (ConnectionRequested) Kind() Kind { return KindConnectionRequested }
-func (ConnectionAdmitted) Kind() Kind  { return KindConnectionAdmitted }
-func (ConnectionBlocked) Kind() Kind   { return KindConnectionBlocked }
-func (ConnectionClosed) Kind() Kind    { return KindConnectionClosed }
+func (ConnectionRequested) Kind() Kind { return kindConnectionRequested }
+func (ConnectionAdmitted) Kind() Kind  { return kindConnectionAdmitted }
+func (ConnectionBlocked) Kind() Kind   { return kindConnectionBlocked }
+func (ConnectionClosed) Kind() Kind    { return kindConnectionClosed }
 func (AdmissionDecision) Kind() Kind   { return KindAdmissionDecision }
-func (HandoffAttempt) Kind() Kind      { return KindHandoffAttempt }
+func (HandoffAttempt) Kind() Kind      { return kindHandoffAttempt }
 func (HandoffOutcome) Kind() Kind      { return KindHandoffOutcome }
 func (HandoffLatency) Kind() Kind      { return KindHandoffLatency }
-func (PoolClaim) Kind() Kind           { return KindPoolClaim }
-func (AdvanceReservation) Kind() Kind  { return KindAdvanceReservation }
-func (PolicyReservation) Kind() Kind   { return KindPolicyReservation }
-func (BandwidthChange) Kind() Kind     { return KindBandwidthChange }
+func (PoolClaim) Kind() Kind           { return kindPoolClaim }
+func (AdvanceReservation) Kind() Kind  { return kindAdvanceReservation }
+func (PolicyReservation) Kind() Kind   { return kindPolicyReservation }
+func (BandwidthChange) Kind() Kind     { return kindBandwidthChange }
 func (AdaptationRound) Kind() Kind     { return KindAdaptationRound }
 func (MaxminConverged) Kind() Kind     { return KindMaxminConverged }
-func (CapacityChange) Kind() Kind      { return KindCapacityChange }
-func (SignalHold) Kind() Kind          { return KindSignalHold }
+func (CapacityChange) Kind() Kind      { return kindCapacityChange }
+func (SignalHold) Kind() Kind          { return kindSignalHold }
 func (SignalCommit) Kind() Kind        { return KindSignalCommit }
 func (SignalAbort) Kind() Kind         { return KindSignalAbort }
-func (FlowStarted) Kind() Kind         { return KindFlowStarted }
-func (FlowStopped) Kind() Kind         { return KindFlowStopped }
-func (FaultMessage) Kind() Kind        { return KindFaultMessage }
+func (FlowStarted) Kind() Kind         { return kindFlowStarted }
+func (FlowStopped) Kind() Kind         { return kindFlowStopped }
+func (FaultMessage) Kind() Kind        { return kindFaultMessage }
 func (FaultComponent) Kind() Kind      { return KindFaultComponent }
 func (ControlRetransmit) Kind() Kind   { return KindControlRetransmit }
-func (HoldReclaimed) Kind() Kind       { return KindHoldReclaimed }
-func (Readvertise) Kind() Kind         { return KindReadvertise }
-func (InvariantViolation) Kind() Kind  { return KindInvariantViolation }
+func (HoldReclaimed) Kind() Kind       { return kindHoldReclaimed }
+func (Readvertise) Kind() Kind         { return kindReadvertise }
+func (InvariantViolation) Kind() Kind  { return kindInvariantViolation }
 func (OverloadStage) Kind() Kind       { return KindOverloadStage }
-func (SetupShed) Kind() Kind           { return KindSetupShed }
-func (DegradeCascade) Kind() Kind      { return KindDegradeCascade }
+func (SetupShed) Kind() Kind           { return kindSetupShed }
+func (DegradeCascade) Kind() Kind      { return kindDegradeCascade }
 func (BreakerState) Kind() Kind        { return KindBreakerState }

@@ -50,17 +50,12 @@ func AttachRecorder(bus *Bus, w io.Writer) *Recorder {
 	// A line is 100–200 bytes: start the scratch there in one allocation
 	// rather than let the first record double its way up in six.
 	r := &Recorder{w: w, line: make([]byte, 0, 256)}
-	bus.all = append(bus.all, entry{fn: r.observe, rec: r})
+	bus.all = append(bus.all, entry{rec: r})
 	return r
 }
 
-// observe is the recorder's Record adapter, the route Publish takes.
-func (r *Recorder) observe(rec Record) { record(r, rec.Seq, rec.Time, rec.Event) }
-
 // record serializes one stamped event. It is generic so that Pub can
-// hand it a concrete payload with nothing boxed; observe instantiates it
-// at Event. Both routes run this one body, so they write the same bytes
-// and latch the same errors.
+// hand it a concrete payload with nothing boxed.
 func record[T Event](r *Recorder, seq uint64, t float64, ev T) {
 	if r.err != nil {
 		return

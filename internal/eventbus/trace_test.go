@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// observe feeds the recorder a stamped Record, instantiating record at
+// Event: the boxed route a Record-level test drives.
+func (r *Recorder) observe(rec Record) { record(r, rec.Seq, rec.Time, rec.Event) }
+
 type stubClock struct{ now float64 }
 
 func (c *stubClock) Now() float64 { return c.now }
@@ -24,16 +28,16 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 func TestRecorderLatchesWriteError(t *testing.T) {
 	bus := New(&stubClock{})
 	r := AttachRecorder(bus, &failingWriter{allow: 1})
-	bus.Publish(ConnectionRequested{Portable: "p0"})
+	Pub(bus, ConnectionRequested{Portable: "p0"})
 	if r.Err() != nil {
 		t.Fatalf("first write errored: %v", r.Err())
 	}
-	bus.Publish(ConnectionRequested{Portable: "p1"})
+	Pub(bus, ConnectionRequested{Portable: "p1"})
 	err := r.Err()
 	if err == nil || !strings.Contains(err.Error(), "trace write") {
 		t.Fatalf("Err = %v, want wrapped trace write error", err)
 	}
-	bus.Publish(ConnectionRequested{Portable: "p2"})
+	Pub(bus, ConnectionRequested{Portable: "p2"})
 	if r.Err() != err {
 		t.Fatalf("latched error changed: %v", r.Err())
 	}
@@ -85,7 +89,7 @@ func TestRecorderOutputShape(t *testing.T) {
 	bus := New(clk)
 	var buf bytes.Buffer
 	r := AttachRecorder(bus, &buf)
-	bus.Publish(ConnectionRequested{Portable: "p0"})
+	Pub(bus, ConnectionRequested{Portable: "p0"})
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}

@@ -42,16 +42,6 @@ func (b *TraceBuffer) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Len reports how many bytes have been written since the last Reset.
-func (b *TraceBuffer) Len() int { return b.n }
-
-// Reset discards the contents and releases the chunks.
-func (b *TraceBuffer) Reset() {
-	clear(b.chunks)
-	b.chunks = b.chunks[:0]
-	b.n = 0
-}
-
 // Bytes returns the contents as one newly allocated slice, which the
 // caller owns.
 func (b *TraceBuffer) Bytes() []byte { return bytes.Join(b.chunks, nil) }

@@ -22,8 +22,8 @@ func checkChunks(t *testing.T, b *TraceBuffer) {
 		}
 		total += len(c)
 	}
-	if total != b.Len() {
-		t.Fatalf("chunks hold %d bytes, Len() = %d", total, b.Len())
+	if total != b.n {
+		t.Fatalf("chunks hold %d bytes, Len() = %d", total, b.n)
 	}
 }
 
@@ -32,8 +32,8 @@ func checkChunks(t *testing.T, b *TraceBuffer) {
 // a Reset.
 func TestTraceBufferRoundTrip(t *testing.T) {
 	var b TraceBuffer
-	if b.Len() != 0 || len(b.Bytes()) != 0 {
-		t.Fatalf("zero value holds %d bytes", b.Len())
+	if b.n != 0 || len(b.Bytes()) != 0 {
+		t.Fatalf("zero value holds %d bytes", b.n)
 	}
 	for round := 0; round < 2; round++ {
 		var want bytes.Buffer
@@ -51,15 +51,15 @@ func TestTraceBufferRoundTrip(t *testing.T) {
 			want.Write(p)
 			checkChunks(t, &b)
 		}
-		if b.Len() != want.Len() {
-			t.Fatalf("round %d: Len() = %d, want %d", round, b.Len(), want.Len())
+		if b.n != want.Len() {
+			t.Fatalf("round %d: Len() = %d, want %d", round, b.n, want.Len())
 		}
 		if !bytes.Equal(b.Bytes(), want.Bytes()) {
 			t.Fatalf("round %d: Bytes() differs from what was written", round)
 		}
-		b.Reset()
-		if b.Len() != 0 || len(b.Bytes()) != 0 {
-			t.Fatalf("round %d: %d bytes left after Reset", round, b.Len())
+		b = TraceBuffer{}
+		if b.n != 0 || len(b.Bytes()) != 0 {
+			t.Fatalf("round %d: %d bytes left after clearing", round, b.n)
 		}
 	}
 }
@@ -76,12 +76,12 @@ func TestTraceBufferNeverCopiesHistory(t *testing.T) {
 	var b TraceBuffer
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for b.Len() < total {
+	for b.n < total {
 		b.Write(line)
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= total*5/4 {
-		t.Fatalf("writing %d bytes allocated %d, want under %d", b.Len(), grew, total*5/4)
+		t.Fatalf("writing %d bytes allocated %d, want under %d", b.n, grew, total*5/4)
 	}
 	checkChunks(t, &b)
 }

@@ -232,7 +232,7 @@ func auditLedger(t *testing.T) *admission.Ledger {
 	if _, err := b.AddNode(topology.Node{ID: "b", Kind: topology.KindSwitch}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.AddLink(topology.Link{From: "a", To: "b", Capacity: 1e6, PropDelay: 1e-3}); err != nil {
+	if err := b.AddDuplex(topology.Link{From: "a", To: "b", Capacity: 1e6, PropDelay: 1e-3}); err != nil {
 		t.Fatal(err)
 	}
 	return admission.NewLedger(b)

@@ -8,10 +8,10 @@ import (
 	"armnet/internal/randx"
 )
 
-// Driver executes component faults against the integrated system. The
+// driver executes component faults against the integrated system. The
 // integration layer (core.Manager) implements it; keeping it an
 // interface here lets faults stay ignorant of every protocol package.
-type Driver interface {
+type driver interface {
 	// FailLink marks a backbone link down, terminating connections
 	// routed over it.
 	FailLink(link string) error
@@ -172,7 +172,7 @@ func (in *Injector) deliver(proto, conn string, hop int) (bool, float64) {
 // Arm schedules every timed fault of the plan, and the restoration of
 // each that has a duration, on the clock; fault times count from the
 // moment of the call. Call once, before the simulation runs.
-func (in *Injector) Arm(clk clock.Clock, d Driver) {
+func (in *Injector) Arm(clk clock.Clock, d driver) {
 	if in == nil || in.plan == nil || d == nil {
 		return
 	}
@@ -182,7 +182,7 @@ func (in *Injector) Arm(clk clock.Clock, d Driver) {
 }
 
 // apply publishes the fault event and executes it through the driver.
-func (in *Injector) apply(f Timed, d Driver) {
+func (in *Injector) apply(f Timed, d driver) {
 	in.Components++
 	eventbus.Pub(in.bus, eventbus.FaultComponent{Action: f.Action, Target: f.Target, For: f.For})
 	var err error

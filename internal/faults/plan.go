@@ -204,7 +204,7 @@ func (p *Plan) Events() []Timed {
 // carry the plane's package name and the 1-based line number.
 func ParsePlan(r io.Reader) (*Plan, error) { return parse(r, simPlane) }
 
-// ParseWirePlan is ParsePlan for the wire plane; netfaults.ParsePlan
+// ParseWirePlan is ParsePlan for the wire plane; netfaults' parsePlan
 // calls it.
 func ParseWirePlan(r io.Reader) (*Plan, error) { return parse(r, wirePlane) }
 

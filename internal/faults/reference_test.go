@@ -144,7 +144,7 @@ func simTranscript(plan *Plan, seed int64, build func(*Plan, *randx.Rand, *event
 	bus := eventbus.New(des.New())
 	bus.Subscribe(func(r eventbus.Record) {
 		fmt.Fprintf(&b, "  pub %+v\n", r.Event.(eventbus.FaultMessage))
-	}, eventbus.KindFaultMessage)
+	}, eventbus.FaultMessage{}.Kind())
 	rng := randx.New(seed ^ seedSalt)
 	deliver, counters := build(plan, rng, bus)
 	traffic := randx.New(seed)

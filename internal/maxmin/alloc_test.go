@@ -19,7 +19,7 @@ func TestAdvertisedRateAllocFree(t *testing.T) {
 		recorded[i] = float64(i%7) + 1
 	}
 	got := testing.AllocsPerRun(1000, func() {
-		AdvertisedRate(100, recorded)
+		advertisedRate(100, recorded)
 	})
 	if got != 0 {
 		t.Fatalf("AdvertisedRate(64 conns) allocates %v/op, want 0", got)

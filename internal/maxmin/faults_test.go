@@ -10,7 +10,7 @@ import (
 
 // lossyHook drops each control-packet hop independently with probability
 // p from a seeded RNG.
-func lossyHook(seed int64, p float64) Deliver {
+func lossyHook(seed int64, p float64) deliverFunc {
 	rng := randx.New(seed)
 	return func(conn string, hop int, update bool) (bool, float64) {
 		return rng.Bernoulli(p), 0

@@ -56,7 +56,7 @@ func FuzzMaxminConvergence(f *testing.F) {
 		nConns := 1 + int(nc%8)
 		rng := randx.New(seed)
 		p := fuzzProblem(rng, nLinks, nConns)
-		if err := p.Validate(); err != nil {
+		if err := p.validate(); err != nil {
 			t.Fatalf("generator produced invalid instance: %v", err)
 		}
 
@@ -110,7 +110,7 @@ func FuzzMaxminConvergence(f *testing.F) {
 		}
 		// The settled allocation must itself satisfy the maxmin optimality
 		// definition, not merely match the reference implementation.
-		if err := pr.Problem().IsMaxMin(rates, 1e-6); err != nil {
+		if err := pr.Problem().isMaxMin(rates, 1e-6); err != nil {
 			t.Fatalf("settled rates fail the maxmin oracle: %v", err)
 		}
 

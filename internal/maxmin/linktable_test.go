@@ -13,7 +13,7 @@ import (
 
 // referenceAdvertised is the restricted-set iteration as the switches ran
 // it before the one-walk kernel: a pass that marks the rows below μ, then
-// FairShare's own pass over the marks. Row forced (-1: none) is held
+// fairShare's own pass over the marks. Row forced (-1: none) is held
 // unrestricted. Every μ the product code computes or remembers is checked
 // against it with ==.
 func referenceAdvertised(capacity float64, recorded []float64, forced int) float64 {
@@ -22,7 +22,7 @@ func referenceAdvertised(capacity float64, recorded []float64, forced int) float
 		return capacity
 	}
 	restricted := make([]bool, n)
-	mu := FairShare(capacity, recorded, restricted)
+	mu := fairShare(capacity, recorded, restricted)
 	for iter := 0; iter <= n; iter++ {
 		changed := false
 		for i, r := range recorded {
@@ -35,7 +35,7 @@ func referenceAdvertised(capacity float64, recorded []float64, forced int) float
 		if !changed {
 			break
 		}
-		mu = FairShare(capacity, recorded, restricted)
+		mu = fairShare(capacity, recorded, restricted)
 	}
 	if mu < 0 {
 		mu = 0

@@ -66,7 +66,7 @@ func BenchmarkAdvertisedRate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AdvertisedRate(100, recorded)
+		advertisedRate(100, recorded)
 	}
 }
 

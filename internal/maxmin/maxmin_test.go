@@ -27,7 +27,7 @@ func TestWaterFillSingleLink(t *testing.T) {
 			t.Fatalf("rate[%s] = %v, want 3", id, a[id])
 		}
 	}
-	if err := p.IsMaxMin(a, 1e-9); err != nil {
+	if err := p.isMaxMin(a, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,7 +47,7 @@ func TestWaterFillDemandCap(t *testing.T) {
 	if math.Abs(a["small"]-1) > 1e-9 || math.Abs(a["big"]-8) > 1e-9 {
 		t.Fatalf("alloc = %v, want small=1 big=8", a)
 	}
-	if err := p.IsMaxMin(a, 1e-9); err != nil {
+	if err := p.isMaxMin(a, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,7 +76,7 @@ func TestWaterFillClassicTandem(t *testing.T) {
 			t.Fatalf("rate[%s] = %v, want %v (full %v)", id, a[id], w, a)
 		}
 	}
-	if err := p.IsMaxMin(a, 1e-9); err != nil {
+	if err := p.isMaxMin(a, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,16 +113,16 @@ func TestValidation(t *testing.T) {
 
 func TestFairShareCases(t *testing.T) {
 	// N = 0.
-	if got := FairShare(10, nil, nil); got != 10 {
+	if got := fairShare(10, nil, nil); got != 10 {
 		t.Fatalf("empty link share = %v", got)
 	}
 	// All restricted: cap - sum + max.
-	got := FairShare(10, []float64{2, 3}, []bool{true, true})
+	got := fairShare(10, []float64{2, 3}, []bool{true, true})
 	if math.Abs(got-(10-5+3)) > 1e-12 {
 		t.Fatalf("all-restricted share = %v, want 8", got)
 	}
 	// Mixed: (cap - restricted)/(free).
-	got = FairShare(10, []float64{2, 0, 0}, []bool{true, false, false})
+	got = fairShare(10, []float64{2, 0, 0}, []bool{true, false, false})
 	if math.Abs(got-4) > 1e-12 {
 		t.Fatalf("mixed share = %v, want 4", got)
 	}
@@ -130,17 +130,17 @@ func TestFairShareCases(t *testing.T) {
 
 func TestAdvertisedRateFixpoint(t *testing.T) {
 	// cap 10, recorded [10, 4]: b restricted at 4, a unrestricted -> 6.
-	got := AdvertisedRate(10, []float64{10, 4})
+	got := advertisedRate(10, []float64{10, 4})
 	if math.Abs(got-6) > 1e-12 {
 		t.Fatalf("advertised = %v, want 6", got)
 	}
 	// All zero recorded: everyone restricted below the level; the rate
 	// must offer the full capacity to a riser.
-	got = AdvertisedRate(10, []float64{0, 0})
+	got = advertisedRate(10, []float64{0, 0})
 	if math.Abs(got-10) > 1e-12 {
 		t.Fatalf("advertised = %v, want 10", got)
 	}
-	if got := AdvertisedRate(5, nil); got != 5 {
+	if got := advertisedRate(5, nil); got != 5 {
 		t.Fatalf("empty advertised = %v", got)
 	}
 }
@@ -184,7 +184,7 @@ func TestSyncResumeAfterCapacityChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Capacity["L"] = 6
-	res2, err := SyncSolver{}.Resume(p, res1.Allocation)
+	res2, err := SyncSolver{}.resume(p, res1.Allocation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestQuickWaterFillIsMaxMin(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := p.IsMaxMin(a, 1e-6); err != nil {
+		if err := p.isMaxMin(a, 1e-6); err != nil {
 			t.Logf("seed %d: %v (alloc %v)", seed, err, a)
 			return false
 		}
@@ -268,72 +268,5 @@ func TestQuickSyncMatchesWaterFill(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBottlenecks(t *testing.T) {
-	p := Problem{
-		Capacity: map[string]float64{"L1": 10, "L2": 4},
-		Conns: []Conn{
-			{ID: "ab", Path: []string{"L1", "L2"}, Demand: Inf},
-			{ID: "a", Path: []string{"L1"}, Demand: Inf},
-		},
-	}
-	alloc, err := WaterFill(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ab limited by L2 (4 shared alone) -> ab = 4, a = 6.
-	bns, err := Bottlenecks(p, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At the maxmin point ab's available excess is its own rate on both
-	// links (L1: 10-6=4, L2: 4), so per the paper's min-along-path
-	// definition both are connection bottlenecks; L2 must be among them.
-	hasL2 := false
-	for _, l := range bns["ab"] {
-		if l == "L2" {
-			hasL2 = true
-		}
-	}
-	if !hasL2 {
-		t.Fatalf("ab bottleneck = %v, want to contain L2", bns["ab"])
-	}
-	if len(bns["a"]) != 1 || bns["a"][0] != "L1" {
-		t.Fatalf("a bottleneck = %v, want [L1]", bns["a"])
-	}
-}
-
-func TestBottlenecksSatisfiedConnection(t *testing.T) {
-	p := Problem{
-		Capacity: map[string]float64{"L": 10},
-		Conns:    []Conn{{ID: "a", Path: []string{"L"}, Demand: 2}},
-	}
-	alloc, _ := WaterFill(p)
-	bns, err := Bottlenecks(p, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bns["a"] != nil {
-		t.Fatalf("satisfied connection has bottlenecks %v", bns["a"])
-	}
-}
-
-func TestNetworkBottleneck(t *testing.T) {
-	p := Problem{
-		Capacity: map[string]float64{"L1": 10, "L2": 4},
-		Conns: []Conn{
-			{ID: "ab", Path: []string{"L1", "L2"}, Demand: Inf},
-			{ID: "a", Path: []string{"L1"}, Demand: Inf},
-		},
-	}
-	// Shares: L1 10/2 = 5, L2 4/1 = 4 -> L2.
-	got, err := NetworkBottleneck(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "L2" {
-		t.Fatalf("network bottleneck = %v, want [L2]", got)
 	}
 }

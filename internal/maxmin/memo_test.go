@@ -13,7 +13,7 @@ import (
 )
 
 // TestAdvertisedRateMatchesTwoPassReference pins the one-walk kernel to
-// the mark-then-FairShare iteration it replaced, on the inputs where the
+// the mark-then-fairShare iteration it replaced, on the inputs where the
 // two could part: rates tied at the fair share, every row restricted,
 // nothing restricted, a table past the stack buffer.
 func TestAdvertisedRateMatchesTwoPassReference(t *testing.T) {
@@ -49,7 +49,7 @@ func TestAdvertisedRateMatchesTwoPassReference(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := referenceAdvertised(c.capacity, c.recorded, -1)
-		if got := AdvertisedRate(c.capacity, c.recorded); math.Float64bits(got) != math.Float64bits(want) {
+		if got := advertisedRate(c.capacity, c.recorded); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("AdvertisedRate(%v, %v) = %v, two-pass reference %v", c.capacity, c.recorded, got, want)
 		}
 	}
@@ -98,7 +98,7 @@ type scripted interface {
 	Kick(id string) bool
 	KickAll()
 	TriggerCapacityChange(link string, capacity float64) (int, error)
-	Rates() Allocation
+	Rates() allocation
 	counters() [4]int // Messages, Sessions, Retransmits, Readvertises
 	setBus(bus *eventbus.Bus)
 }

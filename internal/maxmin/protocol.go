@@ -10,12 +10,12 @@ import (
 	"armnet/internal/sortx"
 )
 
-// Deliver decides the fate of one control-packet hop: conn is the
+// deliverFunc decides the fate of one control-packet hop: conn is the
 // connection whose session the packet belongs to, hop is the 0-based
 // transmission index within the sweep, and update distinguishes UPDATE
 // commits from ADVERTISE rounds. A nil hook delivers everything
 // untouched and costs nothing.
-type Deliver func(conn string, hop int, update bool) (drop bool, delay float64)
+type deliverFunc func(conn string, hop int, update bool) (drop bool, delay float64)
 
 // ProtocolOptions tunes the event-driven ADVERTISE/UPDATE protocol.
 type ProtocolOptions struct {
@@ -26,25 +26,14 @@ type ProtocolOptions struct {
 	// When false the switch floods every connection on the link (the
 	// baseline of [8]).
 	Refined bool
-	// HopDelay is the one-hop control-packet latency in seconds.
-	HopDelay float64
-	// RoundTrips is the number of ADVERTISE round trips per adaptation
-	// session; the paper (citing [8]) requires four for convergence.
-	RoundTrips int
-	// Delta is the paper's δ: capacity increases smaller than Delta do
+	// hopDelay is the one-hop control-packet latency in seconds.
+	hopDelay float64
+	// delta is the paper's δ: capacity increases smaller than delta do
 	// not trigger adaptation (eqn. 2), bounding steady-state drift.
-	Delta float64
+	delta float64
 	// Deliver, when non-nil, filters every control-packet hop (fault
 	// injection).
-	Deliver Deliver
-	// MaxRetries bounds retransmissions of a lost ADVERTISE sweep or
-	// UPDATE (default 3; negative disables retransmission). An exhausted
-	// budget abandons the session — the re-ADVERTISE loop repairs the
-	// resulting partial state.
-	MaxRetries int
-	// RetryBase is the first retransmission backoff; it doubles per
-	// attempt (default 20 × HopDelay).
-	RetryBase float64
+	Deliver deliverFunc
 	// ReadvertisePeriod, when positive, arms a periodic repair loop that
 	// kicks connections whose committed rate drifted from their current
 	// fair offer — the recovery path for sessions lost to control-plane
@@ -52,21 +41,25 @@ type ProtocolOptions struct {
 	ReadvertisePeriod float64
 }
 
+const (
+	// roundTrips is the number of ADVERTISE round trips per adaptation
+	// session; the paper (citing [8]) requires four for convergence.
+	roundTrips = 4
+	// maxRetries bounds retransmissions of a lost ADVERTISE sweep or
+	// UPDATE. An exhausted budget abandons the session — the
+	// re-ADVERTISE loop repairs the resulting partial state.
+	maxRetries = 3
+	// retryHops is the first retransmission backoff in hop delays; the
+	// backoff doubles per attempt.
+	retryHops = 20
+)
+
 func (o ProtocolOptions) withDefaults() ProtocolOptions {
-	if o.HopDelay <= 0 {
-		o.HopDelay = 1e-3
+	if o.hopDelay <= 0 {
+		o.hopDelay = 1e-3
 	}
-	if o.RoundTrips <= 0 {
-		o.RoundTrips = 4
-	}
-	if o.Delta < 0 {
-		o.Delta = 0
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 20 * o.HopDelay
+	if o.delta < 0 {
+		o.delta = 0
 	}
 	return o
 }
@@ -77,7 +70,7 @@ func (o ProtocolOptions) withDefaults() ProtocolOptions {
 // same for every rule, as in an ABR network where the RM-cell loop is
 // fixed and only the switch's share computation differs (Fahmy et al.).
 //
-// A nil Weight is the paper's rule (§5.3.1): RoundTrips ADVERTISE round
+// A nil Weight is the paper's rule (§5.3.1): roundTrips ADVERTISE round
 // trips offering the restricted-set μ_l, M(l) kept at every hop, and a
 // capacity change or a committed change re-advertising by M(l) (or to
 // every sharer when not Refined).
@@ -90,7 +83,7 @@ func (o ProtocolOptions) withDefaults() ProtocolOptions {
 // clamped at 0, where w_c = Weight(demand_c) is fixed when c is added.
 // There is no M(l): a capacity change or a committed change
 // re-advertises every connection that drifted (see Protocol.drifted),
-// and Refined and RoundTrips are ignored.
+// and Refined and roundTrips are ignored.
 type SwitchRule struct {
 	// Name labels the rule's duplicate-link error and its
 	// ControlRetransmit events.
@@ -257,7 +250,7 @@ func (ls *linkState) advertisedFor(forced int) float64 {
 	if ls.explicit {
 		return ls.explicitOffer(forced)
 	}
-	return advertisedRate(ls.capacity, ls.recorded, ls.restricted, forced)
+	return advertiseRestricted(ls.capacity, ls.recorded, ls.restricted, forced)
 }
 
 // explicitOffer is the explicit-rate rule's offer to row forced: the
@@ -400,8 +393,8 @@ func (pr *Protocol) Stats() ControlStats { return pr.ControlStats }
 
 // tol is the drift tolerance: δ, or 1e-9 when δ is zero.
 func (pr *Protocol) tol() float64 {
-	if pr.Opts.Delta > 0 {
-		return pr.Opts.Delta
+	if pr.Opts.delta > 0 {
+		return pr.Opts.delta
 	}
 	return 1e-9
 }
@@ -454,12 +447,12 @@ func (pr *Protocol) readvertise() {
 // retryControl posts st, a lost sweep's resend step, after exponential
 // backoff; it reports false when the budget is exhausted.
 func (pr *Protocol) retryControl(st step, hop int) bool {
-	if st.attempt >= pr.Opts.MaxRetries {
+	if st.attempt >= maxRetries {
 		return false
 	}
 	pr.Retransmits++
 	eventbus.Pub(pr.Bus, eventbus.ControlRetransmit{Proto: pr.rule.Name, Conn: st.pc.id, Hop: hop, Attempt: st.attempt + 1})
-	backoff := pr.Opts.RetryBase * float64(int(1)<<st.attempt)
+	backoff := retryHops * pr.Opts.hopDelay * float64(int(1)<<st.attempt)
 	st.attempt++
 	pr.post(backoff, st)
 	return true
@@ -471,7 +464,7 @@ func (pr *Protocol) AddLink(name string, capacity float64) error {
 		return fmt.Errorf("%s: duplicate link %s", pr.rule.Name, name)
 	}
 	if !(capacity >= 0) || math.IsInf(capacity, 1) {
-		return fmt.Errorf("%w: %s = %v", ErrBadCapacity, name, capacity)
+		return fmt.Errorf("%w: %s = %v", errBadCapacity, name, capacity)
 	}
 	pr.links[name] = &linkState{name: name, capacity: capacity, explicit: pr.explicit()}
 	return nil
@@ -481,19 +474,19 @@ func (pr *Protocol) AddLink(name string, capacity float64) error {
 // adaptation session runs.
 func (pr *Protocol) AddConn(c Conn) error {
 	if _, ok := pr.conns[c.ID]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicateConn, c.ID)
+		return fmt.Errorf("%w: %s", errDuplicateConn, c.ID)
 	}
 	if len(c.Path) == 0 {
-		return fmt.Errorf("%w: %s", ErrEmptyPath, c.ID)
+		return fmt.Errorf("%w: %s", errEmptyPath, c.ID)
 	}
 	for _, l := range c.Path {
 		if _, ok := pr.links[l]; !ok {
-			return fmt.Errorf("%w: %s uses %s", ErrUnknownLink, c.ID, l)
+			return fmt.Errorf("%w: %s uses %s", errUnknownLink, c.ID, l)
 		}
 	}
 	demand := c.Demand
 	if demand < 0 {
-		return fmt.Errorf("%w: %s", ErrBadDemand, c.ID)
+		return fmt.Errorf("%w: %s", errBadDemand, c.ID)
 	}
 	w := 0.0
 	if pr.explicit() {
@@ -526,8 +519,8 @@ func (pr *Protocol) RemoveConn(id string) {
 }
 
 // Rates returns the current committed allocation.
-func (pr *Protocol) Rates() Allocation {
-	out := make(Allocation, len(pr.conns))
+func (pr *Protocol) Rates() allocation {
+	out := make(allocation, len(pr.conns))
 	for id, c := range pr.conns {
 		out[id] = c.rate
 	}
@@ -596,14 +589,14 @@ func (pr *Protocol) BottleneckSizes() []LinkBottleneck {
 func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, error) {
 	ls, ok := pr.links[link]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownLink, link)
+		return 0, fmt.Errorf("%w: %s", errUnknownLink, link)
 	}
 	if !(capacity >= 0) || math.IsInf(capacity, 1) {
-		return 0, fmt.Errorf("%w: %s = %v", ErrBadCapacity, link, capacity)
+		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, link, capacity)
 	}
 	old := ls.capacity
 	increase := capacity > old
-	if increase && capacity-old <= pr.Opts.Delta {
+	if increase && capacity-old <= pr.Opts.delta {
 		return 0, nil // below the adaptation threshold
 	}
 	ls.setCapacity(capacity)
@@ -726,7 +719,7 @@ func (rec *step) run() {
 	pr.free = append(pr.free, rec)
 	switch st.kind {
 	case afterRound: // the explicit-rate rule runs one round
-		if !pr.explicit() && st.round < pr.Opts.RoundTrips {
+		if !pr.explicit() && st.round < roundTrips {
 			pr.runRound(step{pc: st.pc, round: st.round + 1, prev: st.final})
 			return
 		}
@@ -793,7 +786,7 @@ func (pr *Protocol) runRound(st step) {
 			i = 2*n - 1 - hop // the way back
 		}
 		pr.Messages++
-		travel += pr.Opts.HopDelay
+		travel += pr.Opts.hopDelay
 		if d := pr.Opts.Deliver; d != nil {
 			drop, extra := d(pc.id, hop, false)
 			if drop {
@@ -855,7 +848,7 @@ func (pr *Protocol) sendUpdate(st step) {
 	minMu := math.Inf(1)
 	for i := range pc.hops {
 		pr.Messages++
-		travel += pr.Opts.HopDelay
+		travel += pr.Opts.hopDelay
 		if d := pr.Opts.Deliver; d != nil {
 			drop, extra := d(pc.id, i, true)
 			if drop {

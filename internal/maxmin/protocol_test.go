@@ -62,7 +62,7 @@ func TestProtocolConvergesToMaxMin(t *testing.T) {
 	if d := ref.MaxDiff(got); d > 1e-6 {
 		t.Fatalf("diff %v: protocol %v vs ref %v", d, got, ref)
 	}
-	if err := p.IsMaxMin(got, 1e-6); err != nil {
+	if err := p.isMaxMin(got, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,7 +97,7 @@ func TestProtocolOnWallClock(t *testing.T) {
 					pr.Kick(c.ID)
 				}
 			}
-			opts := ProtocolOptions{Refined: true, HopDelay: 1e-4}
+			opts := ProtocolOptions{Refined: true, hopDelay: 1e-4}
 			sim := des.New()
 			ref := NewProtocolWith(clock.Sim(sim), opts, rule)
 			load(ref)
@@ -133,7 +133,7 @@ func TestProtocolOnWallClock(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("no MaxminConverged within 10 s on the wall clock")
 			}
-			var got Allocation
+			var got allocation
 			w.Run(func() { got = pr.Rates() })
 			if d := want.MaxDiff(got); d > 1e-6 {
 				t.Fatalf("wall-clock allocation %v, simulated %v (diff %v)", got, want, d)
@@ -177,7 +177,7 @@ func TestProtocolCapacityIncreaseRespectsDelta(t *testing.T) {
 		},
 	}
 	sim := des.New()
-	pr := buildProtocol(t, sim, p, ProtocolOptions{Refined: true, Delta: 1.0})
+	pr := buildProtocol(t, sim, p, ProtocolOptions{Refined: true, delta: 1.0})
 	pr.KickAll()
 	if err := sim.RunUntil(30); err != nil {
 		t.Fatal(err)
@@ -466,7 +466,7 @@ func TestProtocolStaleBottleneckRegression(t *testing.T) {
 }
 
 // TestProtocolRejectsNonFiniteCapacity: AddLink and TriggerCapacityChange
-// refuse a NaN or +Inf excess capacity with ErrBadCapacity, and a refused
+// refuse a NaN or +Inf excess capacity with errBadCapacity, and a refused
 // change leaves the link as it was.
 func TestProtocolRejectsNonFiniteCapacity(t *testing.T) {
 	pr := NewProtocolOn(clock.Sim(des.New()), ProtocolOptions{})
@@ -474,10 +474,10 @@ func TestProtocolRejectsNonFiniteCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
-		if err := pr.AddLink(fmt.Sprintf("l-%v", bad), bad); !errors.Is(err, ErrBadCapacity) {
+		if err := pr.AddLink(fmt.Sprintf("l-%v", bad), bad); !errors.Is(err, errBadCapacity) {
 			t.Errorf("AddLink(%v) = %v, want ErrBadCapacity", bad, err)
 		}
-		if _, err := pr.TriggerCapacityChange("l", bad); !errors.Is(err, ErrBadCapacity) {
+		if _, err := pr.TriggerCapacityChange("l", bad); !errors.Is(err, errBadCapacity) {
 			t.Errorf("TriggerCapacityChange(%v) = %v, want ErrBadCapacity", bad, err)
 		}
 		if got := pr.Problem().Capacity["l"]; got != 5 {

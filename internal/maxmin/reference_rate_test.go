@@ -68,17 +68,11 @@ type rateConn struct {
 }
 
 func newRefRate(clk clock.Clock, opts ProtocolOptions, name string, weight func(float64) float64) *refRate {
-	if opts.HopDelay <= 0 {
-		opts.HopDelay = 1e-3
+	if opts.hopDelay <= 0 {
+		opts.hopDelay = 1e-3
 	}
-	if opts.Delta < 0 {
-		opts.Delta = 0
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 3
-	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = 20 * opts.HopDelay
+	if opts.delta < 0 {
+		opts.delta = 0
 	}
 	a := &refRate{
 		name:   name,
@@ -128,7 +122,7 @@ func (a *refRate) AddLink(name string, capacity float64) error {
 		return fmt.Errorf("%s: duplicate link %s", a.name, name)
 	}
 	if capacity < 0 {
-		return fmt.Errorf("%w: %s = %v", ErrBadCapacity, name, capacity)
+		return fmt.Errorf("%w: %s = %v", errBadCapacity, name, capacity)
 	}
 	a.links[name] = &rateLink{capacity: capacity}
 	return nil
@@ -136,18 +130,18 @@ func (a *refRate) AddLink(name string, capacity float64) error {
 
 func (a *refRate) AddConn(s Conn) error {
 	if _, ok := a.conns[s.ID]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicateConn, s.ID)
+		return fmt.Errorf("%w: %s", errDuplicateConn, s.ID)
 	}
 	if len(s.Path) == 0 {
-		return fmt.Errorf("%w: %s", ErrEmptyPath, s.ID)
+		return fmt.Errorf("%w: %s", errEmptyPath, s.ID)
 	}
 	for _, l := range s.Path {
 		if _, ok := a.links[l]; !ok {
-			return fmt.Errorf("%w: %s uses %s", ErrUnknownLink, s.ID, l)
+			return fmt.Errorf("%w: %s uses %s", errUnknownLink, s.ID, l)
 		}
 	}
 	if s.Demand < 0 {
-		return fmt.Errorf("%w: %s", ErrBadDemand, s.ID)
+		return fmt.Errorf("%w: %s", errBadDemand, s.ID)
 	}
 	var path []string
 	for _, l := range s.Path {
@@ -197,13 +191,13 @@ func (a *refRate) KickAll() {
 func (a *refRate) TriggerCapacityChange(link string, capacity float64) (int, error) {
 	l, ok := a.links[link]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownLink, link)
+		return 0, fmt.Errorf("%w: %s", errUnknownLink, link)
 	}
 	if capacity < 0 {
-		return 0, fmt.Errorf("%w: %s = %v", ErrBadCapacity, link, capacity)
+		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, link, capacity)
 	}
 	old := l.capacity
-	if capacity > old && capacity-old <= a.opts.Delta {
+	if capacity > old && capacity-old <= a.opts.delta {
 		return 0, nil
 	}
 	l.capacity = capacity
@@ -216,8 +210,8 @@ func (a *refRate) TriggerCapacityChange(link string, capacity float64) (int, err
 	return started, nil
 }
 
-func (a *refRate) Rates() Allocation {
-	out := make(Allocation, len(a.conns))
+func (a *refRate) Rates() allocation {
+	out := make(allocation, len(a.conns))
 	for id, c := range a.conns {
 		out[id] = c.rate
 	}
@@ -231,8 +225,8 @@ func (a *refRate) counters() [4]int {
 func (a *refRate) setBus(bus *eventbus.Bus) { a.bus = bus }
 
 func (a *refRate) tol() float64 {
-	if a.opts.Delta > 0 {
-		return a.opts.Delta
+	if a.opts.delta > 0 {
+		return a.opts.delta
 	}
 	return 1e-9
 }
@@ -297,12 +291,12 @@ func (a *refRate) startSession(id string) bool {
 }
 
 func (a *refRate) retryControl(id string, hop, attempt int, resend func(attempt int)) bool {
-	if attempt >= a.opts.MaxRetries {
+	if attempt >= maxRetries {
 		return false
 	}
 	a.retransmits++
 	eventbus.Pub(a.bus, eventbus.ControlRetransmit{Proto: a.name, Conn: id, Hop: hop, Attempt: attempt + 1})
-	backoff := a.opts.RetryBase * float64(int(1)<<attempt)
+	backoff := retryHops * a.opts.hopDelay * float64(int(1)<<attempt)
 	a.clk.PostAfter(backoff, func() { resend(attempt + 1) })
 	return true
 }
@@ -327,7 +321,7 @@ func (a *refRate) runSweep(id string, attempt int) {
 		}
 		for _, lname := range order {
 			a.messages++
-			travel += a.opts.HopDelay
+			travel += a.opts.hopDelay
 			if d := a.opts.Deliver; d != nil {
 				drop, extra := d(id, hop, false)
 				if drop {
@@ -362,7 +356,7 @@ func (a *refRate) sendUpdate(id string, rate float64, attempt int) {
 	travel := 0.0
 	for i, lname := range c.path {
 		a.messages++
-		travel += a.opts.HopDelay
+		travel += a.opts.hopDelay
 		if d := a.opts.Deliver; d != nil {
 			drop, extra := d(id, i, true)
 			if drop {
@@ -440,7 +434,7 @@ type collectThenStart struct{ *Protocol }
 
 func (m collectThenStart) TriggerCapacityChange(link string, capacity float64) (int, error) {
 	ls := m.links[link]
-	if capacity > ls.capacity && capacity-ls.capacity <= m.Opts.Delta {
+	if capacity > ls.capacity && capacity-ls.capacity <= m.Opts.delta {
 		return 0, nil
 	}
 	ls.setCapacity(capacity)

@@ -34,7 +34,7 @@ func newRefProtocol(clk clock.Clock, opts ProtocolOptions) *refProtocol {
 }
 
 func (pr *refProtocol) readvertise() {
-	tol := pr.Opts.Delta
+	tol := pr.Opts.delta
 	if tol <= 0 {
 		tol = 1e-9
 	}
@@ -73,12 +73,12 @@ func (pr *refProtocol) readvertise() {
 }
 
 func (pr *refProtocol) retryControl(id string, hop, attempt int, resend func(attempt int)) bool {
-	if attempt >= pr.Opts.MaxRetries {
+	if attempt >= maxRetries {
 		return false
 	}
 	pr.Retransmits++
 	eventbus.Pub(pr.Bus, eventbus.ControlRetransmit{Proto: "maxmin", Conn: id, Hop: hop, Attempt: attempt + 1})
-	backoff := pr.Opts.RetryBase * float64(int(1)<<attempt)
+	backoff := retryHops * pr.Opts.hopDelay * float64(int(1)<<attempt)
 	pr.clk.PostAfter(backoff, func() { resend(attempt + 1) })
 	return true
 }
@@ -92,14 +92,14 @@ func (pr *refProtocol) RemoveConn(id string) {
 func (pr *refProtocol) TriggerCapacityChange(link string, capacity float64) (int, error) {
 	ls, ok := pr.links[link]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownLink, link)
+		return 0, fmt.Errorf("%w: %s", errUnknownLink, link)
 	}
 	if capacity < 0 {
-		return 0, fmt.Errorf("%w: %s = %v", ErrBadCapacity, link, capacity)
+		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, link, capacity)
 	}
 	old := ls.capacity
 	increase := capacity > old
-	if increase && capacity-old <= pr.Opts.Delta {
+	if increase && capacity-old <= pr.Opts.delta {
 		return 0, nil
 	}
 	ls.setCapacity(capacity)
@@ -171,7 +171,7 @@ func (pr *refProtocol) runRoundAttempt(id string, round int, prevStamp float64, 
 			i = 2*n - 1 - hop
 		}
 		pr.Messages++
-		travel += pr.Opts.HopDelay
+		travel += pr.Opts.hopDelay
 		if d := pr.Opts.Deliver; d != nil {
 			drop, extra := d(id, hop, false)
 			if drop {
@@ -199,7 +199,7 @@ func (pr *refProtocol) runRoundAttempt(id string, round int, prevStamp float64, 
 	final := stamp
 	eventbus.Pub(pr.Bus, eventbus.AdaptationRound{Conn: id, Round: round, Stamp: final})
 	pr.clk.PostAfter(travel, func() {
-		if round < pr.Opts.RoundTrips {
+		if round < roundTrips {
 			pr.runRound(id, round+1, final)
 			return
 		}
@@ -226,7 +226,7 @@ func (pr *refProtocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 	minMu := math.Inf(1)
 	for i := range pc.hops {
 		pr.Messages++
-		travel += pr.Opts.HopDelay
+		travel += pr.Opts.hopDelay
 		if d := pr.Opts.Deliver; d != nil {
 			drop, extra := d(id, i, true)
 			if drop {
@@ -281,7 +281,7 @@ func (pr *refProtocol) cascade(id string) {
 	if !ok {
 		return
 	}
-	tol := pr.Opts.Delta
+	tol := pr.Opts.delta
 	if tol <= 0 {
 		tol = 1e-9
 	}

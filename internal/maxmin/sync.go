@@ -1,13 +1,12 @@
 package maxmin
 
 import (
-	"fmt"
 	"math"
 )
 
-// SyncResult reports a synchronous distributed solve.
-type SyncResult struct {
-	Allocation Allocation
+// syncResult reports a synchronous distributed solve.
+type syncResult struct {
+	Allocation allocation
 	// Rounds is the number of synchronous exchange rounds needed to
 	// reach the fixpoint.
 	Rounds int
@@ -34,16 +33,16 @@ type SyncSolver struct {
 }
 
 // Solve runs the iteration from all-zero recorded rates.
-func (s SyncSolver) Solve(p Problem) (SyncResult, error) {
-	return s.Resume(p, nil)
+func (s SyncSolver) Solve(p Problem) (syncResult, error) {
+	return s.resume(p, nil)
 }
 
-// Resume runs the iteration starting from a previous allocation — the
+// resume runs the iteration starting from a previous allocation — the
 // event-driven use case where capacities changed and rates must re-settle
 // (Theorem 1's period of instability followed by stability).
-func (s SyncSolver) Resume(p Problem, prev Allocation) (SyncResult, error) {
-	if err := p.Validate(); err != nil {
-		return SyncResult{}, err
+func (s SyncSolver) resume(p Problem, prev allocation) (syncResult, error) {
+	if err := p.validate(); err != nil {
+		return syncResult{}, err
 	}
 	eps := s.Eps
 	if eps <= 0 {
@@ -54,7 +53,7 @@ func (s SyncSolver) Resume(p Problem, prev Allocation) (SyncResult, error) {
 		maxRounds = 4*len(p.Conns) + 8
 	}
 
-	rate := make(Allocation, len(p.Conns))
+	rate := make(allocation, len(p.Conns))
 	for _, c := range p.Conns {
 		if prev != nil {
 			rate[c.ID] = prev[c.ID]
@@ -79,7 +78,7 @@ func (s SyncSolver) Resume(p Problem, prev Allocation) (SyncResult, error) {
 			for i, ci := range conns {
 				recorded[i] = rate[p.Conns[ci].ID]
 			}
-			adv[l] = AdvertisedRate(p.Capacity[l], recorded)
+			adv[l] = advertisedRate(p.Capacity[l], recorded)
 		}
 		// Phase 2: every connection adopts the path minimum.
 		worst := 0.0
@@ -99,88 +98,8 @@ func (s SyncSolver) Resume(p Problem, prev Allocation) (SyncResult, error) {
 			rate[c.ID] = r
 		}
 		if worst <= eps {
-			return SyncResult{Allocation: rate, Rounds: round, Converged: true}, nil
+			return syncResult{Allocation: rate, Rounds: round, Converged: true}, nil
 		}
 	}
-	return SyncResult{Allocation: rate, Rounds: maxRounds, Converged: false}, nil
-}
-
-// Bottlenecks classifies each connection's bottleneck links under an
-// allocation: link l is a connection bottleneck for unsatisfied connection
-// j when b'_(av,j),l is minimal along j's path (§5.2). The result maps
-// connection IDs to their bottleneck links; satisfied connections map to
-// nil. It is used to maintain the M(l) sets of the refined protocol.
-func Bottlenecks(p Problem, a Allocation) (map[string][]string, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	// Available to j on l: capacity - Σ other rates = capacity - load + r_j.
-	load := map[string]float64{}
-	for _, c := range p.Conns {
-		for _, l := range uniqueLinks(c.Path) {
-			load[l] += a[c.ID]
-		}
-	}
-	out := make(map[string][]string, len(p.Conns))
-	for _, c := range p.Conns {
-		r := a[c.ID]
-		if r >= c.Demand-1e-12 {
-			out[c.ID] = nil // satisfied
-			continue
-		}
-		best := math.Inf(1)
-		for _, l := range uniqueLinks(c.Path) {
-			availJ := p.Capacity[l] - load[l] + r
-			if availJ < best-1e-12 {
-				best = availJ
-			}
-		}
-		var bns []string
-		for _, l := range uniqueLinks(c.Path) {
-			availJ := p.Capacity[l] - load[l] + r
-			if availJ <= best+1e-12 {
-				bns = append(bns, l)
-			}
-		}
-		out[c.ID] = bns
-	}
-	return out, nil
-}
-
-// NetworkBottleneck evaluates eqn. (1): it returns the links whose
-// per-connection share of excess capacity b'_av,l / N_l is minimal, i.e.
-// the network bottlenecks when all connections have infinite demand.
-func NetworkBottleneck(p Problem) ([]string, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	count := map[string]int{}
-	for _, c := range p.Conns {
-		for _, l := range uniqueLinks(c.Path) {
-			count[l]++
-		}
-	}
-	best := math.Inf(1)
-	for _, l := range p.sortedLinks() {
-		if count[l] == 0 {
-			continue
-		}
-		share := p.Capacity[l] / float64(count[l])
-		if share < best {
-			best = share
-		}
-	}
-	var out []string
-	for _, l := range p.sortedLinks() {
-		if count[l] == 0 {
-			continue
-		}
-		if p.Capacity[l]/float64(count[l]) <= best+1e-12 {
-			out = append(out, l)
-		}
-	}
-	if out == nil {
-		return nil, fmt.Errorf("maxmin: no loaded links")
-	}
-	return out, nil
+	return syncResult{Allocation: rate, Rounds: maxRounds, Converged: false}, nil
 }

@@ -52,12 +52,12 @@ func growInts(s []int, n int) []int {
 // The returned allocation is the paper's optimality target (§5.2): fair —
 // all connections constrained by a bottleneck get an equal share of it —
 // and efficient — every bottleneck is used to capacity.
-func WaterFill(p Problem) (Allocation, error) {
-	if err := p.Validate(); err != nil {
+func WaterFill(p Problem) (allocation, error) {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	nL, nC := len(p.Capacity), len(p.Conns)
-	alloc := make(Allocation, nC)
+	alloc := make(allocation, nC)
 	sc := wfPool.Get().(*wfScratch)
 	defer wfPool.Put(sc)
 
@@ -276,47 +276,15 @@ func uniqueLinks(path []string) []string {
 	return out
 }
 
-// FairShare computes the advertised rate μ_l of §5.3.1 for one link:
-// given the link's excess capacity, the recorded rate of every connection
-// on the link, and the restricted set R (connections bottlenecked
-// elsewhere, consuming their recorded rates), it evaluates
-//
-//	μ_l = b'_av                              if N_l = 0
-//	μ_l = b'_av - b'_R + max_{i∈R} b'_R,i    if N_l = N_R
-//	μ_l = (b'_av - b'_R) / (N_l - N_R)       otherwise
-//
-// restricted is indexed like recorded.
-func FairShare(capacity float64, recorded []float64, restricted []bool) float64 {
-	n := len(recorded)
-	if n == 0 {
-		return capacity
-	}
-	sumR, maxR := 0.0, 0.0
-	nR := 0
-	for i, r := range recorded {
-		if restricted[i] {
-			nR++
-			sumR += r
-			if r > maxR {
-				maxR = r
-			}
-		}
-	}
-	if nR == n {
-		return capacity - sumR + maxR
-	}
-	return (capacity - sumR) / float64(n-nR)
-}
-
-// AdvertisedRate computes the link's consistent advertised rate by the
+// advertisedRate computes the link's consistent advertised rate by the
 // restricted-set iteration the paper describes: start with every
 // connection unrestricted, so μ = b'_av / N_l; mark the connections whose
-// recorded rate is below μ as restricted and re-evaluate FairShare's
+// recorded rate is below μ as restricted and re-evaluate the fair-share
 // formula over the marked set; repeat until the marks stop moving. The
 // paper notes one recalculation suffices after unmarking; we iterate to
 // the fixpoint (at most n rounds) for robustness and assert convergence
 // in tests. The result is clamped at zero.
-func AdvertisedRate(capacity float64, recorded []float64) float64 {
+func advertisedRate(capacity float64, recorded []float64) float64 {
 	// The restricted set lives on the stack for realistic link loads
 	// (protocol switches advertise to tens of connections, not
 	// thousands), so the call is allocation-free.
@@ -327,21 +295,21 @@ func AdvertisedRate(capacity float64, recorded []float64) float64 {
 	} else {
 		restricted = make([]bool, n)
 	}
-	return advertisedRate(capacity, recorded, restricted, -1)
+	return advertiseRestricted(capacity, recorded, restricted, -1)
 }
 
-// advertisedRate is the restricted-set iteration behind AdvertisedRate
+// advertiseRestricted is the restricted-set iteration behind advertisedRate
 // and the protocol's switches. Row forced, if any, is held unrestricted
 // whatever its rate (see linkState.advertisedFor); restricted is scratch
 // as long as recorded.
 //
 // Each iteration is one walk that re-marks the rows against the current
-// μ and, over the rows it marks, accumulates FairShare's N_R, b'_R and
-// max b'_R,i in the ascending-row order FairShare sums in — so every
-// float is the one FairShare(capacity, recorded, restricted) would have
+// μ and, over the rows it marks, accumulates the fair share's N_R, b'_R and
+// max b'_R,i in the ascending-row order the test oracle fairShare sums in — so every
+// float is the one fairShare(capacity, recorded, restricted) would have
 // returned from a second walk, the first share included: with nothing
 // restricted that is (capacity − 0.0) / n.
-func advertisedRate(capacity float64, recorded []float64, restricted []bool, forced int) float64 {
+func advertiseRestricted(capacity float64, recorded []float64, restricted []bool, forced int) float64 {
 	n := len(recorded)
 	if n == 0 {
 		return capacity

@@ -76,7 +76,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			To:       topology.CellID(rec[3]),
 		})
 	}
-	out.Sort()
+	out.sort()
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

@@ -52,12 +52,6 @@ type MeetingClassConfig struct {
 	Students int
 	// Start and End are the meeting times T_s, T_a in seconds.
 	Start, End float64
-	// ArriveSpread is the σ of the arrival bunching around Start
-	// (paper: arrivals aggregate in ~10 minutes; default 150 s).
-	ArriveSpread float64
-	// DepartSpread is the σ of departures after End (paper: ~5 minutes;
-	// default 90 s).
-	DepartSpread float64
 	// WalkBys is the number of corridor transits (corr0→corr1→corr2 or
 	// the reverse) that pass the room without entering, spread over the
 	// scenario; these are what make brute-force reservation wasteful.
@@ -66,22 +60,22 @@ type MeetingClassConfig struct {
 	// windows around Start and End when true, matching Figure 5's
 	// "total handoff activity" curves.
 	WalkByPeak bool
-	// HopGap is seconds between handoffs while walking (default 20 s).
-	HopGap float64
 	// Horizon is the scenario length; default End + 1800.
 	Horizon float64
 }
 
+const (
+	// meetingArriveSpread is the σ of the arrival bunching around Start
+	// (paper: arrivals aggregate in ~10 minutes).
+	meetingArriveSpread = 150
+	// meetingDepartSpread is the σ of departures after End (paper: ~5
+	// minutes).
+	meetingDepartSpread = 90
+	// meetingHopGap is seconds between handoffs while walking.
+	meetingHopGap = 20
+)
+
 func (c MeetingClassConfig) withDefaults() MeetingClassConfig {
-	if c.ArriveSpread <= 0 {
-		c.ArriveSpread = 150
-	}
-	if c.DepartSpread <= 0 {
-		c.DepartSpread = 90
-	}
-	if c.HopGap <= 0 {
-		c.HopGap = 20
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = c.End + 1800
 	}
@@ -108,14 +102,14 @@ func MeetingClass(cfg MeetingClassConfig, rng *randx.Rand) (*Trace, error) {
 		id := fmt.Sprintf("stu-%d", i)
 		// Enter the room around Start: target M-arrival bunched in the
 		// 10-minute window [Start-480, Start+120].
-		arriveAtM := rng.TruncNormal(cfg.Start-120, cfg.ArriveSpread, cfg.Start-480, cfg.Start+120)
-		appear := arriveAtM - 2*cfg.HopGap
+		arriveAtM := rng.TruncNormal(cfg.Start-120, meetingArriveSpread, cfg.Start-480, cfg.Start+120)
+		appear := arriveAtM - 2*meetingHopGap
 		w := newWalker(id, "corr0", appear, out)
-		w.walkPath([]topology.CellID{"corr1", "M"}, appear+cfg.HopGap, cfg.HopGap)
+		w.walkPath([]topology.CellID{"corr1", "M"}, appear+meetingHopGap, meetingHopGap)
 		// Leave after End within ~5 minutes, through a random exit.
-		leave := rng.TruncNormal(cfg.End+60, cfg.DepartSpread, cfg.End, cfg.End+300)
+		leave := rng.TruncNormal(cfg.End+60, meetingDepartSpread, cfg.End, cfg.End+300)
 		exit := []topology.CellID{"corr0", "corr1", "corr2"}[rng.Intn(3)]
-		w.walkPath([]topology.CellID{exit}, leave, cfg.HopGap)
+		w.walkPath([]topology.CellID{exit}, leave, meetingHopGap)
 	}
 	for i := 0; i < cfg.WalkBys; i++ {
 		id := fmt.Sprintf("wb-%d", i)
@@ -135,20 +129,20 @@ func MeetingClass(cfg MeetingClassConfig, rng *randx.Rand) (*Trace, error) {
 			path = []topology.CellID{"corr2", "corr1", "corr0"}
 		}
 		w := newWalker(id, path[0], t, out)
-		w.walkPath(path[1:], t+cfg.HopGap, cfg.HopGap)
+		w.walkPath(path[1:], t+meetingHopGap, meetingHopGap)
 	}
-	out.Sort()
+	out.sort()
 	return out, nil
 }
 
 // HandoffSeries bins the trace's handoffs into slots of width slot
 // seconds, counting only moves into (direction=In) or out of
 // (direction=Out) the given cell — the series Figure 5 plots.
-type Direction int
+type direction int
 
 const (
 	// In counts handoffs whose destination is the cell.
-	In Direction = iota
+	In direction = iota
 	// Out counts handoffs leaving the cell.
 	Out
 	// Touch counts both directions — "total handoff activity".
@@ -156,7 +150,7 @@ const (
 )
 
 // HandoffSeries returns counts per slot covering [0, horizon).
-func HandoffSeries(t *Trace, cell topology.CellID, dir Direction, slot, horizon float64) []int {
+func HandoffSeries(t *Trace, cell topology.CellID, dir direction, slot, horizon float64) []int {
 	n := int(horizon/slot) + 1
 	out := make([]int, n)
 	for _, m := range t.Moves {

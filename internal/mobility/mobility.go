@@ -38,9 +38,9 @@ type Trace struct {
 	Moves []Move
 }
 
-// Sort orders the trace by time (stable, so simultaneous moves keep
+// sort orders the trace by time (stable, so simultaneous moves keep
 // generation order).
-func (t *Trace) Sort() {
+func (t *Trace) sort() {
 	sort.SliceStable(t.Moves, func(i, j int) bool { return t.Moves[i].Time < t.Moves[j].Time })
 }
 
@@ -85,27 +85,6 @@ func (t *Trace) Validate() error {
 		last[m.Portable] = m.To
 	}
 	return nil
-}
-
-// CountTransits tallies, for moves matching from→via, where the portable
-// went right after reaching via. It returns a map next→count — the §7.1
-// measurement ("for a total of K handoffs from cell C to cell D we
-// observed N into cell A, ...").
-func (t *Trace) CountTransits(from, via topology.CellID) map[topology.CellID]int {
-	out := map[topology.CellID]int{}
-	// Index each portable's moves in order.
-	byPortable := map[string][]Move{}
-	for _, m := range t.Moves {
-		byPortable[m.Portable] = append(byPortable[m.Portable], m)
-	}
-	for _, moves := range byPortable {
-		for i := 0; i+1 < len(moves); i++ {
-			if moves[i].From == from && moves[i].To == via && moves[i+1].From == via {
-				out[moves[i+1].To]++
-			}
-		}
-	}
-	return out
 }
 
 // walker tracks one portable's position while generating a trace.
@@ -167,6 +146,6 @@ func RandomWalk(u *topology.Universe, portables []string, meanDwell, horizon flo
 			w.moveTo(nbs[rng.Intn(len(nbs))], t)
 		}
 	}
-	out.Sort()
+	out.sort()
 	return out, nil
 }

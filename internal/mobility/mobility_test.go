@@ -16,7 +16,7 @@ func TestTraceSortAndValidate(t *testing.T) {
 	tr := &Trace{}
 	tr.Append(Move{Portable: "p", From: "A", To: "B", Time: 5})
 	tr.Append(Move{Portable: "p", To: "A", Time: 1})
-	tr.Sort()
+	tr.sort()
 	if tr.Moves[0].Time != 1 {
 		t.Fatal("sort failed")
 	}
@@ -140,16 +140,16 @@ func TestOfficeWeekCalibration(t *testing.T) {
 	// student transits but its components sum to 216 (12+173+31), so the
 	// calibrated total is 127 + 216 + 1384 = 1727.
 	total := OfficeOutcomes(tr, nil)
-	if total.Total() != 1727 {
-		t.Fatalf("total transits = %d, want 1727", total.Total())
+	if total.total() != 1727 {
+		t.Fatalf("total transits = %d, want 1727", total.total())
 	}
 }
 
 func TestOfficeWeekValidation(t *testing.T) {
-	if _, err := OfficeWeek(OfficeWeekConfig{}, randx.New(1)); err == nil {
+	if _, err := OfficeWeek(officeWeekConfig{}, randx.New(1)); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	cfg := OfficeWeekConfig{Faculty: "f"}
+	cfg := officeWeekConfig{Faculty: "f"}
 	if _, err := OfficeWeek(cfg, randx.New(1)); err == nil {
 		t.Fatal("all-empty decks accepted")
 	}
@@ -224,25 +224,11 @@ func TestMeetingClassValidation(t *testing.T) {
 	}
 }
 
-func TestCountTransits(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(Move{Portable: "p", To: "C", Time: 0})
-	tr.Append(Move{Portable: "p", From: "C", To: "D", Time: 1})
-	tr.Append(Move{Portable: "p", From: "D", To: "A", Time: 2})
-	tr.Append(Move{Portable: "q", To: "C", Time: 0})
-	tr.Append(Move{Portable: "q", From: "C", To: "D", Time: 1})
-	tr.Append(Move{Portable: "q", From: "D", To: "F", Time: 2})
-	got := tr.CountTransits("C", "D")
-	if got["A"] != 1 || got["F"] != 1 {
-		t.Fatalf("transits = %v", got)
-	}
-}
-
 // Property: OfficeWeek traces are always chain-valid and exactly
 // calibrated for any seed.
 func TestQuickOfficeWeekAlwaysCalibrated(t *testing.T) {
 	f := func(seed int64) bool {
-		cfg := OfficeWeekConfig{
+		cfg := officeWeekConfig{
 			Faculty:     "f",
 			Students:    []string{"s1", "s2"},
 			FacultyDeck: Deck{ToA: 9, ToB: 2, ToOther: 1},

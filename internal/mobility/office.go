@@ -7,11 +7,11 @@ import (
 	"armnet/internal/topology"
 )
 
-// OfficeWeekConfig calibrates the Figure 4 office-scenario generator to
+// officeWeekConfig calibrates the Figure 4 office-scenario generator to
 // the measured aggregates of §7.1. The defaults reproduce the paper's
 // counts exactly (they are destination decks, not probabilities, so the
 // generated trace matches the published totals).
-type OfficeWeekConfig struct {
+type officeWeekConfig struct {
 	// Faculty is the faculty portable's name (regular occupant of office
 	// A and of office B).
 	Faculty string
@@ -42,14 +42,14 @@ type Deck struct {
 	ToOther int // continue to F or G
 }
 
-// Total returns the number of transits in the deck.
-func (d Deck) Total() int { return d.ToA + d.ToB + d.ToOther }
+// total returns the number of transits in the deck.
+func (d Deck) total() int { return d.ToA + d.ToB + d.ToOther }
 
 // PaperOfficeWeek returns the §7.1 calibration: faculty 127 transits
 // (94 A, 20 B, 13 other), students 218 (12 A, 173 B, 31 other), crowd
 // 1384 (39 A, 17 B, 1328 other).
-func PaperOfficeWeek(faculty string, students []string) OfficeWeekConfig {
-	return OfficeWeekConfig{
+func PaperOfficeWeek(faculty string, students []string) officeWeekConfig {
+	return officeWeekConfig{
 		Faculty:     faculty,
 		Students:    students,
 		FacultyDeck: Deck{ToA: 94, ToB: 20, ToOther: 13},
@@ -58,7 +58,7 @@ func PaperOfficeWeek(faculty string, students []string) OfficeWeekConfig {
 	}
 }
 
-func (c OfficeWeekConfig) withDefaults() OfficeWeekConfig {
+func (c officeWeekConfig) withDefaults() officeWeekConfig {
 	if c.Horizon <= 0 {
 		c.Horizon = 5 * 8 * 3600
 	}
@@ -82,7 +82,7 @@ const (
 
 // shuffledDeck expands a Deck into a shuffled destination sequence.
 func shuffledDeck(d Deck, rng *randx.Rand) []destination {
-	out := make([]destination, 0, d.Total())
+	out := make([]destination, 0, d.total())
 	for i := 0; i < d.ToA; i++ {
 		out = append(out, destA)
 	}
@@ -100,12 +100,12 @@ func shuffledDeck(d Deck, rng *randx.Rand) []destination {
 // topology. Named portables (faculty, students) perform their whole deck
 // as round trips C→D→dest→…→C; crowd transits each use a fresh anonymous
 // portable that parks at its destination.
-func OfficeWeek(cfg OfficeWeekConfig, rng *randx.Rand) (*Trace, error) {
+func OfficeWeek(cfg officeWeekConfig, rng *randx.Rand) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Faculty == "" {
 		return nil, fmt.Errorf("mobility: faculty name required")
 	}
-	if cfg.FacultyDeck.Total() == 0 && cfg.StudentDeck.Total() == 0 && cfg.CrowdDeck.Total() == 0 {
+	if cfg.FacultyDeck.total() == 0 && cfg.StudentDeck.total() == 0 && cfg.CrowdDeck.total() == 0 {
 		return nil, fmt.Errorf("mobility: all decks empty")
 	}
 	out := &Trace{}
@@ -181,6 +181,6 @@ func OfficeWeek(cfg OfficeWeekConfig, rng *randx.Rand) (*Trace, error) {
 			w.walkPath([]topology.CellID{target}, t, cfg.HopGap)
 		}
 	}
-	out.Sort()
+	out.sort()
 	return out, nil
 }

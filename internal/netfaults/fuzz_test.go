@@ -27,12 +27,12 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("at 10 blackout c")
 	f.Add("delay any 0.1 -1")
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := ParsePlan(strings.NewReader(spec))
+		p, err := parsePlan(strings.NewReader(spec))
 		if err != nil {
 			return
 		}
 		rendered := p.String()
-		q, err := ParsePlan(strings.NewReader(rendered))
+		q, err := parsePlan(strings.NewReader(rendered))
 		if err != nil {
 			t.Fatalf("re-parse of rendered plan failed: %v\nrendered:\n%s", err, rendered)
 		}

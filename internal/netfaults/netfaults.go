@@ -33,12 +33,12 @@ import (
 // spells netfaults.Plan (drop it with the bench refresh, ROADMAP 5 (e)).
 type Plan = faults.Plan
 
-// ParsePlan reads a wire-plane plan in the faults.ParsePlan grammar.
-func ParsePlan(r io.Reader) (*Plan, error) { return faults.ParseWirePlan(r) }
+// parsePlan reads a wire-plane plan in the faults.ParsePlan grammar.
+func parsePlan(r io.Reader) (*Plan, error) { return faults.ParseWirePlan(r) }
 
-// ParsePlanString is ParsePlan over an in-memory spec.
+// ParsePlanString is parsePlan over an in-memory spec.
 func ParsePlanString(s string) (*Plan, error) {
-	return ParsePlan(strings.NewReader(s))
+	return parsePlan(strings.NewReader(s))
 }
 
 // seedSalt decorrelates the wire injector's RNG from the simulation

@@ -17,26 +17,24 @@ func BenchmarkObserverHotPath(b *testing.B) {
 			return []CellUtil{{Cell: "cellA", Util: 0.3}, {Cell: "cellB", Util: 0.7}}
 		},
 	}, Options{})
-	events := []eventbus.Event{
-		eventbus.ConnectionRequested{Portable: "p0"},
-		eventbus.SignalHold{Conn: "c0", Link: "l0"},
-		eventbus.SignalCommit{Conn: "c0", Latency: 0.01},
-		eventbus.ConnectionAdmitted{Conn: "c0", Portable: "p0", Bandwidth: 2},
-		eventbus.AdaptationRound{Conn: "c0", Round: 1, Stamp: 1.5},
-		eventbus.BandwidthChange{Conn: "c0", Bandwidth: 1.5},
-		eventbus.MaxminConverged{Sessions: 1, Messages: 8},
-		eventbus.HandoffAttempt{Conn: "c0", Portable: "p0", From: "cellA", To: "cellB", Predicted: true},
-		eventbus.HandoffLatency{Conn: "c0", Portable: "p0", Predicted: true, Latency: 0.004},
-		eventbus.HandoffOutcome{Conn: "c0", Portable: "p0"},
-		eventbus.ConnectionClosed{Conn: "c0", Portable: "p0"},
+	publish := func() {
+		eventbus.Pub(bus, eventbus.ConnectionRequested{Portable: "p0"})
+		eventbus.Pub(bus, eventbus.SignalHold{Conn: "c0", Link: "l0"})
+		eventbus.Pub(bus, eventbus.SignalCommit{Conn: "c0", Latency: 0.01})
+		eventbus.Pub(bus, eventbus.ConnectionAdmitted{Conn: "c0", Portable: "p0", Bandwidth: 2})
+		eventbus.Pub(bus, eventbus.AdaptationRound{Conn: "c0", Round: 1, Stamp: 1.5})
+		eventbus.Pub(bus, eventbus.BandwidthChange{Conn: "c0", Bandwidth: 1.5})
+		eventbus.Pub(bus, eventbus.MaxminConverged{Sessions: 1, Messages: 8})
+		eventbus.Pub(bus, eventbus.HandoffAttempt{Conn: "c0", Portable: "p0", From: "cellA", To: "cellB", Predicted: true})
+		eventbus.Pub(bus, eventbus.HandoffLatency{Conn: "c0", Portable: "p0", Predicted: true, Latency: 0.004})
+		eventbus.Pub(bus, eventbus.HandoffOutcome{Conn: "c0", Portable: "p0"})
+		eventbus.Pub(bus, eventbus.ConnectionClosed{Conn: "c0", Portable: "p0"})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clk.now = float64(i)
-		for _, ev := range events {
-			bus.Publish(ev)
-		}
+		publish()
 	}
 }
 

@@ -22,8 +22,8 @@ func FuzzHistogramMerge(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		build := func(n int) HistSeries {
-			h := HistSeries{Name: "h", Bounds: make([]float64, n), Counts: make([]uint64, n+1)}
+		build := func(n int) histSeries {
+			h := histSeries{Name: "h", Bounds: make([]float64, n), Counts: make([]uint64, n+1)}
 			edge := 0.0
 			for i := range h.Bounds {
 				edge += float64(next()%16) + 1 // strictly ascending

@@ -38,30 +38,30 @@ func seriesKey(name string, labels map[string]string) string {
 	return b.String()
 }
 
-// Counter is a monotone sum. Exported so sibling observability layers
+// counter is a monotone sum. Exported so sibling observability layers
 // (internal/obs/live) can build on the same instrument model and share
 // the Snapshot/Merge/Prometheus machinery.
-type Counter struct {
+type counter struct {
 	name   string
 	labels map[string]string
 	v      float64
 }
 
 // Add increases the counter by d.
-func (c *Counter) Add(d float64) { c.v += d }
+func (c *counter) Add(d float64) { c.v += d }
 
 // Inc increases the counter by one.
-func (c *Counter) Inc() { c.v++ }
+func (c *counter) Inc() { c.v++ }
 
-// Gauge is a point-in-time value.
-type Gauge struct {
+// gauge is a point-in-time value.
+type gauge struct {
 	name   string
 	labels map[string]string
 	v      float64
 }
 
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.v = v }
+// set replaces the gauge's value.
+func (g *gauge) set(v float64) { g.v = v }
 
 // Histogram is a fixed-boundary histogram: bounds are upper bucket edges
 // in ascending order, counts has len(bounds)+1 entries (the last is the
@@ -91,16 +91,16 @@ func (h *Histogram) Observe(v float64) {
 // (with the fixed core set pre-registered by the observer so the
 // snapshot shape is stable across runs of the same scenario family).
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
+	counters map[string]*counter
+	gauges   map[string]*gauge
 	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty instrument registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
+		counters: make(map[string]*counter),
+		gauges:   make(map[string]*gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -117,22 +117,22 @@ func copyLabels(labels map[string]string) map[string]string {
 }
 
 // Counter returns (creating on first use) the counter for (name, labels).
-func (r *Registry) Counter(name string, labels map[string]string) *Counter {
+func (r *Registry) Counter(name string, labels map[string]string) *counter {
 	k := seriesKey(name, labels)
 	c := r.counters[k]
 	if c == nil {
-		c = &Counter{name: name, labels: copyLabels(labels)}
+		c = &counter{name: name, labels: copyLabels(labels)}
 		r.counters[k] = c
 	}
 	return c
 }
 
-// Gauge returns (creating on first use) the gauge for (name, labels).
-func (r *Registry) Gauge(name string, labels map[string]string) *Gauge {
+// gauge returns (creating on first use) the gauge for (name, labels).
+func (r *Registry) gauge(name string, labels map[string]string) *gauge {
 	k := seriesKey(name, labels)
 	g := r.gauges[k]
 	if g == nil {
-		g = &Gauge{name: name, labels: copyLabels(labels)}
+		g = &gauge{name: name, labels: copyLabels(labels)}
 		r.gauges[k] = g
 	}
 	return g

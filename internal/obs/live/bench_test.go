@@ -47,7 +47,7 @@ func BenchmarkLiveSnapshot(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = c.Snapshot()
+		_ = c.snapshot()
 	}
 }
 

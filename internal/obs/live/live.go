@@ -199,25 +199,15 @@ func (c *Controller) Finish(end float64) {
 	c.sp.finish(end)
 }
 
-// Snapshot exports the controller registry's current state. Safe to
+// snapshot exports the controller registry's current state. Safe to
 // call concurrently with the run (the telemetry scrape path).
-func (c *Controller) Snapshot() *obs.Snapshot {
+func (c *Controller) snapshot() *obs.Snapshot {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reg.Snapshot()
-}
-
-// Spans returns a copy of the closed wire spans in closure order.
-func (c *Controller) Spans() []obs.Span {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]obs.Span(nil), c.sp.closed...)
 }
 
 // SpansJSONL renders the closed spans one JSON object per line, the
@@ -286,8 +276,8 @@ func (n *NodeRecorder) Restart() {
 	n.reg.Counter("armnet_wire_node_restarts_total", map[string]string{"node": n.node}).Inc()
 }
 
-// Snapshot exports the node registry's current state.
-func (n *NodeRecorder) Snapshot() *obs.Snapshot {
+// snapshot exports the node registry's current state.
+func (n *NodeRecorder) snapshot() *obs.Snapshot {
 	if n == nil {
 		return nil
 	}
@@ -301,9 +291,9 @@ func (n *NodeRecorder) Snapshot() *obs.Snapshot {
 // skipped). Node series carry {node} labels, so nothing collides.
 func ClusterSnapshot(ctrl *Controller, nodes []*NodeRecorder) (*obs.Snapshot, error) {
 	snaps := make([]*obs.Snapshot, 0, len(nodes)+1)
-	snaps = append(snaps, ctrl.Snapshot())
+	snaps = append(snaps, ctrl.snapshot())
 	for _, n := range nodes {
-		snaps = append(snaps, n.Snapshot())
+		snaps = append(snaps, n.snapshot())
 	}
 	merged, err := obs.MergeAll(snaps)
 	if err != nil {

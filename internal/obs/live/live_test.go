@@ -28,15 +28,15 @@ func TestNilRecordersNoOp(t *testing.T) {
 	c.HandoffBreak("conn-1", "c1", "c2")
 	c.Attach(nil)
 	c.Finish(1)
-	if c.Snapshot() != nil || c.Spans() != nil || c.SpansJSONL() != nil {
+	if c.snapshot() != nil || c.spans() != nil || c.SpansJSONL() != nil {
 		t.Fatal("nil controller leaked state")
 	}
 	var n *NodeRecorder
-	n.FrameRx(wire.THello, 10)
+	n.FrameRx(wire.Hello{}.WireType(), 10)
 	n.Malformed()
 	n.Oversized()
 	n.Restart()
-	if n.Snapshot() != nil {
+	if n.snapshot() != nil {
 		t.Fatal("nil node recorder leaked state")
 	}
 }
@@ -52,7 +52,7 @@ func TestFrameCounters(t *testing.T) {
 	c.Verdict("drop")
 	c.Resync("east")
 
-	s := c.Snapshot()
+	s := c.snapshot()
 	want := map[string]float64{
 		"armnet_wire_frames_tx_total":      3,
 		"armnet_wire_bytes_tx_total":       44,
@@ -78,12 +78,12 @@ func TestFrameCounters(t *testing.T) {
 	}
 
 	n := NewNodeRecorder("east")
-	n.FrameRx(wire.THello, 12)
+	n.FrameRx(wire.Hello{}.WireType(), 12)
 	n.FrameRx(wire.TUpdate, 20)
 	n.Malformed()
 	n.Oversized()
 	n.Restart()
-	ns := n.Snapshot()
+	ns := n.snapshot()
 	for name, v := range map[string]float64{
 		"armnet_wire_frames_rx_total":     2,
 		"armnet_wire_bytes_rx_total":      32,
@@ -108,13 +108,13 @@ func TestSetupSpanCorrelation(t *testing.T) {
 	c.FrameTx("east", wire.SignalSetup{Conn: "conn-1", Hop: 1}, 30, true)
 	clk.t = 1.2
 	c.FrameTx("east", wire.SignalCommit{Conn: "conn-1", Hop: 2}, 30, true)
-	if got := c.Spans(); len(got) != 0 {
+	if got := c.spans(); len(got) != 0 {
 		t.Fatalf("span closed early: %+v", got)
 	}
 	clk.t = 1.5
 	c.FrameTx("core", wire.SignalCommit{Conn: "conn-1", Hop: 3}, 30, true)
 
-	spans := c.Spans()
+	spans := c.spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
@@ -128,18 +128,19 @@ func TestSetupSpanCorrelation(t *testing.T) {
 	if s.Attrs == nil || s.Attrs.Latency != 0.5 {
 		t.Fatalf("bad latency attrs %+v", s.Attrs)
 	}
-	if got := c.Snapshot().CounterTotal("armnet_wire_setup_rtt_seconds"); got != 0 {
+	if got := c.snapshot().CounterTotal("armnet_wire_setup_rtt_seconds"); got != 0 {
 		// RTTs live in the histogram, not a counter.
 		t.Fatalf("unexpected counter %v", got)
 	}
-	var hist obs.HistSeries
-	for _, h := range c.Snapshot().Histograms {
-		if h.Name == "armnet_wire_setup_rtt_seconds" {
-			hist = h
+	hists := c.snapshot().Histograms
+	k := -1
+	for i := range hists {
+		if hists[i].Name == "armnet_wire_setup_rtt_seconds" {
+			k = i
 		}
 	}
-	if hist.Count != 1 || hist.Sum != 0.5 {
-		t.Fatalf("setup rtt histogram count=%d sum=%v, want 1/0.5", hist.Count, hist.Sum)
+	if k < 0 || hists[k].Count != 1 || hists[k].Sum != 0.5 {
+		t.Fatalf("setup rtt histograms %+v, want one with count 1 and sum 0.5", hists)
 	}
 }
 
@@ -154,7 +155,7 @@ func TestHandoffSpan(t *testing.T) {
 	clk.t = 2.4
 	c.FrameTx("core", wire.SignalCommit{Conn: "conn-1", Hop: 1}, 30, true)
 
-	spans := c.Spans()
+	spans := c.spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want setup+handoff", len(spans))
 	}
@@ -182,7 +183,7 @@ func TestAbortClosesSpans(t *testing.T) {
 	clk.t = 3.2
 	c.FrameTx("core", wire.SignalAbort{Conn: "conn-2", Hop: 0, Reason: "timeout"}, 30, true)
 
-	spans := c.Spans()
+	spans := c.spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
@@ -217,7 +218,7 @@ func TestLeaseSpanAndBus(t *testing.T) {
 	eventbus.Pub(bus, eventbus.ControlRetransmit{Proto: "maxmin", Conn: "conn-2", Hop: 1, Attempt: 2})
 	eventbus.Pub(bus, eventbus.SignalAbort{Conn: "conn-3", Reason: "timeout", Hop: 1})
 
-	s := c.Snapshot()
+	s := c.snapshot()
 	for name, v := range map[string]float64{
 		"armnet_wire_lease_renews_total":   2,
 		"armnet_wire_lease_misses_total":   1,
@@ -229,7 +230,7 @@ func TestLeaseSpanAndBus(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got, v)
 		}
 	}
-	spans := c.Spans()
+	spans := c.spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d lease spans, want 2", len(spans))
 	}
@@ -248,7 +249,7 @@ func TestFinishDeterministic(t *testing.T) {
 	c.Finish(9.0)
 	c.Finish(9.0) // idempotent
 
-	spans := c.Spans()
+	spans := c.spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
@@ -275,7 +276,7 @@ func TestClusterSnapshotMerge(t *testing.T) {
 	c := NewController(clk.Now)
 	c.FrameTx("east", wire.Hello{Node: "east"}, 12, true)
 	ne := NewNodeRecorder("east")
-	ne.FrameRx(wire.THello, 12)
+	ne.FrameRx(wire.Hello{}.WireType(), 12)
 	nw := NewNodeRecorder("west")
 	nw.Malformed()
 
@@ -300,4 +301,14 @@ func TestClusterSnapshotMerge(t *testing.T) {
 	if _, err := ClusterSnapshot(nil, []*NodeRecorder{nil}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// spans returns a copy of the closed wire spans in closure order.
+func (c *Controller) spans() []obs.Span {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]obs.Span(nil), c.sp.closed...)
 }

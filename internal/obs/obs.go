@@ -84,19 +84,19 @@ type Observer struct {
 	src   Sources
 
 	// Hot-path cached instruments.
-	requests     *Counter
-	admitted     *Counter
-	attempts     *Counter
-	predicted    *Counter
-	dropped      *Counter
-	adaptUpdates *Counter
-	convergences *Counter
+	requests     *counter
+	admitted     *counter
+	attempts     *counter
+	predicted    *counter
+	dropped      *counter
+	adaptUpdates *counter
+	convergences *counter
 	setupHist    *Histogram
 	interruptOn  *Histogram // predicted="true"
 	interruptOff *Histogram // predicted="false"
 	roundsHist   *Histogram
 	packetsHist  *Histogram
-	events       map[eventbus.Kind]*Counter
+	events       map[eventbus.Kind]*counter
 
 	util  map[string]*stats.TimeWeighted
 	dwell map[string]*stageState
@@ -116,7 +116,7 @@ func New(bus *eventbus.Bus, src Sources, opts Options) *Observer {
 	o := &Observer{
 		reg:    reg,
 		src:    src,
-		events: make(map[eventbus.Kind]*Counter),
+		events: make(map[eventbus.Kind]*counter),
 		util:   make(map[string]*stats.TimeWeighted),
 		dwell:  make(map[string]*stageState),
 
@@ -225,8 +225,8 @@ func (o *Observer) finishBurst(ev eventbus.MaxminConverged) {
 	o.burstRounds = 0
 	if o.src.Bottlenecks != nil {
 		for _, lb := range o.src.Bottlenecks() {
-			o.reg.Gauge("armnet_maxmin_bottleneck_set_size",
-				map[string]string{"link": lb.Link}).Set(float64(lb.Size))
+			o.reg.gauge("armnet_maxmin_bottleneck_set_size",
+				map[string]string{"link": lb.Link}).set(float64(lb.Size))
 		}
 	}
 }
@@ -303,8 +303,8 @@ func (o *Observer) Finish(end float64) {
 		}
 	}
 	for _, cell := range sortx.Keys(o.util) {
-		o.reg.Gauge("armnet_cell_utilization_mean",
-			map[string]string{"cell": cell}).Set(o.util[cell].Mean(end))
+		o.reg.gauge("armnet_cell_utilization_mean",
+			map[string]string{"cell": cell}).set(o.util[cell].Mean(end))
 	}
 }
 
@@ -313,4 +313,4 @@ func (o *Observer) Finish(end float64) {
 func (o *Observer) Snapshot() *Snapshot { return o.reg.Snapshot() }
 
 // SpanErr reports the first span-export write error, if any.
-func (o *Observer) SpanErr() error { return o.spans.Err() }
+func (o *Observer) SpanErr() error { return o.spans.err }

@@ -20,35 +20,35 @@ func (c *fakeClock) Now() float64 { return c.now }
 // maxmin burst.
 func driveLifecycle(clk *fakeClock, bus *eventbus.Bus) {
 	clk.now = 1
-	bus.Publish(eventbus.ConnectionRequested{Portable: "p0"})
-	bus.Publish(eventbus.SignalHold{Conn: "c0", Link: "l0"})
-	bus.Publish(eventbus.SignalHold{Conn: "c0", Link: "l1"})
+	eventbus.Pub(bus, eventbus.ConnectionRequested{Portable: "p0"})
+	eventbus.Pub(bus, eventbus.SignalHold{Conn: "c0", Link: "l0"})
+	eventbus.Pub(bus, eventbus.SignalHold{Conn: "c0", Link: "l1"})
 	clk.now = 1.02
-	bus.Publish(eventbus.SignalCommit{Conn: "c0", Latency: 0.02})
-	bus.Publish(eventbus.ConnectionAdmitted{Conn: "c0", Portable: "p0", Bandwidth: 2})
+	eventbus.Pub(bus, eventbus.SignalCommit{Conn: "c0", Latency: 0.02})
+	eventbus.Pub(bus, eventbus.ConnectionAdmitted{Conn: "c0", Portable: "p0", Bandwidth: 2})
 
 	clk.now = 2
-	bus.Publish(eventbus.ConnectionRequested{Portable: "p1"})
-	bus.Publish(eventbus.SignalHold{Conn: "c1", Link: "l0"})
+	eventbus.Pub(bus, eventbus.ConnectionRequested{Portable: "p1"})
+	eventbus.Pub(bus, eventbus.SignalHold{Conn: "c1", Link: "l0"})
 	clk.now = 2.01
-	bus.Publish(eventbus.SignalAbort{Conn: "c1", Reason: "insufficient", Hop: 1})
-	bus.Publish(eventbus.ConnectionBlocked{Portable: "p1", Reason: "insufficient"})
+	eventbus.Pub(bus, eventbus.SignalAbort{Conn: "c1", Reason: "insufficient", Hop: 1})
+	eventbus.Pub(bus, eventbus.ConnectionBlocked{Portable: "p1", Reason: "insufficient"})
 
 	clk.now = 3
-	bus.Publish(eventbus.AdaptationRound{Conn: "c0", Round: 1, Stamp: 1.5})
-	bus.Publish(eventbus.AdaptationRound{Conn: "c0", Round: 2, Stamp: 1.75})
-	bus.Publish(eventbus.BandwidthChange{Conn: "c0", Bandwidth: 1.75})
-	bus.Publish(eventbus.MaxminConverged{Sessions: 1, Messages: 12})
+	eventbus.Pub(bus, eventbus.AdaptationRound{Conn: "c0", Round: 1, Stamp: 1.5})
+	eventbus.Pub(bus, eventbus.AdaptationRound{Conn: "c0", Round: 2, Stamp: 1.75})
+	eventbus.Pub(bus, eventbus.BandwidthChange{Conn: "c0", Bandwidth: 1.75})
+	eventbus.Pub(bus, eventbus.MaxminConverged{Sessions: 1, Messages: 12})
 
 	clk.now = 4
-	bus.Publish(eventbus.HandoffAttempt{Conn: "c0", Portable: "p0", From: "cellA", To: "cellB", Predicted: true})
-	bus.Publish(eventbus.HandoffLatency{Conn: "c0", Portable: "p0", Predicted: true, Latency: 0.004})
-	bus.Publish(eventbus.HandoffOutcome{Conn: "c0", Portable: "p0"})
+	eventbus.Pub(bus, eventbus.HandoffAttempt{Conn: "c0", Portable: "p0", From: "cellA", To: "cellB", Predicted: true})
+	eventbus.Pub(bus, eventbus.HandoffLatency{Conn: "c0", Portable: "p0", Predicted: true, Latency: 0.004})
+	eventbus.Pub(bus, eventbus.HandoffOutcome{Conn: "c0", Portable: "p0"})
 
 	clk.now = 5
-	bus.Publish(eventbus.HandoffAttempt{Conn: "c0", Portable: "p0", From: "cellB", To: "cellC", Predicted: false})
-	bus.Publish(eventbus.HandoffLatency{Conn: "c0", Portable: "p0", Predicted: false, Latency: 0.04})
-	bus.Publish(eventbus.HandoffOutcome{Conn: "c0", Portable: "p0", Dropped: true})
+	eventbus.Pub(bus, eventbus.HandoffAttempt{Conn: "c0", Portable: "p0", From: "cellB", To: "cellC", Predicted: false})
+	eventbus.Pub(bus, eventbus.HandoffLatency{Conn: "c0", Portable: "p0", Predicted: false, Latency: 0.04})
+	eventbus.Pub(bus, eventbus.HandoffOutcome{Conn: "c0", Portable: "p0", Dropped: true})
 }
 
 func TestObserverLifecycle(t *testing.T) {
@@ -96,7 +96,7 @@ func TestObserverLifecycle(t *testing.T) {
 		t.Errorf("missed prediction recorded a hit (%v)", v)
 	}
 
-	hists := map[string]HistSeries{}
+	hists := map[string]histSeries{}
 	for _, h := range snap.Histograms {
 		hists[seriesKey(h.Name, h.Labels)] = h
 	}
@@ -179,9 +179,9 @@ func TestObserverDwellAccounting(t *testing.T) {
 	}, Options{})
 
 	clk.now = 10
-	bus.Publish(eventbus.OverloadStage{Cell: "cellA", From: "normal", To: "degrade", Util: 0.9})
+	eventbus.Pub(bus, eventbus.OverloadStage{Cell: "cellA", From: "normal", To: "degrade", Util: 0.9})
 	clk.now = 30
-	bus.Publish(eventbus.OverloadStage{Cell: "cellA", From: "degrade", To: "normal", Util: 0.5})
+	eventbus.Pub(bus, eventbus.OverloadStage{Cell: "cellA", From: "degrade", To: "normal", Util: 0.5})
 	o.Finish(100)
 
 	dwell := map[string]float64{}

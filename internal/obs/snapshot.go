@@ -9,18 +9,18 @@ import (
 	"armnet/internal/sortx"
 )
 
-// Series is one exported counter or gauge sample.
-type Series struct {
+// series is one exported counter or gauge sample.
+type series struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  float64           `json:"value"`
 }
 
-// HistSeries is one exported fixed-bucket histogram. Bounds are the
+// histSeries is one exported fixed-bucket histogram. Bounds are the
 // upper bucket edges; Counts has len(Bounds)+1 entries, the last being
 // the overflow (+Inf) bucket, so the implicit +Inf edge never has to be
 // JSON-encoded.
-type HistSeries struct {
+type histSeries struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Bounds []float64         `json:"bounds"`
@@ -37,9 +37,9 @@ type HistSeries struct {
 // it to average gauges.
 type Snapshot struct {
 	Runs       int          `json:"runs"`
-	Counters   []Series     `json:"counters"`
-	Gauges     []Series     `json:"gauges"`
-	Histograms []HistSeries `json:"histograms"`
+	Counters   []series     `json:"counters"`
+	Gauges     []series     `json:"gauges"`
+	Histograms []histSeries `json:"histograms"`
 }
 
 // snapshot exports the registry's current state.
@@ -47,15 +47,15 @@ func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{Runs: 1}
 	for _, k := range sortx.Keys(r.counters) {
 		c := r.counters[k]
-		s.Counters = append(s.Counters, Series{Name: c.name, Labels: copyLabels(c.labels), Value: c.v})
+		s.Counters = append(s.Counters, series{Name: c.name, Labels: copyLabels(c.labels), Value: c.v})
 	}
 	for _, k := range sortx.Keys(r.gauges) {
 		g := r.gauges[k]
-		s.Gauges = append(s.Gauges, Series{Name: g.name, Labels: copyLabels(g.labels), Value: g.v})
+		s.Gauges = append(s.Gauges, series{Name: g.name, Labels: copyLabels(g.labels), Value: g.v})
 	}
 	for _, k := range sortx.Keys(r.hists) {
 		h := r.hists[k]
-		s.Histograms = append(s.Histograms, HistSeries{
+		s.Histograms = append(s.Histograms, histSeries{
 			Name:   h.name,
 			Labels: copyLabels(h.labels),
 			Bounds: append([]float64(nil), h.bounds...),
@@ -136,7 +136,7 @@ func (s *Snapshot) JSON() []byte {
 
 // mergeHist folds b into a. The bucket boundaries must match exactly —
 // fixed bounds are the merge contract.
-func mergeHist(a *HistSeries, b HistSeries) error {
+func mergeHist(a *histSeries, b histSeries) error {
 	if len(a.Bounds) != len(b.Bounds) {
 		return fmt.Errorf("obs: histogram %s: bound count mismatch (%d vs %d)",
 			seriesKey(a.Name, a.Labels), len(a.Bounds), len(b.Bounds))
@@ -155,13 +155,13 @@ func mergeHist(a *HistSeries, b HistSeries) error {
 	return nil
 }
 
-// Merge folds another snapshot into this one: counters and histogram
+// merge folds another snapshot into this one: counters and histogram
 // buckets sum, gauges average weighted by each side's Runs (a series
 // missing on one side contributes zero with that side's weight). Always
 // merge in replication order — float sums are order-sensitive, and the
 // in-order fold is what keeps merged snapshots identical at any worker
 // count.
-func (s *Snapshot) Merge(o *Snapshot) error {
+func (s *Snapshot) merge(o *Snapshot) error {
 	if o == nil {
 		return nil
 	}
@@ -216,7 +216,7 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 }
 
 func (s *Snapshot) sort() {
-	byKey := func(sl []Series) func(i, j int) bool {
+	byKey := func(sl []series) func(i, j int) bool {
 		return func(i, j int) bool {
 			return seriesKey(sl[i].Name, sl[i].Labels) < seriesKey(sl[j].Name, sl[j].Labels)
 		}
@@ -251,9 +251,9 @@ func MergeAll(snaps []*Snapshot) (*Snapshot, error) {
 		if out == nil {
 			// Deep-copy through the JSON rendering's value semantics.
 			cp := *sn
-			cp.Counters = append([]Series(nil), sn.Counters...)
-			cp.Gauges = append([]Series(nil), sn.Gauges...)
-			cp.Histograms = make([]HistSeries, len(sn.Histograms))
+			cp.Counters = append([]series(nil), sn.Counters...)
+			cp.Gauges = append([]series(nil), sn.Gauges...)
+			cp.Histograms = make([]histSeries, len(sn.Histograms))
 			for i, h := range sn.Histograms {
 				h.Bounds = append([]float64(nil), h.Bounds...)
 				h.Counts = append([]uint64(nil), h.Counts...)
@@ -262,7 +262,7 @@ func MergeAll(snaps []*Snapshot) (*Snapshot, error) {
 			out = &cp
 			continue
 		}
-		if err := out.Merge(sn); err != nil {
+		if err := out.merge(sn); err != nil {
 			return nil, err
 		}
 	}
@@ -288,8 +288,8 @@ func (s *Snapshot) counterValue(name string) float64 {
 // histMerged returns the bucket-wise sum of every histogram series with
 // the given name (e.g. both predicted and unpredicted interruption
 // series), or false when none exists.
-func (s *Snapshot) histMerged(name string) (HistSeries, bool) {
-	var out HistSeries
+func (s *Snapshot) histMerged(name string) (histSeries, bool) {
+	var out histSeries
 	found := false
 	for _, h := range s.Histograms {
 		if h.Name != name {
@@ -308,10 +308,10 @@ func (s *Snapshot) histMerged(name string) (HistSeries, bool) {
 	return out, found
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts
+// quantile estimates the q-quantile (0 < q <= 1) from the bucket counts
 // with linear interpolation inside the winning bucket; samples in the
 // overflow bucket report the last bound. Zero when empty.
-func (h HistSeries) Quantile(q float64) float64 {
+func (h histSeries) quantile(q float64) float64 {
 	if h.Count == 0 || len(h.Bounds) == 0 {
 		return 0
 	}
@@ -378,10 +378,10 @@ func (s *Snapshot) Summary() Summary {
 		sum.MeanAdaptation = s.counterValue("armnet_adaptation_updates_total") / sum.Admitted
 	}
 	if h, ok := s.histMerged("armnet_setup_latency_seconds"); ok && h.Count > 0 {
-		sum.SetupP50, sum.SetupP99 = h.Quantile(0.50), h.Quantile(0.99)
+		sum.SetupP50, sum.SetupP99 = h.quantile(0.50), h.quantile(0.99)
 	}
 	if h, ok := s.histMerged("armnet_handoff_interruption_seconds"); ok && h.Count > 0 {
-		sum.InterruptP50, sum.InterruptP99 = h.Quantile(0.50), h.Quantile(0.99)
+		sum.InterruptP50, sum.InterruptP99 = h.quantile(0.50), h.quantile(0.99)
 	}
 	return sum
 }

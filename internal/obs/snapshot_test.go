@@ -10,10 +10,10 @@ import (
 func snapWith(runs int, counters, gauges map[string]float64) *Snapshot {
 	s := &Snapshot{Runs: runs}
 	for name, v := range counters {
-		s.Counters = append(s.Counters, Series{Name: name, Value: v})
+		s.Counters = append(s.Counters, series{Name: name, Value: v})
 	}
 	for name, v := range gauges {
-		s.Gauges = append(s.Gauges, Series{Name: name, Value: v})
+		s.Gauges = append(s.Gauges, series{Name: name, Value: v})
 	}
 	s.sort()
 	return s
@@ -22,7 +22,7 @@ func snapWith(runs int, counters, gauges map[string]float64) *Snapshot {
 func TestMergeCountersAndGauges(t *testing.T) {
 	a := snapWith(1, map[string]float64{"c": 3}, map[string]float64{"g": 10, "only_a": 4})
 	b := snapWith(1, map[string]float64{"c": 5, "only_b": 2}, map[string]float64{"g": 20})
-	if err := a.Merge(b); err != nil {
+	if err := a.merge(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Runs != 2 {
@@ -73,12 +73,12 @@ func TestMergeAllThreeWayGaugeAverage(t *testing.T) {
 
 func TestMergeHistogramsAndBoundMismatch(t *testing.T) {
 	h := func(bounds []float64, counts []uint64, sum float64, n uint64) *Snapshot {
-		return &Snapshot{Runs: 1, Histograms: []HistSeries{{
+		return &Snapshot{Runs: 1, Histograms: []histSeries{{
 			Name: "h", Bounds: bounds, Counts: counts, Sum: sum, Count: n,
 		}}}
 	}
 	a := h([]float64{1, 2}, []uint64{1, 0, 2}, 7, 3)
-	if err := a.Merge(h([]float64{1, 2}, []uint64{0, 4, 1}, 9, 5)); err != nil {
+	if err := a.merge(h([]float64{1, 2}, []uint64{0, 4, 1}, 9, 5)); err != nil {
 		t.Fatal(err)
 	}
 	got := a.Histograms[0]
@@ -90,10 +90,10 @@ func TestMergeHistogramsAndBoundMismatch(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, got.Counts[i], want)
 		}
 	}
-	if err := a.Merge(h([]float64{1, 3}, []uint64{0, 0, 0}, 0, 0)); err == nil {
+	if err := a.merge(h([]float64{1, 3}, []uint64{0, 0, 0}, 0, 0)); err == nil {
 		t.Error("bound mismatch not rejected")
 	}
-	if err := a.Merge(h([]float64{1}, []uint64{0, 0}, 0, 0)); err == nil {
+	if err := a.merge(h([]float64{1}, []uint64{0, 0}, 0, 0)); err == nil {
 		t.Error("bound count mismatch not rejected")
 	}
 }
@@ -101,8 +101,8 @@ func TestMergeHistogramsAndBoundMismatch(t *testing.T) {
 func TestPrometheusRendering(t *testing.T) {
 	s := &Snapshot{
 		Runs:     1,
-		Counters: []Series{{Name: "armnet_x_total", Labels: map[string]string{"k": "v"}, Value: 3}},
-		Histograms: []HistSeries{{
+		Counters: []series{{Name: "armnet_x_total", Labels: map[string]string{"k": "v"}, Value: 3}},
+		Histograms: []histSeries{{
 			Name: "armnet_lat", Bounds: []float64{0.1, 0.5}, Counts: []uint64{2, 1, 1}, Sum: 0.9, Count: 4,
 		}},
 	}
@@ -134,18 +134,18 @@ func TestJSONRoundTripsStably(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	h := HistSeries{Bounds: []float64{1, 2, 4}, Counts: []uint64{2, 2, 0, 0}, Count: 4}
-	if got := h.Quantile(0.5); got != 1 {
+	h := histSeries{Bounds: []float64{1, 2, 4}, Counts: []uint64{2, 2, 0, 0}, Count: 4}
+	if got := h.quantile(0.5); got != 1 {
 		t.Errorf("p50 = %v, want 1", got)
 	}
-	if got := h.Quantile(1); got != 2 {
+	if got := h.quantile(1); got != 2 {
 		t.Errorf("p100 = %v, want 2", got)
 	}
-	over := HistSeries{Bounds: []float64{1}, Counts: []uint64{0, 3}, Count: 3}
-	if got := over.Quantile(0.99); got != 1 {
+	over := histSeries{Bounds: []float64{1}, Counts: []uint64{0, 3}, Count: 3}
+	if got := over.quantile(0.99); got != 1 {
 		t.Errorf("overflow quantile = %v, want last bound", got)
 	}
-	if got := (HistSeries{}).Quantile(0.5); got != 0 {
+	if got := (histSeries{}).quantile(0.5); got != 0 {
 		t.Errorf("empty quantile = %v", got)
 	}
 }

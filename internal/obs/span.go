@@ -65,9 +65,6 @@ func newSpanBuilder(w io.Writer, count func(name string)) *spanBuilder {
 	return &spanBuilder{w: w, open: make(map[string]*connSpans), count: count}
 }
 
-// Err reports the first span-export write error.
-func (sb *spanBuilder) Err() error { return sb.err }
-
 func (sb *spanBuilder) state(conn string, t float64) *connSpans {
 	cs := sb.open[conn]
 	if cs == nil {

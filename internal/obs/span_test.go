@@ -114,14 +114,14 @@ func TestSpanBuilderLatchesWriteError(t *testing.T) {
 	sb := newSpanBuilder(&failWriter{after: 1}, func(string) {})
 	sb.observe(eventbus.Record{Time: 0, Event: eventbus.ConnectionAdmitted{Conn: "c0"}})
 	sb.observe(eventbus.Record{Time: 1, Event: eventbus.ConnectionClosed{Conn: "c0"}})
-	err := sb.Err()
+	err := sb.err
 	if err == nil || !strings.Contains(err.Error(), "span export") {
 		t.Fatalf("Err = %v, want latched span export error", err)
 	}
 	// Further closes are no-ops on the writer but must not panic.
 	sb.observe(eventbus.Record{Time: 2, Event: eventbus.ConnectionAdmitted{Conn: "c1"}})
 	sb.finish(3)
-	if sb.Err() != err {
-		t.Fatalf("latched error changed: %v", sb.Err())
+	if sb.err != err {
+		t.Fatalf("latched error changed: %v", sb.err)
 	}
 }

@@ -17,12 +17,16 @@ import (
 func dropFixture(t *testing.T) (*eventbus.Bus, *admission.Ledger, topology.LinkID) {
 	t.Helper()
 	b := topology.NewBackbone()
-	b.MustAddNode(topology.Node{ID: "bs"})
-	b.MustAddNode(topology.Node{ID: "air"})
-	link, err := b.AddLink(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true})
-	if err != nil {
+	if _, err := b.AddNode(topology.Node{ID: "bs"}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := b.AddNode(topology.Node{ID: "air"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true}); err != nil {
+		t.Fatal(err)
+	}
+	link := b.Link("bs", "air")
 	lg := admission.NewLedger(b)
 	ctl := admission.NewController(lg)
 	res, err := ctl.Admit(admission.Test{
@@ -44,8 +48,8 @@ func dropFixture(t *testing.T) (*eventbus.Bus, *admission.Ledger, topology.LinkI
 // replayDrop publishes the event sequence the auditor watches: a failed
 // admission for the handoff naming the contended link, then the drop.
 func replayDrop(bus *eventbus.Bus, link topology.LinkID) {
-	bus.Publish(eventbus.AdmissionDecision{Conn: "victim", Admitted: false, Link: string(link)})
-	bus.Publish(eventbus.HandoffOutcome{Conn: "victim", Dropped: true})
+	eventbus.Pub(bus, eventbus.AdmissionDecision{Conn: "victim", Admitted: false, Link: string(link)})
+	eventbus.Pub(bus, eventbus.HandoffOutcome{Conn: "victim", Dropped: true})
 }
 
 func TestAuditorFlagsDropWithDegradableExcess(t *testing.T) {
@@ -59,7 +63,7 @@ func TestAuditorFlagsDropWithDegradableExcess(t *testing.T) {
 	var published []string
 	bus.Subscribe(func(r eventbus.Record) {
 		published = append(published, r.Event.(eventbus.InvariantViolation).Invariant)
-	}, eventbus.KindInvariantViolation)
+	}, eventbus.InvariantViolation{}.Kind())
 	replayDrop(bus, link)
 	if len(aud.Violations) != 1 {
 		t.Fatalf("violations = %v, want exactly one", aud.Violations)
@@ -110,9 +114,9 @@ func TestAuditorForgivesAfterReadmission(t *testing.T) {
 	// The failed test is superseded by a successful one (the degrade-
 	// then-retry path); a later drop for another reason must not blame
 	// the forgotten link.
-	bus.Publish(eventbus.AdmissionDecision{Conn: "victim", Admitted: false, Link: string(link)})
-	bus.Publish(eventbus.AdmissionDecision{Conn: "victim", Admitted: true})
-	bus.Publish(eventbus.HandoffOutcome{Conn: "victim", Dropped: true})
+	eventbus.Pub(bus, eventbus.AdmissionDecision{Conn: "victim", Admitted: false, Link: string(link)})
+	eventbus.Pub(bus, eventbus.AdmissionDecision{Conn: "victim", Admitted: true})
+	eventbus.Pub(bus, eventbus.HandoffOutcome{Conn: "victim", Dropped: true})
 	if len(aud.Violations) != 0 {
 		t.Fatalf("violations = %v, want none after readmission", aud.Violations)
 	}

@@ -5,40 +5,40 @@ import (
 	"armnet/internal/eventbus"
 )
 
-// BreakerState is the circuit breaker's condition.
-type BreakerState int
+// breakerState is the circuit breaker's condition.
+type breakerState int
 
 const (
-	// BreakerClosed passes setups through and watches the failure rate.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen fails every non-handoff setup fast with ErrBusy.
-	BreakerOpen
-	// BreakerHalfOpen admits a bounded number of trial setups; the
+	// breakerClosed passes setups through and watches the failure rate.
+	breakerClosed breakerState = iota
+	// breakerOpen fails every non-handoff setup fast with ErrBusy.
+	breakerOpen
+	// breakerHalfOpen admits a bounded number of trial setups; the
 	// first observed outcome decides between closing and re-tripping.
-	BreakerHalfOpen
+	breakerHalfOpen
 )
 
 var breakerNames = [...]string{"closed", "open", "half-open"}
 
 // String returns the stable wire name used in events and traces.
-func (s BreakerState) String() string {
+func (s breakerState) String() string {
 	if s < 0 || int(s) >= len(breakerNames) {
 		return "unknown"
 	}
 	return breakerNames[s]
 }
 
-// Breaker is the signaling circuit breaker: when the setup failure rate
+// circuitBreaker is the signaling circuit breaker: when the setup failure rate
 // over a sliding window (or per-sample retransmission pressure) crosses
 // the policy threshold it opens for a cooldown, fails fast, then
 // half-opens and probes before closing. All transitions run on the
 // simulator clock and publish BreakerState events.
-type Breaker struct {
+type circuitBreaker struct {
 	sim *des.Simulator
 	bus *eventbus.Bus
 	pol Policy
 
-	state  BreakerState
+	state  breakerState
 	window []bool // ring buffer of outcome failures
 	next   int
 	filled int
@@ -51,21 +51,18 @@ type Breaker struct {
 	Trips, FastFails int
 }
 
-func newBreaker(sim *des.Simulator, bus *eventbus.Bus, pol Policy) *Breaker {
-	return &Breaker{sim: sim, bus: bus, pol: pol, window: make([]bool, pol.BreakerWindow)}
+func newBreaker(sim *des.Simulator, bus *eventbus.Bus, pol Policy) *circuitBreaker {
+	return &circuitBreaker{sim: sim, bus: bus, pol: pol, window: make([]bool, pol.BreakerWindow)}
 }
 
-// State returns the breaker's current condition.
-func (b *Breaker) State() BreakerState { return b.state }
-
-// Allow reports whether a new setup may proceed. While half-open it
+// allow reports whether a new setup may proceed. While half-open it
 // consumes one probe slot per call.
-func (b *Breaker) Allow() bool {
+func (b *circuitBreaker) allow() bool {
 	switch b.state {
-	case BreakerOpen:
+	case breakerOpen:
 		b.FastFails++
 		return false
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if b.probes <= 0 {
 			b.FastFails++
 			return false
@@ -78,15 +75,15 @@ func (b *Breaker) Allow() bool {
 
 // record folds one finished setup outcome into the breaker. While open,
 // late completions of sessions admitted before the trip are ignored.
-func (b *Breaker) record(failed bool) {
+func (b *circuitBreaker) record(failed bool) {
 	switch b.state {
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if failed {
 			b.trip("probe-failed")
 		} else {
 			b.close("probe-succeeded")
 		}
-	case BreakerClosed:
+	case breakerClosed:
 		if b.filled < len(b.window) {
 			b.filled++
 		} else if b.window[b.next] {
@@ -106,38 +103,38 @@ func (b *Breaker) record(failed bool) {
 
 // noteRetransmits trips the breaker on raw retransmission pressure: the
 // detector reports the delta of control retransmissions per sample.
-func (b *Breaker) noteRetransmits(delta int) {
-	if b.state == BreakerClosed && b.pol.BreakerRetrans > 0 && delta >= b.pol.BreakerRetrans {
+func (b *circuitBreaker) noteRetransmits(delta int) {
+	if b.state == breakerClosed && b.pol.BreakerRetrans > 0 && delta >= b.pol.BreakerRetrans {
 		b.trip("retransmit-pressure")
 	}
 }
 
-func (b *Breaker) trip(reason string) {
+func (b *circuitBreaker) trip(reason string) {
 	from := b.state
-	b.state = BreakerOpen
+	b.state = breakerOpen
 	b.Trips++
 	b.resetWindow()
 	b.gen++
 	gen := b.gen
 	eventbus.Pub(b.bus, eventbus.BreakerState{From: from.String(), To: "open", Reason: reason})
 	b.sim.PostAfter(b.pol.BreakerCooldown, func() {
-		if b.gen != gen || b.state != BreakerOpen {
+		if b.gen != gen || b.state != breakerOpen {
 			return
 		}
-		b.state = BreakerHalfOpen
+		b.state = breakerHalfOpen
 		b.probes = b.pol.BreakerProbes
 		eventbus.Pub(b.bus, eventbus.BreakerState{From: "open", To: "half-open", Reason: "cooldown"})
 	})
 }
 
-func (b *Breaker) close(reason string) {
+func (b *circuitBreaker) close(reason string) {
 	from := b.state
-	b.state = BreakerClosed
+	b.state = breakerClosed
 	b.resetWindow()
 	eventbus.Pub(b.bus, eventbus.BreakerState{From: from.String(), To: "closed", Reason: reason})
 }
 
-func (b *Breaker) resetWindow() {
+func (b *circuitBreaker) resetWindow() {
 	for i := range b.window {
 		b.window[i] = false
 	}

@@ -7,7 +7,7 @@ import (
 	"armnet/internal/eventbus"
 )
 
-func newTestBreaker(pol Policy) (*des.Simulator, *Breaker, *[]string) {
+func newTestBreaker(pol Policy) (*des.Simulator, *circuitBreaker, *[]string) {
 	sim := des.New()
 	bus := eventbus.New(sim)
 	var path []string
@@ -32,12 +32,12 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 	// Window not yet full: even all-failures must not trip.
 	b.record(true)
 	b.record(true)
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("breaker tripped before the window filled")
 	}
 	b.record(false)
 	b.record(true) // window full: 3/4 ≥ 0.5
-	if b.State() != BreakerOpen {
+	if b.state != breakerOpen {
 		t.Fatal("breaker did not trip at 75% failures")
 	}
 	if b.Trips != 1 {
@@ -56,7 +56,7 @@ func TestBreakerWindowSlides(t *testing.T) {
 	// cumulative count would trip, the sliding window must not.
 	for _, failed := range []bool{true, true, false, false, false, false, true, true} {
 		b.record(failed)
-		if b.State() != BreakerClosed {
+		if b.state != breakerClosed {
 			t.Fatal("breaker tripped on failures spread across windows")
 		}
 	}
@@ -67,11 +67,11 @@ func TestBreakerOpenFastFailsThenHalfOpens(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.record(true)
 	}
-	if b.State() != BreakerOpen {
+	if b.state != breakerOpen {
 		t.Fatal("breaker not open")
 	}
 	for i := 0; i < 3; i++ {
-		if b.Allow() {
+		if b.allow() {
 			t.Fatal("open breaker admitted a setup")
 		}
 	}
@@ -80,25 +80,25 @@ func TestBreakerOpenFastFailsThenHalfOpens(t *testing.T) {
 	}
 	// A late completion of a pre-trip session is ignored while open.
 	b.record(false)
-	if b.State() != BreakerOpen {
+	if b.state != breakerOpen {
 		t.Fatal("late completion moved an open breaker")
 	}
 	if err := sim.RunUntil(10.5); err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != BreakerHalfOpen {
+	if b.state != breakerHalfOpen {
 		t.Fatal("breaker did not half-open after the cooldown")
 	}
 	// Exactly BreakerProbes trial setups pass; the next fast-fails.
-	if !b.Allow() || !b.Allow() {
+	if !b.allow() || !b.allow() {
 		t.Fatal("half-open breaker refused its probe budget")
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("half-open breaker exceeded its probe budget")
 	}
 	// First observed probe outcome decides: success closes.
 	b.record(false)
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("successful probe did not close the breaker")
 	}
 	want := []string{
@@ -124,12 +124,12 @@ func TestBreakerProbeFailureRetrips(t *testing.T) {
 	if err := sim.RunUntil(10.5); err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != BreakerHalfOpen {
+	if b.state != breakerHalfOpen {
 		t.Fatal("not half-open")
 	}
-	b.Allow()
+	b.allow()
 	b.record(true)
-	if b.State() != BreakerOpen {
+	if b.state != breakerOpen {
 		t.Fatal("failed probe did not re-trip")
 	}
 	if b.Trips != 2 {
@@ -140,18 +140,18 @@ func TestBreakerProbeFailureRetrips(t *testing.T) {
 	if err := sim.RunUntil(21); err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != BreakerHalfOpen {
+	if b.state != breakerHalfOpen {
 		t.Fatal("second cooldown did not half-open")
 	}
-	b.Allow()
+	b.allow()
 	b.record(false)
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("second recovery did not close")
 	}
 	// A fresh trip needs a full new window: the close reset it.
 	b.record(true)
 	b.record(true)
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("breaker reused pre-trip window state after closing")
 	}
 }
@@ -161,11 +161,11 @@ func TestBreakerRetransmitPressureTrip(t *testing.T) {
 	pol.BreakerRetrans = 100
 	_, b, path := newTestBreaker(pol)
 	b.noteRetransmits(99)
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("tripped below the retransmission threshold")
 	}
 	b.noteRetransmits(100)
-	if b.State() != BreakerOpen {
+	if b.state != breakerOpen {
 		t.Fatal("did not trip on retransmission pressure")
 	}
 	if (*path)[0] != "closed>open:retransmit-pressure" {
@@ -181,7 +181,7 @@ func TestBreakerRetransmitPressureTrip(t *testing.T) {
 func TestBreakerRetransmitTriggerDisabledByDefault(t *testing.T) {
 	_, b, _ := newTestBreaker(breakerPol()) // BreakerRetrans = 0
 	b.noteRetransmits(1 << 20)
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("disabled retransmission trigger tripped the breaker")
 	}
 }

@@ -14,32 +14,26 @@ import (
 // circuit breaker refuses new setups.
 var ErrBusy = errors.New("overload: signaling busy")
 
-// Stage is a cell's escalation level. Stages strictly order the
+// stageLevel is a cell's escalation level. Stages strictly order the
 // responses: each stage implies everything the previous ones do.
-type Stage int
+type stageLevel int
 
 const (
-	// StageNormal takes no action.
-	StageNormal Stage = iota
-	// StageDegrade cascades static connections toward b_min and arms
+	// stageNormal takes no action.
+	stageNormal stageLevel = iota
+	// stageDegrade cascades static connections toward b_min and arms
 	// the token-bucket governor.
-	StageDegrade
-	// StageShedStatic additionally sheds new-static setups.
-	StageShedStatic
-	// StageShedMobile sheds every new setup; only handoffs pass.
-	StageShedMobile
+	stageDegrade
+	// stageShedStatic additionally sheds new-static setups.
+	stageShedStatic
+	// stageShedMobile sheds every new setup; only handoffs pass.
+	stageShedMobile
 )
 
 var stageNames = [...]string{"normal", "degrade", "shed-static", "shed-mobile"}
 
-// StageNames returns the wire names of every escalation stage in order —
-// the label vocabulary of the dwell-time instruments.
-func StageNames() []string {
-	return append([]string(nil), stageNames[:]...)
-}
-
 // String returns the stable wire name used in events and traces.
-func (s Stage) String() string {
+func (s stageLevel) String() string {
 	if s < 0 || int(s) >= len(stageNames) {
 		return "unknown"
 	}
@@ -52,8 +46,8 @@ func (s Stage) String() string {
 type Class int
 
 const (
-	// ClassHandoff is an ongoing connection following its portable.
-	ClassHandoff Class = iota
+	// classHandoff is an ongoing connection following its portable.
+	classHandoff Class = iota
 	// ClassNewMobile is a new connection from a mobile portable.
 	ClassNewMobile
 	// ClassNewStatic is a new connection from a static portable.
@@ -97,7 +91,7 @@ type cellState struct {
 	link   topology.LinkID
 	util   float64 // EWMA of (ΣMin + b_resv) / Capacity
 	seeded bool
-	stage  Stage
+	stage  stageLevel
 	tokens float64
 	filled float64 // last refill time
 }
@@ -114,7 +108,7 @@ type Controller struct {
 
 	cells   []topology.CellID
 	state   map[topology.CellID]*cellState
-	breaker *Breaker
+	breaker *circuitBreaker
 
 	lastRetrans int
 
@@ -150,25 +144,6 @@ func (c *Controller) Start(cells []CellLink) {
 	}
 	sort.Slice(c.cells, func(i, j int) bool { return c.cells[i] < c.cells[j] })
 	c.sim.Every(c.pol.Sample, c.sample)
-}
-
-// Breaker exposes the signaling circuit breaker.
-func (c *Controller) Breaker() *Breaker { return c.breaker }
-
-// Stage returns a cell's current escalation stage.
-func (c *Controller) Stage(cell topology.CellID) Stage {
-	if st := c.state[cell]; st != nil {
-		return st.stage
-	}
-	return StageNormal
-}
-
-// Util returns a cell's current smoothed utilization.
-func (c *Controller) Util(cell topology.CellID) float64 {
-	if st := c.state[cell]; st != nil {
-		return st.util
-	}
-	return 0
 }
 
 // sample is the periodic detector: it folds the instantaneous committed
@@ -214,7 +189,7 @@ func (c *Controller) pressure(link topology.LinkID) float64 {
 // exit actions for the degrade band.
 func (c *Controller) transition(cell topology.CellID, st *cellState, queueHot bool, q int) {
 	next := c.pol.stageFor(st.stage, st.util)
-	if queueHot && next < StageShedMobile {
+	if queueHot && next < stageShedMobile {
 		next++
 	}
 	if next == st.stage {
@@ -226,7 +201,7 @@ func (c *Controller) transition(cell topology.CellID, st *cellState, queueHot bo
 		Cell: string(cell), From: prev.String(), To: next.String(),
 		Util: st.util, Queue: q,
 	})
-	if prev < StageDegrade && next >= StageDegrade {
+	if prev < stageDegrade && next >= stageDegrade {
 		// Entering overload: the bucket starts full, and the cascade
 		// frees excess before anything needs shedding.
 		st.tokens = c.pol.BucketBurst
@@ -235,7 +210,7 @@ func (c *Controller) transition(cell topology.CellID, st *cellState, queueHot bo
 			c.Cascades += c.hooks.Degrade(cell, st.link)
 		}
 	}
-	if prev >= StageDegrade && next < StageDegrade && c.hooks.Restore != nil {
+	if prev >= stageDegrade && next < stageDegrade && c.hooks.Restore != nil {
 		c.hooks.Restore(cell, st.link)
 	}
 }
@@ -244,16 +219,16 @@ func (c *Controller) transition(cell topology.CellID, st *cellState, queueHot bo
 // escalation jumps straight to the highest stage whose high-water mark
 // is crossed; de-escalation steps down one stage per sample and only
 // once util has fallen below the current stage's low-water mark.
-func (p *Policy) stageFor(cur Stage, util float64) Stage {
-	next := StageNormal
+func (p *Policy) stageFor(cur stageLevel, util float64) stageLevel {
+	next := stageNormal
 	if util >= p.DegradeHigh {
-		next = StageDegrade
+		next = stageDegrade
 	}
 	if util >= p.ShedStaticHigh {
-		next = StageShedStatic
+		next = stageShedStatic
 	}
 	if util >= p.ShedMobileHigh {
-		next = StageShedMobile
+		next = stageShedMobile
 	}
 	if next >= cur {
 		return next
@@ -264,11 +239,11 @@ func (p *Policy) stageFor(cur Stage, util float64) Stage {
 	return cur
 }
 
-func (p *Policy) lowFor(s Stage) float64 {
+func (p *Policy) lowFor(s stageLevel) float64 {
 	switch s {
-	case StageDegrade:
+	case stageDegrade:
 		return p.DegradeLow
-	case StageShedStatic:
+	case stageShedStatic:
 		return p.ShedStaticLow
 	default:
 		return p.ShedMobileLow
@@ -281,23 +256,23 @@ func (p *Policy) lowFor(s Stage) float64 {
 // token bucket meters what remains during overload. A refusal publishes
 // a SetupShed event and returns the machine-readable reason.
 func (c *Controller) AllowSetup(class Class, cell topology.CellID, portable string) (bool, string) {
-	if class == ClassHandoff {
+	if class == classHandoff {
 		return true, ""
 	}
-	if !c.breaker.Allow() {
+	if !c.breaker.allow() {
 		return false, c.shed(portable, cell, class, "breaker-open")
 	}
 	st := c.state[cell]
 	if st == nil {
 		return true, ""
 	}
-	if st.stage >= StageShedMobile {
+	if st.stage >= stageShedMobile {
 		return false, c.shed(portable, cell, class, "shed-mobile")
 	}
-	if st.stage >= StageShedStatic && class == ClassNewStatic {
+	if st.stage >= stageShedStatic && class == ClassNewStatic {
 		return false, c.shed(portable, cell, class, "shed-static")
 	}
-	if c.pol.BucketRate > 0 && st.stage >= StageDegrade {
+	if c.pol.BucketRate > 0 && st.stage >= stageDegrade {
 		st.tokens += (c.sim.Now() - st.filled) * c.pol.BucketRate
 		if st.tokens > c.pol.BucketBurst {
 			st.tokens = c.pol.BucketBurst

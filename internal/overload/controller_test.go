@@ -15,12 +15,16 @@ import (
 func oneCell(t *testing.T, pol Policy, hooks Hooks) (*des.Simulator, *admission.Ledger, *Controller, topology.LinkID) {
 	t.Helper()
 	b := topology.NewBackbone()
-	b.MustAddNode(topology.Node{ID: "bs"})
-	b.MustAddNode(topology.Node{ID: "air"})
-	link, err := b.AddLink(topology.Link{From: "bs", To: "air", Capacity: 1e6, Wireless: true})
-	if err != nil {
+	if _, err := b.AddNode(topology.Node{ID: "bs"}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := b.AddNode(topology.Node{ID: "air"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1e6, Wireless: true}); err != nil {
+		t.Fatal(err)
+	}
+	link := b.Link("bs", "air")
 	sim := des.New()
 	lg := admission.NewLedger(b)
 	bus := eventbus.New(sim)
@@ -48,24 +52,24 @@ func fastPol() Policy {
 func TestStageForHysteresis(t *testing.T) {
 	p := Default()
 	cases := []struct {
-		cur  Stage
+		cur  stageLevel
 		util float64
-		want Stage
+		want stageLevel
 	}{
 		// Escalation jumps straight to the highest crossed high-water.
-		{StageNormal, 0.5, StageNormal},
-		{StageNormal, 0.85, StageDegrade},
-		{StageNormal, 0.93, StageShedStatic},
-		{StageNormal, 0.99, StageShedMobile},
+		{stageNormal, 0.5, stageNormal},
+		{stageNormal, 0.85, stageDegrade},
+		{stageNormal, 0.93, stageShedStatic},
+		{stageNormal, 0.99, stageShedMobile},
 		// Holding inside the hysteresis band keeps the stage.
-		{StageDegrade, 0.75, StageDegrade},
-		{StageShedStatic, 0.85, StageShedStatic},
-		{StageShedMobile, 0.92, StageShedMobile},
+		{stageDegrade, 0.75, stageDegrade},
+		{stageShedStatic, 0.85, stageShedStatic},
+		{stageShedMobile, 0.92, stageShedMobile},
 		// De-escalation needs util below the stage's low-water, and
 		// steps down exactly one stage per sample.
-		{StageDegrade, 0.69, StageNormal},
-		{StageShedStatic, 0.60, StageDegrade},
-		{StageShedMobile, 0.10, StageShedStatic},
+		{stageDegrade, 0.69, stageNormal},
+		{stageShedStatic, 0.60, stageDegrade},
+		{stageShedMobile, 0.10, stageShedStatic},
 	}
 	for _, tc := range cases {
 		if got := p.stageFor(tc.cur, tc.util); got != tc.want {
@@ -84,7 +88,7 @@ func TestControllerEscalatesAndDeescalates(t *testing.T) {
 	if err := sim.RunUntil(1.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stage("cell"); got != StageShedStatic {
+	if got := c.state["cell"].stage; got != stageShedStatic {
 		t.Fatalf("stage after hot sample = %v, want shed-static", got)
 	}
 	if degrades != 1 {
@@ -98,7 +102,7 @@ func TestControllerEscalatesAndDeescalates(t *testing.T) {
 	if err := sim.RunUntil(2.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stage("cell"); got != StageDegrade {
+	if got := c.state["cell"].stage; got != stageDegrade {
 		t.Fatalf("stage after one cool sample = %v, want degrade", got)
 	}
 	if restores != 0 {
@@ -107,7 +111,7 @@ func TestControllerEscalatesAndDeescalates(t *testing.T) {
 	if err := sim.RunUntil(3.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stage("cell"); got != StageNormal {
+	if got := c.state["cell"].stage; got != stageNormal {
 		t.Fatalf("stage after two cool samples = %v, want normal", got)
 	}
 	if restores != 1 {
@@ -127,7 +131,7 @@ func TestQueueDepthEscalatesOneExtraStage(t *testing.T) {
 	if err := sim.RunUntil(1.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stage("cell"); got != StageShedStatic {
+	if got := c.state["cell"].stage; got != stageShedStatic {
 		t.Fatalf("stage with hot queue = %v, want shed-static (one above degrade)", got)
 	}
 }
@@ -138,7 +142,7 @@ func TestAllowSetupPriorityOrder(t *testing.T) {
 	if err := sim.RunUntil(1.5); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.AllowSetup(ClassHandoff, "cell", "p"); !ok {
+	if ok, _ := c.AllowSetup(classHandoff, "cell", "p"); !ok {
 		t.Fatal("handoff shed at shed-static")
 	}
 	if ok, _ := c.AllowSetup(ClassNewMobile, "cell", "p"); !ok {
@@ -151,7 +155,7 @@ func TestAllowSetupPriorityOrder(t *testing.T) {
 	if err := sim.RunUntil(2.5); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.AllowSetup(ClassHandoff, "cell", "p"); !ok {
+	if ok, _ := c.AllowSetup(classHandoff, "cell", "p"); !ok {
 		t.Fatal("handoff shed at shed-mobile")
 	}
 	if ok, reason := c.AllowSetup(ClassNewMobile, "cell", "p"); ok || reason != "shed-mobile" {
@@ -213,12 +217,16 @@ func TestTokenBucketMetersDuringOverload(t *testing.T) {
 func TestPressureExcludesAdaptableExcess(t *testing.T) {
 	// A connection's Cur above Min is reclaimable headroom, not pressure.
 	b := topology.NewBackbone()
-	b.MustAddNode(topology.Node{ID: "bs"})
-	b.MustAddNode(topology.Node{ID: "air"})
-	link, err := b.AddLink(topology.Link{From: "bs", To: "air", Capacity: 1e6, Wireless: true})
-	if err != nil {
+	if _, err := b.AddNode(topology.Node{ID: "bs"}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := b.AddNode(topology.Node{ID: "air"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1e6, Wireless: true}); err != nil {
+		t.Fatal(err)
+	}
+	link := b.Link("bs", "air")
 	sim := des.New()
 	lg := admission.NewLedger(b)
 	c := NewController(sim, lg, eventbus.New(sim), fastPol(), Hooks{})

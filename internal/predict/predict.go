@@ -12,51 +12,50 @@ import (
 	"armnet/internal/topology"
 )
 
-// Action describes what the advance-reservation machinery should do with
+// action describes what the advance-reservation machinery should do with
 // a prediction.
-type Action int
+type action int
 
 const (
 	// ActionReserve means advance-reserve in Target.
-	ActionReserve Action = iota
+	ActionReserve action = iota
 	// ActionNoReserve means the portable is expected to stay (regular
 	// occupant of its current office): reserve nowhere.
 	ActionNoReserve
-	// ActionDefault means no useful prediction; the caller applies the
+	// actionDefault means no useful prediction; the caller applies the
 	// default (probabilistic) reservation algorithm of §6.3.
-	ActionDefault
+	actionDefault
 )
 
 // String implements fmt.Stringer.
-func (a Action) String() string {
+func (a action) String() string {
 	switch a {
 	case ActionReserve:
 		return "reserve"
 	case ActionNoReserve:
 		return "no-reserve"
-	case ActionDefault:
+	case actionDefault:
 		return "default"
 	default:
 		return fmt.Sprintf("Action(%d)", int(a))
 	}
 }
 
-// Level identifies which prediction level produced a decision.
+// Level identifies which prediction level produced a decision; the zero
+// Level marks actionDefault/ActionNoReserve decisions.
 type Level int
 
 const (
-	// LevelNone marks ActionDefault/ActionNoReserve decisions.
-	LevelNone Level = 0
 	// LevelPortable is the first level: the portable's own profile.
 	LevelPortable Level = 1
-	// LevelCell is the second level: office-occupancy rules and the
+	// levelCell is the second level: office-occupancy rules and the
 	// cell's aggregate history.
-	LevelCell Level = 2
+	levelCell Level = 2
 )
 
 // Decision is the outcome of next-cell prediction for one portable.
 type Decision struct {
-	Action Action
+	Action action
 	Target topology.CellID
 	Level  Level
 }
@@ -134,7 +133,7 @@ func (p *Predictor) RecordHandoff(h profile.Handoff) {
 func (p *Predictor) NextCell(portable string, prev, cur topology.CellID) Decision {
 	cell := p.Universe.Cell(cur)
 	if cell == nil {
-		return Decision{Action: ActionDefault}
+		return Decision{Action: actionDefault}
 	}
 	srv := p.Servers[cell.Zone]
 
@@ -155,21 +154,21 @@ func (p *Predictor) NextCell(portable string, prev, cur topology.CellID) Decisio
 			return Decision{Action: ActionNoReserve}
 		}
 		if next, ok := p.neighborOfficeOccupant(cell, portable); ok {
-			return Decision{Action: ActionReserve, Target: next, Level: LevelCell}
+			return Decision{Action: ActionReserve, Target: next, Level: levelCell}
 		}
 	case topology.ClassCorridor:
 		if next, ok := p.neighborOfficeOccupant(cell, portable); ok {
-			return Decision{Action: ActionReserve, Target: next, Level: LevelCell}
+			return Decision{Action: ActionReserve, Target: next, Level: levelCell}
 		}
 	}
 	if srv != nil {
 		if next, ok := srv.PredictByCell(cur, prev); ok && cell.IsNeighbor(next) {
-			return Decision{Action: ActionReserve, Target: next, Level: LevelCell}
+			return Decision{Action: ActionReserve, Target: next, Level: levelCell}
 		}
 	}
 
 	// Level 3: nothing useful — hand over to the default algorithm.
-	return Decision{Action: ActionDefault}
+	return Decision{Action: actionDefault}
 }
 
 // neighborOfficeOccupant finds a neighboring office cell of which the

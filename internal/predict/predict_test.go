@@ -51,7 +51,7 @@ func TestLevel2NeighborOfficeNomination(t *testing.T) {
 	// prof in corridor D with no portable history: neighboring office A
 	// (occupant) is nominated.
 	d := p.NextCell("prof", "C", "D")
-	if d.Action != ActionReserve || d.Target != "A" || d.Level != LevelCell {
+	if d.Action != ActionReserve || d.Target != "A" || d.Level != levelCell {
 		t.Fatalf("decision = %+v, want level-2 reserve A", d)
 	}
 	// Student in corridor E: office B is the neighboring office.
@@ -68,7 +68,7 @@ func TestLevel2AggregateHistory(t *testing.T) {
 		p.RecordHandoff(profile.Handoff{Portable: fmt.Sprintf("x%d", i), Prev: "C", From: "D", To: "E", Time: float64(i)})
 	}
 	d := p.NextCell("stranger", "C", "D")
-	if d.Action != ActionReserve || d.Target != "E" || d.Level != LevelCell {
+	if d.Action != ActionReserve || d.Target != "E" || d.Level != levelCell {
 		t.Fatalf("decision = %+v, want level-2 reserve E", d)
 	}
 }
@@ -78,7 +78,7 @@ func TestLevel3Default(t *testing.T) {
 	// Stranger in corridor with no history at all (and no office
 	// membership): default.
 	d := p.NextCell("stranger", "C", "D")
-	if d.Action != ActionDefault {
+	if d.Action != actionDefault {
 		t.Fatalf("decision = %+v, want default", d)
 	}
 }
@@ -86,7 +86,7 @@ func TestLevel3Default(t *testing.T) {
 func TestUnknownCell(t *testing.T) {
 	_, p := figure4(t)
 	d := p.NextCell("prof", "C", "nowhere")
-	if d.Action != ActionDefault {
+	if d.Action != actionDefault {
 		t.Fatalf("decision = %+v, want default for unknown cell", d)
 	}
 }

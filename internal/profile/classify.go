@@ -7,51 +7,28 @@ import (
 	"armnet/internal/topology"
 )
 
-// ClassifyOptions tunes the learning process of §6.4, by which a profile
-// server categorizes a cell with no configured class from its observed
-// handoff behaviour.
-type ClassifyOptions struct {
-	// MinHandoffs is the evidence floor below which the cell stays
-	// unknown (default 30).
-	MinHandoffs int
-	// OfficeMaxVisitors is the largest distinct-visitor population an
-	// office can have (default 8).
-	OfficeMaxVisitors int
-	// OfficeTopShare is the minimum arrival share of the top 4 visitors
-	// for the office label (default 0.8).
-	OfficeTopShare float64
-	// CorridorConsistency is the minimum fraction of departures that
-	// follow the cell's dominant prev→next mapping (default 0.7).
-	CorridorConsistency float64
-	// SpikeRatio is the max-slot/mean-slot activity ratio above which a
-	// lounge is labeled a meeting room (default 4).
-	SpikeRatio float64
-	// CafeteriaCV is the coefficient of variation of slot activity below
-	// which a lounge is labeled a cafeteria (default 0.8).
-	CafeteriaCV float64
-}
-
-func (o ClassifyOptions) withDefaults() ClassifyOptions {
-	if o.MinHandoffs <= 0 {
-		o.MinHandoffs = 30
-	}
-	if o.OfficeMaxVisitors <= 0 {
-		o.OfficeMaxVisitors = 8
-	}
-	if o.OfficeTopShare <= 0 {
-		o.OfficeTopShare = 0.8
-	}
-	if o.CorridorConsistency <= 0 {
-		o.CorridorConsistency = 0.7
-	}
-	if o.SpikeRatio <= 0 {
-		o.SpikeRatio = 4
-	}
-	if o.CafeteriaCV <= 0 {
-		o.CafeteriaCV = 0.8
-	}
-	return o
-}
+// The thresholds of the §6.4 learning process, by which a profile server
+// categorizes a cell with no configured class from its observed handoff
+// behaviour.
+const (
+	// minHandoffs is the evidence floor below which the cell stays unknown.
+	minHandoffs = 30
+	// officeMaxVisitors is the largest distinct-visitor population an
+	// office can have.
+	officeMaxVisitors = 8
+	// officeTopShare is the minimum arrival share of the top 4 visitors
+	// for the office label.
+	officeTopShare = 0.8
+	// corridorConsistency is the minimum fraction of departures that
+	// follow the cell's dominant prev→next mapping.
+	corridorConsistency = 0.7
+	// spikeRatio is the max-slot/mean-slot activity ratio above which a
+	// lounge is labeled a meeting room.
+	spikeRatio = 4
+	// cafeteriaCV is the coefficient of variation of slot activity below
+	// which a lounge is labeled a cafeteria.
+	cafeteriaCV = 0.8
+)
 
 // Classify runs the learning process on a cell profile and returns the
 // inferred class. The decision order mirrors the paper's taxonomy:
@@ -59,26 +36,25 @@ func (o ClassifyOptions) withDefaults() ClassifyOptions {
 // pass-through movement, and lounges split by the shape of their slot
 // activity (spiky → meeting room, smooth → cafeteria, else default).
 // ClassUnknown is returned while evidence is insufficient.
-func Classify(c *CellProfile, opts ClassifyOptions) topology.Class {
-	opts = opts.withDefaults()
+func Classify(c *CellProfile) topology.Class {
 	totalArrivals := 0
 	for _, v := range c.visitors {
 		totalArrivals += v
 	}
-	if totalArrivals+len(c.history) < opts.MinHandoffs {
+	if totalArrivals+len(c.history) < minHandoffs {
 		return topology.ClassUnknown
 	}
 
 	// Office: few distinct visitors dominated by regulars.
-	if c.Visitors() > 0 && c.Visitors() <= opts.OfficeMaxVisitors &&
-		c.TopVisitorShare(4) >= opts.OfficeTopShare {
+	if c.distinctVisitors() > 0 && c.distinctVisitors() <= officeMaxVisitors &&
+		c.topVisitorShare(4) >= officeTopShare {
 		return topology.ClassOffice
 	}
 
 	// Corridor: departures consistently continue in the direction of
 	// travel — for each known previous cell, one next cell dominates,
 	// and movement rarely bounces back where it came from.
-	if consistency, backflow := directionality(c); consistency >= opts.CorridorConsistency && backflow < 0.3 {
+	if consistency, backflow := directionality(c); consistency >= corridorConsistency && backflow < 0.3 {
 		return topology.ClassCorridor
 	}
 
@@ -87,10 +63,10 @@ func Classify(c *CellProfile, opts ClassifyOptions) topology.Class {
 	if len(act) >= 3 {
 		mean, cv, peak := seriesStats(act)
 		if mean > 0 {
-			if peak/mean >= opts.SpikeRatio {
+			if peak/mean >= spikeRatio {
 				return topology.ClassMeetingRoom
 			}
-			if cv <= opts.CafeteriaCV {
+			if cv <= cafeteriaCV {
 				return topology.ClassCafeteria
 			}
 		}

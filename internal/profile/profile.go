@@ -31,8 +31,8 @@ type transKey struct {
 	prev, cur topology.CellID
 }
 
-// PortableProfile is the per-portable aggregated handoff history.
-type PortableProfile struct {
+// portableProfile is the per-portable aggregated handoff history.
+type portableProfile struct {
 	ID string
 	// history keeps the last NpP transitions in arrival order.
 	history []Handoff
@@ -41,11 +41,11 @@ type PortableProfile struct {
 }
 
 // NewPortableProfile returns an empty profile bounded to limit handoffs.
-func NewPortableProfile(id string, limit int) *PortableProfile {
+func NewPortableProfile(id string, limit int) *portableProfile {
 	if limit <= 0 {
 		limit = 100
 	}
-	return &PortableProfile{
+	return &portableProfile{
 		ID:     id,
 		limit:  limit,
 		counts: make(map[transKey]map[topology.CellID]int),
@@ -54,7 +54,7 @@ func NewPortableProfile(id string, limit int) *PortableProfile {
 
 // Record folds one handoff into the profile, expiring the oldest entry
 // beyond the history limit.
-func (p *PortableProfile) Record(h Handoff) {
+func (p *portableProfile) Record(h Handoff) {
 	p.history = append(p.history, h)
 	k := transKey{h.Prev, h.From}
 	m := p.counts[k]
@@ -79,13 +79,10 @@ func (p *PortableProfile) Record(h Handoff) {
 	}
 }
 
-// Len returns the number of retained handoffs.
-func (p *PortableProfile) Len() int { return len(p.history) }
-
 // Predict returns the next-predicted-cell for the portable given its
 // previous and current cells — the Table 1 <prev, cur, next-prd-cell>
 // lookup. ok is false when the profile has no matching history.
-func (p *PortableProfile) Predict(prev, cur topology.CellID) (topology.CellID, bool) {
+func (p *portableProfile) Predict(prev, cur topology.CellID) (topology.CellID, bool) {
 	m := p.counts[transKey{prev, cur}]
 	if len(m) == 0 {
 		return "", false
@@ -93,9 +90,9 @@ func (p *PortableProfile) Predict(prev, cur topology.CellID) (topology.CellID, b
 	return argmaxCell(m), true
 }
 
-// PredictAnyPrev aggregates over all previous cells — the fallback when
+// predictAnyPrev aggregates over all previous cells — the fallback when
 // the portable's previous cell is unknown.
-func (p *PortableProfile) PredictAnyPrev(cur topology.CellID) (topology.CellID, bool) {
+func (p *portableProfile) predictAnyPrev(cur topology.CellID) (topology.CellID, bool) {
 	agg := map[topology.CellID]int{}
 	for k, m := range p.counts {
 		if k.cur != cur {
@@ -171,9 +168,6 @@ func NewCellProfile(cell topology.CellID, limit int, slotDur float64) *CellProfi
 // Slot converts a time to its slot index.
 func (c *CellProfile) Slot(t float64) int64 { return int64(math.Floor(t / c.slotDur)) }
 
-// SlotDuration returns the slot width in seconds.
-func (c *CellProfile) SlotDuration() float64 { return c.slotDur }
-
 // RecordDeparture folds in a handoff out of this cell (h.From == c.Cell).
 func (c *CellProfile) RecordDeparture(h Handoff) {
 	c.history = append(c.history, h)
@@ -204,14 +198,11 @@ func (c *CellProfile) RecordDeparture(h Handoff) {
 	}
 }
 
-// RecordArrival notes a handoff into this cell (h.To == c.Cell).
-func (c *CellProfile) RecordArrival(h Handoff) {
+// recordArrival notes a handoff into this cell (h.To == c.Cell).
+func (c *CellProfile) recordArrival(h Handoff) {
 	c.arrivals[c.Slot(h.Time)]++
 	c.visitors[h.Portable]++
 }
-
-// Len returns the retained departure-history length.
-func (c *CellProfile) Len() int { return len(c.history) }
 
 // Predict returns the most likely next cell for a portable that entered
 // from prev, falling back to the aggregate distribution when prev is
@@ -250,9 +241,6 @@ func (c *CellProfile) Probabilities(prev topology.CellID) map[topology.CellID]fl
 // DeparturesIn returns the number of recorded departures in slot s.
 func (c *CellProfile) DeparturesIn(s int64) int { return c.departures[s] }
 
-// ArrivalsIn returns the number of recorded arrivals in slot s.
-func (c *CellProfile) ArrivalsIn(s int64) int { return c.arrivals[s] }
-
 // RecentDepartures returns the departure counts for the k slots ending at
 // (and including) the slot of time t, oldest first — the n_{t-2}, n_{t-1},
 // n_t series the cafeteria least-squares predictor consumes.
@@ -277,12 +265,12 @@ func (c *CellProfile) RecentArrivals(t float64, k int) []int {
 	return out
 }
 
-// Visitors returns the number of distinct portables seen entering.
-func (c *CellProfile) Visitors() int { return len(c.visitors) }
+// distinctVisitors returns the number of distinct portables seen entering.
+func (c *CellProfile) distinctVisitors() int { return len(c.visitors) }
 
-// TopVisitorShare returns the fraction of arrivals contributed by the k
+// topVisitorShare returns the fraction of arrivals contributed by the k
 // most frequent visitors — near 1 for an office with regular occupants.
-func (c *CellProfile) TopVisitorShare(k int) float64 {
+func (c *CellProfile) topVisitorShare(k int) float64 {
 	if len(c.visitors) == 0 {
 		return 0
 	}

@@ -24,11 +24,11 @@ func TestPortableProfilePredict(t *testing.T) {
 	if !ok || next != "A" {
 		t.Fatalf("predict = %v/%v, want A", next, ok)
 	}
-	// Different prev: unknown -> falls back via PredictAnyPrev.
+	// Different prev: unknown -> falls back via predictAnyPrev.
 	if _, ok := p.Predict("E", "D"); ok {
 		t.Fatal("unknown prev predicted directly")
 	}
-	next, ok = p.PredictAnyPrev("D")
+	next, ok = p.predictAnyPrev("D")
 	if !ok || next != "A" {
 		t.Fatalf("any-prev predict = %v/%v, want A", next, ok)
 	}
@@ -43,8 +43,8 @@ func TestPortableProfileExpiry(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.Record(Handoff{Prev: "C", From: "D", To: "B"})
 	}
-	if p.Len() != 4 {
-		t.Fatalf("history len = %d, want 4", p.Len())
+	if len(p.history) != 4 {
+		t.Fatalf("history len = %d, want 4", len(p.history))
 	}
 	next, ok := p.Predict("C", "D")
 	if !ok || next != "B" {
@@ -105,24 +105,24 @@ func TestCellProfileSlots(t *testing.T) {
 	if recent[0] != 1 || recent[1] != 2 || recent[2] != 1 {
 		t.Fatalf("recent = %v, want [1 2 1]", recent)
 	}
-	c.RecordArrival(Handoff{Portable: "p1", To: "M", Time: 65})
-	if c.ArrivalsIn(1) != 1 {
-		t.Fatalf("arrivals in slot 1 = %d", c.ArrivalsIn(1))
+	c.recordArrival(Handoff{Portable: "p1", To: "M", Time: 65})
+	if c.arrivals[1] != 1 {
+		t.Fatalf("arrivals in slot 1 = %d", c.arrivals[1])
 	}
 }
 
 func TestCellProfileVisitorShare(t *testing.T) {
 	c := NewCellProfile("A", 100, 60)
 	for i := 0; i < 90; i++ {
-		c.RecordArrival(Handoff{Portable: "regular", To: "A"})
+		c.recordArrival(Handoff{Portable: "regular", To: "A"})
 	}
 	for i := 0; i < 10; i++ {
-		c.RecordArrival(Handoff{Portable: fmt.Sprintf("guest%d", i), To: "A"})
+		c.recordArrival(Handoff{Portable: fmt.Sprintf("guest%d", i), To: "A"})
 	}
-	if c.Visitors() != 11 {
-		t.Fatalf("visitors = %d", c.Visitors())
+	if c.distinctVisitors() != 11 {
+		t.Fatalf("visitors = %d", c.distinctVisitors())
 	}
-	if share := c.TopVisitorShare(1); math.Abs(share-0.9) > 1e-9 {
+	if share := c.topVisitorShare(1); math.Abs(share-0.9) > 1e-9 {
 		t.Fatalf("top share = %v", share)
 	}
 }
@@ -161,7 +161,7 @@ func TestServerRecordAndPredictLevels(t *testing.T) {
 func TestServerIgnoresSelfHandoffs(t *testing.T) {
 	s := NewServer("z", []topology.CellID{"C"}, ServerOptions{})
 	s.RecordHandoff(Handoff{Portable: "a", From: "C", To: "C"})
-	if s.Cell("C").Len() != 0 {
+	if len(s.Cell("C").history) != 0 {
 		t.Fatal("self-handoff recorded")
 	}
 }
@@ -188,10 +188,10 @@ func TestClassifyOffice(t *testing.T) {
 	c := NewCellProfile("A", 500, 60)
 	// One regular occupant entering and leaving many times.
 	for i := 0; i < 40; i++ {
-		c.RecordArrival(Handoff{Portable: "prof", To: "A", Time: float64(i * 100)})
+		c.recordArrival(Handoff{Portable: "prof", To: "A", Time: float64(i * 100)})
 		c.RecordDeparture(Handoff{Portable: "prof", Prev: "D", From: "A", To: "D", Time: float64(i*100 + 50)})
 	}
-	if got := Classify(c, ClassifyOptions{}); got != topology.ClassOffice {
+	if got := Classify(c); got != topology.ClassOffice {
 		t.Fatalf("classified as %v, want office", got)
 	}
 }
@@ -204,14 +204,14 @@ func TestClassifyCorridor(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		p := fmt.Sprintf("p%d", i)
 		tm := float64(i) * 30
-		c.RecordArrival(Handoff{Portable: p, To: "D", Time: tm})
+		c.recordArrival(Handoff{Portable: p, To: "D", Time: tm})
 		if rng.Bernoulli(0.5) {
 			c.RecordDeparture(Handoff{Portable: p, Prev: "C", From: "D", To: "E", Time: tm + 5})
 		} else {
 			c.RecordDeparture(Handoff{Portable: p, Prev: "E", From: "D", To: "C", Time: tm + 5})
 		}
 	}
-	if got := Classify(c, ClassifyOptions{}); got != topology.ClassCorridor {
+	if got := Classify(c); got != topology.ClassCorridor {
 		t.Fatalf("classified as %v, want corridor", got)
 	}
 }
@@ -221,12 +221,12 @@ func TestClassifyMeetingRoom(t *testing.T) {
 	// Handoff bursts around t=0 and t=3600, silence between.
 	for i := 0; i < 40; i++ {
 		p := fmt.Sprintf("s%d", i)
-		c.RecordArrival(Handoff{Portable: p, To: "M", Time: float64(i % 5)})
+		c.recordArrival(Handoff{Portable: p, To: "M", Time: float64(i % 5)})
 		c.RecordDeparture(Handoff{Portable: p, Prev: "c1", From: "M", To: "c1", Time: 3600 + float64(i%5)})
 	}
 	// A trickle in between so the series is not empty.
-	c.RecordArrival(Handoff{Portable: "late", To: "M", Time: 1800})
-	if got := Classify(c, ClassifyOptions{}); got != topology.ClassMeetingRoom {
+	c.recordArrival(Handoff{Portable: "late", To: "M", Time: 1800})
+	if got := Classify(c); got != topology.ClassMeetingRoom {
 		t.Fatalf("classified as %v, want meeting room", got)
 	}
 }
@@ -242,7 +242,7 @@ func TestClassifyCafeteria(t *testing.T) {
 			p := fmt.Sprintf("v%d", n)
 			n++
 			tm := float64(slot*60 + k*6)
-			c.RecordArrival(Handoff{Portable: p, To: "cafe", Time: tm})
+			c.recordArrival(Handoff{Portable: p, To: "cafe", Time: tm})
 			prev := topology.CellID("c1")
 			if rng.Bernoulli(0.5) {
 				prev = "c2"
@@ -261,15 +261,15 @@ func TestClassifyCafeteria(t *testing.T) {
 			c.RecordDeparture(Handoff{Portable: p, Prev: prev, From: "cafe", To: to, Time: tm + 30})
 		}
 	}
-	if got := Classify(c, ClassifyOptions{}); got != topology.ClassCafeteria {
+	if got := Classify(c); got != topology.ClassCafeteria {
 		t.Fatalf("classified as %v, want cafeteria", got)
 	}
 }
 
 func TestClassifyUnknownWhenSparse(t *testing.T) {
 	c := NewCellProfile("x", 100, 60)
-	c.RecordArrival(Handoff{Portable: "p", To: "x", Time: 1})
-	if got := Classify(c, ClassifyOptions{}); got != topology.ClassUnknown {
+	c.recordArrival(Handoff{Portable: "p", To: "x", Time: 1})
+	if got := Classify(c); got != topology.ClassUnknown {
 		t.Fatalf("classified as %v with 1 sample, want unknown", got)
 	}
 }
@@ -319,7 +319,7 @@ func TestQuickPortableHistoryBound(t *testing.T) {
 				From: cells[rng.Intn(4)],
 				To:   cells[rng.Intn(4)],
 			})
-			if p.Len() > limit {
+			if len(p.history) > limit {
 				return false
 			}
 		}
@@ -330,21 +330,8 @@ func TestQuickPortableHistoryBound(t *testing.T) {
 	}
 }
 
-func TestServerAddCellAndSlotDuration(t *testing.T) {
-	s := NewServer("z", []topology.CellID{"A"}, ServerOptions{SlotDuration: 30})
-	s.AddCell("B")
-	if s.Cell("B") == nil {
-		t.Fatal("AddCell did not register")
-	}
-	if got := s.Cell("B").SlotDuration(); got != 30 {
-		t.Fatalf("slot duration = %v", got)
-	}
-	// Re-adding preserves the existing profile.
-	s.Cell("B").RecordArrival(Handoff{Portable: "p", To: "B", Time: 1})
-	s.AddCell("B")
-	if s.Cell("B").Visitors() != 1 {
-		t.Fatal("AddCell clobbered existing profile")
-	}
+func TestServerUnknownCell(t *testing.T) {
+	s := NewServer("z", []topology.CellID{"A"}, ServerOptions{})
 	if s.Cell("ghost") != nil {
 		t.Fatal("unknown cell returned")
 	}

@@ -13,9 +13,11 @@ type ServerOptions struct {
 	NpP int
 	// NpC is the cell-profile history limit (default 500).
 	NpC int
-	// SlotDuration is the activity slot width in seconds (default 60).
-	SlotDuration float64
 }
+
+// slotDuration is the activity slot width of a server's cell profiles,
+// in seconds.
+const slotDuration = 60
 
 func (o ServerOptions) withDefaults() ServerOptions {
 	if o.NpP <= 0 {
@@ -23,9 +25,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	}
 	if o.NpC <= 0 {
 		o.NpC = 500
-	}
-	if o.SlotDuration <= 0 {
-		o.SlotDuration = 60
 	}
 	return o
 }
@@ -39,7 +38,7 @@ type Server struct {
 	opts ServerOptions
 
 	cells     map[topology.CellID]*CellProfile
-	portables map[string]*PortableProfile
+	portables map[string]*portableProfile
 }
 
 // NewServer creates a profile server for the given zone cells.
@@ -48,28 +47,20 @@ func NewServer(zone string, cells []topology.CellID, opts ServerOptions) *Server
 		Zone:      zone,
 		opts:      opts.withDefaults(),
 		cells:     make(map[topology.CellID]*CellProfile),
-		portables: make(map[string]*PortableProfile),
+		portables: make(map[string]*portableProfile),
 	}
 	for _, c := range cells {
-		s.cells[c] = NewCellProfile(c, s.opts.NpC, s.opts.SlotDuration)
+		s.cells[c] = NewCellProfile(c, s.opts.NpC, slotDuration)
 	}
 	return s
-}
-
-// AddCell registers a cell profile after construction (e.g. topology
-// growth); existing profiles are preserved.
-func (s *Server) AddCell(c topology.CellID) {
-	if _, ok := s.cells[c]; !ok {
-		s.cells[c] = NewCellProfile(c, s.opts.NpC, s.opts.SlotDuration)
-	}
 }
 
 // Cell returns the cell profile, or nil when the cell is outside the zone.
 func (s *Server) Cell(c topology.CellID) *CellProfile { return s.cells[c] }
 
-// Portable returns the portable profile, creating it on first reference —
+// portable returns the portable profile, creating it on first reference —
 // a portable entering the zone starts with an empty (or imported) profile.
-func (s *Server) Portable(id string) *PortableProfile {
+func (s *Server) portable(id string) *portableProfile {
 	p, ok := s.portables[id]
 	if !ok {
 		p = NewPortableProfile(id, s.opts.NpP)
@@ -100,9 +91,9 @@ func (s *Server) RecordHandoff(h Handoff) {
 		cp.RecordDeparture(h)
 	}
 	if cp, ok := s.cells[h.To]; ok {
-		cp.RecordArrival(h)
+		cp.recordArrival(h)
 	}
-	s.Portable(h.Portable).Record(h)
+	s.portable(h.Portable).Record(h)
 }
 
 // PredictByPortable is the first-level prediction of §6: look up the
@@ -115,7 +106,7 @@ func (s *Server) PredictByPortable(portable string, prev, cur topology.CellID) (
 	if next, ok := p.Predict(prev, cur); ok {
 		return next, true
 	}
-	return p.PredictAnyPrev(cur)
+	return p.predictAnyPrev(cur)
 }
 
 // PredictByCell is the second-level aggregate prediction of §6: the
@@ -140,7 +131,7 @@ func (s *Server) HandoffDistribution(cur, prev topology.CellID) map[topology.Cel
 // ExportPortable removes and returns a portable's profile, for transfer
 // to the next zone's server when the portable crosses a zone boundary
 // (the base-station cache handover of §3.4.3).
-func (s *Server) ExportPortable(id string) (*PortableProfile, error) {
+func (s *Server) ExportPortable(id string) (*portableProfile, error) {
 	p, ok := s.portables[id]
 	if !ok {
 		return nil, fmt.Errorf("profile: portable %s unknown in zone %s", id, s.Zone)
@@ -150,7 +141,7 @@ func (s *Server) ExportPortable(id string) (*PortableProfile, error) {
 }
 
 // ImportPortable installs a profile exported from another zone.
-func (s *Server) ImportPortable(p *PortableProfile) {
+func (s *Server) ImportPortable(p *portableProfile) {
 	if p != nil {
 		s.portables[p.ID] = p
 	}

@@ -17,10 +17,10 @@ import (
 // Common validation errors.
 var (
 	ErrBandwidthBounds = errors.New("qos: b_min must satisfy 0 < b_min <= b_max")
-	ErrDelayBound      = errors.New("qos: delay bound must be positive")
-	ErrJitterBound     = errors.New("qos: jitter bound must be positive")
-	ErrLossBound       = errors.New("qos: loss probability must be in [0, 1)")
-	ErrTrafficSpec     = errors.New("qos: sigma must be >= 0 and rho > 0")
+	errDelayBound      = errors.New("qos: delay bound must be positive")
+	errJitterBound     = errors.New("qos: jitter bound must be positive")
+	errLossBound       = errors.New("qos: loss probability must be in [0, 1)")
+	errTrafficSpec     = errors.New("qos: sigma must be >= 0 and rho > 0")
 )
 
 // Bounds is the paper's loose QoS bound [b_min, b_max] on bandwidth.
@@ -81,18 +81,9 @@ type TrafficSpec struct {
 // Validate reports whether the spec is well formed.
 func (ts TrafficSpec) Validate() error {
 	if !finite(ts.Sigma, ts.Rho) || ts.Sigma < 0 || ts.Rho <= 0 {
-		return fmt.Errorf("%w: got (σ=%v, ρ=%v)", ErrTrafficSpec, ts.Sigma, ts.Rho)
+		return fmt.Errorf("%w: got (σ=%v, ρ=%v)", errTrafficSpec, ts.Sigma, ts.Rho)
 	}
 	return nil
-}
-
-// Envelope returns the maximum number of bits the source may emit in an
-// interval of length t seconds.
-func (ts TrafficSpec) Envelope(t float64) float64 {
-	if t < 0 {
-		return 0
-	}
-	return ts.Sigma + ts.Rho*t
 }
 
 // Request is the full QoS requirement an application presents when opening
@@ -113,13 +104,13 @@ func (r Request) Validate() error {
 		return err
 	}
 	if !finite(r.Delay) || r.Delay <= 0 {
-		return fmt.Errorf("%w: got %v", ErrDelayBound, r.Delay)
+		return fmt.Errorf("%w: got %v", errDelayBound, r.Delay)
 	}
 	if !finite(r.Jitter) || r.Jitter <= 0 {
-		return fmt.Errorf("%w: got %v", ErrJitterBound, r.Jitter)
+		return fmt.Errorf("%w: got %v", errJitterBound, r.Jitter)
 	}
 	if !finite(r.Loss) || r.Loss < 0 || r.Loss >= 1 {
-		return fmt.Errorf("%w: got %v", ErrLossBound, r.Loss)
+		return fmt.Errorf("%w: got %v", errLossBound, r.Loss)
 	}
 	return r.Traffic.Validate()
 }
@@ -143,26 +134,6 @@ type Class struct {
 	// a neighbor rather than terminating.
 	HandoffProb float64
 }
-
-// Validate reports whether the class parameters are usable in a workload.
-func (c Class) Validate() error {
-	if err := c.Bandwidth.Validate(); err != nil {
-		return fmt.Errorf("class %q: %w", c.Name, err)
-	}
-	if c.MeanHolding <= 0 {
-		return fmt.Errorf("class %q: mean holding time must be positive", c.Name)
-	}
-	if c.ArrivalRate < 0 {
-		return fmt.Errorf("class %q: arrival rate must be >= 0", c.Name)
-	}
-	if c.HandoffProb < 0 || c.HandoffProb > 1 {
-		return fmt.Errorf("class %q: handoff probability must be in [0,1]", c.Name)
-	}
-	return nil
-}
-
-// Mu returns the departure rate μ = 1/MeanHolding.
-func (c Class) Mu() float64 { return 1 / c.MeanHolding }
 
 // Mobility is the paper's static/mobile portable classification (§3.4.2):
 // a portable is static once it has stayed in one cell for T_th seconds.

@@ -1,5 +1,5 @@
 // Package randx provides the deterministic random-variate helpers used by
-// the traffic and mobility models: exponential, Poisson, categorical, and
+// the traffic and mobility models: exponential, categorical and
 // truncated-normal draws over a seeded math/rand source.
 //
 // Every experiment in this repository is seeded explicitly so that paper
@@ -8,7 +8,6 @@ package randx
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -42,39 +41,8 @@ func (r *Rand) Exp(rate float64) float64 {
 	return r.src.ExpFloat64() / rate
 }
 
-// Poisson returns a Poisson draw with the given mean using inversion for
-// small means and the normal approximation guarded by a floor for large
-// ones. It panics if mean is negative.
-func (r *Rand) Poisson(mean float64) int {
-	if mean < 0 {
-		panic(fmt.Sprintf("randx: negative poisson mean %v", mean))
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean < 30 {
-		// Knuth inversion.
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.src.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction.
-	n := int(math.Round(r.src.NormFloat64()*math.Sqrt(mean) + mean))
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// Normal returns a normal draw with the given mean and standard deviation.
-func (r *Rand) Normal(mean, stddev float64) float64 {
+// normal returns a normal draw with the given mean and standard deviation.
+func (r *Rand) normal(mean, stddev float64) float64 {
 	return r.src.NormFloat64()*stddev + mean
 }
 
@@ -84,7 +52,7 @@ func (r *Rand) TruncNormal(mean, stddev, lo, hi float64) float64 {
 	if lo > hi {
 		panic(fmt.Sprintf("randx: truncation bounds inverted [%v, %v]", lo, hi))
 	}
-	v := r.Normal(mean, stddev)
+	v := r.normal(mean, stddev)
 	if v < lo {
 		return lo
 	}
@@ -136,39 +104,6 @@ func (r *Rand) Categorical(weights []float64) int {
 		}
 	}
 	panic("randx: unreachable")
-}
-
-// Binomial returns a draw from Binomial(n, p) by direct simulation for
-// small n and normal approximation for large n.
-func (r *Rand) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic(fmt.Sprintf("randx: negative binomial n %d", n))
-	}
-	if p <= 0 || n == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.src.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(mean * (1 - p))
-	k := int(math.Round(r.src.NormFloat64()*sd + mean))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
 }
 
 // Shuffle permutes s in place.

@@ -53,36 +53,6 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestPoissonMoments(t *testing.T) {
-	for _, mean := range []float64{0.5, 4, 25, 100} {
-		r := New(7)
-		const n = 100000
-		sum, sq := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			v := float64(r.Poisson(mean))
-			sum += v
-			sq += v * v
-		}
-		m := sum / n
-		variance := sq/n - m*m
-		if math.Abs(m-mean) > 0.05*mean+0.05 {
-			t.Errorf("poisson(%v) mean = %v", mean, m)
-		}
-		if math.Abs(variance-mean) > 0.1*mean+0.2 {
-			t.Errorf("poisson(%v) var = %v", mean, variance)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	r := New(1)
-	for i := 0; i < 10; i++ {
-		if r.Poisson(0) != 0 {
-			t.Fatal("Poisson(0) != 0")
-		}
-	}
-}
-
 func TestBernoulliEdges(t *testing.T) {
 	r := New(1)
 	for i := 0; i < 50; i++ {
@@ -135,42 +105,6 @@ func TestCategoricalPanicsOnAllZero(t *testing.T) {
 		}
 	}()
 	New(1).Categorical([]float64{0, 0})
-}
-
-func TestBinomialMoments(t *testing.T) {
-	for _, tc := range []struct {
-		n int
-		p float64
-	}{{10, 0.5}, {50, 0.1}, {500, 0.3}} {
-		r := New(5)
-		const trials = 50000
-		sum := 0.0
-		for i := 0; i < trials; i++ {
-			k := r.Binomial(tc.n, tc.p)
-			if k < 0 || k > tc.n {
-				t.Fatalf("binomial draw %d out of [0,%d]", k, tc.n)
-			}
-			sum += float64(k)
-		}
-		mean := sum / trials
-		want := float64(tc.n) * tc.p
-		if math.Abs(mean-want) > 0.05*want+0.1 {
-			t.Errorf("binomial(%d,%v) mean = %v, want %v", tc.n, tc.p, mean, want)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	r := New(1)
-	if r.Binomial(10, 0) != 0 {
-		t.Fatal("Binomial(n, 0) != 0")
-	}
-	if r.Binomial(10, 1) != 10 {
-		t.Fatal("Binomial(n, 1) != n")
-	}
-	if r.Binomial(0, 0.5) != 0 {
-		t.Fatal("Binomial(0, p) != 0")
-	}
 }
 
 func TestTruncNormalBounds(t *testing.T) {

@@ -17,8 +17,8 @@ type Meeting struct {
 	Attendees int
 }
 
-// Validate reports whether the meeting entry is well formed.
-func (m Meeting) Validate() error {
+// validate reports whether the meeting entry is well formed.
+func (m Meeting) validate() error {
 	if m.End <= m.Start {
 		return fmt.Errorf("reserve: meeting ends (%v) before it starts (%v)", m.End, m.Start)
 	}
@@ -28,9 +28,9 @@ func (m Meeting) Validate() error {
 	return nil
 }
 
-// MeetingConfig carries the paper's timer constants, overridable for
+// meetingConfig carries the paper's timer constants, overridable for
 // sensitivity studies.
-type MeetingConfig struct {
+type meetingConfig struct {
 	// LeadIn is Δ_s: reservation starts this many seconds before T_s
 	// (paper: 10 minutes).
 	LeadIn float64
@@ -47,8 +47,8 @@ type MeetingConfig struct {
 
 // DefaultMeetingConfig returns the constants used in the paper's
 // simulations.
-func DefaultMeetingConfig() MeetingConfig {
-	return MeetingConfig{LeadIn: 600, StartRelease: 300, LeadOut: 300, EndRelease: 900}
+func DefaultMeetingConfig() meetingConfig {
+	return meetingConfig{LeadIn: 600, StartRelease: 300, LeadOut: 300, EndRelease: 900}
 }
 
 // MeetingPolicy evaluates the meeting-room reservation rules for one
@@ -57,12 +57,12 @@ func DefaultMeetingConfig() MeetingConfig {
 // slots must be reserved in the room and in the neighborhood at time t.
 type MeetingPolicy struct {
 	Meeting Meeting
-	Config  MeetingConfig
+	Config  meetingConfig
 }
 
 // NewMeetingPolicy validates and builds a policy.
-func NewMeetingPolicy(m Meeting, cfg MeetingConfig) (*MeetingPolicy, error) {
-	if err := m.Validate(); err != nil {
+func NewMeetingPolicy(m Meeting, cfg meetingConfig) (*MeetingPolicy, error) {
+	if err := m.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.LeadIn <= 0 || cfg.StartRelease < 0 || cfg.LeadOut <= 0 || cfg.EndRelease < 0 {

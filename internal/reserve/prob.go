@@ -26,8 +26,8 @@ type ClassState struct {
 	Handoff float64
 }
 
-// Validate reports whether the class state is usable.
-func (c ClassState) Validate() error {
+// validate reports whether the class state is usable.
+func (c ClassState) validate() error {
 	if c.Bandwidth <= 0 {
 		return fmt.Errorf("reserve: bandwidth must be a positive unit count, got %d", c.Bandwidth)
 	}
@@ -40,19 +40,19 @@ func (c ClassState) Validate() error {
 	return nil
 }
 
-// StayProb returns p_s,i = e^{-μ_i T}: the probability a connection in
+// stayProb returns p_s,i = e^{-μ_i T}: the probability a connection in
 // C_q is still in C_q after the window T.
-func (c ClassState) StayProb(T float64) float64 { return math.Exp(-c.Mu * T) }
+func (c ClassState) stayProb(T float64) float64 { return math.Exp(-c.Mu * T) }
 
-// MoveProb returns p_m,i = (1 - e^{-μ_i T})·h: the probability a
+// moveProb returns p_m,i = (1 - e^{-μ_i T})·h: the probability a
 // connection in the neighbor C_s hands off into C_q within T.
-func (c ClassState) MoveProb(T float64) float64 {
+func (c ClassState) moveProb(T float64) float64 {
 	return (1 - math.Exp(-c.Mu*T)) * c.Handoff
 }
 
-// ErrInfeasible is returned when even the current occupancy violates the
+// errInfeasible is returned when even the current occupancy violates the
 // QoS target.
-var ErrInfeasible = errors.New("reserve: current occupancy already violates P_QOS")
+var errInfeasible = errors.New("reserve: current occupancy already violates P_QOS")
 
 // binomialPMF returns the probability mass function of Binomial(n, p)
 // as a slice of length n+1, computed by the stable multiplicative
@@ -120,7 +120,7 @@ func convolveScaled(dist []float64, pmf []float64, b, capacity int) []float64 {
 	return out
 }
 
-// NonBlockingProb evaluates eq. (5): the probability that the existing
+// nonBlockingProb evaluates eq. (5): the probability that the existing
 // connections that remain in C_q (j_i ~ Bin(N_i, p_s,i)) plus the
 // handoffs arriving from C_s (l_i ~ Bin(s_i, p_m,i)) fit within the cell
 // capacity:
@@ -129,7 +129,7 @@ func convolveScaled(dist []float64, pmf []float64, b, capacity int) []float64 {
 //
 // N[i] is the admission cap of type i in C_q; s[i] the current count of
 // type i in C_s; capacity is B_c in units.
-func NonBlockingProb(classes []ClassState, N, s []int, capacity int, T float64) (float64, error) {
+func nonBlockingProb(classes []ClassState, N, s []int, capacity int, T float64) (float64, error) {
 	if len(N) != len(classes) || len(s) != len(classes) {
 		return 0, fmt.Errorf("reserve: N/s length mismatch: %d classes, %d N, %d s", len(classes), len(N), len(s))
 	}
@@ -142,14 +142,14 @@ func NonBlockingProb(classes []ClassState, N, s []int, capacity int, T float64) 
 	dist := make([]float64, capacity+2)
 	dist[0] = 1
 	for i, c := range classes {
-		if err := c.Validate(); err != nil {
+		if err := c.validate(); err != nil {
 			return 0, err
 		}
 		if N[i] < 0 || s[i] < 0 {
 			return 0, fmt.Errorf("reserve: negative occupancy N=%d s=%d", N[i], s[i])
 		}
-		dist = convolveScaled(dist, binomialPMF(N[i], c.StayProb(T)), c.Bandwidth, capacity)
-		dist = convolveScaled(dist, binomialPMF(s[i], c.MoveProb(T)), c.Bandwidth, capacity)
+		dist = convolveScaled(dist, binomialPMF(N[i], c.stayProb(T)), c.Bandwidth, capacity)
+		dist = convolveScaled(dist, binomialPMF(s[i], c.moveProb(T)), c.Bandwidth, capacity)
 	}
 	ok := 0.0
 	for w := 0; w <= capacity; w++ {
@@ -161,8 +161,8 @@ func NonBlockingProb(classes []ClassState, N, s []int, capacity int, T float64) 
 	return ok, nil
 }
 
-// Plan is the outcome of the probabilistic reservation computation.
-type Plan struct {
+// resvPlan is the outcome of the probabilistic reservation computation.
+type resvPlan struct {
 	// MaxConns is N_i: the largest admissible connection count per type
 	// in C_q consistent with P_QOS (includes the existing n_i).
 	MaxConns []int
@@ -180,22 +180,22 @@ type Plan struct {
 // capacity for handoffs (eq. 7). s holds the neighbor-cell occupancies.
 //
 // If the current occupancy n already violates the target, the plan
-// returns ErrInfeasible along with the degenerate plan (caps = n) so the
+// returns errInfeasible along with the degenerate plan (caps = n) so the
 // caller can still apply its reservation.
-func ProbabilisticPlan(classes []ClassState, n, s []int, capacity int, T, pQoS float64) (Plan, error) {
+func ProbabilisticPlan(classes []ClassState, n, s []int, capacity int, T, pQoS float64) (resvPlan, error) {
 	if pQoS <= 0 || pQoS >= 1 {
-		return Plan{}, fmt.Errorf("reserve: P_QOS must be in (0,1), got %v", pQoS)
+		return resvPlan{}, fmt.Errorf("reserve: P_QOS must be in (0,1), got %v", pQoS)
 	}
 	if len(n) != len(classes) || len(s) != len(classes) {
-		return Plan{}, fmt.Errorf("reserve: n/s length mismatch")
+		return resvPlan{}, fmt.Errorf("reserve: n/s length mismatch")
 	}
 	target := 1 - pQoS
 	N := append([]int(nil), n...)
-	pnb, err := NonBlockingProb(classes, N, s, capacity, T)
+	pnb, err := nonBlockingProb(classes, N, s, capacity, T)
 	if err != nil {
-		return Plan{}, err
+		return resvPlan{}, err
 	}
-	mkPlan := func(p float64) Plan {
+	mkPlan := func(p float64) resvPlan {
 		used := 0
 		for i, c := range classes {
 			used += c.Bandwidth * N[i]
@@ -204,10 +204,10 @@ func ProbabilisticPlan(classes []ClassState, n, s []int, capacity int, T, pQoS f
 		if resv < 0 {
 			resv = 0
 		}
-		return Plan{MaxConns: append([]int(nil), N...), Reserved: resv, NonBlocking: p}
+		return resvPlan{MaxConns: append([]int(nil), N...), Reserved: resv, NonBlocking: p}
 	}
 	if pnb < target {
-		return mkPlan(pnb), ErrInfeasible
+		return mkPlan(pnb), errInfeasible
 	}
 	// Round-robin growth: bump each type in turn while feasible; a type
 	// that no longer fits (bandwidth or probability) drops out.
@@ -228,9 +228,9 @@ func ProbabilisticPlan(classes []ClassState, n, s []int, capacity int, T, pQoS f
 				continue
 			}
 			N[i]++
-			p, err := NonBlockingProb(classes, N, s, capacity, T)
+			p, err := nonBlockingProb(classes, N, s, capacity, T)
 			if err != nil {
-				return Plan{}, err
+				return resvPlan{}, err
 			}
 			if p < target {
 				N[i]--

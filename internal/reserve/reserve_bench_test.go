@@ -5,7 +5,7 @@ import "testing"
 func BenchmarkNonBlockingProb(b *testing.B) {
 	classes := paperClasses()
 	for i := 0; i < b.N; i++ {
-		if _, err := NonBlockingProb(classes, []int{20, 3}, []int{15, 2}, 40, 0.05); err != nil {
+		if _, err := nonBlockingProb(classes, []int{20, 3}, []int{15, 2}, 40, 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}

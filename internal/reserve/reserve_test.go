@@ -3,6 +3,7 @@ package reserve
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -23,20 +24,20 @@ func paperClasses() []ClassState {
 func TestClassStateProbs(t *testing.T) {
 	c := ClassState{Bandwidth: 1, Mu: 5, Handoff: 0.7}
 	T := 0.1
-	if got := c.StayProb(T); math.Abs(got-math.Exp(-0.5)) > 1e-12 {
+	if got := c.stayProb(T); math.Abs(got-math.Exp(-0.5)) > 1e-12 {
 		t.Fatalf("StayProb = %v", got)
 	}
 	want := (1 - math.Exp(-0.5)) * 0.7
-	if got := c.MoveProb(T); math.Abs(got-want) > 1e-12 {
+	if got := c.moveProb(T); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MoveProb = %v", got)
 	}
-	if err := (ClassState{Bandwidth: 0, Mu: 1, Handoff: 0.5}).Validate(); err == nil {
+	if err := (ClassState{Bandwidth: 0, Mu: 1, Handoff: 0.5}).validate(); err == nil {
 		t.Error("zero bandwidth validated")
 	}
-	if err := (ClassState{Bandwidth: 1, Mu: 0, Handoff: 0.5}).Validate(); err == nil {
+	if err := (ClassState{Bandwidth: 1, Mu: 0, Handoff: 0.5}).validate(); err == nil {
 		t.Error("zero mu validated")
 	}
-	if err := (ClassState{Bandwidth: 1, Mu: 1, Handoff: 1.5}).Validate(); err == nil {
+	if err := (ClassState{Bandwidth: 1, Mu: 1, Handoff: 1.5}).validate(); err == nil {
 		t.Error("handoff > 1 validated")
 	}
 }
@@ -63,7 +64,7 @@ func TestBinomialPMF(t *testing.T) {
 func TestNonBlockingProbEdges(t *testing.T) {
 	classes := paperClasses()
 	// Nothing anywhere: certainly non-blocking.
-	p, err := NonBlockingProb(classes, []int{0, 0}, []int{0, 0}, 40, 0.05)
+	p, err := nonBlockingProb(classes, []int{0, 0}, []int{0, 0}, 40, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestNonBlockingProbEdges(t *testing.T) {
 	}
 	// Load far beyond capacity with a window too short for anyone to
 	// leave: essentially blocking.
-	p, err = NonBlockingProb(classes, []int{200, 0}, []int{0, 0}, 40, 0.001)
+	p, err = nonBlockingProb(classes, []int{200, 0}, []int{0, 0}, 40, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +81,13 @@ func TestNonBlockingProbEdges(t *testing.T) {
 		t.Fatalf("overloaded P_nb = %v, want ~0", p)
 	}
 	// Errors.
-	if _, err := NonBlockingProb(classes, []int{1}, []int{0, 0}, 40, 0.05); err == nil {
+	if _, err := nonBlockingProb(classes, []int{1}, []int{0, 0}, 40, 0.05); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := NonBlockingProb(classes, []int{1, 1}, []int{0, 0}, 40, 0); err == nil {
+	if _, err := nonBlockingProb(classes, []int{1, 1}, []int{0, 0}, 40, 0); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := NonBlockingProb(classes, []int{-1, 0}, []int{0, 0}, 40, 0.05); err == nil {
+	if _, err := nonBlockingProb(classes, []int{-1, 0}, []int{0, 0}, 40, 0.05); err == nil {
 		t.Error("negative N accepted")
 	}
 }
@@ -95,7 +96,7 @@ func TestNonBlockingProbMonotonicity(t *testing.T) {
 	classes := paperClasses()
 	prev := 2.0
 	for _, n1 := range []int{0, 5, 10, 20, 30, 40} {
-		p, err := NonBlockingProb(classes, []int{n1, 2}, []int{10, 1}, 40, 0.1)
+		p, err := nonBlockingProb(classes, []int{n1, 2}, []int{10, 1}, 40, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,8 +112,8 @@ func TestNonBlockingProbExactSmallCase(t *testing.T) {
 	// blocking iff total > 1. P_nb = P(W<=1).
 	c := ClassState{Bandwidth: 1, Mu: 1, Handoff: 0.5}
 	T := 1.0
-	ps := c.StayProb(T)
-	pm := c.MoveProb(T)
+	ps := c.stayProb(T)
+	pm := c.moveProb(T)
 	// W = j + l, j~Bin(2,ps), l~Bin(1,pm).
 	pj := []float64{(1 - ps) * (1 - ps), 2 * ps * (1 - ps), ps * ps}
 	pl := []float64{1 - pm, pm}
@@ -124,7 +125,7 @@ func TestNonBlockingProbExactSmallCase(t *testing.T) {
 			}
 		}
 	}
-	got, err := NonBlockingProb([]ClassState{c}, []int{2}, []int{1}, 1, T)
+	got, err := nonBlockingProb([]ClassState{c}, []int{2}, []int{1}, 1, T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestProbabilisticPlanInfeasible(t *testing.T) {
 	classes := paperClasses()
 	// Stuff both cells far beyond capacity with a tiny allowed drop.
 	plan, err := ProbabilisticPlan(classes, []int{60, 0}, []int{60, 0}, 40, 1.0, 1e-6)
-	if !errors.Is(err, ErrInfeasible) {
+	if !errors.Is(err, errInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	if plan.MaxConns[0] != 60 {
@@ -250,25 +251,35 @@ func TestMeetingValidation(t *testing.T) {
 	if _, err := NewMeetingPolicy(Meeting{Start: 0, End: 5, Attendees: 0}, DefaultMeetingConfig()); err == nil {
 		t.Error("zero attendees accepted")
 	}
-	if _, err := NewMeetingPolicy(Meeting{Start: 0, End: 5, Attendees: 3}, MeetingConfig{}); err == nil {
+	if _, err := NewMeetingPolicy(Meeting{Start: 0, End: 5, Attendees: 3}, meetingConfig{}); err == nil {
 		t.Error("zero config accepted")
 	}
 }
 
+// universe builds the cell universe of a topology spec.
+func universe(t *testing.T, spec string) *topology.Universe {
+	t.Helper()
+	env, err := topology.EnvironmentFromJSON(strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env.Universe
+}
+
 func lounges(t *testing.T) (*topology.Universe, *profile.CellProfile) {
 	t.Helper()
-	u := topology.NewUniverse()
-	u.MustAddCell(topology.Cell{ID: "cafe", Class: topology.ClassCafeteria})
-	u.MustAddCell(topology.Cell{ID: "n1", Class: topology.ClassCorridor})
-	u.MustAddCell(topology.Cell{ID: "n2", Class: topology.ClassLoungeDefault})
-	u.MustConnect("cafe", "n1")
-	u.MustConnect("cafe", "n2")
+	u := universe(t, `{
+	  "cells": [{"id": "cafe", "class": "cafeteria"}, {"id": "n1", "class": "corridor"}, {"id": "n2", "class": "lounge-default"}],
+	  "edges": [["cafe", "n1"], ["cafe", "n2"]]
+	}`)
 	cp := profile.NewCellProfile("cafe", 1000, 60)
 	return u, cp
 }
 
 func TestCafeteriaPlan(t *testing.T) {
-	u, cp := lounges(t)
+	u, _ := lounges(t)
+	srv := profile.NewServer("z", []topology.CellID{"cafe"}, profile.ServerOptions{NpC: 1000})
+	cp := srv.Cell("cafe")
 	// Departure history: slots 0,1,2 with 2,4,6 departures, 3:1 toward n1.
 	times := []float64{10, 20, 70, 80, 90, 100, 130, 140, 150, 160, 170, 175}
 	for i, tm := range times {
@@ -280,7 +291,7 @@ func TestCafeteriaPlan(t *testing.T) {
 	}
 	// Arrivals ramp too.
 	for _, tm := range []float64{10, 70, 75, 130, 135, 140} {
-		cp.RecordArrival(profile.Handoff{Portable: "p", To: "cafe", Time: tm})
+		srv.RecordHandoff(profile.Handoff{Portable: "p", From: "lobby", To: "cafe", Time: tm})
 	}
 	plan := CafeteriaPlan(u, cp, 170, 1000)
 	// Forecast = (4*6 + 4 - 2*2)/3 = 8 handoffs; split 3:1.
@@ -299,10 +310,10 @@ func TestCafeteriaPlan(t *testing.T) {
 }
 
 func TestCafeteriaPlanNoDefaultNeighbor(t *testing.T) {
-	u := topology.NewUniverse()
-	u.MustAddCell(topology.Cell{ID: "cafe", Class: topology.ClassCafeteria})
-	u.MustAddCell(topology.Cell{ID: "n1", Class: topology.ClassCorridor})
-	u.MustConnect("cafe", "n1")
+	u := universe(t, `{
+	  "cells": [{"id": "cafe", "class": "cafeteria"}, {"id": "n1", "class": "corridor"}],
+	  "edges": [["cafe", "n1"]]
+	}`)
 	cp := profile.NewCellProfile("cafe", 100, 60)
 	cp.RecordDeparture(profile.Handoff{From: "cafe", To: "n1", Time: 10})
 	plan := CafeteriaPlan(u, cp, 10, 500)
@@ -373,7 +384,7 @@ func TestQuickPlanRespectsTarget(t *testing.T) {
 		pq := 0.01 + rng.Float64()*0.2
 		T := 0.01 + rng.Float64()*0.5
 		plan, err := ProbabilisticPlan(classes, n, s, capacity, T, pq)
-		if errors.Is(err, ErrInfeasible) {
+		if errors.Is(err, errInfeasible) {
 			return true
 		}
 		if err != nil {

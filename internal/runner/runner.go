@@ -30,7 +30,7 @@ import (
 )
 
 // Stats summarizes one Map call. Work is the summed wall time of the
-// individual trials; Speedup therefore reports how much the pool
+// individual trials; speedup therefore reports how much the pool
 // compressed the serial schedule (≈ Workers when trials are uniform).
 type Stats struct {
 	// Trials is the number of trials requested.
@@ -46,9 +46,9 @@ type Stats struct {
 	Failed int
 }
 
-// Speedup returns Work/Wall — the parallel speedup over running the same
+// speedup returns Work/Wall — the parallel speedup over running the same
 // trials back to back. Zero when no time was measured.
-func (s Stats) Speedup() float64 {
+func (s Stats) speedup() float64 {
 	if s.Wall <= 0 {
 		return 0
 	}
@@ -58,12 +58,12 @@ func (s Stats) Speedup() float64 {
 // String renders the stats in the one-line form the CLIs print to stderr.
 func (s Stats) String() string {
 	return fmt.Sprintf("trials=%d workers=%d wall=%s work=%s speedup=%.2fx",
-		s.Trials, s.Workers, s.Wall.Round(time.Microsecond), s.Work.Round(time.Microsecond), s.Speedup())
+		s.Trials, s.Workers, s.Wall.Round(time.Microsecond), s.Work.Round(time.Microsecond), s.speedup())
 }
 
-// ErrCanceled wraps the context error for trials that never ran because
+// errCanceled wraps the context error for trials that never ran because
 // the context was canceled (directly or by an earlier trial's failure).
-var ErrCanceled = errors.New("runner: trial canceled")
+var errCanceled = errors.New("runner: trial canceled")
 
 // Progress is an optional live trial counter for long sweeps: carry one
 // through the context with WithProgress and Map will mark every finished
@@ -115,7 +115,7 @@ func progressFrom(ctx context.Context) *Progress {
 //
 // The first trial error cancels the pool context: running trials may
 // observe the cancellation through ctx, and trials not yet started are
-// skipped. All trial errors (and one ErrCanceled per skipped trial) are
+// skipped. All trial errors (and one errCanceled per skipped trial) are
 // joined, annotated with their trial index, and returned; results of
 // failed or skipped trials are the zero value of T. The results slice
 // always has length `trials` and depends only on (fn, trials), never on
@@ -147,7 +147,7 @@ func Map[T any](ctx context.Context, workers, trials int, fn func(ctx context.Co
 
 	runTrial := func(i int) time.Duration {
 		if poolCtx.Err() != nil {
-			errs[i] = fmt.Errorf("trial %d: %w: %w", i, ErrCanceled, context.Cause(poolCtx))
+			errs[i] = fmt.Errorf("trial %d: %w: %w", i, errCanceled, context.Cause(poolCtx))
 			return 0
 		}
 		t0 := time.Now()

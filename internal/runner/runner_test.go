@@ -63,7 +63,7 @@ func TestMapAggregatesErrors(t *testing.T) {
 		t.Fatalf("failed trial result not zero: %d", got[2])
 	}
 	// Sequential pool: trials after the failure are skipped via cancellation.
-	if !errors.Is(err, ErrCanceled) {
+	if !errors.Is(err, errCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled for skipped trials", err)
 	}
 	if st.Failed < 1 {
@@ -141,10 +141,10 @@ func TestSplitSeedProperties(t *testing.T) {
 
 func TestStatsSpeedupAndString(t *testing.T) {
 	st := Stats{Trials: 8, Workers: 4, Wall: time.Second, Work: 3 * time.Second}
-	if got := st.Speedup(); got != 3 {
+	if got := st.speedup(); got != 3 {
 		t.Fatalf("speedup = %v", got)
 	}
-	if (Stats{}).Speedup() != 0 {
+	if (Stats{}).speedup() != 0 {
 		t.Fatal("zero stats must report 0 speedup")
 	}
 	if s := st.String(); s == "" {

@@ -19,10 +19,16 @@ func releaseRig(t *testing.T, opts Options) (*des.Simulator, *Plane, topology.Ro
 	t.Helper()
 	b := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"h", "s1", "air"} {
-		b.MustAddNode(topology.Node{ID: id})
+		if _, err := b.AddNode(topology.Node{ID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.MustAddDuplex(topology.Link{From: "h", To: "s1", Capacity: 10e6, PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "s1", To: "air", Capacity: 1.6e6, Wireless: true})
+	if err := b.AddDuplex(topology.Link{From: "h", To: "s1", Capacity: 10e6, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "s1", To: "air", Capacity: 1.6e6, Wireless: true}); err != nil {
+		t.Fatal(err)
+	}
 	route, err := b.ShortestPath("h", "air")
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +56,7 @@ func TestCommitLossReleasesExactlyOnce(t *testing.T) {
 	n := 2 // route hops
 	sim, p, route, releases := releaseRig(t, Options{
 		MaxRetries: 1,
-		RetryBase:  0.01,
+		retryBase:  0.01,
 		Timeout:    5,
 		Deliver: func(conn string, hop int) (bool, float64) {
 			return hop >= n, 0 // forward passes, every confirmation lost
@@ -62,7 +68,7 @@ func TestCommitLossReleasesExactlyOnce(t *testing.T) {
 	if err := sim.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(got.Err, ErrLost) {
+	if !errors.Is(got.Err, errLost) {
 		t.Fatalf("err = %v, want ErrLost", got.Err)
 	}
 	if *releases != 1 {
@@ -108,7 +114,7 @@ func TestPostCommitTimeoutReleasesExactlyOnce(t *testing.T) {
 	if err := sim.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(got.Err, ErrTimeout) {
+	if !errors.Is(got.Err, errTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", got.Err)
 	}
 	if *releases != 1 {

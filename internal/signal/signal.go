@@ -29,71 +29,68 @@ import (
 
 // Errors reported to completion callbacks.
 var (
-	// ErrHopRejected is returned when a forward-pass hop lacks capacity
+	// errHopRejected is returned when a forward-pass hop lacks capacity
 	// (including capacity tentatively held by concurrent setups).
-	ErrHopRejected = errors.New("signal: rejected at hop")
-	// ErrEndToEnd is returned when the destination's Table 2 evaluation
+	errHopRejected = errors.New("signal: rejected at hop")
+	// errEndToEnd is returned when the destination's Table 2 evaluation
 	// fails.
-	ErrEndToEnd = errors.New("signal: end-to-end test failed")
-	// ErrTimeout is returned when the session exceeded its deadline.
-	ErrTimeout = errors.New("signal: setup timed out")
-	// ErrLost is returned when a control message stayed lost after the
+	errEndToEnd = errors.New("signal: end-to-end test failed")
+	// errTimeout is returned when the session exceeded its deadline.
+	errTimeout = errors.New("signal: setup timed out")
+	// errLost is returned when a control message stayed lost after the
 	// full retransmission budget.
-	ErrLost = errors.New("signal: control message lost")
-	// ErrLinkDown is returned when the forward pass reaches a failed
+	errLost = errors.New("signal: control message lost")
+	// errLinkDown is returned when the forward pass reaches a failed
 	// link.
-	ErrLinkDown = errors.New("signal: link down")
+	errLinkDown = errors.New("signal: link down")
 )
 
-// Deliver decides the fate of one setup control message about to cross
+// deliver decides the fate of one setup control message about to cross
 // hop (0-based; forward hops are 0..n-1, the commit confirmation's
 // reverse hops are n..2n-1). It may drop the message or add latency.
 // A nil hook delivers everything untouched and costs nothing.
-type Deliver func(conn string, hop int) (drop bool, delay float64)
+type deliver func(conn string, hop int) (drop bool, delay float64)
 
 // Options tunes the signaling plane.
 type Options struct {
-	// HopProcessing is the per-switch control processing time (default
-	// 200 µs).
-	HopProcessing float64
 	// Timeout aborts sessions that have not completed. Zero scales the
-	// deadline with the route: PerHopTimeout × hops, floored at 2 s (the
+	// deadline with the route: perHopTimeout × hops, floored at 2 s (the
 	// historical flat default, so short routes keep their behavior).
 	Timeout float64
-	// PerHopTimeout is the per-hop deadline budget used when Timeout is
+	// perHopTimeout is the per-hop deadline budget used when Timeout is
 	// zero (default 0.5 s).
-	PerHopTimeout float64
+	perHopTimeout float64
 	// MaxRetries bounds retransmissions per lost message (default 3;
 	// negative disables retransmission).
 	MaxRetries int
-	// RetryBase is the first retransmission backoff; it doubles per
+	// retryBase is the first retransmission backoff; it doubles per
 	// attempt (default 50 ms).
-	RetryBase float64
+	retryBase float64
 	// HoldLease, when positive, arms a reaper that reclaims tentative
 	// holds orphaned by a plane crash once they are older than the
 	// lease. Zero (the default) means crashes leak holds forever.
 	HoldLease float64
 	// Deliver, when non-nil, filters every control message (fault
 	// injection).
-	Deliver Deliver
+	Deliver deliver
 	// Bus, when non-nil, receives SignalHold / SignalCommit / SignalAbort
 	// events as sessions place tentative holds and resolve, plus
 	// ControlRetransmit and HoldReclaimed under faults.
 	Bus *eventbus.Bus
 }
 
+// hopProcessing is the per-switch control processing time, in seconds.
+const hopProcessing = 200e-6
+
 func (o Options) withDefaults() Options {
-	if o.HopProcessing <= 0 {
-		o.HopProcessing = 200e-6
-	}
-	if o.PerHopTimeout <= 0 {
-		o.PerHopTimeout = 0.5
+	if o.perHopTimeout <= 0 {
+		o.perHopTimeout = 0.5
 	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 3
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 0.05
+	if o.retryBase <= 0 {
+		o.retryBase = 0.05
 	}
 	return o
 }
@@ -165,9 +162,6 @@ func NewPlaneOn(clk clock.Clock, adm admission.Admitter, lg *admission.Ledger, o
 	}
 }
 
-// Pending returns the tentative holds on a link (for tests/diagnostics).
-func (p *Plane) Pending(id topology.LinkID) float64 { return p.pending[id] }
-
 // PendingTotal returns the sum of all tentative holds — zero once every
 // session has drained and every orphan was reclaimed. Summed in sorted
 // order so the value is identical run to run (float addition is not
@@ -204,7 +198,7 @@ func (p *Plane) deadlineFor(route topology.Route) float64 {
 	if p.opts.Timeout > 0 {
 		return p.opts.Timeout
 	}
-	d := p.opts.PerHopTimeout * float64(len(route.Links))
+	d := p.opts.perHopTimeout * float64(len(route.Links))
 	if d < minTimeout {
 		d = minTimeout
 	}
@@ -229,11 +223,11 @@ func (p *Plane) Setup(t admission.Test, done func(Result)) {
 			p.Rollbacks++
 			eventbus.Pub(p.opts.Bus, eventbus.SignalAbort{Conn: t.ConnID, Reason: "timeout-after-commit", Hop: len(t.Route.Links)})
 			p.Ledger.Release(t.ConnID, t.Route)
-			s.finish(Result{Err: ErrTimeout, Latency: p.clk.Now() - start})
+			s.finish(Result{Err: errTimeout, Latency: p.clk.Now() - start})
 			return
 		}
 		s.rollback(len(s.held), "timeout")
-		s.finish(Result{Err: ErrTimeout, Latency: p.clk.Now() - start})
+		s.finish(Result{Err: errTimeout, Latency: p.clk.Now() - start})
 	})
 	s.deadline = deadline
 	p.track(s)
@@ -362,7 +356,7 @@ func (s *session) finish(r Result) {
 
 // hopDelay is the one-way control latency across one link.
 func (s *session) hopDelay(l *topology.Link) float64 {
-	return l.PropDelay + s.plane.opts.HopProcessing
+	return l.PropDelay + hopProcessing
 }
 
 // retry schedules a retransmission of a lost message with exponential
@@ -377,7 +371,7 @@ func (s *session) retry(hop, attempt int, resend func(attempt int)) bool {
 	eventbus.Pub(p.opts.Bus, eventbus.ControlRetransmit{
 		Proto: "signal", Conn: s.test.ConnID, Hop: hop, Attempt: attempt + 1,
 	})
-	backoff := p.opts.RetryBase * float64(int(1)<<attempt)
+	backoff := p.opts.retryBase * float64(int(1)<<attempt)
 	p.clk.PostAfter(backoff, func() { resend(attempt + 1) })
 	return true
 }
@@ -401,7 +395,7 @@ func (s *session) forward(i, attempt int) {
 		if drop {
 			if !s.retry(i, attempt, func(a int) { s.forward(i, a) }) {
 				s.rollback(i, "lost")
-				s.finish(Result{Err: fmt.Errorf("%w at hop %d", ErrLost, i+1), FailedHop: i + 1, Latency: s.plane.clk.Now() - s.start})
+				s.finish(Result{Err: fmt.Errorf("%w at hop %d", errLost, i+1), FailedHop: i + 1, Latency: s.plane.clk.Now() - s.start})
 			}
 			return
 		}
@@ -414,19 +408,19 @@ func (s *session) forward(i, attempt int) {
 		ls := s.plane.Ledger.Link(link.ID)
 		if ls == nil {
 			s.rollback(i, "unknown-link")
-			s.finish(Result{Err: fmt.Errorf("%w %d: unknown link %s", ErrHopRejected, i+1, link.ID), FailedHop: i + 1, Latency: s.plane.clk.Now() - s.start})
+			s.finish(Result{Err: fmt.Errorf("%w %d: unknown link %s", errHopRejected, i+1, link.ID), FailedHop: i + 1, Latency: s.plane.clk.Now() - s.start})
 			return
 		}
 		if ls.Down {
 			s.rollback(i, "link-down")
-			s.finish(Result{Err: fmt.Errorf("%w: %s", ErrLinkDown, link.ID), FailedHop: i + 1, Latency: s.plane.clk.Now() - s.start})
+			s.finish(Result{Err: fmt.Errorf("%w: %s", errLinkDown, link.ID), FailedHop: i + 1, Latency: s.plane.clk.Now() - s.start})
 			return
 		}
 		need := s.test.Req.Bandwidth.Min
 		avail := ls.Capacity - ls.AdvanceReserved - ls.Pool() - ls.SumMin() - s.plane.pending[link.ID]
 		if need > avail {
 			s.rollback(i, "hop-rejected")
-			s.finish(Result{Err: fmt.Errorf("%w %d (%s)", ErrHopRejected, i+1, link.ID), FailedHop: i + 1, Latency: s.plane.clk.Now() - s.start})
+			s.finish(Result{Err: fmt.Errorf("%w %d (%s)", errHopRejected, i+1, link.ID), FailedHop: i + 1, Latency: s.plane.clk.Now() - s.start})
 			return
 		}
 		s.plane.pending[link.ID] += need
@@ -456,7 +450,7 @@ func (s *session) atDestination() {
 		})
 		s.finish(Result{
 			Admission: res,
-			Err:       fmt.Errorf("%w: %s at %s", ErrEndToEnd, res.Reason, res.FailedLink),
+			Err:       fmt.Errorf("%w: %s at %s", errEndToEnd, res.Reason, res.FailedLink),
 			Latency:   s.plane.clk.Now() - s.start,
 		})
 		return
@@ -489,7 +483,7 @@ func (s *session) sendConfirm(res admission.Result, attempt int) {
 					s.plane.Rollbacks++
 					eventbus.Pub(s.plane.opts.Bus, eventbus.SignalAbort{Conn: s.test.ConnID, Reason: "commit-lost", Hop: n + j})
 					s.plane.Ledger.Release(s.test.ConnID, s.test.Route)
-					s.finish(Result{Err: fmt.Errorf("%w: commit confirmation", ErrLost), Latency: s.plane.clk.Now() - s.start})
+					s.finish(Result{Err: fmt.Errorf("%w: commit confirmation", errLost), Latency: s.plane.clk.Now() - s.start})
 				}
 				return
 			}

@@ -16,11 +16,19 @@ func rig(t *testing.T) (*des.Simulator, *Plane, topology.Route) {
 	t.Helper()
 	b := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"h", "s1", "s2", "air"} {
-		b.MustAddNode(topology.Node{ID: id})
+		if _, err := b.AddNode(topology.Node{ID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.MustAddDuplex(topology.Link{From: "h", To: "s1", Capacity: 10e6, PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "s1", To: "s2", Capacity: 10e6, PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "s2", To: "air", Capacity: 1.6e6, Wireless: true})
+	if err := b.AddDuplex(topology.Link{From: "h", To: "s1", Capacity: 10e6, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "s1", To: "s2", Capacity: 10e6, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "s2", To: "air", Capacity: 1.6e6, Wireless: true}); err != nil {
+		t.Fatal(err)
+	}
 	route, err := b.ShortestPath("h", "air")
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +70,7 @@ func TestSetupSucceedsWithRoundTripLatency(t *testing.T) {
 	}
 	// No stale pending holds.
 	for _, l := range route.Links {
-		if p.Pending(l.ID) != 0 {
+		if p.pending[l.ID] != 0 {
 			t.Fatalf("stale pending on %s", l.ID)
 		}
 	}
@@ -86,7 +94,7 @@ func TestConcurrentSetupsRaceForLastSlice(t *testing.T) {
 	for id, r := range results {
 		if r.Err == nil {
 			okCount++
-		} else if !errors.Is(r.Err, ErrHopRejected) {
+		} else if !errors.Is(r.Err, errHopRejected) {
 			t.Fatalf("%s failed with %v, want hop rejection", id, r.Err)
 		}
 	}
@@ -94,7 +102,7 @@ func TestConcurrentSetupsRaceForLastSlice(t *testing.T) {
 		t.Fatalf("winners = %d, want exactly 1", okCount)
 	}
 	for _, l := range route.Links {
-		if p.Pending(l.ID) != 0 {
+		if p.pending[l.ID] != 0 {
 			t.Fatalf("stale pending on %s", l.ID)
 		}
 	}
@@ -133,11 +141,11 @@ func TestEndToEndRejectionRollsBack(t *testing.T) {
 	if err := sim.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(got.Err, ErrEndToEnd) {
+	if !errors.Is(got.Err, errEndToEnd) {
 		t.Fatalf("err = %v, want end-to-end failure", got.Err)
 	}
 	for _, l := range route.Links {
-		if p.Pending(l.ID) != 0 {
+		if p.pending[l.ID] != 0 {
 			t.Fatalf("stale pending on %s", l.ID)
 		}
 		if _, ok := p.Ledger.Link(l.ID).Alloc("c1"); ok {
@@ -161,7 +169,7 @@ func TestForwardPassSeesCommittedLoad(t *testing.T) {
 	if err := sim.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(got.Err, ErrHopRejected) {
+	if !errors.Is(got.Err, errHopRejected) {
 		t.Fatalf("err = %v, want hop rejection", got.Err)
 	}
 	if got.FailedHop != 3 {
@@ -179,11 +187,11 @@ func TestTimeoutAbortsSession(t *testing.T) {
 	if err := sim.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(got.Err, ErrTimeout) {
+	if !errors.Is(got.Err, errTimeout) {
 		t.Fatalf("err = %v, want timeout", got.Err)
 	}
 	for _, l := range route.Links {
-		if p.Pending(l.ID) != 0 {
+		if p.pending[l.ID] != 0 {
 			t.Fatalf("stale pending after timeout on %s", l.ID)
 		}
 	}
@@ -196,7 +204,7 @@ func TestTimeoutScalesWithHopCount(t *testing.T) {
 		t.Fatalf("3-hop deadline = %v, want floor 2", d)
 	}
 	// A larger per-hop budget scales past the floor.
-	p.opts.PerHopTimeout = 1.5
+	p.opts.perHopTimeout = 1.5
 	if d := p.deadlineFor(route); d != 4.5 {
 		t.Fatalf("scaled deadline = %v, want 4.5", d)
 	}
@@ -252,7 +260,7 @@ func TestRetryBudgetExhaustionAbortsSetup(t *testing.T) {
 	if err := sim.RunUntil(5); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(got.Err, ErrLost) {
+	if !errors.Is(got.Err, errLost) {
 		t.Fatalf("err = %v, want ErrLost", got.Err)
 	}
 	// Original + MaxRetries (3) transmissions, all dropped.
@@ -277,7 +285,7 @@ func TestLostCommitConfirmationReleasesReservation(t *testing.T) {
 	if err := sim.RunUntil(5); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(got.Err, ErrLost) {
+	if !errors.Is(got.Err, errLost) {
 		t.Fatalf("err = %v, want ErrLost", got.Err)
 	}
 	// The reservation committed at the destination must have been torn
@@ -365,7 +373,7 @@ func TestDownLinkRejectsForwardPass(t *testing.T) {
 	if err := sim.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(got.Err, ErrLinkDown) {
+	if !errors.Is(got.Err, errLinkDown) {
 		t.Fatalf("err = %v, want ErrLinkDown", got.Err)
 	}
 	if got.FailedHop != 2 {

@@ -51,8 +51,8 @@ type ArenaConfig struct {
 	// CampusConfig is the shared workload. Allocator, Admitter, Obs and
 	// Spans are the arena's to set: each trial runs one pair, observed.
 	CampusConfig
-	// Pairs is the roster; nil selects DefaultArenaPairs.
-	Pairs []StrategyPair
+	// pairs is the roster; nil selects DefaultArenaPairs.
+	pairs []StrategyPair
 }
 
 // ArenaEntry is one strategy pair's outcome over the shared workload.
@@ -74,7 +74,7 @@ type ArenaEntry struct {
 // self-contained (own simulator, environment, RNGs), so entries are
 // identical at any worker count and arrive in roster order.
 func RunArena(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEntry, runner.Stats, error) {
-	pairs := cfg.Pairs
+	pairs := cfg.pairs
 	if len(pairs) == 0 {
 		pairs = DefaultArenaPairs()
 	}
@@ -91,9 +91,7 @@ func RunArena(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEntry, 
 			Summary:      mgr.Obs.Snapshot().Summary(),
 			Utilization:  meanDownlinkUtil(mgr.Env, mgr.Ledger()),
 		}
-		if mgr.Adpt != nil {
-			e.Control = mgr.Adpt.Alloc.Stats()
-		}
+		e.Control = mgr.Adpt.Alloc.Stats()
 		return e, nil
 	})
 }

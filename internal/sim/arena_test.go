@@ -47,7 +47,7 @@ func TestArenaSnapshotGolden(t *testing.T) {
 // obs change nothing about the simulation.
 func TestArenaDefaultPairMatchesCampus(t *testing.T) {
 	cfg := arenaGoldenCfg
-	cfg.Pairs = []StrategyPair{{}} // empty names = paper defaults
+	cfg.pairs = []StrategyPair{{}} // empty names = paper defaults
 	entries, _, err := RunArena(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)

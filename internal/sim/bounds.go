@@ -19,35 +19,21 @@ type BoundsConfig struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including 0.
 	Seed int64
-	// Users all sit (static) in one cell.
-	Users int
-	// BMin/BMax are the loose bounds; the rigid scenario requests the
-	// midpoint as a fixed rate.
-	BMin, BMax float64
-	// Levels are the wireless capacity levels (level 0 nominal).
-	Levels []float64
-	// DwellMean is the mean time at a capacity level.
-	DwellMean float64
 	// Duration is the simulated time.
 	Duration float64
 }
 
+const (
+	// boundsBMin and boundsBMax are the loose bounds; the rigid scenario
+	// requests the midpoint as a fixed rate.
+	boundsBMin, boundsBMax = 100e3, 400e3
+	// boundsDwellMean is the mean time at a wireless capacity level.
+	boundsDwellMean = 60
+	// boundsUsers all sit (static) in one cell.
+	boundsUsers = 4
+)
+
 func (c BoundsConfig) withDefaults() BoundsConfig {
-	if c.Users <= 0 {
-		c.Users = 4
-	}
-	if c.BMin <= 0 {
-		c.BMin = 100e3
-	}
-	if c.BMax <= c.BMin {
-		c.BMax = 400e3
-	}
-	if len(c.Levels) == 0 {
-		c.Levels = []float64{1.6e6, 800e3, 400e3}
-	}
-	if c.DwellMean <= 0 {
-		c.DwellMean = 60
-	}
 	if c.Duration <= 0 {
 		c.Duration = 1800
 	}
@@ -57,7 +43,7 @@ func (c BoundsConfig) withDefaults() BoundsConfig {
 // BoundsResult reports one scenario.
 type BoundsResult struct {
 	Loose bool
-	// Admitted is how many of the Users got a connection.
+	// Admitted is how many of the boundsUsers got a connection.
 	Admitted int
 	// OvercommitFraction is the fraction of time Σ allocations exceeded
 	// the current wireless capacity (QoS violation time).
@@ -81,14 +67,14 @@ func RunBounds(cfg BoundsConfig) (loose, rigid BoundsResult, err error) {
 		if err != nil {
 			return BoundsResult{}, err
 		}
-		req := walkRequest(cfg.BMin, cfg.BMax)
+		req := walkRequest(boundsBMin, boundsBMax)
 		if !isLoose {
-			mid := (cfg.BMin + cfg.BMax) / 2
+			mid := (boundsBMin + boundsBMax) / 2
 			req.Bandwidth = qos.Fixed(mid)
 			req.Traffic.Rho = mid
 		}
 		res := BoundsResult{Loose: isLoose}
-		for i := 0; i < cfg.Users; i++ {
+		for i := 0; i < boundsUsers; i++ {
 			id := fmt.Sprintf("u%d", i)
 			if err := mgr.PlacePortable(id, "off-1"); err != nil {
 				return BoundsResult{}, err
@@ -97,7 +83,8 @@ func RunBounds(cfg BoundsConfig) (loose, rigid BoundsResult, err error) {
 				res.Admitted++
 			}
 		}
-		if _, err := mgr.AttachChannel("off-1", cfg.Levels, cfg.DwellMean); err != nil {
+		// The wireless capacity levels, level 0 nominal.
+		if err := mgr.AttachChannel("off-1", []float64{1.6e6, 800e3, 400e3}, boundsDwellMean); err != nil {
 			return BoundsResult{}, err
 		}
 		// Sample the wireless ledger once per second.

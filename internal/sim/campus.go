@@ -33,8 +33,8 @@ type CampusConfig struct {
 	// BMin/BMax are the per-connection bandwidth bounds (defaults
 	// 32k/128k).
 	BMin, BMax float64
-	// Tth overrides the static/mobile threshold (0 = manager default).
-	Tth float64
+	// tth overrides the static/mobile threshold (0 = manager default).
+	tth float64
 	// Allocator and Admitter name the registered resource-management
 	// strategies (core.Config passthrough); empty selects the paper's
 	// defaults (maxmin, table2).
@@ -179,7 +179,7 @@ func RunTthSensitivity(ctx context.Context, cfg CampusConfig, thresholds []float
 		thresholds = []float64{30, 120, 300, 900}
 	}
 	return campusTrials(ctx, cfg, len(thresholds), workers, func(i int, c CampusConfig) (TthPoint, error) {
-		c.Tth = thresholds[i]
+		c.tth = thresholds[i]
 		r, _, err := RunCampus(c, nil)
 		return TthPoint{Tth: thresholds[i], CampusResult: r}, err
 	})
@@ -206,28 +206,26 @@ type GridConfig struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including the zero-value 0.
 	Seed       int64
-	Rows, Cols int
-	Portables  int
+	rows, cols int
+	portables  int
 	Duration   float64
-	Dwell      float64
-	Mode       core.ReservationMode
 }
 
+// gridDwell is the mean dwell of a grid portable, in seconds.
+const gridDwell = 150
+
 func (c GridConfig) withDefaults() GridConfig {
-	if c.Rows <= 0 {
-		c.Rows = 4
+	if c.rows <= 0 {
+		c.rows = 4
 	}
-	if c.Cols <= 1 {
-		c.Cols = 6
+	if c.cols <= 1 {
+		c.cols = 6
 	}
-	if c.Portables <= 0 {
-		c.Portables = 80
+	if c.portables <= 0 {
+		c.portables = 80
 	}
 	if c.Duration <= 0 {
 		c.Duration = 1800
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 150
 	}
 	return c
 }
@@ -243,16 +241,16 @@ type GridResult struct {
 // building, with three-digit portable names.
 func RunGrid(cfg GridConfig) (GridResult, error) {
 	cfg = cfg.withDefaults()
-	env, err := topology.BuildGrid(cfg.Rows, cfg.Cols, 1.6e6)
+	env, err := topology.BuildGrid(cfg.rows, cfg.cols, 1.6e6)
 	if err != nil {
 		return GridResult{}, err
 	}
-	trace, err := randomWalk(env.Universe, "p%03d", cfg.Portables, cfg.Dwell, cfg.Duration, cfg.Seed)
+	trace, err := randomWalk(env.Universe, "p%03d", cfg.portables, gridDwell, cfg.Duration, cfg.Seed)
 	if err != nil {
 		return GridResult{}, err
 	}
 	mgr, err := RunWalk(env, core.Config{}, CampusConfig{
-		Seed: cfg.Seed, Duration: cfg.Duration, Mode: cfg.Mode, BMin: 32e3, BMax: 128e3,
+		Seed: cfg.Seed, Duration: cfg.Duration, BMin: 32e3, BMax: 128e3,
 	}, trace, nil)
 	if err != nil {
 		return GridResult{}, err

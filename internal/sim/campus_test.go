@@ -95,12 +95,12 @@ func TestFigure6MatchesErlangBInDegenerateCase(t *testing.T) {
 	const lambda = 30.0 // offered load = 30/5 = 6 Erlangs on 10 servers
 	r, err := RunFigure6(Figure6Config{
 		Seed:     13,
-		Capacity: capacity,
+		capacity: capacity,
 		T:        0.05,
 		Static:   true, StaticReserve: 0,
 		Horizon: 600,
-		Classes: classes,
-		Lambdas: []float64{lambda},
+		classes: classes,
+		lambdas: []float64{lambda},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,11 @@ import (
 	"armnet/internal/topology"
 )
 
-// ChaosConfig drives the chaos scenario: the campus workload with every
+// chaosConfig drives the chaos scenario: the campus workload with every
 // connection opened through the signaling plane, a fault plan injecting
 // control-message loss and component crashes, and the recovery
 // invariants audited when the run drains.
-type ChaosConfig struct {
+type chaosConfig struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including the zero-value 0.
 	Seed int64
@@ -51,7 +51,7 @@ type ChaosConfig struct {
 	GapTol float64
 }
 
-func (c ChaosConfig) withDefaults() ChaosConfig {
+func (c chaosConfig) withDefaults() chaosConfig {
 	if c.Portables <= 0 {
 		c.Portables = 16
 	}
@@ -95,8 +95,8 @@ func faultPlan(spec string, lossRate float64) (*faults.Plan, error) {
 	return p, nil
 }
 
-// ChaosResult is one audited chaos run.
-type ChaosResult struct {
+// chaosResult is one audited chaos run.
+type chaosResult struct {
 	CampusResult
 	// FaultsInjected counts message faults fired plus component faults
 	// executed (restorations included).
@@ -119,11 +119,6 @@ type ChaosResult struct {
 	Events uint64
 }
 
-// RunChaos executes one audited chaos scenario.
-func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
-	return runChaos(cfg, nil)
-}
-
 // newChaosAuditor wires the fault-recovery auditor (conservation,
 // leaked holds, orphaned allocs, maxmin re-convergence) to a manager's
 // bus — shared by the chaos and overload harnesses.
@@ -131,7 +126,7 @@ func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
 	gap := func() float64 {
 		// Rival allocators have no WaterFill oracle: the maxmin
 		// re-convergence audit only applies to the paper's protocol.
-		if mgr.Adpt == nil || mgr.Adpt.Maxmin() == nil {
+		if mgr.Adpt.Maxmin() == nil {
 			return 0
 		}
 		return mgr.Adpt.Maxmin().OracleGap()
@@ -147,19 +142,21 @@ func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
 	return aud
 }
 
-func runChaos(cfg ChaosConfig, traceW io.Writer) (ChaosResult, error) {
+// runChaos executes one audited chaos scenario, streaming its event
+// trace to traceW when it is non-nil.
+func runChaos(cfg chaosConfig, traceW io.Writer) (chaosResult, error) {
 	cfg = cfg.withDefaults()
 	plan, err := faultPlan(cfg.Plan, cfg.LossRate)
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
 	env, err := topology.BuildCampus()
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
 	trace, err := randomWalk(env.Universe, "p%02d", cfg.Portables, cfg.Dwell, cfg.Duration, cfg.Seed)
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
 	w := walk{
 		env: env,
@@ -175,15 +172,15 @@ func runChaos(cfg ChaosConfig, traceW io.Writer) (ChaosResult, error) {
 	}
 	mgr, err := w.start()
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
 	aud := newChaosAuditor(mgr, cfg.GapTol)
 	violations, err := w.run(aud.CheckFinal)
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
 	ctr := mgr.Met.Counter
-	return ChaosResult{
+	return chaosResult{
 		CampusResult:     campusResult(mgr),
 		FaultsInjected:   ctr.Get(core.CtrFaultsInjected),
 		Retransmits:      ctr.Get(core.CtrRetransmits),

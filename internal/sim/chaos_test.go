@@ -16,7 +16,7 @@ var updateChaos = flag.Bool("update-chaos", false, "rewrite the chaos trace gold
 
 // chaosGoldenCfg is the pinned seed-1 chaos scenario: 10% control-message
 // loss, a cell outage mid-run, and a signaling-plane crash.
-var chaosGoldenCfg = ChaosConfig{
+var chaosGoldenCfg = chaosConfig{
 	Seed: 1, Portables: 8, Duration: 120, Settle: 30,
 	LossRate: 0.1,
 	Plan:     "at 30 cell-out off-2 for 30\nat 80 crash-signaling",
@@ -30,7 +30,7 @@ var chaosGoldenCfg = ChaosConfig{
 func TestChaosAuditorCleanUnderLoss(t *testing.T) {
 	plan := "at 120 cell-out off-2 for 60\nat 300 crash-zone west\nat 450 crash-signaling"
 	for _, seed := range []int64{1, 2, 3} {
-		res, err := RunChaos(ChaosConfig{Seed: seed, LossRate: 0.1, Plan: plan})
+		res, err := runChaos(chaosConfig{Seed: seed, LossRate: 0.1, Plan: plan}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -50,7 +50,7 @@ func TestChaosAuditorCleanUnderLoss(t *testing.T) {
 // to end: drops must be observed, retransmitted, and still leave the run
 // audit-clean.
 func TestChaosRetransmissionRecovers(t *testing.T) {
-	res, err := RunChaos(ChaosConfig{Seed: 1, LossRate: 0.2, Duration: 300})
+	res, err := runChaos(chaosConfig{Seed: 1, LossRate: 0.2, Duration: 300}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +66,16 @@ func TestChaosRetransmissionRecovers(t *testing.T) {
 // must produce identical results (violations, counters, gap — everything)
 // at any worker count.
 func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := ChaosConfig{
+	cfg := chaosConfig{
 		Seed: 1, Portables: 8, Duration: 180, Settle: 30,
 		LossRate: 0.15,
 		Plan:     "at 60 cell-out off-3 for 30\nat 100 crash-signaling",
 	}
-	sweep := func(workers int) ([]ChaosResult, runner.Stats, error) {
-		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (ChaosResult, error) {
+	sweep := func(workers int) ([]chaosResult, runner.Stats, error) {
+		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (chaosResult, error) {
 			c := cfg
 			c.Seed = seed
-			return RunChaos(c)
+			return runChaos(c, nil)
 		})
 	}
 	serial, _, err := sweep(1)

@@ -71,7 +71,7 @@ func TestExperimentTraceDeterminismAcrossWorkers(t *testing.T) {
 			return rendered(t, r, st, err)
 		}},
 		{"grid-replications", func(t *testing.T, workers int) []byte {
-			cfg := GridConfig{Seed: 3, Rows: 2, Cols: 3, Portables: 16, Duration: 600}
+			cfg := GridConfig{Seed: 3, rows: 2, cols: 3, portables: 16, Duration: 600}
 			rs, st, err := seedTrials(cfg.Seed, 4, workers, func(seed int64) (GridResult, error) {
 				c := cfg
 				c.Seed = seed

@@ -13,11 +13,12 @@ type Figure2Config struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including 0.
 	Seed int64
-	// Students and WalkBys parameterize the underlying meeting scenario.
-	Students, WalkBys int
-	// SlotMinutes is the histogram bin width (default 5).
-	SlotMinutes int
+	// Students sizes the underlying meeting scenario (default 40).
+	Students int
 }
+
+// figure2SlotMinutes is the histogram bin width.
+const figure2SlotMinutes = 5
 
 // Figure2Result is the activity histogram of a lounge over the scenario.
 type Figure2Result struct {
@@ -33,26 +34,19 @@ func RunFigure2(cfg Figure2Config) (Figure2Result, error) {
 	if cfg.Students <= 0 {
 		cfg.Students = 40
 	}
-	if cfg.WalkBys < 0 {
-		cfg.WalkBys = 0
-	}
-	if cfg.SlotMinutes <= 0 {
-		cfg.SlotMinutes = 5
-	}
 	mcfg := mobility.MeetingClassConfig{
 		Students: cfg.Students,
 		Start:    3600,
 		End:      3600 + 50*60,
-		WalkBys:  cfg.WalkBys,
 	}
 	mcfg.Horizon = mcfg.End + 1800
 	tr, err := mobility.MeetingClass(mcfg, randx.New(cfg.Seed))
 	if err != nil {
 		return Figure2Result{}, err
 	}
-	slot := float64(cfg.SlotMinutes) * 60
+	slot := float64(figure2SlotMinutes) * 60
 	return Figure2Result{
-		SlotMinutes: cfg.SlotMinutes,
+		SlotMinutes: figure2SlotMinutes,
 		Activity:    mobility.HandoffSeries(tr, "M", mobility.Touch, slot, mcfg.Horizon),
 	}, nil
 }

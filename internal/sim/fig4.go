@@ -24,13 +24,14 @@ type Figure4Config struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including 0.
 	Seed int64
-	// TrainFraction of the trace trains the profiles; the rest is
-	// evaluated (default 0.5).
-	TrainFraction float64
 }
 
-// PersonaResult is the per-persona outcome of the prediction study.
-type PersonaResult struct {
+// figure4TrainFraction of the trace trains the profiles; the rest is
+// evaluated.
+const figure4TrainFraction = 0.5
+
+// personaResult is the per-persona outcome of the prediction study.
+type personaResult struct {
 	Persona string
 	// Transits is the number of evaluated C→D transits.
 	Transits int
@@ -48,7 +49,7 @@ type PersonaResult struct {
 }
 
 // Accuracy returns Correct/Transits.
-func (p PersonaResult) Accuracy() float64 {
+func (p personaResult) Accuracy() float64 {
 	if p.Transits == 0 {
 		return 0
 	}
@@ -57,9 +58,9 @@ func (p PersonaResult) Accuracy() float64 {
 
 // Figure4Result bundles the experiment outcome.
 type Figure4Result struct {
-	Faculty  PersonaResult
-	Students PersonaResult
-	Crowd    PersonaResult
+	Faculty  personaResult
+	Students personaResult
+	Crowd    personaResult
 	// MeasuredDeck echoes the calibrated trace aggregates so the output
 	// can be checked against the paper's published counts.
 	FacultyDeck, StudentDeck, CrowdDeck mobility.Deck
@@ -71,9 +72,6 @@ type Figure4Result struct {
 // deterministic reservation for office occupants is valid, and brute
 // force advance reservation is extremely wasteful.
 func RunFigure4(cfg Figure4Config) (Figure4Result, error) {
-	if cfg.TrainFraction <= 0 || cfg.TrainFraction >= 1 {
-		cfg.TrainFraction = 0.5
-	}
 	env, err := topology.BuildFigure4("faculty", []string{"stu-a", "stu-b", "stu-c"})
 	if err != nil {
 		return Figure4Result{}, err
@@ -86,13 +84,13 @@ func RunFigure4(cfg Figure4Config) (Figure4Result, error) {
 	}
 	pred := predict.New(env.Universe, profile.ServerOptions{NpP: 500, NpC: 5000})
 
-	cut := trace.Duration() * cfg.TrainFraction
+	cut := trace.Duration() * figure4TrainFraction
 	res := Figure4Result{
-		Faculty:  PersonaResult{Persona: "faculty", ByLevel: map[predict.Level]int{}},
-		Students: PersonaResult{Persona: "students", ByLevel: map[predict.Level]int{}},
-		Crowd:    PersonaResult{Persona: "crowd", ByLevel: map[predict.Level]int{}},
+		Faculty:  personaResult{Persona: "faculty", ByLevel: map[predict.Level]int{}},
+		Students: personaResult{Persona: "students", ByLevel: map[predict.Level]int{}},
+		Crowd:    personaResult{Persona: "crowd", ByLevel: map[predict.Level]int{}},
 	}
-	persona := func(p string) *PersonaResult {
+	persona := func(p string) *personaResult {
 		switch {
 		case p == "faculty":
 			return &res.Faculty
@@ -107,7 +105,7 @@ func RunFigure4(cfg Figure4Config) (Figure4Result, error) {
 	// evaluation-phase portable lands in D from C, compare the §6
 	// prediction against where it actually goes next.
 	type pending struct {
-		pr      *PersonaResult
+		pr      *personaResult
 		decided predict.Decision
 	}
 	waiting := map[string]*pending{}
@@ -167,7 +165,7 @@ func (r Figure4Result) String() string {
 	fmt.Fprintf(&b, "  faculty  %d/%d/%d\n", r.FacultyDeck.ToA, r.FacultyDeck.ToB, r.FacultyDeck.ToOther)
 	fmt.Fprintf(&b, "  students %d/%d/%d\n", r.StudentDeck.ToA, r.StudentDeck.ToB, r.StudentDeck.ToOther)
 	fmt.Fprintf(&b, "  crowd    %d/%d/%d\n", r.CrowdDeck.ToA, r.CrowdDeck.ToB, r.CrowdDeck.ToOther)
-	for _, p := range []PersonaResult{r.Faculty, r.Students, r.Crowd} {
+	for _, p := range []personaResult{r.Faculty, r.Students, r.Crowd} {
 		fmt.Fprintf(&b, "%-8s transits=%d accuracy=%.2f reserved-cells=%d brute-force-cells=%d\n",
 			p.Persona, p.Transits, p.Accuracy(), p.ReservedCells, p.BruteForceCells)
 	}

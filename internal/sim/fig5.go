@@ -42,41 +42,31 @@ func (a Fig5Algorithm) String() string {
 	}
 }
 
-// Figure5Config drives one run of the classroom scenario.
-type Figure5Config struct {
-	// Seed drives the run's randomness; every value is valid and
+// figure5Config drives one run of the classroom scenario.
+type figure5Config struct {
+	// seed drives the run's randomness; every value is valid and
 	// distinct, including 0.
-	Seed int64
-	// Students is the class size (35 lecture / 55 laboratory).
-	Students int
-	// WalkBys is the corridor through-traffic volume.
-	WalkBys int
-	// Capacity is the cell throughput (paper: 1.6 Mb/s).
-	Capacity float64
-	// Algorithm selects the reservation strategy.
-	Algorithm Fig5Algorithm
-	// TrainRounds pre-trains the aggregation algorithm's cell profiles
-	// with this many prior identical classes (default 3) — it needs
-	// history to aggregate, exactly as the paper's base stations would.
-	TrainRounds int
-	// Tth is the static/mobile threshold (§3.4.2, default 300 s): a
-	// portable that has not moved for Tth seconds is static and holds no
-	// advance reservations.
-	Tth float64
+	seed int64
+	// students is the class size (35 lecture / 55 laboratory).
+	students int
+	// walkBys is the corridor through-traffic volume.
+	walkBys int
+	// algorithm selects the reservation strategy.
+	algorithm Fig5Algorithm
 }
 
-func (c Figure5Config) withDefaults() Figure5Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 1.6e6
-	}
-	if c.TrainRounds <= 0 {
-		c.TrainRounds = 3
-	}
-	if c.Tth <= 0 {
-		c.Tth = 300
-	}
-	return c
-}
+const (
+	// figure5Capacity is the cell throughput (paper: 1.6 Mb/s).
+	figure5Capacity = 1.6e6
+	// figure5TrainRounds pre-trains the aggregation algorithm's cell
+	// profiles with this many prior identical classes — it needs history
+	// to aggregate, exactly as the paper's base stations would.
+	figure5TrainRounds = 3
+	// figure5Tth is the static/mobile threshold (§3.4.2): a portable that
+	// has not moved for figure5Tth seconds is static and holds no advance
+	// reservations.
+	figure5Tth = 300
+)
 
 // Figure5Result reports one run.
 type Figure5Result struct {
@@ -138,20 +128,19 @@ func (c *fig5Cell) admitHandoff(portable string, b float64, expected bool, mobil
 	return b <= avail+1e-9
 }
 
-// RunFigure5 simulates the classroom scenario under one reservation
+// runFigure5 simulates the classroom scenario under one reservation
 // algorithm and returns the drop count and the Figure 5 handoff curves.
-func RunFigure5(cfg Figure5Config) (Figure5Result, error) {
-	cfg = cfg.withDefaults()
-	rng := randx.New(cfg.Seed)
-	env, err := topology.BuildMeetingWing(cfg.Capacity)
+func runFigure5(cfg figure5Config) (Figure5Result, error) {
+	rng := randx.New(cfg.seed)
+	env, err := topology.BuildMeetingWing(figure5Capacity)
 	if err != nil {
 		return Figure5Result{}, err
 	}
 	mcfg := mobility.MeetingClassConfig{
-		Students: cfg.Students,
+		Students: cfg.students,
 		Start:    3600,
 		End:      3600 + 50*60,
-		WalkBys:  cfg.WalkBys,
+		WalkBys:  cfg.walkBys,
 		// Corridor traffic peaks at class change (Figure 5 b/d): other
 		// classes let out at the same time.
 		WalkByPeak: true,
@@ -181,7 +170,7 @@ func RunFigure5(cfg Figure5Config) (Figure5Result, error) {
 
 	cells := map[topology.CellID]*fig5Cell{}
 	for _, c := range env.Universe.Cells() {
-		cells[c.ID] = &fig5Cell{cap: cfg.Capacity, active: map[string]float64{}, resv: map[string]float64{}}
+		cells[c.ID] = &fig5Cell{cap: figure5Capacity, active: map[string]float64{}, resv: map[string]float64{}}
 	}
 
 	// Aggregation training: cell profiles from prior identical classes.
@@ -189,9 +178,9 @@ func RunFigure5(cfg Figure5Config) (Figure5Result, error) {
 	for _, c := range env.Universe.Cells() {
 		profiles[c.ID] = profile.NewCellProfile(c.ID, 100000, 60)
 	}
-	if cfg.Algorithm == AlgAggregation {
-		for round := 0; round < cfg.TrainRounds; round++ {
-			tr, err := mobility.MeetingClass(mcfg, randx.New(cfg.Seed+int64(round)+100))
+	if cfg.algorithm == AlgAggregation {
+		for round := 0; round < figure5TrainRounds; round++ {
+			tr, err := mobility.MeetingClass(mcfg, randx.New(cfg.seed+int64(round)+100))
 			if err != nil {
 				return Figure5Result{}, err
 			}
@@ -212,9 +201,9 @@ func RunFigure5(cfg Figure5Config) (Figure5Result, error) {
 	var policy *reserve.MeetingPolicy
 	arrived := map[string]bool{}
 	left := map[string]bool{}
-	if cfg.Algorithm == AlgMeetingRoom {
+	if cfg.algorithm == AlgMeetingRoom {
 		policy, err = reserve.NewMeetingPolicy(
-			reserve.Meeting{Start: mcfg.Start, End: mcfg.End, Attendees: cfg.Students},
+			reserve.Meeting{Start: mcfg.Start, End: mcfg.End, Attendees: cfg.students},
 			reserve.DefaultMeetingConfig())
 		if err != nil {
 			return Figure5Result{}, err
@@ -234,7 +223,7 @@ func RunFigure5(cfg Figure5Config) (Figure5Result, error) {
 		if b == 0 {
 			return
 		}
-		switch cfg.Algorithm {
+		switch cfg.algorithm {
 		case AlgBruteForce:
 			for _, nid := range env.Universe.Cell(at).Neighbors() {
 				cells[nid].resv[p] = b
@@ -255,7 +244,7 @@ func RunFigure5(cfg Figure5Config) (Figure5Result, error) {
 		if policy == nil {
 			return
 		}
-		perUser := classLoad / float64(cfg.Students) // expected per-attendee bandwidth
+		perUser := classLoad / float64(cfg.students) // expected per-attendee bandwidth
 		cells["M"].pool = float64(policy.RoomSlots(now, len(arrived))) * perUser
 		// Departure reservation splits over the room's neighbors per its
 		// cell profile ("according to its cell profile"); with no history
@@ -267,9 +256,9 @@ func RunFigure5(cfg Figure5Config) (Figure5Result, error) {
 	}
 
 	res := Figure5Result{
-		Algorithm:   cfg.Algorithm,
-		Students:    cfg.Students,
-		OfferedLoad: classLoad / cfg.Capacity,
+		Algorithm:   cfg.algorithm,
+		Students:    cfg.students,
+		OfferedLoad: classLoad / figure5Capacity,
 	}
 	// Portables leave the system after their final move: walk-bys exit
 	// the wing, students head back to their offices. Track each
@@ -285,7 +274,7 @@ func RunFigure5(cfg Figure5Config) (Figure5Result, error) {
 	// is static; its advance reservations are ignored (cleared).
 	lastMoveTime := map[string]float64{}
 	now := 0.0
-	mobile := func(p string) bool { return now-lastMoveTime[p] < cfg.Tth }
+	mobile := func(p string) bool { return now-lastMoveTime[p] < figure5Tth }
 	for i, mv := range trace.Moves {
 		now = mv.Time
 		applyMeetingPool(now)
@@ -385,11 +374,11 @@ func RunFigure5Comparison(ctx context.Context, seed int64, walkBys, workers int)
 	classes := []int{35, 55}
 	algs := []Fig5Algorithm{AlgBruteForce, AlgAggregation, AlgMeetingRoom}
 	return runner.Map(ctx, workers, len(classes)*len(algs), func(_ context.Context, i int) (Figure5Result, error) {
-		return RunFigure5(Figure5Config{
-			Seed:      seed,
-			Students:  classes[i/len(algs)],
-			WalkBys:   walkBys,
-			Algorithm: algs[i%len(algs)],
+		return runFigure5(figure5Config{
+			seed:      seed,
+			students:  classes[i/len(algs)],
+			walkBys:   walkBys,
+			algorithm: algs[i%len(algs)],
 		})
 	})
 }

@@ -16,44 +16,38 @@ type Figure6Config struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including 0.
 	Seed int64
-	// Capacity is B_c in units (default 40).
-	Capacity int
+	// capacity is B_c in units (default 40).
+	capacity int
 	// T is the look-ahead window of the probabilistic algorithm.
 	T float64
 	// PQoS is the handoff-dropping design target.
 	PQoS float64
 	// Horizon is the simulated duration in seconds (default 400).
 	Horizon float64
-	// Warmup excludes the initial transient from the counts (default
-	// 10% of Horizon).
-	Warmup float64
 	// Static selects the paper's static-reservation baseline: a fixed
 	// StaticReserve units are withheld from new connections instead of
 	// running the probabilistic algorithm.
 	Static        bool
 	StaticReserve int
-	// Classes defaults to the paper's two types when nil.
-	Classes []reserve.ClassState
-	// Lambdas are the per-class arrival rates (default 30 and 1).
-	Lambdas []float64
+	// classes defaults to the paper's two types when nil.
+	classes []reserve.ClassState
+	// lambdas are the per-class arrival rates (default 30 and 1).
+	lambdas []float64
 }
 
 func (c Figure6Config) withDefaults() Figure6Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 40
+	if c.capacity <= 0 {
+		c.capacity = 40
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 400
 	}
-	if c.Warmup <= 0 {
-		c.Warmup = c.Horizon * 0.1
-	}
-	if c.Classes == nil {
-		c.Classes = []reserve.ClassState{
+	if c.classes == nil {
+		c.classes = []reserve.ClassState{
 			{Bandwidth: 1, Mu: 1 / 0.2, Handoff: 0.7},
 			{Bandwidth: 4, Mu: 1 / 0.25, Handoff: 0.7},
 		}
-		c.Lambdas = []float64{30, 1}
+		c.lambdas = []float64{30, 1}
 	}
 	return c
 }
@@ -81,17 +75,22 @@ type fig6Cell struct {
 // RunFigure6 simulates the two-cell system and measures P_b and P_d.
 func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 	cfg = cfg.withDefaults()
+	// The initial transient, excluded from the counts. The conversion
+	// keeps the product rounded on its own, as the field it replaced
+	// was: fused into a later subtraction it would round differently on
+	// architectures with a fused multiply-add.
+	warmup := float64(cfg.Horizon * 0.1)
 	if !cfg.Static && (cfg.PQoS <= 0 || cfg.PQoS >= 1) {
 		return Figure6Result{}, fmt.Errorf("sim: PQoS must be in (0,1), got %v", cfg.PQoS)
 	}
-	if len(cfg.Lambdas) != len(cfg.Classes) {
-		return Figure6Result{}, fmt.Errorf("sim: %d lambdas for %d classes", len(cfg.Lambdas), len(cfg.Classes))
+	if len(cfg.lambdas) != len(cfg.classes) {
+		return Figure6Result{}, fmt.Errorf("sim: %d lambdas for %d classes", len(cfg.lambdas), len(cfg.classes))
 	}
 	rng := randx.New(cfg.Seed)
 	sim := des.New()
 	cells := [2]*fig6Cell{
-		{counts: make([]int, len(cfg.Classes))},
-		{counts: make([]int, len(cfg.Classes))},
+		{counts: make([]int, len(cfg.classes))},
+		{counts: make([]int, len(cfg.classes))},
 	}
 	res := Figure6Result{T: cfg.T, PQoS: cfg.PQoS}
 
@@ -105,15 +104,15 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 		}
 		other := 1 - cell
 		k := occKey{
-			cells[cell].counts[0], cells[cell].counts[1%len(cfg.Classes)],
-			cells[other].counts[0], cells[other].counts[1%len(cfg.Classes)],
+			cells[cell].counts[0], cells[cell].counts[1%len(cfg.classes)],
+			cells[other].counts[0], cells[other].counts[1%len(cfg.classes)],
 		}
 		if v, ok := planCache[k]; ok {
 			return v
 		}
 		plan, err := reserve.ProbabilisticPlan(
-			cfg.Classes, cells[cell].counts, cells[other].counts,
-			cfg.Capacity, cfg.T, cfg.PQoS)
+			cfg.classes, cells[cell].counts, cells[other].counts,
+			cfg.capacity, cfg.T, cfg.PQoS)
 		v := 0
 		if err == nil || plan.MaxConns != nil {
 			v = plan.Reserved
@@ -126,32 +125,32 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 	var lastSample float64
 	sampleReserved := func() {
 		now := sim.Now()
-		if now > lastSample && now > cfg.Warmup {
+		if now > lastSample && now > warmup {
 			from := lastSample
-			if from < cfg.Warmup {
-				from = cfg.Warmup
+			if from < warmup {
+				from = warmup
 			}
 			reservedArea += float64(reservedIn(0)) * (now - from)
 		}
 		lastSample = now
 	}
 
-	counting := func() bool { return sim.Now() >= cfg.Warmup }
+	counting := func() bool { return sim.Now() >= warmup }
 
 	var depart func(cell, class int)
 	place := func(cell, class int) {
 		cells[cell].counts[class]++
-		cells[cell].used += cfg.Classes[class].Bandwidth
-		sim.PostAfter(rng.Exp(cfg.Classes[class].Mu), func() { depart(cell, class) })
+		cells[cell].used += cfg.classes[class].Bandwidth
+		sim.PostAfter(rng.Exp(cfg.classes[class].Mu), func() { depart(cell, class) })
 	}
 	remove := func(cell, class int) {
 		cells[cell].counts[class]--
-		cells[cell].used -= cfg.Classes[class].Bandwidth
+		cells[cell].used -= cfg.classes[class].Bandwidth
 	}
 	depart = func(cell, class int) {
 		sampleReserved()
 		remove(cell, class)
-		if !rng.Bernoulli(cfg.Classes[class].Handoff) {
+		if !rng.Bernoulli(cfg.classes[class].Handoff) {
 			return // connection terminates
 		}
 		// Handoff to the other cell: may use the reserved bandwidth.
@@ -159,7 +158,7 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 		if counting() {
 			res.HandoffAttempts++
 		}
-		if cells[other].used+cfg.Classes[class].Bandwidth <= cfg.Capacity {
+		if cells[other].used+cfg.classes[class].Bandwidth <= cfg.capacity {
 			place(other, class)
 		} else if counting() {
 			res.HandoffDropped++
@@ -168,9 +167,9 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 
 	// Poisson arrivals per cell and class.
 	for cell := 0; cell < 2; cell++ {
-		for class := range cfg.Classes {
+		for class := range cfg.classes {
 			cell, class := cell, class
-			lam := cfg.Lambdas[class]
+			lam := cfg.lambdas[class]
 			if lam <= 0 {
 				continue
 			}
@@ -181,8 +180,8 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 					if counting() {
 						res.NewArrivals++
 					}
-					b := cfg.Classes[class].Bandwidth
-					if cells[cell].used+b <= cfg.Capacity-reservedIn(cell) {
+					b := cfg.classes[class].Bandwidth
+					if cells[cell].used+b <= cfg.capacity-reservedIn(cell) {
 						place(cell, class)
 					} else if counting() {
 						res.NewBlocked++
@@ -203,7 +202,7 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 	if res.HandoffAttempts > 0 {
 		res.Pd = float64(res.HandoffDropped) / float64(res.HandoffAttempts)
 	}
-	if span := cfg.Horizon - cfg.Warmup; span > 0 {
+	if span := cfg.Horizon - warmup; span > 0 {
 		res.MeanReserved = reservedArea / span
 	}
 	return res, nil

@@ -14,13 +14,13 @@ import (
 	"armnet/internal/topology"
 )
 
-// OverloadConfig drives the campus load-ramp scenario: a population of
+// overloadConfig drives the campus load-ramp scenario: a population of
 // portables arrives staggered over a ramp window, each opening several
 // signaled connections sized so the offered load exceeds the capacity
 // region, with bounded retries keeping the pressure on. The overload
 // policy responds in stages; an auditor verifies the degrade-before-drop
 // invariant; a fault plan composes freely (chaos + overload together).
-type OverloadConfig struct {
+type overloadConfig struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including the zero-value 0.
 	Seed int64
@@ -55,7 +55,7 @@ type OverloadConfig struct {
 	// the literal "default" selects overload.Default().
 	Policy string
 	// Plan is a fault-plan spec in the faults.ParsePlan grammar,
-	// composed with LossRate exactly as in ChaosConfig.
+	// composed with LossRate exactly as in chaosConfig.
 	Plan string
 	// LossRate, when positive, adds a `drop any LossRate` rule.
 	LossRate float64
@@ -71,7 +71,7 @@ type OverloadConfig struct {
 	GapTol float64
 }
 
-func (c OverloadConfig) withDefaults() OverloadConfig {
+func (c overloadConfig) withDefaults() overloadConfig {
 	if c.Portables <= 0 {
 		c.Portables = 40
 	}
@@ -117,7 +117,7 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 }
 
 // policy resolves the Policy spec; nil means disabled.
-func (c OverloadConfig) policy() (*overload.Policy, error) {
+func (c overloadConfig) policy() (*overload.Policy, error) {
 	spec := strings.TrimSpace(c.Policy)
 	if spec == "" {
 		return nil, nil
@@ -129,8 +129,8 @@ func (c OverloadConfig) policy() (*overload.Policy, error) {
 	return overload.ParsePolicy(strings.NewReader(c.Policy))
 }
 
-// OverloadResult is one audited load-ramp run.
-type OverloadResult struct {
+// overloadResult is one audited load-ramp run.
+type overloadResult struct {
 	CampusResult
 	// Sheds counts setups refused by stage or bucket (breaker
 	// fast-fails excluded).
@@ -149,7 +149,7 @@ type OverloadResult struct {
 	BreakerPath []string
 	// PeakStage is the highest stage any cell reached.
 	PeakStage string
-	// FaultsInjected and Retransmits mirror ChaosResult when a fault
+	// FaultsInjected and Retransmits mirror chaosResult when a fault
 	// plan is composed in.
 	FaultsInjected int64
 	Retransmits    int64
@@ -159,11 +159,6 @@ type OverloadResult struct {
 	Violations []string
 	// Events is the total discrete events executed.
 	Events uint64
-}
-
-// RunOverload executes one audited load-ramp scenario.
-func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
-	return runOverload(cfg, nil)
 }
 
 // overloadCollector folds the overload event kinds into the summary —
@@ -195,19 +190,21 @@ func (c *overloadCollector) observe(r eventbus.Record) {
 	}
 }
 
-func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
+// runOverload executes one audited load-ramp scenario, streaming its
+// event trace to traceW when it is non-nil.
+func runOverload(cfg overloadConfig, traceW io.Writer) (overloadResult, error) {
 	cfg = cfg.withDefaults()
 	pol, err := cfg.policy()
 	if err != nil {
-		return OverloadResult{}, err
+		return overloadResult{}, err
 	}
 	plan, err := faultPlan(cfg.Plan, cfg.LossRate)
 	if err != nil {
-		return OverloadResult{}, err
+		return overloadResult{}, err
 	}
 	env, err := topology.BuildCampus()
 	if err != nil {
-		return OverloadResult{}, err
+		return overloadResult{}, err
 	}
 	// The ramp: portable i's whole walk — initial placement included —
 	// shifts by Ramp·i/N, so arrivals spread over the ramp window and
@@ -222,7 +219,7 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 		}
 		one, err := mobility.RandomWalk(env.Universe, []string{fmt.Sprintf("p%02d", i)}, cfg.Dwell, horizon, randx.New(cfg.Seed+1000+int64(i)*7919))
 		if err != nil {
-			return OverloadResult{}, err
+			return overloadResult{}, err
 		}
 		for _, mv := range one.Moves {
 			mv.Time += offset
@@ -244,7 +241,7 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 	}
 	mgr, err := w.start()
 	if err != nil {
-		return OverloadResult{}, err
+		return overloadResult{}, err
 	}
 	simulator, req := mgr.Sim, w.req
 	// openWith retries shed, fast-failed, and rejected setups a bounded
@@ -290,10 +287,10 @@ func runOverload(cfg OverloadConfig, traceW io.Writer) (OverloadResult, error) {
 	}
 	violations, err := w.run(auditors...)
 	if err != nil {
-		return OverloadResult{}, err
+		return overloadResult{}, err
 	}
 	ctr := mgr.Met.Counter
-	return OverloadResult{
+	return overloadResult{
 		CampusResult:     campusResult(mgr),
 		Sheds:            ctr.Get(core.CtrShedSetups),
 		DegradeCascades:  ctr.Get(core.CtrDegradeCascades),

@@ -17,7 +17,7 @@ var updateOverload = flag.Bool("update-overload", false, "rewrite the overload t
 // overloadGoldenCfg is the pinned seed-1 load ramp under the reference
 // policy: 40 portables arriving over 240 s, two signaled connections
 // each, sized so the campus capacity region is exceeded mid-ramp.
-var overloadGoldenCfg = OverloadConfig{Seed: 1, Policy: "default"}
+var overloadGoldenCfg = overloadConfig{Seed: 1, Policy: "default"}
 
 // TestOverloadRampAudited is the headline robustness claim: under a
 // load ramp that exceeds the capacity region, the staged response runs
@@ -26,7 +26,7 @@ var overloadGoldenCfg = OverloadConfig{Seed: 1, Policy: "default"}
 // holds more than b_min on the contended link.
 func TestOverloadRampAudited(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		res, err := RunOverload(OverloadConfig{Seed: seed, Policy: "default"})
+		res, err := runOverload(overloadConfig{Seed: seed, Policy: "default"}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -53,7 +53,7 @@ func TestOverloadRampAudited(t *testing.T) {
 // cooldown, and eventually close on a successful probe — and the whole
 // transition path must be reproducible run to run.
 func TestOverloadBreakerLifecycle(t *testing.T) {
-	res, err := RunOverload(overloadGoldenCfg)
+	res, err := runOverload(overloadGoldenCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 			t.Fatalf("breaker path missing %q: %s", want, path)
 		}
 	}
-	again, err := RunOverload(overloadGoldenCfg)
+	again, err := runOverload(overloadGoldenCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 // pre-existing scenarios untouched is pinned by the campus and chaos
 // trace goldens, which run without one.)
 func TestOverloadNilPolicyZeroCost(t *testing.T) {
-	cfg := OverloadConfig{Seed: 1} // Policy empty: disabled
+	cfg := overloadConfig{Seed: 1} // Policy empty: disabled
 	var buf, buf2 bytes.Buffer
 	res, err := runOverload(cfg, &buf)
 	if err != nil {
@@ -114,12 +114,12 @@ func TestOverloadNilPolicyZeroCost(t *testing.T) {
 // lossy control plane plus a mid-ramp cell outage, with both auditors
 // armed. Both subsystems must fire and both invariant sets must hold.
 func TestOverloadComposesWithFaults(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{
+	res, err := runOverload(overloadConfig{
 		Seed:     1,
 		Policy:   "default",
 		LossRate: 0.1,
 		Plan:     "at 150 cell-out off-2 for 60",
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +141,12 @@ func TestOverloadComposesWithFaults(t *testing.T) {
 // must produce identical results — breaker paths, violations, counters,
 // everything — at any worker count.
 func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := OverloadConfig{Seed: 1, Policy: "default", LossRate: 0.05}
-	sweep := func(workers int) ([]OverloadResult, runner.Stats, error) {
-		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (OverloadResult, error) {
+	cfg := overloadConfig{Seed: 1, Policy: "default", LossRate: 0.05}
+	sweep := func(workers int) ([]overloadResult, runner.Stats, error) {
+		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (overloadResult, error) {
 			c := cfg
 			c.Seed = seed
-			return RunOverload(c)
+			return runOverload(c, nil)
 		})
 	}
 	serial, _, err := sweep(1)
@@ -225,7 +225,7 @@ func TestOverloadTraceGolden(t *testing.T) {
 func TestOverloadTraceDeterminismAcrossRuns(t *testing.T) {
 	faulty := overloadGoldenCfg
 	faulty.LossRate, faulty.Plan = 0.1, "at 150 cell-out off-2 for 60"
-	for name, cfg := range map[string]OverloadConfig{"golden": overloadGoldenCfg, "with-faults": faulty} {
+	for name, cfg := range map[string]overloadConfig{"golden": overloadGoldenCfg, "with-faults": faulty} {
 		var first []byte
 		for run := 0; run < 5; run++ {
 			var buf bytes.Buffer

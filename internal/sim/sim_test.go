@@ -170,8 +170,8 @@ func TestFigure6Validation(t *testing.T) {
 		t.Fatal("PQoS=0 accepted for probabilistic run")
 	}
 	bad := Figure6Config{Seed: 1, T: 0.05, PQoS: 0.05, Horizon: 10}
-	bad.Classes = (Figure6Config{}).withDefaults().Classes
-	bad.Lambdas = []float64{1} // mismatched
+	bad.classes = (Figure6Config{}).withDefaults().classes
+	bad.lambdas = []float64{1} // mismatched
 	if _, err := RunFigure6(bad); err == nil {
 		t.Fatal("mismatched lambdas accepted")
 	}
@@ -218,7 +218,7 @@ func TestTable2BothDisciplines(t *testing.T) {
 }
 
 func TestTable2StaticStamp(t *testing.T) {
-	r, err := RunTable2(Table2Config{Mobility: qos.Static, BStamp: 50e3})
+	r, err := RunTable2(Table2Config{mobility: qos.Static, bStamp: 50e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestFigure5ArrivalDepartureAggregation(t *testing.T) {
 	// aggregated in a 10 minute period around the start of the class,
 	// while the handoffs out of the classes were mostly aggregated in a
 	// 5 minute period after the class."
-	r, err := RunFigure5(Figure5Config{Seed: 5, Students: 55, WalkBys: 400, Algorithm: AlgMeetingRoom})
+	r, err := runFigure5(figure5Config{seed: 5, students: 55, walkBys: 400, algorithm: AlgMeetingRoom})
 	if err != nil {
 		t.Fatal(err)
 	}

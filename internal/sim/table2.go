@@ -14,40 +14,28 @@ import (
 // the given QoS request admitted over an n-hop path under one scheduling
 // discipline.
 type Table2Config struct {
-	// Hops is the wired path length before the wireless hop (default 3).
-	Hops int
-	// WiredCapacity and WirelessCapacity set the link speeds.
-	WiredCapacity, WirelessCapacity float64
 	// Discipline selects WFQ or RCSP buffer rows.
 	Discipline sched.Discipline
-	// Request is the connection's QoS requirement.
-	Request qos.Request
-	// Mobility selects the reverse-pass allocation rule.
-	Mobility qos.Mobility
-	// BStamp is the stamped rate carried by the forward pass.
-	BStamp float64
+	// mobility selects the reverse-pass allocation rule.
+	mobility qos.Mobility
+	// bStamp is the stamped rate carried by the forward pass.
+	bStamp float64
 }
 
-func (c Table2Config) withDefaults() Table2Config {
-	if c.Hops <= 0 {
-		c.Hops = 3
-	}
-	if c.WiredCapacity <= 0 {
-		c.WiredCapacity = 10e6
-	}
-	if c.WirelessCapacity <= 0 {
-		c.WirelessCapacity = 1.6e6
-	}
-	if c.Request.Bandwidth.Min == 0 {
-		c.Request = qos.Request{
-			Bandwidth: qos.Bounds{Min: 64e3, Max: 256e3},
-			Delay:     2,
-			Jitter:    2,
-			Loss:      0.02,
-			Traffic:   qos.TrafficSpec{Sigma: 16e3, Rho: 64e3},
-		}
-	}
-	return c
+const (
+	// table2Hops is the wired path length before the wireless hop.
+	table2Hops = 3
+	// table2Wired and table2Wireless set the link speeds.
+	table2Wired, table2Wireless = 10e6, 1.6e6
+)
+
+// table2Request is the connection's QoS requirement.
+var table2Request = qos.Request{
+	Bandwidth: qos.Bounds{Min: 64e3, Max: 256e3},
+	Delay:     2,
+	Jitter:    2,
+	Loss:      0.02,
+	Traffic:   qos.TrafficSpec{Sigma: 16e3, Rho: 64e3},
 }
 
 // Table2Result is the per-hop admission outcome — the rows of Table 2.
@@ -56,8 +44,8 @@ type Table2Result struct {
 	admission.Result
 }
 
-// BuildTable2Path constructs the linear host→switches→bs→air topology.
-func BuildTable2Path(hops int, wired, wireless float64) (*topology.Backbone, topology.Route, error) {
+// buildTable2Path constructs the linear host→switches→bs→air topology.
+func buildTable2Path(hops int, wired, wireless float64) (*topology.Backbone, topology.Route, error) {
 	b := topology.NewBackbone()
 	prev := topology.NodeID("host")
 	if _, err := b.AddNode(topology.Node{ID: prev, Kind: topology.KindHost}); err != nil {
@@ -89,19 +77,18 @@ func BuildTable2Path(hops int, wired, wireless float64) (*topology.Backbone, top
 // RunTable2 admits one connection over the configured path and returns
 // the per-hop forward/reverse values of Table 2.
 func RunTable2(cfg Table2Config) (Table2Result, error) {
-	cfg = cfg.withDefaults()
-	b, route, err := BuildTable2Path(cfg.Hops, cfg.WiredCapacity, cfg.WirelessCapacity)
+	b, route, err := buildTable2Path(table2Hops, table2Wired, table2Wireless)
 	if err != nil {
 		return Table2Result{}, err
 	}
 	ctl := admission.NewController(admission.NewLedger(b))
 	res, err := ctl.Admit(admission.Test{
 		ConnID:     "demo",
-		Req:        cfg.Request,
+		Req:        table2Request,
 		Route:      route,
 		Kind:       admission.KindNew,
-		Mobility:   cfg.Mobility,
-		BStamp:     cfg.BStamp,
+		Mobility:   cfg.mobility,
+		BStamp:     cfg.bStamp,
 		Discipline: cfg.Discipline,
 	})
 	if err != nil {

@@ -20,8 +20,6 @@ type Theorem1Config struct {
 	Seed int64
 	// Instances is the number of random problem instances (default 20).
 	Instances int
-	// MaxLinks and MaxConns bound instance size (defaults 4 and 6).
-	MaxLinks, MaxConns int
 	// Refined selects the M(l) refinement.
 	Refined bool
 	// Perturb additionally changes one link's capacity after initial
@@ -34,14 +32,11 @@ func (c Theorem1Config) withDefaults() Theorem1Config {
 	if c.Instances <= 0 {
 		c.Instances = 20
 	}
-	if c.MaxLinks <= 0 {
-		c.MaxLinks = 4
-	}
-	if c.MaxConns <= 0 {
-		c.MaxConns = 6
-	}
 	return c
 }
+
+// theorem1MaxLinks and theorem1MaxConns bound instance size.
+const theorem1MaxLinks, theorem1MaxConns = 4, 6
 
 // Theorem1Result aggregates the convergence study.
 type Theorem1Result struct {
@@ -111,7 +106,7 @@ func RunTheorem1(ctx context.Context, cfg Theorem1Config, workers int) (Theorem1
 // the settled rates against the water-filling oracle.
 func runTheorem1Instance(cfg Theorem1Config, seed int64) (theorem1Trial, error) {
 	rng := randx.New(seed)
-	p := randomMaxminProblem(rng, 1+rng.Intn(cfg.MaxLinks), 1+rng.Intn(cfg.MaxConns))
+	p := randomMaxminProblem(rng, 1+rng.Intn(theorem1MaxLinks), 1+rng.Intn(theorem1MaxConns))
 	simulator := des.New()
 	pr := maxmin.NewProtocolOn(clock.Sim(simulator), maxmin.ProtocolOptions{Refined: cfg.Refined})
 	for _, l := range sortx.Keys(p.Capacity) {

@@ -126,7 +126,7 @@ func (w *walk) run(audits ...func() []string) ([]string, error) {
 // taken as given, without CampusConfig's defaults. The finished manager
 // is returned, its observer (when armed) already finished at the horizon.
 func RunWalk(env *topology.Environment, base core.Config, cfg CampusConfig, replay *mobility.Trace, traceW io.Writer) (*core.Manager, error) {
-	base.Seed, base.Mode, base.Tth = cfg.Seed, cfg.Mode, cfg.Tth
+	base.Seed, base.Mode, base.Tth = cfg.Seed, cfg.Mode, cfg.tth
 	base.Allocator, base.Admitter = cfg.Allocator, cfg.Admitter
 	if cfg.Obs {
 		base.Obs = &obs.Options{Spans: cfg.Spans}

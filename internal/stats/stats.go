@@ -43,8 +43,8 @@ func (w *Welford) N() int64 { return w.n }
 // Mean returns the sample mean (zero when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Var returns the unbiased sample variance (zero for n < 2).
-func (w *Welford) Var() float64 {
+// variance returns the unbiased sample variance (zero for n < 2).
+func (w *Welford) variance() float64 {
 	if w.n < 2 {
 		return 0
 	}
@@ -52,7 +52,7 @@ func (w *Welford) Var() float64 {
 }
 
 // Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
+func (w *Welford) Std() float64 { return math.Sqrt(w.variance()) }
 
 // Min returns the smallest sample (zero when empty).
 func (w *Welford) Min() float64 { return w.min }
@@ -82,9 +82,6 @@ func (tw *TimeWeighted) Set(t, v float64) {
 	tw.lastTime = t
 }
 
-// Add shifts the signal by delta at time t (convenient for gauges).
-func (tw *TimeWeighted) Add(t, delta float64) { tw.Set(t, tw.last+delta) }
-
 // Mean returns the time-weighted mean over [start, t].
 func (tw *TimeWeighted) Mean(t float64) float64 {
 	if !tw.started || t <= tw.start {
@@ -96,9 +93,6 @@ func (tw *TimeWeighted) Mean(t float64) float64 {
 	}
 	return area / (t - tw.start)
 }
-
-// Value returns the current signal value.
-func (tw *TimeWeighted) Value() float64 { return tw.last }
 
 // Histogram is a fixed-width-bin histogram over [Lo, Hi); out-of-range
 // samples land in the first/last bin.
@@ -132,17 +126,8 @@ func (h *Histogram) Observe(x float64) {
 	h.n++
 }
 
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// Bins returns a copy of all bin counts.
-func (h *Histogram) Bins() []int64 { return append([]int64(nil), h.bins...) }
-
-// N returns the total number of samples.
-func (h *Histogram) N() int64 { return h.n }
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
+// binCenter returns the midpoint value of bin i.
+func (h *Histogram) binCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.bins))
 	return h.Lo + w*(float64(i)+0.5)
 }
@@ -157,7 +142,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.bins {
 		acc += c
 		if acc > target {
-			return h.BinCenter(i)
+			return h.binCenter(i)
 		}
 	}
 	return h.Hi

@@ -9,7 +9,7 @@ import (
 
 func TestWelford(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 {
+	if w.Mean() != 0 || w.variance() != 0 {
 		t.Fatal("empty accumulator not zero")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -22,8 +22,8 @@ func TestWelford(t *testing.T) {
 		t.Fatalf("mean = %v", w.Mean())
 	}
 	// Population variance is 4; unbiased = 4*8/7.
-	if math.Abs(w.Var()-32.0/7) > 1e-9 {
-		t.Fatalf("var = %v", w.Var())
+	if math.Abs(w.variance()-32.0/7) > 1e-9 {
+		t.Fatalf("var = %v", w.variance())
 	}
 	if w.Min() != 2 || w.Max() != 9 {
 		t.Fatalf("min/max = %v/%v", w.Min(), w.Max())
@@ -37,12 +37,9 @@ func TestTimeWeighted(t *testing.T) {
 	if got := tw.Mean(4); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("mean = %v, want 2", got)
 	}
-	tw.Add(4, -2) // value 1 on [4, 6)
+	tw.Set(4, 1) // value 1 on [4, 6)
 	if got := tw.Mean(6); math.Abs(got-(1*2+3*2+1*2)/6.0) > 1e-12 {
 		t.Fatalf("mean = %v", got)
-	}
-	if tw.Value() != 1 {
-		t.Fatalf("value = %v", tw.Value())
 	}
 	var empty TimeWeighted
 	if empty.Mean(10) != 0 {
@@ -66,13 +63,13 @@ func TestHistogram(t *testing.T) {
 	h.Observe(5.6)
 	h.Observe(-3)  // clamps to first bin
 	h.Observe(100) // clamps to last bin
-	if h.Bin(0) != 2 || h.Bin(5) != 2 || h.Bin(9) != 1 {
-		t.Fatalf("bins = %v", h.Bins())
+	if h.bins[0] != 2 || h.bins[5] != 2 || h.bins[9] != 1 {
+		t.Fatalf("bins = %v", h.bins)
 	}
-	if h.N() != 5 {
-		t.Fatalf("N = %d", h.N())
+	if h.n != 5 {
+		t.Fatalf("n = %d", h.n)
 	}
-	if c := h.BinCenter(5); math.Abs(c-5.5) > 1e-12 {
+	if c := h.binCenter(5); math.Abs(c-5.5) > 1e-12 {
 		t.Fatalf("center = %v", c)
 	}
 	if q := h.Quantile(0.5); q < 0 || q > 10 {
@@ -129,10 +126,10 @@ func TestQuickHistogramTotal(t *testing.T) {
 			h.Observe(float64(r))
 		}
 		total := int64(0)
-		for _, b := range h.Bins() {
+		for _, b := range h.bins {
 			total += b
 		}
-		return total == int64(len(raw)) && h.N() == total
+		return total == int64(len(raw)) && h.n == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

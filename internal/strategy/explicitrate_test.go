@@ -39,7 +39,7 @@ func newRateRig(t *testing.T, name string, opts maxmin.ProtocolOptions) *rateRig
 		case eventbus.MaxminConverged:
 			r.converged++
 		}
-	}, eventbus.KindControlRetransmit, eventbus.KindReadvertise, eventbus.KindMaxminConverged)
+	}, eventbus.KindControlRetransmit, eventbus.Readvertise{}.Kind(), eventbus.KindMaxminConverged)
 	for link, capacity := range map[string]float64{"a": 6e6, "b": 4e6} {
 		if err := a.AddLink(link, capacity); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func sameRates(t *testing.T, got, want map[string]float64) {
 // sweep packets and the first m UPDATE packets to reach hop 1 — the
 // second switch, so the lost packet strands partial recorded state
 // upstream like a real mid-path loss.
-func dropFirst(sweeps, updates int) maxmin.Deliver {
+func dropFirst(sweeps, updates int) func(conn string, hop int, update bool) (drop bool, delay float64) {
 	return func(_ string, hop int, update bool) (bool, float64) {
 		if hop != 1 {
 			return false, 0
@@ -143,14 +143,14 @@ func TestExplicitRateRetransmission(t *testing.T) {
 func TestExplicitRateReadvertiseRepair(t *testing.T) {
 	for _, name := range explicitRateRivals {
 		t.Run(name, func(t *testing.T) {
-			opts := maxmin.ProtocolOptions{MaxRetries: 1, ReadvertisePeriod: 0.5}
+			opts := maxmin.ProtocolOptions{ReadvertisePeriod: 0.5}
 			want := newRateRig(t, name, opts).workload(t)
-			opts.Deliver = dropFirst(2, 0) // the sweep and its one retry
+			opts.Deliver = dropFirst(4, 0) // the sweep and its three retries
 			r := newRateRig(t, name, opts)
 			got := r.workload(t)
 			st := r.alloc.Stats()
-			if st.Retransmits != 1 {
-				t.Fatalf("Retransmits = %d, want exactly the MaxRetries=1 budget", st.Retransmits)
+			if st.Retransmits != 3 {
+				t.Fatalf("Retransmits = %d, want exactly the default budget of 3", st.Retransmits)
 			}
 			if st.Readvertises == 0 || r.readverts == 0 {
 				t.Fatalf("abandoned session was not repaired: Readvertises = %d, Readvertise events = %d",

@@ -27,10 +27,16 @@ func TestAdmittersNeverAdmitUnbookable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			b := topology.NewBackbone()
 			for _, id := range []topology.NodeID{"h", "bs", "air"} {
-				b.MustAddNode(topology.Node{ID: id})
+				if _, err := b.AddNode(topology.Node{ID: id}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			b.MustAddDuplex(topology.Link{From: "h", To: "bs", Capacity: 3e6, PropDelay: 1e-3})
-			b.MustAddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true})
+			if err := b.AddDuplex(topology.Link{From: "h", To: "bs", Capacity: 3e6, PropDelay: 1e-3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true}); err != nil {
+				t.Fatal(err)
+			}
 			route, err := b.ShortestPath("h", "air")
 			if err != nil {
 				t.Fatal(err)
@@ -104,10 +110,16 @@ func TestDegradeRestoreRoundTripUnderEachAllocator(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			b := topology.NewBackbone()
 			for _, id := range []topology.NodeID{"h", "bs", "air"} {
-				b.MustAddNode(topology.Node{ID: id})
+				if _, err := b.AddNode(topology.Node{ID: id}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			b.MustAddDuplex(topology.Link{From: "h", To: "bs", Capacity: 10e6, PropDelay: 1e-3})
-			b.MustAddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true})
+			if err := b.AddDuplex(topology.Link{From: "h", To: "bs", Capacity: 10e6, PropDelay: 1e-3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true}); err != nil {
+				t.Fatal(err)
+			}
 			route, err := b.ShortestPath("h", "air")
 			if err != nil {
 				t.Fatal(err)

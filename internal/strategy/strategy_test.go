@@ -215,10 +215,16 @@ func measuredRig(t *testing.T) (admission.Admitter, *admission.Ledger, topology.
 	t.Helper()
 	b := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"h", "bs", "air"} {
-		b.MustAddNode(topology.Node{ID: id})
+		if _, err := b.AddNode(topology.Node{ID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.MustAddDuplex(topology.Link{From: "h", To: "bs", Capacity: 10e6, PropDelay: 1e-3})
-	b.MustAddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true})
+	if err := b.AddDuplex(topology.Link{From: "h", To: "bs", Capacity: 10e6, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(topology.Link{From: "bs", To: "air", Capacity: 1.6e6, Wireless: true}); err != nil {
+		t.Fatal(err)
+	}
 	route, err := b.ShortestPath("h", "air")
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ func NewHandler(o Options) http.Handler {
 			stream = o.Spans()
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_, _ = w.Write(Tail(stream, n))
+		_, _ = w.Write(tail(stream, n))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -91,10 +91,10 @@ func NewHandler(o Options) http.Handler {
 	return mux
 }
 
-// Tail returns the last n lines of a newline-delimited stream (all of
+// tail returns the last n lines of a newline-delimited stream (all of
 // it when it has fewer). A trailing newline does not count as an empty
 // final line.
-func Tail(stream []byte, n int) []byte {
+func tail(stream []byte, n int) []byte {
 	lines := bytes.SplitAfter(stream, []byte("\n"))
 	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
 		lines = lines[:len(lines)-1]

@@ -119,7 +119,7 @@ func TestTail(t *testing.T) {
 		{"a\nb\nc\n", 0, ""},
 	}
 	for _, c := range cases {
-		if got := string(Tail([]byte(c.stream), c.n)); got != c.want {
+		if got := string(tail([]byte(c.stream), c.n)); got != c.want {
 			t.Errorf("Tail(%q, %d) = %q, want %q", c.stream, c.n, got, c.want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"armnet/internal/des"
+	"armnet/internal/eventbus"
 	"armnet/internal/netfaults"
 	"armnet/internal/raceflag"
 	"armnet/internal/topology"
@@ -36,8 +37,8 @@ func BenchmarkLoopbackRoundTrip(b *testing.B) {
 		if am.Type != wire.TAck || am.AckSeq != uint32(i+1) {
 			b.Fatalf("bad ack %+v", am)
 		}
-		if n.buf.Len() > 1<<20 {
-			n.buf.Reset() // cap trace growth; the recorder keeps writing
+		if i%4096 == 4095 {
+			n.buf = eventbus.TraceBuffer{} // cap trace growth; the recorder keeps writing
 		}
 	}
 }
@@ -55,8 +56,8 @@ func BenchmarkNodeHandleFrame(b *testing.B) {
 		if _, _, err := n.HandleFrame(frame); err != nil {
 			b.Fatal(err)
 		}
-		if n.buf.Len() > 1<<20 {
-			n.buf.Reset()
+		if i%4096 == 4095 {
+			n.buf = eventbus.TraceBuffer{}
 		}
 	}
 }
@@ -101,7 +102,7 @@ func TestLoopbackDeliverAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := NewCluster(env)
-	routing := NewRouting(cluster)
+	routing := newRouting(cluster)
 	nodes := make([]*Node, len(cluster.Names))
 	sim := des.New()
 	for i, name := range cluster.Names {
@@ -112,7 +113,7 @@ func TestLoopbackDeliverAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routing.Register("portable-17:2", route, 256e3)
+	routing.register("portable-17:2", route, 256e3)
 	hops := len(route.Links)
 	round := func() {
 		for hop := 0; hop < 2*hops; hop++ {

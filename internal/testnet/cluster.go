@@ -6,23 +6,23 @@ import (
 	"armnet/internal/topology"
 )
 
-// Cluster partitions a backbone's links among node agents: one agent per
+// clusterNet partitions a backbone's links among node agents: one agent per
 // zone (owning the zone switch's subtree — base stations and air
 // interfaces) plus a core agent for everything else (core↔zone trunks,
 // wired hosts).
-type Cluster struct {
+type clusterNet struct {
 	// Names lists the agents in deterministic order, core first; an
 	// agent's index in it is how the routing and transports address it.
 	Names []string
 	owner map[topology.LinkID]int
 }
 
-// CoreAgent owns every link not claimed by a zone.
-const CoreAgent = "core"
+// coreAgent owns every link not claimed by a zone.
+const coreAgent = "core"
 
 // NewCluster derives the agent partition from the environment.
-func NewCluster(env *topology.Environment) *Cluster {
-	c := &Cluster{owner: make(map[topology.LinkID]int)}
+func NewCluster(env *topology.Environment) *clusterNet {
+	c := &clusterNet{owner: make(map[topology.LinkID]int)}
 	zones := append([]string(nil), env.Universe.Zones()...)
 	sort.Strings(zones)
 	zoneOf := make(map[topology.NodeID]string)
@@ -40,13 +40,13 @@ func NewCluster(env *topology.Environment) *Cluster {
 	owner := make([]string, len(links))
 	names := map[string]bool{}
 	for i, l := range links {
-		owner[i] = CoreAgent
+		owner[i] = coreAgent
 		if z, ok := zoneOf[l.To]; ok {
 			owner[i] = z
 		} else if z, ok := zoneOf[l.From]; ok {
 			owner[i] = z
 		}
-		if owner[i] != CoreAgent {
+		if owner[i] != coreAgent {
 			names[owner[i]] = true
 		}
 	}
@@ -55,21 +55,21 @@ func NewCluster(env *topology.Environment) *Cluster {
 		rest = append(rest, n)
 	}
 	sort.Strings(rest)
-	c.Names = append([]string{CoreAgent}, rest...)
+	c.Names = append([]string{coreAgent}, rest...)
 	for i, l := range links {
-		c.owner[l.ID], _ = c.Index(owner[i])
+		c.owner[l.ID], _ = c.index(owner[i])
 	}
 	return c
 }
 
-// Agent returns the index in Names of the agent owning a link (core for
+// agent returns the index in Names of the agent owning a link (core for
 // unknown links, so a misrouted frame still lands somewhere observable).
-func (c *Cluster) Agent(link topology.LinkID) int {
+func (c *clusterNet) agent(link topology.LinkID) int {
 	return c.owner[link] // the zero value is the core agent's index
 }
 
-// Index returns an agent's index in Names.
-func (c *Cluster) Index(name string) (int, bool) {
+// index returns an agent's index in Names.
+func (c *clusterNet) index(name string) (int, bool) {
 	for i, n := range c.Names {
 		if n == name {
 			return i, true

@@ -40,9 +40,9 @@ func DiffTraces(a, b []byte) string {
 	return ""
 }
 
-// NormalizeLine strips the per-run envelope (seq, t) from one trace
+// normalizeLine strips the per-run envelope (seq, t) from one trace
 // line, keeping the event content that must survive a transport swap.
-func NormalizeLine(line string) string {
+func normalizeLine(line string) string {
 	var env struct {
 		Type string          `json:"type"`
 		Ev   json.RawMessage `json:"ev"`
@@ -81,39 +81,6 @@ func DiffNodeFrames(a, b map[string][]byte) []string {
 	return out
 }
 
-// MergeTraces interleaves per-node traces into one human-readable
-// stream ordered by (t, node, seq), each line prefixed with its node.
-func MergeTraces(traces map[string][]byte) []string {
-	type entry struct {
-		Seq  uint64  `json:"seq"`
-		Time float64 `json:"t"`
-		node string
-		line string
-	}
-	var all []entry
-	for _, node := range sortedKeys(toSet(traces)) {
-		for _, line := range traceLines(traces[node]) {
-			e := entry{node: node, line: line}
-			_ = json.Unmarshal([]byte(line), &e)
-			all = append(all, e)
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Time != all[j].Time {
-			return all[i].Time < all[j].Time
-		}
-		if all[i].node != all[j].node {
-			return all[i].node < all[j].node
-		}
-		return all[i].Seq < all[j].Seq
-	})
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = e.node + " " + e.line
-	}
-	return out
-}
-
 // TraceEvents counts the lines in a JSONL trace.
 func TraceEvents(trace []byte) int { return len(traceLines(trace)) }
 
@@ -129,7 +96,7 @@ func normalizedSorted(trace []byte) []string {
 	lines := traceLines(trace)
 	out := make([]string, len(lines))
 	for i, l := range lines {
-		out[i] = NormalizeLine(l)
+		out[i] = normalizeLine(l)
 	}
 	sort.Strings(out)
 	return out

@@ -23,8 +23,8 @@ type faultyTransport struct {
 	inner   transport
 	inj     *netfaults.Injector
 	clk     clock.Clock
-	routing *Routing
-	cluster *Cluster
+	routing *routeTable
+	cluster *clusterNet
 	// nodes lets a crash wipe the in-process agent's volatile state, by
 	// agent index (nil under UDP, where the node process owns its own
 	// lifecycle).
@@ -42,12 +42,12 @@ type faultyTransport struct {
 	// PartitionDrops counts frames eaten by down agents; Crashes and
 	// Restarts count node lifecycle transitions the layer executed.
 	PartitionDrops, Crashes, Restarts int
-	// acc accumulates injector counters across SetPlan swaps, so epoch
+	// acc accumulates injector counters across setPlan swaps, so epoch
 	// rotation does not lose the earlier epochs' firings.
 	acc [4]int
 }
 
-func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Clock, routing *Routing, cluster *Cluster, nodes []*Node) *faultyTransport {
+func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Clock, routing *routeTable, cluster *clusterNet, nodes []*Node) *faultyTransport {
 	return &faultyTransport{
 		inner: inner, inj: netfaults.NewInjector(plan, seed),
 		clk: clk, routing: routing, cluster: cluster, nodes: nodes,
@@ -55,39 +55,39 @@ func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Cloc
 	}
 }
 
-// SetPlan swaps the active fault plan (soak epochs rotate plans); nil
+// setPlan swaps the active fault plan (soak epochs rotate plans); nil
 // disables injection while keeping partition/crash state. The outgoing
 // injector's counters are folded into the running totals.
-func (t *faultyTransport) SetPlan(plan *netfaults.Plan, seed int64) {
-	t.acc[0], t.acc[1], t.acc[2], t.acc[3] = t.Stats()
+func (t *faultyTransport) setPlan(plan *netfaults.Plan, seed int64) {
+	t.acc[0], t.acc[1], t.acc[2], t.acc[3] = t.stats()
 	t.inj = netfaults.NewInjector(plan, seed)
 }
 
-// Stats returns the cumulative injector firings — across every plan the
+// stats returns the cumulative injector firings — across every plan the
 // layer has run, including the live one.
-func (t *faultyTransport) Stats() (drops, dups, delays, reorders int) {
+func (t *faultyTransport) stats() (drops, dups, delays, reorders int) {
 	return t.acc[0] + t.inj.Drops, t.acc[1] + t.inj.Dups, t.acc[2] + t.inj.Delays, t.acc[3] + t.inj.Reorders
 }
 
-// Partition makes an agent unreachable without losing its state.
-func (t *faultyTransport) Partition(agent string) { t.down[agent] = true }
+// partition makes an agent unreachable without losing its state.
+func (t *faultyTransport) partition(agent string) { t.down[agent] = true }
 
-// Heal restores reachability after a partition.
-func (t *faultyTransport) Heal(agent string) { delete(t.down, agent) }
+// heal restores reachability after a partition.
+func (t *faultyTransport) heal(agent string) { delete(t.down, agent) }
 
-// Crash takes an agent down and wipes its volatile state.
-func (t *faultyTransport) Crash(agent string) {
+// crash takes an agent down and wipes its volatile state.
+func (t *faultyTransport) crash(agent string) {
 	t.down[agent] = true
 	t.Crashes++
 	t.obs.Verdict("crash")
-	if i, ok := t.cluster.Index(agent); ok && i < len(t.nodes) {
-		t.nodes[i].Restart() // state is lost at the crash; the process slot stays
+	if i, ok := t.cluster.index(agent); ok && i < len(t.nodes) {
+		t.nodes[i].restart() // state is lost at the crash; the process slot stays
 	}
 }
 
-// Restart brings a crashed agent back and runs the controller-side
+// restart brings a crashed agent back and runs the controller-side
 // re-LISTEN handshake.
-func (t *faultyTransport) Restart(agent string) {
+func (t *faultyTransport) restart(agent string) {
 	delete(t.down, agent)
 	t.Restarts++
 	t.obs.Verdict("restart")
@@ -100,18 +100,15 @@ func (t *faultyTransport) Restart(agent string) {
 func (t *faultyTransport) apply(f faults.Timed) {
 	switch f.Action {
 	case "partition":
-		t.Partition(f.Target)
+		t.partition(f.Target)
 	case "heal":
-		t.Heal(f.Target)
+		t.heal(f.Target)
 	case "crash":
-		t.Crash(f.Target)
+		t.crash(f.Target)
 	case "restart":
-		t.Restart(f.Target)
+		t.restart(f.Target)
 	}
 }
-
-// Down reports whether an agent is currently unreachable.
-func (t *faultyTransport) Down(agent string) bool { return t.down[agent] }
 
 // deliver applies the fault pipeline to one hop-addressed frame: the
 // partition check first (a down agent eats the frame), then the

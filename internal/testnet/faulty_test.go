@@ -59,8 +59,8 @@ func TestFaultyLoopbackDeterministic(t *testing.T) {
 	cfg := Config{
 		Mode:        ModeLoopback,
 		Faults:      mustPlan(t, "drop any 0.15\ndup maxmin 0.1\nreorder maxmin 0.2 0.004\n"),
-		FaultSeed:   7,
-		Readvertise: 0.5,
+		faultSeed:   7,
+		readvertise: 0.5,
 		Horizon:     4,
 	}
 	a := mustRun(t, cfg)
@@ -80,7 +80,7 @@ func TestFaultyLoopbackDeterministic(t *testing.T) {
 		t.Fatalf("injector idle: %+v", a.Faults)
 	}
 	// A different seed must take a different path through the run.
-	cfg.FaultSeed = 8
+	cfg.faultSeed = 8
 	c := mustRun(t, cfg)
 	if a.Faults.Drops == c.Faults.Drops && a.Faults.Reorders == c.Faults.Reorders &&
 		bytes.Equal(a.ControllerTrace, c.ControllerTrace) {
@@ -96,7 +96,7 @@ func TestSignalTotalLoss(t *testing.T) {
 	res := mustRun(t, Config{
 		Mode:      ModeLoopback,
 		Faults:    mustPlan(t, "drop signal 1\n"),
-		FaultSeed: 1,
+		faultSeed: 1,
 		Horizon:   5,
 		// Nothing ever commits, so the script's handoffs and closes hit
 		// unknown connections — exactly what Lenient is for.
@@ -131,8 +131,8 @@ func TestCrashRestartRecovery(t *testing.T) {
 	res := mustRun(t, Config{
 		Mode:      ModeLoopback,
 		Faults:    mustPlan(t, "at 1.6 crash east for 0.3\n"),
-		FaultSeed: 3,
-		Lease:     LeaseConfig{Period: 0.25, MissBudget: 2},
+		faultSeed: 3,
+		lease:     leaseConfig{Period: 0.25, MissBudget: 2},
 		Horizon:   4,
 	})
 	if len(res.Violations) > 0 {
@@ -175,8 +175,8 @@ func TestPartitionLeaseReclaim(t *testing.T) {
 	res := mustRun(t, Config{
 		Mode:      ModeLoopback,
 		Faults:    mustPlan(t, "at 1.6 partition east for 1.5\n"),
-		FaultSeed: 3,
-		Lease:     LeaseConfig{Period: 0.25, MissBudget: 2},
+		faultSeed: 3,
+		lease:     leaseConfig{Period: 0.25, MissBudget: 2},
 		Horizon:   4.5,
 		Lenient:   true,
 	})
@@ -209,7 +209,7 @@ func TestLeaseQuietWire(t *testing.T) {
 	plain := mustRun(t, Config{Mode: ModeLoopback})
 	leased := mustRun(t, Config{
 		Mode:  ModeLoopback,
-		Lease: LeaseConfig{Period: 0.5},
+		lease: leaseConfig{Period: 0.5},
 	})
 	if len(leased.Violations) > 0 {
 		t.Fatalf("violations: %v", leased.Violations)
@@ -221,7 +221,7 @@ func TestLeaseQuietWire(t *testing.T) {
 	if !equalStrings(plain.Live, leased.Live) {
 		t.Fatalf("live sets diverged: %v vs %v", plain.Live, leased.Live)
 	}
-	merged := strings.Join(MergeTraces(leased.NodeTraces), "\n")
+	merged := joinTraces(leased.NodeTraces)
 	if !strings.Contains(merged, `"msg":"lease-renew"`) {
 		t.Error("no renewal frames reached the nodes")
 	}

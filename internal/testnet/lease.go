@@ -5,7 +5,7 @@ import (
 	"armnet/internal/wire"
 )
 
-// LeaseConfig arms hold-lease renewal over the wire. Every Period the
+// leaseConfig arms hold-lease renewal over the wire. Every Period the
 // controller sends each agent a LeaseRenew frame per live connection
 // routed over the agent's links (a bare heartbeat when none is); an
 // agent that misses MissBudget consecutive rounds is declared dead and
@@ -13,27 +13,27 @@ import (
 // ledger instead of leaking behind a crashed or partitioned node. A
 // dead agent that acks again is resynced (re-LISTEN state transfer)
 // before it is trusted.
-type LeaseConfig struct {
+type leaseConfig struct {
 	// Period is the renewal interval in scenario seconds; ≤0 disables
 	// the lease machinery entirely.
 	Period float64
 	// MissBudget is how many consecutive failed rounds kill an agent
-	// (≤0 → DefaultMissBudget).
+	// (≤0 → defaultMissBudget).
 	MissBudget int
 }
 
-// DefaultMissBudget is the consecutive-miss threshold when LeaseConfig
+// defaultMissBudget is the consecutive-miss threshold when leaseConfig
 // leaves it zero.
-const DefaultMissBudget = 3
+const defaultMissBudget = 3
 
 // ttl returns the lease duration granted per renewal: the full miss
 // budget's worth of periods, so node-side decay and controller-side
 // death detection agree on the horizon.
-func (c LeaseConfig) ttl() float64 { return c.Period * float64(c.missBudget()) }
+func (c leaseConfig) ttl() float64 { return c.Period * float64(c.missBudget()) }
 
-func (c LeaseConfig) missBudget() int {
+func (c leaseConfig) missBudget() int {
 	if c.MissBudget <= 0 {
-		return DefaultMissBudget
+		return defaultMissBudget
 	}
 	return c.MissBudget
 }
@@ -43,7 +43,7 @@ func (c LeaseConfig) missBudget() int {
 // sorted order, so the frame stream — and therefore the traces — are
 // reproducible.
 type leaseManager struct {
-	cfg LeaseConfig
+	cfg leaseConfig
 	r   *runner
 	// miss counts consecutive failed rounds per agent; dead marks agents
 	// past the budget whose reservations were reclaimed.
@@ -53,7 +53,7 @@ type leaseManager struct {
 	Reclaims int
 }
 
-func newLeaseManager(cfg LeaseConfig, r *runner) *leaseManager {
+func newLeaseManager(cfg leaseConfig, r *runner) *leaseManager {
 	return &leaseManager{
 		cfg: cfg, r: r,
 		miss: make(map[string]int),
@@ -72,7 +72,7 @@ func (lm *leaseManager) tick() {
 		} else {
 			for _, conn := range conns {
 				renew := wire.LeaseRenew{
-					Conn: conn, Bandwidth: lm.r.routing.Reserve(conn), TTL: ttl,
+					Conn: conn, Bandwidth: lm.r.routing.reserve(conn), TTL: ttl,
 				}
 				if !lm.renew(agent, renew) {
 					ok = false
@@ -120,7 +120,7 @@ func (lm *leaseManager) reclaim(agent string) {
 		lm.r.cfg.Obs.LeaseReclaim(conn)
 		eventbus.Pub(lm.r.bus, eventbus.HoldReclaimed{
 			Conn: conn, Link: "node:" + agent,
-			Amount: lm.r.routing.Reserve(conn), Reason: "wire-lease",
+			Amount: lm.r.routing.reserve(conn), Reason: "wire-lease",
 		})
 		lm.r.lg.Release(conn, route)
 		lm.r.proto.RemoveConn(conn)

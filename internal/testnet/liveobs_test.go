@@ -24,9 +24,9 @@ func liveObsConfig(t *testing.T) Config {
 	return Config{
 		Mode:        ModeLoopback,
 		Faults:      mustPlan(t, "drop any 0.15\ndup maxmin 0.1\nreorder maxmin 0.2 0.004\n"),
-		FaultSeed:   7,
-		Readvertise: 0.5,
-		Lease:       LeaseConfig{Period: 0.5},
+		faultSeed:   7,
+		readvertise: 0.5,
+		lease:       leaseConfig{Period: 0.5},
 		Horizon:     4,
 	}
 }

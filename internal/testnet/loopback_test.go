@@ -66,7 +66,7 @@ func TestLoopbackMatchesSim(t *testing.T) {
 
 	// Node traces carry all three protocol families, including the abort
 	// mirror of greedy's rejection.
-	merged := strings.Join(MergeTraces(loop.NodeTraces), "\n")
+	merged := joinTraces(loop.NodeTraces)
 	for _, want := range []string{
 		`"msg":"signal-setup"`, `"msg":"signal-commit"`, `"msg":"signal-abort"`,
 		`"msg":"advertise"`, `"msg":"update"`, `"msg":"hello"`, `"msg":"shutdown"`,
@@ -123,4 +123,13 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// joinTraces concatenates every node's trace, for substring checks.
+func joinTraces(traces map[string][]byte) string {
+	var all []byte
+	for _, tr := range traces {
+		all = append(all, tr...)
+	}
+	return string(all)
 }

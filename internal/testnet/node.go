@@ -3,7 +3,6 @@ package testnet
 import (
 	"fmt"
 	"net"
-	"sort"
 
 	"armnet/internal/eventbus"
 	"armnet/internal/obs/live"
@@ -157,25 +156,14 @@ func (n *Node) applyState(f *wire.Frame, conn string) {
 	}
 }
 
-// Restart models a crash recovery: volatile reservation state is lost,
+// restart models a crash recovery: volatile reservation state is lost,
 // counters and the trace buffer survive (they belong to the harness,
 // not the node's RAM).
-func (n *Node) Restart() {
+func (n *Node) restart() {
 	n.Restarts++
 	n.obs.Restart()
 	n.mirror = make(map[string]float64)
 	n.lease = make(map[string]float64)
-}
-
-// Mirror returns the node's reservation mirror as sorted "conn=bw"
-// strings — a deterministic snapshot for tests and audits.
-func (n *Node) Mirror() []string {
-	out := make([]string, 0, len(n.mirror))
-	for conn, bw := range n.mirror {
-		out = append(out, fmt.Sprintf("%s=%g", conn, bw))
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Trace returns the node's JSONL event trace, failing if the recorder

@@ -185,8 +185,8 @@ func nodeDivergence(frames [][]byte, steps []float64, poison func(*Node)) string
 		}
 		// Each frame's line is compared alone; the recorders' sequence
 		// audit and clock memo live on, so the stream is still one trace.
-		n.buf.Reset()
-		ref.buf.Reset()
+		n.buf = eventbus.TraceBuffer{}
+		ref.buf = eventbus.TraceBuffer{}
 	}
 	if err := n.rec.Err(); err != nil {
 		return err.Error()

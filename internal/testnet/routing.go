@@ -4,7 +4,7 @@ import (
 	"armnet/internal/topology"
 )
 
-// Routing maps the opaque (conn, hop) coordinates the delivery-hook
+// routeTable maps the opaque (conn, hop) coordinates the delivery-hook
 // seams expose back to concrete links and the agents owning them, so the
 // transport can address each hop's frame. It mirrors the protocols' own
 // hop conventions exactly:
@@ -15,8 +15,8 @@ import (
 //     deduplicated path of length m — hop < m crosses path[hop], hop in
 //     m..2m-1 crosses path[2m-1-hop].
 //   - maxmin UPDATE: one forward pass, hop i crosses path[i].
-type Routing struct {
-	cluster *Cluster
+type routeTable struct {
+	cluster *clusterNet
 	routes  map[string]*route
 	// Unrouted counts hook invocations for connections or hops with no
 	// registered mapping — always zero in a healthy run.
@@ -39,16 +39,16 @@ type hop struct {
 	agent int
 }
 
-// NewRouting returns an empty registry resolving hops to the cluster's
+// newRouting returns an empty registry resolving hops to the cluster's
 // agents.
-func NewRouting(cluster *Cluster) *Routing {
-	return &Routing{cluster: cluster, routes: make(map[string]*route)}
+func newRouting(cluster *clusterNet) *routeTable {
+	return &routeTable{cluster: cluster, routes: make(map[string]*route)}
 }
 
-// Register records a connection's route before its setup session starts
+// register records a connection's route before its setup session starts
 // (the forward pass consults it from hop 0). Re-registering — a handoff
 // to a new route — replaces the mapping in the connection's record.
-func (r *Routing) Register(conn string, rt topology.Route, reserve float64) {
+func (r *routeTable) register(conn string, rt topology.Route, reserve float64) {
 	rec := r.routes[conn]
 	if rec == nil {
 		rec = &route{}
@@ -56,7 +56,7 @@ func (r *Routing) Register(conn string, rt topology.Route, reserve float64) {
 	}
 	rec.signal, rec.path, rec.reserve = rec.signal[:0], rec.path[:0], reserve
 	for _, l := range rt.Links {
-		h := hop{link: l.ID, agent: r.cluster.Agent(l.ID)}
+		h := hop{link: l.ID, agent: r.cluster.agent(l.ID)}
 		rec.signal = append(rec.signal, h)
 		// The maxmin path mirrors Protocol.AddConn's dedup (uniqueLinks).
 		if !onPath(rec.path, l.ID) {
@@ -74,8 +74,8 @@ func onPath(path []hop, link topology.LinkID) bool {
 	return false
 }
 
-// Reserve returns the connection's registered b_min (zero if unknown).
-func (r *Routing) Reserve(conn string) float64 {
+// reserve returns the connection's registered b_min (zero if unknown).
+func (r *routeTable) reserve(conn string) float64 {
 	if rec := r.routes[conn]; rec != nil {
 		return rec.reserve
 	}
@@ -85,7 +85,7 @@ func (r *Routing) Reserve(conn string) float64 {
 // signalHop resolves a signal-plane hop: the connection's record, the
 // hop crossed and whether it is a reverse-pass commit confirmation hop.
 // An unroutable hop counts toward Unrouted.
-func (r *Routing) signalHop(conn string, i int) (*route, hop, bool, bool) {
+func (r *routeTable) signalHop(conn string, i int) (*route, hop, bool, bool) {
 	rec := r.routes[conn]
 	if h, commit, ok := rec.signalHop(i); ok {
 		return rec, h, commit, true
@@ -97,7 +97,7 @@ func (r *Routing) signalHop(conn string, i int) (*route, hop, bool, bool) {
 // maxminHop resolves a maxmin hop for an UPDATE (update=true, forward
 // pass) or an ADVERTISE sweep (out-and-back), counting an unroutable hop
 // toward Unrouted.
-func (r *Routing) maxminHop(conn string, i int, update bool) (hop, bool) {
+func (r *routeTable) maxminHop(conn string, i int, update bool) (hop, bool) {
 	if h, ok := r.routes[conn].maxminHop(i, update); ok {
 		return h, true
 	}
@@ -108,19 +108,19 @@ func (r *Routing) maxminHop(conn string, i int, update bool) (hop, bool) {
 // peekSignal and peekMaxmin resolve a hop without touching the Unrouted
 // counter — for observers (the fault layer) sitting in front of a
 // transport that will resolve, and count, the same hop itself.
-func (r *Routing) peekSignal(conn string, i int) (hop, bool) {
+func (r *routeTable) peekSignal(conn string, i int) (hop, bool) {
 	h, _, ok := r.routes[conn].signalHop(i)
 	return h, ok
 }
 
-func (r *Routing) peekMaxmin(conn string, i int, update bool) (hop, bool) {
+func (r *routeTable) peekMaxmin(conn string, i int, update bool) (hop, bool) {
 	return r.routes[conn].maxminHop(i, update)
 }
 
 // abortHop resolves a rollback sweep's frame target: it travels toward
 // the source, addressed to the agent owning the failed hop's link (the
 // last link actually reached when the failure was past the route).
-func (r *Routing) abortHop(conn string, i int) (hop, bool) {
+func (r *routeTable) abortHop(conn string, i int) (hop, bool) {
 	rec := r.routes[conn]
 	if rec == nil || len(rec.signal) == 0 {
 		return hop{}, false

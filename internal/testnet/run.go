@@ -23,30 +23,27 @@ import (
 
 // Config parameterizes a scenario run.
 type Config struct {
-	Mode Mode
+	Mode mode
 	// Script is the timed step list (nil → CampusScript).
 	Script []Step
 	// Horizon is the settle time before the final audit (≤0 →
-	// DefaultHorizon). In ModeUDP this is wall-clock seconds.
+	// defaultHorizon). In ModeUDP this is wall-clock seconds.
 	Horizon float64
 	// Peers maps agent name → "host:port" (ModeUDP only).
 	Peers map[string]string
-	// AckTimeout bounds the per-frame ack wait (ModeUDP only; ≤0 →
-	// DefaultAckTimeout).
-	AckTimeout time.Duration
 	// Faults, when non-nil, interposes the netfaults chaos layer between
 	// the protocols and the transport (live modes only; ModeSim has no
 	// wire to break). An empty plan still wraps — proving the wrapped
 	// empty path behaviour-identical is itself a test target.
 	Faults *netfaults.Plan
-	// FaultSeed salts the injector's RNG.
-	FaultSeed int64
-	// Lease arms wire hold-lease renewal (see LeaseConfig).
-	Lease LeaseConfig
-	// Readvertise, when positive, arms the maxmin periodic repair sweep
+	// faultSeed salts the injector's RNG.
+	faultSeed int64
+	// lease arms wire hold-lease renewal (see leaseConfig).
+	lease leaseConfig
+	// readvertise, when positive, arms the maxmin periodic repair sweep
 	// — required for convergence when fault injection can eat UPDATE
 	// frames.
-	Readvertise float64
+	readvertise float64
 	// Lenient makes handoff/close of an unknown connection a counted
 	// no-op instead of a harness error. Fault plans legitimately create
 	// such races: a lease reclaim can tear a connection down before the
@@ -73,7 +70,7 @@ type soakHook struct {
 
 // Result reports one scenario run.
 type Result struct {
-	Mode Mode
+	Mode mode
 	// ControllerTrace is the controller bus JSONL — the live-vs-sim diff
 	// target.
 	ControllerTrace []byte
@@ -95,7 +92,7 @@ type Result struct {
 	Violations []string
 	// Faults reports the chaos layer's counters (nil when no fault layer
 	// was configured).
-	Faults *FaultStats
+	Faults *faultStats
 	// SkippedOps counts script operations ignored under Lenient.
 	SkippedOps int
 	// LiveSnapshot is the merged cluster view (controller + in-process
@@ -105,8 +102,8 @@ type Result struct {
 	LiveSpans []byte
 }
 
-// FaultStats aggregates what the chaos layer actually did to a run.
-type FaultStats struct {
+// faultStats aggregates what the chaos layer actually did to a run.
+type faultStats struct {
 	// Drops/Dups/Delays/Reorders count injector rule firings.
 	Drops, Dups, Delays, Reorders int
 	// PartitionDrops counts frames eaten by down agents; Crashes and
@@ -120,8 +117,8 @@ type FaultStats struct {
 type runner struct {
 	cfg     Config
 	env     *topology.Environment
-	cluster *Cluster
-	routing *Routing
+	cluster *clusterNet
+	routing *routeTable
 	clk     clock.Clock
 	lg      *admission.Ledger
 	plane   *signal.Plane
@@ -153,7 +150,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Script = CampusScript()
 	}
 	if cfg.Horizon <= 0 {
-		cfg.Horizon = DefaultHorizon
+		cfg.Horizon = defaultHorizon
 	}
 	env, err := topology.BuildCampus()
 	if err != nil {
@@ -176,7 +173,7 @@ func Run(cfg Config) (*Result, error) {
 	r := &runner{
 		cfg: cfg, env: env, clk: clk,
 		cluster: cluster,
-		routing: NewRouting(cluster),
+		routing: newRouting(cluster),
 		live:    make(map[string]topology.Route),
 		mmLinks: make(map[topology.LinkID]bool),
 	}
@@ -197,7 +194,7 @@ func Run(cfg Config) (*Result, error) {
 		lt.obs = cfg.Obs
 		r.tr = lt
 	case ModeUDP:
-		tr, err := dialUDP(r.cluster, r.routing, cfg.Peers, cfg.AckTimeout)
+		tr, err := dialUDP(r.cluster, r.routing, cfg.Peers)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +203,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	if cfg.Faults != nil && r.tr != nil {
-		r.faulty = newFaulty(r.tr, cfg.Faults, cfg.FaultSeed, clk, r.routing, r.cluster, r.nodes)
+		r.faulty = newFaulty(r.tr, cfg.Faults, cfg.faultSeed, clk, r.routing, r.cluster, r.nodes)
 		r.faulty.obs = cfg.Obs
 		r.tr = r.faulty
 		for _, f := range cfg.Faults.Events() {
@@ -225,7 +222,7 @@ func Run(cfg Config) (*Result, error) {
 	ctl.Bus = bus
 
 	sigOpts := signal.Options{Bus: bus}
-	mmOpts := maxmin.ProtocolOptions{Refined: true, ReadvertisePeriod: cfg.Readvertise}
+	mmOpts := maxmin.ProtocolOptions{Refined: true, ReadvertisePeriod: cfg.readvertise}
 	if r.tr != nil {
 		sigOpts.Deliver = r.tr.SignalDeliver
 		mmOpts.Deliver = r.tr.MaxminDeliver
@@ -244,10 +241,10 @@ func Run(cfg Config) (*Result, error) {
 	// the lease machinery off, grant the whole horizon so a resynced
 	// mirror never decays mid-run.
 	resyncTTL := cfg.Horizon
-	if cfg.Lease.Period > 0 {
-		resyncTTL = cfg.Lease.ttl()
-		r.lease = newLeaseManager(cfg.Lease, r)
-		clk.Every(cfg.Lease.Period, r.lease.tick)
+	if cfg.lease.Period > 0 {
+		resyncTTL = cfg.lease.ttl()
+		r.lease = newLeaseManager(cfg.lease, r)
+		clk.Every(cfg.lease.Period, r.lease.tick)
 	}
 	if r.faulty != nil {
 		r.faulty.onRestart = func(agent string) { r.resyncAgent(agent, resyncTTL) }
@@ -329,7 +326,7 @@ func (r *runner) setup(st Step, kind admission.Kind) {
 		r.failf("route %s→%s: %v", host, st.Cell, err)
 		return
 	}
-	r.routing.Register(st.Conn, route, st.Min)
+	r.routing.register(st.Conn, route, st.Min)
 	test := admission.Test{
 		ConnID: st.Conn,
 		Req: qos.Request{
@@ -492,12 +489,12 @@ func (r *runner) collect(rec *eventbus.Recorder, trace *eventbus.TraceBuffer) *R
 		res.LiveSpans = r.cfg.Obs.SpansJSONL()
 	}
 	if r.faulty != nil {
-		fs := &FaultStats{
+		fs := &faultStats{
 			PartitionDrops: r.faulty.PartitionDrops,
 			Crashes:        r.faulty.Crashes,
 			Restarts:       r.faulty.Restarts,
 		}
-		fs.Drops, fs.Dups, fs.Delays, fs.Reorders = r.faulty.Stats()
+		fs.Drops, fs.Dups, fs.Delays, fs.Reorders = r.faulty.stats()
 		if r.lease != nil {
 			fs.LeaseReclaims = r.lease.Reclaims
 		}
@@ -518,14 +515,14 @@ func (r *runner) liveConns() []string {
 // connsVia lists the live connections with at least one route link owned
 // by the agent, sorted for deterministic frame order.
 func (r *runner) connsVia(agent string) []string {
-	i, ok := r.cluster.Index(agent)
+	i, ok := r.cluster.index(agent)
 	if !ok {
 		return nil
 	}
 	var out []string
 	for conn, route := range r.live {
 		for _, l := range route.Links {
-			if r.cluster.Agent(l.ID) == i {
+			if r.cluster.agent(l.ID) == i {
 				out = append(out, conn)
 				break
 			}
@@ -543,7 +540,7 @@ func (r *runner) resyncAgent(agent string, ttl float64) {
 	r.tr.Control(agent, wire.Hello{Node: agent})
 	for _, conn := range r.connsVia(agent) {
 		r.tr.Control(agent, wire.Resync{
-			Conn: conn, Bandwidth: r.routing.Reserve(conn), TTL: ttl,
+			Conn: conn, Bandwidth: r.routing.reserve(conn), TTL: ttl,
 		})
 	}
 }

@@ -58,6 +58,6 @@ func CampusScript() []Step {
 	}
 }
 
-// DefaultHorizon leaves the protocols ample settle time after the last
+// defaultHorizon leaves the protocols ample settle time after the last
 // scripted step before the final audit.
-const DefaultHorizon = 3.0
+const defaultHorizon = 3.0

@@ -23,24 +23,19 @@ import (
 type SoakConfig struct {
 	// Epochs is the scripted epoch count (≤0 → DefaultSoakEpochs).
 	Epochs int
-	// EpochLen is one epoch in scenario seconds (≤0 → DefaultEpochLen).
+	// epochLen is one epoch in scenario seconds (≤0 → defaultEpochLen).
 	// The last soakHealWindow seconds of every epoch run fault-free so
 	// retries drain, leases recover, and the rate protocol re-converges
 	// before the epoch audit.
-	EpochLen float64
+	epochLen float64
 	// Seed drives both the workload generator and the per-epoch fault
 	// injectors (epoch e salts with Seed+e).
 	Seed int64
 	// Plans rotate across epochs: epoch e runs Plans[e%len(Plans)] (nil
-	// → DefaultSoakPlans). Node faults are epoch-relative; a crash that
+	// → defaultSoakPlans). Node faults are epoch-relative; a crash that
 	// never heals on its own (for-less) is force-restarted at the heal
 	// window so every epoch ends whole.
 	Plans []*netfaults.Plan
-	// Lease configures wire hold-lease renewal (zero → Period 0.5s,
-	// default miss budget).
-	Lease LeaseConfig
-	// Readvertise is the maxmin repair period (≤0 → 0.75s).
-	Readvertise float64
 	// Out, when non-nil, receives the JSONL epoch reports as they are
 	// produced.
 	Out io.Writer
@@ -54,7 +49,12 @@ type SoakConfig struct {
 // Soak defaults.
 const (
 	DefaultSoakEpochs = 6
-	DefaultEpochLen   = 10.0
+	defaultEpochLen   = 10.0
+	// soakLeasePeriod is the wire hold-lease renewal interval, with the
+	// default miss budget.
+	soakLeasePeriod = 0.5
+	// soakReadvertise is the maxmin repair period.
+	soakReadvertise = 0.75
 	// soakHealWindow is the fault-free tail of every epoch: longer than
 	// the worst-case signaling session deadline plus a full lease
 	// detection-and-recovery cycle, so the epoch audit sees a settled
@@ -62,18 +62,18 @@ const (
 	soakHealWindow = 4.0
 )
 
-// SoakSchema versions the epoch-report line format. Downstream scrapers
+// soakSchema versions the epoch-report line format. Downstream scrapers
 // key on it; bump it whenever a field is added, removed, or changes
 // meaning. Struct marshaling fixes the field order, so lines with the
 // same schema are positionally stable.
-const SoakSchema = 1
+const soakSchema = 1
 
-// EpochReport is one audited epoch boundary. Counters are cumulative
+// epochReport is one audited epoch boundary. Counters are cumulative
 // since run start, so reports are monotone and a diff of two
 // consecutive lines gives the per-epoch deltas; the Wire block is the
 // exception — it is already the per-epoch delta of the live wire
 // snapshot, quantifying what that epoch's fault plan did to the wire.
-type EpochReport struct {
+type epochReport struct {
 	Schema         int        `json:"schema"`
 	Epoch          int        `json:"epoch"`
 	Time           float64    `json:"time"`
@@ -91,14 +91,14 @@ type EpochReport struct {
 	Reclaims       int        `json:"reclaims"`
 	PendingHolds   float64    `json:"pending_holds"`
 	Gap            float64    `json:"gap"`
-	Wire           *WireDelta `json:"wire,omitempty"`
+	Wire           *wireDelta `json:"wire,omitempty"`
 	Violations     []string   `json:"violations"`
 }
 
-// WireDelta is one epoch's worth of live wire activity: the difference
+// wireDelta is one epoch's worth of live wire activity: the difference
 // between consecutive epoch-boundary cluster snapshots. Fixed fields
-// (not a map) keep the JSON ordering stable under SoakSchema.
-type WireDelta struct {
+// (not a map) keep the JSON ordering stable under soakSchema.
+type wireDelta struct {
 	FramesTx    int `json:"frames_tx"`
 	FramesRx    int `json:"frames_rx"`
 	BytesTx     int `json:"bytes_tx"`
@@ -120,10 +120,10 @@ type WireDelta struct {
 	VerdictRestart   int `json:"verdict_restart"`
 }
 
-// SoakResult is the full soak outcome.
-type SoakResult struct {
+// soakResult is the full soak outcome.
+type soakResult struct {
 	// Reports holds one audited entry per epoch, in order.
-	Reports []EpochReport
+	Reports []epochReport
 	// ReportJSONL is the serialized report stream — the byte-identical
 	// determinism target.
 	ReportJSONL []byte
@@ -134,11 +134,11 @@ type SoakResult struct {
 	Violations []string
 }
 
-// DefaultSoakPlans is the rotation the `make soak` gate runs: epoch 0
+// defaultSoakPlans is the rotation the `make soak` gate runs: epoch 0
 // is loss and reordering, epoch 1 adds signaling loss, a maxmin delay
 // and an east partition, epoch 2 duplicates frames and crash-restarts
 // west — together covering every fault family in the grammar.
-func DefaultSoakPlans() []*netfaults.Plan {
+func defaultSoakPlans() []*netfaults.Plan {
 	specs := []string{
 		"drop any 0.15\nreorder any 0.2 0.004\n",
 		"drop signal 0.25\ndelay maxmin 0.3 0.002\nat 1 partition east for 2\n",
@@ -158,24 +158,18 @@ func DefaultSoakPlans() []*netfaults.Plan {
 // RunSoak executes the soak scenario. Identical configs produce
 // byte-identical ReportJSONL — the soak is one deterministic loopback
 // run under the simulator clock.
-func RunSoak(cfg SoakConfig) (*SoakResult, error) {
+func RunSoak(cfg SoakConfig) (*soakResult, error) {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = DefaultSoakEpochs
 	}
-	if cfg.EpochLen <= 0 {
-		cfg.EpochLen = DefaultEpochLen
+	if cfg.epochLen <= 0 {
+		cfg.epochLen = defaultEpochLen
 	}
-	if cfg.EpochLen <= soakHealWindow {
-		return nil, fmt.Errorf("testnet: epoch %.3gs not longer than the %.3gs heal window", cfg.EpochLen, soakHealWindow)
+	if cfg.epochLen <= soakHealWindow {
+		return nil, fmt.Errorf("testnet: epoch %.3gs not longer than the %.3gs heal window", cfg.epochLen, soakHealWindow)
 	}
 	if len(cfg.Plans) == 0 {
-		cfg.Plans = DefaultSoakPlans()
-	}
-	if cfg.Lease.Period <= 0 {
-		cfg.Lease.Period = 0.5
-	}
-	if cfg.Readvertise <= 0 {
-		cfg.Readvertise = 0.75
+		cfg.Plans = defaultSoakPlans()
 	}
 
 	// The live wire recorder is always armed: epoch reports quantify each
@@ -184,13 +178,13 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		cfg.Obs = live.NewController(nil)
 	}
 
-	active := cfg.EpochLen - soakHealWindow
-	res := &SoakResult{}
+	active := cfg.epochLen - soakHealWindow
+	res := &soakResult{}
 	var hooks []soakHook
 	var prevSnap *obs.Snapshot
 	for e := 0; e < cfg.Epochs; e++ {
 		e := e
-		base := float64(e) * cfg.EpochLen
+		base := float64(e) * cfg.epochLen
 		pidx := e % len(cfg.Plans)
 		plan := cfg.Plans[pidx]
 		seed := cfg.Seed + int64(e)
@@ -198,14 +192,14 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		// Rules run only inside the active window; the heal window is
 		// injection-free.
 		hooks = append(hooks,
-			soakHook{at: base, fn: func(r *runner) { r.faulty.SetPlan(plan, seed) }},
-			soakHook{at: base + active, fn: func(r *runner) { r.faulty.SetPlan(nil, 0) }},
+			soakHook{at: base, fn: func(r *runner) { r.faulty.setPlan(plan, seed) }},
+			soakHook{at: base + active, fn: func(r *runner) { r.faulty.setPlan(nil, 0) }},
 		)
 		for _, f := range soakEvents(plan, base, active) {
 			hooks = append(hooks, soakHook{at: f.At, fn: func(r *runner) { r.faulty.apply(f) }})
 		}
 		hooks = append(hooks, soakHook{
-			at: base + cfg.EpochLen,
+			at: base + cfg.epochLen,
 			fn: func(r *runner) {
 				rep, cur := epochAudit(r, e, pidx, prevSnap)
 				prevSnap = cur
@@ -216,12 +210,12 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	run, err := Run(Config{
 		Mode:        ModeLoopback,
-		Script:      soakScript(randx.New(cfg.Seed), cfg.Epochs, cfg.EpochLen, active),
-		Horizon:     float64(cfg.Epochs)*cfg.EpochLen + 1,
+		Script:      soakScript(randx.New(cfg.Seed), cfg.Epochs, cfg.epochLen, active),
+		Horizon:     float64(cfg.Epochs)*cfg.epochLen + 1,
 		Faults:      &netfaults.Plan{}, // hooks swap the live plan per epoch
-		FaultSeed:   cfg.Seed,
-		Lease:       cfg.Lease,
-		Readvertise: cfg.Readvertise,
+		faultSeed:   cfg.Seed,
+		lease:       leaseConfig{Period: soakLeasePeriod},
+		readvertise: soakReadvertise,
 		Lenient:     true,
 		Obs:         cfg.Obs,
 		hooks:       hooks,
@@ -278,13 +272,13 @@ func soakEvents(plan *netfaults.Plan, base, active float64) []faults.Timed {
 // healed epoch. prev is the previous boundary's cluster snapshot (nil
 // at epoch 0); the current one is returned for the next boundary so the
 // Wire block always carries a true per-epoch delta.
-func epochAudit(r *runner, epoch, plan int, prev *obs.Snapshot) (EpochReport, *obs.Snapshot) {
+func epochAudit(r *runner, epoch, plan int, prev *obs.Snapshot) (epochReport, *obs.Snapshot) {
 	viol := r.auditor().CheckFinal()
 	if viol == nil {
 		viol = []string{}
 	}
-	rep := EpochReport{
-		Schema:       SoakSchema,
+	rep := epochReport{
+		Schema:       soakSchema,
 		Epoch:        epoch,
 		Time:         r.clk.Now(),
 		Plan:         plan,
@@ -299,7 +293,7 @@ func epochAudit(r *runner, epoch, plan int, prev *obs.Snapshot) (EpochReport, *o
 		rep.PartitionDrops = r.faulty.PartitionDrops
 		rep.Crashes = r.faulty.Crashes
 		rep.Restarts = r.faulty.Restarts
-		rep.Drops, rep.Dups, rep.Delays, rep.Reorders = r.faulty.Stats()
+		rep.Drops, rep.Dups, rep.Delays, rep.Reorders = r.faulty.stats()
 	}
 	if r.lease != nil {
 		rep.Reclaims = r.lease.Reclaims
@@ -308,15 +302,15 @@ func epochAudit(r *runner, epoch, plan int, prev *obs.Snapshot) (EpochReport, *o
 	if r.cfg.Obs != nil {
 		if snap, err := live.ClusterSnapshot(r.cfg.Obs, r.nodeObs); err == nil {
 			cur = snap
-			rep.Wire = wireDelta(cur, prev)
+			rep.Wire = diffWire(cur, prev)
 		}
 	}
 	return rep, cur
 }
 
-// wireDelta subtracts two epoch-boundary cluster snapshots into the
+// diffWire subtracts two epoch-boundary cluster snapshots into the
 // fixed-field per-epoch block.
-func wireDelta(cur, prev *obs.Snapshot) *WireDelta {
+func diffWire(cur, prev *obs.Snapshot) *wireDelta {
 	d := func(name string) int {
 		v := cur.CounterTotal(name)
 		if prev != nil {
@@ -331,7 +325,7 @@ func wireDelta(cur, prev *obs.Snapshot) *WireDelta {
 		}
 		return int(v)
 	}
-	return &WireDelta{
+	return &wireDelta{
 		FramesTx:         d("armnet_wire_frames_tx_total"),
 		FramesRx:         d("armnet_wire_frames_rx_total"),
 		BytesTx:          d("armnet_wire_bytes_tx_total"),

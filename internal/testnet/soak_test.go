@@ -102,7 +102,7 @@ func TestSoakDeterministic(t *testing.T) {
 // TestSoakRejectsShortEpoch pins the config guard: an epoch must leave
 // room for the heal window.
 func TestSoakRejectsShortEpoch(t *testing.T) {
-	if _, err := RunSoak(SoakConfig{EpochLen: 3}); err == nil {
+	if _, err := RunSoak(SoakConfig{epochLen: 3}); err == nil {
 		t.Fatal("short epoch accepted")
 	}
 }
@@ -112,7 +112,7 @@ func TestSoakRejectsShortEpoch(t *testing.T) {
 // crash/restart all fire — and demands the same report lines and the
 // same controller trace from every run.
 func TestSoakDeterminismAcrossRuns(t *testing.T) {
-	var first *SoakResult
+	var first *soakResult
 	for run := 0; run < 5; run++ {
 		res, err := RunSoak(soakGateConfig())
 		if err != nil {

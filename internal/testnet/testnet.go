@@ -38,13 +38,13 @@
 // it must deliver exactly the same frames). See diff.go for the mapping.
 package testnet
 
-// Mode selects the fabric and clock a scenario runs on.
-type Mode int
+// mode selects the fabric and clock a scenario runs on.
+type mode int
 
 const (
 	// ModeSim is the pure simulation: simulator clock, no transport. The
 	// reference every live run is diffed against.
-	ModeSim Mode = iota
+	ModeSim mode = iota
 	// ModeLoopback is the live wire path on the simulator clock: every
 	// hop is encoded, delivered to an in-process node, decoded, and
 	// acked — no sockets, fully deterministic. The CI gate.
@@ -54,7 +54,7 @@ const (
 	ModeUDP
 )
 
-func (m Mode) String() string {
+func (m mode) String() string {
 	switch m {
 	case ModeSim:
 		return "sim"

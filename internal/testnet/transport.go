@@ -49,8 +49,8 @@ type transport interface {
 // and the observability hook. A fabric supplies carry, which moves one
 // encoded frame to an agent and reports whether its ack came back.
 type conduit struct {
-	cluster *Cluster
-	routing *Routing
+	cluster *clusterNet
+	routing *routeTable
 	carry   func(agent int, frame []byte) bool
 	seq     uint32
 	buf     []byte
@@ -61,7 +61,7 @@ type conduit struct {
 	obs *live.Controller
 }
 
-func newConduit(cluster *Cluster, routing *Routing) conduit {
+func newConduit(cluster *clusterNet, routing *routeTable) conduit {
 	return conduit{cluster: cluster, routing: routing, buf: make([]byte, 0, wire.MaxFrame)}
 }
 
@@ -123,7 +123,7 @@ func (c *conduit) Abort(conn string, i int, reason string) {
 }
 
 func (c *conduit) Control(agent string, m wire.Message) bool {
-	i, ok := c.cluster.Index(agent)
+	i, ok := c.cluster.index(agent)
 	if !ok {
 		c.failf("no node agent %q", agent)
 		c.obs.FrameTx(agent, m, 0, false)
@@ -145,7 +145,7 @@ type loopbackTransport struct {
 	ack   wire.Frame
 }
 
-func newLoopback(cluster *Cluster, routing *Routing, nodes []*Node) *loopbackTransport {
+func newLoopback(cluster *clusterNet, routing *routeTable, nodes []*Node) *loopbackTransport {
 	t := &loopbackTransport{conduit: newConduit(cluster, routing), nodes: nodes}
 	t.carry = t.exchange
 	return t
@@ -203,34 +203,29 @@ func (t *loopbackTransport) Drops() int { return 0 }
 // injector exercises in simulation.
 type udpTransport struct {
 	conduit
-	pc      *net.UDPConn
-	peers   []*net.UDPAddr // by agent index
-	timeout time.Duration
-	rbuf    []byte
-	ack     wire.Frame
-	drops   int
+	pc    *net.UDPConn
+	peers []*net.UDPAddr // by agent index
+	rbuf  []byte
+	ack   wire.Frame
+	drops int
 }
 
-// DefaultAckTimeout bounds the wait for a node ack; localhost round
-// trips are microseconds, so this only matters under real loss.
-const DefaultAckTimeout = 250 * time.Millisecond
+// ackTimeout bounds the wait for a node ack; localhost round trips are
+// microseconds, so this only matters under real loss.
+const ackTimeout = 250 * time.Millisecond
 
 // dialUDP opens the controller socket and resolves one peer address per
 // agent. peers maps agent name → "host:port"; every cluster agent must
 // be present.
-func dialUDP(cluster *Cluster, routing *Routing, peers map[string]string, timeout time.Duration) (*udpTransport, error) {
-	if timeout <= 0 {
-		timeout = DefaultAckTimeout
-	}
+func dialUDP(cluster *clusterNet, routing *routeTable, peers map[string]string) (*udpTransport, error) {
 	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("testnet: controller socket: %w", err)
 	}
 	t := &udpTransport{
 		conduit: newConduit(cluster, routing), pc: pc,
-		peers:   make([]*net.UDPAddr, len(cluster.Names)),
-		timeout: timeout,
-		rbuf:    make([]byte, wire.MaxFrame+1),
+		peers: make([]*net.UDPAddr, len(cluster.Names)),
+		rbuf:  make([]byte, wire.MaxFrame+1),
 	}
 	t.carry = t.exchange
 	for i, name := range cluster.Names {
@@ -258,7 +253,7 @@ func (t *udpTransport) exchange(agent int, frame []byte) bool {
 		t.drops++
 		return false
 	}
-	deadline := time.Now().Add(t.timeout)
+	deadline := time.Now().Add(ackTimeout)
 	for {
 		if err := t.pc.SetReadDeadline(deadline); err != nil {
 			t.failf("deadline: %v", err)

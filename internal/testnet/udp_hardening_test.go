@@ -132,8 +132,8 @@ func TestUDPHostileDatagrams(t *testing.T) {
 	if n.Received != 3 {
 		t.Errorf("Received = %d, want 3", n.Received)
 	}
-	if got := n.Mirror(); len(got) != 1 || got[0] != "alice:0=256000" {
-		t.Errorf("mirror = %v, want [alice:0=256000]", got)
+	if len(n.mirror) != 1 || n.mirror["alice:0"] != 256000 {
+		t.Errorf("mirror = %v, want [alice:0:256000]", n.mirror)
 	}
 }
 

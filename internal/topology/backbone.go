@@ -9,24 +9,24 @@ import (
 	"sort"
 )
 
-// NodeKind distinguishes the roles a backbone node can play.
-type NodeKind int
+// nodeKind distinguishes the roles a backbone node can play.
+type nodeKind int
 
 const (
 	// KindSwitch is an interior switch/router on the wired backbone.
-	KindSwitch NodeKind = iota
-	// KindBaseStation terminates a cell's wireless link.
-	KindBaseStation
+	KindSwitch nodeKind = iota
+	// kindBaseStation terminates a cell's wireless link.
+	kindBaseStation
 	// KindHost is a wired correspondent host (server, gateway).
 	KindHost
 )
 
 // String implements fmt.Stringer.
-func (k NodeKind) String() string {
+func (k nodeKind) String() string {
 	switch k {
 	case KindSwitch:
 		return "switch"
-	case KindBaseStation:
+	case kindBaseStation:
 		return "base-station"
 	case KindHost:
 		return "host"
@@ -38,8 +38,8 @@ func (k NodeKind) String() string {
 // Node is a backbone element.
 type Node struct {
 	ID   NodeID
-	Kind NodeKind
-	// Cell is the served cell when Kind == KindBaseStation.
+	Kind nodeKind
+	// Cell is the served cell when Kind == kindBaseStation.
 	Cell CellID
 }
 
@@ -79,7 +79,7 @@ type Backbone struct {
 	index map[NodeID]int
 	adj   [][]arc
 	// routes memoises ShortestPath per (src, dst). The graph only changes
-	// through AddNode and AddLink, which clear it; it holds at most one
+	// through AddNode and addLink, which clear it; it holds at most one
 	// entry per pair asked for, hosts × cells in a simulation. Each entry
 	// is a window of pool, which only ever grows: a window, once handed
 	// out, is never written again.
@@ -96,11 +96,10 @@ type arc struct {
 
 // Errors returned by Backbone operations.
 var (
-	ErrDuplicateNode = errors.New("topology: duplicate node")
-	ErrUnknownNode   = errors.New("topology: unknown node")
-	ErrDuplicateLink = errors.New("topology: duplicate link")
-	ErrUnknownLink   = errors.New("topology: unknown link")
-	ErrNoRoute       = errors.New("topology: no route")
+	errDuplicateNode = errors.New("topology: duplicate node")
+	errUnknownNode   = errors.New("topology: unknown node")
+	errDuplicateLink = errors.New("topology: duplicate link")
+	errNoRoute       = errors.New("topology: no route")
 )
 
 // NewBackbone returns an empty backbone graph.
@@ -119,7 +118,7 @@ func (b *Backbone) AddNode(n Node) (*Node, error) {
 		return nil, fmt.Errorf("topology: empty node id")
 	}
 	if _, ok := b.nodes[n.ID]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrDuplicateNode, n.ID)
+		return nil, fmt.Errorf("%w: %s", errDuplicateNode, n.ID)
 	}
 	nn := n
 	b.nodes[n.ID] = &nn
@@ -129,29 +128,28 @@ func (b *Backbone) AddNode(n Node) (*Node, error) {
 	return &nn, nil
 }
 
-// MustAddNode is AddNode that panics on error.
-func (b *Backbone) MustAddNode(n Node) *Node {
-	node, err := b.AddNode(n)
-	if err != nil {
-		panic(err)
-	}
-	return node
-}
-
-// AddLink registers a directed link from->to.
-func (b *Backbone) AddLink(l Link) (*Link, error) {
+// addLink registers a directed link from->to.
+func (b *Backbone) addLink(l Link) error {
 	if _, ok := b.nodes[l.From]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, l.From)
+		return fmt.Errorf("%w: %s", errUnknownNode, l.From)
 	}
 	if _, ok := b.nodes[l.To]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, l.To)
+		return fmt.Errorf("%w: %s", errUnknownNode, l.To)
 	}
-	if l.Capacity <= 0 {
-		return nil, fmt.Errorf("topology: link %s->%s capacity must be positive", l.From, l.To)
+	if !(l.Capacity > 0) {
+		return fmt.Errorf("topology: link %s->%s capacity %v must be positive", l.From, l.To, l.Capacity)
+	}
+	// A negative delay schedules events in the past and a NaN one never
+	// orders; a loss outside [0, 1] is no probability.
+	if !(l.PropDelay >= 0) || math.IsInf(l.PropDelay, 1) {
+		return fmt.Errorf("topology: link %s->%s propagation delay %v must be finite and non-negative", l.From, l.To, l.PropDelay)
+	}
+	if !(l.LossProb >= 0 && l.LossProb <= 1) {
+		return fmt.Errorf("topology: link %s->%s loss probability %v is outside [0, 1]", l.From, l.To, l.LossProb)
 	}
 	l.ID = linkID(l.From, l.To)
 	if _, ok := b.links[l.ID]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrDuplicateLink, l.ID)
+		return fmt.Errorf("%w: %s", errDuplicateLink, l.ID)
 	}
 	ll := l
 	b.links[ll.ID] = &ll
@@ -162,50 +160,26 @@ func (b *Backbone) AddLink(l Link) (*Link, error) {
 	i, _ := slices.BinarySearchFunc(adj, ll.ID, func(a arc, id LinkID) int { return cmp.Compare(a.link.ID, id) })
 	b.adj[from] = slices.Insert(adj, i, arc{link: &ll, to: b.index[ll.To]})
 	clear(b.routes)
-	return &ll, nil
+	return nil
 }
 
 // AddDuplex registers both directions of a symmetric link.
 func (b *Backbone) AddDuplex(l Link) error {
-	if _, err := b.AddLink(l); err != nil {
+	if err := b.addLink(l); err != nil {
 		return err
 	}
 	l.From, l.To = l.To, l.From
-	_, err := b.AddLink(l)
-	return err
+	return b.addLink(l)
 }
-
-// MustAddDuplex is AddDuplex that panics on error.
-func (b *Backbone) MustAddDuplex(l Link) {
-	if err := b.AddDuplex(l); err != nil {
-		panic(err)
-	}
-}
-
-// Node returns the named node, or nil.
-func (b *Backbone) Node(id NodeID) *Node { return b.nodes[id] }
 
 // Link returns the directed link from->to, or nil.
 func (b *Backbone) Link(from, to NodeID) *Link { return b.links[linkID(from, to)] }
-
-// LinkByID returns the link with the given ID, or nil.
-func (b *Backbone) LinkByID(id LinkID) *Link { return b.links[id] }
 
 // Links returns all links sorted by ID.
 func (b *Backbone) Links() []*Link {
 	out := make([]*Link, 0, len(b.links))
 	for _, l := range b.links {
 		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Nodes returns all nodes sorted by ID.
-func (b *Backbone) Nodes() []*Node {
-	out := make([]*Node, 0, len(b.nodes))
-	for _, n := range b.nodes {
-		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -220,14 +194,6 @@ type Route struct {
 // Hops returns the number of links n on the route.
 func (r Route) Hops() int { return len(r.Links) }
 
-// Source returns the first node on the route, or "" for an empty route.
-func (r Route) Source() NodeID {
-	if len(r.Links) == 0 {
-		return ""
-	}
-	return r.Links[0].From
-}
-
 // Dest returns the last node on the route, or "" for an empty route.
 func (r Route) Dest() NodeID {
 	if len(r.Links) == 0 {
@@ -236,8 +202,8 @@ func (r Route) Dest() NodeID {
 	return r.Links[len(r.Links)-1].To
 }
 
-// Nodes returns the node sequence source..dest.
-func (r Route) Nodes() []NodeID {
+// nodes returns the node sequence source..dest.
+func (r Route) nodes() []NodeID {
 	if len(r.Links) == 0 {
 		return nil
 	}
@@ -251,7 +217,7 @@ func (r Route) Nodes() []NodeID {
 
 // String implements fmt.Stringer.
 func (r Route) String() string {
-	nodes := r.Nodes()
+	nodes := r.nodes()
 	s := ""
 	for i, n := range nodes {
 		if i > 0 {
@@ -348,11 +314,11 @@ func (s *search) pop() queued {
 func (b *Backbone) dijkstra(src, dst NodeID) ([]*Link, error) {
 	si, ok := b.index[src]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, src)
+		return nil, fmt.Errorf("%w: %s", errUnknownNode, src)
 	}
 	di, ok := b.index[dst]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, dst)
+		return nil, fmt.Errorf("%w: %s", errUnknownNode, dst)
 	}
 	const hopCost = 1e-6
 	s := &b.search
@@ -386,7 +352,7 @@ func (b *Backbone) dijkstra(src, dst NodeID) ([]*Link, error) {
 		}
 	}
 	if !s.reached[di] || math.IsInf(s.dist[di], 1) {
-		return nil, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
+		return nil, fmt.Errorf("%w: %s -> %s", errNoRoute, src, dst)
 	}
 	hops := 0
 	for at := di; at != si; at = b.index[s.prev[at].From] {

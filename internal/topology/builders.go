@@ -15,20 +15,22 @@ type Environment struct {
 // between the cell's base station and this node.
 func AirNode(id CellID) NodeID { return NodeID("air-" + string(id)) }
 
-// BackboneOptions configures BuildBackbone.
+// BackboneOptions configures BuildBackbone; it is also the "backbone"
+// section of an EnvironmentSpec. BuildBackbone refuses a negative host
+// count, and addLink a link value out of range.
 type BackboneOptions struct {
 	// WiredCapacity is the capacity of every wired link (default 10 Mb/s,
 	// classic shared Ethernet of the paper's era).
-	WiredCapacity float64
+	WiredCapacity float64 `json:"wiredCapacity,omitempty"`
 	// WiredDelay is the propagation delay of every wired link in seconds
 	// (default 1 ms).
-	WiredDelay float64
+	WiredDelay float64 `json:"wiredDelay,omitempty"`
 	// WirelessLoss is the packet error probability of every wireless
 	// link (default 0.01).
-	WirelessLoss float64
+	WirelessLoss float64 `json:"wirelessLoss,omitempty"`
 	// Hosts is the number of wired correspondent hosts attached to the
 	// core switch (default 1).
-	Hosts int
+	Hosts int `json:"hosts,omitempty"`
 }
 
 func (o BackboneOptions) withDefaults() BackboneOptions {
@@ -52,6 +54,9 @@ func (o BackboneOptions) withDefaults() BackboneOptions {
 // zone switch, and an air node per cell behind a wireless link of the
 // cell's capacity. Wired hosts hang off the core switch.
 func BuildBackbone(u *Universe, opts BackboneOptions) (*Backbone, []NodeID, error) {
+	if opts.Hosts < 0 {
+		return nil, nil, fmt.Errorf("topology: backbone host count %d is negative", opts.Hosts)
+	}
 	opts = opts.withDefaults()
 	b := NewBackbone()
 	core := NodeID("core")
@@ -68,7 +73,7 @@ func BuildBackbone(u *Universe, opts BackboneOptions) (*Backbone, []NodeID, erro
 		}
 		for _, cid := range u.Zone(zone) {
 			cell := u.Cell(cid)
-			if _, err := b.AddNode(Node{ID: cell.BaseStation, Kind: KindBaseStation, Cell: cid}); err != nil {
+			if _, err := b.AddNode(Node{ID: cell.BaseStation, Kind: kindBaseStation, Cell: cid}); err != nil {
 				return nil, nil, err
 			}
 			if err := b.AddDuplex(Link{From: sw, To: cell.BaseStation, Capacity: opts.WiredCapacity, PropDelay: opts.WiredDelay}); err != nil {
@@ -117,14 +122,14 @@ func BuildFigure4(faculty string, students []string) (*Environment, error) {
 	officeA := Cell{ID: "A", Class: ClassOffice, Capacity: capacity, Occupants: []string{faculty}}
 	occupantsB := append(append([]string(nil), students...), faculty)
 	officeB := Cell{ID: "B", Class: ClassOffice, Capacity: capacity, Occupants: occupantsB}
-	if _, err := u.AddCell(officeA); err != nil {
+	if _, err := u.addCell(officeA); err != nil {
 		return nil, err
 	}
-	if _, err := u.AddCell(officeB); err != nil {
+	if _, err := u.addCell(officeB); err != nil {
 		return nil, err
 	}
 	for _, id := range []CellID{"C", "D", "E", "F", "G"} {
-		if _, err := u.AddCell(Cell{ID: id, Class: ClassCorridor, Capacity: capacity}); err != nil {
+		if _, err := u.addCell(Cell{ID: id, Class: ClassCorridor, Capacity: capacity}); err != nil {
 			return nil, err
 		}
 	}
@@ -132,11 +137,11 @@ func BuildFigure4(faculty string, students []string) (*Environment, error) {
 		{"C", "D"}, {"D", "A"}, {"D", "E"}, {"E", "B"}, {"D", "F"}, {"D", "G"},
 	}
 	for _, e := range edges {
-		if err := u.Connect(e[0], e[1]); err != nil {
+		if err := u.connect(e[0], e[1]); err != nil {
 			return nil, err
 		}
 	}
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		return nil, err
 	}
 	b, hosts, err := BuildBackbone(u, BackboneOptions{})
@@ -155,14 +160,14 @@ func BuildCorridor(n int, capacity float64) (*Environment, error) {
 	u := NewUniverse()
 	for i := 0; i < n; i++ {
 		id := CellID(fmt.Sprintf("c%d", i))
-		if _, err := u.AddCell(Cell{ID: id, Class: ClassCorridor, Capacity: capacity}); err != nil {
+		if _, err := u.addCell(Cell{ID: id, Class: ClassCorridor, Capacity: capacity}); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i+1 < n; i++ {
 		a := CellID(fmt.Sprintf("c%d", i))
 		b := CellID(fmt.Sprintf("c%d", i+1))
-		if err := u.Connect(a, b); err != nil {
+		if err := u.connect(a, b); err != nil {
 			return nil, err
 		}
 	}
@@ -188,12 +193,12 @@ func BuildMeetingWing(capacity float64) (*Environment, error) {
 		{ID: "corr2", Class: ClassCorridor, Capacity: capacity},
 	}
 	for _, c := range cells {
-		if _, err := u.AddCell(c); err != nil {
+		if _, err := u.addCell(c); err != nil {
 			return nil, err
 		}
 	}
 	for _, e := range [][2]CellID{{"corr0", "corr1"}, {"corr1", "corr2"}, {"corr0", "M"}, {"corr1", "M"}, {"corr2", "M"}} {
-		if err := u.Connect(e[0], e[1]); err != nil {
+		if err := u.connect(e[0], e[1]); err != nil {
 			return nil, err
 		}
 	}
@@ -209,11 +214,11 @@ func BuildMeetingWing(capacity float64) (*Environment, error) {
 func BuildTwoCell(capacity float64) (*Environment, error) {
 	u := NewUniverse()
 	for _, id := range []CellID{"Cq", "Cs"} {
-		if _, err := u.AddCell(Cell{ID: id, Class: ClassLoungeDefault, Capacity: capacity}); err != nil {
+		if _, err := u.addCell(Cell{ID: id, Class: ClassLoungeDefault, Capacity: capacity}); err != nil {
 			return nil, err
 		}
 	}
-	if err := u.Connect("Cq", "Cs"); err != nil {
+	if err := u.connect("Cq", "Cs"); err != nil {
 		return nil, err
 	}
 	b, hosts, err := BuildBackbone(u, BackboneOptions{})
@@ -230,7 +235,7 @@ func BuildCampus() (*Environment, error) {
 	u := NewUniverse()
 	const cap = 1.6e6
 	add := func(c Cell) error {
-		_, err := u.AddCell(c)
+		_, err := u.addCell(c)
 		return err
 	}
 	cells := []Cell{
@@ -255,11 +260,11 @@ func BuildCampus() (*Environment, error) {
 		{"cor-e1", "meet"}, {"cor-e1", "cafe"}, {"cafe", "lounge"},
 	}
 	for _, e := range edges {
-		if err := u.Connect(e[0], e[1]); err != nil {
+		if err := u.connect(e[0], e[1]); err != nil {
 			return nil, err
 		}
 	}
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		return nil, err
 	}
 	b, hosts, err := BuildBackbone(u, BackboneOptions{Hosts: 2})
@@ -287,29 +292,29 @@ func BuildGrid(rows, cols int, capacity float64) (*Environment, error) {
 		zone := fmt.Sprintf("floor-%d", r)
 		for c := 0; c < cols; c++ {
 			occupant := fmt.Sprintf("occ-%d-%d", r, c)
-			if _, err := u.AddCell(Cell{ID: cor(r, c), Class: ClassCorridor, Zone: zone, Capacity: capacity}); err != nil {
+			if _, err := u.addCell(Cell{ID: cor(r, c), Class: ClassCorridor, Zone: zone, Capacity: capacity}); err != nil {
 				return nil, err
 			}
-			if _, err := u.AddCell(Cell{ID: off(r, c), Class: ClassOffice, Zone: zone, Capacity: capacity, Occupants: []string{occupant}}); err != nil {
+			if _, err := u.addCell(Cell{ID: off(r, c), Class: ClassOffice, Zone: zone, Capacity: capacity, Occupants: []string{occupant}}); err != nil {
 				return nil, err
 			}
-			if err := u.Connect(cor(r, c), off(r, c)); err != nil {
+			if err := u.connect(cor(r, c), off(r, c)); err != nil {
 				return nil, err
 			}
 			if c > 0 {
-				if err := u.Connect(cor(r, c-1), cor(r, c)); err != nil {
+				if err := u.connect(cor(r, c-1), cor(r, c)); err != nil {
 					return nil, err
 				}
 			}
 		}
 		if r > 0 {
 			// Stairwell between floors at column 0.
-			if err := u.Connect(cor(r-1, 0), cor(r, 0)); err != nil {
+			if err := u.connect(cor(r-1, 0), cor(r, 0)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		return nil, err
 	}
 	b, hosts, err := BuildBackbone(u, BackboneOptions{Hosts: 2})

@@ -62,11 +62,6 @@ func (c Class) String() string {
 	}
 }
 
-// IsLounge reports whether the class is one of the three lounge subclasses.
-func (c Class) IsLounge() bool {
-	return c == ClassMeetingRoom || c == ClassCafeteria || c == ClassLoungeDefault
-}
-
 // Cell is one pico-cell: a base station and the geographical region it
 // serves. Neighbors overlap so handoffs are seamless (§3.1).
 type Cell struct {
@@ -118,9 +113,9 @@ type Universe struct {
 
 // Errors returned by Universe operations.
 var (
-	ErrDuplicateCell = errors.New("topology: duplicate cell")
-	ErrUnknownCell   = errors.New("topology: unknown cell")
-	ErrSelfNeighbor  = errors.New("topology: cell cannot neighbor itself")
+	errDuplicateCell = errors.New("topology: duplicate cell")
+	errUnknownCell   = errors.New("topology: unknown cell")
+	errSelfNeighbor  = errors.New("topology: cell cannot neighbor itself")
 )
 
 // NewUniverse returns an empty universe.
@@ -131,14 +126,14 @@ func NewUniverse() *Universe {
 	}
 }
 
-// AddCell registers a cell. Zone defaults to "default" when empty.
+// addCell registers a cell. Zone defaults to "default" when empty.
 // The cell's base station defaults to "bs-<cell>" when unset.
-func (u *Universe) AddCell(c Cell) (*Cell, error) {
+func (u *Universe) addCell(c Cell) (*Cell, error) {
 	if c.ID == "" {
 		return nil, fmt.Errorf("topology: empty cell id")
 	}
 	if _, ok := u.cells[c.ID]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrDuplicateCell, c.ID)
+		return nil, fmt.Errorf("%w: %s", errDuplicateCell, c.ID)
 	}
 	if c.Zone == "" {
 		c.Zone = "default"
@@ -153,40 +148,23 @@ func (u *Universe) AddCell(c Cell) (*Cell, error) {
 	return &cc, nil
 }
 
-// MustAddCell is AddCell that panics on error; used by topology builders
-// whose inputs are static.
-func (u *Universe) MustAddCell(c Cell) *Cell {
-	cell, err := u.AddCell(c)
-	if err != nil {
-		panic(err)
-	}
-	return cell
-}
-
-// Connect makes a and b neighbors (handoff is possible between them).
+// connect makes a and b neighbors (handoff is possible between them).
 // Neighbor relations are symmetric.
-func (u *Universe) Connect(a, b CellID) error {
+func (u *Universe) connect(a, b CellID) error {
 	if a == b {
-		return fmt.Errorf("%w: %s", ErrSelfNeighbor, a)
+		return fmt.Errorf("%w: %s", errSelfNeighbor, a)
 	}
 	ca, ok := u.cells[a]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownCell, a)
+		return fmt.Errorf("%w: %s", errUnknownCell, a)
 	}
 	cb, ok := u.cells[b]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownCell, b)
+		return fmt.Errorf("%w: %s", errUnknownCell, b)
 	}
 	ca.neighbors.Insert(b)
 	cb.neighbors.Insert(a)
 	return nil
-}
-
-// MustConnect is Connect that panics on error.
-func (u *Universe) MustConnect(a, b CellID) {
-	if err := u.Connect(a, b); err != nil {
-		panic(err)
-	}
 }
 
 // Cell returns the named cell, or nil if absent.
@@ -222,14 +200,14 @@ func (u *Universe) Zones() []string {
 // Len returns the number of cells.
 func (u *Universe) Len() int { return len(u.cells) }
 
-// Validate checks structural invariants: every neighbor reference resolves
+// validate checks structural invariants: every neighbor reference resolves
 // and the relation is symmetric.
-func (u *Universe) Validate() error {
+func (u *Universe) validate() error {
 	for id, c := range u.cells {
 		for _, n := range c.neighbors {
 			nc, ok := u.cells[n]
 			if !ok {
-				return fmt.Errorf("%w: %s referenced by %s", ErrUnknownCell, n, id)
+				return fmt.Errorf("%w: %s referenced by %s", errUnknownCell, n, id)
 			}
 			if !nc.IsNeighbor(id) {
 				return fmt.Errorf("topology: asymmetric neighbor relation %s -> %s", id, n)

@@ -19,13 +19,13 @@ import (
 //	  "backbone": {"wiredCapacity": 10000000, "hosts": 2}
 //	}
 type EnvironmentSpec struct {
-	Cells    []CellSpec   `json:"cells"`
-	Edges    [][2]string  `json:"edges"`
-	Backbone BackboneSpec `json:"backbone"`
+	Cells    []cellSpec      `json:"cells"`
+	Edges    [][2]string     `json:"edges"`
+	Backbone BackboneOptions `json:"backbone"`
 }
 
-// CellSpec describes one cell.
-type CellSpec struct {
+// cellSpec describes one cell.
+type cellSpec struct {
 	ID        string   `json:"id"`
 	Class     string   `json:"class"`
 	Zone      string   `json:"zone,omitempty"`
@@ -33,17 +33,9 @@ type CellSpec struct {
 	Occupants []string `json:"occupants,omitempty"`
 }
 
-// BackboneSpec mirrors BackboneOptions in JSON.
-type BackboneSpec struct {
-	WiredCapacity float64 `json:"wiredCapacity,omitempty"`
-	WiredDelay    float64 `json:"wiredDelay,omitempty"`
-	WirelessLoss  float64 `json:"wirelessLoss,omitempty"`
-	Hosts         int     `json:"hosts,omitempty"`
-}
-
-// ParseClass maps a JSON class name to a Class. Unknown or empty strings
+// parseClass maps a JSON class name to a Class. Unknown or empty strings
 // map to ClassUnknown with ok=false for anything not recognized.
-func ParseClass(s string) (Class, bool) {
+func parseClass(s string) (Class, bool) {
 	switch s {
 	case "", "unknown":
 		return ClassUnknown, true
@@ -81,7 +73,7 @@ func BuildFromSpec(spec EnvironmentSpec) (*Environment, error) {
 	}
 	u := NewUniverse()
 	for i, cs := range spec.Cells {
-		class, ok := ParseClass(cs.Class)
+		class, ok := parseClass(cs.Class)
 		if !ok {
 			return nil, fmt.Errorf("topology: cell %d (%s): unknown class %q", i, cs.ID, cs.Class)
 		}
@@ -92,7 +84,7 @@ func BuildFromSpec(spec EnvironmentSpec) (*Environment, error) {
 		if cap < 0 {
 			return nil, fmt.Errorf("topology: cell %s: negative capacity", cs.ID)
 		}
-		if _, err := u.AddCell(Cell{
+		if _, err := u.addCell(Cell{
 			ID:        CellID(cs.ID),
 			Class:     class,
 			Zone:      cs.Zone,
@@ -103,19 +95,14 @@ func BuildFromSpec(spec EnvironmentSpec) (*Environment, error) {
 		}
 	}
 	for i, e := range spec.Edges {
-		if err := u.Connect(CellID(e[0]), CellID(e[1])); err != nil {
+		if err := u.connect(CellID(e[0]), CellID(e[1])); err != nil {
 			return nil, fmt.Errorf("topology: edge %d: %w", i, err)
 		}
 	}
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		return nil, err
 	}
-	b, hosts, err := BuildBackbone(u, BackboneOptions{
-		WiredCapacity: spec.Backbone.WiredCapacity,
-		WiredDelay:    spec.Backbone.WiredDelay,
-		WirelessLoss:  spec.Backbone.WirelessLoss,
-		Hosts:         spec.Backbone.Hosts,
-	})
+	b, hosts, err := BuildBackbone(u, spec.Backbone)
 	if err != nil {
 		return nil, err
 	}
@@ -126,10 +113,10 @@ func BuildFromSpec(spec EnvironmentSpec) (*Environment, error) {
 // support for tooling; the backbone section carries only the host count,
 // since per-link parameters are uniform in built environments).
 func SpecFromEnvironment(env *Environment) EnvironmentSpec {
-	spec := EnvironmentSpec{Backbone: BackboneSpec{Hosts: len(env.Hosts)}}
+	spec := EnvironmentSpec{Backbone: BackboneOptions{Hosts: len(env.Hosts)}}
 	seen := map[[2]string]bool{}
 	for _, c := range env.Universe.Cells() {
-		spec.Cells = append(spec.Cells, CellSpec{
+		spec.Cells = append(spec.Cells, cellSpec{
 			ID:        string(c.ID),
 			Class:     c.Class.String(),
 			Zone:      c.Zone,

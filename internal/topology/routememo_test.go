@@ -49,10 +49,10 @@ func (q *dijkstraQueue) Pop() any {
 // node's links copied and sorted before they are relaxed.
 func (b *Backbone) shortestPathFresh(src, dst NodeID) (Route, error) {
 	if _, ok := b.nodes[src]; !ok {
-		return Route{}, fmt.Errorf("%w: %s", ErrUnknownNode, src)
+		return Route{}, fmt.Errorf("%w: %s", errUnknownNode, src)
 	}
 	if _, ok := b.nodes[dst]; !ok {
-		return Route{}, fmt.Errorf("%w: %s", ErrUnknownNode, dst)
+		return Route{}, fmt.Errorf("%w: %s", errUnknownNode, dst)
 	}
 	const hopCost = 1e-6
 	out := map[NodeID][]*Link{} // the graph as given, not b.adj's order
@@ -85,7 +85,7 @@ func (b *Backbone) shortestPathFresh(src, dst NodeID) (Route, error) {
 		}
 	}
 	if _, ok := dist[dst]; !ok {
-		return Route{}, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
+		return Route{}, fmt.Errorf("%w: %s -> %s", errNoRoute, src, dst)
 	}
 	var links []*Link
 	for at := dst; at != src; at = prev[at].From {
@@ -97,8 +97,8 @@ func (b *Backbone) shortestPathFresh(src, dst NodeID) (Route, error) {
 
 func sameOutcome(got Route, gotErr error, want Route, wantErr error) bool {
 	if wantErr != nil {
-		return gotErr != nil && errors.Is(gotErr, ErrNoRoute) == errors.Is(wantErr, ErrNoRoute) &&
-			errors.Is(gotErr, ErrUnknownNode) == errors.Is(wantErr, ErrUnknownNode)
+		return gotErr != nil && errors.Is(gotErr, errNoRoute) == errors.Is(wantErr, errNoRoute) &&
+			errors.Is(gotErr, errUnknownNode) == errors.Is(wantErr, errUnknownNode)
 	}
 	return gotErr == nil && slices.Equal(got.Links, want.Links)
 }
@@ -124,8 +124,14 @@ func TestShortestPathMemo(t *testing.T) {
 	poison := &Link{ID: "poison"}
 	for name, env := range map[string]*Environment{"campus": campus, "grid": grid, "corridor": corridor} {
 		b := env.Backbone
-		b.MustAddNode(Node{ID: "island"}) // every pair with it is ErrNoRoute
-		nodes := append(b.Nodes(), &Node{ID: "missing"})
+		if _, err := b.AddNode(Node{ID: "island"}); err != nil { // every pair with it is errNoRoute
+			t.Fatal(err)
+		}
+		nodes := []*Node{{ID: "missing"}}
+		for _, n := range b.nodes {
+			nodes = append(nodes, n)
+		}
+		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 		type ref struct {
 			r   Route
 			err error
@@ -159,10 +165,14 @@ func TestShortestPathMemo(t *testing.T) {
 
 	b := NewBackbone()
 	for _, id := range []NodeID{"a", "b", "c", "d"} {
-		b.MustAddNode(Node{ID: id})
+		if _, err := b.AddNode(Node{ID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, hop := range [][2]NodeID{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
-		b.MustAddDuplex(Link{From: hop[0], To: hop[1], Capacity: 1, PropDelay: 1e-3})
+		if err := b.AddDuplex(Link{From: hop[0], To: hop[1], Capacity: 1, PropDelay: 1e-3}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := b.ShortestPath("a", "d")
 	if err != nil || r.Hops() != 3 {
@@ -172,20 +182,22 @@ func TestShortestPathMemo(t *testing.T) {
 	if again, err := b.ShortestPath("a", "d"); err != nil || again.String() != "a -> b -> c -> d" {
 		t.Fatalf("a->d after the caller appended to its route: %v, %v", again, err)
 	}
-	if _, err := b.AddLink(Link{From: "a", To: "d", Capacity: 1, PropDelay: 1e-3}); err != nil {
+	if err := b.addLink(Link{From: "a", To: "d", Capacity: 1, PropDelay: 1e-3}); err != nil {
 		t.Fatal(err)
 	}
 	if r, err := b.ShortestPath("a", "d"); err != nil || r.Hops() != 1 {
 		t.Fatalf("a->d after a direct link was added: %v, %v", r, err)
 	}
-	b.MustAddNode(Node{ID: "e"})
+	if _, err := b.AddNode(Node{ID: "e"}); err != nil {
+		t.Fatal(err)
+	}
 	if len(b.routes) != 0 {
 		t.Fatalf("AddNode left %d memoised routes", len(b.routes))
 	}
-	if _, err := b.ShortestPath("a", "e"); !errors.Is(err, ErrNoRoute) {
+	if _, err := b.ShortestPath("a", "e"); !errors.Is(err, errNoRoute) {
 		t.Fatalf("a->e = %v, want ErrNoRoute", err)
 	}
-	if _, err := b.AddLink(Link{From: "d", To: "e", Capacity: 1}); err != nil {
+	if err := b.addLink(Link{From: "d", To: "e", Capacity: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if r, err := b.ShortestPath("a", "e"); err != nil || r.String() != "a -> d -> e" {
@@ -219,11 +231,15 @@ func TestNeighborsAppendCopies(t *testing.T) {
 	}
 	u := env.Universe
 	cells := u.Cells()
-	u.MustAddCell(Cell{ID: "~last"}) // sorts after every campus cell
+	if _, err := u.addCell(Cell{ID: "~last"}); err != nil { // sorts after every campus cell
+		t.Fatal(err)
+	}
 	for _, c := range cells {
 		nb := c.Neighbors()
 		mine := append(nb, "~mine")
-		u.MustConnect(c.ID, "~last")
+		if err := u.connect(c.ID, "~last"); err != nil {
+			t.Fatal(err)
+		}
 		if got := mine[len(nb)]; got != "~mine" {
 			t.Fatalf("%s: Connect overwrote the caller's appended neighbor with %q", c.ID, got)
 		}

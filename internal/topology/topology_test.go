@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,28 +12,31 @@ import (
 
 func TestUniverseBasics(t *testing.T) {
 	u := NewUniverse()
-	a, err := u.AddCell(Cell{ID: "A", Class: ClassOffice, Zone: "z1"})
+	a, err := u.addCell(Cell{ID: "A", Class: ClassOffice, Zone: "z1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.BaseStation != "bs-A" {
 		t.Fatalf("default base station = %s", a.BaseStation)
 	}
-	if _, err := u.AddCell(Cell{ID: "A"}); !errors.Is(err, ErrDuplicateCell) {
+	if _, err := u.addCell(Cell{ID: "A"}); !errors.Is(err, errDuplicateCell) {
 		t.Fatalf("duplicate cell error = %v", err)
 	}
-	if _, err := u.AddCell(Cell{}); err == nil {
+	if _, err := u.addCell(Cell{}); err == nil {
 		t.Fatal("empty cell id accepted")
 	}
-	u.MustAddCell(Cell{ID: "B", Zone: "z1"})
-	u.MustAddCell(Cell{ID: "C"})
-	if err := u.Connect("A", "B"); err != nil {
+	for _, c := range []Cell{{ID: "B", Zone: "z1"}, {ID: "C"}} {
+		if _, err := u.addCell(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := u.connect("A", "B"); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Connect("A", "A"); !errors.Is(err, ErrSelfNeighbor) {
+	if err := u.connect("A", "A"); !errors.Is(err, errSelfNeighbor) {
 		t.Fatalf("self neighbor error = %v", err)
 	}
-	if err := u.Connect("A", "nope"); !errors.Is(err, ErrUnknownCell) {
+	if err := u.connect("A", "nope"); !errors.Is(err, errUnknownCell) {
 		t.Fatalf("unknown cell error = %v", err)
 	}
 	if !u.Cell("A").IsNeighbor("B") || !u.Cell("B").IsNeighbor("A") {
@@ -47,14 +51,17 @@ func TestUniverseBasics(t *testing.T) {
 	if got := u.Cell("C").Zone; got != "default" {
 		t.Fatalf("default zone = %q", got)
 	}
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestOccupants(t *testing.T) {
 	u := NewUniverse()
-	c := u.MustAddCell(Cell{ID: "A", Class: ClassOffice, Occupants: []string{"alice", "bob"}})
+	c, err := u.addCell(Cell{ID: "A", Class: ClassOffice, Occupants: []string{"alice", "bob"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !c.IsOccupant("alice") || c.IsOccupant("mallory") {
 		t.Fatal("occupant test wrong")
 	}
@@ -70,31 +77,29 @@ func TestClassStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", c, c.String(), want)
 		}
 	}
-	if !ClassMeetingRoom.IsLounge() || !ClassCafeteria.IsLounge() || !ClassLoungeDefault.IsLounge() {
-		t.Error("lounge subclasses not recognized")
-	}
-	if ClassOffice.IsLounge() || ClassCorridor.IsLounge() {
-		t.Error("non-lounge classes reported as lounge")
-	}
 }
 
 func TestBackboneLinkValidation(t *testing.T) {
 	b := NewBackbone()
-	b.MustAddNode(Node{ID: "x", Kind: KindSwitch})
-	b.MustAddNode(Node{ID: "y", Kind: KindSwitch})
-	if _, err := b.AddLink(Link{From: "x", To: "nope", Capacity: 1}); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("unknown node error = %v", err)
-	}
-	if _, err := b.AddLink(Link{From: "x", To: "y", Capacity: 0}); err == nil {
-		t.Fatal("zero-capacity link accepted")
-	}
-	if _, err := b.AddLink(Link{From: "x", To: "y", Capacity: 5}); err != nil {
+	if _, err := b.AddNode(Node{ID: "x", Kind: KindSwitch}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.AddLink(Link{From: "x", To: "y", Capacity: 5}); !errors.Is(err, ErrDuplicateLink) {
+	if _, err := b.AddNode(Node{ID: "y", Kind: KindSwitch}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.addLink(Link{From: "x", To: "nope", Capacity: 1}); !errors.Is(err, errUnknownNode) {
+		t.Fatalf("unknown node error = %v", err)
+	}
+	if err := b.addLink(Link{From: "x", To: "y", Capacity: 0}); err == nil {
+		t.Fatal("zero-capacity link accepted")
+	}
+	if err := b.addLink(Link{From: "x", To: "y", Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.addLink(Link{From: "x", To: "y", Capacity: 5}); !errors.Is(err, errDuplicateLink) {
 		t.Fatalf("duplicate link error = %v", err)
 	}
-	if _, err := b.AddNode(Node{ID: "x"}); !errors.Is(err, ErrDuplicateNode) {
+	if _, err := b.AddNode(Node{ID: "x"}); !errors.Is(err, errDuplicateNode) {
 		t.Fatalf("duplicate node error = %v", err)
 	}
 	if l := b.Link("x", "y"); l == nil || l.Capacity != 5 {
@@ -108,16 +113,24 @@ func TestBackboneLinkValidation(t *testing.T) {
 func TestShortestPathChain(t *testing.T) {
 	b := NewBackbone()
 	for _, id := range []NodeID{"a", "b", "c", "d"} {
-		b.MustAddNode(Node{ID: id, Kind: KindSwitch})
+		if _, err := b.AddNode(Node{ID: id, Kind: KindSwitch}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.MustAddDuplex(Link{From: "a", To: "b", Capacity: 1, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "b", To: "c", Capacity: 1, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "c", To: "d", Capacity: 1, PropDelay: 1e-3})
+	if err := b.AddDuplex(Link{From: "a", To: "b", Capacity: 1, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(Link{From: "b", To: "c", Capacity: 1, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(Link{From: "c", To: "d", Capacity: 1, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
 	r, err := b.ShortestPath("a", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Hops() != 3 || r.Source() != "a" || r.Dest() != "d" {
+	if r.Hops() != 3 || r.Links[0].From != "a" || r.Dest() != "d" {
 		t.Fatalf("route = %v", r)
 	}
 	if r.String() != "a -> b -> c -> d" {
@@ -128,12 +141,20 @@ func TestShortestPathChain(t *testing.T) {
 func TestShortestPathPrefersLowDelay(t *testing.T) {
 	b := NewBackbone()
 	for _, id := range []NodeID{"s", "m1", "m2", "t"} {
-		b.MustAddNode(Node{ID: id, Kind: KindSwitch})
+		if _, err := b.AddNode(Node{ID: id, Kind: KindSwitch}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Two-hop path with tiny delays vs one-hop path with a huge delay.
-	b.MustAddDuplex(Link{From: "s", To: "m1", Capacity: 1, PropDelay: 1e-6})
-	b.MustAddDuplex(Link{From: "m1", To: "t", Capacity: 1, PropDelay: 1e-6})
-	b.MustAddDuplex(Link{From: "s", To: "t", Capacity: 1, PropDelay: 1})
+	if err := b.AddDuplex(Link{From: "s", To: "m1", Capacity: 1, PropDelay: 1e-6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(Link{From: "m1", To: "t", Capacity: 1, PropDelay: 1e-6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(Link{From: "s", To: "t", Capacity: 1, PropDelay: 1}); err != nil {
+		t.Fatal(err)
+	}
 	r, err := b.ShortestPath("s", "t")
 	if err != nil {
 		t.Fatal(err)
@@ -141,24 +162,29 @@ func TestShortestPathPrefersLowDelay(t *testing.T) {
 	if r.Hops() != 2 {
 		t.Fatalf("expected the low-delay 2-hop path, got %v", r)
 	}
-	_ = b.Node("m2")
 }
 
 func TestShortestPathNoRoute(t *testing.T) {
 	b := NewBackbone()
-	b.MustAddNode(Node{ID: "a"})
-	b.MustAddNode(Node{ID: "island"})
-	if _, err := b.ShortestPath("a", "island"); !errors.Is(err, ErrNoRoute) {
+	if _, err := b.AddNode(Node{ID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AddNode(Node{ID: "island"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ShortestPath("a", "island"); !errors.Is(err, errNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", err)
 	}
-	if _, err := b.ShortestPath("a", "missing"); !errors.Is(err, ErrUnknownNode) {
+	if _, err := b.ShortestPath("a", "missing"); !errors.Is(err, errUnknownNode) {
 		t.Fatalf("err = %v, want ErrUnknownNode", err)
 	}
 }
 
 func TestShortestPathSelf(t *testing.T) {
 	b := NewBackbone()
-	b.MustAddNode(Node{ID: "a"})
+	if _, err := b.AddNode(Node{ID: "a"}); err != nil {
+		t.Fatal(err)
+	}
 	r, err := b.ShortestPath("a", "a")
 	if err != nil {
 		t.Fatal(err)
@@ -171,12 +197,22 @@ func TestShortestPathSelf(t *testing.T) {
 func TestMulticast(t *testing.T) {
 	b := NewBackbone()
 	for _, id := range []NodeID{"root", "l", "r", "ll", "lr"} {
-		b.MustAddNode(Node{ID: id, Kind: KindSwitch})
+		if _, err := b.AddNode(Node{ID: id, Kind: KindSwitch}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.MustAddDuplex(Link{From: "root", To: "l", Capacity: 1, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "root", To: "r", Capacity: 1, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "l", To: "ll", Capacity: 1, PropDelay: 1e-3})
-	b.MustAddDuplex(Link{From: "l", To: "lr", Capacity: 1, PropDelay: 1e-3})
+	if err := b.AddDuplex(Link{From: "root", To: "l", Capacity: 1, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(Link{From: "root", To: "r", Capacity: 1, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(Link{From: "l", To: "ll", Capacity: 1, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDuplex(Link{From: "l", To: "lr", Capacity: 1, PropDelay: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
 	tree, err := b.Multicast("root", []NodeID{"ll", "lr", "r", "root"})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +325,7 @@ func TestBuildCampus(t *testing.T) {
 	if got := len(u.Zones()); got != 2 {
 		t.Fatalf("zones = %d, want 2", got)
 	}
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(env.Hosts) != 2 {
@@ -317,18 +353,24 @@ func TestQuickShortestPathContiguity(t *testing.T) {
 		ids := make([]NodeID, n)
 		for i := 0; i < n; i++ {
 			ids[i] = NodeID(rune('a' + i))
-			b.MustAddNode(Node{ID: ids[i], Kind: KindSwitch})
+			if _, err := b.AddNode(Node{ID: ids[i], Kind: KindSwitch}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// Spanning chain guarantees connectivity, then random extra edges.
 		for i := 0; i+1 < n; i++ {
-			b.MustAddDuplex(Link{From: ids[i], To: ids[i+1], Capacity: 1, PropDelay: rng.Float64() * 1e-3})
+			if err := b.AddDuplex(Link{From: ids[i], To: ids[i+1], Capacity: 1, PropDelay: rng.Float64() * 1e-3}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for k := 0; k < n; k++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			if i == j || b.Link(ids[i], ids[j]) != nil {
 				continue
 			}
-			b.MustAddDuplex(Link{From: ids[i], To: ids[j], Capacity: 1, PropDelay: rng.Float64() * 1e-3})
+			if err := b.AddDuplex(Link{From: ids[i], To: ids[j], Capacity: 1, PropDelay: rng.Float64() * 1e-3}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		src, dst := ids[rng.Intn(n)], ids[rng.Intn(n)]
 		r, err := b.ShortestPath(src, dst)
@@ -338,7 +380,7 @@ func TestQuickShortestPathContiguity(t *testing.T) {
 		if src == dst {
 			return r.Hops() == 0
 		}
-		if r.Source() != src || r.Dest() != dst {
+		if r.Links[0].From != src || r.Dest() != dst {
 			return false
 		}
 		for i := 0; i+1 < len(r.Links); i++ {
@@ -381,7 +423,7 @@ func TestBuildGrid(t *testing.T) {
 	if r.Hops() < 3 {
 		t.Fatalf("cross-floor route too short: %v", r)
 	}
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := BuildGrid(0, 4, 1); err == nil {
@@ -428,10 +470,39 @@ func TestEnvironmentFromJSONErrors(t *testing.T) {
 		"unknown field": `{"cells": [{"id": "x"}], "wifi": true}`,
 		"negative cap":  `{"cells": [{"id": "x", "capacity": -5}]}`,
 		"dup cell":      `{"cells": [{"id": "x"}, {"id": "x"}]}`,
+		// A negative wired delay once hung armsim; a loss above 1 blocked
+		// every connection; negative hosts failed only later, in core.
+		"negative delay":    `{"cells": [{"id": "x"}], "backbone": {"wiredDelay": -5}}`,
+		"loss above one":    `{"cells": [{"id": "x"}], "backbone": {"wirelessLoss": 1.7}}`,
+		"negative loss":     `{"cells": [{"id": "x"}], "backbone": {"wirelessLoss": -0.5}}`,
+		"negative hosts":    `{"cells": [{"id": "x"}], "backbone": {"hosts": -1}}`,
+		"negative capacity": `{"cells": [{"id": "x"}], "backbone": {"wiredCapacity": -1}}`,
 	}
 	for name, spec := range cases {
 		if _, err := EnvironmentFromJSON(strings.NewReader(spec)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestAddLinkRejectsBadValues: a link's capacity must be positive, its
+// delay finite and non-negative, and its loss a probability.
+func TestAddLinkRejectsBadValues(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, l := range []Link{
+		{Capacity: 0}, {Capacity: -1}, {Capacity: nan},
+		{Capacity: 1, PropDelay: -1e-3}, {Capacity: 1, PropDelay: nan}, {Capacity: 1, PropDelay: inf},
+		{Capacity: 1, LossProb: -0.1}, {Capacity: 1, LossProb: 1.5}, {Capacity: 1, LossProb: nan},
+	} {
+		b := NewBackbone()
+		for _, id := range []NodeID{"a", "b"} {
+			if _, err := b.AddNode(Node{ID: id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.From, l.To = "a", "b"
+		if err := b.addLink(l); err == nil {
+			t.Errorf("link capacity %v, delay %v, loss %v accepted", l.Capacity, l.PropDelay, l.LossProb)
 		}
 	}
 }
@@ -458,7 +529,7 @@ func TestSpecRoundTrip(t *testing.T) {
 			t.Fatalf("cell %s neighbor count differs", c.ID)
 		}
 	}
-	if err := env2.Universe.Validate(); err != nil {
+	if err := env2.Universe.validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -21,13 +21,13 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 6, Version, byte(TShutdown), 0, 0, 0, 1})
+	f.Add([]byte{0, 6, version, byte(TShutdown), 0, 0, 0, 1})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	// Trailing body bytes behind a consistent prefix, and hostile string
 	// lengths: past the frame, and past maxString on a frame that holds it.
-	f.Add([]byte{0, 7, Version, byte(TShutdown), 0, 0, 0, 1, 0xAB})
-	f.Add([]byte{0, 10, Version, byte(THello), 0, 0, 0, 1, 0x01, 0xF4, 'a', 'b'})
-	f.Add(append([]byte{0x01, 0x08, Version, byte(THello), 0, 0, 0, 1, 0x01, 0x00}, make([]byte, 256)...))
+	f.Add([]byte{0, 7, version, byte(TShutdown), 0, 0, 0, 1, 0xAB})
+	f.Add([]byte{0, 10, version, byte(tHello), 0, 0, 0, 1, 0x01, 0xF4, 'a', 'b'})
+	f.Add(append([]byte{0x01, 0x08, version, byte(tHello), 0, 0, 0, 1, 0x01, 0x00}, make([]byte, 256)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, seq, err := Decode(data)
 		refM, refSeq, refErr := referenceDecode(data)

@@ -11,23 +11,23 @@ import (
 // FuzzWireDecode holds DecodeFrame and Decode to, nothing else uses it.
 func referenceDecode(frame []byte) (Message, uint32, error) {
 	if len(frame) < headerLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrShort, len(frame))
+		return nil, 0, fmt.Errorf("%w: %d bytes", errShort, len(frame))
 	}
 	if len(frame) > MaxFrame {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTooLong, len(frame))
+		return nil, 0, fmt.Errorf("%w: %d bytes", errTooLong, len(frame))
 	}
 	if got := int(binary.BigEndian.Uint16(frame)); got != len(frame)-2 {
-		return nil, 0, fmt.Errorf("%w: prefix says %d, frame holds %d", ErrLength, got, len(frame)-2)
+		return nil, 0, fmt.Errorf("%w: prefix says %d, frame holds %d", errLength, got, len(frame)-2)
 	}
-	if frame[2] != Version {
-		return nil, 0, fmt.Errorf("%w: %d", ErrVersion, frame[2])
+	if frame[2] != version {
+		return nil, 0, fmt.Errorf("%w: %d", errVersion, frame[2])
 	}
 	typ := Type(frame[3])
 	seq := binary.BigEndian.Uint32(frame[4:8])
 	d := refDecoder{buf: frame[headerLen:]}
 	var m Message
 	switch typ {
-	case THello:
+	case tHello:
 		m = Hello{Node: d.string()}
 	case TAck:
 		m = Ack{AckSeq: d.uint32()}
@@ -48,13 +48,13 @@ func referenceDecode(frame []byte) (Message, uint32, error) {
 	case TResync:
 		m = Resync{Conn: d.string(), Bandwidth: d.float(), TTL: d.float()}
 	default:
-		return nil, 0, fmt.Errorf("%w: %d", ErrType, uint8(typ))
+		return nil, 0, fmt.Errorf("%w: %d", errType, uint8(typ))
 	}
 	if d.err != nil {
 		return nil, 0, d.err
 	}
 	if len(d.buf) != 0 {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTrailing, len(d.buf))
+		return nil, 0, fmt.Errorf("%w: %d bytes", errTrailing, len(d.buf))
 	}
 	return m, seq, nil
 }
@@ -69,7 +69,7 @@ func (d *refDecoder) take(n int) []byte {
 		return nil
 	}
 	if len(d.buf) < n {
-		d.err = fmt.Errorf("%w: need %d more bytes", ErrShort, n-len(d.buf))
+		d.err = fmt.Errorf("%w: need %d more bytes", errShort, n-len(d.buf))
 		return nil
 	}
 	out := d.buf[:n]
@@ -104,7 +104,7 @@ func (d *refDecoder) string() string {
 		return ""
 	}
 	if n > maxString {
-		d.err = fmt.Errorf("%w: claims %d bytes", ErrString, n)
+		d.err = fmt.Errorf("%w: claims %d bytes", errString, n)
 		return ""
 	}
 	return string(d.take(n))

@@ -31,8 +31,8 @@ import (
 	"reflect"
 )
 
-// Version is the current frame format version.
-const Version = 1
+// version is the current frame format version.
+const version = 1
 
 // MaxFrame bounds a whole encoded frame. It comfortably exceeds any
 // message the protocols produce while keeping every frame well inside a
@@ -50,8 +50,8 @@ const maxString = 255
 type Type uint8
 
 const (
-	// THello announces a node joining the testnet.
-	THello Type = iota + 1
+	// tHello announces a node joining the testnet.
+	tHello Type = iota + 1
 	// TAck acknowledges receipt of the frame with the echoed sequence.
 	TAck
 	// TSignalSetup is one forward-pass hop of a setup session placing a
@@ -83,7 +83,7 @@ const (
 )
 
 var typeNames = [typeCount]string{
-	THello:        "hello",
+	tHello:        "hello",
 	TAck:          "ack",
 	TSignalSetup:  "signal-setup",
 	TSignalCommit: "signal-commit",
@@ -105,13 +105,13 @@ func (t Type) String() string {
 
 // Decode errors.
 var (
-	ErrShort    = errors.New("wire: frame truncated")
-	ErrLength   = errors.New("wire: length prefix mismatch")
-	ErrVersion  = errors.New("wire: unsupported version")
-	ErrType     = errors.New("wire: unknown message type")
-	ErrTrailing = errors.New("wire: trailing bytes after message")
-	ErrTooLong  = errors.New("wire: frame exceeds MaxFrame")
-	ErrString   = errors.New("wire: string field too long")
+	errShort    = errors.New("wire: frame truncated")
+	errLength   = errors.New("wire: length prefix mismatch")
+	errVersion  = errors.New("wire: unsupported version")
+	errType     = errors.New("wire: unknown message type")
+	errTrailing = errors.New("wire: trailing bytes after message")
+	errTooLong  = errors.New("wire: frame exceeds MaxFrame")
+	errString   = errors.New("wire: string field too long")
 )
 
 // Message is the sealed payload interface: exactly the types in this
@@ -197,7 +197,7 @@ type Resync struct {
 	TTL       float64
 }
 
-func (Hello) WireType() Type        { return THello }
+func (Hello) WireType() Type        { return tHello }
 func (Ack) WireType() Type          { return TAck }
 func (SignalSetup) WireType() Type  { return TSignalSetup }
 func (SignalCommit) WireType() Type { return TSignalCommit }
@@ -220,7 +220,7 @@ func Encode(seq uint32, m Message) ([]byte, error) {
 // the allocation-free path when the caller reuses a buffer.
 func AppendFrame(dst []byte, seq uint32, m Message) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, Version, 0)
+	dst = append(dst, 0, 0, version, 0)
 	dst = binary.BigEndian.AppendUint32(dst, seq)
 	// The type byte is set from the switch, not from m.WireType(): a
 	// dynamic call (or handing m to fmt) makes m escape, and then every
@@ -229,7 +229,7 @@ func AppendFrame(dst []byte, seq uint32, m Message) ([]byte, error) {
 	var err error
 	switch v := m.(type) {
 	case Hello:
-		typ = THello
+		typ = tHello
 		dst, err = appendString(dst, v.Node)
 	case Ack:
 		typ = TAck
@@ -275,7 +275,7 @@ func AppendFrame(dst []byte, seq uint32, m Message) ([]byte, error) {
 		dst = appendFloat(dst, v.Bandwidth)
 		dst = appendFloat(dst, v.TTL)
 	default:
-		return dst[:start], fmt.Errorf("%w: %v", ErrType, reflect.TypeOf(m))
+		return dst[:start], fmt.Errorf("%w: %v", errType, reflect.TypeOf(m))
 	}
 	if err != nil {
 		return dst[:start], err
@@ -283,7 +283,7 @@ func AppendFrame(dst []byte, seq uint32, m Message) ([]byte, error) {
 	dst[start+3] = byte(typ)
 	payload := len(dst) - start - 2
 	if len(dst)-start > MaxFrame {
-		return dst[:start], fmt.Errorf("%w: %d bytes", ErrTooLong, len(dst)-start)
+		return dst[:start], fmt.Errorf("%w: %d bytes", errTooLong, len(dst)-start)
 	}
 	binary.BigEndian.PutUint16(dst[start:], uint16(payload))
 	return dst, nil
@@ -320,22 +320,22 @@ type Frame struct {
 func DecodeFrame(frame []byte, f *Frame) error {
 	*f = Frame{}
 	if len(frame) < headerLen {
-		return fmt.Errorf("%w: %d bytes", ErrShort, len(frame))
+		return fmt.Errorf("%w: %d bytes", errShort, len(frame))
 	}
 	if len(frame) > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrTooLong, len(frame))
+		return fmt.Errorf("%w: %d bytes", errTooLong, len(frame))
 	}
 	if got := int(binary.BigEndian.Uint16(frame)); got != len(frame)-2 {
-		return fmt.Errorf("%w: prefix says %d, frame holds %d", ErrLength, got, len(frame)-2)
+		return fmt.Errorf("%w: prefix says %d, frame holds %d", errLength, got, len(frame)-2)
 	}
-	if frame[2] != Version {
-		return fmt.Errorf("%w: %d", ErrVersion, frame[2])
+	if frame[2] != version {
+		return fmt.Errorf("%w: %d", errVersion, frame[2])
 	}
 	f.Type = Type(frame[3])
 	f.Seq = binary.BigEndian.Uint32(frame[4:8])
 	d := decoder{buf: frame[headerLen:]}
 	switch f.Type {
-	case THello:
+	case tHello:
 		f.Node = d.bytes()
 	case TAck:
 		f.AckSeq = d.uint32()
@@ -351,13 +351,13 @@ func DecodeFrame(frame []byte, f *Frame) error {
 	case TLeaseRenew, TResync:
 		f.Conn, f.Bandwidth, f.TTL = d.bytes(), d.float(), d.float()
 	default:
-		return fmt.Errorf("%w: %d", ErrType, uint8(f.Type))
+		return fmt.Errorf("%w: %d", errType, uint8(f.Type))
 	}
 	if d.err != nil {
 		return d.err
 	}
 	if len(d.buf) != 0 {
-		return fmt.Errorf("%w: %d bytes", ErrTrailing, len(d.buf))
+		return fmt.Errorf("%w: %d bytes", errTrailing, len(d.buf))
 	}
 	return nil
 }
@@ -375,7 +375,7 @@ func Decode(frame []byte) (Message, uint32, error) {
 // message copies a successfully decoded frame out into its Message.
 func (f *Frame) message() Message {
 	switch f.Type {
-	case THello:
+	case tHello:
 		return Hello{Node: string(f.Node)}
 	case TAck:
 		return Ack{AckSeq: f.AckSeq}
@@ -400,7 +400,7 @@ func (f *Frame) message() Message {
 
 func appendString(dst []byte, s string) ([]byte, error) {
 	if len(s) > maxString {
-		return dst, fmt.Errorf("%w: %d bytes", ErrString, len(s))
+		return dst, fmt.Errorf("%w: %d bytes", errString, len(s))
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...), nil
@@ -423,7 +423,7 @@ func (d *decoder) take(n int) []byte {
 		return nil
 	}
 	if len(d.buf) < n {
-		d.err = fmt.Errorf("%w: need %d more bytes", ErrShort, n-len(d.buf))
+		d.err = fmt.Errorf("%w: need %d more bytes", errShort, n-len(d.buf))
 		return nil
 	}
 	out := d.buf[:n]
@@ -465,7 +465,7 @@ func (d *decoder) bytes() []byte {
 		return nil
 	}
 	if n > maxString {
-		d.err = fmt.Errorf("%w: claims %d bytes", ErrString, n)
+		d.err = fmt.Errorf("%w: claims %d bytes", errString, n)
 		return nil
 	}
 	return d.take(n)

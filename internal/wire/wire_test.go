@@ -107,7 +107,7 @@ func TestRoundTripEdgeValues(t *testing.T) {
 
 func TestEncodeRejectsOversizedString(t *testing.T) {
 	_, err := Encode(1, Hello{Node: strings.Repeat("x", maxString+1)})
-	if !errors.Is(err, ErrString) {
+	if !errors.Is(err, errString) {
 		t.Fatalf("err = %v, want ErrString", err)
 	}
 }
@@ -119,7 +119,7 @@ func (alien) WireType() Type { return TUpdate }
 
 // TestEncodeRejectsForeignMessage pins the closed set from the encode
 // side: a nil message, a pointer to a message and a foreign
-// implementation are ErrType naming the offender, and dst comes back
+// implementation are errType naming the offender, and dst comes back
 // at its original length.
 func TestEncodeRejectsForeignMessage(t *testing.T) {
 	for want, m := range map[string]Message{
@@ -128,7 +128,7 @@ func TestEncodeRejectsForeignMessage(t *testing.T) {
 		"wire.alien":  alien{},
 	} {
 		dst, err := AppendFrame([]byte("kept"), 1, m)
-		if !errors.Is(err, ErrType) || !strings.HasSuffix(err.Error(), ": "+want) {
+		if !errors.Is(err, errType) || !strings.HasSuffix(err.Error(), ": "+want) {
 			t.Errorf("AppendFrame(%s): err = %v, want ErrType naming it", want, err)
 		}
 		if string(dst) != "kept" {
@@ -149,14 +149,14 @@ func TestDecodeMalformed(t *testing.T) {
 		frame []byte
 		want  error
 	}{
-		{"empty", nil, ErrShort},
-		{"header-only-truncated", good[:5], ErrShort},
-		{"body-truncated", good[:len(good)-3], ErrLength},
-		{"trailing", append(append([]byte(nil), good...), 0xFF), ErrLength},
-		{"bad-version", mutate(good, 2, 99), ErrVersion},
-		{"bad-type", mutate(good, 3, 200), ErrType},
-		{"zero-type", mutate(good, 3, 0), ErrType},
-		{"oversized", make([]byte, MaxFrame+1), ErrTooLong},
+		{"empty", nil, errShort},
+		{"header-only-truncated", good[:5], errShort},
+		{"body-truncated", good[:len(good)-3], errLength},
+		{"trailing", append(append([]byte(nil), good...), 0xFF), errLength},
+		{"bad-version", mutate(good, 2, 99), errVersion},
+		{"bad-type", mutate(good, 3, 200), errType},
+		{"zero-type", mutate(good, 3, 0), errType},
+		{"oversized", make([]byte, MaxFrame+1), errTooLong},
 	}
 	for _, tc := range cases {
 		if _, _, err := Decode(tc.frame); !errors.Is(err, tc.want) {
@@ -168,7 +168,7 @@ func TestDecodeMalformed(t *testing.T) {
 	// slice, inconsistent with the fields) must fail cleanly too.
 	short := append([]byte(nil), good[:headerLen+1]...)
 	binary.BigEndian.PutUint16(short, uint16(len(short)-2))
-	if _, _, err := Decode(short); !errors.Is(err, ErrShort) {
+	if _, _, err := Decode(short); !errors.Is(err, errShort) {
 		t.Errorf("lying prefix: err = %v, want ErrShort", err)
 	}
 
@@ -187,7 +187,7 @@ func TestDecodeRejectsTrailingBody(t *testing.T) {
 	frame, _ := Encode(1, Shutdown{})
 	frame = append(frame, 0xAB)
 	binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
-	if _, _, err := Decode(frame); !errors.Is(err, ErrTrailing) {
+	if _, _, err := Decode(frame); !errors.Is(err, errTrailing) {
 		t.Fatalf("err = %v, want ErrTrailing", err)
 	}
 }
