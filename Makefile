@@ -45,7 +45,7 @@ fuzz:
 BENCHPKGS = . ./internal/admission ./internal/core ./internal/dataplane ./internal/des \
 	./internal/eventbus ./internal/maxmin ./internal/obs \
 	./internal/obs/live ./internal/reserve ./internal/sched \
-	./internal/strategy ./internal/testnet ./internal/wire
+	./internal/sim ./internal/strategy ./internal/testnet ./internal/wire
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' $(BENCHPKGS)
 
@@ -95,15 +95,18 @@ perf-counts:
 
 ## loc: the ROADMAP scoreboard — non-test and test Go lines and the
 ## package counts of the root module (bench/ and its build directory
-## excluded), and the export surface of internal/ as TestExportsAreUsed
-## counts it (its -v log has the per-package counts). Record before/after
-## in each PR's CHANGES.md entry.
+## excluded), the export surface of internal/ and the *Config/*Options
+## fields of the root module as TestExportsAreUsed counts them (its -v
+## log has the per-package counts). Record before/after in each PR's
+## CHANGES.md entry.
 LOCFIND = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
 loc:
 	@echo "non-test Go lines: $$($(LOCFIND) -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$($(LOCFIND) -name '*_test.go' | xargs cat | wc -l)"
 	@echo "packages:          $$($(GO) list ./... | wc -l) ($$($(GO) list ./internal/... | wc -l) under internal/)"
-	@$(GO) test -run '^TestExportsAreUsed$$' -count=1 -v . | sed -n 's|.*exported names in internal/: \([0-9]*\); \*Config/\*Options fields: \([0-9]*\)|exported names:    \1 in internal/ (\2 *Config/*Options fields)|p'
+	@$(GO) test -run '^TestExportsAreUsed$$' -count=1 -v . | sed -n \
+		-e 's|.*exported names in internal/: \([0-9]*\)$$|exported names:    \1 in internal/|p' \
+		-e 's|.*config fields: \(.*\)|config fields:     \1|p'
 
 ## trace-determinism: the event-stream replication gate — the full JSONL
 ## trace of every reservation mode and the output of every multi-trial

@@ -107,7 +107,8 @@ const (
 	ClassLoungeDefault = topology.ClassLoungeDefault
 )
 
-// Scheduling disciplines for the admission buffer rows.
+// Scheduling disciplines: the values of Table2Config.Discipline and
+// DataplaneOptions.Discipline.
 const (
 	WFQ  = sched.DisciplineWFQ
 	RCSP = sched.DisciplineRCSP

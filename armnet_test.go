@@ -1,6 +1,7 @@
 package armnet_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -150,14 +151,14 @@ func TestExperimentsAccessibleFromFacade(t *testing.T) {
 	if _, err := armnet.RunTable2(armnet.Table2Config{}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := armnet.RunFigure6(armnet.Figure6Config{Seed: 1, T: 0.05, PQoS: 0.1, Horizon: 30})
+	curves, _, err := armnet.RunFigure6Sweep(context.Background(), 1, []float64{0.05}, []float64{0.1}, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NewArrivals == 0 {
+	if r := curves[0].Points[0]; r.NewArrivals == 0 {
 		t.Fatal("no arrivals in facade figure-6 run")
 	}
-	if _, err := armnet.RunFigure2(armnet.Figure2Config{Seed: 1}); err != nil {
+	if _, err := armnet.RunFigure2(1); err != nil {
 		t.Fatal(err)
 	}
 }

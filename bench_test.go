@@ -40,7 +40,7 @@ func BenchmarkTable2AdmissionRCSP(b *testing.B) {
 func BenchmarkFigure2LoungeActivity(b *testing.B) {
 	peak := 0
 	for i := 0; i < b.N; i++ {
-		r, err := armnet.RunFigure2(armnet.Figure2Config{Seed: int64(i + 1), Students: 40})
+		r, err := armnet.RunFigure2(int64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,8 +64,8 @@ func BenchmarkFigure4OfficePrediction(b *testing.B) {
 		}
 		last = r
 	}
-	b.ReportMetric(last.Faculty.Accuracy(), "faculty-accuracy")
-	b.ReportMetric(last.Students.Accuracy(), "student-accuracy")
+	b.ReportMetric(float64(last.Faculty.Correct)/float64(max(1, last.Faculty.Transits)), "faculty-accuracy")
+	b.ReportMetric(float64(last.Students.Correct)/float64(max(1, last.Students.Transits)), "student-accuracy")
 	b.ReportMetric(float64(last.Crowd.BruteForceCells)/float64(max(1, last.Crowd.ReservedCells)), "bruteforce-waste-x")
 }
 
@@ -91,16 +91,15 @@ func BenchmarkFigure5MeetingRoom(b *testing.B) {
 }
 
 // BenchmarkFigure6DefaultReservation regenerates one operating point of
-// the §7.2 P_d/P_b study.
+// the §7.2 P_d/P_b study: a one-window, one-target sweep.
 func BenchmarkFigure6DefaultReservation(b *testing.B) {
 	var pd, pb float64
 	for i := 0; i < b.N; i++ {
-		r, err := armnet.RunFigure6(armnet.Figure6Config{
-			Seed: int64(i + 1), T: 0.05, PQoS: 0.05, Horizon: 100,
-		})
+		curves, _, err := armnet.RunFigure6Sweep(context.Background(), int64(i+1), []float64{0.05}, []float64{0.05}, 100, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
+		r := curves[0].Points[0]
 		pd += r.Pd
 		pb += r.Pb
 	}
@@ -156,26 +155,6 @@ func BenchmarkAblationRefinedVsFlooding(b *testing.B) {
 		naive += r2.TotalMessages
 	}
 	b.ReportMetric(float64(naive)/float64(max(1, refined)), "flooding-overhead-x")
-}
-
-// BenchmarkAblationExactVsStaticReservation compares the probabilistic
-// algorithm against the static baseline at one operating point.
-func BenchmarkAblationExactVsStaticReservation(b *testing.B) {
-	var probPd, statPd float64
-	for i := 0; i < b.N; i++ {
-		p, err := armnet.RunFigure6(armnet.Figure6Config{Seed: int64(i + 1), T: 0.05, PQoS: 0.05, Horizon: 80})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := armnet.RunFigure6(armnet.Figure6Config{Seed: int64(i + 1), T: 0.05, Static: true, StaticReserve: 4, Horizon: 80})
-		if err != nil {
-			b.Fatal(err)
-		}
-		probPd += p.Pd
-		statPd += s.Pd
-	}
-	b.ReportMetric(probPd/float64(b.N), "probabilistic-Pd")
-	b.ReportMetric(statPd/float64(b.N), "static-Pd")
 }
 
 // BenchmarkAblationPredictiveVsBruteForce runs the integrated manager on
@@ -234,30 +213,12 @@ func BenchmarkAblationTthSensitivity(b *testing.B) {
 	b.ReportMetric(large/float64(b.N), "predicted-share-Tth600")
 }
 
-// BenchmarkScaleGridBuilding runs the integrated manager on a 48-cell
-// building with 80 portables and reports simulator throughput.
-func BenchmarkScaleGridBuilding(b *testing.B) {
-	var events uint64
-	var secs float64
-	for i := 0; i < b.N; i++ {
-		r, err := armnet.RunGrid(armnet.GridConfig{Seed: int64(i + 1), Duration: 900})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += r.Events
-	}
-	secs = b.Elapsed().Seconds()
-	if secs > 0 {
-		b.ReportMetric(float64(events)/secs, "events/s")
-	}
-}
-
 // BenchmarkAblationLooseVsRigidBounds quantifies §2.1's motivation: the
 // capacity harvested and the violation time under channel fades.
 func BenchmarkAblationLooseVsRigidBounds(b *testing.B) {
 	var looseUtil, rigidUtil, looseOver, rigidOver float64
 	for i := 0; i < b.N; i++ {
-		l, r, err := armnet.RunBounds(armnet.BoundsConfig{Seed: int64(i + 1), Duration: 900})
+		l, r, err := armnet.RunBounds(int64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,7 +252,7 @@ func BenchmarkArenaHeadToHead(b *testing.B) {
 		pairs = len(entries)
 		low := -1.0
 		for _, e := range entries {
-			if e.Pair.Label() == "maxmin+table2" {
+			if e.Pair.Allocator+"+"+e.Pair.Admitter == "maxmin+table2" {
 				paperDrop += e.DropRate
 				paperMsgs += float64(e.Control.Messages)
 			}

@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -91,6 +92,9 @@ func main() {
 		out: os.Stdout, statsOut: os.Stderr,
 	}
 	names, err := resolveExperiments(*exp)
+	if err == nil {
+		err = o.validate()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -99,6 +103,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// validate refuses the flag values no experiment can run with, naming
+// the flag, rather than letting a default stand in for them.
+func (o opts) validate() error {
+	if o.walkBys < 0 {
+		return fmt.Errorf("-walkbys %d: want a non-negative number of corridor transits", o.walkBys)
+	}
+	if !(o.horizon > 0) || math.IsInf(o.horizon, 1) {
+		return fmt.Errorf("-horizon %v: want a positive, finite number of seconds", o.horizon)
+	}
+	return nil
 }
 
 // resolveExperiments expands the -exp flag into the list of runner names.
@@ -169,7 +185,7 @@ func table2(o opts) error {
 }
 
 func fig2(o opts) error {
-	r, err := armnet.RunFigure2(armnet.Figure2Config{Seed: o.seed, Students: 40})
+	r, err := armnet.RunFigure2(o.seed)
 	if err != nil {
 		return err
 	}
@@ -311,7 +327,7 @@ func tth(o opts) error {
 // bounds is the extension experiment quantifying §2.1: loose QoS bounds
 // vs rigid reservations on a fading wireless link.
 func bounds(o opts) error {
-	loose, rigid, err := armnet.RunBounds(armnet.BoundsConfig{Seed: o.seed})
+	loose, rigid, err := armnet.RunBounds(o.seed)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -127,5 +129,41 @@ func TestResolveExperiments(t *testing.T) {
 		if _, ok := runners[name]; !ok {
 			t.Fatalf("experimentOrder entry %q has no runner", name)
 		}
+	}
+}
+
+// TestBadFlagsRefused: a negative -walkbys and a -horizon that is not a
+// positive, finite number are refused with an error naming the flag —
+// no default stands in for them — and -walkbys 0 runs Figure 5 with no
+// corridor through-traffic instead of the 400 walk-bys of the default.
+func TestBadFlagsRefused(t *testing.T) {
+	good := opts{seed: 1, horizon: 200, walkBys: 400}
+	if err := good.validate(); err != nil {
+		t.Fatalf("default flags refused: %v", err)
+	}
+	for _, c := range []struct {
+		flag string
+		o    opts
+	}{
+		{"-walkbys", opts{horizon: 200, walkBys: -3}},
+		{"-horizon", opts{horizon: -5}},
+		{"-horizon", opts{horizon: 0}},
+		{"-horizon", opts{horizon: math.NaN()}},
+		{"-horizon", opts{horizon: math.Inf(1)}},
+	} {
+		err := c.o.validate()
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("walkBys=%d horizon=%v: error %v, want one naming %s", c.o.walkBys, c.o.horizon, err, c.flag)
+		}
+	}
+	run := func(walkBys int) []byte {
+		var buf bytes.Buffer
+		if err := fig5(opts{seed: 1, walkBys: walkBys, parallel: 1, out: &buf, statsOut: io.Discard}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if bytes.Equal(run(0), run(400)) {
+		t.Fatal("-walkbys 0 printed the -walkbys 400 output")
 	}
 }

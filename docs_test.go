@@ -461,10 +461,11 @@ func TestTheorem1BlockMatches(t *testing.T) {
 	}
 }
 
-// exportScan is a go/types view of every non-test package of the root
-// module and of bench/ (its own module, loaded by path): which other
-// packages reference each object, and which interface methods some
-// non-test code calls.
+// exportScan is a go/types view of every package of the root module and
+// of bench/ (its own module, loaded by path): which other packages'
+// non-test files reference each object, which interface methods some
+// non-test code calls, and — test files included — where each struct
+// field is written.
 type exportScan struct {
 	fset  *token.FileSet
 	std   types.Importer
@@ -475,6 +476,13 @@ type exportScan struct {
 	// a module interface's, a generic constraint's or, since the standard
 	// library's callers are not scanned, every standard-library one.
 	called map[string][]*types.Func
+	// files holds every parsed file by path, so a package's test check
+	// reuses its non-test files and their objects keep one position.
+	files map[string]*ast.File
+	// writers maps a field's declaring position to the receiver types,
+	// by declaring position, of the functions that write it — token.NoPos
+	// for a function that is no method.
+	writers map[token.Pos]map[token.Pos]bool
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -489,15 +497,18 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // scanExports loads every package directory under the repository root —
 // the root module's and bench/'s alike, since bench/'s `replace armnet
-// => ../` makes its imports resolve to the same directories.
+// => ../` makes its imports resolve to the same directories — and then
+// type-checks each one's in-package and external test files for writes.
 func scanExports(t *testing.T) *exportScan {
 	t.Helper()
 	s := &exportScan{
-		fset:   token.NewFileSet(),
-		dirs:   map[string]string{},
-		pkgs:   map[string]*types.Package{},
-		users:  map[types.Object]map[string]bool{},
-		called: map[string][]*types.Func{},
+		fset:    token.NewFileSet(),
+		dirs:    map[string]string{},
+		pkgs:    map[string]*types.Package{},
+		users:   map[types.Object]map[string]bool{},
+		called:  map[string][]*types.Func{},
+		files:   map[string]*ast.File{},
+		writers: map[token.Pos]map[token.Pos]bool{},
 	}
 	s.std = importer.ForCompiler(s.fset, "gc", nil)
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
@@ -517,6 +528,11 @@ func scanExports(t *testing.T) *exportScan {
 	}
 	for _, p := range sortedKeys(s.dirs) {
 		if _, err := s.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range sortedKeys(s.dirs) {
+		if err := s.checkTests(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -549,13 +565,9 @@ func (s *exportScan) Import(p string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	files, err := s.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 	pkg, err := (&types.Config{Importer: s}).Check(p, s.fset, files, info)
@@ -563,6 +575,7 @@ func (s *exportScan) Import(p string) (*types.Package, error) {
 		return nil, err
 	}
 	s.pkgs[p] = pkg
+	s.recordWrites(files, info)
 	for _, obj := range info.Uses {
 		switch o := obj.(type) {
 		case *types.Func:
@@ -581,6 +594,134 @@ func (s *exportScan) Import(p string) (*types.Package, error) {
 		}
 	}
 	return pkg, nil
+}
+
+// parse returns the named files of dir, each parsed once.
+func (s *exportScan) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		name = filepath.Join(dir, name)
+		f, ok := s.files[name]
+		if !ok {
+			var err error
+			if f, err = parser.ParseFile(s.fset, name, nil, parser.SkipObjectResolution); err != nil {
+				return nil, err
+			}
+			s.files[name] = f
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// checkTests type-checks package p's in-package test files together with
+// its non-test files, and its external test files against that
+// test-augmented package, as `go test` builds them, recording only the
+// writes the test files make.
+func (s *exportScan) checkTests(p string) error {
+	dir := s.dirs[p]
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return err
+	}
+	pkg := s.pkgs[p]
+	if len(bp.TestGoFiles) > 0 {
+		files, err := s.parse(dir, append(slices.Clone(bp.GoFiles), bp.TestGoFiles...))
+		if err != nil {
+			return err
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		if pkg, err = (&types.Config{Importer: s}).Check(p, s.fset, files, info); err != nil {
+			return err
+		}
+		s.recordWrites(files[len(bp.GoFiles):], info)
+	}
+	if len(bp.XTestGoFiles) > 0 {
+		files, err := s.parse(dir, bp.XTestGoFiles)
+		if err != nil {
+			return err
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		imp := importerFunc(func(path string) (*types.Package, error) {
+			if path == p {
+				return pkg, nil
+			}
+			return s.Import(path)
+		})
+		if _, err := (&types.Config{Importer: imp}).Check(p+"_test", s.fset, files, info); err != nil {
+			return err
+		}
+		s.recordWrites(files, info)
+	}
+	return nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// recordWrites records every struct field the files write — a key of a
+// composite literal, the left side of an assignment or an increment, or
+// an operand of & — with the receiver type of the function that writes it.
+func (s *exportScan) recordWrites(files []*ast.File, info *types.Info) {
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			recv := token.NoPos
+			if ok && fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if ix, ok := typ.(*ast.IndexExpr); ok {
+					typ = ix.X
+				} else if ix, ok := typ.(*ast.IndexListExpr); ok {
+					typ = ix.X
+				}
+				if id, ok := typ.(*ast.Ident); ok && info.Uses[id] != nil {
+					recv = info.Uses[id].Pos()
+				}
+			}
+			// write records e when it names a field: a literal's key, or
+			// the selector x.F.
+			write := func(e ast.Expr) {
+				e = ast.Unparen(e)
+				if sel, ok := e.(*ast.SelectorExpr); ok {
+					e = sel.Sel
+				}
+				id, _ := e.(*ast.Ident)
+				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+					pos := v.Origin().Pos()
+					if s.writers[pos] == nil {
+						s.writers[pos] = map[token.Pos]bool{}
+					}
+					s.writers[pos][recv] = true
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							write(kv.Key)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // stdInterfaces counts every method of every interface the standard
@@ -719,16 +860,13 @@ func (s *exportScan) used(obj types.Object) bool {
 // non-test code uses, and logs the per-package counts.
 func unusedExports(t *testing.T, s *exportScan) []string {
 	var unused []string
-	total, fields := 0, 0
+	total := 0
 	for _, p := range sortedKeys(s.pkgs) {
 		if !strings.HasPrefix(p, "armnet/internal/") {
 			continue
 		}
 		names := s.exported(s.pkgs[p])
 		for name, obj := range names {
-			if v, ok := obj.(*types.Var); ok && v.IsField() {
-				fields++
-			}
 			if !s.used(obj) {
 				unused = append(unused, name)
 			}
@@ -736,13 +874,58 @@ func unusedExports(t *testing.T, s *exportScan) []string {
 		total += len(names)
 		t.Logf("exported names %-16s %4d", strings.TrimPrefix(p, "armnet/internal/"), len(names))
 	}
-	t.Logf("exported names in internal/: %d; *Config/*Options fields: %d", total, fields)
+	t.Logf("exported names in internal/: %d", total)
 	slices.Sort(unused)
 	return unused
 }
 
+// configFields lists, keyed `pkg.Type.Field`, every field of every struct
+// type of the root module (bench/'s own types exempt) named *Config,
+// *Options, *config or *options that no file — test files and bench/
+// included — writes outside the methods of its own type, and logs how
+// many such fields there are and how many of them are exported.
+func configFields(t *testing.T, s *exportScan) []string {
+	var unwritten []string
+	total, exported := 0, 0
+	for _, p := range sortedKeys(s.pkgs) {
+		if p == "armnet/bench" || strings.HasPrefix(p, "armnet/bench/") {
+			continue
+		}
+		pkg := s.pkgs[p]
+		rel := strings.TrimPrefix(strings.TrimPrefix(p, "armnet/internal/"), "armnet/")
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			lower := strings.ToLower(name)
+			if !ok || tn.IsAlias() || !strings.HasSuffix(lower, "config") && !strings.HasSuffix(lower, "options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				f := st.Field(i)
+				total++
+				if f.Exported() && tn.Exported() {
+					exported++
+				}
+				setters := len(s.writers[f.Pos()])
+				if s.writers[f.Pos()][tn.Pos()] {
+					setters-- // the type's own methods (withDefaults) set no knob
+				}
+				if setters == 0 {
+					unwritten = append(unwritten, rel+"."+name+"."+f.Name())
+				}
+			}
+		}
+	}
+	t.Logf("config fields: %d (%d exported)", total, exported)
+	return unwritten
+}
+
 // exportAllowlist holds the exported names of internal/ that no other
-// package's non-test code uses but that stay exported, each with its
+// package's non-test code uses but that stay exported, and the config
+// fields nothing but their own type's methods writes, each with its
 // reason; an entry without a dot covers a whole package.
 var exportAllowlist = map[string]string{
 	"sched":     "ROADMAP item 8 (packets under the walk) decides the packet-level packages",
@@ -763,18 +946,6 @@ var exportAllowlist = map[string]string{
 	"topology.BackboneOptions.WiredCapacity": "input decoded from JSON: the backbone section of a topology file",
 	"topology.BackboneOptions.WiredDelay":    "input decoded from JSON: the backbone section of a topology file",
 	"topology.BackboneOptions.WirelessLoss":  "input decoded from JSON: the backbone section of a topology file",
-
-	"sim.BoundsConfig.Duration":       "ROADMAP item 21 decides: only the root package's ablation benchmarks set it",
-	"sim.GridConfig.Duration":         "ROADMAP item 21 decides: only the root package's scale benchmark sets it",
-	"sim.GridConfig.Seed":             "ROADMAP item 21 decides: only the root package's scale benchmark sets it",
-	"sim.Figure6Config.Horizon":       "ROADMAP item 21 decides: only the root package's tests and benchmarks set it",
-	"sim.Figure6Config.PQoS":          "ROADMAP item 21 decides: only the root package's tests and benchmarks set it",
-	"sim.Figure6Config.Seed":          "ROADMAP item 21 decides: only the root package's tests and benchmarks set it",
-	"sim.Figure6Config.T":             "ROADMAP item 21 decides: only the root package's tests and benchmarks set it",
-	"sim.Figure6Config.Static":        "ROADMAP item 21 decides: only the root package's static-reservation ablation sets it",
-	"sim.Figure6Config.StaticReserve": "ROADMAP item 21 decides: only the root package's static-reservation ablation sets it",
-	"sim.StrategyPair.Label":          "ROADMAP item 21 decides: only the root package's arena Example and benchmark print it",
-	"sim.personaResult.Accuracy":      "ROADMAP item 21 decides: only the root package's Figure 4 Example and benchmark print it",
 }
 
 // TestExportsAreUsed holds the export surface of internal/ to its use
@@ -784,21 +955,30 @@ var exportAllowlist = map[string]string{
 // the root module or of bench/ — or, for a method, implement an
 // interface method that non-test code calls — unless exportAllowlist
 // says why not. A name only its own package uses is unexported; a name
-// nothing uses is deleted. Run with -v for the per-package counts.
+// nothing uses is deleted. And a knob needs a setter: every field of a
+// *Config, *Options, *config or *options struct of the root module must
+// be written by some file, test files and bench/ included, outside the
+// methods of its own type — a field only withDefaults fills becomes a
+// named constant. Run with -v for the per-package counts and the config
+// field count.
 func TestExportsAreUsed(t *testing.T) {
 	s := scanExports(t)
 	needed := map[string]bool{}
-	for _, name := range unusedExports(t, s) {
-		pkg := name[:strings.Index(name, ".")]
-		switch {
-		case exportAllowlist[name] != "":
-			needed[name] = true
-		case exportAllowlist[pkg] != "":
-			needed[pkg] = true
-		default:
-			t.Errorf("%s is exported, but no non-test code of another package uses it", name)
+	check := func(names []string, complaint string) {
+		for _, name := range names {
+			pkg := name[:strings.Index(name, ".")]
+			switch {
+			case exportAllowlist[name] != "":
+				needed[name] = true
+			case exportAllowlist[pkg] != "":
+				needed[pkg] = true
+			default:
+				t.Errorf("%s %s", name, complaint)
+			}
 		}
 	}
+	check(unusedExports(t, s), "is exported, but no non-test code of another package uses it")
+	check(configFields(t, s), "is a config field only its own type's methods write: make it a constant")
 	for name := range exportAllowlist {
 		if !needed[name] {
 			t.Errorf("exportAllowlist holds %s, which is used or gone: drop the entry", name)

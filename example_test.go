@@ -135,7 +135,7 @@ func ExampleRunArena() {
 			best = e
 		}
 	}
-	fmt.Printf("fewest dropped handoffs (control packets as tiebreak): %s\n", best.Pair.Label())
+	fmt.Printf("fewest dropped handoffs (control packets as tiebreak): %s+%s\n", best.Pair.Allocator, best.Pair.Admitter)
 	// Output:
 	// registered allocators: [erica logweight maxmin]
 	// registered admitters:  [measured table2]
@@ -162,7 +162,8 @@ func ExampleRunFigure4() {
 	fmt.Println()
 	fmt.Println("paper's conclusions reproduced:")
 	fmt.Printf("  (a) deterministic reservation for office occupants is valid: faculty %.0f%%, students %.0f%% accurate\n",
-		res.Faculty.Accuracy()*100, res.Students.Accuracy()*100)
+		float64(res.Faculty.Correct)/float64(res.Faculty.Transits)*100,
+		float64(res.Students.Correct)/float64(res.Students.Transits)*100)
 	fmt.Printf("  (b) brute-force advance reservation in all neighbors is extremely wasteful (%.0fx)\n", waste)
 	// Output:
 	// ECE-building workweek (calibrated to the paper's measured handoffs)

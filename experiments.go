@@ -21,9 +21,8 @@ type (
 	Figure5Result = sim.Figure5Result
 	Fig5Algorithm = sim.Fig5Algorithm
 
-	// Figure6Config / Figure6Result: §7.2 probabilistic default
-	// reservation P_d/P_b tradeoff.
-	Figure6Config = sim.Figure6Config
+	// Figure6Result / Figure6Curve: §7.2 probabilistic default
+	// reservation P_d/P_b tradeoff, one operating point and one curve.
 	Figure6Result = sim.Figure6Result
 	Figure6Curve  = sim.Figure6Curve
 
@@ -35,8 +34,7 @@ type (
 	Theorem1Config = sim.Theorem1Config
 	Theorem1Result = sim.Theorem1Result
 
-	// Figure2Config / Figure2Result: lounge handoff-activity profile.
-	Figure2Config = sim.Figure2Config
+	// Figure2Result: lounge handoff-activity profile.
 	Figure2Result = sim.Figure2Result
 
 	// CampusConfig / CampusResult: integrated campus scenario comparing
@@ -56,12 +54,7 @@ type (
 	ArenaEntry   = sim.ArenaEntry
 	StrategyPair = sim.StrategyPair
 
-	// GridConfig / GridResult: scale scenario on a rows×cols building.
-	GridConfig = sim.GridConfig
-	GridResult = sim.GridResult
-
-	// BoundsConfig / BoundsResult: §2.1 loose-vs-rigid QoS quantified.
-	BoundsConfig = sim.BoundsConfig
+	// BoundsResult: §2.1 loose-vs-rigid QoS quantified.
 	BoundsResult = sim.BoundsResult
 
 	// CorridorResult: §6.1 linear-movement prediction accuracy.
@@ -89,7 +82,6 @@ var (
 	RunFigure2           = sim.RunFigure2
 	RunFigure4           = sim.RunFigure4
 	RunFigure5Comparison = sim.RunFigure5Comparison
-	RunFigure6           = sim.RunFigure6
 	RunFigure6Sweep      = sim.RunFigure6Sweep
 	RunTable2            = sim.RunTable2
 	RunTheorem1          = sim.RunTheorem1
@@ -109,7 +101,6 @@ var (
 	RenderArena       = sim.RenderArena
 	DefaultArenaPairs = sim.DefaultArenaPairs
 	RunTthSensitivity = sim.RunTthSensitivity
-	RunGrid           = sim.RunGrid
 	RunBounds         = sim.RunBounds
 	RunCorridor       = sim.RunCorridor
 	// ErlangB is the analytic blocking formula used to validate the

@@ -136,7 +136,7 @@ func (m *Manager) RegisterMeeting(room topology.CellID, mt reserve.Meeting) erro
 	if cell.Class != topology.ClassMeetingRoom {
 		return fmt.Errorf("core: cell %s is %s, not a meeting room", room, cell.Class)
 	}
-	pol, err := reserve.NewMeetingPolicy(mt, reserve.DefaultMeetingConfig())
+	pol, err := reserve.NewMeetingPolicy(mt)
 	if err != nil {
 		return err
 	}
@@ -152,7 +152,7 @@ func (m *Manager) noteMeetingArrival(portable string, cell topology.CellID) {
 	for _, ms := range m.meetings[cell] {
 		mt := ms.policy.Meeting
 		now := m.Sim.Now()
-		if now >= mt.Start-ms.policy.Config.LeadIn && now < mt.End {
+		if now >= mt.Start-reserve.MeetingLeadIn && now < mt.End {
 			ms.arrived[portable] = true
 		}
 	}
@@ -164,7 +164,7 @@ func (m *Manager) noteMeetingDeparture(portable string, cell topology.CellID) {
 			continue
 		}
 		now := m.Sim.Now()
-		if now >= ms.policy.Meeting.End-ms.policy.Config.LeadOut {
+		if now >= ms.policy.Meeting.End-reserve.MeetingLeadOut {
 			ms.left[portable] = true
 		}
 	}

@@ -80,7 +80,7 @@ func NewWalker(plan *Plan, seed int64) Walker {
 // wins immediately; dup, delay and reorder compose (delays and reorder
 // deferrals accumulate). Each firing is counted and reported to fired
 // when it is non-nil.
-func (w *Walker) Walk(proto, link string, fired func(Rule)) Verdict {
+func (w *Walker) Walk(proto, link string, fired func(rule)) Verdict {
 	var v Verdict
 	if w.plan == nil {
 		return v
@@ -163,7 +163,7 @@ func (in *Injector) deliver(proto, conn string, hop int) (bool, float64) {
 	if in == nil {
 		return false, 0
 	}
-	v := in.Walk(proto, "", func(r Rule) {
+	v := in.Walk(proto, "", func(r rule) {
 		eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: r.Action, Conn: conn, Hop: hop, Delay: r.Delay})
 	})
 	return v.Drop, v.Delay

@@ -25,10 +25,10 @@ import (
 	"strings"
 )
 
-// Rule is one probabilistic control-message fault: with probability
+// rule is one probabilistic control-message fault: with probability
 // Prob, the rule acts on each message (sim plane) or frame (wire plane)
 // of the matching protocol.
-type Rule struct {
+type rule struct {
 	// Proto selects the protocol: "signal", "maxmin", or "any".
 	Proto string
 	// Action is "drop", "dup", "delay", or (wire plane) "reorder".
@@ -66,7 +66,7 @@ type Timed struct {
 // Plan is a composed fault schedule. The zero value (and a nil *Plan)
 // injects nothing.
 type Plan struct {
-	Rules []Rule
+	Rules []rule
 	Timed []Timed
 }
 
@@ -263,13 +263,13 @@ func (p *Plan) parseRule(fields []string, pl plane) error {
 	if d.planes&pl == 0 {
 		return fmt.Errorf("%s %w", action, errOffPlane)
 	}
-	rule := Rule{Action: action}
+	r := rule{Action: action}
 	// Optional trailing `on <link>` filter.
 	if n := len(fields); n >= 2 && fields[n-2] == "on" {
 		if pl != wirePlane {
 			return fmt.Errorf("an `on <link>` filter %w", errOffPlane)
 		}
-		rule.Link = fields[n-1]
+		r.Link = fields[n-1]
 		fields = fields[:n-2]
 	}
 	want := 3
@@ -279,11 +279,11 @@ func (p *Plan) parseRule(fields []string, pl plane) error {
 	if len(fields) != want {
 		return fmt.Errorf("%s needs %d arguments, got %d", action, want-1, len(fields)-1)
 	}
-	rule.Proto = fields[1]
-	switch rule.Proto {
+	r.Proto = fields[1]
+	switch r.Proto {
 	case "signal", "maxmin", "any":
 	default:
-		return fmt.Errorf("unknown protocol %q (want signal, maxmin, or any)", rule.Proto)
+		return fmt.Errorf("unknown protocol %q (want signal, maxmin, or any)", r.Proto)
 	}
 	prob, err := ParseFinite(fields[2])
 	if err != nil {
@@ -292,7 +292,7 @@ func (p *Plan) parseRule(fields []string, pl plane) error {
 	if prob < 0 || prob > 1 {
 		return fmt.Errorf("probability %v outside [0,1]", prob)
 	}
-	rule.Prob = prob
+	r.Prob = prob
 	if d.seconds {
 		s, err := ParseFinite(fields[3])
 		if err != nil {
@@ -301,9 +301,9 @@ func (p *Plan) parseRule(fields []string, pl plane) error {
 		if s < 0 {
 			return fmt.Errorf("%s duration %v must be non-negative", action, s)
 		}
-		rule.Delay = s
+		r.Delay = s
 	}
-	p.Rules = append(p.Rules, rule)
+	p.Rules = append(p.Rules, r)
 	return nil
 }
 

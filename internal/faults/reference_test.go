@@ -119,7 +119,7 @@ func randomPlan(rng *randx.Rand, wire bool) *Plan {
 	probs := []float64{0, 1, 0.05, 0.3, 0.5, 0.9}
 	p := &Plan{}
 	for n := rng.Intn(7); n > 0; n-- {
-		r := Rule{
+		r := rule{
 			Proto:  protos[rng.Intn(len(protos))],
 			Action: actions[rng.Intn(len(actions))],
 			Prob:   probs[rng.Intn(len(probs))],
@@ -243,7 +243,7 @@ func TestWalkMatchesReferenceFrame(t *testing.T) {
 // reported are exactly the rules counted, in plan order, and a nil
 // callback changes nothing else.
 func TestWalkReportsEachFiring(t *testing.T) {
-	plan := &Plan{Rules: []Rule{
+	plan := &Plan{Rules: []rule{
 		{Proto: "any", Action: "dup", Prob: 1},
 		{Proto: "maxmin", Action: "delay", Prob: 1, Delay: 0.5},
 		{Proto: "any", Action: "reorder", Prob: 1, Delay: 0.25, Link: "l1"},
@@ -251,12 +251,12 @@ func TestWalkReportsEachFiring(t *testing.T) {
 		{Proto: "any", Action: "dup", Prob: 1}, // never reached by signal
 	}}
 	w := NewWalker(plan, 1)
-	var fired []Rule
-	v := w.Walk("signal", "l1", func(r Rule) { fired = append(fired, r) })
+	var fired []rule
+	v := w.Walk("signal", "l1", func(r rule) { fired = append(fired, r) })
 	if want := (Verdict{Drop: true, Dup: true, Reorder: 0.25}); v != want {
 		t.Fatalf("verdict %+v, want %+v", v, want)
 	}
-	if want := []Rule{plan.Rules[0], plan.Rules[2], plan.Rules[3]}; !reflect.DeepEqual(fired, want) {
+	if want := []rule{plan.Rules[0], plan.Rules[2], plan.Rules[3]}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fired %+v, want %+v", fired, want)
 	}
 	quiet := NewWalker(plan, 1)

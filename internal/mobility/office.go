@@ -27,13 +27,16 @@ type officeWeekConfig struct {
 	CrowdDeck Deck
 	// Horizon is the workweek length in seconds (default 5 days × 8 h).
 	Horizon float64
-	// HopGap is the seconds between successive handoffs while walking
-	// (default 25 s).
-	HopGap float64
-	// DwellMean is the mean stay at a destination office before
-	// returning (default 20 min).
-	DwellMean float64
 }
+
+const (
+	// officeHopGap is the seconds between successive handoffs while
+	// walking.
+	officeHopGap float64 = 25
+	// officeDwellMean is the mean stay, in seconds, at a destination
+	// office before returning.
+	officeDwellMean float64 = 20 * 60
+)
 
 // Deck counts destination outcomes for C→D transits.
 type Deck struct {
@@ -61,12 +64,6 @@ func PaperOfficeWeek(faculty string, students []string) officeWeekConfig {
 func (c officeWeekConfig) withDefaults() officeWeekConfig {
 	if c.Horizon <= 0 {
 		c.Horizon = 5 * 8 * 3600
-	}
-	if c.HopGap <= 0 {
-		c.HopGap = 25
-	}
-	if c.DwellMean <= 0 {
-		c.DwellMean = 1200
 	}
 	return c
 }
@@ -125,24 +122,24 @@ func OfficeWeek(cfg officeWeekConfig, rng *randx.Rand) (*Trace, error) {
 			if start < t {
 				start = t
 			}
-			t = w.walkPath([]topology.CellID{"D"}, start+cfg.HopGap, cfg.HopGap)
+			t = w.walkPath([]topology.CellID{"D"}, start+officeHopGap, officeHopGap)
 			switch d {
 			case destA:
-				t = w.walkPath([]topology.CellID{"A"}, t, cfg.HopGap)
-				t += rng.Exp(1 / cfg.DwellMean)
-				t = w.walkPath([]topology.CellID{"D", "C"}, t, cfg.HopGap)
+				t = w.walkPath([]topology.CellID{"A"}, t, officeHopGap)
+				t += rng.Exp(1 / officeDwellMean)
+				t = w.walkPath([]topology.CellID{"D", "C"}, t, officeHopGap)
 			case destB:
-				t = w.walkPath([]topology.CellID{"E", "B"}, t, cfg.HopGap)
-				t += rng.Exp(1 / cfg.DwellMean)
-				t = w.walkPath([]topology.CellID{"E", "D", "C"}, t, cfg.HopGap)
+				t = w.walkPath([]topology.CellID{"E", "B"}, t, officeHopGap)
+				t += rng.Exp(1 / officeDwellMean)
+				t = w.walkPath([]topology.CellID{"E", "D", "C"}, t, officeHopGap)
 			default:
 				target := topology.CellID("F")
 				if rng.Bernoulli(0.5) {
 					target = "G"
 				}
-				t = w.walkPath([]topology.CellID{target}, t, cfg.HopGap)
-				t += rng.Exp(1 / cfg.DwellMean)
-				t = w.walkPath([]topology.CellID{"D", "C"}, t, cfg.HopGap)
+				t = w.walkPath([]topology.CellID{target}, t, officeHopGap)
+				t += rng.Exp(1 / officeDwellMean)
+				t = w.walkPath([]topology.CellID{"D", "C"}, t, officeHopGap)
 			}
 		}
 	}
@@ -167,18 +164,18 @@ func OfficeWeek(cfg officeWeekConfig, rng *randx.Rand) (*Trace, error) {
 		id := fmt.Sprintf("crowd-%d", i)
 		t := rng.Float64() * cfg.Horizon
 		w := newWalker(id, "C", t, out)
-		t = w.walkPath([]topology.CellID{"D"}, t+cfg.HopGap, cfg.HopGap)
+		t = w.walkPath([]topology.CellID{"D"}, t+officeHopGap, officeHopGap)
 		switch d {
 		case destA:
-			w.walkPath([]topology.CellID{"A"}, t, cfg.HopGap)
+			w.walkPath([]topology.CellID{"A"}, t, officeHopGap)
 		case destB:
-			w.walkPath([]topology.CellID{"E", "B"}, t, cfg.HopGap)
+			w.walkPath([]topology.CellID{"E", "B"}, t, officeHopGap)
 		default:
 			target := topology.CellID("F")
 			if rng.Bernoulli(0.5) {
 				target = "G"
 			}
-			w.walkPath([]topology.CellID{target}, t, cfg.HopGap)
+			w.walkPath([]topology.CellID{target}, t, officeHopGap)
 		}
 	}
 	out.sort()

@@ -30,15 +30,25 @@ func mustParse(t *testing.T, spec string) *Plan {
 
 func TestParsePlan(t *testing.T) {
 	p := mustParse(t, samplePlan)
-	wantRules := []faults.Rule{
+	// ruleFields has the underlying type of a parsed rule.
+	type ruleFields struct {
+		Proto, Action string
+		Prob, Delay   float64
+		Link          string
+	}
+	rules := make([]ruleFields, len(p.Rules))
+	for i, r := range p.Rules {
+		rules[i] = ruleFields(r)
+	}
+	wantRules := []ruleFields{
 		{Proto: "any", Action: "drop", Prob: 0.2},
 		{Proto: "signal", Action: "dup", Prob: 0.1},
 		{Proto: "maxmin", Action: "delay", Prob: 0.3, Delay: 0.002},
 		{Proto: "any", Action: "reorder", Prob: 0.25, Delay: 0.004},
 		{Proto: "signal", Action: "drop", Prob: 0.5, Link: "sw-east->air-off-2"},
 	}
-	if !reflect.DeepEqual(p.Rules, wantRules) {
-		t.Errorf("rules = %+v, want %+v", p.Rules, wantRules)
+	if !reflect.DeepEqual(rules, wantRules) {
+		t.Errorf("rules = %+v, want %+v", rules, wantRules)
 	}
 	wantTimed := []faults.Timed{
 		{At: 1, Action: "partition", Target: "east", For: 2},

@@ -28,28 +28,21 @@ func (m Meeting) validate() error {
 	return nil
 }
 
-// meetingConfig carries the paper's timer constants, overridable for
-// sensitivity studies.
-type meetingConfig struct {
-	// LeadIn is Δ_s: reservation starts this many seconds before T_s
-	// (paper: 10 minutes).
-	LeadIn float64
-	// StartRelease is the timer started at T_s after which unused
+// The meeting-room timers of the paper's simulations, in seconds.
+const (
+	// MeetingLeadIn is Δ_s: the room's reservation starts this long
+	// before T_s (paper: 10 minutes).
+	MeetingLeadIn = 10 * 60
+	// meetingStartRelease is the timer started at T_s after which unused
 	// arrival reservations are released (paper: 5 minutes).
-	StartRelease float64
-	// LeadOut is Δ_a: neighbor reservation starts this many seconds
+	meetingStartRelease = 5 * 60
+	// MeetingLeadOut is Δ_a: the neighbors' reservation starts this long
 	// before T_a (paper: 5 minutes).
-	LeadOut float64
-	// EndRelease is the timer started at T_a after which neighbors
+	MeetingLeadOut = 5 * 60
+	// meetingEndRelease is the timer started at T_a after which neighbors
 	// release departure reservations (paper: 15 minutes).
-	EndRelease float64
-}
-
-// DefaultMeetingConfig returns the constants used in the paper's
-// simulations.
-func DefaultMeetingConfig() meetingConfig {
-	return meetingConfig{LeadIn: 600, StartRelease: 300, LeadOut: 300, EndRelease: 900}
-}
+	meetingEndRelease = 15 * 60
+)
 
 // MeetingPolicy evaluates the meeting-room reservation rules for one
 // meeting. The base station feeds it the arrival/departure counters it
@@ -57,28 +50,24 @@ func DefaultMeetingConfig() meetingConfig {
 // slots must be reserved in the room and in the neighborhood at time t.
 type MeetingPolicy struct {
 	Meeting Meeting
-	Config  meetingConfig
 }
 
 // NewMeetingPolicy validates and builds a policy.
-func NewMeetingPolicy(m Meeting, cfg meetingConfig) (*MeetingPolicy, error) {
+func NewMeetingPolicy(m Meeting) (*MeetingPolicy, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.LeadIn <= 0 || cfg.StartRelease < 0 || cfg.LeadOut <= 0 || cfg.EndRelease < 0 {
-		return nil, fmt.Errorf("reserve: invalid meeting config %+v", cfg)
-	}
-	return &MeetingPolicy{Meeting: m, Config: cfg}, nil
+	return &MeetingPolicy{Meeting: m}, nil
 }
 
 // RoomSlots returns the number of attendee slots the room's base station
 // must hold at time t, given that arrived attendees have shown up so far:
 // from T_s - Δ_s the room reserves N_m - N_arrived(t); the reservation
-// dies StartRelease seconds after T_s (unused slots released on timer
-// expiry).
+// dies meetingStartRelease seconds after T_s (unused slots released on
+// timer expiry).
 func (p *MeetingPolicy) RoomSlots(t float64, arrived int) int {
 	m := p.Meeting
-	if t < m.Start-p.Config.LeadIn || t >= m.Start+p.Config.StartRelease {
+	if t < m.Start-MeetingLeadIn || t >= m.Start+meetingStartRelease {
 		return 0
 	}
 	slots := m.Attendees - arrived
@@ -92,10 +81,10 @@ func (p *MeetingPolicy) RoomSlots(t float64, arrived int) int {
 // cells must hold in aggregate at time t for the meeting's conclusion:
 // from T_a - Δ_a the neighbors reserve for the attendees still present
 // (arrived - left, capped by N_m - left per the paper); the reservation
-// dies EndRelease seconds after T_a.
+// dies meetingEndRelease seconds after T_a.
 func (p *MeetingPolicy) NeighborSlots(t float64, arrived, left int) int {
 	m := p.Meeting
-	if t < m.End-p.Config.LeadOut || t >= m.End+p.Config.EndRelease {
+	if t < m.End-MeetingLeadOut || t >= m.End+meetingEndRelease {
 		return 0
 	}
 	present := arrived - left
@@ -112,7 +101,7 @@ func (p *MeetingPolicy) NeighborSlots(t float64, arrived, left int) int {
 // Active reports whether the policy has any effect at time t (used to
 // garbage-collect finished meetings).
 func (p *MeetingPolicy) Active(t float64) bool {
-	return t < p.Meeting.End+p.Config.EndRelease
+	return t < p.Meeting.End+meetingEndRelease
 }
 
 // LoungePlan is the reservation directive a lounge policy produces for

@@ -191,7 +191,7 @@ func TestProbabilisticPlanValidation(t *testing.T) {
 
 func TestMeetingPolicyRoomSlots(t *testing.T) {
 	m := Meeting{Start: 3600, End: 7200, Attendees: 35}
-	p, err := NewMeetingPolicy(m, DefaultMeetingConfig())
+	p, err := NewMeetingPolicy(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestMeetingPolicyRoomSlots(t *testing.T) {
 
 func TestMeetingPolicyNeighborSlots(t *testing.T) {
 	m := Meeting{Start: 3600, End: 7200, Attendees: 35}
-	p, err := NewMeetingPolicy(m, DefaultMeetingConfig())
+	p, err := NewMeetingPolicy(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +245,11 @@ func TestMeetingPolicyNeighborSlots(t *testing.T) {
 }
 
 func TestMeetingValidation(t *testing.T) {
-	if _, err := NewMeetingPolicy(Meeting{Start: 10, End: 5, Attendees: 3}, DefaultMeetingConfig()); err == nil {
+	if _, err := NewMeetingPolicy(Meeting{Start: 10, End: 5, Attendees: 3}); err == nil {
 		t.Error("inverted meeting accepted")
 	}
-	if _, err := NewMeetingPolicy(Meeting{Start: 0, End: 5, Attendees: 0}, DefaultMeetingConfig()); err == nil {
+	if _, err := NewMeetingPolicy(Meeting{Start: 0, End: 5, Attendees: 0}); err == nil {
 		t.Error("zero attendees accepted")
-	}
-	if _, err := NewMeetingPolicy(Meeting{Start: 0, End: 5, Attendees: 3}, meetingConfig{}); err == nil {
-		t.Error("zero config accepted")
 	}
 }
 
@@ -425,7 +422,7 @@ func TestQuickMeetingPolicyBounds(t *testing.T) {
 			Attendees: 1 + rng.Intn(100),
 		}
 		m.End = m.Start + 600 + rng.Float64()*5000
-		p, err := NewMeetingPolicy(m, DefaultMeetingConfig())
+		p, err := NewMeetingPolicy(m)
 		if err != nil {
 			return false
 		}
@@ -438,13 +435,13 @@ func TestQuickMeetingPolicyBounds(t *testing.T) {
 			if rs < 0 || rs > m.Attendees || ns < 0 || ns > m.Attendees {
 				return false
 			}
-			if tm < m.Start-p.Config.LeadIn && rs != 0 {
+			if tm < m.Start-MeetingLeadIn && rs != 0 {
 				return false
 			}
-			if tm >= m.End+p.Config.EndRelease && ns != 0 {
+			if tm >= m.End+meetingEndRelease && ns != 0 {
 				return false
 			}
-			if tm >= m.Start+p.Config.StartRelease && rs != 0 {
+			if tm >= m.Start+meetingStartRelease && rs != 0 {
 				return false
 			}
 		}

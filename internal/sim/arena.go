@@ -18,8 +18,8 @@ type StrategyPair struct {
 	Admitter  string
 }
 
-// Label renders the pair as "allocator+admitter" with defaults resolved.
-func (p StrategyPair) Label() string {
+// label renders the pair as "allocator+admitter" with defaults resolved.
+func (p StrategyPair) label() string {
 	a, d := p.Allocator, p.Admitter
 	if a == "" {
 		a = strategy.DefaultAllocator
@@ -83,7 +83,7 @@ func RunArena(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEntry, 
 		c.Obs = true
 		res, mgr, err := RunCampus(c, nil)
 		if err != nil {
-			return ArenaEntry{}, fmt.Errorf("arena %s: %w", pairs[i].Label(), err)
+			return ArenaEntry{}, fmt.Errorf("arena %s: %w", pairs[i].label(), err)
 		}
 		e := ArenaEntry{
 			Pair:         pairs[i],
@@ -109,7 +109,7 @@ func RenderArena(cfg ArenaConfig, entries []ArenaEntry) []byte {
 		"interr-p50", "interr-p99", "adapt/conn", "sessions", "messages", "retrans")
 	for _, e := range entries {
 		fmt.Fprintf(&b, "%-16s %9.6f %9.6f %9.6f %12.6f %10.6f %10.6f %10.4f %9d %9d %7d\n",
-			e.Pair.Label(), e.Utilization, e.DropRate, e.BlockRate,
+			e.Pair.label(), e.Utilization, e.DropRate, e.BlockRate,
 			e.Summary.Availability, e.Summary.InterruptP50, e.Summary.InterruptP99,
 			e.Summary.MeanAdaptation, e.Control.Sessions, e.Control.Messages,
 			e.Control.Retransmits)

@@ -52,8 +52,8 @@ func TestArenaDefaultPairMatchesCampus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entries[0].Pair.Label() != "maxmin+table2" {
-		t.Fatalf("default pair label = %q", entries[0].Pair.Label())
+	if entries[0].Pair.label() != "maxmin+table2" {
+		t.Fatalf("default pair label = %q", entries[0].Pair.label())
 	}
 	plain, _, err := RunCampus(cfg.CampusConfig, nil)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestArenaRivalStrategiesRun(t *testing.T) {
 	}
 	byLabel := map[string]ArenaEntry{}
 	for _, e := range entries {
-		byLabel[e.Pair.Label()] = e
+		byLabel[e.Pair.label()] = e
 	}
 	for _, label := range []string{"maxmin+table2", "erica+table2", "maxmin+measured", "erica+measured"} {
 		e, ok := byLabel[label]

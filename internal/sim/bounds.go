@@ -9,21 +9,9 @@ import (
 	"armnet/internal/topology"
 )
 
-// BoundsConfig drives the loose-vs-rigid QoS experiment that quantifies
-// the paper's §2.1 motivation: on an error-prone wireless link whose
-// effective capacity varies, rigid reservations either overcommit the
-// faded link (QoS violations) or must be refused, while loose bounds
-// [b_min, b_max] let the adaptation protocol keep every connection inside
-// the current capacity.
-type BoundsConfig struct {
-	// Seed drives the run's randomness; every value is valid and
-	// distinct, including 0.
-	Seed int64
-	// Duration is the simulated time.
-	Duration float64
-}
-
 const (
+	// boundsDuration is the simulated time of each scenario, in seconds.
+	boundsDuration = 1800
 	// boundsBMin and boundsBMax are the loose bounds; the rigid scenario
 	// requests the midpoint as a fixed rate.
 	boundsBMin, boundsBMax = 100e3, 400e3
@@ -32,13 +20,6 @@ const (
 	// boundsUsers all sit (static) in one cell.
 	boundsUsers = 4
 )
-
-func (c BoundsConfig) withDefaults() BoundsConfig {
-	if c.Duration <= 0 {
-		c.Duration = 1800
-	}
-	return c
-}
 
 // BoundsResult reports one scenario.
 type BoundsResult struct {
@@ -54,16 +35,21 @@ type BoundsResult struct {
 	MeanUtilization float64
 }
 
-// RunBounds runs both scenarios over the same fade process seed.
-func RunBounds(cfg BoundsConfig) (loose, rigid BoundsResult, err error) {
-	cfg = cfg.withDefaults()
+// RunBounds is the loose-vs-rigid QoS experiment that quantifies the
+// paper's §2.1 motivation: on an error-prone wireless link whose
+// effective capacity varies, rigid reservations either overcommit the
+// faded link (QoS violations) or must be refused, while loose bounds
+// [b_min, b_max] let the adaptation protocol keep every connection inside
+// the current capacity. Both scenarios run over the same fade process
+// seed; every seed is valid and distinct, including 0.
+func RunBounds(seed int64) (loose, rigid BoundsResult, err error) {
 	run := func(isLoose bool) (BoundsResult, error) {
 		env, err := topology.BuildCampus()
 		if err != nil {
 			return BoundsResult{}, err
 		}
 		simulator := des.New()
-		mgr, err := core.NewManager(simulator, env, core.Config{Seed: cfg.Seed, Tth: 30})
+		mgr, err := core.NewManager(simulator, env, core.Config{Seed: seed, Tth: 30})
 		if err != nil {
 			return BoundsResult{}, err
 		}
@@ -105,7 +91,7 @@ func RunBounds(cfg BoundsConfig) (loose, rigid BoundsResult, err error) {
 			}
 			utilArea += used / cap
 		})
-		if err := simulator.RunUntil(cfg.Duration); err != nil {
+		if err := simulator.RunUntil(boundsDuration); err != nil {
 			return BoundsResult{}, err
 		}
 		if samples > 0 {

@@ -199,10 +199,10 @@ func RunCampusComparison(ctx context.Context, cfg CampusConfig, workers int) ([]
 	})
 }
 
-// GridConfig drives the scale scenario: a rows×cols office building with
+// gridConfig drives the scale scenario: a rows×cols office building with
 // a large random-walking population, exercising the integrated manager
 // well beyond the paper's seven-cell wing.
-type GridConfig struct {
+type gridConfig struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including the zero-value 0.
 	Seed       int64
@@ -214,7 +214,7 @@ type GridConfig struct {
 // gridDwell is the mean dwell of a grid portable, in seconds.
 const gridDwell = 150
 
-func (c GridConfig) withDefaults() GridConfig {
+func (c gridConfig) withDefaults() gridConfig {
 	if c.rows <= 0 {
 		c.rows = 4
 	}
@@ -230,32 +230,32 @@ func (c GridConfig) withDefaults() GridConfig {
 	return c
 }
 
-// GridResult summarizes a scale run.
-type GridResult struct {
+// gridResult summarizes a scale run.
+type gridResult struct {
 	CampusResult
 	Cells  int
 	Events uint64
 }
 
-// RunGrid executes the scale scenario: the campus walk on a rows×cols
+// runGrid executes the scale scenario: the campus walk on a rows×cols
 // building, with three-digit portable names.
-func RunGrid(cfg GridConfig) (GridResult, error) {
+func runGrid(cfg gridConfig) (gridResult, error) {
 	cfg = cfg.withDefaults()
 	env, err := topology.BuildGrid(cfg.rows, cfg.cols, 1.6e6)
 	if err != nil {
-		return GridResult{}, err
+		return gridResult{}, err
 	}
 	trace, err := randomWalk(env.Universe, "p%03d", cfg.portables, gridDwell, cfg.Duration, cfg.Seed)
 	if err != nil {
-		return GridResult{}, err
+		return gridResult{}, err
 	}
 	mgr, err := RunWalk(env, core.Config{}, CampusConfig{
 		Seed: cfg.Seed, Duration: cfg.Duration, BMin: 32e3, BMax: 128e3,
 	}, trace, nil)
 	if err != nil {
-		return GridResult{}, err
+		return gridResult{}, err
 	}
-	return GridResult{CampusResult: campusResult(mgr), Cells: env.Universe.Len(), Events: mgr.Sim.Fired()}, nil
+	return gridResult{CampusResult: campusResult(mgr), Cells: env.Universe.Len(), Events: mgr.Sim.Fired()}, nil
 }
 
 // CorridorResult reports the §6.1 linear-movement prediction study.

@@ -93,7 +93,7 @@ func TestFigure6MatchesErlangBInDegenerateCase(t *testing.T) {
 	classes := []reserve.ClassState{{Bandwidth: 1, Mu: 5, Handoff: 0}}
 	const capacity = 10
 	const lambda = 30.0 // offered load = 30/5 = 6 Erlangs on 10 servers
-	r, err := RunFigure6(Figure6Config{
+	r, err := runFigure6(figure6Config{
 		Seed:     13,
 		capacity: capacity,
 		T:        0.05,

@@ -34,7 +34,7 @@ func TestTthSensitivity(t *testing.T) {
 }
 
 func TestGridScale(t *testing.T) {
-	r, err := RunGrid(GridConfig{Seed: 2, rows: 4, cols: 6, portables: 80, Duration: 1200})
+	r, err := runGrid(gridConfig{Seed: 2, rows: 4, cols: 6, portables: 80, Duration: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestGridScale(t *testing.T) {
 }
 
 func TestBoundsLooseBeatsRigidUnderFades(t *testing.T) {
-	loose, rigid, err := RunBounds(BoundsConfig{Seed: 6, Duration: 1800})
+	loose, rigid, err := RunBounds(6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"io"
 	"strings"
 
@@ -15,7 +14,8 @@ import (
 // chaosConfig drives the chaos scenario: the campus workload with every
 // connection opened through the signaling plane, a fault plan injecting
 // control-message loss and component crashes, and the recovery
-// invariants audited when the run drains.
+// invariants audited when the run drains. It runs under predictive
+// reservation, the zero core.Config.Mode.
 type chaosConfig struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including the zero-value 0.
@@ -25,31 +25,35 @@ type chaosConfig struct {
 	// Duration is the simulated workload time in seconds (default 600).
 	Duration float64
 	// Settle is the drain horizon after the workload stops — leases
-	// expire and re-ADVERTISE repairs drift before the audit (default 60).
+	// expire and re-ADVERTISE repairs drift before the audit (default
+	// settleTime).
 	Settle float64
-	// Dwell is the mean cell dwell time (default 120 s).
-	Dwell float64
-	// LossRate, when positive, adds a `drop any LossRate` rule — the
-	// quick way to make every control protocol lossy.
-	LossRate float64
-	// Plan is a fault-plan spec in the faults.ParsePlan grammar,
-	// composed with the LossRate rule. Empty is valid.
+	// Plan is a fault-plan spec in the faults.ParsePlan grammar; a
+	// `drop any <p>` line makes every control protocol lossy. Empty is
+	// valid.
 	Plan string
-	// Mode selects the advance-reservation strategy.
-	Mode core.ReservationMode
-	// BMin/BMax are the per-connection bandwidth bounds (defaults
-	// 32k/128k).
-	BMin, BMax float64
-	// HoldLease bounds how long a crash-orphaned signaling hold may
-	// outlive its session (default 10 s).
-	HoldLease float64
-	// ReadvertisePeriod is the maxmin re-ADVERTISE interval that repairs
-	// allocations corrupted by exhausted retries (default 5 s).
-	ReadvertisePeriod float64
-	// GapTol bounds the audited maxmin-vs-oracle convergence gap in
-	// bits/s (default 1e-6).
-	GapTol float64
 }
+
+// The operating point the chaos and overload scenarios share.
+const (
+	// faultDwell is the mean cell dwell time, in seconds.
+	faultDwell = 120
+	// settleTime is the drain horizon after the workload stops, in
+	// seconds.
+	settleTime = 60
+	// holdLease bounds how long a crash-orphaned signaling hold may
+	// outlive its session, in seconds.
+	holdLease = 10
+)
+
+const (
+	// chaosBMin and chaosBMax are the chaos scenario's per-connection
+	// bandwidth bounds, in bits/s.
+	chaosBMin, chaosBMax = 32e3, 128e3
+	// chaosReadvertise is the maxmin re-ADVERTISE interval, in seconds,
+	// that repairs allocations corrupted by exhausted retries.
+	chaosReadvertise = 5
+)
 
 func (c chaosConfig) withDefaults() chaosConfig {
 	if c.Portables <= 0 {
@@ -59,40 +63,9 @@ func (c chaosConfig) withDefaults() chaosConfig {
 		c.Duration = 600
 	}
 	if c.Settle <= 0 {
-		c.Settle = 60
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 120
-	}
-	if c.BMin <= 0 {
-		c.BMin = 32e3
-	}
-	if c.BMax <= 0 {
-		c.BMax = 128e3
-	}
-	if c.HoldLease <= 0 {
-		c.HoldLease = 10
-	}
-	if c.ReadvertisePeriod <= 0 {
-		c.ReadvertisePeriod = 5
+		c.Settle = settleTime
 	}
 	return c
-}
-
-// faultPlan composes a fault-plan spec in the faults.ParsePlan grammar
-// with the loss-rate shorthand, which adds a `drop any lossRate` rule.
-func faultPlan(spec string, lossRate float64) (*faults.Plan, error) {
-	p, err := faults.ParsePlan(strings.NewReader(spec))
-	if err != nil {
-		return nil, err
-	}
-	if lossRate > 0 {
-		if lossRate > 1 {
-			return nil, fmt.Errorf("sim: loss rate %v outside [0,1]", lossRate)
-		}
-		p.Rules = append(p.Rules, faults.Rule{Proto: "any", Action: "drop", Prob: lossRate})
-	}
-	return p, nil
 }
 
 // chaosResult is one audited chaos run.
@@ -120,9 +93,10 @@ type chaosResult struct {
 }
 
 // newChaosAuditor wires the fault-recovery auditor (conservation,
-// leaked holds, orphaned allocs, maxmin re-convergence) to a manager's
-// bus — shared by the chaos and overload harnesses.
-func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
+// leaked holds, orphaned allocs, maxmin re-convergence within the
+// auditor's default gap) to a manager's bus — shared by the chaos and
+// overload harnesses.
+func newChaosAuditor(mgr *core.Manager) *faults.Auditor {
 	gap := func() float64 {
 		// Rival allocators have no WaterFill oracle: the maxmin
 		// re-convergence audit only applies to the paper's protocol.
@@ -136,7 +110,6 @@ func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
 		PendingHolds:   mgr.SignalPlane().PendingTotal,
 		LiveConns:      mgr.ConnIDs,
 		ConvergenceGap: gap,
-		GapTol:         gapTol,
 	}
 	aud.Watch(mgr.Bus)
 	return aud
@@ -146,7 +119,7 @@ func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
 // trace to traceW when it is non-nil.
 func runChaos(cfg chaosConfig, traceW io.Writer) (chaosResult, error) {
 	cfg = cfg.withDefaults()
-	plan, err := faultPlan(cfg.Plan, cfg.LossRate)
+	plan, err := faults.ParsePlan(strings.NewReader(cfg.Plan))
 	if err != nil {
 		return chaosResult{}, err
 	}
@@ -154,7 +127,7 @@ func runChaos(cfg chaosConfig, traceW io.Writer) (chaosResult, error) {
 	if err != nil {
 		return chaosResult{}, err
 	}
-	trace, err := randomWalk(env.Universe, "p%02d", cfg.Portables, cfg.Dwell, cfg.Duration, cfg.Seed)
+	trace, err := randomWalk(env.Universe, "p%02d", cfg.Portables, faultDwell, cfg.Duration, cfg.Seed)
 	if err != nil {
 		return chaosResult{}, err
 	}
@@ -162,19 +135,18 @@ func runChaos(cfg chaosConfig, traceW io.Writer) (chaosResult, error) {
 		env: env,
 		cfg: core.Config{
 			Seed:   cfg.Seed,
-			Mode:   cfg.Mode,
 			Faults: plan,
-			Signal: signal.Options{HoldLease: cfg.HoldLease},
-			Proto:  maxmin.ProtocolOptions{ReadvertisePeriod: cfg.ReadvertisePeriod},
+			Signal: signal.Options{HoldLease: holdLease},
+			Proto:  maxmin.ProtocolOptions{ReadvertisePeriod: chaosReadvertise},
 		},
-		trace: trace, req: walkRequest(cfg.BMin, cfg.BMax),
+		trace: trace, req: walkRequest(chaosBMin, chaosBMax),
 		open: openSignaled, horizon: cfg.Duration + cfg.Settle, traceW: traceW,
 	}
 	mgr, err := w.start()
 	if err != nil {
 		return chaosResult{}, err
 	}
-	aud := newChaosAuditor(mgr, cfg.GapTol)
+	aud := newChaosAuditor(mgr)
 	violations, err := w.run(aud.CheckFinal)
 	if err != nil {
 		return chaosResult{}, err

@@ -18,8 +18,7 @@ var updateChaos = flag.Bool("update-chaos", false, "rewrite the chaos trace gold
 // loss, a cell outage mid-run, and a signaling-plane crash.
 var chaosGoldenCfg = chaosConfig{
 	Seed: 1, Portables: 8, Duration: 120, Settle: 30,
-	LossRate: 0.1,
-	Plan:     "at 30 cell-out off-2 for 30\nat 80 crash-signaling",
+	Plan: "at 30 cell-out off-2 for 30\nat 80 crash-signaling\ndrop any 0.1",
 }
 
 // TestChaosAuditorCleanUnderLoss is the headline recovery claim: at 10%
@@ -28,9 +27,9 @@ var chaosGoldenCfg = chaosConfig{
 // invariant holds — no leaked holds, ledger conservation, no orphaned
 // allocations, and maxmin re-convergence to the water-filling oracle.
 func TestChaosAuditorCleanUnderLoss(t *testing.T) {
-	plan := "at 120 cell-out off-2 for 60\nat 300 crash-zone west\nat 450 crash-signaling"
+	plan := "at 120 cell-out off-2 for 60\nat 300 crash-zone west\nat 450 crash-signaling\ndrop any 0.1"
 	for _, seed := range []int64{1, 2, 3} {
-		res, err := runChaos(chaosConfig{Seed: seed, LossRate: 0.1, Plan: plan}, nil)
+		res, err := runChaos(chaosConfig{Seed: seed, Plan: plan}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -50,7 +49,7 @@ func TestChaosAuditorCleanUnderLoss(t *testing.T) {
 // to end: drops must be observed, retransmitted, and still leave the run
 // audit-clean.
 func TestChaosRetransmissionRecovers(t *testing.T) {
-	res, err := runChaos(chaosConfig{Seed: 1, LossRate: 0.2, Duration: 300}, nil)
+	res, err := runChaos(chaosConfig{Seed: 1, Duration: 300, Plan: "drop any 0.2"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +67,7 @@ func TestChaosRetransmissionRecovers(t *testing.T) {
 func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
 	cfg := chaosConfig{
 		Seed: 1, Portables: 8, Duration: 180, Settle: 30,
-		LossRate: 0.15,
-		Plan:     "at 60 cell-out off-3 for 30\nat 100 crash-signaling",
+		Plan: "at 60 cell-out off-3 for 30\nat 100 crash-signaling\ndrop any 0.15",
 	}
 	sweep := func(workers int) ([]chaosResult, runner.Stats, error) {
 		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (chaosResult, error) {
@@ -153,7 +151,8 @@ func TestChaosTraceDeterminismAcrossRuns(t *testing.T) {
 	cfg.Portables, cfg.Duration, cfg.Settle = 0, 0, 0 // defaults: 16 portables, 600 s + 60 s
 	cfg.Plan = "delay maxmin 0.05 0.002\ndup signal 0.05\n" +
 		"at 120 cell-out off-2 for 60\nat 200 link-down sw-west->core for 30\n" +
-		"at 300 crash-zone west\nat 380 blackout cafe for 30\nat 450 crash-signaling\n"
+		"at 300 crash-zone west\nat 380 blackout cafe for 30\nat 450 crash-signaling\n" +
+		"drop any 0.1\n"
 	var first []byte
 	for run := 0; run < 5; run++ {
 		var buf bytes.Buffer

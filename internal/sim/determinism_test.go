@@ -71,11 +71,11 @@ func TestExperimentTraceDeterminismAcrossWorkers(t *testing.T) {
 			return rendered(t, r, st, err)
 		}},
 		{"grid-replications", func(t *testing.T, workers int) []byte {
-			cfg := GridConfig{Seed: 3, rows: 2, cols: 3, portables: 16, Duration: 600}
-			rs, st, err := seedTrials(cfg.Seed, 4, workers, func(seed int64) (GridResult, error) {
+			cfg := gridConfig{Seed: 3, rows: 2, cols: 3, portables: 16, Duration: 600}
+			rs, st, err := seedTrials(cfg.Seed, 4, workers, func(seed int64) (gridResult, error) {
 				c := cfg
 				c.Seed = seed
-				return RunGrid(c)
+				return runGrid(c)
 			})
 			return rendered(t, rs, st, err)
 		}},

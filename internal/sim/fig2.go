@@ -8,17 +8,12 @@ import (
 	"armnet/internal/randx"
 )
 
-// Figure2Config drives the lounge handoff-activity illustration.
-type Figure2Config struct {
-	// Seed drives the run's randomness; every value is valid and
-	// distinct, including 0.
-	Seed int64
-	// Students sizes the underlying meeting scenario (default 40).
-	Students int
-}
-
-// figure2SlotMinutes is the histogram bin width.
-const figure2SlotMinutes = 5
+const (
+	// figure2Students sizes the underlying meeting scenario.
+	figure2Students = 40
+	// figure2SlotMinutes is the histogram bin width.
+	figure2SlotMinutes = 5
+)
 
 // Figure2Result is the activity histogram of a lounge over the scenario.
 type Figure2Result struct {
@@ -29,18 +24,16 @@ type Figure2Result struct {
 
 // RunFigure2 reproduces the paper's Figure 2 sketch — the spiky handoff
 // activity profile of a lounge (meeting room) over time — from the
-// simulated classroom scenario.
-func RunFigure2(cfg Figure2Config) (Figure2Result, error) {
-	if cfg.Students <= 0 {
-		cfg.Students = 40
-	}
+// simulated classroom scenario. Every seed is valid and distinct,
+// including 0.
+func RunFigure2(seed int64) (Figure2Result, error) {
 	mcfg := mobility.MeetingClassConfig{
-		Students: cfg.Students,
+		Students: figure2Students,
 		Start:    3600,
 		End:      3600 + 50*60,
 	}
 	mcfg.Horizon = mcfg.End + 1800
-	tr, err := mobility.MeetingClass(mcfg, randx.New(cfg.Seed))
+	tr, err := mobility.MeetingClass(mcfg, randx.New(seed))
 	if err != nil {
 		return Figure2Result{}, err
 	}

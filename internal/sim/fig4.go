@@ -48,8 +48,8 @@ type personaResult struct {
 	BruteForceCells int
 }
 
-// Accuracy returns Correct/Transits.
-func (p personaResult) Accuracy() float64 {
+// accuracy returns Correct/Transits.
+func (p personaResult) accuracy() float64 {
 	if p.Transits == 0 {
 		return 0
 	}
@@ -167,7 +167,7 @@ func (r Figure4Result) String() string {
 	fmt.Fprintf(&b, "  crowd    %d/%d/%d\n", r.CrowdDeck.ToA, r.CrowdDeck.ToB, r.CrowdDeck.ToOther)
 	for _, p := range []personaResult{r.Faculty, r.Students, r.Crowd} {
 		fmt.Fprintf(&b, "%-8s transits=%d accuracy=%.2f reserved-cells=%d brute-force-cells=%d\n",
-			p.Persona, p.Transits, p.Accuracy(), p.ReservedCells, p.BruteForceCells)
+			p.Persona, p.Transits, p.accuracy(), p.ReservedCells, p.BruteForceCells)
 	}
 	return b.String()
 }

@@ -203,8 +203,7 @@ func runFigure5(cfg figure5Config) (Figure5Result, error) {
 	left := map[string]bool{}
 	if cfg.algorithm == AlgMeetingRoom {
 		policy, err = reserve.NewMeetingPolicy(
-			reserve.Meeting{Start: mcfg.Start, End: mcfg.End, Attendees: cfg.students},
-			reserve.DefaultMeetingConfig())
+			reserve.Meeting{Start: mcfg.Start, End: mcfg.End, Attendees: cfg.students})
 		if err != nil {
 			return Figure5Result{}, err
 		}
@@ -303,10 +302,10 @@ func runFigure5(cfg figure5Config) (Figure5Result, error) {
 		}
 		// Meeting counters.
 		if policy != nil {
-			if mv.To == "M" && now >= mcfg.Start-policy.Config.LeadIn && now < mcfg.End {
+			if mv.To == "M" && now >= mcfg.Start-reserve.MeetingLeadIn && now < mcfg.End {
 				arrived[p] = true
 			}
-			if mv.From == "M" && arrived[p] && now >= mcfg.End-policy.Config.LeadOut {
+			if mv.From == "M" && arrived[p] && now >= mcfg.End-reserve.MeetingLeadOut {
 				left[p] = true
 			}
 			applyMeetingPool(now)
@@ -319,8 +318,8 @@ func runFigure5(cfg figure5Config) (Figure5Result, error) {
 			// entering the room around the start, and attendees leaving
 			// into the corridor around the conclusion.
 			expected := policy != nil && strings.HasPrefix(p, "stu-") &&
-				((mv.To == "M" && now >= mcfg.Start-policy.Config.LeadIn) ||
-					(mv.From == "M" && now >= mcfg.End-policy.Config.LeadOut))
+				((mv.To == "M" && now >= mcfg.Start-reserve.MeetingLeadIn) ||
+					(mv.From == "M" && now >= mcfg.End-reserve.MeetingLeadOut))
 			if to.admitHandoff(p, bw[p], expected, mobile) {
 				delete(from.active, p)
 				to.active[p] = bw[p]
@@ -365,12 +364,10 @@ func windowSlice(s []int, lo, hi int) []int {
 }
 
 // RunFigure5Comparison runs the three algorithms on the two class sizes
-// of §7.1, one trial per (class size, algorithm), and returns results in
-// the paper's order.
+// of §7.1 with walkBys corridor transits passing the room (0 is none),
+// one trial per (class size, algorithm), and returns results in the
+// paper's order.
 func RunFigure5Comparison(ctx context.Context, seed int64, walkBys, workers int) ([]Figure5Result, runner.Stats, error) {
-	if walkBys == 0 {
-		walkBys = 400
-	}
 	classes := []int{35, 55}
 	algs := []Fig5Algorithm{AlgBruteForce, AlgAggregation, AlgMeetingRoom}
 	return runner.Map(ctx, workers, len(classes)*len(algs), func(_ context.Context, i int) (Figure5Result, error) {

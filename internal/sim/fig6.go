@@ -10,9 +10,9 @@ import (
 	"armnet/internal/runner"
 )
 
-// Figure6Config drives the §7.2 two-cell experiment: capacity 40, type 1
+// figure6Config drives the §7.2 two-cell experiment: capacity 40, type 1
 // (b=1, λ=30, 1/μ=0.2, h=0.7) and type 2 (b=4, λ=1, 1/μ=0.25, h=0.7).
-type Figure6Config struct {
+type figure6Config struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including 0.
 	Seed int64
@@ -35,7 +35,7 @@ type Figure6Config struct {
 	lambdas []float64
 }
 
-func (c Figure6Config) withDefaults() Figure6Config {
+func (c figure6Config) withDefaults() figure6Config {
 	if c.capacity <= 0 {
 		c.capacity = 40
 	}
@@ -72,8 +72,8 @@ type fig6Cell struct {
 	used   int   // units
 }
 
-// RunFigure6 simulates the two-cell system and measures P_b and P_d.
-func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
+// runFigure6 simulates the two-cell system and measures P_b and P_d.
+func runFigure6(cfg figure6Config) (Figure6Result, error) {
 	cfg = cfg.withDefaults()
 	// The initial transient, excluded from the counts. The conversion
 	// keeps the product rounded on its own, as the field it replaced
@@ -227,7 +227,7 @@ func RunFigure6Sweep(ctx context.Context, seed int64, windows, pqos []float64, h
 	}
 	n := len(pqos)
 	points, st, err := runner.Map(ctx, workers, len(windows)*n, func(_ context.Context, i int) (Figure6Result, error) {
-		return RunFigure6(Figure6Config{Seed: seed, T: windows[i/n], PQoS: pqos[i%n], Horizon: horizon})
+		return runFigure6(figure6Config{Seed: seed, T: windows[i/n], PQoS: pqos[i%n], Horizon: horizon})
 	})
 	if err != nil {
 		return nil, st, err

@@ -7,6 +7,7 @@ import (
 
 	"armnet/internal/core"
 	"armnet/internal/eventbus"
+	"armnet/internal/faults"
 	"armnet/internal/mobility"
 	"armnet/internal/overload"
 	"armnet/internal/randx"
@@ -20,101 +21,47 @@ import (
 // region, with bounded retries keeping the pressure on. The overload
 // policy responds in stages; an auditor verifies the degrade-before-drop
 // invariant; a fault plan composes freely (chaos + overload together).
+// It runs under predictive reservation, the zero core.Config.Mode.
 type overloadConfig struct {
 	// Seed drives the run's randomness; every value is valid and
 	// distinct, including the zero-value 0.
 	Seed int64
-	// Portables is the population size (default 40).
-	Portables int
-	// Duration is the simulated workload time in seconds (default 420).
-	Duration float64
-	// Ramp is the arrival window: portable i arrives at Ramp·i/N
-	// (default 240).
-	Ramp float64
-	// Settle is the drain horizon after the workload stops (default 60).
-	Settle float64
-	// Dwell is the mean cell dwell time (default 120 s).
-	Dwell float64
-	// Tth is the static/mobile classification threshold (default 60 s —
-	// aggressive, so the ramp produces adaptable static connections
-	// whose excess the degrade cascades can reclaim).
-	Tth float64
-	// ConnsPer is how many connections each portable opens on arrival
-	// (default 2).
-	ConnsPer int
-	// Lifetime closes each admitted connection after this long,
-	// creating the churn that lets cells de-escalate (default 150 s; a
-	// negative value keeps connections open forever).
-	Lifetime float64
-	// Retries re-attempts a failed or shed setup (default 2).
-	Retries int
-	// RetryBackoff is the delay before a retry (default 7 s).
-	RetryBackoff float64
 	// Policy is the overload policy in the overload.ParsePolicy
 	// grammar. Empty disables the subsystem (the nil-policy baseline);
 	// the literal "default" selects overload.Default().
 	Policy string
-	// Plan is a fault-plan spec in the faults.ParsePlan grammar,
-	// composed with LossRate exactly as in chaosConfig.
+	// Plan is a fault-plan spec in the faults.ParsePlan grammar, as in
+	// chaosConfig.
 	Plan string
-	// LossRate, when positive, adds a `drop any LossRate` rule.
-	LossRate float64
-	// Mode selects the advance-reservation strategy.
-	Mode core.ReservationMode
-	// BMin/BMax are the per-connection bandwidth bounds (defaults
-	// 160k/320k — a tenth of a campus downlink per minimum, so nine
-	// busy cells saturate).
-	BMin, BMax float64
-	// HoldLease bounds crash-orphaned signaling holds (default 10 s).
-	HoldLease float64
-	// GapTol bounds the audited maxmin convergence gap (default 1e-6).
-	GapTol float64
 }
 
-func (c overloadConfig) withDefaults() overloadConfig {
-	if c.Portables <= 0 {
-		c.Portables = 40
-	}
-	if c.Duration <= 0 {
-		c.Duration = 420
-	}
-	if c.Ramp <= 0 {
-		c.Ramp = 240
-	}
-	if c.Settle <= 0 {
-		c.Settle = 60
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 120
-	}
-	if c.Tth <= 0 {
-		c.Tth = 60
-	}
-	if c.ConnsPer <= 0 {
-		c.ConnsPer = 2
-	}
-	if c.Lifetime == 0 {
-		c.Lifetime = 150
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 7
-	}
-	if c.BMin <= 0 {
-		c.BMin = 160e3
-	}
-	if c.BMax <= 0 {
-		c.BMax = 320e3
-	}
-	if c.HoldLease <= 0 {
-		c.HoldLease = 10
-	}
-	return c
-}
+// The load ramp's fixed operating point.
+const (
+	// overloadPortables arrive over overloadRamp seconds: portable i at
+	// overloadRamp·i/overloadPortables.
+	overloadPortables = 40
+	overloadRamp      = 240
+	// overloadDuration is the simulated workload time, in seconds.
+	overloadDuration = 420
+	// overloadTth is the static/mobile classification threshold, in
+	// seconds — aggressive, so the ramp produces adaptable static
+	// connections whose excess the degrade cascades can reclaim.
+	overloadTth = 60
+	// overloadConnsPer is how many connections each portable opens on
+	// arrival.
+	overloadConnsPer = 2
+	// overloadLifetime closes each admitted connection after this many
+	// seconds, creating the churn that lets cells de-escalate.
+	overloadLifetime = 150
+	// overloadRetries re-attempts a failed or shed setup, each
+	// overloadRetryBackoff seconds after the failure.
+	overloadRetries      = 2
+	overloadRetryBackoff = 7
+	// overloadBMin and overloadBMax are the per-connection bandwidth
+	// bounds, in bits/s — a tenth of a campus downlink per minimum, so
+	// nine busy cells saturate.
+	overloadBMin, overloadBMax = 160e3, 320e3
+)
 
 // policy resolves the Policy spec; nil means disabled.
 func (c overloadConfig) policy() (*overload.Policy, error) {
@@ -193,12 +140,11 @@ func (c *overloadCollector) observe(r eventbus.Record) {
 // runOverload executes one audited load-ramp scenario, streaming its
 // event trace to traceW when it is non-nil.
 func runOverload(cfg overloadConfig, traceW io.Writer) (overloadResult, error) {
-	cfg = cfg.withDefaults()
 	pol, err := cfg.policy()
 	if err != nil {
 		return overloadResult{}, err
 	}
-	plan, err := faultPlan(cfg.Plan, cfg.LossRate)
+	plan, err := faults.ParsePlan(strings.NewReader(cfg.Plan))
 	if err != nil {
 		return overloadResult{}, err
 	}
@@ -207,17 +153,17 @@ func runOverload(cfg overloadConfig, traceW io.Writer) (overloadResult, error) {
 		return overloadResult{}, err
 	}
 	// The ramp: portable i's whole walk — initial placement included —
-	// shifts by Ramp·i/N, so arrivals spread over the ramp window and
+	// shifts by overloadRamp·i/overloadPortables, so arrivals spread over the ramp window and
 	// the offered load climbs toward its peak. Per-portable RNGs keep
 	// every walk independent of the population size.
 	trace := &mobility.Trace{}
-	for i := 0; i < cfg.Portables; i++ {
-		offset := cfg.Ramp * float64(i) / float64(cfg.Portables)
-		horizon := cfg.Duration - offset
+	for i := 0; i < overloadPortables; i++ {
+		offset := overloadRamp * float64(i) / float64(overloadPortables)
+		horizon := overloadDuration - offset
 		if horizon <= 0 {
 			continue
 		}
-		one, err := mobility.RandomWalk(env.Universe, []string{fmt.Sprintf("p%02d", i)}, cfg.Dwell, horizon, randx.New(cfg.Seed+1000+int64(i)*7919))
+		one, err := mobility.RandomWalk(env.Universe, []string{fmt.Sprintf("p%02d", i)}, faultDwell, horizon, randx.New(cfg.Seed+1000+int64(i)*7919))
 		if err != nil {
 			return overloadResult{}, err
 		}
@@ -230,14 +176,13 @@ func runOverload(cfg overloadConfig, traceW io.Writer) (overloadResult, error) {
 		env: env,
 		cfg: core.Config{
 			Seed:     cfg.Seed,
-			Tth:      cfg.Tth,
-			Mode:     cfg.Mode,
+			Tth:      overloadTth,
 			Faults:   plan,
 			Overload: pol,
-			Signal:   signal.Options{HoldLease: cfg.HoldLease},
+			Signal:   signal.Options{HoldLease: holdLease},
 		},
-		trace: trace, req: walkRequest(cfg.BMin, cfg.BMax),
-		horizon: cfg.Duration + cfg.Settle, traceW: traceW,
+		trace: trace, req: walkRequest(overloadBMin, overloadBMax),
+		horizon: overloadDuration + settleTime, traceW: traceW,
 	}
 	mgr, err := w.start()
 	if err != nil {
@@ -250,8 +195,8 @@ func runOverload(cfg overloadConfig, traceW io.Writer) (overloadResult, error) {
 	var openWith func(portable string, attempt int)
 	openWith = func(portable string, attempt int) {
 		retry := func() {
-			if attempt < cfg.Retries {
-				simulator.PostAfter(cfg.RetryBackoff, func() { openWith(portable, attempt+1) })
+			if attempt < overloadRetries {
+				simulator.PostAfter(overloadRetryBackoff, func() { openWith(portable, attempt+1) })
 			}
 		}
 		err := mgr.OpenConnectionAsync(portable, req, func(connID string, err error) {
@@ -259,9 +204,7 @@ func runOverload(cfg overloadConfig, traceW io.Writer) (overloadResult, error) {
 				retry()
 				return
 			}
-			if cfg.Lifetime > 0 {
-				simulator.PostAfter(cfg.Lifetime, func() { _ = mgr.CloseConnection(connID) })
-			}
+			simulator.PostAfter(overloadLifetime, func() { _ = mgr.CloseConnection(connID) })
 		})
 		if err != nil {
 			// Synchronous refusal: unknown portable (gone) is final;
@@ -272,7 +215,7 @@ func runOverload(cfg overloadConfig, traceW io.Writer) (overloadResult, error) {
 		}
 	}
 	w.open = func(_ *walk, portable string) {
-		for c := 0; c < cfg.ConnsPer; c++ {
+		for c := 0; c < overloadConnsPer; c++ {
 			openWith(portable, 0)
 		}
 	}
@@ -283,7 +226,7 @@ func runOverload(cfg overloadConfig, traceW io.Writer) (overloadResult, error) {
 		auditors = append(auditors, func() []string { return oaud.Violations })
 	}
 	if !plan.Empty() {
-		auditors = append(auditors, newChaosAuditor(mgr, cfg.GapTol).CheckFinal)
+		auditors = append(auditors, newChaosAuditor(mgr).CheckFinal)
 	}
 	violations, err := w.run(auditors...)
 	if err != nil {

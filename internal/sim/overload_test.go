@@ -115,10 +115,9 @@ func TestOverloadNilPolicyZeroCost(t *testing.T) {
 // armed. Both subsystems must fire and both invariant sets must hold.
 func TestOverloadComposesWithFaults(t *testing.T) {
 	res, err := runOverload(overloadConfig{
-		Seed:     1,
-		Policy:   "default",
-		LossRate: 0.1,
-		Plan:     "at 150 cell-out off-2 for 60",
+		Seed:   1,
+		Policy: "default",
+		Plan:   "at 150 cell-out off-2 for 60\ndrop any 0.1",
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +140,7 @@ func TestOverloadComposesWithFaults(t *testing.T) {
 // must produce identical results — breaker paths, violations, counters,
 // everything — at any worker count.
 func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := overloadConfig{Seed: 1, Policy: "default", LossRate: 0.05}
+	cfg := overloadConfig{Seed: 1, Policy: "default", Plan: "drop any 0.05"}
 	sweep := func(workers int) ([]overloadResult, runner.Stats, error) {
 		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (overloadResult, error) {
 			c := cfg
@@ -224,7 +223,7 @@ func TestOverloadTraceGolden(t *testing.T) {
 // every time.
 func TestOverloadTraceDeterminismAcrossRuns(t *testing.T) {
 	faulty := overloadGoldenCfg
-	faulty.LossRate, faulty.Plan = 0.1, "at 150 cell-out off-2 for 60"
+	faulty.Plan = "at 150 cell-out off-2 for 60\ndrop any 0.1"
 	for name, cfg := range map[string]overloadConfig{"golden": overloadGoldenCfg, "with-faults": faulty} {
 		var first []byte
 		for run := 0; run < 5; run++ {

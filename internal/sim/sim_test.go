@@ -24,10 +24,10 @@ func TestFigure4PredictionQuality(t *testing.T) {
 	if res.Faculty.Transits < 20 {
 		t.Fatalf("too few evaluated faculty transits: %d", res.Faculty.Transits)
 	}
-	if acc := res.Faculty.Accuracy(); acc < 0.6 {
+	if acc := res.Faculty.accuracy(); acc < 0.6 {
 		t.Fatalf("faculty accuracy = %v, want >= 0.6", acc)
 	}
-	if acc := res.Students.Accuracy(); acc < 0.6 {
+	if acc := res.Students.accuracy(); acc < 0.6 {
 		t.Fatalf("student accuracy = %v, want >= 0.6", acc)
 	}
 	// The paper's claim (b): brute force is extremely wasteful — it
@@ -102,7 +102,7 @@ func TestFigure6TradeoffShape(t *testing.T) {
 	// rises, and tight P_QOS must actually reserve bandwidth.
 	var prev *Figure6Result
 	for _, q := range []float64{0.01, 0.1, 0.4} {
-		r, err := RunFigure6(Figure6Config{Seed: 5, T: 0.05, PQoS: q, Horizon: 150})
+		r, err := runFigure6(figure6Config{Seed: 5, T: 0.05, PQoS: q, Horizon: 150})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +116,11 @@ func TestFigure6TradeoffShape(t *testing.T) {
 		r2 := r // silence copy
 		_ = r2
 	}
-	tight, err := RunFigure6(Figure6Config{Seed: 5, T: 0.05, PQoS: 0.001, Horizon: 150})
+	tight, err := runFigure6(figure6Config{Seed: 5, T: 0.05, PQoS: 0.001, Horizon: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := RunFigure6(Figure6Config{Seed: 5, T: 0.05, PQoS: 0.5, Horizon: 150})
+	loose, err := runFigure6(figure6Config{Seed: 5, T: 0.05, PQoS: 0.5, Horizon: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFigure6TradeoffShape(t *testing.T) {
 func TestFigure6MeetsTarget(t *testing.T) {
 	// The whole point of the algorithm: P_d stays at or below P_QOS.
 	for _, q := range []float64{0.02, 0.05, 0.1} {
-		r, err := RunFigure6(Figure6Config{Seed: 11, T: 0.05, PQoS: q, Horizon: 200})
+		r, err := runFigure6(figure6Config{Seed: 11, T: 0.05, PQoS: q, Horizon: 200})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +149,11 @@ func TestFigure6MeetsTarget(t *testing.T) {
 }
 
 func TestFigure6StaticBaseline(t *testing.T) {
-	st, err := RunFigure6(Figure6Config{Seed: 5, T: 0.05, Static: true, StaticReserve: 8, Horizon: 150})
+	st, err := runFigure6(figure6Config{Seed: 5, T: 0.05, Static: true, StaticReserve: 8, Horizon: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := RunFigure6(Figure6Config{Seed: 5, T: 0.05, PQoS: 0.05, Horizon: 150})
+	pr, err := runFigure6(figure6Config{Seed: 5, T: 0.05, PQoS: 0.05, Horizon: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +166,13 @@ func TestFigure6StaticBaseline(t *testing.T) {
 }
 
 func TestFigure6Validation(t *testing.T) {
-	if _, err := RunFigure6(Figure6Config{Seed: 1, T: 0.05, PQoS: 0}); err == nil {
+	if _, err := runFigure6(figure6Config{Seed: 1, T: 0.05, PQoS: 0}); err == nil {
 		t.Fatal("PQoS=0 accepted for probabilistic run")
 	}
-	bad := Figure6Config{Seed: 1, T: 0.05, PQoS: 0.05, Horizon: 10}
-	bad.classes = (Figure6Config{}).withDefaults().classes
+	bad := figure6Config{Seed: 1, T: 0.05, PQoS: 0.05, Horizon: 10}
+	bad.classes = (figure6Config{}).withDefaults().classes
 	bad.lambdas = []float64{1} // mismatched
-	if _, err := RunFigure6(bad); err == nil {
+	if _, err := runFigure6(bad); err == nil {
 		t.Fatal("mismatched lambdas accepted")
 	}
 }
@@ -263,7 +263,7 @@ func TestTheorem1RefinementAblation(t *testing.T) {
 }
 
 func TestFigure2Spikes(t *testing.T) {
-	r, err := RunFigure2(Figure2Config{Seed: 2, Students: 40})
+	r, err := RunFigure2(2)
 	if err != nil {
 		t.Fatal(err)
 	}
