@@ -2,12 +2,14 @@ GO ?= go
 
 .PHONY: ci fmt-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs perf-counts loc golden trace-determinism chaos overload obs obs-live arena testnet soak
 
-## ci: the full pre-merge gate — gofmt, vet, build, tests under the race
-## detector, the fuzz seed corpora in short mode, the event-trace
-## replication check, the chaos, overload, observability (sim and
-## live), arena, testnet and soak gates, the bench-capture smoke check,
-## and the separately-moduled end-to-end benchmark's own vet and tests.
-ci: fmt-check vet build race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e
+## ci: the full pre-merge gate — gofmt, vet, build, the tests without
+## the race detector (the allocation pins skip under it), the tests
+## under the race detector, the fuzz seed corpora in short mode, the
+## event-trace replication check, the chaos, overload, observability
+## (sim and live), arena, testnet and soak gates, the bench-capture
+## smoke check, and the separately-moduled end-to-end benchmark's own
+## vet and tests.
+ci: fmt-check vet build test race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e
 
 ## fmt-check: every Go file is gofmt-clean (the benchmark's build
 ## directory holds a module cache, not our sources).
@@ -185,9 +187,5 @@ soak:
 golden:
 	$(GO) test ./cmd/paperfigs -update
 	$(GO) test ./cmd/armsim -run TestArmsimGolden -update
-	$(GO) test ./internal/sim -run TestChaosTraceGolden -update-chaos
-	$(GO) test ./internal/sim -run TestOverloadTraceGolden -update-overload
-	$(GO) test ./internal/sim -run TestObsSnapshotGolden -update-obs
-	$(GO) test ./internal/sim -run TestArenaSnapshotGolden -update-arena
-	$(GO) test ./internal/testnet -run TestSoakGolden -update-soak
-	$(GO) test ./internal/testnet -run TestLiveObsSnapshotGolden -update-live
+	$(GO) test ./internal/sim -run 'TestChaosTraceGolden|TestOverloadTraceGolden|TestObsSnapshotGolden|TestArenaSnapshotGolden' -update
+	$(GO) test ./internal/testnet -run 'TestSoakGolden|TestLiveObsSnapshotGolden' -update

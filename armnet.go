@@ -91,8 +91,6 @@ type (
 	Universe = topology.Universe
 	// Environment is a universe plus its wired backbone.
 	Environment = topology.Environment
-	// BackboneOptions configures BuildBackbone for custom universes.
-	BackboneOptions = topology.BackboneOptions
 	// EnvironmentSpec is the JSON schema for custom environments.
 	EnvironmentSpec = topology.EnvironmentSpec
 )
@@ -202,9 +200,11 @@ type FaultAuditor = faults.Auditor
 type SignalOptions = signal.Options
 
 // ParseFaultPlan reads a simulation fault plan in the line-oriented
-// grammar of DESIGN.md §10: `drop|dup|delay <proto> <prob> [<seconds>]`
-// rules and `at <time> <action> [<target>] [for <duration>]` component
-// faults. Directives only the live wire plane executes are errors.
+// grammar of DESIGN.md §10: `drop|dup|delay <proto> <prob> [<seconds>]
+// [on <link>]` rules and `at <time> <action> [<target>] [for <duration>]`
+// component faults. Directives only the live wire plane executes are
+// errors, and so, when the manager is built, is an `on <link>` naming no
+// link of its backbone.
 var ParseFaultPlan = faults.ParsePlan
 
 // OverloadPolicy parameterizes the staged overload-control subsystem
@@ -249,17 +249,11 @@ var (
 	BuildCampus = topology.BuildCampus
 	// BuildMeetingWing builds the §7.1 classroom wing.
 	BuildMeetingWing = topology.BuildMeetingWing
-	// BuildTwoCell builds the §6.3 two-cell system.
-	BuildTwoCell = topology.BuildTwoCell
 	// BuildCorridor builds a linear corridor chain.
 	BuildCorridor = topology.BuildCorridor
-	// NewUniverse starts an empty cell universe for custom topologies.
-	NewUniverse = topology.NewUniverse
 	// AirNode names the synthetic air-interface node of a cell; the
 	// wireless hop is the link base-station → AirNode(cell).
 	AirNode = topology.AirNode
-	// BuildBackbone wires a backbone for a custom universe.
-	BuildBackbone = topology.BuildBackbone
 	// EnvironmentFromJSON builds an environment from a JSON spec.
 	EnvironmentFromJSON = topology.EnvironmentFromJSON
 	// BuildFromSpec builds an environment from a parsed spec.

@@ -111,7 +111,6 @@ func main() {
 	signalRetries := flag.Int("signal-retries", 0, "per-hop control-message retransmission budget (0 = default)")
 	replications := flag.Int("replications", 1, "independent scenario replications under derived seeds")
 	parallel := flag.Int("parallel", 1, "worker count for replications and -arena pairs (0 = GOMAXPROCS); output is identical at any worker count")
-	obsFlag := flag.Bool("obs", false, "arm the deterministic observability layer (implied by the flags below)")
 	obsSnapshot := flag.String("obs-snapshot", "", "write the merged instrument snapshot as Prometheus text to this file (- for stdout)")
 	obsJSON := flag.String("obs-json", "", "write the merged instrument snapshot as JSON to this file (- for stdout)")
 	spansPath := flag.String("spans", "", "write the JSONL connection-lifecycle spans to this file (- for stdout); replications append in order")
@@ -133,7 +132,7 @@ func main() {
 		telemetryAddr: *telemetryAddr, telemetryLinger: *telemetryLinger,
 	}
 	// Any consumer of the observability layer arms it.
-	sc.obs = *obsFlag || sc.obsSnapshotPath != "" || sc.obsJSONPath != "" ||
+	sc.obs = sc.obsSnapshotPath != "" || sc.obsJSONPath != "" ||
 		sc.spansPath != "" || sc.summary || sc.telemetryAddr != ""
 	if err := run(sc, *seed, *replications, *parallel, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "armsim:", err)
@@ -198,6 +197,18 @@ func (sc *scenario) prepare() error {
 	}
 	if sc.bmin > sc.bmax {
 		return fmt.Errorf("-bmin %v exceeds -bmax %v", sc.bmin, sc.bmax)
+	}
+	if sc.portables < 0 {
+		return fmt.Errorf("-portables %d: want a non-negative number of portables", sc.portables)
+	}
+	// Zero picks the signaling defaults; a value outside the domain would
+	// silently do the same (a bad timeout) or disable retransmission (a
+	// negative budget).
+	if math.IsNaN(sc.sigTimeout) || math.IsInf(sc.sigTimeout, 0) || sc.sigTimeout < 0 {
+		return fmt.Errorf("-signal-timeout %v: want a non-negative, finite number of seconds", sc.sigTimeout)
+	}
+	if sc.sigRetries < 0 {
+		return fmt.Errorf("-signal-retries %d: want a non-negative retransmission budget", sc.sigRetries)
 	}
 	sc.mode = armnet.ModePredictive
 	switch sc.modeName {

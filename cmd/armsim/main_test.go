@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,6 +184,51 @@ func TestArmsimRejectsBadBandwidthBounds(t *testing.T) {
 		if err := run(sc, 1, 1, 1, &out, io.Discard); err == nil {
 			t.Errorf("-bmin %v -bmax %v accepted:\n%s", b[0], b[1], out.String())
 		}
+	}
+}
+
+// TestArmsimRejectsBadFlags: flags outside their domain are refused with
+// an error naming the flag or, for a fault plan, the rule, before the
+// walk starts. A negative -portables once panicked in the walk generator; a
+// NaN or negative -signal-timeout once ran as the hop-scaled default; a
+// negative -signal-retries once meant "never retransmit"; a -fault-plan
+// rule `on` a link the topology lacks would never fire.
+func TestArmsimRejectsBadFlags(t *testing.T) {
+	unknownLink := writeFile(t, "links.plan", "drop any 0.5\ndrop maxmin 1 on no-such-link\n")
+	for _, c := range []struct {
+		want string // the error's prefix
+		edit func(*scenario)
+	}{
+		{"-portables ", func(sc *scenario) { sc.portables = -1 }},
+		{"-signal-timeout ", func(sc *scenario) { sc.sigTimeout = math.NaN() }},
+		{"-signal-timeout ", func(sc *scenario) { sc.sigTimeout = -1 }},
+		{"-signal-timeout ", func(sc *scenario) { sc.sigTimeout = math.Inf(1) }},
+		{"-signal-retries ", func(sc *scenario) { sc.sigRetries = -2 }},
+		{`trial 0: core: fault plan: drop maxmin rule on unknown link "no-such-link"`, func(sc *scenario) { sc.faultPath = unknownLink }},
+	} {
+		sc := flagDefaults()
+		sc.duration = 60
+		c.edit(&sc)
+		var out bytes.Buffer
+		err := run(sc, 1, 1, 1, &out, io.Discard)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("err = %v, want a refusal starting %q; output:\n%s", err, c.want, out.String())
+		}
+	}
+}
+
+// TestArmsimFaultPlanLinkFires: a -fault-plan rule `on` a backbone link
+// fires, so the link names the delivery hooks pass are the topology's.
+func TestArmsimFaultPlanLinkFires(t *testing.T) {
+	sc := flagDefaults()
+	sc.duration = 1200
+	sc.faultPath = writeFile(t, "link.plan", "drop signal 0.5 on bs-off-1->air-off-1\n")
+	var out bytes.Buffer
+	if err := run(sc, 1, 1, 1, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "faults-injected") {
+		t.Errorf("the rule never fired:\n%s", out.String())
 	}
 }
 

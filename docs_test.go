@@ -19,7 +19,7 @@ import (
 	"testing"
 
 	"armnet"
-	"armnet/internal/netfaults"
+	"armnet/internal/faults"
 )
 
 // between returns the text after the first `open` in s up to the next
@@ -66,7 +66,7 @@ func TestDocumentedFaultPlansParse(t *testing.T) {
 		{"ExampleParseFaultPlan plan", between(t, "example_test.go", string(example), "const plan = `", "`"), false, 1, 2},
 	} {
 		sim, simErr := armnet.ParseFaultPlan(strings.NewReader(tc.spec))
-		wire, wireErr := netfaults.ParsePlanString(tc.spec)
+		wire, wireErr := faults.ParseWirePlan(strings.NewReader(tc.spec))
 		p, err, otherErr := sim, simErr, wireErr
 		if tc.wire {
 			p, err, otherErr = wire, wireErr, simErr
@@ -942,10 +942,9 @@ var exportAllowlist = map[string]string{
 	"testnet.CampusScript":             "test oracle: bench/'s own tests call it",
 	"qos.ErrBandwidthBounds":           "errors.Is sentinel: core's tests match OpenConnection's refusal with it",
 
-	"topology.BackboneOptions.Hosts":         "input decoded from JSON: the backbone section of a topology file",
-	"topology.BackboneOptions.WiredCapacity": "input decoded from JSON: the backbone section of a topology file",
-	"topology.BackboneOptions.WiredDelay":    "input decoded from JSON: the backbone section of a topology file",
-	"topology.BackboneOptions.WirelessLoss":  "input decoded from JSON: the backbone section of a topology file",
+	"topology.backboneOptions.WiredCapacity": "input decoded from JSON: the backbone section of a topology file",
+	"topology.backboneOptions.WiredDelay":    "input decoded from JSON: the backbone section of a topology file",
+	"topology.backboneOptions.WirelessLoss":  "input decoded from JSON: the backbone section of a topology file",
 }
 
 // TestExportsAreUsed holds the export surface of internal/ to its use

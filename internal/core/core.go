@@ -289,6 +289,13 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 	// Fault injection is wired before the protocol stacks are built so
 	// their delivery hooks are in place from the first control message.
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
+		// A rule filtered to a link no message crosses would never fire:
+		// refuse it rather than run a chaos scenario without its faults.
+		for _, r := range cfg.Faults.Rules {
+			if r.Link != "" && lg.Link(topology.LinkID(r.Link)) == nil {
+				return nil, fmt.Errorf("core: fault plan: %s %s rule on unknown link %q", r.Action, r.Proto, r.Link)
+			}
+		}
 		m.Inj = faults.NewInjector(cfg.Faults, cfg.Seed, bus)
 		m.Cfg.Proto.Deliver = m.Inj.DeliverMaxmin
 		m.Cfg.Signal.Deliver = m.Inj.DeliverSignal

@@ -9,6 +9,7 @@ import (
 	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
+	"armnet/internal/maxmin"
 	"armnet/internal/topology"
 )
 
@@ -85,7 +86,7 @@ func TestParsePlanErrors(t *testing.T) {
 func TestEmptyPlanDrawsNothing(t *testing.T) {
 	in := NewInjector(&Plan{}, 1, nil)
 	for i := 0; i < 100; i++ {
-		if drop, delay := in.DeliverSignal("c", i); drop || delay != 0 {
+		if drop, delay := in.DeliverSignal("c", i, "l", false); drop || delay != 0 {
 			t.Fatal("empty plan must not perturb delivery")
 		}
 	}
@@ -93,7 +94,7 @@ func TestEmptyPlanDrawsNothing(t *testing.T) {
 		t.Fatal("empty plan must not count faults")
 	}
 	var nilInj *Injector
-	if drop, _ := nilInj.DeliverSignal("c", 0); drop {
+	if drop, _ := nilInj.DeliverSignal("c", 0, "l", false); drop {
 		t.Fatal("nil injector must deliver")
 	}
 }
@@ -107,7 +108,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		in := NewInjector(plan, 42, nil)
 		out := make([]bool, 0, 200)
 		for i := 0; i < 200; i++ {
-			drop, _ := in.DeliverMaxmin("c", i, i%5 == 0)
+			drop, _ := in.DeliverMaxmin("c", i, "l", i%5 == 0)
 			out = append(out, drop)
 		}
 		return out
@@ -311,16 +312,18 @@ func TestDirectiveTableIsCompleteAndStrict(t *testing.T) {
 			}
 		}
 	}
-	// The link filter is the one wire-only piece that is not an action.
-	if _, err := ParsePlan(strings.NewReader("drop any 0.1 on x")); !errors.Is(err, errOffPlane) || !strings.Contains(err.Error(), "line 1") {
-		t.Errorf("`on <link>` on the sim plane: %v", err)
+	// The link filter is not an action: both planes take it.
+	for _, pl := range []plane{simPlane, wirePlane} {
+		if p, err := parse(strings.NewReader("drop maxmin 0.5 on x"), pl); err != nil || p.Rules[0].Link != "x" {
+			t.Errorf("`on <link>` on the %s plane: %v", planePkg[pl], err)
+		}
 	}
 }
 
 // TestStrictPlanes spells out the acceptance examples: each of these is
 // a valid line of the grammar, on the other plane.
 func TestStrictPlanes(t *testing.T) {
-	for _, spec := range []string{"reorder any 0.1 0.01", "drop any 0.1 on x", "at 1 partition east for 2", "at 1 crash east"} {
+	for _, spec := range []string{"reorder any 0.1 0.01", "at 1 partition east for 2", "at 1 crash east"} {
 		if _, err := ParsePlan(strings.NewReader(spec)); err == nil || !strings.HasPrefix(err.Error(), "faults: line 1: ") {
 			t.Errorf("faults.ParsePlan(%q) = %v, want a line-1 error", spec, err)
 		}
@@ -329,5 +332,63 @@ func TestStrictPlanes(t *testing.T) {
 		if _, err := ParseWirePlan(strings.NewReader(spec)); err == nil || !strings.HasPrefix(err.Error(), "netfaults: line 1: ") {
 			t.Errorf("ParseWirePlan(%q) = %v, want a line-1 error", spec, err)
 		}
+	}
+}
+
+// TestSimPlaneLinkRule runs `drop maxmin 1 on l2` through the sim
+// plane's maxmin hook: exactly the hops that cross l2 drop — every one
+// of them, and no hop on another link — each drop is counted and
+// published once, and signal messages on l2 pass.
+func TestSimPlaneLinkRule(t *testing.T) {
+	plan, err := ParsePlan(strings.NewReader("drop maxmin 1 on l2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := des.New()
+	bus := eventbus.New(sim)
+	published := 0
+	bus.Subscribe(func(eventbus.Record) { published++ }, eventbus.FaultMessage{}.Kind())
+	in := NewInjector(plan, 1, bus)
+	calls, crossing := 0, 0
+	pr := maxmin.NewProtocolOn(clock.Sim(sim), maxmin.ProtocolOptions{
+		Deliver: func(conn string, hop int, link string, update bool) (bool, float64) {
+			drop, delay := in.DeliverMaxmin(conn, hop, link, update)
+			calls++
+			if link == "l2" {
+				crossing++
+			}
+			if drop != (link == "l2") {
+				t.Errorf("%s hop %d on %s (update %v): drop %v", conn, hop, link, update, drop)
+			}
+			return drop, delay
+		},
+	})
+	for _, l := range []string{"l1", "l2", "l3"} {
+		if err := pr.AddLink(l, 1e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []maxmin.Conn{
+		{ID: "a", Path: []string{"l1", "l2"}, Demand: 4e5},
+		{ID: "b", Path: []string{"l1", "l3"}, Demand: 4e5},
+		{ID: "c", Path: []string{"l3"}, Demand: 4e5},
+		{ID: "d", Path: []string{"l3", "l2", "l1"}, Demand: 4e5},
+	} {
+		if err := pr.AddConn(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pr.KickAll()
+	if err := sim.RunUntil(10); err != nil {
+		t.Fatal(err)
+	}
+	if crossing == 0 || calls == crossing {
+		t.Fatalf("%d hook calls, %d crossing l2: the run exercised only one side of the rule", calls, crossing)
+	}
+	if in.Drops != crossing || published != crossing {
+		t.Errorf("%d hops crossed l2, %d drops counted, %d published", crossing, in.Drops, published)
+	}
+	if drop, _ := in.DeliverSignal("a", 1, "l2", false); drop {
+		t.Error("a maxmin rule dropped a signal message")
 	}
 }

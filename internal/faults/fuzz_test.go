@@ -21,7 +21,7 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("drop signal 2")
 	f.Add("at 10 blackout c")
 	f.Add("delay any 0.1 -1")
-	// internal/netfaults' corpus: valid on the other plane, so here each
+	// The wire plane's corpus: valid on the other plane, so here each
 	// must be rejected or parse — never panic, never half-apply.
 	f.Add("drop any 0.2\ndup signal 0.1\nreorder any 0.25 0.004\ndrop signal 0.5 on sw-east->air-off-2\nat 1 partition east for 2\nat 3 crash core\n")
 	f.Add("drop any 0.5\n")

@@ -37,9 +37,9 @@ type driver interface {
 // (manager, mobility) derived from the same master seed.
 const seedSalt = 0x6661756c7473 // "faults"
 
-// Verdict is the rule walk's decision for one message or frame. The zero
+// verdict is the rule walk's decision for one message or frame. The zero
 // value delivers it untouched.
-type Verdict struct {
+type verdict struct {
 	// Drop suppresses the message entirely; the sending protocol sees a
 	// loss and runs its own retransmission machinery.
 	Drop bool
@@ -74,14 +74,13 @@ func NewWalker(plan *Plan, seed int64) Walker {
 }
 
 // Walk decides the fate of one message of the protocol family proto
-// crossing link (empty where the plane has no link-addressable
-// transport). Rules are evaluated in plan order: the protocol filter,
+// crossing link. Rules are evaluated in plan order: the protocol filter,
 // the link filter, then one draw per matching rule. A drop that fires
 // wins immediately; dup, delay and reorder compose (delays and reorder
 // deferrals accumulate). Each firing is counted and reported to fired
 // when it is non-nil.
-func (w *Walker) Walk(proto, link string, fired func(rule)) Verdict {
-	var v Verdict
+func (w *Walker) Walk(proto, link string, fired func(rule)) verdict {
+	var v verdict
 	if w.plan == nil {
 		return v
 	}
@@ -144,26 +143,26 @@ func NewInjector(plan *Plan, seed int64, bus *eventbus.Bus) *Injector {
 }
 
 // DeliverSignal is the signal.Options.Deliver hook: it decides the fate
-// of one setup-protocol control message.
-func (in *Injector) DeliverSignal(conn string, hop int) (drop bool, delay float64) {
-	return in.deliver("signal", conn, hop)
+// of one setup-protocol control message crossing link.
+func (in *Injector) DeliverSignal(conn string, hop int, link string, commit bool) (drop bool, delay float64) {
+	return in.deliver("signal", conn, hop, link)
 }
 
 // DeliverMaxmin is the maxmin.ProtocolOptions.Deliver hook: it decides
 // the fate of one ADVERTISE (update=false) or UPDATE (update=true)
-// packet hop.
-func (in *Injector) DeliverMaxmin(conn string, hop int, update bool) (drop bool, delay float64) {
-	return in.deliver("maxmin", conn, hop)
+// packet hop crossing link.
+func (in *Injector) DeliverMaxmin(conn string, hop int, link string, update bool) (drop bool, delay float64) {
+	return in.deliver("maxmin", conn, hop, link)
 }
 
 // deliver walks the rules for one message and publishes each firing. A
 // dup is counted and published only — the protocols' handlers are
 // idempotent, so a duplicate has no state effect.
-func (in *Injector) deliver(proto, conn string, hop int) (bool, float64) {
+func (in *Injector) deliver(proto, conn string, hop int, link string) (bool, float64) {
 	if in == nil {
 		return false, 0
 	}
-	v := in.Walk(proto, "", func(r rule) {
+	v := in.Walk(proto, link, func(r rule) {
 		eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: r.Action, Conn: conn, Hop: hop, Delay: r.Delay})
 	})
 	return v.Drop, v.Delay

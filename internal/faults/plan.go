@@ -5,8 +5,8 @@
 // rule walk and `for`-expansion both fault planes use, and is itself the
 // simulated plane's front-end: its Injector perturbs the protocol
 // delivery hooks and drives component faults on the simulator clock,
-// while internal/netfaults applies the same plans to the encoded frames
-// of the live transports. The package deliberately knows nothing about
+// while internal/testnet's chaos layer walks the same plans over the
+// encoded frames of the live transports. The package deliberately knows nothing about
 // the protocol packages it perturbs: internal/signal and internal/maxmin
 // expose plain delivery-hook function types that the Injector's methods
 // satisfy structurally, and component faults act through the Driver
@@ -40,9 +40,9 @@ type rule struct {
 	// is deferred by this much while the protocol proceeds, letting
 	// later frames overtake it).
 	Delay float64
-	// Link, when non-empty, restricts the rule to frames crossing that
-	// backbone link (wire plane; the simulated plane has no
-	// link-addressable transport).
+	// Link, when non-empty, restricts the rule to messages or frames
+	// crossing that backbone link (both planes: the delivery hooks name
+	// the link each hop crosses).
 	Link string
 }
 
@@ -77,12 +77,11 @@ type plane uint8
 
 const (
 	simPlane   plane = 1 << iota // this package's Injector: delivery hooks and Driver
-	wirePlane                    // internal/netfaults: frames between controller and node agents
+	wirePlane                    // internal/testnet's chaos layer: frames between controller and node agents
 	bothPlanes = simPlane | wirePlane
 )
 
-// planePkg is each plane's front-end package, the prefix of its parse
-// errors.
+// planePkg is the prefix of each plane's parse errors.
 var planePkg = [...]string{simPlane: "faults", wirePlane: "netfaults"}
 
 // directive is one row of the grammar: who executes the action and what
@@ -199,13 +198,13 @@ func (p *Plan) Events() []Timed {
 //	at <time> partition <node> for <duration>       wire
 //	at <time> crash <node> [for <duration>]         wire
 //
-// The `on <link>` filter is wire-plane only. Probabilities must lie in
-// [0,1]; times and durations must be finite and non-negative. Errors
-// carry the plane's package name and the 1-based line number.
+// An `on <link>` filter restricts a rule to the link the delivery hook
+// names. Probabilities must lie in [0,1]; times and durations must be
+// finite and non-negative. Errors carry the plane's prefix ("faults" or
+// "netfaults") and the 1-based line number.
 func ParsePlan(r io.Reader) (*Plan, error) { return parse(r, simPlane) }
 
-// ParseWirePlan is ParsePlan for the wire plane; netfaults' parsePlan
-// calls it.
+// ParseWirePlan is ParsePlan for the wire plane.
 func ParseWirePlan(r io.Reader) (*Plan, error) { return parse(r, wirePlane) }
 
 func parse(r io.Reader, pl plane) (*Plan, error) {
@@ -266,9 +265,6 @@ func (p *Plan) parseRule(fields []string, pl plane) error {
 	r := rule{Action: action}
 	// Optional trailing `on <link>` filter.
 	if n := len(fields); n >= 2 && fields[n-2] == "on" {
-		if pl != wirePlane {
-			return fmt.Errorf("an `on <link>` filter %w", errOffPlane)
-		}
 		r.Link = fields[n-1]
 		fields = fields[:n-2]
 	}

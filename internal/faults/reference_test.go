@@ -69,8 +69,8 @@ type refWire struct {
 	composeDrop                   bool
 }
 
-func (in *refWire) referenceFrame(proto, link string) Verdict {
-	var v Verdict
+func (in *refWire) referenceFrame(proto, link string) verdict {
+	var v verdict
 	if in == nil || in.plan == nil || len(in.plan.Rules) == 0 {
 		return v
 	}
@@ -159,7 +159,8 @@ func simTranscript(plan *Plan, seed int64, build func(*Plan, *randx.Rand, *event
 
 func sharedSim(plan *Plan, rng *randx.Rand, bus *eventbus.Bus) (func(string, string, int) (bool, float64), func() [3]int) {
 	in := &Injector{Walker: Walker{plan: plan, rng: rng}, bus: bus}
-	return in.deliver, func() [3]int { return [3]int{in.Drops, in.Dups, in.Delays} }
+	deliver := func(proto, conn string, hop int) (bool, float64) { return in.deliver(proto, conn, hop, "") }
+	return deliver, func() [3]int { return [3]int{in.Drops, in.Dups, in.Delays} }
 }
 
 func referenceSim(mutate bool) func(*Plan, *randx.Rand, *eventbus.Bus) (func(string, string, int) (bool, float64), func() [3]int) {
@@ -193,7 +194,7 @@ func TestDeliverMatchesReference(t *testing.T) {
 
 // wireTranscript is simTranscript for the wire plane: frames carry a
 // link, the verdict has four parts and there are four counters.
-func wireTranscript(plan *Plan, seed int64, build func(*Plan, *randx.Rand) (frame func(string, string) Verdict, counters func() [4]int)) string {
+func wireTranscript(plan *Plan, seed int64, build func(*Plan, *randx.Rand) (frame func(string, string) verdict, counters func() [4]int)) string {
 	var b strings.Builder
 	rng := randx.New(seed ^ seedSalt)
 	frame, counters := build(plan, rng)
@@ -207,20 +208,20 @@ func wireTranscript(plan *Plan, seed int64, build func(*Plan, *randx.Rand) (fram
 	return b.String()
 }
 
-func referenceWire(mutate bool) func(*Plan, *randx.Rand) (func(string, string) Verdict, func() [4]int) {
-	return func(plan *Plan, rng *randx.Rand) (func(string, string) Verdict, func() [4]int) {
+func referenceWire(mutate bool) func(*Plan, *randx.Rand) (func(string, string) verdict, func() [4]int) {
+	return func(plan *Plan, rng *randx.Rand) (func(string, string) verdict, func() [4]int) {
 		in := &refWire{plan: plan, rng: rng, composeDrop: mutate}
 		return in.referenceFrame, func() [4]int { return [4]int{in.Drops, in.Dups, in.Delays, in.Reorders} }
 	}
 }
 
 // TestWalkMatchesReferenceFrame is the wire-plane half: Walk with a nil
-// callback (what netfaults.Injector.Frame calls) against the old Frame
-// loop, with `==` on every Verdict.
+// callback (what testnet's chaos layer calls per frame) against the old Frame
+// loop, with `==` on every verdict.
 func TestWalkMatchesReferenceFrame(t *testing.T) {
-	shared := func(plan *Plan, rng *randx.Rand) (func(string, string) Verdict, func() [4]int) {
+	shared := func(plan *Plan, rng *randx.Rand) (func(string, string) verdict, func() [4]int) {
 		w := &Walker{plan: plan, rng: rng}
-		return func(proto, link string) Verdict { return w.Walk(proto, link, nil) },
+		return func(proto, link string) verdict { return w.Walk(proto, link, nil) },
 			func() [4]int { return [4]int{w.Drops, w.Dups, w.Delays, w.Reorders} }
 	}
 	mutantSeen := false
@@ -253,7 +254,7 @@ func TestWalkReportsEachFiring(t *testing.T) {
 	w := NewWalker(plan, 1)
 	var fired []rule
 	v := w.Walk("signal", "l1", func(r rule) { fired = append(fired, r) })
-	if want := (Verdict{Drop: true, Dup: true, Reorder: 0.25}); v != want {
+	if want := (verdict{Drop: true, Dup: true, Reorder: 0.25}); v != want {
 		t.Fatalf("verdict %+v, want %+v", v, want)
 	}
 	if want := []rule{plan.Rules[0], plan.Rules[2], plan.Rules[3]}; !reflect.DeepEqual(fired, want) {

@@ -37,7 +37,7 @@ func TestRetransmitSessionAllocFree(t *testing.T) {
 	for _, rule := range testRules {
 		pr, settle := settledPath(t, 8, rule)
 		lose := false
-		pr.Opts.Deliver = func(_ string, hop int, _ bool) (bool, float64) {
+		pr.Opts.Deliver = func(_ string, hop int, _ string, _ bool) (bool, float64) {
 			if lose && hop == 1 {
 				lose = false
 				return true, 0

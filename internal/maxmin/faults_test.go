@@ -12,7 +12,7 @@ import (
 // p from a seeded RNG.
 func lossyHook(seed int64, p float64) deliverFunc {
 	rng := randx.New(seed)
-	return func(conn string, hop int, update bool) (bool, float64) {
+	return func(conn string, hop int, _ string, update bool) (bool, float64) {
 		return rng.Bernoulli(p), 0
 	}
 }
@@ -87,7 +87,7 @@ func TestUpdateLossIsRetransmitted(t *testing.T) {
 		Conns:    []Conn{{ID: "c", Path: []string{"L"}, Demand: Inf}},
 	}, ProtocolOptions{
 		Refined: true,
-		Deliver: func(conn string, hop int, update bool) (bool, float64) {
+		Deliver: func(conn string, hop int, _ string, update bool) (bool, float64) {
 			if update && !dropped {
 				dropped = true
 				return true, 0
@@ -120,7 +120,7 @@ func TestExhaustedRetriesAreRepairedByReadvertise(t *testing.T) {
 	}, ProtocolOptions{
 		Refined:           true,
 		ReadvertisePeriod: 1,
-		Deliver: func(conn string, hop int, update bool) (bool, float64) {
+		Deliver: func(conn string, hop int, _ string, update bool) (bool, float64) {
 			if update && drops < 4 {
 				drops++
 				return true, 0

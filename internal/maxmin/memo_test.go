@@ -134,7 +134,7 @@ func runScript(t *testing.T, seed int64, steps int, loss float64, finite bool, b
 		sides[k] = b(clock.Sim(sims[k]), ProtocolOptions{
 			Refined:           refined,
 			ReadvertisePeriod: period,
-			Deliver: func(_ string, hop int, _ bool) (bool, float64) {
+			Deliver: func(_ string, hop int, _ string, _ bool) (bool, float64) {
 				return hop > 0 && wire.Bernoulli(loss), 0
 			},
 		})

@@ -12,10 +12,12 @@ import (
 
 // deliverFunc decides the fate of one control-packet hop: conn is the
 // connection whose session the packet belongs to, hop is the 0-based
-// transmission index within the sweep, and update distinguishes UPDATE
-// commits from ADVERTISE rounds. A nil hook delivers everything
-// untouched and costs nothing.
-type deliverFunc func(conn string, hop int, update bool) (drop bool, delay float64)
+// transmission index within the sweep, link names the path link the hop
+// crosses (an ADVERTISE sweeps the deduplicated path out and back, an
+// UPDATE crosses it once), and update distinguishes UPDATE commits from
+// ADVERTISE rounds. A nil hook delivers everything untouched and costs
+// nothing.
+type deliverFunc func(conn string, hop int, link string, update bool) (drop bool, delay float64)
 
 // ProtocolOptions tunes the event-driven ADVERTISE/UPDATE protocol.
 type ProtocolOptions struct {
@@ -788,7 +790,7 @@ func (pr *Protocol) runRound(st step) {
 		pr.Messages++
 		travel += pr.Opts.hopDelay
 		if d := pr.Opts.Deliver; d != nil {
-			drop, extra := d(pc.id, hop, false)
+			drop, extra := d(pc.id, hop, pc.hops[i].link.name, false)
 			if drop {
 				st.kind = resendRound
 				if !pr.retryControl(st, hop) {
@@ -850,7 +852,7 @@ func (pr *Protocol) sendUpdate(st step) {
 		pr.Messages++
 		travel += pr.Opts.hopDelay
 		if d := pr.Opts.Deliver; d != nil {
-			drop, extra := d(pc.id, i, true)
+			drop, extra := d(pc.id, i, pc.hops[i].link.name, true)
 			if drop {
 				st.kind = resendUpdate
 				if !pr.retryControl(st, i) {

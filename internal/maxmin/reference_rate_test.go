@@ -323,7 +323,7 @@ func (a *refRate) runSweep(id string, attempt int) {
 			a.messages++
 			travel += a.opts.hopDelay
 			if d := a.opts.Deliver; d != nil {
-				drop, extra := d(id, hop, false)
+				drop, extra := d(id, hop, lname, false)
 				if drop {
 					if !a.retryControl(id, hop, attempt, func(n int) { a.runSweep(id, n) }) {
 						a.finishSession(id)
@@ -358,7 +358,7 @@ func (a *refRate) sendUpdate(id string, rate float64, attempt int) {
 		a.messages++
 		travel += a.opts.hopDelay
 		if d := a.opts.Deliver; d != nil {
-			drop, extra := d(id, i, true)
+			drop, extra := d(id, i, lname, true)
 			if drop {
 				if !a.retryControl(id, i, attempt, func(n int) { a.sendUpdate(id, rate, n) }) {
 					a.finishSession(id)

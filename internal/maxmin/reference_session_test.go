@@ -173,7 +173,7 @@ func (pr *refProtocol) runRoundAttempt(id string, round int, prevStamp float64, 
 		pr.Messages++
 		travel += pr.Opts.hopDelay
 		if d := pr.Opts.Deliver; d != nil {
-			drop, extra := d(id, hop, false)
+			drop, extra := d(id, hop, pc.hops[i].link.name, false)
 			if drop {
 				if !pr.retryControl(id, hop, attempt, func(a int) { pr.runRoundAttempt(id, round, prevStamp, a) }) {
 					pr.finishSession(id)
@@ -228,7 +228,7 @@ func (pr *refProtocol) sendUpdateAttempt(id string, rate float64, attempt int) {
 		pr.Messages++
 		travel += pr.Opts.hopDelay
 		if d := pr.Opts.Deliver; d != nil {
-			drop, extra := d(id, i, true)
+			drop, extra := d(id, i, pc.hops[i].link.name, true)
 			if drop {
 				if !pr.retryControl(id, i, attempt, func(a int) { pr.sendUpdateAttempt(id, rate, a) }) {
 					pr.finishSession(id)

@@ -3,6 +3,8 @@ package netfaults
 import (
 	"strings"
 	"testing"
+
+	"armnet/internal/faults"
 )
 
 // FuzzParsePlan asserts parser totality (no panics on arbitrary specs)
@@ -27,12 +29,12 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("at 10 blackout c")
 	f.Add("delay any 0.1 -1")
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := parsePlan(strings.NewReader(spec))
+		p, err := faults.ParseWirePlan(strings.NewReader(spec))
 		if err != nil {
 			return
 		}
 		rendered := p.String()
-		q, err := parsePlan(strings.NewReader(rendered))
+		q, err := faults.ParseWirePlan(strings.NewReader(rendered))
 		if err != nil {
 			t.Fatalf("re-parse of rendered plan failed: %v\nrendered:\n%s", err, rendered)
 		}

@@ -2,10 +2,15 @@ package netfaults
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"armnet/internal/faults"
 )
+
+// The wire plane's grammar and per-frame rule walk, pinned through the
+// alias: plans parse with faults.ParseWirePlan and frames are decided by
+// a faults.Walker, as internal/testnet's chaos layer decides them.
 
 const samplePlan = `
 # soak epoch plan
@@ -21,7 +26,7 @@ at 3 crash core
 
 func mustParse(t *testing.T, spec string) *Plan {
 	t.Helper()
-	p, err := ParsePlanString(spec)
+	p, err := faults.ParseWirePlan(strings.NewReader(spec))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -95,7 +100,7 @@ func TestParsePlanErrors(t *testing.T) {
 		"delay signal 0.5 1e400",     // non-finite
 		"drop signal 0.5 on",         // dangling filter keyword
 	} {
-		if _, err := ParsePlanString(spec); err == nil {
+		if _, err := faults.ParseWirePlan(strings.NewReader(spec)); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", spec)
 		}
 	}
@@ -117,11 +122,11 @@ func TestEmptyPlan(t *testing.T) {
 // decorrelate.
 func TestInjectorDeterministic(t *testing.T) {
 	p := mustParse(t, "drop any 0.3\ndup any 0.2\ndelay any 0.4 0.01\nreorder any 0.25 0.02\n")
-	run := func(seed int64) []faults.Verdict {
-		in := NewInjector(p, seed)
-		out := make([]faults.Verdict, 200)
+	run := func(seed int64) []any {
+		in := faults.NewWalker(p, seed)
+		out := make([]any, 200)
 		for i := range out {
-			out[i] = in.Frame("signal", "l1")
+			out[i] = in.Walk("signal", "l1", nil)
 		}
 		return out
 	}
@@ -132,9 +137,9 @@ func TestInjectorDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, run(8)) {
 		t.Fatal("different seeds produced identical verdicts (suspicious)")
 	}
-	in := NewInjector(p, 7)
+	in := faults.NewWalker(p, 7)
 	for i := 0; i < 200; i++ {
-		in.Frame("maxmin", "l2")
+		in.Walk("maxmin", "l2", nil)
 	}
 	if in.Drops == 0 || in.Dups == 0 || in.Delays == 0 || in.Reorders == 0 {
 		t.Errorf("counters did not all move: %+v", in)
@@ -145,36 +150,36 @@ func TestInjectorDeterministic(t *testing.T) {
 // frames crossing the named link.
 func TestInjectorLinkFilter(t *testing.T) {
 	p := mustParse(t, "drop signal 1 on l-target\n")
-	in := NewInjector(p, 1)
-	if v := in.Frame("signal", "l-other"); v.Drop {
+	in := faults.NewWalker(p, 1)
+	if v := in.Walk("signal", "l-other", nil); v.Drop {
 		t.Error("rule fired on unfiltered link")
 	}
-	if v := in.Frame("maxmin", "l-target"); v.Drop {
+	if v := in.Walk("maxmin", "l-target", nil); v.Drop {
 		t.Error("rule fired on wrong protocol")
 	}
-	if v := in.Frame("signal", "l-target"); !v.Drop {
+	if v := in.Walk("signal", "l-target", nil); !v.Drop {
 		t.Error("rule did not fire on its link")
 	}
 }
 
-// TestInjectorEmptyNoDraws pins the zero-cost contract: a nil or empty
-// injector decides frames without consuming randomness, so interleaving
-// it with a live one cannot perturb the live one's stream.
+// TestInjectorEmptyNoDraws pins the zero-cost contract: a walker over a
+// nil or empty plan decides frames without consuming randomness, so
+// interleaving it with a live one cannot perturb the live one's stream.
 func TestInjectorEmptyNoDraws(t *testing.T) {
-	var nilInj *Injector
+	nilPlan := faults.NewWalker(nil, 42)
 	for i := 0; i < 10; i++ {
-		if v := nilInj.Frame("signal", "l"); v != (faults.Verdict{}) {
-			t.Fatal("nil injector acted")
+		if v := nilPlan.Walk("signal", "l", nil); !reflect.ValueOf(v).IsZero() {
+			t.Fatal("nil plan acted")
 		}
 	}
 	p := mustParse(t, "drop any 0.5\n")
-	ref := NewInjector(p, 42)
-	mixed := NewInjector(p, 42)
-	empty := NewInjector(&Plan{}, 42)
+	ref := faults.NewWalker(p, 42)
+	mixed := faults.NewWalker(p, 42)
+	empty := faults.NewWalker(&Plan{}, 42)
 	for i := 0; i < 100; i++ {
-		want := ref.Frame("signal", "l")
-		empty.Frame("signal", "l") // must not advance anything shared
-		if got := mixed.Frame("signal", "l"); got != want {
+		want := ref.Walk("signal", "l", nil)
+		empty.Walk("signal", "l", nil) // must not advance anything shared
+		if got := mixed.Walk("signal", "l", nil); got != want {
 			t.Fatalf("frame %d: verdict %+v, want %+v", i, got, want)
 		}
 	}

@@ -58,7 +58,7 @@ func TestCommitLossReleasesExactlyOnce(t *testing.T) {
 		MaxRetries: 1,
 		retryBase:  0.01,
 		Timeout:    5,
-		Deliver: func(conn string, hop int) (bool, float64) {
+		Deliver: func(conn string, hop int, _ string, _ bool) (bool, float64) {
 			return hop >= n, 0 // forward passes, every confirmation lost
 		},
 	})
@@ -101,7 +101,7 @@ func TestPostCommitTimeoutReleasesExactlyOnce(t *testing.T) {
 	n := 2
 	sim, p, route, releases := releaseRig(t, Options{
 		Timeout: 0.5,
-		Deliver: func(conn string, hop int) (bool, float64) {
+		Deliver: func(conn string, hop int, _ string, _ bool) (bool, float64) {
 			if hop >= n {
 				return false, 2.0 // delivered, but far past the deadline
 			}

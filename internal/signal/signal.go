@@ -47,9 +47,12 @@ var (
 
 // deliver decides the fate of one setup control message about to cross
 // hop (0-based; forward hops are 0..n-1, the commit confirmation's
-// reverse hops are n..2n-1). It may drop the message or add latency.
-// A nil hook delivers everything untouched and costs nothing.
-type deliver func(conn string, hop int) (drop bool, delay float64)
+// reverse hops are n..2n-1). link names the route link the hop crosses
+// (forward hop i crosses link i, reverse hop n+j crosses link n-1-j), and
+// commit marks the commit confirmation's reverse pass. It may drop the
+// message or add latency. A nil hook delivers everything untouched and
+// costs nothing.
+type deliver func(conn string, hop int, link string, commit bool) (drop bool, delay float64)
 
 // Options tunes the signaling plane.
 type Options struct {
@@ -391,7 +394,7 @@ func (s *session) forward(i, attempt int) {
 	link := s.test.Route.Links[i]
 	delay := s.hopDelay(link)
 	if d := s.plane.opts.Deliver; d != nil {
-		drop, extra := d(s.test.ConnID, i)
+		drop, extra := d(s.test.ConnID, i, string(link.ID), false)
 		if drop {
 			if !s.retry(i, attempt, func(a int) { s.forward(i, a) }) {
 				s.rollback(i, "lost")
@@ -477,7 +480,7 @@ func (s *session) sendConfirm(res admission.Result, attempt int) {
 	}
 	if d := s.plane.opts.Deliver; d != nil {
 		for j := 0; j < n; j++ {
-			drop, extra := d(s.test.ConnID, n+j)
+			drop, extra := d(s.test.ConnID, n+j, string(s.test.Route.Links[n-1-j].ID), true)
 			if drop {
 				if !s.retry(n+j, attempt, func(a int) { s.sendConfirm(res, a) }) {
 					s.plane.Rollbacks++

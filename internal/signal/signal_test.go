@@ -218,7 +218,7 @@ func TestTimeoutScalesWithHopCount(t *testing.T) {
 func TestLostForwardMessageIsRetransmitted(t *testing.T) {
 	sim, p, route := rig(t)
 	dropped := false
-	p.opts.Deliver = func(conn string, hop int) (bool, float64) {
+	p.opts.Deliver = func(conn string, hop int, _ string, _ bool) (bool, float64) {
 		if hop == 1 && !dropped {
 			dropped = true
 			return true, 0
@@ -248,7 +248,7 @@ func TestLostForwardMessageIsRetransmitted(t *testing.T) {
 func TestRetryBudgetExhaustionAbortsSetup(t *testing.T) {
 	sim, p, route := rig(t)
 	drops := 0
-	p.opts.Deliver = func(conn string, hop int) (bool, float64) {
+	p.opts.Deliver = func(conn string, hop int, _ string, _ bool) (bool, float64) {
 		if hop == 1 {
 			drops++
 			return true, 0
@@ -277,7 +277,7 @@ func TestRetryBudgetExhaustionAbortsSetup(t *testing.T) {
 
 func TestLostCommitConfirmationReleasesReservation(t *testing.T) {
 	sim, p, route := rig(t)
-	p.opts.Deliver = func(conn string, hop int) (bool, float64) {
+	p.opts.Deliver = func(conn string, hop int, _ string, _ bool) (bool, float64) {
 		return hop >= len(route.Links), 0 // lose every reverse-pass message
 	}
 	var got Result

@@ -3,13 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-var updateArena = flag.Bool("update-arena", false, "rewrite the arena snapshot golden from current output")
 
 // arenaGoldenCfg is the pinned seed-1 arena scenario behind the golden.
 // The demand bounds load the wireless cells hard enough that the
@@ -20,7 +17,7 @@ var arenaGoldenCfg = ArenaConfig{CampusConfig: CampusConfig{Seed: 1, Portables: 
 // TestArenaSnapshotGolden pins the seed-1 arena comparative snapshot.
 // Any drift means a strategy's decisions, the workload, or the renderer
 // changed — regenerate deliberately with
-// `go test ./internal/sim -run TestArenaSnapshotGolden -update-arena`.
+// `go test ./internal/sim -run TestArenaSnapshotGolden -update`.
 func TestArenaSnapshotGolden(t *testing.T) {
 	entries, _, err := RunArena(context.Background(), arenaGoldenCfg, 1)
 	if err != nil {
@@ -28,14 +25,14 @@ func TestArenaSnapshotGolden(t *testing.T) {
 	}
 	rendered := RenderArena(arenaGoldenCfg, entries)
 	path := filepath.Join("testdata", "arenasnapshot.golden")
-	if *updateArena {
+	if *update {
 		if err := os.WriteFile(path, rendered, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (regenerate with -update-arena)", err)
+		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if !bytes.Equal(rendered, want) {
 		t.Fatalf("arena snapshot drifted from golden:\ngot:\n%s\nwant:\n%s", rendered, want)

@@ -12,7 +12,9 @@ import (
 	"armnet/internal/runner"
 )
 
-var updateChaos = flag.Bool("update-chaos", false, "rewrite the chaos trace golden from current output")
+// update rewrites every golden file of the package from current output
+// (`make golden`).
+var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
 // chaosGoldenCfg is the pinned seed-1 chaos scenario: 10% control-message
 // loss, a cell outage mid-run, and a signaling-plane crash.
@@ -119,11 +121,11 @@ func chaosTraceHead(t *testing.T, n int) []byte {
 // TestChaosTraceGolden pins the head of the seed-1 chaos event stream.
 // Any byte of drift means fault injection, retransmission scheduling, or
 // event publication changed order — regenerate deliberately with
-// `go test ./internal/sim -run TestChaosTraceGolden -update-chaos`.
+// `go test ./internal/sim -run TestChaosTraceGolden -update`.
 func TestChaosTraceGolden(t *testing.T) {
 	got := chaosTraceHead(t, 60)
 	golden := filepath.Join("testdata", "faulttrace.golden")
-	if *updateChaos {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -2,13 +2,10 @@ package sim
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-var updateObs = flag.Bool("update-obs", false, "rewrite the obs snapshot goldens from current output")
 
 // obsGoldenCfg is the pinned seed-1 observed campus scenario behind the
 // snapshot goldens.
@@ -41,7 +38,7 @@ func TestObsZeroPerturbation(t *testing.T) {
 // formats. Any byte of drift means instrument registration order, bucket
 // bounds, label rendering, or the underlying simulation changed —
 // regenerate deliberately with
-// `go test ./internal/sim -run TestObsSnapshotGolden -update-obs`.
+// `go test ./internal/sim -run TestObsSnapshotGolden -update`.
 func TestObsSnapshotGolden(t *testing.T) {
 	_, mgr, err := RunCampus(obsGoldenCfg, nil)
 	if err != nil {
@@ -56,7 +53,7 @@ func TestObsSnapshotGolden(t *testing.T) {
 		{"obssnapshot.json.golden", snap.JSON()},
 	} {
 		golden := filepath.Join("testdata", g.file)
-		if *updateObs {
+		if *update {
 			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 				t.Fatal(err)
 			}

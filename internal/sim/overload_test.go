@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,8 +10,6 @@ import (
 
 	"armnet/internal/runner"
 )
-
-var updateOverload = flag.Bool("update-overload", false, "rewrite the overload trace golden from current output")
 
 // overloadGoldenCfg is the pinned seed-1 load ramp under the reference
 // policy: 40 portables arriving over 240 s, two signaled connections
@@ -195,11 +192,11 @@ func overloadTraceHead(t *testing.T, n int) []byte {
 // TestOverloadTraceGolden pins the head of the seed-1 overload event
 // stream. Any byte of drift means detector sampling, stage transitions,
 // shedding, or breaker scheduling changed. Refresh intentionally with
-// `go test ./internal/sim -run TestOverloadTraceGolden -update-overload`.
+// `go test ./internal/sim -run TestOverloadTraceGolden -update`.
 func TestOverloadTraceGolden(t *testing.T) {
 	got := overloadTraceHead(t, 80)
 	golden := filepath.Join("testdata", "overloadtrace.golden")
-	if *updateOverload {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}

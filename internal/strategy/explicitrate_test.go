@@ -92,8 +92,8 @@ func sameRates(t *testing.T, got, want map[string]float64) {
 // sweep packets and the first m UPDATE packets to reach hop 1 — the
 // second switch, so the lost packet strands partial recorded state
 // upstream like a real mid-path loss.
-func dropFirst(sweeps, updates int) func(conn string, hop int, update bool) (drop bool, delay float64) {
-	return func(_ string, hop int, update bool) (bool, float64) {
+func dropFirst(sweeps, updates int) func(conn string, hop int, link string, update bool) (drop bool, delay float64) {
+	return func(_ string, hop int, _ string, update bool) (bool, float64) {
 		if hop != 1 {
 			return false, 0
 		}

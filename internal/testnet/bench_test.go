@@ -1,11 +1,12 @@
 package testnet
 
 import (
+	"strings"
 	"testing"
 
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
-	"armnet/internal/netfaults"
+	"armnet/internal/faults"
 	"armnet/internal/raceflag"
 	"armnet/internal/topology"
 	"armnet/internal/wire"
@@ -90,9 +91,10 @@ func TestHandleFrameAllocBudget(t *testing.T) {
 }
 
 // TestLoopbackDeliverAllocFree pins the controller's side of a hop at
-// zero allocations too: a warm MaxminDeliver or SignalDeliver resolves
-// the hop through the connection's route record, encodes the concrete
-// message, has the agent handle it and verifies the ack.
+// zero allocations too: a warm MaxminDeliver or SignalDeliver finds the
+// agent owning the link the hook names, encodes the concrete message,
+// has the agent handle it and verifies the ack. The reference registry
+// supplies each hop's link.
 func TestLoopbackDeliverAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -102,32 +104,35 @@ func TestLoopbackDeliverAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := NewCluster(env)
-	routing := newRouting(cluster)
 	nodes := make([]*Node, len(cluster.Names))
 	sim := des.New()
 	for i, name := range cluster.Names {
 		nodes[i] = NewNode(name, sim)
 	}
-	tr := newLoopback(cluster, routing, nodes)
 	route, err := env.Backbone.ShortestPath(env.Hosts[0], topology.AirNode("off-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	routing.register("portable-17:2", route, 256e3)
+	const conn = "portable-17:2"
+	tr := newLoopback(cluster, connTable{conn: {route: route, reserve: 256e3}}, nodes)
+	ref := newRefRoute(route, false)
 	hops := len(route.Links)
 	round := func() {
 		for hop := 0; hop < 2*hops; hop++ {
-			tr.MaxminDeliver("portable-17:2", hop, false)
-			tr.SignalDeliver("portable-17:2", hop)
+			link, _ := ref.maxminHop(hop, false)
+			tr.MaxminDeliver(conn, hop, string(link), false)
+			link, commit, _ := ref.signalHop(hop)
+			tr.SignalDeliver(conn, hop, string(link), commit)
 		}
-		tr.MaxminDeliver("portable-17:2", 0, true)
+		link, _ := ref.maxminHop(0, true)
+		tr.MaxminDeliver(conn, 0, string(link), true)
 	}
 	round() // grow the recorders' scratch and the first trace chunks
 	if got := testing.AllocsPerRun(200, round); got != 0 {
 		t.Fatalf("a warm round of %d deliveries allocates %v, want 0", 4*hops+1, got)
 	}
-	if len(tr.Errs()) != 0 || routing.Unrouted != 0 || tr.Sent() == 0 {
-		t.Fatalf("errs %v, unrouted %d, sent %d", tr.Errs(), routing.Unrouted, tr.Sent())
+	if len(tr.Errs()) != 0 || tr.Sent() == 0 {
+		t.Fatalf("errs %v, sent %d", tr.Errs(), tr.Sent())
 	}
 }
 
@@ -153,10 +158,10 @@ func BenchmarkLoopbackScenario(b *testing.B) {
 // free and a few nanoseconds, or wrapping the transport is no longer
 // behaviour-preserving in spirit.
 func BenchmarkNetfaultsVerdictEmpty(b *testing.B) {
-	inj := netfaults.NewInjector(&netfaults.Plan{}, 1)
+	walk := faults.NewWalker(&faults.Plan{}, 1^wireSalt)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if v := inj.Frame("signal", "ap-off-1"); v.Drop || v.Dup {
+		if v := walk.Walk("signal", "ap-off-1", nil); v.Drop || v.Dup {
 			b.Fatal("empty plan produced a fault")
 		}
 	}
@@ -166,15 +171,15 @@ func BenchmarkNetfaultsVerdictEmpty(b *testing.B) {
 // plan with one rule per fault family — the injection hot path a soak
 // run exercises on every delivered frame.
 func BenchmarkNetfaultsVerdict(b *testing.B) {
-	plan, err := netfaults.ParsePlanString(
-		"drop signal 0.1\ndup maxmin 0.1\ndelay any 0.2 0.002\nreorder maxmin 0.15 0.004\n")
+	plan, err := faults.ParseWirePlan(strings.NewReader(
+		"drop signal 0.1\ndup maxmin 0.1\ndelay any 0.2 0.002\nreorder maxmin 0.15 0.004\n"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	inj := netfaults.NewInjector(plan, 1)
+	walk := faults.NewWalker(plan, 1^wireSalt)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		inj.Frame("maxmin", "ap-off-1")
+		walk.Walk("maxmin", "ap-off-1", nil)
 	}
 }
 
@@ -185,7 +190,7 @@ func BenchmarkNetfaultsVerdict(b *testing.B) {
 func BenchmarkFaultyLoopbackScenario(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{Mode: ModeLoopback, Faults: &netfaults.Plan{}})
+		res, err := Run(Config{Mode: ModeLoopback, Faults: &faults.Plan{}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,9 +12,9 @@ import (
 // wired hosts).
 type clusterNet struct {
 	// Names lists the agents in deterministic order, core first; an
-	// agent's index in it is how the routing and transports address it.
+	// agent's index in it is how the transports address it.
 	Names []string
-	owner map[topology.LinkID]int
+	owner map[string]int
 }
 
 // coreAgent owns every link not claimed by a zone.
@@ -22,7 +22,7 @@ const coreAgent = "core"
 
 // NewCluster derives the agent partition from the environment.
 func NewCluster(env *topology.Environment) *clusterNet {
-	c := &clusterNet{owner: make(map[topology.LinkID]int)}
+	c := &clusterNet{owner: make(map[string]int)}
 	zones := append([]string(nil), env.Universe.Zones()...)
 	sort.Strings(zones)
 	zoneOf := make(map[topology.NodeID]string)
@@ -57,14 +57,14 @@ func NewCluster(env *topology.Environment) *clusterNet {
 	sort.Strings(rest)
 	c.Names = append([]string{coreAgent}, rest...)
 	for i, l := range links {
-		c.owner[l.ID], _ = c.index(owner[i])
+		c.owner[string(l.ID)], _ = c.index(owner[i])
 	}
 	return c
 }
 
 // agent returns the index in Names of the agent owning a link (core for
 // unknown links, so a misrouted frame still lands somewhere observable).
-func (c *clusterNet) agent(link topology.LinkID) int {
+func (c *clusterNet) agent(link string) int {
 	return c.owner[link] // the zero value is the core agent's index
 }
 

@@ -3,27 +3,35 @@ package testnet
 import (
 	"armnet/internal/clock"
 	"armnet/internal/faults"
-	"armnet/internal/netfaults"
 	"armnet/internal/obs/live"
 	"armnet/internal/wire"
 )
 
-// faultyTransport is the chaos layer: it wraps a real transport
-// (loopback or UDP alike) and applies a netfaults plan at the frame
-// boundary — per-link drop/dup/delay/reorder verdicts plus node
-// partitions and crashes — while the protocol code and the inner fabric
-// stay untouched. An empty injector makes every method a straight
-// delegation with no random draws, so wrapping with an empty plan is
-// behaviour-preserving (the zero-cost contract the loopback gate pins).
+// faultyTransport is the chaos layer, the wire plane's front-end to
+// internal/faults: it wraps a real transport (loopback or UDP alike) and
+// applies a wire plan at the frame boundary — per-link
+// drop/dup/delay/reorder verdicts from a faults.Walker, the same rule
+// walk the simulated plane's Injector runs, plus node partitions and
+// crashes — while the protocol code and the inner fabric stay untouched.
+// An empty plan makes every method a straight delegation with no random
+// draws, so wrapping with an empty plan is behaviour-preserving (the
+// zero-cost contract the loopback gate pins).
+//
+// The loopback fabric is single-threaded on the simulator clock, so
+// identical (plan, seed) pairs inject identically there; on the
+// wall-clock UDP path calls are serialized by the wall lock but their
+// order is scheduling-dependent, so UDP injection is
+// random-but-unreproducible by design.
 //
 // Partition and crash state lives here, not in the plan: the harness
 // posts the plan's timed events (faults.Plan.Events) on the scenario
 // clock and apply executes each at its scripted instant.
 type faultyTransport struct {
-	inner   transport
-	inj     *netfaults.Injector
+	inner transport
+	// walk carries the Drops, Dups, Delays and Reorders counters of the
+	// live plan.
+	walk    faults.Walker
 	clk     clock.Clock
-	routing *routeTable
 	cluster *clusterNet
 	// nodes lets a crash wipe the in-process agent's volatile state, by
 	// agent index (nil under UDP, where the node process owns its own
@@ -42,31 +50,35 @@ type faultyTransport struct {
 	// PartitionDrops counts frames eaten by down agents; Crashes and
 	// Restarts count node lifecycle transitions the layer executed.
 	PartitionDrops, Crashes, Restarts int
-	// acc accumulates injector counters across setPlan swaps, so epoch
+	// acc accumulates walker counters across setPlan swaps, so epoch
 	// rotation does not lose the earlier epochs' firings.
 	acc [4]int
 }
 
-func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Clock, routing *routeTable, cluster *clusterNet, nodes []*Node) *faultyTransport {
+// wireSalt decorrelates the wire plane's RNG from the simulation fault
+// injector and the workload streams derived from the same master seed.
+const wireSalt = 0x6e657466 // "netf"
+
+func newFaulty(inner transport, plan *faults.Plan, seed int64, clk clock.Clock, cluster *clusterNet, nodes []*Node) *faultyTransport {
 	return &faultyTransport{
-		inner: inner, inj: netfaults.NewInjector(plan, seed),
-		clk: clk, routing: routing, cluster: cluster, nodes: nodes,
+		inner: inner, walk: faults.NewWalker(plan, seed^wireSalt),
+		clk: clk, cluster: cluster, nodes: nodes,
 		down: make(map[string]bool),
 	}
 }
 
 // setPlan swaps the active fault plan (soak epochs rotate plans); nil
 // disables injection while keeping partition/crash state. The outgoing
-// injector's counters are folded into the running totals.
-func (t *faultyTransport) setPlan(plan *netfaults.Plan, seed int64) {
+// walker's counters are folded into the running totals.
+func (t *faultyTransport) setPlan(plan *faults.Plan, seed int64) {
 	t.acc[0], t.acc[1], t.acc[2], t.acc[3] = t.stats()
-	t.inj = netfaults.NewInjector(plan, seed)
+	t.walk = faults.NewWalker(plan, seed^wireSalt)
 }
 
-// stats returns the cumulative injector firings — across every plan the
+// stats returns the cumulative rule firings — across every plan the
 // layer has run, including the live one.
 func (t *faultyTransport) stats() (drops, dups, delays, reorders int) {
-	return t.acc[0] + t.inj.Drops, t.acc[1] + t.inj.Dups, t.acc[2] + t.inj.Delays, t.acc[3] + t.inj.Reorders
+	return t.acc[0] + t.walk.Drops, t.acc[1] + t.walk.Dups, t.acc[2] + t.walk.Delays, t.acc[3] + t.walk.Reorders
 }
 
 // partition makes an agent unreachable without losing its state.
@@ -110,18 +122,21 @@ func (t *faultyTransport) apply(f faults.Timed) {
 	}
 }
 
-// deliver applies the fault pipeline to one hop-addressed frame: the
-// partition check first (a down agent eats the frame), then the
-// injector verdict — drop wins outright; a reorder detaches the frame
-// onto the clock so later frames overtake it; dup and delay compose
-// with normal delivery.
-func (t *faultyTransport) deliver(proto, link, agent string, fwd func() (bool, float64)) (bool, float64) {
+// deliver applies the fault pipeline to one frame crossing link: the
+// partition check of the link's agent first (a down agent eats the
+// frame), then the walk's verdict — drop wins outright; a reorder
+// detaches the frame onto the clock so later frames overtake it; dup and
+// delay compose with normal delivery. Control frames (hello, lease
+// renewals, resyncs) never come here, so the probabilistic rules spare
+// them.
+func (t *faultyTransport) deliver(proto, link string, fwd func() (bool, float64)) (bool, float64) {
+	agent := t.cluster.Names[t.cluster.agent(link)]
 	if t.down[agent] {
 		t.PartitionDrops++
 		t.obs.Verdict("partition")
 		return true, 0
 	}
-	v := t.inj.Frame(proto, link)
+	v := t.walk.Walk(proto, link, nil)
 	if v.Drop {
 		t.obs.Verdict("drop")
 		return true, 0
@@ -149,44 +164,32 @@ func (t *faultyTransport) deliver(proto, link, agent string, fwd func() (bool, f
 	return drop, delay + v.Delay
 }
 
-func (t *faultyTransport) SignalDeliver(conn string, hop int) (bool, float64) {
-	h, ok := t.routing.peekSignal(conn, hop)
-	if !ok {
-		// Unroutable: let the inner transport resolve (and count) it.
-		return t.inner.SignalDeliver(conn, hop)
-	}
-	return t.deliver("signal", string(h.link), t.cluster.Names[h.agent], func() (bool, float64) {
-		return t.inner.SignalDeliver(conn, hop)
+func (t *faultyTransport) SignalDeliver(conn string, hop int, link string, commit bool) (bool, float64) {
+	return t.deliver("signal", link, func() (bool, float64) {
+		return t.inner.SignalDeliver(conn, hop, link, commit)
 	})
 }
 
-func (t *faultyTransport) MaxminDeliver(conn string, hop int, update bool) (bool, float64) {
-	h, ok := t.routing.peekMaxmin(conn, hop, update)
-	if !ok {
-		return t.inner.MaxminDeliver(conn, hop, update)
-	}
-	return t.deliver("maxmin", string(h.link), t.cluster.Names[h.agent], func() (bool, float64) {
-		return t.inner.MaxminDeliver(conn, hop, update)
+func (t *faultyTransport) MaxminDeliver(conn string, hop int, link string, update bool) (bool, float64) {
+	return t.deliver("maxmin", link, func() (bool, float64) {
+		return t.inner.MaxminDeliver(conn, hop, link, update)
 	})
 }
 
-func (t *faultyTransport) Abort(conn string, hop int, reason string) {
+func (t *faultyTransport) Abort(conn string, hop int, link, reason string) {
 	// Abort mirroring is void (rollback already happened controller-side)
 	// so only the loss faults apply: a down agent or a drop verdict eats
 	// the frame, everything else delivers.
-	h, ok := t.routing.peekSignal(conn, hop)
-	if ok {
-		if t.down[t.cluster.Names[h.agent]] {
-			t.PartitionDrops++
-			t.obs.Verdict("partition")
-			return
-		}
-		if t.inj.Frame("signal", string(h.link)).Drop {
-			t.obs.Verdict("drop")
-			return
-		}
+	if t.down[t.cluster.Names[t.cluster.agent(link)]] {
+		t.PartitionDrops++
+		t.obs.Verdict("partition")
+		return
 	}
-	t.inner.Abort(conn, hop, reason)
+	if t.walk.Walk("signal", link, nil).Drop {
+		t.obs.Verdict("drop")
+		return
+	}
+	t.inner.Abort(conn, hop, link, reason)
 }
 
 // Control frames (lease renewals, resync, re-hello) are exempt from the

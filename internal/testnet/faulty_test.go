@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"armnet/internal/netfaults"
+	"armnet/internal/faults"
 )
 
-func mustPlan(t *testing.T, spec string) *netfaults.Plan {
+func mustPlan(t *testing.T, spec string) *faults.Plan {
 	t.Helper()
-	p, err := netfaults.ParsePlanString(spec)
+	p, err := faults.ParseWirePlan(strings.NewReader(spec))
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -24,7 +24,7 @@ func mustPlan(t *testing.T, spec string) *netfaults.Plan {
 // accounting does not move.
 func TestNetfaultsEmptyPlanZeroCost(t *testing.T) {
 	plain := mustRun(t, Config{Mode: ModeLoopback})
-	wrapped := mustRun(t, Config{Mode: ModeLoopback, Faults: &netfaults.Plan{}})
+	wrapped := mustRun(t, Config{Mode: ModeLoopback, Faults: &faults.Plan{}})
 
 	if len(wrapped.Violations) > 0 {
 		t.Fatalf("wrapped violations: %v", wrapped.Violations)

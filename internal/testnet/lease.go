@@ -72,7 +72,7 @@ func (lm *leaseManager) tick() {
 		} else {
 			for _, conn := range conns {
 				renew := wire.LeaseRenew{
-					Conn: conn, Bandwidth: lm.r.routing.reserve(conn), TTL: ttl,
+					Conn: conn, Bandwidth: lm.r.conns.reserve(conn), TTL: ttl,
 				}
 				if !lm.renew(agent, renew) {
 					ok = false
@@ -116,15 +116,15 @@ func (lm *leaseManager) renew(agent string, m wire.LeaseRenew) bool {
 func (lm *leaseManager) reclaim(agent string) {
 	conns := lm.r.connsVia(agent)
 	for _, conn := range conns {
-		route := lm.r.live[conn]
+		rec := lm.r.conns[conn]
 		lm.r.cfg.Obs.LeaseReclaim(conn)
 		eventbus.Pub(lm.r.bus, eventbus.HoldReclaimed{
 			Conn: conn, Link: "node:" + agent,
-			Amount: lm.r.routing.reserve(conn), Reason: "wire-lease",
+			Amount: rec.reserve, Reason: "wire-lease",
 		})
-		lm.r.lg.Release(conn, route)
+		lm.r.lg.Release(conn, rec.route)
 		lm.r.proto.RemoveConn(conn)
-		delete(lm.r.live, conn)
+		rec.live = false
 		lm.Reclaims++
 	}
 	if len(conns) > 0 {

@@ -2,7 +2,6 @@ package testnet
 
 import (
 	"bytes"
-	"flag"
 	"net"
 	"os"
 	"path/filepath"
@@ -12,8 +11,6 @@ import (
 	"armnet/internal/clock"
 	"armnet/internal/obs/live"
 )
-
-var updateLive = flag.Bool("update-live", false, "rewrite the live-obs snapshot golden")
 
 // liveObsConfig is the armed scenario the golden pins: loopback fabric
 // with lease renewal and a deterministic fault plan, so every live
@@ -71,7 +68,7 @@ func TestLiveObsZeroCost(t *testing.T) {
 // TestLiveObsSnapshotGolden pins the armed loopback run's merged
 // cluster snapshot and wire spans byte-for-byte, like the sim layer's
 // obssnapshot.golden: one deterministic export covering every live
-// instrument family. Regenerate with -update-live after intentional
+// instrument family. Regenerate with -update after intentional
 // metric changes.
 func TestLiveObsSnapshotGolden(t *testing.T) {
 	cfg := liveObsConfig(t)
@@ -107,14 +104,14 @@ func TestLiveObsSnapshotGolden(t *testing.T) {
 
 	got := append(snap.JSON(), res.LiveSpans...)
 	golden := filepath.Join("testdata", "livesnapshot.golden")
-	if *updateLive {
+	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatalf("update golden: %v", err)
 		}
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("golden (regenerate with -update-live): %v", err)
+		t.Fatalf("golden (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("live snapshot drifted from golden:\n got: %s\nwant: %s", got, want)

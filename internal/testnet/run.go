@@ -12,7 +12,6 @@ import (
 	"armnet/internal/eventbus"
 	"armnet/internal/faults"
 	"armnet/internal/maxmin"
-	"armnet/internal/netfaults"
 	"armnet/internal/obs"
 	"armnet/internal/obs/live"
 	"armnet/internal/qos"
@@ -31,11 +30,11 @@ type Config struct {
 	Horizon float64
 	// Peers maps agent name → "host:port" (ModeUDP only).
 	Peers map[string]string
-	// Faults, when non-nil, interposes the netfaults chaos layer between
+	// Faults, when non-nil, interposes the wire chaos layer between
 	// the protocols and the transport (live modes only; ModeSim has no
 	// wire to break). An empty plan still wraps — proving the wrapped
 	// empty path behaviour-identical is itself a test target.
-	Faults *netfaults.Plan
+	Faults *faults.Plan
 	// faultSeed salts the injector's RNG.
 	faultSeed int64
 	// lease arms wire hold-lease renewal (see leaseConfig).
@@ -113,12 +112,48 @@ type faultStats struct {
 	LeaseReclaims int
 }
 
+// connRec is the harness's one record per connection: the route it was
+// last set up on (where its abort frames go, and the route it holds once
+// live) and its reserve b_min, which its setup and commit frames carry
+// and Resync frames and lease renewals replay. A record outlives its
+// connection, so a frame still in flight after a close finds it.
+type connRec struct {
+	route   topology.Route
+	reserve float64
+	// live marks a committed connection not yet handed off, closed or
+	// reclaimed.
+	live bool
+}
+
+// connTable maps connection IDs to their records.
+type connTable map[string]*connRec
+
+// reserve returns the connection's reserve (zero if unknown).
+func (t connTable) reserve(conn string) float64 {
+	if rec := t[conn]; rec != nil {
+		return rec.reserve
+	}
+	return 0
+}
+
+// abortLink returns the link a rollback sweep's frame is addressed to:
+// the failed hop's link, or the last link when the failure was past the
+// route (the destination test, a lost commit confirmation).
+func (t connTable) abortLink(conn string, hop int) (string, bool) {
+	rec := t[conn]
+	if rec == nil || len(rec.route.Links) == 0 {
+		return "", false
+	}
+	links := rec.route.Links
+	return string(links[max(0, min(hop, len(links)-1))].ID), true
+}
+
 // runner owns one scenario's control plane.
 type runner struct {
 	cfg     Config
 	env     *topology.Environment
 	cluster *clusterNet
-	routing *routeTable
+	conns   connTable
 	clk     clock.Clock
 	lg      *admission.Ledger
 	plane   *signal.Plane
@@ -130,7 +165,6 @@ type runner struct {
 	nodes   []*Node // loopback agents, by index in cluster.Names
 	nodeObs []*live.NodeRecorder
 
-	live    map[string]topology.Route
 	mmLinks map[topology.LinkID]bool
 	commits int
 	aborted int
@@ -173,8 +207,7 @@ func Run(cfg Config) (*Result, error) {
 	r := &runner{
 		cfg: cfg, env: env, clk: clk,
 		cluster: cluster,
-		routing: newRouting(cluster),
-		live:    make(map[string]topology.Route),
+		conns:   make(connTable),
 		mmLinks: make(map[topology.LinkID]bool),
 	}
 
@@ -190,11 +223,11 @@ func Run(cfg Config) (*Result, error) {
 			}
 			r.nodes = append(r.nodes, n)
 		}
-		lt := newLoopback(r.cluster, r.routing, r.nodes)
+		lt := newLoopback(r.cluster, r.conns, r.nodes)
 		lt.obs = cfg.Obs
 		r.tr = lt
 	case ModeUDP:
-		tr, err := dialUDP(r.cluster, r.routing, cfg.Peers)
+		tr, err := dialUDP(r.cluster, r.conns, cfg.Peers)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +236,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	if cfg.Faults != nil && r.tr != nil {
-		r.faulty = newFaulty(r.tr, cfg.Faults, cfg.faultSeed, clk, r.routing, r.cluster, r.nodes)
+		r.faulty = newFaulty(r.tr, cfg.Faults, cfg.faultSeed, clk, r.cluster, r.nodes)
 		r.faulty.obs = cfg.Obs
 		r.tr = r.faulty
 		for _, f := range cfg.Faults.Events() {
@@ -230,7 +263,9 @@ func Run(cfg Config) (*Result, error) {
 		// to the fabric so node agents observe aborts too.
 		bus.Subscribe(func(rec eventbus.Record) {
 			ev := rec.Event.(eventbus.SignalAbort)
-			r.tr.Abort(ev.Conn, ev.Hop, ev.Reason)
+			if link, ok := r.conns.abortLink(ev.Conn, ev.Hop); ok {
+				r.tr.Abort(ev.Conn, ev.Hop, link, ev.Reason)
+			}
 		}, eventbus.KindSignalAbort)
 	}
 	r.plane = signal.NewPlaneOn(clk, ctl, r.lg, sigOpts)
@@ -326,7 +361,12 @@ func (r *runner) setup(st Step, kind admission.Kind) {
 		r.failf("route %s→%s: %v", host, st.Cell, err)
 		return
 	}
-	r.routing.register(st.Conn, route, st.Min)
+	rec := r.conns[st.Conn]
+	if rec == nil {
+		rec = &connRec{}
+		r.conns[st.Conn] = rec
+	}
+	rec.route, rec.reserve = route, st.Min
 	test := admission.Test{
 		ConnID: st.Conn,
 		Req: qos.Request{
@@ -341,7 +381,7 @@ func (r *runner) setup(st Step, kind admission.Kind) {
 			r.aborted++
 			return
 		}
-		r.live[st.Conn] = route
+		rec.live = true
 		r.commits++
 		r.joinMaxmin(st.Conn, route, st.Max-st.Min)
 	})
@@ -383,8 +423,8 @@ func (r *runner) joinMaxmin(conn string, route topology.Route, demand float64) {
 // handoff re-homes a live connection: break-before-make, releasing the
 // old path before the handoff admission test runs on the new one.
 func (r *runner) handoff(st Step) {
-	route, ok := r.live[st.Conn]
-	if !ok {
+	rec := r.conns[st.Conn]
+	if rec == nil || !rec.live {
 		if r.cfg.Lenient {
 			r.skipped++
 			return
@@ -392,17 +432,17 @@ func (r *runner) handoff(st Step) {
 		r.failf("handoff of unknown conn %s", st.Conn)
 		return
 	}
-	r.cfg.Obs.HandoffBreak(st.Conn, string(route.Dest()), string(topology.AirNode(st.Cell)))
-	r.lg.Release(st.Conn, route)
+	r.cfg.Obs.HandoffBreak(st.Conn, string(rec.route.Dest()), string(topology.AirNode(st.Cell)))
+	r.lg.Release(st.Conn, rec.route)
 	r.proto.RemoveConn(st.Conn)
-	delete(r.live, st.Conn)
+	rec.live = false
 	r.proto.KickAll()
 	r.setup(st, admission.KindHandoff)
 }
 
 func (r *runner) close(conn string) {
-	route, ok := r.live[conn]
-	if !ok {
+	rec := r.conns[conn]
+	if rec == nil || !rec.live {
 		if r.cfg.Lenient {
 			r.skipped++
 			return
@@ -410,9 +450,9 @@ func (r *runner) close(conn string) {
 		r.failf("close of unknown conn %s", conn)
 		return
 	}
-	r.lg.Release(conn, route)
+	r.lg.Release(conn, rec.route)
 	r.proto.RemoveConn(conn)
-	delete(r.live, conn)
+	rec.live = false
 	r.proto.KickAll()
 }
 
@@ -455,9 +495,6 @@ func (r *runner) collect(rec *eventbus.Recorder, trace *eventbus.TraceBuffer) *R
 	viol = append(viol, r.errs...)
 	if r.tr != nil {
 		viol = append(viol, r.tr.Errs()...)
-		if r.routing.Unrouted > 0 {
-			viol = append(viol, fmt.Sprintf("unrouted-hops: %d", r.routing.Unrouted))
-		}
 	}
 	if err := rec.Err(); err != nil {
 		viol = append(viol, fmt.Sprintf("controller-trace: %v", err))
@@ -504,9 +541,11 @@ func (r *runner) collect(rec *eventbus.Recorder, trace *eventbus.TraceBuffer) *R
 }
 
 func (r *runner) liveConns() []string {
-	out := make([]string, 0, len(r.live))
-	for id := range r.live {
-		out = append(out, id)
+	out := []string{}
+	for id, rec := range r.conns {
+		if rec.live {
+			out = append(out, id)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -520,9 +559,12 @@ func (r *runner) connsVia(agent string) []string {
 		return nil
 	}
 	var out []string
-	for conn, route := range r.live {
-		for _, l := range route.Links {
-			if r.cluster.agent(l.ID) == i {
+	for conn, rec := range r.conns {
+		if !rec.live {
+			continue
+		}
+		for _, l := range rec.route.Links {
+			if r.cluster.agent(string(l.ID)) == i {
 				out = append(out, conn)
 				break
 			}
@@ -540,7 +582,7 @@ func (r *runner) resyncAgent(agent string, ttl float64) {
 	r.tr.Control(agent, wire.Hello{Node: agent})
 	for _, conn := range r.connsVia(agent) {
 		r.tr.Control(agent, wire.Resync{
-			Conn: conn, Bandwidth: r.routing.reserve(conn), TTL: ttl,
+			Conn: conn, Bandwidth: r.conns.reserve(conn), TTL: ttl,
 		})
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"armnet/internal/faults"
-	"armnet/internal/netfaults"
 	"armnet/internal/obs"
 	"armnet/internal/obs/live"
 	"armnet/internal/randx"
@@ -16,7 +16,7 @@ import (
 
 // SoakConfig parameterizes a soak run: a generated setup/handoff/close
 // workload executed for Epochs scripted epochs on the loopback fabric,
-// each epoch under a rotating netfaults plan, each epoch boundary
+// each epoch under a rotating wire fault plan, each epoch boundary
 // audited with the same oracle the final audit uses. Sim-clock seconds
 // are free, so a multi-minute scenario soaks in well under a second of
 // wall time — short soaks are CI material.
@@ -35,7 +35,7 @@ type SoakConfig struct {
 	// → defaultSoakPlans). Node faults are epoch-relative; a crash that
 	// never heals on its own (for-less) is force-restarted at the heal
 	// window so every epoch ends whole.
-	Plans []*netfaults.Plan
+	Plans []*faults.Plan
 	// Out, when non-nil, receives the JSONL epoch reports as they are
 	// produced.
 	Out io.Writer
@@ -138,15 +138,15 @@ type soakResult struct {
 // is loss and reordering, epoch 1 adds signaling loss, a maxmin delay
 // and an east partition, epoch 2 duplicates frames and crash-restarts
 // west — together covering every fault family in the grammar.
-func defaultSoakPlans() []*netfaults.Plan {
+func defaultSoakPlans() []*faults.Plan {
 	specs := []string{
 		"drop any 0.15\nreorder any 0.2 0.004\n",
 		"drop signal 0.25\ndelay maxmin 0.3 0.002\nat 1 partition east for 2\n",
 		"dup any 0.1\nat 0.8 crash west for 2.2\n",
 	}
-	plans := make([]*netfaults.Plan, len(specs))
+	plans := make([]*faults.Plan, len(specs))
 	for i, spec := range specs {
-		p, err := netfaults.ParsePlanString(spec)
+		p, err := faults.ParseWirePlan(strings.NewReader(spec))
 		if err != nil {
 			panic("testnet: default soak plan " + err.Error())
 		}
@@ -158,7 +158,11 @@ func defaultSoakPlans() []*netfaults.Plan {
 // RunSoak executes the soak scenario. Identical configs produce
 // byte-identical ReportJSONL — the soak is one deterministic loopback
 // run under the simulator clock.
-func RunSoak(cfg SoakConfig) (*soakResult, error) {
+func RunSoak(cfg SoakConfig) (*soakResult, error) { return runSoak(cfg) }
+
+// runSoak is RunSoak with extra runner hooks appended after the soak's
+// own.
+func runSoak(cfg SoakConfig, extra ...soakHook) (*soakResult, error) {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = DefaultSoakEpochs
 	}
@@ -212,13 +216,13 @@ func RunSoak(cfg SoakConfig) (*soakResult, error) {
 		Mode:        ModeLoopback,
 		Script:      soakScript(randx.New(cfg.Seed), cfg.Epochs, cfg.epochLen, active),
 		Horizon:     float64(cfg.Epochs)*cfg.epochLen + 1,
-		Faults:      &netfaults.Plan{}, // hooks swap the live plan per epoch
+		Faults:      &faults.Plan{}, // hooks swap the live plan per epoch
 		faultSeed:   cfg.Seed,
 		lease:       leaseConfig{Period: soakLeasePeriod},
 		readvertise: soakReadvertise,
 		Lenient:     true,
 		Obs:         cfg.Obs,
-		hooks:       hooks,
+		hooks:       append(hooks, extra...),
 	})
 	if err != nil {
 		return nil, err
@@ -249,7 +253,7 @@ func RunSoak(cfg SoakConfig) (*soakResult, error) {
 // base: times are epoch-relative and clamped into the active window,
 // and a fault with no duration of its own lasts until the window closes,
 // so every agent is back before the audit.
-func soakEvents(plan *netfaults.Plan, base, active float64) []faults.Timed {
+func soakEvents(plan *faults.Plan, base, active float64) []faults.Timed {
 	var out []faults.Timed
 	for _, f := range plan.Timed {
 		if f.For == 0 {
@@ -284,7 +288,7 @@ func epochAudit(r *runner, epoch, plan int, prev *obs.Snapshot) (epochReport, *o
 		Plan:         plan,
 		Commits:      r.commits,
 		Aborted:      r.aborted,
-		Live:         len(r.live),
+		Live:         len(r.liveConns()),
 		PendingHolds: r.plane.PendingTotal(),
 		Gap:          r.proto.OracleGap(),
 		Violations:   viol,

@@ -8,10 +8,11 @@ import (
 	"testing"
 
 	"armnet/internal/faults"
-	"armnet/internal/netfaults"
 )
 
-var updateSoak = flag.Bool("update-soak", false, "rewrite the soak golden report")
+// update rewrites every golden file of the package from current output
+// (`make golden`).
+var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
 // soakGateConfig is the short deterministic soak the `make soak` gate
 // runs: three epochs cover the full default plan rotation — loss +
@@ -57,14 +58,14 @@ func TestSoakGolden(t *testing.T) {
 	}
 
 	golden := filepath.Join("testdata", "soak_golden.jsonl")
-	if *updateSoak {
+	if *update {
 		if err := os.WriteFile(golden, res.ReportJSONL, 0o644); err != nil {
 			t.Fatalf("update golden: %v", err)
 		}
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("golden (regenerate with -update-soak): %v", err)
+		t.Fatalf("golden (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(res.ReportJSONL, want) {
 		t.Fatalf("soak report drifted from golden:\n got: %s\nwant: %s", res.ReportJSONL, want)
@@ -136,7 +137,7 @@ func TestSoakDeterminismAcrossRuns(t *testing.T) {
 // it moved onto faults.Timed.Restoration: start clamped to
 // [0, active-0.5], end clamped to [0, active], and a fault without a
 // duration of its own held until the active window closes.
-func referenceSoakHooks(plan *netfaults.Plan, base, active float64) []faults.Timed {
+func referenceSoakHooks(plan *faults.Plan, base, active float64) []faults.Timed {
 	var out []faults.Timed
 	for _, nf := range plan.Timed {
 		start := base + clampF(nf.At, 0, active-0.5)

@@ -14,9 +14,10 @@
 //     for ModeSim and ModeLoopback, wall time for ModeUDP.
 //   - Every control-packet hop crosses the same delivery-hook seams
 //     internal/faults uses (signal.Options.Deliver,
-//     maxmin.ProtocolOptions.Deliver). The testnet transport encodes each
-//     hop as an internal/wire frame and delivers it to the node agent
-//     owning the hop's link; the node decodes it, records a WireDelivery
+//     maxmin.ProtocolOptions.Deliver), each call naming the link its hop
+//     crosses. The testnet transport encodes each hop as an
+//     internal/wire frame and delivers it to the node agent owning that
+//     link; the node decodes it, records a WireDelivery
 //     event on its own bus, and acks.
 //   - Node agents partition the campus backbone by zone: one agent per
 //     zone plus one for the core. They mirror delivery — protocol state

@@ -10,27 +10,28 @@ import (
 )
 
 // transport is the delivery fabric behind the protocol hook seams. Both
-// implementations translate (conn, hop) coordinates into one wire frame
-// addressed to the agent owning the hop's link; they differ only in how
+// implementations turn one hook call into one wire frame addressed to
+// the agent owning the link the protocol named; they differ only in how
 // the frame travels.
 //
-// Hop-level frames carry addressing (conn, hop, the reserve bandwidth
-// the routing registry knows), not protocol internals: stamped rates
-// live inside the controller's state machines, which the hook seam
-// deliberately hides.
+// Hop-level frames carry addressing (conn, hop, the connection's
+// reserve bandwidth), not protocol internals: stamped rates live inside
+// the controller's state machines, which the hook seam deliberately
+// hides.
 type transport interface {
 	// SignalDeliver implements signal.Deliver.
-	SignalDeliver(conn string, hop int) (drop bool, delay float64)
+	SignalDeliver(conn string, hop int, link string, commit bool) (drop bool, delay float64)
 	// MaxminDeliver implements maxmin.Deliver.
-	MaxminDeliver(conn string, hop int, update bool) (drop bool, delay float64)
+	MaxminDeliver(conn string, hop int, link string, update bool) (drop bool, delay float64)
 	// Abort mirrors a rollback sweep to the fabric (driven off the
 	// controller's SignalAbort events, since rollbacks release state
-	// locally rather than crossing the delivery seam).
-	Abort(conn string, hop int, reason string)
+	// locally rather than crossing the delivery seam); link is the one
+	// connTable.abortLink names.
+	Abort(conn string, hop int, link, reason string)
 	// Control sends one out-of-band controller frame (lease renewals,
 	// resync state transfer, re-hello) to a named agent and reports
-	// whether it was acked. Control frames bypass the routing registry —
-	// they are addressed to an agent, not a hop.
+	// whether it was acked. Control frames are addressed to an agent, not
+	// a link.
 	Control(agent string, m wire.Message) bool
 	// Hello announces the controller to every agent; Shutdown asks the
 	// agents to exit after acking.
@@ -40,17 +41,18 @@ type transport interface {
 	// timed out unacked (always zero on loopback).
 	Sent() int
 	Drops() int
-	// Errs reports fabric-level faults (unroutable hops, bad acks).
+	// Errs reports fabric-level faults (encode failures, bad acks).
 	Errs() []string
 }
 
-// conduit is what both fabrics share: hop resolution through the
-// routing registry, the frame sequence, the encode buffer, the counters
-// and the observability hook. A fabric supplies carry, which moves one
-// encoded frame to an agent and reports whether its ack came back.
+// conduit is what both fabrics share: the link-to-agent map, the
+// connection records the signal frames read their reserve from, the
+// frame sequence, the encode buffer, the counters and the observability
+// hook. A fabric supplies carry, which moves one encoded frame to an
+// agent and reports whether its ack came back.
 type conduit struct {
 	cluster *clusterNet
-	routing *routeTable
+	conns   connTable
 	carry   func(agent int, frame []byte) bool
 	seq     uint32
 	buf     []byte
@@ -61,8 +63,8 @@ type conduit struct {
 	obs *live.Controller
 }
 
-func newConduit(cluster *clusterNet, routing *routeTable) conduit {
-	return conduit{cluster: cluster, routing: routing, buf: make([]byte, 0, wire.MaxFrame)}
+func newConduit(cluster *clusterNet, conns connTable) conduit {
+	return conduit{cluster: cluster, conns: conns, buf: make([]byte, 0, wire.MaxFrame)}
 }
 
 func (c *conduit) failf(format string, args ...any) {
@@ -90,36 +92,27 @@ func deliver[M wire.Message](c *conduit, agent int, m M) bool {
 	return acked
 }
 
-// signal delivers one signal-plane hop: a setup on the forward pass, a
-// commit confirmation on the reverse. ok is false for an unroutable hop,
-// which sends nothing.
-func (c *conduit) signal(conn string, i int) (acked, ok bool) {
-	rec, h, commit, ok := c.routing.signalHop(conn, i)
-	if !ok {
-		return false, false
-	}
+// signal delivers one signal-plane hop crossing link: a setup on the
+// forward pass, a commit confirmation on the reverse.
+func (c *conduit) signal(conn string, i int, link string, commit bool) (acked bool) {
+	reserve := c.conns.reserve(conn)
 	if commit {
-		return deliver(c, h.agent, wire.SignalCommit{Conn: conn, Hop: uint16(i), Bandwidth: rec.reserve}), true
+		return deliver(c, c.cluster.agent(link), wire.SignalCommit{Conn: conn, Hop: uint16(i), Bandwidth: reserve})
 	}
-	return deliver(c, h.agent, wire.SignalSetup{Conn: conn, Hop: uint16(i), Bandwidth: rec.reserve}), true
+	return deliver(c, c.cluster.agent(link), wire.SignalSetup{Conn: conn, Hop: uint16(i), Bandwidth: reserve})
 }
 
-// maxmin delivers one maxmin hop, an UPDATE or an ADVERTISE.
-func (c *conduit) maxmin(conn string, i int, update bool) (acked, ok bool) {
-	h, ok := c.routing.maxminHop(conn, i, update)
-	if !ok {
-		return false, false
-	}
+// maxmin delivers one maxmin hop crossing link, an UPDATE or an
+// ADVERTISE.
+func (c *conduit) maxmin(conn string, i int, link string, update bool) (acked bool) {
 	if update {
-		return deliver(c, h.agent, wire.Update{Conn: conn, Hop: uint16(i)}), true
+		return deliver(c, c.cluster.agent(link), wire.Update{Conn: conn, Hop: uint16(i)})
 	}
-	return deliver(c, h.agent, wire.Advertise{Conn: conn, Hop: uint16(i)}), true
+	return deliver(c, c.cluster.agent(link), wire.Advertise{Conn: conn, Hop: uint16(i)})
 }
 
-func (c *conduit) Abort(conn string, i int, reason string) {
-	if h, ok := c.routing.abortHop(conn, i); ok {
-		deliver(c, h.agent, wire.SignalAbort{Conn: conn, Hop: uint16(i), Reason: reason})
-	}
+func (c *conduit) Abort(conn string, i int, link, reason string) {
+	deliver(c, c.cluster.agent(link), wire.SignalAbort{Conn: conn, Hop: uint16(i), Reason: reason})
 }
 
 func (c *conduit) Control(agent string, m wire.Message) bool {
@@ -145,8 +138,8 @@ type loopbackTransport struct {
 	ack   wire.Frame
 }
 
-func newLoopback(cluster *clusterNet, routing *routeTable, nodes []*Node) *loopbackTransport {
-	t := &loopbackTransport{conduit: newConduit(cluster, routing), nodes: nodes}
+func newLoopback(cluster *clusterNet, conns connTable, nodes []*Node) *loopbackTransport {
+	t := &loopbackTransport{conduit: newConduit(cluster, conns), nodes: nodes}
 	t.carry = t.exchange
 	return t
 }
@@ -172,13 +165,13 @@ func (t *loopbackTransport) exchange(agent int, frame []byte) bool {
 	return true
 }
 
-func (t *loopbackTransport) SignalDeliver(conn string, hop int) (bool, float64) {
-	t.signal(conn, hop)
+func (t *loopbackTransport) SignalDeliver(conn string, hop int, link string, commit bool) (bool, float64) {
+	t.signal(conn, hop, link, commit)
 	return false, 0
 }
 
-func (t *loopbackTransport) MaxminDeliver(conn string, hop int, update bool) (bool, float64) {
-	t.maxmin(conn, hop, update)
+func (t *loopbackTransport) MaxminDeliver(conn string, hop int, link string, update bool) (bool, float64) {
+	t.maxmin(conn, hop, link, update)
 	return false, 0
 }
 
@@ -217,13 +210,13 @@ const ackTimeout = 250 * time.Millisecond
 // dialUDP opens the controller socket and resolves one peer address per
 // agent. peers maps agent name → "host:port"; every cluster agent must
 // be present.
-func dialUDP(cluster *clusterNet, routing *routeTable, peers map[string]string) (*udpTransport, error) {
+func dialUDP(cluster *clusterNet, conns connTable, peers map[string]string) (*udpTransport, error) {
 	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("testnet: controller socket: %w", err)
 	}
 	t := &udpTransport{
-		conduit: newConduit(cluster, routing), pc: pc,
+		conduit: newConduit(cluster, conns), pc: pc,
 		peers: make([]*net.UDPAddr, len(cluster.Names)),
 		rbuf:  make([]byte, wire.MaxFrame+1),
 	}
@@ -275,14 +268,12 @@ func (t *udpTransport) exchange(agent int, frame []byte) bool {
 	}
 }
 
-func (t *udpTransport) SignalDeliver(conn string, hop int) (bool, float64) {
-	acked, ok := t.signal(conn, hop)
-	return ok && !acked, 0
+func (t *udpTransport) SignalDeliver(conn string, hop int, link string, commit bool) (bool, float64) {
+	return !t.signal(conn, hop, link, commit), 0
 }
 
-func (t *udpTransport) MaxminDeliver(conn string, hop int, update bool) (bool, float64) {
-	acked, ok := t.maxmin(conn, hop, update)
-	return ok && !acked, 0
+func (t *udpTransport) MaxminDeliver(conn string, hop int, link string, update bool) (bool, float64) {
+	return !t.maxmin(conn, hop, link, update), 0
 }
 
 // Hello announces the controller to every agent, retrying while node

@@ -15,10 +15,10 @@ type Environment struct {
 // between the cell's base station and this node.
 func AirNode(id CellID) NodeID { return NodeID("air-" + string(id)) }
 
-// BackboneOptions configures BuildBackbone; it is also the "backbone"
-// section of an EnvironmentSpec. BuildBackbone refuses a negative host
+// backboneOptions configures buildBackbone; it is also the "backbone"
+// section of an EnvironmentSpec. buildBackbone refuses a negative host
 // count, and addLink a link value out of range.
-type BackboneOptions struct {
+type backboneOptions struct {
 	// WiredCapacity is the capacity of every wired link (default 10 Mb/s,
 	// classic shared Ethernet of the paper's era).
 	WiredCapacity float64 `json:"wiredCapacity,omitempty"`
@@ -33,7 +33,7 @@ type BackboneOptions struct {
 	Hosts int `json:"hosts,omitempty"`
 }
 
-func (o BackboneOptions) withDefaults() BackboneOptions {
+func (o backboneOptions) withDefaults() backboneOptions {
 	if o.WiredCapacity == 0 {
 		o.WiredCapacity = 10e6
 	}
@@ -49,11 +49,11 @@ func (o BackboneOptions) withDefaults() BackboneOptions {
 	return o
 }
 
-// BuildBackbone constructs the standard backbone for a universe: one core
+// buildBackbone constructs the standard backbone for a universe: one core
 // switch, one switch per zone, each cell's base station attached to its
 // zone switch, and an air node per cell behind a wireless link of the
 // cell's capacity. Wired hosts hang off the core switch.
-func BuildBackbone(u *Universe, opts BackboneOptions) (*Backbone, []NodeID, error) {
+func buildBackbone(u *Universe, opts backboneOptions) (*Backbone, []NodeID, error) {
 	if opts.Hosts < 0 {
 		return nil, nil, fmt.Errorf("topology: backbone host count %d is negative", opts.Hosts)
 	}
@@ -117,7 +117,7 @@ func BuildBackbone(u *Universe, opts BackboneOptions) (*Backbone, []NodeID, erro
 //
 // Every cell gets the paper's 1.6 Mb/s wireless throughput.
 func BuildFigure4(faculty string, students []string) (*Environment, error) {
-	u := NewUniverse()
+	u := newUniverse()
 	const capacity = 1.6e6
 	officeA := Cell{ID: "A", Class: ClassOffice, Capacity: capacity, Occupants: []string{faculty}}
 	occupantsB := append(append([]string(nil), students...), faculty)
@@ -144,7 +144,7 @@ func BuildFigure4(faculty string, students []string) (*Environment, error) {
 	if err := u.validate(); err != nil {
 		return nil, err
 	}
-	b, hosts, err := BuildBackbone(u, BackboneOptions{})
+	b, hosts, err := buildBackbone(u, backboneOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func BuildCorridor(n int, capacity float64) (*Environment, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: corridor needs >= 2 cells, got %d", n)
 	}
-	u := NewUniverse()
+	u := newUniverse()
 	for i := 0; i < n; i++ {
 		id := CellID(fmt.Sprintf("c%d", i))
 		if _, err := u.addCell(Cell{ID: id, Class: ClassCorridor, Capacity: capacity}); err != nil {
@@ -171,7 +171,7 @@ func BuildCorridor(n int, capacity float64) (*Environment, error) {
 			return nil, err
 		}
 	}
-	b, hosts, err := BuildBackbone(u, BackboneOptions{})
+	b, hosts, err := buildBackbone(u, backboneOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ func BuildCorridor(n int, capacity float64) (*Environment, error) {
 // brute-force algorithm's wasted reservations — and departing attendees
 // spread over multiple neighbor cells.
 func BuildMeetingWing(capacity float64) (*Environment, error) {
-	u := NewUniverse()
+	u := newUniverse()
 	cells := []Cell{
 		{ID: "M", Class: ClassMeetingRoom, Capacity: capacity},
 		{ID: "corr0", Class: ClassCorridor, Capacity: capacity},
@@ -202,26 +202,7 @@ func BuildMeetingWing(capacity float64) (*Environment, error) {
 			return nil, err
 		}
 	}
-	b, hosts, err := BuildBackbone(u, BackboneOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &Environment{Universe: u, Backbone: b, Hosts: hosts}, nil
-}
-
-// BuildTwoCell builds the two-cell homogeneous system of §6.3/Figure 3:
-// neighboring cells Cq and Cs with equal capacity.
-func BuildTwoCell(capacity float64) (*Environment, error) {
-	u := NewUniverse()
-	for _, id := range []CellID{"Cq", "Cs"} {
-		if _, err := u.addCell(Cell{ID: id, Class: ClassLoungeDefault, Capacity: capacity}); err != nil {
-			return nil, err
-		}
-	}
-	if err := u.connect("Cq", "Cs"); err != nil {
-		return nil, err
-	}
-	b, hosts, err := BuildBackbone(u, BackboneOptions{})
+	b, hosts, err := buildBackbone(u, backboneOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +213,7 @@ func BuildTwoCell(capacity float64) (*Environment, error) {
 // examples: two office wings along corridors, a cafeteria, a meeting room
 // and a default lounge, split across two zones.
 func BuildCampus() (*Environment, error) {
-	u := NewUniverse()
+	u := newUniverse()
 	const cap = 1.6e6
 	add := func(c Cell) error {
 		_, err := u.addCell(c)
@@ -267,7 +248,7 @@ func BuildCampus() (*Environment, error) {
 	if err := u.validate(); err != nil {
 		return nil, err
 	}
-	b, hosts, err := BuildBackbone(u, BackboneOptions{Hosts: 2})
+	b, hosts, err := buildBackbone(u, backboneOptions{Hosts: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +266,7 @@ func BuildGrid(rows, cols int, capacity float64) (*Environment, error) {
 	if capacity <= 0 {
 		capacity = 1.6e6
 	}
-	u := NewUniverse()
+	u := newUniverse()
 	cor := func(r, c int) CellID { return CellID(fmt.Sprintf("cor-%d-%d", r, c)) }
 	off := func(r, c int) CellID { return CellID(fmt.Sprintf("off-%d-%d", r, c)) }
 	for r := 0; r < rows; r++ {
@@ -317,7 +298,7 @@ func BuildGrid(rows, cols int, capacity float64) (*Environment, error) {
 	if err := u.validate(); err != nil {
 		return nil, err
 	}
-	b, hosts, err := BuildBackbone(u, BackboneOptions{Hosts: 2})
+	b, hosts, err := buildBackbone(u, backboneOptions{Hosts: 2})
 	if err != nil {
 		return nil, err
 	}

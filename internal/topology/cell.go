@@ -118,8 +118,8 @@ var (
 	errSelfNeighbor  = errors.New("topology: cell cannot neighbor itself")
 )
 
-// NewUniverse returns an empty universe.
-func NewUniverse() *Universe {
+// newUniverse returns an empty universe.
+func newUniverse() *Universe {
 	return &Universe{
 		cells: make(map[CellID]*Cell),
 		zones: make(map[string][]CellID),

@@ -21,7 +21,7 @@ import (
 type EnvironmentSpec struct {
 	Cells    []cellSpec      `json:"cells"`
 	Edges    [][2]string     `json:"edges"`
-	Backbone BackboneOptions `json:"backbone"`
+	Backbone backboneOptions `json:"backbone"`
 }
 
 // cellSpec describes one cell.
@@ -71,7 +71,7 @@ func BuildFromSpec(spec EnvironmentSpec) (*Environment, error) {
 	if len(spec.Cells) == 0 {
 		return nil, fmt.Errorf("topology: spec has no cells")
 	}
-	u := NewUniverse()
+	u := newUniverse()
 	for i, cs := range spec.Cells {
 		class, ok := parseClass(cs.Class)
 		if !ok {
@@ -102,7 +102,7 @@ func BuildFromSpec(spec EnvironmentSpec) (*Environment, error) {
 	if err := u.validate(); err != nil {
 		return nil, err
 	}
-	b, hosts, err := BuildBackbone(u, spec.Backbone)
+	b, hosts, err := buildBackbone(u, spec.Backbone)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func BuildFromSpec(spec EnvironmentSpec) (*Environment, error) {
 // support for tooling; the backbone section carries only the host count,
 // since per-link parameters are uniform in built environments).
 func SpecFromEnvironment(env *Environment) EnvironmentSpec {
-	spec := EnvironmentSpec{Backbone: BackboneOptions{Hosts: len(env.Hosts)}}
+	spec := EnvironmentSpec{Backbone: backboneOptions{Hosts: len(env.Hosts)}}
 	seen := map[[2]string]bool{}
 	for _, c := range env.Universe.Cells() {
 		spec.Cells = append(spec.Cells, cellSpec{
