@@ -483,6 +483,10 @@ type exportScan struct {
 	// by declaring position, of the functions that write it — token.NoPos
 	// for a function that is no method.
 	writers map[token.Pos]map[token.Pos]bool
+	// mapSums holds, by enclosing function, the positions where a range
+	// over a map in the root module's non-test code accumulates into a
+	// float declared outside the loop (see TestNoFloatSumOverMapRange).
+	mapSums map[string][]token.Pos
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -509,6 +513,7 @@ func scanExports(t *testing.T) *exportScan {
 		called:  map[string][]*types.Func{},
 		files:   map[string]*ast.File{},
 		writers: map[token.Pos]map[token.Pos]bool{},
+		mapSums: map[string][]token.Pos{},
 	}
 	s.std = importer.ForCompiler(s.fset, "gc", nil)
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
@@ -569,13 +574,20 @@ func (s *exportScan) Import(p string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
 	pkg, err := (&types.Config{Importer: s}).Check(p, s.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	s.pkgs[p] = pkg
 	s.recordWrites(files, info)
+	if p != "armnet/bench" && !strings.HasPrefix(p, "armnet/bench/") {
+		s.recordMapSums(p, files, info)
+	}
 	for _, obj := range info.Uses {
 		switch o := obj.(type) {
 		case *types.Func:
@@ -667,19 +679,9 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 func (s *exportScan) recordWrites(files []*ast.File, info *types.Info) {
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
 			recv := token.NoPos
-			if ok && fn.Recv != nil {
-				typ := fn.Recv.List[0].Type
-				if star, ok := typ.(*ast.StarExpr); ok {
-					typ = star.X
-				}
-				if ix, ok := typ.(*ast.IndexExpr); ok {
-					typ = ix.X
-				} else if ix, ok := typ.(*ast.IndexListExpr); ok {
-					typ = ix.X
-				}
-				if id, ok := typ.(*ast.Ident); ok && info.Uses[id] != nil {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if id := recvType(fn); id != nil && info.Uses[id] != nil {
 					recv = info.Uses[id].Pos()
 				}
 			}
@@ -722,6 +724,127 @@ func (s *exportScan) recordWrites(files []*ast.File, info *types.Info) {
 			})
 		}
 	}
+}
+
+// recvType returns the name of fn's receiver type, or nil for a function
+// that is no method.
+func recvType(fn *ast.FuncDecl) *ast.Ident {
+	if fn.Recv == nil {
+		return nil
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if ix, ok := typ.(*ast.IndexExpr); ok {
+		typ = ix.X
+	} else if ix, ok := typ.(*ast.IndexListExpr); ok {
+		typ = ix.X
+	}
+	id, _ := typ.(*ast.Ident)
+	return id
+}
+
+// recordMapSums records every range over a map whose body accumulates
+// into a float declared outside the loop: `x += …`, `x -= …` or
+// `x = x ± …`, where x is a variable, or a field or element reached from
+// one. Map order is random, float addition is not associative, so such a
+// sum can differ in its last bits from run to run. An element indexed by
+// the loop's own key (`out[k] += v`) takes one term per loop, in no order,
+// and is not a sum over the map.
+func (s *exportScan) recordMapSums(p string, files []*ast.File, info *types.Info) {
+	rel := strings.TrimPrefix(p, "armnet/internal/")
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := rel + "." + fn.Name.Name
+			if id := recvType(fn); id != nil {
+				name = rel + "." + id.Name + "." + fn.Name.Name
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if _, ok := info.TypeOf(rs.X).Underlying().(*types.Map); !ok {
+					return true
+				}
+				ast.Inspect(rs.Body, func(n ast.Node) bool {
+					as, ok := n.(*ast.AssignStmt)
+					if !ok {
+						return true
+					}
+					for i, lhs := range as.Lhs {
+						if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && rs.Key != nil && sameVar(ix.Index, rs.Key, info) {
+							continue
+						}
+						sum := as.Tok == token.ADD_ASSIGN || as.Tok == token.SUB_ASSIGN
+						if as.Tok == token.ASSIGN && len(as.Rhs) == len(as.Lhs) {
+							sum = addsTo(as.Rhs[i], rootVar(lhs, info), info)
+						}
+						if !sum || !isFloat(info.TypeOf(lhs)) {
+							continue
+						}
+						if v := rootVar(lhs, info); v != nil && (v.Pos() < rs.Pos() || v.Pos() >= rs.End()) {
+							s.mapSums[name] = append(s.mapSums[name], as.Pos())
+						}
+					}
+					return true
+				})
+				return true
+			})
+		}
+	}
+}
+
+// sameVar reports whether a and b name the same variable, b possibly by
+// declaring it.
+func sameVar(a, b ast.Expr, info *types.Info) bool {
+	ia, _ := ast.Unparen(a).(*ast.Ident)
+	ib, _ := ast.Unparen(b).(*ast.Ident)
+	return ia != nil && ib != nil && info.ObjectOf(ib) != nil && info.ObjectOf(ia) == info.ObjectOf(ib)
+}
+
+// rootVar returns the variable an assignment target is reached from —
+// x for x, x.f, x[i], *x and their combinations — or nil.
+func rootVar(e ast.Expr, info *types.Info) *types.Var {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.Ident:
+			v, _ := info.Uses[x].(*types.Var)
+			return v
+		default:
+			return nil
+		}
+	}
+}
+
+// addsTo reports whether e is a sum or difference with an operand reached
+// from v: the right side of `x = x + …`.
+func addsTo(e ast.Expr, v *types.Var, info *types.Info) bool {
+	bin, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if v == nil || !ok || bin.Op != token.ADD && bin.Op != token.SUB {
+		return false
+	}
+	return rootVar(bin.X, info) == v || rootVar(bin.Y, info) == v || addsTo(bin.X, v, info) || addsTo(bin.Y, v, info)
+}
+
+// isFloat reports whether t is a floating-point type.
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 // stdInterfaces counts every method of every interface the standard
@@ -997,4 +1120,33 @@ func TestExportsAreUsed(t *testing.T) {
 			}
 		}
 	})
+}
+
+// mapSumAllowlist holds the functions, keyed `pkg.Func` or
+// `pkg.Type.Method` (pkg relative to internal/), whose float sum over a map range TestNoFloatSumOverMapRange
+// lets stand, each with its reason.
+var mapSumAllowlist = map[string]string{}
+
+// TestNoFloatSumOverMapRange bars the incident class of a float total
+// taken in map order: a range over a map in the root module's non-test
+// code whose body accumulates into a float declared outside the loop
+// (`+=`, `-=`, `x = x ± …`). Map order is random and float addition is
+// not associative, so the total's last bits can differ between two runs
+// of the same seed. Iterate sortx.Keys, or keep the state in an ID-ordered
+// column; a site that must stay goes in mapSumAllowlist with its reason.
+func TestNoFloatSumOverMapRange(t *testing.T) {
+	s := scanExports(t)
+	for _, name := range sortedKeys(s.mapSums) {
+		if mapSumAllowlist[name] != "" {
+			continue
+		}
+		for _, pos := range s.mapSums[name] {
+			t.Errorf("%s: %s sums floats in map order", s.fset.Position(pos), name)
+		}
+	}
+	for name := range mapSumAllowlist {
+		if _, ok := s.mapSums[name]; !ok {
+			t.Errorf("mapSumAllowlist holds %s, which sums no float over a map range: drop the entry", name)
+		}
+	}
 }

@@ -66,13 +66,22 @@ func (m *mapLink) advertisedFor(c string) float64 {
 	return referenceAdvertised(m.capacity, recorded, forced)
 }
 
+// offHop returns a hop at ls of a fresh connection id, not yet on the
+// link: what AddConn builds before it inserts the row.
+func offHop(ls *linkState, id string) *connHop {
+	return &connHop{link: ls, pc: &protoConn{id: id}, slot: -1}
+}
+
 // checkLinkMatchesOracle drives a linkState and the map reference through
 // the same seeded sequence of add / remove / re-add / record / set-M /
 // capacity steps, writing through insert / remove / record / setCapacity
-// only. After every step the table must be strictly ascending with
-// |M(l)| equal to the reference set's size, and μ — asked twice, so the
-// second answer is a remembered one — and μ-for-c must be the same float,
-// bit for bit, for every ID on the link or off it.
+// only, and reaching a row through its hop's slot as a session does. A
+// re-add inserts a fresh hop, as AddConn's fresh protoConn does. After
+// every step the table must be strictly ascending with every row's slot
+// its index and every hop off the link at slot -1, |M(l)| must equal the
+// reference set's size, and μ — asked twice, so the second answer is a
+// remembered one — and μ-for-c must be the same float, bit for bit, for
+// every ID on the link or off it.
 func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 	rng := randx.New(seed)
 	universe := make([]string, 14) // "c10" sorts before "c2": string order, not numeric
@@ -82,19 +91,33 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 	capacity := 1 + rng.Float64()*30
 	ls := &linkState{name: "l", capacity: capacity}
 	ref := &mapLink{capacity: capacity, recorded: map[string]float64{}, mSet: map[string]bool{}}
-	hints := make([]int, len(universe)) // kept across steps, so they go stale
+	hops := make([]*connHop, len(universe)) // each ID's latest hop
+	var retired []*connHop                  // hops a re-add replaced: off the link for good
+	for k, id := range universe {
+		hops[k] = offHop(ls, id)
+	}
+	add := func(k int) { // k is off the reference link
+		retired = append(retired, hops[k])
+		hops[k] = offHop(ls, universe[k])
+		ls.insert(hops[k], 0)
+	}
 	for step := 0; step < steps; step++ {
 		k := rng.Intn(len(universe))
 		id := universe[k]
 		_, on := ref.recorded[id]
 		switch op := rng.Intn(7); {
+		case op == 0 && on:
+			// The map's recorded[id] = 0 on a connection already there:
+			// the rate resets, M(l) does not.
+			ls.record(hops[k].slot, 0)
+			ref.recorded[id] = 0
 		case op == 0 || (op == 3 && !on):
-			// On a connection already there this is the map's
-			// recorded[id] = 0: the rate resets, M(l) does not.
-			ls.insert(id, 0)
+			add(k)
 			ref.recorded[id] = 0
 		case op <= 2: // absent half the time: a no-op on both sides
-			ls.remove(id)
+			if on {
+				ls.remove(hops[k])
+			}
 			delete(ref.recorded, id)
 			delete(ref.mSet, id)
 		case op == 3:
@@ -105,16 +128,18 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 			if rng.Bernoulli(0.2) {
 				rate = ref.recorded[id] // a re-stamp of what is there
 			}
-			ls.record(ls.slot(id, &hints[k]), rate)
+			ls.record(hops[k].slot, rate)
 			ref.recorded[id] = rate
 		case op == 4: // re-add: the row comes back zeroed and outside M(l)
-			ls.remove(id)
-			ls.insert(id, 0)
+			if on {
+				ls.remove(hops[k])
+			}
+			add(k)
 			ref.recorded[id] = 0
 			delete(ref.mSet, id)
 		case op == 5 && on:
 			in := rng.Bernoulli(0.5)
-			ls.setM(ls.slot(id, &hints[k]), in)
+			ls.setM(hops[k].slot, in)
 			if in {
 				ref.mSet[id] = true
 			} else {
@@ -128,20 +153,30 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 			ref.capacity = capacity
 		}
 
-		if n := len(ls.ids); len(ls.recorded) != n || len(ls.inM) != n || len(ls.restricted) != n {
-			t.Fatalf("seed %d step %d: columns of %d ids have lengths %d, %d, %d",
+		if n := len(ls.rows); len(ls.recorded) != n || len(ls.inM) != n || len(ls.restricted) != n {
+			t.Fatalf("seed %d step %d: columns of %d rows have lengths %d, %d, %d",
 				seed, step, n, len(ls.recorded), len(ls.inM), len(ls.restricted))
 		}
-		for i := 1; i < len(ls.ids); i++ {
-			if ls.ids[i-1] >= ls.ids[i] {
-				t.Fatalf("seed %d step %d: ids not strictly ascending: %q", seed, step, ls.ids)
+		ids := make([]string, len(ls.rows))
+		for i, h := range ls.rows {
+			ids[i] = h.pc.id
+			if h.slot != i {
+				t.Fatalf("seed %d step %d: row %d (%s) holds slot %d", seed, step, i, ids[i], h.slot)
+			}
+			if i > 0 && ids[i-1] >= ids[i] {
+				t.Fatalf("seed %d step %d: rows not strictly ascending: %q", seed, step, ids)
 			}
 		}
-		if len(ls.ids) != len(ref.recorded) {
-			t.Fatalf("seed %d step %d: table holds %q, reference %v", seed, step, ls.ids, ref.recorded)
+		if len(ls.rows) != len(ref.recorded) {
+			t.Fatalf("seed %d step %d: table holds %q, reference %v", seed, step, ids, ref.recorded)
+		}
+		for _, h := range retired {
+			if h.slot != -1 {
+				t.Fatalf("seed %d step %d: a replaced hop of %s holds slot %d", seed, step, h.pc.id, h.slot)
+			}
 		}
 		inM := 0
-		for i, id := range ls.ids {
+		for i, id := range ids {
 			if ls.inM[i] != ref.mSet[id] {
 				t.Fatalf("seed %d step %d: %s in M(l) = %v, reference %v", seed, step, id, ls.inM[i], ref.mSet[id])
 			}
@@ -159,9 +194,9 @@ func checkLinkMatchesOracle(t *testing.T, seed int64, steps int) {
 			}
 		}
 		for k, id := range universe {
-			s := ls.slot(id, &hints[k])
-			if _, on := ref.recorded[id]; on != (s >= 0) {
-				t.Fatalf("seed %d step %d: slot(%s) = %d, on the reference link: %v", seed, step, id, s, on)
+			s := hops[k].slot
+			if _, on := ref.recorded[id]; on && (s < 0 || s >= len(ls.rows) || ls.rows[s] != hops[k]) || !on && s != -1 {
+				t.Fatalf("seed %d step %d: %s's hop holds slot %d, on the reference link: %v", seed, step, id, s, on)
 			}
 			if got, want := ls.advertisedFor(s), ref.advertisedFor(id); got != want {
 				t.Fatalf("seed %d step %d: advertisedFor(%s) = %v, reference %v", seed, step, id, got, want)
@@ -250,7 +285,7 @@ func TestProtocolSessionAllocsIndependentOfLinkLoad(t *testing.T) {
 
 	ls := &linkState{capacity: 100}
 	for i := 0; i < 64; i++ {
-		ls.insert(fmt.Sprintf("c%d", i), 0)
+		ls.insert(offHop(ls, fmt.Sprintf("c%d", i)), 0)
 	}
 	for i := range ls.recorded {
 		ls.record(i, float64(i%7)+1)

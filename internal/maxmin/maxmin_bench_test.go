@@ -104,3 +104,24 @@ func BenchmarkProtocolSettledKick(b *testing.B) {
 		settle()
 	}
 }
+
+// BenchmarkProtocolChurnKick is BenchmarkProtocolSettledKick with a
+// connection leaving and joining first: every iteration removes and
+// re-adds c0, the lowest ID, so every other row on the three links shifts
+// before c7's session reads its own.
+func BenchmarkProtocolChurnKick(b *testing.B) {
+	pr, settle := settledPath(b, 24, Paper)
+	churn := Conn{ID: "c0", Path: []string{"l0", "l1", "l2"}, Demand: 1e3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr.RemoveConn(churn.ID)
+		if err := pr.AddConn(churn); err != nil {
+			b.Fatal(err)
+		}
+		if !pr.Kick("c7") {
+			b.Fatal("Kick(c7) started no session")
+		}
+		settle()
+	}
+}

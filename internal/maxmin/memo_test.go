@@ -60,8 +60,8 @@ func TestAdvertisedRateMatchesTwoPassReference(t *testing.T) {
 // is; likewise for the capacity.
 func TestRecordSameValueKeepsMemo(t *testing.T) {
 	ls := &linkState{name: "l", capacity: 10}
-	ls.insert("a", 0)
-	ls.insert("b", 0)
+	ls.insert(offHop(ls, "a"), 0)
+	ls.insert(offHop(ls, "b"), 0)
 	ls.record(0, 2.5)
 	ls.advertised()
 	v := ls.version
@@ -246,7 +246,7 @@ func checkOfferMemo(t *testing.T, seed int64, steps int) {
 			}
 			// A memo the protocol would trust must already be right; only
 			// some are refreshed here, so the rest go on ageing.
-			if ls.muAt == ls.version && len(ls.ids) > 0 && ls.mu != want {
+			if ls.muAt == ls.version && len(ls.rows) > 0 && ls.mu != want {
 				t.Fatalf("seed %d step %d: %s remembers μ = %v at version %d, reference %v", seed, step, l, ls.mu, ls.muAt, want)
 			}
 			if rng.Bernoulli(0.5) {

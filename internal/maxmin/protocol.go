@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"armnet/internal/clock"
 	"armnet/internal/eventbus"
@@ -115,8 +116,11 @@ type ControlStats struct {
 // linkState is the per-link protocol state a switch maintains: one table
 // of the connections on the link in ascending ID order — the order every
 // sum over them has always run in, so the floats come out bit-identical
-// with no per-hop sort. ids, recorded, inM and weight are parallel; a
-// row is inserted by AddConn and deleted by RemoveConn.
+// with no per-hop sort. rows, recorded, inM and weight are parallel; a
+// row is inserted by AddConn and deleted by RemoveConn. A row is the
+// connection's hop at this link, and the hop's slot is the row's index:
+// insert and remove renumber every row they shift, so a session reaches
+// its row with no search.
 //
 // The advertised rate is a function of capacity, the row set and the
 // recorded rates, so the switch remembers it (§5.3.1 keeps μ_l as state):
@@ -126,7 +130,7 @@ type ControlStats struct {
 type linkState struct {
 	name     string
 	capacity float64
-	ids      sortx.IDs[string]
+	rows     []*connHop
 	// recorded is the last seen stamped rate per connection (§5.3.1).
 	recorded []float64
 	// inM marks M(l), the connections that consider this link a
@@ -149,29 +153,15 @@ type linkState struct {
 	muAt uint64
 }
 
-// slot returns id's row, or -1 when id is not on the link. *hint is
-// tried first and refreshed on a miss: rows only shift when a connection
-// joins or leaves the link, so a session's hops mostly hit.
-func (ls *linkState) slot(id string, hint *int) int {
-	if h := *hint; h < len(ls.ids) && ls.ids[h] == id {
-		return h
-	}
-	i, ok := ls.ids.Find(id)
-	if !ok {
-		return -1
-	}
-	*hint = i
-	return i
-}
-
-// insert adds a row for id with a zero recorded rate, outside M(l), of
-// weight w under the explicit-rate rule.
-func (ls *linkState) insert(id string, w float64) {
-	i, added := ls.ids.Insert(id)
-	if !added {
-		ls.record(i, 0)
-		return
-	}
+// insert adds h, a hop off the link, as a row at its connection's place
+// in ID order, with a zero recorded rate, outside M(l), of weight w under
+// the explicit-rate rule.
+func (ls *linkState) insert(h *connHop, w float64) {
+	i, _ := slices.BinarySearchFunc(ls.rows, h.pc.id, func(r *connHop, id string) int {
+		return strings.Compare(r.pc.id, id)
+	})
+	ls.rows = slices.Insert(ls.rows, i, h)
+	ls.renumber(i)
 	ls.recorded = slices.Insert(ls.recorded, i, 0)
 	ls.inM = slices.Insert(ls.inM, i, false)
 	ls.restricted = append(ls.restricted, false)
@@ -181,20 +171,27 @@ func (ls *linkState) insert(id string, w float64) {
 	ls.version++
 }
 
-// remove deletes id's row, if any.
-func (ls *linkState) remove(id string) {
-	i, ok := ls.ids.Remove(id)
-	if !ok {
-		return
-	}
+// remove deletes h's row and takes h off the link (slot -1).
+func (ls *linkState) remove(h *connHop) {
+	i := h.slot
 	ls.setM(i, false)
+	ls.rows = slices.Delete(ls.rows, i, i+1)
+	ls.renumber(i)
+	h.slot = -1
 	ls.recorded = slices.Delete(ls.recorded, i, i+1)
 	ls.inM = slices.Delete(ls.inM, i, i+1)
-	ls.restricted = ls.restricted[:len(ls.ids)]
+	ls.restricted = ls.restricted[:len(ls.rows)]
 	if ls.explicit {
 		ls.weight = slices.Delete(ls.weight, i, i+1)
 	}
 	ls.version++
+}
+
+// renumber sets the slot of every row from i on to its index.
+func (ls *linkState) renumber(i int) {
+	for ; i < len(ls.rows); i++ {
+		ls.rows[i].slot = i
+	}
 }
 
 // record sets row i's recorded rate. Rounds two to four of a session
@@ -232,7 +229,7 @@ func (ls *linkState) setM(i int, in bool) {
 // advertised returns μ_l for the current recorded rates, recomputed only
 // when the link changed since it was last asked.
 func (ls *linkState) advertised() float64 {
-	if len(ls.ids) == 0 { // possibly never written to: version and muAt both zero
+	if len(ls.rows) == 0 { // possibly never written to: version and muAt both zero
 		return ls.capacity
 	}
 	if ls.muAt != ls.version {
@@ -261,7 +258,7 @@ func (ls *linkState) advertisedFor(forced int) float64 {
 // forced of -1 (a connection not on the link) has no share, and an empty
 // link offers its capacity.
 func (ls *linkState) explicitOffer(forced int) float64 {
-	if len(ls.ids) == 0 {
+	if len(ls.rows) == 0 {
 		return ls.capacity
 	}
 	others, wsum, w := 0.0, 0.0, 0.0
@@ -309,7 +306,7 @@ type Protocol struct {
 	free            []*step
 	// targets is TriggerCapacityChange's and cascade's scratch: a call
 	// takes it and leaves nil, so a re-entrant one cannot alias it.
-	targets []string
+	targets []*protoConn
 }
 
 type protoConn struct {
@@ -326,11 +323,13 @@ type protoConn struct {
 	hops []connHop
 }
 
-// connHop is a connection's state at one link of its path.
+// connHop is a connection's state at one link of its path, and its row
+// in that link's table.
 type connHop struct {
 	link *linkState
-	// slot hints at the connection's row in link's table (see
-	// linkState.slot).
+	pc   *protoConn
+	// slot is the row's index in link's table, kept exact by insert and
+	// remove; -1 once RemoveConn took the connection off the link.
 	slot int
 	// mu is the link's last offer to this connection — advertisedFor its
 	// own row — and muAt the link version it was computed at. A re-added
@@ -342,7 +341,7 @@ type connHop struct {
 // row returns the link at hop i of pc's path and pc's row in its table.
 func (pc *protoConn) row(i int) (*linkState, int) {
 	h := &pc.hops[i]
-	return h.link, h.link.slot(pc.id, &h.slot)
+	return h.link, h.slot
 }
 
 // offer returns the stamped rate the switch at hop i offers pc, asking
@@ -351,9 +350,8 @@ func (pc *protoConn) row(i int) (*linkState, int) {
 func (pc *protoConn) offer(i int) float64 {
 	h := &pc.hops[i]
 	if ls := h.link; h.muAt != ls.version {
-		s := ls.slot(pc.id, &h.slot)
-		h.mu = ls.advertisedFor(s)
-		if s >= 0 { // the answer for "not on the link" is not this row's
+		h.mu = ls.advertisedFor(h.slot)
+		if h.slot >= 0 { // the answer for "not on the link" is not this row's
 			h.muAt = ls.version
 		}
 	}
@@ -436,7 +434,7 @@ func (pr *Protocol) drifted(pc *protoConn) bool {
 func (pr *Protocol) readvertise() {
 	kicked := 0
 	for _, id := range sortx.Keys(pr.conns) {
-		if pc := pr.conns[id]; !pc.active && pr.drifted(pc) && pr.startSession(id) {
+		if pc := pr.conns[id]; !pc.active && pr.drifted(pc) && pr.start(pc) {
 			kicked++
 		}
 	}
@@ -498,9 +496,12 @@ func (pr *Protocol) AddConn(c Conn) error {
 	for _, l := range c.Path {
 		ls := pr.links[l]
 		if !slices.ContainsFunc(pc.hops, func(h connHop) bool { return h.link == ls }) {
-			pc.hops = append(pc.hops, connHop{link: ls})
-			ls.insert(c.ID, w)
+			pc.hops = append(pc.hops, connHop{link: ls, pc: pc})
 		}
+	}
+	for i := range pc.hops { // the rows point into hops, now at its final length
+		h := &pc.hops[i]
+		h.link.insert(h, w)
 	}
 	pr.conns[c.ID] = pc
 	return nil
@@ -512,8 +513,9 @@ func (pr *Protocol) RemoveConn(id string) {
 	if !ok {
 		return
 	}
-	for _, h := range pc.hops {
-		h.link.remove(id)
+	for i := range pc.hops {
+		h := &pc.hops[i]
+		h.link.remove(h)
 	}
 	delete(pr.conns, id)
 	pc.removed = true
@@ -604,8 +606,8 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 	ls.setCapacity(capacity)
 	started := 0
 	if pr.explicit() {
-		for _, id := range ls.ids {
-			if pr.drifted(pr.conns[id]) && pr.startSession(id) {
+		for _, h := range ls.rows {
+			if pr.drifted(h.pc) && pr.start(h.pc) {
 				started++
 			}
 		}
@@ -614,27 +616,27 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 	adv := ls.advertised()
 	targets := pr.targets[:0]
 	pr.targets = nil
-	for i, id := range ls.ids {
+	for i, h := range ls.rows {
 		if !pr.Opts.Refined {
-			targets = append(targets, id)
+			targets = append(targets, h.pc)
 			continue
 		}
 		if increase {
 			// New bandwidth helps only connections bottlenecked here
 			// (M(l) is refreshed on every UPDATE, so it is current).
 			if ls.inM[i] {
-				targets = append(targets, id)
+				targets = append(targets, h.pc)
 			}
 		} else {
 			// Reduced bandwidth hurts connections drawing more than the
 			// new advertised rate.
 			if ls.recorded[i] > adv {
-				targets = append(targets, id)
+				targets = append(targets, h.pc)
 			}
 		}
 	}
-	for _, id := range targets {
-		if pr.startSession(id) {
+	for _, pc := range targets {
+		if pr.start(pc) {
 			started++
 		}
 	}
@@ -647,23 +649,22 @@ func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, e
 // the stamped rate in its forward pass.
 func (pr *Protocol) KickAll() {
 	for _, id := range sortx.Keys(pr.conns) {
-		pr.startSession(id)
+		pr.start(pr.conns[id])
 	}
 }
 
 // Kick starts an adaptation session for a single connection — the entry
 // point for connection setup, where the paper's admission forward pass
 // carries the stamped rate.
-func (pr *Protocol) Kick(id string) bool { return pr.startSession(id) }
+func (pr *Protocol) Kick(id string) bool {
+	pc, ok := pr.conns[id]
+	return ok && pr.start(pc)
+}
 
-// startSession begins the adaptation session of one connection.
+// start begins the adaptation session of pc, a registered connection.
 // Overlapping requests coalesce: a second request during an active
 // session marks the connection dirty and reruns once.
-func (pr *Protocol) startSession(id string) bool {
-	pc, ok := pr.conns[id]
-	if !ok {
-		return false
-	}
+func (pr *Protocol) start(pc *protoConn) bool {
 	if pc.active {
 		if !pc.dirty {
 			pc.dirty, pr.nDirty = true, pr.nDirty+1
@@ -892,7 +893,7 @@ func (pr *Protocol) finishSession(hint *protoConn) {
 		return
 	}
 	if pr.clearFlags(pc) {
-		pr.startSession(pc.id)
+		pr.start(pc)
 	}
 }
 
@@ -935,16 +936,16 @@ func (pr *Protocol) cascade(hint *protoConn) {
 	for _, h := range pc.hops {
 		ls := h.link
 		if explicit {
-			for _, other := range ls.ids {
-				if other != pc.id && pr.drifted(pr.conns[other]) {
-					targets = append(targets, other)
+			for _, r := range ls.rows {
+				if r.pc != pc && pr.drifted(r.pc) {
+					targets = append(targets, r.pc)
 				}
 			}
 			continue
 		}
 		adv := ls.advertised()
-		for i, other := range ls.ids {
-			if other == pc.id {
+		for i, r := range ls.rows {
+			if r.pc == pc {
 				continue
 			}
 			// Paper's rule: on upgrades re-advertise the bottleneck set
@@ -955,14 +956,15 @@ func (pr *Protocol) cascade(hint *protoConn) {
 			// inflated rates is bottlenecked at this link and therefore
 			// *in* M(l), so it gets re-advertised when they release.
 			if !pr.Opts.Refined || ls.inM[i] || ls.recorded[i] > adv+tol {
-				targets = append(targets, other)
+				targets = append(targets, r.pc)
 			}
 		}
 	}
-	slices.Sort(targets)
+	// ID order, as sessions keyed by ID always started in.
+	slices.SortFunc(targets, func(a, b *protoConn) int { return strings.Compare(a.id, b.id) })
 	targets = slices.Compact(targets)
 	for _, t := range targets {
-		pr.startSession(t)
+		pr.start(t)
 	}
 	pr.targets = targets
 }

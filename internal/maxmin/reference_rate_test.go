@@ -438,15 +438,15 @@ func (m collectThenStart) TriggerCapacityChange(link string, capacity float64) (
 		return 0, nil
 	}
 	ls.setCapacity(capacity)
-	var targets []string
-	for _, id := range ls.ids {
-		if m.drifted(m.conns[id]) {
-			targets = append(targets, id)
+	var targets []*protoConn
+	for _, h := range ls.rows {
+		if m.drifted(h.pc) {
+			targets = append(targets, h.pc)
 		}
 	}
 	started := 0
-	for _, id := range targets {
-		if m.startSession(id) {
+	for _, pc := range targets {
+		if m.start(pc) {
 			started++
 		}
 	}

@@ -105,7 +105,8 @@ func (pr *refProtocol) TriggerCapacityChange(link string, capacity float64) (int
 	ls.setCapacity(capacity)
 	adv := ls.advertised()
 	var targets []string
-	for i, id := range ls.ids {
+	for i, r := range ls.rows {
+		id := r.pc.id
 		if !pr.Opts.Refined {
 			targets = append(targets, id)
 			continue
@@ -289,7 +290,8 @@ func (pr *refProtocol) cascade(id string) {
 	for _, h := range pc.hops {
 		ls := h.link
 		adv := ls.advertised()
-		for i, other := range ls.ids {
+		for i, r := range ls.rows {
+			other := r.pc.id
 			if other == id {
 				continue
 			}

@@ -3,6 +3,9 @@ package sched
 import (
 	"container/heap"
 	"fmt"
+	"slices"
+
+	"armnet/internal/sortx"
 )
 
 // WFQ is a packetized weighted-fair-queueing scheduler. Each flow's weight
@@ -14,10 +17,14 @@ import (
 type WFQ struct {
 	capacity float64
 	flows    map[string]*wfqFlow
-	queue    wfqHeap
-	vtime    float64
-	vlast    float64 // real time of the last virtual-clock update
-	seq      uint64
+	// ids lists the flows in ascending ID order and order holds them in
+	// it: the backlogged-rate sum runs in that order, never the map's.
+	ids   sortx.IDs[string]
+	order []*wfqFlow
+	queue wfqHeap
+	vtime float64
+	vlast float64 // real time of the last virtual-clock update
+	seq   uint64
 }
 
 type wfqFlow struct {
@@ -80,13 +87,19 @@ func (w *WFQ) AddFlow(flow string, rate float64) error {
 	if rate <= 0 {
 		return fmt.Errorf("sched: flow %s rate must be positive, got %v", flow, rate)
 	}
-	w.flows[flow] = &wfqFlow{rate: rate}
+	f := &wfqFlow{rate: rate}
+	w.flows[flow] = f
+	i, _ := w.ids.Insert(flow)
+	w.order = slices.Insert(w.order, i, f)
 	return nil
 }
 
 // RemoveFlow implements Scheduler. Queued packets of the flow are purged.
 func (w *WFQ) RemoveFlow(flow string) {
 	delete(w.flows, flow)
+	if i, ok := w.ids.Remove(flow); ok {
+		w.order = slices.Delete(w.order, i, i+1)
+	}
 	kept := w.queue[:0]
 	for _, it := range w.queue {
 		if it.pkt.Flow != flow {
@@ -105,7 +118,7 @@ func (w *WFQ) advance(now float64) {
 		return
 	}
 	total := 0.0
-	for _, f := range w.flows {
+	for _, f := range w.order {
 		if f.backlog > 0 {
 			total += f.rate
 		}
@@ -179,7 +192,7 @@ func (w *WFQ) Backlog() int { return len(w.queue) }
 // keep this at or below the link capacity for the WFQ bounds to hold.
 func (w *WFQ) ReservedRate() float64 {
 	total := 0.0
-	for _, f := range w.flows {
+	for _, f := range w.order {
 		total += f.rate
 	}
 	return total

@@ -10,6 +10,7 @@ import (
 	"armnet/internal/randx"
 	"armnet/internal/reserve"
 	"armnet/internal/runner"
+	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -98,8 +99,8 @@ type fig5Cell struct {
 
 func (c *fig5Cell) used() float64 {
 	t := 0.0
-	for _, b := range c.active {
-		t += b
+	for _, p := range sortx.Keys(c.active) {
+		t += c.active[p]
 	}
 	return t
 }
@@ -109,9 +110,9 @@ func (c *fig5Cell) used() float64 {
 // (§3.4.2: a static portable holds no advance reservations).
 func (c *fig5Cell) reservedOthers(portable string, mobile func(string) bool) float64 {
 	t := 0.0
-	for p, b := range c.resv {
+	for _, p := range sortx.Keys(c.resv) {
 		if p != portable && mobile(p) {
-			t += b
+			t += c.resv[p]
 		}
 	}
 	return t

@@ -1,8 +1,10 @@
 package testnet
 
 import (
+	"fmt"
 	"sort"
 
+	"armnet/internal/faults"
 	"armnet/internal/topology"
 )
 
@@ -66,6 +68,21 @@ func NewCluster(env *topology.Environment) *clusterNet {
 // unknown links, so a misrouted frame still lands somewhere observable).
 func (c *clusterNet) agent(link string) int {
 	return c.owner[link] // the zero value is the core agent's index
+}
+
+// checkPlan refuses a rule filtered to a link no agent owns: no frame
+// crosses it, so the rule would never fire and a chaos run would go clean.
+// A nil plan has no rules.
+func (c *clusterNet) checkPlan(p *faults.Plan) error {
+	if p == nil {
+		return nil
+	}
+	for _, r := range p.Rules {
+		if _, ok := c.owner[r.Link]; r.Link != "" && !ok {
+			return fmt.Errorf("testnet: fault plan: %s %s rule on unknown link %q", r.Action, r.Proto, r.Link)
+		}
+	}
+	return nil
 }
 
 // index returns an agent's index in Names.

@@ -229,3 +229,37 @@ func TestLeaseQuietWire(t *testing.T) {
 		t.Error("healthy run triggered a resync")
 	}
 }
+
+// TestFaultPlanUnknownLinkRefused: a rule filtered to a link the campus
+// does not have would never fire, so Run and RunSoak refuse it before
+// anything runs, naming the rule; a rule on a real link runs and fires.
+func TestFaultPlanUnknownLinkRefused(t *testing.T) {
+	const unknown = `testnet: fault plan: drop maxmin rule on unknown link "no-such-link"`
+	for _, tc := range []struct {
+		name, spec, err string
+	}{
+		{"unknown link", "drop maxmin 1 on no-such-link\n", unknown},
+		{"real link", "drop maxmin 0.5 on core->sw-east\n", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := mustPlan(t, tc.spec)
+			res, err := Run(Config{Mode: ModeLoopback, Faults: plan, faultSeed: 3, readvertise: 0.5, Horizon: 4})
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("Run: err = %v, want %q", err, tc.err)
+				}
+				_, err := RunSoak(SoakConfig{Epochs: 1, Plans: []*faults.Plan{{}, plan}})
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("RunSoak: err = %v, want %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if res.Faults.Drops == 0 {
+				t.Fatalf("the rule on %s never fired: %+v", plan.Rules[0].Link, res.Faults)
+			}
+		})
+	}
+}

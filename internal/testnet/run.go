@@ -204,6 +204,9 @@ func Run(cfg Config) (*Result, error) {
 
 	cfg.Obs.SetNow(clk.Now)
 	cluster := NewCluster(env)
+	if err := cluster.checkPlan(cfg.Faults); err != nil {
+		return nil, err
+	}
 	r := &runner{
 		cfg: cfg, env: env, clk: clk,
 		cluster: cluster,

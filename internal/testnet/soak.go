@@ -175,6 +175,16 @@ func runSoak(cfg SoakConfig, extra ...soakHook) (*soakResult, error) {
 	if len(cfg.Plans) == 0 {
 		cfg.Plans = defaultSoakPlans()
 	}
+	env, err := topology.BuildCampus()
+	if err != nil {
+		return nil, err
+	}
+	cluster := NewCluster(env)
+	for _, p := range cfg.Plans {
+		if err := cluster.checkPlan(p); err != nil {
+			return nil, err
+		}
+	}
 
 	// The live wire recorder is always armed: epoch reports quantify each
 	// plan's wire impact whether or not anyone scrapes it.
