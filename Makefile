@@ -1,20 +1,34 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs perf-counts loc golden trace-determinism chaos overload obs obs-live arena testnet soak
+.PHONY: ci fmt-check fma-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs perf-counts loc golden trace-determinism chaos overload obs obs-live arena testnet soak
 
 ## ci: the full pre-merge gate — gofmt, vet, build, the tests without
 ## the race detector (the allocation pins skip under it), the tests
 ## under the race detector, the fuzz seed corpora in short mode, the
 ## event-trace replication check, the chaos, overload, observability
 ## (sim and live), arena, testnet and soak gates, the bench-capture
-## smoke check, and the separately-moduled end-to-end benchmark's own
-## vet and tests.
-ci: fmt-check vet build test race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e
+## smoke check, the separately-moduled end-to-end benchmark's own vet
+## and tests, and the fused-multiply-add gate.
+ci: fmt-check fma-check vet build test race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e
 
 ## fmt-check: every Go file is gofmt-clean (the benchmark's build
 ## directory holds a module cache, not our sources).
 fmt-check:
 	test -z "$$(gofmt -l . | grep -v '^.bench_build/')"
+
+## fma-check: Go may fuse x*y + z into one multiply-add on arm64,
+## ppc64le and other targets (never on amd64), and an exact sum is only
+## exact unfused. Cross-compile FMA_PKGS for arm64 and ppc64le and fail
+## on any fused instruction in their assembly. Every float site in
+## internal/stats carries a float64() barrier, so the gate covers the
+## whole package, not only sum.go; ROADMAP item 12 widens FMA_PKGS.
+FMA_PKGS = ./internal/stats
+fma-check:
+	@for arch in arm64 ppc64le; do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
+		fused=$$(echo "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]'); \
+		if [ -n "$$fused" ]; then echo "fused multiply-add on $$arch:"; echo "$$fused"; exit 1; fi; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -1132,8 +1132,9 @@ var mapSumAllowlist = map[string]string{}
 // code whose body accumulates into a float declared outside the loop
 // (`+=`, `-=`, `x = x ± …`). Map order is random and float addition is
 // not associative, so the total's last bits can differ between two runs
-// of the same seed. Iterate sortx.Keys, or keep the state in an ID-ordered
-// column; a site that must stay goes in mapSumAllowlist with its reason.
+// of the same seed. Add through a stats.Sum, whose correctly rounded
+// total does not depend on order, or iterate sortx.Keys; a site that must
+// stay goes in mapSumAllowlist with its reason.
 func TestNoFloatSumOverMapRange(t *testing.T) {
 	s := scanExports(t)
 	for _, name := range sortedKeys(s.mapSums) {

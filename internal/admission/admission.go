@@ -294,7 +294,9 @@ func (c *Controller) admit(t Test) (Result, error) {
 			}
 			ls.AdvanceReserved -= take
 		}
-		ls.Book(t.ConnID, Alloc{Min: bmin, Cur: alloc, Buffer: res.Hops[hop].Buffer})
+		if err := ls.Book(t.ConnID, Alloc{Min: bmin, Cur: alloc, Buffer: res.Hops[hop].Buffer}); err != nil {
+			return Result{}, err
+		}
 	}
 	res.Admitted = true
 	return res, nil

@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"armnet/internal/sortx"
+	"armnet/internal/stats"
 	"armnet/internal/topology"
 )
 
@@ -54,11 +55,11 @@ type LinkState struct {
 	// restoration returns the link to its pre-failure state.
 	Down bool
 
-	// ids and rows are the link's allocations as one table in ascending
-	// connection-ID order — the order every sum over them has always run
-	// in, so the floats come out bit-identical with no per-read sort.
-	ids  sortx.IDs[string]
-	rows []Alloc
+	// allocs holds the link's allocations by connection ID. sumMin,
+	// sumCur and sumBuf keep their columns' exact totals, updated on every
+	// write, so a read walks nothing and the table needs no order.
+	allocs                 map[string]Alloc
+	sumMin, sumCur, sumBuf stats.Sum
 }
 
 func newLinkState(l *topology.Link) *LinkState {
@@ -68,77 +69,49 @@ func newLinkState(l *topology.Link) *LinkState {
 		// Default buffer: one second's worth of line rate — generous, so
 		// buffer admission only bites when configured tighter.
 		BufferCapacity: l.Capacity,
+		allocs:         make(map[string]Alloc),
 	}
 }
 
 // Conns returns the IDs of connections holding allocations, sorted. The
-// slice is the caller's own; hot paths walk the table instead.
-func (ls *LinkState) Conns() []string { return slices.Clone(ls.ids) }
+// slice is the caller's own.
+func (ls *LinkState) Conns() []string { return sortx.Keys(ls.allocs) }
 
 // Alloc returns the allocation of the given connection, if it has one.
 func (ls *LinkState) Alloc(id string) (Alloc, bool) {
-	if i, ok := ls.ids.Find(id); ok {
-		return ls.rows[i], true
-	}
-	return Alloc{}, false
+	a, ok := ls.allocs[id]
+	return a, ok
 }
 
 // NumConns returns N_l, the number of connections on the link.
-func (ls *LinkState) NumConns() int { return len(ls.ids) }
+func (ls *LinkState) NumConns() int { return len(ls.allocs) }
 
-// SumMin returns Σ b_min,i over ongoing connections. All three sums run
-// in ascending-ID order: float addition is not associative, so a
-// different order varies the last ulp, and these values feed the maxmin
-// protocol's advertised rates — which are published. They are summed on
-// demand, not cached: a running sum would add in arrival order.
-func (ls *LinkState) SumMin() float64 {
-	t := 0.0
-	for i := range ls.rows {
-		t += ls.rows[i].Min
-	}
-	return t
-}
+// SumMin returns Σ b_min,i over ongoing connections. All three sums are
+// correctly rounded, so they do not depend on the order connections came
+// and went in: these values feed the maxmin protocol's advertised rates,
+// which are published.
+func (ls *LinkState) SumMin() float64 { return ls.sumMin.Value() }
 
 // SumCur returns Σ b_i, the currently allocated bandwidth.
-func (ls *LinkState) SumCur() float64 {
-	t := 0.0
-	for i := range ls.rows {
-		t += ls.rows[i].Cur
-	}
-	return t
-}
+func (ls *LinkState) SumCur() float64 { return ls.sumCur.Value() }
 
 // SumBuffer returns the committed buffer space.
-func (ls *LinkState) SumBuffer() float64 {
-	t := 0.0
-	for i := range ls.rows {
-		t += ls.rows[i].Buffer
-	}
-	return t
-}
+func (ls *LinkState) SumBuffer() float64 { return ls.sumBuf.Value() }
 
 // unclaimedExcess is the excess bandwidth no connection holds yet:
-// b'_av,l − Σ (b_i − b_min,i), both sums taken in one walk.
+// b'_av,l − Σ (b_i − b_min,i).
 func (ls *LinkState) unclaimedExcess() float64 {
-	sumMin, sumCur := 0.0, 0.0
-	for i := range ls.rows {
-		sumMin += ls.rows[i].Min
-		sumCur += ls.rows[i].Cur
-	}
-	return ls.excessOver(sumMin) - (sumCur - sumMin)
+	return ls.ExcessAvailable() - (ls.SumCur() - ls.SumMin())
 }
 
 // ExcessAvailable is the paper's b'_av,l := C_l - b_resv,l - Σ b_min,i —
 // the bandwidth beyond every connection's guaranteed minimum. A failed
 // link offers none.
-func (ls *LinkState) ExcessAvailable() float64 { return ls.excessOver(ls.SumMin()) }
-
-// excessOver is ExcessAvailable for a caller that already holds Σ b_min.
-func (ls *LinkState) excessOver(sumMin float64) float64 {
+func (ls *LinkState) ExcessAvailable() float64 {
 	if ls.Down {
 		return 0
 	}
-	return ls.Capacity - ls.AdvanceReserved - sumMin
+	return ls.Capacity - ls.AdvanceReserved - ls.SumMin()
 }
 
 // Pool returns the B_dyn pool size in bits/s.
@@ -165,21 +138,36 @@ func (ls *LinkState) availableFor(kind Kind) float64 {
 // Book commits an allocation for a connection on this link outright —
 // the primitive an Admitter other than Table 2 uses to record a decision it reached
 // by its own test. Booking the same connection twice overwrites, like
-// Table 2's reverse-pass commit.
-func (ls *LinkState) Book(connID string, a Alloc) {
-	i, added := ls.ids.Insert(connID)
-	if added {
-		ls.rows = slices.Insert(ls.rows, i, a)
-	} else {
-		ls.rows[i] = a
+// Table 2's reverse-pass commit. A field that is not finite is refused,
+// leaving the link as it was: the kept totals could not take it back out.
+func (ls *LinkState) Book(connID string, a Alloc) error {
+	if !finite(a.Min) || !finite(a.Cur) || !finite(a.Buffer) {
+		return fmt.Errorf("admission: allocation of %s on %s must be finite, got %+v", connID, ls.Link.ID, a)
 	}
+	if old, ok := ls.allocs[connID]; ok {
+		ls.tally(old, -1)
+	}
+	ls.allocs[connID] = a
+	ls.tally(a, 1)
+	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // release removes the connection's allocation, if any.
 func (ls *LinkState) release(connID string) {
-	if i, ok := ls.ids.Remove(connID); ok {
-		ls.rows = slices.Delete(ls.rows, i, i+1)
+	if old, ok := ls.allocs[connID]; ok {
+		delete(ls.allocs, connID)
+		ls.tally(old, -1)
 	}
+}
+
+// tally adds an allocation's columns to the link's totals (sign 1) or
+// takes them back out (sign −1): a Sum undoes Add(x) exactly with Add(−x).
+func (ls *LinkState) tally(a Alloc, sign float64) {
+	ls.sumMin.Add(sign * a.Min)
+	ls.sumCur.Add(sign * a.Cur)
+	ls.sumBuf.Add(sign * a.Buffer)
 }
 
 // Ledger tracks reservation state for every link of a backbone.
@@ -253,20 +241,26 @@ func (lg *Ledger) Release(connID string, route topology.Route) {
 }
 
 // SetAllocation overwrites the current bandwidth of a connection on one
-// link; the adaptation algorithm uses it to apply UPDATE messages.
+// link; the adaptation algorithm uses it to apply UPDATE messages. A value
+// that is not finite is refused, as Book refuses it.
 func (lg *Ledger) SetAllocation(connID string, linkID topology.LinkID, cur float64) error {
 	ls, ok := lg.links[linkID]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownLink, linkID)
 	}
-	i, ok := ls.ids.Find(connID)
+	if !finite(cur) {
+		return fmt.Errorf("admission: allocation of %s on %s must be finite, got %v", connID, linkID, cur)
+	}
+	a, ok := ls.allocs[connID]
 	if !ok {
 		return fmt.Errorf("%w: %s on %s", errNoAlloc, connID, linkID)
 	}
-	a := &ls.rows[i]
 	if cur < a.Min {
 		cur = a.Min
 	}
+	ls.sumCur.Add(-a.Cur)
+	ls.sumCur.Add(cur)
 	a.Cur = cur
+	ls.allocs[connID] = a
 	return nil
 }

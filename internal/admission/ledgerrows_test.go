@@ -3,6 +3,7 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -11,41 +12,33 @@ import (
 	"armnet/internal/randx"
 	"armnet/internal/sched"
 	"armnet/internal/sortx"
+	"armnet/internal/stats"
 	"armnet/internal/topology"
 )
 
-// mapLink is the reference the ledger rows are checked against: a link's
-// allocations as the map they used to be, sorted into ID order on every
-// read, with every derived quantity walking the link once per sum.
+// mapLink is the reference the ledger is checked against: a link's
+// allocations as a plain map, with every derived quantity walking the
+// link once per sum. Its sums are exact walks (stats.Sum), so the map's
+// order does not matter and the ledger's kept totals must equal them bit
+// for bit.
 type mapLink struct {
 	capacity, bufferCapacity, advance, poolFraction float64
 	down                                            bool
 	allocs                                          map[string]*Alloc
 }
 
-func (m *mapLink) sumMin() float64 {
-	t := 0.0
-	for _, id := range sortx.Keys(m.allocs) {
-		t += m.allocs[id].Min
+// sum is the exact total of one column over the link's allocations.
+func (m *mapLink) sum(col func(*Alloc) float64) float64 {
+	var s stats.Sum
+	for _, a := range m.allocs {
+		s.Add(col(a))
 	}
-	return t
+	return s.Value()
 }
 
-func (m *mapLink) sumCur() float64 {
-	t := 0.0
-	for _, id := range sortx.Keys(m.allocs) {
-		t += m.allocs[id].Cur
-	}
-	return t
-}
-
-func (m *mapLink) sumBuffer() float64 {
-	t := 0.0
-	for _, id := range sortx.Keys(m.allocs) {
-		t += m.allocs[id].Buffer
-	}
-	return t
-}
+func (m *mapLink) sumMin() float64    { return m.sum(func(a *Alloc) float64 { return a.Min }) }
+func (m *mapLink) sumCur() float64    { return m.sum(func(a *Alloc) float64 { return a.Cur }) }
+func (m *mapLink) sumBuffer() float64 { return m.sum(func(a *Alloc) float64 { return a.Buffer }) }
 
 func (m *mapLink) excessAvailable() float64 {
 	if m.down {
@@ -109,9 +102,9 @@ func (ref mapLedger) admit(t Test) (reason string, failed topology.LinkID, bandw
 // checkLedgerMatchesOracle drives a Ledger and the map reference through
 // the same seeded sequence of Book / Admit / Release / SetAllocation /
 // SetAdvance steps (and the capacity, pool and fault knobs the reads
-// depend on). After every step each link's table must be strictly
-// ascending and every sum, every availability and every allocation must
-// be the same float as the reference's, bit for bit.
+// depend on). After every step each link's Conns must list the
+// reference's IDs in order, and every sum, every availability and every
+// allocation must be the same float as the reference's, bit for bit.
 func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 	rng := randx.New(seed)
 	b, route := buildChain(t, 3, 2e6+rng.Float64()*2e6, 0.8e6+rng.Float64()*1.6e6)
@@ -143,7 +136,9 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 		case 0, 1:
 			bmin := 8e3 + rng.Float64()*120e3
 			a := Alloc{Min: bmin, Cur: bmin * (1 + rng.Float64()), Buffer: rng.Float64() * 20e3}
-			ls.Book(id, a)
+			if err := ls.Book(id, a); err != nil {
+				t.Fatal(err)
+			}
 			m.allocs[id] = &a
 		case 2, 3, 4:
 			bmin := 16e3 + rng.Float64()*240e3
@@ -215,14 +210,6 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 		for _, ls := range lg.Links() {
 			m := ref[ls.Link.ID]
 			at := fmt.Sprintf("seed %d step %d link %s", seed, step, ls.Link.ID)
-			if len(ls.rows) != len(ls.ids) {
-				t.Fatalf("%s: %d ids, %d rows", at, len(ls.ids), len(ls.rows))
-			}
-			for i := 1; i < len(ls.ids); i++ {
-				if ls.ids[i-1] >= ls.ids[i] {
-					t.Fatalf("%s: ids not strictly ascending: %q", at, ls.ids)
-				}
-			}
 			if got, want := ls.Conns(), sortx.Keys(m.allocs); !slices.Equal(got, want) || ls.NumConns() != len(want) {
 				t.Fatalf("%s: Conns = %q (N_l = %d), reference %q", at, got, ls.NumConns(), want)
 			}
@@ -275,6 +262,51 @@ func FuzzLedgerRowsMatchMapOracle(f *testing.F) {
 	})
 }
 
+// TestLedgerRefusesNonFinite: Book and SetAllocation refuse a value that
+// is not finite and leave the link as it was, so a finite value written
+// afterwards reads back as the exact total of the link's allocations.
+func TestLedgerRefusesNonFinite(t *testing.T) {
+	b, route := buildChain(t, 1, 1e6, 1e6)
+	lg := NewLedger(b)
+	link := route.Links[0].ID
+	ls := lg.Link(link)
+	for i, cur := range []float64{0.1, 0.2, 0.3} {
+		if err := ls.Book(fmt.Sprintf("c%d", i), Alloc{Min: 0.05, Cur: cur, Buffer: cur}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk := func() (cur, buf float64) {
+		var c, b stats.Sum
+		for _, id := range ls.Conns() {
+			a, _ := ls.Alloc(id)
+			c.Add(a.Cur)
+			b.Add(a.Buffer)
+		}
+		return c.Value(), b.Value()
+	}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if err := lg.SetAllocation("c1", link, bad); err == nil {
+			t.Fatalf("SetAllocation(%v) accepted", bad)
+		}
+		for _, a := range []Alloc{{Min: bad, Cur: 1, Buffer: 1}, {Min: 1, Cur: bad, Buffer: 1}, {Min: 1, Cur: 1, Buffer: bad}} {
+			if err := ls.Book("c1", a); err == nil {
+				t.Fatalf("Book(%+v) accepted", a)
+			}
+		}
+		if a, _ := ls.Alloc("c1"); a.Cur != 0.2 || a.Buffer != 0.2 {
+			t.Fatalf("refused writes changed c1 to %+v", a)
+		}
+	}
+	if err := lg.SetAllocation("c1", link, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	lg.Release("c0", route)
+	cur, buf := walk()
+	if ls.SumCur() != cur || ls.SumBuffer() != buf || ls.SumMin() != 0.1 {
+		t.Fatalf("totals (cur %v, buffer %v, min %v), exact walk (%v, %v, 0.1)", ls.SumCur(), ls.SumBuffer(), ls.SumMin(), cur, buf)
+	}
+}
+
 // loadedRig is the bench rig with perLink booked connections on every
 // link of the route.
 func loadedRig(t *testing.T, perLink int) (*Controller, topology.Route) {
@@ -282,16 +314,18 @@ func loadedRig(t *testing.T, perLink int) (*Controller, topology.Route) {
 	lg := NewLedger(b)
 	for _, l := range route.Links {
 		for i := 0; i < perLink; i++ {
-			lg.Link(l.ID).Book(fmt.Sprintf("c%d", i), Alloc{Min: 8e3, Cur: 8e3, Buffer: 2e3})
+			if err := lg.Link(l.ID).Book(fmt.Sprintf("c%d", i), Alloc{Min: 8e3, Cur: 8e3, Buffer: 2e3}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return NewController(lg), route
 }
 
-// TestAdmitAllocsIndependentOfLinkLoad pins what the ordered rows and the
-// controller's scratch bought: the round trip reads every link from the
-// state it holds, walks it through per-hop slices the controller reuses
-// (the returned Hops among them) and commits into rows that are already
+// TestAdmitAllocsIndependentOfLinkLoad pins what the kept totals and the
+// controller's scratch bought: the round trip reads every link's totals
+// without a walk, goes through per-hop slices the controller reuses (the
+// returned Hops among them) and commits into map slots that are already
 // there, so an Admit and the Release that undoes it allocate nothing, per
 // link or per connection sharing it.
 func TestAdmitAllocsIndependentOfLinkLoad(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"armnet/internal/adapt"
 	"armnet/internal/eventbus"
@@ -10,7 +9,7 @@ import (
 	"armnet/internal/profile"
 	"armnet/internal/qos"
 	"armnet/internal/reserve"
-	"armnet/internal/sortx"
+	"armnet/internal/stats"
 	"armnet/internal/topology"
 )
 
@@ -36,12 +35,13 @@ func profileHandoff(p *Portable, to topology.CellID, now float64) profile.Handof
 // tracks each source's amount so one source's update never clobbers
 // another's; the ledger sees the sum.
 
-// advanceBook is one link's advance reservations per source tag, kept in
-// ascending tag order: the total feeds admission and excess capacity, and
-// a float sum taken in any other order drifts in the last ulp.
+// advanceBook is one link's advance reservations per source tag, with
+// their exact total (stats.Sum): the total feeds admission and excess
+// capacity, and a correctly rounded sum does not depend on the order the
+// sources came and went in.
 type advanceBook struct {
-	sources sortx.IDs[string]
-	amounts []float64
+	amounts map[string]float64
+	total   stats.Sum
 }
 
 func (m *Manager) bookSet(link topology.LinkID, source string, amount float64) {
@@ -53,23 +53,20 @@ func (m *Manager) bookSet(link topology.LinkID, source string, amount float64) {
 		if amount <= 0 {
 			return
 		}
-		bk = &advanceBook{}
+		bk = &advanceBook{amounts: make(map[string]float64)}
 		m.book[link] = bk
 	}
-	if amount <= 0 {
-		if i, ok := bk.sources.Remove(source); ok {
-			bk.amounts = slices.Delete(bk.amounts, i, i+1)
-		}
-	} else if i, added := bk.sources.Insert(source); added {
-		bk.amounts = slices.Insert(bk.amounts, i, amount)
+	// Only positive amounts are held, so a zero old is an absent source.
+	if old := bk.amounts[source]; old > 0 {
+		bk.total.Add(-old)
+	}
+	if amount > 0 {
+		bk.amounts[source] = amount
+		bk.total.Add(amount)
 	} else {
-		bk.amounts[i] = amount
+		delete(bk.amounts, source)
 	}
-	total := 0.0
-	for _, a := range bk.amounts {
-		total += a
-	}
-	_ = m.ledger.SetAdvance(link, total)
+	_ = m.ledger.SetAdvance(link, bk.total.Value())
 }
 
 // clearAdvance removes every per-portable advance reservation of p,

@@ -19,6 +19,66 @@ func validate(req qos.Request) error {
 	return req.Validate()
 }
 
+// beginOpen is the prelude OpenConnection and OpenConnectionAsync share:
+// it validates and counts the request, applies overload shedding, and
+// names the connection, its host and its route. A best-effort request
+// needs no admission test, so beginOpen commits it too and reports done.
+func (m *Manager) beginOpen(portable string, req qos.Request) (c Connection, p *Portable, done bool, err error) {
+	p, ok := m.portables[portable]
+	if !ok {
+		return c, nil, false, fmt.Errorf("%w: %s", errUnknownPortable, portable)
+	}
+	if err := validate(req); err != nil {
+		return c, nil, false, err
+	}
+	eventbus.Pub(m.Bus, eventbus.ConnectionRequested{Portable: portable})
+	// Overload shedding and the circuit breaker apply before any
+	// resources are touched or signaling is queued; best-effort requests
+	// are exempt (they hold nothing, §4 never blocks them).
+	if !req.BestEffort() {
+		if err := m.allowSetup(p); err != nil {
+			return c, nil, false, err
+		}
+	}
+	host := m.Env.Hosts[m.Rng.Intn(len(m.Env.Hosts))]
+	route, err := m.Env.Backbone.ShortestPath(host, m.geo(p.Cell).air)
+	if err != nil {
+		return c, nil, false, err
+	}
+	c = Connection{ID: fmt.Sprintf("conn-%d", m.nextConn), Portable: portable, Req: req, Host: host, Route: route}
+	m.nextConn++
+	if req.BestEffort() {
+		_, err = m.commitOpen(c, p)
+		return c, p, true, err
+	}
+	return c, p, false, nil
+}
+
+// admissionTest is the new-connection test both open paths run.
+func (c *Connection) admissionTest(p *Portable) admission.Test {
+	return admission.Test{ConnID: c.ID, Req: c.Req, Route: c.Route, Kind: admission.KindNew, Mobility: p.Mobility}
+}
+
+// commitOpen records an admitted connection, its Bandwidth set, and
+// unless it is best-effort registers it for adaptation, sets up its
+// multicast tree and refreshes the advance reservation and pools. It
+// returns the connection ID, or "" and the registration error.
+func (m *Manager) commitOpen(c Connection, p *Portable) (string, error) {
+	eventbus.Pub(m.Bus, eventbus.ConnectionAdmitted{Conn: c.ID, Portable: c.Portable, Bandwidth: c.Bandwidth, BestEffort: c.Req.BestEffort()})
+	m.conns[c.ID] = &c
+	p.conns.Insert(c.ID)
+	if c.Req.BestEffort() {
+		return c.ID, nil
+	}
+	if err := m.Adpt.Register(c.ID, c.Route, c.Req.Bandwidth, p.Mobility); err != nil {
+		return "", err
+	}
+	m.mc.setupMulticast(&c, p.Cell)
+	m.refreshAdvance(p)
+	m.adjustPools(p.Cell)
+	return c.ID, nil
+}
+
 // OpenConnection admits a new downlink connection from a wired host to
 // the portable with the given QoS bounds. It returns the connection ID on
 // success and ErrRejected (wrapped with the reason) when admission fails.
@@ -29,43 +89,11 @@ func validate(req qos.Request) error {
 // tracked with no reservation, is never blocked, and never causes a
 // handoff drop — it simply uses whatever capacity is left over.
 func (m *Manager) OpenConnection(portable string, req qos.Request) (string, error) {
-	p, ok := m.portables[portable]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", errUnknownPortable, portable)
+	c, p, done, err := m.beginOpen(portable, req)
+	if err != nil || done {
+		return c.ID, err
 	}
-	if err := validate(req); err != nil {
-		return "", err
-	}
-	eventbus.Pub(m.Bus, eventbus.ConnectionRequested{Portable: portable})
-	// Overload shedding applies before any resources are touched;
-	// best-effort requests are exempt (they hold nothing, §4 never
-	// blocks them).
-	if !req.BestEffort() {
-		if err := m.allowSetup(p); err != nil {
-			return "", err
-		}
-	}
-	host := m.Env.Hosts[m.Rng.Intn(len(m.Env.Hosts))]
-	route, err := m.Env.Backbone.ShortestPath(host, m.geo(p.Cell).air)
-	if err != nil {
-		return "", err
-	}
-	connID := fmt.Sprintf("conn-%d", m.nextConn)
-	m.nextConn++
-	if req.BestEffort() {
-		eventbus.Pub(m.Bus, eventbus.ConnectionAdmitted{Conn: connID, Portable: portable, BestEffort: true})
-		c := &Connection{ID: connID, Portable: portable, Req: req, Host: host, Route: route}
-		m.conns[connID] = c
-		p.conns.Insert(connID)
-		return connID, nil
-	}
-	res, err := m.Adm.Admit(admission.Test{
-		ConnID:   connID,
-		Req:      req,
-		Route:    route,
-		Kind:     admission.KindNew,
-		Mobility: p.Mobility,
-	})
+	res, err := m.Adm.Admit(c.admissionTest(p))
 	if err != nil {
 		return "", err
 	}
@@ -73,20 +101,8 @@ func (m *Manager) OpenConnection(portable string, req qos.Request) (string, erro
 		eventbus.Pub(m.Bus, eventbus.ConnectionBlocked{Portable: portable, Reason: res.Reason})
 		return "", fmt.Errorf("%w: %s at %s", ErrRejected, res.Reason, res.FailedLink)
 	}
-	eventbus.Pub(m.Bus, eventbus.ConnectionAdmitted{Conn: connID, Portable: portable, Bandwidth: res.Bandwidth})
-	c := &Connection{
-		ID: connID, Portable: portable, Req: req,
-		Host: host, Route: route, Bandwidth: res.Bandwidth,
-	}
-	m.conns[connID] = c
-	p.conns.Insert(connID)
-	if err := m.Adpt.Register(connID, route, req.Bandwidth, p.Mobility); err != nil {
-		return "", err
-	}
-	m.mc.setupMulticast(c, p.Cell)
-	m.refreshAdvance(p)
-	m.adjustPools(p.Cell)
-	return connID, nil
+	c.Bandwidth = res.Bandwidth
+	return m.commitOpen(c, p)
 }
 
 // CloseConnection releases a connection everywhere.

@@ -140,7 +140,8 @@ type Portable struct {
 	staticTimer *des.Event
 	onStatic    func() // the static timer's callback, bound once
 	bookSource  string // "portable:"+ID, its tag in the advance book
-	// conns is kept in ID order: refreshAdvance sums b_min over it.
+	// conns is kept in ID order: a handoff re-admits the portable's
+	// connections in it, and refreshAdvance sums their b_min in it.
 	conns sortx.IDs[string]
 	// reservedCells are the cells currently holding advance reservations
 	// for this portable.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"armnet/internal/admission"
 	"armnet/internal/clock"
 	"armnet/internal/eventbus"
 	"armnet/internal/qos"
@@ -34,47 +33,19 @@ func (m *Manager) SignalPlane() *signal.Plane {
 // is then aborted (resources released, reported as rejected) — the
 // application retries, as it would in a real system.
 func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done func(connID string, err error)) error {
-	p, ok := m.portables[portable]
-	if !ok {
-		return fmt.Errorf("%w: %s", errUnknownPortable, portable)
-	}
 	if done == nil {
 		return fmt.Errorf("core: nil completion callback")
 	}
-	if err := validate(req); err != nil {
-		return err
-	}
-	eventbus.Pub(m.Bus, eventbus.ConnectionRequested{Portable: portable})
-	// Overload shedding and the circuit breaker fail fast here, before
-	// any signaling is queued; best-effort requests are exempt.
-	if !req.BestEffort() {
-		if err := m.allowSetup(p); err != nil {
-			return err
-		}
-	}
-	host := m.Env.Hosts[m.Rng.Intn(len(m.Env.Hosts))]
-	route, err := m.Env.Backbone.ShortestPath(host, m.geo(p.Cell).air)
+	c, p, tracked, err := m.beginOpen(portable, req)
 	if err != nil {
 		return err
 	}
-	connID := fmt.Sprintf("conn-%d", m.nextConn)
-	m.nextConn++
-	if req.BestEffort() {
-		eventbus.Pub(m.Bus, eventbus.ConnectionAdmitted{Conn: connID, Portable: portable, BestEffort: true})
-		c := &Connection{ID: connID, Portable: portable, Req: req, Host: host, Route: route}
-		m.conns[connID] = c
-		p.conns.Insert(connID)
-		done(connID, nil)
+	if tracked {
+		done(c.ID, nil)
 		return nil
 	}
 	originCell := p.Cell
-	m.SignalPlane().Setup(admission.Test{
-		ConnID:   connID,
-		Req:      req,
-		Route:    route,
-		Kind:     admission.KindNew,
-		Mobility: p.Mobility,
-	}, func(r signal.Result) {
+	m.SignalPlane().Setup(c.admissionTest(p), func(r signal.Result) {
 		// Every finished session feeds the circuit breaker's sliding
 		// failure window (and decides its half-open probes).
 		if m.Ovl != nil {
@@ -88,26 +59,13 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 		// The plane committed the reservation; make sure the world did
 		// not shift under us.
 		if cur, ok := m.portables[portable]; !ok || cur.Cell != originCell {
-			m.ledger.Release(connID, route)
+			m.ledger.Release(c.ID, c.Route)
 			eventbus.Pub(m.Bus, eventbus.ConnectionBlocked{Portable: portable, Reason: "portable moved during setup"})
 			done("", fmt.Errorf("%w: portable moved during setup", ErrRejected))
 			return
 		}
-		eventbus.Pub(m.Bus, eventbus.ConnectionAdmitted{Conn: connID, Portable: portable, Bandwidth: r.Admission.Bandwidth})
-		c := &Connection{
-			ID: connID, Portable: portable, Req: req,
-			Host: host, Route: route, Bandwidth: r.Admission.Bandwidth,
-		}
-		m.conns[connID] = c
-		p.conns.Insert(connID)
-		if err := m.Adpt.Register(connID, route, req.Bandwidth, p.Mobility); err != nil {
-			done("", err)
-			return
-		}
-		m.mc.setupMulticast(c, p.Cell)
-		m.refreshAdvance(p)
-		m.adjustPools(p.Cell)
-		done(connID, nil)
+		c.Bandwidth = r.Admission.Bandwidth
+		done(m.commitOpen(c, p))
 	})
 	return nil
 }

@@ -12,13 +12,13 @@ package dataplane
 
 import (
 	"fmt"
-	"sort"
 
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/qos"
 	"armnet/internal/randx"
 	"armnet/internal/sched"
+	"armnet/internal/sortx"
 	"armnet/internal/stats"
 	"armnet/internal/topology"
 )
@@ -269,11 +269,4 @@ func (dp *Dataplane) Stats(id string) *FlowStats {
 }
 
 // Flows lists active flow IDs, sorted.
-func (dp *Dataplane) Flows() []string {
-	out := make([]string, 0, len(dp.flows))
-	for id := range dp.flows {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (dp *Dataplane) Flows() []string { return sortx.Keys(dp.flows) }

@@ -7,6 +7,7 @@ import (
 	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/randx"
+	"armnet/internal/sortx"
 )
 
 // fuzzProblem generates a random feasible allocation instance: every link
@@ -62,7 +63,7 @@ func FuzzMaxminConvergence(f *testing.F) {
 
 		simulator := des.New()
 		pr := NewProtocolOn(clock.Sim(simulator), ProtocolOptions{Refined: refined})
-		for _, l := range p.sortedLinks() {
+		for _, l := range sortx.Keys(p.Capacity) {
 			if err := pr.AddLink(l, p.Capacity[l]); err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +85,7 @@ func FuzzMaxminConvergence(f *testing.F) {
 			t.Fatalf("protocol did not quiesce: %d events still pending at horizon", n)
 		}
 		if perturb {
-			links := p.sortedLinks()
+			links := sortx.Keys(p.Capacity)
 			pick := links[rng.Intn(len(links))]
 			newCap := p.Capacity[pick] * (0.25 + rng.Float64()*1.5)
 			p.Capacity[pick] = newCap

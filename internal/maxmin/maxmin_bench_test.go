@@ -6,6 +6,7 @@ import (
 	"armnet/internal/clock"
 	"armnet/internal/des"
 	"armnet/internal/randx"
+	"armnet/internal/sortx"
 )
 
 func benchProblem(nLinks, nConns int) Problem {
@@ -75,7 +76,7 @@ func BenchmarkProtocolSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := des.New()
 		pr := NewProtocolOn(clock.Sim(sim), ProtocolOptions{Refined: true})
-		for _, l := range p.sortedLinks() {
+		for _, l := range sortx.Keys(p.Capacity) {
 			_ = pr.AddLink(l, p.Capacity[l])
 		}
 		for _, c := range p.Conns {

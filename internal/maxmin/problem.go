@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Inf is the demand of a connection that can absorb any bandwidth.
@@ -84,28 +83,12 @@ type allocation map[string]float64
 // allocations over the union of their keys.
 func (a allocation) MaxDiff(b allocation) float64 {
 	worst := 0.0
-	keys := map[string]bool{}
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	for k := range keys {
-		d := math.Abs(a[k] - b[k])
-		if d > worst {
-			worst = d
+	for _, m := range []allocation{a, b} {
+		for k := range m {
+			if d := math.Abs(a[k] - b[k]); d > worst {
+				worst = d
+			}
 		}
 	}
 	return worst
-}
-
-// sortedLinks returns the problem's link names in stable order.
-func (p Problem) sortedLinks() []string {
-	out := make([]string, 0, len(p.Capacity))
-	for l := range p.Capacity {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }

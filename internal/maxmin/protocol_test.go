@@ -12,13 +12,14 @@ import (
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/randx"
+	"armnet/internal/sortx"
 )
 
 // buildProtocol loads a Problem into a fresh Protocol.
 func buildProtocol(t testing.TB, sim *des.Simulator, p Problem, opts ProtocolOptions) *Protocol {
 	t.Helper()
 	pr := NewProtocolOn(clock.Sim(sim), opts)
-	for _, l := range p.sortedLinks() {
+	for _, l := range sortx.Keys(p.Capacity) {
 		if err := pr.AddLink(l, p.Capacity[l]); err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestProtocolOnWallClock(t *testing.T) {
 	for _, rule := range testRules {
 		t.Run(rule.Name, func(t *testing.T) {
 			load := func(pr *Protocol) {
-				for _, l := range p.sortedLinks() {
+				for _, l := range sortx.Keys(p.Capacity) {
 					if err := pr.AddLink(l, p.Capacity[l]); err != nil {
 						t.Error(err)
 					}

@@ -2,6 +2,8 @@ package maxmin
 
 import (
 	"math"
+
+	"armnet/internal/sortx"
 )
 
 // syncResult reports a synchronous distributed solve.
@@ -61,7 +63,7 @@ func (s SyncSolver) resume(p Problem, prev allocation) (syncResult, error) {
 			rate[c.ID] = 0
 		}
 	}
-	links := p.sortedLinks()
+	links := sortx.Keys(p.Capacity)
 	onLink := map[string][]int{}
 	for i, c := range p.Conns {
 		for _, l := range uniqueLinks(c.Path) {

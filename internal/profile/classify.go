@@ -2,7 +2,6 @@ package profile
 
 import (
 	"math"
-	"sort"
 
 	"armnet/internal/topology"
 )
@@ -114,12 +113,10 @@ func slotSeries(c *CellProfile) []float64 {
 	if len(slots) == 0 {
 		return nil
 	}
-	keys := make([]int64, 0, len(slots))
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for s := range slots {
-		keys = append(keys, s)
+		lo, hi = min(lo, s), max(hi, s)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	lo, hi := keys[0], keys[len(keys)-1]
 	out := make([]float64, 0, hi-lo+1)
 	for s := lo; s <= hi; s++ {
 		out = append(out, slots[s])

@@ -2,8 +2,8 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
+	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -70,14 +70,7 @@ func (s *Server) portable(id string) *portableProfile {
 }
 
 // Portables returns the IDs of portables with profiles, sorted.
-func (s *Server) Portables() []string {
-	out := make([]string, 0, len(s.portables))
-	for id := range s.portables {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Server) Portables() []string { return sortx.Keys(s.portables) }
 
 // RecordHandoff is the update message a base station sends on every
 // handoff. The departure is folded into the From cell's profile (when in

@@ -7,6 +7,7 @@ import (
 
 	"armnet/internal/des"
 	"armnet/internal/randx"
+	"armnet/internal/stats"
 )
 
 func TestWFQValidation(t *testing.T) {
@@ -23,8 +24,13 @@ func TestWFQValidation(t *testing.T) {
 	if err := w.AddFlow("a", 1000); err == nil {
 		t.Fatal("duplicate flow accepted")
 	}
-	if err := w.AddFlow("b", 0); err == nil {
-		t.Fatal("zero-rate flow accepted")
+	for _, rate := range []float64{0, math.Inf(1), math.NaN()} {
+		if err := w.AddFlow("b", rate); err == nil {
+			t.Fatalf("flow of rate %v accepted", rate)
+		}
+	}
+	if got := w.ReservedRate(); got != 1000 {
+		t.Fatalf("reserved rate %v after refused flows, want 1000", got)
 	}
 	if err := w.Enqueue(Packet{Flow: "ghost", Size: 100}, 0); err == nil {
 		t.Fatal("unknown flow accepted")
@@ -172,6 +178,39 @@ func TestWFQRemoveFlowPurges(t *testing.T) {
 	}
 	if w.ReservedRate() != 1e3 {
 		t.Fatalf("reserved rate = %v", w.ReservedRate())
+	}
+}
+
+// TestWFQBackloggedRateMatchesWalk holds the kept backlogged-rate total to
+// an exact walk over the flows after every add, remove, enqueue and
+// dequeue, with rates that do not add exactly in floating point.
+func TestWFQBackloggedRateMatchesWalk(t *testing.T) {
+	rng := randx.New(11)
+	w, _ := NewWFQ(1e6)
+	names := []string{"a", "b", "c", "d", "e"}
+	now := 0.0
+	for step := 0; step < 4000; step++ {
+		name := names[rng.Intn(len(names))]
+		switch op := rng.Intn(4); {
+		case op == 0:
+			_ = w.AddFlow(name, 0.1+rng.Float64()*1e5)
+		case op == 1 && rng.Intn(4) == 0:
+			w.RemoveFlow(name)
+		case op <= 2:
+			_ = w.Enqueue(Packet{Flow: name, Size: 100}, now)
+		default:
+			w.Dequeue(now)
+		}
+		now += 1e-4
+		var want stats.Sum
+		for _, f := range w.flows {
+			if f.backlog > 0 {
+				want.Add(f.rate)
+			}
+		}
+		if got := w.backlogged.Value(); got != want.Value() {
+			t.Fatalf("step %d: backlogged rate %v, walk %v", step, got, want.Value())
+		}
 	}
 }
 

@@ -3,9 +3,9 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-	"slices"
+	"math"
 
-	"armnet/internal/sortx"
+	"armnet/internal/stats"
 )
 
 // WFQ is a packetized weighted-fair-queueing scheduler. Each flow's weight
@@ -17,14 +17,14 @@ import (
 type WFQ struct {
 	capacity float64
 	flows    map[string]*wfqFlow
-	// ids lists the flows in ascending ID order and order holds them in
-	// it: the backlogged-rate sum runs in that order, never the map's.
-	ids   sortx.IDs[string]
-	order []*wfqFlow
-	queue wfqHeap
-	vtime float64
-	vlast float64 // real time of the last virtual-clock update
-	seq   uint64
+	// backlogged is the exact total rate of the flows with a packet
+	// queued, kept as a flow's backlog leaves and returns to zero: the
+	// virtual clock reads it on every packet without walking the flows.
+	backlogged stats.Sum
+	queue      wfqHeap
+	vtime      float64
+	vlast      float64 // real time of the last virtual-clock update
+	seq        uint64
 }
 
 type wfqFlow struct {
@@ -84,22 +84,19 @@ func (w *WFQ) AddFlow(flow string, rate float64) error {
 	if _, ok := w.flows[flow]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateFlow, flow)
 	}
-	if rate <= 0 {
-		return fmt.Errorf("sched: flow %s rate must be positive, got %v", flow, rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("sched: flow %s rate must be positive and finite, got %v", flow, rate)
 	}
-	f := &wfqFlow{rate: rate}
-	w.flows[flow] = f
-	i, _ := w.ids.Insert(flow)
-	w.order = slices.Insert(w.order, i, f)
+	w.flows[flow] = &wfqFlow{rate: rate}
 	return nil
 }
 
 // RemoveFlow implements Scheduler. Queued packets of the flow are purged.
 func (w *WFQ) RemoveFlow(flow string) {
-	delete(w.flows, flow)
-	if i, ok := w.ids.Remove(flow); ok {
-		w.order = slices.Delete(w.order, i, i+1)
+	if f, ok := w.flows[flow]; ok && f.backlog > 0 {
+		w.backlogged.Add(-f.rate)
 	}
+	delete(w.flows, flow)
 	kept := w.queue[:0]
 	for _, it := range w.queue {
 		if it.pkt.Flow != flow {
@@ -117,12 +114,7 @@ func (w *WFQ) advance(now float64) {
 	if now <= w.vlast {
 		return
 	}
-	total := 0.0
-	for _, f := range w.order {
-		if f.backlog > 0 {
-			total += f.rate
-		}
-	}
+	total := w.backlogged.Value()
 	dt := now - w.vlast
 	if total > 0 {
 		w.vtime += dt * w.capacity / total
@@ -154,6 +146,9 @@ func (w *WFQ) Enqueue(p Packet, now float64) error {
 	}
 	finish := start + p.Size/f.rate
 	f.lastFinish = finish
+	if f.backlog == 0 {
+		w.backlogged.Add(f.rate)
+	}
 	f.backlog++
 	it := &wfqItem{pkt: p, finish: finish, seq: w.seq}
 	w.seq++
@@ -171,6 +166,9 @@ func (w *WFQ) Dequeue(now float64) (Packet, bool) {
 			continue // flow removed while queued
 		}
 		f.backlog--
+		if f.backlog == 0 {
+			w.backlogged.Add(-f.rate)
+		}
 		return it.pkt, true
 	}
 	return Packet{}, false
@@ -191,9 +189,9 @@ func (w *WFQ) Backlog() int { return len(w.queue) }
 // ReservedRate returns the sum of registered flow rates; admission must
 // keep this at or below the link capacity for the WFQ bounds to hold.
 func (w *WFQ) ReservedRate() float64 {
-	total := 0.0
-	for _, f := range w.order {
-		total += f.rate
+	var sum stats.Sum
+	for _, f := range w.flows {
+		sum.Add(f.rate)
 	}
-	return total
+	return sum.Value()
 }

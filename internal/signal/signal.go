@@ -19,11 +19,11 @@ package signal
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"armnet/internal/admission"
 	"armnet/internal/clock"
 	"armnet/internal/eventbus"
+	"armnet/internal/stats"
 	"armnet/internal/topology"
 )
 
@@ -166,20 +166,15 @@ func NewPlaneOn(clk clock.Clock, adm admission.Admitter, lg *admission.Ledger, o
 }
 
 // PendingTotal returns the sum of all tentative holds — zero once every
-// session has drained and every orphan was reclaimed. Summed in sorted
-// order so the value is identical run to run (float addition is not
-// associative; auditors embed this in reports).
+// session has drained and every orphan was reclaimed. The sum is exact,
+// so it is identical run to run whatever the map's order (auditors embed
+// it in reports).
 func (p *Plane) PendingTotal() float64 {
-	ids := make([]topology.LinkID, 0, len(p.pending))
-	for id := range p.pending {
-		ids = append(ids, id)
+	var t stats.Sum
+	for _, v := range p.pending {
+		t.Add(v)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	t := 0.0
-	for _, id := range ids {
-		t += p.pending[id]
-	}
-	return t
+	return t.Value()
 }
 
 // InFlight returns the number of setup sessions still in progress — the

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -89,5 +90,44 @@ func TestArenaRivalStrategiesRun(t *testing.T) {
 	if byLabel["maxmin+table2"].Control.Messages <= byLabel["erica+table2"].Control.Messages/2 {
 		t.Errorf("maxmin (%d msgs) should cost well over half of erica's per-session budget ratio (erica %d msgs)",
 			byLabel["maxmin+table2"].Control.Messages, byLabel["erica+table2"].Control.Messages)
+	}
+}
+
+// TestArenaTraceDeterminismAcrossRuns repeats the pinned arena roster in
+// one process and requires every pair's whole event trace and span
+// export, and the rendered comparison, to come out byte-identical every
+// time. The ledger, the advance book and WFQ keep their tables in maps;
+// a map-order walk leaking into any output shows within a few runs.
+func TestArenaTraceDeterminismAcrossRuns(t *testing.T) {
+	var first []byte
+	for run := 0; run < 5; run++ {
+		var out bytes.Buffer
+		for _, pair := range DefaultArenaPairs() {
+			c := arenaGoldenCfg.CampusConfig
+			c.Allocator, c.Admitter, c.Obs = pair.Allocator, pair.Admitter, true
+			var trace, spans bytes.Buffer
+			c.Spans = &spans
+			if _, _, err := RunCampus(c, &trace); err != nil {
+				t.Fatalf("%s: %v", pair.label(), err)
+			}
+			if !bytes.Contains(trace.Bytes(), []byte(`"type":"advance-reservation"`)) {
+				t.Fatalf("%s: trace books no advance reservation", pair.label())
+			}
+			fmt.Fprintf(&out, "== %s\n", pair.label())
+			out.Write(trace.Bytes())
+			out.Write(spans.Bytes())
+		}
+		entries, _, err := RunArena(context.Background(), arenaGoldenCfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(RenderArena(arenaGoldenCfg, entries))
+		if first == nil {
+			first = out.Bytes()
+			continue
+		}
+		if again := out.Bytes(); !bytes.Equal(again, first) {
+			t.Fatalf("run %d diverged from run 0 (%d vs %d bytes): %s", run, len(again), len(first), firstDiffLine(first, again))
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"armnet/internal/randx"
 	"armnet/internal/reserve"
 	"armnet/internal/runner"
-	"armnet/internal/sortx"
+	"armnet/internal/stats"
 	"armnet/internal/topology"
 )
 
@@ -97,25 +97,27 @@ type fig5Cell struct {
 	pool float64
 }
 
+// used sums the bandwidth served here. Both sums walk their map through
+// a stats.Sum, whose correctly rounded total does not depend on map order.
 func (c *fig5Cell) used() float64 {
-	t := 0.0
-	for _, p := range sortx.Keys(c.active) {
-		t += c.active[p]
+	var t stats.Sum
+	for _, b := range c.active {
+		t.Add(b)
 	}
-	return t
+	return t.Value()
 }
 
 // reservedOthers sums the advance reservations held here for portables
 // other than the given one; only *mobile* portables' reservations count
 // (§3.4.2: a static portable holds no advance reservations).
 func (c *fig5Cell) reservedOthers(portable string, mobile func(string) bool) float64 {
-	t := 0.0
-	for _, p := range sortx.Keys(c.resv) {
+	var t stats.Sum
+	for p, b := range c.resv {
 		if p != portable && mobile(p) {
-			t += c.resv[p]
+			t.Add(b)
 		}
 	}
-	return t
+	return t.Value()
 }
 
 // admitHandoff decides whether the portable's connection of bandwidth b

@@ -1,19 +1,19 @@
-// Package sortx holds the repository's ID-order helpers.
+// Package sortx holds the repository's ID-order helpers for listings.
 //
-// Go map iteration order is randomized, and two classes of code here must
-// never see that randomness: anything that sums floats (addition is not
-// associative, so the last ulp drifts between runs) and anything that
-// feeds reported output (event traces, snapshots, tables must be
-// byte-identical at any worker count). Two rules follow:
+// Go map iteration order is randomized, and anything that feeds reported
+// output (event traces, snapshots, tables must be byte-identical at any
+// worker count) must never see that randomness. Two rules follow:
 //
-//   - State that is summed or listed in ID order on a hot path is *kept*
-//     in ID order: an IDs column with the owner's typed columns beside
-//     it, so a read is a plain walk with no sort and no allocation.
+//   - State that is listed in ID order on a hot path is *kept* in ID
+//     order: an IDs column with the owner's typed columns beside it, so a
+//     read is a plain walk with no sort and no allocation.
 //   - A map whose loop has an observable effect is iterated through Keys,
 //     never directly. Keys sorts and allocates per call; it is for cold
 //     paths and reports.
 //
-// An order-independent reduction (a max, a count) needs neither.
+// A float total over a set needs neither: stats.Sum is exact, so its
+// value does not depend on the order of its terms. An order-independent
+// reduction (a max, a count) needs neither either.
 package sortx
 
 import (

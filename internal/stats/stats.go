@@ -1,7 +1,12 @@
 // Package stats provides the measurement primitives the experiments use:
 // time-weighted averages (for utilization), online moment
 // accumulators, fixed-bin histograms, and a small fixed-width table
-// printer for regenerating the paper's result rows.
+// printer for regenerating the paper's result rows, and the exact
+// accumulator (Sum) every float total over a set goes through.
+//
+// A product added to a sum is written float64(x*y) + z: the conversion is
+// the language's fusion barrier, so arm64, ppc64le and the other targets
+// that fuse a multiply-add round exactly as amd64 does (make fma-check).
 package stats
 
 import (
@@ -34,7 +39,7 @@ func (w *Welford) Observe(x float64) {
 	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // N returns the sample count.
@@ -76,7 +81,7 @@ func (tw *TimeWeighted) Set(t, v float64) {
 		tw.started = true
 		tw.start = t
 	} else if t > tw.lastTime {
-		tw.area += tw.last * (t - tw.lastTime)
+		tw.area += float64(tw.last * (t - tw.lastTime))
 	}
 	tw.last = v
 	tw.lastTime = t
@@ -89,7 +94,7 @@ func (tw *TimeWeighted) Mean(t float64) float64 {
 	}
 	area := tw.area
 	if t > tw.lastTime {
-		area += tw.last * (t - tw.lastTime)
+		area += float64(tw.last * (t - tw.lastTime))
 	}
 	return area / (t - tw.start)
 }
@@ -129,7 +134,7 @@ func (h *Histogram) Observe(x float64) {
 // binCenter returns the midpoint value of bin i.
 func (h *Histogram) binCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.bins))
-	return h.Lo + w*(float64(i)+0.5)
+	return h.Lo + float64(w*(float64(i)+0.5))
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) estimated from bins.

@@ -44,4 +44,8 @@ var erica = maxmin.SwitchRule{Name: "erica", Weight: func(float64) float64 { ret
 // demand-uncapped the fixed point is exactly the weighted proportional
 // split C_l · w_c / Σ_j w_j; the arena quantifies how that compares to
 // max-min and ERICA on blocking, adaptation, and overhead.
-var logweight = maxmin.SwitchRule{Name: "logweight", Weight: func(demand float64) float64 { return 1 + math.Log1p(demand) }}
+//
+// The weight caps the demand at math.MaxFloat64: an unbounded demand
+// (maxmin.Inf) would weigh +Inf and its share be Inf/Inf = NaN, so two
+// unbounded connections split evenly instead of the first taking all.
+var logweight = maxmin.SwitchRule{Name: "logweight", Weight: func(demand float64) float64 { return 1 + math.Log1p(min(demand, math.MaxFloat64)) }}

@@ -200,23 +200,32 @@ func TestExplicitRateRemoveMidSession(t *testing.T) {
 // TestExplicitRateRulesDiffer: the two rivals are one protocol but two
 // rules. On one saturated link with unequal, uncapped demands
 // the unit weight guarantees only the C/N floor — an even split that
-// ignores demand — while the log weight lands on C·w_c/Σw.
+// ignores demand — while the log weight lands on C·w_c/Σw. Two
+// connections of unbounded demand (maxmin.Inf) carry equal weights, so
+// both rules split the link evenly.
 func TestExplicitRateRulesDiffer(t *testing.T) {
 	const capacity = 3e6
-	demands := map[string]float64{"heavy": 8e6, "light": 2e6}
-	wh, wl := 1+math.Log1p(demands["heavy"]), 1+math.Log1p(demands["light"])
-	for name, want := range map[string]map[string]float64{
-		"erica":     {"heavy": capacity / 2, "light": capacity / 2},
-		"logweight": {"heavy": capacity * wh / (wh + wl), "light": capacity * wl / (wh + wl)},
+	finite := map[string]float64{"heavy": 8e6, "light": 2e6}
+	inf := map[string]float64{"heavy": maxmin.Inf, "light": maxmin.Inf}
+	wh, wl := 1+math.Log1p(finite["heavy"]), 1+math.Log1p(finite["light"])
+	even := map[string]float64{"heavy": capacity / 2, "light": capacity / 2}
+	for _, c := range []struct {
+		label, rule   string
+		demands, want map[string]float64
+	}{
+		{"erica", "erica", finite, even},
+		{"logweight", "logweight", finite, map[string]float64{"heavy": capacity * wh / (wh + wl), "light": capacity * wl / (wh + wl)}},
+		{"erica-unbounded", "erica", inf, even},
+		{"logweight-unbounded", "logweight", inf, even},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(c.label, func(t *testing.T) {
 			sim := des.New()
-			a := newProtocol(t, name, sim, maxmin.ProtocolOptions{})
+			a := newProtocol(t, c.rule, sim, maxmin.ProtocolOptions{})
 			if err := a.AddLink("wl", capacity); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range []string{"heavy", "light"} {
-				if err := a.AddConn(maxmin.Conn{ID: id, Path: []string{"wl"}, Demand: demands[id]}); err != nil {
+				if err := a.AddConn(maxmin.Conn{ID: id, Path: []string{"wl"}, Demand: c.demands[id]}); err != nil {
 					t.Fatal(err)
 				}
 				a.Kick(id)
@@ -224,7 +233,7 @@ func TestExplicitRateRulesDiffer(t *testing.T) {
 			if err := sim.RunUntil(10); err != nil {
 				t.Fatal(err)
 			}
-			for id, w := range want {
+			for id, w := range c.want {
 				if got := a.Rates()[id]; math.Abs(got-w) > 1 {
 					t.Fatalf("rate[%s] = %v, want %v", id, got, w)
 				}

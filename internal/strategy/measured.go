@@ -85,7 +85,9 @@ func (m *measuredAdmitter) admit(t admission.Test) (admission.Result, error) {
 			}
 			ls.AdvanceReserved -= take
 		}
-		ls.Book(t.ConnID, admission.Alloc{Min: bmin, Cur: bmin})
+		if err := ls.Book(t.ConnID, admission.Alloc{Min: bmin, Cur: bmin}); err != nil {
+			return admission.Result{}, err
+		}
 	}
 	res.Admitted = true
 	return res, nil

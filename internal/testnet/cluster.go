@@ -2,9 +2,9 @@ package testnet
 
 import (
 	"fmt"
-	"sort"
 
 	"armnet/internal/faults"
+	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -25,10 +25,8 @@ const coreAgent = "core"
 // NewCluster derives the agent partition from the environment.
 func NewCluster(env *topology.Environment) *clusterNet {
 	c := &clusterNet{owner: make(map[string]int)}
-	zones := append([]string(nil), env.Universe.Zones()...)
-	sort.Strings(zones)
 	zoneOf := make(map[topology.NodeID]string)
-	for _, zone := range zones {
+	for _, zone := range env.Universe.Zones() {
 		zoneOf[topology.NodeID("sw-"+zone)] = zone
 		for _, cid := range env.Universe.Zone(zone) {
 			zoneOf[env.Universe.Cell(cid).BaseStation] = zone
@@ -52,12 +50,7 @@ func NewCluster(env *topology.Environment) *clusterNet {
 			names[owner[i]] = true
 		}
 	}
-	rest := make([]string, 0, len(names))
-	for n := range names {
-		rest = append(rest, n)
-	}
-	sort.Strings(rest)
-	c.Names = append([]string{coreAgent}, rest...)
+	c.Names = append([]string{coreAgent}, sortx.Keys(names)...)
 	for i, l := range links {
 		c.owner[string(l.ID)], _ = c.index(owner[i])
 	}

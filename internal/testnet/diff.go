@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"armnet/internal/sortx"
 )
 
 // Trace comparison for the live-vs-sim oracle. The timestamp mapping is
@@ -65,7 +67,7 @@ func DiffNodeFrames(a, b map[string][]byte) []string {
 		names[n] = true
 	}
 	var out []string
-	for _, n := range sortedKeys(names) {
+	for _, n := range sortx.Keys(names) {
 		la, lb := normalizedSorted(a[n]), normalizedSorted(b[n])
 		if len(la) != len(lb) {
 			out = append(out, fmt.Sprintf("%s: %d frames vs %d", n, len(la), len(lb)))
@@ -100,21 +102,4 @@ func normalizedSorted(trace []byte) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func toSet(m map[string][]byte) map[string]bool {
-	set := make(map[string]bool, len(m))
-	for k := range m {
-		set[k] = true
-	}
-	return set
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"armnet/internal/sortx"
 )
 
 // mustRun executes one scenario, failing the test on harness errors.
@@ -102,7 +104,7 @@ func TestLoopbackDeterministic(t *testing.T) {
 func TestLoopbackClusterShape(t *testing.T) {
 	res := mustRun(t, Config{Mode: ModeLoopback})
 	want := []string{"core", "east", "west"}
-	names := sortedKeys(toSet(res.NodeTraces))
+	names := sortx.Keys(res.NodeTraces)
 	if !equalStrings(names, want) {
 		t.Fatalf("agents = %v, want %v", names, want)
 	}

@@ -188,14 +188,7 @@ func (u *Universe) Zone(name string) []CellID {
 }
 
 // Zones returns all zone names, sorted.
-func (u *Universe) Zones() []string {
-	out := make([]string, 0, len(u.zones))
-	for z := range u.zones {
-		out = append(out, z)
-	}
-	sort.Strings(out)
-	return out
-}
+func (u *Universe) Zones() []string { return sortx.Keys(u.zones) }
 
 // Len returns the number of cells.
 func (u *Universe) Len() int { return len(u.cells) }
