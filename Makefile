@@ -21,8 +21,10 @@ fmt-check:
 ## exact unfused. Cross-compile FMA_PKGS for arm64 and ppc64le and fail
 ## on any fused instruction in their assembly. Every float site in
 ## internal/stats carries a float64() barrier, so the gate covers the
-## whole package, not only sum.go; ROADMAP item 12 widens FMA_PKGS.
-FMA_PKGS = ./internal/stats
+## whole package, not only sum.go. internal/admission and internal/sched
+## hold Table 2's decisions, which reach every trace, so their products
+## carry the barrier too; ROADMAP item 12 widens FMA_PKGS further.
+FMA_PKGS = ./internal/stats ./internal/admission ./internal/sched
 fma-check:
 	@for arch in arm64 ppc64le; do \
 		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \

@@ -54,6 +54,9 @@ type Manager struct {
 	Alloc *maxmin.Protocol
 
 	conns map[string]*connInfo
+	// links is the ledger's link states by topology.Link.Index, so a
+	// route reaches them without hashing its link IDs.
+	links []*admission.LinkState
 	// spare is the record Unregister last freed, for the next Register:
 	// a handoff unregisters and re-registers the same connection.
 	spare *connInfo
@@ -82,10 +85,13 @@ func NewManagerWith(sim *des.Simulator, lg *admission.Ledger, opts maxmin.Protoc
 		Alloc:  maxmin.NewProtocolWith(clock.Sim(sim), opts, rule),
 		conns:  make(map[string]*connInfo),
 	}
-	for _, ls := range lg.Links() {
+	all := lg.Links()
+	m.links = make([]*admission.LinkState, len(all))
+	for _, ls := range all {
 		if err := m.Alloc.AddLink(string(ls.Link.ID), clampNonNeg(ls.ExcessAvailable())); err != nil {
 			return nil, err
 		}
+		m.links[ls.Link.Index] = ls
 	}
 	m.Alloc.OnUpdate = m.applyUpdate
 	return m, nil
@@ -266,15 +272,23 @@ func (m *Manager) SyncLink(id topology.LinkID) error {
 	if ls == nil {
 		return fmt.Errorf("adapt: unknown link %s", id)
 	}
-	_, err := m.Alloc.TriggerCapacityChange(string(id), clampNonNeg(ls.ExcessAvailable()))
+	return m.sync(ls)
+}
+
+func (m *Manager) sync(ls *admission.LinkState) error {
+	_, err := m.Alloc.TriggerCapacityChange(string(ls.Link.ID), clampNonNeg(ls.ExcessAvailable()))
 	return err
 }
 
-// SyncRoute syncs every link of a route.
+// SyncRoute syncs every link of a route. A link is reached by its Index
+// and checked against the state found there, so a link of another
+// backbone is skipped, as SyncLink refuses an unknown ID.
 func (m *Manager) SyncRoute(r topology.Route) {
 	for _, l := range r.Links {
-		// Links are known by construction; ignore the impossible error.
-		_ = m.SyncLink(l.ID)
+		if uint(l.Index) < uint(len(m.links)) && m.links[l.Index].Link == l {
+			// The link is the ledger's, so the protocol knows it too.
+			_ = m.sync(m.links[l.Index])
+		}
 	}
 }
 

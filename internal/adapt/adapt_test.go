@@ -12,12 +12,9 @@ import (
 	"armnet/internal/topology"
 )
 
-// rig builds a 2-hop backbone (host -> bs -> air) with a 1.6 Mb/s
-// wireless hop, admits the given connections, and returns the pieces.
-func rig(t *testing.T, conns []struct {
-	id  string
-	mob qos.Mobility
-}) (*des.Simulator, *admission.Controller, *Manager, topology.Route) {
+// chain builds a 2-hop backbone (host -> bs -> air) with a 1.6 Mb/s
+// wireless hop and returns it with the host-to-air route.
+func chain(t *testing.T) (*topology.Backbone, topology.Route) {
 	t.Helper()
 	b := topology.NewBackbone()
 	for _, id := range []topology.NodeID{"host", "bs", "air"} {
@@ -35,6 +32,17 @@ func rig(t *testing.T, conns []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return b, route
+}
+
+// rig builds chain's backbone, admits the given connections, and returns
+// the pieces.
+func rig(t *testing.T, conns []struct {
+	id  string
+	mob qos.Mobility
+}) (*des.Simulator, *admission.Controller, *Manager, topology.Route) {
+	t.Helper()
+	b, route := chain(t)
 	sim := des.New()
 	lg := admission.NewLedger(b)
 	ctl := admission.NewController(lg)
@@ -187,6 +195,38 @@ func TestUnregisterFreesExcess(t *testing.T) {
 	}
 	// Unregistering twice is harmless.
 	mgr.Unregister("a")
+}
+
+// TestSyncRouteSkipsAnotherBackbone: SyncRoute reaches a link's ledger
+// state by Link.Index and checks the link found there, so a route of a
+// second backbone with the same link IDs syncs nothing. The excess a
+// ledger release frees reaches the protocol only once the connection's
+// own route is synced.
+func TestSyncRouteSkipsAnotherBackbone(t *testing.T) {
+	sim, ctl, mgr, route := rig(t, []struct {
+		id  string
+		mob qos.Mobility
+	}{{"a", qos.Static}, {"b", qos.Static}})
+	if err := sim.RunUntil(120); err != nil {
+		t.Fatal(err)
+	}
+	shared, _ := mgr.Allocation("b")
+	ctl.Ledger.Release("a", route)
+	_, twin := chain(t)
+	mgr.SyncRoute(twin)
+	if err := sim.RunUntil(300); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := mgr.Allocation("b"); got != shared {
+		t.Fatalf("after syncing the twin's route b holds %v, want its shared %v", got, shared)
+	}
+	mgr.SyncRoute(route)
+	if err := sim.RunUntil(600); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := mgr.Allocation("b"); !(got > shared) {
+		t.Fatalf("after syncing its own route b holds %v, want more than its shared %v", got, shared)
+	}
 }
 
 func TestRegisterValidation(t *testing.T) {

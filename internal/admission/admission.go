@@ -167,7 +167,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 	res := Result{Hops: c.hops[:0]}
 	states, caps, lossPerLink := c.states[:0], c.caps[:0], c.loss[:0]
 	for _, link := range t.Route.Links {
-		ls := c.Ledger.Link(link.ID)
+		ls := c.Ledger.state(link)
 		if ls == nil {
 			return Result{}, fmt.Errorf("%w: %s", ErrUnknownLink, link.ID)
 		}
@@ -285,7 +285,15 @@ func (c *Controller) admit(t Test) (Result, error) {
 			h.Buffer = sched.BufferWFQ(sigma, lmax, l)
 		}
 	}
+	// Every hop's allocation is checked before the first is booked, so the
+	// commit cannot stop half-way.
+	for hop := range states {
+		if a := (Alloc{Min: bmin, Cur: alloc, Buffer: res.Hops[hop].Buffer}); !a.finite() {
+			return Result{}, fmt.Errorf("admission: allocation of %s on %s must be finite, got %+v", t.ConnID, t.Route.Links[hop].ID, a)
+		}
+	}
 	// Commit: consume advance reservation for handoffs, then record.
+	h := c.Ledger.intern(t.ConnID)
 	for hop, ls := range states {
 		if t.Kind == KindHandoff || t.Kind == KindPoolClaim {
 			take := bmin
@@ -294,9 +302,7 @@ func (c *Controller) admit(t Test) (Result, error) {
 			}
 			ls.AdvanceReserved -= take
 		}
-		if err := ls.Book(t.ConnID, Alloc{Min: bmin, Cur: alloc, Buffer: res.Hops[hop].Buffer}); err != nil {
-			return Result{}, err
-		}
+		ls.book(h, Alloc{Min: bmin, Cur: alloc, Buffer: res.Hops[hop].Buffer})
 	}
 	res.Admitted = true
 	return res, nil

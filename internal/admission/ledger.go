@@ -19,7 +19,6 @@ import (
 	"math"
 	"slices"
 
-	"armnet/internal/sortx"
 	"armnet/internal/stats"
 	"armnet/internal/topology"
 )
@@ -55,36 +54,89 @@ type LinkState struct {
 	// restoration returns the link to its pre-failure state.
 	Down bool
 
-	// allocs holds the link's allocations by connection ID. sumMin,
-	// sumCur and sumBuf keep their columns' exact totals, updated on every
-	// write, so a read walks nothing and the table needs no order.
-	allocs                 map[string]Alloc
+	// lg is the ledger the link belongs to; its holders own the rows.
+	lg *Ledger
+	// rows holds the link's allocations in no order: each row's holder
+	// records the row's slot, so a write reaches its row without a search.
+	// sumMin, sumCur and sumBuf keep their columns' exact totals, updated
+	// on every write, so a read walks nothing and the table needs no order.
+	rows                   []row
 	sumMin, sumCur, sumBuf stats.Sum
 }
 
-func newLinkState(l *topology.Link) *LinkState {
+// row is one connection's allocation on one link.
+type row struct {
+	h *holder
+	a Alloc
+}
+
+// holder is a connection ID interned by the ledger: the link and slot of
+// every row it owns. A holder whose last row goes is recycled for the next
+// ID, so nothing keeps a *holder across calls.
+type holder struct {
+	id     string
+	refs   []rowRef
+	inline [6]rowRef // refs' first backing: a route of up to six hops
+}
+
+// rowRef places one of a holder's rows.
+type rowRef struct {
+	ls   *LinkState
+	slot int
+}
+
+// ref returns the holder's ref to its row on ls, or nil.
+func (h *holder) ref(ls *LinkState) *rowRef {
+	for k := range h.refs {
+		if h.refs[k].ls == ls {
+			return &h.refs[k]
+		}
+	}
+	return nil
+}
+
+func newLinkState(lg *Ledger, l *topology.Link) *LinkState {
 	return &LinkState{
 		Link:     l,
 		Capacity: l.Capacity,
 		// Default buffer: one second's worth of line rate — generous, so
 		// buffer admission only bites when configured tighter.
 		BufferCapacity: l.Capacity,
-		allocs:         make(map[string]Alloc),
+		lg:             lg,
 	}
 }
 
 // Conns returns the IDs of connections holding allocations, sorted. The
 // slice is the caller's own.
-func (ls *LinkState) Conns() []string { return sortx.Keys(ls.allocs) }
+func (ls *LinkState) Conns() []string {
+	ids := make([]string, len(ls.rows))
+	for i := range ls.rows {
+		ids[i] = ls.rows[i].h.id
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// row returns the connection's row on this link, or nil.
+func (ls *LinkState) row(id string) *row {
+	if h := ls.lg.holders[id]; h != nil {
+		if r := h.ref(ls); r != nil {
+			return &ls.rows[r.slot]
+		}
+	}
+	return nil
+}
 
 // Alloc returns the allocation of the given connection, if it has one.
 func (ls *LinkState) Alloc(id string) (Alloc, bool) {
-	a, ok := ls.allocs[id]
-	return a, ok
+	if r := ls.row(id); r != nil {
+		return r.a, true
+	}
+	return Alloc{}, false
 }
 
 // NumConns returns N_l, the number of connections on the link.
-func (ls *LinkState) NumConns() int { return len(ls.allocs) }
+func (ls *LinkState) NumConns() int { return len(ls.rows) }
 
 // SumMin returns Σ b_min,i over ongoing connections. All three sums are
 // correctly rounded, so they do not depend on the order connections came
@@ -114,8 +166,10 @@ func (ls *LinkState) ExcessAvailable() float64 {
 	return ls.Capacity - ls.AdvanceReserved - ls.SumMin()
 }
 
-// Pool returns the B_dyn pool size in bits/s.
-func (ls *LinkState) Pool() float64 { return ls.PoolFraction * ls.Capacity }
+// Pool returns the B_dyn pool size in bits/s. float64() keeps the
+// product from fusing into availableFor's subtraction on arm64 and
+// ppc64le, so a decision is the same on every architecture.
+func (ls *LinkState) Pool() float64 { return float64(ls.PoolFraction * ls.Capacity) }
 
 // availableFor returns the bandwidth a connection of the given kind may
 // still claim: new connections must not touch the advance reservation or
@@ -141,25 +195,47 @@ func (ls *LinkState) availableFor(kind Kind) float64 {
 // Table 2's reverse-pass commit. A field that is not finite is refused,
 // leaving the link as it was: the kept totals could not take it back out.
 func (ls *LinkState) Book(connID string, a Alloc) error {
-	if !finite(a.Min) || !finite(a.Cur) || !finite(a.Buffer) {
+	if !a.finite() {
 		return fmt.Errorf("admission: allocation of %s on %s must be finite, got %+v", connID, ls.Link.ID, a)
 	}
-	if old, ok := ls.allocs[connID]; ok {
-		ls.tally(old, -1)
-	}
-	ls.allocs[connID] = a
-	ls.tally(a, 1)
+	ls.book(ls.lg.intern(connID), a)
 	return nil
 }
 
+func (a Alloc) finite() bool { return finite(a.Min) && finite(a.Cur) && finite(a.Buffer) }
+
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// release removes the connection's allocation, if any.
-func (ls *LinkState) release(connID string) {
-	if old, ok := ls.allocs[connID]; ok {
-		delete(ls.allocs, connID)
-		ls.tally(old, -1)
+// book overwrites the holder's row on this link or appends one.
+func (ls *LinkState) book(h *holder, a Alloc) {
+	if r := h.ref(ls); r != nil {
+		old := &ls.rows[r.slot]
+		ls.tally(old.a, -1)
+		old.a = a
+	} else {
+		h.refs = append(h.refs, rowRef{ls: ls, slot: len(ls.rows)})
+		ls.rows = append(ls.rows, row{h: h, a: a})
 	}
+	ls.tally(a, 1)
+}
+
+// release removes the holder's row from this link, if it has one. The
+// last row moves into the freed slot and its holder's ref is renumbered.
+func (ls *LinkState) release(h *holder) {
+	r := h.ref(ls)
+	if r == nil {
+		return
+	}
+	i, last := r.slot, len(ls.rows)-1
+	ls.tally(ls.rows[i].a, -1)
+	if i != last {
+		ls.rows[i] = ls.rows[last]
+		ls.rows[i].h.ref(ls).slot = i
+	}
+	ls.rows[last] = row{}
+	ls.rows = ls.rows[:last]
+	*r = h.refs[len(h.refs)-1]
+	h.refs = h.refs[:len(h.refs)-1]
 }
 
 // tally adds an allocation's columns to the link's totals (sign 1) or
@@ -172,10 +248,18 @@ func (ls *LinkState) tally(a Alloc, sign float64) {
 
 // Ledger tracks reservation state for every link of a backbone.
 type Ledger struct {
-	links map[topology.LinkID]*LinkState
-	// ordered is every link state in link-ID order; links are never
-	// added after NewLedger.
+	// links finds a link's state by ID at the string-keyed edge of the
+	// API; byIndex finds it by the route's own *Link (Link.Index). Links
+	// are never added after NewLedger.
+	links   map[topology.LinkID]*LinkState
+	byIndex []*LinkState
+	// ordered is every link state in link-ID order.
 	ordered []*LinkState
+	// holders interns the connection IDs holding rows. free keeps the
+	// recycled holders and slab carves new ones, a batch at a time.
+	holders map[string]*holder
+	free    []*holder
+	slab    []holder
 }
 
 // Errors returned by the ledger.
@@ -186,13 +270,51 @@ var (
 
 // NewLedger builds a ledger covering every link of the backbone.
 func NewLedger(b *topology.Backbone) *Ledger {
-	lg := &Ledger{links: make(map[topology.LinkID]*LinkState)}
-	for _, l := range b.Links() {
-		ls := newLinkState(l)
+	all := b.Links()
+	lg := &Ledger{
+		links:   make(map[topology.LinkID]*LinkState, len(all)),
+		byIndex: make([]*LinkState, len(all)),
+		holders: make(map[string]*holder),
+	}
+	for _, l := range all {
+		ls := newLinkState(lg, l)
 		lg.links[l.ID] = ls
+		lg.byIndex[l.Index] = ls
 		lg.ordered = append(lg.ordered, ls)
 	}
 	return lg
+}
+
+// state returns the ledger state of a link of the ledger's own backbone,
+// or nil. The index is checked against the link itself, so a link of
+// another backbone is unknown even where its ID matches one here.
+func (lg *Ledger) state(l *topology.Link) *LinkState {
+	if uint(l.Index) < uint(len(lg.byIndex)) {
+		if ls := lg.byIndex[l.Index]; ls.Link == l {
+			return ls
+		}
+	}
+	return nil
+}
+
+// intern returns the connection's holder, making one if it has none.
+func (lg *Ledger) intern(id string) *holder {
+	if h := lg.holders[id]; h != nil {
+		return h
+	}
+	var h *holder
+	if n := len(lg.free); n > 0 {
+		h, lg.free = lg.free[n-1], lg.free[:n-1]
+	} else {
+		if len(lg.slab) == 0 {
+			lg.slab = make([]holder, 32)
+		}
+		h, lg.slab = &lg.slab[0], lg.slab[1:]
+		h.refs = h.inline[:0]
+	}
+	h.id = id
+	lg.holders[id] = h
+	return h
 }
 
 // Link returns the ledger state of a link, or nil.
@@ -214,11 +336,16 @@ func (lg *Ledger) SetCapacity(id topology.LinkID, c float64) error {
 	return nil
 }
 
-// SetAdvance sets the advance reservation on a link outright.
+// SetAdvance sets the advance reservation on a link outright, clamped to
+// [0, C_l]. A value that is not finite is refused: NaN would pass both
+// clamps and open the bandwidth row to everything.
 func (lg *Ledger) SetAdvance(id topology.LinkID, v float64) error {
 	ls, ok := lg.links[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownLink, id)
+	}
+	if !finite(v) {
+		return fmt.Errorf("admission: advance reservation on %s must be finite, got %v", id, v)
 	}
 	if v < 0 {
 		v = 0
@@ -231,12 +358,23 @@ func (lg *Ledger) SetAdvance(id topology.LinkID, v float64) error {
 }
 
 // Release removes the named connection's allocation from every link of
-// the route. Missing allocations are ignored so release is idempotent.
+// the route. Missing allocations are ignored so release is idempotent; a
+// link of another backbone holds none.
 func (lg *Ledger) Release(connID string, route topology.Route) {
+	h := lg.holders[connID]
+	if h == nil {
+		return
+	}
 	for _, l := range route.Links {
-		if ls, ok := lg.links[l.ID]; ok {
-			ls.release(connID)
+		if ls := lg.state(l); ls != nil {
+			ls.release(h)
 		}
+	}
+	// A holder left with no rows leaves the map for the free list.
+	if len(h.refs) == 0 {
+		delete(lg.holders, h.id)
+		h.id = ""
+		lg.free = append(lg.free, h)
 	}
 }
 
@@ -251,16 +389,15 @@ func (lg *Ledger) SetAllocation(connID string, linkID topology.LinkID, cur float
 	if !finite(cur) {
 		return fmt.Errorf("admission: allocation of %s on %s must be finite, got %v", connID, linkID, cur)
 	}
-	a, ok := ls.allocs[connID]
-	if !ok {
+	r := ls.row(connID)
+	if r == nil {
 		return fmt.Errorf("%w: %s on %s", errNoAlloc, connID, linkID)
 	}
-	if cur < a.Min {
-		cur = a.Min
+	if cur < r.a.Min {
+		cur = r.a.Min
 	}
-	ls.sumCur.Add(-a.Cur)
+	ls.sumCur.Add(-r.a.Cur)
 	ls.sumCur.Add(cur)
-	a.Cur = cur
-	ls.allocs[connID] = a
+	r.a.Cur = cur
 	return nil
 }

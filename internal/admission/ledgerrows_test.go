@@ -99,16 +99,56 @@ func (ref mapLedger) admit(t Test) (reason string, failed topology.LinkID, bandw
 	return "", "", alloc
 }
 
+// checkSlots holds the slot tables to their owners: every row's holder
+// is the one interned for its ID and places the row at its own slot,
+// every ref of an interned holder points at a row the holder owns, and
+// the interned holders are exactly the IDs holding a row — a holder that
+// lost its last row was recycled.
+func checkSlots(t *testing.T, at string, lg *Ledger) {
+	t.Helper()
+	rows := 0
+	for _, ls := range lg.ordered {
+		for i, r := range ls.rows {
+			if ref := r.h.ref(ls); lg.holders[r.h.id] != r.h || ref == nil || ref.slot != i {
+				t.Fatalf("%s: row %d of %s (%s) is not placed by its holder", at, i, ls.Link.ID, r.h.id)
+			}
+		}
+		rows += len(ls.rows)
+	}
+	refs := 0
+	for id, h := range lg.holders {
+		if h.id != id || len(h.refs) == 0 {
+			t.Fatalf("%s: holder interned as %q names %q and holds %d rows", at, id, h.id, len(h.refs))
+		}
+		for _, ref := range h.refs {
+			if ref.slot >= len(ref.ls.rows) || ref.ls.rows[ref.slot].h != h {
+				t.Fatalf("%s: %s's ref to slot %d of %s is another's row", at, id, ref.slot, ref.ls.Link.ID)
+			}
+		}
+		refs += len(h.refs)
+	}
+	if refs != rows {
+		t.Fatalf("%s: holders place %d rows, the links hold %d", at, refs, rows)
+	}
+}
+
 // checkLedgerMatchesOracle drives a Ledger and the map reference through
 // the same seeded sequence of Book / Admit / Release / SetAllocation /
 // SetAdvance steps (and the capacity, pool and fault knobs the reads
-// depend on). After every step each link's Conns must list the
-// reference's IDs in order, and every sum, every availability and every
-// allocation must be the same float as the reference's, bit for bit.
+// depend on), steps that release an ID everywhere and book another so a
+// recycled holder takes the slots, and Admit / Release over a route of a
+// twin backbone whose link IDs are the same, which must be unknown. After
+// every step each link's Conns must list the reference's IDs in order,
+// every ID's allocation and every N_l must match, every sum and every
+// availability must be the same float as the reference's, bit for bit,
+// and every row must be where its holder says.
 func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 	rng := randx.New(seed)
-	b, route := buildChain(t, 3, 2e6+rng.Float64()*2e6, 0.8e6+rng.Float64()*1.6e6)
+	wired, wireless := 2e6+rng.Float64()*2e6, 0.8e6+rng.Float64()*1.6e6
+	b, route := buildChain(t, 3, wired, wireless)
+	_, twin := buildChain(t, 3, wired, wireless)
 	lg := NewLedger(b)
+	everywhere := topology.Route{Links: b.Links()}
 	ctl := NewController(lg)
 	ref := mapLedger{}
 	for _, ls := range lg.Links() {
@@ -132,7 +172,7 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 		id := universe[rng.Intn(len(universe))]
 		ls := anyLink()
 		m := ref[ls.Link.ID]
-		switch op := rng.Intn(10); op {
+		switch op := rng.Intn(12); op {
 		case 0, 1:
 			bmin := 8e3 + rng.Float64()*120e3
 			a := Alloc{Min: bmin, Cur: bmin * (1 + rng.Float64()), Buffer: rng.Float64() * 20e3}
@@ -190,6 +230,38 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 				t.Fatal(err)
 			}
 			m.advance = min(max(v, 0), m.capacity)
+		case 10: // the released ID's holder is recycled for the next
+			gone := universe[rng.Intn(len(universe))]
+			lg.Release(gone, everywhere)
+			for _, other := range ref {
+				delete(other.allocs, gone)
+			}
+			if id != gone {
+				a := Alloc{Min: 8e3, Cur: 8e3 + rng.Float64()*8e3, Buffer: rng.Float64() * 20e3}
+				if err := ls.Book(id, a); err != nil {
+					t.Fatal(err)
+				}
+				m.allocs[id] = &a
+			}
+		case 11: // the twin's links share these IDs but are not this ledger's
+			if rng.Bernoulli(0.5) {
+				lg.Release(id, twin)
+				break
+			}
+			bmin := 8e3 + rng.Float64()*16e3
+			res, err := ctl.Admit(Test{
+				ConnID: id,
+				Req: qos.Request{
+					Bandwidth: qos.Bounds{Min: bmin, Max: bmin},
+					Delay:     100, Jitter: 100, Loss: 0.5,
+					Traffic: qos.TrafficSpec{Sigma: bmin / 4, Rho: bmin},
+				},
+				Route:    twin,
+				Mobility: qos.Mobile,
+			})
+			if !errors.Is(err, ErrUnknownLink) || res.Admitted {
+				t.Fatalf("seed %d step %d: Admit over the twin's route = %+v, %v; want ErrUnknownLink", seed, step, res, err)
+			}
 		default:
 			switch rng.Intn(3) {
 			case 0:
@@ -244,6 +316,7 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 				}
 			}
 		}
+		checkSlots(t, fmt.Sprintf("seed %d step %d", seed, step), lg)
 	}
 }
 
@@ -307,6 +380,90 @@ func TestLedgerRefusesNonFinite(t *testing.T) {
 	}
 }
 
+// TestSetAdvanceRefusesNonFinite: NaN passes both of SetAdvance's clamps,
+// and a NaN b_resv makes ExcessAvailable NaN, so the bandwidth row would
+// admit everything. A value that is not finite is refused and the link is
+// left as it was, so the row still refuses what does not fit.
+func TestSetAdvanceRefusesNonFinite(t *testing.T) {
+	b, route := buildChain(t, 2, 10e6, 1e6)
+	lg := NewLedger(b)
+	last := route.Links[len(route.Links)-1].ID
+	if err := lg.SetAdvance(last, 0.1e6); err != nil {
+		t.Fatal(err)
+	}
+	ls := lg.Link(last)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := lg.SetAdvance(last, bad); err == nil {
+			t.Errorf("SetAdvance(%v) accepted", bad)
+		}
+		if ls.AdvanceReserved != 0.1e6 || ls.ExcessAvailable() != 0.9e6 {
+			t.Fatalf("after SetAdvance(%v): b_resv %v, excess %v; want 1e5 and 9e5", bad, ls.AdvanceReserved, ls.ExcessAvailable())
+		}
+	}
+	ctl := NewController(lg)
+	for i, want := range []string{"", ReasonBandwidth, ReasonBandwidth, ReasonBandwidth} {
+		res, err := ctl.Admit(Test{
+			ConnID: fmt.Sprintf("c%d", i),
+			Req: qos.Request{
+				Bandwidth: qos.Bounds{Min: 500e3, Max: 500e3},
+				Delay:     100, Jitter: 100, Loss: 0.5,
+				Traffic: qos.TrafficSpec{Sigma: 1e3, Rho: 500e3},
+			},
+			Route:    route,
+			Mobility: qos.Mobile,
+		})
+		if err != nil || res.Reason != want || (want != "" && res.FailedLink != last) {
+			t.Fatalf("connection %d: %+v, %v; want reason %q on %s", i, res, err, want, last)
+		}
+	}
+}
+
+// TestRouteValidOnlyOnItsBackbone: a ledger reaches a route's links by
+// Link.Index and checks the link found there is the route's own, so a
+// route of a second backbone with the very same link IDs is unknown to
+// it. Admit over that route returns ErrUnknownLink and Release over it is
+// a no-op; neither changes any state.
+func TestRouteValidOnlyOnItsBackbone(t *testing.T) {
+	b, route := buildChain(t, 2, 10e6, 1e6)
+	_, twin := buildChain(t, 2, 10e6, 1e6)
+	for i, l := range route.Links {
+		if tl := twin.Links[i]; tl.ID != l.ID || tl.Index != l.Index || tl == l {
+			t.Fatalf("hop %d: twin link %s (index %d), want a distinct %s (index %d)", i, tl.ID, tl.Index, l.ID, l.Index)
+		}
+	}
+	ctl := NewController(NewLedger(b))
+	test := Test{ConnID: "c", Req: benchReq(), Route: route, Mobility: qos.Mobile}
+	if res, err := ctl.Admit(test); err != nil || !res.Admitted {
+		t.Fatalf("admit on its own backbone: %+v, %v", res, err)
+	}
+	state := func() string {
+		var out []string
+		for _, ls := range ctl.Ledger.Links() {
+			a, _ := ls.Alloc("c")
+			out = append(out, fmt.Sprint(ls.Link.ID, ls.Conns(), a, ls.SumMin(), ls.SumCur(), ls.SumBuffer(), ls.AdvanceReserved))
+		}
+		return fmt.Sprint(out)
+	}
+	before := state()
+	test.Route = twin
+	for _, id := range []string{"c", "d"} {
+		test.ConnID = id
+		if res, err := ctl.Admit(test); !errors.Is(err, ErrUnknownLink) || res.Admitted {
+			t.Fatalf("Admit(%s) over the twin's route = %+v, %v; want ErrUnknownLink", id, res, err)
+		}
+	}
+	ctl.Ledger.Release("c", twin)
+	if after := state(); after != before {
+		t.Fatalf("the twin's route changed the ledger:\n%s\nwant\n%s", after, before)
+	}
+	ctl.Ledger.Release("c", route)
+	for _, ls := range ctl.Ledger.Links() {
+		if ls.NumConns() != 0 {
+			t.Fatalf("%s still holds %v after the release over its own route", ls.Link.ID, ls.Conns())
+		}
+	}
+}
+
 // loadedRig is the bench rig with perLink booked connections on every
 // link of the route.
 func loadedRig(t *testing.T, perLink int) (*Controller, topology.Route) {
@@ -325,9 +482,10 @@ func loadedRig(t *testing.T, perLink int) (*Controller, topology.Route) {
 // TestAdmitAllocsIndependentOfLinkLoad pins what the kept totals and the
 // controller's scratch bought: the round trip reads every link's totals
 // without a walk, goes through per-hop slices the controller reuses (the
-// returned Hops among them) and commits into map slots that are already
-// there, so an Admit and the Release that undoes it allocate nothing, per
-// link or per connection sharing it.
+// returned Hops among them), commits into row slots the links already grew
+// and takes the holder the Release before it recycled, so an Admit and the
+// Release that undoes it allocate nothing, per link or per connection
+// sharing it.
 func TestAdmitAllocsIndependentOfLinkLoad(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector adds bookkeeping allocations")

@@ -5,6 +5,9 @@ package sched
 // Notation follows the paper: connection j has traffic envelope
 // (σ_j, ρ_j), minimum bandwidth b_min,j, L_max is the largest packet on
 // the link, C_l the link speed, l the 1-based hop index, n the hop count.
+// A product added to something is written float64(x*y): the conversion
+// keeps it from fusing into a multiply-add on arm64 and ppc64le, so every
+// architecture admits the same connections.
 
 // Discipline selects which buffer formula of Table 2 applies.
 type Discipline int
@@ -39,7 +42,7 @@ func HopDelay(lmax, bmin, linkCapacity float64) float64 {
 // bandwidth b_min over the n-hop route with link capacities caps.
 func EndToEndDelayFloor(sigma, lmax, bmin float64, caps []float64) float64 {
 	n := float64(len(caps))
-	d := (sigma + n*lmax) / bmin
+	d := (sigma + float64(n*lmax)) / bmin
 	for _, c := range caps {
 		d += lmax / c
 	}
@@ -59,14 +62,14 @@ func RelaxedHopDelay(hopDelay, endToEndBound, delayFloor, sigma, bmin float64, h
 // (1-based): (σ_j + l·L_max)/b_min,j. At the destination l = n and the
 // value must not exceed the connection's jitter bound σ̄.
 func JitterAtHop(sigma, lmax, bmin float64, l int) float64 {
-	return (sigma + float64(l)*lmax) / bmin
+	return (sigma + float64(float64(l)*lmax)) / bmin
 }
 
 // BufferWFQ is the WFQ per-hop buffer requirement at hop l (1-based):
 // σ_j + l·L_max. Under WFQ the burst can grow by one maximum packet per
 // upstream hop, so the requirement grows linearly along the path.
 func BufferWFQ(sigma, lmax float64, l int) float64 {
-	return sigma + float64(l)*lmax
+	return sigma + float64(float64(l)*lmax)
 }
 
 // BufferRCSP is the RCSP per-hop buffer requirement of Table 2's
@@ -81,9 +84,9 @@ func BufferWFQ(sigma, lmax float64, l int) float64 {
 // depends only on the local and previous hop delays, not on l itself.
 func BufferRCSP(sigma, lmax, rate, prevHopDelay, hopDelay float64, l int) float64 {
 	if l <= 1 {
-		return sigma + lmax + rate*hopDelay
+		return sigma + lmax + float64(rate*hopDelay)
 	}
-	return sigma + lmax + rate*(prevHopDelay+hopDelay)
+	return sigma + lmax + float64(rate*(prevHopDelay+hopDelay))
 }
 
 // LossOnPath composes per-link packet error probabilities under the

@@ -63,6 +63,9 @@ type Link struct {
 	// LossProb is the steady-state packet error probability p_e,l used
 	// by the Table 2 loss test.
 	LossProb float64
+	// Index numbers the backbone's links densely in creation order, so a
+	// table over them is a slice. The backbone sets it, as it sets ID.
+	Index int
 }
 
 // linkID builds the canonical directed link name.
@@ -151,6 +154,7 @@ func (b *Backbone) addLink(l Link) error {
 	if _, ok := b.links[l.ID]; ok {
 		return fmt.Errorf("%w: %s", errDuplicateLink, l.ID)
 	}
+	l.Index = len(b.links)
 	ll := l
 	b.links[ll.ID] = &ll
 	// Kept in link-ID order, so route searches explore deterministically
