@@ -23,8 +23,12 @@ fmt-check:
 ## internal/stats carries a float64() barrier, so the gate covers the
 ## whole package, not only sum.go. internal/admission and internal/sched
 ## hold Table 2's decisions, which reach every trace, so their products
-## carry the barrier too; ROADMAP item 12 widens FMA_PKGS further.
-FMA_PKGS = ./internal/stats ./internal/admission ./internal/sched
+## carry the barrier too. So do internal/randx's normal draw (behind
+## TruncNormal and the meeting-room walks) and internal/maxmin's two
+## tolerances (WaterFill's bottleneck level and sendUpdate's bottleneck
+## test), whose outcomes reach the traces and the == oracles; ROADMAP
+## item 12 widens FMA_PKGS further.
+FMA_PKGS = ./internal/stats ./internal/admission ./internal/sched ./internal/randx ./internal/maxmin
 fma-check:
 	@for arch in arm64 ppc64le; do \
 		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
@@ -204,6 +208,6 @@ soak:
 ## output change.
 golden:
 	$(GO) test ./cmd/paperfigs -update
-	$(GO) test ./cmd/armsim -run TestArmsimGolden -update
+	$(GO) test ./cmd/armsim -run 'TestArmsimGolden|TestCampusTraceGolden' -update
 	$(GO) test ./internal/sim -run 'TestChaosTraceGolden|TestOverloadTraceGolden|TestObsSnapshotGolden|TestArenaSnapshotGolden' -update
 	$(GO) test ./internal/testnet -run 'TestSoakGolden|TestLiveObsSnapshotGolden' -update

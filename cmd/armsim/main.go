@@ -4,8 +4,8 @@
 // prediction, advance reservation, adaptation, handoff) runs on the
 // discrete-event simulator and the final metrics are printed. The scenario
 // is the walk every campus experiment runs (armnet.RunWalk): at equal
-// seed and workload flags, -trace writes the bytes
-// `paperfigs -exp campus -trace` writes.
+// seed and workload flags, -trace writes the event stream of the
+// campus experiment's predictive-mode run (`paperfigs -exp campus`).
 //
 // Usage:
 //
@@ -337,11 +337,14 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 	if err := sc.prepare(); err != nil {
 		return err
 	}
+	if replications < 1 {
+		return fmt.Errorf("-replications %d: want at least one replication", replications)
+	}
+	if parallel < 0 {
+		return fmt.Errorf("-parallel %d: want a non-negative worker count (0 = GOMAXPROCS)", parallel)
+	}
 	if sc.arena {
 		return runArena(sc, seed, parallel, out, statsOut)
-	}
-	if replications <= 0 {
-		replications = 1
 	}
 	prog := runner.NewProgress(replications)
 	ctx := runner.WithProgress(context.Background(), prog)

@@ -118,31 +118,66 @@ func TestArmsimGolden(t *testing.T) {
 			if reps == 0 {
 				reps, workers = 1, 1
 			}
-			got := armsimOutput(t, sc, 1, reps, workers)
-			golden := filepath.Join("testdata", c.name+".golden")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (run `go test ./cmd/armsim -update` to create it)", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("armsim output drifted from %s\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-			}
+			checkGolden(t, c.name, armsimOutput(t, sc, 1, reps, workers))
 		})
 	}
 }
 
+// checkGolden compares got with testdata/<name>.golden, rewriting the
+// file first under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./cmd/armsim -update` to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("armsim output drifted from %s\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestCampusTraceGolden pins the head of the seed-1 predictive campus
+// event trace, the stream `armsim -seed 1 -duration 2400 -trace FILE`
+// writes, to a checked-in fixture: any drift in event taxonomy, payload
+// encoding, stamping, or publication order of the control plane shows up
+// as a diff here. Only the first lines are pinned to keep the fixture
+// reviewable; full-trace determinism is covered by internal/sim.
+// -obs-snapshot is set too: it must write a snapshot and leave the trace
+// unchanged.
+func TestCampusTraceGolden(t *testing.T) {
+	const head = 50
+	dir := t.TempDir()
+	sc := flagDefaults()
+	sc.duration = 2400
+	sc.tracePath, sc.obsSnapshotPath = filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "snap.prom")
+	sc.obs = true
+	if err := run(sc, 1, 1, 1, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := os.ReadFile(sc.obsSnapshotPath); err != nil || len(snap) == 0 {
+		t.Fatalf("instrument snapshot missing (%d bytes): %v", len(snap), err)
+	}
+	trace, err := os.ReadFile(sc.tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(trace, []byte("\n"))
+	if len(lines) < head {
+		t.Fatalf("trace too short: %d lines", len(lines))
+	}
+	checkGolden(t, "campustrace", bytes.Join(lines[:head], nil))
+}
+
 // TestArmsimTraceEqualsCampusTrace holds armsim and the campus experiment
-// to one stream: `armsim -seed 1 -duration 2400 -trace FILE` and
-// `paperfigs -exp campus -seed 1 -trace FILE` (armnet.RunCampus of the
-// same configuration with a trace writer) must write the same bytes.
+// to one stream: `armsim -seed 1 -duration 2400 -trace FILE` must write
+// the bytes armnet.RunCampus of the same configuration writes to its
+// trace writer.
 func TestArmsimTraceEqualsCampusTrace(t *testing.T) {
 	sc := flagDefaults()
 	sc.duration = 2400
@@ -192,25 +227,33 @@ func TestArmsimRejectsBadBandwidthBounds(t *testing.T) {
 // walk starts. A negative -portables once panicked in the walk generator; a
 // NaN or negative -signal-timeout once ran as the hop-scaled default; a
 // negative -signal-retries once meant "never retransmit"; a -fault-plan
-// rule `on` a link the topology lacks would never fire.
+// rule `on` a link the topology lacks would never fire; -replications 0
+// once ran one replication and a negative -parallel ran at GOMAXPROCS.
 func TestArmsimRejectsBadFlags(t *testing.T) {
 	unknownLink := writeFile(t, "links.plan", "drop any 0.5\ndrop maxmin 1 on no-such-link\n")
+	type args struct {
+		sc                     scenario
+		replications, parallel int
+	}
 	for _, c := range []struct {
 		want string // the error's prefix
-		edit func(*scenario)
+		edit func(*args)
 	}{
-		{"-portables ", func(sc *scenario) { sc.portables = -1 }},
-		{"-signal-timeout ", func(sc *scenario) { sc.sigTimeout = math.NaN() }},
-		{"-signal-timeout ", func(sc *scenario) { sc.sigTimeout = -1 }},
-		{"-signal-timeout ", func(sc *scenario) { sc.sigTimeout = math.Inf(1) }},
-		{"-signal-retries ", func(sc *scenario) { sc.sigRetries = -2 }},
-		{`trial 0: core: fault plan: drop maxmin rule on unknown link "no-such-link"`, func(sc *scenario) { sc.faultPath = unknownLink }},
+		{"-portables ", func(a *args) { a.sc.portables = -1 }},
+		{"-signal-timeout ", func(a *args) { a.sc.sigTimeout = math.NaN() }},
+		{"-signal-timeout ", func(a *args) { a.sc.sigTimeout = -1 }},
+		{"-signal-timeout ", func(a *args) { a.sc.sigTimeout = math.Inf(1) }},
+		{"-signal-retries ", func(a *args) { a.sc.sigRetries = -2 }},
+		{`trial 0: core: fault plan: drop maxmin rule on unknown link "no-such-link"`, func(a *args) { a.sc.faultPath = unknownLink }},
+		{"-replications ", func(a *args) { a.replications = 0 }},
+		{"-replications ", func(a *args) { a.replications = -2 }},
+		{"-parallel ", func(a *args) { a.parallel = -4 }},
 	} {
-		sc := flagDefaults()
-		sc.duration = 60
-		c.edit(&sc)
+		a := args{sc: flagDefaults(), replications: 1, parallel: 1}
+		a.sc.duration = 60
+		c.edit(&a)
 		var out bytes.Buffer
-		err := run(sc, 1, 1, 1, &out, io.Discard)
+		err := run(a.sc, 1, a.replications, a.parallel, &out, io.Discard)
 		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("err = %v, want a refusal starting %q; output:\n%s", err, c.want, out.String())
 		}

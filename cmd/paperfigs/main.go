@@ -16,18 +16,15 @@
 // deterministic: the rows printed to stdout are byte-identical at any
 // worker count, so figures can be regenerated at full speed and diffed
 // against archived output. The worker-pool stats (wall time, speedup) go
-// to stderr, keeping stdout clean for comparison.
-//
-// With -trace FILE the campus experiment additionally writes its
-// predictive-mode run as a JSONL control-plane event trace (one stamped
-// event per line) — the stream the campustrace golden test pins; with
-// -obs-snapshot FILE it writes that run's instrument snapshot. Both come
-// from one extra run.
+// to stderr, keeping stdout clean for comparison. The campus
+// experiment's event trace and instrument snapshot come from
+// `armsim -seed 1 -duration 2400 -trace FILE -obs-snapshot FILE`, the
+// same walk.
 package main
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,14 +42,12 @@ import (
 // runners. Deterministic experiment rows go to out; timing-dependent
 // worker-pool stats go to statsOut so out stays byte-comparable.
 type opts struct {
-	seed      int64
-	horizon   float64
-	walkBys   int
-	parallel  int
-	tracePath string
-	obsPath   string
-	out       io.Writer
-	statsOut  io.Writer
+	seed     int64
+	horizon  float64
+	walkBys  int
+	parallel int
+	out      io.Writer
+	statsOut io.Writer
 }
 
 // experimentOrder is the -exp all sequence.
@@ -77,44 +72,54 @@ var runners = map[string]func(opts) error{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: "+strings.Join(experimentOrder, ", ")+", all")
-	seed := flag.Int64("seed", 1, "random seed")
-	horizon := flag.Float64("horizon", 200, "figure-6 simulation horizon (seconds)")
-	walkBys := flag.Int("walkbys", 400, "figure-5 corridor through-traffic volume")
-	parallel := flag.Int("parallel", 1, "worker count for multi-trial experiments (fig5, fig6, theorem1, campus, tth; 0 = GOMAXPROCS); output is identical at any worker count")
-	tracePath := flag.String("trace", "", "write the campus experiment's predictive-mode run as a JSONL event trace to this file")
-	obsPath := flag.String("obs-snapshot", "", "write the campus experiment's predictive-mode instrument snapshot as Prometheus text to this file")
-	flag.Parse()
-
-	o := opts{
-		seed: *seed, horizon: *horizon, walkBys: *walkBys, parallel: *parallel,
-		tracePath: *tracePath, obsPath: *obsPath,
-		out: os.Stdout, statsOut: os.Stderr,
+	names, o, err := parseArgs(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
+		os.Exit(2) // parseArgs has reported it
 	}
-	names, err := resolveExperiments(*exp)
-	if err == nil {
-		err = o.validate()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	o.out, o.statsOut = os.Stdout, os.Stderr
 	if err := runExperiments(names, o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// validate refuses the flag values no experiment can run with, naming
-// the flag, rather than letting a default stand in for them.
-func (o opts) validate() error {
-	if o.walkBys < 0 {
-		return fmt.Errorf("-walkbys %d: want a non-negative number of corridor transits", o.walkBys)
+// parseArgs reads a paperfigs command line, without the program name,
+// into the experiments it names and the options they run with, and
+// reports a refusal to stderr. It refuses what no experiment can run
+// with, naming the flag, rather than letting a default stand in for it.
+func parseArgs(args []string, stderr io.Writer) ([]string, opts, error) {
+	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(experimentOrder, ", ")+", all")
+	seed := fs.Int64("seed", 1, "random seed")
+	horizon := fs.Float64("horizon", 200, "figure-6 simulation horizon (seconds)")
+	walkBys := fs.Int("walkbys", 400, "figure-5 corridor through-traffic volume")
+	parallel := fs.Int("parallel", 1, "worker count for multi-trial experiments (fig5, fig6, theorem1, campus, tth; 0 = GOMAXPROCS); output is identical at any worker count")
+	if err := fs.Parse(args); err != nil {
+		return nil, opts{}, err // fs has reported it, with the usage
 	}
-	if !(o.horizon > 0) || math.IsInf(o.horizon, 1) {
-		return fmt.Errorf("-horizon %v: want a positive, finite number of seconds", o.horizon)
+	var names []string
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *walkBys < 0:
+		err = fmt.Errorf("-walkbys %d: want a non-negative number of corridor transits", *walkBys)
+	case !(*horizon > 0) || math.IsInf(*horizon, 1):
+		err = fmt.Errorf("-horizon %v: want a positive, finite number of seconds", *horizon)
+	case *parallel < 0:
+		err = fmt.Errorf("-parallel %d: want a non-negative worker count (0 = GOMAXPROCS)", *parallel)
+	default:
+		names, err = resolveExperiments(*exp)
 	}
-	return nil
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return nil, opts{}, err
+	}
+	return names, opts{seed: *seed, horizon: *horizon, walkBys: *walkBys, parallel: *parallel}, nil
 }
 
 // resolveExperiments expands the -exp flag into the list of runner names.
@@ -276,34 +281,6 @@ func campus(o opts) error {
 	}
 	fmt.Fprint(o.out, tb.String())
 	fmt.Fprintf(o.statsOut, "campus: %s\n", st)
-	if o.tracePath == "" && o.obsPath == "" {
-		return nil
-	}
-	// One more predictive-mode run yields both extras: arming obs leaves
-	// the event trace byte-identical.
-	cfg := campusCfg(o.seed)
-	cfg.Obs = o.obsPath != ""
-	var trace bytes.Buffer
-	var traceW io.Writer
-	if o.tracePath != "" {
-		traceW = &trace
-	}
-	_, mgr, err := armnet.RunCampus(cfg, traceW)
-	if err != nil {
-		return err
-	}
-	if o.tracePath != "" {
-		if err := os.WriteFile(o.tracePath, trace.Bytes(), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.statsOut, "campus: wrote event trace to %s\n", o.tracePath)
-	}
-	if o.obsPath != "" {
-		if err := os.WriteFile(o.obsPath, mgr.Obs.Snapshot().Prometheus(), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.statsOut, "campus: wrote instrument snapshot to %s\n", o.obsPath)
-	}
 	return nil
 }
 

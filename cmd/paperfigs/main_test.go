@@ -3,40 +3,52 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files from current output")
+var update = flag.Bool("update", false, "rewrite testdata/all.golden from current output")
 
-// runGolden executes the named experiments exactly as `paperfigs -exp
-// <names> -seed <seed> -horizon <horizon> -parallel <parallel>` would and
-// returns the stdout bytes. Worker-pool stats are discarded: they carry
-// wall-clock timings and must never be part of the comparable output.
-func runGolden(t *testing.T, names []string, seed int64, horizon float64, parallel int) []byte {
+// stdout runs the named experiments in process exactly as main would and
+// returns what they print to stdout. Worker-pool stats are discarded:
+// they carry wall-clock timings and must never be part of the comparable
+// output.
+func stdout(t *testing.T, names []string, o opts) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	o := opts{seed: seed, horizon: horizon, walkBys: 400, parallel: parallel, out: &buf, statsOut: io.Discard}
+	o.out, o.statsOut = &buf, io.Discard
 	if err := runExperiments(names, o); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestTable2Golden pins `paperfigs -exp table2 -seed 1` to a checked-in
-// fixture so experiment refactors cannot silently drift the paper's
-// admission table.
-func TestTable2Golden(t *testing.T) {
-	got := runGolden(t, []string{"table2"}, 1, 200, 1)
-	golden := filepath.Join("testdata", "table2.golden")
+// parse is parseArgs for a command line the test knows to be valid.
+func parse(t *testing.T, args ...string) ([]string, opts) {
+	t.Helper()
+	names, o, err := parseArgs(args, io.Discard)
+	if err != nil {
+		t.Fatalf("paperfigs %s: %v", strings.Join(args, " "), err)
+	}
+	return names, o
+}
+
+// TestAllGolden pins the stdout of `paperfigs -exp all` at the default
+// flags (seed 1, horizon 200, walkbys 400) to testdata/all.golden: every
+// table and figure the paper's evaluation reports, and the extension
+// experiments. It runs at -parallel 0; that the output does not depend
+// on the worker count is TestTheorem1OutputIdenticalAcrossWorkers'
+// claim. Regenerate on purpose with `go test ./cmd/paperfigs -update`.
+func TestAllGolden(t *testing.T) {
+	names, o := parse(t, "-exp", "all", "-parallel", "0")
+	got := stdout(t, names, o)
+	golden := filepath.Join("testdata", "all.golden")
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -45,56 +57,124 @@ func TestTable2Golden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run `go test ./cmd/paperfigs -update` to create it)", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("table2 output drifted from golden file %s\n--- got ---\n%s\n--- want ---\n%s",
-			golden, got, want)
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(g), len(w)) {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			t.Fatalf("-exp all drifted from %s at line %d:\n got: %q\nwant: %q", golden, i+1, at(g, i), at(w, i))
+		}
 	}
 }
 
-// TestCampusTraceGolden pins the head of the seed-1 predictive campus
-// event trace (the stream `paperfigs -exp campus -trace FILE` writes) to
-// a checked-in fixture: any drift in event taxonomy, payload encoding,
-// stamping, or publication order of the control plane shows up as a diff
-// here. Only the first lines are pinned to keep the fixture reviewable;
-// full-trace determinism is covered by internal/sim. -obs-snapshot is set
-// too: the one extra run that serves both must leave the trace unchanged.
-func TestCampusTraceGolden(t *testing.T) {
-	const head = 50
-	dir := t.TempDir()
-	o := opts{seed: 1, out: io.Discard, statsOut: io.Discard,
-		tracePath: filepath.Join(dir, "trace.jsonl"), obsPath: filepath.Join(dir, "snap.prom")}
-	if err := campus(o); err != nil {
-		t.Fatal(err)
+// at returns lines[i], or a marker past the end.
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
 	}
-	trace, err := os.ReadFile(o.tracePath)
+	return "<end of output>"
+}
+
+// TestDocumentedOutputsMatch holds EXPERIMENTS.md's printed output to
+// the program: each fenced block that directly follows a
+// `go run ./cmd/paperfigs …` span (on one line, with no heading or other
+// block between them) must be a contiguous run of that command's stdout
+// lines. Runs of whitespace are normalised; numbers get no tolerance. A
+// command at the default flags is read from its sections of
+// testdata/all.golden, which TestAllGolden holds to the program; any
+// other command runs in process.
+func TestDocumentedOutputsMatch(t *testing.T) {
+	const doc = "EXPERIMENTS.md"
+	text, err := os.ReadFile(filepath.Join("..", "..", doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := os.ReadFile(o.obsPath); err != nil || len(snap) == 0 {
-		t.Fatalf("instrument snapshot missing (%d bytes): %v", len(snap), err)
-	}
-	lines := bytes.SplitAfter(trace, []byte("\n"))
-	if len(lines) < head {
-		t.Fatalf("trace too short: %d lines", len(lines))
-	}
-	got := bytes.Join(lines[:head], nil)
-	golden := filepath.Join("testdata", "campustrace.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
+	golden, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
 	if err != nil {
-		t.Fatalf("%v (run `go test ./cmd/paperfigs -update` to create it)", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("campus event trace drifted from golden file %s\n--- got ---\n%s\n--- want ---\n%s",
-			golden, got, want)
+	// all.golden is runExperiments' output: one section per experiment,
+	// from its "==== name ====" line up to the next one.
+	sections := map[string]string{}
+	for _, sec := range regexp.MustCompile(`(?m)^==== `).Split(string(golden), -1)[1:] {
+		name, _, _ := strings.Cut(sec, " ")
+		sections[name] = "==== " + sec
 	}
+	_, defaults := parse(t)
+	output := func(args []string) ([]string, error) {
+		names, o, err := parseArgs(args, io.Discard)
+		if err != nil {
+			return nil, err
+		}
+		var out string
+		o.parallel = defaults.parallel // the worker count changes no output
+		if o == defaults {
+			for _, name := range names {
+				out += sections[name]
+			}
+		} else {
+			out = string(stdout(t, names, o))
+		}
+		return strings.Split(out, "\n"), nil
+	}
+	norm := func(line string) string { return strings.Join(strings.Fields(line), " ") }
+
+	command := regexp.MustCompile("`go run \\./cmd/paperfigs(?: [^`\n]*)?`")
+	lines := strings.Split(string(text), "\n")
+	cmd := "" // the last paperfigs span since a heading or a block
+	checked := 0
+	for i := 0; i < len(lines); i++ {
+		if strings.HasPrefix(lines[i], "#") {
+			cmd = ""
+			continue
+		}
+		if !strings.HasPrefix(lines[i], "```") {
+			if m := command.FindAllString(lines[i], -1); m != nil {
+				cmd = m[len(m)-1]
+			}
+			continue
+		}
+		start := i + 1
+		for i++; i < len(lines) && !strings.HasPrefix(lines[i], "```"); i++ {
+		}
+		block, span := lines[start:i], cmd
+		if cmd = ""; span == "" {
+			continue
+		}
+		checked++
+		if len(block) == 0 {
+			t.Errorf("%s:%d: the block after %s is empty", doc, start+1, span)
+			continue
+		}
+		out, err := output(strings.Fields(strings.Trim(strings.TrimPrefix(span, "`go run ./cmd/paperfigs"), "`")))
+		if err != nil {
+			t.Errorf("%s:%d: %s: %v", doc, start, span, err)
+			continue
+		}
+		// The run of out that matches the most leading lines of block.
+		best, n := 0, 0
+		for s := range out {
+			k := 0
+			for k < len(block) && s+k < len(out) && norm(block[k]) == norm(out[s+k]) {
+				k++
+			}
+			if k > n {
+				best, n = s, k
+			}
+		}
+		switch {
+		case n == len(block):
+		case n == 0:
+			t.Errorf("%s:%d reads %q, which %s never prints", doc, start+1, block[0], span)
+		default:
+			t.Errorf("%s:%d reads %q; after the %d lines above it, %s prints %q", doc, start+1+n, block[n], n, span, at(out, best+n))
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("%s: no output block follows a `go run ./cmd/paperfigs …` span", doc)
+	}
+	t.Logf("%s: %d output blocks checked", doc, checked)
 }
 
 // TestTheorem1OutputIdenticalAcrossWorkers is the CLI-level replication
@@ -102,12 +182,12 @@ func TestCampusTraceGolden(t *testing.T) {
 // fig5, fig6 (at a short -horizon), campus and tth — must be
 // byte-identical at any -parallel value.
 func TestTheorem1OutputIdenticalAcrossWorkers(t *testing.T) {
-	names := []string{"theorem1", "fig5", "fig6", "campus", "tth"}
-	base := runGolden(t, names, 1, 0.5, 1)
-	for _, workers := range []int{2, 8, 0} {
-		if got := runGolden(t, names, 1, 0.5, workers); !bytes.Equal(got, base) {
+	names, o := parse(t, "-exp", "theorem1,fig5,fig6,campus,tth", "-horizon", "0.5")
+	base := stdout(t, names, o)
+	for _, o.parallel = range []int{2, 8, 0} {
+		if got := stdout(t, names, o); !bytes.Equal(got, base) {
 			t.Fatalf("-parallel %d output differs from -parallel 1:\n--- got ---\n%s\n--- want ---\n%s",
-				workers, got, base)
+				o.parallel, got, base)
 		}
 	}
 }
@@ -132,36 +212,28 @@ func TestResolveExperiments(t *testing.T) {
 	}
 }
 
-// TestBadFlagsRefused: a negative -walkbys and a -horizon that is not a
-// positive, finite number are refused with an error naming the flag —
-// no default stands in for them — and -walkbys 0 runs Figure 5 with no
-// corridor through-traffic instead of the 400 walk-bys of the default.
+// TestBadFlagsRefused: a negative -walkbys or -parallel and a -horizon
+// that is not a positive, finite number are refused with an error naming
+// the flag — no default stands in for them (a negative -parallel once ran
+// at GOMAXPROCS) — and -walkbys 0 runs Figure 5 with no corridor
+// through-traffic instead of the 400 walk-bys of the default.
 func TestBadFlagsRefused(t *testing.T) {
-	good := opts{seed: 1, horizon: 200, walkBys: 400}
-	if err := good.validate(); err != nil {
-		t.Fatalf("default flags refused: %v", err)
-	}
-	for _, c := range []struct {
-		flag string
-		o    opts
-	}{
-		{"-walkbys", opts{horizon: 200, walkBys: -3}},
-		{"-horizon", opts{horizon: -5}},
-		{"-horizon", opts{horizon: 0}},
-		{"-horizon", opts{horizon: math.NaN()}},
-		{"-horizon", opts{horizon: math.Inf(1)}},
+	for _, c := range []struct{ flag, arg string }{
+		{"-walkbys", "-walkbys=-3"},
+		{"-horizon", "-horizon=-5"},
+		{"-horizon", "-horizon=0"},
+		{"-horizon", "-horizon=NaN"},
+		{"-horizon", "-horizon=Inf"},
+		{"-parallel", "-parallel=-4"},
 	} {
-		err := c.o.validate()
+		_, _, err := parseArgs([]string{c.arg}, io.Discard)
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
-			t.Errorf("walkBys=%d horizon=%v: error %v, want one naming %s", c.o.walkBys, c.o.horizon, err, c.flag)
+			t.Errorf("paperfigs %s: error %v, want one naming %s", c.arg, err, c.flag)
 		}
 	}
 	run := func(walkBys int) []byte {
-		var buf bytes.Buffer
-		if err := fig5(opts{seed: 1, walkBys: walkBys, parallel: 1, out: &buf, statsOut: io.Discard}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		names, o := parse(t, "-exp", "fig5", fmt.Sprint("-walkbys=", walkBys))
+		return stdout(t, names, o)
 	}
 	if bytes.Equal(run(0), run(400)) {
 		t.Fatal("-walkbys 0 printed the -walkbys 400 output")

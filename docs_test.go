@@ -1,7 +1,6 @@
 package armnet_test
 
 import (
-	"context"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -88,10 +87,14 @@ func TestDocumentedFaultPlansParse(t *testing.T) {
 // span in the top-level documents that is a file path — ending .go,
 // .json, .golden, .jsonl, .sh or .md, with any :line suffix stripped —
 // must name a file in the repository, either from the root or as the
-// tail of one (`strategy/explicitrate.go`, `protocol.go`). A document
-// still naming code that was deleted or moved fails here.
+// tail of one (`strategy/explicitrate.go`, `protocol.go`); and every
+// span that is a package directory from the root — `internal/<pkg>` or
+// `cmd/<name>`, alone or before an exported name (`internal/core.Manager`)
+// — must name a directory. A document still naming code that was deleted
+// or moved fails here.
 func TestDocumentedPathsExist(t *testing.T) {
 	var files []string
+	dirs := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -99,7 +102,9 @@ func TestDocumentedPathsExist(t *testing.T) {
 		if d.IsDir() && (path == ".git" || path == ".bench_build") {
 			return filepath.SkipDir
 		}
-		if !d.IsDir() {
+		if d.IsDir() {
+			dirs[filepath.ToSlash(path)] = true
+		} else {
 			files = append(files, filepath.ToSlash(path))
 		}
 		return nil
@@ -119,6 +124,7 @@ func TestDocumentedPathsExist(t *testing.T) {
 	// A base name starts with a letter or digit, so `_test.go` is a
 	// suffix, not a file.
 	path := regexp.MustCompile(`^(?:\./)?((?:[A-Za-z0-9_.-]+/)*[A-Za-z0-9][A-Za-z0-9_.-]*\.(?:go|json|golden|jsonl|sh|md))(?::[0-9]+(?:-[0-9]+)?)?$`)
+	pkg := regexp.MustCompile(`^(?:\./)?((?:internal|cmd)(?:/[a-z0-9_]+)+)/?(?:\.[A-Z]\w*)*$`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -128,6 +134,87 @@ func TestDocumentedPathsExist(t *testing.T) {
 			if p := path.FindStringSubmatch(m[1]); p != nil && !resolves(p[1]) {
 				t.Errorf("%s names `%s`, which is no file in the repository", doc, m[1])
 			}
+			if p := pkg.FindStringSubmatch(m[1]); p != nil && !dirs[p[1]] {
+				t.Errorf("%s names `%s`, which is no directory in the repository", doc, m[1])
+			}
+		}
+	}
+}
+
+// TestWallClockConfined holds the program to its clocks: a wall-clock
+// read (time.Now, time.Since or time.Until) in the root module's non-test
+// code may sit only in a function this list names, with the reason it
+// reads the wall. Everything else takes its time from a clock.Clock, so
+// a run is a function of its seed. A new read outside the list fails,
+// and so does an entry whose function no longer reads the wall.
+func TestWallClockConfined(t *testing.T) {
+	allowed := map[string]string{
+		"internal/clock/clock.go NewWall":                     "clock.Wall is the wall-clock Clock; this is its epoch",
+		"internal/clock/clock.go Wall.Now":                    "clock.Wall is the wall-clock Clock; this is its reading",
+		"internal/runner/runner.go Map":                       "the pool's wall and work statistics, printed to stderr and never to a compared output",
+		"internal/testnet/transport.go udpTransport.exchange": "a real socket's read deadline is wall time: the ack wait of a live UDP datagram",
+		"cmd/benchcap/main.go main":                           "the capture stamp that dates a BENCH_*.json entry",
+	}
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == ".git" || path == ".bench_build" || path == "bench") {
+			return filepath.SkipDir // bench/ is a module of its own
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		timePkg := "" // the file's name for package time
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				timePkg = "time"
+				if imp.Name != nil {
+					timePkg = imp.Name.Name
+				}
+			}
+		}
+		if timePkg == "" {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			where := "package scope"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				where = fn.Name.Name
+				if recv := recvType(fn); recv != nil {
+					where = recv.Name + "." + where
+				}
+			}
+			key := filepath.ToSlash(path) + " " + where
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || !slices.Contains([]string{"Now", "Since", "Until"}, sel.Sel.Name) {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == timePkg {
+					seen[key] = true
+					if _, ok := allowed[key]; !ok {
+						t.Errorf("%s: time.%s in %s reads the wall clock; take the time from a clock.Clock, or allowlist %q with a reason",
+							fset.Position(sel.Pos()), sel.Sel.Name, where, key)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range sortedKeys(allowed) {
+		if !seen[key] {
+			t.Errorf("allowlist entry %q (%s) reads no wall clock any more: delete it", key, allowed[key])
 		}
 	}
 }
@@ -267,7 +354,8 @@ func TestDocumentedTestsExist(t *testing.T) {
 }
 
 // commandFlags reads cmd/<name>/main.go and returns the flags it defines
-// (the string-literal name of every flag.X call) and the string literals
+// (the string-literal name of every flag.X call, or X call on a
+// flag.NewFlagSet the file assigns) and the string literals
 // a flag's value is checked against: the keys of a composite literal
 // assigned to a variable (paperfigs' runners map) and the cases of a
 // `switch *v` statement (armnode's mode), each under that variable's name.
@@ -286,14 +374,24 @@ func commandFlags(t *testing.T, name string) (flags map[string]bool, values map[
 		return s, err == nil
 	}
 	flags, values = map[string]bool{}, map[string][]string{}
+	sets := map[string]bool{"flag": true} // flag and the flag sets declared so far
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if call, ok := n.Rhs[0].(*ast.CallExpr); ok && len(n.Lhs) == 1 {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewFlagSet" {
+					if id, ok := n.Lhs[0].(*ast.Ident); ok {
+						sets[id.Name] = true
+					}
+					return false // its first argument is the set's name, not a flag
+				}
+			}
 		case *ast.CallExpr:
 			sel, ok := n.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			if recv, ok := sel.X.(*ast.Ident); !ok || !sets[recv.Name] {
 				return true
 			}
 			for _, a := range n.Args[:min(2, len(n.Args))] { // flag.X(name, …) and flag.XVar(&v, name, …)
@@ -405,59 +503,6 @@ func TestDocumentedFlagsExist(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no command span found in the documents: the span pattern no longer matches them")
-	}
-}
-
-// TestTheorem1BlockMatches holds EXPERIMENTS.md's Theorem 1 block to the
-// experiment: the fenced block after the command that prints it must be
-// that command's output, line for line up to runs of whitespace. The
-// experiment runs in process with the flags `paperfigs -exp theorem1`
-// passes (seed 1, 20 perturbed instances, flooding then refined) and
-// takes a few milliseconds.
-func TestTheorem1BlockMatches(t *testing.T) {
-	const doc, cmd, fence = "EXPERIMENTS.md", "`go run ./cmd/paperfigs -exp theorem1`", "\n```\n"
-	text, err := os.ReadFile(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(text)
-	i := strings.Index(s, cmd)
-	if i < 0 {
-		t.Fatalf("%s: %s not found — the Theorem 1 block moved; update this test with it", doc, cmd)
-	}
-	j := strings.Index(s[i:], fence)
-	if j < 0 {
-		t.Fatalf("%s: no fenced block after %s", doc, cmd)
-	}
-	start := i + j + len(fence)
-	n := strings.Index(s[start:], "\n```")
-	if n < 0 {
-		t.Fatalf("%s: the block after %s is not closed", doc, cmd)
-	}
-	block := strings.Split(s[start:start+n], "\n")
-	first := strings.Count(s[:start], "\n") + 1
-	var want []string
-	for _, refined := range []bool{false, true} {
-		r, _, err := armnet.RunTheorem1(context.Background(), armnet.Theorem1Config{
-			Seed: 1, Instances: 20, Refined: refined, Perturb: true,
-		}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, r.String())
-	}
-	norm := func(line string) string { return strings.Join(strings.Fields(line), " ") }
-	for k := range max(len(block), len(want)) {
-		var got, w string
-		if k < len(block) {
-			got = block[k]
-		}
-		if k < len(want) {
-			w = want[k]
-		}
-		if norm(got) != norm(w) {
-			t.Errorf("%s:%d reads %q; the experiment prints %q", doc, first+k, got, w)
-		}
 	}
 }
 

@@ -878,7 +878,7 @@ func (pr *Protocol) sendUpdate(st step) {
 	if !explicit {
 		for i := range pc.hops {
 			ls, s := pc.row(i)
-			ls.setM(s, pc.hops[i].mu <= minMu+1e-9*(1+minMu))
+			ls.setM(s, pc.hops[i].mu <= minMu+float64(1e-9*(1+minMu)))
 		}
 	}
 	st.kind = commit

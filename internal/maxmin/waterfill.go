@@ -213,7 +213,7 @@ func WaterFill(p Problem) (allocation, error) {
 			if n == 0 {
 				continue
 			}
-			if remaining[li]/float64(n) > level+1e-15*(1+level) {
+			if remaining[li]/float64(n) > level+float64(1e-15*(1+level)) {
 				continue // not the bottleneck this round
 			}
 			for _, ci := range onLink(li) {

@@ -43,7 +43,7 @@ func (r *Rand) Exp(rate float64) float64 {
 
 // normal returns a normal draw with the given mean and standard deviation.
 func (r *Rand) normal(mean, stddev float64) float64 {
-	return r.src.NormFloat64()*stddev + mean
+	return float64(r.src.NormFloat64()*stddev) + mean
 }
 
 // TruncNormal returns a normal draw clamped to [lo, hi].
