@@ -26,9 +26,13 @@ fmt-check:
 ## carry the barrier too. So do internal/randx's normal draw (behind
 ## TruncNormal and the meeting-room walks) and internal/maxmin's two
 ## tolerances (WaterFill's bottleneck level and sendUpdate's bottleneck
-## test), whose outcomes reach the traces and the == oracles; ROADMAP
-## item 12 widens FMA_PKGS further.
-FMA_PKGS = ./internal/stats ./internal/admission ./internal/sched ./internal/randx ./internal/maxmin
+## test), whose outcomes reach the traces and the == oracles. So do the
+## packages the goldens read: internal/core's meeting reservations,
+## internal/profile's lounge classifier, internal/predict's cafeteria
+## forecast and internal/mobility's office-week start times (topology has
+## no fused site); ROADMAP item 12 widens FMA_PKGS further.
+FMA_PKGS = ./internal/stats ./internal/admission ./internal/sched ./internal/randx ./internal/maxmin \
+	./internal/core ./internal/topology ./internal/profile ./internal/predict ./internal/mobility
 fma-check:
 	@for arch in arm64 ppc64le; do \
 		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \

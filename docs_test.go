@@ -1196,3 +1196,129 @@ func TestNoFloatSumOverMapRange(t *testing.T) {
 		}
 	}
 }
+
+// goldenSections splits paperfigs' pinned `-exp all` output into its
+// `==== name ====` sections, each a list of lines.
+func goldenSections(t *testing.T) map[string][]string {
+	t.Helper()
+	raw, err := os.ReadFile("cmd/paperfigs/testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]string{}
+	var cur string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, ok := strings.CutPrefix(line, "==== "); ok {
+			cur = strings.TrimSuffix(name, " ====")
+			continue
+		}
+		if cur != "" && strings.TrimSpace(line) != "" {
+			out[cur] = append(out[cur], line)
+		}
+	}
+	return out
+}
+
+// goldenFigure returns the value in column col of the table row whose
+// first field is row, in the named section of all.golden. Columns are
+// counted from the right, as only a table's first column has spaces.
+func goldenFigure(t *testing.T, sections map[string][]string, section, row, col string) float64 {
+	t.Helper()
+	lines := sections[section]
+	var header []string
+	for _, line := range lines {
+		f := strings.Fields(line)
+		if header == nil && slices.Contains(f, col) {
+			header = f
+			continue
+		}
+		if header == nil || len(f) == 0 || f[0] != row {
+			continue
+		}
+		fromEnd := len(header) - slices.Index(header, col)
+		v, err := strconv.ParseFloat(f[len(f)-fromEnd], 64)
+		if err != nil {
+			t.Fatalf("all.golden %s: row %q column %s: %v", section, row, col, err)
+		}
+		return v
+	}
+	t.Fatalf("all.golden %s: no row %q under a %s column", section, row, col)
+	return 0
+}
+
+// goldenPairs reads a key=value line of the named section whose first
+// pair is first.
+func goldenPairs(t *testing.T, sections map[string][]string, section, first string) map[string]string {
+	t.Helper()
+	for _, line := range sections[section] {
+		f := strings.Fields(line)
+		if len(f) == 0 || f[0] != first {
+			continue
+		}
+		kv := map[string]string{}
+		for _, pair := range f {
+			k, v, _ := strings.Cut(pair, "=")
+			kv[k] = v
+		}
+		return kv
+	}
+	t.Fatalf("all.golden %s: no line starting %q", section, first)
+	return nil
+}
+
+// thousands formats n with comma separators, as the prose writes counts.
+func thousands(n int) string {
+	s := strconv.Itoa(n)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
+}
+
+// TestDocumentedFiguresMatchGolden holds the figures EXPERIMENTS.md quotes
+// outside its output blocks — the extension table's campus, bounds and
+// T_th rows and Theorem 1's message saving — to the paperfigs output
+// pinned in cmd/paperfigs/testdata/all.golden. Each figure is derived
+// from the golden and rendered as the prose writes it; the line the
+// anchor finds must contain that text, so a changed digit on either side
+// fails and names the line.
+func TestDocumentedFiguresMatchGolden(t *testing.T) {
+	g := goldenSections(t)
+	pct := func(x float64, decimals int) string { return strconv.FormatFloat(100*x, 'f', decimals, 64) + "%" }
+	figure := func(section, row, col string) float64 { return goldenFigure(t, g, section, row, col) }
+	plain := goldenPairs(t, g, "theorem1", "refined=false")["messages"]
+	refined := goldenPairs(t, g, "theorem1", "refined=true")["messages"]
+	before, err1 := strconv.Atoi(plain)
+	after, err2 := strconv.Atoi(refined)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("theorem1 message counts %q and %q", plain, refined)
+	}
+	claims := []struct{ anchor, want string }{
+		{"| Integrated campus mode comparison |", "predictive mode: " + pct(figure("campus", "predictive", "pred-share"), 0) +
+			" of handoffs on the fast (reserved) path"},
+		{"| Integrated campus mode comparison |", "brute force (" + pct(figure("campus", "brute-force", "pred-share"), 0) + " fast path)"},
+		{"| Loose vs rigid QoS bounds (§2.1) |", "loose bounds overcommit " + pct(figure("bounds", "loose", "overcommit-time"), 2) +
+			" of the time at " + pct(figure("bounds", "loose", "mean-utilization"), 1) + " utilization"},
+		{"| Loose vs rigid QoS bounds (§2.1) |", "rigid midpoint reservations overcommit " + pct(figure("bounds", "rigid", "overcommit-time"), 0) +
+			" of the time at " + pct(figure("bounds", "rigid", "mean-utilization"), 0)},
+		{"| T_th sensitivity |", "predicted-handoff share " + pct(figure("tth", "30", "pred-share"), 1) + " at T_th=30 s vs " +
+			pct(figure("tth", "900", "pred-share"), 1) + " at T_th=900 s"},
+		{"cuts control messages by", "cuts control messages by " + strconv.FormatFloat(100*(1-float64(after)/float64(before)), 'f', 1, 64) +
+			" % on these instances, " + thousands(before) + " → " + thousands(after)},
+	}
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	for _, c := range claims {
+		n := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, c.anchor) })
+		if n < 0 {
+			t.Errorf("EXPERIMENTS.md: no line holds %q; the figure %q has nowhere to live", c.anchor, c.want)
+			continue
+		}
+		if !strings.Contains(lines[n], c.want) {
+			t.Errorf("EXPERIMENTS.md:%d should read %q, as all.golden gives it:\n%s", n+1, c.want, lines[n])
+		}
+	}
+}

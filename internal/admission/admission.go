@@ -10,8 +10,9 @@ import (
 	"armnet/internal/topology"
 )
 
-// Kind distinguishes how a connection arrives at the admission test.
-type Kind int
+// Kind distinguishes how a connection arrives at the admission test. It
+// is a byte so that it and Discipline share Test's last word.
+type Kind uint8
 
 const (
 	// KindNew is a fresh connection request; it may not consume advance
@@ -42,17 +43,24 @@ func (k Kind) String() string {
 // Test bundles one admission attempt.
 type Test struct {
 	ConnID string
+	// Holder, when set, is ConnID's holder on the controller's ledger,
+	// held by the caller (Ledger.Hold): the commit books through it and
+	// does not look the ID up.
+	Holder *Holder
 	Req    qos.Request
 	Route  topology.Route
-	Kind   Kind
 	// Mobility selects the reverse-pass allocation rule: static
 	// portables get b_min + b_stamp, mobile ones b_min (Table 2).
 	Mobility qos.Mobility
 	// BStamp is the stamped rate the rate-allocation protocol attached
 	// to the forward pass (0 when no excess is on offer).
 	BStamp float64
+	Kind   Kind
 	// Discipline selects the buffer formula (WFQ by default).
 	Discipline sched.Discipline
+	// Kind and Discipline share one word, so a Test is 128 bytes: the
+	// compiler copies it with inline moves, and a closure captures it by
+	// value, where one word more would move it to the heap.
 }
 
 // lmax is the largest packet size on a path in bits: 1 KB packets,
@@ -155,6 +163,9 @@ func (c *Controller) admit(t Test) (Result, error) {
 	}
 	if t.ConnID == "" {
 		return Result{}, fmt.Errorf("%w: empty connection id", ErrValidation)
+	}
+	if h := t.Holder; h != nil && (h.lg != c.Ledger || h.id != t.ConnID) {
+		return Result{}, fmt.Errorf("%w: holder of %q is not %s's on this ledger", ErrValidation, h.id, t.ConnID)
 	}
 	if len(t.Route.Links) == 0 {
 		return Result{}, fmt.Errorf("%w: empty route", ErrValidation)
@@ -293,7 +304,10 @@ func (c *Controller) admit(t Test) (Result, error) {
 		}
 	}
 	// Commit: consume advance reservation for handoffs, then record.
-	h := c.Ledger.intern(t.ConnID)
+	h := t.Holder
+	if h == nil {
+		h = c.Ledger.intern(t.ConnID)
+	}
 	for hop, ls := range states {
 		if t.Kind == KindHandoff || t.Kind == KindPoolClaim {
 			take := bmin

@@ -84,6 +84,28 @@ func BenchmarkAdmitReleaseRCSP(b *testing.B) {
 	}
 }
 
+// BenchmarkAdmitReleaseHeld is BenchmarkAdmitReleaseWFQ through held
+// holders, the round trip a handoff makes: neither call looks the ID up,
+// and the release recycles nothing.
+func BenchmarkAdmitReleaseHeld(b *testing.B) {
+	ctl, route := benchRig(b)
+	req := benchReq()
+	ids := benchIDs()
+	held := make([]*Holder, len(ids))
+	for i, id := range ids {
+		held[i] = ctl.Ledger.Hold(id)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := held[i%64]
+		res, err := ctl.Admit(Test{ConnID: ids[i%64], Holder: h, Req: req, Route: route, Mobility: qos.Mobile})
+		if err != nil || !res.Admitted {
+			b.Fatalf("admit failed: %v %v", err, res.Reason)
+		}
+		h.Release(route)
+	}
+}
+
 func BenchmarkLedgerExcess(b *testing.B) {
 	ctl, route := benchRig(b)
 	req := benchReq()

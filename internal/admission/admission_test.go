@@ -215,7 +215,7 @@ func TestAdvanceReservationGatesNewButNotHandoff(t *testing.T) {
 	lg := NewLedger(b)
 	wireless := route.Links[2].ID
 	// Advance-reserve nearly everything on the wireless hop.
-	if err := lg.SetAdvance(wireless, 1.58e6); err != nil {
+	if err := lg.Link(wireless).SetAdvance(1.58e6); err != nil {
 		t.Fatal(err)
 	}
 	ctl := NewController(lg)
@@ -302,13 +302,13 @@ func TestSetCapacityAndAdvanceClamping(t *testing.T) {
 	if err := lg.SetCapacity("nope", 1); !errors.Is(err, ErrUnknownLink) {
 		t.Fatalf("unknown link error = %v", err)
 	}
-	if err := lg.SetAdvance(id, 1e9); err != nil {
+	if err := lg.Link(id).SetAdvance(1e9); err != nil {
 		t.Fatal(err)
 	}
 	if got := lg.Link(id).AdvanceReserved; got != 800e3 {
 		t.Fatalf("advance clamped to %v, want capacity", got)
 	}
-	if err := lg.SetAdvance(id, -1e9); err != nil {
+	if err := lg.Link(id).SetAdvance(-1e9); err != nil {
 		t.Fatal(err)
 	}
 	if got := lg.Link(id).AdvanceReserved; got != 0 {

@@ -66,15 +66,21 @@ type LinkState struct {
 
 // row is one connection's allocation on one link.
 type row struct {
-	h *holder
+	h *Holder
 	a Alloc
 }
 
-// holder is a connection ID interned by the ledger: the link and slot of
-// every row it owns. A holder whose last row goes is recycled for the next
-// ID, so nothing keeps a *holder across calls.
-type holder struct {
+// Holder is a connection ID the ledger interned: the link and slot of
+// every row it owns. A connection that keeps one (Hold) from its first
+// admission to its close hands it to Admit (Test.Holder) and Release, so
+// neither hashes the ID. A holder goes back to the ledger for another ID
+// only when nothing keeps it: every owner has dropped it and it owns no
+// row. The ID forms (Book, Release by name, Test without a Holder) find
+// the same holder by its ID, so a held connection may be named either way.
+type Holder struct {
+	lg     *Ledger
 	id     string
+	owners int // the Hold calls not yet dropped
 	refs   []rowRef
 	inline [6]rowRef // refs' first backing: a route of up to six hops
 }
@@ -86,7 +92,7 @@ type rowRef struct {
 }
 
 // ref returns the holder's ref to its row on ls, or nil.
-func (h *holder) ref(ls *LinkState) *rowRef {
+func (h *Holder) ref(ls *LinkState) *rowRef {
 	for k := range h.refs {
 		if h.refs[k].ls == ls {
 			return &h.refs[k]
@@ -207,7 +213,7 @@ func (a Alloc) finite() bool { return finite(a.Min) && finite(a.Cur) && finite(a
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // book overwrites the holder's row on this link or appends one.
-func (ls *LinkState) book(h *holder, a Alloc) {
+func (ls *LinkState) book(h *Holder, a Alloc) {
 	if r := h.ref(ls); r != nil {
 		old := &ls.rows[r.slot]
 		ls.tally(old.a, -1)
@@ -221,7 +227,7 @@ func (ls *LinkState) book(h *holder, a Alloc) {
 
 // release removes the holder's row from this link, if it has one. The
 // last row moves into the freed slot and its holder's ref is renumbered.
-func (ls *LinkState) release(h *holder) {
+func (ls *LinkState) release(h *Holder) {
 	r := h.ref(ls)
 	if r == nil {
 		return
@@ -246,6 +252,23 @@ func (ls *LinkState) tally(a Alloc, sign float64) {
 	ls.sumBuf.Add(sign * a.Buffer)
 }
 
+// SetAdvance sets the link's advance reservation outright, clamped to
+// [0, C_l]. A value that is not finite is refused: NaN would pass both
+// clamps and open the bandwidth row to everything.
+func (ls *LinkState) SetAdvance(v float64) error {
+	if !finite(v) {
+		return fmt.Errorf("admission: advance reservation on %s must be finite, got %v", ls.Link.ID, v)
+	}
+	if v < 0 {
+		v = 0
+	}
+	if v > ls.Capacity {
+		v = ls.Capacity
+	}
+	ls.AdvanceReserved = v
+	return nil
+}
+
 // Ledger tracks reservation state for every link of a backbone.
 type Ledger struct {
 	// links finds a link's state by ID at the string-keyed edge of the
@@ -255,11 +278,12 @@ type Ledger struct {
 	byIndex []*LinkState
 	// ordered is every link state in link-ID order.
 	ordered []*LinkState
-	// holders interns the connection IDs holding rows. free keeps the
-	// recycled holders and slab carves new ones, a batch at a time.
-	holders map[string]*holder
-	free    []*holder
-	slab    []holder
+	// holders interns the connection IDs that hold rows or are held by
+	// an owner. free keeps the recycled holders and slab carves new ones,
+	// a batch at a time.
+	holders map[string]*Holder
+	free    []*Holder
+	slab    []Holder
 }
 
 // Errors returned by the ledger.
@@ -274,7 +298,7 @@ func NewLedger(b *topology.Backbone) *Ledger {
 	lg := &Ledger{
 		links:   make(map[topology.LinkID]*LinkState, len(all)),
 		byIndex: make([]*LinkState, len(all)),
-		holders: make(map[string]*holder),
+		holders: make(map[string]*Holder),
 	}
 	for _, l := range all {
 		ls := newLinkState(lg, l)
@@ -298,23 +322,57 @@ func (lg *Ledger) state(l *topology.Link) *LinkState {
 }
 
 // intern returns the connection's holder, making one if it has none.
-func (lg *Ledger) intern(id string) *holder {
+func (lg *Ledger) intern(id string) *Holder {
 	if h := lg.holders[id]; h != nil {
 		return h
 	}
-	var h *holder
+	var h *Holder
 	if n := len(lg.free); n > 0 {
 		h, lg.free = lg.free[n-1], lg.free[:n-1]
 	} else {
 		if len(lg.slab) == 0 {
-			lg.slab = make([]holder, 32)
+			lg.slab = make([]Holder, 32)
 		}
 		h, lg.slab = &lg.slab[0], lg.slab[1:]
-		h.refs = h.inline[:0]
+		h.lg, h.refs = lg, h.inline[:0]
 	}
 	h.id = id
 	lg.holders[id] = h
 	return h
+}
+
+// Hold returns the connection's holder and makes the caller one of its
+// owners: the holder stays the ID's, rows or none, until the caller
+// drops it.
+func (lg *Ledger) Hold(id string) *Holder {
+	h := lg.intern(id)
+	h.owners++
+	return h
+}
+
+// ID returns the connection ID the holder is interned for.
+func (h *Holder) ID() string { return h.id }
+
+// Drop gives the caller's hold back. The caller must not use the holder
+// afterwards: once nothing keeps it, another ID may take it.
+func (h *Holder) Drop() {
+	if h.owners <= 0 {
+		panic("admission: Drop of a holder nobody holds")
+	}
+	h.owners--
+	h.settle()
+}
+
+// settle recycles the holder if nothing keeps it: no owner holds it and
+// it owns no row.
+func (h *Holder) settle() {
+	if h.owners > 0 || len(h.refs) > 0 {
+		return
+	}
+	lg := h.lg
+	delete(lg.holders, h.id)
+	h.id = ""
+	lg.free = append(lg.free, h)
 }
 
 // Link returns the ledger state of a link, or nil.
@@ -336,46 +394,23 @@ func (lg *Ledger) SetCapacity(id topology.LinkID, c float64) error {
 	return nil
 }
 
-// SetAdvance sets the advance reservation on a link outright, clamped to
-// [0, C_l]. A value that is not finite is refused: NaN would pass both
-// clamps and open the bandwidth row to everything.
-func (lg *Ledger) SetAdvance(id topology.LinkID, v float64) error {
-	ls, ok := lg.links[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownLink, id)
-	}
-	if !finite(v) {
-		return fmt.Errorf("admission: advance reservation on %s must be finite, got %v", id, v)
-	}
-	if v < 0 {
-		v = 0
-	}
-	if v > ls.Capacity {
-		v = ls.Capacity
-	}
-	ls.AdvanceReserved = v
-	return nil
-}
-
 // Release removes the named connection's allocation from every link of
 // the route. Missing allocations are ignored so release is idempotent; a
 // link of another backbone holds none.
 func (lg *Ledger) Release(connID string, route topology.Route) {
-	h := lg.holders[connID]
-	if h == nil {
-		return
+	if h := lg.holders[connID]; h != nil {
+		h.Release(route)
 	}
+}
+
+// Release is Ledger.Release by the held handle, with no lookup.
+func (h *Holder) Release(route topology.Route) {
 	for _, l := range route.Links {
-		if ls := lg.state(l); ls != nil {
+		if ls := h.lg.state(l); ls != nil {
 			ls.release(h)
 		}
 	}
-	// A holder left with no rows leaves the map for the free list.
-	if len(h.refs) == 0 {
-		delete(lg.holders, h.id)
-		h.id = ""
-		lg.free = append(lg.free, h)
-	}
+	h.settle()
 }
 
 // SetAllocation overwrites the current bandwidth of a connection on one

@@ -102,9 +102,11 @@ func (ref mapLedger) admit(t Test) (reason string, failed topology.LinkID, bandw
 // checkSlots holds the slot tables to their owners: every row's holder
 // is the one interned for its ID and places the row at its own slot,
 // every ref of an interned holder points at a row the holder owns, and
-// the interned holders are exactly the IDs holding a row — a holder that
-// lost its last row was recycled.
-func checkSlots(t *testing.T, at string, lg *Ledger) {
+// the interned holders are exactly the IDs holding a row or held by an
+// owner — a holder nothing keeps was recycled. held lists the holds the
+// test's owners took and have not dropped, by ID: each must still be the
+// ID's interned holder, with that many owners.
+func checkSlots(t *testing.T, at string, lg *Ledger, held map[string][]*Holder) {
 	t.Helper()
 	rows := 0
 	for _, ls := range lg.ordered {
@@ -117,8 +119,11 @@ func checkSlots(t *testing.T, at string, lg *Ledger) {
 	}
 	refs := 0
 	for id, h := range lg.holders {
-		if h.id != id || len(h.refs) == 0 {
-			t.Fatalf("%s: holder interned as %q names %q and holds %d rows", at, id, h.id, len(h.refs))
+		if h.id != id || (len(h.refs) == 0 && h.owners == 0) {
+			t.Fatalf("%s: holder interned as %q names %q and holds %d rows for %d owners", at, id, h.id, len(h.refs), h.owners)
+		}
+		if h.owners != len(held[id]) {
+			t.Fatalf("%s: holder of %q counts %d owners, %d hold it", at, id, h.owners, len(held[id]))
 		}
 		for _, ref := range h.refs {
 			if ref.slot >= len(ref.ls.rows) || ref.ls.rows[ref.slot].h != h {
@@ -130,6 +135,13 @@ func checkSlots(t *testing.T, at string, lg *Ledger) {
 	if refs != rows {
 		t.Fatalf("%s: holders place %d rows, the links hold %d", at, refs, rows)
 	}
+	for id, hs := range held {
+		for _, h := range hs {
+			if lg.holders[id] != h || h.id != id {
+				t.Fatalf("%s: a hold on %q lost its holder (now %q)", at, id, h.id)
+			}
+		}
+	}
 }
 
 // checkLedgerMatchesOracle drives a Ledger and the map reference through
@@ -137,7 +149,10 @@ func checkSlots(t *testing.T, at string, lg *Ledger) {
 // SetAdvance steps (and the capacity, pool and fault knobs the reads
 // depend on), steps that release an ID everywhere and book another so a
 // recycled holder takes the slots, and Admit / Release over a route of a
-// twin backbone whose link IDs are the same, which must be unknown. After
+// twin backbone whose link IDs are the same, which must be unknown. Owners
+// take and drop holds on IDs, and Admit and Release go through a held
+// holder half the time they can, so a held ID is released to no rows and
+// booked again while it keeps its holder. After
 // every step each link's Conns must list the reference's IDs in order,
 // every ID's allocation and every N_l must match, every sum and every
 // availability must be the same float as the reference's, bit for bit,
@@ -168,11 +183,19 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 		all := lg.Links()
 		return all[rng.Intn(len(all))]
 	}
+	held := map[string][]*Holder{}
+	// holder returns a hold on id half the time one is taken, else nil.
+	holder := func(id string) *Holder {
+		if hs := held[id]; len(hs) > 0 && rng.Bernoulli(0.5) {
+			return hs[rng.Intn(len(hs))]
+		}
+		return nil
+	}
 	for step := 0; step < steps; step++ {
 		id := universe[rng.Intn(len(universe))]
 		ls := anyLink()
 		m := ref[ls.Link.ID]
-		switch op := rng.Intn(12); op {
+		switch op := rng.Intn(14); op {
 		case 0, 1:
 			bmin := 8e3 + rng.Float64()*120e3
 			a := Alloc{Min: bmin, Cur: bmin * (1 + rng.Float64()), Buffer: rng.Float64() * 20e3}
@@ -192,6 +215,7 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 				Route:    route,
 				Kind:     Kind(rng.Intn(3)),
 				Mobility: qos.Mobile,
+				Holder:   holder(id),
 			}
 			if rng.Bernoulli(0.5) {
 				test.Mobility, test.BStamp = qos.Static, rng.Float64()*400e3
@@ -210,7 +234,11 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 			if rng.Bernoulli(0.4) {
 				r = topology.Route{Links: []*topology.Link{ls.Link}}
 			}
-			lg.Release(id, r)
+			if h := holder(id); h != nil {
+				h.Release(r)
+			} else {
+				lg.Release(id, r)
+			}
 			for _, l := range r.Links {
 				delete(ref[l.ID].allocs, id)
 			}
@@ -226,7 +254,7 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 			}
 		case 8:
 			v := (rng.Float64()*1.4 - 0.2) * m.capacity // below zero and above capacity too
-			if err := lg.SetAdvance(ls.Link.ID, v); err != nil {
+			if err := ls.SetAdvance(v); err != nil {
 				t.Fatal(err)
 			}
 			m.advance = min(max(v, 0), m.capacity)
@@ -261,6 +289,17 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 			})
 			if !errors.Is(err, ErrUnknownLink) || res.Admitted {
 				t.Fatalf("seed %d step %d: Admit over the twin's route = %+v, %v; want ErrUnknownLink", seed, step, res, err)
+			}
+		case 12: // an owner takes a hold
+			held[id] = append(held[id], lg.Hold(id))
+		case 13: // an owner drops one, if any is taken
+			if hs := held[id]; len(hs) > 0 {
+				k := rng.Intn(len(hs))
+				hs[k].Drop()
+				held[id] = slices.Delete(hs, k, k+1)
+				if len(held[id]) == 0 {
+					delete(held, id)
+				}
 			}
 		default:
 			switch rng.Intn(3) {
@@ -316,7 +355,7 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 				}
 			}
 		}
-		checkSlots(t, fmt.Sprintf("seed %d step %d", seed, step), lg)
+		checkSlots(t, fmt.Sprintf("seed %d step %d", seed, step), lg, held)
 	}
 }
 
@@ -388,12 +427,12 @@ func TestSetAdvanceRefusesNonFinite(t *testing.T) {
 	b, route := buildChain(t, 2, 10e6, 1e6)
 	lg := NewLedger(b)
 	last := route.Links[len(route.Links)-1].ID
-	if err := lg.SetAdvance(last, 0.1e6); err != nil {
+	if err := lg.Link(last).SetAdvance(0.1e6); err != nil {
 		t.Fatal(err)
 	}
 	ls := lg.Link(last)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := lg.SetAdvance(last, bad); err == nil {
+		if err := lg.Link(last).SetAdvance(bad); err == nil {
 			t.Errorf("SetAdvance(%v) accepted", bad)
 		}
 		if ls.AdvanceReserved != 0.1e6 || ls.ExcessAvailable() != 0.9e6 {
@@ -462,6 +501,51 @@ func TestRouteValidOnlyOnItsBackbone(t *testing.T) {
 			t.Fatalf("%s still holds %v after the release over its own route", ls.Link.ID, ls.Conns())
 		}
 	}
+}
+
+// TestHeldHolderOutlivesItsRows: a holder its owner keeps stays the ID's
+// through a Release to no rows, by handle or by name, and Admit books
+// through it again; only the owner's Drop recycles it. A holder that is
+// not the test's ID's on the controller's ledger is refused.
+func TestHeldHolderOutlivesItsRows(t *testing.T) {
+	b, route := buildChain(t, 2, 10e6, 1e6)
+	ctl := NewController(NewLedger(b))
+	lg := ctl.Ledger
+	h := lg.Hold("c")
+	test := Test{ConnID: "c", Holder: h, Req: benchReq(), Route: route, Mobility: qos.Mobile}
+	for round, release := range []func(){func() { h.Release(route) }, func() { lg.Release("c", route) }} {
+		if res, err := ctl.Admit(test); err != nil || !res.Admitted {
+			t.Fatalf("round %d: admit through the held holder: %+v, %v", round, res, err)
+		}
+		if got := lg.Link(route.Links[0].ID).Conns(); !slices.Equal(got, []string{"c"}) {
+			t.Fatalf("round %d: rows %v after the admit", round, got)
+		}
+		release()
+		if lg.holders["c"] != h || h.ID() != "c" || len(h.refs) != 0 {
+			t.Fatalf("round %d: the released holder left its ID: interned %p, held %p named %q", round, lg.holders["c"], h, h.ID())
+		}
+		if other := lg.Hold("d"); other == h {
+			t.Fatalf("round %d: a held holder was handed to another ID", round)
+		} else {
+			other.Drop()
+		}
+	}
+	for name, bad := range map[string]*Holder{"another ID's": lg.Hold("e"), "another ledger's": NewLedger(b).Hold("c")} {
+		test.Holder = bad
+		if res, err := ctl.Admit(test); !errors.Is(err, ErrValidation) || res.Admitted {
+			t.Fatalf("admit through %s holder = %+v, %v; want ErrValidation", name, res, err)
+		}
+	}
+	h.Drop()
+	if _, ok := lg.holders["c"]; ok || h.ID() != "" {
+		t.Fatal("a dropped holder with no rows stayed interned")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Drop did not panic")
+		}
+	}()
+	h.Drop()
 }
 
 // loadedRig is the bench rig with perLink booked connections on every

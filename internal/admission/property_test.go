@@ -135,7 +135,7 @@ func TestLedgerNeverOvercommits(t *testing.T) {
 				// Advance-reserve a random slice on a random link.
 				links := lg.Links()
 				ls := links[rng.Intn(len(links))]
-				if err := lg.SetAdvance(ls.Link.ID, ls.AdvanceReserved+(rng.Float64()-0.3)*wireless/2); err != nil {
+				if err := ls.SetAdvance(ls.AdvanceReserved + (rng.Float64()-0.3)*wireless/2); err != nil {
 					t.Fatal(err)
 				}
 				check("advance")

@@ -35,38 +35,53 @@ func profileHandoff(p *Portable, to topology.CellID, now float64) profile.Handof
 // tracks each source's amount so one source's update never clobbers
 // another's; the ledger sees the sum.
 
-// advanceBook is one link's advance reservations per source tag, with
-// their exact total (stats.Sum): the total feeds admission and excess
-// capacity, and a correctly rounded sum does not depend on the order the
-// sources came and went in.
+// advanceBook is one downlink's advance reservations, with their exact
+// total (stats.Sum): the total feeds admission and excess capacity, and a
+// correctly rounded sum does not depend on the order the sources came and
+// went in. The tagged sources (lounge policies, meeting calendars) keep
+// their amounts here; a portable keeps its own (Portable.advance).
 type advanceBook struct {
-	amounts map[string]float64
-	total   stats.Sum
+	tags  map[string]float64
+	total stats.Sum
 }
 
-func (m *Manager) bookSet(link topology.LinkID, source string, amount float64) {
-	if link == "" {
+// rebook moves one source's amount on the cell's downlink from old to
+// amount and hands the ledger the new total. Only positive amounts are
+// held, so a zero is an absent source.
+func (g *cellGeo) rebook(old, amount float64) {
+	if g.ls == nil {
 		return
 	}
-	bk := m.book[link]
-	if bk == nil {
+	if g.book == nil {
 		if amount <= 0 {
 			return
 		}
-		bk = &advanceBook{amounts: make(map[string]float64)}
-		m.book[link] = bk
+		g.book = &advanceBook{tags: make(map[string]float64)}
 	}
-	// Only positive amounts are held, so a zero old is an absent source.
-	if old := bk.amounts[source]; old > 0 {
-		bk.total.Add(-old)
+	if old > 0 {
+		g.book.total.Add(-old)
 	}
 	if amount > 0 {
-		bk.amounts[source] = amount
-		bk.total.Add(amount)
-	} else {
-		delete(bk.amounts, source)
+		g.book.total.Add(amount)
 	}
-	_ = m.ledger.SetAdvance(link, bk.total.Value())
+	_ = g.ls.SetAdvance(g.book.total.Value())
+}
+
+// bookTag sets a tagged source's amount on the cell's downlink.
+func (g *cellGeo) bookTag(tag string, amount float64) {
+	var old float64
+	if g.book != nil {
+		old = g.book.tags[tag]
+	}
+	g.rebook(old, amount)
+	if g.book == nil {
+		return
+	}
+	if amount > 0 {
+		g.book.tags[tag] = amount
+	} else {
+		delete(g.book.tags, tag)
+	}
 }
 
 // clearAdvance removes every per-portable advance reservation of p,
@@ -74,10 +89,11 @@ func (m *Manager) bookSet(link topology.LinkID, source string, amount float64) {
 // reservation is a withdrawn prediction; resolvePrediction must run
 // first when a handoff is being scored).
 func (m *Manager) clearAdvance(p *Portable) {
-	for cell := range p.reservedCells {
-		m.bookSet(m.downlink(cell), p.bookSource, 0)
-		delete(p.reservedCells, cell)
+	for _, g := range p.reserved {
+		g.rebook(p.advance, 0)
 	}
+	clear(p.reserved)
+	p.reserved = p.reserved[:0]
 	if m.lastPred != nil {
 		delete(m.lastPred, p.ID)
 	}
@@ -92,23 +108,24 @@ func (m *Manager) refreshAdvance(p *Portable) {
 		return
 	}
 	demand := 0.0
-	for _, id := range p.conns {
-		demand += m.conns[id].Req.Bandwidth.Min
+	for _, c := range p.conns {
+		demand += c.Req.Bandwidth.Min
 	}
 	if demand <= 0 {
 		return
 	}
-	place := func(cell topology.CellID) {
-		m.bookSet(m.downlink(cell), p.bookSource, demand)
-		p.reservedCells[cell] = demand
+	p.advance = demand
+	place := func(g *cellGeo) {
+		g.rebook(0, demand)
+		p.reserved = append(p.reserved, g)
 		eventbus.Pub(m.Bus, eventbus.AdvanceReservation{
-			Cell: string(cell), Portable: p.ID, Amount: demand,
+			Cell: string(g.cell.ID), Portable: p.ID, Amount: demand,
 		})
 	}
 	switch m.Cfg.Mode {
 	case ModeBruteForce:
-		for _, nid := range m.geo(p.Cell).neighbors {
-			place(nid)
+		for _, n := range p.at.neighbors {
+			place(n)
 		}
 	default: // ModePredictive
 		d := m.Pred.NextCell(p.ID, p.Prev, p.Cell)
@@ -116,7 +133,9 @@ func (m *Manager) refreshAdvance(p *Portable) {
 			m.notePrediction(p, d)
 		}
 		if d.Action == predict.ActionReserve {
-			place(d.Target)
+			if g := m.geo(d.Target); g != nil {
+				place(g)
+			}
 		}
 		// The default action is handled in aggregate by evaluatePolicies.
 	}
@@ -126,18 +145,18 @@ func (m *Manager) refreshAdvance(p *Portable) {
 
 // RegisterMeeting attaches a booking-calendar entry to a meeting room.
 func (m *Manager) RegisterMeeting(room topology.CellID, mt reserve.Meeting) error {
-	cell := m.Env.Universe.Cell(room)
-	if cell == nil {
+	g := m.geo(room)
+	if g == nil {
 		return fmt.Errorf("%w: %s", errUnknownCell, room)
 	}
-	if cell.Class != topology.ClassMeetingRoom {
-		return fmt.Errorf("core: cell %s is %s, not a meeting room", room, cell.Class)
+	if g.cell.Class != topology.ClassMeetingRoom {
+		return fmt.Errorf("core: cell %s is %s, not a meeting room", room, g.cell.Class)
 	}
 	pol, err := reserve.NewMeetingPolicy(mt)
 	if err != nil {
 		return err
 	}
-	m.meetings[room] = append(m.meetings[room], &meetingState{
+	g.meetings = append(g.meetings, &meetingState{
 		policy:  pol,
 		arrived: make(map[string]bool),
 		left:    make(map[string]bool),
@@ -145,8 +164,8 @@ func (m *Manager) RegisterMeeting(room topology.CellID, mt reserve.Meeting) erro
 	return nil
 }
 
-func (m *Manager) noteMeetingArrival(portable string, cell topology.CellID) {
-	for _, ms := range m.meetings[cell] {
+func (m *Manager) noteMeetingArrival(portable string, g *cellGeo) {
+	for _, ms := range g.meetings {
 		mt := ms.policy.Meeting
 		now := m.Sim.Now()
 		if now >= mt.Start-reserve.MeetingLeadIn && now < mt.End {
@@ -155,8 +174,8 @@ func (m *Manager) noteMeetingArrival(portable string, cell topology.CellID) {
 	}
 }
 
-func (m *Manager) noteMeetingDeparture(portable string, cell topology.CellID) {
-	for _, ms := range m.meetings[cell] {
+func (m *Manager) noteMeetingDeparture(portable string, g *cellGeo) {
+	for _, ms := range g.meetings {
 		if !ms.arrived[portable] {
 			continue
 		}
@@ -188,7 +207,7 @@ func (m *Manager) evaluatePolicies() {
 	for _, cell := range u.Cells() {
 		switch cell.Class {
 		case topology.ClassMeetingRoom:
-			m.evaluateMeetings(cell, now)
+			m.evaluateMeetings(m.cells[cell.Index], now)
 		case topology.ClassCafeteria:
 			srv := m.Pred.ServerFor(cell.ID)
 			if srv == nil {
@@ -199,7 +218,7 @@ func (m *Manager) evaluatePolicies() {
 				continue
 			}
 			plan := reserve.CafeteriaPlan(u, cp, ref, perUserBW)
-			m.applyLoungePlan(cell, plan)
+			m.applyLoungePlan(m.cells[cell.Index], plan)
 		case topology.ClassLoungeDefault:
 			srv := m.Pred.ServerFor(cell.ID)
 			if srv == nil {
@@ -213,30 +232,31 @@ func (m *Manager) evaluatePolicies() {
 			if hasDefault {
 				plan.Self = m.probabilisticSelf(cell)
 			}
-			m.applyLoungePlan(cell, plan)
+			m.applyLoungePlan(m.cells[cell.Index], plan)
 		}
 	}
 }
 
-func (m *Manager) evaluateMeetings(cell *topology.Cell, now float64) {
+func (m *Manager) evaluateMeetings(g *cellGeo, now float64) {
+	cell := g.cell
 	tag := "meeting:" + string(cell.ID)
 	roomTotal := 0.0
 	neighborTotal := 0.0
-	active := m.meetings[cell.ID][:0]
-	for _, ms := range m.meetings[cell.ID] {
-		roomTotal += float64(ms.policy.RoomSlots(now, len(ms.arrived))) * perUserBW
-		neighborTotal += float64(ms.policy.NeighborSlots(now, len(ms.arrived), len(ms.left))) * perUserBW
+	active := g.meetings[:0]
+	for _, ms := range g.meetings {
+		roomTotal += float64(float64(ms.policy.RoomSlots(now, len(ms.arrived))) * perUserBW)
+		neighborTotal += float64(float64(ms.policy.NeighborSlots(now, len(ms.arrived), len(ms.left))) * perUserBW)
 		if ms.policy.Active(now) {
 			active = append(active, ms)
 		}
 	}
-	m.meetings[cell.ID] = active
+	g.meetings = active
 	if total := roomTotal + neighborTotal; total > 0 {
 		eventbus.Pub(m.Bus, eventbus.PolicyReservation{
 			Cell: string(cell.ID), Source: tag, Amount: total,
 		})
 	}
-	m.bookSet(m.downlink(cell.ID), tag, roomTotal)
+	g.bookTag(tag, roomTotal)
 	// Split the departure reservation over the neighbors by the cell's
 	// handoff distribution.
 	srv := m.Pred.ServerFor(cell.ID)
@@ -245,30 +265,30 @@ func (m *Manager) evaluateMeetings(cell *topology.Cell, now float64) {
 		probs = srv.HandoffDistribution(cell.ID, "")
 	}
 	split := predict.SplitForecast(neighborTotal, probs, cell.Neighbors())
-	for _, nid := range cell.Neighbors() {
-		m.bookSet(m.downlink(nid), tag, split[nid])
+	for _, n := range g.neighbors {
+		n.bookTag(tag, split[n.cell.ID])
 	}
 }
 
-func (m *Manager) applyLoungePlan(cell *topology.Cell, plan reserve.LoungePlan) {
+func (m *Manager) applyLoungePlan(g *cellGeo, plan reserve.LoungePlan) {
+	cell := g.cell
 	tag := "policy:" + string(cell.ID)
 	// The published amount is summed over the ID-ordered neighbor list,
 	// never over the plan's map: a float sum in map order flips its last
 	// ulp from run to run (DESIGN.md §9).
-	nbrs := cell.Neighbors()
 	total := plan.Self
-	for _, nid := range nbrs {
-		total += plan.Neighbor[nid]
+	for _, n := range g.neighbors {
+		total += plan.Neighbor[n.cell.ID]
 	}
 	if total > 0 {
 		eventbus.Pub(m.Bus, eventbus.PolicyReservation{
 			Cell: string(cell.ID), Source: tag, Amount: total,
 		})
 	}
-	for _, nid := range nbrs {
-		m.bookSet(m.downlink(nid), tag, plan.Neighbor[nid])
+	for _, n := range g.neighbors {
+		n.bookTag(tag, plan.Neighbor[n.cell.ID])
 	}
-	m.bookSet(m.downlink(cell.ID), tag+":self", plan.Self)
+	g.bookTag(tag+":self", plan.Self)
 }
 
 // probabilisticSelf applies §6.3 in aggregate for a default lounge with
@@ -312,23 +332,20 @@ func (m *Manager) connsInCell(cell topology.CellID) int {
 // static portable's connection residing in its neighborhood. One walk of
 // the static index serves every target; a max does not depend on the
 // order it is taken in, so the walk is unordered.
-func (m *Manager) adjustPools(cells ...topology.CellID) {
+func (m *Manager) adjustPools(cells ...*cellGeo) {
 	clear(m.staticMax)
 	for p := range m.static {
-		for _, id := range p.conns {
-			if bw := m.conns[id].Bandwidth; bw > m.staticMax[p.Cell] {
-				m.staticMax[p.Cell] = bw
+		at := p.at.cell.Index
+		for _, c := range p.conns {
+			if bw := c.Bandwidth; bw > m.staticMax[at] {
+				m.staticMax[at] = bw
 			}
 		}
 	}
-	for _, cell := range cells {
-		g := m.geo(cell)
-		if g == nil {
-			continue
-		}
+	for _, g := range cells {
 		m.adjustPool(g)
-		for _, nid := range g.neighbors {
-			m.adjustPool(m.geo(nid))
+		for _, n := range g.neighbors {
+			m.adjustPool(n)
 		}
 	}
 }
@@ -336,8 +353,8 @@ func (m *Manager) adjustPools(cells ...topology.CellID) {
 // adjustPool sizes one cell's pool from the staticMax of its neighbors.
 func (m *Manager) adjustPool(g *cellGeo) {
 	maxAlloc := 0.0
-	for _, nid := range g.neighbors {
-		if bw := m.staticMax[nid]; bw > maxAlloc {
+	for _, n := range g.neighbors {
+		if bw := m.staticMax[n.cell.Index]; bw > maxAlloc {
 			maxAlloc = bw
 		}
 	}

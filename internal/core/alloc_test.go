@@ -55,10 +55,10 @@ func TestHandoffAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(500, handoff); got != 0 {
 		t.Fatalf("a steady-state handoff allocates %v objects, want 0", got)
 	}
-	// One leg ID per base station ever reached: the seven around cor-w2
-	// and cor-e1.
-	if ids := m.Connection(m.Portable("walker").conns[0]).legIDs; len(ids) != 7 {
-		t.Fatalf("the walker's connection holds %d leg IDs, want 7", len(ids))
+	// One leg holder per base station ever reached: the seven around
+	// cor-w2 and cor-e1.
+	if legs := m.Portable("walker").conns[0].legs; len(legs) != 7 {
+		t.Fatalf("the walker's connection holds %d leg holders, want 7", len(legs))
 	}
 }
 
@@ -72,9 +72,10 @@ func TestGeometryReadsAllocFree(t *testing.T) {
 	handoff()
 	m.becomeStatic(m.Portable("sitter-1"))
 	var sink topology.LinkID
+	w2, e1 := m.geo("cor-w2"), m.geo("cor-e1")
 	for name, read := range map[string]func(){
 		"downlink":    func() { sink = m.downlink("cor-e1") },
-		"adjustPools": func() { m.adjustPools("cor-w2", "cor-e1") },
+		"adjustPools": func() { m.adjustPools(w2, e1) },
 	} {
 		if got := testing.AllocsPerRun(1000, read); got != 0 {
 			t.Errorf("%s allocates %v/op, want 0", name, got)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"armnet/internal/admission"
 	"armnet/internal/eventbus"
@@ -41,7 +42,7 @@ func (m *Manager) beginOpen(portable string, req qos.Request) (c Connection, p *
 		}
 	}
 	host := m.Env.Hosts[m.Rng.Intn(len(m.Env.Hosts))]
-	route, err := m.Env.Backbone.ShortestPath(host, m.geo(p.Cell).air)
+	route, err := m.Env.Backbone.ShortestPath(host, p.at.air)
 	if err != nil {
 		return c, nil, false, err
 	}
@@ -60,22 +61,24 @@ func (c *Connection) admissionTest(p *Portable) admission.Test {
 }
 
 // commitOpen records an admitted connection, its Bandwidth set, and
-// unless it is best-effort registers it for adaptation, sets up its
-// multicast tree and refreshes the advance reservation and pools. It
-// returns the connection ID, or "" and the registration error.
+// unless it is best-effort takes its ledger holder, registers it for
+// adaptation, sets up its multicast tree and refreshes the advance
+// reservation and pools. It returns the connection ID, or "" and the
+// registration error.
 func (m *Manager) commitOpen(c Connection, p *Portable) (string, error) {
 	eventbus.Pub(m.Bus, eventbus.ConnectionAdmitted{Conn: c.ID, Portable: c.Portable, Bandwidth: c.Bandwidth, BestEffort: c.Req.BestEffort()})
 	m.conns[c.ID] = &c
-	p.conns.Insert(c.ID)
+	p.addConn(&c)
 	if c.Req.BestEffort() {
 		return c.ID, nil
 	}
+	c.h = m.ledger.Hold(c.ID)
 	if err := m.Adpt.Register(c.ID, c.Route, c.Req.Bandwidth, p.Mobility); err != nil {
 		return "", err
 	}
-	m.mc.setupMulticast(&c, p.Cell)
+	m.mc.setupMulticast(&c, p.at)
 	m.refreshAdvance(p)
-	m.adjustPools(p.Cell)
+	m.adjustPools(p.at)
 	return c.ID, nil
 }
 
@@ -112,13 +115,9 @@ func (m *Manager) CloseConnection(connID string) error {
 		return fmt.Errorf("%w: %s", errUnknownConn, connID)
 	}
 	eventbus.Pub(m.Bus, eventbus.ConnectionClosed{Conn: connID, Portable: c.Portable})
-	m.ledger.Release(connID, c.Route)
-	m.mc.releaseMulticast(c)
-	m.Adpt.Unregister(connID)
-	delete(m.conns, connID)
-	delete(m.rateWatchers, connID)
-	if p := m.portables[c.Portable]; p != nil {
-		p.conns.Remove(connID)
+	p := m.portables[c.Portable]
+	m.teardown(c, p)
+	if p != nil {
 		m.refreshAdvance(p)
 	}
 	return nil
@@ -129,17 +128,19 @@ func (m *Manager) CloseConnection(connID string) error {
 // where possible, leg by leg in the plan's order. Failure is never fatal
 // (§4: "the failure of the end-to-end test along any route will not cause
 // the forced termination of the connection").
-func (m *Manager) setupMulticast(c *Connection, cell topology.CellID) {
-	pl := m.plan(c.Host, cell)
-	if pl == nil || pl.tree == nil {
+func (m *Manager) setupMulticast(c *Connection, g *cellGeo) {
+	pl := m.plan(c.Host, g)
+	if pl.tree == nil {
 		return
 	}
 	c.Multicast, c.mcast = pl.tree, pl
 	// Reserve b_min on each branch with a best-effort admission test.
 	for i := range pl.legs {
 		leg := &pl.legs[i]
+		h := c.legHolder(m.ledger, leg)
 		_, _ = m.Adm.Admit(admission.Test{
-			ConnID:   c.legID(leg),
+			ConnID:   h.ID(),
+			Holder:   h,
 			Req:      c.Req,
 			Route:    leg.route,
 			Kind:     admission.KindNew,
@@ -155,7 +156,7 @@ func (m *Manager) releaseMulticast(c *Connection) {
 	}
 	for i := range c.mcast.legs {
 		leg := &c.mcast.legs[i]
-		m.ledger.Release(c.legID(leg), leg.route)
+		c.legHolder(m.ledger, leg).Release(leg.route)
 	}
 	c.Multicast, c.mcast = nil, nil
 }
@@ -180,7 +181,7 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 	}
 	from := p.Cell
 	// Was this move predicted (advance reservation waiting in `to`)?
-	_, predicted := p.reservedCells[to]
+	predicted := slices.Contains(p.reserved, toCell)
 	// Sudden movement of a static portable: unpredicted by definition,
 	// allowed to claim the pool.
 	kind := admission.KindHandoff
@@ -189,8 +190,9 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 		eventbus.Pub(m.Bus, eventbus.PoolClaim{Portable: id, From: string(from), To: string(to)})
 	}
 	// Update counters for meeting rooms.
-	m.noteMeetingDeparture(id, from)
-	m.noteMeetingArrival(id, to)
+	fromCell := p.at
+	m.noteMeetingDeparture(id, fromCell)
+	m.noteMeetingArrival(id, toCell)
 
 	// Report the handoff to the profile machinery before re-admission,
 	// mirroring the base station's update message.
@@ -205,10 +207,9 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 	m.clearAdvance(p)
 
 	m.handoffConns = append(m.handoffConns[:0], p.conns...)
-	for _, connID := range m.handoffConns {
-		c := m.conns[connID]
+	for _, c := range m.handoffConns {
 		eventbus.Pub(m.Bus, eventbus.HandoffAttempt{
-			Conn: connID, Portable: id,
+			Conn: c.ID, Portable: id,
 			From: string(from), To: string(to), Predicted: predicted,
 		})
 		newRoute, err := m.Env.Backbone.ShortestPath(c.Host, toCell.air)
@@ -221,14 +222,15 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 			// Best-effort connections carry no reservation: they follow
 			// the portable unconditionally.
 			c.Route = newRoute
-			eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: connID, Portable: id})
+			eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: c.ID, Portable: id})
 			continue
 		}
 		// Release the old path first (the portable has left the cell),
 		// then admit on the new one.
-		m.ledger.Release(connID, c.Route)
+		c.h.Release(c.Route)
 		test := admission.Test{
-			ConnID:   connID,
+			ConnID:   c.ID,
+			Holder:   c.h,
 			Req:      c.Req,
 			Route:    newRoute,
 			Kind:     kind,
@@ -248,22 +250,24 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 			m.dropConnection(c, p)
 			continue
 		}
-		eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: connID, Portable: id})
-		m.Adpt.Unregister(connID)
+		eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: c.ID, Portable: id})
+		m.Adpt.Unregister(c.ID)
 		m.mc.releaseMulticast(c)
 		c.Route = newRoute
 		c.Bandwidth = res.Bandwidth
-		_ = m.Adpt.Register(connID, newRoute, c.Req.Bandwidth, qos.Mobile)
-		m.mc.setupMulticast(c, to)
+		_ = m.Adpt.Register(c.ID, newRoute, c.Req.Bandwidth, qos.Mobile)
+		m.mc.setupMulticast(c, toCell)
 	}
+	clear(m.handoffConns)
 
 	p.Prev = from
 	p.Cell = to
+	p.at = toCell
 	p.arrivedAt = m.Sim.Now()
 	m.becomeMobile(p)
 	m.armStaticTimer(p)
 	m.refreshAdvance(p)
-	m.adjustPools(to, from)
+	m.adjustPools(toCell, fromCell)
 	return nil
 }
 
@@ -272,10 +276,5 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 // the HandoffOutcome event.
 func (m *Manager) dropConnection(c *Connection, p *Portable) {
 	eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: c.ID, Portable: p.ID, Dropped: true})
-	m.ledger.Release(c.ID, c.Route)
-	m.mc.releaseMulticast(c)
-	m.Adpt.Unregister(c.ID)
-	delete(m.conns, c.ID)
-	delete(m.rateWatchers, c.ID)
-	p.conns.Remove(c.ID)
+	m.teardown(c, p)
 }

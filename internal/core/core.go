@@ -11,6 +11,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -30,7 +31,6 @@ import (
 	"armnet/internal/randx"
 	"armnet/internal/reserve"
 	"armnet/internal/signal"
-	"armnet/internal/sortx"
 	"armnet/internal/strategy"
 	"armnet/internal/topology"
 )
@@ -136,20 +136,34 @@ type Portable struct {
 	// Mobility is the current static/mobile classification.
 	Mobility qos.Mobility
 
+	at          *cellGeo // Cell's record
 	arrivedAt   float64
 	staticTimer *des.Event
 	onStatic    func() // the static timer's callback, bound once
-	bookSource  string // "portable:"+ID, its tag in the advance book
 	// conns is kept in ID order: a handoff re-admits the portable's
 	// connections in it, and refreshAdvance sums their b_min in it.
-	conns sortx.IDs[string]
-	// reservedCells are the cells currently holding advance reservations
-	// for this portable.
-	reservedCells map[topology.CellID]float64
+	conns []*Connection
+	// reserved are the cells holding this portable's advance
+	// reservation, advance bits/s in each.
+	reserved []*cellGeo
+	advance  float64
 }
 
-// connIDs returns a copy of the portable's connection IDs, sorted.
-func (p *Portable) connIDs() []string { return slices.Clone(p.conns) }
+// connOrder orders connections by ID.
+func connOrder(c *Connection, id string) int { return cmp.Compare(c.ID, id) }
+
+// addConn inserts the connection at its place in ID order.
+func (p *Portable) addConn(c *Connection) {
+	i, _ := slices.BinarySearchFunc(p.conns, c.ID, connOrder)
+	p.conns = slices.Insert(p.conns, i, c)
+}
+
+// removeConn deletes the connection if the portable has it.
+func (p *Portable) removeConn(c *Connection) {
+	if i, ok := slices.BinarySearchFunc(p.conns, c.ID, connOrder); ok {
+		p.conns = slices.Delete(p.conns, i, i+1)
+	}
+}
 
 // Connection is one admitted end-to-end connection. Connections are
 // modeled downlink (wired host → portable), the direction that stresses
@@ -166,9 +180,36 @@ type Connection struct {
 	// stations (nil when setup failed — never fatal, per §4), shared
 	// read-only by the connections from one host in one cell.
 	Multicast *topology.MulticastTree
-	mcast     *mcastPlan        // the plan Multicast came from
-	legDsts   []topology.NodeID // leg destinations reached so far
-	legIDs    []string          // and their ledger IDs (legID)
+	mcast     *mcastPlan // the plan Multicast came from
+	// h is the connection's ledger holder and legs its multicast legs'
+	// (geometry.go), each kept from the first admission to the close;
+	// h is nil for a best-effort connection, which books nothing.
+	h    *admission.Holder
+	legs []connLeg
+}
+
+// teardown releases a connection's reservations on its route and its
+// multicast legs, drops it from the manager and its portable (p may be
+// nil), and gives its ledger holders back.
+func (m *Manager) teardown(c *Connection, p *Portable) {
+	if c.h != nil {
+		c.h.Release(c.Route)
+	}
+	m.mc.releaseMulticast(c)
+	m.Adpt.Unregister(c.ID)
+	delete(m.conns, c.ID)
+	delete(m.rateWatchers, c.ID)
+	if p != nil {
+		p.removeConn(c)
+	}
+	if c.h != nil {
+		c.h.Drop()
+		c.h = nil
+	}
+	for _, l := range c.legs {
+		l.h.Drop()
+	}
+	c.legs = nil
 }
 
 // Manager is the integrated resource manager.
@@ -200,10 +241,6 @@ type Manager struct {
 	portables map[string]*Portable
 	conns     map[string]*Connection
 	nextConn  int
-	// advance bookkeeping: per wireless link, per source tag, bits/s.
-	book map[topology.LinkID]*advanceBook
-	// meetings per room cell.
-	meetings map[topology.CellID][]*meetingState
 	// sigPlane is the lazily built signaling plane (SignalPlane).
 	sigPlane *signal.Plane
 	// rateWatchers holds per-connection bandwidth-change callbacks (the
@@ -217,18 +254,21 @@ type Manager struct {
 	lastPred map[string]predNote
 	// ledger is the shared reservation ledger every strategy books into.
 	ledger *admission.Ledger
-	// staticMax is adjustPools' scratch: per cell, the largest
+	// staticMax is adjustPools' scratch: per cell index, the largest
 	// allocation held by a static portable there.
-	staticMax map[topology.CellID]float64
+	staticMax []float64
 	static    map[*Portable]struct{} // the static portables (setMobility)
 	// handoffConns is HandoffPortable's copy of the portable's
-	// connection IDs, which its loop may drop from.
-	handoffConns []string
-	cells        map[topology.CellID]*cellGeo // geometry.go
+	// connections, which its loop may drop from.
+	handoffConns []*Connection
+	// cells holds every cell's record at its Index, and legKeys numbers
+	// the multicast leg destinations (geometry.go).
+	cells   []*cellGeo
+	legKeys map[topology.NodeID]int
 	// mc sets up and releases multicast legs: the Manager itself, from
 	// its plans, or the per-call reference in the lockstep oracle test.
 	mc interface {
-		setupMulticast(c *Connection, cell topology.CellID)
+		setupMulticast(c *Connection, g *cellGeo)
 		releaseMulticast(c *Connection)
 	}
 }
@@ -269,15 +309,13 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 		Met:          newMetrics(bus),
 		portables:    make(map[string]*Portable),
 		conns:        make(map[string]*Connection),
-		book:         make(map[topology.LinkID]*advanceBook),
-		meetings:     make(map[topology.CellID][]*meetingState),
 		rateWatchers: make(map[string]func(float64)),
-		staticMax:    make(map[topology.CellID]float64),
 		static:       make(map[*Portable]struct{}),
-		cells:        make(map[topology.CellID]*cellGeo),
+		legKeys:      make(map[topology.NodeID]int),
 		channels:     make(map[topology.CellID]*capacityProcess),
 	}
 	m.mc = m
+	m.buildCells()
 	adm, err := strategy.NewAdmitter(cfg.Admitter, lg, bus)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -334,9 +372,9 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 	}
 	// Initialize B_dyn pools at the floor fraction on every wireless
 	// downlink; the pool rule of §5.3 adjusts them as load appears.
-	for _, c := range env.Universe.Cells() {
-		if ls := lg.Link(m.downlink(c.ID)); ls != nil {
-			ls.PoolFraction = cfg.poolMin
+	for _, g := range m.cells {
+		if g.ls != nil {
+			g.ls.PoolFraction = cfg.poolMin
 		}
 	}
 	// Periodic lounge-policy evaluation.
@@ -391,22 +429,18 @@ func (m *Manager) WatchBandwidth(connID string, fn func(bandwidth float64)) erro
 // PlacePortable introduces a portable in a cell (initial placement, not a
 // handoff). The portable starts mobile; the static timer is armed.
 func (m *Manager) PlacePortable(id string, cell topology.CellID) error {
-	if m.geo(cell) == nil {
+	g := m.geo(cell)
+	if g == nil {
 		return fmt.Errorf("%w: %s", errUnknownCell, cell)
 	}
 	if _, ok := m.portables[id]; ok {
 		return fmt.Errorf("core: portable %s already placed", id)
 	}
-	p := &Portable{
-		ID: id, Cell: cell, Mobility: qos.Mobile,
-		arrivedAt:     m.Sim.Now(),
-		bookSource:    "portable:" + id,
-		reservedCells: make(map[topology.CellID]float64),
-	}
+	p := &Portable{ID: id, Cell: cell, Mobility: qos.Mobile, at: g, arrivedAt: m.Sim.Now()}
 	p.onStatic = func() { p.staticTimer = nil; m.becomeStatic(p) }
 	m.portables[id] = p
 	m.armStaticTimer(p)
-	m.noteMeetingArrival(p.ID, cell)
+	m.noteMeetingArrival(p.ID, g)
 	return nil
 }
 
@@ -416,8 +450,8 @@ func (m *Manager) RemovePortable(id string) {
 	if !ok {
 		return
 	}
-	for _, cid := range p.connIDs() {
-		_ = m.CloseConnection(cid)
+	for _, c := range slices.Clone(p.conns) {
+		_ = m.CloseConnection(c.ID)
 	}
 	m.clearAdvance(p)
 	if p.staticTimer != nil {
@@ -453,10 +487,10 @@ func (m *Manager) becomeStatic(p *Portable) {
 	m.clearAdvance(p)
 	// Sorted: SetMobility(Static) kicks adaptation sessions, and the
 	// session start order is observable in the event trace.
-	for _, cid := range p.connIDs() {
-		_ = m.Adpt.SetMobility(cid, qos.Static)
+	for _, c := range slices.Clone(p.conns) {
+		_ = m.Adpt.SetMobility(c.ID, qos.Static)
 	}
-	m.adjustPools(p.Cell)
+	m.adjustPools(p.at)
 }
 
 // becomeMobile applies the mobile rules on movement.
@@ -465,7 +499,7 @@ func (m *Manager) becomeMobile(p *Portable) {
 		return
 	}
 	m.setMobility(p, qos.Mobile)
-	for _, cid := range p.connIDs() {
-		_ = m.Adpt.SetMobility(cid, qos.Mobile)
+	for _, c := range slices.Clone(p.conns) {
+		_ = m.Adpt.SetMobility(c.ID, qos.Mobile)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"armnet/internal/des"
@@ -123,8 +124,8 @@ func TestMobilePortableGetsAdvanceReservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := m.Portable("dave")
-	if _, ok := p.reservedCells["off-3"]; !ok {
-		t.Fatalf("no advance reservation in off-3: %v", p.reservedCells)
+	if !slices.Contains(p.reserved, m.geo("off-3")) || p.advance != 16e3 {
+		t.Fatalf("no 16k advance reservation in off-3: %d cells at %v", len(p.reserved), p.advance)
 	}
 	if got := m.Ledger().Link(m.downlink("off-3")).AdvanceReserved; got != 16e3 {
 		t.Fatalf("advance on off-3 = %v, want 16k", got)
@@ -141,8 +142,8 @@ func TestBruteForceReservesEverywhere(t *testing.T) {
 	}
 	p := m.Portable("x")
 	neighbors := m.Env.Universe.Cell("cor-e1").Neighbors()
-	if len(p.reservedCells) != len(neighbors) {
-		t.Fatalf("brute force reserved in %d cells, want %d", len(p.reservedCells), len(neighbors))
+	if len(p.reserved) != len(neighbors) {
+		t.Fatalf("brute force reserved in %d cells, want %d", len(p.reserved), len(neighbors))
 	}
 }
 
@@ -154,7 +155,7 @@ func TestModeNoneReservesNothing(t *testing.T) {
 	if _, err := m.OpenConnection("x", req(16e3, 64e3)); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(m.Portable("x").reservedCells); n != 0 {
+	if n := len(m.Portable("x").reserved); n != 0 {
 		t.Fatalf("mode none reserved in %d cells", n)
 	}
 }
@@ -177,8 +178,8 @@ func TestStaticTimerFlipsAndClearsReservations(t *testing.T) {
 	if p.Mobility != qos.Static {
 		t.Fatal("portable did not become static after T_th")
 	}
-	if len(p.reservedCells) != 0 {
-		t.Fatalf("static portable still holds advance reservations: %v", p.reservedCells)
+	if len(p.reserved) != 0 {
+		t.Fatalf("static portable still holds advance reservations in %d cells", len(p.reserved))
 	}
 	if got := m.Ledger().Link(m.downlink("off-3")).AdvanceReserved; got != 0 {
 		t.Fatalf("advance reservation not released: %v", got)
@@ -422,7 +423,7 @@ func TestPoolAdjustsWithStaticNeighbors(t *testing.T) {
 	}
 	// alice is static in off-1; neighbor cor-w1's pool must cover her
 	// allocation (>= 200k/1.6M = 12.5%, above the 5% floor).
-	m.adjustPools("off-1")
+	m.adjustPools(m.geo("off-1"))
 	frac := m.Ledger().Link(m.downlink("cor-w1")).PoolFraction
 	if frac < 0.125-1e-9 {
 		t.Fatalf("pool fraction = %v, want >= 12.5%%", frac)

@@ -29,10 +29,15 @@ func (m *Manager) Renegotiate(connID string, bounds qos.Bounds) error {
 	newReq := c.Req
 	newReq.Bandwidth = bounds
 	// Release, then attempt admission with the new bounds; roll back on
-	// failure.
-	m.ledger.Release(connID, c.Route)
+	// failure. A best-effort connection books from here on, so it takes
+	// the ledger holder commitOpen did not give it.
+	if c.h == nil {
+		c.h = m.ledger.Hold(connID)
+	}
+	c.h.Release(c.Route)
 	res, err := m.Adm.Admit(admission.Test{
 		ConnID:   connID,
+		Holder:   c.h,
 		Req:      newReq,
 		Route:    c.Route,
 		Kind:     admission.KindNew,
@@ -42,6 +47,7 @@ func (m *Manager) Renegotiate(connID string, bounds qos.Bounds) error {
 		// Restore the previous reservation.
 		restored, rerr := m.Adm.Admit(admission.Test{
 			ConnID:   connID,
+			Holder:   c.h,
 			Req:      c.Req,
 			Route:    c.Route,
 			Kind:     admission.KindNew,

@@ -449,7 +449,7 @@ func TestLoungePlanAmountIsOrderStable(t *testing.T) {
 		for i, nid := range nbrs {
 			plan.Neighbor[nid] = amounts[i]
 		}
-		m.applyLoungePlan(cell, plan)
+		m.applyLoungePlan(m.geo(cell.ID), plan)
 	}
 	if len(got) != rounds {
 		t.Fatalf("published %d policy reservations, want %d", len(got), rounds)
@@ -479,14 +479,14 @@ func TestRefreshAdvanceDemandIsOrderStable(t *testing.T) {
 		}
 	}
 	p := m.Portable("dave")
-	ids := p.connIDs()
-	if len(ids) != 3 {
-		t.Fatalf("dave holds %d connections, want 3", len(ids))
+	conns := p.conns
+	if len(conns) != 3 {
+		t.Fatalf("dave holds %d connections, want 3", len(conns))
 	}
 	want, reversed := 0.0, 0.0
-	for i := range ids {
-		want += m.Connection(ids[i]).Req.Bandwidth.Min
-		reversed += m.Connection(ids[len(ids)-1-i]).Req.Bandwidth.Min
+	for i := range conns {
+		want += conns[i].Req.Bandwidth.Min
+		reversed += conns[len(conns)-1-i].Req.Bandwidth.Min
 	}
 	if want == reversed {
 		t.Fatal("minima are not order-sensitive; the test would prove nothing")

@@ -1,40 +1,53 @@
 package core
 
 import (
-	"slices"
-
 	"armnet/internal/admission"
 	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
-// cellGeo is one cell as the handoff path reads it, built on first use and
-// kept with its multicast plans: the building is fixed (DESIGN.md §3).
+// cellGeo is one cell as the handoff path reads it, built for every cell
+// with the manager and kept with its multicast plans, advance book and
+// meetings: the building is fixed (DESIGN.md §3). Manager.cells holds it
+// at the cell's Index, and a portable holds its current cell's record, so
+// the path reaches a cell by pointer, not by name.
 type cellGeo struct {
 	cell      *topology.Cell
-	neighbors []topology.CellID // cloned once
+	neighbors []*cellGeo // in the cell's neighbour (ID) order
 	air       topology.NodeID
 	downlink  topology.LinkID                // "" when the cell has none
 	ls        *admission.LinkState           // the downlink's ledger row, or nil
 	plans     map[topology.NodeID]*mcastPlan // by host
+	book      *advanceBook                   // nil until a source first reserves here
+	meetings  []*meetingState                // a meeting room's calendar entries
 }
 
-// geo returns the cell's record, or nil for an unknown cell.
+// buildCells makes every cell's record, indexed by Cell.Index.
+func (m *Manager) buildCells() {
+	cells := m.Env.Universe.Cells()
+	m.cells = make([]*cellGeo, len(cells))
+	for _, c := range cells {
+		g := &cellGeo{cell: c, air: topology.AirNode(c.ID), plans: map[topology.NodeID]*mcastPlan{}}
+		if l := m.Env.Backbone.Link(c.BaseStation, g.air); l != nil {
+			g.downlink, g.ls = l.ID, m.ledger.Link(l.ID)
+		}
+		m.cells[c.Index] = g
+	}
+	for _, g := range m.cells {
+		for _, nid := range g.cell.Neighbors() {
+			g.neighbors = append(g.neighbors, m.geo(nid))
+		}
+	}
+	m.staticMax = make([]float64, len(cells))
+}
+
+// geo returns the cell's record, or nil for an unknown cell: the one
+// place a cell is found by name.
 func (m *Manager) geo(id topology.CellID) *cellGeo {
-	if g, ok := m.cells[id]; ok {
-		return g
+	if c := m.Env.Universe.Cell(id); c != nil {
+		return m.cells[c.Index]
 	}
-	c := m.Env.Universe.Cell(id)
-	if c == nil {
-		return nil
-	}
-	g := &cellGeo{cell: c, neighbors: c.Neighbors(), air: topology.AirNode(id),
-		plans: map[topology.NodeID]*mcastPlan{}}
-	if l := m.Env.Backbone.Link(c.BaseStation, g.air); l != nil {
-		g.downlink, g.ls = l.ID, m.ledger.Link(l.ID)
-	}
-	m.cells[id] = g
-	return g
+	return nil
 }
 
 // downlink returns the wireless downlink (bs → air) of a cell.
@@ -53,32 +66,35 @@ type mcastPlan struct {
 	legs []mcastLeg
 }
 
-// mcastLeg is one branch; its ledger ID is the connection's ID + suffix.
+// mcastLeg is one branch; its ledger ID is the connection's ID + suffix,
+// and key numbers its destination densely across the manager's plans.
 type mcastLeg struct {
 	dst    topology.NodeID
 	route  topology.Route
 	suffix string
+	key    int
 }
 
-// plan returns host's multicast plan for a portable in cell (nil if unknown).
-func (m *Manager) plan(host topology.NodeID, cell topology.CellID) *mcastPlan {
-	g := m.geo(cell)
-	if g == nil {
-		return nil
-	}
+// plan returns host's multicast plan for a portable in the cell.
+func (m *Manager) plan(host topology.NodeID, g *cellGeo) *mcastPlan {
 	if pl := g.plans[host]; pl != nil {
 		return pl
 	}
 	pl := &mcastPlan{}
 	dsts := make([]topology.NodeID, len(g.neighbors))
-	for i, nid := range g.neighbors {
-		dsts[i] = m.geo(nid).cell.BaseStation
+	for i, n := range g.neighbors {
+		dsts[i] = n.cell.BaseStation
 	}
 	if tree, err := m.Env.Backbone.Multicast(host, dsts); err == nil {
 		pl.tree = &tree
 		for _, dst := range sortx.Keys(tree.Branches) {
 			if r := tree.Branches[dst]; len(r.Links) > 0 {
-				pl.legs = append(pl.legs, mcastLeg{dst, r, "@mc:" + string(dst)})
+				key, ok := m.legKeys[dst]
+				if !ok {
+					key = len(m.legKeys)
+					m.legKeys[dst] = key
+				}
+				pl.legs = append(pl.legs, mcastLeg{dst, r, "@mc:" + string(dst), key})
 			}
 		}
 	}
@@ -86,13 +102,23 @@ func (m *Manager) plan(host topology.NodeID, cell topology.CellID) *mcastPlan {
 	return pl
 }
 
-// legID returns the connection's ledger ID for the leg, concatenated
-// the first time the connection reaches the leg's destination.
-func (c *Connection) legID(leg *mcastLeg) string {
-	if i := slices.Index(c.legDsts, leg.dst); i >= 0 {
-		return c.legIDs[i]
+// connLeg is a leg destination the connection has reached, with the
+// ledger holder its leg ID keeps until the connection closes.
+type connLeg struct {
+	key int
+	h   *admission.Holder
+}
+
+// legHolder returns the connection's ledger holder for the leg, taking
+// it (and concatenating the leg's ID) the first time the connection
+// reaches the leg's destination.
+func (c *Connection) legHolder(lg *admission.Ledger, leg *mcastLeg) *admission.Holder {
+	for _, l := range c.legs {
+		if l.key == leg.key {
+			return l.h
+		}
 	}
-	c.legDsts = append(c.legDsts, leg.dst)
-	c.legIDs = append(c.legIDs, c.ID+leg.suffix)
-	return c.legIDs[len(c.legIDs)-1]
+	h := lg.Hold(c.ID + leg.suffix)
+	c.legs = append(c.legs, connLeg{leg.key, h})
+	return h
 }

@@ -26,13 +26,10 @@ type refMulticast struct {
 	mapOrder bool
 }
 
-func (r refMulticast) setupMulticast(c *Connection, cell topology.CellID) {
+func (r refMulticast) setupMulticast(c *Connection, g *cellGeo) {
 	m := r.m
 	u := m.Env.Universe
-	cc := u.Cell(cell)
-	if cc == nil {
-		return
-	}
+	cc := u.Cell(g.cell.ID)
 	var dsts []topology.NodeID
 	for _, nid := range cc.Neighbors() {
 		dsts = append(dsts, u.Cell(nid).BaseStation)
@@ -103,7 +100,7 @@ func TestMulticastPlanMatchesFreshTree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl := m.plan(host, cell.ID)
+				pl := m.plan(host, m.geo(cell.ID))
 				if pl.tree == nil || pl.tree.Source != host || !slices.Equal(pl.tree.Links, fresh.Links) {
 					t.Fatalf("%s %s→%s: plan tree %+v, fresh %+v", name, host, cell.ID, pl.tree, fresh)
 				}
@@ -119,34 +116,51 @@ func TestMulticastPlanMatchesFreshTree(t *testing.T) {
 				eq := func(a, b mcastLeg) bool {
 					return a.dst == b.dst && a.suffix == b.suffix && slices.Equal(a.route.Links, b.route.Links)
 				}
+				for _, leg := range pl.legs {
+					if k, ok := m.legKeys[leg.dst]; !ok || k != leg.key {
+						t.Fatalf("%s %s→%s: leg to %s keyed %d, the manager numbers it %d", name, host, cell.ID, leg.dst, leg.key, k)
+					}
+				}
 				if !slices.EqualFunc(pl.legs, want, eq) {
 					t.Fatalf("%s %s→%s: plan legs %v, fresh sorted branches %v", name, host, cell.ID, pl.legs, want)
 				}
-				if again := m.plan(host, cell.ID); again != pl {
+				if again := m.plan(host, m.geo(cell.ID)); again != pl {
 					t.Fatalf("%s %s→%s: plan rebuilt on the second call", name, host, cell.ID)
 				}
 			}
 		}
-		if m.plan(env.Hosts[0], "nowhere") != nil {
-			t.Fatalf("%s: an unknown cell has a plan", name)
+		if len(m.legKeys) != len(env.Universe.Cells()) {
+			t.Fatalf("%s: %d leg keys for %d base stations", name, len(m.legKeys), len(env.Universe.Cells()))
 		}
 	}
 }
 
-// TestCellRecordsMatchUniverse checks each memoised cell record against
-// what the universe and the backbone answer fresh.
+// TestCellRecordsMatchUniverse checks each cell record against what the
+// universe and the backbone answer fresh: the record at a cell's Index is
+// that cell's, and its neighbours are the records of the cell's
+// neighbours, in order.
 func TestCellRecordsMatchUniverse(t *testing.T) {
 	_, m := newCampus(t, Config{})
-	for _, c := range m.Env.Universe.Cells() {
+	cells := m.Env.Universe.Cells()
+	if len(m.cells) != len(cells) {
+		t.Fatalf("%d records for %d cells", len(m.cells), len(cells))
+	}
+	for _, c := range cells {
 		g := m.geo(c.ID)
 		air := topology.AirNode(c.ID)
 		l := m.Env.Backbone.Link(c.BaseStation, air)
-		if g.cell != c || !slices.Equal(g.neighbors, c.Neighbors()) || g.air != air ||
-			g.downlink != l.ID || g.ls != m.ledger.Link(l.ID) {
-			t.Fatalf("record of %s = %+v", c.ID, g)
+		if g != m.cells[c.Index] || g.cell != c || g.air != air || g.downlink != l.ID || g.ls != m.ledger.Link(l.ID) {
+			t.Fatalf("record of %s (index %d) = %+v", c.ID, c.Index, g)
 		}
-		if m.geo(c.ID) != g {
-			t.Fatalf("record of %s rebuilt on the second call", c.ID)
+		ids := make([]topology.CellID, len(g.neighbors))
+		for i, n := range g.neighbors {
+			if n != m.geo(n.cell.ID) {
+				t.Fatalf("%s's neighbour %s is not its cell's record", c.ID, n.cell.ID)
+			}
+			ids[i] = n.cell.ID
+		}
+		if !slices.Equal(ids, c.Neighbors()) {
+			t.Fatalf("%s's neighbour records %v, the universe's %v", c.ID, ids, c.Neighbors())
 		}
 	}
 	if m.geo("nowhere") != nil || m.downlink("nowhere") != "" {
@@ -206,7 +220,7 @@ func multicastDivergence(t *testing.T, seed int64, steps int, mapOrder bool) (ms
 			_, eb = b.OpenConnection(p, req(bmin, 4*bmin))
 		case op < 15:
 			p := a.portables[portables[rng.Intn(len(portables))]]
-			nbrs := a.geo(p.Cell).neighbors
+			nbrs := a.Env.Universe.Cell(p.Cell).Neighbors()
 			to := nbrs[rng.Intn(len(nbrs))]
 			ea, eb = a.HandoffPortable(p.ID, to), b.HandoffPortable(p.ID, to)
 		case op < 18:
@@ -234,6 +248,11 @@ func multicastDivergence(t *testing.T, seed int64, steps int, mapOrder bool) (ms
 		}
 		if d := ledgerDiff(a.ledger, b.ledger); d != "" {
 			return fmt.Sprintf("step %d: %s", step, d), refused
+		}
+		for _, id := range portables {
+			if p := a.portables[id]; p != nil && p.at != a.geo(p.Cell) {
+				return fmt.Sprintf("step %d: %s in %s holds the record of %s", step, id, p.Cell, p.at.cell.ID), refused
+			}
 		}
 		for i := range max(len(*logA), len(*logB)) {
 			if i >= len(*logA) || i >= len(*logB) || (*logA)[i] != (*logB)[i] {

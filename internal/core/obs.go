@@ -38,7 +38,7 @@ func (m *Manager) cellUtilization() []obs.CellUtil {
 	cells := m.Env.Universe.Cells()
 	out := make([]obs.CellUtil, 0, len(cells))
 	for _, c := range cells {
-		ls := m.ledger.Link(m.downlink(c.ID))
+		ls := m.cells[c.Index].ls
 		if ls == nil || ls.Capacity <= 0 {
 			continue
 		}
@@ -53,10 +53,7 @@ func (m *Manager) cellUtilization() []obs.CellUtil {
 // notePrediction records the decision refreshAdvance just made so the
 // next handoff can be scored against it.
 func (m *Manager) notePrediction(p *Portable, d predict.Decision) {
-	note := predNote{}
-	if g := m.geo(p.Cell); g != nil {
-		note.class = g.cell.Class.String()
-	}
+	note := predNote{class: p.at.cell.Class.String()}
 	switch d.Action {
 	case predict.ActionReserve:
 		note.target = string(d.Target)

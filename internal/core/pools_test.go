@@ -33,8 +33,8 @@ func (m *Manager) adjustPoolsPerCellScan(cell topology.CellID) {
 				if p.Mobility != qos.Static {
 					continue
 				}
-				for _, id := range p.conns {
-					if bw := m.conns[id].Bandwidth; bw > maxAlloc {
+				for _, c := range p.conns {
+					if bw := c.Bandwidth; bw > maxAlloc {
 						maxAlloc = bw
 					}
 				}
@@ -94,10 +94,11 @@ func TestAdjustPoolsMatchesPerCellScan(t *testing.T) {
 				}
 				for j, k := 0, rng.Intn(4); j < k; j++ {
 					cid := fmt.Sprintf("%s-c%d", id, j)
-					p.conns.Insert(cid)
 					// Up to 30% of a cell: both clamps of [poolMin, poolMax] and
 					// the range between are reached.
-					m.conns[cid] = &Connection{ID: cid, Portable: id, Bandwidth: rng.Float64() * 480e3}
+					c := &Connection{ID: cid, Portable: id, Bandwidth: rng.Float64() * 480e3}
+					p.addConn(c)
+					m.conns[cid] = c
 				}
 			}
 			for i, n := 0, 1+rng.Intn(60); i < n; i++ {
@@ -145,7 +146,7 @@ func TestAdjustPoolsMatchesPerCellScan(t *testing.T) {
 					m.adjustPoolsPerCellScan(to.ID)
 					m.adjustPoolsPerCellScan(from)
 				})
-				got := fractions(func() { m.adjustPools(to.ID, from) })
+				got := fractions(func() { m.adjustPools(m.geo(to.ID), m.geo(from)) })
 				for id, w := range want {
 					if got[id] != w {
 						t.Fatalf("%s seed %d: adjustPools(%s, %s) left PoolFraction %v on %s, per-cell scan %v",

@@ -167,7 +167,8 @@ func (a *refRate) RemoveConn(id string) {
 	}
 	for _, name := range c.path {
 		l := a.links[name]
-		if i, ok := l.ids.Remove(id); ok {
+		if i, ok := l.ids.Find(id); ok {
+			l.ids = slices.Delete(l.ids, i, i+1)
 			l.recorded = slices.Delete(l.recorded, i, i+1)
 		}
 	}

@@ -17,7 +17,7 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"armnet/internal/des"
 	"armnet/internal/randx"
@@ -39,9 +39,18 @@ type Trace struct {
 }
 
 // sort orders the trace by time (stable, so simultaneous moves keep
-// generation order).
+// generation order). The comparison is a.Time < b.Time and nothing else:
+// two moves neither precedes stay in generation order.
 func (t *Trace) sort() {
-	sort.SliceStable(t.Moves, func(i, j int) bool { return t.Moves[i].Time < t.Moves[j].Time })
+	slices.SortStableFunc(t.Moves, func(a, b Move) int {
+		switch {
+		case a.Time < b.Time:
+			return -1
+		case b.Time < a.Time:
+			return 1
+		}
+		return 0
+	})
 }
 
 // Append adds a move.

@@ -1,7 +1,9 @@
 package mobility
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,6 +13,33 @@ import (
 	"armnet/internal/randx"
 	"armnet/internal/topology"
 )
+
+// TestTraceSortMatchesReflectiveStable holds Trace.sort to the
+// reflective stable sort it replaced, sort.SliceStable with a.Time <
+// b.Time, on traces thick with ties (and with −0, ±Inf and NaN times,
+// which < leaves unordered): every move must land where the reference
+// puts it, so every trace stays byte-identical.
+func TestTraceSortMatchesReflectiveStable(t *testing.T) {
+	times := []float64{0, math.Copysign(0, -1), 1, 1.5, 2, 30, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := randx.New(7)
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(120)
+		pool := times[:3+rng.Intn(len(times)-2)]
+		moves := make([]Move, n)
+		for i := range moves {
+			moves[i] = Move{Portable: fmt.Sprint(i), To: "A", Time: pool[rng.Intn(len(pool))]}
+		}
+		want := append([]Move(nil), moves...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+		tr := &Trace{Moves: moves}
+		tr.sort()
+		for i := range want {
+			if tr.Moves[i].Portable != want[i].Portable {
+				t.Fatalf("trial %d: move %d is generation %s, the reflective sort puts %s there", trial, i, tr.Moves[i].Portable, want[i].Portable)
+			}
+		}
+	}
+}
 
 func TestTraceSortAndValidate(t *testing.T) {
 	tr := &Trace{}

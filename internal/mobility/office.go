@@ -118,7 +118,7 @@ func OfficeWeek(cfg officeWeekConfig, rng *randx.Rand) (*Trace, error) {
 		w := newWalker(id, "C", rng.Float64()*slot*0.5, out)
 		t := w.out.Moves[len(w.out.Moves)-1].Time
 		for i, d := range deck {
-			start := slot*float64(i) + rng.Float64()*slot*0.5
+			start := float64(slot*float64(i)) + float64(rng.Float64()*slot*0.5)
 			if start < t {
 				start = t
 			}
@@ -164,7 +164,7 @@ func OfficeWeek(cfg officeWeekConfig, rng *randx.Rand) (*Trace, error) {
 		id := fmt.Sprintf("crowd-%d", i)
 		t := rng.Float64() * cfg.Horizon
 		w := newWalker(id, "C", t, out)
-		t = w.walkPath([]topology.CellID{"D"}, t+officeHopGap, officeHopGap)
+		t = w.walkPath([]topology.CellID{"D"}, float64(t)+officeHopGap, officeHopGap)
 		switch d {
 		case destA:
 			w.walkPath([]topology.CellID{"A"}, t, officeHopGap)

@@ -36,7 +36,7 @@ func oneCell(t *testing.T, pol Policy, hooks Hooks) (*des.Simulator, *admission.
 // steer sets the link pressure to the given utilization fraction.
 func steer(t *testing.T, lg *admission.Ledger, link topology.LinkID, util float64) {
 	t.Helper()
-	if err := lg.SetAdvance(link, util*1e6); err != nil {
+	if err := lg.Link(link).SetAdvance(util * 1e6); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,7 +234,7 @@ func TestPressureExcludesAdaptableExcess(t *testing.T) {
 	if got := c.pressure(link.ID); got != 0 {
 		t.Fatalf("idle pressure = %g, want 0", got)
 	}
-	if err := lg.SetAdvance(link.ID, 500e3); err != nil {
+	if err := lg.Link(link.ID).SetAdvance(500e3); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.pressure(link.ID); got != 0.5 {

@@ -196,7 +196,7 @@ func (p *Predictor) neighborOfficeOccupant(cell *topology.Cell, portable string)
 //
 // which is what we compute. Negative extrapolations clamp to zero.
 func CafeteriaForecast(n2, n1, n0 int) float64 {
-	v := (4*float64(n0) + float64(n1) - 2*float64(n2)) / 3
+	v := (float64(4*float64(n0)) + float64(n1) - float64(2*float64(n2))) / 3
 	if v < 0 {
 		return 0
 	}

@@ -40,7 +40,7 @@ func Classify(c *CellProfile) topology.Class {
 	for _, v := range c.visitors {
 		totalArrivals += v
 	}
-	if totalArrivals+len(c.history) < minHandoffs {
+	if totalArrivals+c.history.len() < minHandoffs {
 		return topology.ClassUnknown
 	}
 
@@ -139,7 +139,7 @@ func seriesStats(xs []float64) (mean, cv, peak float64) {
 	varsum := 0.0
 	for _, x := range xs {
 		d := x - mean
-		varsum += d * d
+		varsum += float64(d * d)
 	}
 	cv = math.Sqrt(varsum/float64(len(xs))) / mean
 	return mean, cv, peak

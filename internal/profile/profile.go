@@ -31,11 +31,38 @@ type transKey struct {
 	prev, cur topology.CellID
 }
 
+// window is a FIFO of the last limit handoffs in a backing array that
+// never grows past limit: once full, each push overwrites the oldest.
+type window struct {
+	buf    []Handoff
+	oldest int // buf's oldest entry once it is full
+}
+
+// len returns the number of handoffs the window holds.
+func (w *window) len() int { return len(w.buf) }
+
+// push adds h and, when the window already held limit handoffs, returns
+// the oldest one, which h replaces.
+func (w *window) push(h Handoff, limit int) (old Handoff, expired bool) {
+	if n := len(w.buf); n < limit {
+		if n == cap(w.buf) {
+			grown := make([]Handoff, n, min(max(2*n, 16), limit))
+			copy(grown, w.buf)
+			w.buf = grown
+		}
+		w.buf = append(w.buf, h)
+		return Handoff{}, false
+	}
+	old, w.buf[w.oldest] = w.buf[w.oldest], h
+	w.oldest = (w.oldest + 1) % limit
+	return old, true
+}
+
 // portableProfile is the per-portable aggregated handoff history.
 type portableProfile struct {
 	ID string
-	// history keeps the last NpP transitions in arrival order.
-	history []Handoff
+	// history keeps the last NpP transitions.
+	history window
 	limit   int
 	counts  map[transKey]map[topology.CellID]int
 }
@@ -55,7 +82,6 @@ func NewPortableProfile(id string, limit int) *portableProfile {
 // Record folds one handoff into the profile, expiring the oldest entry
 // beyond the history limit.
 func (p *portableProfile) Record(h Handoff) {
-	p.history = append(p.history, h)
 	k := transKey{h.Prev, h.From}
 	m := p.counts[k]
 	if m == nil {
@@ -63,9 +89,7 @@ func (p *portableProfile) Record(h Handoff) {
 		p.counts[k] = m
 	}
 	m[h.To]++
-	if len(p.history) > p.limit {
-		old := p.history[0]
-		p.history = p.history[1:]
+	if old, expired := p.history.push(h, p.limit); expired {
 		ok := transKey{old.Prev, old.From}
 		if m := p.counts[ok]; m != nil {
 			m[old.To]--
@@ -129,7 +153,7 @@ type CellProfile struct {
 	Class topology.Class
 
 	limit   int
-	history []Handoff
+	history window
 	// byPrev[prev][next] counts departures to next given arrival from prev.
 	byPrev map[topology.CellID]map[topology.CellID]int
 	// total[next] counts departures to next regardless of prev.
@@ -170,7 +194,6 @@ func (c *CellProfile) Slot(t float64) int64 { return int64(math.Floor(t / c.slot
 
 // RecordDeparture folds in a handoff out of this cell (h.From == c.Cell).
 func (c *CellProfile) RecordDeparture(h Handoff) {
-	c.history = append(c.history, h)
 	m := c.byPrev[h.Prev]
 	if m == nil {
 		m = make(map[topology.CellID]int)
@@ -179,9 +202,7 @@ func (c *CellProfile) RecordDeparture(h Handoff) {
 	m[h.To]++
 	c.total[h.To]++
 	c.departures[c.Slot(h.Time)]++
-	if len(c.history) > c.limit {
-		old := c.history[0]
-		c.history = c.history[1:]
+	if old, expired := c.history.push(h, c.limit); expired {
 		if m := c.byPrev[old.Prev]; m != nil {
 			m[old.To]--
 			if m[old.To] <= 0 {
@@ -291,5 +312,5 @@ func (c *CellProfile) topVisitorShare(k int) float64 {
 // String summarizes the profile for diagnostics.
 func (c *CellProfile) String() string {
 	return fmt.Sprintf("cell %s (%s): %d departures recorded, %d visitors",
-		c.Cell, c.Class, len(c.history), len(c.visitors))
+		c.Cell, c.Class, c.history.len(), len(c.visitors))
 }

@@ -43,8 +43,8 @@ func TestPortableProfileExpiry(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.Record(Handoff{Prev: "C", From: "D", To: "B"})
 	}
-	if len(p.history) != 4 {
-		t.Fatalf("history len = %d, want 4", len(p.history))
+	if p.history.len() != 4 {
+		t.Fatalf("history len = %d, want 4", p.history.len())
 	}
 	next, ok := p.Predict("C", "D")
 	if !ok || next != "B" {
@@ -161,7 +161,7 @@ func TestServerRecordAndPredictLevels(t *testing.T) {
 func TestServerIgnoresSelfHandoffs(t *testing.T) {
 	s := NewServer("z", []topology.CellID{"C"}, ServerOptions{})
 	s.RecordHandoff(Handoff{Portable: "a", From: "C", To: "C"})
-	if len(s.Cell("C").history) != 0 {
+	if s.Cell("C").history.len() != 0 {
 		t.Fatal("self-handoff recorded")
 	}
 }
@@ -305,22 +305,59 @@ func TestQuickProbabilitiesNormalized(t *testing.T) {
 	}
 }
 
-// Property: portable profile history never exceeds its limit and
-// predictions always name a cell seen in retained history.
+// Property: a profile's history never holds more than its limit, and its
+// backing array never grows past it either, however many handoffs go
+// through (10× the limit here); and every prediction of the portable and
+// the cell profile equals the one a plain slice of the last limit
+// handoffs gives.
 func TestQuickPortableHistoryBound(t *testing.T) {
+	cells := []topology.CellID{"A", "B", "C", "D"}
+	// predict is the plain-slice reference: the most frequent next cell
+	// among the kept handoffs that match, ties to the smallest ID.
+	predict := func(kept []Handoff, match func(Handoff) bool) (topology.CellID, bool) {
+		counts := map[topology.CellID]int{}
+		for _, h := range kept {
+			if match(h) {
+				counts[h.To]++
+			}
+		}
+		if len(counts) == 0 {
+			return "", false
+		}
+		return argmaxCell(counts), true
+	}
 	f := func(seed int64, n uint8) bool {
 		rng := randx.New(seed)
 		limit := int(n%20) + 1
 		p := NewPortableProfile("x", limit)
-		cells := []topology.CellID{"A", "B", "C", "D"}
-		for i := 0; i < 100; i++ {
-			p.Record(Handoff{
-				Prev: cells[rng.Intn(4)],
-				From: cells[rng.Intn(4)],
-				To:   cells[rng.Intn(4)],
-			})
-			if len(p.history) > limit {
+		c := NewCellProfile("A", limit, 60)
+		var kept []Handoff
+		for i := 0; i < 10*limit; i++ {
+			h := Handoff{Prev: cells[rng.Intn(4)], From: cells[rng.Intn(4)], To: cells[rng.Intn(4)]}
+			p.Record(h)
+			c.RecordDeparture(h)
+			if kept = append(kept, h); len(kept) > limit {
+				kept = kept[1:]
+			}
+			if p.history.len() != len(kept) || cap(p.history.buf) > limit || cap(c.history.buf) > limit {
 				return false
+			}
+			for _, prev := range cells {
+				for _, cur := range cells {
+					got, ok := p.Predict(prev, cur)
+					want, wantOK := predict(kept, func(h Handoff) bool { return h.Prev == prev && h.From == cur })
+					if got != want || ok != wantOK {
+						return false
+					}
+				}
+				got, ok := c.Predict(prev)
+				want, wantOK := predict(kept, func(h Handoff) bool { return h.Prev == prev })
+				if !wantOK {
+					want, wantOK = predict(kept, func(Handoff) bool { return true })
+				}
+				if got != want || ok != wantOK {
+					return false
+				}
 			}
 		}
 		return true

@@ -9,8 +9,9 @@ package sched
 // keeps it from fusing into a multiply-add on arm64 and ppc64le, so every
 // architecture admits the same connections.
 
-// Discipline selects which buffer formula of Table 2 applies.
-type Discipline int
+// Discipline selects which buffer formula of Table 2 applies. It is a
+// byte so that admission.Test keeps it in one word with its Kind.
+type Discipline uint8
 
 const (
 	// DisciplineWFQ uses the footnote-6 buffer row: σ_j + l·L_max.

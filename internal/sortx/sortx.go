@@ -34,8 +34,8 @@ func Keys[K cmp.Ordered, V any](m map[K]V) []K {
 
 // IDs is a strictly ascending list of IDs: a set that lists itself in
 // order, or the key column of a table whose owner keeps typed columns
-// parallel to it and mirrors every Insert and Remove at the returned row
-// with slices.Insert / Delete.
+// parallel to it and mirrors every Insert at the returned row with
+// slices.Insert.
 type IDs[K cmp.Ordered] []K
 
 // Find returns id's row, or the row it would be inserted at.
@@ -48,13 +48,4 @@ func (s *IDs[K]) Insert(id K) (i int, added bool) {
 		*s = slices.Insert(*s, i, id)
 	}
 	return i, !ok
-}
-
-// Remove deletes id if it is present; i is the row it held.
-func (s *IDs[K]) Remove(id K) (i int, ok bool) {
-	i, ok = s.Find(id)
-	if ok {
-		*s = slices.Delete(*s, i, i+1)
-	}
-	return i, ok
 }

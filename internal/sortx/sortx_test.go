@@ -50,13 +50,4 @@ func TestIDsStayAscending(t *testing.T) {
 	if i, ok := s.Find("c11"); i != 2 || ok {
 		t.Fatalf("Find(c11) = %d, %v, want the insertion row 2", i, ok)
 	}
-	if i, ok := s.Remove("c10"); i != 1 || !ok {
-		t.Fatalf("Remove(c10) = %d, %v", i, ok)
-	}
-	if _, ok := s.Remove("c10"); ok {
-		t.Fatal("Remove of an absent id reported a row")
-	}
-	if !reflect.DeepEqual(s, IDs[string]{"c1", "c2", "c3"}) {
-		t.Fatalf("after removes: %q", s)
-	}
 }

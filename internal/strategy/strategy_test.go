@@ -282,7 +282,7 @@ func TestMeasuredHeadroom(t *testing.T) {
 func TestMeasuredHandoffConsumesAdvance(t *testing.T) {
 	adm, lg, route := measuredRig(t)
 	wl := route.Links[1].ID
-	if err := lg.SetAdvance(wl, 400e3); err != nil {
+	if err := lg.Link(wl).SetAdvance(400e3); err != nil {
 		t.Fatal(err)
 	}
 	res, err := adm.Admit(admission.Test{ConnID: "ho", Req: measuredReq(600e3), Route: route,

@@ -77,6 +77,10 @@ type Cell struct {
 	// BaseStation is the backbone node implementing this cell's base
 	// station.
 	BaseStation NodeID
+	// Index numbers the universe's cells densely in creation order, so a
+	// table over them is a slice. The universe sets it, as the backbone
+	// sets Link.Index.
+	Index int
 
 	neighbors sortx.IDs[CellID]
 }
@@ -143,6 +147,7 @@ func (u *Universe) addCell(c Cell) (*Cell, error) {
 	}
 	cc := c
 	cc.neighbors = nil
+	cc.Index = len(u.cells)
 	u.cells[c.ID] = &cc
 	u.zones[cc.Zone] = append(u.zones[cc.Zone], c.ID)
 	return &cc, nil
