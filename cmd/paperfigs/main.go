@@ -171,8 +171,8 @@ func table1(o opts) error {
 	}
 	fmt.Fprint(o.out, tb.String())
 	// Portable-profile triplet demonstration.
-	pp := profile.NewPortableProfile("faculty", 100)
-	pp.Record(profile.Handoff{Portable: "faculty", Prev: "C", From: "D", To: "A"})
+	pp := profile.NewPortableProfile(100)
+	pp.Record(profile.Handoff{Prev: "C", From: "D", To: "A"})
 	next, ok := pp.Predict("C", "D")
 	fmt.Fprintf(o.out, "portable profile triplet: <prev=C, cur=D> -> next-prd-cell=%s (ok=%v)\n", next, ok)
 	return nil

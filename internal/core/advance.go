@@ -6,7 +6,6 @@ import (
 	"armnet/internal/adapt"
 	"armnet/internal/eventbus"
 	"armnet/internal/predict"
-	"armnet/internal/profile"
 	"armnet/internal/qos"
 	"armnet/internal/reserve"
 	"armnet/internal/stats"
@@ -17,16 +16,6 @@ import (
 // reservations: the expectation of the paper's workload mix, 0.75·16 kb/s
 // + 0.25·64 kb/s.
 const perUserBW = 28e3
-
-func profileHandoff(p *Portable, to topology.CellID, now float64) profile.Handoff {
-	return profile.Handoff{
-		Portable: p.ID,
-		Prev:     p.Prev,
-		From:     p.Cell,
-		To:       to,
-		Time:     now,
-	}
-}
 
 // ---- Advance reservation bookkeeping ----
 //
@@ -128,14 +117,12 @@ func (m *Manager) refreshAdvance(p *Portable) {
 			place(n)
 		}
 	default: // ModePredictive
-		d := m.Pred.NextCell(p.ID, p.Prev, p.Cell)
+		d := m.Pred.NextCell(p.num, p.prevCell, p.at.cell)
 		if m.Obs != nil {
 			m.notePrediction(p, d)
 		}
 		if d.Action == predict.ActionReserve {
-			if g := m.geo(d.Target); g != nil {
-				place(g)
-			}
+			place(m.cells[d.Target.Index])
 		}
 		// The default action is handled in aggregate by evaluatePolicies.
 	}

@@ -196,7 +196,7 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 
 	// Report the handoff to the profile machinery before re-admission,
 	// mirroring the base station's update message.
-	m.Pred.RecordHandoff(profileHandoff(p, to, m.Sim.Now()))
+	m.Pred.RecordHandoff(p.num, p.prevCell, fromCell.cell, toCell.cell, m.Sim.Now())
 
 	// Score the pending §6 prediction against the actual destination —
 	// before clearAdvance discards the note.
@@ -260,7 +260,7 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 	}
 	clear(m.handoffConns)
 
-	p.Prev = from
+	p.Prev, p.prevCell = from, fromCell.cell
 	p.Cell = to
 	p.at = toCell
 	p.arrivedAt = m.Sim.Now()

@@ -136,7 +136,9 @@ type Portable struct {
 	// Mobility is the current static/mobile classification.
 	Mobility qos.Mobility
 
-	at          *cellGeo // Cell's record
+	at          *cellGeo       // Cell's record
+	prevCell    *topology.Cell // Prev's cell, nil before the first handoff
+	num         int            // the predictor's number for the portable
 	arrivedAt   float64
 	staticTimer *des.Event
 	onStatic    func() // the static timer's callback, bound once
@@ -436,7 +438,7 @@ func (m *Manager) PlacePortable(id string, cell topology.CellID) error {
 	if _, ok := m.portables[id]; ok {
 		return fmt.Errorf("core: portable %s already placed", id)
 	}
-	p := &Portable{ID: id, Cell: cell, Mobility: qos.Mobile, at: g, arrivedAt: m.Sim.Now()}
+	p := &Portable{ID: id, Cell: cell, Mobility: qos.Mobile, at: g, num: m.Pred.Number(id), arrivedAt: m.Sim.Now()}
 	p.onStatic = func() { p.staticTimer = nil; m.becomeStatic(p) }
 	m.portables[id] = p
 	m.armStaticTimer(p)

@@ -304,9 +304,10 @@ func TestHandoffUpdatesProfiles(t *testing.T) {
 		}
 	}
 	srv := m.Pred.ServerFor("off-2")
-	next, ok := srv.PredictByPortable("bob", "off-2", "cor-w1")
-	if !ok || next != "off-2" {
-		t.Fatalf("profile prediction = %v/%v, want off-2", next, ok)
+	off2, corW1 := m.Env.Universe.Cell("off-2"), m.Env.Universe.Cell("cor-w1")
+	next, ok := srv.PredictByPortable(m.Pred.Number("bob"), off2.Index, corW1.Index)
+	if !ok || next != off2.Index {
+		t.Fatalf("profile prediction = %v/%v, want off-2 (%d)", next, ok, off2.Index)
 	}
 }
 

@@ -56,7 +56,7 @@ func (m *Manager) notePrediction(p *Portable, d predict.Decision) {
 	note := predNote{class: p.at.cell.Class.String()}
 	switch d.Action {
 	case predict.ActionReserve:
-		note.target = string(d.Target)
+		note.target = string(d.Target.ID)
 		note.hasTarget = true
 		if d.Level == predict.LevelPortable {
 			note.level = "portable"

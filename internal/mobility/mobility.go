@@ -129,6 +129,11 @@ func (w *walker) walkPath(path []topology.CellID, t, hopGap float64) float64 {
 // RandomWalk generates graph-walk mobility: each portable starts in a
 // uniformly chosen cell and repeatedly dwells Exp(1/meanDwell) before
 // hopping to a uniformly chosen neighbor, until the horizon.
+//
+// Each portable's walk is generated whole, in time order, and the walks
+// are merged (mergeRuns), not sorted: the trace is the one a stable sort
+// by time of the walks one after another gives. A walker moves by cell
+// record, so a hop looks up no ID.
 func RandomWalk(u *topology.Universe, portables []string, meanDwell, horizon float64, rng *randx.Rand) (*Trace, error) {
 	// Written so NaN fails too: a NaN horizon never stops the walk.
 	if !(meanDwell > 0 && horizon > 0) || math.IsInf(meanDwell, 0) || math.IsInf(horizon, 0) {
@@ -138,23 +143,92 @@ func RandomWalk(u *topology.Universe, portables []string, meanDwell, horizon flo
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("mobility: empty universe")
 	}
-	out := &Trace{}
+	// neighbors[c.Index] is c's neighbours in Neighbors() order.
+	neighbors := make([][]*topology.Cell, len(cells))
+	for _, c := range cells {
+		for _, id := range c.Neighbors() {
+			neighbors[c.Index] = append(neighbors[c.Index], u.Cell(id))
+		}
+	}
+	var gen []Move
+	ends := make([]int, 0, len(portables))
 	for _, id := range portables {
 		t := rng.Float64() * meanDwell
-		start := cells[rng.Intn(len(cells))].ID
-		w := newWalker(id, start, t, out)
+		at := cells[rng.Intn(len(cells))]
+		gen = append(gen, Move{Portable: id, To: at.ID, Time: t})
 		for {
 			t += rng.Exp(1 / meanDwell)
 			if t > horizon {
 				break
 			}
-			nbs := u.Cell(w.at).Neighbors()
+			nbs := neighbors[at.Index]
 			if len(nbs) == 0 {
 				continue
 			}
-			w.moveTo(nbs[rng.Intn(len(nbs))], t)
+			to := nbs[rng.Intn(len(nbs))]
+			gen = append(gen, Move{Portable: id, From: at.ID, To: to.ID, Time: t})
+			at = to
+		}
+		ends = append(ends, len(gen))
+	}
+	return &Trace{Moves: mergeRuns(gen, ends)}, nil
+}
+
+// mergeRuns merges runs of moves, each already in time order, into one
+// time-ordered slice; run i is gen[ends[i-1]:ends[i]]. Simultaneous moves
+// keep generation order — the lower run first, and within a run their
+// own order — so the result is exactly what Trace.sort's stable sort of
+// gen gives, in O(n log k) for k runs instead of a sort of all n.
+func mergeRuns(gen []Move, ends []int) []Move {
+	if len(gen) == 0 {
+		return nil
+	}
+	// next[r] is run r's next move in gen; heads is a binary min-heap of
+	// the runs with moves left, by (time of that move, run).
+	type head struct {
+		t float64
+		r int
+	}
+	next := make([]int, len(ends))
+	heads := make([]head, 0, len(ends))
+	start := 0
+	for r, end := range ends {
+		next[r] = start
+		if end > start {
+			heads = append(heads, head{gen[start].Time, r})
+		}
+		start = end
+	}
+	down := func(i int) {
+		for {
+			least := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(heads) && (heads[c].t < heads[least].t ||
+					heads[c].t == heads[least].t && heads[c].r < heads[least].r) {
+					least = c
+				}
+			}
+			if least == i {
+				return
+			}
+			heads[i], heads[least] = heads[least], heads[i]
+			i = least
 		}
 	}
-	out.sort()
-	return out, nil
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]Move, 0, len(gen))
+	for len(heads) > 0 {
+		r := heads[0].r
+		out = append(out, gen[next[r]])
+		if next[r]++; next[r] < ends[r] {
+			heads[0].t = gen[next[r]].Time
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
+	return out
 }

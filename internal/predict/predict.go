@@ -54,30 +54,82 @@ const (
 )
 
 // Decision is the outcome of next-cell prediction for one portable.
+// Target is the cell to advance-reserve in, nil unless Action is
+// ActionReserve.
 type Decision struct {
 	Action action
-	Target topology.CellID
+	Target *topology.Cell
 	Level  Level
 }
 
 // Predictor answers next-cell queries against the universe topology and
 // the zone profile servers.
+//
+// Its handoff calls take records, not IDs: a portable's number (Number)
+// and the *topology.Cell of each cell, which must be the universe's own.
+// A cell reaches its zone server, its neighbours and its profile by
+// Cell.Index, so a handoff report or a prediction hashes no ID.
 type Predictor struct {
 	Universe *topology.Universe
 	// Servers maps zone name to its profile server.
 	Servers map[string]*profile.Server
 
-	opts profile.ServerOptions
+	opts  profile.ServerOptions
+	names *profile.Numbering
+	// cells, zone and neighbors are by Cell.Index: the cell, its zone's
+	// server and its neighbours in Neighbors() order.
+	cells     []*topology.Cell
+	zone      []*profile.Server
+	neighbors [][]*topology.Cell
 }
 
 // New creates a predictor and one profile server per zone of the universe.
 func New(u *topology.Universe, opts profile.ServerOptions) *Predictor {
-	p := &Predictor{Universe: u, Servers: make(map[string]*profile.Server), opts: opts}
+	p := &Predictor{
+		Universe:  u,
+		Servers:   make(map[string]*profile.Server),
+		opts:      opts,
+		names:     profile.NewNumbering(u),
+		cells:     make([]*topology.Cell, u.Len()),
+		zone:      make([]*profile.Server, u.Len()),
+		neighbors: make([][]*topology.Cell, u.Len()),
+	}
+	cells := u.Cells()
+	n := 0
+	for _, c := range cells {
+		n += len(c.Neighbors())
+	}
+	all := make([]*topology.Cell, 0, n) // every cell's neighbours, back to back
+	for _, c := range cells {
+		p.cells[c.Index] = c
+		start := len(all)
+		for _, id := range c.Neighbors() {
+			all = append(all, u.Cell(id))
+		}
+		p.neighbors[c.Index] = all[start:len(all):len(all)]
+	}
 	for _, zone := range u.Zones() {
-		p.Servers[zone] = profile.NewServer(zone, u.Zone(zone), opts)
+		p.startServer(zone)
 	}
 	return p
 }
+
+// startServer gives the zone a fresh, empty profile server.
+func (p *Predictor) startServer(zone string) {
+	srv := profile.NewServer(zone, p.names, p.opts)
+	p.Servers[zone] = srv
+	for _, c := range p.cells {
+		if c.Zone == zone {
+			p.zone[c.Index] = srv
+		}
+	}
+}
+
+// Number returns the portable's number, the handle its handoff reports
+// and predictions go by. The first call for an ID numbers it; a caller
+// takes it once, when the portable appears, and keeps it. The number
+// outlives a zone crash: it names the portable, never its profile.
+func (p *Predictor) Number(portable string) int { return p.names.Portable(portable) }
 
 // CrashZone models a zone profile server failing and warm-restarting with
 // total state loss: every learned portable and cell profile of the zone
@@ -87,7 +139,7 @@ func (p *Predictor) CrashZone(zone string) error {
 	if _, ok := p.Servers[zone]; !ok {
 		return fmt.Errorf("predict: unknown zone %q", zone)
 	}
-	p.Servers[zone] = profile.NewServer(zone, p.Universe.Zone(zone), p.opts)
+	p.startServer(zone)
 	return nil
 }
 
@@ -97,73 +149,83 @@ func (p *Predictor) ServerFor(cell topology.CellID) *profile.Server {
 	if c == nil {
 		return nil
 	}
-	return p.Servers[c.Zone]
+	return p.zone[c.Index]
 }
 
-// RecordHandoff routes a handoff report to the zone servers involved, and
-// migrates the portable profile when the handoff crosses a zone boundary
-// (the cache handover of §3.4.3).
-func (p *Predictor) RecordHandoff(h profile.Handoff) {
-	from := p.Universe.Cell(h.From)
-	to := p.Universe.Cell(h.To)
-	if from == nil || to == nil {
+// owns reports whether c is a cell of the predictor's universe.
+func (p *Predictor) owns(c *topology.Cell) bool {
+	return c != nil && c.Index < len(p.cells) && p.cells[c.Index] == c
+}
+
+// number returns a cell's number, -1 for an unknown previous cell (nil,
+// or not of this universe).
+func (p *Predictor) number(c *topology.Cell) int {
+	if !p.owns(c) {
+		return -1
+	}
+	return c.Index
+}
+
+// RecordHandoff routes portable n's handoff report (from → to at time t,
+// having come from prev, nil when unknown) to the zone servers involved,
+// and hands the portable profile over when the handoff crosses a zone
+// boundary (the cache handover of §3.4.3).
+func (p *Predictor) RecordHandoff(n int, prev, from, to *topology.Cell, t float64) {
+	if !p.owns(from) || !p.owns(to) {
 		return
 	}
-	sFrom := p.Servers[from.Zone]
-	sTo := p.Servers[to.Zone]
+	pv := p.number(prev)
+	sFrom, sTo := p.zone[from.Index], p.zone[to.Index]
+	sFrom.RecordHandoff(n, pv, from.Index, to.Index, t)
 	if sFrom == sTo {
-		if sFrom != nil {
-			sFrom.RecordHandoff(h)
-		}
 		return
 	}
-	if sFrom != nil {
-		sFrom.RecordHandoff(h)
-		if pp, err := sFrom.ExportPortable(h.Portable); err == nil {
-			sTo.ImportPortable(pp)
-		}
-	}
-	if sTo != nil {
-		sTo.RecordHandoff(h)
-	}
+	// A zone crossing is reported to both servers, and both reports reach
+	// the portable's profile — the first here, the second after the
+	// handover — so the triplet counts twice and fills two N_pP slots.
+	// That is a defect (ROADMAP item 25); it is kept until a behaviour
+	// change fixes it, because every campus decision depends on it.
+	sFrom.Handover(n, sTo)
+	sTo.RecordHandoff(n, pv, from.Index, to.Index, t)
 }
 
-// NextCell runs the three-level prediction of §6/§6.4 for a mobile
-// portable with the given previous and current cells.
-func (p *Predictor) NextCell(portable string, prev, cur topology.CellID) Decision {
-	cell := p.Universe.Cell(cur)
-	if cell == nil {
+// NextCell runs the three-level prediction of §6/§6.4 for mobile portable
+// n with the given previous (nil when unknown) and current cells.
+func (p *Predictor) NextCell(n int, prev, cur *topology.Cell) Decision {
+	if !p.owns(cur) {
 		return Decision{Action: actionDefault}
 	}
-	srv := p.Servers[cell.Zone]
+	srv := p.zone[cur.Index]
+	pv := p.number(prev)
 
 	// Level 1: the portable's own <prev, cur> → next triplet. Only a
 	// prediction to a *neighbor* of the current cell is actionable.
-	if srv != nil {
-		if next, ok := srv.PredictByPortable(portable, prev, cur); ok && cell.IsNeighbor(next) {
-			return Decision{Action: ActionReserve, Target: next, Level: LevelPortable}
+	if next, ok := srv.PredictByPortable(n, pv, cur.Index); ok {
+		if c := p.neighbor(cur, next); c != nil {
+			return Decision{Action: ActionReserve, Target: c, Level: LevelPortable}
 		}
 	}
 
 	// Level 2: office-occupancy rules, then the cell's aggregate history.
-	switch cell.Class {
+	portable := p.names.PortableID(n)
+	switch cur.Class {
 	case topology.ClassOffice:
 		// Rule 2: a regular occupant of the current office is expected
 		// to stay; reserve nothing in the neighbors.
-		if cell.IsOccupant(portable) {
+		if cur.IsOccupant(portable) {
 			return Decision{Action: ActionNoReserve}
 		}
-		if next, ok := p.neighborOfficeOccupant(cell, portable); ok {
-			return Decision{Action: ActionReserve, Target: next, Level: levelCell}
+		if c := p.neighborOfficeOccupant(cur, portable); c != nil {
+			return Decision{Action: ActionReserve, Target: c, Level: levelCell}
 		}
 	case topology.ClassCorridor:
-		if next, ok := p.neighborOfficeOccupant(cell, portable); ok {
-			return Decision{Action: ActionReserve, Target: next, Level: levelCell}
+		if c := p.neighborOfficeOccupant(cur, portable); c != nil {
+			return Decision{Action: ActionReserve, Target: c, Level: levelCell}
 		}
 	}
-	if srv != nil {
-		if next, ok := srv.PredictByCell(cur, prev); ok && cell.IsNeighbor(next) {
-			return Decision{Action: ActionReserve, Target: next, Level: levelCell}
+	if next, ok := srv.PredictByCell(cur.Index, pv); ok {
+		if c := p.neighbor(cur, next); c != nil {
+			return Decision{Action: ActionReserve, Target: c, Level: levelCell}
 		}
 	}
 
@@ -171,16 +233,25 @@ func (p *Predictor) NextCell(portable string, prev, cur topology.CellID) Decisio
 	return Decision{Action: actionDefault}
 }
 
-// neighborOfficeOccupant finds a neighboring office cell of which the
-// portable is a regular occupant (the office nomination rule of §6.1).
-func (p *Predictor) neighborOfficeOccupant(cell *topology.Cell, portable string) (topology.CellID, bool) {
-	for _, nid := range cell.Neighbors() {
-		n := p.Universe.Cell(nid)
-		if n != nil && n.Class == topology.ClassOffice && n.IsOccupant(portable) {
-			return nid, true
+// neighbor returns cell number next when it neighbours cur, else nil.
+func (p *Predictor) neighbor(cur *topology.Cell, next int) *topology.Cell {
+	for _, c := range p.neighbors[cur.Index] {
+		if c.Index == next {
+			return c
 		}
 	}
-	return "", false
+	return nil
+}
+
+// neighborOfficeOccupant finds a neighboring office cell of which the
+// portable is a regular occupant (the office nomination rule of §6.1).
+func (p *Predictor) neighborOfficeOccupant(cell *topology.Cell, portable string) *topology.Cell {
+	for _, n := range p.neighbors[cell.Index] {
+		if n.Class == topology.ClassOffice && n.IsOccupant(portable) {
+			return n
+		}
+	}
+	return nil
 }
 
 // CafeteriaForecast extrapolates the next slot's handoff count by the

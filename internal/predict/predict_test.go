@@ -3,6 +3,7 @@ package predict
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,18 +21,37 @@ func figure4(t *testing.T) (*topology.Environment, *Predictor) {
 	return env, New(env.Universe, profile.ServerOptions{})
 }
 
+// record reports a handoff given by IDs ("" prev when unknown).
+func record(p *Predictor, portable string, prev, from, to topology.CellID, t float64) {
+	u := p.Universe
+	p.RecordHandoff(p.Number(portable), u.Cell(prev), u.Cell(from), u.Cell(to), t)
+}
+
+// nextCell asks for a prediction by IDs.
+func nextCell(p *Predictor, portable string, prev, cur topology.CellID) Decision {
+	return p.NextCell(p.Number(portable), p.Universe.Cell(prev), p.Universe.Cell(cur))
+}
+
+// target is a decision's target ID, "" for none.
+func target(d Decision) topology.CellID {
+	if d.Target == nil {
+		return ""
+	}
+	return d.Target.ID
+}
+
 func TestLevel1PortableProfileWins(t *testing.T) {
 	_, p := figure4(t)
 	// The professor's own history says C->D->A even though the crowd
 	// goes D->B.
 	for i := 0; i < 5; i++ {
-		p.RecordHandoff(profile.Handoff{Portable: "prof", Prev: "C", From: "D", To: "A", Time: float64(i)})
+		record(p, "prof", "C", "D", "A", float64(i))
 	}
 	for i := 0; i < 50; i++ {
-		p.RecordHandoff(profile.Handoff{Portable: fmt.Sprintf("x%d", i), Prev: "C", From: "D", To: "E", Time: float64(i)})
+		record(p, fmt.Sprintf("x%d", i), "C", "D", "E", float64(i))
 	}
-	d := p.NextCell("prof", "C", "D")
-	if d.Action != ActionReserve || d.Target != "A" || d.Level != LevelPortable {
+	d := nextCell(p, "prof", "C", "D")
+	if d.Action != ActionReserve || target(d) != "A" || d.Level != LevelPortable {
 		t.Fatalf("decision = %+v, want level-1 reserve A", d)
 	}
 }
@@ -40,7 +60,7 @@ func TestLevel2OfficeOccupantStays(t *testing.T) {
 	_, p := figure4(t)
 	// prof inside office A (regular occupant, no history): no advance
 	// reservation anywhere.
-	d := p.NextCell("prof", "D", "A")
+	d := nextCell(p, "prof", "D", "A")
 	if d.Action != ActionNoReserve {
 		t.Fatalf("decision = %+v, want no-reserve for occupant at home", d)
 	}
@@ -50,13 +70,13 @@ func TestLevel2NeighborOfficeNomination(t *testing.T) {
 	_, p := figure4(t)
 	// prof in corridor D with no portable history: neighboring office A
 	// (occupant) is nominated.
-	d := p.NextCell("prof", "C", "D")
-	if d.Action != ActionReserve || d.Target != "A" || d.Level != levelCell {
+	d := nextCell(p, "prof", "C", "D")
+	if d.Action != ActionReserve || target(d) != "A" || d.Level != levelCell {
 		t.Fatalf("decision = %+v, want level-2 reserve A", d)
 	}
 	// Student in corridor E: office B is the neighboring office.
-	d = p.NextCell("s1", "D", "E")
-	if d.Action != ActionReserve || d.Target != "B" {
+	d = nextCell(p, "s1", "D", "E")
+	if d.Action != ActionReserve || target(d) != "B" {
 		t.Fatalf("decision = %+v, want reserve B", d)
 	}
 }
@@ -65,10 +85,10 @@ func TestLevel2AggregateHistory(t *testing.T) {
 	_, p := figure4(t)
 	// A stranger in corridor D with a crowd history toward E.
 	for i := 0; i < 30; i++ {
-		p.RecordHandoff(profile.Handoff{Portable: fmt.Sprintf("x%d", i), Prev: "C", From: "D", To: "E", Time: float64(i)})
+		record(p, fmt.Sprintf("x%d", i), "C", "D", "E", float64(i))
 	}
-	d := p.NextCell("stranger", "C", "D")
-	if d.Action != ActionReserve || d.Target != "E" || d.Level != levelCell {
+	d := nextCell(p, "stranger", "C", "D")
+	if d.Action != ActionReserve || target(d) != "E" || d.Level != levelCell {
 		t.Fatalf("decision = %+v, want level-2 reserve E", d)
 	}
 }
@@ -77,7 +97,7 @@ func TestLevel3Default(t *testing.T) {
 	_, p := figure4(t)
 	// Stranger in corridor with no history at all (and no office
 	// membership): default.
-	d := p.NextCell("stranger", "C", "D")
+	d := nextCell(p, "stranger", "C", "D")
 	if d.Action != actionDefault {
 		t.Fatalf("decision = %+v, want default", d)
 	}
@@ -85,7 +105,7 @@ func TestLevel3Default(t *testing.T) {
 
 func TestUnknownCell(t *testing.T) {
 	_, p := figure4(t)
-	d := p.NextCell("prof", "C", "nowhere")
+	d := nextCell(p, "prof", "C", "nowhere")
 	if d.Action != actionDefault {
 		t.Fatalf("decision = %+v, want default for unknown cell", d)
 	}
@@ -95,12 +115,14 @@ func TestPredictionMustBeNeighbor(t *testing.T) {
 	_, p := figure4(t)
 	// Poison the portable profile with a non-neighbor target (stale
 	// history after a topology change): level 1 must be skipped.
+	// B is a cell of the building but not a neighbor of D.
 	srv := p.ServerFor("D")
+	u := p.Universe
 	for i := 0; i < 5; i++ {
-		srv.RecordHandoff(profile.Handoff{Portable: "prof", Prev: "C", From: "D", To: "Z", Time: float64(i)})
+		srv.RecordHandoff(p.Number("prof"), u.Cell("C").Index, u.Cell("D").Index, u.Cell("B").Index, float64(i))
 	}
-	d := p.NextCell("prof", "C", "D")
-	if d.Target == "Z" {
+	d := nextCell(p, "prof", "C", "D")
+	if target(d) == "B" {
 		t.Fatalf("predicted non-neighbor: %+v", d)
 	}
 }
@@ -112,10 +134,12 @@ func TestCrossZoneProfileMigration(t *testing.T) {
 	}
 	p := New(env.Universe, profile.ServerOptions{})
 	// Portable crosses west -> east via cor-w2 -> cor-e1.
-	p.RecordHandoff(profile.Handoff{Portable: "alice", Prev: "cor-w1", From: "cor-w2", To: "cor-e1", Time: 1})
-	east := p.Servers["east"]
-	if _, err := east.ExportPortable("alice"); err != nil {
-		t.Fatalf("profile did not migrate to east: %v", err)
+	record(p, "alice", "cor-w1", "cor-w2", "cor-e1", 1)
+	if got := p.Servers["east"].Portables(); !slices.Equal(got, []string{"alice"}) {
+		t.Fatalf("east holds profiles of %v, want alice's", got)
+	}
+	if got := p.Servers["west"].Portables(); len(got) != 0 {
+		t.Fatalf("west still holds profiles of %v", got)
 	}
 }
 
@@ -212,16 +236,16 @@ func TestQuickSplitConservesTotal(t *testing.T) {
 func TestCrashZoneForgetsLearnedProfiles(t *testing.T) {
 	_, p := figure4(t)
 	for i := 0; i < 10; i++ {
-		p.RecordHandoff(profile.Handoff{Portable: "prof", Prev: "C", From: "D", To: "A", Time: float64(i)})
+		record(p, "prof", "C", "D", "A", float64(i))
 	}
-	if d := p.NextCell("prof", "C", "D"); d.Level != LevelPortable {
+	if d := nextCell(p, "prof", "C", "D"); d.Level != LevelPortable {
 		t.Fatalf("pre-crash decision = %+v, want portable-profile level", d)
 	}
 	zone := p.Universe.Zones()[0]
 	if err := p.CrashZone(zone); err != nil {
 		t.Fatal(err)
 	}
-	if d := p.NextCell("prof", "C", "D"); d.Level == LevelPortable {
+	if d := nextCell(p, "prof", "C", "D"); d.Level == LevelPortable {
 		t.Fatal("portable profile survived the zone crash")
 	}
 	if err := p.CrashZone("no-such-zone"); err == nil {
@@ -229,9 +253,9 @@ func TestCrashZoneForgetsLearnedProfiles(t *testing.T) {
 	}
 	// Histories rebuild after the warm restart.
 	for i := 0; i < 10; i++ {
-		p.RecordHandoff(profile.Handoff{Portable: "prof", Prev: "C", From: "D", To: "A", Time: float64(20 + i)})
+		record(p, "prof", "C", "D", "A", float64(20+i))
 	}
-	if d := p.NextCell("prof", "C", "D"); d.Level != LevelPortable {
+	if d := nextCell(p, "prof", "C", "D"); d.Level != LevelPortable {
 		t.Fatalf("post-rebuild decision = %+v, want portable-profile level", d)
 	}
 }

@@ -36,16 +36,12 @@ const (
 // activity (spiky → meeting room, smooth → cafeteria, else default).
 // ClassUnknown is returned while evidence is insufficient.
 func Classify(c *CellProfile) topology.Class {
-	totalArrivals := 0
-	for _, v := range c.visitors {
-		totalArrivals += v
-	}
-	if totalArrivals+c.history.len() < minHandoffs {
+	if c.arrived+c.history.len() < minHandoffs {
 		return topology.ClassUnknown
 	}
 
 	// Office: few distinct visitors dominated by regulars.
-	if c.distinctVisitors() > 0 && c.distinctVisitors() <= officeMaxVisitors &&
+	if c.distinct > 0 && c.distinct <= officeMaxVisitors &&
 		c.topVisitorShare(4) >= officeTopShare {
 		return topology.ClassOffice
 	}
@@ -78,21 +74,27 @@ func Classify(c *CellProfile) topology.Class {
 // dominant prev→next mapping, and the share that return to prev.
 func directionality(c *CellProfile) (consistency, backflow float64) {
 	total, dominant, back := 0, 0, 0
-	for prev, m := range c.byPrev {
-		if prev == "" {
+rows:
+	for i, r := range c.byPrev {
+		if r.prev == -1 {
 			continue
 		}
-		best := 0
-		for next, n := range m {
-			total += n
-			if n > best {
-				best = n
-			}
-			if next == prev {
-				back += n
+		total += int(r.n)
+		if r.next == r.prev {
+			back += int(r.n)
+		}
+		for _, s := range c.byPrev[:i] {
+			if s.prev == r.prev {
+				continue rows // its prev's best is already counted
 			}
 		}
-		dominant += best
+		best := r.n
+		for _, s := range c.byPrev[i+1:] {
+			if s.prev == r.prev {
+				best = max(best, s.n)
+			}
+		}
+		dominant += int(best)
 	}
 	if total == 0 {
 		return 0, 0

@@ -3,6 +3,8 @@ package profile
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,16 +12,61 @@ import (
 	"armnet/internal/topology"
 )
 
+// arrive notes portable's arrival in c at time t.
+func arrive(c *CellProfile, portable string, t float64) {
+	c.recordArrival(c.names.Portable(portable), t)
+}
+
+// testUniverse builds the universe of a topology spec.
+func testUniverse(t *testing.T, spec string) *topology.Universe {
+	t.Helper()
+	env, err := topology.EnvironmentFromJSON(strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env.Universe
+}
+
+// corridors is a spec of corridor cells, each "id" or "id@zone".
+func corridors(cells ...string) string {
+	var specs []string
+	for _, c := range cells {
+		id, zone, _ := strings.Cut(c, "@")
+		specs = append(specs, fmt.Sprintf(`{"id": %q, "class": "corridor", "zone": %q}`, id, zone))
+	}
+	return `{"cells": [` + strings.Join(specs, ", ") + `]}`
+}
+
+// record reports the portable's handoff, given by IDs, to the server.
+func record(s *Server, portable string, h Handoff) {
+	x := s.names
+	s.RecordHandoff(x.Portable(portable), int(x.lookup(h.Prev)), int(x.lookup(h.From)), int(x.lookup(h.To)), h.Time)
+}
+
+// byPortable is PredictByPortable by IDs.
+func byPortable(s *Server, portable string, prev, cur topology.CellID) (topology.CellID, bool) {
+	x := s.names
+	next, ok := s.PredictByPortable(x.Portable(portable), int(x.lookup(prev)), int(x.lookup(cur)))
+	return x.cellID(int32(next)), ok
+}
+
+// byCell is PredictByCell by IDs.
+func byCell(s *Server, cur, prev topology.CellID) (topology.CellID, bool) {
+	x := s.names
+	next, ok := s.PredictByCell(int(x.lookup(cur)), int(x.lookup(prev)))
+	return x.cellID(int32(next)), ok
+}
+
 func TestPortableProfilePredict(t *testing.T) {
-	p := NewPortableProfile("alice", 10)
+	p := NewPortableProfile(10)
 	if _, ok := p.Predict("C", "D"); ok {
 		t.Fatal("empty profile predicted")
 	}
 	// 3 handoffs C->D->A, 1 handoff C->D->B.
 	for i := 0; i < 3; i++ {
-		p.Record(Handoff{Portable: "alice", Prev: "C", From: "D", To: "A"})
+		p.Record(Handoff{Prev: "C", From: "D", To: "A"})
 	}
-	p.Record(Handoff{Portable: "alice", Prev: "C", From: "D", To: "B"})
+	p.Record(Handoff{Prev: "C", From: "D", To: "B"})
 	next, ok := p.Predict("C", "D")
 	if !ok || next != "A" {
 		t.Fatalf("predict = %v/%v, want A", next, ok)
@@ -28,14 +75,14 @@ func TestPortableProfilePredict(t *testing.T) {
 	if _, ok := p.Predict("E", "D"); ok {
 		t.Fatal("unknown prev predicted directly")
 	}
-	next, ok = p.predictAnyPrev("D")
-	if !ok || next != "A" {
+	anyNext, ok := p.predictAnyPrev(p.names.lookup("D"))
+	if next = p.names.cellID(anyNext); !ok || next != "A" {
 		t.Fatalf("any-prev predict = %v/%v, want A", next, ok)
 	}
 }
 
 func TestPortableProfileExpiry(t *testing.T) {
-	p := NewPortableProfile("bob", 4)
+	p := NewPortableProfile(4)
 	// Fill with A-predictions, then push them out with B-predictions.
 	for i := 0; i < 4; i++ {
 		p.Record(Handoff{Prev: "C", From: "D", To: "A"})
@@ -53,7 +100,7 @@ func TestPortableProfileExpiry(t *testing.T) {
 }
 
 func TestPortableProfileDeterministicTies(t *testing.T) {
-	p := NewPortableProfile("tie", 10)
+	p := NewPortableProfile(10)
 	p.Record(Handoff{Prev: "C", From: "D", To: "B"})
 	p.Record(Handoff{Prev: "C", From: "D", To: "A"})
 	next, ok := p.Predict("C", "D")
@@ -105,7 +152,7 @@ func TestCellProfileSlots(t *testing.T) {
 	if recent[0] != 1 || recent[1] != 2 || recent[2] != 1 {
 		t.Fatalf("recent = %v, want [1 2 1]", recent)
 	}
-	c.recordArrival(Handoff{Portable: "p1", To: "M", Time: 65})
+	arrive(c, "p1", 65)
 	if c.arrivals[1] != 1 {
 		t.Fatalf("arrivals in slot 1 = %d", c.arrivals[1])
 	}
@@ -114,13 +161,13 @@ func TestCellProfileSlots(t *testing.T) {
 func TestCellProfileVisitorShare(t *testing.T) {
 	c := NewCellProfile("A", 100, 60)
 	for i := 0; i < 90; i++ {
-		c.recordArrival(Handoff{Portable: "regular", To: "A"})
+		arrive(c, "regular", 0)
 	}
 	for i := 0; i < 10; i++ {
-		c.recordArrival(Handoff{Portable: fmt.Sprintf("guest%d", i), To: "A"})
+		arrive(c, fmt.Sprintf("guest%d", i), 0)
 	}
-	if c.distinctVisitors() != 11 {
-		t.Fatalf("visitors = %d", c.distinctVisitors())
+	if c.distinct != 11 {
+		t.Fatalf("visitors = %d", c.distinct)
 	}
 	if share := c.topVisitorShare(1); math.Abs(share-0.9) > 1e-9 {
 		t.Fatalf("top share = %v", share)
@@ -128,28 +175,28 @@ func TestCellProfileVisitorShare(t *testing.T) {
 }
 
 func TestServerRecordAndPredictLevels(t *testing.T) {
-	s := NewServer("z", []topology.CellID{"C", "D", "A", "B"}, ServerOptions{})
+	s := NewServer("z", NewNumbering(testUniverse(t, corridors("C@z", "D@z", "A@z", "B@z"))), ServerOptions{})
 	// Alice's pattern: C->D->A.
 	for i := 0; i < 5; i++ {
-		s.RecordHandoff(Handoff{Portable: "alice", Prev: "", From: "C", To: "D", Time: float64(i)})
-		s.RecordHandoff(Handoff{Portable: "alice", Prev: "C", From: "D", To: "A", Time: float64(i) + 0.5})
+		record(s, "alice", Handoff{Prev: "", From: "C", To: "D", Time: float64(i)})
+		record(s, "alice", Handoff{Prev: "C", From: "D", To: "A", Time: float64(i) + 0.5})
 	}
 	// Crowd pattern through D goes to B.
 	for i := 0; i < 20; i++ {
-		s.RecordHandoff(Handoff{Portable: fmt.Sprintf("p%d", i), Prev: "C", From: "D", To: "B", Time: float64(i)})
+		record(s, fmt.Sprintf("p%d", i), Handoff{Prev: "C", From: "D", To: "B", Time: float64(i)})
 	}
 	// Level 1: portable profile wins for alice.
-	next, ok := s.PredictByPortable("alice", "C", "D")
+	next, ok := byPortable(s, "alice", "C", "D")
 	if !ok || next != "A" {
 		t.Fatalf("portable prediction = %v, want A", next)
 	}
 	// Level 2: cell profile reflects the crowd.
-	next, ok = s.PredictByCell("D", "C")
+	next, ok = byCell(s, "D", "C")
 	if !ok || next != "B" {
 		t.Fatalf("cell prediction = %v, want B", next)
 	}
 	// Unknown portable: no level-1 prediction.
-	if _, ok := s.PredictByPortable("stranger", "C", "D"); ok {
+	if _, ok := byPortable(s, "stranger", "C", "D"); ok {
 		t.Fatal("stranger predicted at level 1")
 	}
 	dist := s.HandoffDistribution("D", "C")
@@ -159,26 +206,27 @@ func TestServerRecordAndPredictLevels(t *testing.T) {
 }
 
 func TestServerIgnoresSelfHandoffs(t *testing.T) {
-	s := NewServer("z", []topology.CellID{"C"}, ServerOptions{})
-	s.RecordHandoff(Handoff{Portable: "a", From: "C", To: "C"})
-	if s.Cell("C").history.len() != 0 {
+	s := NewServer("z", NewNumbering(testUniverse(t, corridors("C@z"))), ServerOptions{})
+	record(s, "a", Handoff{From: "C", To: "C"})
+	if s.Cell("C").history.len() != 0 || len(s.Portables()) != 0 {
 		t.Fatal("self-handoff recorded")
 	}
 }
 
 func TestServerExportImport(t *testing.T) {
-	s1 := NewServer("z1", []topology.CellID{"C", "D"}, ServerOptions{})
-	s2 := NewServer("z2", []topology.CellID{"E"}, ServerOptions{})
-	s1.RecordHandoff(Handoff{Portable: "alice", Prev: "C", From: "D", To: "E", Time: 1})
-	p, err := s1.ExportPortable("alice")
-	if err != nil {
-		t.Fatal(err)
+	x := NewNumbering(testUniverse(t, corridors("C@z1", "D@z1", "E@z2")))
+	s1, s2 := NewServer("z1", x, ServerOptions{}), NewServer("z2", x, ServerOptions{})
+	record(s1, "alice", Handoff{Prev: "C", From: "D", To: "E", Time: 1})
+	alice := x.Portable("alice")
+	s1.Handover(alice, s2)
+	if got := s1.Portables(); len(got) != 0 {
+		t.Fatalf("z1 kept %v after the handover", got)
 	}
-	if _, err := s1.ExportPortable("alice"); err == nil {
-		t.Fatal("double export succeeded")
+	s1.Handover(alice, s2) // nothing left to hand over
+	if got := s2.Portables(); !slices.Equal(got, []string{"alice"}) {
+		t.Fatalf("z2 holds %v, want alice", got)
 	}
-	s2.ImportPortable(p)
-	next, ok := s2.PredictByPortable("alice", "C", "D")
+	next, ok := byPortable(s2, "alice", "C", "D")
 	if !ok || next != "E" {
 		t.Fatalf("imported prediction = %v/%v, want E", next, ok)
 	}
@@ -188,8 +236,8 @@ func TestClassifyOffice(t *testing.T) {
 	c := NewCellProfile("A", 500, 60)
 	// One regular occupant entering and leaving many times.
 	for i := 0; i < 40; i++ {
-		c.recordArrival(Handoff{Portable: "prof", To: "A", Time: float64(i * 100)})
-		c.RecordDeparture(Handoff{Portable: "prof", Prev: "D", From: "A", To: "D", Time: float64(i*100 + 50)})
+		arrive(c, "prof", float64(i*100))
+		c.RecordDeparture(Handoff{Prev: "D", From: "A", To: "D", Time: float64(i*100 + 50)})
 	}
 	if got := Classify(c); got != topology.ClassOffice {
 		t.Fatalf("classified as %v, want office", got)
@@ -204,11 +252,11 @@ func TestClassifyCorridor(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		p := fmt.Sprintf("p%d", i)
 		tm := float64(i) * 30
-		c.recordArrival(Handoff{Portable: p, To: "D", Time: tm})
+		arrive(c, p, tm)
 		if rng.Bernoulli(0.5) {
-			c.RecordDeparture(Handoff{Portable: p, Prev: "C", From: "D", To: "E", Time: tm + 5})
+			c.RecordDeparture(Handoff{Prev: "C", From: "D", To: "E", Time: tm + 5})
 		} else {
-			c.RecordDeparture(Handoff{Portable: p, Prev: "E", From: "D", To: "C", Time: tm + 5})
+			c.RecordDeparture(Handoff{Prev: "E", From: "D", To: "C", Time: tm + 5})
 		}
 	}
 	if got := Classify(c); got != topology.ClassCorridor {
@@ -221,11 +269,11 @@ func TestClassifyMeetingRoom(t *testing.T) {
 	// Handoff bursts around t=0 and t=3600, silence between.
 	for i := 0; i < 40; i++ {
 		p := fmt.Sprintf("s%d", i)
-		c.recordArrival(Handoff{Portable: p, To: "M", Time: float64(i % 5)})
-		c.RecordDeparture(Handoff{Portable: p, Prev: "c1", From: "M", To: "c1", Time: 3600 + float64(i%5)})
+		arrive(c, p, float64(i%5))
+		c.RecordDeparture(Handoff{Prev: "c1", From: "M", To: "c1", Time: 3600 + float64(i%5)})
 	}
 	// A trickle in between so the series is not empty.
-	c.recordArrival(Handoff{Portable: "late", To: "M", Time: 1800})
+	arrive(c, "late", 1800)
 	if got := Classify(c); got != topology.ClassMeetingRoom {
 		t.Fatalf("classified as %v, want meeting room", got)
 	}
@@ -242,7 +290,7 @@ func TestClassifyCafeteria(t *testing.T) {
 			p := fmt.Sprintf("v%d", n)
 			n++
 			tm := float64(slot*60 + k*6)
-			c.recordArrival(Handoff{Portable: p, To: "cafe", Time: tm})
+			arrive(c, p, tm)
 			prev := topology.CellID("c1")
 			if rng.Bernoulli(0.5) {
 				prev = "c2"
@@ -258,7 +306,7 @@ func TestClassifyCafeteria(t *testing.T) {
 			default:
 				to = "c3"
 			}
-			c.RecordDeparture(Handoff{Portable: p, Prev: prev, From: "cafe", To: to, Time: tm + 30})
+			c.RecordDeparture(Handoff{Prev: prev, From: "cafe", To: to, Time: tm + 30})
 		}
 	}
 	if got := Classify(c); got != topology.ClassCafeteria {
@@ -268,7 +316,7 @@ func TestClassifyCafeteria(t *testing.T) {
 
 func TestClassifyUnknownWhenSparse(t *testing.T) {
 	c := NewCellProfile("x", 100, 60)
-	c.recordArrival(Handoff{Portable: "p", To: "x", Time: 1})
+	arrive(c, "p", 1)
 	if got := Classify(c); got != topology.ClassUnknown {
 		t.Fatalf("classified as %v with 1 sample, want unknown", got)
 	}
@@ -324,12 +372,12 @@ func TestQuickPortableHistoryBound(t *testing.T) {
 		if len(counts) == 0 {
 			return "", false
 		}
-		return argmaxCell(counts), true
+		return sortedArgmaxCell(counts), true
 	}
 	f := func(seed int64, n uint8) bool {
 		rng := randx.New(seed)
 		limit := int(n%20) + 1
-		p := NewPortableProfile("x", limit)
+		p := NewPortableProfile(limit)
 		c := NewCellProfile("A", limit, 60)
 		var kept []Handoff
 		for i := 0; i < 10*limit; i++ {
@@ -368,7 +416,7 @@ func TestQuickPortableHistoryBound(t *testing.T) {
 }
 
 func TestServerUnknownCell(t *testing.T) {
-	s := NewServer("z", []topology.CellID{"A"}, ServerOptions{})
+	s := NewServer("z", NewNumbering(testUniverse(t, corridors("A@z"))), ServerOptions{})
 	if s.Cell("ghost") != nil {
 		t.Fatal("unknown cell returned")
 	}

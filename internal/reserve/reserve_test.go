@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"armnet/internal/predict"
 	"armnet/internal/profile"
 	"armnet/internal/randx"
 	"armnet/internal/topology"
@@ -275,8 +276,8 @@ func lounges(t *testing.T) (*topology.Universe, *profile.CellProfile) {
 
 func TestCafeteriaPlan(t *testing.T) {
 	u, _ := lounges(t)
-	srv := profile.NewServer("z", []topology.CellID{"cafe"}, profile.ServerOptions{NpC: 1000})
-	cp := srv.Cell("cafe")
+	pred := predict.New(u, profile.ServerOptions{NpC: 1000})
+	cp := pred.ServerFor("cafe").Cell("cafe")
 	// Departure history: slots 0,1,2 with 2,4,6 departures, 3:1 toward n1.
 	times := []float64{10, 20, 70, 80, 90, 100, 130, 140, 150, 160, 170, 175}
 	for i, tm := range times {
@@ -284,11 +285,11 @@ func TestCafeteriaPlan(t *testing.T) {
 		if i%4 == 3 {
 			to = "n2"
 		}
-		cp.RecordDeparture(profile.Handoff{Portable: "p", Prev: "n1", From: "cafe", To: to, Time: tm})
+		cp.RecordDeparture(profile.Handoff{Prev: "n1", From: "cafe", To: to, Time: tm})
 	}
 	// Arrivals ramp too.
 	for _, tm := range []float64{10, 70, 75, 130, 135, 140} {
-		srv.RecordHandoff(profile.Handoff{Portable: "p", From: "lobby", To: "cafe", Time: tm})
+		pred.RecordHandoff(pred.Number("p"), nil, u.Cell("n2"), u.Cell("cafe"), tm)
 	}
 	plan := CafeteriaPlan(u, cp, 170, 1000)
 	// Forecast = (4*6 + 4 - 2*2)/3 = 8 handoffs; split 3:1.

@@ -290,10 +290,10 @@ func RunCorridor(seed int64, length, walkers int) (CorridorResult, error) {
 	}
 	pred := predictNew(env)
 	rng := randx.New(seed)
-	cell := func(i int) topology.CellID { return topology.CellID(fmt.Sprintf("c%d", i)) }
+	cell := func(i int) *topology.Cell { return env.Universe.Cell(topology.CellID(fmt.Sprintf("c%d", i))) }
 	res := CorridorResult{}
 	for w := 0; w < walkers; w++ {
-		id := fmt.Sprintf("w%d", w)
+		n := pred.Number(fmt.Sprintf("w%d", w))
 		forward := rng.Bernoulli(0.5)
 		evaluate := w >= walkers/2 // first half trains
 		path := make([]int, length)
@@ -304,21 +304,18 @@ func RunCorridor(seed int64, length, walkers int) (CorridorResult, error) {
 				path[i] = length - 1 - i
 			}
 		}
-		prev := topology.CellID("")
+		var prev *topology.Cell
 		for i := 0; i+1 < len(path); i++ {
 			from, to := cell(path[i]), cell(path[i+1])
 			if evaluate && i > 0 {
 				// In `from`, having come from prev: predict.
-				d := pred.NextCell(id, prev, from)
+				d := pred.NextCell(n, prev, from)
 				res.Transits++
 				if d.Target == to {
 					res.Correct++
 				}
 			}
-			pred.RecordHandoff(profile.Handoff{
-				Portable: id, Prev: prev, From: from, To: to,
-				Time: float64(w*length + i),
-			})
+			pred.RecordHandoff(n, prev, from, to, float64(w*length+i))
 			prev = from
 		}
 	}

@@ -108,11 +108,23 @@ func RunFigure4(cfg Figure4Config) (Figure4Result, error) {
 		pr      *personaResult
 		decided predict.Decision
 	}
+	// mover is a portable's predictor number, taken when it first
+	// appears, and its previous cell.
+	type mover struct {
+		n    int
+		prev *topology.Cell
+	}
 	waiting := map[string]*pending{}
-	prevCell := map[string]topology.CellID{}
+	movers := map[string]*mover{}
+	u := env.Universe
 	for _, mv := range trace.Moves {
+		who := movers[mv.Portable]
+		if who == nil {
+			who = &mover{n: pred.Number(mv.Portable)}
+			movers[mv.Portable] = who
+		}
 		if mv.From == "" {
-			prevCell[mv.Portable] = ""
+			who.prev = nil
 			continue
 		}
 		// Resolve a pending prediction: the move out of D tells us the
@@ -121,7 +133,7 @@ func RunFigure4(cfg Figure4Config) (Figure4Result, error) {
 		if w, ok := waiting[mv.Portable]; ok && mv.From == "D" {
 			actual := mv.To
 			if w.decided.Action == predict.ActionReserve {
-				target := w.decided.Target
+				target := w.decided.Target.ID
 				ok := target == actual || (target == "B" && actual == "E")
 				if ok {
 					w.pr.Correct++
@@ -133,7 +145,7 @@ func RunFigure4(cfg Figure4Config) (Figure4Result, error) {
 		if mv.Time >= cut && mv.From == "C" && mv.To == "D" {
 			pr := persona(mv.Portable)
 			// The portable is now in D and came from C: prev = C.
-			d := pred.NextCell(mv.Portable, mv.From, "D")
+			d := pred.NextCell(who.n, u.Cell(mv.From), u.Cell("D"))
 			pr.Transits++
 			if d.Action == predict.ActionReserve {
 				pr.ReservedCells++
@@ -142,14 +154,9 @@ func RunFigure4(cfg Figure4Config) (Figure4Result, error) {
 			pr.BruteForceCells += len(nb)
 			waiting[mv.Portable] = &pending{pr: pr, decided: d}
 		}
-		pred.RecordHandoff(profile.Handoff{
-			Portable: mv.Portable,
-			Prev:     prevCell[mv.Portable],
-			From:     mv.From,
-			To:       mv.To,
-			Time:     mv.Time,
-		})
-		prevCell[mv.Portable] = mv.From
+		from := u.Cell(mv.From)
+		pred.RecordHandoff(who.n, who.prev, from, u.Cell(mv.To), mv.Time)
+		who.prev = from
 	}
 
 	res.FacultyDeck = mobility.OfficeOutcomes(trace, func(p string) bool { return p == "faculty" })

@@ -191,8 +191,7 @@ func runFigure5(cfg figure5Config) (Figure5Result, error) {
 			for _, mv := range tr.Moves {
 				if mv.From != "" {
 					profiles[mv.From].RecordDeparture(profile.Handoff{
-						Portable: mv.Portable, Prev: prev[mv.Portable],
-						From: mv.From, To: mv.To, Time: mv.Time,
+						Prev: prev[mv.Portable], From: mv.From, To: mv.To, Time: mv.Time,
 					})
 				}
 				prev[mv.Portable] = mv.From
