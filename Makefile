@@ -30,9 +30,13 @@ fmt-check:
 ## packages the goldens read: internal/core's meeting reservations,
 ## internal/profile's lounge classifier, internal/predict's cafeteria
 ## forecast and internal/mobility's office-week start times (topology has
-## no fused site); ROADMAP item 12 widens FMA_PKGS further.
+## no fused site). So do internal/testnet's soak script times and bounds,
+## which reach the soak golden, and the live plane's other packages
+## (eventbus, wire, clock: no fused site). ROADMAP item 12 widens
+## FMA_PKGS further.
 FMA_PKGS = ./internal/stats ./internal/admission ./internal/sched ./internal/randx ./internal/maxmin \
-	./internal/core ./internal/topology ./internal/profile ./internal/predict ./internal/mobility
+	./internal/core ./internal/topology ./internal/profile ./internal/predict ./internal/mobility \
+	./internal/testnet ./internal/eventbus ./internal/wire ./internal/clock
 fma-check:
 	@for arch in arm64 ppc64le; do \
 		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \

@@ -49,6 +49,25 @@ func appendBool(dst []byte, key string, b bool) []byte {
 	return strconv.AppendBool(append(dst, key...), b)
 }
 
+// uintLen and intLen are the lengths of strconv's decimal text.
+func uintLen(u uint64) int {
+	n := 1
+	for ; u >= 100; u /= 100 {
+		n += 2
+	}
+	if u >= 10 {
+		n++
+	}
+	return n
+}
+
+func intLen(i int) int {
+	if i < 0 {
+		return 1 + uintLen(uint64(-int64(i)))
+	}
+	return uintLen(uint64(i))
+}
+
 // plainByte marks the bytes a JSON string carries as they are: ASCII
 // from space up, less the two the syntax needs escaped and the three
 // encoding/json escapes to keep a trace safe to embed in HTML.
@@ -113,4 +132,33 @@ func appendString(dst []byte, key, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// quotedLen is len(appendString(nil, "", s)), counted the way
+// appendString escapes.
+func quotedLen(s string) int {
+	n := len(`""`)
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			switch {
+			case plainByte[b]:
+				n++
+			case b == '\\', b == '"', b == '\b', b == '\f', b == '\n', b == '\r', b == '\t':
+				n += 2
+			default:
+				n += len(`\u00XX`)
+			}
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 || c == '\u2028' || c == '\u2029' {
+			n += len(`\ufffd`)
+		} else {
+			n += size
+		}
+		i += size
+	}
+	return n
 }

@@ -211,6 +211,35 @@ func TestAppendMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestLineLenMatchesAppendLine holds the sizing pass to the encoder:
+// over WireDelivery values filled with hostile strings (escaped bytes,
+// invalid UTF-8, the line separators), negative and huge ints, sequence
+// numbers of every width and clock readings in both exponent ranges,
+// LineLen is the length of the line AppendLine appends, each with its own
+// memo, whose hits and misses must not matter either.
+func TestLineLenMatchesAppendLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	g := valueGen{next: func() byte { return byte(rng.Intn(256)) }, finite: true}
+	var sizer, enc LineEncoder
+	var line []byte
+	for round := 0; round < 50_000; round++ {
+		ev := g.fill(t, WireDelivery{}).(WireDelivery)
+		seq := g.u64() >> (g.next() % 64)
+		at := g.float()
+		if g.next()%2 == 0 {
+			at = math.Float64frombits(enc.tBits) // a memo hit
+		}
+		want := LineLen(&sizer, seq, at, ev)
+		var err error
+		if line, err = AppendLine(&enc, line[:0], seq, at, ev); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(line) != want {
+			t.Fatalf("round %d: LineLen %d, AppendLine made %d bytes: %s", round, want, len(line), line)
+		}
+	}
+}
+
 // recordBoth feeds one record stream to a Recorder and to the reference
 // and returns both outputs and latched errors.
 func recordBoth(recs []Record) (got, want []byte, gotErr, wantErr error) {
@@ -488,7 +517,7 @@ func TestTimestampMemo(t *testing.T) {
 	var out bytes.Buffer
 	r := &Recorder{w: &out}
 	r.observe(Record{Seq: 1, Time: 2.5, Event: ev})
-	copy(r.tText, "9.9")
+	copy(r.enc.tText[:], "9.9")
 	r.observe(Record{Seq: 2, Time: 2.5, Event: ev})
 	r.observe(Record{Seq: 3, Time: 2.75, Event: ev})
 	lines := strings.Split(out.String(), "\n")

@@ -638,8 +638,9 @@ func (e BreakerState) appendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// WireDelivery is published by a testnet node for every control frame
-// it receives: the node's name, the protocol the frame belongs to
+// WireDelivery is a testnet node's trace line for every control frame it
+// receives (the node logs frames and renders these at Trace, through
+// AppendLine; nothing publishes one): the node's name, the protocol the frame belongs to
 // ("signal" or "maxmin"), the wire message type, and the frame size.
 // Hop is the protocol's 0-based transmission index (matching the
 // delivery-hook coordinate of internal/faults).
@@ -662,6 +663,16 @@ func (e WireDelivery) appendJSON(dst []byte) []byte {
 	dst = appendInt(dst, `,"hop":`, e.Hop)
 	dst = appendInt(dst, `,"bytes":`, e.Bytes)
 	return append(dst, '}')
+}
+
+// jsonLen is len(e.appendJSON(nil)), so that LineLen can size a node's
+// trace before rendering it.
+func (e WireDelivery) jsonLen(enc *LineEncoder) int {
+	n := len(`{"node":`) + enc.quotedLen(e.Node) + len(`,"proto":`) + enc.quotedLen(e.Proto) + len(`,"msg":`) + enc.quotedLen(e.Type)
+	if e.Conn != "" {
+		n += len(`,"conn":`) + enc.quotedLen(e.Conn)
+	}
+	return n + len(`,"hop":`) + intLen(e.Hop) + len(`,"bytes":`) + intLen(e.Bytes) + len(`}`)
 }
 
 func (WireDelivery) Kind() Kind { return kindWireDelivery }

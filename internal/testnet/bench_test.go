@@ -1,11 +1,13 @@
 package testnet
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"armnet/internal/des"
-	"armnet/internal/eventbus"
 	"armnet/internal/faults"
 	"armnet/internal/raceflag"
 	"armnet/internal/topology"
@@ -13,7 +15,7 @@ import (
 )
 
 // BenchmarkLoopbackRoundTrip measures one full fabric round trip: encode
-// a hop frame, deliver it to a node (decode + trace record + ack build),
+// a hop frame, deliver it to a node (decode + frame log + ack build),
 // and verify the ack — the per-hop cost the loopback testnet adds on top
 // of the simulated protocols.
 func BenchmarkLoopbackRoundTrip(b *testing.B) {
@@ -39,13 +41,13 @@ func BenchmarkLoopbackRoundTrip(b *testing.B) {
 			b.Fatalf("bad ack %+v", am)
 		}
 		if i%4096 == 4095 {
-			n.buf = eventbus.TraceBuffer{} // cap trace growth; the recorder keeps writing
+			n.log = frameLog{} // cap the log's growth
 		}
 	}
 }
 
 // BenchmarkNodeHandleFrame is the node's share of a hop alone: decode,
-// trace record and ack build for an ADVERTISE, the most frequent frame.
+// frame log and ack build for an ADVERTISE, the most frequent frame.
 func BenchmarkNodeHandleFrame(b *testing.B) {
 	n := NewNode("bench", des.New())
 	frame, err := wire.Encode(1<<20, wire.Advertise{Conn: "portable-17:2", Hop: 5, Round: 4, Stamp: 1.2345e6})
@@ -58,18 +60,106 @@ func BenchmarkNodeHandleFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%4096 == 4095 {
-			n.buf = eventbus.TraceBuffer{}
+			n.log = frameLog{}
 		}
+	}
+}
+
+// loggedNode returns a node that has logged the given number of
+// ADVERTISE frames, the clock moving every seventh, as a sweep's hops
+// share an instant.
+func loggedNode(tb testing.TB, frames int) *Node {
+	clk := &manualClock{}
+	n := NewNode("ap-off-1", clk)
+	for i := 0; i < frames; i++ {
+		if i%7 == 0 {
+			clk.t += 0.0137
+		}
+		frame, err := wire.Encode(uint32(i+1), wire.Advertise{Conn: "portable-17:2", Hop: uint16(i % 9), Round: 4})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, _, err := n.HandleFrame(frame); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return n
+}
+
+// BenchmarkNodeTrace is the node's trace cost at the end of a run: a
+// 100k-frame log sized and rendered into one buffer.
+func BenchmarkNodeTrace(b *testing.B) {
+	n := loggedNode(b, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := n.Trace(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestNodeTraceSizedOnce pins Trace's one allocation: its output, sized
+// by the first pass to the byte (at most 5 % slack) and never regrown.
+func TestNodeTraceSizedOnce(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	n := loggedNode(t, 5000)
+	var out []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if out, err = n.Trace(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Trace allocates %v times, want once", allocs)
+	}
+	if lines := bytes.Count(out, []byte("\n")); lines != 5000 || cap(out) > len(out)*105/100 {
+		t.Fatalf("Trace rendered %d lines into %d of %d bytes", lines, len(out), cap(out))
+	}
+}
+
+// TestNodeLogNeverCopiesHistory is TestTraceBufferNeverCopiesHistory for
+// the frame log: logging 8 MiB of records allocates barely more than
+// 8 MiB, so a UDP node's goroutine never stalls copying what it logged
+// before. A doubling slice allocates at least twice that.
+func TestNodeLogNeverCopiesHistory(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	const total = 8 << 20
+	rec := frameRecord{t: 1.5, conn: "portable-17:2", typ: wire.TAdvertise, hop: 3, size: 31}
+	var l frameLog
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for l.n*int(unsafe.Sizeof(rec)) < total {
+		l.append(rec)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= total*5/4 {
+		t.Fatalf("logging %d records allocated %d bytes, want under %d", l.n, grew, total*5/4)
+	}
+	held := 0
+	for i, c := range l.chunks {
+		if cap(c) > maxLogChunk || i < len(l.chunks)-1 && len(c) != cap(c) {
+			t.Fatalf("chunk %d holds %d of %d records, cap is %d", i, len(c), cap(c), maxLogChunk)
+		}
+		held += len(c)
+	}
+	if held != l.n || unsafe.Sizeof(rec) > 32 {
+		t.Fatalf("chunks hold %d of %d records of %d bytes", held, l.n, unsafe.Sizeof(rec))
 	}
 }
 
 // TestHandleFrameAllocBudget pins a warm node at zero allocations per
 // frame: the frame decodes into the node's own Frame, the connection ID
-// comes from the intern table, the WireDelivery reaches the recorder
-// unboxed and its line is appended into the recorder's scratch, and the
-// ack is appended into the node's buffer. The frame's seq is above 255
-// on purpose: Go boxes smaller integers from a static table, which hid
-// the ack's box from every probe that numbers its frames from 1.
+// comes from the intern table, its record fills a slot of the frame
+// log's last chunk, and the ack is appended into the node's buffer. The
+// frame's seq is above 255 on purpose: Go boxes smaller integers from a
+// static table, which hid the ack's box from every probe that numbers its
+// frames from 1.
 func TestHandleFrameAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -84,7 +174,7 @@ func TestHandleFrameAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	handle() // grow the recorder's scratch and the first trace chunk
+	handle() // make the log's first chunk
 	if got := testing.AllocsPerRun(1000, handle); got != 0 {
 		t.Fatalf("HandleFrame allocates %v/op, want 0", got)
 	}
@@ -127,7 +217,7 @@ func TestLoopbackDeliverAllocFree(t *testing.T) {
 		link, _ := ref.maxminHop(0, true)
 		tr.MaxminDeliver(conn, 0, string(link), true)
 	}
-	round() // grow the recorders' scratch and the first trace chunks
+	round() // make the logs' first chunks
 	if got := testing.AllocsPerRun(200, round); got != 0 {
 		t.Fatalf("a warm round of %d deliveries allocates %v, want 0", 4*hops+1, got)
 	}

@@ -207,13 +207,13 @@ func runSoak(cfg SoakConfig, extra ...soakHook) (*soakResult, error) {
 		// injection-free.
 		hooks = append(hooks,
 			soakHook{at: base, fn: func(r *runner) { r.faulty.setPlan(plan, seed) }},
-			soakHook{at: base + active, fn: func(r *runner) { r.faulty.setPlan(nil, 0) }},
+			soakHook{at: float64(base) + active, fn: func(r *runner) { r.faulty.setPlan(nil, 0) }},
 		)
 		for _, f := range soakEvents(plan, base, active) {
 			hooks = append(hooks, soakHook{at: f.At, fn: func(r *runner) { r.faulty.apply(f) }})
 		}
 		hooks = append(hooks, soakHook{
-			at: base + cfg.epochLen,
+			at: float64(base) + cfg.epochLen,
 			fn: func(r *runner) {
 				rep, cur := epochAudit(r, e, pidx, prevSnap)
 				prevSnap = cur
@@ -225,7 +225,7 @@ func runSoak(cfg SoakConfig, extra ...soakHook) (*soakResult, error) {
 	run, err := Run(Config{
 		Mode:        ModeLoopback,
 		Script:      soakScript(randx.New(cfg.Seed), cfg.Epochs, cfg.epochLen, active),
-		Horizon:     float64(cfg.Epochs)*cfg.epochLen + 1,
+		Horizon:     float64(float64(cfg.Epochs)*cfg.epochLen) + 1,
 		Faults:      &faults.Plan{}, // hooks swap the live plan per epoch
 		faultSeed:   cfg.Seed,
 		lease:       leaseConfig{Period: soakLeasePeriod},
@@ -387,21 +387,21 @@ func soakScript(rng *randx.Rand, epochs int, epochLen, active float64) []Step {
 		n := 3 + rng.Intn(3)
 		for i := 0; i < n; i++ {
 			conn := fmt.Sprintf("e%ds%d:0", e, i)
-			min := 100e3 + float64(rng.Intn(4))*50e3
+			min := 100e3 + float64(float64(rng.Intn(4))*50e3)
 			steps = append(steps, Step{
-				At:   base + 0.1 + rng.Float64()*active*0.5,
+				At:   float64(base) + 0.1 + float64(rng.Float64()*active*0.5),
 				Op:   OpSetup,
 				Conn: conn,
 				Cell: cells[rng.Intn(len(cells))],
 				Host: rng.Intn(2),
 				Min:  min,
-				Max:  min + float64(1+rng.Intn(5))*200e3,
+				Max:  min + float64(float64(1+rng.Intn(5))*200e3),
 			})
 			pool = append(pool, conn)
 		}
 		if len(pool) > 0 {
 			steps = append(steps, Step{
-				At:   base + active*0.5 + rng.Float64()*active*0.3,
+				At:   float64(base) + float64(active*0.5) + float64(rng.Float64()*active*0.3),
 				Op:   OpHandoff,
 				Conn: pool[rng.Intn(len(pool))],
 				Cell: cells[rng.Intn(len(cells))],
@@ -415,7 +415,7 @@ func soakScript(rng *randx.Rand, epochs int, epochLen, active float64) []Step {
 			conn := pool[i]
 			pool = append(pool[:i], pool[i+1:]...)
 			steps = append(steps, Step{
-				At:   base + active*0.6 + rng.Float64()*active*0.35,
+				At:   float64(base) + float64(active*0.6) + float64(rng.Float64()*active*0.35),
 				Op:   OpClose,
 				Conn: conn,
 			})

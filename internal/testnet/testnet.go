@@ -17,8 +17,8 @@
 //     maxmin.ProtocolOptions.Deliver), each call naming the link its hop
 //     crosses. The testnet transport encodes each hop as an
 //     internal/wire frame and delivers it to the node agent owning that
-//     link; the node decodes it, records a WireDelivery
-//     event on its own bus, and acks.
+//     link; the node decodes it, logs it (its trace renders the log as
+//     WireDelivery lines), and acks.
 //   - Node agents partition the campus backbone by zone: one agent per
 //     zone plus one for the core. They mirror delivery — protocol state
 //     stays in the controller — which is why hop-level frames carry
