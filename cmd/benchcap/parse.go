@@ -161,7 +161,7 @@ func mergeResults(rs []result) []result {
 		if wa+wb == 0 {
 			continue
 		}
-		mean := func(x, y float64) float64 { return (x*wa + y*wb) / (wa + wb) }
+		mean := func(x, y float64) float64 { return (float64(x*wa) + float64(y*wb)) / (wa + wb) }
 		a.NsPerOp = mean(a.NsPerOp, r.NsPerOp)
 		a.BytesPerOp = mean(a.BytesPerOp, r.BytesPerOp)
 		a.AllocsPerOp = mean(a.AllocsPerOp, r.AllocsPerOp)

@@ -65,8 +65,8 @@ func BenchmarkPublishWithJSONLRecorder(b *testing.B) {
 	}
 }
 
-// wireDeliverySample is the record a testnet node publishes per frame —
-// the one kind the live plane's always-on recorders see.
+// wireDeliverySample is a testnet node's trace line for one frame, the
+// widest of the hot kinds: four strings and two ints.
 var wireDeliverySample = WireDelivery{Node: "ap-off-1", Proto: "maxmin", Type: "advertise", Conn: "p07:3", Hop: 2, Bytes: 31}
 
 // steppingClock advances by an irregular step on every reading, so no
@@ -82,23 +82,29 @@ func (c *steppingClock) Now() float64 {
 	return c.t
 }
 
-// BenchmarkRecordWireDelivery is the recorder's cost per live-plane
-// frame on both sides of its clock-reading memo. The benchmark above
-// and bench/'s eventbus.record_ns probe publish on a frozen clock and
-// so time the all-hits path only; clock=moving never hits (every record
-// formats its own timestamp, as under live-udp-paced), clock=frozen
-// always does (as inside one des event of a loopback sweep).
-func BenchmarkRecordWireDelivery(b *testing.B) {
+// BenchmarkRecordAdaptationRound is the recorder's cost per line of the
+// kind a live run's always-on recorder, the controller's, writes most:
+// an ADVERTISE round stamping a connection's rate (a node's frames are
+// rendered at Node.Trace, BenchmarkNodeTrace). A run's rounds repeat a
+// few stamps — 142 distinct over the 41,888 rounds of live-loopback-
+// churn's first script — so the stamps and connections cycle through
+// small sets. clock=frozen always hits the clock-reading memo (as inside
+// one des event of a loopback sweep), clock=moving never does (as under
+// live-udp-paced); bench/'s eventbus.record_ns probe is the frozen case
+// with one stamp.
+func BenchmarkRecordAdaptationRound(b *testing.B) {
+	stamps := []float64{3600.25, 3600.3125, 3601.0625, 3602.5, 3602.75}
+	conns := []string{"p07:3", "p11:1", "p02:4"}
 	for _, c := range []struct {
 		name string
 		clk  Clock
-	}{{"clock=frozen", &fakeClock{t: 12.5}}, {"clock=moving", &steppingClock{t: 12.5}}} {
+	}{{"clock=frozen", &fakeClock{t: 3603.5}}, {"clock=moving", &steppingClock{t: 3603.5}}} {
 		b.Run(c.name, func(b *testing.B) {
 			bus := New(c.clk)
 			rec := AttachRecorder(bus, io.Discard)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Pub(bus, wireDeliverySample)
+				Pub(bus, AdaptationRound{Conn: conns[i%len(conns)], Round: 1 + i%9, Stamp: stamps[i%len(stamps)]})
 			}
 			if rec.Err() != nil {
 				b.Fatal(rec.Err())

@@ -6,29 +6,21 @@ import (
 	"unicode/utf8"
 )
 
-// The append helpers below are what every Event's appendJSON is written
-// in. Each takes the bytes that precede the value — the opening brace or
-// separating comma and the quoted field name, one string constant — and
-// appends them and the value exactly as encoding/json (HTML escaping on)
-// would; TestAppendMatchesEncodingJSON holds them to that.
-
-// nonFinite flags a NaN or ±Inf in a line under construction. JSON has
-// no spelling for those, and appendFloat has no error to return, so it
-// appends this byte and the value's %g text instead of a number. The
-// byte cannot occur in a well-formed line — appendString escapes every
-// control character — so its presence is the recorder's whole check.
-const nonFinite = 0x00
+// The helpers below, and the LineEncoder's str and float (trace.go),
+// are what every Event's appendJSON is written in. Each takes the bytes
+// that precede the value — the opening brace or separating comma and the
+// quoted field name, one string constant — and appends them and the
+// value exactly as encoding/json (HTML escaping on) would;
+// TestAppendMatchesEncodingJSON holds them to that.
 
 const hexDigits = "0123456789abcdef"
 
-// appendFloat appends key and f in encoding/json's ES6-style number
-// format: plain decimal, except exponent form below 1e-6 and from 1e21
-// up, with a one-digit negative exponent unpadded.
-func appendFloat(dst []byte, key string, f float64) []byte {
-	dst = append(dst, key...)
-	if f-f != 0 { // NaN or ±Inf
-		return strconv.AppendFloat(append(dst, nonFinite), f, 'g', -1, 64)
-	}
+// appendFloat appends f in encoding/json's ES6-style number format:
+// plain decimal, except exponent form below 1e-6 and from 1e21 up, with
+// a one-digit negative exponent unpadded. JSON has no spelling for NaN
+// or ±Inf; given one it appends strconv's text, which no line carries
+// (LineEncoder.float and AppendLine refuse them first).
+func appendFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
@@ -79,14 +71,13 @@ var plainByte = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// appendString appends key and s as a quoted JSON string. Runs of plain
+// appendString appends s as a quoted JSON string. Runs of plain
 // bytes are copied whole; the rest is escaped as encoding/json does it:
 // the quote and backslash behind a backslash, \b \f \n \r \t by name,
 // other control bytes and < > & as \u00XX, invalid UTF-8 as the six
 // characters \ufffd, and the line and paragraph separators U+2028/9 as
 // \u2028 and \u2029.
-func appendString(dst []byte, key, s string) []byte {
-	dst = append(dst, key...)
+func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -134,7 +125,7 @@ func appendString(dst []byte, key, s string) []byte {
 	return append(dst, '"')
 }
 
-// quotedLen is len(appendString(nil, "", s)), counted the way
+// quotedLen is len(appendString(nil, s)), counted the way
 // appendString escapes.
 func quotedLen(s string) int {
 	n := len(`""`)

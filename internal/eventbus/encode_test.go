@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"armnet/internal/raceflag"
 )
@@ -198,6 +199,7 @@ func TestAppendMatchesEncodingJSON(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(22))
 	g := valueGen{next: func() byte { return byte(rng.Intn(256)) }, finite: true}
+	var enc LineEncoder
 	var got []byte
 	for round := 0; round < rounds; round++ {
 		ev := g.fill(t, everyKind[round%len(everyKind)])
@@ -205,7 +207,7 @@ func TestAppendMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: json.Marshal(%#v): %v", round, ev, err)
 		}
-		if got = ev.appendJSON(got[:0]); !bytes.Equal(got, want) {
+		if got = ev.appendJSON(&enc, got[:0]); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: %#v\nappendJSON   %s\njson.Marshal %s", round, ev, got, want)
 		}
 	}
@@ -229,7 +231,7 @@ func TestLineLenMatchesAppendLine(t *testing.T) {
 		if g.next()%2 == 0 {
 			at = math.Float64frombits(enc.tBits) // a memo hit
 		}
-		want := LineLen(&sizer, seq, at, ev)
+		want := LineLen(&sizer, seq, at, &ev)
 		var err error
 		if line, err = AppendLine(&enc, line[:0], seq, at, ev); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -551,4 +553,197 @@ func TestRecorderObserveAllocFree(t *testing.T) {
 			t.Fatal(r.Err())
 		}
 	}
+}
+
+// TestLineEncoderMemoMatchesFresh holds a long-lived encoder, whose memo
+// fills, hits and evicts, to a fresh one per line: every line must come
+// out with the same bytes and the same error. The stream is built on the
+// memo's hazards — substrings that share a data pointer and differ in
+// length, equal text at different addresses, three strings to one string
+// set and to one head slot, more floats than one float set holds,
+// strings longer than an entry or whose escapes are, the generator's
+// hostile strings, 0 and -0, and NaN and ±Inf in the clock and the
+// payload. LineLen, sizing every WireDelivery line on an encoder of its
+// own and on the one that renders it, must agree with the rendered
+// length.
+func TestLineEncoderMemoMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	g := valueGen{next: func() byte { return byte(rng.Intn(256)) }}
+	strs, heads, floats := memoHazards(g)
+	var recs []Record
+	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
+	for i := 0; i < 20_000; i++ {
+		rec := Record{Seq: uint64(i + 1), Time: floats[rng.Intn(len(floats))]}
+		if i%5 != 0 {
+			rec.Time = recs[i-1].Time // the reading before, mostly
+		}
+		switch i % 4 {
+		case 0: // the same strings back to back, as a node's lines are
+			ev := WireDelivery{Node: pick(heads), Proto: pick(heads), Type: pick(heads), Conn: pick(strs), Hop: i % 9, Bytes: i}
+			rec.Event = ev
+			if i > 0 && rng.Intn(2) == 0 {
+				if prev, ok := recs[i-1].Event.(WireDelivery); ok {
+					ev.Node, ev.Proto, ev.Type = prev.Node, prev.Proto, prev.Type
+					rec.Event = ev
+				}
+			}
+		case 1:
+			rec.Event = AdaptationRound{Conn: pick(strs), Round: i, Stamp: floats[rng.Intn(len(floats))]}
+		default: // any kind, its strings and floats drawn from the pools
+			v := reflect.New(reflect.TypeOf(everyKind[rng.Intn(len(everyKind))])).Elem()
+			for f := 0; f < v.NumField(); f++ {
+				switch fv := v.Field(f); fv.Kind() {
+				case reflect.String:
+					fv.SetString(pick(strs))
+				case reflect.Float64:
+					fv.SetFloat(floats[rng.Intn(len(floats))])
+				case reflect.Int:
+					fv.SetInt(int64(rng.Intn(1000)))
+				case reflect.Bool:
+					fv.SetBool(rng.Intn(2) == 0)
+				}
+			}
+			rec.Event = v.Interface().(Event)
+		}
+		recs = append(recs, rec)
+	}
+
+	var long, sizer, both LineEncoder
+	var got, want []byte
+	fails := 0
+	for i, rec := range recs {
+		var err, wantErr error
+		got, err = AppendLine(&long, got[:0], rec.Seq, rec.Time, rec.Event)
+		want, wantErr = AppendLine(new(LineEncoder), want[:0], rec.Seq, rec.Time, rec.Event)
+		if !bytes.Equal(got, want) || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("line %d: %#v at t=%v\nlong-lived %q (%v)\nfresh      %q (%v)", i, rec.Event, rec.Time, got, err, want, wantErr)
+		}
+		if wantErr != nil {
+			fails++
+		} else if msg := memoHolds(&long, rec.Event); msg != "" {
+			t.Fatalf("line %d: %#v: %s", i, rec.Event, msg)
+		}
+		wd, ok := rec.Event.(WireDelivery)
+		if !ok || wantErr != nil {
+			continue
+		}
+		sized := LineLen(&sizer, rec.Seq, rec.Time, &wd)
+		sizedBoth := LineLen(&both, rec.Seq, rec.Time, &wd)
+		line, err := AppendLine(&both, nil, rec.Seq, rec.Time, wd)
+		if sized != len(want) || sizedBoth != len(want) || err != nil || !bytes.Equal(line, want) {
+			t.Fatalf("line %d: %#v: LineLen %d and %d, rendered %q (%v), want %d bytes %q",
+				i, wd, sized, sizedBoth, line, err, len(want), want)
+		}
+	}
+	if fails == 0 || fails == len(recs) {
+		t.Fatalf("%d of %d lines failed: the stream missed the error path or the memo", fails, len(recs))
+	}
+}
+
+// memoHazards returns the test's pools: payload strings, the strings
+// WireDelivery's head is drawn from, and floats for the clock and the
+// payload.
+func memoHazards(g valueGen) (strs, heads []string, floats []float64) {
+	base := strings.Repeat("ap-off-1<->p07:3 ", 4)
+	for n := 1; n <= len(base); n += 3 { // one data pointer, many lengths
+		strs = append(strs, base[:n])
+	}
+	for _, s := range []string{"p07:3", "maxmin", base[:20]} { // one text, three addresses
+		strs = append(strs, s, strings.Clone(s), strings.Clone(s))
+	}
+	for _, n := range []int{maxMemoLen - 1, maxMemoLen, maxMemoLen + 1, 2 * maxMemoLen} {
+		strs = append(strs, strings.Repeat("x", n), strings.Repeat("<", n))
+	}
+	strs = append(strs, strings.Repeat("\x01", maxMemoLen/6+1), "  ", "")
+	for i := 0; i < 32; i++ {
+		strs = append(strs, g.str())
+	}
+	// Three strings to one set, and three message types to one head slot:
+	// distinct addresses cut from one backing array, grouped by slot.
+	backing := strings.Repeat("signal-setup/advertise/", 64)
+	strs = append(strs, sameSlot(backing, 6, quotedSetBits, 3)...)
+	heads = append(heads, sameSlot(backing, 9, headSlotBits, 3)...)
+	heads = append(heads, "ap-off-1", "maxmin", "signal", strings.Repeat("node-", 12), base[:3], base[:5])
+
+	floats = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e-7, 1e21, 12.5, 64e3}
+	ways := len(floatSet{}.bits)
+	for v, taken := 1.0, map[uint64]int{}; len(floats) < 9+ways+2; v += 0.125 { // more than a float set holds
+		s := slot(math.Float64bits(v), floatSetBits)
+		if taken[s]++; taken[s] == ways+2 {
+			for w := 1.0; w <= v; w += 0.125 {
+				if slot(math.Float64bits(w), floatSetBits) == s {
+					floats = append(floats, w)
+				}
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		floats = append(floats, g.float())
+	}
+	return strs, heads, floats
+}
+
+// memoHolds reports what of a just-rendered AdaptationRound or
+// WireDelivery e's memo does not hold: the head, the last string if it
+// fits an entry, and the payload float must each sit in their slot under
+// their own key, with their own text. A memo that never keeps what it formatted renders the right bytes
+// too, so the comparison above cannot see it; this can.
+func memoHolds(e *LineEncoder, ev Event) string {
+	var strs []string
+	switch ev := ev.(type) {
+	case AdaptationRound:
+		bits, set, held := math.Float64bits(ev.Stamp), e.floats[slot(math.Float64bits(ev.Stamp), floatSetBits)], false
+		for w, b := range set.bits {
+			if b == bits && set.n[w] != 0 {
+				held = true
+				if want := appendFloat(nil, ev.Stamp); string(set.text[w][:set.n[w]]) != string(want) {
+					return fmt.Sprintf("float entry for %v holds %q, want %q", ev.Stamp, set.text[w][:set.n[w]], want)
+				}
+			}
+		}
+		if !held {
+			return fmt.Sprintf("no float entry holds %v", ev.Stamp)
+		}
+		strs = []string{ev.Conn}
+	case WireDelivery:
+		head := appendString(append(appendString(append(appendString([]byte(`{"node":`), ev.Node),
+			`,"proto":`...), ev.Proto), `,"msg":`...), ev.Type)
+		m := e.heads[slot(uint64(uintptr(unsafe.Pointer(unsafe.StringData(ev.Type)))), headSlotBits)]
+		if len(head) <= len(m.text) && (!m.node.is(ev.Node) || !m.proto.is(ev.Proto) || !m.msg.is(ev.Type) || string(m.text[:m.n]) != string(head)) {
+			return fmt.Sprintf("head slot holds %q, want %q", m.text[:m.n], head)
+		}
+		strs = []string{ev.Conn}
+	}
+	for _, s := range strs { // the line's last string: an earlier one may be evicted by it
+		if len(s) == 0 || len(s) > maxMemoLen {
+			continue
+		}
+		set, held := e.quoted[slot(uint64(uintptr(unsafe.Pointer(unsafe.StringData(s)))), quotedSetBits)], false
+		for _, m := range set.ways {
+			if m.key.is(s) {
+				held = true
+				if want := appendString(nil, s); int(m.q) != len(want) || m.ok && string(m.text[:m.q]) != string(want) {
+					return fmt.Sprintf("entry for %q holds %d %q, want %q", s, m.q, m.text[:m.q], want)
+				}
+			}
+		}
+		if !held {
+			return fmt.Sprintf("no entry holds %q", s)
+		}
+	}
+	return ""
+}
+
+// sameSlot returns n substrings of backing, each length long, whose data
+// pointers share one slot of a 1<<bits table.
+func sameSlot(backing string, length int, bits uint, n int) []string {
+	bySlot := map[uint64][]string{}
+	for i := 0; i+length <= len(backing); i++ {
+		s := backing[i : i+length]
+		k := slot(uint64(uintptr(unsafe.Pointer(unsafe.StringData(s)))), bits)
+		if bySlot[k] = append(bySlot[k], s); len(bySlot[k]) == n {
+			return bySlot[k]
+		}
+	}
+	panic("no slot holds enough substrings")
 }

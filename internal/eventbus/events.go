@@ -151,11 +151,12 @@ func (k Kind) String() string {
 // hand next to each struct, appends that form to dst — byte-identical
 // to encoding/json of the tagged struct (declaration order, omitempty,
 // HTML-safe string escaping, shortest floats), pinned per kind by
-// TestAppendMatchesEncodingJSON. A non-finite float is appended behind
-// the nonFinite flag byte for the Recorder to reject.
+// TestAppendMatchesEncodingJSON. Its strings and floats go through the
+// LineEncoder, which appends a value it has met before by one copy and
+// latches a NaN or ±Inf for AppendLine to refuse.
 type Event interface {
 	Kind() Kind
-	appendJSON(dst []byte) []byte
+	appendJSON(enc *LineEncoder, dst []byte) []byte
 }
 
 // ConnectionRequested is published when a portable asks for a new
@@ -165,8 +166,8 @@ type ConnectionRequested struct {
 	Portable string `json:"portable"`
 }
 
-func (e ConnectionRequested) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"portable":`, e.Portable)
+func (e ConnectionRequested) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"portable":`, e.Portable)
 	return append(dst, '}')
 }
 
@@ -179,10 +180,10 @@ type ConnectionAdmitted struct {
 	BestEffort bool    `json:"best_effort,omitempty"`
 }
 
-func (e ConnectionAdmitted) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"portable":`, e.Portable)
-	dst = appendFloat(dst, `,"bw":`, e.Bandwidth)
+func (e ConnectionAdmitted) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"portable":`, e.Portable)
+	dst = enc.float(dst, `,"bw":`, e.Bandwidth)
 	if e.BestEffort {
 		dst = append(dst, `,"best_effort":true`...)
 	}
@@ -195,10 +196,10 @@ type ConnectionBlocked struct {
 	Reason   string `json:"reason,omitempty"`
 }
 
-func (e ConnectionBlocked) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"portable":`, e.Portable)
+func (e ConnectionBlocked) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"portable":`, e.Portable)
 	if e.Reason != "" {
-		dst = appendString(dst, `,"reason":`, e.Reason)
+		dst = enc.str(dst, `,"reason":`, e.Reason)
 	}
 	return append(dst, '}')
 }
@@ -209,9 +210,9 @@ type ConnectionClosed struct {
 	Portable string `json:"portable"`
 }
 
-func (e ConnectionClosed) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"portable":`, e.Portable)
+func (e ConnectionClosed) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"portable":`, e.Portable)
 	return append(dst, '}')
 }
 
@@ -226,18 +227,18 @@ type AdmissionDecision struct {
 	Bandwidth float64 `json:"bw,omitempty"`   // committed b_j on success
 }
 
-func (e AdmissionDecision) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"kind":`, e.Class)
+func (e AdmissionDecision) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"kind":`, e.Class)
 	dst = appendBool(dst, `,"admitted":`, e.Admitted)
 	if e.Reason != "" {
-		dst = appendString(dst, `,"reason":`, e.Reason)
+		dst = enc.str(dst, `,"reason":`, e.Reason)
 	}
 	if e.Link != "" {
-		dst = appendString(dst, `,"link":`, e.Link)
+		dst = enc.str(dst, `,"link":`, e.Link)
 	}
 	if e.Bandwidth != 0 {
-		dst = appendFloat(dst, `,"bw":`, e.Bandwidth)
+		dst = enc.float(dst, `,"bw":`, e.Bandwidth)
 	}
 	return append(dst, '}')
 }
@@ -252,11 +253,11 @@ type HandoffAttempt struct {
 	Predicted bool   `json:"predicted"`
 }
 
-func (e HandoffAttempt) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"portable":`, e.Portable)
-	dst = appendString(dst, `,"from":`, e.From)
-	dst = appendString(dst, `,"to":`, e.To)
+func (e HandoffAttempt) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"portable":`, e.Portable)
+	dst = enc.str(dst, `,"from":`, e.From)
+	dst = enc.str(dst, `,"to":`, e.To)
 	dst = appendBool(dst, `,"predicted":`, e.Predicted)
 	return append(dst, '}')
 }
@@ -268,9 +269,9 @@ type HandoffOutcome struct {
 	Dropped  bool   `json:"dropped"`
 }
 
-func (e HandoffOutcome) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"portable":`, e.Portable)
+func (e HandoffOutcome) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"portable":`, e.Portable)
 	dst = appendBool(dst, `,"dropped":`, e.Dropped)
 	return append(dst, '}')
 }
@@ -284,11 +285,11 @@ type HandoffLatency struct {
 	Latency   float64 `json:"latency"`
 }
 
-func (e HandoffLatency) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"portable":`, e.Portable)
+func (e HandoffLatency) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"portable":`, e.Portable)
 	dst = appendBool(dst, `,"predicted":`, e.Predicted)
-	dst = appendFloat(dst, `,"latency":`, e.Latency)
+	dst = enc.float(dst, `,"latency":`, e.Latency)
 	return append(dst, '}')
 }
 
@@ -299,10 +300,10 @@ type PoolClaim struct {
 	To       string `json:"to"`
 }
 
-func (e PoolClaim) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"portable":`, e.Portable)
-	dst = appendString(dst, `,"from":`, e.From)
-	dst = appendString(dst, `,"to":`, e.To)
+func (e PoolClaim) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"portable":`, e.Portable)
+	dst = enc.str(dst, `,"from":`, e.From)
+	dst = enc.str(dst, `,"to":`, e.To)
 	return append(dst, '}')
 }
 
@@ -314,10 +315,10 @@ type AdvanceReservation struct {
 	Amount   float64 `json:"amount"`
 }
 
-func (e AdvanceReservation) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"cell":`, e.Cell)
-	dst = appendString(dst, `,"portable":`, e.Portable)
-	dst = appendFloat(dst, `,"amount":`, e.Amount)
+func (e AdvanceReservation) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"cell":`, e.Cell)
+	dst = enc.str(dst, `,"portable":`, e.Portable)
+	dst = enc.float(dst, `,"amount":`, e.Amount)
 	return append(dst, '}')
 }
 
@@ -329,10 +330,10 @@ type PolicyReservation struct {
 	Amount float64 `json:"amount"`
 }
 
-func (e PolicyReservation) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"cell":`, e.Cell)
-	dst = appendString(dst, `,"source":`, e.Source)
-	dst = appendFloat(dst, `,"amount":`, e.Amount)
+func (e PolicyReservation) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"cell":`, e.Cell)
+	dst = enc.str(dst, `,"source":`, e.Source)
+	dst = enc.float(dst, `,"amount":`, e.Amount)
 	return append(dst, '}')
 }
 
@@ -343,9 +344,9 @@ type BandwidthChange struct {
 	Bandwidth float64 `json:"bw"`
 }
 
-func (e BandwidthChange) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendFloat(dst, `,"bw":`, e.Bandwidth)
+func (e BandwidthChange) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.float(dst, `,"bw":`, e.Bandwidth)
 	return append(dst, '}')
 }
 
@@ -357,10 +358,10 @@ type AdaptationRound struct {
 	Stamp float64 `json:"stamp"`
 }
 
-func (e AdaptationRound) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
+func (e AdaptationRound) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
 	dst = appendInt(dst, `,"round":`, e.Round)
-	dst = appendFloat(dst, `,"stamp":`, e.Stamp)
+	dst = enc.float(dst, `,"stamp":`, e.Stamp)
 	return append(dst, '}')
 }
 
@@ -372,7 +373,7 @@ type MaxminConverged struct {
 	Messages int `json:"messages"`
 }
 
-func (e MaxminConverged) appendJSON(dst []byte) []byte {
+func (e MaxminConverged) appendJSON(enc *LineEncoder, dst []byte) []byte {
 	dst = appendInt(dst, `{"sessions":`, e.Sessions)
 	dst = appendInt(dst, `,"messages":`, e.Messages)
 	return append(dst, '}')
@@ -385,9 +386,9 @@ type CapacityChange struct {
 	Capacity float64 `json:"capacity"`
 }
 
-func (e CapacityChange) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"link":`, e.Link)
-	dst = appendFloat(dst, `,"capacity":`, e.Capacity)
+func (e CapacityChange) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"link":`, e.Link)
+	dst = enc.float(dst, `,"capacity":`, e.Capacity)
 	return append(dst, '}')
 }
 
@@ -398,9 +399,9 @@ type SignalHold struct {
 	Link string `json:"link"`
 }
 
-func (e SignalHold) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"link":`, e.Link)
+func (e SignalHold) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"link":`, e.Link)
 	return append(dst, '}')
 }
 
@@ -411,9 +412,9 @@ type SignalCommit struct {
 	Latency float64 `json:"latency"`
 }
 
-func (e SignalCommit) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendFloat(dst, `,"latency":`, e.Latency)
+func (e SignalCommit) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.float(dst, `,"latency":`, e.Latency)
 	return append(dst, '}')
 }
 
@@ -425,9 +426,9 @@ type SignalAbort struct {
 	Hop    int    `json:"hop"`
 }
 
-func (e SignalAbort) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"reason":`, e.Reason)
+func (e SignalAbort) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"reason":`, e.Reason)
 	dst = appendInt(dst, `,"hop":`, e.Hop)
 	return append(dst, '}')
 }
@@ -438,9 +439,9 @@ type FlowStarted struct {
 	Rate float64 `json:"rate"`
 }
 
-func (e FlowStarted) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendFloat(dst, `,"rate":`, e.Rate)
+func (e FlowStarted) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.float(dst, `,"rate":`, e.Rate)
 	return append(dst, '}')
 }
 
@@ -452,8 +453,8 @@ type FlowStopped struct {
 	Lost      int    `json:"lost"`
 }
 
-func (e FlowStopped) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
+func (e FlowStopped) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
 	dst = appendInt(dst, `,"sent":`, e.Sent)
 	dst = appendInt(dst, `,"delivered":`, e.Delivered)
 	dst = appendInt(dst, `,"lost":`, e.Lost)
@@ -471,13 +472,13 @@ type FaultMessage struct {
 	Delay  float64 `json:"delay,omitempty"`
 }
 
-func (e FaultMessage) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"proto":`, e.Proto)
-	dst = appendString(dst, `,"action":`, e.Action)
-	dst = appendString(dst, `,"conn":`, e.Conn)
+func (e FaultMessage) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"proto":`, e.Proto)
+	dst = enc.str(dst, `,"action":`, e.Action)
+	dst = enc.str(dst, `,"conn":`, e.Conn)
 	dst = appendInt(dst, `,"hop":`, e.Hop)
 	if e.Delay != 0 {
-		dst = appendFloat(dst, `,"delay":`, e.Delay)
+		dst = enc.float(dst, `,"delay":`, e.Delay)
 	}
 	return append(dst, '}')
 }
@@ -491,13 +492,13 @@ type FaultComponent struct {
 	For    float64 `json:"for,omitempty"` // scheduled outage duration
 }
 
-func (e FaultComponent) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"action":`, e.Action)
+func (e FaultComponent) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"action":`, e.Action)
 	if e.Target != "" {
-		dst = appendString(dst, `,"target":`, e.Target)
+		dst = enc.str(dst, `,"target":`, e.Target)
 	}
 	if e.For != 0 {
-		dst = appendFloat(dst, `,"for":`, e.For)
+		dst = enc.float(dst, `,"for":`, e.For)
 	}
 	return append(dst, '}')
 }
@@ -512,9 +513,9 @@ type ControlRetransmit struct {
 	Attempt int    `json:"attempt"`
 }
 
-func (e ControlRetransmit) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"proto":`, e.Proto)
-	dst = appendString(dst, `,"conn":`, e.Conn)
+func (e ControlRetransmit) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"proto":`, e.Proto)
+	dst = enc.str(dst, `,"conn":`, e.Conn)
 	dst = appendInt(dst, `,"hop":`, e.Hop)
 	dst = appendInt(dst, `,"attempt":`, e.Attempt)
 	return append(dst, '}')
@@ -530,14 +531,14 @@ type HoldReclaimed struct {
 	Reason string  `json:"reason"`
 }
 
-func (e HoldReclaimed) appendJSON(dst []byte) []byte {
+func (e HoldReclaimed) appendJSON(enc *LineEncoder, dst []byte) []byte {
 	dst = append(dst, '{')
 	if e.Conn != "" { // the optional field comes first, so the comma moves
-		dst = append(appendString(dst, `"conn":`, e.Conn), ',')
+		dst = append(enc.str(dst, `"conn":`, e.Conn), ',')
 	}
-	dst = appendString(dst, `"link":`, e.Link)
-	dst = appendFloat(dst, `,"amount":`, e.Amount)
-	dst = appendString(dst, `,"reason":`, e.Reason)
+	dst = enc.str(dst, `"link":`, e.Link)
+	dst = enc.float(dst, `,"amount":`, e.Amount)
+	dst = enc.str(dst, `,"reason":`, e.Reason)
 	return append(dst, '}')
 }
 
@@ -548,7 +549,7 @@ type Readvertise struct {
 	Kicked int `json:"kicked"`
 }
 
-func (e Readvertise) appendJSON(dst []byte) []byte {
+func (e Readvertise) appendJSON(enc *LineEncoder, dst []byte) []byte {
 	dst = appendInt(dst, `{"kicked":`, e.Kicked)
 	return append(dst, '}')
 }
@@ -560,9 +561,9 @@ type InvariantViolation struct {
 	Detail    string `json:"detail"`
 }
 
-func (e InvariantViolation) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"invariant":`, e.Invariant)
-	dst = appendString(dst, `,"detail":`, e.Detail)
+func (e InvariantViolation) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"invariant":`, e.Invariant)
+	dst = enc.str(dst, `,"detail":`, e.Detail)
 	return append(dst, '}')
 }
 
@@ -577,11 +578,11 @@ type OverloadStage struct {
 	Queue int     `json:"queue,omitempty"`
 }
 
-func (e OverloadStage) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"cell":`, e.Cell)
-	dst = appendString(dst, `,"from":`, e.From)
-	dst = appendString(dst, `,"to":`, e.To)
-	dst = appendFloat(dst, `,"util":`, e.Util)
+func (e OverloadStage) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"cell":`, e.Cell)
+	dst = enc.str(dst, `,"from":`, e.From)
+	dst = enc.str(dst, `,"to":`, e.To)
+	dst = enc.float(dst, `,"util":`, e.Util)
 	if e.Queue != 0 {
 		dst = appendInt(dst, `,"queue":`, e.Queue)
 	}
@@ -599,11 +600,11 @@ type SetupShed struct {
 	Reason   string `json:"reason"`
 }
 
-func (e SetupShed) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"portable":`, e.Portable)
-	dst = appendString(dst, `,"cell":`, e.Cell)
-	dst = appendString(dst, `,"class":`, e.Class)
-	dst = appendString(dst, `,"reason":`, e.Reason)
+func (e SetupShed) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"portable":`, e.Portable)
+	dst = enc.str(dst, `,"cell":`, e.Cell)
+	dst = enc.str(dst, `,"class":`, e.Class)
+	dst = enc.str(dst, `,"reason":`, e.Reason)
 	return append(dst, '}')
 }
 
@@ -615,10 +616,10 @@ type DegradeCascade struct {
 	Action string `json:"action"`
 }
 
-func (e DegradeCascade) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"conn":`, e.Conn)
-	dst = appendString(dst, `,"link":`, e.Link)
-	dst = appendString(dst, `,"action":`, e.Action)
+func (e DegradeCascade) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"conn":`, e.Conn)
+	dst = enc.str(dst, `,"link":`, e.Link)
+	dst = enc.str(dst, `,"action":`, e.Action)
 	return append(dst, '}')
 }
 
@@ -631,10 +632,10 @@ type BreakerState struct {
 	Reason string `json:"reason"`
 }
 
-func (e BreakerState) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"from":`, e.From)
-	dst = appendString(dst, `,"to":`, e.To)
-	dst = appendString(dst, `,"reason":`, e.Reason)
+func (e BreakerState) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	dst = enc.str(dst, `{"from":`, e.From)
+	dst = enc.str(dst, `,"to":`, e.To)
+	dst = enc.str(dst, `,"reason":`, e.Reason)
 	return append(dst, '}')
 }
 
@@ -653,22 +654,26 @@ type WireDelivery struct {
 	Bytes int    `json:"bytes"`
 }
 
-func (e WireDelivery) appendJSON(dst []byte) []byte {
-	dst = appendString(dst, `{"node":`, e.Node)
-	dst = appendString(dst, `,"proto":`, e.Proto)
-	dst = appendString(dst, `,"msg":`, e.Type)
+func (e WireDelivery) appendJSON(enc *LineEncoder, dst []byte) []byte {
+	if head, _ := enc.head(&e); head != nil {
+		dst = append(dst, head...)
+	} else {
+		dst = enc.str(dst, `{"node":`, e.Node)
+		dst = enc.str(dst, `,"proto":`, e.Proto)
+		dst = enc.str(dst, `,"msg":`, e.Type)
+	}
 	if e.Conn != "" {
-		dst = appendString(dst, `,"conn":`, e.Conn)
+		dst = enc.str(dst, `,"conn":`, e.Conn)
 	}
 	dst = appendInt(dst, `,"hop":`, e.Hop)
 	dst = appendInt(dst, `,"bytes":`, e.Bytes)
 	return append(dst, '}')
 }
 
-// jsonLen is len(e.appendJSON(nil)), so that LineLen can size a node's
-// trace before rendering it.
-func (e WireDelivery) jsonLen(enc *LineEncoder) int {
-	n := len(`{"node":`) + enc.quotedLen(e.Node) + len(`,"proto":`) + enc.quotedLen(e.Proto) + len(`,"msg":`) + enc.quotedLen(e.Type)
+// jsonLen is len(e.appendJSON(enc, nil)), so that LineLen can size a
+// node's trace before rendering it.
+func (e *WireDelivery) jsonLen(enc *LineEncoder) int {
+	_, n := enc.head(e)
 	if e.Conn != "" {
 		n += len(`,"conn":`) + enc.quotedLen(e.Conn)
 	}

@@ -315,7 +315,7 @@ func (h histSeries) quantile(q float64) float64 {
 	if h.Count == 0 || len(h.Bounds) == 0 {
 		return 0
 	}
-	target := q * float64(h.Count)
+	target := float64(q * float64(h.Count))
 	cum := uint64(0)
 	for i, ub := range h.Bounds {
 		lo := 0.0
@@ -328,7 +328,7 @@ func (h histSeries) quantile(q float64) float64 {
 				return ub
 			}
 			frac := (target - float64(cum)) / float64(h.Counts[i])
-			return lo + frac*(ub-lo)
+			return lo + float64(frac*(ub-lo))
 		}
 		cum = next
 	}

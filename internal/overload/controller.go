@@ -161,7 +161,7 @@ func (c *Controller) sample() {
 		if !st.seeded {
 			st.util, st.seeded = raw, true
 		} else {
-			st.util += c.pol.Alpha * (raw - st.util)
+			st.util += float64(c.pol.Alpha * (raw - st.util))
 		}
 		c.transition(cell, st, queueHot, q)
 	}
@@ -273,7 +273,7 @@ func (c *Controller) AllowSetup(class Class, cell topology.CellID, portable stri
 		return false, c.shed(portable, cell, class, "shed-static")
 	}
 	if c.pol.BucketRate > 0 && st.stage >= stageDegrade {
-		st.tokens += (c.sim.Now() - st.filled) * c.pol.BucketRate
+		st.tokens += float64((c.sim.Now() - st.filled) * c.pol.BucketRate)
 		if st.tokens > c.pol.BucketBurst {
 			st.tokens = c.pol.BucketBurst
 		}

@@ -114,7 +114,7 @@ func convolveScaled(dist []float64, pmf []float64, b, capacity int) []float64 {
 			} else if v > capacity {
 				v = capacity + 1
 			}
-			out[v] += pw * pk
+			out[v] += float64(pw * pk)
 		}
 	}
 	return out

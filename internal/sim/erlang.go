@@ -17,7 +17,7 @@ func ErlangB(rho float64, c int) float64 {
 	}
 	b := 1.0
 	for k := 1; k <= c; k++ {
-		b = rho * b / (float64(k) + rho*b)
+		b = rho * b / (float64(k) + float64(rho*b))
 	}
 	return b
 }

@@ -130,7 +130,7 @@ func runFigure6(cfg figure6Config) (Figure6Result, error) {
 			if from < warmup {
 				from = warmup
 			}
-			reservedArea += float64(reservedIn(0)) * (now - from)
+			reservedArea += float64(float64(reservedIn(0)) * (now - from))
 		}
 		lastSample = now
 	}

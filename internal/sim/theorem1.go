@@ -165,7 +165,7 @@ func randomMaxminProblem(rng *randx.Rand, nLinks, nConns int) maxmin.Problem {
 	links := make([]string, nLinks)
 	for i := range links {
 		links[i] = fmt.Sprintf("l%d", i)
-		p.Capacity[links[i]] = 1 + rng.Float64()*20
+		p.Capacity[links[i]] = 1 + float64(rng.Float64()*20)
 	}
 	for i := 0; i < nConns; i++ {
 		pathLen := 1 + rng.Intn(nLinks)

@@ -51,6 +51,13 @@ type Node struct {
 	// obs, when armed via SetObs, records receive-side wire instruments;
 	// nil costs one pointer check per frame.
 	obs *live.NodeRecorder
+
+	// enc and ev are Trace's encoder and the one event it refills per
+	// record. They live here rather than on Trace's stack because the
+	// encoder hands both to the event's own method, past what escape
+	// analysis follows, so a local of Trace's would be allocated per call.
+	enc eventbus.LineEncoder
+	ev  eventbus.WireDelivery
 }
 
 // SetObs arms the node's live observability recorder (nil disarms). Set
@@ -192,15 +199,19 @@ func (n *Node) restart() {
 // Trace renders the frame log as the node's JSONL trace: record i is the
 // WireDelivery line with seq i+1, through eventbus's own encoder, so the
 // bytes are those a recorder on a bus of the node's would write. The
-// output is sized by a first pass and allocated once. A non-finite clock
-// reading fails the render with the error that recorder would latch.
+// output is sized by a first pass and allocated once; the node's one
+// WireDelivery is refilled in place for every record of both passes. A
+// non-finite clock reading fails the render with the error that recorder
+// would latch.
 func (n *Node) Trace() ([]byte, error) {
-	var enc eventbus.LineEncoder
+	enc, ev := &n.enc, &n.ev
+	*ev = eventbus.WireDelivery{Node: n.Name}
 	size, seq := 0, uint64(0)
 	for _, c := range n.log.chunks {
 		for i := range c {
 			seq++
-			size += eventbus.LineLen(&enc, seq, c[i].t, n.delivery(&c[i]))
+			c[i].fill(ev)
+			size += eventbus.LineLen(enc, seq, c[i].t, ev)
 		}
 	}
 	out := make([]byte, 0, size)
@@ -208,8 +219,9 @@ func (n *Node) Trace() ([]byte, error) {
 	for _, c := range n.log.chunks {
 		for i := range c {
 			seq++
+			c[i].fill(ev)
 			var err error
-			if out, err = eventbus.AppendLine(&enc, out, seq, c[i].t, n.delivery(&c[i])); err != nil {
+			if out, err = eventbus.AppendLine(enc, out, seq, c[i].t, ev); err != nil {
 				return nil, err
 			}
 		}
@@ -217,13 +229,10 @@ func (n *Node) Trace() ([]byte, error) {
 	return out, nil
 }
 
-// delivery is the trace event a logged frame stands for.
-func (n *Node) delivery(r *frameRecord) eventbus.WireDelivery {
-	proto, hop := classify(r.typ, r.hop)
-	return eventbus.WireDelivery{
-		Node: n.Name, Proto: proto, Type: r.typ.String(),
-		Conn: r.conn, Hop: hop, Bytes: int(r.size),
-	}
+// fill makes ev, which names the node, the trace event r stands for.
+func (r *frameRecord) fill(ev *eventbus.WireDelivery) {
+	ev.Proto, ev.Hop = classify(r.typ, r.hop)
+	ev.Type, ev.Conn, ev.Bytes = r.typ.String(), r.conn, int(r.size)
 }
 
 // ServeUDP answers frames on the socket until a Shutdown frame arrives
