@@ -48,6 +48,7 @@ var areas = []area{
 	{Name: "eventbus", Pkg: "./internal/eventbus", Pattern: ".", Benchtime: "100000x"},
 	{Name: "obs", Pkg: "./internal/obs ./internal/obs/live", Pattern: ".", Benchtime: "1000x"},
 	{Name: "wire", Pkg: "./internal/wire ./internal/testnet", Pattern: ".", Benchtime: "1000x"},
+	{Name: "clock", Pkg: "./internal/clock", Pattern: ".", Benchtime: "20000x"},
 	{Name: "predict", Pkg: "./internal/predict", Pattern: ".", Benchtime: "500x"},
 	{Name: "arena", Pkg: ".", Pattern: "ArenaHeadToHead", Benchtime: "1x"},
 }

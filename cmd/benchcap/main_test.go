@@ -229,3 +229,28 @@ func TestReportEmpty(t *testing.T) {
 		t.Errorf("empty report = %q", rep)
 	}
 }
+
+// TestAllocsMarkIgnoresTruncation pins the allocs/op mark: a one-count
+// move of a large truncated mean is the same binary read twice and goes
+// unmarked; a larger move, and any move to or from zero, is marked.
+func TestAllocsMarkIgnoresTruncation(t *testing.T) {
+	for _, tc := range []struct {
+		before, after float64
+		marked        bool
+	}{
+		{1540, 1541, false},
+		{1541, 1540, false},
+		{1540, 1543, true},
+		{100, 101, false},
+		{99, 100, true},
+		{4, 5, true},
+		{0, 1, true},
+		{1, 0, true},
+		{7, 7, false},
+	} {
+		ds := compare([]result{{Name: "BenchmarkX", AllocsPerOp: tc.before}}, []result{{Name: "BenchmarkX", AllocsPerOp: tc.after}})
+		if got := strings.Contains(report(ds), "ALLOCS CHANGED"); got != tc.marked {
+			t.Errorf("%v → %v allocs/op: marked %v, want %v", tc.before, tc.after, got, tc.marked)
+		}
+	}
+}

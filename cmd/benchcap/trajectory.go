@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,12 +151,23 @@ func newDelta(name, metric string, before, after float64) delta {
 	return d
 }
 
+// allocsMoved reports whether an allocs/op change is real. go test
+// prints allocs/op as a truncated mean, so a benchmark whose mean sits
+// near an integer reads one apart from run to run of the same binary
+// (1540, then 1541). From 100 allocs/op up only a move of more than one
+// counts; below, every move does — so a move between 0 and 1, an
+// allocation-free path gaining or losing its pin, always does.
+func allocsMoved(before, after float64) bool {
+	return before != after && (before < 100 || math.Abs(after-before) > 1)
+}
+
 // Report renders deltas as an aligned text table, one line per
 // (benchmark, metric). ns/op rows carry no verdict: single-shot timings
 // swing by tens of percent between captures on one box, so they are
-// informational. An allocs/op row that changed at all is marked, because
-// allocation counts are deterministic. It is the human-readable face of
-// the trajectory: benchcap prints it after every capture.
+// informational. An allocs/op row that moved (see allocsMoved) is
+// marked, because allocation counts are deterministic up to the
+// truncation of their mean. It is the human-readable face of the
+// trajectory: benchcap prints it after every capture.
 func report(ds []delta) string {
 	if len(ds) == 0 {
 		return "no comparable benchmarks\n"
@@ -170,7 +182,7 @@ func report(ds []delta) string {
 	fmt.Fprintf(&b, "%-*s  %-9s  %14s  %14s  %8s\n", nameW, "benchmark", "metric", "before", "after", "change")
 	for _, d := range ds {
 		mark := ""
-		if d.Metric == "allocs/op" && d.Before != d.After {
+		if d.Metric == "allocs/op" && allocsMoved(d.Before, d.After) {
 			mark = "  ALLOCS CHANGED"
 		}
 		fmt.Fprintf(&b, "%-*s  %-9s  %14.6g  %14.6g  %+7.1f%%%s\n",

@@ -1106,6 +1106,7 @@ var exportAllowlist = map[string]string{
 	"profile.Server.Portables":         "test oracle: core's zone-migration test reads which portables a server holds",
 	"stats.Welford.Std":                "test oracle: dataplane's tests bound the delay jitter",
 	"raceflag.Enabled":                 "test oracle: allocation-budget tests of other packages skip under -race",
+	"leakcheck":                        "test oracle: the clock and testnet lifecycle tests wait on it for their goroutines to exit",
 	"telemetry.NewHandler":             "test oracle: the armsim and armnode tests serve the mux without a socket",
 	"testnet.CampusScript":             "test oracle: bench/'s own tests call it",
 	"qos.ErrBandwidthBounds":           "errors.Is sentinel: core's tests match OpenConnection's refusal with it",

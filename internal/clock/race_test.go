@@ -4,46 +4,53 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"armnet/internal/leakcheck"
 )
 
 // TestWallCancelFireRace pins, under the race detector, that canceling
 // a Wall timer while it is firing concurrently is safe, and that every
-// timer resolves exactly one way: it fires once, or the cancel wins.
-// Zero delay makes the firing goroutine start immediately, so Cancel
-// races the callback as hard as the scheduler allows.
+// timer resolves exactly one way: it fires once, or the cancel wins and
+// it never fires. Zero delay makes the timer due at once, so Cancel
+// races the dispatcher's pop as hard as the scheduler allows.
 func TestWallCancelFireRace(t *testing.T) {
 	w := NewWall()
 	const n = 200
 	var fired, stopped atomic.Int64
-	done := make(chan struct{}, n)
+	done := make(chan struct{}, 2*n)
 	for i := 0; i < n; i++ {
 		tm := w.After(0, func() {
 			fired.Add(1)
 			done <- struct{}{}
 		})
 		go func() {
-			// Probe the underlying timer directly: Stop reports whether
-			// the cancel won the race, which decides who signals done.
-			if wt, ok := tm.(wallTimer); ok && wt.t.Stop() {
+			// Probe the handle directly: stop reports whether the cancel
+			// removed the pending entry, which decides who signals done.
+			if tm.(wallTimer).stop() {
 				stopped.Add(1)
 				done <- struct{}{}
 			}
-			tm.Cancel() // the public path stays idempotent after a raw Stop
+			tm.Cancel() // the public path stays idempotent after a won stop
 			tm.Cancel()
 		}()
 	}
 	for i := 0; i < n; i++ {
 		<-done
 	}
+	// A timer that resolved both ways would signal twice: give a late
+	// second firing the time to show before counting.
+	w.Stop()
 	if got := fired.Load() + stopped.Load(); got != n {
 		t.Fatalf("fired %d + stopped %d = %d, want %d", fired.Load(), stopped.Load(), got, n)
 	}
 }
 
 // TestWallEveryCancelRace pins that canceling a ticker concurrently
-// from two goroutines, while ticks may be in flight, is race-free and
-// terminates every ticker goroutine.
+// from two goroutines, while ticks may be in flight, is race-free, and
+// that the dispatcher exits once every ticker is canceled.
 func TestWallEveryCancelRace(t *testing.T) {
+	base := leakcheck.Take()
 	w := NewWall()
 	const n = 50
 	var wg sync.WaitGroup
@@ -55,6 +62,9 @@ func TestWallEveryCancelRace(t *testing.T) {
 		go func() { defer wg.Done(); tk.Cancel() }()
 	}
 	wg.Wait()
+	if err := base.Settled(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWallScheduleFromCallback pins that scheduling new timers from

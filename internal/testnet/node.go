@@ -239,11 +239,13 @@ func (r *frameRecord) fill(ev *eventbus.WireDelivery) {
 // or the socket fails. Hostile datagrams never stop the loop: oversized
 // ones (larger than any legal frame) are counted and dropped before
 // decoding, and malformed ones are counted and dropped by HandleFrame.
-// Neither is acked, so a sender sees them exactly like wire loss.
+// Neither is acked, so a sender sees them exactly like wire loss. The
+// sender's address comes back as a netip.AddrPort value, so a frame and
+// its ack allocate nothing.
 func (n *Node) ServeUDP(pc *net.UDPConn) error {
 	buf := make([]byte, wire.MaxFrame+1)
 	for {
-		sz, addr, err := pc.ReadFromUDP(buf)
+		sz, addr, err := pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return err
 		}
@@ -256,7 +258,7 @@ func (n *Node) ServeUDP(pc *net.UDPConn) error {
 		if err != nil {
 			continue
 		}
-		if _, err := pc.WriteToUDP(ack, addr); err != nil {
+		if _, err := pc.WriteToUDPAddrPort(ack, addr); err != nil {
 			return fmt.Errorf("testnet: %s ack: %w", n.Name, err)
 		}
 		if shutdown {

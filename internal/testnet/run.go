@@ -306,13 +306,22 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Mode == ModeUDP {
 		done := make(chan struct{})
 		clk.After(cfg.Horizon, func() { close(done) })
+		watchdog := time.NewTimer(time.Duration((cfg.Horizon + 30) * float64(time.Second)))
+		defer watchdog.Stop()
 		select {
 		case <-done:
-		case <-time.After(time.Duration((cfg.Horizon + 30) * float64(time.Second))):
+		case <-watchdog.C:
+			wall.Stop()
 			return nil, fmt.Errorf("testnet: wall-clock horizon never fired")
 		}
 		var res *Result
-		wall.Run(func() { res = r.collect(rec, &trace) })
+		wall.Run(func() {
+			res = r.collect(rec, &trace)
+			// No timer left over from the run may fire into the
+			// transport Shutdown closes, or append to r after the audit.
+			wall.Stop()
+		})
+		wall.Stop() // outside the critical section: waits out the dispatcher
 		r.tr.Shutdown()
 		return res, nil
 	}

@@ -3,6 +3,7 @@ package testnet
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"time"
 
 	"armnet/internal/obs/live"
@@ -193,11 +194,12 @@ func (t *loopbackTransport) Drops() int { return 0 }
 // udpTransport delivers frames as UDP datagrams and blocks for the ack;
 // an unacked frame counts as dropped, which hands loss recovery to the
 // protocols' own retransmission machinery — the same path the fault
-// injector exercises in simulation.
+// injector exercises in simulation. Peers are netip.AddrPort values,
+// resolved once, so a round trip allocates no address.
 type udpTransport struct {
 	conduit
 	pc    *net.UDPConn
-	peers []*net.UDPAddr // by agent index
+	peers []netip.AddrPort // by agent index
 	rbuf  []byte
 	ack   wire.Frame
 	drops int
@@ -217,7 +219,7 @@ func dialUDP(cluster *clusterNet, conns connTable, peers map[string]string) (*ud
 	}
 	t := &udpTransport{
 		conduit: newConduit(cluster, conns), pc: pc,
-		peers: make([]*net.UDPAddr, len(cluster.Names)),
+		peers: make([]netip.AddrPort, len(cluster.Names)),
 		rbuf:  make([]byte, wire.MaxFrame+1),
 	}
 	t.carry = t.exchange
@@ -232,7 +234,10 @@ func dialUDP(cluster *clusterNet, conns connTable, peers map[string]string) (*ud
 			pc.Close()
 			return nil, fmt.Errorf("testnet: agent %q: %w", name, err)
 		}
-		t.peers[i] = ua
+		// The resolver hands an IPv4 address back in its IPv6-mapped
+		// form, which the IPv4 socket cannot send to: unmap it.
+		ap := ua.AddrPort()
+		t.peers[i] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	}
 	return t, nil
 }
@@ -241,7 +246,7 @@ func dialUDP(cluster *clusterNet, conns connTable, peers map[string]string) (*ud
 // ack never arrived within the timeout.
 func (t *udpTransport) exchange(agent int, frame []byte) bool {
 	name := t.cluster.Names[agent]
-	if _, err := t.pc.WriteToUDP(frame, t.peers[agent]); err != nil {
+	if _, err := t.pc.WriteToUDPAddrPort(frame, t.peers[agent]); err != nil {
 		t.failf("send to %s: %v", name, err)
 		t.drops++
 		return false
@@ -253,7 +258,7 @@ func (t *udpTransport) exchange(agent int, frame []byte) bool {
 			t.drops++
 			return false
 		}
-		sz, _, err := t.pc.ReadFromUDP(t.rbuf)
+		sz, _, err := t.pc.ReadFromUDPAddrPort(t.rbuf)
 		if err != nil {
 			t.drops++
 			return false

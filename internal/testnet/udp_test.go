@@ -4,6 +4,9 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
+
+	"armnet/internal/leakcheck"
 )
 
 // startNodes binds one UDP server per cluster agent on loopback
@@ -53,19 +56,24 @@ func startNodes(t *testing.T, names []string) (map[string]string, func() map[str
 // the acceptance check for the live path: the cluster completes the
 // scenario with a clean final audit (zero leaked holds), and, absent
 // retransmissions, delivers exactly the frames the deterministic
-// loopback reference delivered.
+// loopback reference delivered. The run and its node servers leave no
+// goroutine behind: the controller's clock stops with the run.
 func TestUDPCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock scenario (a few seconds)")
 	}
 	ref := mustRun(t, Config{Mode: ModeLoopback})
 
+	base := leakcheck.Take()
 	peers, collect := startNodes(t, []string{"core", "east", "west"})
 	res, err := Run(Config{Mode: ModeUDP, Peers: peers, Horizon: 2.2})
 	if err != nil {
 		t.Fatalf("udp run: %v", err)
 	}
 	traces := collect()
+	if err := base.Settled(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	if len(res.Violations) > 0 {
 		t.Fatalf("udp violations: %v", res.Violations)
@@ -94,5 +102,24 @@ func TestUDPCluster(t *testing.T) {
 	}
 	if diffs := DiffNodeFrames(traces, ref.NodeTraces); len(diffs) > 0 {
 		t.Errorf("udp frame multisets diverge from loopback reference: %v", diffs)
+	}
+}
+
+// TestUDPRunStopsItsClock pins that a ModeUDP run stops its wall clock
+// when it returns: the lease ticker it armed would otherwise keep the
+// clock's dispatcher goroutine alive, firing into a closed transport.
+func TestUDPRunStopsItsClock(t *testing.T) {
+	base := leakcheck.Take()
+	peers, collect := startNodes(t, []string{"core", "east", "west"})
+	res, err := Run(Config{Mode: ModeUDP, Peers: peers, Script: []Step{}, Horizon: 0.2, lease: leaseConfig{Period: 0.05}})
+	if err != nil {
+		t.Fatalf("udp run: %v", err)
+	}
+	collect()
+	if len(res.Violations) > 0 {
+		t.Fatalf("violations: %v", res.Violations)
+	}
+	if err := base.Settled(2 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
