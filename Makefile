@@ -62,8 +62,8 @@ fuzz:
 ## has one. Timings scroll by; use bench-capture to record them.
 BENCHPKGS = . ./internal/admission ./internal/core ./internal/dataplane ./internal/des \
 	./internal/eventbus ./internal/maxmin ./internal/obs \
-	./internal/obs/live ./internal/reserve ./internal/sched \
-	./internal/sim ./internal/strategy ./internal/testnet ./internal/wire
+	./internal/reserve ./internal/sched ./internal/sim \
+	./internal/strategy ./internal/testnet ./internal/wire
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' $(BENCHPKGS)
 
@@ -164,11 +164,14 @@ obs:
 ## (the zero-perturbation pin), the armed loopback run's cluster
 ## snapshot and span export must match the checked-in golden
 ## byte-for-byte, the disabled hook path must stay allocation-free,
-## and the shared telemetry endpoints (armsim and armnode alike) must
-## serve metrics, health, span tails and profiles correctly.
+## the recorders must count and correlate under the race detector, and
+## the shared telemetry endpoints (armsim and armnode alike) must serve
+## metrics, health, span tails and profiles correctly and stop their
+## goroutines on Close.
 obs-live:
-	$(GO) test -run 'TestLiveObs|TestDisabledPathZeroAlloc' -count=1 ./internal/testnet ./internal/obs/live
-	$(GO) test -race ./internal/obs/live ./internal/telemetry
+	$(GO) test -run 'TestLiveObs|TestDisabledPathZeroAlloc' -count=1 ./internal/testnet
+	$(GO) test -race -run 'TestRecorder' ./internal/testnet
+	$(GO) test -race ./internal/telemetry
 	$(GO) test -race -run 'Telemetry' ./cmd/armsim ./cmd/armnode
 
 ## arena: the rivals' gate — the head-to-head roster runs under the

@@ -48,7 +48,6 @@ import (
 
 	"armnet/internal/clock"
 	"armnet/internal/faults"
-	"armnet/internal/obs/live"
 	"armnet/internal/testnet"
 )
 
@@ -130,9 +129,9 @@ func runNode(name, listen, traceFile, telAddr string) error {
 		return err
 	}
 	defer pc.Close()
-	var rec *live.NodeRecorder
+	var rec *testnet.NodeRecorder
 	if telAddr != "" {
-		rec = live.NewNodeRecorder(name)
+		rec = testnet.NewNodeRecorder(name)
 		tel, err := newNodeTelemetry(telAddr, "node", 1, nil, rec)
 		if err != nil {
 			return err
@@ -171,7 +170,7 @@ func runController(peerList string, horizon float64, telAddr string) (*testnet.R
 	cfg := testnet.Config{Mode: testnet.ModeUDP, Peers: peers, Horizon: horizon}
 	var tel *nodeTelemetry
 	if telAddr != "" {
-		ctl := live.NewController(nil)
+		ctl := testnet.NewWireRecorder()
 		cfg.Obs = ctl
 		var err error
 		if tel, err = newNodeTelemetry(telAddr, "controller", 1, ctl); err != nil {
@@ -205,7 +204,7 @@ func runOrchestrate(dir string, horizon float64, telAddr string) error {
 	ctrlCfg := testnet.Config{Mode: testnet.ModeUDP, Horizon: horizon}
 	var tel *nodeTelemetry
 	if telAddr != "" {
-		ctl := live.NewController(nil)
+		ctl := testnet.NewWireRecorder()
 		ctrlCfg.Obs = ctl
 		if tel, err = newNodeTelemetry(telAddr, "orchestrate", 1, ctl); err != nil {
 			return err
@@ -360,7 +359,7 @@ func runSoak(epochs int, seed int64, planFile, outFile, telAddr string) error {
 		if total <= 0 {
 			total = testnet.DefaultSoakEpochs
 		}
-		ctl := live.NewController(nil)
+		ctl := testnet.NewWireRecorder()
 		cfg.Obs = ctl
 		tel, err := newNodeTelemetry(telAddr, "soak", total, ctl)
 		if err != nil {

@@ -3,8 +3,8 @@ package main
 import (
 	"sync"
 
-	"armnet/internal/obs/live"
 	"armnet/internal/telemetry"
+	"armnet/internal/testnet"
 )
 
 // nodeTelemetry adapts one armnode mode's live recorders to the shared
@@ -23,15 +23,15 @@ import (
 type nodeTelemetry struct {
 	mu          sync.Mutex
 	mode        string
-	ctl         *live.Controller
-	recs        []*live.NodeRecorder
+	ctl         *testnet.WireRecorder
+	recs        []*testnet.NodeRecorder
 	done, total int
 	srv         *telemetry.Server
 }
 
 // newNodeTelemetry binds addr and starts serving immediately. total is
 // the /healthz work unit count (epochs for soak, 1 for one-shot modes).
-func newNodeTelemetry(addr, mode string, total int, ctl *live.Controller, recs ...*live.NodeRecorder) (*nodeTelemetry, error) {
+func newNodeTelemetry(addr, mode string, total int, ctl *testnet.WireRecorder, recs ...*testnet.NodeRecorder) (*nodeTelemetry, error) {
 	t := &nodeTelemetry{mode: mode, ctl: ctl, recs: recs, total: total}
 	srv, err := telemetry.Serve(addr, t.options())
 	if err != nil {
@@ -47,7 +47,7 @@ func newNodeTelemetry(addr, mode string, total int, ctl *live.Controller, recs .
 func (t *nodeTelemetry) options() telemetry.Options {
 	return telemetry.Options{
 		Metrics: func() ([]byte, error) {
-			snap, err := live.ClusterSnapshot(t.ctl, t.recs)
+			snap, err := testnet.ClusterSnapshot(t.ctl, t.recs)
 			if err != nil || snap == nil {
 				return nil, err
 			}

@@ -7,8 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"armnet/internal/obs/live"
+	"armnet/internal/clock"
 	"armnet/internal/telemetry"
+	"armnet/internal/testnet"
 	"armnet/internal/wire"
 )
 
@@ -25,15 +26,31 @@ func telemetryGet(t *testing.T, h http.Handler, path string) (int, string) {
 	return res.StatusCode, string(body)
 }
 
+// receive hands one encoded frame to a real node armed with rec, so
+// the recorder counts it the way a serving agent would.
+func receive(t *testing.T, rec *testnet.NodeRecorder, m wire.Message) {
+	t.Helper()
+	n := testnet.NewNode("agent", clock.NewWall())
+	n.SetObs(rec)
+	frame, err := wire.Encode(1, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := n.HandleFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestArmnodeTelemetryEndpoints mounts the armnode adapter on the
-// shared handler without binding a port: live controller and node
-// recorders feed /metrics as one cluster merge, /healthz tracks epoch
-// progress through the epochCounter writer, /spans tails the wire
-// spans.
+// shared handler without binding a port: a two-epoch soak feeds the
+// controller recorder and, through the epochCounter writer, /healthz's
+// epoch progress, as armnode's soak mode wires them; a node recorder
+// fed by a real node joins the /metrics cluster merge; /spans tails the
+// wire spans.
 func TestArmnodeTelemetryEndpoints(t *testing.T) {
-	ctl := live.NewController(func() float64 { return 1.5 })
-	rec := live.NewNodeRecorder("west")
-	nt := &nodeTelemetry{mode: "soak", ctl: ctl, recs: []*live.NodeRecorder{rec}, total: 3}
+	ctl := testnet.NewWireRecorder()
+	rec := testnet.NewNodeRecorder("west")
+	nt := &nodeTelemetry{mode: "soak", ctl: ctl, recs: []*testnet.NodeRecorder{rec}, total: 3}
 	h := telemetry.NewHandler(nt.options())
 
 	// Before any traffic, /metrics already answers — the RTT histogram
@@ -47,17 +64,23 @@ func TestArmnodeTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("healthz: %d %q", code, body)
 	}
 
-	// Feed both sides of the wire and one closed lease span.
-	ctl.FrameTx("west", wire.Advertise{}, 40, true)
-	ctl.LeaseRenew("west", 1.0, 1.2, true)
-	rec.FrameRx(wire.TAdvertise, 40)
+	// Feed both sides of the wire: the soak's controller sends, one
+	// agent's receive.
+	res, err := testnet.RunSoak(testnet.SoakConfig{Epochs: 2, Seed: 1, Obs: ctl, Out: epochCounter{nt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) > 0 {
+		t.Fatalf("soak violations: %v", res.Violations)
+	}
+	receive(t, rec, wire.Advertise{Conn: "conn-1"})
 	if code, body = telemetryGet(t, h, "/metrics"); code != 200 ||
-		!strings.Contains(body, `armnet_wire_frames_tx_total{kind="advertise",node="west"} 1`) ||
+		!strings.Contains(body, `armnet_wire_frames_tx_total{kind="advertise",node="west"} `) ||
 		!strings.Contains(body, `armnet_wire_frames_rx_total{kind="advertise",node="west"} 1`) {
 		t.Fatalf("cluster metrics missing tx/rx series: %d %q", code, body)
 	}
 	if code, body = telemetryGet(t, h, "/spans?n=5"); code != 200 ||
-		!strings.Contains(body, "wire-lease") {
+		strings.Count(body, "\n") != 5 || !strings.Contains(body, `"wire-`) {
 		t.Fatalf("span tail: %d %q", code, body)
 	}
 	if code, _ = telemetryGet(t, h, "/spans?n=oops"); code != 400 {
@@ -67,11 +90,8 @@ func TestArmnodeTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("unknown path: %d", code)
 	}
 
-	// Two epoch-report lines bump /healthz; finish completes it.
-	if _, err := (epochCounter{nt}).Write([]byte("{\"epoch\":0}\n{\"epoch\":1}\n")); err != nil {
-		t.Fatal(err)
-	}
-	if _, body = telemetryGet(t, h, "/healthz"); !strings.Contains(body, `"done":2`) {
+	// The two epoch-report lines bumped /healthz; finish completes it.
+	if _, body = telemetryGet(t, h, "/healthz"); !strings.Contains(body, `"done":2`) || !strings.Contains(body, `"complete":false`) {
 		t.Fatalf("epoch progress: %q", body)
 	}
 	nt.finish()
@@ -81,14 +101,14 @@ func TestArmnodeTelemetryEndpoints(t *testing.T) {
 }
 
 // TestArmnodeTelemetryNodeMode covers the controller-less shape node
-// mode runs: a lone NodeRecorder, nil *live.Controller — /spans must
-// serve empty, not panic.
+// mode runs: a lone NodeRecorder, nil *testnet.WireRecorder — /spans
+// must serve empty, not panic.
 func TestArmnodeTelemetryNodeMode(t *testing.T) {
-	rec := live.NewNodeRecorder("east")
-	nt := &nodeTelemetry{mode: "node", ctl: nil, recs: []*live.NodeRecorder{rec}, total: 1}
+	rec := testnet.NewNodeRecorder("east")
+	nt := &nodeTelemetry{mode: "node", ctl: nil, recs: []*testnet.NodeRecorder{rec}, total: 1}
 	h := telemetry.NewHandler(nt.options())
 
-	rec.FrameRx(wire.Hello{}.WireType(), 12)
+	receive(t, rec, wire.Hello{Node: "east"})
 	code, body := telemetryGet(t, h, "/metrics")
 	if code != 200 || !strings.Contains(body, `armnet_wire_frames_rx_total{kind="hello",node="east"} 1`) {
 		t.Fatalf("node metrics: %d %q", code, body)

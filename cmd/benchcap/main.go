@@ -46,7 +46,7 @@ var areas = []area{
 	{Name: "admission", Pkg: "./internal/admission", Pattern: ".", Benchtime: "2000x"},
 	{Name: "maxmin", Pkg: "./internal/maxmin", Pattern: ".", Benchtime: "500x"},
 	{Name: "eventbus", Pkg: "./internal/eventbus", Pattern: ".", Benchtime: "100000x"},
-	{Name: "obs", Pkg: "./internal/obs ./internal/obs/live", Pattern: ".", Benchtime: "1000x"},
+	{Name: "obs", Pkg: "./internal/obs", Pattern: ".", Benchtime: "1000x"},
 	{Name: "wire", Pkg: "./internal/wire ./internal/testnet", Pattern: ".", Benchtime: "1000x"},
 	{Name: "clock", Pkg: "./internal/clock", Pattern: ".", Benchtime: "20000x"},
 	{Name: "predict", Pkg: "./internal/predict", Pattern: ".", Benchtime: "500x"},

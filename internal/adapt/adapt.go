@@ -46,7 +46,6 @@ type connInfo struct {
 
 // Manager owns the adaptation state.
 type Manager struct {
-	Sim    *des.Simulator
 	Ledger *admission.Ledger
 	// Alloc is the rate allocator: the ADVERTISE/UPDATE protocol under
 	// the switch rule the manager was built with (the paper's by
@@ -80,7 +79,6 @@ func NewManagerWith(sim *des.Simulator, lg *admission.Ledger, opts maxmin.Protoc
 		return nil, fmt.Errorf("adapt: nil simulator or ledger")
 	}
 	m := &Manager{
-		Sim:    sim,
 		Ledger: lg,
 		Alloc:  maxmin.NewProtocolWith(clock.Sim(sim), opts, rule),
 		conns:  make(map[string]*connInfo),

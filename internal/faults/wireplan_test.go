@@ -1,18 +1,16 @@
-package netfaults
+package faults
 
 import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"armnet/internal/faults"
 )
 
-// The wire plane's grammar and per-frame rule walk, pinned through the
-// alias: plans parse with faults.ParseWirePlan and frames are decided by
-// a faults.Walker, as internal/testnet's chaos layer decides them.
+// The wire plane's grammar and per-frame rule walk: plans parse with
+// ParseWirePlan and frames are decided by a Walker, as
+// internal/testnet's chaos layer decides them.
 
-const samplePlan = `
+const sampleWirePlan = `
 # soak epoch plan
 drop any 0.2
 dup signal 0.1
@@ -24,17 +22,17 @@ at 0.8 crash west for 2.2
 at 3 crash core
 `
 
-func mustParse(t *testing.T, spec string) *Plan {
+func mustParseWire(t *testing.T, spec string) *Plan {
 	t.Helper()
-	p, err := faults.ParseWirePlan(strings.NewReader(spec))
+	p, err := ParseWirePlan(strings.NewReader(spec))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	return p
 }
 
-func TestParsePlan(t *testing.T) {
-	p := mustParse(t, samplePlan)
+func TestParseWirePlan(t *testing.T) {
+	p := mustParseWire(t, sampleWirePlan)
 	// ruleFields has the underlying type of a parsed rule.
 	type ruleFields struct {
 		Proto, Action string
@@ -55,7 +53,7 @@ func TestParsePlan(t *testing.T) {
 	if !reflect.DeepEqual(rules, wantRules) {
 		t.Errorf("rules = %+v, want %+v", rules, wantRules)
 	}
-	wantTimed := []faults.Timed{
+	wantTimed := []Timed{
 		{At: 1, Action: "partition", Target: "east", For: 2},
 		{At: 0.8, Action: "crash", Target: "west", For: 2.2},
 		{At: 3, Action: "crash", Target: "core"},
@@ -68,12 +66,12 @@ func TestParsePlan(t *testing.T) {
 	}
 }
 
-// TestPlanStringRoundTrip pins that String renders back into the
+// TestWirePlanStringRoundTrip pins that String renders back into the
 // grammar and re-parses to an equivalent plan (node faults sorted by
 // time, which String canonicalizes).
-func TestPlanStringRoundTrip(t *testing.T) {
-	p := mustParse(t, samplePlan)
-	q := mustParse(t, p.String())
+func TestWirePlanStringRoundTrip(t *testing.T) {
+	p := mustParseWire(t, sampleWirePlan)
+	q := mustParseWire(t, p.String())
 	if !reflect.DeepEqual(p.Rules, q.Rules) {
 		t.Errorf("rules drifted: %+v vs %+v", p.Rules, q.Rules)
 	}
@@ -84,7 +82,7 @@ func TestPlanStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParsePlanErrors(t *testing.T) {
+func TestParseWirePlanErrors(t *testing.T) {
 	for _, spec := range []string{
 		"drop signal 1.5",            // prob out of range
 		"drop tcp 0.5",               // unknown proto
@@ -100,30 +98,30 @@ func TestParsePlanErrors(t *testing.T) {
 		"delay signal 0.5 1e400",     // non-finite
 		"drop signal 0.5 on",         // dangling filter keyword
 	} {
-		if _, err := faults.ParseWirePlan(strings.NewReader(spec)); err == nil {
-			t.Errorf("ParsePlan(%q) accepted", spec)
+		if _, err := ParseWirePlan(strings.NewReader(spec)); err == nil {
+			t.Errorf("ParseWirePlan(%q) accepted", spec)
 		}
 	}
 }
 
-func TestEmptyPlan(t *testing.T) {
+func TestEmptyWirePlan(t *testing.T) {
 	var nilPlan *Plan
 	if !nilPlan.Empty() || nilPlan.String() != "" {
 		t.Error("nil plan not empty")
 	}
-	p := mustParse(t, "# only comments\n\n")
+	p := mustParseWire(t, "# only comments\n\n")
 	if !p.Empty() {
 		t.Error("comment-only plan not empty")
 	}
 }
 
-// TestInjectorDeterministic pins that identical (plan, seed) pairs
+// TestWalkerDeterministic pins that identical (plan, seed) pairs
 // produce identical verdict sequences, and that different seeds
 // decorrelate.
-func TestInjectorDeterministic(t *testing.T) {
-	p := mustParse(t, "drop any 0.3\ndup any 0.2\ndelay any 0.4 0.01\nreorder any 0.25 0.02\n")
+func TestWalkerDeterministic(t *testing.T) {
+	p := mustParseWire(t, "drop any 0.3\ndup any 0.2\ndelay any 0.4 0.01\nreorder any 0.25 0.02\n")
 	run := func(seed int64) []any {
-		in := faults.NewWalker(p, seed)
+		in := NewWalker(p, seed)
 		out := make([]any, 200)
 		for i := range out {
 			out[i] = in.Walk("signal", "l1", nil)
@@ -137,7 +135,7 @@ func TestInjectorDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, run(8)) {
 		t.Fatal("different seeds produced identical verdicts (suspicious)")
 	}
-	in := faults.NewWalker(p, 7)
+	in := NewWalker(p, 7)
 	for i := 0; i < 200; i++ {
 		in.Walk("maxmin", "l2", nil)
 	}
@@ -146,11 +144,11 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 }
 
-// TestInjectorLinkFilter pins that an `on <link>` rule fires only for
+// TestWalkerLinkFilter pins that an `on <link>` rule fires only for
 // frames crossing the named link.
-func TestInjectorLinkFilter(t *testing.T) {
-	p := mustParse(t, "drop signal 1 on l-target\n")
-	in := faults.NewWalker(p, 1)
+func TestWalkerLinkFilter(t *testing.T) {
+	p := mustParseWire(t, "drop signal 1 on l-target\n")
+	in := NewWalker(p, 1)
 	if v := in.Walk("signal", "l-other", nil); v.Drop {
 		t.Error("rule fired on unfiltered link")
 	}
@@ -162,20 +160,20 @@ func TestInjectorLinkFilter(t *testing.T) {
 	}
 }
 
-// TestInjectorEmptyNoDraws pins the zero-cost contract: a walker over a
+// TestWalkerEmptyNoDraws pins the zero-cost contract: a walker over a
 // nil or empty plan decides frames without consuming randomness, so
 // interleaving it with a live one cannot perturb the live one's stream.
-func TestInjectorEmptyNoDraws(t *testing.T) {
-	nilPlan := faults.NewWalker(nil, 42)
+func TestWalkerEmptyNoDraws(t *testing.T) {
+	nilPlan := NewWalker(nil, 42)
 	for i := 0; i < 10; i++ {
 		if v := nilPlan.Walk("signal", "l", nil); !reflect.ValueOf(v).IsZero() {
 			t.Fatal("nil plan acted")
 		}
 	}
-	p := mustParse(t, "drop any 0.5\n")
-	ref := faults.NewWalker(p, 42)
-	mixed := faults.NewWalker(p, 42)
-	empty := faults.NewWalker(&Plan{}, 42)
+	p := mustParseWire(t, "drop any 0.5\n")
+	ref := NewWalker(p, 42)
+	mixed := NewWalker(p, 42)
+	empty := NewWalker(&Plan{}, 42)
 	for i := 0; i < 100; i++ {
 		want := ref.Walk("signal", "l", nil)
 		empty.Walk("signal", "l", nil) // must not advance anything shared

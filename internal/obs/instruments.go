@@ -38,9 +38,9 @@ func seriesKey(name string, labels map[string]string) string {
 	return b.String()
 }
 
-// counter is a monotone sum. Exported so sibling observability layers
-// (internal/obs/live) can build on the same instrument model and share
-// the Snapshot/Merge/Prometheus machinery.
+// counter is a monotone sum. The live plane's wire recorders
+// (internal/testnet) build on the same instrument model through
+// Registry and share the Snapshot/Merge/Prometheus machinery.
 type counter struct {
 	name   string
 	labels map[string]string

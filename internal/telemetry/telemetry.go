@@ -127,6 +127,8 @@ func Serve(addr string, o Options) (*Server, error) {
 // Addr returns the bound listen address (resolves ":0" to the real port).
 func (s *Server) Addr() string { return s.addr }
 
-// Close stops the server; in-flight handlers are cut off, which is fine
-// for a diagnostics endpoint.
+// Close stops the server: the listener and every connection close at
+// once, which is fine for a diagnostics endpoint. A handler still inside
+// its callback finishes on its own, its reply lost; the server's
+// goroutines are gone once it has (TestCloseStopsGoroutines).
 func (s *Server) Close() { _ = s.srv.Close() }

@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"armnet/internal/leakcheck"
 )
 
 func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
@@ -158,5 +161,64 @@ func TestServe(t *testing.T) {
 	res.Body.Close()
 	if string(body) != "{\"ok\":true}\n" {
 		t.Fatalf("body %q", body)
+	}
+}
+
+// TestCloseStopsGoroutines pins the server's lifecycle: once Close has
+// returned and every in-flight handler has finished, no goroutine Serve
+// started is left. The client's idle connections are closed first, so
+// only the server's goroutines are counted.
+func TestCloseStopsGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		closes    int
+		midScrape bool
+	}{
+		{name: "serve then close", closes: 1},
+		{name: "close twice", closes: 2},
+		{name: "close during a /spans scrape", closes: 1, midScrape: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := leakcheck.Take()
+			entered, release := make(chan struct{}), make(chan struct{})
+			s, err := Serve("127.0.0.1:0", Options{Spans: func() []byte {
+				close(entered)
+				<-release
+				return nil
+			}})
+			if err != nil {
+				t.Skipf("cannot bind loopback: %v", err)
+			}
+			tr := &http.Transport{}
+			client := &http.Client{Transport: tr}
+			if tc.midScrape {
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					if res, err := client.Get("http://" + s.Addr() + "/spans"); err == nil {
+						_, _ = io.Copy(io.Discard, res.Body)
+						res.Body.Close()
+					}
+				}()
+				<-entered
+				s.Close()
+				close(release)
+				<-done
+			} else {
+				res, err := client.Get("http://" + s.Addr() + "/healthz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _ = io.Copy(io.Discard, res.Body)
+				res.Body.Close()
+				for i := 0; i < tc.closes; i++ {
+					s.Close()
+				}
+			}
+			tr.CloseIdleConnections()
+			if err := base.Settled(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

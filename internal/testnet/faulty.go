@@ -3,7 +3,6 @@ package testnet
 import (
 	"armnet/internal/clock"
 	"armnet/internal/faults"
-	"armnet/internal/obs/live"
 	"armnet/internal/wire"
 )
 
@@ -45,7 +44,7 @@ type faultyTransport struct {
 	onRestart func(agent string)
 	// obs, when armed, counts every verdict by family; nil costs one
 	// pointer check per firing (not per frame — clean frames skip it).
-	obs *live.Controller
+	obs *WireRecorder
 
 	// PartitionDrops counts frames eaten by down agents; Crashes and
 	// Restarts count node lifecycle transitions the layer executed.
@@ -91,7 +90,7 @@ func (t *faultyTransport) heal(agent string) { delete(t.down, agent) }
 func (t *faultyTransport) crash(agent string) {
 	t.down[agent] = true
 	t.Crashes++
-	t.obs.Verdict("crash")
+	t.obs.verdict("crash")
 	if i, ok := t.cluster.index(agent); ok && i < len(t.nodes) {
 		t.nodes[i].restart() // state is lost at the crash; the process slot stays
 	}
@@ -102,7 +101,7 @@ func (t *faultyTransport) crash(agent string) {
 func (t *faultyTransport) restart(agent string) {
 	delete(t.down, agent)
 	t.Restarts++
-	t.obs.Verdict("restart")
+	t.obs.verdict("restart")
 	if t.onRestart != nil {
 		t.onRestart(agent)
 	}
@@ -133,23 +132,23 @@ func (t *faultyTransport) deliver(proto, link string, fwd func() (bool, float64)
 	agent := t.cluster.Names[t.cluster.agent(link)]
 	if t.down[agent] {
 		t.PartitionDrops++
-		t.obs.Verdict("partition")
+		t.obs.verdict("partition")
 		return true, 0
 	}
 	v := t.walk.Walk(proto, link, nil)
 	if v.Drop {
-		t.obs.Verdict("drop")
+		t.obs.verdict("drop")
 		return true, 0
 	}
 	if v.Delay > 0 {
-		t.obs.Verdict("delay")
+		t.obs.verdict("delay")
 	}
 	if v.Reorder > 0 {
-		t.obs.Verdict("reorder")
+		t.obs.verdict("reorder")
 		t.clk.PostAfter(v.Reorder, func() {
 			if t.down[agent] {
 				t.PartitionDrops++
-				t.obs.Verdict("partition")
+				t.obs.verdict("partition")
 				return
 			}
 			fwd()
@@ -158,7 +157,7 @@ func (t *faultyTransport) deliver(proto, link string, fwd func() (bool, float64)
 	}
 	drop, delay := fwd()
 	if v.Dup && !drop {
-		t.obs.Verdict("dup")
+		t.obs.verdict("dup")
 		fwd()
 	}
 	return drop, delay + v.Delay
@@ -182,11 +181,11 @@ func (t *faultyTransport) Abort(conn string, hop int, link, reason string) {
 	// the frame, everything else delivers.
 	if t.down[t.cluster.Names[t.cluster.agent(link)]] {
 		t.PartitionDrops++
-		t.obs.Verdict("partition")
+		t.obs.verdict("partition")
 		return
 	}
 	if t.walk.Walk("signal", link, nil).Drop {
-		t.obs.Verdict("drop")
+		t.obs.verdict("drop")
 		return
 	}
 	t.inner.Abort(conn, hop, link, reason)
@@ -199,7 +198,7 @@ func (t *faultyTransport) Abort(conn string, hop int, link, reason string) {
 func (t *faultyTransport) Control(agent string, m wire.Message) bool {
 	if t.down[agent] {
 		t.PartitionDrops++
-		t.obs.Verdict("partition")
+		t.obs.verdict("partition")
 		return false
 	}
 	return t.inner.Control(agent, m)

@@ -105,7 +105,7 @@ func (lm *leaseManager) renew(agent string, m wire.LeaseRenew) bool {
 	}
 	start := lm.r.clk.Now()
 	ok := lm.r.tr.Control(agent, m)
-	lm.r.cfg.Obs.LeaseRenew(agent, start, lm.r.clk.Now(), ok)
+	lm.r.cfg.Obs.leaseRenew(agent, start, lm.r.clk.Now(), ok)
 	return ok
 }
 
@@ -117,7 +117,7 @@ func (lm *leaseManager) reclaim(agent string) {
 	conns := lm.r.connsVia(agent)
 	for _, conn := range conns {
 		rec := lm.r.conns[conn]
-		lm.r.cfg.Obs.LeaseReclaim(conn)
+		lm.r.cfg.Obs.leaseReclaim(conn)
 		eventbus.Pub(lm.r.bus, eventbus.HoldReclaimed{
 			Conn: conn, Link: "node:" + agent,
 			Amount: rec.reserve, Reason: "wire-lease",

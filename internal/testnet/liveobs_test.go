@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"armnet/internal/clock"
-	"armnet/internal/obs/live"
 )
 
 // liveObsConfig is the armed scenario the golden pins: loopback fabric
@@ -38,7 +37,7 @@ func TestLiveObsZeroCost(t *testing.T) {
 	plain := mustRun(t, cfg)
 
 	armed := cfg
-	armed.Obs = live.NewController(nil)
+	armed.Obs = NewWireRecorder()
 	withObs := mustRun(t, armed)
 
 	if len(withObs.Violations) > 0 {
@@ -72,7 +71,7 @@ func TestLiveObsZeroCost(t *testing.T) {
 // metric changes.
 func TestLiveObsSnapshotGolden(t *testing.T) {
 	cfg := liveObsConfig(t)
-	cfg.Obs = live.NewController(nil)
+	cfg.Obs = NewWireRecorder()
 	res := mustRun(t, cfg)
 	if len(res.Violations) > 0 {
 		t.Fatalf("violations: %v", res.Violations)
@@ -120,7 +119,7 @@ func TestLiveObsSnapshotGolden(t *testing.T) {
 	// Determinism independent of the golden file: a second armed run
 	// exports identical bytes.
 	cfg2 := liveObsConfig(t)
-	cfg2.Obs = live.NewController(nil)
+	cfg2.Obs = NewWireRecorder()
 	res2 := mustRun(t, cfg2)
 	again := append(res2.LiveSnapshot.JSON(), res2.LiveSpans...)
 	if !bytes.Equal(got, again) {
@@ -138,7 +137,7 @@ func TestLiveObsUDP(t *testing.T) {
 	}
 	names := []string{"core", "east", "west"}
 	peers := make(map[string]string, len(names))
-	recs := make([]*live.NodeRecorder, len(names))
+	recs := make([]*NodeRecorder, len(names))
 	var wg sync.WaitGroup
 	for i, name := range names {
 		pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -146,7 +145,7 @@ func TestLiveObsUDP(t *testing.T) {
 			t.Skipf("cannot bind UDP on loopback: %v", err)
 		}
 		peers[name] = pc.LocalAddr().String()
-		rec := live.NewNodeRecorder(name)
+		rec := NewNodeRecorder(name)
 		recs[i] = rec
 		n := NewNode(name, clock.NewWall())
 		n.SetObs(rec)
@@ -160,7 +159,7 @@ func TestLiveObsUDP(t *testing.T) {
 		}(n, pc)
 	}
 
-	ctl := live.NewController(nil)
+	ctl := NewWireRecorder()
 	res, err := Run(Config{Mode: ModeUDP, Peers: peers, Horizon: 2.5, Obs: ctl})
 	if err != nil {
 		t.Fatalf("udp run: %v", err)
@@ -183,7 +182,7 @@ func TestLiveObsUDP(t *testing.T) {
 	// The post-shutdown cluster merge folds in the node-side recorders:
 	// every acked frame was necessarily received (the node may have
 	// received more — frames whose acks were lost, plus the shutdowns).
-	clusterSnap, err := live.ClusterSnapshot(ctl, recs)
+	clusterSnap, err := ClusterSnapshot(ctl, recs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"net"
 
 	"armnet/internal/eventbus"
-	"armnet/internal/obs/live"
 	"armnet/internal/wire"
 )
 
@@ -50,7 +49,7 @@ type Node struct {
 
 	// obs, when armed via SetObs, records receive-side wire instruments;
 	// nil costs one pointer check per frame.
-	obs *live.NodeRecorder
+	obs *NodeRecorder
 
 	// enc and ev are Trace's encoder and the one event it refills per
 	// record. They live here rather than on Trace's stack because the
@@ -62,7 +61,7 @@ type Node struct {
 
 // SetObs arms the node's live observability recorder (nil disarms). Set
 // it before serving; the recorder itself is safe for concurrent scrape.
-func (n *Node) SetObs(rec *live.NodeRecorder) { n.obs = rec }
+func (n *Node) SetObs(rec *NodeRecorder) { n.obs = rec }
 
 // NewNode builds a node stamping its trace from the given clock — the
 // shared simulator clock in loopback mode, the node's own wall clock in
@@ -90,10 +89,10 @@ func (n *Node) HandleFrame(frame []byte) (ack []byte, shutdown bool, err error) 
 	f := &n.frame
 	if err := wire.DecodeFrame(frame, f); err != nil {
 		n.Malformed++
-		n.obs.Malformed()
+		n.obs.malformed()
 		return nil, false, err
 	}
-	n.obs.FrameRx(f.Type, len(frame))
+	n.obs.frameRx(f.Type, len(frame))
 	conn := n.intern(f.Conn)
 	now := n.clk.Now()
 	if f.Type != wire.TAck {
@@ -190,7 +189,7 @@ func (n *Node) setLease(conn string, until float64) {
 // the node's RAM), so the trace's seq runs on across the restart.
 func (n *Node) restart() {
 	n.Restarts++
-	n.obs.Restart()
+	n.obs.restart()
 	n.mirror = make(map[string]float64)
 	n.lease = make(map[string]float64)
 	n.leaseFloor = math.Inf(1)
@@ -251,7 +250,7 @@ func (n *Node) ServeUDP(pc *net.UDPConn) error {
 		}
 		if sz > wire.MaxFrame {
 			n.Oversized++
-			n.obs.Oversized()
+			n.obs.oversized()
 			continue
 		}
 		ack, shutdown, err := n.HandleFrame(buf[:sz])

@@ -1,33 +1,4 @@
-// Package live is the wall-clock observability layer for the live
-// control plane: per-node wire instruments and causal frame spans for
-// the testnet's transport, lease, and fault machinery.
-//
-// The sim-side observer (internal/obs) subscribes to the event bus and
-// measures the control plane's *decisions*; this package measures the
-// *wire* — frames by kind and byte count, acks and losses, retransmits,
-// lease traffic, fault verdicts, malformed input — from hook seams in
-// internal/testnet, the same injection style internal/faults uses. The
-// protocol packages stay untouched and the wire format is unchanged:
-// spans are correlated purely from frame identities (conn, hop, commit
-// flag) that already cross the wire.
-//
-// # Zero cost when disarmed
-//
-// Every hook is a method on a possibly-nil *Controller or *NodeRecorder
-// and returns immediately on nil, so a run without observability pays
-// one nil check per hook site: no allocations, no time reads, no trace
-// perturbation. TestLiveObsZeroCost in internal/testnet pins the
-// controller and node traces byte-identical with the layer disarmed,
-// and the armed loopback run is pinned deterministic by golden.
-//
-// # Concurrency
-//
-// Unlike the sim observer (single-threaded inside the event loop), live
-// recorders are scraped by a telemetry HTTP server while the run
-// mutates them, so every method takes an internal mutex. Hook sites are
-// hot but the critical sections are counter bumps; contention is the
-// scrape, which is rare.
-package live
+package testnet
 
 import (
 	"sync"
@@ -37,34 +8,54 @@ import (
 	"armnet/internal/wire"
 )
 
+// The live plane's wire recorders: per-node wire instruments and causal
+// frame spans, fed from this package's transport, lease and fault hook
+// seams.
+//
+// The sim-side observer (internal/obs) subscribes to the event bus and
+// measures the control plane's *decisions*; these recorders measure the
+// *wire* — frames by kind and byte count, acks and losses, retransmits,
+// lease traffic, fault verdicts, malformed input. The protocol packages
+// stay untouched and the wire format is unchanged: spans are correlated
+// purely from frame identities (conn, hop, commit flag) that already
+// cross the wire.
+//
+// Zero cost when disarmed: every hook is a method on a possibly-nil
+// *WireRecorder or *NodeRecorder and returns immediately on nil, so a
+// run without observability pays one nil check per hook site: no
+// allocations, no time reads, no trace perturbation. TestLiveObsZeroCost
+// pins the controller and node traces byte-identical with the recorders
+// disarmed, and the armed loopback run is pinned deterministic by
+// golden.
+//
+// Concurrency: unlike the sim observer (single-threaded inside the
+// event loop), live recorders are scraped by a telemetry HTTP server
+// while the run mutates them, so every method takes an internal mutex.
+// Hook sites are hot but the critical sections are counter bumps;
+// contention is the scrape, which is rare.
+
 // Histogram bucket bounds (upper edges, seconds). Fixed bounds are the
 // merge contract, exactly as in the sim observer. Loopback round trips
 // land in the first bucket (synchronous delivery takes zero sim time);
 // the finer low edges exist for real UDP runs.
 var wireRTTBounds = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25}
 
-// Controller is the controller-process recorder: it counts every frame
+// WireRecorder is the controller-process recorder: it counts every frame
 // the transport sends, the lease manager's renewals, the fault layer's
 // verdicts, and correlates cross-node spans from frame identities. A
-// nil *Controller is a valid disarmed recorder — every method no-ops.
-type Controller struct {
+// nil *WireRecorder is a valid disarmed recorder — every method no-ops.
+type WireRecorder struct {
 	mu  sync.Mutex
 	reg *obs.Registry
-	now func() float64
 	sp  *correlator
 }
 
-// NewController returns an armed recorder reading time from now (the
-// run's clock: sim seconds on loopback, wall seconds on UDP). A nil now
-// stamps zero until SetNow injects a clock — the testnet run does this
-// at wiring time, so callers that construct the recorder before the run
-// exists (armnode's telemetry path) just pass nil.
-func NewController(now func() float64) *Controller {
-	if now == nil {
-		now = func() float64 { return 0 }
-	}
-	c := &Controller{reg: obs.NewRegistry(), now: now}
-	c.sp = newCorrelator(now,
+// NewWireRecorder returns an armed recorder. Run stamps it with the
+// run's own clock (sim seconds on loopback, wall seconds on UDP), so
+// spans share the run's coordinates.
+func NewWireRecorder() *WireRecorder {
+	c := &WireRecorder{reg: obs.NewRegistry()}
+	c.sp = newCorrelator(
 		c.reg.Histogram("armnet_wire_setup_rtt_seconds", nil, wireRTTBounds),
 		c.reg.Histogram("armnet_wire_handoff_break_seconds", nil, wireRTTBounds),
 		c.reg.Histogram("armnet_wire_lease_rtt_seconds", nil, wireRTTBounds),
@@ -72,23 +63,20 @@ func NewController(now func() float64) *Controller {
 	return c
 }
 
-// SetNow replaces the recorder's time source; the testnet run injects
-// its own clock (sim seconds on loopback, wall seconds on UDP) at
-// wiring time so spans share the run's coordinates.
-func (c *Controller) SetNow(now func() float64) {
-	if c == nil || now == nil {
+// setClock points the recorder's span stamps at the run's clock.
+func (c *WireRecorder) setClock(now func() float64) {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.now = now
 	c.sp.now = now
 }
 
-// FrameTx records one payload frame handed to an agent: kind and byte
+// frameTx records one payload frame handed to an agent: kind and byte
 // counters, the ack/loss outcome, and the span correlator's view of the
 // frame identity. Called from both transports' send paths.
-func (c *Controller) FrameTx(agent string, m wire.Message, size int, acked bool) {
+func (c *WireRecorder) frameTx(agent string, m wire.Message, size int, acked bool) {
 	if c == nil {
 		return
 	}
@@ -105,9 +93,9 @@ func (c *Controller) FrameTx(agent string, m wire.Message, size int, acked bool)
 	c.sp.observeTx(m)
 }
 
-// Verdict records one fault-layer action by family: drop, dup, delay,
+// verdict records one fault-layer action by family: drop, dup, delay,
 // reorder, partition, crash, restart.
-func (c *Controller) Verdict(family string) {
+func (c *WireRecorder) verdict(family string) {
 	if c == nil {
 		return
 	}
@@ -116,9 +104,9 @@ func (c *Controller) Verdict(family string) {
 	c.reg.Counter("armnet_wire_fault_verdicts_total", map[string]string{"family": family}).Inc()
 }
 
-// LeaseRenew records one lease renewal round trip to an agent: the
+// leaseRenew records one lease renewal round trip to an agent: the
 // renewal counter, the RTT histogram, and a closed wire-lease span.
-func (c *Controller) LeaseRenew(agent string, start, end float64, acked bool) {
+func (c *WireRecorder) leaseRenew(agent string, start, end float64, acked bool) {
 	if c == nil {
 		return
 	}
@@ -131,8 +119,8 @@ func (c *Controller) LeaseRenew(agent string, start, end float64, acked bool) {
 	c.sp.leaseSpan(agent, start, end, acked)
 }
 
-// LeaseReclaim records one connection torn down by lease expiry.
-func (c *Controller) LeaseReclaim(conn string) {
+// leaseReclaim records one connection torn down by lease expiry.
+func (c *WireRecorder) leaseReclaim(conn string) {
 	if c == nil {
 		return
 	}
@@ -142,9 +130,9 @@ func (c *Controller) LeaseReclaim(conn string) {
 	c.sp.abort(conn, "lease-reclaimed")
 }
 
-// Resync records one controller-side resync handshake with a restarted
+// resync records one controller-side resync handshake with a restarted
 // or healed agent.
-func (c *Controller) Resync(agent string) {
+func (c *WireRecorder) resync(agent string) {
 	if c == nil {
 		return
 	}
@@ -153,10 +141,10 @@ func (c *Controller) Resync(agent string) {
 	c.reg.Counter("armnet_wire_resyncs_total", map[string]string{"node": agent}).Inc()
 }
 
-// HandoffBreak marks the break-before-make instant of a handoff: the
+// handoffBreak marks the break-before-make instant of a handoff: the
 // old path is released and the wire-handoff span opens; it closes when
 // the replacement setup's last commit frame goes out.
-func (c *Controller) HandoffBreak(conn, from, to string) {
+func (c *WireRecorder) handoffBreak(conn, from, to string) {
 	if c == nil {
 		return
 	}
@@ -165,11 +153,11 @@ func (c *Controller) HandoffBreak(conn, from, to string) {
 	c.sp.handoffBreak(conn, from, to)
 }
 
-// Attach subscribes bus-carried controller events — retransmits by
+// attach subscribes bus-carried controller events — retransmits by
 // protocol and setup give-ups by reason. Subscribers only read, so the
 // bus trace is unchanged (the zero-perturbation contract the sim
 // observer already pins).
-func (c *Controller) Attach(bus *eventbus.Bus) {
+func (c *WireRecorder) attach(bus *eventbus.Bus) {
 	if c == nil || bus == nil {
 		return
 	}
@@ -188,9 +176,9 @@ func (c *Controller) Attach(bus *eventbus.Bus) {
 	}, eventbus.KindSignalAbort)
 }
 
-// Finish closes every still-open span at the given time, in sorted
+// finish closes every still-open span at the given time, in sorted
 // connection order (deterministic output). Idempotent.
-func (c *Controller) Finish(end float64) {
+func (c *WireRecorder) finish(end float64) {
 	if c == nil {
 		return
 	}
@@ -201,7 +189,7 @@ func (c *Controller) Finish(end float64) {
 
 // snapshot exports the controller registry's current state. Safe to
 // call concurrently with the run (the telemetry scrape path).
-func (c *Controller) snapshot() *obs.Snapshot {
+func (c *WireRecorder) snapshot() *obs.Snapshot {
 	if c == nil {
 		return nil
 	}
@@ -212,7 +200,7 @@ func (c *Controller) snapshot() *obs.Snapshot {
 
 // SpansJSONL renders the closed spans one JSON object per line, the
 // same shape as sim span exports.
-func (c *Controller) SpansJSONL() []byte {
+func (c *WireRecorder) SpansJSONL() []byte {
 	if c == nil {
 		return nil
 	}
@@ -235,8 +223,8 @@ func NewNodeRecorder(node string) *NodeRecorder {
 	return &NodeRecorder{reg: obs.NewRegistry(), node: node}
 }
 
-// FrameRx records one decoded frame of the given kind and encoded size.
-func (n *NodeRecorder) FrameRx(t wire.Type, size int) {
+// frameRx records one decoded frame of the given kind and encoded size.
+func (n *NodeRecorder) frameRx(t wire.Type, size int) {
 	if n == nil {
 		return
 	}
@@ -246,8 +234,8 @@ func (n *NodeRecorder) FrameRx(t wire.Type, size int) {
 	n.reg.Counter("armnet_wire_bytes_rx_total", map[string]string{"node": n.node}).Add(float64(size))
 }
 
-// Malformed records one undecodable frame.
-func (n *NodeRecorder) Malformed() {
+// malformed records one undecodable frame.
+func (n *NodeRecorder) malformed() {
 	if n == nil {
 		return
 	}
@@ -256,8 +244,8 @@ func (n *NodeRecorder) Malformed() {
 	n.reg.Counter("armnet_wire_malformed_total", map[string]string{"node": n.node}).Inc()
 }
 
-// Oversized records one datagram exceeding wire.MaxFrame.
-func (n *NodeRecorder) Oversized() {
+// oversized records one datagram exceeding wire.MaxFrame.
+func (n *NodeRecorder) oversized() {
 	if n == nil {
 		return
 	}
@@ -266,8 +254,8 @@ func (n *NodeRecorder) Oversized() {
 	n.reg.Counter("armnet_wire_oversized_total", map[string]string{"node": n.node}).Inc()
 }
 
-// Restart records one crash-restart lifecycle transition.
-func (n *NodeRecorder) Restart() {
+// restart records one crash-restart lifecycle transition.
+func (n *NodeRecorder) restart() {
 	if n == nil {
 		return
 	}
@@ -289,7 +277,7 @@ func (n *NodeRecorder) snapshot() *obs.Snapshot {
 // ClusterSnapshot merges the controller snapshot with every node
 // snapshot, in slice order, into one cluster view (nil recorders are
 // skipped). Node series carry {node} labels, so nothing collides.
-func ClusterSnapshot(ctrl *Controller, nodes []*NodeRecorder) (*obs.Snapshot, error) {
+func ClusterSnapshot(ctrl *WireRecorder, nodes []*NodeRecorder) (*obs.Snapshot, error) {
 	snaps := make([]*obs.Snapshot, 0, len(nodes)+1)
 	snaps = append(snaps, ctrl.snapshot())
 	for _, n := range nodes {

@@ -13,7 +13,6 @@ import (
 	"armnet/internal/faults"
 	"armnet/internal/maxmin"
 	"armnet/internal/obs"
-	"armnet/internal/obs/live"
 	"armnet/internal/qos"
 	"armnet/internal/signal"
 	"armnet/internal/topology"
@@ -53,7 +52,7 @@ type Config struct {
 	// concurrently by a telemetry server while the run is in flight. Nil
 	// costs one pointer check per hook site (pinned zero-perturbation by
 	// TestLiveObsZeroCost).
-	Obs *live.Controller
+	Obs *WireRecorder
 	// hooks are timed callbacks with access to the runner — the soak
 	// harness uses them for epoch plan swaps, scripted node faults, and
 	// mid-run audits. Same-time hooks fire in slice order, after any
@@ -163,7 +162,7 @@ type runner struct {
 	lease   *leaseManager
 	bus     *eventbus.Bus
 	nodes   []*Node // loopback agents, by index in cluster.Names
-	nodeObs []*live.NodeRecorder
+	nodeObs []*NodeRecorder
 
 	mmLinks map[topology.LinkID]bool
 	commits int
@@ -202,7 +201,7 @@ func Run(cfg Config) (*Result, error) {
 		clk = clock.Sim(sim)
 	}
 
-	cfg.Obs.SetNow(clk.Now)
+	cfg.Obs.setClock(clk.Now)
 	cluster := NewCluster(env)
 	if err := cluster.checkPlan(cfg.Faults); err != nil {
 		return nil, err
@@ -220,7 +219,7 @@ func Run(cfg Config) (*Result, error) {
 		for _, name := range r.cluster.Names {
 			n := NewNode(name, clk)
 			if cfg.Obs != nil {
-				nr := live.NewNodeRecorder(name)
+				nr := NewNodeRecorder(name)
 				n.SetObs(nr)
 				r.nodeObs = append(r.nodeObs, nr)
 			}
@@ -251,7 +250,7 @@ func Run(cfg Config) (*Result, error) {
 	r.bus = bus
 	var trace eventbus.TraceBuffer
 	rec := eventbus.AttachRecorder(bus, &trace)
-	cfg.Obs.Attach(bus)
+	cfg.Obs.attach(bus)
 
 	r.lg = admission.NewLedger(env.Backbone)
 	ctl := admission.NewController(r.lg)
@@ -444,7 +443,7 @@ func (r *runner) handoff(st Step) {
 		r.failf("handoff of unknown conn %s", st.Conn)
 		return
 	}
-	r.cfg.Obs.HandoffBreak(st.Conn, string(rec.route.Dest()), string(topology.AirNode(st.Cell)))
+	r.cfg.Obs.handoffBreak(st.Conn, string(rec.route.Dest()), string(topology.AirNode(st.Cell)))
 	r.lg.Release(st.Conn, rec.route)
 	r.proto.RemoveConn(st.Conn)
 	rec.live = false
@@ -528,8 +527,8 @@ func (r *runner) collect(rec *eventbus.Recorder, trace *eventbus.TraceBuffer) *R
 	}
 	res.SkippedOps = r.skipped
 	if r.cfg.Obs != nil {
-		r.cfg.Obs.Finish(r.clk.Now())
-		snap, err := live.ClusterSnapshot(r.cfg.Obs, r.nodeObs)
+		r.cfg.Obs.finish(r.clk.Now())
+		snap, err := ClusterSnapshot(r.cfg.Obs, r.nodeObs)
 		if err != nil {
 			viol = append(viol, fmt.Sprintf("live-obs: %v", err))
 			res.Violations = viol
@@ -590,7 +589,7 @@ func (r *runner) connsVia(agent string) []string {
 // an agent that restarted or healed: re-hello, then replay every live
 // reservation crossing its links as Resync frames.
 func (r *runner) resyncAgent(agent string, ttl float64) {
-	r.cfg.Obs.Resync(agent)
+	r.cfg.Obs.resync(agent)
 	r.tr.Control(agent, wire.Hello{Node: agent})
 	for _, conn := range r.connsVia(agent) {
 		r.tr.Control(agent, wire.Resync{

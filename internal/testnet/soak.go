@@ -9,7 +9,6 @@ import (
 
 	"armnet/internal/faults"
 	"armnet/internal/obs"
-	"armnet/internal/obs/live"
 	"armnet/internal/randx"
 	"armnet/internal/topology"
 )
@@ -43,7 +42,7 @@ type SoakConfig struct {
 	// telemetry server can scrape it mid-soak). RunSoak always arms one —
 	// epoch reports carry per-epoch wire deltas either way — so leaving
 	// this nil only means nobody scrapes it live.
-	Obs *live.Controller
+	Obs *WireRecorder
 }
 
 // Soak defaults.
@@ -189,7 +188,7 @@ func runSoak(cfg SoakConfig, extra ...soakHook) (*soakResult, error) {
 	// The live wire recorder is always armed: epoch reports quantify each
 	// plan's wire impact whether or not anyone scrapes it.
 	if cfg.Obs == nil {
-		cfg.Obs = live.NewController(nil)
+		cfg.Obs = NewWireRecorder()
 	}
 
 	active := cfg.epochLen - soakHealWindow
@@ -314,7 +313,10 @@ func epochAudit(r *runner, epoch, plan int, prev *obs.Snapshot) (epochReport, *o
 	}
 	var cur *obs.Snapshot
 	if r.cfg.Obs != nil {
-		if snap, err := live.ClusterSnapshot(r.cfg.Obs, r.nodeObs); err == nil {
+		snap, err := ClusterSnapshot(r.cfg.Obs, r.nodeObs)
+		if err != nil {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("live-obs: %v", err))
+		} else {
 			cur = snap
 			rep.Wire = diffWire(cur, prev)
 		}

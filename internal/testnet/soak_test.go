@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"armnet/internal/faults"
@@ -97,6 +98,29 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(a.ReportJSONL, c.ReportJSONL) {
 		t.Fatal("different seeds produced the identical soak (suspicious)")
+	}
+}
+
+// TestSoakReportsSnapshotError pins that an epoch whose cluster
+// snapshot cannot be merged says so among its violations, as the final
+// audit does, rather than dropping its wire block silently. A node
+// registry holding the controller's setup-RTT histogram under other
+// bounds is a merge obs refuses.
+func TestSoakReportsSnapshotError(t *testing.T) {
+	conflict := soakHook{at: 0, fn: func(r *runner) {
+		r.nodeObs[0].reg.Histogram("armnet_wire_setup_rtt_seconds", nil, []float64{1})
+	}}
+	res, err := runSoak(SoakConfig{Epochs: 2, Seed: 42}, conflict)
+	if err != nil {
+		t.Fatalf("soak: %v", err)
+	}
+	for _, rep := range res.Reports {
+		if rep.Wire != nil {
+			t.Errorf("epoch %d: wire block from an unmergeable snapshot", rep.Epoch)
+		}
+		if len(rep.Violations) != 1 || !strings.HasPrefix(rep.Violations[0], "live-obs: ") {
+			t.Errorf("epoch %d violations %q, want one live-obs error", rep.Epoch, rep.Violations)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"time"
 
-	"armnet/internal/obs/live"
 	"armnet/internal/wire"
 )
 
@@ -61,7 +60,7 @@ type conduit struct {
 	errs    []string
 	// obs, when armed, records every frame handed to an agent; nil costs
 	// one pointer check per send.
-	obs *live.Controller
+	obs *WireRecorder
 }
 
 func newConduit(cluster *clusterNet, conns connTable) conduit {
@@ -88,7 +87,7 @@ func deliver[M wire.Message](c *conduit, agent int, m M) bool {
 		}
 	}
 	if c.obs != nil {
-		c.obs.FrameTx(c.cluster.Names[agent], m, len(frame), acked)
+		c.obs.frameTx(c.cluster.Names[agent], m, len(frame), acked)
 	}
 	return acked
 }
@@ -120,7 +119,7 @@ func (c *conduit) Control(agent string, m wire.Message) bool {
 	i, ok := c.cluster.index(agent)
 	if !ok {
 		c.failf("no node agent %q", agent)
-		c.obs.FrameTx(agent, m, 0, false)
+		c.obs.frameTx(agent, m, 0, false)
 		return false
 	}
 	return deliver(c, i, m)

@@ -1,4 +1,4 @@
-package live
+package testnet
 
 import (
 	"encoding/json"
@@ -18,8 +18,8 @@ import (
 // break-before-make instant and close when the replacement setup's last
 // commit goes out; lease spans are single renewal round trips.
 //
-// Callers hold the owning Controller's mutex; the correlator itself is
-// not concurrency-safe.
+// Callers hold the owning WireRecorder's mutex; the correlator itself is
+// not concurrency-safe. now is the run's clock, set by Run.
 type correlator struct {
 	now      func() float64
 	setups   map[string]*setupState
@@ -39,9 +39,8 @@ type setupState struct {
 	maxHop int
 }
 
-func newCorrelator(now func() float64, setup, handoff, lease *obs.Histogram) *correlator {
+func newCorrelator(setup, handoff, lease *obs.Histogram) *correlator {
 	return &correlator{
-		now:         now,
 		setups:      make(map[string]*setupState),
 		handoffs:    make(map[string]*obs.Span),
 		next:        make(map[string]int),
