@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check fma-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs perf-counts loc golden trace-determinism chaos overload obs obs-live arena testnet soak
+.PHONY: ci fmt-check fma-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs perf-counts mutants hot-align loc golden trace-determinism chaos overload obs obs-live arena testnet soak
 
 ## ci: the full pre-merge gate — gofmt, vet, build, the tests without
 ## the race detector (the allocation pins skip under it), the tests
@@ -112,6 +112,23 @@ perf-pairs:
 perf-counts:
 	bash scripts/benchcounts.sh $(PARENT) \
 		"$(if $(filter file,$(origin WORKLOAD)),campus-walk office-churn live-loopback-churn,$(WORKLOAD))" $(SEED)
+
+## mutants: every checked-in mutant (testdata/mutants/<pkg>-<name>.patch)
+## applied to a git-archive export of REV, the test its header names run
+## there and required to fail; prints a kill table. A patch that no
+## longer applies fails the target. Not part of ci: it builds one export
+## per mutant.
+REV ?= HEAD
+mutants:
+	bash scripts/mutants.sh $(REV)
+
+## hot-align: the entry offset mod 64 of maxmin's hot functions in the
+## benchmark binaries of the working tree and of PARENT, both built by
+## perf-pairs or perf-counts. A move of the μ kernel's alignment changes
+## office-churn's speed with identical counts; read this before believing
+## a loss there.
+hot-align:
+	bash scripts/hotalign.sh $(PARENT)
 
 ## loc: the ROADMAP scoreboard — non-test and test Go lines and the
 ## package counts of the root module (bench/ and its build directory

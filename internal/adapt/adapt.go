@@ -34,11 +34,19 @@ import (
 // errUnknownConn is returned when operating on an unregistered connection.
 var errUnknownConn = errors.New("adapt: unknown connection")
 
-// connInfo tracks one adaptable connection.
-type connInfo struct {
-	route    topology.Route
-	bounds   qos.Bounds
-	mobility qos.Mobility
+// Conn is one connection's adaptation record. Open makes it and the
+// connection's holder keeps it: a handoff, a renegotiation, a mobility
+// flip, a degrade and the close all hand the record back to the
+// Manager, so nothing after Open finds the connection by its ID. A
+// record is owned: after Close the manager recycles it, and its holder
+// must not touch it again.
+type Conn struct {
+	id     string
+	route  topology.Route
+	bounds qos.Bounds
+	// static is the connection's mobility: a static connection is in the
+	// allocation protocol unless degraded, a mobile one is held at b_min.
+	static bool
 	// degraded caps the connection at b_min: it is out of the allocation
 	// protocol until Restore lifts the cap (overload degrade cascades).
 	degraded bool
@@ -52,13 +60,16 @@ type Manager struct {
 	// default).
 	Alloc *maxmin.Protocol
 
-	conns map[string]*connInfo
+	// conns is every open record by connection ID, for the protocol's
+	// UPDATEs and the ID-keyed calls; a record stays in it from Open to
+	// Close, whatever route it is on.
+	conns map[string]*Conn
 	// links is the ledger's link states by topology.Link.Index, so a
-	// route reaches them without hashing its link IDs.
+	// route reaches them without hashing its link IDs; the protocol
+	// knows link links[i] by the index i too.
 	links []*admission.LinkState
-	// spare is the record Unregister last freed, for the next Register:
-	// a handoff unregisters and re-registers the same connection.
-	spare *connInfo
+	// spare is the record Close last freed, for the next Open.
+	spare *Conn
 	// OnRate observes committed rate changes (for tests and metrics).
 	OnRate func(connID string, bandwidth float64)
 }
@@ -81,15 +92,23 @@ func NewManagerWith(sim *des.Simulator, lg *admission.Ledger, opts maxmin.Protoc
 	m := &Manager{
 		Ledger: lg,
 		Alloc:  maxmin.NewProtocolWith(clock.Sim(sim), opts, rule),
-		conns:  make(map[string]*connInfo),
+		conns:  make(map[string]*Conn),
 	}
-	all := lg.Links()
-	m.links = make([]*admission.LinkState, len(all))
-	for _, ls := range all {
+	// Links is a fresh copy of the ledger's states in ID order. Put each
+	// at its Link.Index, a permutation of 0..n-1 (each swap settles one
+	// state for good), then add them to the protocol in that order: it
+	// indexes links as they are added, so a link's protocol index is its
+	// Link.Index too.
+	m.links = lg.Links()
+	for i := range m.links {
+		for j := m.links[i].Link.Index; j != i; j = m.links[i].Link.Index {
+			m.links[i], m.links[j] = m.links[j], m.links[i]
+		}
+	}
+	for _, ls := range m.links {
 		if err := m.Alloc.AddLink(string(ls.Link.ID), clampNonNeg(ls.ExcessAvailable())); err != nil {
 			return nil, err
 		}
-		m.links[ls.Link.Index] = ls
 	}
 	m.Alloc.OnUpdate = m.applyUpdate
 	return m, nil
@@ -113,92 +132,125 @@ func clampNonNeg(v float64) float64 {
 	return v
 }
 
-// Register tracks a connection after admission. Static connections join
-// the rate-allocation protocol with demand b_max - b_min; mobile ones are
-// held at b_min and only tracked for mobility flips. Registration also
-// resyncs the excess capacity of the route's links.
-func (m *Manager) Register(connID string, route topology.Route, bounds qos.Bounds, mob qos.Mobility) error {
+// Open tracks a connection after admission and returns its record: the
+// connection joins route as Join says.
+func (m *Manager) Open(connID string, route topology.Route, bounds qos.Bounds, mob qos.Mobility) (*Conn, error) {
 	if _, ok := m.conns[connID]; ok {
-		return fmt.Errorf("adapt: duplicate connection %s", connID)
+		return nil, fmt.Errorf("adapt: duplicate connection %s", connID)
 	}
-	if err := bounds.Validate(); err != nil {
-		return err
-	}
-	ci := m.spare
-	if ci == nil {
-		ci = new(connInfo)
+	c := m.spare
+	if c == nil {
+		c = new(Conn)
 	}
 	m.spare = nil
-	*ci = connInfo{route: route, bounds: bounds, mobility: mob}
-	m.conns[connID] = ci
-	if mob == qos.Static {
-		if err := m.addToProtocol(connID, ci); err != nil {
-			delete(m.conns, connID)
+	*c = Conn{id: connID}
+	m.conns[connID] = c
+	if err := m.Join(c, route, bounds, mob); err != nil {
+		delete(m.conns, connID)
+		m.spare = c
+		return nil, err
+	}
+	return c, nil
+}
+
+// Register is Open for a caller that keeps the connection's ID, not its
+// record; Unregister closes the record by that ID.
+func (m *Manager) Register(connID string, route topology.Route, bounds qos.Bounds, mob qos.Mobility) error {
+	_, err := m.Open(connID, route, bounds, mob)
+	return err
+}
+
+// Unregister closes the named connection's record, if it has one.
+func (m *Manager) Unregister(connID string) {
+	if c, ok := m.conns[connID]; ok {
+		m.Close(c)
+	}
+}
+
+// Join puts record c on route with bounds and mobility mob: where a
+// connection is admitted, and after Leave where a handoff re-admits it on
+// its new path or a renegotiation changes its bounds. A static
+// connection joins the rate-allocation protocol with demand b_max -
+// b_min; a mobile one is held at b_min and only tracked for mobility
+// flips. Joining also resyncs the excess capacity of the route's links.
+// A Join that fails leaves the record on no route.
+func (m *Manager) Join(c *Conn, route topology.Route, bounds qos.Bounds, mob qos.Mobility) error {
+	if err := bounds.Validate(); err != nil {
+		c.route = topology.Route{}
+		return err
+	}
+	c.route, c.bounds, c.static, c.degraded = route, bounds, mob == qos.Static, false
+	if c.static {
+		if err := m.addToProtocol(c); err != nil {
+			c.route = topology.Route{}
 			return err
 		}
 	}
 	m.SyncRoute(route)
-	if mob == qos.Static {
-		m.Alloc.Kick(connID)
+	if c.static {
+		m.Alloc.Kick(c.id)
 	}
 	return nil
 }
 
-func (m *Manager) addToProtocol(connID string, ci *connInfo) error {
-	path := make([]string, 0, len(ci.route.Links))
-	for _, l := range ci.route.Links {
+func (m *Manager) addToProtocol(c *Conn) error {
+	path := make([]string, 0, len(c.route.Links))
+	for _, l := range c.route.Links {
 		path = append(path, string(l.ID))
 	}
-	return m.Alloc.AddConn(maxmin.Conn{ID: connID, Path: path, Demand: ci.bounds.Width()})
+	return m.Alloc.AddConn(maxmin.Conn{ID: c.id, Path: path, Demand: c.bounds.Width()})
 }
 
-// Unregister drops a connection (after release from the ledger) and
-// resyncs its links so freed excess is re-advertised.
-func (m *Manager) Unregister(connID string) {
-	ci, ok := m.conns[connID]
-	if !ok {
-		return
+// Leave takes record c off its route (after release from the ledger),
+// for a Join or a Close to follow: a static connection leaves the
+// protocol, and the route's links are resynced so freed excess is
+// re-advertised. A mobile connection is in no protocol session, so its
+// Leave touches only the links.
+func (m *Manager) Leave(c *Conn) {
+	if c.static && !c.degraded {
+		m.Alloc.RemoveConn(c.id)
 	}
-	m.Alloc.RemoveConn(connID)
-	delete(m.conns, connID)
-	m.SyncRoute(ci.route)
-	*ci = connInfo{}
-	m.spare = ci
+	m.SyncRoute(c.route)
+}
+
+// Close drops the connection for good: its record is forgotten, then
+// leaves its route, and goes back to the manager for the next Open.
+func (m *Manager) Close(c *Conn) {
+	delete(m.conns, c.id)
+	m.Leave(c)
+	*c = Conn{}
+	m.spare = c
 }
 
 // SetMobility flips a connection between static and mobile. Mobile
 // connections fall back to b_min immediately (the paper keeps mobile
 // portables at their pre-negotiated minimum).
-func (m *Manager) SetMobility(connID string, mob qos.Mobility) error {
-	ci, ok := m.conns[connID]
-	if !ok {
-		return fmt.Errorf("%w: %s", errUnknownConn, connID)
-	}
-	if ci.mobility == mob {
+func (m *Manager) SetMobility(c *Conn, mob qos.Mobility) error {
+	if c.static == (mob == qos.Static) {
 		return nil
 	}
-	ci.mobility = mob
-	if mob == qos.Mobile {
+	c.static = mob == qos.Static
+	if !c.static {
 		// A mobile connection is pinned at b_min anyway; the degrade cap
 		// is moot and must not survive a later flip back to static.
-		ci.degraded = false
-		m.Alloc.RemoveConn(connID)
-		for _, l := range ci.route.Links {
-			if err := m.Ledger.SetAllocation(connID, l.ID, ci.bounds.Min); err != nil {
+		c.degraded = false
+		m.Alloc.RemoveConn(c.id)
+		for _, l := range c.route.Links {
+			if err := m.Ledger.SetAllocation(c.id, l.ID, c.bounds.Min); err != nil {
 				return err
 			}
 		}
 		if m.OnRate != nil {
-			m.OnRate(connID, ci.bounds.Min)
+			m.OnRate(c.id, c.bounds.Min)
 		}
-		m.SyncRoute(ci.route)
+		m.SyncRoute(c.route)
 		return nil
 	}
-	if err := m.addToProtocol(connID, ci); err != nil {
+	if err := m.addToProtocol(c); err != nil {
 		return err
 	}
-	m.SyncRoute(ci.route)
-	m.Alloc.Kick(connID)
+	m.SyncRoute(c.route)
+	m.Alloc.Kick(c.id)
 	return nil
 }
 
@@ -206,59 +258,57 @@ func (m *Manager) SetMobility(connID string, mob qos.Mobility) error {
 // it leaves the allocation protocol, its allocation drops to b_min on
 // every link of its route, and the freed excess is re-advertised to the
 // remaining sessions. It reports whether the connection was newly
-// degraded; unknown, mobile, already-degraded, and zero-width
-// connections are left alone.
-func (m *Manager) Degrade(connID string) bool {
-	ci, ok := m.conns[connID]
-	if !ok || ci.mobility != qos.Static || ci.degraded || ci.bounds.Width() == 0 {
+// degraded; mobile, already-degraded, and zero-width connections are
+// left alone.
+func (m *Manager) Degrade(c *Conn) bool {
+	if !c.static || c.degraded || c.bounds.Width() == 0 {
 		return false
 	}
-	ci.degraded = true
-	m.Alloc.RemoveConn(connID)
-	for _, l := range ci.route.Links {
+	c.degraded = true
+	m.Alloc.RemoveConn(c.id)
+	for _, l := range c.route.Links {
 		// The allocation may race a release; ignore missing allocations.
-		_ = m.Ledger.SetAllocation(connID, l.ID, ci.bounds.Min)
+		_ = m.Ledger.SetAllocation(c.id, l.ID, c.bounds.Min)
 	}
 	if m.OnRate != nil {
-		m.OnRate(connID, ci.bounds.Min)
+		m.OnRate(c.id, c.bounds.Min)
 	}
-	m.SyncRoute(ci.route)
+	m.SyncRoute(c.route)
 	return true
 }
 
 // Restore lifts a degrade cap: the connection rejoins the allocation
 // protocol and competes for excess again. It reports whether a cap was
 // actually lifted.
-func (m *Manager) Restore(connID string) bool {
-	ci, ok := m.conns[connID]
-	if !ok || !ci.degraded {
+func (m *Manager) Restore(c *Conn) bool {
+	if !c.degraded {
 		return false
 	}
-	ci.degraded = false
-	if ci.mobility != qos.Static {
+	c.degraded = false
+	if !c.static {
 		return true
 	}
-	if err := m.addToProtocol(connID, ci); err != nil {
-		ci.degraded = true
+	if err := m.addToProtocol(c); err != nil {
+		c.degraded = true
 		return false
 	}
-	m.SyncRoute(ci.route)
-	m.Alloc.Kick(connID)
+	m.SyncRoute(c.route)
+	m.Alloc.Kick(c.id)
 	return true
 }
 
 // Degraded reports whether the connection is currently degrade-capped.
 func (m *Manager) Degraded(connID string) bool {
-	ci, ok := m.conns[connID]
-	return ok && ci.degraded
+	c, ok := m.conns[connID]
+	return ok && c.degraded
 }
 
 // Degradable reports whether a degrade cascade could still reclaim
 // bandwidth from the connection: a registered static connection with
 // adaptable width that is not already capped.
 func (m *Manager) Degradable(connID string) bool {
-	ci, ok := m.conns[connID]
-	return ok && ci.mobility == qos.Static && !ci.degraded && ci.bounds.Width() > 0
+	c, ok := m.conns[connID]
+	return ok && c.static && !c.degraded && c.bounds.Width() > 0
 }
 
 // SyncLink recomputes a link's excess capacity b'_av,l from the ledger
@@ -273,8 +323,10 @@ func (m *Manager) SyncLink(id topology.LinkID) error {
 	return m.sync(ls)
 }
 
+// sync is the one place a ledger link's excess reaches the protocol,
+// which knows the link by its Link.Index.
 func (m *Manager) sync(ls *admission.LinkState) error {
-	_, err := m.Alloc.TriggerCapacityChange(string(ls.Link.ID), clampNonNeg(ls.ExcessAvailable()))
+	_, err := m.Alloc.TriggerCapacityChange(ls.Link.Index, clampNonNeg(ls.ExcessAvailable()))
 	return err
 }
 
@@ -303,17 +355,17 @@ func (m *Manager) CapacityChanged(id topology.LinkID, capacity float64) error {
 // applyUpdate commits a protocol UPDATE: allocation = b_min + rate on
 // every link of the connection's route.
 func (m *Manager) applyUpdate(connID string, rate float64) {
-	ci, ok := m.conns[connID]
+	c, ok := m.conns[connID]
 	if !ok {
 		return
 	}
 	// An UPDATE already in flight when Degrade removed the session must
 	// not re-raise the allocation above the cap.
-	if ci.degraded {
+	if c.degraded {
 		return
 	}
-	bw := ci.bounds.Clamp(ci.bounds.Min + rate)
-	for _, l := range ci.route.Links {
+	bw := c.bounds.Clamp(c.bounds.Min + rate)
+	for _, l := range c.route.Links {
 		// The allocation may race a release; ignore missing allocations.
 		_ = m.Ledger.SetAllocation(connID, l.ID, bw)
 	}
@@ -325,16 +377,16 @@ func (m *Manager) applyUpdate(connID string, rate float64) {
 // Allocation returns the connection's current bandwidth (b_min plus its
 // adapted excess), or an error for unknown connections.
 func (m *Manager) Allocation(connID string) (float64, error) {
-	ci, ok := m.conns[connID]
+	c, ok := m.conns[connID]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", errUnknownConn, connID)
 	}
-	if len(ci.route.Links) == 0 {
-		return ci.bounds.Min, nil
+	if len(c.route.Links) == 0 {
+		return c.bounds.Min, nil
 	}
-	a, ok := m.Ledger.Link(ci.route.Links[0].ID).Alloc(connID)
+	a, ok := m.Ledger.Link(c.route.Links[0].ID).Alloc(connID)
 	if !ok {
-		return ci.bounds.Min, nil
+		return c.bounds.Min, nil
 	}
 	return a.Cur, nil
 }

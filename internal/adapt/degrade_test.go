@@ -18,7 +18,7 @@ func TestDegradeCapsAtMinAndFreesExcess(t *testing.T) {
 	if got, _ := mgr.Allocation("a"); got <= 100e3 {
 		t.Fatalf("precondition: a did not adapt above b_min (%v)", got)
 	}
-	if !mgr.Degrade("a") {
+	if !mgr.Degrade(mgr.conns["a"]) {
 		t.Fatal("Degrade refused an adaptable static connection")
 	}
 	if got, _ := mgr.Allocation("a"); got != 100e3 {
@@ -52,19 +52,19 @@ func TestDegradeRefusals(t *testing.T) {
 	if err := sim.RunUntil(60); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.Degrade("ghost") {
-		t.Fatal("Degrade accepted an unknown connection")
+	if mgr.Degradable("ghost") {
+		t.Fatal("unknown connection reported degradable")
 	}
-	if mgr.Degrade("m") {
+	if mgr.Degrade(mgr.conns["m"]) {
 		t.Fatal("Degrade accepted a mobile connection")
 	}
 	if mgr.Degradable("m") {
 		t.Fatal("mobile connection reported degradable")
 	}
-	if !mgr.Degrade("s") {
+	if !mgr.Degrade(mgr.conns["s"]) {
 		t.Fatal("first Degrade refused")
 	}
-	if mgr.Degrade("s") {
+	if mgr.Degrade(mgr.conns["s"]) {
 		t.Fatal("second Degrade reported a fresh cap")
 	}
 }
@@ -77,16 +77,13 @@ func TestRestoreRejoinsAdaptation(t *testing.T) {
 	if err := sim.RunUntil(60); err != nil {
 		t.Fatal(err)
 	}
-	if !mgr.Degrade("a") {
+	if !mgr.Degrade(mgr.conns["a"]) {
 		t.Fatal("Degrade refused")
 	}
-	if mgr.Restore("ghost") {
-		t.Fatal("Restore accepted an unknown connection")
-	}
-	if mgr.Restore("a") != true || mgr.Degraded("a") {
+	if mgr.Restore(mgr.conns["a"]) != true || mgr.Degraded("a") {
 		t.Fatal("Restore did not lift the cap")
 	}
-	if mgr.Restore("a") {
+	if mgr.Restore(mgr.conns["a"]) {
 		t.Fatal("second Restore reported a lifted cap")
 	}
 	if err := sim.RunUntil(240); err != nil {
@@ -105,18 +102,18 @@ func TestMobilityFlipClearsDegradeCap(t *testing.T) {
 	if err := sim.RunUntil(60); err != nil {
 		t.Fatal(err)
 	}
-	if !mgr.Degrade("a") {
+	if !mgr.Degrade(mgr.conns["a"]) {
 		t.Fatal("Degrade refused")
 	}
 	// Mobile connections sit at b_min anyway; the cap must not survive
 	// the round trip back to static and silently pin the connection.
-	if err := mgr.SetMobility("a", qos.Mobile); err != nil {
+	if err := mgr.SetMobility(mgr.conns["a"], qos.Mobile); err != nil {
 		t.Fatal(err)
 	}
 	if mgr.Degraded("a") {
 		t.Fatal("degrade cap survived the flip to mobile")
 	}
-	if err := mgr.SetMobility("a", qos.Static); err != nil {
+	if err := mgr.SetMobility(mgr.conns["a"], qos.Static); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunUntil(240); err != nil {
@@ -144,7 +141,7 @@ func TestMobilityFlipRacesCapacityChange(t *testing.T) {
 	if err := mgr.CapacityChanged(route.Links[1].ID, 800e3); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetMobility("a", qos.Mobile); err != nil {
+	if err := mgr.SetMobility(mgr.conns["a"], qos.Mobile); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunUntil(400); err != nil {

@@ -73,9 +73,11 @@ func (m *Manager) commitOpen(c Connection, p *Portable) (string, error) {
 		return c.ID, nil
 	}
 	c.h = m.ledger.Hold(c.ID)
-	if err := m.Adpt.Register(c.ID, c.Route, c.Req.Bandwidth, p.Mobility); err != nil {
+	ad, err := m.Adpt.Open(c.ID, c.Route, c.Req.Bandwidth, p.Mobility)
+	if err != nil {
 		return "", err
 	}
+	c.ad = ad
 	m.mc.setupMulticast(&c, p.at)
 	m.refreshAdvance(p)
 	m.adjustPools(p.at)
@@ -251,11 +253,11 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 			continue
 		}
 		eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: c.ID, Portable: id})
-		m.Adpt.Unregister(c.ID)
+		m.Adpt.Leave(c.ad)
 		m.mc.releaseMulticast(c)
 		c.Route = newRoute
 		c.Bandwidth = res.Bandwidth
-		_ = m.Adpt.Register(c.ID, newRoute, c.Req.Bandwidth, qos.Mobile)
+		_ = m.Adpt.Join(c.ad, newRoute, c.Req.Bandwidth, qos.Mobile)
 		m.mc.setupMulticast(c, toCell)
 	}
 	clear(m.handoffConns)

@@ -188,6 +188,10 @@ type Connection struct {
 	// h is nil for a best-effort connection, which books nothing.
 	h    *admission.Holder
 	legs []connLeg
+	// ad is the connection's adaptation record, kept from the first
+	// admission to the close (a handoff moves it to the new route); nil
+	// for a best-effort connection, which adapt does not track.
+	ad *adapt.Conn
 }
 
 // teardown releases a connection's reservations on its route and its
@@ -198,7 +202,10 @@ func (m *Manager) teardown(c *Connection, p *Portable) {
 		c.h.Release(c.Route)
 	}
 	m.mc.releaseMulticast(c)
-	m.Adpt.Unregister(c.ID)
+	if c.ad != nil {
+		m.Adpt.Close(c.ad)
+		c.ad = nil
+	}
 	delete(m.conns, c.ID)
 	delete(m.rateWatchers, c.ID)
 	if p != nil {
@@ -490,7 +497,9 @@ func (m *Manager) becomeStatic(p *Portable) {
 	// Sorted: SetMobility(Static) kicks adaptation sessions, and the
 	// session start order is observable in the event trace.
 	for _, c := range slices.Clone(p.conns) {
-		_ = m.Adpt.SetMobility(c.ID, qos.Static)
+		if c.ad != nil {
+			_ = m.Adpt.SetMobility(c.ad, qos.Static)
+		}
 	}
 	m.adjustPools(p.at)
 }
@@ -502,6 +511,8 @@ func (m *Manager) becomeMobile(p *Portable) {
 	}
 	m.setMobility(p, qos.Mobile)
 	for _, c := range slices.Clone(p.conns) {
-		_ = m.Adpt.SetMobility(c.ID, qos.Mobile)
+		if c.ad != nil {
+			_ = m.Adpt.SetMobility(c.ad, qos.Mobile)
+		}
 	}
 }

@@ -66,9 +66,15 @@ func (m *Manager) Renegotiate(connID string, bounds qos.Bounds) error {
 	}
 	c.Req = newReq
 	c.Bandwidth = res.Bandwidth
-	m.Adpt.Unregister(connID)
-	if err := m.Adpt.Register(connID, c.Route, bounds, p.Mobility); err != nil {
-		return err
+	if c.ad == nil { // a best-effort connection joins adaptation now
+		if c.ad, err = m.Adpt.Open(connID, c.Route, bounds, p.Mobility); err != nil {
+			return err
+		}
+	} else {
+		m.Adpt.Leave(c.ad)
+		if err := m.Adpt.Join(c.ad, c.Route, bounds, p.Mobility); err != nil {
+			return err
+		}
 	}
 	m.refreshAdvance(p)
 	return nil

@@ -79,10 +79,11 @@ func (m *Manager) degradeLink(link topology.LinkID) int {
 	}
 	n := 0
 	for _, id := range m.ConnIDs() {
-		if !routeUses(m.conns[id].Route, link) {
+		c := m.conns[id]
+		if !routeUses(c.Route, link) || c.ad == nil {
 			continue
 		}
-		if m.Adpt.Degrade(id) {
+		if m.Adpt.Degrade(c.ad) {
 			n++
 			eventbus.Pub(m.Bus, eventbus.DegradeCascade{Conn: id, Link: string(link), Action: "degrade"})
 		}
@@ -97,10 +98,11 @@ func (m *Manager) restoreLink(link topology.LinkID) int {
 	}
 	n := 0
 	for _, id := range m.ConnIDs() {
-		if !routeUses(m.conns[id].Route, link) {
+		c := m.conns[id]
+		if !routeUses(c.Route, link) || c.ad == nil {
 			continue
 		}
-		if m.Adpt.Restore(id) {
+		if m.Adpt.Restore(c.ad) {
 			n++
 			eventbus.Pub(m.Bus, eventbus.DegradeCascade{Conn: id, Link: string(link), Action: "restore"})
 		}

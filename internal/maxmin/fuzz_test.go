@@ -85,11 +85,11 @@ func FuzzMaxminConvergence(f *testing.F) {
 			t.Fatalf("protocol did not quiesce: %d events still pending at horizon", n)
 		}
 		if perturb {
-			links := sortx.Keys(p.Capacity)
-			pick := links[rng.Intn(len(links))]
-			newCap := p.Capacity[pick] * (0.25 + rng.Float64()*1.5)
-			p.Capacity[pick] = newCap
-			if _, err := pr.TriggerCapacityChange(pick, newCap); err != nil {
+			links := sortx.Keys(p.Capacity) // AddLink's order above
+			k := rng.Intn(len(links))
+			newCap := p.Capacity[links[k]] * (0.25 + rng.Float64()*1.5)
+			p.Capacity[links[k]] = newCap
+			if _, err := pr.TriggerCapacityChange(k, newCap); err != nil {
 				t.Fatal(err)
 			}
 			if err := simulator.RunUntil(2 * horizon); err != nil {

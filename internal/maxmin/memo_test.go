@@ -97,7 +97,7 @@ type scripted interface {
 	RemoveConn(id string)
 	Kick(id string) bool
 	KickAll()
-	TriggerCapacityChange(link string, capacity float64) (int, error)
+	TriggerCapacityChange(link int, capacity float64) (int, error)
 	Rates() allocation
 	counters() [4]int // Messages, Sessions, Retransmits, Readvertises
 	setBus(bus *eventbus.Bus)
@@ -203,7 +203,7 @@ func runScript(t *testing.T, seed int64, steps int, loss float64, finite bool, b
 				caps[k] *= 0.25 + rng.Float64()*1.5
 			}
 			for _, s := range sides {
-				if _, err := s.TriggerCapacityChange(links[k], caps[k]); err != nil {
+				if _, err := s.TriggerCapacityChange(k, caps[k]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -238,8 +238,8 @@ func checkOfferMemo(t *testing.T, seed int64, steps int) {
 		return pr
 	}
 	runScript(t, seed, steps, 0.04, false, []func(clock.Clock, ProtocolOptions) scripted{build}, func(step int, rng *randx.Rand) {
-		for _, l := range sortx.Keys(pr.links) {
-			ls := pr.links[l]
+		for _, l := range sortx.Keys(pr.byName) {
+			ls := pr.byName[l]
 			want := referenceAdvertised(ls.capacity, ls.recorded, -1)
 			if fresh := ls.advertisedFor(-1); fresh != want {
 				t.Fatalf("seed %d step %d: %s kernel μ = %v, reference %v", seed, step, l, fresh, want)

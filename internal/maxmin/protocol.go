@@ -129,6 +129,7 @@ type ControlStats struct {
 // at one version is reused until the version moves.
 type linkState struct {
 	name     string
+	index    int // AddLink's
 	capacity float64
 	rows     []*connHop
 	// recorded is the last seen stamped rate per connection (§5.3.1).
@@ -298,8 +299,12 @@ type Protocol struct {
 	// quiescent (no active or pending sessions).
 	Bus *eventbus.Bus
 
-	links map[string]*linkState
-	conns map[string]*protoConn
+	// byName is every link by name, for the paths AddConn is given, and
+	// links the same links at the index AddLink gave each, grown by link
+	// when it first needs a link added since.
+	byName map[string]*linkState
+	links  []*linkState
+	conns  map[string]*protoConn
 	ControlStats
 
 	nActive, nDirty int // connections with protoConn.active / dirty set
@@ -370,11 +375,11 @@ func NewProtocolOn(clk clock.Clock, opts ProtocolOptions) *Protocol {
 // NewProtocolWith is NewProtocolOn with every switch running rule.
 func NewProtocolWith(clk clock.Clock, opts ProtocolOptions, rule SwitchRule) *Protocol {
 	pr := &Protocol{
-		clk:   clk,
-		rule:  rule,
-		Opts:  opts.withDefaults(),
-		links: make(map[string]*linkState),
-		conns: make(map[string]*protoConn),
+		clk:    clk,
+		rule:   rule,
+		Opts:   opts.withDefaults(),
+		byName: make(map[string]*linkState),
+		conns:  make(map[string]*protoConn),
 	}
 	if pr.Opts.ReadvertisePeriod > 0 {
 		clk.Every(pr.Opts.ReadvertisePeriod, pr.readvertise)
@@ -458,15 +463,37 @@ func (pr *Protocol) retryControl(st step, hop int) bool {
 	return true
 }
 
-// AddLink registers a link with its excess capacity.
+// AddLink registers a link with its excess capacity. Links are indexed
+// in the order they are added, from 0: TriggerCapacityChange names a link
+// by that index.
 func (pr *Protocol) AddLink(name string, capacity float64) error {
-	if _, ok := pr.links[name]; ok {
+	if _, ok := pr.byName[name]; ok {
 		return fmt.Errorf("%s: duplicate link %s", pr.rule.Name, name)
 	}
 	if !(capacity >= 0) || math.IsInf(capacity, 1) {
 		return fmt.Errorf("%w: %s = %v", errBadCapacity, name, capacity)
 	}
-	pr.links[name] = &linkState{name: name, capacity: capacity, explicit: pr.explicit()}
+	pr.byName[name] = &linkState{name: name, index: len(pr.byName), capacity: capacity, explicit: pr.explicit()}
+	return nil
+}
+
+// link returns the link AddLink gave index i, or nil. A call that finds
+// links added since the table last grew places them, so a protocol whose
+// links all come before its first capacity change (adapt's) sizes the
+// table once, and one that adds links between changes (testnet's) grows
+// it as append would.
+func (pr *Protocol) link(i int) *linkState {
+	if n := len(pr.links); n < len(pr.byName) {
+		pr.links = slices.Grow(pr.links, len(pr.byName)-n)[:len(pr.byName)]
+		for _, ls := range pr.byName {
+			if ls.index >= n {
+				pr.links[ls.index] = ls
+			}
+		}
+	}
+	if uint(i) < uint(len(pr.links)) {
+		return pr.links[i]
+	}
 	return nil
 }
 
@@ -480,7 +507,7 @@ func (pr *Protocol) AddConn(c Conn) error {
 		return fmt.Errorf("%w: %s", errEmptyPath, c.ID)
 	}
 	for _, l := range c.Path {
-		if _, ok := pr.links[l]; !ok {
+		if _, ok := pr.byName[l]; !ok {
 			return fmt.Errorf("%w: %s uses %s", errUnknownLink, c.ID, l)
 		}
 	}
@@ -494,7 +521,7 @@ func (pr *Protocol) AddConn(c Conn) error {
 	}
 	pc := &protoConn{id: c.ID, demand: demand, hops: make([]connHop, 0, len(c.Path))}
 	for _, l := range c.Path {
-		ls := pr.links[l]
+		ls := pr.byName[l]
 		if !slices.ContainsFunc(pc.hops, func(h connHop) bool { return h.link == ls }) {
 			pc.hops = append(pc.hops, connHop{link: ls, pc: pc})
 		}
@@ -533,8 +560,8 @@ func (pr *Protocol) Rates() allocation {
 
 // Problem exports the current instance for comparison with WaterFill.
 func (pr *Protocol) Problem() Problem {
-	p := Problem{Capacity: make(map[string]float64, len(pr.links))}
-	for name, ls := range pr.links {
+	p := Problem{Capacity: make(map[string]float64, len(pr.byName))}
+	for name, ls := range pr.byName {
 		p.Capacity[name] = ls.capacity
 	}
 	for _, id := range sortx.Keys(pr.conns) {
@@ -576,8 +603,8 @@ type LinkBottleneck struct {
 // protocol state.
 func (pr *Protocol) BottleneckSizes() []LinkBottleneck {
 	var out []LinkBottleneck
-	for _, name := range sortx.Keys(pr.links) {
-		if n := pr.links[name].mCount; n > 0 {
+	for _, name := range sortx.Keys(pr.byName) {
+		if n := pr.byName[name].mCount; n > 0 {
 			out = append(out, LinkBottleneck{Link: name, Size: n})
 		}
 	}
@@ -589,14 +616,15 @@ func (pr *Protocol) BottleneckSizes() []LinkBottleneck {
 // only when they exceed δ and, under the refinement, only for connections
 // in M(l). Under the explicit-rate rule the switch kicks every connection
 // on the link that drifted, each judged after the sessions started before
-// it have swept. Returns the number of sessions started.
-func (pr *Protocol) TriggerCapacityChange(link string, capacity float64) (int, error) {
-	ls, ok := pr.links[link]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", errUnknownLink, link)
+// it have swept. link is the index AddLink gave the link. Returns the
+// number of sessions started.
+func (pr *Protocol) TriggerCapacityChange(link int, capacity float64) (int, error) {
+	ls := pr.link(link)
+	if ls == nil {
+		return 0, fmt.Errorf("%w: index %d", errUnknownLink, link)
 	}
 	if !(capacity >= 0) || math.IsInf(capacity, 1) {
-		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, link, capacity)
+		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, ls.name, capacity)
 	}
 	old := ls.capacity
 	increase := capacity > old

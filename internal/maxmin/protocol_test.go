@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,7 +16,8 @@ import (
 	"armnet/internal/sortx"
 )
 
-// buildProtocol loads a Problem into a fresh Protocol.
+// buildProtocol loads a Problem into a fresh Protocol, adding the links
+// in name order: see linkAt.
 func buildProtocol(t testing.TB, sim *des.Simulator, p Problem, opts ProtocolOptions) *Protocol {
 	t.Helper()
 	pr := NewProtocolOn(clock.Sim(sim), opts)
@@ -30,6 +32,16 @@ func buildProtocol(t testing.TB, sim *des.Simulator, p Problem, opts ProtocolOpt
 		}
 	}
 	return pr
+}
+
+// linkAt returns the index AddLink gave the named link.
+func linkAt(t testing.TB, pr *Protocol, name string) int {
+	t.Helper()
+	ls, ok := pr.byName[name]
+	if !ok {
+		t.Fatalf("no link %s", name)
+	}
+	return ls.index
 }
 
 func tandemProblem() Problem {
@@ -152,7 +164,7 @@ func TestProtocolCapacityDecreaseReconverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shrink L1 from 10 to 5: x should drop from 8 toward 3.
-	if _, err := pr.TriggerCapacityChange("L1", 5); err != nil {
+	if _, err := pr.TriggerCapacityChange(linkAt(t, pr, "L1"), 5); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunUntil(120); err != nil {
@@ -184,7 +196,7 @@ func TestProtocolCapacityIncreaseRespectsDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Increase below delta: no sessions.
-	started, err := pr.TriggerCapacityChange("L", 10.5)
+	started, err := pr.TriggerCapacityChange(linkAt(t, pr, "L"), 10.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +204,7 @@ func TestProtocolCapacityIncreaseRespectsDelta(t *testing.T) {
 		t.Fatalf("sub-delta increase started %d sessions", started)
 	}
 	// Increase above delta: sessions for the bottleneck set.
-	started, err = pr.TriggerCapacityChange("L", 14)
+	started, err = pr.TriggerCapacityChange(linkAt(t, pr, "L"), 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +276,7 @@ func TestRefinementReducesMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := pr.Messages
-		if _, err := pr.TriggerCapacityChange("leaf0", 4); err != nil {
+		if _, err := pr.TriggerCapacityChange(linkAt(t, pr, "leaf0"), 4); err != nil {
 			t.Fatal(err)
 		}
 		if err := sim.RunUntil(300); err != nil {
@@ -311,10 +323,12 @@ func TestProtocolValidation(t *testing.T) {
 	if err := pr.AddConn(Conn{ID: "c", Path: []string{"l"}, Demand: Inf}); err == nil {
 		t.Fatal("duplicate conn accepted")
 	}
-	if _, err := pr.TriggerCapacityChange("ghost", 1); err == nil {
-		t.Fatal("trigger on unknown link accepted")
+	for _, ghost := range []int{-1, len(pr.byName)} {
+		if _, err := pr.TriggerCapacityChange(ghost, 1); err == nil {
+			t.Fatalf("trigger on unknown link index %d accepted", ghost)
+		}
 	}
-	if _, err := pr.TriggerCapacityChange("l", -1); err == nil {
+	if _, err := pr.TriggerCapacityChange(linkAt(t, pr, "l"), -1); err == nil {
 		t.Fatal("trigger with negative capacity accepted")
 	}
 	// Removing an unknown connection is a no-op.
@@ -466,6 +480,28 @@ func TestProtocolStaleBottleneckRegression(t *testing.T) {
 	}
 }
 
+// TestTriggerReachesLinksAddedLater: a link added after the index table
+// was built (testnet adds links as connections arrive, between capacity
+// changes) gets the next index and is reached by it.
+func TestTriggerReachesLinksAddedLater(t *testing.T) {
+	pr := NewProtocolOn(clock.Sim(des.New()), ProtocolOptions{})
+	for i, name := range []string{"a", "b", "c"} {
+		if err := pr.AddLink(name, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.TriggerCapacityChange(i, float64(10+i)); err != nil {
+			t.Fatalf("trigger %s at %d: %v", name, i, err)
+		}
+	}
+	if _, err := pr.TriggerCapacityChange(3, 1); err == nil {
+		t.Fatal("trigger past the last link accepted")
+	}
+	want := map[string]float64{"a": 10, "b": 11, "c": 12}
+	if got := pr.Problem().Capacity; !reflect.DeepEqual(got, want) {
+		t.Fatalf("capacities %v, want %v", got, want)
+	}
+}
+
 // TestProtocolRejectsNonFiniteCapacity: AddLink and TriggerCapacityChange
 // refuse a NaN or +Inf excess capacity with errBadCapacity, and a refused
 // change leaves the link as it was.
@@ -478,7 +514,7 @@ func TestProtocolRejectsNonFiniteCapacity(t *testing.T) {
 		if err := pr.AddLink(fmt.Sprintf("l-%v", bad), bad); !errors.Is(err, errBadCapacity) {
 			t.Errorf("AddLink(%v) = %v, want ErrBadCapacity", bad, err)
 		}
-		if _, err := pr.TriggerCapacityChange("l", bad); !errors.Is(err, errBadCapacity) {
+		if _, err := pr.TriggerCapacityChange(linkAt(t, pr, "l"), bad); !errors.Is(err, errBadCapacity) {
 			t.Errorf("TriggerCapacityChange(%v) = %v, want ErrBadCapacity", bad, err)
 		}
 		if got := pr.Problem().Capacity["l"]; got != 5 {

@@ -25,6 +25,7 @@ type refRate struct {
 	bus    *eventbus.Bus
 
 	links map[string]*rateLink
+	order []string // link names by the index AddLink gave them
 	conns map[string]*rateConn
 
 	messages, sessions, retransmits, readvertises int
@@ -125,6 +126,7 @@ func (a *refRate) AddLink(name string, capacity float64) error {
 		return fmt.Errorf("%w: %s = %v", errBadCapacity, name, capacity)
 	}
 	a.links[name] = &rateLink{capacity: capacity}
+	a.order = append(a.order, name)
 	return nil
 }
 
@@ -189,13 +191,13 @@ func (a *refRate) KickAll() {
 // TriggerCapacityChange applies the eq. (2) trigger, then kicks every
 // connection on the link that drifted, judging each after the sessions
 // started before it have swept.
-func (a *refRate) TriggerCapacityChange(link string, capacity float64) (int, error) {
-	l, ok := a.links[link]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", errUnknownLink, link)
+func (a *refRate) TriggerCapacityChange(link int, capacity float64) (int, error) {
+	if link < 0 || link >= len(a.order) {
+		return 0, fmt.Errorf("%w: index %d", errUnknownLink, link)
 	}
+	l := a.links[a.order[link]]
 	if capacity < 0 {
-		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, link, capacity)
+		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, a.order[link], capacity)
 	}
 	old := l.capacity
 	if capacity > old && capacity-old <= a.opts.delta {
@@ -433,8 +435,8 @@ var testRules = []SwitchRule{
 // later row's drift.
 type collectThenStart struct{ *Protocol }
 
-func (m collectThenStart) TriggerCapacityChange(link string, capacity float64) (int, error) {
-	ls := m.links[link]
+func (m collectThenStart) TriggerCapacityChange(link int, capacity float64) (int, error) {
+	ls := m.link(link)
 	if capacity > ls.capacity && capacity-ls.capacity <= m.Opts.delta {
 		return 0, nil
 	}

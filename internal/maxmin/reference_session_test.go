@@ -89,13 +89,13 @@ func (pr *refProtocol) RemoveConn(id string) {
 	delete(pr.dirty, id)
 }
 
-func (pr *refProtocol) TriggerCapacityChange(link string, capacity float64) (int, error) {
-	ls, ok := pr.links[link]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", errUnknownLink, link)
+func (pr *refProtocol) TriggerCapacityChange(link int, capacity float64) (int, error) {
+	ls := pr.link(link)
+	if ls == nil {
+		return 0, fmt.Errorf("%w: index %d", errUnknownLink, link)
 	}
 	if capacity < 0 {
-		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, link, capacity)
+		return 0, fmt.Errorf("%w: %s = %v", errBadCapacity, ls.name, capacity)
 	}
 	old := ls.capacity
 	increase := capacity > old

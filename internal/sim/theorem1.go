@@ -124,11 +124,11 @@ func runTheorem1Instance(cfg Theorem1Config, seed int64) (theorem1Trial, error) 
 		return theorem1Trial{}, err
 	}
 	if cfg.Perturb {
-		links := sortx.Keys(p.Capacity)
-		pick := links[rng.Intn(len(links))]
-		newCap := p.Capacity[pick] * (0.5 + rng.Float64())
-		p.Capacity[pick] = newCap
-		if _, err := pr.TriggerCapacityChange(pick, newCap); err != nil {
+		links := sortx.Keys(p.Capacity) // AddLink's order: link k has index k
+		k := rng.Intn(len(links))
+		newCap := p.Capacity[links[k]] * (0.5 + rng.Float64())
+		p.Capacity[links[k]] = newCap
+		if _, err := pr.TriggerCapacityChange(k, newCap); err != nil {
 			return theorem1Trial{}, err
 		}
 		if err := simulator.RunUntil(1500); err != nil {

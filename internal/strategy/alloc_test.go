@@ -9,6 +9,10 @@ import (
 	"armnet/internal/strategy"
 )
 
+// wl is the index of the one link these tests add, "wl": the first
+// AddLink gives index 0.
+const wl = 0
+
 // buildQuiescent returns the named allocator with one link and two
 // converged sessions — the steady state the capacity-sync hot path runs
 // against on every wireless capacity sample.
@@ -44,7 +48,7 @@ func TestStrategyQuiescentSyncAllocBudget(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a := buildQuiescent(t, name)
 			got := testing.AllocsPerRun(1000, func() {
-				if _, err := a.TriggerCapacityChange("wl", 1.6e6); err != nil {
+				if _, err := a.TriggerCapacityChange(wl, 1.6e6); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -64,7 +68,7 @@ func BenchmarkQuiescentCapacitySync(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := a.TriggerCapacityChange("wl", 1.6e6); err != nil {
+				if _, err := a.TriggerCapacityChange(wl, 1.6e6); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -140,12 +140,13 @@ func TestDegradeRestoreRoundTripUnderEachAllocator(t *testing.T) {
 				Delay:     5, Jitter: 5, Loss: 0.05,
 				Traffic: qos.TrafficSpec{Sigma: 10e3, Rho: 100e3},
 			}
+			recs := map[string]*adapt.Conn{}
 			for _, id := range []string{"a", "b"} {
 				res, err := ctl.Admit(admission.Test{ConnID: id, Req: req, Route: route, Mobility: qos.Static})
 				if err != nil || !res.Admitted {
 					t.Fatalf("admit %s: %+v %v", id, res, err)
 				}
-				if err := mgr.Register(id, route, req.Bandwidth, qos.Static); err != nil {
+				if recs[id], err = mgr.Open(id, route, req.Bandwidth, qos.Static); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -163,7 +164,7 @@ func TestDegradeRestoreRoundTripUnderEachAllocator(t *testing.T) {
 				}
 				before[id] = v
 			}
-			if !mgr.Degrade("a") {
+			if !mgr.Degrade(recs["a"]) {
 				t.Fatalf("%s: Degrade(a) refused", name)
 			}
 			if !mgr.Degraded("a") {
@@ -178,7 +179,7 @@ func TestDegradeRestoreRoundTripUnderEachAllocator(t *testing.T) {
 			if v, _ := mgr.Allocation("b"); v < before["b"]-1 {
 				t.Fatalf("%s: b lost bandwidth (%v -> %v) while a was degraded", name, before["b"], v)
 			}
-			if !mgr.Restore("a") {
+			if !mgr.Restore(recs["a"]) {
 				t.Fatalf("%s: Restore(a) refused", name)
 			}
 			if mgr.Degraded("a") {

@@ -79,7 +79,7 @@ func TestEricaFairShare(t *testing.T) {
 		if err := a.AddConn(maxmin.Conn{ID: id, Path: []string{"wl"}, Demand: 9e6}); err != nil {
 			t.Fatal(err)
 		}
-		a.Kick(id) // the add-then-kick contract adapt.Register follows
+		a.Kick(id) // the add-then-kick contract adapt.Manager.Join follows
 	}
 	if err := sim.RunUntil(10); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestEricaFairShare(t *testing.T) {
 	}
 	checkEricaInvariants(t, a.Rates(), 9e6, "c", 1e6)
 	// A capacity drop re-sweeps the drifted sessions down to feasibility.
-	if _, err := a.TriggerCapacityChange("wl", 5e6); err != nil {
+	if _, err := a.TriggerCapacityChange(wl, 5e6); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunUntil(30); err != nil {
@@ -176,7 +176,7 @@ func TestLogWeightProportionalShares(t *testing.T) {
 	}
 	// Drop capacity so both flows saturate uncapped: the committed rates
 	// must land exactly on the log-weighted proportional split.
-	if _, err := a.TriggerCapacityChange("wl", 3e6); err != nil {
+	if _, err := a.TriggerCapacityChange(wl, 3e6); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunUntil(20); err != nil {

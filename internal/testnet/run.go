@@ -164,7 +164,9 @@ type runner struct {
 	nodes   []*Node // loopback agents, by index in cluster.Names
 	nodeObs []*NodeRecorder
 
-	mmLinks map[topology.LinkID]bool
+	// mmLinks is each link the rate protocol knows, with the index its
+	// AddLink gave it.
+	mmLinks map[topology.LinkID]int
 	commits int
 	aborted int
 	skipped int
@@ -210,7 +212,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg: cfg, env: env, clk: clk,
 		cluster: cluster,
 		conns:   make(connTable),
-		mmLinks: make(map[topology.LinkID]bool),
+		mmLinks: make(map[topology.LinkID]int),
 	}
 
 	switch cfg.Mode {
@@ -411,8 +413,7 @@ func (r *runner) joinMaxmin(conn string, route topology.Route, demand float64) {
 	path := make([]string, 0, len(route.Links))
 	for _, l := range route.Links {
 		path = append(path, string(l.ID))
-		if !r.mmLinks[l.ID] {
-			r.mmLinks[l.ID] = true
+		if _, ok := r.mmLinks[l.ID]; !ok {
 			ls := r.lg.Link(l.ID)
 			cap := l.Capacity
 			if ls != nil {
@@ -422,6 +423,7 @@ func (r *runner) joinMaxmin(conn string, route topology.Route, demand float64) {
 				r.failf("maxmin link %s: %v", l.ID, err)
 				return
 			}
+			r.mmLinks[l.ID] = len(r.mmLinks)
 		}
 	}
 	if err := r.proto.AddConn(maxmin.Conn{ID: conn, Path: path, Demand: demand}); err != nil {
@@ -480,8 +482,8 @@ func (r *runner) capacity(st Step) {
 		r.failf("set capacity %s: %v", id, err)
 		return
 	}
-	if r.mmLinks[id] {
-		if _, err := r.proto.TriggerCapacityChange(string(id), st.Capacity); err != nil {
+	if i, ok := r.mmLinks[id]; ok {
+		if _, err := r.proto.TriggerCapacityChange(i, st.Capacity); err != nil {
 			r.failf("trigger capacity %s: %v", id, err)
 		}
 	}
