@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check fma-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs perf-counts mutants hot-align loc golden trace-determinism chaos overload obs obs-live arena testnet soak
+.PHONY: ci fmt-check fma-check vet build test race fuzz-short fuzz bench bench-capture bench-smoke bench-e2e perf-pairs perf-counts mutants hot-align loc reach golden trace-determinism chaos overload obs obs-live arena testnet soak
 
 ## ci: the full pre-merge gate — gofmt, vet, build, the tests without
 ## the race detector (the allocation pins skip under it), the tests
@@ -8,8 +8,9 @@ GO ?= go
 ## event-trace replication check, the chaos, overload, observability
 ## (sim and live), arena, testnet and soak gates, the bench-capture
 ## smoke check, the separately-moduled end-to-end benchmark's own vet
-## and tests, and the fused-multiply-add gate.
-ci: fmt-check fma-check vet build test race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e
+## and tests, the fused-multiply-add gate and the entry-point reach
+## ceiling.
+ci: fmt-check fma-check vet build test race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke bench-e2e reach
 
 ## fmt-check: every Go file is gofmt-clean (the benchmark's build
 ## directory holds a module cache, not our sources).
@@ -155,10 +156,12 @@ trace-determinism:
 	$(GO) test -run 'TestArmsimTraceEqualsCampusTrace' -count=1 ./cmd/armsim
 
 ## chaos: the fault-injection recovery gate — chaos scenarios run under
-## the race detector, recovery invariants are audited, and the pinned
-## seed-1 fault trace must not drift.
+## the race detector, recovery invariants are audited, the pinned seed-1
+## fault trace must not drift, and the signaling crash, hold-lease and
+## FaultAuditor tests of core and signal hold.
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/sim
+	$(GO) test -race -run 'Crash|Lease|FaultAuditor' ./internal/core ./internal/signal
 	$(GO) test -race ./internal/faults
 
 ## overload: the overload-control gate — the load-ramp scenarios run
@@ -219,6 +222,16 @@ testnet:
 ## plan leaves the loopback traces untouched.
 soak:
 	$(GO) test -run 'TestSoak|TestNetfaultsEmptyPlan' -count=1 ./internal/testnet
+
+## reach: the statements of internal/ that no entry point's tests run —
+## the tests of cmd/paperfigs, cmd/armsim, cmd/armnode and the root
+## package, run once with coverage over ./internal/... and merged. Prints
+## the per-package unreached/total table and every function at 0 %, and
+## fails when the unreached total exceeds REACH_CEILING. A change that
+## lowers the count lowers the ceiling to it; nothing raises it.
+REACH_CEILING = 1760
+reach:
+	bash scripts/reach.sh $(REACH_CEILING)
 
 ## golden: regenerate the checked-in CLI fixtures after an intentional
 ## output change.

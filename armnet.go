@@ -192,11 +192,13 @@ type FaultPlan = faults.Plan
 
 // FaultAuditor checks a chaos run's recovery invariants: ledger
 // conservation, no leaked signaling holds, no orphaned allocations, and
-// maxmin re-convergence.
+// maxmin re-convergence. Network.FaultAuditor builds one wired to the
+// network.
 type FaultAuditor = faults.Auditor
 
 // SignalOptions configures the signaling plane (Config.Signal): setup
-// deadlines, bounded retransmission, and the crash-recovery hold lease.
+// deadlines and bounded retransmission. Holds a signaling-plane crash
+// orphans are reclaimed after a fixed 10 s lease.
 type SignalOptions = signal.Options
 
 // ParseFaultPlan reads a simulation fault plan in the line-oriented
@@ -251,6 +253,10 @@ var (
 	BuildMeetingWing = topology.BuildMeetingWing
 	// BuildCorridor builds a linear corridor chain.
 	BuildCorridor = topology.BuildCorridor
+	// BuildGrid builds a rows×cols office-building floor, the scale
+	// scenario's environment (RunWalk on a 4×6 grid is its 48-cell
+	// building).
+	BuildGrid = topology.BuildGrid
 	// AirNode names the synthetic air-interface node of a cell; the
 	// wireless hop is the link base-station → AirNode(cell).
 	AirNode = topology.AirNode
@@ -355,6 +361,13 @@ func (n *Network) Trace(w io.Writer) *EventRecorder {
 // the network's bus and returns it. Attach before running; inspect
 // Violations after.
 func (n *Network) OverloadAuditor() *OverloadAuditor { return n.mgr.OverloadAuditor() }
+
+// FaultAuditor subscribes a recovery-invariant checker to the network's
+// bus and returns it: ledger conservation is re-checked after every
+// component fault, and CheckFinal adds leaked holds, allocations of dead
+// connections and, under the maxmin allocator, re-convergence. Attach
+// before running; call CheckFinal after.
+func (n *Network) FaultAuditor() *FaultAuditor { return n.mgr.FaultAuditor() }
 
 // WatchBandwidth registers a per-connection bandwidth-change callback —
 // the hook an adaptive application uses to switch encoding rates when the

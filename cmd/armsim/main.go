@@ -51,10 +51,12 @@
 // §5.3.1 ADVERTISE/UPDATE protocol; erica is the single-round-trip
 // explicit-rate scheme) and -admitter the admission control (table2 is
 // the paper's test battery; measured is headroom-based measurement
-// admission). -arena ignores -replications and instead runs every
-// allocator/admitter pair head-to-head over the *identical* campus
-// workload, one pair per trial across -parallel workers, printing a
-// comparative table (utilization, drops, blocking, control overhead):
+// admission). -arena instead runs every allocator/admitter pair
+// head-to-head over the *identical* campus workload, one pair per trial
+// across -parallel workers, printing a comparative table (utilization,
+// drops, blocking, control overhead); it refuses the flags that would
+// configure or export a single run (faults, overload, signaling,
+// strategies, replay, replications, traces and observability):
 //
 //	armsim -allocator erica -admitter measured -portables 24
 //	armsim -arena -seed 1 -portables 24 -bmin 256e3 -bmax 1.2e6
@@ -180,8 +182,8 @@ type scenario struct {
 // prepare resolves the mode, loads the optional topology spec and replay
 // trace once, and validates the inputs shared by every replication.
 func (sc *scenario) prepare() error {
-	// A replayed trace runs the simulator to the horizon, where an
-	// infinite one never arrives: the re-ADVERTISE ticker keeps firing.
+	// A replayed trace runs the simulator to the horizon, which an
+	// infinite one never reaches.
 	if math.IsNaN(sc.duration) || math.IsInf(sc.duration, 0) {
 		return fmt.Errorf("-duration %v is not a finite number of seconds", sc.duration)
 	}
@@ -309,9 +311,10 @@ func (sc scenario) runOnce(seed int64) (replication, error) {
 	if err != nil {
 		return replication{}, err
 	}
-	base := armnet.Config{Faults: sc.faults, Overload: sc.overload}
-	base.Signal.Timeout = sc.sigTimeout
-	base.Signal.MaxRetries = sc.sigRetries
+	base := armnet.Config{
+		Faults: sc.faults, Overload: sc.overload,
+		Signal: armnet.SignalOptions{Timeout: sc.sigTimeout, MaxRetries: sc.sigRetries},
+	}
 	cfg := sc.campusConfig(seed)
 	var spanBuf, traceBuf bytes.Buffer
 	if sc.spansPath != "" || sc.telemetryAddr != "" {
@@ -344,7 +347,7 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 		return fmt.Errorf("-parallel %d: want a non-negative worker count (0 = GOMAXPROCS)", parallel)
 	}
 	if sc.arena {
-		return runArena(sc, seed, parallel, out, statsOut)
+		return runArena(sc, seed, replications, parallel, out, statsOut)
 	}
 	prog := runner.NewProgress(replications)
 	ctx := runner.WithProgress(context.Background(), prog)
@@ -412,10 +415,36 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 // runArena runs the head-to-head strategy roster over the identical
 // campus workload and prints the comparative snapshot. Only the campus
 // workload is supported: the arena's claim is "same workload, different
-// strategies", and the campus scenario is the calibrated one.
-func runArena(sc scenario, seed int64, parallel int, out, statsOut io.Writer) error {
+// strategies", and the campus scenario is the calibrated one. The roster
+// runs the plain walk and prints only its table, so a flag that would
+// configure or export a single run is refused by name rather than
+// ignored.
+func runArena(sc scenario, seed int64, replications, parallel int, out, statsOut io.Writer) error {
 	if sc.topo != "campus" || sc.topoJSON != nil {
 		return fmt.Errorf("-arena runs the campus workload; drop -topology/-topology-file")
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-fault-plan", sc.faultPath != ""},
+		{"-overload-policy", sc.overloadPath != ""},
+		{"-signal-timeout", sc.sigTimeout != 0},
+		{"-signal-retries", sc.sigRetries != 0},
+		{"-allocator", sc.allocator != ""},
+		{"-admitter", sc.admitter != ""},
+		{"-mobility-trace", sc.mobilityPath != ""},
+		{"-replications", replications != 1},
+		{"-trace", sc.tracePath != ""},
+		{"-obs-snapshot", sc.obsSnapshotPath != ""},
+		{"-obs-json", sc.obsJSONPath != ""},
+		{"-spans", sc.spansPath != ""},
+		{"-summary", sc.summary},
+		{"-telemetry-addr", sc.telemetryAddr != ""},
+	} {
+		if f.set {
+			return fmt.Errorf("-arena runs its roster on the plain campus walk; drop %s", f.name)
+		}
 	}
 	cfg := armnet.ArenaConfig{CampusConfig: sc.campusConfig(seed)}
 	entries, st, err := armnet.RunArena(context.Background(), cfg, parallel)

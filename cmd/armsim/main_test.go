@@ -231,10 +231,17 @@ func TestArmsimRejectsBadBandwidthBounds(t *testing.T) {
 // once ran one replication and a negative -parallel ran at GOMAXPROCS.
 func TestArmsimRejectsBadFlags(t *testing.T) {
 	unknownLink := writeFile(t, "links.plan", "drop any 0.5\ndrop maxmin 1 on no-such-link\n")
+	lossy := writeFile(t, "lossy.plan", "drop any 0.5\n")
+	moves := writeFile(t, "moves.csv", "time,portable,from,to\n0,p00,,off-1\n")
 	type args struct {
 		sc                     scenario
 		replications, parallel int
 	}
+	// arena refuses a flag the roster would otherwise ignore.
+	arena := func(edit func(*args)) func(*args) {
+		return func(a *args) { a.sc.arena = true; edit(a) }
+	}
+	const dropped = "-arena runs its roster on the plain campus walk; drop "
 	for _, c := range []struct {
 		want string // the error's prefix
 		edit func(*args)
@@ -244,6 +251,20 @@ func TestArmsimRejectsBadFlags(t *testing.T) {
 		{"-signal-timeout ", func(a *args) { a.sc.sigTimeout = -1 }},
 		{"-signal-timeout ", func(a *args) { a.sc.sigTimeout = math.Inf(1) }},
 		{"-signal-retries ", func(a *args) { a.sc.sigRetries = -2 }},
+		{dropped + "-fault-plan", arena(func(a *args) { a.sc.faultPath = lossy })},
+		{dropped + "-overload-policy", arena(func(a *args) { a.sc.overloadPath = "default" })},
+		{dropped + "-signal-timeout", arena(func(a *args) { a.sc.sigTimeout = 3 })},
+		{dropped + "-signal-retries", arena(func(a *args) { a.sc.sigRetries = 5 })},
+		{dropped + "-allocator", arena(func(a *args) { a.sc.allocator = "erica" })},
+		{dropped + "-admitter", arena(func(a *args) { a.sc.admitter = "measured" })},
+		{dropped + "-mobility-trace", arena(func(a *args) { a.sc.mobilityPath = moves })},
+		{dropped + "-replications", arena(func(a *args) { a.replications = 3 })},
+		{dropped + "-trace", arena(func(a *args) { a.sc.tracePath = "-" })},
+		{dropped + "-obs-snapshot", arena(func(a *args) { a.sc.obsSnapshotPath = "-" })},
+		{dropped + "-obs-json", arena(func(a *args) { a.sc.obsJSONPath = "-" })},
+		{dropped + "-spans", arena(func(a *args) { a.sc.spansPath = "-" })},
+		{dropped + "-summary", arena(func(a *args) { a.sc.summary = true })},
+		{dropped + "-telemetry-addr", arena(func(a *args) { a.sc.telemetryAddr = "127.0.0.1:0" })},
 		{`trial 0: core: fault plan: drop maxmin rule on unknown link "no-such-link"`, func(a *args) { a.sc.faultPath = unknownLink }},
 		{"-replications ", func(a *args) { a.replications = 0 }},
 		{"-replications ", func(a *args) { a.replications = -2 }},

@@ -231,9 +231,9 @@ func ExampleNetwork_NewDataplane() {
 // ExampleParseFaultPlan runs the campus under a deterministic chaos
 // schedule — a lossy control plane, a cell outage, and a signaling-plane
 // crash — then audits the recovery invariants. The network retransmits
-// lost setup messages, reclaims crash-orphaned holds by lease, and
-// re-ADVERTISEs until the maxmin allocation re-converges; the auditor
-// proves no resources leaked.
+// lost setup messages and adaptation sweeps and reclaims crash-orphaned
+// holds by lease; the auditor proves no resources leaked and the maxmin
+// allocation re-converged.
 func ExampleParseFaultPlan() {
 	const plan = `
 # 10% of all control messages vanish, setup and adaptation alike.
@@ -249,13 +249,12 @@ at 300 crash-signaling
 		fmt.Println(err)
 		return
 	}
-	net, _ := armnet.NewNetwork(env, armnet.Config{
-		Seed:   1,
-		Faults: fp,
-		// Crash-orphaned holds are reclaimed 10 simulated seconds after
-		// their session dies.
-		Signal: armnet.SignalOptions{HoldLease: 10},
-	})
+	// Crash-orphaned holds are reclaimed 10 simulated seconds after
+	// their session dies.
+	net, _ := armnet.NewNetwork(env, armnet.Config{Seed: 1, Faults: fp})
+	// The auditor watches the run: ledger conservation is re-checked
+	// after every component fault.
+	aud := net.FaultAuditor()
 
 	// A small population, each opening a connection through the
 	// signaling plane — the path the fault plan perturbs.
@@ -293,13 +292,7 @@ at 300 crash-signaling
 	fmt.Printf("re-advertise kicks:   %d\n", c.Get(armnet.CtrReadvertises))
 
 	// Audit the recovery invariants: conservation, no leaked holds, no
-	// allocations owned by dead connections.
-	mgr := net.Manager()
-	aud := &armnet.FaultAuditor{
-		Ledger:       mgr.Ledger(),
-		PendingHolds: mgr.SignalPlane().PendingTotal,
-		LiveConns:    mgr.ConnIDs,
-	}
+	// allocations owned by dead connections, maxmin re-converged.
 	if v := aud.CheckFinal(); len(v) > 0 {
 		fmt.Println("\nrecovery invariants VIOLATED:")
 		for _, s := range v {

@@ -82,13 +82,10 @@ type Config struct {
 	// Admitter names the admission strategy ("table2",
 	// "measured"); empty selects the paper's Table 2 test.
 	Admitter string
-	// Proto tunes the rate-allocation protocol (the knobs are shared by
-	// every allocator: hop delay, δ threshold, fault delivery,
-	// retransmission, periodic repair).
-	Proto maxmin.ProtocolOptions
-	// Signal tunes the signaling plane (timeout scaling, retransmission,
-	// hold leases). The manager forces its Bus; under a fault plan it
-	// also forces the delivery hook.
+	// Signal tunes the signaling plane (timeout scaling, retransmission).
+	// Holds a signaling-plane crash orphans are reclaimed after a fixed
+	// 10 s lease. The manager forces its Bus; under a fault plan it also
+	// forces the delivery hook.
 	Signal signal.Options
 	// Faults, when non-nil and non-empty, arms deterministic fault
 	// injection: the plan's message rules filter signaling and
@@ -250,7 +247,7 @@ type Manager struct {
 	portables map[string]*Portable
 	conns     map[string]*Connection
 	nextConn  int
-	// sigPlane is the lazily built signaling plane (SignalPlane).
+	// sigPlane is the lazily built signaling plane (signalPlane).
 	sigPlane *signal.Plane
 	// rateWatchers holds per-connection bandwidth-change callbacks (the
 	// application runtime-support hook of §4 / [14]).
@@ -336,6 +333,7 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 	}
 	// Fault injection is wired before the protocol stacks are built so
 	// their delivery hooks are in place from the first control message.
+	var proto maxmin.ProtocolOptions
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		// A rule filtered to a link no message crosses would never fire:
 		// refuse it rather than run a chaos scenario without its faults.
@@ -345,7 +343,7 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 			}
 		}
 		m.Inj = faults.NewInjector(cfg.Faults, cfg.Seed, bus)
-		m.Cfg.Proto.Deliver = m.Inj.DeliverMaxmin
+		proto.Deliver = m.Inj.DeliverMaxmin
 		m.Cfg.Signal.Deliver = m.Inj.DeliverSignal
 	}
 	// Built-in subscribers beyond Metrics: the handoff-latency
@@ -365,10 +363,10 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 			w(ev.Bandwidth)
 		}
 	})
-	// The protocol is built exactly here, so its construction-time
-	// timer (the re-ADVERTISE ticker) keeps its position in the event
-	// schedule and traces stay byte-identical.
-	m.Adpt, err = adapt.NewManagerWith(sim, lg, m.Cfg.Proto, rule)
+	// The rate-allocation protocol takes maxmin's defaults; only the
+	// fault delivery hook is set, so the periodic re-ADVERTISE repair
+	// stays off (internal/testnet arms it for the live planes).
+	m.Adpt, err = adapt.NewManagerWith(sim, lg, proto, rule)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"armnet/internal/faults"
 	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
@@ -93,17 +94,35 @@ func (m *Manager) Blackout(cell string, duration float64) error {
 }
 
 // CrashSignaling crashes the signaling plane: in-flight setups are
-// abandoned with their tentative holds left orphaned (reclaimed later by
-// the hold lease, when configured — otherwise they leak and the fault
-// auditor flags them).
+// abandoned with their tentative holds left orphaned until the hold
+// lease reclaims them; a fault auditor checked before then flags them.
 func (m *Manager) CrashSignaling() error {
-	m.SignalPlane().Crash()
+	m.signalPlane().Crash()
 	return nil
 }
 
 // ConnIDs returns the IDs of all live connections, sorted — the
 // liveness oracle fault auditors check ledger allocations against.
 func (m *Manager) ConnIDs() []string { return sortx.Keys(m.conns) }
+
+// FaultAuditor subscribes a recovery-invariant checker wired to this
+// manager and returns it: ledger conservation is re-checked after every
+// component fault, and CheckFinal adds leaked signaling holds,
+// allocations of dead connections and, under the paper's maxmin
+// allocator, the distance from the water-filling oracle. Arm it before
+// the run.
+func (m *Manager) FaultAuditor() *faults.Auditor {
+	a := &faults.Auditor{
+		Ledger:       m.ledger,
+		PendingHolds: m.signalPlane().PendingTotal,
+		LiveConns:    m.ConnIDs,
+	}
+	if mm := m.Adpt.Maxmin(); mm != nil {
+		a.ConvergenceGap = mm.OracleGap
+	}
+	a.Watch(m.Bus)
+	return a
+}
 
 func routeUses(r topology.Route, id topology.LinkID) bool {
 	for _, l := range r.Links {

@@ -8,7 +8,6 @@ import (
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/faults"
-	"armnet/internal/signal"
 	"armnet/internal/topology"
 )
 
@@ -25,6 +24,9 @@ func TestCellOutageTerminatesAndRestores(t *testing.T) {
 	sim, m := newCampus(t, Config{
 		Faults: mustPlan(t, "at 5 cell-out off-1\nat 12 cell-restore off-1"),
 	})
+	// Watching the bus, the auditor re-checks ledger conservation on
+	// both component faults.
+	aud := m.FaultAuditor()
 	if err := m.PlacePortable("alice", "off-1"); err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +52,9 @@ func TestCellOutageTerminatesAndRestores(t *testing.T) {
 	if got := m.Met.Counter.Get(CtrFaultsInjected); got != 2 {
 		t.Fatalf("faults-injected = %d, want 2 (outage + restore)", got)
 	}
-	// The ledger must satisfy conservation throughout (the auditor
-	// re-checked on both component faults via Watch).
-	aud := &faults.Auditor{Ledger: m.Ledger(), LiveConns: m.ConnIDs}
+	if err := sim.RunUntil(20); err != nil {
+		t.Fatal(err)
+	}
 	if v := aud.CheckFinal(); len(v) != 0 {
 		t.Fatalf("invariant violations: %v", v)
 	}
@@ -60,9 +62,9 @@ func TestCellOutageTerminatesAndRestores(t *testing.T) {
 
 func TestSignalingCrashLeaseReclaimsHolds(t *testing.T) {
 	sim, m := newCampus(t, Config{
-		Signal: signal.Options{HoldLease: 0.5},
 		Faults: mustPlan(t, "at 0.002 crash-signaling"),
 	})
+	aud := m.FaultAuditor()
 	if err := m.PlacePortable("alice", "off-1"); err != nil {
 		t.Fatal(err)
 	}
@@ -78,28 +80,62 @@ func TestSignalingCrashLeaseReclaimsHolds(t *testing.T) {
 	if completed {
 		t.Fatal("setup completed before the crash")
 	}
-	if m.SignalPlane().PendingTotal() == 0 {
+	if m.signalPlane().PendingTotal() == 0 {
 		t.Fatal("crash left no orphaned holds — the scenario lost its teeth")
 	}
-	if err := sim.RunUntil(3); err != nil {
+	if err := sim.RunUntil(25); err != nil {
 		t.Fatal(err)
 	}
 	if completed {
 		t.Fatal("crashed session's callback fired")
 	}
-	if got := m.SignalPlane().PendingTotal(); got != 0 {
+	if got := m.signalPlane().PendingTotal(); got != 0 {
 		t.Fatalf("holds not reclaimed by lease: %v bits/s", got)
 	}
 	if m.Met.Counter.Get(CtrReclaimedHolds) == 0 {
 		t.Fatal("reclaimed-holds counter never moved")
 	}
-	aud := &faults.Auditor{
-		Ledger:       m.Ledger(),
-		PendingHolds: m.SignalPlane().PendingTotal,
-		LiveConns:    m.ConnIDs,
-	}
 	if v := aud.CheckFinal(); len(v) != 0 {
 		t.Fatalf("invariant violations after recovery: %v", v)
+	}
+}
+
+// TestFaultAuditorSeesCrashOrphansUntilLease holds FaultAuditor's wiring
+// to a signaling crash that strands both kinds of orphan: alice's setup
+// has committed at the destination (3.8 ms) while its confirmation is
+// still on the way back (7.6 ms), and bob's, started at 3 ms, is in its
+// forward pass with tentative holds. Audited before the 10 s hold lease
+// runs out, the run shows bob's leaked holds and the allocation of
+// conn-0, which never went live; audited after it, nothing.
+func TestFaultAuditorSeesCrashOrphansUntilLease(t *testing.T) {
+	sim, m := newCampus(t, Config{Faults: mustPlan(t, "at 0.006 crash-signaling")})
+	early, late := m.FaultAuditor(), m.FaultAuditor()
+	open := func(who string, cell topology.CellID) {
+		if err := m.PlacePortable(who, cell); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.OpenConnectionAsync(who, req(64e3, 128e3), func(id string, err error) {
+			t.Errorf("%s's crashed setup completed: %q, %v", who, id, err)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open("alice", "off-1")
+	sim.At(0.003, func() { open("bob", "cor-e1") })
+	if err := sim.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(early.CheckFinal(), "\n")
+	for _, want := range []string{"leaked-holds: ", "orphaned-alloc: ", "for dead conn-0"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("audit before the lease ran out lacks %q; it reads:\n%s", want, got)
+		}
+	}
+	if err := sim.RunUntil(25); err != nil {
+		t.Fatal(err)
+	}
+	if v := late.CheckFinal(); len(v) != 0 {
+		t.Fatalf("audit after the lease: %v", v)
 	}
 }
 

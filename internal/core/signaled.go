@@ -9,10 +9,10 @@ import (
 	"armnet/internal/signal"
 )
 
-// SignalPlane lazily constructs the signaling plane (§5.1's round-trip
+// signalPlane lazily constructs the signaling plane (§5.1's round-trip
 // setup as timed control messages with tentative holds). Its hold/commit/
 // abort milestones are published on the manager's bus.
-func (m *Manager) SignalPlane() *signal.Plane {
+func (m *Manager) signalPlane() *signal.Plane {
 	if m.sigPlane == nil {
 		opts := m.Cfg.Signal
 		opts.Bus = m.Bus
@@ -45,7 +45,7 @@ func (m *Manager) OpenConnectionAsync(portable string, req qos.Request, done fun
 		return nil
 	}
 	originCell := p.Cell
-	m.SignalPlane().Setup(c.admissionTest(p), func(r signal.Result) {
+	m.signalPlane().Setup(c.admissionTest(p), func(r signal.Result) {
 		// Every finished session feeds the circuit breaker's sliding
 		// failure window (and decides its half-open probes).
 		if m.Ovl != nil {

@@ -365,10 +365,10 @@ var typed = map[Kind]typedRoute{
 	kindHoldReclaimed:       typedAs[HoldReclaimed](),
 	kindReadvertise:         typedAs[Readvertise](),
 	kindInvariantViolation:  typedAs[InvariantViolation](),
-	KindOverloadStage:       typedAs[OverloadStage](),
+	kindOverloadStage:       typedAs[OverloadStage](),
 	kindSetupShed:           typedAs[SetupShed](),
 	kindDegradeCascade:      typedAs[DegradeCascade](),
-	KindBreakerState:        typedAs[BreakerState](),
+	kindBreakerState:        typedAs[BreakerState](),
 	kindWireDelivery:        typedAs[WireDelivery](),
 }
 

@@ -82,9 +82,9 @@ const (
 	// kindInvariantViolation marks the fault auditor detecting a broken
 	// recovery invariant.
 	kindInvariantViolation
-	// KindOverloadStage marks a cell's overload controller moving between
+	// kindOverloadStage marks a cell's overload controller moving between
 	// escalation stages (normal, degrade, shed-static, shed-mobile).
-	KindOverloadStage
+	kindOverloadStage
 	// kindSetupShed marks a new-connection setup refused by the overload
 	// controller before any signaling started (priority shed, token
 	// bucket, or breaker fast-fail).
@@ -92,9 +92,9 @@ const (
 	// kindDegradeCascade marks one connection forced to b_min (or
 	// restored from it) by an overload degrade cascade.
 	kindDegradeCascade
-	// KindBreakerState marks the signaling circuit breaker changing state
+	// kindBreakerState marks the signaling circuit breaker changing state
 	// (closed, open, half-open).
-	KindBreakerState
+	kindBreakerState
 	// kindWireDelivery marks a testnet node receiving one encoded control
 	// frame off the wire (live mode or in-process loopback).
 	kindWireDelivery
@@ -129,10 +129,10 @@ var kindNames = [kindCount]string{
 	kindHoldReclaimed:       "hold-reclaimed",
 	kindReadvertise:         "readvertise",
 	kindInvariantViolation:  "invariant-violation",
-	KindOverloadStage:       "overload-stage",
+	kindOverloadStage:       "overload-stage",
 	kindSetupShed:           "setup-shed",
 	kindDegradeCascade:      "degrade-cascade",
-	KindBreakerState:        "breaker-state",
+	kindBreakerState:        "breaker-state",
 	kindWireDelivery:        "wire-delivery",
 }
 
@@ -708,7 +708,7 @@ func (ControlRetransmit) Kind() Kind   { return KindControlRetransmit }
 func (HoldReclaimed) Kind() Kind       { return kindHoldReclaimed }
 func (Readvertise) Kind() Kind         { return kindReadvertise }
 func (InvariantViolation) Kind() Kind  { return kindInvariantViolation }
-func (OverloadStage) Kind() Kind       { return KindOverloadStage }
+func (OverloadStage) Kind() Kind       { return kindOverloadStage }
 func (SetupShed) Kind() Kind           { return kindSetupShed }
 func (DegradeCascade) Kind() Kind      { return kindDegradeCascade }
-func (BreakerState) Kind() Kind        { return KindBreakerState }
+func (BreakerState) Kind() Kind        { return kindBreakerState }

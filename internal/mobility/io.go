@@ -69,7 +69,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if rec[3] == "" {
 			return nil, fmt.Errorf("mobility: trace line %d: empty destination", line)
 		}
-		out.Append(Move{
+		out.add(Move{
 			Time:     tm,
 			Portable: rec[1],
 			From:     topology.CellID(rec[2]),

@@ -53,8 +53,8 @@ func (t *Trace) sort() {
 	})
 }
 
-// Append adds a move.
-func (t *Trace) Append(m Move) { t.Moves = append(t.Moves, m) }
+// add appends a move.
+func (t *Trace) add(m Move) { t.Moves = append(t.Moves, m) }
 
 // Duration returns the time of the last move, or 0 for an empty trace.
 func (t *Trace) Duration() float64 {
@@ -104,7 +104,7 @@ type walker struct {
 }
 
 func newWalker(id string, start topology.CellID, t float64, out *Trace) *walker {
-	out.Append(Move{Portable: id, To: start, Time: t})
+	out.add(Move{Portable: id, To: start, Time: t})
 	return &walker{id: id, at: start, out: out}
 }
 
@@ -112,7 +112,7 @@ func (w *walker) moveTo(to topology.CellID, t float64) {
 	if to == w.at {
 		return
 	}
-	w.out.Append(Move{Portable: w.id, From: w.at, To: to, Time: t})
+	w.out.add(Move{Portable: w.id, From: w.at, To: to, Time: t})
 	w.at = to
 }
 

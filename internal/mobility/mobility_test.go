@@ -43,8 +43,8 @@ func TestTraceSortMatchesReflectiveStable(t *testing.T) {
 
 func TestTraceSortAndValidate(t *testing.T) {
 	tr := &Trace{}
-	tr.Append(Move{Portable: "p", From: "A", To: "B", Time: 5})
-	tr.Append(Move{Portable: "p", To: "A", Time: 1})
+	tr.add(Move{Portable: "p", From: "A", To: "B", Time: 5})
+	tr.add(Move{Portable: "p", To: "A", Time: 1})
 	tr.sort()
 	if tr.Moves[0].Time != 1 {
 		t.Fatal("sort failed")
@@ -59,13 +59,13 @@ func TestTraceSortAndValidate(t *testing.T) {
 
 func TestValidateCatchesBrokenChain(t *testing.T) {
 	tr := &Trace{}
-	tr.Append(Move{Portable: "p", To: "A", Time: 1})
-	tr.Append(Move{Portable: "p", From: "X", To: "B", Time: 2})
+	tr.add(Move{Portable: "p", To: "A", Time: 1})
+	tr.add(Move{Portable: "p", From: "X", To: "B", Time: 2})
 	if err := tr.Validate(); err == nil {
 		t.Fatal("broken chain validated")
 	}
 	tr2 := &Trace{}
-	tr2.Append(Move{Portable: "p", From: "A", To: "B", Time: 1})
+	tr2.add(Move{Portable: "p", From: "A", To: "B", Time: 1})
 	if err := tr2.Validate(); err == nil {
 		t.Fatal("missing placement validated")
 	}
@@ -73,8 +73,8 @@ func TestValidateCatchesBrokenChain(t *testing.T) {
 
 func TestSchedule(t *testing.T) {
 	tr := &Trace{}
-	tr.Append(Move{Portable: "p", To: "A", Time: 1})
-	tr.Append(Move{Portable: "p", From: "A", To: "B", Time: 2})
+	tr.add(Move{Portable: "p", To: "A", Time: 1})
+	tr.add(Move{Portable: "p", From: "A", To: "B", Time: 2})
 	sim := des.New()
 	var got []Move
 	tr.Schedule(sim, func(m Move) { got = append(got, m) })

@@ -11,10 +11,9 @@ func newTestBreaker(pol Policy) (*des.Simulator, *circuitBreaker, *[]string) {
 	sim := des.New()
 	bus := eventbus.New(sim)
 	var path []string
-	bus.Subscribe(func(r eventbus.Record) {
-		ev := r.Event.(eventbus.BreakerState)
+	eventbus.On(bus, func(ev eventbus.BreakerState) {
 		path = append(path, ev.From+">"+ev.To+":"+ev.Reason)
-	}, eventbus.KindBreakerState)
+	})
 	return sim, newBreaker(sim, bus, pol), &path
 }
 

@@ -10,7 +10,7 @@
 // delivery hook (wired to the fault injector) may drop or delay any hop,
 // lost messages are retransmitted with exponential backoff up to a retry
 // budget, and a crash of the plane orphans the in-flight tentative holds
-// — which the lease reaper reclaims when HoldLease is configured.
+// — which the lease reaper reclaims once they outlive the hold lease.
 //
 // The atomic admission logic itself stays in internal/admission; this
 // package adds the latency, concurrency and failure semantics around it.
@@ -69,10 +69,9 @@ type Options struct {
 	// retryBase is the first retransmission backoff; it doubles per
 	// attempt (default 50 ms).
 	retryBase float64
-	// HoldLease, when positive, arms a reaper that reclaims tentative
-	// holds orphaned by a plane crash once they are older than the
-	// lease. Zero (the default) means crashes leak holds forever.
-	HoldLease float64
+	// holdLease is how long a hold orphaned by a plane crash may outlive
+	// its session before the reaper reclaims it (default 10 s).
+	holdLease float64
 	// Deliver, when non-nil, filters every control message (fault
 	// injection).
 	Deliver deliver
@@ -94,6 +93,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.retryBase <= 0 {
 		o.retryBase = 0.05
+	}
+	if o.holdLease <= 0 {
+		o.holdLease = 10
 	}
 	return o
 }
@@ -249,10 +251,9 @@ func (p *Plane) track(s *session) {
 
 // Crash abandons every in-flight session with state loss: completion
 // callbacks never fire, deadlines are disarmed, and tentative holds stay
-// in the pending table as orphans. With HoldLease configured the reaper
-// reclaims them after the lease; without it they leak — exactly the
-// failure mode the fault auditor exists to catch. It returns the number
-// of sessions lost.
+// in the pending table as orphans until the reaper reclaims them after
+// the hold lease; until then they are leaked holds to a fault auditor.
+// It returns the number of sessions lost.
 func (p *Plane) Crash() int {
 	n := 0
 	for _, s := range p.live {
@@ -285,11 +286,11 @@ func (p *Plane) Crash() int {
 // armReaper starts the periodic lease sweep (idempotent; only after the
 // first crash, so fault-free runs schedule nothing extra).
 func (p *Plane) armReaper() {
-	if p.reaperArmed || p.opts.HoldLease <= 0 {
+	if p.reaperArmed {
 		return
 	}
 	p.reaperArmed = true
-	p.clk.Every(p.opts.HoldLease, p.reap)
+	p.clk.Every(p.opts.holdLease, p.reap)
 }
 
 // reap reclaims orphans older than the lease.
@@ -297,7 +298,7 @@ func (p *Plane) reap() {
 	now := p.clk.Now()
 	kept := p.orphans[:0]
 	for _, o := range p.orphans {
-		if now-o.at < p.opts.HoldLease {
+		if now-o.at < p.opts.holdLease {
 			kept = append(kept, o)
 			continue
 		}

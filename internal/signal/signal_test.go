@@ -302,7 +302,7 @@ func TestLostCommitConfirmationReleasesReservation(t *testing.T) {
 
 func TestCrashOrphansHoldsAndLeaseReclaims(t *testing.T) {
 	sim, p, route := rig(t)
-	p.opts.HoldLease = 0.5
+	p.opts.holdLease = 0.5
 	called := false
 	p.Setup(admission.Test{ConnID: "c1", Req: req(64e3), Route: route, Mobility: qos.Mobile}, func(Result) { called = true })
 	// Crash mid-forward: hops complete at 1.2 ms and 2.4 ms, so at 2.5 ms
@@ -333,21 +333,30 @@ func TestCrashOrphansHoldsAndLeaseReclaims(t *testing.T) {
 	}
 }
 
-func TestCrashWithoutLeaseLeaksForever(t *testing.T) {
+// TestCrashHoldsLastUntilDefaultLease pins the default hold lease: a
+// crash's orphaned holds are still held short of 10 s and reclaimed
+// after it, with no lease configured.
+func TestCrashHoldsLastUntilDefaultLease(t *testing.T) {
 	sim, p, route := rig(t)
 	p.Setup(admission.Test{ConnID: "c1", Req: req(64e3), Route: route, Mobility: qos.Mobile}, func(Result) {})
 	sim.At(2.5e-3, func() { p.Crash() })
-	if err := sim.RunUntil(10); err != nil {
+	if err := sim.RunUntil(9.9); err != nil {
 		t.Fatal(err)
 	}
-	if p.PendingTotal() == 0 {
-		t.Fatal("holds should leak without a lease — the auditor's job is to catch this")
+	if got, want := p.PendingTotal(), 2*64e3; got != want {
+		t.Fatalf("orphaned holds before the lease ran out = %v, want %v", got, want)
+	}
+	if err := sim.RunUntil(25); err != nil {
+		t.Fatal(err)
+	}
+	if p.PendingTotal() != 0 || p.Reclaimed != 2 {
+		t.Fatalf("after the lease: holds %v, reclaimed %d; want 0 and 2", p.PendingTotal(), p.Reclaimed)
 	}
 }
 
 func TestCrashAfterCommitReclaimsViaLease(t *testing.T) {
 	sim, p, route := rig(t)
-	p.opts.HoldLease = 0.5
+	p.opts.holdLease = 0.5
 	p.Setup(admission.Test{ConnID: "c1", Req: req(64e3), Route: route, Mobility: qos.Mobile}, func(Result) {})
 	// The destination commits at 2.6 ms; the confirmation lands at 5.2 ms.
 	// Crash in between: the committed reservation is orphaned.

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"armnet/internal/core"
+	"armnet/internal/topology"
+)
 
 // BenchmarkAblationExactVsStaticReservation compares the probabilistic
 // algorithm against the static baseline at one operating point.
@@ -22,16 +27,20 @@ func BenchmarkAblationExactVsStaticReservation(b *testing.B) {
 	b.ReportMetric(statPd/float64(b.N), "static-Pd")
 }
 
-// BenchmarkScaleGridBuilding runs the integrated manager on a 48-cell
-// building with 80 portables and reports simulator throughput.
+// BenchmarkScaleGridBuilding runs the campus walk on a 4×6-office
+// building (48 cells) with 80 portables and reports simulator throughput.
 func BenchmarkScaleGridBuilding(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		r, err := runGrid(gridConfig{Seed: int64(i + 1), Duration: 900})
+		env, err := topology.BuildGrid(4, 6, 1.6e6)
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += r.Events
+		mgr, err := RunWalk(env, core.Config{}, CampusConfig{Seed: int64(i + 1), Portables: 80, Duration: 900, Dwell: 150}.withDefaults(), nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += mgr.Sim.Fired()
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(events)/secs, "events/s")

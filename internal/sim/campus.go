@@ -199,65 +199,6 @@ func RunCampusComparison(ctx context.Context, cfg CampusConfig, workers int) ([]
 	})
 }
 
-// gridConfig drives the scale scenario: a rows×cols office building with
-// a large random-walking population, exercising the integrated manager
-// well beyond the paper's seven-cell wing.
-type gridConfig struct {
-	// Seed drives the run's randomness; every value is valid and
-	// distinct, including the zero-value 0.
-	Seed       int64
-	rows, cols int
-	portables  int
-	Duration   float64
-}
-
-// gridDwell is the mean dwell of a grid portable, in seconds.
-const gridDwell = 150
-
-func (c gridConfig) withDefaults() gridConfig {
-	if c.rows <= 0 {
-		c.rows = 4
-	}
-	if c.cols <= 1 {
-		c.cols = 6
-	}
-	if c.portables <= 0 {
-		c.portables = 80
-	}
-	if c.Duration <= 0 {
-		c.Duration = 1800
-	}
-	return c
-}
-
-// gridResult summarizes a scale run.
-type gridResult struct {
-	CampusResult
-	Cells  int
-	Events uint64
-}
-
-// runGrid executes the scale scenario: the campus walk on a rows×cols
-// building, with three-digit portable names.
-func runGrid(cfg gridConfig) (gridResult, error) {
-	cfg = cfg.withDefaults()
-	env, err := topology.BuildGrid(cfg.rows, cfg.cols, 1.6e6)
-	if err != nil {
-		return gridResult{}, err
-	}
-	trace, err := randomWalk(env.Universe, "p%03d", cfg.portables, gridDwell, cfg.Duration, cfg.Seed)
-	if err != nil {
-		return gridResult{}, err
-	}
-	mgr, err := RunWalk(env, core.Config{}, CampusConfig{
-		Seed: cfg.Seed, Duration: cfg.Duration, BMin: 32e3, BMax: 128e3,
-	}, trace, nil)
-	if err != nil {
-		return gridResult{}, err
-	}
-	return gridResult{CampusResult: campusResult(mgr), Cells: env.Universe.Len(), Events: mgr.Sim.Fired()}, nil
-}
-
 // CorridorResult reports the §6.1 linear-movement prediction study.
 type CorridorResult struct {
 	Transits int

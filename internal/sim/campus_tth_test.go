@@ -3,6 +3,9 @@ package sim
 import (
 	"context"
 	"testing"
+
+	"armnet/internal/core"
+	"armnet/internal/topology"
 )
 
 func TestTthSensitivity(t *testing.T) {
@@ -33,19 +36,26 @@ func TestTthSensitivity(t *testing.T) {
 	}
 }
 
+// TestGridScale runs the campus walk on a 4×6-office building, well
+// beyond the paper's seven-cell wing, with 80 portables.
 func TestGridScale(t *testing.T) {
-	r, err := runGrid(gridConfig{Seed: 2, rows: 4, cols: 6, portables: 80, Duration: 1200})
+	env, err := topology.BuildGrid(4, 6, 1.6e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cells != 48 {
-		t.Fatalf("cells = %d", r.Cells)
+	if n := env.Universe.Len(); n != 48 {
+		t.Fatalf("cells = %d", n)
 	}
+	mgr, err := RunWalk(env, core.Config{}, CampusConfig{Seed: 2, Portables: 80, Duration: 1200, Dwell: 150}.withDefaults(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := campusResult(mgr)
 	if r.Handoffs < 400 {
 		t.Fatalf("handoffs = %d, want a busy building", r.Handoffs)
 	}
-	if r.Events < 1000 {
-		t.Fatalf("events = %d", r.Events)
+	if n := mgr.Sim.Fired(); n < 1000 {
+		t.Fatalf("events = %d", n)
 	}
 	// A lightly loaded big building should lose essentially nothing.
 	if r.DropRate > 0.05 {

@@ -3,45 +3,108 @@ package sim
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"armnet/internal/core"
+	"armnet/internal/faults"
 	"armnet/internal/runner"
+	"armnet/internal/topology"
 )
 
 // update rewrites every golden file of the package from current output
 // (`make golden`).
 var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
-// chaosGoldenCfg is the pinned seed-1 chaos scenario: 10% control-message
-// loss, a cell outage mid-run, and a signaling-plane crash.
-var chaosGoldenCfg = chaosConfig{
-	Seed: 1, Portables: 8, Duration: 120, Settle: 30,
-	Plan: "at 30 cell-out off-2 for 30\nat 80 crash-signaling\ndrop any 0.1",
+// The chaos scenario is the campus walk with every connection opened
+// through the signaling plane while a fault plan injects control-message
+// loss and component crashes; the walk runs on past the workload so
+// leases expire and retried sessions settle before the audit.
+const (
+	// faultDwell is the mean cell dwell of the chaos and overload walks,
+	// in seconds.
+	faultDwell = 120
+	// settleTime is the default drain horizon after the workload stops,
+	// in seconds.
+	settleTime = 60
+	// chaosBMin and chaosBMax are the per-connection bandwidth bounds, in
+	// bits/s.
+	chaosBMin, chaosBMax = 32e3, 128e3
+)
+
+// runChaos walks n portables over the campus for duration seconds under
+// plan (faults.ParsePlan's grammar), runs settle seconds more and audits
+// the recovery invariants with the manager's FaultAuditor, streaming the
+// event trace to traceW when it is non-nil. It returns the finished
+// manager and the audit's violations.
+func runChaos(seed int64, n int, duration, settle float64, plan string, traceW io.Writer) (*core.Manager, []string, error) {
+	fp, err := faults.ParsePlan(strings.NewReader(plan))
+	if err != nil {
+		return nil, nil, err
+	}
+	env, err := topology.BuildCampus()
+	if err != nil {
+		return nil, nil, err
+	}
+	trace, err := randomWalk(env.Universe, "p%02d", n, faultDwell, duration, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := walk{
+		env:   env,
+		cfg:   core.Config{Seed: seed, Faults: fp},
+		trace: trace, req: walkRequest(chaosBMin, chaosBMax),
+		open: openSignaled, horizon: duration + settle, traceW: traceW,
+	}
+	mgr, err := w.start()
+	if err != nil {
+		return nil, nil, err
+	}
+	violations, err := w.run(mgr.FaultAuditor().CheckFinal)
+	return mgr, violations, err
 }
 
+// outcome renders what a finished run shows — every counter, the events
+// fired, the campus summary with its latency means and rates, the maxmin
+// oracle gap under the paper's allocator and the audits' violations —
+// for byte comparison across runs.
+func outcome(mgr *core.Manager, violations []string) string {
+	s := fmt.Sprintf("%s events=%d result=%+v violations=%q", mgr.Met.Counter, mgr.Sim.Fired(), campusResult(mgr), violations)
+	if mm := mgr.Adpt.Maxmin(); mm != nil {
+		s += fmt.Sprintf(" gap=%v", mm.OracleGap())
+	}
+	return s
+}
+
+// The pinned seed-1 chaos scenario: 8 portables for 120 s plus 30 s of
+// settling, with 10% control-message loss, a cell outage mid-run, and a
+// signaling-plane crash.
+const chaosGoldenPlan = "at 30 cell-out off-2 for 30\nat 80 crash-signaling\ndrop any 0.1"
+
 // TestChaosAuditorCleanUnderLoss is the headline recovery claim: at 10%
-// control-message loss with component crashes, retransmission, leases,
-// and re-ADVERTISE bring the system back to a state where every recovery
+// control-message loss with component crashes, retransmission, retried
+// sweeps and leases bring the system back to a state where every recovery
 // invariant holds — no leaked holds, ledger conservation, no orphaned
 // allocations, and maxmin re-convergence to the water-filling oracle.
 func TestChaosAuditorCleanUnderLoss(t *testing.T) {
 	plan := "at 120 cell-out off-2 for 60\nat 300 crash-zone west\nat 450 crash-signaling\ndrop any 0.1"
 	for _, seed := range []int64{1, 2, 3} {
-		res, err := runChaos(chaosConfig{Seed: seed, Plan: plan}, nil)
+		mgr, violations, err := runChaos(seed, 16, 600, settleTime, plan, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(res.Violations) != 0 {
-			t.Fatalf("seed %d: recovery invariants violated:\n%s", seed, strings.Join(res.Violations, "\n"))
+		if len(violations) != 0 {
+			t.Fatalf("seed %d: recovery invariants violated:\n%s", seed, strings.Join(violations, "\n"))
 		}
-		if res.FaultsInjected == 0 {
+		if mgr.Met.Counter.Get(core.CtrFaultsInjected) == 0 {
 			t.Fatalf("seed %d: the fault plan never fired", seed)
 		}
-		if res.Handoffs == 0 {
+		if mgr.Met.Counter.Get(core.CtrHandoffTried) == 0 {
 			t.Fatalf("seed %d: workload produced no handoffs", seed)
 		}
 	}
@@ -51,31 +114,30 @@ func TestChaosAuditorCleanUnderLoss(t *testing.T) {
 // to end: drops must be observed, retransmitted, and still leave the run
 // audit-clean.
 func TestChaosRetransmissionRecovers(t *testing.T) {
-	res, err := runChaos(chaosConfig{Seed: 1, Duration: 300, Plan: "drop any 0.2"}, nil)
+	mgr, violations, err := runChaos(1, 16, 300, settleTime, "drop any 0.2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Retransmits == 0 {
+	if mgr.Met.Counter.Get(core.CtrRetransmits) == 0 {
 		t.Fatal("20% loss produced no retransmissions")
 	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("violations: %v", res.Violations)
+	if len(violations) != 0 {
+		t.Fatalf("violations: %v", violations)
 	}
 }
 
 // TestChaosSweepDeterministicAcrossWorkers: the replicated chaos sweep
-// must produce identical results (violations, counters, gap — everything)
-// at any worker count.
+// must produce identical outcomes (violations, counters, events —
+// everything) at any worker count.
 func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := chaosConfig{
-		Seed: 1, Portables: 8, Duration: 180, Settle: 30,
-		Plan: "at 60 cell-out off-3 for 30\nat 100 crash-signaling\ndrop any 0.15",
-	}
-	sweep := func(workers int) ([]chaosResult, runner.Stats, error) {
-		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (chaosResult, error) {
-			c := cfg
-			c.Seed = seed
-			return runChaos(c, nil)
+	const plan = "at 60 cell-out off-3 for 30\nat 100 crash-signaling\ndrop any 0.15"
+	sweep := func(workers int) ([]string, runner.Stats, error) {
+		return seedTrials(1, 4, workers, func(seed int64) (string, error) {
+			mgr, violations, err := runChaos(seed, 8, 180, 30, plan, nil)
+			if err != nil {
+				return "", err
+			}
+			return outcome(mgr, violations), nil
 		})
 	}
 	serial, _, err := sweep(1)
@@ -90,8 +152,8 @@ func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
 		if st.Failed != 0 {
 			t.Fatalf("workers=%d: unexpected stats %+v", workers, st)
 		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d: sweep diverged from serial\ngot  %+v\nwant %+v", workers, got, serial)
+		if !slices.Equal(got, serial) {
+			t.Fatalf("workers=%d: sweep diverged from serial\ngot  %q\nwant %q", workers, got, serial)
 		}
 	}
 }
@@ -100,13 +162,13 @@ func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
 func chaosTraceHead(t *testing.T, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	res, err := runChaos(chaosGoldenCfg, &buf)
+	_, violations, err := runChaos(1, 8, 120, 30, chaosGoldenPlan, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := buf.Bytes()
-	if len(res.Violations) != 0 {
-		t.Fatalf("pinned scenario no longer audit-clean: %v", res.Violations)
+	if len(violations) != 0 {
+		t.Fatalf("pinned scenario no longer audit-clean: %v", violations)
 	}
 	if !bytes.Contains(trace, []byte(`"type":"fault-`)) {
 		t.Fatal("trace records no fault events")
@@ -142,23 +204,21 @@ func TestChaosTraceGolden(t *testing.T) {
 	}
 }
 
-// TestChaosTraceDeterminismAcrossRuns repeats the pinned chaos scenario
-// at the harness's full default size, with every component fault of the
-// grammar in the plan, and requires the whole trace — not the golden's
+// TestChaosTraceDeterminismAcrossRuns repeats a seed-1 chaos run at full
+// size (16 portables, 600 s plus 60 s of settling), with every component
+// fault of the grammar in the plan, and requires the whole trace — not the golden's
 // 60-line head — to come out byte-identical every time. Injector draws,
 // (fault, restoration) post order and recovery scheduling all sit on
 // this path; a map-order walk in any of them shows within a few runs.
 func TestChaosTraceDeterminismAcrossRuns(t *testing.T) {
-	cfg := chaosGoldenCfg
-	cfg.Portables, cfg.Duration, cfg.Settle = 0, 0, 0 // defaults: 16 portables, 600 s + 60 s
-	cfg.Plan = "delay maxmin 0.05 0.002\ndup signal 0.05\n" +
+	const plan = "delay maxmin 0.05 0.002\ndup signal 0.05\n" +
 		"at 120 cell-out off-2 for 60\nat 200 link-down sw-west->core for 30\n" +
 		"at 300 crash-zone west\nat 380 blackout cafe for 30\nat 450 crash-signaling\n" +
 		"drop any 0.1\n"
 	var first []byte
 	for run := 0; run < 5; run++ {
 		var buf bytes.Buffer
-		res, err := runChaos(cfg, &buf)
+		mgr, _, err := runChaos(1, 16, 600, settleTime, plan, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +228,8 @@ func TestChaosTraceDeterminismAcrossRuns(t *testing.T) {
 				t.Fatalf("trace records no %s component fault", ev)
 			}
 		}
-		if res.FaultsInjected <= 7 {
-			t.Fatalf("no message faults fired: %d injected", res.FaultsInjected)
+		if n := mgr.Met.Counter.Get(core.CtrFaultsInjected); n <= 7 {
+			t.Fatalf("no message faults fired: %d injected", n)
 		}
 		if first == nil {
 			first = buf.Bytes()

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"testing"
 
+	"armnet/internal/core"
 	"armnet/internal/obs"
 	"armnet/internal/runner"
+	"armnet/internal/topology"
 )
 
 // detCampusCfg keeps the determinism runs short but non-trivial: long
@@ -71,11 +73,16 @@ func TestExperimentTraceDeterminismAcrossWorkers(t *testing.T) {
 			return rendered(t, r, st, err)
 		}},
 		{"grid-replications", func(t *testing.T, workers int) []byte {
-			cfg := gridConfig{Seed: 3, rows: 2, cols: 3, portables: 16, Duration: 600}
-			rs, st, err := seedTrials(cfg.Seed, 4, workers, func(seed int64) (gridResult, error) {
-				c := cfg
-				c.Seed = seed
-				return runGrid(c)
+			rs, st, err := seedTrials(3, 4, workers, func(seed int64) (string, error) {
+				env, err := topology.BuildGrid(2, 3, 1.6e6)
+				if err != nil {
+					return "", err
+				}
+				mgr, err := RunWalk(env, core.Config{}, CampusConfig{Seed: seed, Portables: 16, Duration: 600, Dwell: 150}.withDefaults(), nil, nil)
+				if err != nil {
+					return "", err
+				}
+				return outcome(mgr, nil), nil
 			})
 			return rendered(t, rs, st, err)
 		}},

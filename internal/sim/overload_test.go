@@ -2,19 +2,149 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"armnet/internal/core"
+	"armnet/internal/eventbus"
+	"armnet/internal/faults"
+	"armnet/internal/mobility"
+	"armnet/internal/overload"
+	"armnet/internal/randx"
 	"armnet/internal/runner"
+	"armnet/internal/topology"
 )
 
-// overloadGoldenCfg is the pinned seed-1 load ramp under the reference
-// policy: 40 portables arriving over 240 s, two signaled connections
-// each, sized so the campus capacity region is exceeded mid-ramp.
-var overloadGoldenCfg = overloadConfig{Seed: 1, Policy: "default"}
+// The load ramp's fixed operating point: a population of portables
+// arrives staggered over the ramp window, each opening several signaled
+// connections sized so the offered load exceeds the campus capacity
+// region, with bounded retries keeping the pressure on.
+const (
+	// overloadPortables arrive over overloadRamp seconds: portable i at
+	// overloadRamp·i/overloadPortables.
+	overloadPortables = 40
+	overloadRamp      = 240
+	// overloadDuration is the simulated workload time, in seconds.
+	overloadDuration = 420
+	// overloadTth is the static/mobile classification threshold, in
+	// seconds — aggressive, so the ramp produces adaptable static
+	// connections whose excess the degrade cascades can reclaim.
+	overloadTth = 60
+	// overloadConnsPer is how many connections each portable opens on
+	// arrival.
+	overloadConnsPer = 2
+	// overloadLifetime closes each admitted connection after this many
+	// seconds, creating the churn that lets cells de-escalate.
+	overloadLifetime = 150
+	// overloadRetries re-attempts a failed or shed setup, each
+	// overloadRetryBackoff seconds after the failure.
+	overloadRetries      = 2
+	overloadRetryBackoff = 7
+	// overloadBMin and overloadBMax are the per-connection bandwidth
+	// bounds, in bits/s — a tenth of a campus downlink per minimum, so
+	// nine busy cells saturate.
+	overloadBMin, overloadBMax = 160e3, 320e3
+)
+
+// runOverload runs the load ramp on the campus under pol (nil disarms
+// overload control) and plan (faults.ParsePlan's grammar), streaming the
+// event trace to traceW when it is non-nil. It returns the finished
+// manager, the run's overload transitions in order ("stage <cell>
+// <from>><to>", "breaker <from>><to>") and the violations of the
+// degrade-before-drop audit (with a policy) and the fault audit (with a
+// non-empty plan).
+func runOverload(seed int64, pol *overload.Policy, plan string, traceW io.Writer) (*core.Manager, []string, []string, error) {
+	fp, err := faults.ParsePlan(strings.NewReader(plan))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	env, err := topology.BuildCampus()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// The ramp: portable i's whole walk — initial placement included —
+	// shifts by overloadRamp·i/overloadPortables, so arrivals spread over
+	// the ramp window and the offered load climbs toward its peak.
+	// Per-portable RNGs keep every walk independent of the population
+	// size.
+	trace := &mobility.Trace{}
+	for i := 0; i < overloadPortables; i++ {
+		offset := overloadRamp * float64(i) / float64(overloadPortables)
+		one, err := mobility.RandomWalk(env.Universe, []string{fmt.Sprintf("p%02d", i)}, faultDwell, overloadDuration-offset, randx.New(seed+1000+int64(i)*7919))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for _, mv := range one.Moves {
+			mv.Time += offset
+			trace.Moves = append(trace.Moves, mv)
+		}
+	}
+	w := walk{
+		env:   env,
+		cfg:   core.Config{Seed: seed, Tth: overloadTth, Faults: fp, Overload: pol},
+		trace: trace, req: walkRequest(overloadBMin, overloadBMax),
+		horizon: overloadDuration + settleTime, traceW: traceW,
+	}
+	mgr, err := w.start()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sim := mgr.Sim
+	// open retries shed, fast-failed and rejected setups a bounded
+	// number of times — the impatient-user behavior that keeps pressure
+	// on the control plane during the ramp.
+	var open func(portable string, attempt int)
+	open = func(portable string, attempt int) {
+		retry := func() {
+			if attempt < overloadRetries {
+				sim.PostAfter(overloadRetryBackoff, func() { open(portable, attempt+1) })
+			}
+		}
+		err := mgr.OpenConnectionAsync(portable, w.req, func(connID string, err error) {
+			if err != nil {
+				retry()
+				return
+			}
+			sim.PostAfter(overloadLifetime, func() { _ = mgr.CloseConnection(connID) })
+		})
+		// A synchronous refusal of a portable that is gone is final;
+		// sheds and breaker fast-fails retry like any failure.
+		if err != nil && mgr.Portable(portable) != nil {
+			retry()
+		}
+	}
+	w.open = func(_ *walk, portable string) {
+		for c := 0; c < overloadConnsPer; c++ {
+			open(portable, 0)
+		}
+	}
+	var path []string
+	eventbus.On(mgr.Bus, func(ev eventbus.OverloadStage) {
+		path = append(path, "stage "+ev.Cell+" "+ev.From+">"+ev.To)
+	})
+	eventbus.On(mgr.Bus, func(ev eventbus.BreakerState) { path = append(path, "breaker "+ev.From+">"+ev.To) })
+	var audits []func() []string
+	if pol != nil {
+		oaud := mgr.OverloadAuditor()
+		audits = append(audits, func() []string { return oaud.Violations })
+	}
+	if !fp.Empty() {
+		audits = append(audits, mgr.FaultAuditor().CheckFinal)
+	}
+	violations, err := w.run(audits...)
+	return mgr, path, violations, err
+}
+
+// defaultPolicy is the reference overload policy the ramp runs under.
+func defaultPolicy() *overload.Policy {
+	p := overload.Default()
+	return &p
+}
 
 // TestOverloadRampAudited is the headline robustness claim: under a
 // load ramp that exceeds the capacity region, the staged response runs
@@ -23,23 +153,24 @@ var overloadGoldenCfg = overloadConfig{Seed: 1, Policy: "default"}
 // holds more than b_min on the contended link.
 func TestOverloadRampAudited(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		res, err := runOverload(overloadConfig{Seed: seed, Policy: "default"}, nil)
+		mgr, path, violations, err := runOverload(seed, defaultPolicy(), "", nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(res.Violations) != 0 {
-			t.Fatalf("seed %d: invariant violations:\n%s", seed, strings.Join(res.Violations, "\n"))
+		if len(violations) != 0 {
+			t.Fatalf("seed %d: invariant violations:\n%s", seed, strings.Join(violations, "\n"))
 		}
-		if res.DegradeCascades == 0 {
+		ctr := mgr.Met.Counter
+		if ctr.Get(core.CtrDegradeCascades) == 0 {
 			t.Fatalf("seed %d: no degrade cascades fired", seed)
 		}
-		if res.Sheds == 0 {
+		if ctr.Get(core.CtrShedSetups) == 0 {
 			t.Fatalf("seed %d: no setups were shed", seed)
 		}
-		if res.PeakStage == "normal" {
+		if !slices.ContainsFunc(path, func(p string) bool { return strings.HasPrefix(p, "stage ") }) {
 			t.Fatalf("seed %d: no cell ever left the normal stage", seed)
 		}
-		if res.Handoffs == 0 {
+		if ctr.Get(core.CtrHandoffTried) == 0 {
 			t.Fatalf("seed %d: workload produced no handoffs", seed)
 		}
 	}
@@ -50,28 +181,27 @@ func TestOverloadRampAudited(t *testing.T) {
 // cooldown, and eventually close on a successful probe — and the whole
 // transition path must be reproducible run to run.
 func TestOverloadBreakerLifecycle(t *testing.T) {
-	res, err := runOverload(overloadGoldenCfg, nil)
+	mgr, path, _, err := runOverload(1, defaultPolicy(), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BreakerTrips == 0 {
+	if mgr.Met.Counter.Get(core.CtrBreakerTrips) == 0 {
 		t.Fatal("breaker never tripped")
 	}
-	if res.BreakerFastFails == 0 {
+	if mgr.Met.Counter.Get(core.CtrBreakerFastFails) == 0 {
 		t.Fatal("open breaker never fast-failed a setup")
 	}
-	path := strings.Join(res.BreakerPath, " ")
-	for _, want := range []string{"closed>open", "open>half-open", "half-open>closed"} {
-		if !strings.Contains(path, want) {
+	for _, want := range []string{"breaker closed>open", "breaker open>half-open", "breaker half-open>closed"} {
+		if !slices.Contains(path, want) {
 			t.Fatalf("breaker path missing %q: %s", want, path)
 		}
 	}
-	again, err := runOverload(overloadGoldenCfg, nil)
+	_, again, _, err := runOverload(1, defaultPolicy(), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.BreakerPath, res.BreakerPath) {
-		t.Fatalf("breaker path not deterministic:\nfirst  %v\nsecond %v", res.BreakerPath, again.BreakerPath)
+	if !slices.Equal(again, path) {
+		t.Fatalf("overload path not deterministic:\nfirst  %v\nsecond %v", path, again)
 	}
 }
 
@@ -81,9 +211,8 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 // pre-existing scenarios untouched is pinned by the campus and chaos
 // trace goldens, which run without one.)
 func TestOverloadNilPolicyZeroCost(t *testing.T) {
-	cfg := overloadConfig{Seed: 1} // Policy empty: disabled
 	var buf, buf2 bytes.Buffer
-	res, err := runOverload(cfg, &buf)
+	mgr, path, _, err := runOverload(1, nil, "", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +222,15 @@ func TestOverloadNilPolicyZeroCost(t *testing.T) {
 			t.Fatalf("nil policy emitted %s events", kind)
 		}
 	}
-	if res.Sheds != 0 || res.DegradeCascades != 0 || res.BreakerTrips != 0 || res.BreakerFastFails != 0 {
-		t.Fatalf("nil policy moved overload counters: %+v", res)
+	for _, c := range []core.Ctr{core.CtrShedSetups, core.CtrDegradeCascades, core.CtrBreakerTrips, core.CtrBreakerFastFails} {
+		if n := mgr.Met.Counter.Get(c); n != 0 {
+			t.Fatalf("nil policy moved %s to %d", c, n)
+		}
 	}
-	if res.StageChanges != 0 || len(res.BreakerPath) != 0 {
-		t.Fatalf("nil policy produced stage/breaker transitions: %+v", res)
+	if len(path) != 0 {
+		t.Fatalf("nil policy produced stage/breaker transitions: %v", path)
 	}
-	if _, err := runOverload(cfg, &buf2); err != nil {
+	if _, _, _, err := runOverload(1, nil, "", &buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(trace, buf2.Bytes()) {
@@ -107,42 +238,43 @@ func TestOverloadNilPolicyZeroCost(t *testing.T) {
 	}
 }
 
-// TestOverloadComposesWithFaults runs chaos and overload together: a
-// lossy control plane plus a mid-ramp cell outage, with both auditors
-// armed. Both subsystems must fire and both invariant sets must hold.
+// faultyRampPlan is a lossy control plane plus a mid-ramp cell outage.
+const faultyRampPlan = "at 150 cell-out off-2 for 60\ndrop any 0.1"
+
+// TestOverloadComposesWithFaults runs chaos and overload together, with
+// both auditors armed. Both subsystems must fire and both invariant sets
+// must hold.
 func TestOverloadComposesWithFaults(t *testing.T) {
-	res, err := runOverload(overloadConfig{
-		Seed:   1,
-		Policy: "default",
-		Plan:   "at 150 cell-out off-2 for 60\ndrop any 0.1",
-	}, nil)
+	mgr, _, violations, err := runOverload(1, defaultPolicy(), faultyRampPlan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
+	if len(violations) != 0 {
+		t.Fatalf("invariant violations:\n%s", strings.Join(violations, "\n"))
 	}
-	if res.FaultsInjected == 0 {
+	ctr := mgr.Met.Counter
+	if ctr.Get(core.CtrFaultsInjected) == 0 {
 		t.Fatal("the fault plan never fired")
 	}
-	if res.Retransmits == 0 {
+	if ctr.Get(core.CtrRetransmits) == 0 {
 		t.Fatal("10% loss produced no retransmissions")
 	}
-	if res.BreakerTrips == 0 && res.Sheds == 0 && res.DegradeCascades == 0 {
+	if ctr.Get(core.CtrBreakerTrips) == 0 && ctr.Get(core.CtrShedSetups) == 0 && ctr.Get(core.CtrDegradeCascades) == 0 {
 		t.Fatal("overload control never acted")
 	}
 }
 
 // TestOverloadSweepDeterministicAcrossWorkers: the replicated sweep
-// must produce identical results — breaker paths, violations, counters,
-// everything — at any worker count.
+// must produce identical outcomes — overload paths, violations,
+// counters, everything — at any worker count.
 func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := overloadConfig{Seed: 1, Policy: "default", Plan: "drop any 0.05"}
-	sweep := func(workers int) ([]overloadResult, runner.Stats, error) {
-		return seedTrials(cfg.Seed, 4, workers, func(seed int64) (overloadResult, error) {
-			c := cfg
-			c.Seed = seed
-			return runOverload(c, nil)
+	sweep := func(workers int) ([]string, runner.Stats, error) {
+		return seedTrials(1, 4, workers, func(seed int64) (string, error) {
+			mgr, path, violations, err := runOverload(seed, defaultPolicy(), "drop any 0.05", nil)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%s path=%q", outcome(mgr, violations), path), nil
 		})
 	}
 	serial, _, err := sweep(1)
@@ -157,25 +289,25 @@ func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
 		if st.Failed != 0 {
 			t.Fatalf("workers=%d: unexpected stats %+v", workers, st)
 		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d: sweep diverged from serial\ngot  %+v\nwant %+v", workers, got, serial)
+		if !slices.Equal(got, serial) {
+			t.Fatalf("workers=%d: sweep diverged from serial\ngot  %q\nwant %q", workers, got, serial)
 		}
 	}
 }
 
-// overloadTraceHead returns the first n lines of the pinned scenario's
-// trace, after re-checking that the scenario still exercises the whole
-// subsystem.
+// overloadTraceHead returns the first n lines of the pinned seed-1 ramp's
+// trace under the reference policy, after re-checking that the scenario
+// still exercises the whole subsystem.
 func overloadTraceHead(t *testing.T, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	res, err := runOverload(overloadGoldenCfg, &buf)
+	_, _, violations, err := runOverload(1, defaultPolicy(), "", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := buf.Bytes()
-	if len(res.Violations) != 0 {
-		t.Fatalf("pinned scenario no longer audit-clean: %v", res.Violations)
+	if len(violations) != 0 {
+		t.Fatalf("pinned scenario no longer audit-clean: %v", violations)
 	}
 	for _, kind := range []string{"overload-stage", "setup-shed", "degrade-cascade", "breaker-state"} {
 		if !bytes.Contains(trace, []byte(`"type":"`+kind+`"`)) {
@@ -213,19 +345,16 @@ func TestOverloadTraceGolden(t *testing.T) {
 	}
 }
 
-// TestOverloadTraceDeterminismAcrossRuns repeats the pinned load ramp —
-// already the harness's full size — and the same ramp under the
-// TestOverloadComposesWithFaults plan, and requires each whole trace
+// TestOverloadTraceDeterminismAcrossRuns repeats the pinned load ramp
+// and the same ramp under faultyRampPlan, and requires each whole trace
 // (15k+ lines, not the golden's 80-line head) to come out byte-identical
 // every time.
 func TestOverloadTraceDeterminismAcrossRuns(t *testing.T) {
-	faulty := overloadGoldenCfg
-	faulty.Plan = "at 150 cell-out off-2 for 60\ndrop any 0.1"
-	for name, cfg := range map[string]overloadConfig{"golden": overloadGoldenCfg, "with-faults": faulty} {
+	for name, plan := range map[string]string{"golden": "", "with-faults": faultyRampPlan} {
 		var first []byte
 		for run := 0; run < 5; run++ {
 			var buf bytes.Buffer
-			if _, err := runOverload(cfg, &buf); err != nil {
+			if _, _, _, err := runOverload(1, defaultPolicy(), plan, &buf); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if first == nil {

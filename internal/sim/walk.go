@@ -16,9 +16,9 @@ import (
 
 // walk is the paper's §7 experiment shape, written once: portables move
 // over a cell graph, open a [b_min, b_max] connection where they first
-// land and hand off as they move. The campus comparison, the grid, the
-// chaos and overload scenarios, the arena and cmd/armsim are each a
-// filled-in walk plus what they read off the finished manager.
+// land and hand off as they move. The campus comparison, the arena and
+// cmd/armsim — and, in the tests, the grid, chaos and overload scenarios —
+// are each a filled-in walk plus what they read off the finished manager.
 type walk struct {
 	env *topology.Environment
 	cfg core.Config
@@ -116,7 +116,7 @@ func (w *walk) run(audits ...func() []string) ([]string, error) {
 }
 
 // RunWalk is the walk for callers that bring their own environment
-// (cmd/armsim, the grid): cfg.Portables portables named p00, p01, …
+// (cmd/armsim, the grid tests): cfg.Portables portables named p00, p01, …
 // random-walk env for cfg.Duration seconds — or follow replay when it is
 // non-nil — each opening one [cfg.BMin, cfg.BMax] connection where it is
 // placed. The manager is configured by cfg laid over base, which supplies
