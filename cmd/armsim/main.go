@@ -212,6 +212,14 @@ func (sc *scenario) prepare() error {
 	if sc.sigRetries < 0 {
 		return fmt.Errorf("-signal-retries %d: want a non-negative retransmission budget", sc.sigRetries)
 	}
+	// The linger keeps the telemetry endpoint up; with none to keep up it
+	// would be ignored, and a bad value would sleep forever or not at all.
+	if math.IsNaN(sc.telemetryLinger) || math.IsInf(sc.telemetryLinger, 0) || sc.telemetryLinger < 0 {
+		return fmt.Errorf("-telemetry-linger %v: want a non-negative, finite number of seconds", sc.telemetryLinger)
+	}
+	if sc.telemetryLinger > 0 && sc.telemetryAddr == "" {
+		return fmt.Errorf("-telemetry-linger %v: lingers the telemetry endpoint; set -telemetry-addr", sc.telemetryLinger)
+	}
 	sc.mode = armnet.ModePredictive
 	switch sc.modeName {
 	case "predictive":

@@ -228,7 +228,8 @@ func TestArmsimRejectsBadBandwidthBounds(t *testing.T) {
 // NaN or negative -signal-timeout once ran as the hop-scaled default; a
 // negative -signal-retries once meant "never retransmit"; a -fault-plan
 // rule `on` a link the topology lacks would never fire; -replications 0
-// once ran one replication and a negative -parallel ran at GOMAXPROCS.
+// once ran one replication and a negative -parallel ran at GOMAXPROCS;
+// -telemetry-linger without -telemetry-addr once returned at once.
 func TestArmsimRejectsBadFlags(t *testing.T) {
 	unknownLink := writeFile(t, "links.plan", "drop any 0.5\ndrop maxmin 1 on no-such-link\n")
 	lossy := writeFile(t, "lossy.plan", "drop any 0.5\n")
@@ -269,6 +270,9 @@ func TestArmsimRejectsBadFlags(t *testing.T) {
 		{"-replications ", func(a *args) { a.replications = 0 }},
 		{"-replications ", func(a *args) { a.replications = -2 }},
 		{"-parallel ", func(a *args) { a.parallel = -4 }},
+		{"-telemetry-linger ", func(a *args) { a.sc.telemetryLinger = 3 }},
+		{"-telemetry-linger ", func(a *args) { a.sc.telemetryAddr, a.sc.telemetryLinger = "127.0.0.1:0", -1 }},
+		{"-telemetry-linger ", func(a *args) { a.sc.telemetryAddr, a.sc.telemetryLinger = "127.0.0.1:0", math.Inf(1) }},
 	} {
 		a := args{sc: flagDefaults(), replications: 1, parallel: 1}
 		a.sc.duration = 60

@@ -102,7 +102,7 @@ func BenchmarkAdmitReleaseHeld(b *testing.B) {
 		if err != nil || !res.Admitted {
 			b.Fatalf("admit failed: %v %v", err, res.Reason)
 		}
-		h.Release(route)
+		h.Release()
 	}
 }
 

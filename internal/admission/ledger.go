@@ -225,14 +225,21 @@ func (ls *LinkState) book(h *Holder, a Alloc) {
 	ls.tally(a, 1)
 }
 
-// release removes the holder's row from this link, if it has one. The
-// last row moves into the freed slot and its holder's ref is renumbered.
+// release removes the holder's row from this link, if it has one, and
+// the holder's ref to it.
 func (ls *LinkState) release(h *Holder) {
-	r := h.ref(ls)
-	if r == nil {
-		return
+	if r := h.ref(ls); r != nil {
+		ls.drop(r.slot)
+		*r = h.refs[len(h.refs)-1]
+		h.refs = h.refs[:len(h.refs)-1]
 	}
-	i, last := r.slot, len(ls.rows)-1
+}
+
+// drop removes the row at slot i. The last row moves into the freed slot
+// and its holder's ref is renumbered; the dropped row's holder keeps its
+// ref, which the caller removes.
+func (ls *LinkState) drop(i int) {
+	last := len(ls.rows) - 1
 	ls.tally(ls.rows[i].a, -1)
 	if i != last {
 		ls.rows[i] = ls.rows[last]
@@ -240,8 +247,6 @@ func (ls *LinkState) release(h *Holder) {
 	}
 	ls.rows[last] = row{}
 	ls.rows = ls.rows[:last]
-	*r = h.refs[len(h.refs)-1]
-	h.refs = h.refs[:len(h.refs)-1]
 }
 
 // tally adds an allocation's columns to the link's totals (sign 1) or
@@ -399,17 +404,24 @@ func (lg *Ledger) SetCapacity(id topology.LinkID, c float64) error {
 // link of another backbone holds none.
 func (lg *Ledger) Release(connID string, route topology.Route) {
 	if h := lg.holders[connID]; h != nil {
-		h.Release(route)
+		for _, l := range route.Links {
+			if ls := lg.state(l); ls != nil {
+				ls.release(h)
+			}
+		}
+		h.settle()
 	}
 }
 
-// Release is Ledger.Release by the held handle, with no lookup.
-func (h *Holder) Release(route topology.Route) {
-	for _, l := range route.Links {
-		if ls := h.lg.state(l); ls != nil {
-			ls.release(h)
-		}
+// Release removes every row the holder owns, each reached by its slot:
+// no route, no lookup. It is Ledger.Release over a route when the
+// holder's rows all lie on that route, as a connection's rows lie on the
+// route it was admitted over.
+func (h *Holder) Release() {
+	for _, r := range h.refs {
+		r.ls.drop(r.slot)
 	}
+	h.refs = h.refs[:0]
 	h.settle()
 }
 

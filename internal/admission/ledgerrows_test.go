@@ -152,7 +152,9 @@ func checkSlots(t *testing.T, at string, lg *Ledger, held map[string][]*Holder) 
 // twin backbone whose link IDs are the same, which must be unknown. Owners
 // take and drop holds on IDs, and Admit and Release go through a held
 // holder half the time they can, so a held ID is released to no rows and
-// booked again while it keeps its holder. After
+// booked again while it keeps its holder. A Release through the holder
+// frees every row it owns (off the route too, where Book put them); one
+// by name frees only the rows on the route it names. After
 // every step each link's Conns must list the reference's IDs in order,
 // every ID's allocation and every N_l must match, every sum and every
 // availability must be the same float as the reference's, bit for bit,
@@ -230,15 +232,18 @@ func checkLedgerMatchesOracle(t *testing.T, seed int64, steps int) {
 					seed, step, res.Admitted, res.Reason, res.FailedLink, res.Bandwidth, reason, failed, bw)
 			}
 		case 5, 6: // absent half the time: a no-op on both sides
-			r := route
+			if h := holder(id); h != nil { // every row the holder owns
+				h.Release()
+				for _, other := range ref {
+					delete(other.allocs, id)
+				}
+				break
+			}
+			r := route // by name, a subset of the rows when id has others
 			if rng.Bernoulli(0.4) {
 				r = topology.Route{Links: []*topology.Link{ls.Link}}
 			}
-			if h := holder(id); h != nil {
-				h.Release(r)
-			} else {
-				lg.Release(id, r)
-			}
+			lg.Release(id, r)
 			for _, l := range r.Links {
 				delete(ref[l.ID].allocs, id)
 			}
@@ -513,7 +518,7 @@ func TestHeldHolderOutlivesItsRows(t *testing.T) {
 	lg := ctl.Ledger
 	h := lg.Hold("c")
 	test := Test{ConnID: "c", Holder: h, Req: benchReq(), Route: route, Mobility: qos.Mobile}
-	for round, release := range []func(){func() { h.Release(route) }, func() { lg.Release("c", route) }} {
+	for round, release := range []func(){func() { h.Release() }, func() { lg.Release("c", route) }} {
 		if res, err := ctl.Admit(test); err != nil || !res.Admitted {
 			t.Fatalf("round %d: admit through the held holder: %+v, %v", round, res, err)
 		}

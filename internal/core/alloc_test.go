@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"armnet/internal/des"
 	"armnet/internal/raceflag"
@@ -57,8 +58,14 @@ func TestHandoffAllocBudget(t *testing.T) {
 	}
 	// One leg holder per base station ever reached: the seven around
 	// cor-w2 and cor-e1.
-	if legs := m.Portable("walker").conns[0].legs; len(legs) != 7 {
-		t.Fatalf("the walker's connection holds %d leg holders, want 7", len(legs))
+	held := 0
+	for _, h := range m.Portable("walker").conns[0].legs {
+		if h != nil {
+			held++
+		}
+	}
+	if held != 7 {
+		t.Fatalf("the walker's connection holds %d leg holders, want 7", held)
 	}
 }
 
@@ -108,5 +115,16 @@ func BenchmarkOpenClose(b *testing.B) {
 		if err := m.CloseConnection(id); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestConnectionFitsItsSizeClass: a Connection is allocated per open,
+// and at 192 bytes it fills its allocation size class exactly; one more
+// word puts every open in the 208-byte class (office-churn read +1.3 %
+// alloc_kb_per_op when a field was added). A new field pays for itself
+// by removing one.
+func TestConnectionFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Connection{}); got > 192 {
+		t.Fatalf("Connection is %d bytes, over its 192-byte size class", got)
 	}
 }

@@ -41,12 +41,13 @@ func (m *Manager) beginOpen(portable string, req qos.Request) (c Connection, p *
 			return c, nil, false, err
 		}
 	}
-	host := m.Env.Hosts[m.Rng.Intn(len(m.Env.Hosts))]
+	at := m.Rng.Intn(len(m.Env.Hosts))
+	host := m.Env.Hosts[at]
 	route, err := m.Env.Backbone.ShortestPath(host, p.at.air)
 	if err != nil {
 		return c, nil, false, err
 	}
-	c = Connection{ID: fmt.Sprintf("conn-%d", m.nextConn), Portable: portable, Req: req, Host: host, Route: route}
+	c = Connection{ID: fmt.Sprintf("conn-%d", m.nextConn), Portable: portable, Req: req, Host: host, Route: route, hostAt: int32(at)}
 	m.nextConn++
 	if req.BestEffort() {
 		_, err = m.commitOpen(c, p)
@@ -78,7 +79,7 @@ func (m *Manager) commitOpen(c Connection, p *Portable) (string, error) {
 		return "", err
 	}
 	c.ad = ad
-	m.mc.setupMulticast(&c, p.at)
+	m.rsv.setupMulticast(&c, p.at)
 	m.refreshAdvance(p)
 	m.adjustPools(p.at)
 	return c.ID, nil
@@ -131,11 +132,14 @@ func (m *Manager) CloseConnection(connID string) error {
 // (§4: "the failure of the end-to-end test along any route will not cause
 // the forced termination of the connection").
 func (m *Manager) setupMulticast(c *Connection, g *cellGeo) {
-	pl := m.plan(c.Host, g)
+	pl := m.plan(c.hostAt, g)
 	if pl.tree == nil {
 		return
 	}
-	c.Multicast, c.mcast = pl.tree, pl
+	c.mcast = pl
+	if len(pl.legs) > 0 {
+		c.reach(pl)
+	}
 	// Reserve b_min on each branch with a best-effort admission test.
 	for i := range pl.legs {
 		leg := &pl.legs[i]
@@ -151,17 +155,21 @@ func (m *Manager) setupMulticast(c *Connection, g *cellGeo) {
 	}
 }
 
-// releaseMulticast frees the multicast branch reservations.
+// releaseMulticast frees the multicast branch reservations: each leg's
+// holder owns rows only on its leg's route.
 func (m *Manager) releaseMulticast(c *Connection) {
 	if c.mcast == nil {
 		return
 	}
-	for i := range c.mcast.legs {
-		leg := &c.mcast.legs[i]
-		c.legHolder(m.ledger, leg).Release(leg.route)
+	for _, leg := range c.mcast.legs {
+		c.legs[leg.key-c.legBase].Release()
 	}
-	c.Multicast, c.mcast = nil, nil
+	c.mcast = nil
 }
+
+// releaseRoute frees the connection's reservation on its route: its
+// holder owns rows only on the route it was admitted over.
+func (m *Manager) releaseRoute(c *Connection) { c.h.Release() }
 
 // HandoffPortable executes a handoff of the portable into the given
 // neighboring cell: every connection is re-admitted over the new route
@@ -229,7 +237,7 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 		}
 		// Release the old path first (the portable has left the cell),
 		// then admit on the new one.
-		c.h.Release(c.Route)
+		m.rsv.releaseRoute(c)
 		test := admission.Test{
 			ConnID:   c.ID,
 			Holder:   c.h,
@@ -254,11 +262,11 @@ func (m *Manager) HandoffPortable(id string, to topology.CellID) error {
 		}
 		eventbus.Pub(m.Bus, eventbus.HandoffOutcome{Conn: c.ID, Portable: id})
 		m.Adpt.Leave(c.ad)
-		m.mc.releaseMulticast(c)
+		m.rsv.releaseMulticast(c)
 		c.Route = newRoute
 		c.Bandwidth = res.Bandwidth
 		_ = m.Adpt.Join(c.ad, newRoute, c.Req.Bandwidth, qos.Mobile)
-		m.mc.setupMulticast(c, toCell)
+		m.rsv.setupMulticast(c, toCell)
 	}
 	clear(m.handoffConns)
 

@@ -175,16 +175,19 @@ type Connection struct {
 	Route    topology.Route
 	// Bandwidth is the current allocation b_j.
 	Bandwidth float64
-	// Multicast is the wired pre-setup tree toward neighbor base
-	// stations (nil when setup failed — never fatal, per §4), shared
-	// read-only by the connections from one host in one cell.
-	Multicast *topology.MulticastTree
-	mcast     *mcastPlan // the plan Multicast came from
-	// h is the connection's ledger holder and legs its multicast legs'
-	// (geometry.go), each kept from the first admission to the close;
-	// h is nil for a best-effort connection, which books nothing.
-	h    *admission.Holder
-	legs []connLeg
+	// mcast is the multicast plan of the connection's cell (geometry.go):
+	// the wired pre-setup tree toward neighbour base stations and its
+	// legs, shared read-only by the connections from one host in one
+	// cell; nil when setup failed (never fatal, per §4).
+	mcast *mcastPlan
+	// h is the connection's ledger holder and legs its multicast legs',
+	// by leg key from legBase (reach), each kept from the first admission
+	// to the close; h is nil for a best-effort connection, which books
+	// nothing. hostAt is Host's position in Env.Hosts.
+	h       *admission.Holder
+	legs    []*admission.Holder
+	legBase int32
+	hostAt  int32
 	// ad is the connection's adaptation record, kept from the first
 	// admission to the close (a handoff moves it to the new route); nil
 	// for a best-effort connection, which adapt does not track.
@@ -196,9 +199,9 @@ type Connection struct {
 // nil), and gives its ledger holders back.
 func (m *Manager) teardown(c *Connection, p *Portable) {
 	if c.h != nil {
-		c.h.Release(c.Route)
+		m.rsv.releaseRoute(c)
 	}
-	m.mc.releaseMulticast(c)
+	m.rsv.releaseMulticast(c)
 	if c.ad != nil {
 		m.Adpt.Close(c.ad)
 		c.ad = nil
@@ -212,8 +215,10 @@ func (m *Manager) teardown(c *Connection, p *Portable) {
 		c.h.Drop()
 		c.h = nil
 	}
-	for _, l := range c.legs {
-		l.h.Drop()
+	for _, h := range c.legs {
+		if h != nil {
+			h.Drop()
+		}
 	}
 	c.legs = nil
 }
@@ -270,12 +275,14 @@ type Manager struct {
 	// cells holds every cell's record at its Index, and legKeys numbers
 	// the multicast leg destinations (geometry.go).
 	cells   []*cellGeo
-	legKeys map[topology.NodeID]int
-	// mc sets up and releases multicast legs: the Manager itself, from
-	// its plans, or the per-call reference in the lockstep oracle test.
-	mc interface {
+	legKeys map[topology.NodeID]int32
+	// rsv sets up and releases a connection's multicast legs and releases
+	// its route: the Manager itself, by the connection's holders, or in
+	// tests the per-call reference of the lockstep oracle or a checker.
+	rsv interface {
 		setupMulticast(c *Connection, g *cellGeo)
 		releaseMulticast(c *Connection)
+		releaseRoute(c *Connection)
 	}
 }
 
@@ -317,10 +324,10 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 		conns:        make(map[string]*Connection),
 		rateWatchers: make(map[string]func(float64)),
 		static:       make(map[*Portable]struct{}),
-		legKeys:      make(map[topology.NodeID]int),
+		legKeys:      make(map[topology.NodeID]int32),
 		channels:     make(map[topology.CellID]*capacityProcess),
 	}
-	m.mc = m
+	m.rsv = m
 	m.buildCells()
 	adm, err := strategy.NewAdmitter(cfg.Admitter, lg, bus)
 	if err != nil {

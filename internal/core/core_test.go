@@ -57,7 +57,7 @@ func TestPlaceOpenClose(t *testing.T) {
 	if c.Bandwidth < 16e3 {
 		t.Fatalf("bandwidth = %v", c.Bandwidth)
 	}
-	if c.Multicast == nil {
+	if c.mcast == nil {
 		t.Fatal("multicast tree not set up")
 	}
 	// Ledger holds the wireless allocation.

@@ -34,7 +34,7 @@ func (m *Manager) Renegotiate(connID string, bounds qos.Bounds) error {
 	if c.h == nil {
 		c.h = m.ledger.Hold(connID)
 	}
-	c.h.Release(c.Route)
+	m.rsv.releaseRoute(c)
 	res, err := m.Adm.Admit(admission.Test{
 		ConnID:   connID,
 		Holder:   c.h,

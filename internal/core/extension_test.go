@@ -519,13 +519,13 @@ func TestMulticastReservationLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Connection(id)
-	if c.Multicast == nil || len(c.Multicast.Branches) == 0 {
+	if c.mcast == nil || len(c.mcast.tree.Branches) == 0 {
 		t.Fatal("no multicast tree")
 	}
 	// Branch reservations exist on the wired links toward each neighbor
 	// base station.
 	found := 0
-	for dst, route := range c.Multicast.Branches {
+	for dst, route := range c.mcast.tree.Branches {
 		mcID := id + "@mc:" + string(dst)
 		for _, l := range route.Links {
 			if _, ok := m.Ledger().Link(l.ID).Alloc(mcID); ok {
@@ -538,12 +538,12 @@ func TestMulticastReservationLifecycle(t *testing.T) {
 		t.Fatal("no multicast branch reservations committed")
 	}
 	// Handoff rebuilds the tree for the new neighborhood.
-	oldBranches := c.Multicast.Branches
+	oldBranches := c.mcast.tree.Branches
 	if err := m.HandoffPortable("bob", "cor-w1"); err != nil {
 		t.Fatal(err)
 	}
 	c = m.Connection(id)
-	if c.Multicast == nil {
+	if c.mcast == nil {
 		t.Fatal("multicast tree lost on handoff")
 	}
 	// Old branch reservations are gone.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"armnet/internal/admission"
 	"armnet/internal/sortx"
 	"armnet/internal/topology"
@@ -15,11 +17,11 @@ type cellGeo struct {
 	cell      *topology.Cell
 	neighbors []*cellGeo // in the cell's neighbour (ID) order
 	air       topology.NodeID
-	downlink  topology.LinkID                // "" when the cell has none
-	ls        *admission.LinkState           // the downlink's ledger row, or nil
-	plans     map[topology.NodeID]*mcastPlan // by host
-	book      *advanceBook                   // nil until a source first reserves here
-	meetings  []*meetingState                // a meeting room's calendar entries
+	downlink  topology.LinkID      // "" when the cell has none
+	ls        *admission.LinkState // the downlink's ledger row, or nil
+	plans     []*mcastPlan         // by the host's position in Env.Hosts
+	book      *advanceBook         // nil until a source first reserves here
+	meetings  []*meetingState      // a meeting room's calendar entries
 }
 
 // buildCells makes every cell's record, indexed by Cell.Index.
@@ -27,7 +29,7 @@ func (m *Manager) buildCells() {
 	cells := m.Env.Universe.Cells()
 	m.cells = make([]*cellGeo, len(cells))
 	for _, c := range cells {
-		g := &cellGeo{cell: c, air: topology.AirNode(c.ID), plans: map[topology.NodeID]*mcastPlan{}}
+		g := &cellGeo{cell: c, air: topology.AirNode(c.ID), plans: make([]*mcastPlan, len(m.Env.Hosts))}
 		if l := m.Env.Backbone.Link(c.BaseStation, g.air); l != nil {
 			g.downlink, g.ls = l.ID, m.ledger.Link(l.ID)
 		}
@@ -61,9 +63,11 @@ func (m *Manager) downlink(cell topology.CellID) topology.LinkID {
 // mcastPlan is the wired multicast pre-setup (§4) from one host toward a
 // cell's neighbour base stations: the tree (nil if one is unreachable) and
 // its non-empty branches as legs, in the ascending order they are admitted.
+// The legs' keys lie in [lo, hi) (meaningless for a plan with no legs).
 type mcastPlan struct {
-	tree *topology.MulticastTree
-	legs []mcastLeg
+	tree   *topology.MulticastTree
+	legs   []mcastLeg
+	lo, hi int32
 }
 
 // mcastLeg is one branch; its ledger ID is the connection's ID + suffix,
@@ -72,28 +76,30 @@ type mcastLeg struct {
 	dst    topology.NodeID
 	route  topology.Route
 	suffix string
-	key    int
+	key    int32
 }
 
-// plan returns host's multicast plan for a portable in the cell.
-func (m *Manager) plan(host topology.NodeID, g *cellGeo) *mcastPlan {
+// plan returns the multicast plan from the host at position host of
+// Env.Hosts for a portable in the cell.
+func (m *Manager) plan(host int32, g *cellGeo) *mcastPlan {
 	if pl := g.plans[host]; pl != nil {
 		return pl
 	}
-	pl := &mcastPlan{}
+	pl := &mcastPlan{lo: math.MaxInt32}
 	dsts := make([]topology.NodeID, len(g.neighbors))
 	for i, n := range g.neighbors {
 		dsts[i] = n.cell.BaseStation
 	}
-	if tree, err := m.Env.Backbone.Multicast(host, dsts); err == nil {
+	if tree, err := m.Env.Backbone.Multicast(m.Env.Hosts[host], dsts); err == nil {
 		pl.tree = &tree
 		for _, dst := range sortx.Keys(tree.Branches) {
 			if r := tree.Branches[dst]; len(r.Links) > 0 {
 				key, ok := m.legKeys[dst]
 				if !ok {
-					key = len(m.legKeys)
+					key = int32(len(m.legKeys))
 					m.legKeys[dst] = key
 				}
+				pl.lo, pl.hi = min(pl.lo, key), max(pl.hi, key+1)
 				pl.legs = append(pl.legs, mcastLeg{dst, r, "@mc:" + string(dst), key})
 			}
 		}
@@ -102,23 +108,32 @@ func (m *Manager) plan(host topology.NodeID, g *cellGeo) *mcastPlan {
 	return pl
 }
 
-// connLeg is a leg destination the connection has reached, with the
-// ledger holder its leg ID keeps until the connection closes.
-type connLeg struct {
-	key int
-	h   *admission.Holder
+// reach widens the connection's leg table to every key of a plan with
+// legs, in one allocation: the table covers the keys [legBase,
+// legBase+len(legs)) of the destinations the connection has reached, so
+// a connection that reaches one plan keeps no more than its key span.
+func (c *Connection) reach(pl *mcastPlan) {
+	lo, hi := pl.lo, pl.hi
+	if n := int32(len(c.legs)); n > 0 {
+		if lo >= c.legBase && hi <= c.legBase+n {
+			return
+		}
+		lo, hi = min(lo, c.legBase), max(hi, c.legBase+n)
+	}
+	legs := make([]*admission.Holder, hi-lo)
+	if len(c.legs) > 0 {
+		copy(legs[c.legBase-lo:], c.legs)
+	}
+	c.legs, c.legBase = legs, lo
 }
 
-// legHolder returns the connection's ledger holder for the leg, taking
-// it (and concatenating the leg's ID) the first time the connection
-// reaches the leg's destination.
+// legHolder returns the connection's ledger holder for a leg of the plan
+// it reached last, taking it (and concatenating the leg's ID) the first
+// time the connection reaches the leg's destination.
 func (c *Connection) legHolder(lg *admission.Ledger, leg *mcastLeg) *admission.Holder {
-	for _, l := range c.legs {
-		if l.key == leg.key {
-			return l.h
-		}
+	h := &c.legs[leg.key-c.legBase]
+	if *h == nil {
+		*h = lg.Hold(c.ID + leg.suffix)
 	}
-	h := lg.Hold(c.ID + leg.suffix)
-	c.legs = append(c.legs, connLeg{leg.key, h})
-	return h
+	return *h
 }

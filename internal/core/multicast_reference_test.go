@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -20,11 +21,17 @@ import (
 // call, legs admitted in sortx.Keys(tree.Branches) order with each leg
 // ID concatenated per call, and release over the branch map. mapOrder is
 // the mutation switch — legs admitted in branch-map order — which the
-// lockstep test must notice.
+// lockstep test must notice. Each connection's rows are released by name
+// over the route they were booked on (Ledger.Release), where the plans
+// release them through the connection's holders (Holder.Release), so the
+// lockstep test also holds the holder form to the route form.
 type refMulticast struct {
 	m        *Manager
 	mapOrder bool
+	trees    map[*Connection]*topology.MulticastTree
 }
+
+func (r refMulticast) releaseRoute(c *Connection) { r.m.ledger.Release(c.ID, c.Route) }
 
 func (r refMulticast) setupMulticast(c *Connection, g *cellGeo) {
 	m := r.m
@@ -38,7 +45,7 @@ func (r refMulticast) setupMulticast(c *Connection, g *cellGeo) {
 	if err != nil {
 		return
 	}
-	c.Multicast = &tree
+	r.trees[c] = &tree
 	order := sortx.Keys(tree.Branches)
 	if r.mapOrder {
 		order = order[:0]
@@ -62,13 +69,14 @@ func (r refMulticast) setupMulticast(c *Connection, g *cellGeo) {
 }
 
 func (r refMulticast) releaseMulticast(c *Connection) {
-	if c.Multicast == nil {
+	tree := r.trees[c]
+	if tree == nil {
 		return
 	}
-	for dst, route := range c.Multicast.Branches {
+	for dst, route := range tree.Branches {
 		r.m.ledger.Release(c.ID+"@mc:"+string(dst), route)
 	}
-	c.Multicast = nil
+	delete(r.trees, c)
 }
 
 // TestMulticastPlanMatchesFreshTree holds every plan of the campus and a
@@ -90,7 +98,7 @@ func TestMulticastPlanMatchesFreshTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, host := range env.Hosts {
+		for at, host := range env.Hosts {
 			for _, cell := range env.Universe.Cells() {
 				var dsts []topology.NodeID
 				for _, nid := range cell.Neighbors() {
@@ -100,7 +108,7 @@ func TestMulticastPlanMatchesFreshTree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl := m.plan(host, m.geo(cell.ID))
+				pl := m.plan(int32(at), m.geo(cell.ID))
 				if pl.tree == nil || pl.tree.Source != host || !slices.Equal(pl.tree.Links, fresh.Links) {
 					t.Fatalf("%s %s→%s: plan tree %+v, fresh %+v", name, host, cell.ID, pl.tree, fresh)
 				}
@@ -116,15 +124,20 @@ func TestMulticastPlanMatchesFreshTree(t *testing.T) {
 				eq := func(a, b mcastLeg) bool {
 					return a.dst == b.dst && a.suffix == b.suffix && slices.Equal(a.route.Links, b.route.Links)
 				}
+				lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 				for _, leg := range pl.legs {
 					if k, ok := m.legKeys[leg.dst]; !ok || k != leg.key {
 						t.Fatalf("%s %s→%s: leg to %s keyed %d, the manager numbers it %d", name, host, cell.ID, leg.dst, leg.key, k)
 					}
+					lo, hi = min(lo, leg.key), max(hi, leg.key+1)
+				}
+				if pl.lo != lo || pl.hi != hi {
+					t.Fatalf("%s %s→%s: plan spans keys [%d, %d), its legs [%d, %d)", name, host, cell.ID, pl.lo, pl.hi, lo, hi)
 				}
 				if !slices.EqualFunc(pl.legs, want, eq) {
 					t.Fatalf("%s %s→%s: plan legs %v, fresh sorted branches %v", name, host, cell.ID, pl.legs, want)
 				}
-				if again := m.plan(host, m.geo(cell.ID)); again != pl {
+				if again := m.plan(int32(at), m.geo(cell.ID)); again != pl {
 					t.Fatalf("%s %s→%s: plan rebuilt on the second call", name, host, cell.ID)
 				}
 			}
@@ -188,7 +201,7 @@ func multicastDivergence(t *testing.T, seed int64, steps int, mapOrder bool) (ms
 			t.Fatal(err)
 		}
 		if ref {
-			m.mc = refMulticast{m: m, mapOrder: mapOrder}
+			m.rsv = refMulticast{m: m, mapOrder: mapOrder, trees: map[*Connection]*topology.MulticastTree{}}
 		}
 		log := &[]eventbus.Record{}
 		m.Bus.Subscribe(func(r eventbus.Record) { *log = append(*log, r) })

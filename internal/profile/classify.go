@@ -105,23 +105,20 @@ rows:
 // slotSeries returns the activity (arrivals + departures) of every slot
 // seen, in slot order, including interior empty slots.
 func slotSeries(c *CellProfile) []float64 {
-	slots := map[int64]float64{}
-	for s, n := range c.departures {
-		slots[s] += float64(n)
+	d, a := &c.departures, &c.arrivals
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, sc := range []*slotCounts{d, a} {
+		if len(sc.n) > 0 {
+			lo, hi = min(lo, sc.base), max(hi, sc.base+int64(len(sc.n))-1)
+		}
 	}
-	for s, n := range c.arrivals {
-		slots[s] += float64(n)
-	}
-	if len(slots) == 0 {
+	if lo > hi {
 		return nil
 	}
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for s := range slots {
-		lo, hi = min(lo, s), max(hi, s)
-	}
-	out := make([]float64, 0, hi-lo+1)
-	for s := lo; s <= hi; s++ {
-		out = append(out, slots[s])
+	out := make([]float64, hi-lo+1)
+	for i := range out {
+		s := lo + int64(i)
+		out[i] = float64(d.at(s)) + float64(a.at(s))
 	}
 	return out
 }

@@ -222,11 +222,11 @@ type CellProfile struct {
 	// (<-1, -1> → next rows).
 	total rows
 
-	// Slotted activity for §6.2 predictors; each map is made on its first
-	// count, so a cell no one crosses costs none.
+	// Slotted activity for §6.2 predictors, counted per slot from the
+	// first slot seen, so a cell no one crosses costs none.
 	slotDur    float64
-	departures map[int64]int
-	arrivals   map[int64]int
+	departures slotCounts
+	arrivals   slotCounts
 	// visitors counts handoffs into the cell by portable number (office
 	// regularity detection for the learning process); distinct counts
 	// its nonzero entries and arrived their sum.
@@ -252,6 +252,40 @@ func newCellProfile(cell topology.CellID, x *Numbering, limit int, slotDur float
 	return &CellProfile{Cell: cell, names: x, limit: limit, slotDur: slotDur}
 }
 
+// slotCounts counts events per time slot, densely: n[i] is the count of
+// slot base+i, from the earliest slot counted to the latest. A count in
+// a slot before base prepends the slots up to it, one after the last
+// appends; both ends always hold a count, so the span is exactly the
+// slots seen, interior empty ones included.
+type slotCounts struct {
+	base int64
+	n    []int32
+}
+
+// add counts one event in slot s.
+func (c *slotCounts) add(s int64) {
+	switch {
+	case len(c.n) == 0:
+		c.base = s
+	case s < c.base:
+		grown := make([]int32, c.base-s+int64(len(c.n)))
+		copy(grown[c.base-s:], c.n)
+		c.base, c.n = s, grown
+	}
+	for s-c.base >= int64(len(c.n)) {
+		c.n = append(c.n, 0)
+	}
+	c.n[s-c.base]++
+}
+
+// at returns the count of slot s.
+func (c *slotCounts) at(s int64) int {
+	if i := s - c.base; i >= 0 && i < int64(len(c.n)) {
+		return int(c.n[i])
+	}
+	return 0
+}
+
 // Slot converts a time to its slot index.
 func (c *CellProfile) Slot(t float64) int64 { return int64(math.Floor(t / c.slotDur)) }
 
@@ -266,10 +300,7 @@ func (c *CellProfile) RecordDeparture(h Handoff) {
 func (c *CellProfile) recordDeparture(prev, to int32, t float64) {
 	c.byPrev.add(prev, -1, to, 1)
 	c.total.add(-1, -1, to, 1)
-	if c.departures == nil {
-		c.departures = make(map[int64]int)
-	}
-	c.departures[c.Slot(t)]++
+	c.departures.add(c.Slot(t))
 	if old, expired := c.history.push(step{prev: prev, from: -1, to: to}, c.limit); expired {
 		c.byPrev.add(old.prev, -1, old.to, -1)
 		c.total.add(-1, -1, old.to, -1)
@@ -278,10 +309,7 @@ func (c *CellProfile) recordDeparture(prev, to int32, t float64) {
 
 // recordArrival notes a handoff into this cell by portable number n.
 func (c *CellProfile) recordArrival(n int, t float64) {
-	if c.arrivals == nil {
-		c.arrivals = make(map[int64]int)
-	}
-	c.arrivals[c.Slot(t)]++
+	c.arrivals.add(c.Slot(t))
 	if n >= len(c.visitors) {
 		c.visitors = append(c.visitors, make([]int32, n+1-len(c.visitors))...)
 	}
@@ -337,7 +365,7 @@ func (c *CellProfile) Probabilities(prev topology.CellID) map[topology.CellID]fl
 }
 
 // DeparturesIn returns the number of recorded departures in slot s.
-func (c *CellProfile) DeparturesIn(s int64) int { return c.departures[s] }
+func (c *CellProfile) DeparturesIn(s int64) int { return c.departures.at(s) }
 
 // RecentDepartures returns the departure counts for the k slots ending at
 // (and including) the slot of time t, oldest first — the n_{t-2}, n_{t-1},
@@ -346,7 +374,7 @@ func (c *CellProfile) RecentDepartures(t float64, k int) []int {
 	s := c.Slot(t)
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
-		out[k-1-i] = c.departures[s-int64(i)]
+		out[k-1-i] = c.departures.at(s - int64(i))
 	}
 	return out
 }
@@ -358,7 +386,7 @@ func (c *CellProfile) RecentArrivals(t float64, k int) []int {
 	s := c.Slot(t)
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
-		out[k-1-i] = c.arrivals[s-int64(i)]
+		out[k-1-i] = c.arrivals.at(s - int64(i))
 	}
 	return out
 }

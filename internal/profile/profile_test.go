@@ -153,8 +153,8 @@ func TestCellProfileSlots(t *testing.T) {
 		t.Fatalf("recent = %v, want [1 2 1]", recent)
 	}
 	arrive(c, "p1", 65)
-	if c.arrivals[1] != 1 {
-		t.Fatalf("arrivals in slot 1 = %d", c.arrivals[1])
+	if c.arrivals.at(1) != 1 {
+		t.Fatalf("arrivals in slot 1 = %d", c.arrivals.at(1))
 	}
 }
 

@@ -126,6 +126,23 @@ func TestChaosRetransmissionRecovers(t *testing.T) {
 	}
 }
 
+// TestChaosDropTwentySeedTwoDiverges pins an open defect (the FOUND entry
+// in CHANGES.md on maxmin's re-ADVERTISE under 20 % loss): the run
+// TestChaosRetransmissionRecovers makes at seed 1 ends, at seed 2, with
+// the rate protocol 96 kb/s away from the water-filling oracle after 60 s
+// of settling. The change that mends the defect flips this test to
+// expect a clean audit and marks the entry MENDED.
+func TestChaosDropTwentySeedTwoDiverges(t *testing.T) {
+	_, violations, err := runChaos(2, 16, 300, settleTime, "drop any 0.2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "maxmin-divergence: gap 96000 exceeds 1e-06"
+	if !slices.Contains(violations, want) {
+		t.Fatalf("violations %q, want the pinned %q", violations, want)
+	}
+}
+
 // TestChaosSweepDeterministicAcrossWorkers: the replicated chaos sweep
 // must produce identical outcomes (violations, counters, events —
 // everything) at any worker count.

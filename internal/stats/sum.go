@@ -20,8 +20,29 @@ type Sum struct {
 	spill  []float64
 }
 
-// Add adds x to the sum.
+// Add adds x to the sum. A sum of one inline partial that x joins with
+// no rounding error (a kept total of integer bandwidths, nearly always)
+// takes the loop's one step inline: the TwoSum error of x and the
+// partial is 0, so the loop would keep their sum as the one partial, or
+// none when it is 0. Anything else runs the loop.
 func (s *Sum) Add(x float64) {
+	if s.n == 1 && s.spill == nil {
+		y := s.inline[0]
+		hi := x + y
+		if b := hi - x; (x-(hi-b))+(y-b) == 0 {
+			s.inline[0] = hi
+			if hi == 0 {
+				s.n = 0
+			}
+			return
+		}
+	}
+	s.add(x)
+}
+
+// add is Shewchuk's loop: x joins every partial in turn, and the
+// rounding errors that are not 0 stay as the new partials.
+func (s *Sum) add(x float64) {
 	p := s.partials()
 	i := 0
 	for _, y := range p[:s.n] {

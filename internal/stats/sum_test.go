@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -147,4 +148,100 @@ func FuzzSumExact(f *testing.F) {
 			t.Fatalf("after taking back every input of %v: %d partials, Value %v", xs, s.n, s.Value())
 		}
 	})
+}
+
+// loopSum is Add before its one-partial fast path, kept as the test-only
+// reference: Shewchuk's loop over every partial, whatever their number.
+type loopSum struct{ p []float64 }
+
+func (r *loopSum) add(x float64) {
+	i := 0
+	for _, y := range r.p {
+		if math.Abs(x) < math.Abs(y) {
+			x, y = y, x
+		}
+		hi := x + y
+		lo := y - (hi - x)
+		if lo != 0 {
+			r.p[i] = lo
+			i++
+		}
+		x = hi
+	}
+	r.p = r.p[:i]
+	if x != 0 {
+		r.p = append(r.p, x)
+	}
+}
+
+// sameAsLoop reports the first difference between a Sum's partials and
+// the reference's, bit for bit, or "".
+func sameAsLoop(s *Sum, r *loopSum) string {
+	p := s.partials()[:s.n]
+	if len(p) != len(r.p) {
+		return fmt.Sprintf("%d partials %v, loop %d %v", len(p), p, len(r.p), r.p)
+	}
+	for i := range p {
+		if math.Float64bits(p[i]) != math.Float64bits(r.p[i]) {
+			return fmt.Sprintf("partials %v, loop %v", p, r.p)
+		}
+	}
+	return ""
+}
+
+// TestSumAddMatchesLoop holds Add to the loop it short-cuts: after every
+// Add of integer, fractional, cancelling and signed-zero sequences, and
+// of random mixes of them, the partials and their count are the loop's
+// exactly. An Add that takes the fast path when the join is not exact
+// drops a rounding error the loop keeps.
+func TestSumAddMatchesLoop(t *testing.T) {
+	seqs := map[string][]float64{
+		"integers":   {64e3, 128e3, 256e3, 384e3, -128e3, -64e3, 32e3, -384e3, -256e3, -32e3},
+		"fractional": {0.1, 0.2, 0.3, -0.1, 1.0 / 3, -0.2, -1.0 / 3, -0.3},
+		"cancelling": {1e16, 1, -1e16, -1, 1e100, 1e-100, -1e100, -1e-100},
+		"halfway":    {1e16, 1, 1, -1e16, -1, -1},
+		"zeros":      {0, math.Copysign(0, -1), 5, math.Copysign(0, -1), 0, -5, 0, math.Copysign(0, -1)},
+		"subnormal":  {math.SmallestNonzeroFloat64, 1, -1, -math.SmallestNonzeroFloat64, 0x1p-1074, 0x1p-1022},
+		"tiny-big":   {0x1p900, 0x1p-900, -0x1p900, 3, 0x1p500, -3, -0x1p500, -0x1p-900},
+		"bandwidths": {235782.38376368568, 17e3, -235782.38376368568, 8e3 + 1.0/3, -17e3, -(8e3 + 1.0/3)},
+	}
+	rng := rand.New(rand.NewSource(1))
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 64e3, -64e3, 0.1, -0.1, 1e16, -1e16, 1.0 / 3, 0x1p-60, 0x1p60, -0x1p60}
+	for k := 0; k < 200; k++ {
+		var xs []float64
+		for range 40 {
+			x := pool[rng.Intn(len(pool))]
+			if rng.Intn(4) == 0 {
+				x = float64(rng.Int63n(1e6)) * []float64{1, 0.25, 0.1}[rng.Intn(3)]
+			}
+			xs = append(xs, x)
+		}
+		seqs[fmt.Sprintf("mix-%d", k)] = xs
+	}
+	fast := 0
+	for name, xs := range seqs {
+		var s Sum
+		var r loopSum
+		for i, x := range xs {
+			if s.n == 1 && s.spill == nil {
+				fast++
+			}
+			s.Add(x)
+			r.add(x)
+			if d := sameAsLoop(&s, &r); d != "" {
+				t.Fatalf("%s: after Add %d (%v) of %v: %s", name, i, x, xs, d)
+			}
+		}
+		// Taking every input back in reverse ends empty on both sides.
+		for i := len(xs) - 1; i >= 0; i-- {
+			s.Add(-xs[i])
+			r.add(-xs[i])
+			if d := sameAsLoop(&s, &r); d != "" {
+				t.Fatalf("%s: taking back %v: %s", name, xs[i], d)
+			}
+		}
+	}
+	if fast == 0 {
+		t.Fatal("no Add met a one-partial sum: the fast path was never offered")
+	}
 }
