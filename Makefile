@@ -229,7 +229,7 @@ soak:
 ## the per-package unreached/total table and every function at 0 %, and
 ## fails when the unreached total exceeds REACH_CEILING. A change that
 ## lowers the count lowers the ceiling to it; nothing raises it.
-REACH_CEILING = 1760
+REACH_CEILING = 1724
 reach:
 	bash scripts/reach.sh $(REACH_CEILING)
 

@@ -175,7 +175,6 @@ const (
 	CtrFaultsInjected   = core.CtrFaultsInjected
 	CtrRetransmits      = core.CtrRetransmits
 	CtrReclaimedHolds   = core.CtrReclaimedHolds
-	CtrReadvertises     = core.CtrReadvertises
 	CtrShedSetups       = core.CtrShedSetups
 	CtrDegradeCascades  = core.CtrDegradeCascades
 	CtrBreakerTrips     = core.CtrBreakerTrips

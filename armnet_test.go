@@ -221,7 +221,7 @@ func TestFacadeExtensions(t *testing.T) {
 func TestLedgerInvariantsAfterBusyRun(t *testing.T) {
 	// After a busy integrated run, no link's guaranteed minimums may
 	// exceed its capacity and no allocation may sit below its minimum.
-	r, _, err := armnet.RunCampus(armnet.CampusConfig{Seed: 8, Portables: 30, Duration: 1500, Dwell: 90}, nil)
+	r, _, err := armnet.RunCampus(armnet.CampusConfig{Config: armnet.Config{Seed: 8}, Portables: 30, Duration: 1500, Dwell: 90}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func BenchmarkAblationTthSensitivity(b *testing.B) {
 	var small, large float64
 	for i := 0; i < b.N; i++ {
 		pts, _, err := armnet.RunTthSensitivity(context.Background(), armnet.CampusConfig{
-			Seed: int64(i + 1), Portables: 16, Duration: 900, Dwell: 120,
+			Config: armnet.Config{Seed: int64(i + 1)}, Portables: 16, Duration: 900, Dwell: 120,
 		}, []float64{30, 600}, 1)
 		if err != nil {
 			b.Fatal(err)

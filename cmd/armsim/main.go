@@ -77,6 +77,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -93,84 +94,87 @@ import (
 )
 
 func main() {
-	topo := flag.String("topology", "campus", "topology: campus, figure4, meetingwing, corridor")
-	portables := flag.Int("portables", 24, "number of portables")
-	duration := flag.Float64("duration", 3600, "simulated seconds")
-	dwell := flag.Float64("dwell", 180, "mean cell dwell time (s)")
-	seed := flag.Int64("seed", 1, "random seed")
-	modeName := flag.String("mode", "predictive", "reservation mode: predictive, brute-force, none")
-	allocator := flag.String("allocator", "", "rate-allocation strategy (default maxmin, the paper's protocol); see armnet.Allocators")
-	admitter := flag.String("admitter", "", "admission-control strategy (default table2, the paper's tests); see armnet.Admitters")
-	arena := flag.Bool("arena", false, "run every allocator/admitter pair head-to-head over the identical campus workload and print the comparative table")
-	topoFile := flag.String("topology-file", "", "build the environment from a JSON spec instead of a named topology")
-	bmin := flag.Float64("bmin", 32e3, "connection b_min (bits/s)")
-	bmax := flag.Float64("bmax", 128e3, "connection b_max (bits/s)")
-	mobilityTrace := flag.String("mobility-trace", "", "replay a CSV mobility trace (see cmd/tracegen) instead of generating one")
-	tracePath := flag.String("trace", "", "write the control-plane event stream as JSON Lines to this file (- for stdout)")
-	faultPlan := flag.String("fault-plan", "", "inject faults from this plan file (drop/dup/delay rules and timed outages); connections then open through the signaling plane")
-	overloadPolicy := flag.String("overload-policy", "", "arm staged overload control from this policy file (see internal/overload for the grammar); 'default' uses the built-in policy")
-	signalTimeout := flag.Float64("signal-timeout", 0, "signaling setup deadline in seconds (0 = scale with route hop count)")
-	signalRetries := flag.Int("signal-retries", 0, "per-hop control-message retransmission budget (0 = default)")
-	replications := flag.Int("replications", 1, "independent scenario replications under derived seeds")
-	parallel := flag.Int("parallel", 1, "worker count for replications and -arena pairs (0 = GOMAXPROCS); output is identical at any worker count")
-	obsSnapshot := flag.String("obs-snapshot", "", "write the merged instrument snapshot as Prometheus text to this file (- for stdout)")
-	obsJSON := flag.String("obs-json", "", "write the merged instrument snapshot as JSON to this file (- for stdout)")
-	spansPath := flag.String("spans", "", "write the JSONL connection-lifecycle spans to this file (- for stdout); replications append in order")
-	summary := flag.Bool("summary", false, "print the paper-§7-style results summary derived from the merged snapshot")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve live wall-clock telemetry on this address (/metrics, /healthz, /spans, /debug/pprof)")
-	telemetryLinger := flag.Float64("telemetry-linger", 0, "keep the telemetry endpoint up this many wall-clock seconds after the run finishes")
-	flag.Parse()
-
-	sc := scenario{
-		topo: *topo, topoFile: *topoFile,
-		portables: *portables, duration: *duration, dwell: *dwell,
-		modeName: *modeName, bmin: *bmin, bmax: *bmax,
-		allocator: *allocator, admitter: *admitter, arena: *arena,
-		mobilityPath: *mobilityTrace, tracePath: *tracePath,
-		faultPath: *faultPlan, overloadPath: *overloadPolicy,
-		sigTimeout: *signalTimeout, sigRetries: *signalRetries,
-		obsSnapshotPath: *obsSnapshot, obsJSONPath: *obsJSON,
-		spansPath: *spansPath, summary: *summary,
-		telemetryAddr: *telemetryAddr, telemetryLinger: *telemetryLinger,
+	sc, err := parseArgs(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
+		os.Exit(2) // the flag set has reported it
 	}
-	// Any consumer of the observability layer arms it.
-	sc.obs = sc.obsSnapshotPath != "" || sc.obsJSONPath != "" ||
-		sc.spansPath != "" || sc.summary || sc.telemetryAddr != ""
-	if err := run(sc, *seed, *replications, *parallel, os.Stdout, os.Stderr); err != nil {
+	if err := run(sc, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "armsim:", err)
 		os.Exit(1)
 	}
 }
 
+// parseArgs reads an armsim command line, without the program name, into
+// a scenario and reports a bad flag to stderr. The walk's and the
+// manager's settings go straight into its CampusConfig; the rest say
+// where the scenario comes from and what to export.
+func parseArgs(args []string, stderr io.Writer) (scenario, error) {
+	fs := flag.NewFlagSet("armsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var sc scenario
+	c := &sc.cfg
+	fs.StringVar(&sc.topo, "topology", "campus", "topology: campus, figure4, meetingwing, corridor")
+	fs.IntVar(&c.Portables, "portables", 24, "number of portables")
+	fs.Float64Var(&c.Duration, "duration", 3600, "simulated seconds")
+	fs.Float64Var(&c.Dwell, "dwell", 180, "mean cell dwell time (s)")
+	fs.Int64Var(&c.Seed, "seed", 1, "random seed")
+	fs.Func("mode", "reservation mode: predictive (default), brute-force, none", func(name string) error {
+		for _, m := range []armnet.ReservationMode{armnet.ModePredictive, armnet.ModeBruteForce, armnet.ModeNone} {
+			if m.String() == name {
+				c.Mode = m
+				return nil
+			}
+		}
+		return fmt.Errorf("unknown mode %q", name)
+	})
+	fs.StringVar(&c.Allocator, "allocator", "", "rate-allocation strategy (default maxmin, the paper's protocol); see armnet.Allocators")
+	fs.StringVar(&c.Admitter, "admitter", "", "admission-control strategy (default table2, the paper's tests); see armnet.Admitters")
+	fs.BoolVar(&sc.arena, "arena", false, "run every allocator/admitter pair head-to-head over the identical campus workload and print the comparative table")
+	fs.StringVar(&sc.topoFile, "topology-file", "", "build the environment from a JSON spec instead of a named topology")
+	fs.Float64Var(&c.BMin, "bmin", 32e3, "connection b_min (bits/s)")
+	fs.Float64Var(&c.BMax, "bmax", 128e3, "connection b_max (bits/s)")
+	fs.StringVar(&sc.mobilityPath, "mobility-trace", "", "replay a CSV mobility trace (see cmd/tracegen) instead of generating one")
+	fs.StringVar(&sc.tracePath, "trace", "", "write the control-plane event stream as JSON Lines to this file (- for stdout)")
+	fs.StringVar(&sc.faultPath, "fault-plan", "", "inject faults from this plan file (drop/dup/delay rules and timed outages); connections then open through the signaling plane")
+	fs.StringVar(&sc.overloadPath, "overload-policy", "", "arm staged overload control from this policy file (see internal/overload for the grammar); 'default' uses the built-in policy")
+	fs.Float64Var(&c.Signal.Timeout, "signal-timeout", 0, "signaling setup deadline in seconds (0 = scale with route hop count)")
+	fs.IntVar(&c.Signal.MaxRetries, "signal-retries", 0, "per-hop control-message retransmission budget (0 = default)")
+	fs.IntVar(&sc.replications, "replications", 1, "independent scenario replications under derived seeds")
+	fs.IntVar(&sc.parallel, "parallel", 1, "worker count for replications and -arena pairs (0 = GOMAXPROCS); output is identical at any worker count")
+	fs.StringVar(&sc.obsSnapshotPath, "obs-snapshot", "", "write the merged instrument snapshot as Prometheus text to this file (- for stdout)")
+	fs.StringVar(&sc.obsJSONPath, "obs-json", "", "write the merged instrument snapshot as JSON to this file (- for stdout)")
+	fs.StringVar(&sc.spansPath, "spans", "", "write the JSONL connection-lifecycle spans to this file (- for stdout); replications append in order")
+	fs.BoolVar(&sc.summary, "summary", false, "print the paper-§7-style results summary derived from the merged snapshot")
+	fs.StringVar(&sc.telemetryAddr, "telemetry-addr", "", "serve live wall-clock telemetry on this address (/metrics, /healthz, /spans, /debug/pprof)")
+	fs.Float64Var(&sc.telemetryLinger, "telemetry-linger", 0, "keep the telemetry endpoint up this many wall-clock seconds after the run finishes")
+	err := fs.Parse(args)
+	return sc, err
+}
+
 // scenario describes one armsim configuration. It carries only immutable
-// inputs; every replication builds its own environment, network and trace
-// so that concurrent trials share no mutable state.
+// inputs; every replication builds its own environment, network, trace
+// and observer so that concurrent trials share no mutable state.
 type scenario struct {
+	// cfg is the walk every replication runs. Each replication sets its
+	// own Seed, derived from this one, and its own Obs.
+	cfg            armnet.CampusConfig
 	topo, topoFile string
 	topoJSON       []byte // parsed per replication (envs are mutable)
-	portables      int
-	duration       float64
-	dwell          float64
-	modeName       string
-	mode           armnet.ReservationMode
-	bmin, bmax     float64
-	allocator      string
-	admitter       string
 	arena          bool
 	mobilityPath   string
 	trace          *mobility.Trace // replayed read-only when set
 	tracePath      string          // JSONL event-trace destination ("" = off)
-	faultPath      string
-	faults         *armnet.FaultPlan // parsed once; injectors only read it
-	overloadPath   string
-	overload       *armnet.OverloadPolicy // parsed once; controllers copy it
-	sigTimeout     float64
-	sigRetries     int
+	faultPath      string          // parsed once into cfg.Faults; injectors only read it
+	overloadPath   string          // parsed once into cfg.Overload; controllers copy it
+	replications   int
+	parallel       int
 
-	// Observability outputs. obs is set when any of them is requested;
-	// an armed layer changes nothing about the simulation (the event
-	// trace stays byte-identical), it only adds exports.
-	obs             bool
+	// Observability outputs. Any of them arms the observer; an armed
+	// layer changes nothing about the simulation (the event trace stays
+	// byte-identical), it only adds exports.
 	obsSnapshotPath string
 	obsJSONPath     string
 	spansPath       string
@@ -179,38 +183,52 @@ type scenario struct {
 	telemetryLinger float64
 }
 
-// prepare resolves the mode, loads the optional topology spec and replay
-// trace once, and validates the inputs shared by every replication.
+// observed reports whether any export reads the observability layer.
+func (sc *scenario) observed() bool {
+	return sc.obsSnapshotPath != "" || sc.obsJSONPath != "" ||
+		sc.spansPath != "" || sc.summary || sc.telemetryAddr != ""
+}
+
+// prepare loads the optional topology spec, fault plan, overload policy
+// and replay trace once, and validates the inputs shared by every
+// replication.
 func (sc *scenario) prepare() error {
+	c := &sc.cfg
 	// A replayed trace runs the simulator to the horizon, which an
 	// infinite one never reaches.
-	if math.IsNaN(sc.duration) || math.IsInf(sc.duration, 0) {
-		return fmt.Errorf("-duration %v is not a finite number of seconds", sc.duration)
+	if math.IsNaN(c.Duration) || math.IsInf(c.Duration, 0) {
+		return fmt.Errorf("-duration %v is not a finite number of seconds", c.Duration)
 	}
 	// Bounds no request can pass would refuse every connection of the
 	// run; refuse the flags instead.
 	for _, b := range []struct {
 		name string
 		v    float64
-	}{{"-bmin", sc.bmin}, {"-bmax", sc.bmax}} {
+	}{{"-bmin", c.BMin}, {"-bmax", c.BMax}} {
 		if math.IsNaN(b.v) || math.IsInf(b.v, 0) || b.v <= 0 {
 			return fmt.Errorf("%s %v is not a positive finite bandwidth", b.name, b.v)
 		}
 	}
-	if sc.bmin > sc.bmax {
-		return fmt.Errorf("-bmin %v exceeds -bmax %v", sc.bmin, sc.bmax)
+	if c.BMin > c.BMax {
+		return fmt.Errorf("-bmin %v exceeds -bmax %v", c.BMin, c.BMax)
 	}
-	if sc.portables < 0 {
-		return fmt.Errorf("-portables %d: want a non-negative number of portables", sc.portables)
+	if c.Portables < 0 {
+		return fmt.Errorf("-portables %d: want a non-negative number of portables", c.Portables)
 	}
 	// Zero picks the signaling defaults; a value outside the domain would
 	// silently do the same (a bad timeout) or disable retransmission (a
 	// negative budget).
-	if math.IsNaN(sc.sigTimeout) || math.IsInf(sc.sigTimeout, 0) || sc.sigTimeout < 0 {
-		return fmt.Errorf("-signal-timeout %v: want a non-negative, finite number of seconds", sc.sigTimeout)
+	if t := c.Signal.Timeout; math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+		return fmt.Errorf("-signal-timeout %v: want a non-negative, finite number of seconds", t)
 	}
-	if sc.sigRetries < 0 {
-		return fmt.Errorf("-signal-retries %d: want a non-negative retransmission budget", sc.sigRetries)
+	if c.Signal.MaxRetries < 0 {
+		return fmt.Errorf("-signal-retries %d: want a non-negative retransmission budget", c.Signal.MaxRetries)
+	}
+	if sc.replications < 1 {
+		return fmt.Errorf("-replications %d: want at least one replication", sc.replications)
+	}
+	if sc.parallel < 0 {
+		return fmt.Errorf("-parallel %d: want a non-negative worker count (0 = GOMAXPROCS)", sc.parallel)
 	}
 	// The linger keeps the telemetry endpoint up; with none to keep up it
 	// would be ignored, and a bad value would sleep forever or not at all.
@@ -219,16 +237,6 @@ func (sc *scenario) prepare() error {
 	}
 	if sc.telemetryLinger > 0 && sc.telemetryAddr == "" {
 		return fmt.Errorf("-telemetry-linger %v: lingers the telemetry endpoint; set -telemetry-addr", sc.telemetryLinger)
-	}
-	sc.mode = armnet.ModePredictive
-	switch sc.modeName {
-	case "predictive":
-	case "brute-force":
-		sc.mode = armnet.ModeBruteForce
-	case "none":
-		sc.mode = armnet.ModeNone
-	default:
-		return fmt.Errorf("unknown mode %q", sc.modeName)
 	}
 	if sc.topoFile != "" {
 		data, err := os.ReadFile(sc.topoFile)
@@ -243,7 +251,7 @@ func (sc *scenario) prepare() error {
 		if err != nil {
 			return err
 		}
-		sc.faults, err = armnet.ParseFaultPlan(f)
+		c.Faults, err = armnet.ParseFaultPlan(f)
 		f.Close()
 		if err != nil {
 			return err
@@ -252,13 +260,13 @@ func (sc *scenario) prepare() error {
 	if sc.overloadPath != "" {
 		if sc.overloadPath == "default" {
 			def := armnet.DefaultOverloadPolicy()
-			sc.overload = &def
+			c.Overload = &def
 		} else {
 			f, err := os.Open(sc.overloadPath)
 			if err != nil {
 				return err
 			}
-			sc.overload, err = armnet.ParseOverloadPolicy(f)
+			c.Overload, err = armnet.ParseOverloadPolicy(f)
 			f.Close()
 			if err != nil {
 				return err
@@ -275,8 +283,8 @@ func (sc *scenario) prepare() error {
 		if err != nil {
 			return err
 		}
-		if d := sc.trace.Duration(); d > sc.duration {
-			sc.duration = d
+		if d := sc.trace.Duration(); d > c.Duration {
+			c.Duration = d
 		}
 	}
 	return nil
@@ -300,39 +308,29 @@ type replication struct {
 	spans []byte
 }
 
-// campusConfig is the scenario as the shared walk reads it. The arena
-// overwrites the strategy and observability fields pair by pair.
-func (sc scenario) campusConfig(seed int64) armnet.CampusConfig {
-	return armnet.CampusConfig{
-		Seed: seed, Portables: sc.portables, Duration: sc.duration,
-		Dwell: sc.dwell, Mode: sc.mode, BMin: sc.bmin, BMax: sc.bmax,
-		Allocator: sc.allocator, Admitter: sc.admitter, Obs: sc.obs,
-	}
-}
-
 // runOnce executes one self-contained replication under the given seed:
 // the walk every campus experiment runs (armnet.RunWalk), on this
-// scenario's environment, fault plan, overload policy and signaling
-// options, replaying the recorded mobility trace when one was given.
+// scenario's environment, replaying the recorded mobility trace when one
+// was given.
 func (sc scenario) runOnce(seed int64) (replication, error) {
 	env, err := sc.buildEnv()
 	if err != nil {
 		return replication{}, err
 	}
-	base := armnet.Config{
-		Faults: sc.faults, Overload: sc.overload,
-		Signal: armnet.SignalOptions{Timeout: sc.sigTimeout, MaxRetries: sc.sigRetries},
-	}
-	cfg := sc.campusConfig(seed)
+	cfg := sc.cfg
+	cfg.Seed = seed
 	var spanBuf, traceBuf bytes.Buffer
-	if sc.spansPath != "" || sc.telemetryAddr != "" {
-		cfg.Spans = &spanBuf
+	if sc.observed() {
+		cfg.Obs = &armnet.ObsOptions{}
+		if sc.spansPath != "" || sc.telemetryAddr != "" {
+			cfg.Obs.Spans = &spanBuf
+		}
 	}
 	var traceW io.Writer
 	if sc.tracePath != "" {
 		traceW = &traceBuf
 	}
-	mgr, err := armnet.RunWalk(env, base, cfg, sc.trace, traceW)
+	mgr, err := armnet.RunWalk(env, cfg, sc.trace, traceW)
 	if err != nil {
 		return replication{}, err
 	}
@@ -344,19 +342,14 @@ func (sc scenario) runOnce(seed int64) (replication, error) {
 }
 
 // run executes the scenario (optionally replicated) and prints the report.
-func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.Writer) error {
+func run(sc scenario, out, statsOut io.Writer) error {
 	if err := sc.prepare(); err != nil {
 		return err
 	}
-	if replications < 1 {
-		return fmt.Errorf("-replications %d: want at least one replication", replications)
-	}
-	if parallel < 0 {
-		return fmt.Errorf("-parallel %d: want a non-negative worker count (0 = GOMAXPROCS)", parallel)
-	}
 	if sc.arena {
-		return runArena(sc, seed, replications, parallel, out, statsOut)
+		return runArena(sc, out, statsOut)
 	}
+	seed, replications := sc.cfg.Seed, sc.replications
 	prog := runner.NewProgress(replications)
 	ctx := runner.WithProgress(context.Background(), prog)
 	var tel *armsimTelemetry
@@ -375,7 +368,7 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 			tel.close()
 		}()
 	}
-	reps, st, err := runner.Map(ctx, parallel, replications,
+	reps, st, err := runner.Map(ctx, sc.parallel, replications,
 		func(_ context.Context, i int) (replication, error) {
 			rep, err := sc.runOnce(runner.SplitSeed(seed, i))
 			if err == nil && tel != nil {
@@ -391,17 +384,17 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 			return err
 		}
 	}
-	if sc.obs {
+	if sc.observed() {
 		if err := writeObs(sc, reps, out); err != nil {
 			return err
 		}
 	}
 	if replications == 1 {
-		printDetailed(out, sc, seed, reps[0].mgr)
+		printDetailed(out, sc, reps[0].mgr)
 		return nil
 	}
 	fmt.Fprintf(out, "topology=%s portables=%d duration=%.0fs mode=%s seed=%d replications=%d\n",
-		sc.topo, sc.portables, sc.duration, sc.mode, seed, replications)
+		sc.topo, sc.cfg.Portables, sc.cfg.Duration, sc.cfg.Mode, seed, replications)
 	tb := stats.Table{Header: []string{"seed", "handoffs", "drop-rate", "block-rate", "reservations", "pool-claims"}}
 	var dropSum, blockSum float64
 	for i, rep := range reps {
@@ -427,7 +420,7 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 // runs the plain walk and prints only its table, so a flag that would
 // configure or export a single run is refused by name rather than
 // ignored.
-func runArena(sc scenario, seed int64, replications, parallel int, out, statsOut io.Writer) error {
+func runArena(sc scenario, out, statsOut io.Writer) error {
 	if sc.topo != "campus" || sc.topoJSON != nil {
 		return fmt.Errorf("-arena runs the campus workload; drop -topology/-topology-file")
 	}
@@ -437,12 +430,12 @@ func runArena(sc scenario, seed int64, replications, parallel int, out, statsOut
 	}{
 		{"-fault-plan", sc.faultPath != ""},
 		{"-overload-policy", sc.overloadPath != ""},
-		{"-signal-timeout", sc.sigTimeout != 0},
-		{"-signal-retries", sc.sigRetries != 0},
-		{"-allocator", sc.allocator != ""},
-		{"-admitter", sc.admitter != ""},
+		{"-signal-timeout", sc.cfg.Signal.Timeout != 0},
+		{"-signal-retries", sc.cfg.Signal.MaxRetries != 0},
+		{"-allocator", sc.cfg.Allocator != ""},
+		{"-admitter", sc.cfg.Admitter != ""},
 		{"-mobility-trace", sc.mobilityPath != ""},
-		{"-replications", replications != 1},
+		{"-replications", sc.replications != 1},
 		{"-trace", sc.tracePath != ""},
 		{"-obs-snapshot", sc.obsSnapshotPath != ""},
 		{"-obs-json", sc.obsJSONPath != ""},
@@ -454,8 +447,8 @@ func runArena(sc scenario, seed int64, replications, parallel int, out, statsOut
 			return fmt.Errorf("-arena runs its roster on the plain campus walk; drop %s", f.name)
 		}
 	}
-	cfg := armnet.ArenaConfig{CampusConfig: sc.campusConfig(seed)}
-	entries, st, err := armnet.RunArena(context.Background(), cfg, parallel)
+	cfg := armnet.ArenaConfig{CampusConfig: sc.cfg}
+	entries, st, err := armnet.RunArena(context.Background(), cfg, sc.parallel)
 	if err != nil {
 		return err
 	}
@@ -559,10 +552,10 @@ func writeTrace(path string, reps []replication, stdout io.Writer) error {
 }
 
 // printDetailed reports a single replication in full.
-func printDetailed(out io.Writer, sc scenario, seed int64, mgr *core.Manager) {
+func printDetailed(out io.Writer, sc scenario, mgr *core.Manager) {
 	c := mgr.Met.Counter
 	fmt.Fprintf(out, "topology=%s portables=%d duration=%.0fs mode=%s seed=%d\n",
-		sc.topo, sc.portables, sc.duration, sc.mode, seed)
+		sc.topo, sc.cfg.Portables, sc.cfg.Duration, sc.cfg.Mode, sc.cfg.Seed)
 	tb := stats.Table{Header: []string{"metric", "value"}}
 	for _, name := range c.Names() {
 		tb.AddRow(name, c.Get(name))

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,9 +21,37 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 
 // flagDefaults is the scenario `armsim` runs with no flags.
 func flagDefaults() scenario {
-	return scenario{
-		topo: "campus", portables: 24, duration: 3600, dwell: 180,
-		modeName: "predictive", bmin: 32e3, bmax: 128e3,
+	sc, err := parseArgs(nil, io.Discard)
+	if err != nil {
+		panic(err)
+	}
+	return sc
+}
+
+// TestArmsimFlagsParseIntoCampusConfig: every walk and manager flag lands
+// in its field of the one CampusConfig a replication runs, and a mode
+// outside the three is refused at parse time.
+func TestArmsimFlagsParseIntoCampusConfig(t *testing.T) {
+	sc, err := parseArgs([]string{
+		"-seed", "7", "-mode", "none", "-portables", "3", "-duration", "60", "-dwell", "30",
+		"-bmin", "1e3", "-bmax", "2e3", "-allocator", "erica", "-admitter", "measured",
+		"-signal-timeout", "3", "-signal-retries", "5",
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := armnet.CampusConfig{
+		Config: armnet.Config{
+			Seed: 7, Mode: armnet.ModeNone, Allocator: "erica", Admitter: "measured",
+			Signal: armnet.SignalOptions{Timeout: 3, MaxRetries: 5},
+		},
+		Portables: 3, Duration: 60, Dwell: 30, BMin: 1e3, BMax: 2e3,
+	}
+	if !reflect.DeepEqual(sc.cfg, want) {
+		t.Errorf("parsed %+v, want %+v", sc.cfg, want)
+	}
+	if _, err := parseArgs([]string{"-mode", "sometimes"}, io.Discard); err == nil || !strings.Contains(err.Error(), `unknown mode "sometimes"`) {
+		t.Errorf("-mode sometimes: err = %v, want an unknown-mode refusal", err)
 	}
 }
 
@@ -31,7 +60,7 @@ func flagDefaults() scenario {
 // -spans, -obs-snapshot go to files in a scratch directory; they run to
 // megabytes, so the fixture pins their length and SHA-256 instead of
 // their bytes). Pool stats carry wall-clock timings and are discarded.
-func armsimOutput(t *testing.T, sc scenario, seed int64, replications, parallel int) []byte {
+func armsimOutput(t *testing.T, sc scenario) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	exports := []struct {
@@ -43,9 +72,8 @@ func armsimOutput(t *testing.T, sc scenario, seed int64, replications, parallel 
 			*e.path = filepath.Join(dir, e.name)
 		}
 	}
-	sc.obs = sc.obsSnapshotPath != "" || sc.spansPath != "" || sc.summary
 	var out bytes.Buffer
-	if err := run(sc, seed, replications, parallel, &out, io.Discard); err != nil {
+	if err := run(sc, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range exports {
@@ -80,13 +108,12 @@ func writeFile(t *testing.T, name, content string) string {
 // before it became an instance of sim's walk.
 func TestArmsimGolden(t *testing.T) {
 	type cell struct {
-		name                  string
-		edit                  func(t *testing.T, sc *scenario)
-		replications, workers int
+		name string
+		edit func(t *testing.T, sc *scenario)
 	}
 	cases := []cell{
-		{name: "defaults600", edit: func(_ *testing.T, sc *scenario) { sc.duration = 600 }},
-		{name: "replications3", replications: 3, workers: 2},
+		{name: "defaults600", edit: func(_ *testing.T, sc *scenario) { sc.cfg.Duration = 600 }},
+		{name: "replications3", edit: func(_ *testing.T, sc *scenario) { sc.replications, sc.parallel = 3, 2 }},
 		{name: "faultplan", edit: func(t *testing.T, sc *scenario) {
 			sc.faultPath = writeFile(t, "chaos.plan",
 				"drop any 0.1\nat 120 cell-out off-2 for 60\nat 300 crash-signaling\n")
@@ -94,7 +121,7 @@ func TestArmsimGolden(t *testing.T) {
 		}},
 		{name: "overload", edit: func(_ *testing.T, sc *scenario) {
 			sc.overloadPath = "default"
-			sc.portables, sc.bmin, sc.bmax, sc.duration = 40, 160e3, 320e3, 400
+			sc.cfg.Portables, sc.cfg.BMin, sc.cfg.BMax, sc.cfg.Duration = 40, 160e3, 320e3, 400
 			sc.tracePath = "file"
 		}},
 		{name: "corridor", edit: func(_ *testing.T, sc *scenario) { sc.topo = "corridor" }},
@@ -103,22 +130,16 @@ func TestArmsimGolden(t *testing.T) {
 			sc.spansPath, sc.obsSnapshotPath = "file", "file"
 		}},
 		{name: "meetingwing-rivals", edit: func(_ *testing.T, sc *scenario) {
-			sc.topo, sc.modeName = "meetingwing", "brute-force"
-			sc.allocator, sc.admitter = "erica", "measured"
+			sc.topo, sc.cfg.Mode = "meetingwing", armnet.ModeBruteForce
+			sc.cfg.Allocator, sc.cfg.Admitter = "erica", "measured"
 		}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			sc := flagDefaults()
-			if c.edit != nil {
-				c.edit(t, &sc)
-			}
-			reps, workers := c.replications, c.workers
-			if reps == 0 {
-				reps, workers = 1, 1
-			}
-			checkGolden(t, c.name, armsimOutput(t, sc, 1, reps, workers))
+			c.edit(t, &sc)
+			checkGolden(t, c.name, armsimOutput(t, sc))
 		})
 	}
 }
@@ -154,10 +175,9 @@ func TestCampusTraceGolden(t *testing.T) {
 	const head = 50
 	dir := t.TempDir()
 	sc := flagDefaults()
-	sc.duration = 2400
+	sc.cfg.Duration = 2400
 	sc.tracePath, sc.obsSnapshotPath = filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "snap.prom")
-	sc.obs = true
-	if err := run(sc, 1, 1, 1, io.Discard, io.Discard); err != nil {
+	if err := run(sc, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if snap, err := os.ReadFile(sc.obsSnapshotPath); err != nil || len(snap) == 0 {
@@ -180,9 +200,9 @@ func TestCampusTraceGolden(t *testing.T) {
 // trace writer.
 func TestArmsimTraceEqualsCampusTrace(t *testing.T) {
 	sc := flagDefaults()
-	sc.duration = 2400
+	sc.cfg.Duration = 2400
 	sc.tracePath = filepath.Join(t.TempDir(), "trace")
-	if err := run(sc, 1, 1, 1, io.Discard, io.Discard); err != nil {
+	if err := run(sc, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(sc.tracePath)
@@ -191,7 +211,7 @@ func TestArmsimTraceEqualsCampusTrace(t *testing.T) {
 	}
 	var want bytes.Buffer
 	if _, _, err := armnet.RunCampus(armnet.CampusConfig{
-		Seed: 1, Portables: 24, Duration: 2400, BMin: 32e3, BMax: 128e3,
+		Config: armnet.Config{Seed: 1}, Portables: 24, Duration: 2400, BMin: 32e3, BMax: 128e3,
 	}, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +233,10 @@ func TestArmsimRejectsBadBandwidthBounds(t *testing.T) {
 		{0, 128e3}, {32e3, -1}, {200e3, 100e3},
 	} {
 		sc := flagDefaults()
-		sc.duration = 60
-		sc.bmin, sc.bmax = b[0], b[1]
+		sc.cfg.Duration = 60
+		sc.cfg.BMin, sc.cfg.BMax = b[0], b[1]
 		var out bytes.Buffer
-		if err := run(sc, 1, 1, 1, &out, io.Discard); err == nil {
+		if err := run(sc, &out, io.Discard); err == nil {
 			t.Errorf("-bmin %v -bmax %v accepted:\n%s", b[0], b[1], out.String())
 		}
 	}
@@ -234,51 +254,47 @@ func TestArmsimRejectsBadFlags(t *testing.T) {
 	unknownLink := writeFile(t, "links.plan", "drop any 0.5\ndrop maxmin 1 on no-such-link\n")
 	lossy := writeFile(t, "lossy.plan", "drop any 0.5\n")
 	moves := writeFile(t, "moves.csv", "time,portable,from,to\n0,p00,,off-1\n")
-	type args struct {
-		sc                     scenario
-		replications, parallel int
-	}
 	// arena refuses a flag the roster would otherwise ignore.
-	arena := func(edit func(*args)) func(*args) {
-		return func(a *args) { a.sc.arena = true; edit(a) }
+	arena := func(edit func(*scenario)) func(*scenario) {
+		return func(sc *scenario) { sc.arena = true; edit(sc) }
 	}
 	const dropped = "-arena runs its roster on the plain campus walk; drop "
 	for _, c := range []struct {
 		want string // the error's prefix
-		edit func(*args)
+		edit func(*scenario)
 	}{
-		{"-portables ", func(a *args) { a.sc.portables = -1 }},
-		{"-signal-timeout ", func(a *args) { a.sc.sigTimeout = math.NaN() }},
-		{"-signal-timeout ", func(a *args) { a.sc.sigTimeout = -1 }},
-		{"-signal-timeout ", func(a *args) { a.sc.sigTimeout = math.Inf(1) }},
-		{"-signal-retries ", func(a *args) { a.sc.sigRetries = -2 }},
-		{dropped + "-fault-plan", arena(func(a *args) { a.sc.faultPath = lossy })},
-		{dropped + "-overload-policy", arena(func(a *args) { a.sc.overloadPath = "default" })},
-		{dropped + "-signal-timeout", arena(func(a *args) { a.sc.sigTimeout = 3 })},
-		{dropped + "-signal-retries", arena(func(a *args) { a.sc.sigRetries = 5 })},
-		{dropped + "-allocator", arena(func(a *args) { a.sc.allocator = "erica" })},
-		{dropped + "-admitter", arena(func(a *args) { a.sc.admitter = "measured" })},
-		{dropped + "-mobility-trace", arena(func(a *args) { a.sc.mobilityPath = moves })},
-		{dropped + "-replications", arena(func(a *args) { a.replications = 3 })},
-		{dropped + "-trace", arena(func(a *args) { a.sc.tracePath = "-" })},
-		{dropped + "-obs-snapshot", arena(func(a *args) { a.sc.obsSnapshotPath = "-" })},
-		{dropped + "-obs-json", arena(func(a *args) { a.sc.obsJSONPath = "-" })},
-		{dropped + "-spans", arena(func(a *args) { a.sc.spansPath = "-" })},
-		{dropped + "-summary", arena(func(a *args) { a.sc.summary = true })},
-		{dropped + "-telemetry-addr", arena(func(a *args) { a.sc.telemetryAddr = "127.0.0.1:0" })},
-		{`trial 0: core: fault plan: drop maxmin rule on unknown link "no-such-link"`, func(a *args) { a.sc.faultPath = unknownLink }},
-		{"-replications ", func(a *args) { a.replications = 0 }},
-		{"-replications ", func(a *args) { a.replications = -2 }},
-		{"-parallel ", func(a *args) { a.parallel = -4 }},
-		{"-telemetry-linger ", func(a *args) { a.sc.telemetryLinger = 3 }},
-		{"-telemetry-linger ", func(a *args) { a.sc.telemetryAddr, a.sc.telemetryLinger = "127.0.0.1:0", -1 }},
-		{"-telemetry-linger ", func(a *args) { a.sc.telemetryAddr, a.sc.telemetryLinger = "127.0.0.1:0", math.Inf(1) }},
+		{"-portables ", func(sc *scenario) { sc.cfg.Portables = -1 }},
+		{"-signal-timeout ", func(sc *scenario) { sc.cfg.Signal.Timeout = math.NaN() }},
+		{"-signal-timeout ", func(sc *scenario) { sc.cfg.Signal.Timeout = -1 }},
+		{"-signal-timeout ", func(sc *scenario) { sc.cfg.Signal.Timeout = math.Inf(1) }},
+		{"-signal-retries ", func(sc *scenario) { sc.cfg.Signal.MaxRetries = -2 }},
+		{dropped + "-fault-plan", arena(func(sc *scenario) { sc.faultPath = lossy })},
+		{dropped + "-overload-policy", arena(func(sc *scenario) { sc.overloadPath = "default" })},
+		{dropped + "-signal-timeout", arena(func(sc *scenario) { sc.cfg.Signal.Timeout = 3 })},
+		{dropped + "-signal-retries", arena(func(sc *scenario) { sc.cfg.Signal.MaxRetries = 5 })},
+		{dropped + "-allocator", arena(func(sc *scenario) { sc.cfg.Allocator = "erica" })},
+		{dropped + "-admitter", arena(func(sc *scenario) { sc.cfg.Admitter = "measured" })},
+		{dropped + "-mobility-trace", arena(func(sc *scenario) { sc.mobilityPath = moves })},
+		{dropped + "-replications", arena(func(sc *scenario) { sc.replications = 3 })},
+		{dropped + "-trace", arena(func(sc *scenario) { sc.tracePath = "-" })},
+		{dropped + "-obs-snapshot", arena(func(sc *scenario) { sc.obsSnapshotPath = "-" })},
+		{dropped + "-obs-json", arena(func(sc *scenario) { sc.obsJSONPath = "-" })},
+		{dropped + "-spans", arena(func(sc *scenario) { sc.spansPath = "-" })},
+		{dropped + "-summary", arena(func(sc *scenario) { sc.summary = true })},
+		{dropped + "-telemetry-addr", arena(func(sc *scenario) { sc.telemetryAddr = "127.0.0.1:0" })},
+		{`trial 0: core: fault plan: drop maxmin rule on unknown link "no-such-link"`, func(sc *scenario) { sc.faultPath = unknownLink }},
+		{"-replications ", func(sc *scenario) { sc.replications = 0 }},
+		{"-replications ", func(sc *scenario) { sc.replications = -2 }},
+		{"-parallel ", func(sc *scenario) { sc.parallel = -4 }},
+		{"-telemetry-linger ", func(sc *scenario) { sc.telemetryLinger = 3 }},
+		{"-telemetry-linger ", func(sc *scenario) { sc.telemetryAddr, sc.telemetryLinger = "127.0.0.1:0", -1 }},
+		{"-telemetry-linger ", func(sc *scenario) { sc.telemetryAddr, sc.telemetryLinger = "127.0.0.1:0", math.Inf(1) }},
 	} {
-		a := args{sc: flagDefaults(), replications: 1, parallel: 1}
-		a.sc.duration = 60
-		c.edit(&a)
+		sc := flagDefaults()
+		sc.cfg.Duration = 60
+		c.edit(&sc)
 		var out bytes.Buffer
-		err := run(a.sc, 1, a.replications, a.parallel, &out, io.Discard)
+		err := run(sc, &out, io.Discard)
 		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("err = %v, want a refusal starting %q; output:\n%s", err, c.want, out.String())
 		}
@@ -289,10 +305,10 @@ func TestArmsimRejectsBadFlags(t *testing.T) {
 // fires, so the link names the delivery hooks pass are the topology's.
 func TestArmsimFaultPlanLinkFires(t *testing.T) {
 	sc := flagDefaults()
-	sc.duration = 1200
+	sc.cfg.Duration = 1200
 	sc.faultPath = writeFile(t, "link.plan", "drop signal 0.5 on bs-off-1->air-off-1\n")
 	var out bytes.Buffer
-	if err := run(sc, 1, 1, 1, &out, io.Discard); err != nil {
+	if err := run(sc, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "faults-injected") {
@@ -306,9 +322,9 @@ func TestArmsimFaultPlanLinkFires(t *testing.T) {
 func TestArmsimRejectsNonFiniteDuration(t *testing.T) {
 	for _, d := range []float64{math.NaN(), math.Inf(1)} {
 		sc := flagDefaults()
-		sc.duration = d
+		sc.cfg.Duration = d
 		done := make(chan error, 1)
-		go func() { done <- run(sc, 1, 1, 1, io.Discard, io.Discard) }()
+		go func() { done <- run(sc, io.Discard, io.Discard) }()
 		select {
 		case err := <-done:
 			if err == nil {
@@ -327,10 +343,10 @@ func TestArmsimRejectsNonFiniteDuration(t *testing.T) {
 func TestArmsimRejectsBadBackbone(t *testing.T) {
 	for _, backbone := range []string{`{"wiredDelay": -5}`, `{"wirelessLoss": 1.7}`, `{"wirelessLoss": -0.5}`, `{"hosts": -1}`} {
 		sc := flagDefaults()
-		sc.duration = 600
+		sc.cfg.Duration = 600
 		sc.topoFile = writeFile(t, "topo.json", `{"cells": [{"id": "off-1", "class": "office"}], "backbone": `+backbone+`}`)
 		done := make(chan error, 1)
-		go func() { done <- run(sc, 1, 1, 1, io.Discard, io.Discard) }()
+		go func() { done <- run(sc, io.Discard, io.Discard) }()
 		select {
 		case err := <-done:
 			if err == nil {

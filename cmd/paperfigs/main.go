@@ -264,7 +264,7 @@ func fig6(o opts) error {
 // campusCfg is the campus experiment's configuration at a given seed
 // (mode left zero = predictive; the comparison runner overrides it).
 func campusCfg(seed int64) armnet.CampusConfig {
-	return armnet.CampusConfig{Seed: seed, Portables: 24, Duration: 2400}
+	return armnet.CampusConfig{Config: armnet.Config{Seed: seed}, Portables: 24, Duration: 2400}
 }
 
 // campus is the extension experiment: the integrated manager under the

@@ -29,14 +29,14 @@ func TestRandomWalkReplaysAsArmsimsOwnWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := armnet.CampusConfig{Seed: seed, Portables: 24, Duration: 600, Dwell: 180, BMin: 32e3, BMax: 128e3}
+	cfg := armnet.CampusConfig{Config: armnet.Config{Seed: seed}, Portables: 24, Duration: 600, Dwell: 180, BMin: 32e3, BMax: 128e3}
 	run := func(replay *mobility.Trace) (report string, trace []byte) {
 		env, err := armnet.BuildCampus()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		mgr, err := armnet.RunWalk(env, armnet.Config{}, cfg, replay, &buf)
+		mgr, err := armnet.RunWalk(env, cfg, replay, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func ExampleRunArena() {
 	fmt.Printf("registered admitters:  %v\n\n", armnet.Admitters())
 
 	cfg := armnet.ArenaConfig{CampusConfig: armnet.CampusConfig{
-		Seed:      1,
+		Config:    armnet.Config{Seed: 1},
 		Portables: 24,
 		Duration:  900,
 		// Demands that actually load the 1.6 Mb/s cells; an uncontended
@@ -289,7 +289,6 @@ at 300 crash-signaling
 	fmt.Printf("\nfaults injected:      %d\n", c.Get(armnet.CtrFaultsInjected))
 	fmt.Printf("retransmissions:      %d\n", c.Get(armnet.CtrRetransmits))
 	fmt.Printf("holds reclaimed:      %d\n", c.Get(armnet.CtrReclaimedHolds))
-	fmt.Printf("re-advertise kicks:   %d\n", c.Get(armnet.CtrReadvertises))
 
 	// Audit the recovery invariants: conservation, no leaked holds, no
 	// allocations owned by dead connections, maxmin re-converged.
@@ -310,7 +309,6 @@ at 300 crash-signaling
 	// faults injected:      47
 	// retransmissions:      39
 	// holds reclaimed:      0
-	// re-advertise kicks:   0
 	//
 	// recovery invariants hold: nothing leaked, ledger conserved
 }

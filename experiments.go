@@ -39,7 +39,8 @@ type (
 
 	// CampusConfig / CampusResult: integrated campus scenario comparing
 	// reservation modes (extension experiment: drop/block rates and
-	// handoff signaling latency, predicted vs unpredicted).
+	// handoff signaling latency, predicted vs unpredicted). CampusConfig
+	// embeds Config, the manager's settings, beside the walk's own.
 	CampusConfig = sim.CampusConfig
 	CampusResult = sim.CampusResult
 
@@ -92,8 +93,10 @@ var (
 	RunCampus           = sim.RunCampus
 	RunCampusComparison = sim.RunCampusComparison
 	// RunWalk is the one walk every campus-family experiment and
-	// cmd/armsim run, on a caller-built environment and manager
-	// configuration; it returns the finished manager.
+	// cmd/armsim run, on a caller-built environment: CampusConfig's
+	// embedded Config is the manager's configuration as given, its own
+	// fields the walk's population, horizon, dwell and bandwidth bounds.
+	// It returns the finished manager.
 	RunWalk = sim.RunWalk
 	// RunArena runs the strategy roster; RenderArena renders the stable
 	// comparative table and DefaultArenaPairs is the built-in roster.

@@ -27,7 +27,6 @@ const (
 	CtrFaultsInjected
 	CtrRetransmits
 	CtrReclaimedHolds
-	CtrReadvertises
 	CtrShedSetups
 	CtrDegradeCascades
 	CtrBreakerTrips
@@ -49,7 +48,6 @@ var ctrNames = [ctrCount]string{
 	CtrFaultsInjected: "faults-injected",
 	CtrRetransmits:    "control-retransmits",
 	CtrReclaimedHolds: "reclaimed-holds",
-	CtrReadvertises:   "readvertise-kicks",
 	// Overload control: sheds exclude breaker fast-fails, which get
 	// their own counter; cascades count "degrade" actions only.
 	CtrShedSetups:       "setups-shed",
@@ -77,9 +75,6 @@ func newCounterSet() *CounterSet { return &CounterSet{} }
 
 // inc adds one to the counter.
 func (s *CounterSet) inc(c Ctr) { s.counts[c]++ }
-
-// add adds delta to the counter.
-func (s *CounterSet) add(c Ctr, delta int64) { s.counts[c] += delta }
 
 // Get returns the counter's value.
 func (s *CounterSet) Get(c Ctr) int64 { return s.counts[c] }
@@ -151,7 +146,6 @@ func newMetrics(bus *eventbus.Bus) *Metrics {
 	eventbus.On(bus, func(eventbus.FaultComponent) { m.Counter.inc(CtrFaultsInjected) })
 	eventbus.On(bus, func(eventbus.ControlRetransmit) { m.Counter.inc(CtrRetransmits) })
 	eventbus.On(bus, func(eventbus.HoldReclaimed) { m.Counter.inc(CtrReclaimedHolds) })
-	eventbus.On(bus, func(ev eventbus.Readvertise) { m.Counter.add(CtrReadvertises, int64(ev.Kicked)) })
 	eventbus.On(bus, func(ev eventbus.SetupShed) {
 		if ev.Reason == "breaker-open" {
 			m.Counter.inc(CtrBreakerFastFails)

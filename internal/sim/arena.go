@@ -48,8 +48,8 @@ func DefaultArenaPairs() []StrategyPair {
 // strategy choice) — so outcome differences are attributable to the
 // strategies alone.
 type ArenaConfig struct {
-	// CampusConfig is the shared workload. Allocator, Admitter, Obs and
-	// Spans are the arena's to set: each trial runs one pair, observed.
+	// CampusConfig is the shared workload. Allocator, Admitter and Obs
+	// are the arena's to set: each trial runs one pair, observed.
 	CampusConfig
 	// pairs is the roster; nil selects DefaultArenaPairs.
 	pairs []StrategyPair
@@ -80,7 +80,7 @@ func RunArena(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEntry, 
 	}
 	return campusTrials(ctx, cfg.CampusConfig, len(pairs), workers, func(i int, c CampusConfig) (ArenaEntry, error) {
 		c.Allocator, c.Admitter = pairs[i].Allocator, pairs[i].Admitter
-		c.Obs = true
+		c.Obs = &obs.Options{}
 		res, mgr, err := RunCampus(c, nil)
 		if err != nil {
 			return ArenaEntry{}, fmt.Errorf("arena %s: %w", pairs[i].label(), err)

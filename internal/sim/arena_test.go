@@ -7,13 +7,16 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"armnet/internal/core"
+	"armnet/internal/obs"
 )
 
 // arenaGoldenCfg is the pinned seed-1 arena scenario behind the golden.
 // The demand bounds load the wireless cells hard enough that the
 // admitters genuinely disagree (blocking vs handoff drops) — a lighter
 // workload renders every pair identical and the comparison is vacuous.
-var arenaGoldenCfg = ArenaConfig{CampusConfig: CampusConfig{Seed: 1, Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}}
+var arenaGoldenCfg = ArenaConfig{CampusConfig: CampusConfig{Config: core.Config{Seed: 1}, Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}}
 
 // TestArenaSnapshotGolden pins the seed-1 arena comparative snapshot.
 // Any drift means a strategy's decisions, the workload, or the renderer
@@ -104,9 +107,8 @@ func TestArenaTraceDeterminismAcrossRuns(t *testing.T) {
 		var out bytes.Buffer
 		for _, pair := range DefaultArenaPairs() {
 			c := arenaGoldenCfg.CampusConfig
-			c.Allocator, c.Admitter, c.Obs = pair.Allocator, pair.Admitter, true
 			var trace, spans bytes.Buffer
-			c.Spans = &spans
+			c.Allocator, c.Admitter, c.Obs = pair.Allocator, pair.Admitter, &obs.Options{Spans: &spans}
 			if _, _, err := RunCampus(c, &trace); err != nil {
 				t.Fatalf("%s: %v", pair.label(), err)
 			}

@@ -36,7 +36,7 @@ func BenchmarkScaleGridBuilding(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mgr, err := RunWalk(env, core.Config{}, CampusConfig{Seed: int64(i + 1), Portables: 80, Duration: 900, Dwell: 150}.withDefaults(), nil, nil)
+		mgr, err := RunWalk(env, CampusConfig{Config: core.Config{Seed: int64(i + 1)}, Portables: 80, Duration: 900, Dwell: 150}.withDefaults(), nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

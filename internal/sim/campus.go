@@ -16,38 +16,21 @@ import (
 
 // CampusConfig drives the integrated campus scenario: random-walking
 // portables carrying QoS-bounded connections through the full resource
-// manager under a chosen reservation mode.
+// manager. The embedded core.Config is the manager's configuration as
+// given — seed, reservation mode, T_th, strategies, fault plan, overload
+// policy, signaling and observability — and the walk's own fields say
+// who walks and what each portable asks for.
 type CampusConfig struct {
-	// Seed drives the run's randomness. Every value is a valid, distinct
-	// seed — including 0, the zero-value default (seeds 0 and 1 used to
-	// alias; they no longer do).
-	Seed int64
+	core.Config
 	// Portables is the population size (default 24).
 	Portables int
 	// Duration is the simulated time in seconds (default 3600).
 	Duration float64
 	// Dwell is the mean cell dwell time (default 180 s).
 	Dwell float64
-	// Mode selects the advance-reservation strategy.
-	Mode core.ReservationMode
 	// BMin/BMax are the per-connection bandwidth bounds (defaults
 	// 32k/128k).
 	BMin, BMax float64
-	// tth overrides the static/mobile threshold (0 = manager default).
-	tth float64
-	// Allocator and Admitter name the registered resource-management
-	// strategies (core.Config passthrough); empty selects the paper's
-	// defaults (maxmin, table2).
-	Allocator, Admitter string
-	// Obs arms the observability layer: the finished manager's Obs yields
-	// a deterministic instrument snapshot. Off by default — the
-	// disabled path constructs nothing and perturbs nothing, so traces
-	// stay byte-identical either way.
-	Obs bool
-	// Spans receives the JSONL lifecycle-span export when Obs is set.
-	// Single-run only: the multi-trial experiments run trials
-	// concurrently and clear it.
-	Spans io.Writer
 }
 
 // withDefaults fills every unset field. A float field is unset unless it
@@ -122,7 +105,7 @@ func RunCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *core.Manager,
 	if err != nil {
 		return CampusResult{}, nil, err
 	}
-	mgr, err := RunWalk(env, core.Config{}, cfg.withDefaults(), nil, traceW)
+	mgr, err := RunWalk(env, cfg.withDefaults(), nil, traceW)
 	if err != nil {
 		return CampusResult{}, nil, err
 	}
@@ -130,11 +113,16 @@ func RunCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *core.Manager,
 }
 
 // campusTrials runs n variants of the campus scenario over runner.Map;
-// trial i receives a copy of cfg to adjust and run. Spans is cleared here,
-// once for every multi-trial campus experiment: a shared writer would race
-// across concurrent trials.
+// trial i receives a copy of cfg to adjust and run. The span writer is
+// cleared here, once for every multi-trial campus experiment: a shared
+// writer would race across concurrent trials. The trials share a copy of
+// the caller's obs options, never the caller's own.
 func campusTrials[R any](ctx context.Context, cfg CampusConfig, n, workers int, trial func(i int, c CampusConfig) (R, error)) ([]R, runner.Stats, error) {
-	cfg.Spans = nil
+	if cfg.Obs != nil {
+		o := *cfg.Obs
+		o.Spans = nil
+		cfg.Obs = &o
+	}
 	return runner.Map(ctx, workers, n, func(_ context.Context, i int) (R, error) {
 		return trial(i, cfg)
 	})
@@ -179,7 +167,7 @@ func RunTthSensitivity(ctx context.Context, cfg CampusConfig, thresholds []float
 		thresholds = []float64{30, 120, 300, 900}
 	}
 	return campusTrials(ctx, cfg, len(thresholds), workers, func(i int, c CampusConfig) (TthPoint, error) {
-		c.tth = thresholds[i]
+		c.Tth = thresholds[i]
 		r, _, err := RunCampus(c, nil)
 		return TthPoint{Tth: thresholds[i], CampusResult: r}, err
 	})

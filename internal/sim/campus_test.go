@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"armnet/internal/core"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestCampusComparison(t *testing.T) {
-	results, _, err := RunCampusComparison(context.Background(), CampusConfig{Seed: 3, Portables: 20, Duration: 1200}, 1)
+	results, _, err := RunCampusComparison(context.Background(), CampusConfig{Config: core.Config{Seed: 3}, Portables: 20, Duration: 1200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestCampusComparison(t *testing.T) {
 func TestCampusDefaultsReplaceNaN(t *testing.T) {
 	nan := math.NaN()
 	got := CampusConfig{Duration: nan, Dwell: nan, BMin: nan, BMax: nan}.withDefaults()
-	if want := (CampusConfig{}).withDefaults(); got != want {
+	if want := (CampusConfig{}).withDefaults(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("NaN fields defaulted to %+v, want %+v", got, want)
 	}
 }

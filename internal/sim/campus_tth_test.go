@@ -9,7 +9,7 @@ import (
 )
 
 func TestTthSensitivity(t *testing.T) {
-	points, _, err := RunTthSensitivity(context.Background(), CampusConfig{Seed: 5, Portables: 16, Duration: 1200, Dwell: 120}, []float64{30, 600}, 1)
+	points, _, err := RunTthSensitivity(context.Background(), CampusConfig{Config: core.Config{Seed: 5}, Portables: 16, Duration: 1200, Dwell: 120}, []float64{30, 600}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestGridScale(t *testing.T) {
 	if n := env.Universe.Len(); n != 48 {
 		t.Fatalf("cells = %d", n)
 	}
-	mgr, err := RunWalk(env, core.Config{}, CampusConfig{Seed: 2, Portables: 80, Duration: 1200, Dwell: 150}.withDefaults(), nil, nil)
+	mgr, err := RunWalk(env, CampusConfig{Config: core.Config{Seed: 2}, Portables: 80, Duration: 1200, Dwell: 150}.withDefaults(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +110,18 @@ func TestCorridorLinearPrediction(t *testing.T) {
 }
 
 func TestCampusRunsAreDeterministic(t *testing.T) {
-	a, _, err := RunCampus(CampusConfig{Seed: 17, Portables: 14, Duration: 900}, nil)
+	a, _, err := RunCampus(CampusConfig{Config: core.Config{Seed: 17}, Portables: 14, Duration: 900}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunCampus(CampusConfig{Seed: 17, Portables: 14, Duration: 900}, nil)
+	b, _, err := RunCampus(CampusConfig{Config: core.Config{Seed: 17}, Portables: 14, Duration: 900}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
-	c, _, err := RunCampus(CampusConfig{Seed: 18, Portables: 14, Duration: 900}, nil)
+	c, _, err := RunCampus(CampusConfig{Config: core.Config{Seed: 18}, Portables: 14, Duration: 900}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

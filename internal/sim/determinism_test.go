@@ -14,7 +14,7 @@ import (
 
 // detCampusCfg keeps the determinism runs short but non-trivial: long
 // enough for handoffs, reservations and pool claims to accumulate.
-var detCampusCfg = CampusConfig{Seed: 7, Portables: 12, Duration: 900}
+var detCampusCfg = CampusConfig{Config: core.Config{Seed: 7}, Portables: 12, Duration: 900}
 
 // seedTrials runs n seed-split replications of one trial over runner.Map:
 // replication i gets runner.SplitSeed(seed, i), so replication 0 keeps
@@ -78,7 +78,7 @@ func TestExperimentTraceDeterminismAcrossWorkers(t *testing.T) {
 				if err != nil {
 					return "", err
 				}
-				mgr, err := RunWalk(env, core.Config{}, CampusConfig{Seed: seed, Portables: 16, Duration: 600, Dwell: 150}.withDefaults(), nil, nil)
+				mgr, err := RunWalk(env, CampusConfig{Config: core.Config{Seed: seed}, Portables: 16, Duration: 600, Dwell: 150}.withDefaults(), nil, nil)
 				if err != nil {
 					return "", err
 				}
@@ -87,7 +87,7 @@ func TestExperimentTraceDeterminismAcrossWorkers(t *testing.T) {
 			return rendered(t, rs, st, err)
 		}},
 		{"obs-snapshot-replications", func(t *testing.T, workers int) []byte {
-			cfg := CampusConfig{Seed: 1, Portables: 10, Duration: 600, Obs: true}
+			cfg := CampusConfig{Config: core.Config{Seed: 1, Obs: &obs.Options{}}, Portables: 10, Duration: 600}
 			snaps, st, err := seedTrials(cfg.Seed, 4, workers, func(seed int64) (*obs.Snapshot, error) {
 				c := cfg
 				c.Seed = seed
@@ -128,10 +128,13 @@ func TestExperimentTraceDeterminismAcrossWorkers(t *testing.T) {
 		{"spans-writer", func(t *testing.T, workers int) []byte {
 			var spans bytes.Buffer
 			cfg := detCampusCfg
-			cfg.Obs, cfg.Spans = true, &spans
+			cfg.Obs = &obs.Options{Spans: &spans}
 			rs, st, err := RunCampusComparison(ctx, cfg, workers)
 			if spans.Len() != 0 {
 				t.Fatalf("a multi-trial run wrote %d span bytes to the shared writer", spans.Len())
+			}
+			if cfg.Obs.Spans != &spans {
+				t.Fatal("a multi-trial run cleared the caller's span writer")
 			}
 			return rendered(t, rs, st, err)
 		}},

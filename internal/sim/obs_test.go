@@ -5,23 +5,26 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"armnet/internal/core"
+	"armnet/internal/obs"
 )
 
 // obsGoldenCfg is the pinned seed-1 observed campus scenario behind the
 // snapshot goldens.
-var obsGoldenCfg = CampusConfig{Seed: 1, Portables: 12, Duration: 900, Obs: true}
+var obsGoldenCfg = CampusConfig{Config: core.Config{Seed: 1, Obs: &obs.Options{}}, Portables: 12, Duration: 900}
 
 // TestObsZeroPerturbation is the observability layer's headline guarantee:
 // arming the observer changes NOTHING about the simulation. The full JSONL
 // event trace — every event, every sequence number, every timestamp — must
 // be byte-identical with the observer on and off.
 func TestObsZeroPerturbation(t *testing.T) {
-	cfg := CampusConfig{Seed: 7, Portables: 12, Duration: 900}
+	cfg := CampusConfig{Config: core.Config{Seed: 7}, Portables: 12, Duration: 900}
 	var plain, observed bytes.Buffer
 	if _, _, err := RunCampus(cfg, &plain); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Obs = true
+	cfg.Obs = &obs.Options{}
 	resObs, _, err := RunCampus(cfg, &observed)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +88,7 @@ func TestObsSnapshotGolden(t *testing.T) {
 func TestObsSpanExportDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		cfg := CampusConfig{Seed: 3, Portables: 8, Duration: 400, Obs: true, Spans: &buf}
+		cfg := CampusConfig{Config: core.Config{Seed: 3, Obs: &obs.Options{Spans: &buf}}, Portables: 8, Duration: 400}
 		if _, _, err := RunCampus(cfg, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestWalkLeavesSharedTopologyUnwritten(t *testing.T) {
 		nbs[c.ID] = c.Neighbors()
 		nbCopies[c.ID] = slices.Clone(c.Neighbors())
 	}
-	mgr, err := RunWalk(env, core.Config{}, CampusConfig{Seed: 1}.withDefaults(), nil, nil)
+	mgr, err := RunWalk(env, CampusConfig{Config: core.Config{Seed: 1}}.withDefaults(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"armnet/internal/core"
 	"armnet/internal/runner"
 )
 
@@ -69,7 +70,7 @@ func TestCampusTraceDeterminismAcrossWorkers(t *testing.T) {
 // over 2400 s do, and a map-order sum shows as a last-ulp flip within a
 // handful of runs.
 func TestCampusTraceDeterminismAcrossRuns(t *testing.T) {
-	cfg := CampusConfig{Seed: 1, Portables: 24, Duration: 2400}
+	cfg := CampusConfig{Config: core.Config{Seed: 1}, Portables: 24, Duration: 2400}
 	_, first, err := campusTrace(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"armnet/internal/des"
 	"armnet/internal/eventbus"
 	"armnet/internal/mobility"
-	"armnet/internal/obs"
 	"armnet/internal/qos"
 	"armnet/internal/randx"
 	"armnet/internal/topology"
@@ -119,24 +118,18 @@ func (w *walk) run(audits ...func() []string) ([]string, error) {
 // (cmd/armsim, the grid tests): cfg.Portables portables named p00, p01, …
 // random-walk env for cfg.Duration seconds — or follow replay when it is
 // non-nil — each opening one [cfg.BMin, cfg.BMax] connection where it is
-// placed. The manager is configured by cfg laid over base, which supplies
-// what CampusConfig does not carry (fault plan, overload policy,
-// signaling options); under a fault plan connections open through the
-// signaling plane, so setups are exposed to its message rules. cfg is
-// taken as given, without CampusConfig's defaults. The finished manager
-// is returned, its observer (when armed) already finished at the horizon.
-func RunWalk(env *topology.Environment, base core.Config, cfg CampusConfig, replay *mobility.Trace, traceW io.Writer) (*core.Manager, error) {
-	base.Seed, base.Mode, base.Tth = cfg.Seed, cfg.Mode, cfg.tth
-	base.Allocator, base.Admitter = cfg.Allocator, cfg.Admitter
-	if cfg.Obs {
-		base.Obs = &obs.Options{Spans: cfg.Spans}
-	}
+// placed. The manager runs cfg.Config as given; under a fault plan
+// connections open through the signaling plane, so setups are exposed to
+// its message rules. cfg is taken as given, without CampusConfig's
+// defaults. The finished manager is returned, its observer (when armed)
+// already finished at the horizon.
+func RunWalk(env *topology.Environment, cfg CampusConfig, replay *mobility.Trace, traceW io.Writer) (*core.Manager, error) {
 	w := walk{
-		env: env, cfg: base, trace: replay,
+		env: env, cfg: cfg.Config, trace: replay,
 		req:  walkRequest(cfg.BMin, cfg.BMax),
 		open: openInstant, horizon: cfg.Duration, traceW: traceW,
 	}
-	if !base.Faults.Empty() {
+	if !cfg.Faults.Empty() {
 		w.open = openSignaled
 	}
 	if w.trace == nil {
