@@ -134,9 +134,9 @@ hot-align:
 ## loc: the ROADMAP scoreboard — non-test and test Go lines and the
 ## package counts of the root module (bench/ and its build directory
 ## excluded), the export surface of internal/ and the *Config/*Options
-## fields of the root module as TestExportsAreUsed counts them (its -v
-## log has the per-package counts). Record before/after in each PR's
-## CHANGES.md entry.
+## fields of the root module and the exportAllowlist exemptions as
+## TestExportsAreUsed counts them (its -v log has the per-package
+## counts). Record before/after in each PR's CHANGES.md entry.
 LOCFIND = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
 loc:
 	@echo "non-test Go lines: $$($(LOCFIND) -not -name '*_test.go' | xargs cat | wc -l)"
@@ -144,7 +144,8 @@ loc:
 	@echo "packages:          $$($(GO) list ./... | wc -l) ($$($(GO) list ./internal/... | wc -l) under internal/)"
 	@$(GO) test -run '^TestExportsAreUsed$$' -count=1 -v . | sed -n \
 		-e 's|.*exported names in internal/: \([0-9]*\)$$|exported names:    \1 in internal/|p' \
-		-e 's|.*config fields: \(.*\)|config fields:     \1|p'
+		-e 's|.*config fields: \(.*\)|config fields:     \1|p' \
+		-e 's|.*export exemptions: \([0-9]*\)$$|export exemptions: \1|p'
 
 ## trace-determinism: the event-stream replication gate — the full JSONL
 ## trace of every reservation mode and the output of every multi-trial
@@ -229,7 +230,7 @@ soak:
 ## the per-package unreached/total table and every function at 0 %, and
 ## fails when the unreached total exceeds REACH_CEILING. A change that
 ## lowers the count lowers the ceiling to it; nothing raises it.
-REACH_CEILING = 1724
+REACH_CEILING = 1696
 reach:
 	bash scripts/reach.sh $(REACH_CEILING)
 

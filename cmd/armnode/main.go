@@ -32,17 +32,21 @@
 // Every mode except loopback accepts -telemetry-addr, which serves the
 // shared diagnostics endpoint (/metrics, /healthz, /spans,
 // /debug/pprof) backed by the mode's live wire recorders for the
-// duration of the run.
+// duration of the run. A flag the chosen mode does not read, a
+// positional argument and an unknown mode are refused (exit 2).
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -52,41 +56,95 @@ import (
 )
 
 func main() {
-	var (
-		mode    = flag.String("mode", "loopback", "loopback | node | controller | orchestrate | soak")
-		name    = flag.String("name", "", "agent name (node mode)")
-		listen  = flag.String("listen", "127.0.0.1:0", "UDP listen address (node mode)")
-		trace   = flag.String("trace", "", "trace output file (node mode; empty = stdout)")
-		peers   = flag.String("peers", "", "comma-separated name=addr list (controller mode)")
-		dir     = flag.String("dir", "", "working directory for traces (orchestrate mode; empty = temp)")
-		horizon = flag.Float64("horizon", 2.5, "wall-clock settle horizon in seconds (controller/orchestrate)")
-		epochs  = flag.Int("soak-epochs", 0, "soak epoch count (soak mode; 0 = default)")
-		seed    = flag.Int64("seed", 42, "workload and fault seed (soak mode)")
-		plan    = flag.String("plan", "", "wire fault plan file (soak mode; empty = default rotation)")
-		out     = flag.String("out", "", "soak report JSONL file (soak mode; empty = stdout)")
-		telAddr = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /spans, /debug/pprof on this address (empty = off)")
-	)
-	flag.Parse()
-
-	var err error
-	switch *mode {
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
+		os.Exit(2) // parseArgs has reported it
+	}
+	switch o.mode {
 	case "loopback":
 		err = runLoopback()
 	case "node":
-		err = runNode(*name, *listen, *trace, *telAddr)
+		err = runNode(o.name, o.listen, o.trace, o.telAddr)
 	case "controller":
-		_, err = runController(*peers, *horizon, *telAddr)
+		_, err = runController(o.peers, o.horizon, o.telAddr)
 	case "orchestrate":
-		err = runOrchestrate(*dir, *horizon, *telAddr)
+		err = runOrchestrate(o.dir, o.horizon, o.telAddr)
 	case "soak":
-		err = runSoak(*epochs, *seed, *plan, *out, *telAddr)
-	default:
-		err = fmt.Errorf("unknown mode %q", *mode)
+		err = runSoak(o.epochs, o.seed, o.plan, o.out, o.telAddr)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "armnode:", err)
 		os.Exit(1)
 	}
+}
+
+// opts carries an armnode command line; the comments name the modes
+// that read each field.
+type opts struct {
+	mode                string
+	name, listen, trace string  // node
+	peers               string  // controller
+	dir                 string  // orchestrate
+	horizon             float64 // controller, orchestrate
+	epochs              int     // soak
+	seed                int64   // soak
+	plan, out           string  // soak
+	telAddr             string  // every mode but loopback
+}
+
+// modeFlags names the flags each mode reads besides -mode.
+var modeFlags = map[string][]string{
+	"loopback":    nil,
+	"node":        {"name", "listen", "trace", "telemetry-addr"},
+	"controller":  {"peers", "horizon", "telemetry-addr"},
+	"orchestrate": {"dir", "horizon", "telemetry-addr"},
+	"soak":        {"soak-epochs", "seed", "plan", "out", "telemetry-addr"},
+}
+
+// parseArgs reads an armnode command line, without the program name, and
+// reports a refusal to stderr. It refuses an unknown mode, a positional
+// argument and a flag the chosen mode never reads, rather than letting
+// the run ignore it.
+func parseArgs(args []string, stderr io.Writer) (opts, error) {
+	fs := flag.NewFlagSet("armnode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o opts
+	fs.StringVar(&o.mode, "mode", "loopback", "loopback | node | controller | orchestrate | soak")
+	fs.StringVar(&o.name, "name", "", "agent name (node mode)")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "UDP listen address (node mode)")
+	fs.StringVar(&o.trace, "trace", "", "trace output file (node mode; empty = stdout)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated name=addr list (controller mode)")
+	fs.StringVar(&o.dir, "dir", "", "working directory for traces (orchestrate mode; empty = temp)")
+	fs.Float64Var(&o.horizon, "horizon", 2.5, "wall-clock settle horizon in seconds (controller/orchestrate)")
+	fs.IntVar(&o.epochs, "soak-epochs", 0, "soak epoch count (soak mode; 0 = default)")
+	fs.Int64Var(&o.seed, "seed", 42, "workload and fault seed (soak mode)")
+	fs.StringVar(&o.plan, "plan", "", "wire fault plan file (soak mode; empty = default rotation)")
+	fs.StringVar(&o.out, "out", "", "soak report JSONL file (soak mode; empty = stdout)")
+	fs.StringVar(&o.telAddr, "telemetry-addr", "", "serve /metrics, /healthz, /spans, /debug/pprof on this address (every mode but loopback; empty = off)")
+	if err := fs.Parse(args); err != nil {
+		return o, err // fs has reported it, with the usage
+	}
+	reads, ok := modeFlags[o.mode]
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("unknown mode %q", o.mode)
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	default:
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && f.Name != "mode" && !slices.Contains(reads, f.Name) {
+				err = fmt.Errorf("-%s: -mode %s does not read it", f.Name, o.mode)
+			}
+		})
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+	}
+	return o, err
 }
 
 // runLoopback is the in-process oracle: sim vs loopback controller

@@ -99,7 +99,7 @@ func main() {
 	case errors.Is(err, flag.ErrHelp):
 		os.Exit(0)
 	case err != nil:
-		os.Exit(2) // the flag set has reported it
+		os.Exit(2) // parseArgs has reported it
 	}
 	if err := run(sc, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "armsim:", err)
@@ -108,9 +108,9 @@ func main() {
 }
 
 // parseArgs reads an armsim command line, without the program name, into
-// a scenario and reports a bad flag to stderr. The walk's and the
-// manager's settings go straight into its CampusConfig; the rest say
-// where the scenario comes from and what to export.
+// a scenario and reports a bad flag or a stray argument to stderr. The
+// walk's and the manager's settings go straight into its CampusConfig;
+// the rest say where the scenario comes from and what to export.
 func parseArgs(args []string, stderr io.Writer) (scenario, error) {
 	fs := flag.NewFlagSet("armsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -150,8 +150,15 @@ func parseArgs(args []string, stderr io.Writer) (scenario, error) {
 	fs.BoolVar(&sc.summary, "summary", false, "print the paper-§7-style results summary derived from the merged snapshot")
 	fs.StringVar(&sc.telemetryAddr, "telemetry-addr", "", "serve live wall-clock telemetry on this address (/metrics, /healthz, /spans, /debug/pprof)")
 	fs.Float64Var(&sc.telemetryLinger, "telemetry-linger", 0, "keep the telemetry endpoint up this many wall-clock seconds after the run finishes")
-	err := fs.Parse(args)
-	return sc, err
+	if err := fs.Parse(args); err != nil {
+		return sc, err // fs has reported it, with the usage
+	}
+	if fs.NArg() > 0 {
+		err := fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		fmt.Fprintln(stderr, err)
+		return sc, err
+	}
+	return sc, nil
 }
 
 // scenario describes one armsim configuration. It carries only immutable

@@ -249,7 +249,8 @@ func TestArmsimRejectsBadBandwidthBounds(t *testing.T) {
 // negative -signal-retries once meant "never retransmit"; a -fault-plan
 // rule `on` a link the topology lacks would never fire; -replications 0
 // once ran one replication and a negative -parallel ran at GOMAXPROCS;
-// -telemetry-linger without -telemetry-addr once returned at once.
+// -telemetry-linger without -telemetry-addr once returned at once; a
+// positional argument was once ignored.
 func TestArmsimRejectsBadFlags(t *testing.T) {
 	unknownLink := writeFile(t, "links.plan", "drop any 0.5\ndrop maxmin 1 on no-such-link\n")
 	lossy := writeFile(t, "lossy.plan", "drop any 0.5\n")
@@ -260,9 +261,10 @@ func TestArmsimRejectsBadFlags(t *testing.T) {
 	}
 	const dropped = "-arena runs its roster on the plain campus walk; drop "
 	for _, c := range []struct {
-		want string // the error's prefix
-		edit func(*scenario)
+		want string          // the error's prefix
+		edit func(*scenario) // nil: parseArgs sees stray words after the flags
 	}{
+		{`unexpected argument "stray"`, nil},
 		{"-portables ", func(sc *scenario) { sc.cfg.Portables = -1 }},
 		{"-signal-timeout ", func(sc *scenario) { sc.cfg.Signal.Timeout = math.NaN() }},
 		{"-signal-timeout ", func(sc *scenario) { sc.cfg.Signal.Timeout = -1 }},
@@ -290,11 +292,16 @@ func TestArmsimRejectsBadFlags(t *testing.T) {
 		{"-telemetry-linger ", func(sc *scenario) { sc.telemetryAddr, sc.telemetryLinger = "127.0.0.1:0", -1 }},
 		{"-telemetry-linger ", func(sc *scenario) { sc.telemetryAddr, sc.telemetryLinger = "127.0.0.1:0", math.Inf(1) }},
 	} {
-		sc := flagDefaults()
-		sc.cfg.Duration = 60
-		c.edit(&sc)
+		args := []string{"-duration", "60"}
+		if c.edit == nil {
+			args = append(args, "stray", "words")
+		}
+		sc, err := parseArgs(args, io.Discard)
 		var out bytes.Buffer
-		err := run(sc, &out, io.Discard)
+		if err == nil && c.edit != nil {
+			c.edit(&sc)
+			err = run(sc, &out, io.Discard)
+		}
 		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("err = %v, want a refusal starting %q; output:\n%s", err, c.want, out.String())
 		}

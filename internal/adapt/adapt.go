@@ -20,7 +20,6 @@
 package adapt
 
 import (
-	"errors"
 	"fmt"
 
 	"armnet/internal/admission"
@@ -30,9 +29,6 @@ import (
 	"armnet/internal/qos"
 	"armnet/internal/topology"
 )
-
-// errUnknownConn is returned when operating on an unregistered connection.
-var errUnknownConn = errors.New("adapt: unknown connection")
 
 // Conn is one connection's adaptation record. Open makes it and the
 // connection's holder keeps it: a handoff, a renegotiation, a mobility
@@ -297,20 +293,6 @@ func (m *Manager) Restore(c *Conn) bool {
 	return true
 }
 
-// Degraded reports whether the connection is currently degrade-capped.
-func (m *Manager) Degraded(connID string) bool {
-	c, ok := m.conns[connID]
-	return ok && c.degraded
-}
-
-// Degradable reports whether a degrade cascade could still reclaim
-// bandwidth from the connection: a registered static connection with
-// adaptable width that is not already capped.
-func (m *Manager) Degradable(connID string) bool {
-	c, ok := m.conns[connID]
-	return ok && c.static && !c.degraded && c.bounds.Width() > 0
-}
-
 // SyncLink recomputes a link's excess capacity b'_av,l from the ledger
 // and pushes it into the protocol, which applies the eq. (2) trigger
 // rules (decreases always adapt; increases only above δ and only for the
@@ -359,9 +341,10 @@ func (m *Manager) applyUpdate(connID string, rate float64) {
 	if !ok {
 		return
 	}
-	// An UPDATE already in flight when Degrade removed the session must
-	// not re-raise the allocation above the cap.
-	if c.degraded {
+	// An UPDATE already in flight when Degrade, Leave or a flip to mobile
+	// removed the session must not raise the allocation: a degraded or
+	// mobile connection is held at b_min.
+	if !c.static || c.degraded {
 		return
 	}
 	bw := c.bounds.Clamp(c.bounds.Min + rate)
@@ -372,23 +355,6 @@ func (m *Manager) applyUpdate(connID string, rate float64) {
 	if m.OnRate != nil {
 		m.OnRate(connID, bw)
 	}
-}
-
-// Allocation returns the connection's current bandwidth (b_min plus its
-// adapted excess), or an error for unknown connections.
-func (m *Manager) Allocation(connID string) (float64, error) {
-	c, ok := m.conns[connID]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", errUnknownConn, connID)
-	}
-	if len(c.route.Links) == 0 {
-		return c.bounds.Min, nil
-	}
-	a, ok := m.Ledger.Link(c.route.Links[0].ID).Alloc(connID)
-	if !ok {
-		return c.bounds.Min, nil
-	}
-	return a.Cur, nil
 }
 
 // PoolFraction computes the B_dyn fraction for a cell (§5.3): the pool

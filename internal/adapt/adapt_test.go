@@ -70,6 +70,22 @@ func rig(t *testing.T, conns []struct {
 	return sim, ctl, mgr, route
 }
 
+// row reads connection id's open record and its ledger row on the first
+// link of its route: the allocation a test checks, and whether the
+// record is degrade-capped.
+func row(t *testing.T, m *Manager, id string) (cur float64, degraded bool) {
+	t.Helper()
+	c, ok := m.conns[id]
+	if !ok {
+		t.Fatalf("%s has no open record", id)
+	}
+	al, ok := m.Ledger.Link(c.route.Links[0].ID).Alloc(id)
+	if !ok {
+		t.Fatalf("%s holds no row on %s", id, c.route.Links[0].ID)
+	}
+	return al.Cur, c.degraded
+}
+
 func TestStaticConnectionsShareExcessFairly(t *testing.T) {
 	sim, ctl, mgr, route := rig(t, []struct {
 		id  string
@@ -81,11 +97,7 @@ func TestStaticConnectionsShareExcessFairly(t *testing.T) {
 	// Wireless excess = 1.6e6 - 2*100e3 = 1.4e6; fair split 700k each;
 	// demand cap = 900k each, so rate 700k -> allocation 800k.
 	for _, id := range []string{"a", "b"} {
-		got, err := mgr.Allocation(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-800e3) > 1e3 {
+		if got, _ := row(t, mgr, id); math.Abs(got-800e3) > 1e3 {
 			t.Fatalf("allocation[%s] = %v, want ~800k", id, got)
 		}
 	}
@@ -104,19 +116,11 @@ func TestMobileConnectionsStayAtMin(t *testing.T) {
 	if err := sim.RunUntil(120); err != nil {
 		t.Fatal(err)
 	}
-	mob, err := mgr.Allocation("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mob != 100e3 {
+	if mob, _ := row(t, mgr, "m"); mob != 100e3 {
 		t.Fatalf("mobile allocation = %v, want b_min", mob)
 	}
 	// The static one takes the whole excess (capped by demand).
-	st, err := mgr.Allocation("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(st-1e6) > 1e3 { // min 100k + demand-capped 900k excess
+	if st, _ := row(t, mgr, "s"); math.Abs(st-1e6) > 1e3 { // min 100k + demand-capped 900k excess
 		t.Fatalf("static allocation = %v, want 1e6 (demand cap)", st)
 	}
 }
@@ -129,13 +133,13 @@ func TestMobilityFlipDropsToMin(t *testing.T) {
 	if err := sim.RunUntil(60); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := mgr.Allocation("s"); got <= 100e3 {
+	if got, _ := row(t, mgr, "s"); got <= 100e3 {
 		t.Fatalf("static allocation did not grow: %v", got)
 	}
 	if err := mgr.SetMobility(mgr.conns["s"], qos.Mobile); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := mgr.Allocation("s"); got != 100e3 {
+	if got, _ := row(t, mgr, "s"); got != 100e3 {
 		t.Fatalf("after flip allocation = %v, want b_min", got)
 	}
 	// Flip back: re-adapts.
@@ -145,7 +149,7 @@ func TestMobilityFlipDropsToMin(t *testing.T) {
 	if err := sim.RunUntil(180); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := mgr.Allocation("s"); got <= 100e3 {
+	if got, _ := row(t, mgr, "s"); got <= 100e3 {
 		t.Fatalf("after flip back allocation = %v, want growth", got)
 	}
 }
@@ -166,7 +170,7 @@ func TestCapacityDecreaseSqueezesAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"a", "b"} {
-		got, _ := mgr.Allocation(id)
+		got, _ := row(t, mgr, id)
 		if math.Abs(got-400e3) > 1e3 {
 			t.Fatalf("allocation[%s] after shrink = %v, want 400k", id, got)
 		}
@@ -186,7 +190,7 @@ func TestUnregisterFreesExcess(t *testing.T) {
 	if err := sim.RunUntil(300); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := mgr.Allocation("b")
+	got, _ := row(t, mgr, "b")
 	if math.Abs(got-1e6) > 1e3 { // demand cap b_max
 		t.Fatalf("survivor allocation = %v, want demand cap 1e6", got)
 	}
@@ -207,21 +211,21 @@ func TestSyncRouteSkipsAnotherBackbone(t *testing.T) {
 	if err := sim.RunUntil(120); err != nil {
 		t.Fatal(err)
 	}
-	shared, _ := mgr.Allocation("b")
+	shared, _ := row(t, mgr, "b")
 	ctl.Ledger.Release("a", route)
 	_, twin := chain(t)
 	mgr.SyncRoute(twin)
 	if err := sim.RunUntil(300); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := mgr.Allocation("b"); got != shared {
+	if got, _ := row(t, mgr, "b"); got != shared {
 		t.Fatalf("after syncing the twin's route b holds %v, want its shared %v", got, shared)
 	}
 	mgr.SyncRoute(route)
 	if err := sim.RunUntil(600); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := mgr.Allocation("b"); !(got > shared) {
+	if got, _ := row(t, mgr, "b"); !(got > shared) {
 		t.Fatalf("after syncing its own route b holds %v, want more than its shared %v", got, shared)
 	}
 }
@@ -236,9 +240,6 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if err := mgr.Register("x", route, qos.Bounds{Min: 1, Max: 2}, qos.Static); err == nil {
 		t.Fatal("duplicate accepted")
-	}
-	if _, err := mgr.Allocation("nobody"); err == nil {
-		t.Fatal("unknown allocation lookup succeeded")
 	}
 }
 

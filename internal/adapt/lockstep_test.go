@@ -248,14 +248,10 @@ func lockstep(t *testing.T, seed int64, steps int, n *lockstepCounts) {
 func compareLockstep(t *testing.T, at string, mgr *Manager, ref *refAdapt, got, want *lockstepSide, ids []string) {
 	t.Helper()
 	for _, id := range ids {
-		g, gerr := mgr.Allocation(id)
-		w, werr := ref.Allocation(id)
-		if g != w || (gerr == nil) != (werr == nil) {
-			t.Fatalf("%s: allocation[%s] = %v (%v), reference %v (%v)", at, id, g, gerr, w, werr)
-		}
-		if mgr.Degraded(id) != ref.Degraded(id) || mgr.Degradable(id) != ref.Degradable(id) {
-			t.Fatalf("%s: %s degraded/degradable = %v/%v, reference %v/%v", at, id,
-				mgr.Degraded(id), mgr.Degradable(id), ref.Degraded(id), ref.Degradable(id))
+		g, gok := mgr.conns[id]
+		w, wok := ref.conns[id]
+		if gok != wok || gok && (g.degraded != w.degraded || g.static != (w.mobility == qos.Static)) {
+			t.Fatalf("%s: record %s = %+v (open %v), reference %+v (open %v)", at, id, g, gok, w, wok)
 		}
 		for _, ls := range got.ctl.Ledger.Links() {
 			g, gok := ls.Alloc(id)

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"errors"
 	"fmt"
 
 	"armnet/internal/admission"
@@ -10,6 +11,9 @@ import (
 	"armnet/internal/qos"
 	"armnet/internal/topology"
 )
+
+// errUnknownConn is the reference's refusal of an unregistered connection.
+var errUnknownConn = errors.New("adapt: unknown connection")
 
 // refAdapt is the adaptation layer as it was before connections held a
 // record: every call names the connection by its ID in a string map, a
@@ -155,16 +159,6 @@ func (m *refAdapt) Restore(connID string) bool {
 	return true
 }
 
-func (m *refAdapt) Degraded(connID string) bool {
-	ci, ok := m.conns[connID]
-	return ok && ci.degraded
-}
-
-func (m *refAdapt) Degradable(connID string) bool {
-	ci, ok := m.conns[connID]
-	return ok && ci.mobility == qos.Static && !ci.degraded && ci.bounds.Width() > 0
-}
-
 func (m *refAdapt) SyncRoute(r topology.Route) {
 	for _, l := range r.Links {
 		if ls := m.Ledger.Link(l.ID); ls != nil {
@@ -184,7 +178,7 @@ func (m *refAdapt) CapacityChanged(id topology.LinkID, capacity float64) error {
 
 func (m *refAdapt) applyUpdate(connID string, rate float64) {
 	ci, ok := m.conns[connID]
-	if !ok || ci.degraded {
+	if !ok || ci.mobility != qos.Static || ci.degraded {
 		return
 	}
 	bw := ci.bounds.Clamp(ci.bounds.Min + rate)
@@ -194,19 +188,4 @@ func (m *refAdapt) applyUpdate(connID string, rate float64) {
 	if m.OnRate != nil {
 		m.OnRate(connID, bw)
 	}
-}
-
-func (m *refAdapt) Allocation(connID string) (float64, error) {
-	ci, ok := m.conns[connID]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", errUnknownConn, connID)
-	}
-	if len(ci.route.Links) == 0 {
-		return ci.bounds.Min, nil
-	}
-	a, ok := m.Ledger.Link(ci.route.Links[0].ID).Alloc(connID)
-	if !ok {
-		return ci.bounds.Min, nil
-	}
-	return a.Cur, nil
 }

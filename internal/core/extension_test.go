@@ -571,32 +571,26 @@ func TestZoneCrossingMigratesProfile(t *testing.T) {
 	if err := m.PlacePortable("eve", "cor-w2"); err != nil {
 		t.Fatal(err)
 	}
+	eve := m.portables["eve"].num
+	w2, e1 := m.Env.Universe.Cell("cor-w2").Index, m.Env.Universe.Cell("cor-e1").Index
+	// holds reports whether zone's server predicts eve's move from
+	// from to want by her own profile, as only her profile's holder can.
+	holds := func(zone string, from, want int) bool {
+		next, ok := m.Pred.Servers[zone].PredictByPortable(eve, -1, from)
+		return ok && next == want
+	}
 	// West -> east crossing.
 	if err := m.HandoffPortable("eve", "cor-e1"); err != nil {
 		t.Fatal(err)
 	}
-	east := m.Pred.Servers["east"]
-	found := false
-	for _, id := range east.Portables() {
-		if id == "eve" {
-			found = true
-		}
-	}
-	if !found {
+	if !holds("east", w2, e1) || holds("west", w2, e1) {
 		t.Fatal("profile did not migrate to the east zone server")
 	}
 	// And back again.
 	if err := m.HandoffPortable("eve", "cor-w2"); err != nil {
 		t.Fatal(err)
 	}
-	west := m.Pred.Servers["west"]
-	found = false
-	for _, id := range west.Portables() {
-		if id == "eve" {
-			found = true
-		}
-	}
-	if !found {
+	if !holds("west", e1, w2) || holds("east", e1, w2) {
 		t.Fatal("profile did not migrate back to the west zone server")
 	}
 }

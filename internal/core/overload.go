@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"armnet/internal/eventbus"
 	"armnet/internal/overload"
@@ -110,22 +109,11 @@ func (m *Manager) restoreLink(link topology.LinkID) int {
 	return n
 }
 
-// degradableConn reports whether a degrade cascade could still reclaim
-// bandwidth from the allocation id — the oracle the overload auditor
-// checks dropped handoffs against. Multicast legs ("<conn>@mc:<dst>")
-// resolve to their owning connection.
-func (m *Manager) degradableConn(id string) bool {
-	if i := strings.Index(id, "@"); i >= 0 {
-		id = id[:i]
-	}
-	return m.Adpt.Degradable(id)
-}
-
 // OverloadAuditor subscribes a degrade-before-drop invariant checker
 // wired to this manager and returns it; inspect Violations after the
 // run.
 func (m *Manager) OverloadAuditor() *overload.Auditor {
-	a := &overload.Auditor{Ledger: m.ledger, Degradable: m.degradableConn}
+	a := &overload.Auditor{Ledger: m.ledger}
 	a.Watch(m.Bus)
 	return a
 }

@@ -69,13 +69,17 @@ func (r *rowsAtRelease) check(h *admission.Holder, route topology.Route) {
 // closes it 100 s after that and opens the next; every fifth portable
 // instead opens a best-effort connection and renegotiates it into a
 // reserved one. Under a fault plan every seventh signaled setup is also
-// cut by a signaling crash. The run settles for 60 s more. It returns
-// the check and how many holds the signaling plane's lease reclaimed.
-func walkChecked(t *testing.T, cfg Config, n int, duration float64, bw qos.Bounds, signaled bool) (*rowsAtRelease, int64) {
+// cut by a signaling crash. The run settles for 60 s more. arm, when
+// non-nil, sees the manager before the run starts. It returns the check
+// and how many holds the signaling plane's lease reclaimed.
+func walkChecked(t *testing.T, cfg Config, n int, duration float64, bw qos.Bounds, signaled bool, arm func(*Manager)) (*rowsAtRelease, int64) {
 	t.Helper()
 	sim, m := newCampus(t, cfg)
 	chk := &rowsAtRelease{Manager: m, t: t}
 	m.rsv = chk
+	if arm != nil {
+		arm(m)
+	}
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("p%02d", i)
@@ -165,7 +169,7 @@ func TestHolderRowsAreRouteLinksAtRelease(t *testing.T) {
 		{"measured", Config{Seed: 6, Tth: 40, Admitter: "measured"}, 24, qos.Bounds{Min: 96e3, Max: 192e3}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			chk, reclaimed := walkChecked(t, c.cfg, c.n, 1200, c.bw, c.signaled)
+			chk, reclaimed := walkChecked(t, c.cfg, c.n, 1200, c.bw, c.signaled, nil)
 			if chk.exact == 0 || chk.none == 0 {
 				t.Fatalf("%d releases of a holder with rows, %d of one without: the runs must see both", chk.exact, chk.none)
 			}

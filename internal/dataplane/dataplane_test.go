@@ -199,12 +199,21 @@ func TestStopFlowSilencesSource(t *testing.T) {
 
 func TestRCSPDataplane(t *testing.T) {
 	b, route := rig(t, 0)
+	req := qos.Request{
+		Bandwidth: qos.Bounds{Min: 128e3, Max: 128e3},
+		Delay:     2, Jitter: 2, Loss: 0.05,
+		Traffic: qos.TrafficSpec{Sigma: 16e3, Rho: 128e3},
+	}
+	res, err := admission.NewController(admission.NewLedger(b)).Admit(admission.Test{ConnID: "c1", Req: req, Route: route, Mobility: qos.Mobile})
+	if err != nil || !res.Admitted {
+		t.Fatalf("admission failed: %v %v", err, res.Reason)
+	}
 	sim := des.New()
 	dp, err := New(sim, b, Options{Discipline: sched.DisciplineRCSP, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.StartFlow("c1", route, 128e3, qos.TrafficSpec{Sigma: 16e3, Rho: 128e3}); err != nil {
+	if err := dp.StartFlow("c1", route, res.Bandwidth, req.Traffic); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunUntil(30); err != nil {
@@ -214,10 +223,10 @@ func TestRCSPDataplane(t *testing.T) {
 	if st.Delivered < 100 {
 		t.Fatalf("rcsp delivered %d", st.Delivered)
 	}
-	// The regulator bounds delay variation: measured std should be tiny
-	// relative to the mean once the pipeline fills.
-	if st.Delay.Std() > st.Delay.Mean() {
-		t.Fatalf("rcsp jitter suspicious: std %v mean %v", st.Delay.Std(), st.Delay.Mean())
+	// Table 2's jitter row: the regulator keeps the observed delay
+	// variation within the end-to-end jitter the admission promised.
+	if st.Jitter() > res.EndToEndJitter {
+		t.Fatalf("rcsp jitter %v exceeds the admitted bound %v", st.Jitter(), res.EndToEndJitter)
 	}
 }
 

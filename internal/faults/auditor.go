@@ -55,7 +55,7 @@ type Auditor struct {
 // re-checked immediately after every component fault and restoration.
 func (a *Auditor) Watch(bus *eventbus.Bus) {
 	a.Bus = bus
-	bus.Subscribe(func(eventbus.Record) { a.CheckConservation() },
+	bus.Subscribe(func(eventbus.Record) { a.checkConservation() },
 		eventbus.KindFaultComponent)
 }
 
@@ -64,13 +64,11 @@ func (a *Auditor) report(invariant, detail string) {
 	eventbus.Pub(a.Bus, eventbus.InvariantViolation{Invariant: invariant, Detail: detail})
 }
 
-// CheckConservation verifies the per-link ledger invariants. It returns
-// the number of new violations.
-func (a *Auditor) CheckConservation() int {
+// checkConservation verifies the per-link ledger invariants.
+func (a *Auditor) checkConservation() {
 	if a.Ledger == nil {
-		return 0
+		return
 	}
-	before := len(a.Violations)
 	const eps = 1e-9
 	for _, ls := range a.Ledger.Links() {
 		link := string(ls.Link.ID)
@@ -87,14 +85,14 @@ func (a *Auditor) CheckConservation() int {
 			}
 		}
 	}
-	return len(a.Violations) - before
 }
 
 // CheckFinal runs every invariant after the run has drained: conservation,
-// leaked holds, orphaned allocations, and maxmin re-convergence. It
-// returns all violations accumulated so far.
+// leaked holds, orphaned allocations, and maxmin re-convergence; a check
+// whose closure is nil is skipped. It returns all violations accumulated
+// so far.
 func (a *Auditor) CheckFinal() []string {
-	a.CheckConservation()
+	a.checkConservation()
 	const eps = 1e-9
 	if a.PendingHolds != nil {
 		if held := a.PendingHolds(); held > eps {

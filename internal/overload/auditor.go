@@ -9,11 +9,14 @@ import (
 )
 
 // Auditor checks the overload subsystem's central invariant from the
-// event stream: *no handoff is dropped while a degradable connection
-// still holds more than its b_min on the contended link*. The paper's
-// §5/§6 rule is that adaptable connections must give their excess back
-// before anyone pays the worst price (a dropped handoff); the degrade
-// cascade enforces it, and this auditor proves it held.
+// event stream: *no handoff is dropped while another connection still
+// holds more than its b_min on the contended link*. The paper's §5/§6
+// rule is that adaptable connections must give their excess back before
+// anyone pays the worst price (a dropped handoff); the degrade cascade
+// enforces it, and this auditor proves it held. Only a static,
+// undegraded connection of positive width is ever allocated above its
+// b_min (§5.3 adapts nothing else), so every row above b_min is one a
+// cascade could reclaim.
 //
 // The contended link is learned from the admission stream: the last
 // failed AdmissionDecision for a connection names the link that refused
@@ -22,10 +25,6 @@ import (
 type Auditor struct {
 	// Ledger is the admission ledger under audit.
 	Ledger *admission.Ledger
-	// Degradable reports whether a cascade could still reclaim
-	// bandwidth from the connection; nil treats every connection with
-	// Cur > Min as degradable (strictest reading).
-	Degradable func(connID string) bool
 	// Eps is the slack allowed above b_min (default 1e-6).
 	Eps float64
 	// Bus, when non-nil, receives an InvariantViolation per failure.
@@ -82,9 +81,6 @@ func (a *Auditor) checkDrop(conn string) {
 		}
 		al, ok := ls.Alloc(id)
 		if !ok || al.Cur <= al.Min+eps {
-			continue
-		}
-		if a.Degradable != nil && !a.Degradable(id) {
 			continue
 		}
 		a.report("degrade-before-drop", fmt.Sprintf(

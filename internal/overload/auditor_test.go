@@ -91,19 +91,6 @@ func TestAuditorCleanWhenEveryoneAtMin(t *testing.T) {
 	}
 }
 
-func TestAuditorRespectsDegradableFilter(t *testing.T) {
-	bus, lg, link := dropFixture(t)
-	if err := lg.SetAllocation("bystander", link, 200e3); err != nil {
-		t.Fatal(err)
-	}
-	aud := &Auditor{Ledger: lg, Degradable: func(string) bool { return false }}
-	aud.Watch(bus)
-	replayDrop(bus, link)
-	if len(aud.Violations) != 0 {
-		t.Fatalf("violations = %v, want none: nothing is degradable", aud.Violations)
-	}
-}
-
 func TestAuditorForgivesAfterReadmission(t *testing.T) {
 	bus, lg, link := dropFixture(t)
 	if err := lg.SetAllocation("bystander", link, 200e3); err != nil {

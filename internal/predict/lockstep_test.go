@@ -7,7 +7,6 @@ import (
 
 	"armnet/internal/profile"
 	"armnet/internal/randx"
-	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -16,8 +15,9 @@ import (
 // holds every answer of the two equal after every step: NextCell,
 // PredictByPortable, PredictByCell, HandoffDistribution, the slotted
 // departure and arrival counts, Classify, the cell profile's diagnostic
-// line (history length, distinct visitors, top-4 visitor share) and which
-// portables each zone server holds.
+// line (history length, distinct visitors, top-4 visitor share) and
+// every zone server's portable-level prediction for every walker, so a
+// profile a handover should have moved shows in the zone it was left in.
 //
 // The streams run on the campus (two zones) and on a three-floor grid
 // (three zones; its corridor IDs sort apart from their numbers, "cor-0-10"
@@ -194,8 +194,16 @@ func lockstep(t *testing.T, u *topology.Universe, opts profile.ServerOptions, na
 				checkCell(step, c, randomCell())
 			}
 			for _, zone := range zones {
-				if got, want := p.Servers[zone].Portables(), sortx.Keys(ref.servers[zone].portables); !slices.Equal(got, want) {
-					t.Fatalf("step %d: zone %s holds %v, reference %v", step, zone, got, want)
+				for i, w := range walkers {
+					if w.cur == nil {
+						continue
+					}
+					next, ok := p.Servers[zone].PredictByPortable(w.n, p.number(w.prev), w.cur.Index)
+					want, wantOK := ref.servers[zone].predictByPortable(names[i], id(w.prev), w.cur.ID)
+					if ok != wantOK || (ok && p.cells[next].ID != want) {
+						t.Fatalf("step %d: zone %s's PredictByPortable(%s, %s, %s) = %d/%v, reference %s/%v",
+							step, zone, names[i], id(w.prev), w.cur.ID, next, ok, want, wantOK)
+					}
 				}
 			}
 		}

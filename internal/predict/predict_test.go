@@ -3,7 +3,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -135,11 +134,12 @@ func TestCrossZoneProfileMigration(t *testing.T) {
 	p := New(env.Universe, profile.ServerOptions{})
 	// Portable crosses west -> east via cor-w2 -> cor-e1.
 	record(p, "alice", "cor-w1", "cor-w2", "cor-e1", 1)
-	if got := p.Servers["east"].Portables(); !slices.Equal(got, []string{"alice"}) {
-		t.Fatalf("east holds profiles of %v, want alice's", got)
+	alice, w1, w2 := p.Number("alice"), p.Universe.Cell("cor-w1").Index, p.Universe.Cell("cor-w2").Index
+	if next, ok := p.Servers["east"].PredictByPortable(alice, w1, w2); !ok || p.cells[next].ID != "cor-e1" {
+		t.Fatalf("east predicts %d/%v from alice's profile, want cor-e1", next, ok)
 	}
-	if got := p.Servers["west"].Portables(); len(got) != 0 {
-		t.Fatalf("west still holds profiles of %v", got)
+	if next, ok := p.Servers["west"].PredictByPortable(alice, w1, w2); ok {
+		t.Fatalf("west still predicts %s from alice's profile", p.cells[next].ID)
 	}
 }
 

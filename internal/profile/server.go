@@ -1,10 +1,6 @@
 package profile
 
-import (
-	"slices"
-
-	"armnet/internal/topology"
-)
+import "armnet/internal/topology"
 
 // ServerOptions configures a zone profile server.
 type ServerOptions struct {
@@ -91,18 +87,6 @@ func (s *Server) slot(n int) **portableProfile {
 		s.portables = append(s.portables, make([]*portableProfile, n+1-len(s.portables))...)
 	}
 	return &s.portables[n]
-}
-
-// Portables returns the IDs of portables with profiles, sorted.
-func (s *Server) Portables() []string {
-	var ids []string
-	for n, p := range s.portables {
-		if p != nil {
-			ids = append(ids, s.names.PortableID(n))
-		}
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // RecordHandoff is the update message a base station sends on every

@@ -15,11 +15,10 @@ import (
 	"strings"
 )
 
-// Welford accumulates mean and variance online.
+// Welford accumulates a sample's mean, minimum and maximum online.
 type Welford struct {
 	n    int64
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 }
@@ -37,9 +36,7 @@ func (w *Welford) Observe(x float64) {
 			w.max = x
 		}
 	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += float64(d * (x - w.mean))
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the sample count.
@@ -47,17 +44,6 @@ func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the sample mean (zero when empty).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// variance returns the unbiased sample variance (zero for n < 2).
-func (w *Welford) variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.variance()) }
 
 // Min returns the smallest sample (zero when empty).
 func (w *Welford) Min() float64 { return w.min }
